@@ -15,6 +15,17 @@
 //   - BlockValidity / LocalMonotonicRead: incremental per-chain facts
 //     and per-process previous-read state.
 //
+// Cost per read: O(1) amortized for interned reads under the built-in
+// scores. The score and the Block Validity fact of a chain not seen
+// before are extended from those of the nearest ancestor chain already
+// read, by walking parent links in the chain table (suffix), so over a
+// run P examines each block about once and no chain is materialized
+// while streaming. An eagerly recorded chain, a foreign Score (no
+// Extend) and a monitor without a table are scanned over the whole
+// chain, O(height) per distinct chain. Finalize materializes chains only
+// for Block Validity suspects, violations and distinct chains inside the
+// final window, and never through the table's memo.
+//
 // Violation Witnesses are emitted through OnWitness the moment they
 // form (live channel, advisory for the window properties), and
 // Finalize() reconstructs Verdicts equivalent to batch Classify: OK
@@ -69,11 +80,11 @@ type MonitorConfig struct {
 	// emitted the moment a token is consumed a (K+1)-th time. Token
 	// groups are tracked regardless, so KForkReport works for any k.
 	K int
-	// Table is the run's shared chain table; witness reconstruction and
-	// incremental scoring materialize chains from it without growing
-	// its memo cache. May be nil for histories recorded with explicit
-	// chains (RespondRead), which the monitor retains on the few ops it
-	// keeps.
+	// Table is the run's shared chain table: incremental scoring and
+	// validity facts walk its parent links, and witness reconstruction
+	// materializes chains from it without growing its memo cache. May be
+	// nil for histories recorded with explicit chains (RespondRead),
+	// which the monitor retains on the few ops it keeps.
 	Table *history.ChainTable
 	// OnWitness, when set, receives each violation witness the moment
 	// it forms. It runs under the recorder's lock: keep it fast and do
@@ -142,12 +153,44 @@ func (s *recSet) insert(r opRec, cap int) {
 // so arrival-clean chains are final-clean and arrival-passing bounds
 // keep passing. Reads that fail at arrival become suspects, re-resolved
 // against the final append index at Finalize.
+//
+// The fact of an interned read is not scanned from genesis but extended,
+// block by block, from the fact of the nearest ancestor chain already
+// read (extendFact), so P sees each block once, not once per chain
+// containing it. The ancestor's fact is older than a scan made now, and
+// extending it is conservative — it can add suspects, never lose a
+// violation. Proof: every block's status was taken at some time t ≤ now
+// against the append index as of t. The index only gains blocks and
+// lowers invocation indices, so a block found appended at t with
+// invocation i is appended now with invocation ≤ i, and P(b) does not
+// depend on t. Hence extended-clean ⇒ scanned-now-clean ⇒ final-clean,
+// and extended maxAppendInv ≥ scanned-now ≥ final: a read that passes
+// against the extended fact passes against the final one, which is the
+// only direction finalBV does not re-check. A fact that is unclean only
+// because a block had no append yet (the append was recorded after a
+// read of its block) is never extended — the descendants of that block
+// would all stay suspects although its append has since arrived; the
+// walk passes over such a fact and re-examines its blocks. On a stream
+// delivered in response order the extended fact therefore puts exactly
+// the reads in the suspect sets that a scan at arrival would.
 type bvFact struct {
 	clean        bool
 	maxAppendInv int
 	nonGenesis   int
 	firstInvalid core.BlockID
 	hasInvalid   bool
+}
+
+// extendable reports whether descendants' facts may start from f: its
+// verdict on its own blocks is final (all appended and valid, or one
+// invalid for good), not waiting on an append still to be recorded.
+func (f *bvFact) extendable() bool { return f.clean || f.hasInvalid }
+
+// foldScore is a Score that can be extended block by block:
+// Extend(Of(c), b) = Of(c⌢{b}) for a non-genesis b. Both built-in scores
+// are; a foreign Score is computed over the materialized chain.
+type foldScore interface {
+	Extend(score int, b *core.Block) int
 }
 
 // spRun is one maximal run of equal interned chains in the sorted-read
@@ -194,6 +237,8 @@ type Monitor struct {
 	ops, nreads, nappends, ncomm int
 
 	scoreByKey map[chainKey]int
+	// path is suffix's scratch buffer.
+	path []*core.Block
 
 	// win is the sliding liveness tail: the last `window` correct reads
 	// by invocation index.
@@ -517,14 +562,68 @@ func (m *Monitor) comparable(a, b chainKey) bool {
 	return anc != nil && anc.ID == short.head
 }
 
+// suffix walks parent links in the table from an interned read's head
+// towards genesis, until cached reports a chain key whose cached value
+// the caller can extend. It returns the blocks passed, head first (valid
+// until the next call), and the key it stopped at — the genesis chain's
+// if nothing nearer was cached. ok is false when there is nothing to
+// walk or the walk breaks — an eagerly recorded chain, no table, a
+// missing ancestor, a height that does not match — and the caller falls
+// back to the materialized chain. Reads mostly return the chain of a
+// recent read plus a block or two, so the walk is O(1) amortized where
+// the materialization is O(height).
+func (m *Monitor) suffix(op *history.Op, cached func(chainKey) bool) (path []*core.Block, base chainKey, ok bool) {
+	if m.table == nil || op.EagerChain() != nil {
+		return nil, chainKey{}, false
+	}
+	path = m.path[:0]
+	b := m.table.Block(op.Head)
+	for n := op.ChainLen; ; n-- {
+		if b == nil || b.Height != n-1 {
+			return nil, chainKey{}, false
+		}
+		base = chainKey{b.ID, n}
+		if b.IsGenesis() || cached(base) {
+			m.path = path
+			return path, base, true
+		}
+		path = append(path, b)
+		b = m.table.Block(b.Parent)
+	}
+}
+
 func (m *Monitor) scoreOfOp(op *history.Op) int {
 	k := keyOf(op)
 	if s, ok := m.scoreByKey[k]; ok {
 		return s
 	}
-	s := m.score.Of(op.ChainUncached())
+	s, ok := m.extendScore(op)
+	if !ok {
+		s = m.score.Of(op.ChainUncached())
+	}
 	m.scoreByKey[k] = s
 	return s
+}
+
+// extendScore scores an interned read from the cached score of its
+// nearest already-read ancestor chain.
+func (m *Monitor) extendScore(op *history.Op) (int, bool) {
+	fold, ok := m.score.(foldScore)
+	if !ok {
+		return 0, false
+	}
+	path, base, ok := m.suffix(op, func(k chainKey) bool { _, ok := m.scoreByKey[k]; return ok })
+	if !ok {
+		return 0, false
+	}
+	s, ok := m.scoreByKey[base]
+	if !ok {
+		s = m.score.Of(core.GenesisChain())
+	}
+	for i := len(path) - 1; i >= 0; i-- {
+		s = fold.Extend(s, path[i])
+	}
+	return s, true
 }
 
 func (m *Monitor) factOfOp(op *history.Op) *bvFact {
@@ -532,35 +631,60 @@ func (m *Monitor) factOfOp(op *history.Op) *bvFact {
 	if f, ok := m.bvFacts[k]; ok {
 		return f
 	}
-	f := m.scanFact(op.ChainUncached())
+	f := m.extendFact(op)
+	if f == nil {
+		f = m.scanFact(op.ChainUncached())
+	}
 	m.bvFacts[k] = f
+	return f
+}
+
+// extendFact builds an interned read's fact from the fact of its nearest
+// already-read ancestor chain that is extendable (see bvFact).
+func (m *Monitor) extendFact(op *history.Op) *bvFact {
+	extendable := func(k chainKey) bool { f := m.bvFacts[k]; return f != nil && f.extendable() }
+	path, base, ok := m.suffix(op, extendable)
+	if !ok {
+		return nil
+	}
+	f := &bvFact{clean: true, maxAppendInv: -1}
+	if extendable(base) {
+		*f = *m.bvFacts[base]
+	}
+	for i := len(path) - 1; i >= 0; i-- {
+		m.scanBlock(f, path[i])
+	}
 	return f
 }
 
 func (m *Monitor) scanFact(c core.Chain) *bvFact {
 	f := &bvFact{clean: true, maxAppendInv: -1}
 	for _, b := range c {
-		if b.IsGenesis() {
-			continue
-		}
-		f.nonGenesis++
-		if !m.pred.Valid(b) {
-			f.clean = false
-			if !f.hasInvalid {
-				f.hasInvalid, f.firstInvalid = true, b.ID
-			}
-			continue
-		}
-		ap, ok := m.appendInv[b.ID]
-		if !ok {
-			f.clean = false
-			continue
-		}
-		if ap.inv > f.maxAppendInv {
-			f.maxAppendInv = ap.inv
+		if !b.IsGenesis() {
+			m.scanBlock(f, b)
 		}
 	}
 	return f
+}
+
+// scanBlock folds one non-genesis block into a fact.
+func (m *Monitor) scanBlock(f *bvFact, b *core.Block) {
+	f.nonGenesis++
+	if !m.pred.Valid(b) {
+		f.clean = false
+		if !f.hasInvalid {
+			f.hasInvalid, f.firstInvalid = true, b.ID
+		}
+		return
+	}
+	ap, ok := m.appendInv[b.ID]
+	if !ok {
+		f.clean = false
+		return
+	}
+	if ap.inv > f.maxAppendInv {
+		f.maxAppendInv = ap.inv
+	}
 }
 
 func (m *Monitor) emit(w Witness) {
@@ -628,7 +752,7 @@ func (m *Monitor) finalBV() *Report {
 			continue // suspect resolved clean against the final appends
 		}
 		r := m.rebuild(rec)
-		for _, b := range r.Chain() {
+		for _, b := range r.ChainUncached() {
 			if b.IsGenesis() {
 				continue
 			}
@@ -691,9 +815,15 @@ func (m *Monitor) finalSP() *Report {
 	for _, l := range lens {
 		sl := m.spLens[l]
 		for _, run := range sl.runs {
-			if havePrev && prev.key() != run.first.key() {
+			// Interned reads are cleared by the O(Δheight) ancestor probe
+			// (prev is never the longer chain, so comparable means
+			// prefix); only a pair the probe cannot clear — a violation,
+			// an eager chain, no table — has its chains materialized.
+			interned := prev.chain == nil && run.first.chain == nil
+			if havePrev && prev.key() != run.first.key() &&
+				!(interned && m.comparable(prev.key(), run.first.key())) {
 				pOp, cOp := m.rebuild(prev), m.rebuild(run.first)
-				if !pOp.Chain().Prefix(cOp.Chain()) {
+				if !pOp.ChainUncached().Prefix(cOp.ChainUncached()) {
 					rep.witness([]*history.Op{pOp, cOp}, []core.BlockID{prev.head, run.first.head},
 						"incomparable reads: %s vs %s", pOp, cOp)
 					if len(rep.Violations) == MaxViolations {
@@ -761,9 +891,14 @@ func (m *Monitor) finalEP() *Report {
 	tail := m.win
 	w := len(tail)
 
+	// Window chains are materialized only for a pair of distinct keys:
+	// a converged window needs none.
 	chains := make([]core.Chain, w)
-	for i := range tail {
-		chains[i] = m.rebuild(tail[i]).Chain()
+	chainOf := func(i int) core.Chain {
+		if chains[i] == nil {
+			chains[i] = m.rebuild(tail[i]).ChainUncached()
+		}
+		return chains[i]
 	}
 	divergent := false
 	mcps := make([][]int, w)
@@ -778,7 +913,7 @@ func (m *Monitor) finalEP() *Report {
 			if tail[x].key() == tail[y].key() {
 				mm = sx
 			} else {
-				mm = core.MCPS(m.score, chains[x], chains[y])
+				mm = core.MCPS(m.score, chainOf(x), chainOf(y))
 			}
 			mcps[x][y] = mm
 			if mm < sx && mm < sy {

@@ -1,0 +1,240 @@
+package consistency
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/history"
+)
+
+// These tests pin the incremental per-chain facts and scores of the
+// Monitor (extendFact / extendScore): their cost, and their equivalence
+// to batch Classify on the streams built to stress them — through
+// interned reads, since eagerly recorded chains keep the scan.
+
+// countingPred counts the blocks P is asked about and rejects the listed
+// ones.
+type countingPred struct {
+	calls   *int
+	invalid map[core.BlockID]bool
+}
+
+func (p countingPred) Valid(b *core.Block) bool { *p.calls++; return !p.invalid[b.ID] }
+func (countingPred) Name() string               { return "counting" }
+
+// Both built-in scores must stay extendable, or the monitor silently
+// falls back to scanning.
+var _, _ foldScore = core.LengthScore{}, core.WeightScore{}
+
+// opaqueWeight is WeightScore without Extend: a foreign Score, which the
+// monitor must compute over the materialized chain.
+type opaqueWeight struct{}
+
+func (opaqueWeight) Of(c core.Chain) int { return core.WeightScore{}.Of(c) }
+func (opaqueWeight) Name() string        { return "opaque-weight" }
+
+// internSink hands every read to the monitor as an interned (head,
+// length) handle, dropping an eagerly recorded chain: the blocks are in
+// the table, so the handle names the same chain, and the stream takes
+// the extending path where it would have taken the scan.
+type internSink struct {
+	*Monitor
+	table *history.ChainTable
+}
+
+func (s internSink) OpDone(op *history.Op) {
+	if op.Kind == history.OpRead && op.EagerChain() != nil {
+		interned := *op
+		interned.SetSource(s.table, nil)
+		op = &interned
+	}
+	s.Monitor.OpDone(op)
+}
+
+// streamAndBatch records build through a recorder whose sink is a
+// Monitor behind an internSink, finalizes it, and requires the verdicts
+// to equal batch Classify under the same score and predicate. It returns
+// the monitor.
+func streamAndBatch(t *testing.T, procs int, score core.Score, pred core.Predicate, build func(rec *history.Recorder)) *Monitor {
+	t.Helper()
+	rec := history.NewRecorder(procs, nil)
+	mon := NewMonitor(MonitorConfig{Procs: procs, Score: score, P: pred, Table: rec.Table()})
+	rec.SetSink(internSink{mon, rec.Table()})
+	build(rec)
+	for _, op := range rec.PendingOps() {
+		mon.OpPending(op)
+	}
+	msc, mec := mon.Finalize()
+	bsc, bec := NewChecker(score, pred).Classify(rec.Snapshot())
+	if got, want := verdictDump(msc), verdictDump(bsc); got != want {
+		t.Errorf("SC verdict mismatch:\n--- batch ---\n%s--- stream ---\n%s", want, got)
+	}
+	if got, want := verdictDump(mec), verdictDump(bec); got != want {
+		t.Errorf("EC verdict mismatch:\n--- batch ---\n%s--- stream ---\n%s", want, got)
+	}
+	return mon
+}
+
+// FuzzMonitorInternedEquivalence replays FuzzMonitorEquivalence's op
+// streams — forks, stale reads, forged and never-appended blocks,
+// duplicate and pending appends — with every read interned, so that the
+// extended facts and scores, not the scan, face the batch oracle.
+func FuzzMonitorInternedEquivalence(f *testing.F) {
+	f.Add([]byte{0, 3, 8, 11, 2, 3, 19, 4})
+	f.Add([]byte{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3})
+	f.Add([]byte{7, 71, 15, 0, 2, 3, 3, 3, 7, 7, 13, 5, 101, 6, 66, 4, 12, 20, 28})
+	f.Add([]byte{1, 9, 17, 25, 33, 41, 49, 57, 3, 11, 19, 27, 2, 10, 18, 26, 4, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		const procs = 3
+		for _, score := range []core.Score{core.LengthScore{}, core.WeightScore{}} {
+			streamAndBatch(t, procs, score, nil, func(rec *history.Recorder) { fuzzBuild(rec, procs, data) })
+		}
+	})
+}
+
+// TestMonitorValidatesEachBlockOnce proves the complexity claim: on a
+// single-writer stream with one read per block the monitor asks P about
+// each block once — 2 000 calls, where a scan per distinct chain makes
+// 2 001 000 — also when the monitor is checkpointed and restored half
+// way, and Finalize on the benign run adds none. It also pins that
+// Finalize leaves the chain table's memo alone on a benign run: the
+// window's two distinct chains are materialized for EventualPrefix, but
+// not memoized.
+func TestMonitorValidatesEachBlockOnce(t *testing.T) {
+	const blocks = 2000
+	for _, cut := range []int{-1, blocks / 2} {
+		calls := 0
+		rec := history.NewRecorder(1, nil)
+		rec.SetRetain(false)
+		cfg := MonitorConfig{Procs: 1, P: countingPred{calls: &calls}, Table: rec.Table()}
+		sink := &ckptSink{t: t, mon: NewMonitor(cfg), cfg: cfg, at: 2 * cut}
+		rec.SetSink(sink)
+
+		head := core.Genesis()
+		for i := 1; i <= blocks; i++ {
+			head = core.NewBlock(head.ID, head.Height+1, 0, i, nil)
+			rec.InternBlock(head)
+			rec.Append(0, head, true)
+			rec.ReadHead(0, head)
+		}
+		if calls != blocks {
+			t.Errorf("cut=%d: P called %d times while streaming, want %d", cut, calls, blocks)
+		}
+
+		memo := rec.Table().MemoLen()
+		sc, ec := sink.mon.Finalize()
+		if !sc.OK || !ec.OK {
+			t.Errorf("cut=%d: benign stream judged SC=%v EC=%v", cut, sc.OK, ec.OK)
+		}
+		if got := sc.Reports[0]; got.Property != "BlockValidity" || got.Checked != blocks*(blocks+1)/2 {
+			t.Errorf("cut=%d: %s checked %d blocks, want %d", cut, got.Property, got.Checked, blocks*(blocks+1)/2)
+		}
+		if calls != blocks {
+			t.Errorf("cut=%d: P called %d times after Finalize, want %d", cut, calls, blocks)
+		}
+		if got := rec.Table().MemoLen(); got != memo {
+			t.Errorf("cut=%d: Finalize grew the chain memo from %d to %d", cut, memo, got)
+		}
+	}
+}
+
+// TestMonitorAppendRecordedAfterRead is the adversarial order for the
+// extended facts: block c[3] is read before its append is recorded, so
+// its chain's fact is unclean for want of an append. The reads of its
+// descendants must not inherit that — by then the append has arrived —
+// while the early read itself stays a suspect that Finalize re-resolves
+// into the batch checker's "appended only later" witness.
+func TestMonitorAppendRecordedAfterRead(t *testing.T) {
+	calls, streamed := 0, 0
+	c := chainN(40)
+	mon := streamAndBatch(t, 2, nil, countingPred{calls: &calls}, func(rec *history.Recorder) {
+		for _, b := range c {
+			rec.InternBlock(b)
+		}
+		recordChain(rec, c[:3])
+		rec.ReadHead(0, c[2]) // clean ancestor to extend from
+		rec.ReadHead(1, c[3]) // before append(c[3]) is recorded
+		rec.ReadHead(0, c[3])
+		recordChain(rec, c[3:])
+		for i := 4; i <= 40; i++ {
+			rec.ReadHead(i%2, c[i])
+		}
+		streamed = calls
+	})
+	// c[1..2], then c[3], then c[3] again (its fact is passed over) with
+	// c[4], then one block per read.
+	if want := 2 + 1 + 2 + 36; streamed != want {
+		t.Errorf("P called %d times while streaming, want %d", streamed, want)
+	}
+	if got := mon.Stats().SuspectKeys; got != 1 {
+		t.Errorf("suspect chains %d, want 1 (the early read's only)", got)
+	}
+	if f := mon.bvFacts[chainKey{c[40].ID, 41}]; !f.clean || f.nonGenesis != 40 {
+		t.Errorf("fact of the longest chain: %+v, want clean over 40 blocks", f)
+	}
+}
+
+// TestMonitorInvalidAncestorExtends: a block P rejects makes every chain
+// through it unclean for good, so those facts are extended, not
+// re-examined — P still sees each block once while streaming — and every
+// read above it is reported exactly as batch reports it.
+func TestMonitorInvalidAncestorExtends(t *testing.T) {
+	calls, streamed := 0, 0
+	c := chainN(30)
+	pred := countingPred{calls: &calls, invalid: map[core.BlockID]bool{c[10].ID: true}}
+	mon := streamAndBatch(t, 2, nil, pred, func(rec *history.Recorder) {
+		for _, b := range c {
+			rec.InternBlock(b)
+		}
+		recordChain(rec, c)
+		for i := 1; i <= 30; i++ {
+			rec.ReadHead(i%2, c[i])
+		}
+		streamed = calls
+	})
+	if streamed != 30 {
+		t.Errorf("P called %d times while streaming, want 30", streamed)
+	}
+	if f := mon.bvFacts[chainKey{c[30].ID, 31}]; f.clean || !f.hasInvalid || f.firstInvalid != c[10].ID {
+		t.Errorf("fact of the longest chain: %+v, want first invalid %s", f, c[10].ID.Short())
+	}
+}
+
+// TestMonitorExtendedScores: under WeightScore the monitor extends
+// scores across a weighted fork and must agree with batch Classify, and
+// with a monitor given the same score as a foreign type (scanned).
+func TestMonitorExtendedScores(t *testing.T) {
+	build := func(rec *history.Recorder) {
+		base := chainN(12)
+		fork := forkN(base, 4, 6)
+		for i := range fork[5:] {
+			fork[5+i] = fork[5+i].WithWeight(3) // shorter but heavier branch
+		}
+		for _, ch := range []core.Chain{base, fork} {
+			for _, b := range ch {
+				rec.InternBlock(b)
+			}
+		}
+		recordChain(rec, base, fork)
+		for i := 1; i <= 12; i++ {
+			rec.ReadHead(0, base[i])
+			if i < len(fork) {
+				rec.ReadHead(1, fork[i])
+			}
+			rec.ReadHead(0, base[i/2]) // score drops: LocalMonotonicRead
+		}
+	}
+	ext := streamAndBatch(t, 2, core.WeightScore{}, nil, build)
+	scan := streamAndBatch(t, 2, opaqueWeight{}, nil, build)
+	if len(ext.scoreByKey) == 0 || len(ext.scoreByKey) != len(scan.scoreByKey) {
+		t.Fatalf("scored %d chains extended, %d scanned", len(ext.scoreByKey), len(scan.scoreByKey))
+	}
+	for k, s := range scan.scoreByKey {
+		if ext.scoreByKey[k] != s {
+			t.Errorf("chain %s/%d: extended score %d, scanned %d", k.head.Short(), k.n, ext.scoreByKey[k], s)
+		}
+	}
+}

@@ -64,9 +64,10 @@ func FuzzChainPrefix(f *testing.F) {
 }
 
 // checkTreeIndices asserts every incremental index of the tree — leaf
-// set, cached max height, per-block chain weight, per-block subtree
-// weight — equals a from-scratch recomputation over the blocks/children
-// maps. It is the shared invariant check for the attach fuzzers.
+// set, cached max height, max fork degree, the O(1) selector heads,
+// per-block chain weight, per-block subtree weight — equals a
+// from-scratch recomputation over the blocks/children maps. It is the
+// shared invariant check for the attach fuzzers.
 func checkTreeIndices(t *testing.T, tr *Tree) {
 	t.Helper()
 	// Leaf set == scan of all blocks with no children.
@@ -87,6 +88,7 @@ func checkTreeIndices(t *testing.T, tr *Tree) {
 	if got, want := tr.Height(), scanHeight(tr); got != want {
 		t.Fatalf("cached height %d, scan %d", got, want)
 	}
+	checkHeadsMatchLegacy(t, tr)
 	// chainWeight[b] == WeightScore of the materialized chain;
 	// subtreeWeight[b] == recomputed weight sum over the subtree.
 	sc := WeightScore{}
@@ -151,14 +153,16 @@ func FuzzTreeAttach(f *testing.F) {
 // attach schedules with random weights, duplicate deliveries (the same
 // block attached again must be idempotent), conflicting re-weighted
 // twins (same ID, different weight — must be rejected without touching
-// any cache), and out-of-order delivery (a child offered before its
-// parent must be rejected, then accepted once the parent lands). After
-// the schedule, every cache must equal a recompute from scratch, both on
-// the tree and on a clone.
+// any cache), out-of-order delivery (a child offered before its parent
+// must be rejected, then accepted once the parent lands) and, for op
+// bytes >= 200, non-positive weights (which push HeaviestChain off its
+// O(1) path). After the schedule, every cache must equal a recompute
+// from scratch, both on the tree and on a clone.
 func FuzzTreeIndices(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{9, 9, 9, 9})
 	f.Add([]byte{0, 20, 0, 20, 41, 62})
+	f.Add([]byte{0, 200, 5, 201, 210, 6, 255, 203, 1})
 	f.Fuzz(func(t *testing.T, schedule []byte) {
 		tr := NewTree()
 		attached := []*Block{Genesis()}
@@ -166,8 +170,11 @@ func FuzzTreeIndices(f *testing.F) {
 			switch op % 5 {
 			case 0, 1: // ordinary attach under a random existing parent
 				parent := attached[int(op/5)%len(attached)]
-				b := NewBlock(parent.ID, parent.Height+1, int(op)%3, i, []byte{op, byte(i)}).
-					WithWeight(int(op)%4 + 1)
+				w := int(op)%4 + 1
+				if op >= 200 {
+					w -= 3 // -2..1: zero and negative weights
+				}
+				b := NewBlock(parent.ID, parent.Height+1, int(op)%3, i, []byte{op, byte(i)}).WithWeight(w)
 				if err := tr.Attach(b); err != nil {
 					t.Fatalf("valid attach rejected: %v", err)
 				}

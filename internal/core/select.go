@@ -14,10 +14,11 @@ package core
 // chains, as required for f to be a function.
 //
 // Every selector here runs off the Tree's incremental indices: picking
-// the winning leaf costs O(#leaves) (or O(path) for GHOST's descent)
-// and only the winning chain is materialized, O(height). The original
-// full-rescan implementations are kept unexported in select_legacy_test.go
-// and pinned equivalent by differential tests.
+// the winning leaf costs O(1) (O(path) for GHOST's descent; O(#leaves)
+// for HeaviestChain once the tree holds a block of weight < 1) and only
+// the winning chain is materialized, O(height). The original full-rescan
+// implementations are kept unexported in select_legacy_test.go and
+// pinned equivalent by differential tests.
 type Selector interface {
 	// Select returns the selected blockchain including the genesis
 	// block ({b0}⌢f(bt) in the paper's notation; per the paper's
@@ -31,8 +32,9 @@ type Selector interface {
 // block of the chain Select would return, without materializing it.
 // Append paths (replica mining, refined append, BT-ADT append) only need
 // the head to chain a new block under, so this turns every append-side
-// selection from O(height) into O(#leaves) flat. All built-in selectors
-// implement it; HeadOf falls back to Select(t).Head() for foreign ones.
+// selection from O(height) into O(1) (O(path) for GHOST). All built-in
+// selectors implement it; HeadOf falls back to Select(t).Head() for
+// foreign ones.
 type HeadSelector interface {
 	SelectHead(*Tree) *Block
 }
@@ -56,25 +58,12 @@ func HeadOf(f Selector, t *Tree) *Block {
 // on the lexicographical order").
 type LongestChain struct{}
 
-// SelectHead returns the highest leaf (lexicographic tiebreak) in
-// O(#leaves) using the maintained leaf set.
-func (LongestChain) SelectHead(t *Tree) *Block {
-	var best BlockID
-	bestH := -1
-	for leaf := range t.leaves {
-		h := t.blocks[leaf].Height
-		if h > bestH || (h == bestH && leaf > best) {
-			best, bestH = leaf, h
-		}
-	}
-	if bestH < 0 {
-		return t.Root()
-	}
-	return t.blocks[best]
-}
+// SelectHead returns the highest leaf (lexicographic tiebreak) in O(1):
+// the block the tree maintains as maximal by (height, ID), which is
+// always a leaf. Nil on a degenerate zero-value tree.
+func (LongestChain) SelectHead(t *Tree) *Block { return t.tallest }
 
-// Select walks the leaf set and returns the longest chain, materializing
-// only the winner.
+// Select returns the longest chain, materializing only the winner.
 func (f LongestChain) Select(t *Tree) Chain {
 	head := f.SelectHead(t)
 	if head == nil {
@@ -91,22 +80,26 @@ func (LongestChain) Name() string { return "longest" }
 // coincides with LongestChain.
 type HeaviestChain struct{}
 
-// SelectHead returns the leaf with the largest cumulative chain weight in
-// O(#leaves), reading the maintained chainWeight index instead of
-// re-walking and re-summing each root-to-leaf path.
+// SelectHead returns the leaf with the largest cumulative chain weight.
+// While every attached weight is >= 1 (Block.Weight's contract) that is
+// the block the tree maintains as maximal by (chainWeight, ID), read in
+// O(1). Once the tree has seen a lighter block the maximum may be an
+// inner block, so the leaf set is scanned, O(#leaves), over the
+// maintained chainWeight index.
 func (HeaviestChain) SelectHead(t *Tree) *Block {
+	if !t.lightBlock {
+		return t.heaviest
+	}
 	var best BlockID
 	bestW := -1
-	found := false
 	for leaf := range t.leaves {
 		w := t.chainWeight[leaf]
 		if w > bestW || (w == bestW && leaf > best) {
 			best, bestW = leaf, w
-			found = true
 		}
 	}
-	if !found {
-		return t.Root()
+	if bestW < 0 {
+		return t.Root() // no leaf reaches weight 0: the genesis chain
 	}
 	return t.blocks[best]
 }
@@ -186,18 +179,9 @@ func (GHOST) Name() string { return "ghost" }
 type SingleChain struct{}
 
 // SelectHead returns the head of the unique chain (or the longest-chain
-// head if the tree forks).
-func (SingleChain) SelectHead(t *Tree) *Block {
-	if t.MaxForkDegree() <= 1 {
-		for leaf := range t.leaves {
-			return t.blocks[leaf] // fork-free: exactly one leaf
-		}
-		// Degenerate (zero-value) tree with no leaf set: fall through
-		// to the genesis chain instead of indexing into nothing.
-		return t.Root()
-	}
-	return LongestChain{}.SelectHead(t)
-}
+// head if the tree forks). Both are the highest leaf — a fork-free tree
+// has exactly one — so no fork test is needed, O(1).
+func (SingleChain) SelectHead(t *Tree) *Block { return LongestChain{}.SelectHead(t) }
 
 // Select returns the unique chain of a fork-free tree.
 func (f SingleChain) Select(t *Tree) Chain {

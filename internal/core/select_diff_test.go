@@ -32,6 +32,32 @@ func randomTree(t testing.TB, rng *rand.Rand, n int, chainProb float64) *Tree {
 	return tr
 }
 
+// legacyCases pairs each leaf-selecting selector with its scan-based
+// oracle from select_legacy_test.go.
+var legacyCases = []struct {
+	sel    Selector
+	legacy func(*Tree) Chain
+}{
+	{LongestChain{}, legacySelectLongest},
+	{HeaviestChain{}, legacySelectHeaviest},
+	{SingleChain{}, legacySelectSingle},
+}
+
+// checkHeadsMatchLegacy asserts the O(1) reads — MaxForkDegree and the
+// Longest/Heaviest/Single heads — equal a from-scratch recomputation.
+func checkHeadsMatchLegacy(t testing.TB, tr *Tree) {
+	t.Helper()
+	if got, want := tr.MaxForkDegree(), scanMaxFork(tr); got != want {
+		t.Fatalf("MaxForkDegree %d, scan %d", got, want)
+	}
+	for _, c := range legacyCases {
+		got, want := HeadOf(c.sel, tr), c.legacy(tr).Head()
+		if got.ID != want.ID {
+			t.Fatalf("%s head %s, legacy scan %s", c.sel.Name(), got, want)
+		}
+	}
+}
+
 // TestSelectorsMatchLegacy pins the indexed selectors to the original
 // scan-based implementations on randomized trees of several shapes: the
 // selected chains must be identical block-for-block on every seed.
@@ -49,15 +75,7 @@ func TestSelectorsMatchLegacy(t *testing.T) {
 			for seed := int64(0); seed < 25; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				tr := randomTree(t, rng, 50+rng.Intn(300), shape.chainProb)
-				cases := []struct {
-					sel    Selector
-					legacy func(*Tree) Chain
-				}{
-					{LongestChain{}, legacySelectLongest},
-					{HeaviestChain{}, legacySelectHeaviest},
-					{SingleChain{}, legacySelectSingle},
-				}
-				for _, c := range cases {
+				for _, c := range legacyCases {
 					got, want := c.sel.Select(tr), c.legacy(tr)
 					if !got.Equal(want) {
 						t.Fatalf("seed %d: %s diverged from legacy:\n got %v\nwant %v",
@@ -102,14 +120,7 @@ func TestSelectorsMatchLegacyAfterClone(t *testing.T) {
 			t.Fatalf("attach on clone: %v", err)
 		}
 	}
-	for _, c := range []struct {
-		sel    Selector
-		legacy func(*Tree) Chain
-	}{
-		{LongestChain{}, legacySelectLongest},
-		{HeaviestChain{}, legacySelectHeaviest},
-		{SingleChain{}, legacySelectSingle},
-	} {
+	for _, c := range legacyCases {
 		if got, want := c.sel.Select(cl), c.legacy(cl); !got.Equal(want) {
 			t.Fatalf("%s on grown clone diverged from legacy", c.sel.Name())
 		}
@@ -117,6 +128,70 @@ func TestSelectorsMatchLegacyAfterClone(t *testing.T) {
 		if got, want := c.sel.Select(tr), c.legacy(tr); !got.Equal(want) {
 			t.Fatalf("%s on original after clone growth diverged from legacy", c.sel.Name())
 		}
+	}
+}
+
+// TestHeadsMatchLegacyAfterEveryAttach grows trees one block at a time
+// and compares the O(1) heads and fork degree to the scans after every
+// step, on the tree and on a clone of it. The forked shapes keep many
+// leaves at equal height (and, with unit weights, equal chain weight), so
+// the ID tiebreak decides. Each shape also replays duplicate deliveries
+// and conflicting re-weighted twins, which must leave the indices
+// untouched; the "light" shapes attach zero and negative weights, where a
+// child no longer outweighs its parent and HeaviestChain must leave its
+// O(1) path — "light-late" only at block 60, after the path was in use.
+func TestHeadsMatchLegacyAfterEveryAttach(t *testing.T) {
+	shapes := []struct {
+		name      string
+		chainProb float64
+		weight    func(r *rand.Rand, i int) int
+	}{
+		{"unit-chain", 1, func(*rand.Rand, int) int { return 1 }},
+		{"unit-forked", 0.3, func(*rand.Rand, int) int { return 1 }},
+		{"weighted", 0.5, func(r *rand.Rand, _ int) int { return 1 + r.Intn(4) }},
+		{"light-zero", 0.5, func(r *rand.Rand, _ int) int { return r.Intn(2) }},
+		{"light-negative", 0.5, func(r *rand.Rand, _ int) int { return r.Intn(5) - 2 }},
+		{"light-late", 0.7, func(r *rand.Rand, i int) int {
+			if i == 60 {
+				return 0
+			}
+			return 1 + r.Intn(3)
+		}},
+	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			for seed := int64(0); seed < 8; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				tr := NewTree()
+				attached := []*Block{Genesis()}
+				for i := 0; i < 120; i++ {
+					parent := LongestChain{}.SelectHead(tr)
+					if rng.Float64() >= shape.chainProb {
+						parent = attached[rng.Intn(len(attached))]
+					}
+					b := NewBlock(parent.ID, parent.Height+1, rng.Intn(4), i, nil).WithWeight(shape.weight(rng, i))
+					if err := tr.Attach(b); err != nil {
+						t.Fatalf("attach: %v", err)
+					}
+					attached = append(attached, b)
+					checkHeadsMatchLegacy(t, tr)
+					switch i % 10 {
+					case 3: // duplicate delivery
+						if err := tr.Attach(attached[rng.Intn(len(attached))]); err != nil {
+							t.Fatalf("duplicate attach: %v", err)
+						}
+						checkHeadsMatchLegacy(t, tr)
+					case 7: // conflicting twin, heavy enough to win if it were indexed
+						if err := tr.Attach(b.WithWeight(b.Weight + 1000)); err == nil {
+							t.Fatal("conflicting twin accepted")
+						}
+						checkHeadsMatchLegacy(t, tr)
+					case 9:
+						checkHeadsMatchLegacy(t, tr.Clone())
+					}
+				}
+			}
+		})
 	}
 }
 

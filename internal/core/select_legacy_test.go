@@ -34,6 +34,19 @@ func scanHeight(t *Tree) int {
 	return h
 }
 
+// scanMaxFork recomputes the largest sibling count by scanning the whole
+// children map, the way Tree.MaxForkDegree worked before the cached
+// maxFork.
+func scanMaxFork(t *Tree) int {
+	max := 0
+	for _, ch := range t.children {
+		if len(ch) > max {
+			max = len(ch)
+		}
+	}
+	return max
+}
+
 // legacySelectLongest is the original LongestChain.Select: rescan all
 // leaves, compare heights.
 func legacySelectLongest(t *Tree) Chain {
@@ -73,7 +86,7 @@ func legacySelectHeaviest(t *Tree) Chain {
 // unguarded leaves[0] panic on degenerate trees, fixed in the indexed
 // version; with a genesis block present the two never diverge).
 func legacySelectSingle(t *Tree) Chain {
-	if t.MaxForkDegree() <= 1 {
+	if scanMaxFork(t) <= 1 {
 		leaves := scanLeaves(t)
 		if len(leaves) == 0 {
 			return GenesisChain()

@@ -18,21 +18,24 @@ import (
 //   - the BT-ADT append()/read() of Definition 3.1 lives in the adt and
 //     refine packages, built on top of Attach and a Selector.
 //
-// Tree maintains three incremental indices so that the selection
-// function f (internal/core/select.go) never rescans the whole tree:
+// Tree maintains incremental indices, each updated O(1) per Attach, so
+// that the selection function f (internal/core/select.go) never rescans
+// the tree:
 //
-//   - leaves: the current leaf set, updated O(1) per Attach;
-//   - maxHeight: the maximum block height, updated O(1) per Attach;
+//   - leaves: the current leaf set;
 //   - chainWeight: per block, the cumulative weight of the root-to-block
 //     chain excluding genesis (chainWeight[b] = chainWeight[parent] +
-//     b.Weight, so chainWeight[leaf] = WeightScore of ChainTo(leaf)),
-//     updated O(1) per Attach;
+//     b.Weight, so chainWeight[leaf] = WeightScore of ChainTo(leaf));
+//   - tallest / heaviest: the block maximal by (height, ID) and by
+//     (chainWeight, ID) — the heads LongestChain and HeaviestChain
+//     select, read in O(1);
+//   - maxFork: the largest sibling count, so MaxForkDegree is O(1);
 //
 // alongside the subtreeWeight cache for GHOST, which is built lazily on
 // first query and then maintained incrementally (O(depth) per Attach),
 // so attach-heavy runs under the other selectors never pay for it. With
-// them, LongestChain/HeaviestChain select in O(#leaves) and materialize
-// only the winning chain.
+// them, LongestChain/HeaviestChain/SingleChain pick their head in O(1)
+// and materialize only the winning chain.
 //
 // Tree is not safe for concurrent use; each simulated process owns its
 // replica (internal/replica), and shared-memory experiments wrap it.
@@ -51,11 +54,24 @@ type Tree struct {
 	ghostActive bool
 	// leaves is the maintained leaf set: blocks with no children.
 	leaves map[BlockID]struct{}
-	// maxHeight caches the maximum block height in the tree.
-	maxHeight int
 	// chainWeight caches, per block, the cumulative weight of the chain
 	// from genesis to the block, genesis excluded (matching WeightScore).
 	chainWeight map[BlockID]int
+	// tallest is the block maximal by (height, ID). A child is higher
+	// than its parent, so tallest is always a leaf: the head LongestChain
+	// selects.
+	tallest *Block
+	// heaviest is the block maximal by (chainWeight, ID), heaviestW its
+	// chain weight. While every attached weight is >= 1 a child outweighs
+	// its parent, so heaviest is a leaf — the head HeaviestChain selects.
+	// lightBlock records that a block with Weight < 1 was attached, after
+	// which heaviest may be an inner block and HeaviestChain scans the
+	// leaf set instead.
+	heaviest   *Block
+	heaviestW  int
+	lightBlock bool
+	// maxFork caches the largest number of children of any block.
+	maxFork int
 }
 
 // NewTree returns a BlockTree containing only the genesis block b0.
@@ -67,6 +83,8 @@ func NewTree() *Tree {
 		root:        g,
 		leaves:      map[BlockID]struct{}{g.ID: {}},
 		chainWeight: map[BlockID]int{g.ID: 0},
+		tallest:     g,
+		heaviest:    g,
 	}
 	return t
 }
@@ -120,12 +138,22 @@ func (t *Tree) Attach(b *Block) error {
 		kids[i], kids[i-1] = kids[i-1], kids[i]
 	}
 	t.children[b.Parent] = kids
+	if len(kids) > t.maxFork {
+		t.maxFork = len(kids)
+	}
 	delete(t.leaves, b.Parent)
 	t.leaves[b.ID] = struct{}{}
-	if b.Height > t.maxHeight {
-		t.maxHeight = b.Height
+	if b.Height > t.tallest.Height || (b.Height == t.tallest.Height && b.ID > t.tallest.ID) {
+		t.tallest = b
 	}
-	t.chainWeight[b.ID] = t.chainWeight[b.Parent] + b.Weight
+	w := t.chainWeight[b.Parent] + b.Weight
+	t.chainWeight[b.ID] = w
+	if w > t.heaviestW || (w == t.heaviestW && b.ID > t.heaviest.ID) {
+		t.heaviest, t.heaviestW = b, w
+	}
+	if b.Weight < 1 {
+		t.lightBlock = true
+	}
 	if t.ghostActive {
 		t.subtreeWeight[b.ID] = b.Weight
 		for p := b.Parent; p != ""; {
@@ -147,16 +175,8 @@ func (t *Tree) ForkCount(id BlockID) int { return len(t.children[id]) }
 
 // MaxForkDegree returns the largest number of branches from any single
 // block in the tree; 1 (or 0 for a bare genesis) means the tree is a
-// chain. Used to verify k-Fork Coherence empirically.
-func (t *Tree) MaxForkDegree() int {
-	max := 0
-	for _, ch := range t.children {
-		if len(ch) > max {
-			max = len(ch)
-		}
-	}
-	return max
-}
+// chain. Used to verify k-Fork Coherence empirically. O(1).
+func (t *Tree) MaxForkDegree() int { return t.maxFork }
 
 // SubtreeWeight returns the total weight of the subtree rooted at id
 // (the block's own weight included). Used by the GHOST selector. The
@@ -224,7 +244,12 @@ func (t *Tree) ChainTo(id BlockID) Chain {
 }
 
 // Height returns the maximum block height present in the tree, O(1).
-func (t *Tree) Height() int { return t.maxHeight }
+func (t *Tree) Height() int {
+	if t.tallest == nil {
+		return 0 // zero-value tree
+	}
+	return t.tallest.Height
+}
 
 // Blocks returns every block in the tree in (height, ID) order.
 // The genesis block comes first.
@@ -250,9 +275,13 @@ func (t *Tree) Clone() *Tree {
 		children:    make(map[BlockID][]BlockID, len(t.children)),
 		root:        t.root,
 		leaves:      make(map[BlockID]struct{}, len(t.leaves)),
-		maxHeight:   t.maxHeight,
 		chainWeight: make(map[BlockID]int, len(t.chainWeight)),
 		ghostActive: t.ghostActive,
+		tallest:     t.tallest,
+		heaviest:    t.heaviest,
+		heaviestW:   t.heaviestW,
+		lightBlock:  t.lightBlock,
+		maxFork:     t.maxFork,
 	}
 	for id, b := range t.blocks {
 		nt.blocks[id] = b

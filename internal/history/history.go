@@ -69,30 +69,20 @@ func (t *ChainTable) Intern(b *core.Block) {
 
 // ChainTo materializes the chain from genesis to head, memoized per
 // head. It returns nil if head or one of its ancestors was never
-// interned.
+// interned. A memoized head is served under the read lock.
 func (t *ChainTable) ChainTo(head core.BlockID) core.Chain {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok := t.chains[head]; ok {
+	t.mu.RLock()
+	c, ok := t.chains[head]
+	t.mu.RUnlock()
+	if ok {
 		return c
 	}
-	b, ok := t.blocks[head]
-	if !ok {
-		return nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if c = t.chainLocked(head); c != nil {
+		t.chains[head] = c
 	}
-	out := make(core.Chain, b.Height+1)
-	for i := b.Height; ; i-- {
-		out[i] = b
-		if b.IsGenesis() {
-			break
-		}
-		b, ok = t.blocks[b.Parent]
-		if !ok || b.Height != i-1 {
-			return nil
-		}
-	}
-	t.chains[head] = out
-	return out
+	return c
 }
 
 // ChainToUncached materializes the chain from genesis to head without
@@ -101,8 +91,14 @@ func (t *ChainTable) ChainTo(head core.BlockID) core.Chain {
 // monitors use it so that checking an unbounded run does not accumulate
 // one cached chain per distinct read head.
 func (t *ChainTable) ChainToUncached(head core.BlockID) core.Chain {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.chainLocked(head)
+}
+
+// chainLocked returns the memoized chain to head, or materializes it by
+// walking parent links; the caller holds t.mu (read or write).
+func (t *ChainTable) chainLocked(head core.BlockID) core.Chain {
 	if c, ok := t.chains[head]; ok {
 		return c
 	}
@@ -136,8 +132,8 @@ func (t *ChainTable) Block(id core.BlockID) *core.Block {
 // interned). It walks parent links without materializing a chain — the
 // monitors' O(Δh) comparability probe.
 func (t *ChainTable) AncestorAt(head core.BlockID, height int) *core.Block {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	b, ok := t.blocks[head]
 	if !ok || height < 0 || height > b.Height {
 		return nil
@@ -157,15 +153,15 @@ func (t *ChainTable) AncestorAt(head core.BlockID, height int) *core.Block {
 // MemoLen reports how many chains the table has memoized (observability
 // for the streaming memory-bound tests).
 func (t *ChainTable) MemoLen() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return len(t.chains)
 }
 
 // BlocksLen reports how many blocks the table has interned.
 func (t *ChainTable) BlocksLen() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return len(t.blocks)
 }
 

@@ -18,6 +18,40 @@ func treeDump(t *core.Tree) string {
 	return b.String()
 }
 
+// checkTreeReads asserts the tree's O(1) reads — MaxForkDegree and the
+// Longest/Heaviest/Single heads — equal a recomputation from its blocks
+// and leaves. Restore re-attaches in (height, ID) order, not arrival
+// order, and must arrive at the same indices.
+func checkTreeReads(t testing.TB, tr *core.Tree) {
+	t.Helper()
+	maxFork := 0
+	for _, b := range tr.Blocks() {
+		if d := tr.ForkCount(b.ID); d > maxFork {
+			maxFork = d
+		}
+	}
+	if got := tr.MaxForkDegree(); got != maxFork {
+		t.Fatalf("MaxForkDegree %d, recomputed %d", got, maxFork)
+	}
+	var longest, heaviest core.BlockID
+	for _, id := range tr.Leaves() { // ascending IDs: >= keeps the largest on ties
+		if longest == "" || tr.Block(id).Height >= tr.Block(longest).Height {
+			longest = id
+		}
+		if heaviest == "" || tr.ChainWeight(id) >= tr.ChainWeight(heaviest) {
+			heaviest = id
+		}
+	}
+	for _, c := range []struct {
+		sel  core.Selector
+		want core.BlockID
+	}{{core.LongestChain{}, longest}, {core.HeaviestChain{}, heaviest}, {core.SingleChain{}, longest}} {
+		if got := core.HeadOf(c.sel, tr).ID; got != c.want {
+			t.Fatalf("%s head %s, recomputed %s", c.sel.Name(), got.Short(), c.want.Short())
+		}
+	}
+}
+
 // snapshotDump renders a snapshot's pending buffer for equality checks.
 func pendingDump(p *Process) string {
 	var b strings.Builder
@@ -51,7 +85,10 @@ func crashRig(t *testing.T, durable bool, rounds int) (*simnet.Sim, *Group, map[
 	// post-restore state.
 	probes := map[string]string{}
 	g.Net.OnCrash(func(p int) { probes["atCrash"] = treeDump(g.Procs[p].Tree()) })
-	g.Net.OnRestart(func(p int) { probes["atRestart"] = treeDump(g.Procs[p].Tree()) })
+	g.Net.OnRestart(func(p int) {
+		probes["atRestart"] = treeDump(g.Procs[p].Tree())
+		checkTreeReads(t, g.Procs[p].Tree())
+	})
 	return sim, g, probes
 }
 
@@ -229,7 +266,10 @@ func FuzzDurableRestore(f *testing.F) {
 
 		var atCrash, atRestart string
 		g.Net.OnCrash(func(p int) { atCrash = treeDump(g.Procs[p].Tree()) + "|" + pendingDump(g.Procs[p]) })
-		g.Net.OnRestart(func(p int) { atRestart = treeDump(g.Procs[p].Tree()) + "|" + pendingDump(g.Procs[p]) })
+		g.Net.OnRestart(func(p int) {
+			atRestart = treeDump(g.Procs[p].Tree()) + "|" + pendingDump(g.Procs[p])
+			checkTreeReads(t, g.Procs[p].Tree())
+		})
 
 		rng := sim.RNG().Split()
 		parent := core.Genesis()
