@@ -15,16 +15,20 @@
 //   - BlockValidity / LocalMonotonicRead: incremental per-chain facts
 //     and per-process previous-read state.
 //
-// Cost per read: O(1) amortized for interned reads under the built-in
-// scores. The score and the Block Validity fact of a chain not seen
-// before are extended from those of the nearest ancestor chain already
-// read, by walking parent links in the chain table (suffix), so over a
-// run P examines each block about once and no chain is materialized
-// while streaming. An eagerly recorded chain, a foreign Score (no
-// Extend) and a monitor without a table are scanned over the whole
-// chain, O(height) per distinct chain. Finalize materializes chains only
-// for Block Validity suspects, violations and distinct chains inside the
-// final window, and never through the table's memo.
+// Cost per read: O(1) amortized for interned reads under the length
+// score, while the append of every block read is eventually recorded.
+// The length score is the read's recorded chain length, and the Block
+// Validity fact of a chain not seen before is extended from that of the
+// nearest ancestor chain already read, by walking parent links in the
+// chain table (extendFact), so over a run P examines each block about
+// once and no chain is materialized while streaming. A block whose
+// append is never recorded (a Byzantine block that bypassed append())
+// makes every distinct chain through it re-walk from below that block,
+// O(distance to it). An eagerly recorded chain, any other Score and a
+// monitor without a table are scanned over the whole chain, O(height)
+// per distinct chain. Finalize materializes chains only for Block
+// Validity suspects, violations and distinct chains inside the final
+// window, and never through the table's memo.
 //
 // Violation Witnesses are emitted through OnWitness the moment they
 // form (live channel, advisory for the window properties), and
@@ -170,7 +174,10 @@ func (s *recSet) insert(r opRec, cap int) {
 // because a block had no append yet (the append was recorded after a
 // read of its block) is never extended — the descendants of that block
 // would all stay suspects although its append has since arrived; the
-// walk passes over such a fact and re-examines its blocks. On a stream
+// walk passes over such a fact and re-examines its blocks (each distinct
+// descendant chain does, for as long as the append stays unrecorded:
+// the once-per-block bound needs every read block's append to arrive
+// eventually). On a stream
 // delivered in response order the extended fact therefore puts exactly
 // the reads in the suspect sets that a scan at arrival would.
 type bvFact struct {
@@ -185,13 +192,6 @@ type bvFact struct {
 // verdict on its own blocks is final (all appended and valid, or one
 // invalid for good), not waiting on an append still to be recorded.
 func (f *bvFact) extendable() bool { return f.clean || f.hasInvalid }
-
-// foldScore is a Score that can be extended block by block:
-// Extend(Of(c), b) = Of(c⌢{b}) for a non-genesis b. Both built-in scores
-// are; a foreign Score is computed over the materialized chain.
-type foldScore interface {
-	Extend(score int, b *core.Block) int
-}
 
 // spRun is one maximal run of equal interned chains in the sorted-read
 // order within one chain length.
@@ -237,7 +237,7 @@ type Monitor struct {
 	ops, nreads, nappends, ncomm int
 
 	scoreByKey map[chainKey]int
-	// path is suffix's scratch buffer.
+	// path is extendFact's scratch buffer.
 	path []*core.Block
 
 	// win is the sliding liveness tail: the last `window` correct reads
@@ -562,68 +562,19 @@ func (m *Monitor) comparable(a, b chainKey) bool {
 	return anc != nil && anc.ID == short.head
 }
 
-// suffix walks parent links in the table from an interned read's head
-// towards genesis, until cached reports a chain key whose cached value
-// the caller can extend. It returns the blocks passed, head first (valid
-// until the next call), and the key it stopped at — the genesis chain's
-// if nothing nearer was cached. ok is false when there is nothing to
-// walk or the walk breaks — an eagerly recorded chain, no table, a
-// missing ancestor, a height that does not match — and the caller falls
-// back to the materialized chain. Reads mostly return the chain of a
-// recent read plus a block or two, so the walk is O(1) amortized where
-// the materialization is O(height).
-func (m *Monitor) suffix(op *history.Op, cached func(chainKey) bool) (path []*core.Block, base chainKey, ok bool) {
-	if m.table == nil || op.EagerChain() != nil {
-		return nil, chainKey{}, false
-	}
-	path = m.path[:0]
-	b := m.table.Block(op.Head)
-	for n := op.ChainLen; ; n-- {
-		if b == nil || b.Height != n-1 {
-			return nil, chainKey{}, false
-		}
-		base = chainKey{b.ID, n}
-		if b.IsGenesis() || cached(base) {
-			m.path = path
-			return path, base, true
-		}
-		path = append(path, b)
-		b = m.table.Block(b.Parent)
-	}
-}
-
 func (m *Monitor) scoreOfOp(op *history.Op) int {
+	// The length score — the default — needs no chain: a read records
+	// the length of the chain it returned.
+	if _, ok := m.score.(core.LengthScore); ok {
+		return op.ChainLen - 1
+	}
 	k := keyOf(op)
 	if s, ok := m.scoreByKey[k]; ok {
 		return s
 	}
-	s, ok := m.extendScore(op)
-	if !ok {
-		s = m.score.Of(op.ChainUncached())
-	}
+	s := m.score.Of(op.ChainUncached())
 	m.scoreByKey[k] = s
 	return s
-}
-
-// extendScore scores an interned read from the cached score of its
-// nearest already-read ancestor chain.
-func (m *Monitor) extendScore(op *history.Op) (int, bool) {
-	fold, ok := m.score.(foldScore)
-	if !ok {
-		return 0, false
-	}
-	path, base, ok := m.suffix(op, func(k chainKey) bool { _, ok := m.scoreByKey[k]; return ok })
-	if !ok {
-		return 0, false
-	}
-	s, ok := m.scoreByKey[base]
-	if !ok {
-		s = m.score.Of(core.GenesisChain())
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		s = fold.Extend(s, path[i])
-	}
-	return s, true
 }
 
 func (m *Monitor) factOfOp(op *history.Op) *bvFact {
@@ -640,17 +591,36 @@ func (m *Monitor) factOfOp(op *history.Op) *bvFact {
 }
 
 // extendFact builds an interned read's fact from the fact of its nearest
-// already-read ancestor chain that is extendable (see bvFact).
+// already-read ancestor chain that is extendable (see bvFact): it walks
+// parent links in the table from the read's head towards genesis until
+// it meets one, then folds the blocks passed into a copy of it. Reads
+// mostly return the chain of a recent read plus a block or two, so the
+// walk is O(1) amortized where the materialization is O(height). It
+// returns nil when there is nothing to walk or the walk breaks — an
+// eagerly recorded chain, no table, a missing ancestor, a height that
+// does not match — and the caller scans the materialized chain.
 func (m *Monitor) extendFact(op *history.Op) *bvFact {
-	extendable := func(k chainKey) bool { f := m.bvFacts[k]; return f != nil && f.extendable() }
-	path, base, ok := m.suffix(op, extendable)
-	if !ok {
+	if m.table == nil || op.EagerChain() != nil {
 		return nil
 	}
 	f := &bvFact{clean: true, maxAppendInv: -1}
-	if extendable(base) {
-		*f = *m.bvFacts[base]
+	path := m.path[:0]
+	b := m.table.Block(op.Head)
+	for n := op.ChainLen; ; n-- {
+		if b == nil || b.Height != n-1 {
+			return nil
+		}
+		if b.IsGenesis() {
+			break
+		}
+		if base := m.bvFacts[chainKey{b.ID, n}]; base != nil && base.extendable() {
+			*f = *base
+			break
+		}
+		path = append(path, b)
+		b = m.table.Block(b.Parent)
 	}
+	m.path = path
 	for i := len(path) - 1; i >= 0; i-- {
 		m.scanBlock(f, path[i])
 	}

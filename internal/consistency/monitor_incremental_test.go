@@ -7,10 +7,10 @@ import (
 	"repro/internal/history"
 )
 
-// These tests pin the incremental per-chain facts and scores of the
-// Monitor (extendFact / extendScore): their cost, and their equivalence
-// to batch Classify on the streams built to stress them — through
-// interned reads, since eagerly recorded chains keep the scan.
+// These tests pin the incremental per-chain facts of the Monitor
+// (extendFact): their cost, and their equivalence to batch Classify on
+// the streams built to stress them — through interned reads, since
+// eagerly recorded chains keep the scan.
 
 // countingPred counts the blocks P is asked about and rejects the listed
 // ones.
@@ -21,17 +21,6 @@ type countingPred struct {
 
 func (p countingPred) Valid(b *core.Block) bool { *p.calls++; return !p.invalid[b.ID] }
 func (countingPred) Name() string               { return "counting" }
-
-// Both built-in scores must stay extendable, or the monitor silently
-// falls back to scanning.
-var _, _ foldScore = core.LengthScore{}, core.WeightScore{}
-
-// opaqueWeight is WeightScore without Extend: a foreign Score, which the
-// monitor must compute over the materialized chain.
-type opaqueWeight struct{}
-
-func (opaqueWeight) Of(c core.Chain) int { return core.WeightScore{}.Of(c) }
-func (opaqueWeight) Name() string        { return "opaque-weight" }
 
 // internSink hands every read to the monitor as an interned (head,
 // length) handle, dropping an eagerly recorded chain: the blocks are in
@@ -78,7 +67,8 @@ func streamAndBatch(t *testing.T, procs int, score core.Score, pred core.Predica
 // FuzzMonitorInternedEquivalence replays FuzzMonitorEquivalence's op
 // streams — forks, stale reads, forged and never-appended blocks,
 // duplicate and pending appends — with every read interned, so that the
-// extended facts and scores, not the scan, face the batch oracle.
+// extended facts, not the scan, face the batch oracle — under the length
+// score (read off the op) and the weight score (scanned).
 func FuzzMonitorInternedEquivalence(f *testing.F) {
 	f.Add([]byte{0, 3, 8, 11, 2, 3, 19, 4})
 	f.Add([]byte{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3})
@@ -200,41 +190,5 @@ func TestMonitorInvalidAncestorExtends(t *testing.T) {
 	}
 	if f := mon.bvFacts[chainKey{c[30].ID, 31}]; f.clean || !f.hasInvalid || f.firstInvalid != c[10].ID {
 		t.Errorf("fact of the longest chain: %+v, want first invalid %s", f, c[10].ID.Short())
-	}
-}
-
-// TestMonitorExtendedScores: under WeightScore the monitor extends
-// scores across a weighted fork and must agree with batch Classify, and
-// with a monitor given the same score as a foreign type (scanned).
-func TestMonitorExtendedScores(t *testing.T) {
-	build := func(rec *history.Recorder) {
-		base := chainN(12)
-		fork := forkN(base, 4, 6)
-		for i := range fork[5:] {
-			fork[5+i] = fork[5+i].WithWeight(3) // shorter but heavier branch
-		}
-		for _, ch := range []core.Chain{base, fork} {
-			for _, b := range ch {
-				rec.InternBlock(b)
-			}
-		}
-		recordChain(rec, base, fork)
-		for i := 1; i <= 12; i++ {
-			rec.ReadHead(0, base[i])
-			if i < len(fork) {
-				rec.ReadHead(1, fork[i])
-			}
-			rec.ReadHead(0, base[i/2]) // score drops: LocalMonotonicRead
-		}
-	}
-	ext := streamAndBatch(t, 2, core.WeightScore{}, nil, build)
-	scan := streamAndBatch(t, 2, opaqueWeight{}, nil, build)
-	if len(ext.scoreByKey) == 0 || len(ext.scoreByKey) != len(scan.scoreByKey) {
-		t.Fatalf("scored %d chains extended, %d scanned", len(ext.scoreByKey), len(scan.scoreByKey))
-	}
-	for k, s := range scan.scoreByKey {
-		if ext.scoreByKey[k] != s {
-			t.Errorf("chain %s/%d: extended score %d, scanned %d", k.head.Short(), k.n, ext.scoreByKey[k], s)
-		}
 	}
 }

@@ -155,9 +155,9 @@ func FuzzTreeAttach(f *testing.F) {
 // twins (same ID, different weight — must be rejected without touching
 // any cache), out-of-order delivery (a child offered before its parent
 // must be rejected, then accepted once the parent lands) and, for op
-// bytes >= 200, non-positive weights (which push HeaviestChain off its
-// O(1) path). After the schedule, every cache must equal a recompute
-// from scratch, both on the tree and on a clone.
+// bytes >= 200, zero weights (a child that does not outweigh its parent).
+// After the schedule, every cache must equal a recompute from scratch,
+// both on the tree and on a clone.
 func FuzzTreeIndices(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{9, 9, 9, 9})
@@ -172,7 +172,7 @@ func FuzzTreeIndices(f *testing.F) {
 				parent := attached[int(op/5)%len(attached)]
 				w := int(op)%4 + 1
 				if op >= 200 {
-					w -= 3 // -2..1: zero and negative weights
+					w = 0
 				}
 				b := NewBlock(parent.ID, parent.Height+1, int(op)%3, i, []byte{op, byte(i)}).WithWeight(w)
 				if err := tr.Attach(b); err != nil {

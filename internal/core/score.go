@@ -3,10 +3,7 @@ package core
 // Score is the paper's score : BC → N, a deterministic monotonically
 // increasing function over blockchains: score(bc⌢{b}) > score(bc) for
 // every block b. The two canonical instances are chain length (Bitcoin's
-// "longest chain") and cumulative weight (Ethereum's "most work"). Both
-// are folds over the chain and also offer Extend(score(bc), b) =
-// score(bc⌢{b}), which the online monitor uses to score a read from the
-// score of an ancestor chain instead of from genesis.
+// "longest chain") and cumulative weight (Ethereum's "most work").
 type Score interface {
 	// Of returns the score of the chain. The genesis chain's score is
 	// s0 (0 for both built-in scores).
@@ -27,9 +24,6 @@ func (LengthScore) Of(c Chain) int {
 	return len(c) - 1
 }
 
-// Extend returns the score of c⌢{b} from the score of c: one more block.
-func (LengthScore) Extend(score int, _ *Block) int { return score + 1 }
-
 // Name returns "length".
 func (LengthScore) Name() string { return "length" }
 
@@ -48,10 +42,6 @@ func (WeightScore) Of(c Chain) int {
 	}
 	return s
 }
-
-// Extend returns the score of c⌢{b} from the score of c, for a
-// non-genesis b: the block's weight more.
-func (WeightScore) Extend(score int, b *Block) int { return score + b.Weight }
 
 // Name returns "weight".
 func (WeightScore) Name() string { return "weight" }

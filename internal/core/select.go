@@ -14,8 +14,8 @@ package core
 // chains, as required for f to be a function.
 //
 // Every selector here runs off the Tree's incremental indices: picking
-// the winning leaf costs O(1) (O(path) for GHOST's descent; O(#leaves)
-// for HeaviestChain once the tree holds a block of weight < 1) and only
+// the winning leaf costs O(1) for LongestChain and SingleChain,
+// O(#leaves) for HeaviestChain and O(path) for GHOST's descent, and only
 // the winning chain is materialized, O(height). The original full-rescan
 // implementations are kept unexported in select_legacy_test.go and
 // pinned equivalent by differential tests.
@@ -32,9 +32,9 @@ type Selector interface {
 // block of the chain Select would return, without materializing it.
 // Append paths (replica mining, refined append, BT-ADT append) only need
 // the head to chain a new block under, so this turns every append-side
-// selection from O(height) into O(1) (O(path) for GHOST). All built-in
-// selectors implement it; HeadOf falls back to Select(t).Head() for
-// foreign ones.
+// selection from O(height) into O(1) (O(#leaves) for HeaviestChain,
+// O(path) for GHOST). All built-in selectors implement it; HeadOf falls
+// back to Select(t).Head() for foreign ones.
 type HeadSelector interface {
 	SelectHead(*Tree) *Block
 }
@@ -80,26 +80,22 @@ func (LongestChain) Name() string { return "longest" }
 // coincides with LongestChain.
 type HeaviestChain struct{}
 
-// SelectHead returns the leaf with the largest cumulative chain weight.
-// While every attached weight is >= 1 (Block.Weight's contract) that is
-// the block the tree maintains as maximal by (chainWeight, ID), read in
-// O(1). Once the tree has seen a lighter block the maximum may be an
-// inner block, so the leaf set is scanned, O(#leaves), over the
-// maintained chainWeight index.
+// SelectHead returns the leaf with the largest cumulative chain weight in
+// O(#leaves), reading the maintained chainWeight index instead of
+// re-walking and re-summing each root-to-leaf path.
 func (HeaviestChain) SelectHead(t *Tree) *Block {
-	if !t.lightBlock {
-		return t.heaviest
-	}
 	var best BlockID
 	bestW := -1
+	found := false
 	for leaf := range t.leaves {
 		w := t.chainWeight[leaf]
 		if w > bestW || (w == bestW && leaf > best) {
 			best, bestW = leaf, w
+			found = true
 		}
 	}
-	if bestW < 0 {
-		return t.Root() // no leaf reaches weight 0: the genesis chain
+	if !found {
+		return t.Root()
 	}
 	return t.blocks[best]
 }

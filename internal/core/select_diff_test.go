@@ -137,26 +137,18 @@ func TestSelectorsMatchLegacyAfterClone(t *testing.T) {
 // leaves at equal height (and, with unit weights, equal chain weight), so
 // the ID tiebreak decides. Each shape also replays duplicate deliveries
 // and conflicting re-weighted twins, which must leave the indices
-// untouched; the "light" shapes attach zero and negative weights, where a
-// child no longer outweighs its parent and HeaviestChain must leave its
-// O(1) path — "light-late" only at block 60, after the path was in use.
+// untouched; "zero-weight" attaches blocks that do not outweigh their
+// parent, so an inner block ties the heaviest leaf.
 func TestHeadsMatchLegacyAfterEveryAttach(t *testing.T) {
 	shapes := []struct {
 		name      string
 		chainProb float64
-		weight    func(r *rand.Rand, i int) int
+		weight    func(r *rand.Rand) int
 	}{
-		{"unit-chain", 1, func(*rand.Rand, int) int { return 1 }},
-		{"unit-forked", 0.3, func(*rand.Rand, int) int { return 1 }},
-		{"weighted", 0.5, func(r *rand.Rand, _ int) int { return 1 + r.Intn(4) }},
-		{"light-zero", 0.5, func(r *rand.Rand, _ int) int { return r.Intn(2) }},
-		{"light-negative", 0.5, func(r *rand.Rand, _ int) int { return r.Intn(5) - 2 }},
-		{"light-late", 0.7, func(r *rand.Rand, i int) int {
-			if i == 60 {
-				return 0
-			}
-			return 1 + r.Intn(3)
-		}},
+		{"unit-chain", 1, func(*rand.Rand) int { return 1 }},
+		{"unit-forked", 0.3, func(*rand.Rand) int { return 1 }},
+		{"weighted", 0.5, func(r *rand.Rand) int { return 1 + r.Intn(4) }},
+		{"zero-weight", 0.5, func(r *rand.Rand) int { return r.Intn(2) }},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -169,7 +161,7 @@ func TestHeadsMatchLegacyAfterEveryAttach(t *testing.T) {
 					if rng.Float64() >= shape.chainProb {
 						parent = attached[rng.Intn(len(attached))]
 					}
-					b := NewBlock(parent.ID, parent.Height+1, rng.Intn(4), i, nil).WithWeight(shape.weight(rng, i))
+					b := NewBlock(parent.ID, parent.Height+1, rng.Intn(4), i, nil).WithWeight(shape.weight(rng))
 					if err := tr.Attach(b); err != nil {
 						t.Fatalf("attach: %v", err)
 					}

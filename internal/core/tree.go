@@ -26,16 +26,15 @@ import (
 //   - chainWeight: per block, the cumulative weight of the root-to-block
 //     chain excluding genesis (chainWeight[b] = chainWeight[parent] +
 //     b.Weight, so chainWeight[leaf] = WeightScore of ChainTo(leaf));
-//   - tallest / heaviest: the block maximal by (height, ID) and by
-//     (chainWeight, ID) — the heads LongestChain and HeaviestChain
-//     select, read in O(1);
+//   - tallest: the block maximal by (height, ID) — the head LongestChain
+//     and SingleChain select, read in O(1);
 //   - maxFork: the largest sibling count, so MaxForkDegree is O(1);
 //
 // alongside the subtreeWeight cache for GHOST, which is built lazily on
 // first query and then maintained incrementally (O(depth) per Attach),
 // so attach-heavy runs under the other selectors never pay for it. With
-// them, LongestChain/HeaviestChain/SingleChain pick their head in O(1)
-// and materialize only the winning chain.
+// them, LongestChain/SingleChain pick their head in O(1), HeaviestChain
+// in O(#leaves), and each materializes only the winning chain.
 //
 // Tree is not safe for concurrent use; each simulated process owns its
 // replica (internal/replica), and shared-memory experiments wrap it.
@@ -61,15 +60,6 @@ type Tree struct {
 	// than its parent, so tallest is always a leaf: the head LongestChain
 	// selects.
 	tallest *Block
-	// heaviest is the block maximal by (chainWeight, ID), heaviestW its
-	// chain weight. While every attached weight is >= 1 a child outweighs
-	// its parent, so heaviest is a leaf — the head HeaviestChain selects.
-	// lightBlock records that a block with Weight < 1 was attached, after
-	// which heaviest may be an inner block and HeaviestChain scans the
-	// leaf set instead.
-	heaviest   *Block
-	heaviestW  int
-	lightBlock bool
 	// maxFork caches the largest number of children of any block.
 	maxFork int
 }
@@ -84,7 +74,6 @@ func NewTree() *Tree {
 		leaves:      map[BlockID]struct{}{g.ID: {}},
 		chainWeight: map[BlockID]int{g.ID: 0},
 		tallest:     g,
-		heaviest:    g,
 	}
 	return t
 }
@@ -146,14 +135,7 @@ func (t *Tree) Attach(b *Block) error {
 	if b.Height > t.tallest.Height || (b.Height == t.tallest.Height && b.ID > t.tallest.ID) {
 		t.tallest = b
 	}
-	w := t.chainWeight[b.Parent] + b.Weight
-	t.chainWeight[b.ID] = w
-	if w > t.heaviestW || (w == t.heaviestW && b.ID > t.heaviest.ID) {
-		t.heaviest, t.heaviestW = b, w
-	}
-	if b.Weight < 1 {
-		t.lightBlock = true
-	}
+	t.chainWeight[b.ID] = t.chainWeight[b.Parent] + b.Weight
 	if t.ghostActive {
 		t.subtreeWeight[b.ID] = b.Weight
 		for p := b.Parent; p != ""; {
@@ -278,9 +260,6 @@ func (t *Tree) Clone() *Tree {
 		chainWeight: make(map[BlockID]int, len(t.chainWeight)),
 		ghostActive: t.ghostActive,
 		tallest:     t.tallest,
-		heaviest:    t.heaviest,
-		heaviestW:   t.heaviestW,
-		lightBlock:  t.lightBlock,
 		maxFork:     t.maxFork,
 	}
 	for id, b := range t.blocks {
