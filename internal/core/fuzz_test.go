@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -66,10 +68,12 @@ func FuzzChainPrefix(f *testing.F) {
 // checkTreeIndices asserts every incremental index of the tree — leaf
 // set, cached max height, max fork degree, the O(1) selector heads,
 // per-block chain weight, per-block subtree weight — equals a
-// from-scratch recomputation over the blocks/children maps. It is the
-// shared invariant check for the attach fuzzers.
+// from-scratch recomputation over the nodes, and that the node links
+// (parent pointers, leaf slots, sorted child lists, slab membership) are
+// consistent. It is the shared invariant check for the attach fuzzers.
 func checkTreeIndices(t *testing.T, tr *Tree) {
 	t.Helper()
+	checkNodeLinks(t, tr)
 	// Leaf set == scan of all blocks with no children.
 	wantLeaves := scanLeaves(tr)
 	gotLeaves := tr.Leaves()
@@ -108,6 +112,111 @@ func checkTreeIndices(t *testing.T, tr *Tree) {
 			t.Fatalf("subtreeWeight[%s] = %d, recompute %d", b.ID.Short(), got, want)
 		}
 	}
+}
+
+// checkNodeLinks asserts the pointer structure behind the index: every
+// node is carved from this tree's own slabs (so no parent pointer can
+// reach into another tree), points at its parent's node, lists its
+// children sorted and owned (a single child inline in the node itself,
+// not in the node it was cloned from), and holds a leaf slot that points back at it
+// exactly when it has no children.
+func checkNodeLinks(t *testing.T, tr *Tree) {
+	t.Helper()
+	carved := 0
+	for _, slab := range tr.slabs {
+		for i := range slab {
+			if n := &slab[i]; tr.nodes[n.b.ID] != n {
+				t.Fatalf("slab node %s is not the indexed node", n.b.ID.Short())
+			}
+			carved++
+		}
+	}
+	if carved != len(tr.nodes) {
+		t.Fatalf("%d nodes in the slabs, %d indexed", carved, len(tr.nodes))
+	}
+	for id, n := range tr.nodes {
+		if n.b.ID != id {
+			t.Fatalf("node indexed under %s holds block %s", id.Short(), n.b.ID.Short())
+		}
+		if want := tr.nodes[n.b.Parent]; n.parent != want {
+			t.Fatalf("parent pointer of %s is not this tree's node of %s", id.Short(), n.b.Parent.Short())
+		}
+		if !sort.SliceIsSorted(n.kids, func(i, j int) bool { return n.kids[i] < n.kids[j] }) {
+			t.Fatalf("children of %s not sorted: %v", id.Short(), n.kids)
+		}
+		if len(n.kids) == 1 && &n.kids[0] != &n.kid0[0] {
+			t.Fatalf("single child of %s is not stored inline in its own node", id.Short())
+		}
+		for _, k := range n.kids {
+			if kn := tr.nodes[k]; kn == nil || kn.parent != n {
+				t.Fatalf("child %s of %s does not point back", k.Short(), id.Short())
+			}
+		}
+		switch {
+		case len(n.kids) > 0 && n.leaf != -1:
+			t.Fatalf("inner block %s keeps leaf slot %d", id.Short(), n.leaf)
+		case len(n.kids) == 0 && (n.leaf < 0 || n.leaf >= len(tr.leaves) || tr.leaves[n.leaf] != n):
+			t.Fatalf("leaf %s has slot %d, which does not point back", id.Short(), n.leaf)
+		}
+	}
+}
+
+// treeView is what a reader can observe of a tree, for before/after
+// comparisons with reflect.DeepEqual.
+type treeView struct {
+	leaves   []BlockID
+	children map[BlockID][]BlockID
+	subtree  map[BlockID]int
+	chain    map[BlockID]int
+	maxFork  int
+	head     BlockID
+}
+
+func viewOf(tr *Tree) treeView {
+	v := treeView{
+		leaves:   tr.Leaves(),
+		children: map[BlockID][]BlockID{},
+		subtree:  map[BlockID]int{},
+		chain:    map[BlockID]int{},
+		maxFork:  tr.MaxForkDegree(),
+		head:     GHOST{}.SelectHead(tr).ID,
+	}
+	for _, b := range tr.Blocks() {
+		v.children[b.ID] = append([]BlockID(nil), tr.Children(b.ID)...)
+		v.subtree[b.ID] = tr.SubtreeWeight(b.ID)
+		v.chain[b.ID] = tr.ChainWeight(b.ID)
+	}
+	return v
+}
+
+// checkCloneIsolated clones tr, grows the clone alone — under every
+// block of the original, so both an inline first child and a sibling
+// list are written through the copied nodes — and asserts the clone's
+// indices hold after each attach while the original's leaves, children
+// and weights do not move.
+func checkCloneIsolated(t *testing.T, tr *Tree) {
+	t.Helper()
+	cl := tr.Clone() // before the view below queries (and so activates) tr's GHOST weights
+	before := viewOf(tr)
+	for i, parent := range tr.Blocks() {
+		for j := 0; j < 2; j++ {
+			b := NewBlock(parent.ID, parent.Height+1, 5, 5000+2*i+j, []byte{byte(i), byte(j)}).WithWeight(1 + j)
+			if err := cl.Attach(b); err != nil {
+				t.Fatalf("attach on clone: %v", err)
+			}
+		}
+		if i < 8 {
+			checkTreeIndices(t, cl)
+		}
+	}
+	checkTreeIndices(t, cl)
+	if cl.Len() != tr.Len()+2*len(before.children) {
+		t.Fatalf("clone has %d blocks after growth, want %d", cl.Len(), tr.Len()+2*len(before.children))
+	}
+	if !reflect.DeepEqual(viewOf(tr), before) {
+		t.Fatal("growing a clone moved the original's leaves, children or weights")
+	}
+	checkTreeIndices(t, tr)
 }
 
 // FuzzTreeAttach feeds arbitrary attach schedules (parent picks drawn
@@ -157,7 +266,7 @@ func FuzzTreeAttach(f *testing.F) {
 // must be rejected, then accepted once the parent lands) and, for op
 // bytes >= 200, zero weights (a child that does not outweigh its parent).
 // After the schedule, every cache must equal a recompute from scratch,
-// both on the tree and on a clone.
+// on the tree and on a clone that is then grown alone.
 func FuzzTreeIndices(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{9, 9, 9, 9})
@@ -220,6 +329,6 @@ func FuzzTreeIndices(f *testing.F) {
 			}
 		}
 		checkTreeIndices(t, tr)
-		checkTreeIndices(t, tr.Clone())
+		checkCloneIsolated(t, tr)
 	})
 }

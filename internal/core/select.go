@@ -81,23 +81,21 @@ func (LongestChain) Name() string { return "longest" }
 type HeaviestChain struct{}
 
 // SelectHead returns the leaf with the largest cumulative chain weight in
-// O(#leaves), reading the maintained chainWeight index instead of
-// re-walking and re-summing each root-to-leaf path.
+// O(#leaves), reading the chain weight each leaf's node maintains instead
+// of re-walking and re-summing each root-to-leaf path.
 func (HeaviestChain) SelectHead(t *Tree) *Block {
-	var best BlockID
+	var best *Block
 	bestW := -1
-	found := false
-	for leaf := range t.leaves {
-		w := t.chainWeight[leaf]
-		if w > bestW || (w == bestW && leaf > best) {
-			best, bestW = leaf, w
-			found = true
+	for _, leaf := range t.leaves {
+		w := leaf.chainWeight
+		if w > bestW || (w == bestW && (best == nil || leaf.b.ID > best.ID)) {
+			best, bestW = leaf.b, w
 		}
 	}
-	if !found {
+	if best == nil {
 		return t.Root()
 	}
-	return t.blocks[best]
+	return best
 }
 
 // Select returns the heaviest root-to-leaf path, materializing only the

@@ -13,8 +13,8 @@ import "sort"
 // Tree.Leaves worked before the maintained leaf set.
 func scanLeaves(t *Tree) []BlockID {
 	var out []BlockID
-	for id := range t.blocks {
-		if len(t.children[id]) == 0 {
+	for id, n := range t.nodes {
+		if len(n.kids) == 0 {
 			out = append(out, id)
 		}
 	}
@@ -26,22 +26,22 @@ func scanLeaves(t *Tree) []BlockID {
 // way Tree.Height worked before the cached maxHeight.
 func scanHeight(t *Tree) int {
 	h := 0
-	for _, b := range t.blocks {
-		if b.Height > h {
-			h = b.Height
+	for _, n := range t.nodes {
+		if n.b.Height > h {
+			h = n.b.Height
 		}
 	}
 	return h
 }
 
-// scanMaxFork recomputes the largest sibling count by scanning the whole
-// children map, the way Tree.MaxForkDegree worked before the cached
+// scanMaxFork recomputes the largest sibling count by scanning every
+// block's children, the way Tree.MaxForkDegree worked before the cached
 // maxFork.
 func scanMaxFork(t *Tree) int {
 	max := 0
-	for _, ch := range t.children {
-		if len(ch) > max {
-			max = len(ch)
+	for _, n := range t.nodes {
+		if len(n.kids) > max {
+			max = len(n.kids)
 		}
 	}
 	return max

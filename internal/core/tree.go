@@ -18,44 +18,48 @@ import (
 //   - the BT-ADT append()/read() of Definition 3.1 lives in the adt and
 //     refine packages, built on top of Attach and a Selector.
 //
-// Tree maintains incremental indices, each updated O(1) per Attach, so
-// that the selection function f (internal/core/select.go) never rescans
-// the tree:
+// Tree keeps one index: nodes, a map from block ID to a node holding
+// the block, a pointer to its parent's node, its sorted child IDs, the
+// cumulative chain weight, the GHOST subtree weight and — for a leaf —
+// its slot in the leaves slice. Attach costs two map lookups and one
+// assignment; everything else it maintains is reached through node
+// pointers, so the selection function f (internal/core/select.go) never
+// rescans the tree:
 //
-//   - leaves: the current leaf set;
-//   - chainWeight: per block, the cumulative weight of the root-to-block
-//     chain excluding genesis (chainWeight[b] = chainWeight[parent] +
-//     b.Weight, so chainWeight[leaf] = WeightScore of ChainTo(leaf));
+//   - leaves: the current leaf set, a slice. A first child takes over
+//     its parent's slot, any later child is appended, so the set is
+//     maintained without hashing and a chain-shaped tree keeps one slot;
+//   - node.chainWeight: the cumulative weight of the root-to-block chain
+//     excluding genesis (chainWeight(b) = chainWeight(parent) + b.Weight,
+//     so at a leaf it is WeightScore of ChainTo(leaf));
 //   - tallest: the block maximal by (height, ID) — the head LongestChain
 //     and SingleChain select, read in O(1);
 //   - maxFork: the largest sibling count, so MaxForkDegree is O(1);
+//   - node.subtreeWeight, for GHOST: filled lazily in one bottom-up pass
+//     on the first query and then maintained incrementally (O(depth)
+//     along parent pointers per Attach), so attach-heavy runs under the
+//     other selectors never pay for it.
 //
-// alongside the subtreeWeight cache for GHOST, which is built lazily on
-// first query and then maintained incrementally (O(depth) per Attach),
-// so attach-heavy runs under the other selectors never pay for it. With
-// them, LongestChain/SingleChain pick their head in O(1), HeaviestChain
-// in O(#leaves), and each materializes only the winning chain.
+// With them, LongestChain/SingleChain pick their head in O(1),
+// HeaviestChain in O(#leaves), and each materializes only the winning
+// chain, following parent pointers. Nodes are carved from fixed-capacity
+// slabs that are never regrown (node pointers stay valid), in attach
+// order — parents before children — which is also the order Clone and
+// the lazy GHOST pass iterate in.
 //
 // Tree is not safe for concurrent use; each simulated process owns its
 // replica (internal/replica), and shared-memory experiments wrap it.
 type Tree struct {
-	blocks   map[BlockID]*Block
-	children map[BlockID][]BlockID
-	root     *Block
-	// subtreeWeight caches, per block, the total weight of the subtree
-	// rooted there, for GHOST. It is maintained lazily: the map is
-	// built in one bottom-up pass on the first SubtreeWeight query and
-	// kept incremental (O(depth) back-propagation per Attach) from
-	// then on, so selectors that never consult it — longest, heaviest,
-	// single — pay nothing for it on the attach hot path.
-	subtreeWeight map[BlockID]int
-	// ghostActive records whether subtreeWeight is being maintained.
+	nodes map[BlockID]*node
+	root  *node
+	// slabs are the node chunks in allocation order; the last one is
+	// being filled.
+	slabs [][]node
+	// leaves is the maintained leaf set: nodes with no children, each
+	// recording its index here in node.leaf.
+	leaves []*node
+	// ghostActive records whether node.subtreeWeight is being maintained.
 	ghostActive bool
-	// leaves is the maintained leaf set: blocks with no children.
-	leaves map[BlockID]struct{}
-	// chainWeight caches, per block, the cumulative weight of the chain
-	// from genesis to the block, genesis excluded (matching WeightScore).
-	chainWeight map[BlockID]int
 	// tallest is the block maximal by (height, ID). A child is higher
 	// than its parent, so tallest is always a leaf: the head LongestChain
 	// selects.
@@ -64,31 +68,82 @@ type Tree struct {
 	maxFork int
 }
 
+// node is one block's entry in the tree index.
+type node struct {
+	b      *Block
+	parent *node // nil at genesis
+	// kids are the child IDs in lexicographic order. A single child —
+	// the common, chain-shaped case — lives in kid0, so only a fork
+	// allocates a sibling list.
+	kids []BlockID
+	kid0 [1]BlockID
+	// chainWeight is the cumulative weight of the chain from genesis to
+	// the block, genesis excluded (matching WeightScore).
+	chainWeight int
+	// subtreeWeight is the total weight of the subtree rooted here; valid
+	// only while Tree.ghostActive.
+	subtreeWeight int
+	// leaf is the node's index in Tree.leaves, -1 once it has a child.
+	leaf int
+}
+
+// Node slab capacities: chunks double from nodeSlabMin to nodeSlabMax, so
+// a small tree stays small and a large one allocates once per
+// nodeSlabMax blocks.
+const (
+	nodeSlabMin = 16
+	nodeSlabMax = 1024
+)
+
+// newNode carves a zero node from the current slab, starting the next
+// (doubled) one when it is full.
+func (t *Tree) newNode() *node {
+	last := len(t.slabs) - 1
+	if last < 0 || len(t.slabs[last]) == cap(t.slabs[last]) {
+		n := nodeSlabMin
+		if last >= 0 {
+			n = min(2*cap(t.slabs[last]), nodeSlabMax)
+		}
+		t.slabs = append(t.slabs, make([]node, 0, n))
+		last++
+	}
+	s := append(t.slabs[last], node{})
+	t.slabs[last] = s
+	return &s[len(s)-1]
+}
+
 // NewTree returns a BlockTree containing only the genesis block b0.
 func NewTree() *Tree {
 	g := Genesis()
-	t := &Tree{
-		blocks:      map[BlockID]*Block{g.ID: g},
-		children:    make(map[BlockID][]BlockID),
-		root:        g,
-		leaves:      map[BlockID]struct{}{g.ID: {}},
-		chainWeight: map[BlockID]int{g.ID: 0},
-		tallest:     g,
-	}
+	t := &Tree{nodes: make(map[BlockID]*node), tallest: g}
+	t.root = t.newNode()
+	t.root.b = g
+	t.nodes[g.ID] = t.root
+	t.leaves = []*node{t.root}
 	return t
 }
 
-// Root returns the genesis block.
-func (t *Tree) Root() *Block { return t.root }
+// Root returns the genesis block (nil on a zero-value tree).
+func (t *Tree) Root() *Block {
+	if t.root == nil {
+		return nil
+	}
+	return t.root.b
+}
 
 // Len returns the number of blocks in the tree, genesis included.
-func (t *Tree) Len() int { return len(t.blocks) }
+func (t *Tree) Len() int { return len(t.nodes) }
 
 // Block returns the block with the given ID, or nil if absent.
-func (t *Tree) Block(id BlockID) *Block { return t.blocks[id] }
+func (t *Tree) Block(id BlockID) *Block {
+	if n := t.nodes[id]; n != nil {
+		return n.b
+	}
+	return nil
+}
 
 // Has reports whether the tree contains a block with the given ID.
-func (t *Tree) Has(id BlockID) bool { _, ok := t.blocks[id]; return ok }
+func (t *Tree) Has(id BlockID) bool { return t.nodes[id] != nil }
 
 // Attach inserts block b under its parent. It returns an error if the
 // parent is unknown, the height is inconsistent, or a different block
@@ -104,44 +159,54 @@ func (t *Tree) Attach(b *Block) error {
 	if b.IsGenesis() {
 		return nil // genesis is always present
 	}
-	if existing, ok := t.blocks[b.ID]; ok {
+	if n := t.nodes[b.ID]; n != nil {
+		existing := n.b
 		if existing.Parent != b.Parent || existing.Height != b.Height ||
 			existing.Weight != b.Weight || !bytes.Equal(existing.Payload, b.Payload) {
 			return fmt.Errorf("core: conflicting block %s already attached", b.ID.Short())
 		}
 		return nil
 	}
-	parent, ok := t.blocks[b.Parent]
-	if !ok {
+	parent := t.nodes[b.Parent]
+	if parent == nil {
 		return fmt.Errorf("core: parent %s of %s not in tree", b.Parent.Short(), b.ID.Short())
 	}
-	if b.Height != parent.Height+1 {
-		return fmt.Errorf("core: block %s height %d, want %d", b.ID.Short(), b.Height, parent.Height+1)
+	if b.Height != parent.b.Height+1 {
+		return fmt.Errorf("core: block %s height %d, want %d", b.ID.Short(), b.Height, parent.b.Height+1)
 	}
-	t.blocks[b.ID] = b
-	// Keep sibling order deterministic regardless of arrival order so
-	// that tie-breaking selectors are reproducible: insert in place
-	// (sibling lists are short; no per-attach sort or closure).
-	kids := append(t.children[b.Parent], b.ID)
-	for i := len(kids) - 1; i > 0 && kids[i-1] > b.ID; i-- {
-		kids[i], kids[i-1] = kids[i-1], kids[i]
+	n := t.newNode()
+	n.b, n.parent = b, parent
+	n.chainWeight = parent.chainWeight + b.Weight
+	t.nodes[b.ID] = n
+	if len(parent.kids) == 0 {
+		// First child: stored inline, and it takes over the leaf slot
+		// its parent gives up.
+		parent.kid0[0] = b.ID
+		parent.kids = parent.kid0[:]
+		n.leaf, parent.leaf = parent.leaf, -1
+		t.leaves[n.leaf] = n
+	} else {
+		// Keep sibling order deterministic regardless of arrival order
+		// so that tie-breaking selectors are reproducible: insert in
+		// place (sibling lists are short; no per-attach sort or closure).
+		kids := append(parent.kids, b.ID)
+		for i := len(kids) - 1; i > 0 && kids[i-1] > b.ID; i-- {
+			kids[i], kids[i-1] = kids[i-1], kids[i]
+		}
+		parent.kids = kids
+		n.leaf = len(t.leaves)
+		t.leaves = append(t.leaves, n)
 	}
-	t.children[b.Parent] = kids
-	if len(kids) > t.maxFork {
-		t.maxFork = len(kids)
+	if len(parent.kids) > t.maxFork {
+		t.maxFork = len(parent.kids)
 	}
-	delete(t.leaves, b.Parent)
-	t.leaves[b.ID] = struct{}{}
 	if b.Height > t.tallest.Height || (b.Height == t.tallest.Height && b.ID > t.tallest.ID) {
 		t.tallest = b
 	}
-	t.chainWeight[b.ID] = t.chainWeight[b.Parent] + b.Weight
 	if t.ghostActive {
-		t.subtreeWeight[b.ID] = b.Weight
-		for p := b.Parent; p != ""; {
-			t.subtreeWeight[p] += b.Weight
-			pb := t.blocks[p]
-			p = pb.Parent
+		n.subtreeWeight = b.Weight
+		for p := parent; p != nil; p = p.parent {
+			p.subtreeWeight += b.Weight
 		}
 	}
 	return nil
@@ -149,11 +214,16 @@ func (t *Tree) Attach(b *Block) error {
 
 // Children returns the IDs of the blocks chaining to id, in lexicographic
 // order (deterministic). The returned slice must not be modified.
-func (t *Tree) Children(id BlockID) []BlockID { return t.children[id] }
+func (t *Tree) Children(id BlockID) []BlockID {
+	if n := t.nodes[id]; n != nil {
+		return n.kids
+	}
+	return nil
+}
 
 // ForkCount returns the number of children of id — the number of branches
 // (forks) rooted at that block, the quantity bounded by the frugal oracle.
-func (t *Tree) ForkCount(id BlockID) int { return len(t.children[id]) }
+func (t *Tree) ForkCount(id BlockID) int { return len(t.Children(id)) }
 
 // MaxForkDegree returns the largest number of branches from any single
 // block in the tree; 1 (or 0 for a bare genesis) means the tree is a
@@ -162,28 +232,29 @@ func (t *Tree) MaxForkDegree() int { return t.maxFork }
 
 // SubtreeWeight returns the total weight of the subtree rooted at id
 // (the block's own weight included). Used by the GHOST selector. The
-// first query builds the whole index in one O(n log n) bottom-up pass
-// and activates incremental maintenance.
+// first query fills the whole index in one O(n) bottom-up pass and
+// activates incremental maintenance.
 func (t *Tree) SubtreeWeight(id BlockID) int {
 	if !t.ghostActive {
 		t.buildSubtreeWeights()
 	}
-	return t.subtreeWeight[id]
+	if n := t.nodes[id]; n != nil {
+		return n.subtreeWeight
+	}
+	return 0
 }
 
-// buildSubtreeWeights computes every subtree weight bottom-up (blocks
-// in descending height order fold into their parents).
+// buildSubtreeWeights computes every subtree weight bottom-up: slabs hold
+// the nodes in attach order, parents before children, so the reverse
+// walk folds each finished subtree into its parent.
 func (t *Tree) buildSubtreeWeights() {
-	t.subtreeWeight = make(map[BlockID]int, len(t.blocks))
-	blocks := make([]*Block, 0, len(t.blocks))
-	for _, b := range t.blocks {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Height > blocks[j].Height })
-	for _, b := range blocks {
-		t.subtreeWeight[b.ID] += b.Weight
-		if !b.IsGenesis() {
-			t.subtreeWeight[b.Parent] += t.subtreeWeight[b.ID]
+	for i := len(t.slabs) - 1; i >= 0; i-- {
+		for j := len(t.slabs[i]) - 1; j >= 0; j-- {
+			n := &t.slabs[i][j]
+			n.subtreeWeight += n.b.Weight
+			if n.parent != nil {
+				n.parent.subtreeWeight += n.subtreeWeight
+			}
 		}
 	}
 	t.ghostActive = true
@@ -192,7 +263,12 @@ func (t *Tree) buildSubtreeWeights() {
 // ChainWeight returns the cumulative weight of the chain from genesis to
 // id, genesis excluded — exactly WeightScore{}.Of(t.ChainTo(id)) without
 // materializing the chain. Returns 0 for genesis or an absent block.
-func (t *Tree) ChainWeight(id BlockID) int { return t.chainWeight[id] }
+func (t *Tree) ChainWeight(id BlockID) int {
+	if n := t.nodes[id]; n != nil {
+		return n.chainWeight
+	}
+	return 0
+}
 
 // LeafCount returns the number of leaves without allocating.
 func (t *Tree) LeafCount() int { return len(t.leaves) }
@@ -200,27 +276,26 @@ func (t *Tree) LeafCount() int { return len(t.leaves) }
 // Leaves returns the IDs of all leaves, in lexicographic order. The cost
 // is O(#leaves log #leaves), independent of the tree size.
 func (t *Tree) Leaves() []BlockID {
-	out := make([]BlockID, 0, len(t.leaves))
-	for id := range t.leaves {
-		out = append(out, id)
+	out := make([]BlockID, len(t.leaves))
+	for i, n := range t.leaves {
+		out[i] = n.b.ID
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // ChainTo returns the blockchain {b0}⌢...⌢{b_id}, or nil if id is not in
-// the tree. This is the path from the leaf back to the root, reversed to
-// root-first order.
+// the tree. This is the path from the leaf back to the root along parent
+// pointers, reversed to root-first order.
 func (t *Tree) ChainTo(id BlockID) Chain {
-	b, ok := t.blocks[id]
-	if !ok {
+	n := t.nodes[id]
+	if n == nil {
 		return nil
 	}
-	depth := b.Height + 1
-	out := make(Chain, depth)
-	for i := depth - 1; i >= 0; i-- {
-		out[i] = b
-		b = t.blocks[b.Parent]
+	out := make(Chain, n.b.Height+1)
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = n.b
+		n = n.parent
 	}
 	return out
 }
@@ -236,9 +311,11 @@ func (t *Tree) Height() int {
 // Blocks returns every block in the tree in (height, ID) order.
 // The genesis block comes first.
 func (t *Tree) Blocks() []*Block {
-	out := make([]*Block, 0, len(t.blocks))
-	for _, b := range t.blocks {
-		out = append(out, b)
+	out := make([]*Block, 0, len(t.nodes))
+	for _, slab := range t.slabs {
+		for i := range slab {
+			out = append(out, slab[i].b)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Height != out[j].Height {
@@ -250,38 +327,36 @@ func (t *Tree) Blocks() []*Block {
 }
 
 // Clone returns a deep copy of the tree structure, indices included
-// (block pointers are shared; blocks are immutable).
+// (block pointers are shared; blocks are immutable). The copy's nodes
+// sit in one exact-size slab and point only at each other.
 func (t *Tree) Clone() *Tree {
 	nt := &Tree{
-		blocks:      make(map[BlockID]*Block, len(t.blocks)),
-		children:    make(map[BlockID][]BlockID, len(t.children)),
-		root:        t.root,
-		leaves:      make(map[BlockID]struct{}, len(t.leaves)),
-		chainWeight: make(map[BlockID]int, len(t.chainWeight)),
+		nodes:       make(map[BlockID]*node, len(t.nodes)),
+		slabs:       [][]node{make([]node, 0, len(t.nodes))},
+		leaves:      make([]*node, len(t.leaves)),
 		ghostActive: t.ghostActive,
 		tallest:     t.tallest,
 		maxFork:     t.maxFork,
 	}
-	for id, b := range t.blocks {
-		nt.blocks[id] = b
-	}
-	for id, ch := range t.children {
-		cp := make([]BlockID, len(ch))
-		copy(cp, ch)
-		nt.children[id] = cp
-	}
-	if t.ghostActive {
-		nt.subtreeWeight = make(map[BlockID]int, len(t.subtreeWeight))
-		for id, w := range t.subtreeWeight {
-			nt.subtreeWeight[id] = w
+	for _, slab := range t.slabs {
+		for i := range slab {
+			n := nt.newNode()
+			*n = slab[i]
+			// Attach order puts a parent before its children, so the
+			// parent's copy is already indexed.
+			n.parent = nt.nodes[n.b.Parent]
+			if len(n.kids) == 1 {
+				n.kids = n.kid0[:]
+			} else if len(n.kids) > 1 {
+				n.kids = append([]BlockID(nil), n.kids...)
+			}
+			if n.leaf >= 0 {
+				nt.leaves[n.leaf] = n
+			}
+			nt.nodes[n.b.ID] = n
 		}
 	}
-	for id := range t.leaves {
-		nt.leaves[id] = struct{}{}
-	}
-	for id, w := range t.chainWeight {
-		nt.chainWeight[id] = w
-	}
+	nt.root = nt.nodes[GenesisID]
 	return nt
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -246,6 +247,42 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if cl.SubtreeWeight(GenesisID) == tr.SubtreeWeight(GenesisID) {
 		t.Fatal("clone weight cache shared")
+	}
+}
+
+// TestCloneGrownAloneLeavesOriginal clones chain-shaped, mixed and bushy
+// trees whose GHOST weights were never queried, grows each clone alone
+// and checks the indices of both sides (checkCloneIsolated).
+func TestCloneGrownAloneLeavesOriginal(t *testing.T) {
+	for i, chainProb := range []float64{1, 0.5, 0} {
+		tr := randomTree(t, rand.New(rand.NewSource(int64(i))), 150, chainProb)
+		checkCloneIsolated(t, tr)
+	}
+}
+
+// TestAttachChainAllocs is the tier-1 guard on the attach path's
+// allocation count: with one index, slab-carved nodes and the first
+// child stored inline, a chain costs the amortised map growth plus one
+// slab per nodeSlabMax blocks (~0.01 objects per block). A node or a
+// child list allocated per block would cost 1.
+func TestAttachChainAllocs(t *testing.T) {
+	const n = 5000
+	chain := make([]*Block, n)
+	parent := Genesis()
+	for i := range chain {
+		chain[i] = child(parent, 0, i)
+		parent = chain[i]
+	}
+	perRun := testing.AllocsPerRun(5, func() {
+		tr := NewTree()
+		for _, b := range chain {
+			if err := tr.Attach(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perBlock := perRun / n; perBlock > 0.5 {
+		t.Errorf("attaching a %d-block chain allocates %.2f objects per block, want ≤ 0.5", n, perBlock)
 	}
 }
 

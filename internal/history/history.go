@@ -471,8 +471,13 @@ type Recorder struct {
 	seq    int
 	nextID int
 	ops    []*Op
-	comm   []CommEvent
-	ncomm  int // comm events recorded (valid in drop mode, unlike len(comm))
+	// comm is the communication log: fixed-capacity chunks, doubling
+	// from commChunkMin to commChunkMax, that are filled and never
+	// regrown — a flooded run records an event per block per process,
+	// and regrowing one flat slice to that size copies the log several
+	// times over under the mutex. Snapshot flattens the chunks.
+	comm   [][]CommEvent
+	ncomm  int // comm events recorded (valid in drop mode, unlike comm)
 	procs  int
 	faulty map[int]bool
 	clock  func() int64
@@ -501,8 +506,13 @@ type Recorder struct {
 	stagedPos []int
 }
 
-// opSlabChunk is the pooled Op allocator's chunk capacity.
-const opSlabChunk = 256
+// opSlabChunk is the pooled Op allocator's chunk capacity;
+// commChunkMin/commChunkMax bound the communication log's chunks.
+const (
+	opSlabChunk  = 256
+	commChunkMin = 64
+	commChunkMax = 4096
+)
 
 // newOp returns a pooled zero Op (callers hold r.mu). In drop mode the
 // pool is bypassed: the slab would pin released ops in memory, and the
@@ -665,11 +675,27 @@ func (r *Recorder) RecordComm(kind CommKind, p int, parent, block core.BlockID) 
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.appendComm(kind, p, parent, block)
+}
+
+// appendComm sequences one communication event, retains it in the
+// chunked log (unless in drop mode) and feeds the sink; callers hold
+// r.mu.
+func (r *Recorder) appendComm(kind CommKind, p int, parent, block core.BlockID) CommEvent {
 	e := CommEvent{Kind: kind, Proc: p, Parent: parent, Block: block, Index: r.seq, Time: r.clock()}
 	r.seq++
 	r.ncomm++
 	if !r.drop {
-		r.comm = append(r.comm, e)
+		last := len(r.comm) - 1
+		if last < 0 || len(r.comm[last]) == cap(r.comm[last]) {
+			n := commChunkMin
+			if last >= 0 {
+				n = min(2*cap(r.comm[last]), commChunkMax)
+			}
+			r.comm = append(r.comm, make([]CommEvent, 0, n))
+			last++
+		}
+		r.comm[last] = append(r.comm[last], e)
 	}
 	if r.sink != nil {
 		r.sink.CommDone(e)
@@ -679,7 +705,9 @@ func (r *Recorder) RecordComm(kind CommKind, p int, parent, block core.BlockID) 
 
 // Snapshot returns the history recorded so far. The returned History
 // shares Op pointers with the recorder; callers must stop recording
-// before checking criteria (the checkers are read-only). In drop mode
+// before checking criteria (the checkers are read-only). Comm is an
+// independent flat copy of the chunked log — one exact-size allocation —
+// so later recording never shows through it. In drop mode
 // (SetRetain(false)) completed ops belong to the sink alone, so the
 // snapshot contains only the still-pending operations.
 func (r *Recorder) Snapshot() *History {
@@ -692,8 +720,14 @@ func (r *Recorder) Snapshot() *History {
 		h.Ops = make([]*Op, len(r.ops))
 		copy(h.Ops, r.ops)
 	}
-	h.Comm = make([]CommEvent, len(r.comm))
-	copy(h.Comm, r.comm)
+	n := 0
+	for _, chunk := range r.comm {
+		n += len(chunk)
+	}
+	h.Comm = make([]CommEvent, 0, n)
+	for _, chunk := range r.comm {
+		h.Comm = append(h.Comm, chunk...)
+	}
 	if len(r.faulty) > 0 {
 		h.Correct = make([]bool, r.procs)
 		for i := range h.Correct {

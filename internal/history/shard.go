@@ -73,15 +73,7 @@ func (r *Recorder) CommitStagedComms() {
 		}
 		sc := &r.staged[best][r.stagedPos[best]]
 		r.stagedPos[best]++
-		e := CommEvent{Kind: sc.kind, Proc: sc.proc, Parent: sc.parent, Block: sc.block, Index: r.seq, Time: r.clock()}
-		r.seq++
-		r.ncomm++
-		if !r.drop {
-			r.comm = append(r.comm, e)
-		}
-		if r.sink != nil {
-			r.sink.CommDone(e)
-		}
+		r.appendComm(sc.kind, sc.proc, sc.parent, sc.block)
 	}
 	for sh := range r.staged {
 		r.staged[sh] = r.staged[sh][:0]

@@ -72,9 +72,9 @@ func (p *Process) Snapshot() *Snapshot {
 func (p *Process) Restore(s *Snapshot) {
 	p.reset()
 	for _, b := range s.Blocks {
-		if p.tree.Attach(b) == nil {
-			p.seen[b.ID] = true
-		}
+		// Snapshot lists parents before children, and the tree accepted
+		// every one of these blocks before the crash.
+		_ = p.tree.Attach(b)
 	}
 	for _, b := range s.Pending {
 		if !p.pendingHas[b.ID] {
@@ -96,7 +96,6 @@ func (p *Process) reset() {
 	p.tree = core.NewTree()
 	p.pending = make(map[core.BlockID][]*core.Block)
 	p.pendingHas = make(map[core.BlockID]bool)
-	p.seen = make(map[core.BlockID]bool)
 	p.pendingN = 0
 }
 

@@ -219,7 +219,7 @@ func TestSnapshotRoundTripsPending(t *testing.T) {
 	b1 := mkBlock(core.Genesis(), 1, 0)
 	b2 := mkBlock(b1, 1, 1)
 	// Deliver the child before the parent: b2 is buffered.
-	p.applyUpdate(b2, false)
+	p.applyUpdate(b2)
 	if p.PendingCount() != 1 {
 		t.Fatalf("pending = %d, want 1", p.PendingCount())
 	}
@@ -235,7 +235,7 @@ func TestSnapshotRoundTripsPending(t *testing.T) {
 		t.Fatalf("pending buffer after restore = %q, want %q", got, before)
 	}
 	// Parent arrives: the restored orphan must flush.
-	p.applyUpdate(b1, false)
+	p.applyUpdate(b1)
 	if !p.Tree().Has(b2.ID) || p.PendingCount() != 0 {
 		t.Fatalf("orphan did not flush after restore: has=%v pending=%d", p.Tree().Has(b2.ID), p.PendingCount())
 	}

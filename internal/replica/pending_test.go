@@ -21,13 +21,13 @@ func TestPendingBufferDedup(t *testing.T) {
 
 	// Five re-deliveries of the orphan b2 (parent b1 missing).
 	for i := 0; i < 5; i++ {
-		p.applyUpdate(b2, false)
+		p.applyUpdate(b2)
 	}
 	if got := p.PendingCount(); got != 1 {
 		t.Fatalf("orphan buffered %d times, want 1", got)
 	}
 	// Parent arrives: the orphan flushes exactly once.
-	if !p.applyUpdate(b1, false) {
+	if !p.applyUpdate(b1) {
 		t.Fatal("parent attach failed")
 	}
 	if p.PendingCount() != 0 {
@@ -66,13 +66,13 @@ func TestDeepChainIterativeFlush(t *testing.T) {
 	}
 	// Reverse delivery: everything orphans.
 	for i := depth - 1; i > 0; i-- {
-		p.applyUpdate(chain[i], false)
+		p.applyUpdate(chain[i])
 	}
 	if got := p.PendingCount(); got != depth-1 {
 		t.Fatalf("buffered %d orphans, want %d", got, depth-1)
 	}
 	// The missing root block arrives: the whole segment flushes.
-	if !p.applyUpdate(chain[0], false) {
+	if !p.applyUpdate(chain[0]) {
 		t.Fatal("root attach failed")
 	}
 	if p.PendingCount() != 0 {
@@ -99,9 +99,9 @@ func TestFlushPreservesDepthFirstOrder(t *testing.T) {
 
 	// Buffer in sibling order c1, c2, then their children.
 	for _, b := range []*core.Block{c1, c2, gc1, gc2} {
-		p.applyUpdate(b, false)
+		p.applyUpdate(b)
 	}
-	p.applyUpdate(root, false)
+	p.applyUpdate(root)
 
 	var order []core.BlockID
 	for _, e := range g.Rec.Snapshot().Comm {
@@ -117,5 +117,37 @@ func TestFlushPreservesDepthFirstOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("update order[%d] = %s, want %s (depth-first)", i, order[i].Short(), want[i].Short())
 		}
+	}
+}
+
+// TestFloodedGenesisIsADuplicate pins that a flooded copy of b0 is
+// treated like any block the replica already holds: it is not buffered
+// as an orphan under the empty parent, and its re-delivery records
+// nothing. (Only the sender's loopback delivery records a receive, as
+// for every send.)
+func TestFloodedGenesisIsADuplicate(t *testing.T) {
+	for _, pred := range []core.Predicate{core.AlwaysValid{}, core.WellFormed{}} {
+		t.Run(pred.Name(), func(t *testing.T) {
+			sim := simnet.NewSim(5)
+			g := NewGroup(sim, 3, simnet.Synchronous{Delta: 3}, core.LongestChain{})
+			g.SetPredicate(pred)
+			flood := func() { g.Net.Broadcast(0, UpdateMsg{Block: core.Genesis()}) }
+			sim.Schedule(1, flood)
+			sim.Schedule(20, flood)
+			sim.RunUntilIdle()
+			for i, p := range g.Procs {
+				if p.PendingCount() != 0 {
+					t.Fatalf("process %d buffers %d orphans, want 0", i, p.PendingCount())
+				}
+				if p.Tree().Len() != 1 {
+					t.Fatalf("process %d tree has %d blocks, want genesis alone", i, p.Tree().Len())
+				}
+			}
+			for _, e := range g.History().Comm {
+				if e.Proc != 0 {
+					t.Fatalf("non-sender recorded %v for a flooded genesis", e)
+				}
+			}
+		})
 	}
 }

@@ -83,8 +83,6 @@ type Process struct {
 	// pendingHas marks the buffered block IDs, so flood re-deliveries
 	// of an orphan cannot inflate the buffer with duplicates.
 	pendingHas map[core.BlockID]bool
-	// seen deduplicates update messages (flooding re-delivers).
-	seen map[core.BlockID]bool
 
 	// OnCommit, if set, runs after a block is attached locally
 	// (protocol layers hook their bookkeeping here).
@@ -130,10 +128,9 @@ func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder, reg *Reg
 		tree:       core.NewTree(),
 		pending:    make(map[core.BlockID][]*core.Block),
 		pendingHas: make(map[core.BlockID]bool),
-		seen:       make(map[core.BlockID]bool),
 	}
 	// The replica handler upholds the shard-safety contract: onMessage
-	// touches only this process's state (tree, seen/pending maps),
+	// touches only this process's state (tree, pending maps),
 	// records and sends only as itself, and never schedules — so a
 	// sharded scheduler may run replicas of different shards
 	// concurrently (simnet.AddShardSafeHandler).
@@ -177,7 +174,7 @@ func (p *Process) AppendLocal(b *core.Block) bool {
 		return false // a crashed process mines and appends nothing
 	}
 	op := p.Rec.InvokeAppend(p.ID, b)
-	ok := p.applyUpdate(b, true)
+	ok := p.applyUpdate(b)
 	p.Rec.RespondAppend(op, ok, b)
 	if ok {
 		p.Reg.Record(b.ID, p.ID)
@@ -213,16 +210,14 @@ func (p *Process) Publish(b *core.Block) bool {
 // the k=1 protocol family whose dissemination is the consensus round
 // itself. The receive event is recorded by the consensus layer.
 func (p *Process) DeliverCommitted(b *core.Block) bool {
-	return p.applyUpdate(b, false)
+	return p.applyUpdate(b)
 }
 
 // applyUpdate inserts b into the local replica, recording the update
 // event, then flushes any buffered descendants that were waiting for
-// it; local marks whether this is the creator's own update (R1 path)
-// or a remote one (R2 path requires a prior receive, recorded by
-// onMessage).
-func (p *Process) applyUpdate(b *core.Block, local bool) bool {
-	_ = local
+// it. It serves both the creator's own update (R1 path) and a remote
+// one (R2 path, whose prior receive onMessage records).
+func (p *Process) applyUpdate(b *core.Block) bool {
 	if !p.applyOne(b) {
 		return false
 	}
@@ -252,10 +247,12 @@ func (p *Process) applyUpdate(b *core.Block, local bool) bool {
 }
 
 // applyOne validates and attaches a single block, recording the update
-// event. It reports whether the block was newly attached; blocks whose
-// parent is missing are buffered (deduplicated) for the flush above.
+// event. It reports whether the block was newly attached: a block the
+// tree already holds (flooding re-delivers; genesis always) is a
+// duplicate, and blocks whose parent is missing are buffered
+// (deduplicated) for the flush above.
 func (p *Process) applyOne(b *core.Block) bool {
-	if p.seen[b.ID] {
+	if p.tree.Has(b.ID) {
 		return false
 	}
 	// Token stamps are oracle metadata, not block content: strip
@@ -287,7 +284,6 @@ func (p *Process) applyOne(b *core.Block) bool {
 	if err := p.tree.Attach(b); err != nil {
 		return false
 	}
-	p.seen[b.ID] = true
 	p.Rec.InternBlock(b)
 	p.Rec.RecordComm(history.EvUpdate, p.ID, b.Parent, b.ID)
 	if p.OnCommit != nil {
@@ -317,7 +313,7 @@ func (p *Process) onMessage(m simnet.Message) {
 	if !ok {
 		return
 	}
-	if p.seen[um.Block.ID] && m.From != p.ID {
+	if p.tree.Has(um.Block.ID) && m.From != p.ID {
 		// Duplicate delivery via flooding: receive recorded once.
 		if p.mDup != nil {
 			p.mDup.Inc(p.ID)
@@ -331,7 +327,7 @@ func (p *Process) onMessage(m simnet.Message) {
 		// (LRC Validity).
 		return
 	}
-	p.applyUpdate(um.Block, false)
+	p.applyUpdate(um.Block)
 }
 
 // RejectedCount reports how many invalid blocks the predicate P dropped.
