@@ -7,13 +7,18 @@
 // abstraction — a BT-ADT refined by a token oracle — so the API treats
 // them as instances of one interface:
 //
-//   - System is a registered protocol simulator: a Name, an Info
-//     describing the oracle family and consistency criterion the paper
-//     claims for it, and a Run that executes a deterministic
-//     discrete-event simulation and returns the recorded Result.
-//   - Each protocol package registers itself in its init (Register);
-//     Systems, Names and Lookup expose the registry. Importing
-//     repro/btsim/systems for side effects registers the built-in seven.
+//   - System is a registered protocol: a Name, an Info describing the
+//     oracle family and consistency criterion the paper claims for it,
+//     and a Run that executes it under one of two drivers — a
+//     deterministic discrete-event simulation (the default) or, with
+//     WithLive, a real concurrent deployment — and returns the recorded
+//     Result.
+//   - Systems, Names and Lookup expose the registry. Importing
+//     repro/btsim/systems for side effects registers the built-in seven
+//     from one table: a row names the system and lowers a Config onto
+//     its package's knobs; the oracle, selector, score, predicate and
+//     the paper's claims are stated once, in the package's definition,
+//     and both drivers and the Info read them from there.
 //   - Run options are functional: WithN, WithRounds, WithSeed,
 //     WithDelta, WithDifficulty, WithMerits, WithFaults, WithAdversary,
 //     WithObserver and friends replace the per-protocol config structs.
@@ -36,7 +41,8 @@
 //	fmt.Println(res, sc, ec)
 //
 // Adding a new system to the whole stack — scenarios, experiments,
-// Table 1, the cmd tools — is one package with one Register call.
+// Table 1, the cmd tools, live deployment — is one package exporting a
+// definition and a simulated runner, plus one row in btsim/systems.
 package btsim
 
 import "fmt"
@@ -73,8 +79,8 @@ type System interface {
 	Run(cfg Config) (*Result, error)
 }
 
-// RunFunc is the adapter a protocol package registers: it lowers the
-// public Config onto the package's own knobs and executes the run.
+// RunFunc is the adapter a system is registered with: it lowers the
+// public Config onto the system's own knobs and executes the run.
 type RunFunc func(cfg Config) (*Result, error)
 
 // sysFunc is the System implementation NewSystem returns.
@@ -91,7 +97,9 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("btsim: %s: %w", s.info.Name, err)
 	}
 	cfg.system = s.info.Name
-	if cfg.Monitor || cfg.Streaming {
+	// A live run owns its monitor: the monitor options reach it through
+	// Base, not through the simulation's streaming state.
+	if !cfg.Live && (cfg.Monitor || cfg.Streaming) {
 		cfg.monrun = &monitorRun{
 			k:         cfg.MonitorK,
 			streaming: cfg.Streaming,
@@ -125,8 +133,8 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// NewSystem builds a System from a descriptor and a run adapter; every
-// protocol package calls it inside Register in its init. The returned
+// NewSystem builds a System from a descriptor and a run adapter (the
+// registration table in btsim/systems does, once per row). The returned
 // system validates the Config before invoking run and stamps the Info
 // onto the Result after it.
 func NewSystem(info Info, run RunFunc) System {

@@ -274,3 +274,31 @@ func TestConformanceIgnoredKnobsAreHarmless(t *testing.T) {
 		t.Fatal("fabric with ignored PoW knobs lost strong consistency")
 	}
 }
+
+// TestAdversaryLabelMatchesWiring pins Result.AdversaryName to what the
+// run did, not to what the options asked for: on a configuration where
+// every wired attack fires (a heavy adversary on an easy lottery), the
+// run is labelled with a strategy exactly when its digest departs from
+// the benign run's. A system that has no use for the strategy runs
+// benign and says "—".
+func TestAdversaryLabelMatchesWiring(t *testing.T) {
+	base := []btsim.Option{
+		btsim.WithN(4), btsim.WithRounds(80), btsim.WithSeed(11),
+		btsim.WithMerits(1, 1, 1, 3), btsim.WithDifficulty(2),
+	}
+	for _, sys := range btsim.Systems() {
+		benign := mustRun(t, sys, base...)
+		if benign.AdversaryName != "—" {
+			t.Errorf("%s: benign run labelled %q", sys.Name(), benign.AdversaryName)
+		}
+		for _, strategy := range []string{btsim.Selfish, btsim.Withhold, btsim.Equivocate} {
+			res := mustRun(t, sys, append(base,
+				btsim.WithAdversary(btsim.Adversary{Strategy: strategy, Lead: 1}))...)
+			attacked := res.Digest() != benign.Digest()
+			if labelled := res.AdversaryName != "—"; labelled != attacked {
+				t.Errorf("%s/%s: labelled %q, digest differs from the benign run's: %v",
+					sys.Name(), strategy, res.AdversaryName, attacked)
+			}
+		}
+	}
+}

@@ -18,43 +18,55 @@ func crashOpts(extra ...btsim.Option) []btsim.Option {
 }
 
 // TestWithCrashesObservable pins the crash options' observability on
-// the PoW flooding systems: a crash window changes the digest, surfaces
-// crash/restart/crashloss fault events, and fills Result.Recovery.
+// every registered system (the shared harness wires recovery once): a
+// crash window changes the digest, surfaces crash/restart/crashloss
+// fault events, fills Result.Recovery under the chosen discipline, and
+// the restarted replica catches up with its peers.
 func TestWithCrashesObservable(t *testing.T) {
-	for _, name := range []string{"bitcoin", "ethereum"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			sys, ok := btsim.Lookup(name)
-			if !ok {
-				t.Fatalf("%s not registered", name)
-			}
+	for _, sys := range btsim.Systems() {
+		t.Run(sys.Name(), func(t *testing.T) {
 			benign := mustRun(t, sys, crashOpts()...)
-			crashed := mustRun(t, sys, crashOpts(
-				btsim.WithCrashes(btsim.Crash{Proc: 2, Start: 40, End: 80}),
-				btsim.WithDurability(true))...)
-
-			if benign.Digest() == crashed.Digest() {
-				t.Fatal("crash schedule did not change the digest")
-			}
 			if benign.Recovery != nil {
 				t.Fatal("benign run carries recovery stats")
 			}
-			rs := crashed.Recovery
-			if rs == nil || rs.Crashes != 1 || rs.Restarts != 1 || rs.DurableRestores != 1 {
-				t.Fatalf("recovery stats %+v, want one durable crash/restart", rs)
-			}
-			if rs.Solicits == 0 {
-				t.Fatalf("recovery stats %+v, want at least one catch-up solicit", rs)
-			}
-			kinds := map[string]int{}
-			for _, e := range crashed.FaultEvents {
-				kinds[e.Kind]++
-			}
-			if kinds["crash"] != 1 || kinds["restart"] != 1 {
-				t.Fatalf("fault kinds %v, want one crash and one restart", kinds)
-			}
-			if kinds["crashloss"] == 0 {
-				t.Fatalf("fault kinds %v, want crashloss drops while down", kinds)
+			for _, durable := range []bool{true, false} {
+				crashed := mustRun(t, sys, crashOpts(
+					btsim.WithCrashes(btsim.Crash{Proc: 2, Start: 40, End: 80}),
+					btsim.WithDurability(durable))...)
+
+				if benign.Digest() == crashed.Digest() {
+					t.Fatal("crash schedule did not change the digest")
+				}
+				rs := crashed.Recovery
+				if rs == nil || rs.Crashes != 1 || rs.Restarts != 1 {
+					t.Fatalf("durable=%v: recovery stats %+v, want one crash/restart", durable, rs)
+				}
+				if durable && (rs.DurableRestores != 1 || rs.AmnesiaResets != 0) ||
+					!durable && (rs.DurableRestores != 0 || rs.AmnesiaResets != 1) {
+					t.Fatalf("durable=%v: recovery stats %+v ignore the discipline", durable, rs)
+				}
+				if rs.Solicits == 0 {
+					t.Fatalf("recovery stats %+v, want at least one catch-up solicit", rs)
+				}
+				kinds := map[string]int{}
+				for _, e := range crashed.FaultEvents {
+					kinds[e.Kind]++
+				}
+				if kinds["crash"] != 1 || kinds["restart"] != 1 {
+					t.Fatalf("fault kinds %v, want one crash and one restart", kinds)
+				}
+				if kinds["crashloss"] == 0 {
+					t.Fatalf("fault kinds %v, want crashloss drops while down", kinds)
+				}
+				if got, peer := crashed.Chain(2).Height(), crashed.Chain(0).Height(); got != peer {
+					t.Fatalf("durable=%v: restarted replica ends at height %d, its peers at %d (%v)",
+						durable, got, peer, crashed.FinalHeights())
+				}
+				// A durable restart is invisible to the criteria: EC for
+				// everyone, SC too where the oracle is frugal.
+				if sc, ec := crashed.Check(); durable && (!ec.OK || sys.Info().K > 0 && !sc.OK) {
+					t.Fatalf("durable recovery broke the system's criterion:\nSC: %v\nEC: %v", sc, ec)
+				}
 			}
 		})
 	}

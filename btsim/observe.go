@@ -33,8 +33,8 @@ var witnessLatencyBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // obsRun carries one run's observability state from option processing
 // (sysFunc.Run) through the protocol adapter (Config.Base lowers reg
-// and tr onto protocols.Config, whose ApplyObservability installs them
-// on the simulator and group) to finalization after the run — the same
+// and tr onto protocols.Config; the harness's Start installs them on
+// the simulator and group) to finalization after the run — the same
 // shared-pointer pattern monitorRun uses, because Config travels by
 // value.
 type obsRun struct {

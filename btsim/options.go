@@ -173,8 +173,8 @@ type Config struct {
 	Faults []Fault
 	// Adversary is the process-level strategy (zero value = benign).
 	Adversary Adversary
-	// Crashes are the run's crash–recovery windows (systems built on
-	// the replica flooding layer wire them; others ignore them).
+	// Crashes are the run's crash–recovery windows; every system wires
+	// them (the decided blocks all travel the replica flooding layer).
 	Crashes []Crash
 	// Durable selects snapshot/restore recovery for crashed processes;
 	// false means amnesia (rejoin from genesis).
@@ -266,12 +266,6 @@ type Config struct {
 	LiveSpray bool
 	// LiveCrash schedules one crash/restart during the live load.
 	LiveCrash *LiveCrash
-	// LiveK, when > 0, adds the k-Fork Coherence report to the live
-	// monitor's output.
-	LiveK int
-	// LiveWitness streams every live violation witness as the online
-	// monitor forms it.
-	LiveWitness func(consistency.Witness)
 
 	// system is stamped by System.Run before the adapter sees the
 	// Config, so Base can label Progress events.
@@ -379,7 +373,9 @@ func WithFaultLog(on bool) Option { return func(c *Config) { c.FaultLog = on } }
 // delivered to onWitness (may be nil) the moment they form, and
 // Result.Stream carries the finalized streaming verdicts — equivalent
 // to the batch Check() — alongside the batch history, which is still
-// retained.
+// retained. A live run always has its monitor attached; there the
+// option only installs onWitness (called from the monitor's consumer
+// goroutine; keep it fast) and the verdicts are in Result.Live.
 func WithMonitor(onWitness func(consistency.Witness)) Option {
 	return func(c *Config) {
 		c.Monitor = true
@@ -389,7 +385,7 @@ func WithMonitor(onWitness func(consistency.Witness)) Option {
 
 // WithMonitorK additionally tracks k-Fork Coherence online with the
 // given bound (live witnesses at the (k+1)-th token reuse). Implies
-// WithMonitor.
+// WithMonitor. On a live run the report is Result.Live.KFork.
 func WithMonitorK(k int) Option {
 	return func(c *Config) {
 		c.Monitor = true
@@ -480,8 +476,9 @@ func WithTrace(w io.Writer, opts TraceOptions) Option {
 // quantiles and the finalized verdicts in Result.Live. Bound the load
 // with WithLiveDuration and/or WithLiveAppends (at least one is
 // required). Live runs are not deterministic — the simulation-only
-// knobs (faults, crash windows, adversaries, drops, sharding, monitor,
-// streaming, metrics, trace, observer) are rejected.
+// knobs (faults, crash windows, adversaries, drops, sharding, streaming,
+// monitor checkpoints, metrics, trace, observer) are rejected;
+// WithMonitor and WithMonitorK configure the deployment's own monitor.
 func WithLive(carrier string) Option {
 	return func(c *Config) {
 		c.Live = true
@@ -519,19 +516,6 @@ func WithLiveSpray() Option {
 // WithLiveCrash schedules one crash/restart during the live load.
 func WithLiveCrash(crash LiveCrash) Option {
 	return func(c *Config) { c.LiveCrash = &crash }
-}
-
-// WithLiveK adds the k-Fork Coherence report to a live run's monitor
-// output.
-func WithLiveK(k int) Option {
-	return func(c *Config) { c.LiveK = k }
-}
-
-// WithLiveWitness streams every live violation witness as the online
-// monitor forms it (called from the monitor consumer goroutine; keep it
-// fast).
-func WithLiveWitness(fn func(consistency.Witness)) Option {
-	return func(c *Config) { c.LiveWitness = fn }
 }
 
 // validate rejects configurations no system can run.
@@ -605,8 +589,8 @@ func (c Config) validate() error {
 		// it is deterministic — every simulation-only knob is rejected so
 		// a caller cannot silently get a run that ignores half its options.
 		switch {
-		case c.Monitor || c.Streaming:
-			return fmt.Errorf("live runs attach their own online monitor (drop WithMonitor/WithStreaming; use WithLiveWitness/WithLiveK)")
+		case c.Streaming || c.MonitorCheckpoint > 0:
+			return fmt.Errorf("live runs attach their own online monitor (drop WithStreaming/WithMonitorCheckpoint; WithMonitor and WithMonitorK configure it)")
 		case c.Metrics || c.MetricsEvery > 0 || c.TraceW != nil:
 			return fmt.Errorf("live runs measure their own metrics (drop WithMetrics/WithTrace; see Result.Live)")
 		case len(c.Faults) > 0 || len(c.Crashes) > 0 || c.Drop != nil:
@@ -614,7 +598,7 @@ func (c Config) validate() error {
 		case c.Adversary.Strategy != "":
 			return fmt.Errorf("live runs do not support adversaries")
 		case c.Observer != nil:
-			return fmt.Errorf("live runs do not support WithObserver (use WithLiveWitness)")
+			return fmt.Errorf("live runs do not support WithObserver (use WithMonitor)")
 		case c.Shards > 1:
 			return fmt.Errorf("live runs are already concurrent (drop WithShards)")
 		}
@@ -629,15 +613,15 @@ func (c Config) validate() error {
 		}
 	} else if c.LiveTransport != "" || c.LiveClients > 0 || c.LiveRate > 0 ||
 		c.LiveDuration > 0 || c.LiveAppends > 0 || c.LiveSpray ||
-		c.LiveCrash != nil || c.LiveK > 0 || c.LiveWitness != nil {
+		c.LiveCrash != nil {
 		return fmt.Errorf("live load options require WithLive")
 	}
 	return nil
 }
 
 // Base lowers the public knob set onto the shared internal protocol
-// config. Register adapters call it inside their run functions; the
-// Config has already been validated by System.Run.
+// config. The rows of the registration table (btsim/systems) call it
+// when they lower a Config; it has already been validated by System.Run.
 func (c Config) Base() protocols.Config {
 	pc := protocols.Config{
 		N:            c.N,
@@ -715,8 +699,8 @@ func (c Config) Base() protocols.Config {
 			Duration:   c.LiveDuration,
 			MaxAppends: c.LiveAppends,
 			Spray:      c.LiveSpray,
-			K:          c.LiveK,
-			OnWitness:  c.LiveWitness,
+			K:          c.MonitorK,
+			OnWitness:  c.OnWitness,
 		}
 		if c.LiveCrash != nil {
 			lc.Crash = &transport.CrashSpec{
@@ -731,8 +715,8 @@ func (c Config) Base() protocols.Config {
 	return pc
 }
 
-// DropRule lowers the Drop spec to the simnet rule the PoW adapters
-// install (nil when no loss is configured).
+// DropRule lowers the Drop spec to the simnet rule the PoW rows pass
+// on (nil when no loss is configured).
 func (c Config) DropRule() simnet.DropRule {
 	if c.Drop == nil {
 		return nil

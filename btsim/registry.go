@@ -7,10 +7,10 @@ import (
 	"sync"
 )
 
-// The registry. Protocol packages self-register in their init, so any
-// import of repro/btsim/systems (or of a protocol package directly)
-// makes the system reachable by name from every consumer layer —
-// scenarios, experiments, the cmd tools and external code alike.
+// The registry. repro/btsim/systems fills it from its registration
+// table in its init, so any import of that package makes the systems
+// reachable by name from every consumer layer — scenarios, experiments,
+// the cmd tools and external code alike.
 var (
 	regMu    sync.RWMutex
 	registry = map[string]System{}

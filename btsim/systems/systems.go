@@ -1,21 +1,91 @@
-// Package systems registers the built-in protocol simulators — the
-// seven blockchain systems of the paper's Section 5 — with the public
-// btsim registry. Import it for side effects:
+// Package systems is the registration table of the built-in protocol
+// simulators — the seven blockchain systems of the paper's Section 5.
+// Import it for side effects:
 //
 //	import _ "repro/btsim/systems"
 //
 // After the import, btsim.Systems() lists all seven and btsim.Run can
-// execute any of them by name. A new system does not need to be listed
-// here: any package calling btsim.Register in its init participates the
-// moment it is imported.
+// execute any of them by name.
+//
+// A system is stated once, as a protocols.Definition (oracle, selector,
+// score, predicate, the paper's claims) built by its package from its
+// own Config. A row of the table (init, below) adds what only the
+// registry knows — name, paper section, synopsis — and one closure
+// lowering the public btsim.Config onto that package's Config. register
+// derives the rest: Info.Oracle, Info.Criterion and Info.K are read off
+// the definition, and the one sim/live dispatch of the module runs
+// either the package's simulated runner or protocols.RunLive on the same
+// definition. Adding a system is one package exporting Definition and
+// Run plus one row here (toy_test.go does it in a test).
 package systems
 
 import (
-	_ "repro/internal/protocols/algorand"   // §5.4 — ΘF,k=1 w.h.p.
-	_ "repro/internal/protocols/bitcoin"    // §5.1 — ΘP, longest chain
-	_ "repro/internal/protocols/byzcoin"    // §5.3 — ΘF,k=1
-	_ "repro/internal/protocols/ethereum"   // §5.2 — ΘP, GHOST
-	_ "repro/internal/protocols/fabric"     // §5.7 — ΘF,k=1
-	_ "repro/internal/protocols/peercensus" // §5.5 — ΘF,k=1
-	_ "repro/internal/protocols/redbelly"   // §5.6 — ΘF,k=1
+	"repro/btsim"
+	"repro/internal/oracle"
+	"repro/internal/protocols"
+	"repro/internal/protocols/algorand"
+	"repro/internal/protocols/bitcoin"
+	"repro/internal/protocols/byzcoin"
+	"repro/internal/protocols/ethereum"
+	"repro/internal/protocols/fabric"
+	"repro/internal/protocols/peercensus"
+	"repro/internal/protocols/redbelly"
 )
+
+// register adds one row of the table to the btsim registry: def and run
+// are the package's Definition and simulated runner, lower maps the
+// public knob set onto the package's Config type C.
+func register[C any](name, section, synopsis string,
+	def func(C) *protocols.Definition, run func(C) *protocols.Result, lower func(btsim.Config) C) {
+	d := def(lower(btsim.Config{}))
+	k := d.Oracle(0).MaxForks()
+	if k == oracle.Unbounded {
+		k = 0 // Info.K's spelling of the prodigal oracle
+	}
+	info := btsim.Info{
+		Name: name, Section: section, Synopsis: synopsis,
+		Oracle: d.OracleClaim, K: k, Criterion: d.PaperCriterion,
+	}
+	btsim.Register(btsim.NewSystem(info, func(cfg btsim.Config) (*btsim.Result, error) {
+		c := lower(cfg)
+		if !cfg.Live {
+			return &btsim.Result{Result: run(c)}, nil
+		}
+		res, lr, err := protocols.RunLive(cfg.Base(), def(c))
+		if err != nil {
+			return nil, err
+		}
+		return &btsim.Result{Result: res, Live: lr}, nil
+	}))
+}
+
+func init() {
+	register("bitcoin", "5.1", "permissionless PoW, flooding, longest-chain selection",
+		bitcoin.Definition, bitcoin.Run, func(c btsim.Config) bitcoin.Config {
+			return bitcoin.Config{Config: c.Base(), Difficulty: c.Difficulty, Delta: c.Delta, DropRule: c.DropRule()}
+		})
+	register("ethereum", "5.2", "fast-block PoW, flooding, GHOST heaviest-subtree selection",
+		ethereum.Definition, ethereum.Run, func(c btsim.Config) ethereum.Config {
+			return ethereum.Config{Config: c.Base(), Difficulty: c.Difficulty, Delta: c.Delta, DropRule: c.DropRule()}
+		})
+	register("byzcoin", "5.3", "PoW-elected leader, PBFT commit of one key block per height",
+		byzcoin.Definition, byzcoin.Run, func(c btsim.Config) byzcoin.Config {
+			return byzcoin.Config{Config: c.Base(), Delta: c.Delta}
+		})
+	register("algorand", "5.4", "stake-weighted sortition, BA* committee agreement per round",
+		algorand.Definition, algorand.Run, func(c btsim.Config) algorand.Config {
+			return algorand.Config{Config: c.Base(), Delta: c.Delta}
+		})
+	register("peercensus", "5.5", "PoW identities, committee consensus anchored on prior creators",
+		peercensus.Definition, peercensus.Run, func(c btsim.Config) peercensus.Config {
+			return peercensus.Config{Config: c.Base(), Delta: c.Delta}
+		})
+	register("redbelly", "5.6", "consortium proposers, Byzantine consensus decides each height",
+		redbelly.Definition, redbelly.Run, func(c btsim.Config) redbelly.Config {
+			return redbelly.Config{Config: c.Base(), Delta: c.Delta}
+		})
+	register("fabric", "5.7", "permissioned: endorsement, ordering service, block cutting",
+		fabric.Definition, fabric.Run, func(c btsim.Config) fabric.Config {
+			return fabric.Config{Config: c.Base(), Delta: c.Delta}
+		})
+}

@@ -66,7 +66,7 @@ func main() {
 		btsim.WithSeed(*seed),
 		btsim.WithLive(*carrier),
 		btsim.WithLoad(*clients, *rate),
-		btsim.WithLiveWitness(func(w consistency.Witness) {
+		btsim.WithMonitor(func(w consistency.Witness) {
 			fmt.Println("WITNESS", w)
 		}),
 	}
@@ -80,7 +80,7 @@ func main() {
 		opts = append(opts, btsim.WithLiveSpray())
 	}
 	if *k > 0 {
-		opts = append(opts, btsim.WithLiveK(*k))
+		opts = append(opts, btsim.WithMonitorK(*k))
 	}
 	if *crash >= 0 {
 		opts = append(opts, btsim.WithLiveCrash(btsim.LiveCrash{

@@ -2,8 +2,9 @@
 // Data Type" (Anceaume, Del Pozzo, Ludinard, Potop-Butucaru,
 // Tucci-Piergiovanni — SPAA 2019, arXiv:1802.09877).
 //
-// The public API is the btsim package: a registry of self-registering
-// protocol systems (the seven of Section 5) behind one System
+// The public API is the btsim package: a registry of protocol systems
+// (the seven of Section 5, each stated once and run either simulated
+// or deployed) behind one System
 // interface, functional run options, and checked, replayable results.
 // Import repro/btsim (plus repro/btsim/systems for the built-in
 // registrations); the implementation lives under internal/ (see

@@ -5,7 +5,7 @@
 // behind one interface:
 //
 //  1. import repro/btsim/systems for side effects and every system of
-//     Section 5 self-registers; btsim.Systems() lists them with the
+//     Section 5 is registered; btsim.Systems() lists them with the
 //     oracle family and consistency criterion the paper claims;
 //  2. run any of them by name with functional options (btsim.Run);
 //  3. watch progress with an observer, then check the recorded history
@@ -20,7 +20,7 @@ import (
 	"log"
 
 	"repro/btsim"
-	_ "repro/btsim/systems" // self-registration: the Section 5 seven
+	_ "repro/btsim/systems" // registers the Section 5 seven
 )
 
 func main() {

@@ -133,7 +133,7 @@ func ClassifyOne(name string, seed uint64) (Row, error) {
 // Table1 regenerates Table 1: each registered system is *run*, its
 // history is *classified*, and the measured (oracle, criterion) pair is
 // compared to the paper's mapping. The systems come from the btsim
-// registry — adding a package with a btsim.Register call adds its row.
+// registry — adding a row to the table in btsim/systems adds its row here.
 func Table1(seed uint64) *Result {
 	res := &Result{ID: "Table 1", Title: "mapping of existing systems", OK: true}
 	res.addf("%-12s %-10s %-10s %-7s %-6s %-6s %-10s %s",

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/protocols"
-	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/tape"
 )
@@ -47,34 +46,43 @@ type (
 	}
 )
 
+// Definition is Algorand's Table 1 row: sortition is the frugal oracle's
+// lottery, retried as the real proposer re-runs it, and the BA*
+// agreement consumes the height's single token.
+func Definition(Config) *protocols.Definition {
+	return &protocols.Definition{
+		System:         "Algorand",
+		Selector:       core.LongestChain{},
+		Score:          core.LengthScore{},
+		Predicate:      core.WellFormed{},
+		OracleClaim:    "ΘF,k=1 (w.h.p.)",
+		PaperCriterion: "SC w.h.p.",
+		Sequencer:      true,
+		MineCap:        1 << 10,
+		Oracle: func(seed uint64) *oracle.Frugal {
+			return oracle.NewFrugal(1, func(a tape.Merit) float64 {
+				if a <= 0 {
+					return 0
+				}
+				return 0.9 // sortition succeeds quickly for the selected proposer
+			}, core.WellFormed{}, seed^0xa16042ad)
+		},
+	}
+}
+
 // Run executes the simulation.
 func Run(cfg Config) *protocols.Result {
-	merits := cfg.Norm()
+	if cfg.Delta <= 0 {
+		cfg.Delta = 2
+	}
+	h := Definition(cfg).Start(&cfg.Config, cfg.Delta, nil)
 	if cfg.CommitteeSize <= 0 {
 		cfg.CommitteeSize = cfg.N/2 + 1
 		if cfg.CommitteeSize < 3 {
 			cfg.CommitteeSize = 3
 		}
 	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 2
-	}
-
-	sim := simnet.NewSim(cfg.Seed)
-	group := replica.NewGroup(sim, cfg.N, simnet.Synchronous{Delta: cfg.Delta}, core.LongestChain{})
-	cfg.BindStream(group.Rec, core.LengthScore{})
-	cfg.ApplyNet(group.Net)
-	cfg.ApplySharding(group)
-	cfg.ApplyObservability(sim, group)
-	group.SetPredicate(core.WellFormed{})
-	orc := oracle.NewFrugal(1, func(a tape.Merit) float64 {
-		if a <= 0 {
-			return 0
-		}
-		return 0.9 // sortition succeeds quickly for the selected proposer
-	}, core.WellFormed{}, cfg.Seed^0xa16042ad)
-
-	stats := map[string]int{}
+	sim, group, orc, merits, stats := h.Sim, h.Group, h.Oracle, h.Merits, h.Stats
 	sortRNG := tape.NewRNG(cfg.Seed ^ 0x50421710)
 
 	// Per-round state, reset in each round closure.
@@ -168,7 +176,7 @@ func Run(cfg Config) *protocols.Result {
 				st.committee[weightedPick()] = true
 			}
 			head := group.Procs[proposer].SelectedHead()
-			b, _ := oracle.MineToken(orc, merits[proposer], head, proposer, round, protocols.CoinbasePayload(proposer, round), 1<<10)
+			b, _ := h.Def.Token(orc, merits[proposer], head, proposer, round, protocols.CoinbasePayload(proposer, round))
 			if b == nil {
 				return
 			}
@@ -191,40 +199,6 @@ func Run(cfg Config) *protocols.Result {
 		})
 	}
 
-	// Periodic reads.
-	end := int64(cfg.Rounds) * roundLen
-	for t := cfg.ReadEvery; t <= end; t += cfg.ReadEvery {
-		tt := t
-		sim.Schedule(tt, func() {
-			for _, p := range group.Procs {
-				p.Read()
-			}
-		})
-	}
-
-	sim.RunUntilIdle()
-	for _, p := range group.Procs {
-		p.Read()
-	}
-	for _, p := range group.Procs {
-		p.Read()
-	}
-
-	res := &protocols.Result{
-		System:         "Algorand",
-		History:        group.History(),
-		Creators:       group.Reg.Creators(),
-		Selector:       core.LongestChain{},
-		Score:          core.LengthScore{},
-		OracleClaim:    "ΘF,k=1 (w.h.p.)",
-		PaperCriterion: "SC w.h.p.",
-		Stats:          stats,
-		FaultEvents:    group.Net.FaultEvents(),
-		AdversaryName:  cfg.Adversary.Name(),
-	}
-	for _, p := range group.Procs {
-		res.Trees = append(res.Trees, p.Tree().Clone())
-	}
-	res.ComputeForkMax()
-	return res
+	h.ReadsEvery(cfg.ReadEvery, int64(cfg.Rounds)*roundLen)
+	return h.Finish()
 }

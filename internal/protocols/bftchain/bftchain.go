@@ -14,8 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/protocols"
-	"repro/internal/replica"
-	"repro/internal/simnet"
 	"repro/internal/tape"
 )
 
@@ -40,50 +38,54 @@ type Config struct {
 	OnHeightDecided func(proc, height int, b *core.Block)
 }
 
+// Definition is the family's Table 1 row under cfg's name and merit
+// rule. The frugal oracle with k = 1: getToken validates proposals (the
+// PoW/Sortition/endorsement step of the real systems), the consensus
+// decision consumes the single token per height. A high effective
+// probability keeps proposal mining short: validation cost is not what
+// these systems' consistency depends on.
+func Definition(cfg Config) *protocols.Definition {
+	if cfg.System == "" {
+		cfg.System = "BFTChain"
+	}
+	return &protocols.Definition{
+		System:         cfg.System,
+		Selector:       core.SingleChain{},
+		Score:          core.LengthScore{},
+		Predicate:      core.WellFormed{},
+		OracleClaim:    "ΘF,k=1",
+		PaperCriterion: "SC",
+		Sequencer:      true,
+		MineCap:        1 << 12,
+		MeritOf:        cfg.MeritOf,
+		Oracle: func(seed uint64) *oracle.Frugal {
+			return oracle.NewFrugal(1, func(a tape.Merit) float64 {
+				if a <= 0 {
+					return 0
+				}
+				return 0.5
+			}, core.WellFormed{}, seed^0xbf7c4a11)
+		},
+	}
+}
+
 // Run executes Rounds heights of the BFT chain.
 func Run(cfg Config) *protocols.Result {
-	merits := cfg.Norm()
 	if cfg.Delta <= 0 {
 		cfg.Delta = 3
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 40
 	}
-	if cfg.System == "" {
-		cfg.System = "BFTChain"
-	}
-	meritOf := cfg.MeritOf
-	if meritOf == nil {
-		meritOf = func(p int) tape.Merit { return merits[p] }
-	}
-
-	sim := simnet.NewSim(cfg.Seed)
-	group := replica.NewGroup(sim, cfg.N, simnet.Synchronous{Delta: cfg.Delta}, core.SingleChain{})
-	cfg.BindStream(group.Rec, core.LengthScore{})
-	cfg.ApplyNet(group.Net)
-	cfg.ApplySharding(group)
-	cfg.ApplyObservability(sim, group)
-	group.SetPredicate(core.WellFormed{})
-	// The frugal oracle with k = 1: getToken validates proposals (the
-	// PoW/Sortition/endorsement step of the real systems), the
-	// consensus decision consumes the single token per height. A high
-	// effective probability keeps proposal mining short: validation
-	// cost is not what these systems' consistency depends on.
-	orc := oracle.NewFrugal(1, func(a tape.Merit) float64 {
-		if a <= 0 {
-			return 0
-		}
-		return 0.5
-	}, core.WellFormed{}, cfg.Seed^0xbf7c4a11)
-
-	stats := map[string]int{}
+	h := Definition(cfg).Start(&cfg.Config, cfg.Delta, nil)
+	sim, group, orc, stats := h.Sim, h.Group, h.Oracle, h.Stats
 	consumedAt := make(map[int]bool) // height → token consumed
 
 	// engStart is assigned after the engine exists; the OnDecide
 	// closure below captures the variable, not the value, so the
 	// cycle engine → OnDecide → Start(engine) is well-defined.
 	// Single-threaded simulator: no races.
-	var engStart func(h int)
+	var engStart func(height int)
 
 	eng, err := consensus.NewEngine(group.Net, consensus.Config{
 		N:         cfg.N,
@@ -91,12 +93,10 @@ func Run(cfg Config) *protocols.Result {
 		Behaviors: cfg.Behaviors,
 		LeaderFn:  cfg.LeaderFn,
 		Propose: func(proc, height int) *core.Block {
-			m := meritOf(proc)
-			if m <= 0 {
-				return nil // not allowed to propose (outside M)
-			}
+			// A process outside M (merit 0) draws nothing: it is not
+			// allowed to propose.
 			parent := group.Procs[proc].SelectedHead()
-			b, attempts := oracle.MineToken(orc, m, parent, proc, height, protocols.CoinbasePayload(proc, height), 1<<12)
+			b, attempts := h.Def.Token(orc, h.Merit(proc), parent, proc, height, protocols.CoinbasePayload(proc, height))
 			stats["mineAttempts"] += attempts
 			return b
 		},
@@ -132,53 +132,20 @@ func Run(cfg Config) *protocols.Result {
 	}
 
 	started := map[int]bool{}
-	engStart = func(h int) {
-		if started[h] {
+	engStart = func(height int) {
+		if started[height] {
 			return
 		}
-		started[h] = true
-		if !cfg.Tick(h, sim.Now()) {
+		started[height] = true
+		if !cfg.Tick(height, sim.Now()) {
 			return
 		}
-		eng.Start(h)
+		eng.Start(height)
 	}
 	engStart(0)
 
-	// Periodic reads.
-	horizon := int64(cfg.Rounds) * (cfg.Timeout + cfg.Delta*4)
-	for t := cfg.ReadEvery; t <= horizon; t += cfg.ReadEvery * 4 {
-		tt := t
-		sim.Schedule(tt, func() {
-			for _, p := range group.Procs {
-				p.Read()
-			}
-		})
-	}
-
-	sim.RunUntilIdle()
-	for _, p := range group.Procs {
-		p.Read()
-	}
-	for _, p := range group.Procs {
-		p.Read()
-	}
-
-	res := &protocols.Result{
-		System:         cfg.System,
-		History:        group.History(),
-		Creators:       group.Reg.Creators(),
-		Selector:       core.SingleChain{},
-		Score:          core.LengthScore{},
-		OracleClaim:    "ΘF,k=1",
-		PaperCriterion: "SC",
-		Stats:          stats,
-		FaultEvents:    group.Net.FaultEvents(),
-		AdversaryName:  cfg.Adversary.Name(),
-	}
-	for _, p := range group.Procs {
-		res.Trees = append(res.Trees, p.Tree().Clone())
-	}
-	res.ComputeForkMax()
+	h.ReadsEvery(cfg.ReadEvery*4, int64(cfg.Rounds)*(cfg.Timeout+cfg.Delta*4))
+	res := h.Finish()
 	gets, grants, consumed, rejected := orc.Stats()
 	stats["getToken"] = gets
 	stats["grants"] = grants

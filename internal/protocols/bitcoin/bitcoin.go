@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/protocols"
-	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/tape"
 )
@@ -42,47 +41,53 @@ type Config struct {
 	TargetSpacing int64
 }
 
+// oracleSalt separates the oracle's tapes from the network's use of the
+// run seed; retarget epoch e draws from seed^oracleSalt + e.
+const oracleSalt = 0xb17c011
+
+// Definition is Bitcoin's Table 1 row: the prodigal PoW oracle, the
+// longest-chain selection and the validity predicate.
+func Definition(cfg Config) *protocols.Definition {
+	return &protocols.Definition{
+		System:         "Bitcoin",
+		Selector:       core.LongestChain{},
+		Score:          core.LengthScore{},
+		Predicate:      core.WellFormed{},
+		OracleClaim:    "ΘP",
+		PaperCriterion: "EC",
+		FIFO:           true,
+		Oracle:         func(seed uint64) *oracle.Frugal { return prodigal(cfg.difficulty(), seed^oracleSalt) },
+	}
+}
+
+// difficulty is the run's starting difficulty (0 means 8).
+func (cfg Config) difficulty() float64 {
+	if cfg.Difficulty <= 0 {
+		return 8
+	}
+	return cfg.Difficulty
+}
+
+// prodigal is Θ_P under the difficulty's merit mapping.
+func prodigal(difficulty float64, seed uint64) *oracle.Frugal {
+	return oracle.NewProdigal(tape.DifficultyMapping(difficulty), core.WellFormed{}, seed)
+}
+
 // Run executes the simulation and returns the recorded result.
 func Run(cfg Config) *protocols.Result {
-	merits := cfg.Norm()
-	if cfg.Difficulty <= 0 {
-		cfg.Difficulty = 8
-	}
 	if cfg.Delta <= 0 {
 		cfg.Delta = 3
 	}
-
-	sim := simnet.NewSim(cfg.Seed)
-	group := replica.NewGroup(sim, cfg.N, simnet.Synchronous{Delta: cfg.Delta}, core.LongestChain{})
-	cfg.BindStream(group.Rec, core.LengthScore{})
-	if cfg.DropRule != nil {
-		group.Net.SetDrop(cfg.DropRule)
-	}
-	group.Net.SetFIFO(true) // reliable FIFO channels (Section 5.1/5.2)
-	cfg.ApplyNet(group.Net)
-	recovery := cfg.ApplyCrashes(sim, group)
-	cfg.ApplySharding(group)
-	cfg.ApplyObservability(sim, group)
-	group.SetPredicate(core.WellFormed{})
-
-	// Adversarial wiring: one process may run a selfish-mining /
-	// withholding / equivocation strategy; its reads are excluded from
-	// the criteria (it is Byzantine), and what the checkers then measure
-	// is the damage inflicted on the correct processes.
-	adv := cfg.WireAdversary(group)
 	if cfg.TargetSpacing <= 0 {
 		cfg.TargetSpacing = 4
 	}
-	difficulty := cfg.Difficulty
-	orc := oracle.NewProdigal(tape.DifficultyMapping(difficulty), core.WellFormed{}, cfg.Seed^0xb17c011)
-
-	stats := map[string]int{}
-	totalGets, totalGrants, totalConsumed, totalRejected := 0, 0, 0, 0
+	h := Definition(cfg).Start(&cfg.Config, cfg.Delta, cfg.DropRule)
 
 	// Difficulty retargeting state.
+	difficulty := cfg.difficulty()
 	blocksInEpoch := 0
 	epochStart := int64(0)
-	epochSeed := cfg.Seed ^ 0xb17c011
+	epochSeed := cfg.Seed ^ oracleSalt
 	retarget := func(now int64) {
 		elapsed := now - epochStart
 		if elapsed < 1 {
@@ -103,100 +108,26 @@ func Run(cfg Config) *protocols.Result {
 		if difficulty < 1 {
 			difficulty = 1
 		}
-		g, gr, c, rj := orc.Stats()
-		totalGets += g
-		totalGrants += gr
-		totalConsumed += c
-		totalRejected += rj
 		epochSeed++
-		orc = oracle.NewProdigal(tape.DifficultyMapping(difficulty), core.WellFormed{}, epochSeed)
-		stats["retargets"]++
+		h.SwapOracle(prodigal(difficulty, epochSeed))
+		h.Stats["retargets"]++
 		blocksInEpoch = 0
 		epochStart = now
 	}
 
-	// Mining: one getToken attempt per process per tick. A granted
-	// token is consumed immediately and the block is appended locally
-	// then flooded (update_i + send_i).
-	for round := 0; round < cfg.Rounds; round++ {
-		r := round
-		sim.Schedule(int64(round+1), func() {
-			if !cfg.Tick(r, sim.Now()) {
-				return
+	// Mining: one getToken attempt per process per tick. Epoch
+	// accounting runs inside the mint so honest and adversarial blocks
+	// count toward the retarget alike.
+	h.LotteryRounds(func() {
+		if cfg.RetargetEvery > 0 {
+			blocksInEpoch++
+			if blocksInEpoch >= cfg.RetargetEvery {
+				retarget(h.Sim.Now())
 			}
-			for i, p := range group.Procs {
-				i, p := i, p
-				adv.MineTick(p, func(parent *core.Block) *core.Block {
-					b, ok := orc.GetToken(merits[i], parent, p.ID, r, protocols.CoinbasePayload(p.ID, r))
-					if !ok {
-						return nil
-					}
-					if _, consumed := orc.ConsumeToken(b); !consumed {
-						return nil
-					}
-					stats["mined"]++
-					// Epoch accounting lives in the mint so honest and
-					// adversarial blocks count toward the retarget alike.
-					if cfg.RetargetEvery > 0 {
-						blocksInEpoch++
-						if blocksInEpoch >= cfg.RetargetEvery {
-							retarget(sim.Now())
-						}
-					}
-					return b
-				})
-			}
-		})
-	}
-
-	// Periodic reads at every process.
-	for t := cfg.ReadEvery; t <= int64(cfg.Rounds); t += cfg.ReadEvery {
-		tt := t
-		sim.Schedule(tt, func() {
-			for _, p := range group.Procs {
-				p.Read()
-			}
-		})
-	}
-
-	sim.Run(int64(cfg.Rounds))
-	// Drain in-flight messages, then take the final convergent reads.
-	sim.RunUntilIdle()
-	if adv.FinishRun() {
-		// Late release: let the withheld branch propagate before the
-		// final read batch — one maximal reorg.
-		sim.RunUntilIdle()
-	}
-	for _, p := range group.Procs {
-		p.Read()
-	}
-	for _, p := range group.Procs {
-		p.Read()
-	}
-
-	res := &protocols.Result{
-		System:         "Bitcoin",
-		History:        group.History(),
-		Creators:       group.Reg.Creators(),
-		Selector:       core.LongestChain{},
-		Score:          core.LengthScore{},
-		OracleClaim:    "ΘP",
-		PaperCriterion: "EC",
-		Stats:          stats,
-		FaultEvents:    group.Net.FaultEvents(),
-		AdversaryName:  cfg.Adversary.Name(),
-	}
-	adv.ExportStats(stats)
-	res.ExportRecovery(recovery)
-	for _, p := range group.Procs {
-		res.Trees = append(res.Trees, p.Tree().Clone())
-	}
-	res.ComputeForkMax()
-	gets, grants, consumed, rejected := orc.Stats()
-	stats["getToken"] = totalGets + gets
-	stats["grants"] = totalGrants + grants
-	stats["consumed"] = totalConsumed + consumed
-	stats["rejected"] = totalRejected + rejected
-	stats["finalDifficultyPct"] = int(difficulty * 100)
+		}
+	})
+	h.ReadsEvery(cfg.ReadEvery, int64(cfg.Rounds))
+	res := h.Finish()
+	res.Stats["finalDifficultyPct"] = int(difficulty * 100)
 	return res
 }

@@ -24,8 +24,9 @@ type Config struct {
 	Behaviors map[int]consensus.Behavior
 }
 
-// Run executes the simulation.
-func Run(cfg Config) *protocols.Result {
+// lower maps the configuration onto the shared BFT chain, the one place
+// ByzCoin's row and leader rule are stated.
+func lower(cfg Config) bftchain.Config {
 	merits := cfg.Norm()
 	// PoW winner per height: a seeded lottery weighted by hashing
 	// power — ByzCoin's key-block mining race. The winner leads the
@@ -45,7 +46,7 @@ func Run(cfg Config) *protocols.Result {
 			}
 		}
 	}
-	res := bftchain.Run(bftchain.Config{
+	return bftchain.Config{
 		Config:    cfg.Config,
 		System:    "ByzCoin",
 		Delta:     cfg.Delta,
@@ -54,7 +55,13 @@ func Run(cfg Config) *protocols.Result {
 		LeaderFn: func(height, view int) int {
 			return (winners[height%len(winners)] + view) % cfg.N
 		},
-	})
-	res.System = "ByzCoin"
-	return res
+	}
 }
+
+// Definition is ByzCoin's Table 1 row. The PoW leader election is a
+// simulation-time concern; live, the height token consumed at the
+// sequencer is the PBFT commit.
+func Definition(cfg Config) *protocols.Definition { return bftchain.Definition(lower(cfg)) }
+
+// Run executes the simulation.
+func Run(cfg Config) *protocols.Result { return bftchain.Run(lower(cfg)) }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/protocols"
-	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/tape"
 )
@@ -31,103 +30,35 @@ type Config struct {
 	DropRule simnet.DropRule
 }
 
-// Run executes the simulation.
-func Run(cfg Config) *protocols.Result {
-	merits := cfg.Norm()
+// Definition is Ethereum's Table 1 row: fast-block prodigal PoW with
+// GHOST heaviest-subtree selection.
+func Definition(cfg Config) *protocols.Definition {
 	if cfg.Difficulty <= 0 {
 		cfg.Difficulty = 3 // faster blocks than Bitcoin → more forks
 	}
+	return &protocols.Definition{
+		System:         "Ethereum",
+		Selector:       core.GHOST{},
+		Score:          core.LengthScore{},
+		Predicate:      core.WellFormed{},
+		OracleClaim:    "ΘP",
+		PaperCriterion: "EC",
+		FIFO:           true,
+		Oracle: func(seed uint64) *oracle.Frugal {
+			return oracle.NewProdigal(tape.DifficultyMapping(cfg.Difficulty), core.WellFormed{}, seed^0xe7e12e)
+		},
+	}
+}
+
+// Run executes the simulation. Fork flooding is the interesting
+// adversarial strategy against GHOST — forged siblings inflate a
+// subtree's weight, dragging correct replicas between branches.
+func Run(cfg Config) *protocols.Result {
 	if cfg.Delta <= 0 {
 		cfg.Delta = 3
 	}
-
-	sim := simnet.NewSim(cfg.Seed)
-	group := replica.NewGroup(sim, cfg.N, simnet.Synchronous{Delta: cfg.Delta}, core.GHOST{})
-	cfg.BindStream(group.Rec, core.LengthScore{})
-	if cfg.DropRule != nil {
-		group.Net.SetDrop(cfg.DropRule)
-	}
-	group.Net.SetFIFO(true) // reliable FIFO channels (Section 5.1/5.2)
-	cfg.ApplyNet(group.Net)
-	recovery := cfg.ApplyCrashes(sim, group)
-	cfg.ApplySharding(group)
-	cfg.ApplyObservability(sim, group)
-	group.SetPredicate(core.WellFormed{})
-	orc := oracle.NewProdigal(tape.DifficultyMapping(cfg.Difficulty), core.WellFormed{}, cfg.Seed^0xe7e12e)
-
-	stats := map[string]int{}
-
-	// Adversarial wiring (shared with Bitcoin's): fork flooding is the
-	// interesting strategy against GHOST — forged siblings inflate a
-	// subtree's weight, dragging correct replicas between branches.
-	adv := cfg.WireAdversary(group)
-
-	for round := 0; round < cfg.Rounds; round++ {
-		r := round
-		sim.Schedule(int64(round+1), func() {
-			if !cfg.Tick(r, sim.Now()) {
-				return
-			}
-			for i, p := range group.Procs {
-				i, p := i, p
-				adv.MineTick(p, func(parent *core.Block) *core.Block {
-					b, ok := orc.GetToken(merits[i], parent, p.ID, r, protocols.CoinbasePayload(p.ID, r))
-					if !ok {
-						return nil
-					}
-					if _, consumed := orc.ConsumeToken(b); !consumed {
-						return nil
-					}
-					stats["mined"]++
-					return b
-				})
-			}
-		})
-	}
-
-	for t := cfg.ReadEvery; t <= int64(cfg.Rounds); t += cfg.ReadEvery {
-		tt := t
-		sim.Schedule(tt, func() {
-			for _, p := range group.Procs {
-				p.Read()
-			}
-		})
-	}
-
-	sim.Run(int64(cfg.Rounds))
-	sim.RunUntilIdle()
-	if adv.FinishRun() {
-		sim.RunUntilIdle()
-	}
-	for _, p := range group.Procs {
-		p.Read()
-	}
-	for _, p := range group.Procs {
-		p.Read()
-	}
-
-	res := &protocols.Result{
-		System:         "Ethereum",
-		History:        group.History(),
-		Creators:       group.Reg.Creators(),
-		Selector:       core.GHOST{},
-		Score:          core.LengthScore{},
-		OracleClaim:    "ΘP",
-		PaperCriterion: "EC",
-		Stats:          stats,
-		FaultEvents:    group.Net.FaultEvents(),
-		AdversaryName:  cfg.Adversary.Name(),
-	}
-	adv.ExportStats(stats)
-	res.ExportRecovery(recovery)
-	for _, p := range group.Procs {
-		res.Trees = append(res.Trees, p.Tree().Clone())
-	}
-	res.ComputeForkMax()
-	gets, grants, consumed, rejected := orc.Stats()
-	stats["getToken"] = gets
-	stats["grants"] = grants
-	stats["consumed"] = consumed
-	stats["rejected"] = rejected
-	return res
+	h := Definition(cfg).Start(&cfg.Config, cfg.Delta, cfg.DropRule)
+	h.LotteryRounds(nil)
+	h.ReadsEvery(cfg.ReadEvery, int64(cfg.Rounds))
+	return h.Finish()
 }

@@ -10,14 +10,13 @@
 package fabric
 
 import (
-	"repro/internal/adversary"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/protocols"
-	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/tape"
+	"repro/internal/transport"
 )
 
 // Config extends the common knobs.
@@ -52,12 +51,33 @@ type (
 	}
 )
 
+// Definition is Fabric's Table 1 row: the orderer consumes the unique
+// height token of the frugal oracle with k = 1 — one block per height, a
+// single chain. Cutting a block is not a lottery: the merit is 1 for
+// whoever cuts, and every draw grants.
+func Definition(Config) *protocols.Definition {
+	return &protocols.Definition{
+		System:         "Hyperledger",
+		Selector:       core.SingleChain{},
+		Score:          core.LengthScore{},
+		Predicate:      core.WellFormed{},
+		OracleClaim:    "ΘF,k=1",
+		PaperCriterion: "SC",
+		Sequencer:      true,
+		MeritOf:        func(int) tape.Merit { return 1 },
+		Oracle: func(seed uint64) *oracle.Frugal {
+			return oracle.NewFrugal(1, func(tape.Merit) float64 { return 1 }, core.WellFormed{}, seed^0xfab21c)
+		},
+	}
+}
+
+// LiveProfile is the definition under the live driver: the ordering
+// service collapses onto the sequencer policy (every append routes
+// through node 0, the orderer).
+func LiveProfile(cfg Config) transport.Profile { return Definition(cfg).Profile(cfg.Config) }
+
 // Run executes the simulation.
 func Run(cfg Config) *protocols.Result {
-	cfg.Norm()
-	if cfg.Endorsers <= 0 || cfg.Endorsers > cfg.N {
-		cfg.Endorsers = cfg.N/2 + 1
-	}
 	if cfg.MaxTxPerBlock <= 0 {
 		cfg.MaxTxPerBlock = 4
 	}
@@ -70,18 +90,12 @@ func Run(cfg Config) *protocols.Result {
 	if cfg.TxInterval <= 0 {
 		cfg.TxInterval = 3
 	}
-
-	sim := simnet.NewSim(cfg.Seed)
-	group := replica.NewGroup(sim, cfg.N, simnet.Synchronous{Delta: cfg.Delta}, core.SingleChain{})
-	cfg.BindStream(group.Rec, core.LengthScore{})
-	cfg.ApplyNet(group.Net)
-	cfg.ApplySharding(group)
-	cfg.ApplyObservability(sim, group)
-	group.SetPredicate(core.WellFormed{})
-	orc := oracle.NewFrugal(1, func(tape.Merit) float64 { return 1 }, core.WellFormed{}, cfg.Seed^0xfab21c)
+	h := Definition(cfg).Start(&cfg.Config, cfg.Delta, nil)
+	if cfg.Endorsers <= 0 || cfg.Endorsers > cfg.N {
+		cfg.Endorsers = cfg.N/2 + 1
+	}
+	sim, group, orc, stats := h.Sim, h.Group, h.Oracle, h.Stats
 	tob := consensus.NewTOB(group.Net, 0) // process 0 is the ordering service
-
-	stats := map[string]int{}
 	orderer := 0
 
 	// Adversarial wiring: an equivocating ordering service. Fabric's
@@ -89,15 +103,9 @@ func Run(cfg Config) *protocols.Result {
 	// cutting ONE block per height; a Byzantine orderer that signs two
 	// conflicting blocks for the same height (reusing the height's
 	// token) is exactly the attack the k-Fork Coherence checker was
-	// built to measure.
-	var equiv *adversary.Equivocator
-	if cfg.Adversary.Strategy == adversary.Equivocate {
-		advID := cfg.Adversary.ProcID(cfg.N)
-		if advID != orderer {
-			advID = orderer // only the orderer can equivocate on cuts
-		}
-		equiv = adversary.NewEquivocator(group.Procs[advID], group.Net, cfg.Adversary)
-	}
+	// built to measure. Only the orderer can equivocate on cuts,
+	// whichever process the configuration names.
+	equiv := h.Equivocator(orderer)
 	need := cfg.Endorsers/2 + 1
 
 	// Endorsement bookkeeping at each client: acks per submitted tx.
@@ -122,8 +130,8 @@ func Run(cfg Config) *protocols.Result {
 		stats["cut_"+reason]++
 		parent := group.Procs[orderer].SelectedHead()
 		payload := core.EncodeTxs(batch)
-		b, ok := orc.GetToken(1, parent, orderer, height, payload)
-		if !ok || b == nil {
+		b, _ := h.Def.Token(orc, h.Merit(orderer), parent, orderer, height, payload)
+		if b == nil {
 			return
 		}
 		if _, consumed := orc.ConsumeToken(b); consumed {
@@ -211,44 +219,9 @@ func Run(cfg Config) *protocols.Result {
 	}
 
 	// Periodic reads.
-	end := int64(cfg.Rounds)*cfg.TxInterval + cfg.MaxBatchDelay*2
-	for t := cfg.ReadEvery; t <= end; t += cfg.ReadEvery {
-		tt := t
-		sim.Schedule(tt, func() {
-			for _, p := range group.Procs {
-				p.Read()
-			}
-		})
-	}
+	h.ReadsEvery(cfg.ReadEvery, int64(cfg.Rounds)*cfg.TxInterval+cfg.MaxBatchDelay*2)
 
 	sim.RunUntilIdle()
 	cut("final")
-	sim.RunUntilIdle()
-	for _, p := range group.Procs {
-		p.Read()
-	}
-	for _, p := range group.Procs {
-		p.Read()
-	}
-
-	res := &protocols.Result{
-		System:         "Hyperledger",
-		History:        group.History(),
-		Creators:       group.Reg.Creators(),
-		Selector:       core.SingleChain{},
-		Score:          core.LengthScore{},
-		OracleClaim:    "ΘF,k=1",
-		PaperCriterion: "SC",
-		Stats:          stats,
-		FaultEvents:    group.Net.FaultEvents(),
-		AdversaryName:  cfg.Adversary.Name(),
-	}
-	if equiv != nil {
-		stats["forged"] = equiv.Forged
-	}
-	for _, p := range group.Procs {
-		res.Trees = append(res.Trees, p.Tree().Clone())
-	}
-	res.ComputeForkMax()
-	return res
+	return h.Finish()
 }

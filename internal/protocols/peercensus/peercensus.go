@@ -22,12 +22,14 @@ type Config struct {
 	Behaviors      map[int]consensus.Behavior
 }
 
-// Run executes the simulation.
-func Run(cfg Config) *protocols.Result {
+// lower maps the configuration onto the shared BFT chain, the one place
+// PeerCensus's row and leader rule are stated.
+func lower(cfg Config) bftchain.Config {
+	cfg.Norm()
 	// lastCreator[h] is the creator of the decided block at height h;
 	// the leader of height h+1 is that creator (committee anchoring).
 	lastCreator := map[int]int{}
-	res := bftchain.Run(bftchain.Config{
+	return bftchain.Config{
 		Config:    cfg.Config,
 		System:    "PeerCensus",
 		Delta:     cfg.Delta,
@@ -45,7 +47,13 @@ func Run(cfg Config) *protocols.Result {
 				lastCreator[height] = b.Creator
 			}
 		},
-	})
-	res.System = "PeerCensus"
-	return res
+	}
 }
+
+// Definition is PeerCensus's Table 1 row. Committee anchoring picks
+// leaders in simulation; live, the sequencer holds the
+// identity-granting token per height.
+func Definition(cfg Config) *protocols.Definition { return bftchain.Definition(lower(cfg)) }
+
+// Run executes the simulation.
+func Run(cfg Config) *protocols.Result { return bftchain.Run(lower(cfg)) }

@@ -1,11 +1,14 @@
-// Package protocols defines the shared harness for the blockchain-system
-// simulators of Section 5 (Bitcoin, Ethereum, ByzCoin, Algorand,
-// PeerCensus, Red Belly, Hyperledger Fabric). Each simulator runs a
-// deterministic discrete-event execution on internal/simnet, producing a
-// recorded history plus the per-process replica trees; the classifier in
-// internal/experiments then derives the system's Table 1 row — which
-// oracle it implements (measured fork degree) and which consistency
-// criterion its histories satisfy — instead of asserting it.
+// Package protocols holds what the seven blockchain systems of Section 5
+// (Bitcoin, Ethereum, ByzCoin, Algorand, PeerCensus, Red Belly,
+// Hyperledger Fabric) share: the Definition — one executable Table 1
+// row per system, written once — and the two drivers that run it. Start
+// builds a deterministic discrete-event execution on internal/simnet
+// (Harness), producing a recorded history plus the per-process replica
+// trees; Profile/RunLive deploy the same definition on internal/transport.
+// The classifier in internal/experiments then derives the system's
+// Table 1 row — which oracle it implements (measured fork degree) and
+// which consistency criterion its histories satisfy — instead of
+// asserting it.
 package protocols
 
 import (
@@ -60,8 +63,9 @@ type Config struct {
 	Durable bool
 	// Adversary configures a process-level adversarial strategy
 	// (selfish mining, equivocation, withholding). The zero value is
-	// benign. Protocol simulators that support adversaries wire it;
-	// the others ignore it.
+	// benign. Protocol simulators that support adversaries wire it
+	// (Harness.LotteryRounds, Harness.Equivocator); the others ignore
+	// it, and their Result says so.
 	Adversary adversary.Config
 	// Observer, when set, is invoked once per protocol round (tick /
 	// height) before the round's block production; returning false
@@ -74,45 +78,34 @@ type Config struct {
 	// is recorded — the attachment point for streaming history sinks
 	// and online consistency monitors (history.Sink). The score is the
 	// one the run's batch classification uses, so a monitor can match
-	// it. Runners invoke it through BindStream.
+	// it.
 	Stream func(rec *history.Recorder, score core.Score)
 	// Shards runs the simulation on a sharded scheduler with that many
 	// worker shards (simnet.EnableSharding). 0 or 1 is the serial
 	// scheduler — today's exact behavior; any value is specified to
 	// produce a byte-identical history and digest, so this is purely a
-	// wall-clock knob. Runners wire it through ApplySharding.
+	// wall-clock knob.
 	Shards int
 	// Metrics, when set, is the registry every layer of the run hangs
 	// its deterministic counters and virtual-time-sampled gauges on.
-	// Attaching it never changes the run's digest. Runners wire it
-	// through ApplyObservability.
+	// Attaching it never changes the run's digest.
 	Metrics *metrics.Registry
 	// Trace, when set, collects structured scheduler events (sends,
 	// deliveries, timers, faults, crashes, shard epochs, merge stalls)
-	// with deterministic sequence-number sampling. Runners wire it
-	// through ApplyObservability.
+	// with deterministic sequence-number sampling.
 	Trace *trace.Tracer
 	// Live, when set, switches the run from a deterministic simulation
 	// to a real concurrent deployment over internal/transport: N nodes
 	// on wall-clock timers, concurrent client load, and an online
-	// consistency monitor attached over the shared recorder. Register
-	// adapters dispatch to RunLive instead of their simulator when it
-	// is set. N, Seed and Merits are taken from this Config, not from
-	// the LiveConfig.
+	// consistency monitor attached over the shared recorder. The
+	// registration table dispatches to RunLive instead of the system's
+	// simulated runner when it is set. N, Seed and Merits are taken from
+	// this Config, not from the LiveConfig.
 	Live *transport.LiveConfig
 
 	// halted latches a false Observer return so every later round is
 	// skipped without consulting the observer again.
 	halted bool
-}
-
-// BindStream invokes the Stream hook (nil-safe). Every protocol runner
-// calls it immediately after building its replica group, so sinks see
-// the whole recorded history from the first operation.
-func (c *Config) BindStream(rec *history.Recorder, score core.Score) {
-	if c.Stream != nil {
-		c.Stream(rec, score)
-	}
 }
 
 // Tick reports whether the run should produce blocks for this round:
@@ -127,143 +120,6 @@ func (c *Config) Tick(round int, now int64) bool {
 		return false
 	}
 	return true
-}
-
-// ApplyNet installs the common fault knobs on a run's network. Every
-// protocol simulator calls it right after building its replica group.
-// Partition windows and crash windows merge into one schedule; the
-// caller's Faults schedule is never mutated.
-func (c *Config) ApplyNet(nw *simnet.Network) {
-	if c.RecordFaults || c.Faults != nil || c.Adversary.Active() || len(c.Crashes) > 0 {
-		nw.RecordFaults(true)
-	}
-	sched := c.Faults
-	if len(c.Crashes) > 0 {
-		s := &simnet.Schedule{Crashes: c.Crashes}
-		if c.Faults != nil {
-			s.Windows = c.Faults.Windows
-		}
-		sched = s
-	}
-	if sched != nil {
-		nw.SetSchedule(sched)
-	}
-}
-
-// ApplySharding enables the sharded scheduler on the run's replica
-// group when Config.Shards > 1. Every protocol runner calls it after
-// the group is fully built (all handlers registered) and before the
-// run starts; k ≤ 1 leaves the serial scheduler untouched.
-func (c *Config) ApplySharding(group *replica.Group) {
-	if c.Shards > 1 {
-		group.EnableSharding(c.Shards)
-	}
-}
-
-// ApplyObservability installs the run's metrics registry and event
-// tracer on the simulator, network, replica group and recorder (all
-// nil-safe). Every protocol runner calls it after ApplySharding — so
-// the sharded engine, when enabled, is in place for per-shard staging —
-// and before the run starts.
-func (c *Config) ApplyObservability(sim *simnet.Sim, group *replica.Group) {
-	if c.Trace != nil {
-		sim.SetTrace(c.Trace)
-	}
-	if c.Metrics != nil {
-		sim.SetMetrics(c.Metrics)
-		group.Net.RegisterMetrics(c.Metrics)
-		group.RegisterMetrics(c.Metrics)
-		group.Rec.RegisterMetrics(c.Metrics)
-	}
-}
-
-// ApplyCrashes wires crash recovery for the run's replica group (called
-// after ApplyNet, which armed the crash schedule). Returns nil when no
-// crashes are configured.
-func (c *Config) ApplyCrashes(sim *simnet.Sim, group *replica.Group) *replica.RecoveryStats {
-	if len(c.Crashes) == 0 {
-		return nil
-	}
-	return group.EnableCrashRecovery(sim, replica.CrashPlan{Durable: c.Durable})
-}
-
-// AdversaryWiring is the per-run strategy state shared by the mining
-// protocols (Bitcoin, Ethereum): the resolved adversarial process and
-// the strategy objects driving it. The zero/benign wiring dispatches
-// every process down the honest path.
-type AdversaryWiring struct {
-	cfg     adversary.Config
-	ID      int // adversarial process id (-1 when benign)
-	Selfish *adversary.SelfishMiner
-	Equiv   *adversary.Equivocator
-}
-
-// WireAdversary builds the configured strategy over the run's replica
-// group (benign configs produce inert wiring).
-func (c *Config) WireAdversary(group *replica.Group) *AdversaryWiring {
-	w := &AdversaryWiring{cfg: c.Adversary, ID: -1}
-	if !c.Adversary.Active() {
-		return w
-	}
-	w.ID = c.Adversary.ProcID(c.N)
-	adv := group.Procs[w.ID]
-	switch c.Adversary.Strategy {
-	case adversary.Selfish, adversary.Withhold:
-		w.Selfish = adversary.NewSelfishMiner(adv, group.Net, c.Adversary)
-	case adversary.Equivocate:
-		w.Equiv = adversary.NewEquivocator(adv, group.Net, c.Adversary)
-	}
-	return w
-}
-
-// MineTick runs process p's mining tick under the configured strategy:
-// the selfish miner steps on its private tip, the equivocator floods
-// forged siblings of its mined block, and every other process appends
-// honestly. mint runs the oracle lottery (getToken + consumeToken) on
-// the chosen parent — protocol bookkeeping (mined counters, difficulty
-// retarget epochs) lives inside mint, so it is identical on the honest
-// and adversarial paths.
-func (w *AdversaryWiring) MineTick(p *replica.Process, mint adversary.Mint) {
-	if p.Down() {
-		return // a crashed process does not even run the lottery
-	}
-	if w.Selfish != nil && p.ID == w.ID {
-		w.Selfish.Step(mint)
-		return
-	}
-	b := mint(p.SelectedHead())
-	if b == nil {
-		return
-	}
-	if w.Equiv != nil && p.ID == w.ID {
-		w.Equiv.FloodSiblings(b)
-		return
-	}
-	p.AppendLocal(b)
-}
-
-// FinishRun flushes a withholding adversary's private branch (the
-// Withhold strategy or ReleaseAtEnd) after the last round. It reports
-// whether a branch was published, in which case the caller must drain
-// the simulator again before the final reads.
-func (w *AdversaryWiring) FinishRun() bool {
-	if w.Selfish == nil || !(w.cfg.ReleaseAtEnd || w.cfg.Strategy == adversary.Withhold) {
-		return false
-	}
-	w.Selfish.Flush()
-	return true
-}
-
-// ExportStats copies the strategy counters into the run's stats map.
-func (w *AdversaryWiring) ExportStats(stats map[string]int) {
-	if w.Selfish != nil {
-		stats["withheld"] = w.Selfish.Withheld
-		stats["releases"] = w.Selfish.Releases
-		stats["abandoned"] = w.Selfish.Abandoned
-	}
-	if w.Equiv != nil {
-		stats["forged"] = w.Equiv.Forged
-	}
 }
 
 // Norm fills defaults and returns the per-process merits normalized so
@@ -329,17 +185,18 @@ type Result struct {
 	// (drops, partition cuts and heals, withhold/release decisions);
 	// empty on benign runs without RecordFaults.
 	FaultEvents []simnet.FaultEvent
-	// AdversaryName labels the adversarial strategy of the run ("—"
-	// when benign), for scenario matrices.
+	// AdversaryName labels the adversarial strategy that ran ("—" when
+	// benign, or when the system wires no such strategy), for scenario
+	// matrices.
 	AdversaryName string
 	// Recovery carries the crash–recovery counters when the run had a
 	// crash schedule (nil otherwise).
 	Recovery *replica.RecoveryStats
 }
 
-// ExportRecovery folds the recovery counters into the stats map and
-// records them on the result (nil-safe; called by crash-aware runners).
-func (r *Result) ExportRecovery(rs *replica.RecoveryStats) {
+// exportRecovery folds the recovery counters into the stats map and
+// records them on the result (nil-safe).
+func (r *Result) exportRecovery(rs *replica.RecoveryStats) {
 	if rs == nil {
 		return
 	}
@@ -353,8 +210,8 @@ func (r *Result) ExportRecovery(rs *replica.RecoveryStats) {
 	r.Stats["solicitRetries"] = rs.Retries
 }
 
-// ComputeForkMax fills MeasuredForkMax from the replica trees.
-func (r *Result) ComputeForkMax() {
+// computeForkMax fills MeasuredForkMax from the replica trees.
+func (r *Result) computeForkMax() {
 	max := 0
 	for _, t := range r.Trees {
 		if d := t.MaxForkDegree(); d > max {

@@ -69,7 +69,7 @@ func TestResultForkMaxAndHeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &Result{Trees: []*core.Tree{tr, core.NewTree()}, Selector: core.LongestChain{}}
-	r.ComputeForkMax()
+	r.computeForkMax()
 	if r.MeasuredForkMax != 2 {
 		t.Fatalf("fork max %d", r.MeasuredForkMax)
 	}

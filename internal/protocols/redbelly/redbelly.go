@@ -24,13 +24,16 @@ type Config struct {
 	Behaviors      map[int]consensus.Behavior
 }
 
-// Run executes the simulation.
-func Run(cfg Config) *protocols.Result {
-	if cfg.M <= 0 || cfg.M > cfg.N {
-		cfg.M = cfg.N/2 + 1
-	}
+// lower maps the configuration onto the shared BFT chain, the one place
+// Red Belly's row, leader rule and consortium merit rule are stated. It
+// also returns the effective consortium size.
+func lower(cfg Config) (bftchain.Config, int) {
+	cfg.Norm()
 	m := cfg.M
-	res := bftchain.Run(bftchain.Config{
+	if m <= 0 || m > cfg.N {
+		m = cfg.N/2 + 1
+	}
+	return bftchain.Config{
 		Config:    cfg.Config,
 		System:    "RedBelly",
 		Delta:     cfg.Delta,
@@ -41,15 +44,27 @@ func Run(cfg Config) *protocols.Result {
 			return (height + view) % m
 		},
 		// Merit: 1/|M| for members, 0 outside — non-members cannot
-		// obtain tokens and therefore never propose (Section 5.6).
+		// obtain tokens and therefore never propose (Section 5.6). The
+		// live sequencer, node 0, is always a member.
 		MeritOf: func(proc int) tape.Merit {
 			if proc < m {
 				return tape.Merit(1 / float64(m))
 			}
 			return 0
 		},
-	})
-	res.System = "RedBelly"
+	}, m
+}
+
+// Definition is Red Belly's Table 1 row.
+func Definition(cfg Config) *protocols.Definition {
+	bc, _ := lower(cfg)
+	return bftchain.Definition(bc)
+}
+
+// Run executes the simulation.
+func Run(cfg Config) *protocols.Result {
+	bc, m := lower(cfg)
+	res := bftchain.Run(bc)
 	res.Stats["consortium"] = m
 	return res
 }

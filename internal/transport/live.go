@@ -15,10 +15,10 @@ import (
 // Profile is how one registered system produces blocks in a live
 // deployment: the selector/score/predicate triple its replicas run,
 // the paper row it claims, and the oracle-backed mint that turns an
-// append attempt into a block (or a lost lottery). Each protocol
-// package exports a LiveProfile constructor building this from its
-// simulation config, so the live path reuses the exact oracle, scores
-// and validity the simulated path measures.
+// append attempt into a block (or a lost lottery). It is built in one
+// place, protocols.Definition.Profile, from the same definition the
+// simulated run starts from, so the live path reuses the exact oracle,
+// scores and validity the simulated path measures.
 type Profile struct {
 	System         string
 	Selector       core.Selector
