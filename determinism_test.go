@@ -9,6 +9,10 @@ import (
 	"repro/btsim"
 	"repro/internal/benchsuite"
 	"repro/internal/consistency"
+	"repro/internal/core"
+	"repro/internal/history"
+	"repro/internal/protocols"
+	"repro/internal/protocols/bitcoin"
 	"repro/internal/scenario"
 )
 
@@ -81,6 +85,50 @@ func TestPipelineDeterminismPinned(t *testing.T) {
 				t.Fatalf("instrumented pipeline digest changed: got %s, want %s (metrics/trace must be digest-neutral)", got, r.want)
 			}
 		})
+	}
+}
+
+// TestDigestIndependentOfHandleOrder: the run's block index names blocks
+// by handles in intern order, and that order is an accident of
+// scheduling (it differs between shard counts and between live runs).
+// Interning every block of the run beforehand, in reverse — children
+// before parents, so no tree ever assigns a handle and each tree's
+// attach order is the opposite of handle order — must leave the pinned
+// digest untouched, on the serial scheduler and on four shards.
+func TestDigestIndependentOfHandleOrder(t *testing.T) {
+	const want = "6e285a33a4969092" // bitcoin-seed1 of TestPipelineDeterminismPinned
+	run := func(shards int, pre []*core.Block) *btsim.Result {
+		cfg := bitcoin.Config{Difficulty: 5, Config: protocols.Config{
+			N: 4, Rounds: 120, Seed: 1, ReadEvery: 15, Shards: shards,
+			Stream: func(rec *history.Recorder, _ core.Score) {
+				for i := len(pre) - 1; i >= 0; i-- {
+					rec.Table().Intern(pre[i])
+				}
+			},
+		}}
+		return &btsim.Result{Result: bitcoin.Run(cfg)}
+	}
+	base := run(1, nil)
+	if got := pipelineDigest(base); got != want {
+		t.Fatalf("untouched run: digest %s, want %s", got, want)
+	}
+	var blocks []*core.Block
+	seen := map[core.BlockID]bool{}
+	for _, tr := range base.Trees {
+		for _, b := range tr.Blocks() {
+			if !seen[b.ID] {
+				seen[b.ID] = true
+				blocks = append(blocks, b)
+			}
+		}
+	}
+	if len(blocks) < 20 {
+		t.Fatalf("fixture: only %d blocks in the run", len(blocks))
+	}
+	for _, shards := range []int{1, 4} {
+		if got := pipelineDigest(run(shards, blocks)); got != want {
+			t.Errorf("shards=%d, blocks pre-interned in reverse: digest %s, want %s", shards, got, want)
+		}
 	}
 }
 

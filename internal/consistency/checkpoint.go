@@ -427,6 +427,23 @@ func (rc *restoreCtx) recs(cs []ckRec) ([]opRec, error) {
 	return out, nil
 }
 
+// checkPoolBlock rejects a checkpoint pool entry no run could have
+// interned: the pool comes from a file, and the chain table sizes a
+// materialized chain by its head's height.
+func checkPoolBlock(b *core.Block) error {
+	switch {
+	case b == nil:
+		return fmt.Errorf("nil block")
+	case b.Height < 0:
+		return fmt.Errorf("block %s has height %d", b.ID.Short(), b.Height)
+	case b.IsGenesis() != (b.Height == 0):
+		return fmt.Errorf("block %s at height %d: only genesis has height 0", b.ID.Short(), b.Height)
+	case !b.IsGenesis() && b.Parent == "":
+		return fmt.Errorf("block %s names no parent", b.ID.Short())
+	}
+	return nil
+}
+
 // RestoreMonitor rebuilds a monitor from a Checkpoint. cfg supplies the
 // non-serializable parts — Score, P, Table, OnWitness — and must
 // structurally match the checkpointed monitor (Procs, Horizon, K),
@@ -450,7 +467,10 @@ func RestoreMonitor(data []byte, cfg MonitorConfig) (*Monitor, error) {
 	if m.table == nil {
 		m.table = history.NewChainTable()
 	}
-	for _, b := range ck.Pool {
+	for i, b := range ck.Pool {
+		if err := checkPoolBlock(b); err != nil {
+			return nil, fmt.Errorf("consistency: corrupt checkpoint: pool[%d]: %w", i, err)
+		}
 		m.table.Intern(b)
 	}
 	rc := &restoreCtx{table: m.table}

@@ -2,6 +2,8 @@ package consistency
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -293,4 +295,65 @@ func FuzzMonitorCheckpoint(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRestoreRejectsMalformedPool edits the block pool of a valid
+// checkpoint the way a damaged file could: every entry no run could
+// have interned is a corrupt checkpoint, not a later panic (a negative
+// height used to reach ChainTo's make).
+func TestRestoreRejectsMalformedPool(t *testing.T) {
+	rec := history.NewRecorder(2, nil)
+	mon := NewMonitor(MonitorConfig{Procs: 2, Table: rec.Table()})
+	rec.SetSink(mon)
+	b1 := core.NewBlock(core.GenesisID, 1, 0, 1, nil)
+	rec.InternBlock(b1)
+	rec.Append(0, b1, true)
+	rec.ReadHead(1, b1)
+	data, err := mon.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck map[string]json.RawMessage
+	if err := json.Unmarshal(data, &ck); err != nil {
+		t.Fatal(err)
+	}
+	var pool []*core.Block
+	if err := json.Unmarshal(ck["Pool"], &pool); err != nil || len(pool) == 0 {
+		t.Fatalf("fixture: pool %v, err %v", pool, err)
+	}
+	with := func(extra ...*core.Block) []byte {
+		raw, err := json.Marshal(append(append([]*core.Block(nil), pool...), extra...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]json.RawMessage{}
+		for k, v := range ck {
+			out[k] = v
+		}
+		out["Pool"] = raw
+		b, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	cfg := MonitorConfig{Procs: 2}
+	if _, err := RestoreMonitor(with(), cfg); err != nil {
+		t.Fatalf("re-encoded valid checkpoint rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		b    *core.Block
+	}{
+		{"nil entry", nil},
+		{"negative height", &core.Block{ID: "x", Parent: "b0", Height: -7}},
+		{"genesis above height 0", &core.Block{ID: core.GenesisID, Height: 3}},
+		{"non-genesis at height 0", &core.Block{ID: "x", Parent: "b0", Height: 0}},
+		{"no parent", &core.Block{ID: "x", Height: 2}},
+	} {
+		_, err := RestoreMonitor(with(tc.b), cfg)
+		if err == nil || !strings.Contains(err.Error(), "corrupt checkpoint") {
+			t.Errorf("%s: err = %v, want a corrupt checkpoint error", tc.name, err)
+		}
+	}
 }

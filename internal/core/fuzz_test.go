@@ -116,29 +116,43 @@ func checkTreeIndices(t *testing.T, tr *Tree) {
 
 // checkNodeLinks asserts the pointer structure behind the index: every
 // node is carved from this tree's own slabs (so no parent pointer can
-// reach into another tree), points at its parent's node, lists its
-// children sorted and owned (a single child inline in the node itself,
-// not in the node it was cloned from), and holds a leaf slot that points back at it
-// exactly when it has no children.
+// reach into another tree), sits in the membership pages under the handle
+// the tree's index gives its ID and nowhere else, points at its parent's
+// node, lists its children sorted and owned (a single child inline in the
+// node itself, not in the node it was cloned from), and holds a leaf slot
+// that points back at it exactly when it has no children.
 func checkNodeLinks(t *testing.T, tr *Tree) {
 	t.Helper()
 	carved := 0
-	for _, slab := range tr.slabs {
-		for i := range slab {
-			if n := &slab[i]; tr.nodes[n.b.ID] != n {
-				t.Fatalf("slab node %s is not the indexed node", n.b.ID.Short())
+	eachNode(tr, func(n *node) {
+		if n.h != tr.idx.handle(n.b.ID) {
+			t.Fatalf("node %s carries handle %d, the index says %d", n.b.ID.Short(), n.h, tr.idx.handle(n.b.ID))
+		}
+		if tr.at(n.h) != n {
+			t.Fatalf("slab node %s is not the indexed node", n.b.ID.Short())
+		}
+		carved++
+	})
+	paged := 0
+	for _, pg := range tr.pages {
+		if pg == nil {
+			continue
+		}
+		for _, n := range pg {
+			if n != nil {
+				paged++
 			}
-			carved++
 		}
 	}
-	if carved != len(tr.nodes) {
-		t.Fatalf("%d nodes in the slabs, %d indexed", carved, len(tr.nodes))
+	if carved != tr.n || paged != tr.n {
+		t.Fatalf("%d nodes in the slabs, %d in the pages, %d counted", carved, paged, tr.n)
 	}
-	for id, n := range tr.nodes {
-		if n.b.ID != id {
-			t.Fatalf("node indexed under %s holds block %s", id.Short(), n.b.ID.Short())
+	eachNode(tr, func(n *node) {
+		id := n.b.ID
+		if tr.node(id) != n {
+			t.Fatalf("lookup of %s does not reach its node", id.Short())
 		}
-		if want := tr.nodes[n.b.Parent]; n.parent != want {
+		if want := tr.node(n.b.Parent); n.parent != want {
 			t.Fatalf("parent pointer of %s is not this tree's node of %s", id.Short(), n.b.Parent.Short())
 		}
 		if !sort.SliceIsSorted(n.kids, func(i, j int) bool { return n.kids[i] < n.kids[j] }) {
@@ -148,17 +162,17 @@ func checkNodeLinks(t *testing.T, tr *Tree) {
 			t.Fatalf("single child of %s is not stored inline in its own node", id.Short())
 		}
 		for _, k := range n.kids {
-			if kn := tr.nodes[k]; kn == nil || kn.parent != n {
+			if kn := tr.node(k); kn == nil || kn.parent != n {
 				t.Fatalf("child %s of %s does not point back", k.Short(), id.Short())
 			}
 		}
 		switch {
 		case len(n.kids) > 0 && n.leaf != -1:
 			t.Fatalf("inner block %s keeps leaf slot %d", id.Short(), n.leaf)
-		case len(n.kids) == 0 && (n.leaf < 0 || n.leaf >= len(tr.leaves) || tr.leaves[n.leaf] != n):
+		case len(n.kids) == 0 && (n.leaf < 0 || int(n.leaf) >= len(tr.leaves) || tr.leaves[n.leaf] != n):
 			t.Fatalf("leaf %s has slot %d, which does not point back", id.Short(), n.leaf)
 		}
-	}
+	})
 }
 
 // treeView is what a reader can observe of a tree, for before/after
@@ -330,5 +344,50 @@ func FuzzTreeIndices(f *testing.F) {
 		}
 		checkTreeIndices(t, tr)
 		checkCloneIsolated(t, tr)
+		checkSharedIndex(t, tr, attached)
 	})
+}
+
+// checkSharedIndex rebuilds tr — grown on a private index from attached,
+// in that order — as two trees on one shared index, the way the replicas
+// of a run hold overlapping block sets: a takes the first two thirds in
+// attach order, b takes everything in (height, ID) order, and the two
+// alternate, so either may be the one that interns a block and handle
+// order matches neither tree's attach order. Each must be
+// indistinguishable from a private-index tree of the same blocks.
+func checkSharedIndex(t *testing.T, tr *Tree, attached []*Block) {
+	t.Helper()
+	idx := NewIndex()
+	a, b := NewTreeOn(idx), NewTreeOn(idx)
+	forA := attached[1 : 1+2*(len(attached)-1)/3]
+	forB := tr.Blocks()[1:]
+	for i := range forB {
+		if i < len(forA) {
+			if err := a.Attach(forA[i]); err != nil {
+				t.Fatalf("shared index, attach order: %v", err)
+			}
+		}
+		if err := b.Attach(forB[i]); err != nil {
+			t.Fatalf("shared index, height order: %v", err)
+		}
+	}
+	alone := NewTree()
+	for _, blk := range forA {
+		if err := alone.Attach(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if idx.Len() != tr.Len() {
+		t.Fatalf("shared index holds %d blocks, the trees %d distinct ones", idx.Len(), tr.Len())
+	}
+	checkTreeIndices(t, a)
+	checkTreeIndices(t, b)
+	if !reflect.DeepEqual(viewOf(a), viewOf(alone)) {
+		t.Fatal("tree on a shared index differs from a private-index tree of the same blocks (attach-order prefix)")
+	}
+	if !reflect.DeepEqual(viewOf(b), viewOf(tr)) {
+		t.Fatal("tree on a shared index differs from a private-index tree of the same blocks (height order)")
+	}
+	checkCloneIsolated(t, a)
+	checkTreeIndices(t, b) // growing a's clone interned blocks b never sees
 }

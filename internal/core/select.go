@@ -119,47 +119,44 @@ type GHOST struct{}
 
 // SelectHead performs the greedy descent and returns only the final leaf.
 func (GHOST) SelectHead(t *Tree) *Block {
-	cur := t.Root()
-	if cur == nil {
-		return nil // degenerate zero-value tree; HeadOf falls back
-	}
-	for {
-		ch := t.Children(cur.ID)
-		if len(ch) == 0 {
-			return cur
-		}
-		best := ch[0]
-		bestW := t.SubtreeWeight(best)
-		for _, c := range ch[1:] {
-			w := t.SubtreeWeight(c)
-			if w > bestW || (w == bestW && c > best) {
-				best, bestW = c, w
-			}
-		}
-		cur = t.Block(best)
-	}
+	return ghostDescent(t, nil) // nil on a degenerate zero-value tree; HeadOf falls back
 }
 
 // Select performs the greedy heaviest-subtree descent.
 func (GHOST) Select(t *Tree) Chain {
-	cur := t.Root().ID
 	chain := Chain{t.Root()}
-	for {
-		ch := t.Children(cur)
-		if len(ch) == 0 {
-			return chain
-		}
-		best := ch[0]
-		bestW := t.SubtreeWeight(best)
-		for _, c := range ch[1:] {
-			w := t.SubtreeWeight(c)
-			if w > bestW || (w == bestW && c > best) {
-				best, bestW = c, w
+	ghostDescent(t, &chain)
+	return chain
+}
+
+// ghostDescent walks from the root into the child with the heaviest
+// subtree (ties: the largest ID) until it reaches a leaf, which it
+// returns; every block it descends into is appended to path when path is
+// non-nil. It follows node pointers, so a step costs one ID lookup per
+// child.
+func ghostDescent(t *Tree, path *Chain) *Block {
+	n := t.root
+	if n == nil {
+		return nil
+	}
+	if !t.ghostActive {
+		t.buildSubtreeWeights()
+	}
+	for len(n.kids) > 0 {
+		var best *node
+		for _, c := range n.kids {
+			cn := t.node(c)
+			if best == nil || cn.subtreeWeight > best.subtreeWeight ||
+				(cn.subtreeWeight == best.subtreeWeight && c > best.b.ID) {
+				best = cn
 			}
 		}
-		chain = append(chain, t.Block(best))
-		cur = best
+		n = best
+		if path != nil {
+			*path = append(*path, n.b)
+		}
 	}
+	return n.b
 }
 
 // Name returns "ghost".

@@ -9,15 +9,24 @@ import "sort"
 // selectors in select.go return byte-identical chains. Do not "optimize"
 // these — their value is being the slow, obviously-correct spec.
 
+// eachNode visits every node of the tree (slab order).
+func eachNode(t *Tree, visit func(n *node)) {
+	for _, slab := range t.slabs {
+		for i := range slab {
+			visit(&slab[i])
+		}
+	}
+}
+
 // scanLeaves recomputes the leaf set by scanning every block, the way
 // Tree.Leaves worked before the maintained leaf set.
 func scanLeaves(t *Tree) []BlockID {
 	var out []BlockID
-	for id, n := range t.nodes {
+	eachNode(t, func(n *node) {
 		if len(n.kids) == 0 {
-			out = append(out, id)
+			out = append(out, n.b.ID)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -26,11 +35,11 @@ func scanLeaves(t *Tree) []BlockID {
 // way Tree.Height worked before the cached maxHeight.
 func scanHeight(t *Tree) int {
 	h := 0
-	for _, n := range t.nodes {
+	eachNode(t, func(n *node) {
 		if n.b.Height > h {
 			h = n.b.Height
 		}
-	}
+	})
 	return h
 }
 
@@ -39,11 +48,11 @@ func scanHeight(t *Tree) int {
 // maxFork.
 func scanMaxFork(t *Tree) int {
 	max := 0
-	for _, n := range t.nodes {
+	eachNode(t, func(n *node) {
 		if len(n.kids) > max {
 			max = len(n.kids)
 		}
-	}
+	})
 	return max
 }
 

@@ -18,13 +18,19 @@ import (
 //   - the BT-ADT append()/read() of Definition 3.1 lives in the adt and
 //     refine packages, built on top of Attach and a Selector.
 //
-// Tree keeps one index: nodes, a map from block ID to a node holding
-// the block, a pointer to its parent's node, its sorted child IDs, the
+// Tree names its blocks by the handles of an Index — the run's shared
+// one (NewTreeOn) or, for a lone tree, a private one (NewTree) — and
+// keeps its membership as handle-indexed pages of node pointers: pages
+// are allocated as handles are first used and never regrown, so a tree
+// holding few of a large run's blocks stays small. A node holds the
+// block, a pointer to its parent's node, its sorted child IDs, the
 // cumulative chain weight, the GHOST subtree weight and — for a leaf —
-// its slot in the leaves slice. Attach costs two map lookups and one
-// assignment; everything else it maintains is reached through node
-// pointers, so the selection function f (internal/core/select.go) never
-// rescans the tree:
+// its slot in the leaves slice. Attach resolves the block's ID once
+// (Resolve: one read-locked lookup in the index, shared and therefore
+// warm across the replicas of a run) and does the rest by slice index;
+// everything else it maintains is reached through node pointers, so the
+// selection function f (internal/core/select.go) never rescans the
+// tree:
 //
 //   - leaves: the current leaf set, a slice. A first child takes over
 //     its parent's slot, any later child is appended, so the set is
@@ -49,8 +55,13 @@ import (
 //
 // Tree is not safe for concurrent use; each simulated process owns its
 // replica (internal/replica), and shared-memory experiments wrap it.
+// Trees sharing an Index may be used from different goroutines.
 type Tree struct {
-	nodes map[BlockID]*node
+	idx *Index
+	// pages[h>>pageBits][h&pageMask] is the node of handle h, nil when
+	// the tree does not hold that block; n counts the nodes.
+	pages []*[pageSize]*node
+	n     int
 	root  *node
 	// slabs are the node chunks in allocation order; the last one is
 	// being filled.
@@ -84,7 +95,46 @@ type node struct {
 	// only while Tree.ghostActive.
 	subtreeWeight int
 	// leaf is the node's index in Tree.leaves, -1 once it has a child.
-	leaf int
+	leaf int32
+	// h is the block's handle in Tree.idx.
+	h uint32
+}
+
+// Membership pages hold pageSize handles each (2 KB of pointers).
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+// at returns the node of handle h, nil when the tree does not hold it
+// (noHandle lies beyond any page).
+func (t *Tree) at(h uint32) *node {
+	if p := int(h >> pageBits); p < len(t.pages) && t.pages[p] != nil {
+		return t.pages[p][h&pageMask]
+	}
+	return nil
+}
+
+// set records n as the node of handle n.h.
+func (t *Tree) set(n *node) {
+	p := int(n.h >> pageBits)
+	for p >= len(t.pages) {
+		t.pages = append(t.pages, nil)
+	}
+	if t.pages[p] == nil {
+		t.pages[p] = new([pageSize]*node)
+	}
+	t.pages[p][n.h&pageMask] = n
+	t.n++
+}
+
+// node returns the node of the block with the given ID.
+func (t *Tree) node(id BlockID) *node {
+	if t.idx == nil {
+		return nil // zero-value tree
+	}
+	return t.at(t.idx.handle(id))
 }
 
 // Node slab capacities: chunks double from nodeSlabMin to nodeSlabMax, so
@@ -112,13 +162,18 @@ func (t *Tree) newNode() *node {
 	return &s[len(s)-1]
 }
 
-// NewTree returns a BlockTree containing only the genesis block b0.
-func NewTree() *Tree {
-	g := Genesis()
-	t := &Tree{nodes: make(map[BlockID]*node), tallest: g}
+// NewTree returns a BlockTree containing only the genesis block b0, on
+// a private index.
+func NewTree() *Tree { return NewTreeOn(NewIndex()) }
+
+// NewTreeOn returns a BlockTree containing only the genesis block, naming
+// its blocks by the handles of idx: the replicas of one run share the
+// run's index.
+func NewTreeOn(idx *Index) *Tree {
+	t := &Tree{idx: idx, tallest: idx.genesis}
 	t.root = t.newNode()
-	t.root.b = g
-	t.nodes[g.ID] = t.root
+	t.root.b = idx.genesis
+	t.set(t.root)
 	t.leaves = []*node{t.root}
 	return t
 }
@@ -132,18 +187,30 @@ func (t *Tree) Root() *Block {
 }
 
 // Len returns the number of blocks in the tree, genesis included.
-func (t *Tree) Len() int { return len(t.nodes) }
+func (t *Tree) Len() int { return t.n }
 
 // Block returns the block with the given ID, or nil if absent.
 func (t *Tree) Block(id BlockID) *Block {
-	if n := t.nodes[id]; n != nil {
+	if n := t.node(id); n != nil {
 		return n.b
 	}
 	return nil
 }
 
 // Has reports whether the tree contains a block with the given ID.
-func (t *Tree) Has(id BlockID) bool { return t.nodes[id] != nil }
+func (t *Tree) Has(id BlockID) bool { return t.node(id) != nil }
+
+// Resolve looks b's ID up in the tree's index, once: the replica's
+// delivery path resolves a block on receipt and then asks Holds,
+// HoldsParent and AttachResolved by handle. b must not be nil.
+func (t *Tree) Resolve(b *Block) Ref { return t.idx.resolve(b) }
+
+// Holds reports whether the tree contains a block with r's ID.
+func (t *Tree) Holds(r Ref) bool { return t.at(r.h) != nil }
+
+// HoldsParent reports whether the tree contains the parent r's block
+// names.
+func (t *Tree) HoldsParent(r Ref) bool { return t.at(r.parent) != nil }
 
 // Attach inserts block b under its parent. It returns an error if the
 // parent is unknown, the height is inconsistent, or a different block
@@ -156,10 +223,21 @@ func (t *Tree) Attach(b *Block) error {
 	if b == nil {
 		return fmt.Errorf("core: attach nil block")
 	}
+	if t.idx == nil {
+		return fmt.Errorf("core: attach to a zero-value tree")
+	}
+	return t.AttachResolved(t.Resolve(b))
+}
+
+// AttachResolved is Attach for a block already resolved against the
+// tree's index. The block is interned only here, once every check has
+// passed (Index invariant (i)).
+func (t *Tree) AttachResolved(r Ref) error {
+	b := r.b
 	if b.IsGenesis() {
 		return nil // genesis is always present
 	}
-	if n := t.nodes[b.ID]; n != nil {
+	if n := t.at(r.h); n != nil {
 		existing := n.b
 		if existing.Parent != b.Parent || existing.Height != b.Height ||
 			existing.Weight != b.Weight || !bytes.Equal(existing.Payload, b.Payload) {
@@ -167,17 +245,20 @@ func (t *Tree) Attach(b *Block) error {
 		}
 		return nil
 	}
-	parent := t.nodes[b.Parent]
+	parent := t.at(r.parent)
 	if parent == nil {
 		return fmt.Errorf("core: parent %s of %s not in tree", b.Parent.Short(), b.ID.Short())
 	}
 	if b.Height != parent.b.Height+1 {
 		return fmt.Errorf("core: block %s height %d, want %d", b.ID.Short(), b.Height, parent.b.Height+1)
 	}
+	if r.h == noHandle {
+		r.h = t.idx.intern(b)
+	}
 	n := t.newNode()
-	n.b, n.parent = b, parent
+	n.b, n.parent, n.h = b, parent, r.h
 	n.chainWeight = parent.chainWeight + b.Weight
-	t.nodes[b.ID] = n
+	t.set(n)
 	if len(parent.kids) == 0 {
 		// First child: stored inline, and it takes over the leaf slot
 		// its parent gives up.
@@ -194,7 +275,7 @@ func (t *Tree) Attach(b *Block) error {
 			kids[i], kids[i-1] = kids[i-1], kids[i]
 		}
 		parent.kids = kids
-		n.leaf = len(t.leaves)
+		n.leaf = int32(len(t.leaves))
 		t.leaves = append(t.leaves, n)
 	}
 	if len(parent.kids) > t.maxFork {
@@ -215,7 +296,7 @@ func (t *Tree) Attach(b *Block) error {
 // Children returns the IDs of the blocks chaining to id, in lexicographic
 // order (deterministic). The returned slice must not be modified.
 func (t *Tree) Children(id BlockID) []BlockID {
-	if n := t.nodes[id]; n != nil {
+	if n := t.node(id); n != nil {
 		return n.kids
 	}
 	return nil
@@ -238,7 +319,7 @@ func (t *Tree) SubtreeWeight(id BlockID) int {
 	if !t.ghostActive {
 		t.buildSubtreeWeights()
 	}
-	if n := t.nodes[id]; n != nil {
+	if n := t.node(id); n != nil {
 		return n.subtreeWeight
 	}
 	return 0
@@ -264,7 +345,7 @@ func (t *Tree) buildSubtreeWeights() {
 // id, genesis excluded — exactly WeightScore{}.Of(t.ChainTo(id)) without
 // materializing the chain. Returns 0 for genesis or an absent block.
 func (t *Tree) ChainWeight(id BlockID) int {
-	if n := t.nodes[id]; n != nil {
+	if n := t.node(id); n != nil {
 		return n.chainWeight
 	}
 	return 0
@@ -288,7 +369,7 @@ func (t *Tree) Leaves() []BlockID {
 // the tree. This is the path from the leaf back to the root along parent
 // pointers, reversed to root-first order.
 func (t *Tree) ChainTo(id BlockID) Chain {
-	n := t.nodes[id]
+	n := t.node(id)
 	if n == nil {
 		return nil
 	}
@@ -311,7 +392,7 @@ func (t *Tree) Height() int {
 // Blocks returns every block in the tree in (height, ID) order.
 // The genesis block comes first.
 func (t *Tree) Blocks() []*Block {
-	out := make([]*Block, 0, len(t.nodes))
+	out := make([]*Block, 0, t.n)
 	for _, slab := range t.slabs {
 		for i := range slab {
 			out = append(out, slab[i].b)
@@ -331,8 +412,9 @@ func (t *Tree) Blocks() []*Block {
 // sit in one exact-size slab and point only at each other.
 func (t *Tree) Clone() *Tree {
 	nt := &Tree{
-		nodes:       make(map[BlockID]*node, len(t.nodes)),
-		slabs:       [][]node{make([]node, 0, len(t.nodes))},
+		idx:         t.idx,
+		pages:       make([]*[pageSize]*node, 0, len(t.pages)),
+		slabs:       [][]node{make([]node, 0, t.n)},
 		leaves:      make([]*node, len(t.leaves)),
 		ghostActive: t.ghostActive,
 		tallest:     t.tallest,
@@ -344,7 +426,9 @@ func (t *Tree) Clone() *Tree {
 			*n = slab[i]
 			// Attach order puts a parent before its children, so the
 			// parent's copy is already indexed.
-			n.parent = nt.nodes[n.b.Parent]
+			if n.parent != nil {
+				n.parent = nt.at(n.parent.h)
+			}
 			if len(n.kids) == 1 {
 				n.kids = n.kid0[:]
 			} else if len(n.kids) > 1 {
@@ -353,10 +437,10 @@ func (t *Tree) Clone() *Tree {
 			if n.leaf >= 0 {
 				nt.leaves[n.leaf] = n
 			}
-			nt.nodes[n.b.ID] = n
+			nt.set(n)
 		}
 	}
-	nt.root = nt.nodes[GenesisID]
+	nt.root = nt.at(0)
 	return nt
 }
 

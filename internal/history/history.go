@@ -25,47 +25,36 @@ import (
 	"repro/internal/core"
 )
 
-// ChainTable interns the blocks of a run and memoizes materialized
+// ChainTable is the run's block index plus a memo of materialized
 // chains by head block. It is shared by all replicas recording into one
 // Recorder; because blocks are immutable and block IDs are content
 // hashes, the chain from genesis to a given head is unique, so one
-// table serves every replica's reads.
+// table serves every replica's reads. The blocks themselves live in the
+// core.Index every replica tree of the run is built on (Index()): a
+// tree interns a block when it attaches it, so the table knows every
+// block a read can return without being told.
 type ChainTable struct {
-	mu     sync.RWMutex
-	blocks map[core.BlockID]*core.Block
+	idx    *core.Index
+	mu     sync.RWMutex // guards chains; taken before the index's own lock
 	chains map[core.BlockID]core.Chain
 }
 
 // NewChainTable returns a table holding only the genesis block.
 func NewChainTable() *ChainTable {
-	g := core.Genesis()
-	return &ChainTable{
-		blocks: map[core.BlockID]*core.Block{g.ID: g},
-		chains: map[core.BlockID]core.Chain{g.ID: {g}},
-	}
+	idx := core.NewIndex()
+	g := idx.Block(core.GenesisID)
+	return &ChainTable{idx: idx, chains: map[core.BlockID]core.Chain{g.ID: {g}}}
 }
 
+// Index returns the block index behind the table — the one the run's
+// replica trees share (core.NewTreeOn).
+func (t *ChainTable) Index() *core.Index { return t.idx }
+
 // Intern registers a block (first writer wins; blocks are immutable and
-// content-addressed, so later copies are identical). The read-locked
-// fast path handles the common case — flooding re-interns every block
-// once per replica, so all but the first call find it present — and
-// keeps concurrent shard workers from serializing on the write lock.
-func (t *ChainTable) Intern(b *core.Block) {
-	if b == nil {
-		return
-	}
-	t.mu.RLock()
-	_, ok := t.blocks[b.ID]
-	t.mu.RUnlock()
-	if ok {
-		return
-	}
-	t.mu.Lock()
-	if _, ok := t.blocks[b.ID]; !ok {
-		t.blocks[b.ID] = b
-	}
-	t.mu.Unlock()
-}
+// content-addressed, so later copies are identical). A block already
+// known — the common case: every read interns its head — is found under
+// the index's read lock.
+func (t *ChainTable) Intern(b *core.Block) { t.idx.Intern(b) }
 
 // ChainTo materializes the chain from genesis to head, memoized per
 // head. It returns nil if head or one of its ancestors was never
@@ -79,7 +68,10 @@ func (t *ChainTable) ChainTo(head core.BlockID) core.Chain {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c = t.chainLocked(head); c != nil {
+	if c, ok = t.chains[head]; ok {
+		return c
+	}
+	if c = t.idx.ChainTo(head); c != nil {
 		t.chains[head] = c
 	}
 	return c
@@ -92,62 +84,23 @@ func (t *ChainTable) ChainTo(head core.BlockID) core.Chain {
 // one cached chain per distinct read head.
 func (t *ChainTable) ChainToUncached(head core.BlockID) core.Chain {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.chainLocked(head)
-}
-
-// chainLocked returns the memoized chain to head, or materializes it by
-// walking parent links; the caller holds t.mu (read or write).
-func (t *ChainTable) chainLocked(head core.BlockID) core.Chain {
-	if c, ok := t.chains[head]; ok {
+	c, ok := t.chains[head]
+	t.mu.RUnlock()
+	if ok {
 		return c
 	}
-	b, ok := t.blocks[head]
-	if !ok {
-		return nil
-	}
-	out := make(core.Chain, b.Height+1)
-	for i := b.Height; ; i-- {
-		out[i] = b
-		if b.IsGenesis() {
-			break
-		}
-		b, ok = t.blocks[b.Parent]
-		if !ok || b.Height != i-1 {
-			return nil
-		}
-	}
-	return out
+	return t.idx.ChainTo(head)
 }
 
 // Block returns the interned block with the given ID (nil if unknown).
-func (t *ChainTable) Block(id core.BlockID) *core.Block {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.blocks[id]
-}
+func (t *ChainTable) Block(id core.BlockID) *core.Block { return t.idx.Block(id) }
 
 // AncestorAt returns head's ancestor at the given height (nil when head
 // is unknown, the height is out of range, or an ancestor was never
-// interned). It walks parent links without materializing a chain — the
-// monitors' O(Δh) comparability probe.
+// interned). It follows parent handles without materializing a chain —
+// the monitors' O(Δh) comparability probe.
 func (t *ChainTable) AncestorAt(head core.BlockID, height int) *core.Block {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	b, ok := t.blocks[head]
-	if !ok || height < 0 || height > b.Height {
-		return nil
-	}
-	for b.Height > height {
-		b, ok = t.blocks[b.Parent]
-		if !ok {
-			return nil
-		}
-	}
-	if b.Height != height {
-		return nil
-	}
-	return b
+	return t.idx.AncestorAt(head, height)
 }
 
 // MemoLen reports how many chains the table has memoized (observability
@@ -159,11 +112,7 @@ func (t *ChainTable) MemoLen() int {
 }
 
 // BlocksLen reports how many blocks the table has interned.
-func (t *ChainTable) BlocksLen() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.blocks)
-}
+func (t *ChainTable) BlocksLen() int { return t.idx.Len() }
 
 // OpKind distinguishes the two BT-ADT operations.
 type OpKind uint8
@@ -538,11 +487,14 @@ func NewRecorder(procs int, clock func() int64) *Recorder {
 	return &Recorder{procs: procs, faulty: make(map[int]bool), clock: clock, table: NewChainTable()}
 }
 
-// Table returns the recorder's shared chain table. Replicas intern
-// every block they attach, so interned reads can always materialize.
+// Table returns the recorder's shared chain table. The run's replica
+// trees are built on its index and intern every block they attach, so
+// interned reads can always materialize.
 func (r *Recorder) Table() *ChainTable { return r.table }
 
-// InternBlock registers a block in the shared chain table.
+// InternBlock registers a block in the shared chain table, for a caller
+// that records interned reads without a replica tree on the table's
+// index (the benchmark's record_read kernel, tests).
 func (r *Recorder) InternBlock(b *core.Block) { r.table.Intern(b) }
 
 // MarkFaulty declares process p Byzantine/crashed; its reads are excluded

@@ -93,7 +93,7 @@ func (p *Process) Restore(s *Snapshot) {
 func (p *Process) Reset() { p.reset() }
 
 func (p *Process) reset() {
-	p.tree = core.NewTree()
+	p.tree = core.NewTreeOn(p.Rec.Table().Index())
 	p.pending = make(map[core.BlockID][]*core.Block)
 	p.pendingHas = make(map[core.BlockID]bool)
 	p.pendingN = 0

@@ -151,3 +151,85 @@ func TestFloodedGenesisIsADuplicate(t *testing.T) {
 		})
 	}
 }
+
+// TestNilBlockUpdateIsRejected: an UpdateMsg carrying no block — nothing
+// a correct process sends — is dropped and counted as rejected at every
+// receiver instead of stopping the run with a nil dereference, on the
+// serial scheduler and on shard workers alike.
+func TestNilBlockUpdateIsRejected(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		sim := simnet.NewSim(5)
+		g := NewGroup(sim, 4, simnet.Synchronous{Delta: 3}, core.LongestChain{})
+		g.EnableSharding(shards)
+		sim.Schedule(1, func() { g.Net.Broadcast(3, UpdateMsg{Parent: core.GenesisID}) })
+		b := core.NewBlock(core.GenesisID, 1, 0, 1, nil)
+		sim.Schedule(2, func() { g.Procs[0].AppendLocal(b) })
+		sim.RunUntilIdle()
+		for i, p := range g.Procs {
+			if p.RejectedCount() != 1 {
+				t.Errorf("shards=%d: process %d rejected %d messages, want 1", shards, i, p.RejectedCount())
+			}
+			if !p.Tree().Has(b.ID) || p.Tree().Len() != 2 {
+				t.Errorf("shards=%d: process %d did not go on to attach the honest block", shards, i)
+			}
+		}
+		for _, e := range g.History().Comm {
+			if e.Block != b.ID {
+				t.Errorf("shards=%d: %v recorded for a block-less update", shards, e)
+			}
+		}
+	}
+}
+
+// TestTwinWithAnotherParent floods two copies of one block ID that name
+// different parents — only a forger can make them, and AlwaysValid lets
+// them through. Each replica keeps the copy it saw first, under the
+// parent that copy names: a twin whose parent is missing waits as an
+// orphan for that parent (never hung under the other copy's), a twin
+// whose height does not follow its parent's is refused, and the run's
+// chain table keeps the first copy any replica attached. The outcome
+// was the same before the replicas shared a block index.
+func TestTwinWithAnotherParent(t *testing.T) {
+	sim := simnet.NewSim(5)
+	g := NewGroup(sim, 3, simnet.Synchronous{Delta: 1}, core.LongestChain{})
+	p1 := core.NewBlock(core.GenesisID, 1, 0, 1, nil)
+	p2 := core.NewBlock(core.GenesisID, 1, 1, 1, nil)
+	x1 := &core.Block{ID: "x", Parent: p1.ID, Height: 2, Weight: 1}
+	x2 := &core.Block{ID: "x", Parent: p2.ID, Height: 2, Weight: 1}
+	tall := &core.Block{ID: "x", Parent: p1.ID, Height: 5, Weight: 1}
+	a, b, c := g.Procs[0], g.Procs[1], g.Procs[2]
+
+	for _, blk := range []*core.Block{p1, p2, x1} {
+		if !a.DeliverCommitted(blk) {
+			t.Fatalf("a refused %s", blk.ID.Short())
+		}
+	}
+	for _, blk := range []*core.Block{p1, p2, x2} {
+		if !b.DeliverCommitted(blk) {
+			t.Fatalf("b refused %s under the parent it names", blk.ID.Short())
+		}
+	}
+	if ch := b.Tree().ChainTo("x"); len(ch) != 3 || ch[1] != p2 {
+		t.Fatalf("b holds the twin as %v, want under %s", ch, p2.ID.Short())
+	}
+	if a.DeliverCommitted(x2) || b.DeliverCommitted(x1) {
+		t.Fatal("a second copy of an attached ID was applied")
+	}
+
+	c.DeliverCommitted(p1)
+	if c.DeliverCommitted(tall) || c.Tree().Has("x") {
+		t.Fatal("c attached a copy whose height does not follow its parent's")
+	}
+	if c.DeliverCommitted(x2) || c.Tree().Has("x") || c.PendingCount() != 1 {
+		t.Fatalf("c: twin with a missing parent must wait as an orphan (has x: %v, pending %d)", c.Tree().Has("x"), c.PendingCount())
+	}
+	if !c.DeliverCommitted(p2) || c.PendingCount() != 0 {
+		t.Fatal("c: the orphan did not flush when its parent arrived")
+	}
+	if ch := c.Tree().ChainTo("x"); len(ch) != 3 || ch[1] != p2 {
+		t.Fatalf("c holds the twin as %v, want under %s", ch, p2.ID.Short())
+	}
+	if got := g.Rec.Table().ChainTo("x"); len(got) != 3 || got[1] != p1 {
+		t.Fatalf("chain table reads %v for x, want the first copy attached (under %s)", got, p1.ID.Short())
+	}
+}

@@ -113,7 +113,10 @@ type Process struct {
 // NewProcess creates replica id over network nw — a *simnet.Network in
 // simulation, a transport.Node in live deployments. The handler for the
 // process is installed on the network; protocol layers that need their
-// own messages should multiplex through SetAuxHandler.
+// own messages should multiplex through SetAuxHandler. The replica's
+// tree is built on the block index of rec's chain table, so all replicas
+// recording into one recorder share one index and every block they
+// attach is known to the table.
 func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder, reg *Registry) *Process {
 	if f == nil {
 		f = core.LongestChain{}
@@ -125,7 +128,7 @@ func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder, reg *Reg
 		Reg:        reg,
 		P:          core.AlwaysValid{},
 		nw:         nw,
-		tree:       core.NewTree(),
+		tree:       core.NewTreeOn(rec.Table().Index()),
 		pending:    make(map[core.BlockID][]*core.Block),
 		pendingHas: make(map[core.BlockID]bool),
 	}
@@ -218,7 +221,14 @@ func (p *Process) DeliverCommitted(b *core.Block) bool {
 // it. It serves both the creator's own update (R1 path) and a remote
 // one (R2 path, whose prior receive onMessage records).
 func (p *Process) applyUpdate(b *core.Block) bool {
-	if !p.applyOne(b) {
+	return p.applyResolved(p.tree.Resolve(b))
+}
+
+// applyResolved is applyUpdate for a block whose ID the caller already
+// looked up (onMessage resolves a delivered block once).
+func (p *Process) applyResolved(r core.Ref) bool {
+	b := r.Block()
+	if !p.applyOne(r) {
 		return false
 	}
 	// Iterative depth-first flush of the buffered orphans: the old
@@ -239,7 +249,7 @@ func (p *Process) applyUpdate(b *core.Block) bool {
 		}
 		child := f.kids[f.i]
 		f.i++
-		if p.applyOne(child) {
+		if p.applyOne(p.tree.Resolve(child)) {
 			stack = append(stack, frame{kids: p.takePending(child.ID)})
 		}
 	}
@@ -250,9 +260,12 @@ func (p *Process) applyUpdate(b *core.Block) bool {
 // event. It reports whether the block was newly attached: a block the
 // tree already holds (flooding re-delivers; genesis always) is a
 // duplicate, and blocks whose parent is missing are buffered
-// (deduplicated) for the flush above.
-func (p *Process) applyOne(b *core.Block) bool {
-	if p.tree.Has(b.ID) {
+// (deduplicated) for the flush above. Everything the tree is asked goes
+// by the handles in r — no further lookup of the block's ID or its
+// parent's.
+func (p *Process) applyOne(r core.Ref) bool {
+	b := r.Block()
+	if p.tree.Holds(r) {
 		return false
 	}
 	// Token stamps are oracle metadata, not block content: strip
@@ -268,7 +281,7 @@ func (p *Process) applyOne(b *core.Block) bool {
 		p.rejected++
 		return false
 	}
-	if !p.tree.Has(b.Parent) {
+	if !p.tree.HoldsParent(r) {
 		// Parent not yet delivered: buffer once; the update event
 		// will be recorded when the parent arrives.
 		if !p.pendingHas[b.ID] {
@@ -281,10 +294,11 @@ func (p *Process) applyOne(b *core.Block) bool {
 		}
 		return false
 	}
-	if err := p.tree.Attach(b); err != nil {
+	// The attach is also what interns b in the run's index (and so in
+	// the recorder's chain table): only a block this replica accepted.
+	if err := p.tree.AttachResolved(r); err != nil {
 		return false
 	}
-	p.Rec.InternBlock(b)
 	p.Rec.RecordComm(history.EvUpdate, p.ID, b.Parent, b.ID)
 	if p.OnCommit != nil {
 		p.OnCommit(b)
@@ -313,7 +327,14 @@ func (p *Process) onMessage(m simnet.Message) {
 	if !ok {
 		return
 	}
-	if p.tree.Has(um.Block.ID) && m.From != p.ID {
+	if um.Block == nil {
+		// Nothing a correct process sends; a Byzantine one must not be
+		// able to stop the run with it.
+		p.rejected++
+		return
+	}
+	r := p.tree.Resolve(um.Block)
+	if p.tree.Holds(r) && m.From != p.ID {
 		// Duplicate delivery via flooding: receive recorded once.
 		if p.mDup != nil {
 			p.mDup.Inc(p.ID)
@@ -327,7 +348,7 @@ func (p *Process) onMessage(m simnet.Message) {
 		// (LRC Validity).
 		return
 	}
-	p.applyUpdate(um.Block)
+	p.applyResolved(r)
 }
 
 // RejectedCount reports how many invalid blocks the predicate P dropped.

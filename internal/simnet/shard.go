@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the sharded execution engine: the scheduler's
-// event heap is partitioned by replica group, K worker goroutines
+// event queue is partitioned by replica group, K worker goroutines
 // process intra-shard deliveries of one virtual timestamp concurrently,
 // and every order-sensitive side effect is staged and committed at a
 // deterministic merge barrier — in exactly the order the serial
@@ -87,7 +87,7 @@ type engine struct {
 
 	// heaps are the per-shard delivery queues; scratch holds the
 	// current batch per shard (reused across batches).
-	heaps   [][]event
+	heaps   []queue
 	scratch [][]event
 	stages  []shardState
 
@@ -115,7 +115,7 @@ func newEngine(nw *Network, k int) *engine {
 		sim:     nw.sim,
 		nw:      nw,
 		k:       k,
-		heaps:   make([][]event, k),
+		heaps:   make([]queue, k),
 		scratch: make([][]event, k),
 		stages:  make([]shardState, k),
 	}
@@ -126,12 +126,12 @@ func newEngine(nw *Network, k int) *engine {
 func (eng *engine) nextTime() (int64, bool) {
 	t := int64(maxTime)
 	ok := false
-	if len(eng.sim.pq) > 0 {
-		t, ok = eng.sim.pq[0].time, true
+	if eng.sim.pq.len() > 0 {
+		t, ok = eng.sim.pq.keys[0].time, true
 	}
 	for i := range eng.heaps {
-		if h := eng.heaps[i]; len(h) > 0 && (!ok || h[0].time < t) {
-			t, ok = h[0].time, true
+		if h := &eng.heaps[i]; h.len() > 0 && (!ok || h.keys[0].time < t) {
+			t, ok = h.keys[0].time, true
 		}
 	}
 	return t, ok
@@ -184,15 +184,15 @@ func (eng *engine) runTimestamp(t int64) int {
 		// gseq fences the batch: only shard deliveries ordered before
 		// the next global event may run concurrently now.
 		gseq := int64(math.MaxInt64)
-		if len(s.pq) > 0 && s.pq[0].time == t {
-			gseq = s.pq[0].seq
+		if s.pq.len() > 0 && s.pq.keys[0].time == t {
+			gseq = s.pq.keys[0].seq
 		}
 		batch := 0
 		for sh := range eng.heaps {
 			eng.scratch[sh] = eng.scratch[sh][:0]
 			h := &eng.heaps[sh]
-			for len(*h) > 0 && (*h)[0].time == t && (*h)[0].seq < gseq {
-				eng.scratch[sh] = append(eng.scratch[sh], heapPop(h))
+			for h.len() > 0 && h.keys[0].time == t && h.keys[0].seq < gseq {
+				eng.scratch[sh] = append(eng.scratch[sh], h.pop())
 				batch++
 			}
 		}
@@ -204,7 +204,7 @@ func (eng *engine) runTimestamp(t int64) int {
 		if gseq != math.MaxInt64 {
 			// No shard delivery precedes the global event: run it
 			// serially with immediate effects (the shards=1 path).
-			e := heapPop(&s.pq)
+			e := s.pq.pop()
 			s.curSeq = e.seq
 			if s.tracer != nil {
 				s.traceExec(&e)
@@ -458,7 +458,8 @@ func (nw *Network) deliverSharded(m Message, sh int, st *shardState) {
 //
 //   - touch only process-local state (process p's own replica, maps,
 //     counters) plus internally synchronized first-writer-wins
-//     structures (the history chain table, the creator registry);
+//     structures (the run's block index and the history chain table
+//     over it, the creator registry);
 //   - send and record only on behalf of its own process (from == p),
 //     so staged effects are attributed to the right shard;
 //   - never call Sim.Schedule (timer creation is order-sensitive; the
@@ -483,28 +484,16 @@ func (nw *Network) markSerialOnly(p int) {
 	}
 	nw.serialOnly[p] = true
 	if eng := nw.eng; eng != nil {
+		// Every queued event keeps its time and seq, so the (time, seq)
+		// total order is preserved across the two queues.
 		sh := eng.shardOf(p)
-		h := eng.heaps[sh]
-		kept := h[:0]
-		var moved []event
-		for _, e := range h {
-			if e.msg.To == p {
-				moved = append(moved, e)
+		old := eng.heaps[sh]
+		eng.heaps[sh] = queue{}
+		for _, k := range old.keys {
+			if e := old.slots[k.slot]; e.msg.To == p {
+				nw.sim.pq.push(e)
 			} else {
-				kept = append(kept, e)
-			}
-		}
-		if len(moved) > 0 {
-			// Rebuild the shard heap without p's events, then re-push
-			// them (with their original time and seq) onto the global
-			// heap: the (time, seq) total order is preserved.
-			rebuilt := make([]event, 0, len(kept))
-			for _, e := range kept {
-				heapPush(&rebuilt, e)
-			}
-			eng.heaps[sh] = rebuilt
-			for _, e := range moved {
-				heapPush(&nw.sim.pq, e)
+				eng.heaps[sh].push(e)
 			}
 		}
 	}
@@ -514,7 +503,7 @@ func (nw *Network) markSerialOnly(p int) {
 func (eng *engine) String() string {
 	q := 0
 	for i := range eng.heaps {
-		q += len(eng.heaps[i])
+		q += eng.heaps[i].len()
 	}
 	return fmt.Sprintf("engine(k=%d, %d sharded events queued)", eng.k, q)
 }

@@ -31,12 +31,12 @@ const (
 	evDeliver
 )
 
-// event is one scheduled occurrence, stored by value in the heap. The
-// payload is a tagged union: a timer callback or a message delivery.
-// Keeping events flat (no per-event heap node, no delivery closure)
-// is what makes the scheduler allocation-free on the message path —
-// the pre-rewrite scheduler allocated a heap node plus a capturing
-// closure per message (DESIGN.md ablation #6).
+// event is one scheduled occurrence, stored by value in a queue slot
+// (queue.go). The payload is a tagged union: a timer callback or a
+// message delivery. Keeping events flat (no per-event heap node, no
+// delivery closure) is what makes the scheduler allocation-free on the
+// message path — the pre-rewrite scheduler allocated a heap node plus a
+// capturing closure per message (DESIGN.md ablation #6).
 type event struct {
 	time int64
 	seq  int64 // tiebreaker: FIFO among same-time events
@@ -44,16 +44,6 @@ type event struct {
 	fn   func()   // evTimer payload
 	nw   *Network // evDeliver payload
 	msg  Message  // evDeliver payload
-}
-
-// before is the scheduling order: virtual time, then submission order.
-// (time, seq) is a total order — seq is unique — so the execution
-// sequence is independent of heap internals.
-func (e *event) before(o *event) bool {
-	if e.time != o.time {
-		return e.time < o.time
-	}
-	return e.seq < o.seq
 }
 
 // Sim is the discrete-event scheduler. By default it is single-threaded:
@@ -65,7 +55,7 @@ func (e *event) before(o *event) bool {
 type Sim struct {
 	now     int64
 	seq     int64
-	pq      []event // binary min-heap ordered by (time, seq)
+	pq      queue // ordered by (time, seq)
 	rng     *tape.RNG
 	stepped int
 
@@ -100,69 +90,20 @@ func (s *Sim) RNG() *tape.RNG { return s.rng }
 // Steps returns how many events have been executed.
 func (s *Sim) Steps() int { return s.stepped }
 
-// heapPush inserts e into a (time, seq)-ordered binary min-heap stored
-// in a plain slice (manual sift-up: no interface boxing, no per-event
-// allocation beyond amortized slice growth). The global queue and the
-// per-shard queues of the sharded engine share these two operations.
-func heapPush(pq *[]event, e event) {
-	h := append(*pq, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].before(&h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	*pq = h
-}
-
-// heapPop removes and returns the earliest event of a non-empty heap.
-func heapPop(pq *[]event) event {
-	h := *pq
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release fn/nw/payload references
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			break
-		}
-		min := l
-		if r < n && h[r].before(&h[l]) {
-			min = r
-		}
-		if !h[min].before(&h[i]) {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	*pq = h
-	return top
-}
-
-// push routes e to its queue: the owning shard's heap when the sharded
+// push routes e to its queue: the owning shard's when the sharded
 // engine is active and the event is a delivery a shard may process
-// concurrently, the global heap otherwise (timers, deliveries to
+// concurrently, the global one otherwise (timers, deliveries to
 // processes with order-sensitive handlers, deliveries on non-sharded
 // networks).
 func (s *Sim) push(e event) {
 	if s.eng != nil && e.kind == evDeliver && e.nw == s.eng.nw {
 		if sh, ok := s.eng.nw.safeShard(e.msg.To); ok {
-			heapPush(&s.eng.heaps[sh], e)
+			s.eng.heaps[sh].push(e)
 			return
 		}
 	}
-	heapPush(&s.pq, e)
+	s.pq.push(e)
 }
-
-// pop removes and returns the earliest event of the global heap.
-func (s *Sim) pop() event { return heapPop(&s.pq) }
 
 // schedule enqueues e after delay virtual-time units.
 func (s *Sim) schedule(delay int64, e event) {
@@ -195,7 +136,7 @@ func (s *Sim) At(t int64, fn func()) {
 
 // step pops and executes the earliest event.
 func (s *Sim) step() {
-	e := s.pop()
+	e := s.pq.pop()
 	s.now = e.time
 	s.curSeq = e.seq
 	if s.tracer != nil {
@@ -216,9 +157,9 @@ func (s *Sim) Run(until int64) int {
 		return s.eng.run(until, true)
 	}
 	n := 0
-	for len(s.pq) > 0 && s.pq[0].time <= until {
+	for s.pq.len() > 0 && s.pq.keys[0].time <= until {
 		if s.metrics != nil {
-			s.metrics.Tick(s.pq[0].time)
+			s.metrics.Tick(s.pq.keys[0].time)
 		}
 		s.step()
 		n++
@@ -239,9 +180,9 @@ func (s *Sim) RunUntilIdle() int {
 		return s.eng.run(maxTime, false)
 	}
 	n := 0
-	for len(s.pq) > 0 {
+	for s.pq.len() > 0 {
 		if s.metrics != nil {
-			s.metrics.Tick(s.pq[0].time)
+			s.metrics.Tick(s.pq.keys[0].time)
 		}
 		s.step()
 		n++
@@ -251,10 +192,10 @@ func (s *Sim) RunUntilIdle() int {
 
 // Pending returns the number of queued events.
 func (s *Sim) Pending() int {
-	n := len(s.pq)
+	n := s.pq.len()
 	if s.eng != nil {
 		for i := range s.eng.heaps {
-			n += len(s.eng.heaps[i])
+			n += s.eng.heaps[i].len()
 		}
 	}
 	return n
