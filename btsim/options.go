@@ -189,8 +189,8 @@ type Config struct {
 	// runs (it is implied whenever Faults or an Adversary is set).
 	FaultLog bool
 	// Monitor attaches an online consistency monitor to the run
-	// (history still retained; Result.Stream carries the streaming
-	// verdicts next to the batch ones). See WithMonitor.
+	// (history still retained; Result.Stream carries the online
+	// verdicts next to Check()'s replay). See WithMonitor.
 	Monitor bool
 	// MonitorK, when > 0, additionally tracks k-Fork Coherence online,
 	// with live witnesses at the (k+1)-th token reuse. Implies Monitor.
@@ -371,9 +371,10 @@ func WithFaultLog(on bool) Option { return func(c *Config) { c.FaultLog = on } }
 // WithMonitor attaches an online consistency monitor: the run's history
 // is checked incrementally as it is recorded, violation witnesses are
 // delivered to onWitness (may be nil) the moment they form, and
-// Result.Stream carries the finalized streaming verdicts — equivalent
-// to the batch Check() — alongside the batch history, which is still
-// retained. A live run always has its monitor attached; there the
+// Result.Stream carries the finalized online verdicts alongside the
+// history, which is still retained — Check() replays it into a second
+// monitor and, on a simulated run, reports the same. A live run always
+// has its monitor attached; there the
 // option only installs onWitness (called from the monitor's consumer
 // goroutine; keep it fast) and the verdicts are in Result.Live.
 func WithMonitor(onWitness func(consistency.Witness)) Option {
@@ -410,8 +411,8 @@ func WithMonitorCheckpoint(every int) Option {
 // the online monitor and are released — resident memory is independent
 // of run length, which is what makes ≥1M-op runs checkable at all. The
 // trade: Result.History holds only the still-pending operations, so
-// batch Check()/Digest() see an empty run; Result.Stream is the
-// verdict. Implies WithMonitor.
+// Check() and Digest() see an empty run; Result.Stream is the verdict.
+// Implies WithMonitor.
 func WithStreaming(segment int) Option {
 	return func(c *Config) {
 		c.Monitor = true

@@ -24,9 +24,10 @@ type Result struct {
 	Info Info
 	// Stream carries the online monitor's verdicts when the run was
 	// configured with WithMonitor or WithStreaming (nil otherwise).
-	// With WithMonitor it sits alongside the batch history — Check()
-	// and Stream.SC/EC are diff-tested equivalent; with WithStreaming
-	// it is the only verdict, since no batch history was retained.
+	// With WithMonitor it sits alongside the retained history — the
+	// replay behind Check() and the online feed behind Stream.SC/EC are
+	// diff-tested identical; with WithStreaming it is the only verdict,
+	// since no history was retained.
 	Stream *StreamOutcome
 	// Metrics is the typed metric snapshot of a WithMetrics/WithTrace
 	// run (nil otherwise): counters, histograms, the virtual-time
@@ -45,9 +46,10 @@ type Result struct {
 }
 
 // Check classifies the recorded history against both consistency
-// criteria: BT Strong Consistency and BT Eventual Consistency. The
-// verdicts carry the per-property reports and counterexample witnesses;
-// their String renderings are print-ready.
+// criteria — BT Strong Consistency and BT Eventual Consistency — by
+// replaying it into a consistency.Monitor. The verdicts carry the
+// per-property reports and counterexample witnesses; their String
+// renderings are print-ready.
 func (r *Result) Check() (sc, ec *consistency.Verdict) {
 	return r.checker().Classify(r.History)
 }

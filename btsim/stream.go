@@ -8,12 +8,14 @@ import (
 
 // StreamOutcome is the online-monitor side of a Result: the verdicts an
 // attached consistency.Monitor reached by watching the run's history as
-// it was recorded, instead of classifying the batch snapshot post-hoc.
-// For any completed run the two agree (the monitor's Finalize is
-// specified — and diff-tested — to be equivalent to batch Classify);
-// the streaming side additionally carries the witnesses that were
-// emitted live, and with WithStreaming it is the only verdict there is,
-// since the run retained no batch history.
+// it was recorded. Check() reaches its verdicts from the same engine, by
+// replaying the retained history into a fresh monitor afterwards; for a
+// simulated run the two are identical (diff-tested over segments,
+// checkpoint cycles and tee mode; see consistency/monitor.go for the
+// live deployment's response-order feed). The streaming side
+// additionally carries the witnesses that were emitted live, and with
+// WithStreaming it is the only verdict there is, since the run retained
+// no history to replay.
 type StreamOutcome struct {
 	// SC and EC are the finalized criterion verdicts.
 	SC, EC *consistency.Verdict

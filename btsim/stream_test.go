@@ -41,9 +41,11 @@ func reportText(rep *consistency.Report) string {
 }
 
 // TestMonitorMatchesBatchAcrossSystems runs every registered system in
-// tee mode (monitor attached, history retained) and requires the
-// streaming verdicts to equal batch Check() exactly — including an
-// adversarial bitcoin run that actually violates properties.
+// tee mode (monitor attached, history retained) and requires the online
+// verdicts to equal Check()'s replay of the retained history exactly —
+// including an adversarial bitcoin run that actually violates
+// properties. (The replay is held to the definitions, one run per
+// system, by consistency.TestClassifyMatchesOracleOnRuns.)
 func TestMonitorMatchesBatchAcrossSystems(t *testing.T) {
 	type run struct {
 		name string
@@ -76,13 +78,13 @@ func TestMonitorMatchesBatchAcrossSystems(t *testing.T) {
 		}
 		bsc, bec := res.Check()
 		if got, want := verdictText(res.Stream.SC), verdictText(bsc); got != want {
-			t.Errorf("%s: SC stream != batch:\n--- batch ---\n%s--- stream ---\n%s", r.name, want, got)
+			t.Errorf("%s: SC stream != replay:\n--- replay ---\n%s--- stream ---\n%s", r.name, want, got)
 		}
 		if got, want := verdictText(res.Stream.EC), verdictText(bec); got != want {
-			t.Errorf("%s: EC stream != batch:\n--- batch ---\n%s--- stream ---\n%s", r.name, want, got)
+			t.Errorf("%s: EC stream != replay:\n--- replay ---\n%s--- stream ---\n%s", r.name, want, got)
 		}
 		if got, want := reportText(res.Stream.KFork), reportText(res.KFork(1)); got != want {
-			t.Errorf("%s: KFork stream != batch:\n--- batch ---\n%s--- stream ---\n%s", r.name, want, got)
+			t.Errorf("%s: KFork stream != replay:\n--- replay ---\n%s--- stream ---\n%s", r.name, want, got)
 		}
 		if res.Stream.Ops == 0 {
 			t.Errorf("%s: monitor consumed no ops", r.name)

@@ -12,7 +12,7 @@
 // entry of btsim.Names()). With -seeds K > 1 the classification is
 // repeated over K consecutive seeds and a stability summary is printed
 // (how often each row matched). With -stream the run is checked by the
-// online consistency monitor instead of batch Classify: violation
+// online consistency monitor instead of a replay afterwards: violation
 // witnesses print incrementally as they form, followed by the finalized
 // verdicts; -adversary (selfish, withhold, equivocate) makes witnesses
 // actually appear.

@@ -21,7 +21,8 @@
 // broke; -check exits non-zero when a scenario fails to measure a
 // violation the paper predicts (CI smoke); -stream checks every
 // scenario with the online consistency monitor and exits non-zero if
-// any outcome diverges from batch Classify; -json emits the matrix as
+// any outcome diverges from the replay of the retained history; -json
+// emits the matrix as
 // machine-readable JSON (one object per run, with per-property
 // verdicts and witnesses) instead of the rendered tables; -long runs the
 // streaming-only ≥1M-op scenario ("smoke" is the scaled CI variant);
@@ -53,7 +54,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print every witness and the fault-event log")
 	check := flag.Bool("check", false, "exit 1 if a predicted violation goes unmeasured")
 	jsonOut := flag.Bool("json", false, "emit the violation matrix as JSON instead of the rendered tables")
-	stream := flag.Bool("stream", false, "check with the online monitor and diff every outcome against batch Classify")
+	stream := flag.Bool("stream", false, "check with the online monitor and diff every outcome against the replay of the retained history")
 	long := flag.String("long", "", `run the streaming-only long-run scenario: "full" (≥1M ops) or "smoke" (CI scale)`)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (at exit) to this file")
@@ -114,7 +115,7 @@ func main() {
 				os.Exit(2)
 			}
 			if so.Digest != o.Digest || fmt.Sprint(so.Violated) != fmt.Sprint(o.Violated) {
-				fmt.Fprintf(os.Stderr, "scenarios: %s: streaming diverges from batch (digest %s vs %s, violated %v vs %v)\n",
+				fmt.Fprintf(os.Stderr, "scenarios: %s: online feed diverges from the replay (digest %s vs %s, violated %v vs %v)\n",
 					spec.Name, so.Digest, o.Digest, so.Violated, o.Violated)
 				os.Exit(2)
 			}
@@ -274,8 +275,8 @@ func writeJSON(w io.Writer, outs []*scenario.Outcome) error {
 }
 
 // runLong executes the streaming-only long-run scenario — the ≥1M-op
-// execution no batch classification could hold in memory — and prints
-// its bounded-memory evidence.
+// execution whose history could not be retained for a replay — and
+// prints its bounded-memory evidence.
 func runLong(mode string) {
 	var spec scenario.LongRunSpec
 	switch mode {

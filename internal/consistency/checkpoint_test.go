@@ -19,7 +19,7 @@ type ckptSink struct {
 	t   *testing.T
 	mon *Monitor
 	cfg MonitorConfig
-	at  int // cycle after this many OpDone calls (<0 = never)
+	at  int // cycle after this many OpDone calls (≤0 = never)
 	n   int
 }
 
@@ -53,23 +53,6 @@ func (s *ckptSink) OpDone(op *history.Op) {
 
 func (s *ckptSink) CommDone(e history.CommEvent) { s.mon.CommDone(e) }
 func (s *ckptSink) Faulty(p int)                 { s.mon.Faulty(p) }
-
-// runCheckpointed records the build through a monitor that is
-// checkpoint-cycled after `at` ops, delivers pending ops, and returns
-// the surviving monitor plus the snapshot for batch comparison.
-func runCheckpointed(t *testing.T, procs, horizon, k, at int, build func(rec *history.Recorder)) (*Monitor, *history.History) {
-	t.Helper()
-	rec := history.NewRecorder(procs, nil)
-	cfg := MonitorConfig{Procs: procs, Horizon: horizon, K: k, Table: rec.Table()}
-	sink := &ckptSink{t: t, mon: NewMonitor(cfg), cfg: cfg, at: at}
-	rec.SetSink(sink)
-	build(rec)
-	h := rec.Snapshot()
-	for _, op := range rec.PendingOps() {
-		sink.mon.OpPending(op)
-	}
-	return sink.mon, h
-}
 
 // ckptBuild is the deterministic workload: forks (StrongPrefix +
 // EventualPrefix violations), a backwards read (LocalMonotonicRead), a
@@ -123,8 +106,8 @@ func countOps(procs int, build func(rec *history.Recorder)) int {
 
 // TestCheckpointEveryCutEquivalence injects the checkpoint/restore
 // cycle after every possible prefix of the deterministic workload and
-// requires Finalize (and KForkReport) to match both the uninterrupted
-// monitor and batch Classify byte-for-byte.
+// requires Finalize (and KForkReport) to match the oracle — as the
+// uninterrupted monitor does — byte-for-byte.
 func TestCheckpointEveryCutEquivalence(t *testing.T) {
 	const procs, k = 3, 1
 	total := countOps(procs, ckptBuild)
@@ -132,32 +115,8 @@ func TestCheckpointEveryCutEquivalence(t *testing.T) {
 		t.Fatalf("workload records only %d ops", total)
 	}
 
-	// Uninterrupted reference + batch reference.
-	ref, h := runCheckpointed(t, procs, 0, k, -1, ckptBuild)
-	rsc, rec := ref.Finalize()
-	chk := NewChecker(nil, nil)
-	bsc, bec := chk.Classify(h)
-	if got, want := verdictDump(rsc), verdictDump(bsc); got != want {
-		t.Fatalf("uninterrupted stream disagrees with batch:\n--- batch ---\n%s--- stream ---\n%s", want, got)
-	}
-	wantSC, wantEC := verdictDump(rsc), verdictDump(rec)
-	wantKF := reportDump(ref.KForkReport(k))
-
-	for cut := 1; cut <= total; cut++ {
-		mon, _ := runCheckpointed(t, procs, 0, k, cut, ckptBuild)
-		msc, mec := mon.Finalize()
-		if got := verdictDump(msc); got != wantSC {
-			t.Fatalf("cut=%d SC diverged:\n--- uninterrupted ---\n%s--- checkpointed ---\n%s", cut, wantSC, got)
-		}
-		if got := verdictDump(mec); got != wantEC {
-			t.Fatalf("cut=%d EC diverged:\n--- uninterrupted ---\n%s--- checkpointed ---\n%s", cut, wantEC, got)
-		}
-		if got := reportDump(mon.KForkReport(k)); got != wantKF {
-			t.Fatalf("cut=%d KFork diverged:\n--- uninterrupted ---\n%s--- checkpointed ---\n%s", cut, wantKF, got)
-		}
-	}
-	if verdictDump(bec) != wantEC {
-		t.Fatalf("EC batch/stream mismatch:\n--- batch ---\n%s--- stream ---\n%s", verdictDump(bec), wantEC)
+	for cut := 0; cut <= total; cut++ { // 0: never cycled
+		monitorHarness{k: k, ckptAt: cut}.run(t, procs, ckptBuild)
 	}
 }
 
@@ -247,12 +206,11 @@ func TestCheckpointValidation(t *testing.T) {
 // FuzzMonitorCheckpoint drives the randomized fuzzBuild streams with a
 // checkpoint/restore cycle injected at a fuzz-chosen position and
 // requires the finalized verdicts (and both k-fork reports) to equal
-// batch Classify on the full history — the cut must be invisible.
+// the oracle's on the full history — the cut must be invisible.
 func FuzzMonitorCheckpoint(f *testing.F) {
-	f.Add(uint8(3), []byte{0, 3, 8, 11, 2, 3, 19, 4})
-	f.Add(uint8(9), []byte{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3})
-	f.Add(uint8(1), []byte{7, 71, 15, 0, 2, 3, 3, 3, 7, 7, 13, 5, 101, 6, 66, 4, 12, 20, 28})
-	f.Add(uint8(250), []byte{1, 9, 17, 25, 33, 41, 49, 57, 3, 11, 19, 27, 2, 10, 18, 26, 4, 12})
+	for i, seed := range fuzzSeeds {
+		f.Add([]uint8{3, 9, 1, 250}[i], seed)
+	}
 	f.Fuzz(func(t *testing.T, cutByte uint8, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -267,33 +225,7 @@ func FuzzMonitorCheckpoint(f *testing.F) {
 		if total == 0 {
 			return
 		}
-		cut := int(cutByte)%total + 1
-
-		rec := history.NewRecorder(procs, nil)
-		cfg := MonitorConfig{Procs: procs, Horizon: horizon, Table: rec.Table()}
-		sink := &ckptSink{t: t, mon: NewMonitor(cfg), cfg: cfg, at: cut}
-		rec.SetSink(sink)
-		build(rec)
-		h := rec.Snapshot()
-		for _, op := range rec.PendingOps() {
-			sink.mon.OpPending(op)
-		}
-		msc, mec := sink.mon.Finalize()
-
-		chk := NewChecker(nil, nil)
-		chk.Horizon = horizon
-		bsc, bec := chk.Classify(h)
-		if got, want := verdictDump(msc), verdictDump(bsc); got != want {
-			t.Errorf("cut=%d/%d SC mismatch:\n--- batch ---\n%s--- checkpointed ---\n%s", cut, total, want, got)
-		}
-		if got, want := verdictDump(mec), verdictDump(bec); got != want {
-			t.Errorf("cut=%d/%d EC mismatch:\n--- batch ---\n%s--- checkpointed ---\n%s", cut, total, want, got)
-		}
-		for _, k := range []int{1, 2} {
-			if got, want := reportDump(sink.mon.KForkReport(k)), reportDump(chk.KForkCoherence(h, k)); got != want {
-				t.Errorf("cut=%d/%d KFork(%d) mismatch:\n--- batch ---\n%s--- checkpointed ---\n%s", cut, total, k, want, got)
-			}
-		}
+		monitorHarness{horizon: horizon, ckptAt: int(cutByte)%total + 1}.run(t, procs, build)
 	})
 }
 

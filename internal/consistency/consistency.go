@@ -18,20 +18,19 @@
 // exclude a configurable trailing "horizon" of reads for which the
 // history contains no future.
 //
-// The checkers are single-pass over shared artifacts: one analysis of a
-// history (the read list, one score per distinct returned chain, the
-// earliest-append index per block, the liveness tail window) is computed
-// once and reused by every property, and Classify shares the property
-// reports common to both criteria instead of recomputing them per
-// verdict.
+// One engine evaluates the six properties of the criteria: the
+// incremental Monitor (monitor.go). It is fed either online, as the
+// recorder's sink while a run is in flight, or after the fact — Checker
+// replays a retained History into a fresh Monitor. This file holds the
+// vocabulary (Witness, Report, Verdict, Checker), that replay, and the
+// all-pairs StrongPrefix of Definition 3.2; the definition-literal
+// reading of every property lives in the tests (oracle_test.go), where
+// the fuzz targets and the catalogue diff hold the Monitor against it.
 package consistency
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/history"
@@ -107,9 +106,12 @@ func (r *Report) String() string {
 	return fmt.Sprintf("%s: VIOLATED (%d facts, e.g. %s)", r.Property, r.Checked, r.Violations[0])
 }
 
-// Checker bundles the parameters shared by all criteria: the score
-// function and the validity predicate P of the BT-ADT under scrutiny,
-// plus the liveness tail window.
+// Checker judges a recorded history against the criteria: it carries the
+// score function and the validity predicate P of the BT-ADT under
+// scrutiny plus the liveness tail window, and every entry point replays
+// the history into a Monitor built from them — the one engine that
+// evaluates the properties. Each call owns its monitor, so a Checker is
+// safe for concurrent use.
 //
 // Finitary reading of the liveness-flavoured properties. The paper's
 // Ever Growing Tree and Eventual Prefix quantify over infinite suffixes;
@@ -140,13 +142,6 @@ type Checker struct {
 	// Horizon overrides the liveness tail-window size; 0 means
 	// max(2, procs).
 	Horizon int
-
-	// mu serializes the property checkers: they share a one-entry
-	// analysis cache whose artifact maps and memoized reports are
-	// filled in lazily, so concurrent checks on one Checker are safe
-	// (they run one at a time; use separate Checkers for parallelism).
-	mu    sync.Mutex
-	lastA *analysis
 }
 
 // NewChecker returns a Checker with the given score and predicate
@@ -161,18 +156,6 @@ func NewChecker(sc core.Score, p core.Predicate) *Checker {
 	return &Checker{Score: sc, P: p}
 }
 
-// window returns the liveness tail-window size.
-func (c *Checker) window(h *history.History) int {
-	if c.Horizon > 0 {
-		return c.Horizon
-	}
-	w := h.Procs
-	if w < 2 {
-		w = 2
-	}
-	return w
-}
-
 // chainKey identifies a read's returned chain: in a tree the chain is
 // determined by its head (and the length pins degenerate cases), so
 // per-chain work — scores, validity scans, prefix tests — is shared
@@ -184,140 +167,60 @@ type chainKey struct {
 
 func keyOf(op *history.Op) chainKey { return chainKey{op.Head, op.ChainLen} }
 
-// chainFact caches the Block Validity scan of one distinct chain.
-type chainFact struct {
-	// clean is true when every non-genesis block satisfies P and was
-	// the argument of some append().
-	clean bool
-	// maxAppendInv is the largest earliest-append invocation index
-	// over the chain's blocks (valid only when clean).
-	maxAppendInv int
-	// nonGenesis counts the chain's non-genesis blocks.
-	nonGenesis int
-}
-
-// analysis is the shared artifact set of one (history, window) pair:
-// everything the property checkers need, computed in one pass and
-// reused across properties and criteria.
-type analysis struct {
-	c *Checker
-	h *history.History
-	// reads is h.Reads() (completed reads of correct processes).
-	reads []*history.Op
-	// scores[i] is Score.Of(reads[i].Chain()), computed once per
-	// distinct chain.
-	scores []int
-	// scoreByChain shares the score computation across reads returning
-	// the same chain (and with per-process scans such as LMR).
-	scoreByChain map[chainKey]int
-	// tailStart indexes the liveness tail window: reads[tailStart:].
-	tailStart int
-	// score and pred snapshot the Checker parameters the artifacts
-	// were computed under (cache invalidation).
-	score core.Score
-	pred  core.Predicate
-	// appendInv maps block ID → the operation with the earliest
-	// append(b) invocation (pending and failed appends included, as
-	// Block Validity only needs the invocation).
-	appendInv map[core.BlockID]*history.Op
-	// facts caches the Block Validity scan per distinct chain.
-	facts map[chainKey]*chainFact
-
-	// Property reports, computed at most once per analysis and shared
-	// between the SC and EC verdicts.
-	repBV, repLMR, repSP, repEGT, repEP *Report
-}
-
-// sameParam compares two checker parameters (Score/Predicate interface
-// values), treating non-comparable dynamic types as "changed" instead
-// of letting == panic on them.
-func sameParam(a, b any) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	ta, tb := reflect.TypeOf(a), reflect.TypeOf(b)
-	if ta != tb || !ta.Comparable() {
-		return false
-	}
-	return a == b
-}
-
-// analyze computes (or returns the cached) artifact set for h. The
-// caller must hold c.mu for the whole check, not just this lookup: the
-// returned analysis memoizes lazily.
-func (c *Checker) analyze(h *history.History) *analysis {
-	w := c.window(h)
-	if a := c.lastA; a != nil && a.h == h && sameParam(a.score, c.Score) && sameParam(a.pred, c.P) &&
-		a.tailStart == max(0, len(a.reads)-w) {
-		return a
-	}
-	a := &analysis{
-		c:            c,
-		h:            h,
-		reads:        h.Reads(),
-		score:        c.Score,
-		pred:         c.P,
-		scoreByChain: make(map[chainKey]int),
-		appendInv:    make(map[core.BlockID]*history.Op),
-		facts:        make(map[chainKey]*chainFact),
-	}
-	a.scores = make([]int, len(a.reads))
-	for i, r := range a.reads {
-		a.scores[i] = a.scoreOf(r)
+// replay feeds h to a fresh Monitor the way the recorder would have:
+// faulty processes first, then the operations in recording order — the
+// order the monitor's tie-breaks are specified in, see monitor.go —
+// pending ones through OpPending.
+func (c *Checker) replay(h *history.History) *Monitor {
+	m := NewMonitor(MonitorConfig{Procs: h.Procs, Score: c.Score, P: c.P, Horizon: c.Horizon, Table: h.Table})
+	for p, ok := range h.Correct {
+		if !ok {
+			m.Faulty(p)
+		}
 	}
 	for _, op := range h.Ops {
-		if op.Kind == history.OpAppend && op.Block != nil {
-			// The invocation suffices (einv(append(b)) ր ersp(r));
-			// keep the earliest invocation per block.
-			if prev, ok := a.appendInv[op.Block.ID]; !ok || op.InvIndex < prev.InvIndex {
-				a.appendInv[op.Block.ID] = op
+		if op.Pending {
+			m.OpPending(op)
+		} else {
+			m.OpDone(op)
+		}
+	}
+	return m
+}
+
+// Classify returns both verdicts, the shape of Table 1's consistency
+// column. The three properties the criteria share are one report each.
+func (c *Checker) Classify(h *history.History) (sc, ec *Verdict) {
+	return c.replay(h).Finalize()
+}
+
+// StrongConsistency checks the BT Strong Consistency criterion
+// (Definition 3.2): Block Validity ∧ Local Monotonic Read ∧ Strong
+// Prefix ∧ Ever Growing Tree.
+func (c *Checker) StrongConsistency(h *history.History) *Verdict {
+	sc, _ := c.Classify(h)
+	return sc
+}
+
+// EventualConsistency checks the BT Eventual Consistency criterion
+// (Definition 3.4): Block Validity ∧ Local Monotonic Read ∧ Ever Growing
+// Tree ∧ Eventual Prefix.
+func (c *Checker) EventualConsistency(h *history.History) *Verdict {
+	_, ec := c.Classify(h)
+	return ec
+}
+
+// property returns the named report of the two verdicts.
+func (c *Checker) property(h *history.History, name string) *Report {
+	sc, ec := c.Classify(h)
+	for _, v := range []*Verdict{sc, ec} {
+		for _, r := range v.Reports {
+			if r.Property == name {
+				return r
 			}
 		}
 	}
-	a.tailStart = max(0, len(a.reads)-w)
-	c.lastA = a
-	return a
-}
-
-// scoreOf returns the score of op's returned chain, shared per distinct
-// chain.
-func (a *analysis) scoreOf(op *history.Op) int {
-	k := keyOf(op)
-	if s, ok := a.scoreByChain[k]; ok {
-		return s
-	}
-	s := a.c.Score.Of(op.Chain())
-	a.scoreByChain[k] = s
-	return s
-}
-
-// factOf returns the cached Block Validity scan of op's chain.
-func (a *analysis) factOf(op *history.Op) *chainFact {
-	k := keyOf(op)
-	if f, ok := a.facts[k]; ok {
-		return f
-	}
-	f := &chainFact{clean: true, maxAppendInv: -1}
-	for _, b := range op.Chain() {
-		if b.IsGenesis() {
-			continue
-		}
-		f.nonGenesis++
-		if !a.c.P.Valid(b) {
-			f.clean = false
-			continue
-		}
-		ap, ok := a.appendInv[b.ID]
-		if !ok {
-			f.clean = false
-			continue
-		}
-		if ap.InvIndex > f.maxAppendInv {
-			f.maxAppendInv = ap.InvIndex
-		}
-	}
-	a.facts[k] = f
-	return f
+	return nil
 }
 
 // BlockValidity checks Definition 3.2's first property: every non-genesis
@@ -325,107 +228,59 @@ func (a *analysis) factOf(op *history.Op) *chainFact {
 // P and was the argument of an append() whose invocation program-order
 // precedes the read's response.
 func (c *Checker) BlockValidity(h *history.History) *Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.analyze(h).blockValidity()
-}
-
-func (a *analysis) blockValidity() *Report {
-	if a.repBV != nil {
-		return a.repBV
-	}
-	rep := &Report{Property: "BlockValidity", OK: true}
-	for _, r := range a.reads {
-		f := a.factOf(r)
-		if f.clean && f.maxAppendInv < r.RspIndex {
-			// The chain scan is shared: only the per-read real-time
-			// bound needs checking here.
-			rep.Checked += f.nonGenesis
-			continue
-		}
-		// Violating read: re-scan its chain to report the exact
-		// offending blocks.
-		for _, b := range r.Chain() {
-			if b.IsGenesis() {
-				continue
-			}
-			rep.Checked++
-			if !a.c.P.Valid(b) {
-				rep.witness([]*history.Op{r}, []core.BlockID{b.ID},
-					"read %s returned block %s with P(b)=false", r, b.ID.Short())
-				continue
-			}
-			ap, ok := a.appendInv[b.ID]
-			if !ok {
-				rep.witness([]*history.Op{r}, []core.BlockID{b.ID},
-					"read %s returned block %s never passed to append()", r, b.ID.Short())
-				continue
-			}
-			if ap.InvIndex >= r.RspIndex {
-				rep.witness([]*history.Op{r, ap}, []core.BlockID{b.ID},
-					"read %s returned block %s appended only later (inv %d ≥ rsp %d)",
-					r, b.ID.Short(), ap.InvIndex, r.RspIndex)
-			}
-		}
-	}
-	a.repBV = rep
-	return rep
+	return c.property(h, "BlockValidity")
 }
 
 // LocalMonotonicRead checks that along each correct process's sequence of
 // reads the returned scores never decrease.
 func (c *Checker) LocalMonotonicRead(h *history.History) *Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.analyze(h).localMonotonicRead()
+	return c.property(h, "LocalMonotonicRead")
 }
 
-func (a *analysis) localMonotonicRead() *Report {
-	if a.repLMR != nil {
-		return a.repLMR
+// EverGrowingTree checks the finitary reading of Definition 3.2's last
+// property ("the set of later reads with score ≤ s is finite"): a read r
+// with score s is violated when the final window still contains a read
+// with score ≤ s although the window's maximum score exceeds s — the
+// stagnation persisted to the end of the recorded prefix while the tree
+// demonstrably kept growing. See the Checker doc comment.
+func (c *Checker) EverGrowingTree(h *history.History) *Report {
+	return c.property(h, "EverGrowingTree")
+}
+
+// EventualPrefix checks the finitary reading of Definition 3.3 ("the set
+// of read pairs whose maximal common prefix scores below s is finite"):
+// a read r with score s is violated when two final-window reads after r
+// structurally diverge below s, i.e. mcps(a, b) < min(s, score(a),
+// score(b)). See the Checker doc comment for why the bound involves both
+// chains' own scores.
+func (c *Checker) EventualPrefix(h *history.History) *Report {
+	return c.property(h, "EventualPrefix")
+}
+
+// KForkCoherence checks Definition 3.9: at most k successful append()
+// operations return ⊤ for the same token. Blocks record the consumed
+// token name; successful appends are grouped by it. Blocks with no token
+// (histories not produced through an oracle refinement) are grouped by
+// parent, which is the object the token was for. The definition speaks
+// of appends alone, so only they are fed to the monitor.
+func (c *Checker) KForkCoherence(h *history.History, k int) *Report {
+	m := NewMonitor(MonitorConfig{Procs: h.Procs})
+	for _, op := range h.Appends() {
+		m.OpDone(op)
 	}
-	rep := &Report{Property: "LocalMonotonicRead", OK: true}
-	for p := 0; p < a.h.Procs; p++ {
-		if !a.h.IsCorrect(p) {
-			continue
-		}
-		var prev *history.Op
-		prevScore := 0
-		for _, op := range a.h.ByProcess(p) {
-			if op.Kind != history.OpRead {
-				continue
-			}
-			s := a.scoreOf(op)
-			if prev != nil {
-				rep.Checked++
-				if prevScore > s {
-					rep.witness([]*history.Op{prev, op}, []core.BlockID{prev.Head, op.Head},
-						"process %d: score dropped %d → %d (%s then %s)",
-						p, prevScore, s, prev, op)
-				}
-			}
-			prev, prevScore = op, s
-		}
-	}
-	a.repLMR = rep
-	return rep
+	return m.KForkReport(k)
 }
 
 // StrongPrefix checks that for every pair of reads by correct processes
-// one returned chain prefixes the other. This is the safety property that
-// separates SC from EC.
-//
-// This is the exact pairwise O(r²) variant, kept for exactness of the
-// reported pair; the criterion verdicts (StrongConsistency, Classify)
-// use the sorted O(r log r) variant, whose verdict is provably the same
-// (prefix order on comparable chains is total once sorted by a
-// monotonic score) and pinned equivalent by tests.
+// one returned chain prefixes the other — Definition 3.2 read literally,
+// O(r²), reporting the first incomparable pairs in recording order. The
+// criterion verdicts (StrongConsistency, Classify) reach the same OK flag
+// from the reads ordered by chain length (a prefix is never longer than
+// its extension, so all pairs are comparable iff each chain prefixes the
+// next) and report the adjacent pairs of that order instead.
 func (c *Checker) StrongPrefix(h *history.History) *Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := c.analyze(h)
 	rep := &Report{Property: "StrongPrefix", OK: true}
-	reads := a.reads
+	reads := h.Reads()
 	for i := 0; i < len(reads); i++ {
 		for j := i + 1; j < len(reads); j++ {
 			rep.Checked++
@@ -439,246 +294,6 @@ func (c *Checker) StrongPrefix(h *history.History) *Report {
 					return rep
 				}
 			}
-		}
-	}
-	return rep
-}
-
-// StrongPrefixFast is the O(r log r + r·h) variant used by the criterion
-// verdicts: reads sorted with sort.Slice by chain length (recording
-// order as the tiebreak), then each chain must prefix the next one.
-// Verdict exactly equivalent to StrongPrefix for any score: a prefix is
-// never longer than its extension, so if all pairs are comparable the
-// length order is a total prefix order and every adjacent pair passes;
-// conversely an adjacent pair that fails (shorter-or-equal yet not a
-// prefix) is itself an incomparable pair.
-func (c *Checker) StrongPrefixFast(h *history.History) *Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.analyze(h).strongPrefixSorted("StrongPrefix(fast)")
-}
-
-func (a *analysis) strongPrefixSorted(name string) *Report {
-	rep := &Report{Property: name, OK: true}
-	reads := a.reads
-	if len(reads) < 2 {
-		return rep
-	}
-	idx := make([]int, len(reads))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		ix, iy := idx[x], idx[y]
-		if reads[ix].ChainLen != reads[iy].ChainLen {
-			return reads[ix].ChainLen < reads[iy].ChainLen
-		}
-		return ix < iy
-	})
-	for k := 1; k < len(idx); k++ {
-		rep.Checked++
-		prev, cur := reads[idx[k-1]], reads[idx[k]]
-		if keyOf(prev) == keyOf(cur) {
-			continue // identical interned chains
-		}
-		if !prev.Chain().Prefix(cur.Chain()) {
-			rep.witness([]*history.Op{prev, cur}, []core.BlockID{prev.Head, cur.Head},
-				"incomparable reads: %s vs %s", prev, cur)
-		}
-	}
-	return rep
-}
-
-// EverGrowingTree checks the finitary reading of Definition 3.2's last
-// property ("the set of later reads with score ≤ s is finite"): a read r
-// with score s is violated when the final window still contains a read
-// with score ≤ s although the window's maximum score exceeds s — the
-// stagnation persisted to the end of the recorded prefix while the tree
-// demonstrably kept growing. See the Checker doc comment.
-func (c *Checker) EverGrowingTree(h *history.History) *Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.analyze(h).everGrowingTree()
-}
-
-func (a *analysis) everGrowingTree() *Report {
-	if a.repEGT != nil {
-		return a.repEGT
-	}
-	rep := &Report{Property: "EverGrowingTree", OK: true}
-	reads := a.reads
-	for i, r := range reads {
-		rep.Checked++
-		s := a.scores[i]
-		maxT := -1
-		var stale *history.Op
-		for j := a.tailStart; j < len(reads); j++ {
-			t := reads[j]
-			if !r.Before(t) {
-				continue
-			}
-			st := a.scores[j]
-			if st > maxT {
-				maxT = st
-			}
-			if st <= s && stale == nil {
-				stale = t
-			}
-		}
-		if stale != nil && maxT > s {
-			rep.witness([]*history.Op{r, stale}, []core.BlockID{r.Head, stale.Head},
-				"stagnation persists after %s: final-window read %s has score ≤ %d while the window grew to %d",
-				r, stale, s, maxT)
-			if len(rep.Violations) == MaxViolations {
-				a.repEGT = rep
-				return rep
-			}
-		}
-	}
-	a.repEGT = rep
-	return rep
-}
-
-// EventualPrefix checks the finitary reading of Definition 3.3 ("the set
-// of read pairs whose maximal common prefix scores below s is finite"):
-// a read r with score s is violated when two final-window reads after r
-// structurally diverge below s, i.e. mcps(a, b) < min(s, score(a),
-// score(b)). See the Checker doc comment for why the bound involves both
-// chains' own scores.
-//
-// The pairwise MCPS over the window is computed once — O(w²·h) total,
-// not per read: a pair (a, b) can trip some read iff mcps(a, b) <
-// min(score(a), score(b)) (for any read r the bound min(s, score(a),
-// score(b)) is at most min(score(a), score(b))). On a history with no
-// such divergent window pair — the common case — the per-read loop
-// degenerates to counting; otherwise the original exact enumeration
-// replays to produce identical reports.
-func (c *Checker) EventualPrefix(h *history.History) *Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.analyze(h).eventualPrefix()
-}
-
-func (a *analysis) eventualPrefix() *Report {
-	if a.repEP != nil {
-		return a.repEP
-	}
-	rep := &Report{Property: "EventualPrefix", OK: true}
-	reads := a.reads
-	tail := reads[a.tailStart:]
-
-	// One pass over window pairs: mcps, and whether any pair diverges
-	// below the scores of its own two chains.
-	divergent := false
-	mcps := make([][]int, len(tail))
-	for x := range tail {
-		mcps[x] = make([]int, len(tail))
-	}
-	for x := 0; x < len(tail); x++ {
-		sx := a.scores[a.tailStart+x]
-		for y := x + 1; y < len(tail); y++ {
-			sy := a.scores[a.tailStart+y]
-			var m int
-			if keyOf(tail[x]) == keyOf(tail[y]) {
-				m = sx // identical interned chains: mcps is the score itself
-			} else {
-				m = core.MCPS(a.c.Score, tail[x].Chain(), tail[y].Chain())
-			}
-			mcps[x][y] = m
-			if m < sx && m < sy {
-				divergent = true
-			}
-		}
-	}
-
-	if !divergent {
-		// No window pair can trip any read: the enumeration can only
-		// count facts.
-		for _, r := range reads {
-			k := 0
-			for j := a.tailStart; j < len(reads); j++ {
-				if r.Before(reads[j]) {
-					k++
-				}
-			}
-			rep.Checked += k * (k - 1) / 2
-		}
-		a.repEP = rep
-		return rep
-	}
-
-	// Divergence in the window: replay the exact original enumeration
-	// (reads in order, window pairs in order) for identical reports.
-	for i, r := range reads {
-		s := a.scores[i]
-		var after []int // indices into tail
-		for j := 0; j < len(tail); j++ {
-			if r.Before(tail[j]) {
-				after = append(after, j)
-			}
-		}
-		for x := 0; x < len(after); x++ {
-			for y := x + 1; y < len(after); y++ {
-				rep.Checked++
-				ax, ay := after[x], after[y]
-				m := mcps[ax][ay]
-				bound := s
-				if sa := a.scores[a.tailStart+ax]; sa < bound {
-					bound = sa
-				}
-				if sb := a.scores[a.tailStart+ay]; sb < bound {
-					bound = sb
-				}
-				if m < bound {
-					rep.witness([]*history.Op{r, tail[ax], tail[ay]},
-						[]core.BlockID{tail[ax].Head, tail[ay].Head},
-						"after %s (score %d) final-window reads still diverge: mcps(%s, %s)=%d < %d",
-						r, s, tail[ax], tail[ay], m, bound)
-					if len(rep.Violations) == MaxViolations {
-						a.repEP = rep
-						return rep
-					}
-				}
-			}
-		}
-	}
-	a.repEP = rep
-	return rep
-}
-
-// KForkCoherence checks Definition 3.9: at most k successful append()
-// operations return ⊤ for the same token. Blocks record the consumed
-// token name; successful appends are grouped by it. Blocks with no token
-// (histories not produced through an oracle refinement) are grouped by
-// parent, which is the object the token was for.
-func (c *Checker) KForkCoherence(h *history.History, k int) *Report {
-	rep := &Report{Property: fmt.Sprintf("%d-ForkCoherence", k), OK: true}
-	byToken := make(map[string][]*history.Op)
-	for _, op := range h.SuccessfulAppends() {
-		if op.Block == nil {
-			continue
-		}
-		key := op.Block.Token
-		if key == "" {
-			key = "parent:" + string(op.Block.Parent)
-		}
-		byToken[key] = append(byToken[key], op)
-	}
-	toks := make([]string, 0, len(byToken))
-	for tok := range byToken {
-		toks = append(toks, tok)
-	}
-	sort.Strings(toks) // deterministic report order (map iteration is not)
-	for _, tok := range toks {
-		ops := byToken[tok]
-		rep.Checked++
-		if len(ops) > k {
-			blocks := make([]core.BlockID, len(ops))
-			for i, op := range ops {
-				blocks[i] = op.Block.ID
-			}
-			rep.witness(ops, blocks,
-				"token %q consumed by %d successful appends (k=%d): forks %s", tok, len(ops), k, shortIDs(blocks))
 		}
 	}
 	return rep
@@ -753,58 +368,4 @@ func verdictOf(criterion string, reports ...*Report) *Verdict {
 		v.OK = v.OK && r.OK
 	}
 	return v
-}
-
-// StrongConsistency checks the BT Strong Consistency criterion
-// (Definition 3.2): Block Validity ∧ Local Monotonic Read ∧ Strong
-// Prefix ∧ Ever Growing Tree.
-func (c *Checker) StrongConsistency(h *history.History) *Verdict {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := c.analyze(h)
-	return verdictOf("SC",
-		a.blockValidity(),
-		a.localMonotonicRead(),
-		a.strongPrefix(),
-		a.everGrowingTree(),
-	)
-}
-
-// strongPrefix returns the cached criterion-level Strong Prefix report
-// (sorted variant, reported under the canonical property name).
-func (a *analysis) strongPrefix() *Report {
-	if a.repSP == nil {
-		a.repSP = a.strongPrefixSorted("StrongPrefix")
-	}
-	return a.repSP
-}
-
-// EventualConsistency checks the BT Eventual Consistency criterion
-// (Definition 3.4): Block Validity ∧ Local Monotonic Read ∧ Ever Growing
-// Tree ∧ Eventual Prefix.
-func (c *Checker) EventualConsistency(h *history.History) *Verdict {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := c.analyze(h)
-	return verdictOf("EC",
-		a.blockValidity(),
-		a.localMonotonicRead(),
-		a.everGrowingTree(),
-		a.eventualPrefix(),
-	)
-}
-
-// Classify returns both verdicts, the shape of Table 1's consistency
-// column. The artifacts and the three properties shared by the two
-// criteria are computed once.
-func (c *Checker) Classify(h *history.History) (sc, ec *Verdict) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := c.analyze(h)
-	bv := a.blockValidity()
-	lmr := a.localMonotonicRead()
-	egt := a.everGrowingTree()
-	sc = verdictOf("SC", bv, lmr, a.strongPrefix(), egt)
-	ec = verdictOf("EC", bv, lmr, egt, a.eventualPrefix())
-	return sc, ec
 }

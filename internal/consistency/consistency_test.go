@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -145,8 +146,8 @@ func TestStrongPrefixDetectsDivergence(t *testing.T) {
 	if chk.StrongPrefix(h).OK {
 		t.Fatal("divergence not detected")
 	}
-	if chk.StrongPrefixFast(h).OK {
-		t.Fatal("fast variant missed divergence")
+	if chk.property(h, "StrongPrefix").OK {
+		t.Fatal("criterion report missed divergence")
 	}
 }
 
@@ -159,7 +160,7 @@ func TestStrongPrefixHoldsOnPrefixes(t *testing.T) {
 	rec.Read(0, c)
 	chk := NewChecker(nil, nil)
 	h := rec.Snapshot()
-	if !chk.StrongPrefix(h).OK || !chk.StrongPrefixFast(h).OK {
+	if !chk.StrongPrefix(h).OK || !chk.property(h, "StrongPrefix").OK {
 		t.Fatal("prefix-ordered reads rejected")
 	}
 }
@@ -326,6 +327,43 @@ func TestVerdictAggregation(t *testing.T) {
 	if len(sc.Failing()) != 0 {
 		t.Fatal("Failing nonempty on OK verdict")
 	}
+	// BlockValidity, LocalMonotonicRead and EverGrowingTree are judged
+	// once and shared by the two criteria.
+	if sc.Reports[0] != ec.Reports[0] || sc.Reports[1] != ec.Reports[1] || sc.Reports[3] != ec.Reports[2] {
+		t.Fatal("a property common to SC and EC was reported twice")
+	}
+}
+
+// TestCheckerConcurrentClassify: every call replays into its own
+// monitor, so one Checker serves concurrent callers without a lock —
+// run under -race. The history is shared too (its memoized views and the
+// chain table's memo are filled concurrently).
+func TestCheckerConcurrentClassify(t *testing.T) {
+	rec := history.NewRecorder(3, nil)
+	fuzzBuild(rec, 3, []byte{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3, 4, 12, 20})
+	h := rec.Snapshot()
+	chk := NewChecker(core.WeightScore{}, nil)
+	osc, oec := oracleClassify(core.WeightScore{}, nil, 0, h)
+	want := verdictDump(osc) + verdictDump(oec) + reportDump(oracleKFork(h, 1))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				sc, ec := chk.Classify(h)
+				if got := verdictDump(sc) + verdictDump(ec) + reportDump(chk.KForkCoherence(h, 1)); got != want {
+					t.Errorf("concurrent Classify diverged from the oracle:\n--- oracle ---\n%s--- classify ---\n%s", want, got)
+					return
+				}
+				if chk.StrongPrefix(h).OK != sc.Reports[2].OK {
+					t.Error("all-pairs StrongPrefix disagrees with the criterion")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestFaultyReadsExcluded(t *testing.T) {
@@ -373,7 +411,8 @@ func TestQuickSCImpliesEC(t *testing.T) {
 	}
 }
 
-// Property: the pairwise and sorted Strong Prefix checkers agree.
+// Property: the all-pairs Strong Prefix and the criterion's report (the
+// monitor's, over the reads ordered by chain length) agree.
 func TestQuickStrongPrefixVariantsAgree(t *testing.T) {
 	full := chainN(10)
 	alt := forkN(full, 3, 7)
@@ -390,7 +429,7 @@ func TestQuickStrongPrefixVariantsAgree(t *testing.T) {
 		}
 		h := rec.Snapshot()
 		chk := NewChecker(nil, nil)
-		return chk.StrongPrefix(h).OK == chk.StrongPrefixFast(h).OK
+		return chk.StrongPrefix(h).OK == chk.property(h, "StrongPrefix").OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
-// The online Monitor family: the batch checkers of consistency.go
-// refactored into incremental form. A Monitor implements history.Sink —
-// operations are fed to it the moment their response is recorded — and
-// maintains O(tree + window) state instead of the whole history:
+// The Monitor: the engine that evaluates the criteria, in incremental
+// form. A Monitor implements history.Sink — operations are fed to it the
+// moment their response is recorded, or replayed from a retained
+// History by Checker — and maintains O(tree + window) state instead of
+// the whole history:
 //
 //   - StrongPrefix: per-chain-length run-length structure over the
 //     interned chain handles, plus a live comparability probe against
@@ -32,13 +33,27 @@
 //
 // Violation Witnesses are emitted through OnWitness the moment they
 // form (live channel, advisory for the window properties), and
-// Finalize() reconstructs Verdicts equivalent to batch Classify: OK
-// flags, Violations and Witnesses (details, op identities, blocks) are
-// byte-identical. Report.Checked counts are reconstructed exactly for
-// histories whose completed operations are atomic (invocation and
-// response adjacent — every simulator run); they may differ from the
-// batch count on histories with overlapping completed operations, which
-// is documented as the one permitted divergence.
+// Finalize() reports what the definitions, enumerated literally, say
+// about the history fed: reads in recording (invocation) order, window
+// pairs in order, the first MaxViolations counterexamples — the
+// enumeration oracle_test.go spells out and the fuzz targets hold the
+// monitor against. How exact the match is depends on the feed:
+//
+//   - Recording order — Checker's replay of a retained History, and any
+//     simulated run (its completed operations are atomic, invocation and
+//     response adjacent, so response order is recording order): OK
+//     flags, Violations, Witnesses (details, op identities, blocks) and
+//     Checked counts are identical, with one exception: when completed
+//     operations overlap, EventualPrefix.Checked is reconstructed as if
+//     they were atomic and may differ.
+//   - Response order with overlapping operations — the live
+//     deployment's AsyncSink: OK flags and the set of violated
+//     properties are identical. Strong Prefix breaks ties between reads
+//     of equal chain length by arrival, so the incomparable *pairs* it
+//     reports may differ from those Result.Check() reports on the same
+//     retained history, and the Checked counts of a full
+//     EverGrowingTree report and of EventualPrefix are reconstructed
+//     from arrival positions.
 //
 // Boundedness: retained state is O(#blocks + #distinct chains + w +
 // (MaxViolations+procs)·#distinct scores + #successful appends) — all
@@ -56,7 +71,7 @@
 // non-violated earlier-invoked classmate must respond after the evicted
 // read responds, i.e. span it entirely; processes are sequential, so at
 // most one op per other process spans any instant). That leaves ≥
-// MaxViolations+1 violated reads strictly earlier in the batch checking
+// MaxViolations+1 violated reads strictly earlier in the enumeration
 // order: the evicted read can never be among the MaxViolations reported
 // witnesses.
 package consistency
@@ -78,7 +93,7 @@ type MonitorConfig struct {
 	Score core.Score
 	P     core.Predicate
 	// Horizon overrides the liveness tail-window size; 0 means
-	// max(2, Procs) — the batch checker's default.
+	// max(2, Procs), as for Checker.
 	Horizon int
 	// K, when > 0, arms the live k-Fork Coherence probe: a witness is
 	// emitted the moment a token is consumed a (K+1)-th time. Token
@@ -96,7 +111,7 @@ type MonitorConfig struct {
 	// properties (EverGrowingTree, EventualPrefix) cannot exist — those
 	// violations are defined over the final window and only form at
 	// Finalize; live StrongPrefix witnesses are advisory incomparable
-	// pairs (the exact batch witness set comes from Finalize).
+	// pairs (the exact witness set comes from Finalize).
 	OnWitness func(Witness)
 }
 
@@ -128,8 +143,8 @@ func recOf(op *history.Op) opRec {
 	}
 }
 
-// recSet retains the first cap records by invocation index (the batch
-// checking order) of one retention class.
+// recSet retains the first cap records by invocation index (the
+// enumeration order) of one retention class.
 type recSet struct {
 	recs      []opRec
 	truncated bool
@@ -218,10 +233,10 @@ type spLen struct {
 // lmrPair is one recorded Local Monotonic Read violation.
 type lmrPair struct{ prev, cur opRec }
 
-// Monitor is the online counterpart of Checker: feed it a history as it
-// is recorded (it implements history.Sink), then Finalize for the batch
-// verdicts. Not safe for concurrent use; the Recorder serializes sink
-// calls under its own lock.
+// Monitor evaluates the criteria over a stream of operations: feed it a
+// history as it is recorded (it implements history.Sink) or let Checker
+// replay one into it, then Finalize for the verdicts. Not safe for
+// concurrent use; the Recorder serializes sink calls under its own lock.
 type Monitor struct {
 	score   core.Score
 	pred    core.Predicate
@@ -279,7 +294,7 @@ type Monitor struct {
 // NewMonitor builds an online monitor. Attach it to a Recorder with
 // SetSink (or feed it segments via ConsumeSegment) before the first
 // operation is recorded; processes must be marked faulty before their
-// first read for the exclusion semantics to match the batch checker.
+// first read, or that read is not excluded.
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	if cfg.Score == nil {
 		cfg.Score = core.LengthScore{}
@@ -515,7 +530,7 @@ func (m *Monitor) spConsume(rec opRec, op *history.Op) {
 
 	// Live incomparability probe against the longest chain read so far.
 	// Advisory: false negatives are possible after the anchor moves;
-	// the exact batch witness set comes from Finalize.
+	// the exact witness set comes from Finalize.
 	if !m.spHasMax {
 		m.spMax, m.spHasMax = rec, true
 		return
@@ -680,7 +695,7 @@ func (m *Monitor) rebuild(r opRec) *history.Op {
 }
 
 // mergedByInv flattens the given sets and sorts by invocation index —
-// the batch checking order.
+// the enumeration order.
 func mergedByInv[K comparable](sets map[K]*recSet) []opRec {
 	var out []opRec
 	for _, s := range sets {
@@ -690,9 +705,9 @@ func mergedByInv[K comparable](sets map[K]*recSet) []opRec {
 	return out
 }
 
-// Finalize closes the stream and returns the SC and EC verdicts,
-// equivalent to batch Classify on the full history (see the package
-// comment for the exact equivalence contract). Idempotent.
+// Finalize closes the stream and returns the SC and EC verdicts on the
+// full history (see the comment at the top of this file for how exactly
+// they match the literal enumeration). Idempotent.
 func (m *Monitor) Finalize() (sc, ec *Verdict) {
 	if m.finalized {
 		return m.scV, m.ecV
@@ -834,7 +849,7 @@ func (m *Monitor) finalEGT() *Report {
 				"stagnation persists after %s: final-window read %s has score ≤ %d while the window grew to %d",
 				rOp, sOp, r.score, maxT)
 			if len(rep.Violations) == MaxViolations {
-				rep.Checked = r.ord + 1 // batch stops scanning here
+				rep.Checked = r.ord + 1 // the enumeration stops here
 				return rep
 			}
 		}
@@ -842,8 +857,8 @@ func (m *Monitor) finalEGT() *Report {
 	return rep
 }
 
-// epPairs returns the batch Checked contribution of the read at the
-// given correct-read position, assuming atomic completed operations:
+// epPairs returns the Checked contribution of the read at the given
+// correct-read position, assuming atomic completed operations:
 // every pre-window read sees all w window reads after it; the window
 // member at position j sees the w−1−j later ones.
 func (m *Monitor) epPairs(ord int) int {
@@ -901,7 +916,7 @@ func (m *Monitor) finalEP() *Report {
 		return rep
 	}
 
-	// Divergence in the window: replay the batch enumeration over the
+	// Divergence in the window: run the literal enumeration over the
 	// retained candidates (provably a superset of the reported reads).
 	for _, r := range mergedByInv(m.classes) {
 		var after []int
@@ -930,8 +945,8 @@ func (m *Monitor) finalEP() *Report {
 						"after %s (score %d) final-window reads still diverge: mcps(%s, %s)=%d < %d",
 						rOp, r.score, aOp, bOp, mm, bound)
 					if len(rep.Violations) == MaxViolations {
-						// Batch stops mid-enumeration: pairs before
-						// this read, plus the pairs it examined.
+						// The enumeration stops here: pairs before this
+						// read, plus the pairs it examined.
 						checked := 0
 						for ord := 0; ord < r.ord; ord++ {
 							checked += m.epPairs(ord)
@@ -946,9 +961,9 @@ func (m *Monitor) finalEP() *Report {
 	return rep
 }
 
-// KForkReport builds the k-Fork Coherence report from the streamed
-// token groups — equivalent to the batch KForkCoherence for any k.
-// Callable before or after Finalize.
+// KForkReport builds the k-Fork Coherence report (Definition 3.9) from
+// the streamed token groups, for any k. Callable before or after
+// Finalize.
 func (m *Monitor) KForkReport(k int) *Report {
 	rep := &Report{Property: fmt.Sprintf("%d-ForkCoherence", k), OK: true}
 	toks := make([]string, 0, len(m.tokens))

@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -12,8 +13,9 @@ import (
 // interned reads, stale reads, duplicate and failed appends, forged
 // blocks, mid-stream fault declarations, and permanently-pending
 // appends. Completed operations stay atomic (invoke+respond adjacent),
-// which is the regime where the monitor's Checked counts are specified
-// to match batch exactly.
+// which is the regime where a response-order feed's Checked counts are
+// specified to match the definitions exactly (fuzzBuildOverlap is the
+// other regime).
 func fuzzBuild(rec *history.Recorder, procs int, data []byte) {
 	chains := make([]core.Chain, procs)
 	for p := range chains {
@@ -91,16 +93,23 @@ func fuzzBuild(rec *history.Recorder, procs int, data []byte) {
 	}
 }
 
-// FuzzMonitorEquivalence drives randomized op streams through both
-// pipelines and requires the streaming Finalize to match batch Classify
-// exactly — OK flags, Checked counts, violation strings, witness ops
-// and blocks — both with the monitor as direct sink and with delivery
-// through small sealed segments.
+// fuzzSeeds is the seed corpus of the fuzzBuild targets.
+var fuzzSeeds = [][]byte{
+	{0, 3, 8, 11, 2, 3, 19, 4},
+	{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3},
+	{7, 71, 15, 0, 2, 3, 3, 3, 7, 7, 13, 5, 101, 6, 66, 4, 12, 20, 28},
+	{1, 9, 17, 25, 33, 41, 49, 57, 3, 11, 19, 27, 2, 10, 18, 26, 4, 12},
+}
+
+// FuzzMonitorEquivalence drives randomized op streams through the
+// monitor and requires its Finalize to match the definition-literal
+// oracle exactly — OK flags, Checked counts, violation strings, witness
+// ops and blocks — both with the monitor as direct sink and with
+// delivery through small sealed segments.
 func FuzzMonitorEquivalence(f *testing.F) {
-	f.Add([]byte{0, 3, 8, 11, 2, 3, 19, 4})
-	f.Add([]byte{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3})
-	f.Add([]byte{7, 71, 15, 0, 2, 3, 3, 3, 7, 7, 13, 5, 101, 6, 66, 4, 12, 20, 28})
-	f.Add([]byte{1, 9, 17, 25, 33, 41, 49, 57, 3, 11, 19, 27, 2, 10, 18, 26, 4, 12})
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -108,44 +117,129 @@ func FuzzMonitorEquivalence(f *testing.F) {
 		const procs = 3
 		horizon := 0
 		if len(data) > 0 {
-			horizon = int(data[0]) % 5 // 0 = batch default
+			horizon = int(data[0]) % 5 // 0 = the default window
 		}
 		for _, segSize := range []int{0, 7} {
-			rec := history.NewRecorder(procs, nil)
-			mon := NewMonitor(MonitorConfig{Procs: procs, Horizon: horizon, Table: rec.Table()})
-			var seg *history.SegmentSink
-			if segSize > 0 {
-				seg = history.NewSegmentSink(segSize, mon.ConsumeSegment)
-				seg.OnFaulty = mon.Faulty
-				rec.SetSink(seg)
-			} else {
-				rec.SetSink(mon)
-			}
-			fuzzBuild(rec, procs, data)
-			h := rec.Snapshot()
-			if seg != nil {
-				seg.Seal()
-			}
-			for _, op := range rec.PendingOps() {
-				mon.OpPending(op)
-			}
-			msc, mec := mon.Finalize()
+			monitorHarness{horizon: horizon, segSize: segSize}.run(t, procs,
+				func(rec *history.Recorder) { fuzzBuild(rec, procs, data) })
+		}
+	})
+}
 
-			chk := NewChecker(nil, nil)
+// fuzzBuildOverlap interprets a byte string as an op stream in which
+// completed operations overlap: every process is sequential, but an
+// invocation and its response are separate steps, so a read or an append
+// of one process spans whole operations of the others, and whatever is
+// still open when the bytes run out stays pending. Blocks are minted on
+// two competing branches so that Strong Prefix and Eventual Prefix
+// violations arise among the overlapping reads.
+func fuzzBuildOverlap(rec *history.Recorder, procs int, data []byte) {
+	type open struct {
+		op    *history.Op
+		head  *core.Block // read: the head to respond with
+		eager bool        // read: respond with an explicit chain
+	}
+	heads := []*core.Block{core.Genesis(), core.Genesis()} // the two branches
+	var all []*core.Block
+	pending := make([]*open, procs)
+	hasRead := make([]bool, procs)
+	seq := 0
+	for _, a := range data {
+		p := int(a>>3) % procs
+		if o := pending[p]; o != nil { // respond p's open operation
+			pending[p] = nil
+			switch {
+			case o.op.Kind == history.OpAppend:
+				rec.RespondAppend(o.op, a%8 != 7, nil) // one in eight fails
+			case o.eager:
+				rec.RespondRead(o.op, rec.Table().ChainTo(o.head.ID))
+			default:
+				rec.RespondReadHead(o.op, o.head)
+			}
+			continue
+		}
+		switch act := a % 8; {
+		case act <= 2: // invoke an append extending one of the branches
+			br := int(a>>6) % 2
+			seq++
+			b := core.NewBlock(heads[br].ID, heads[br].Height+1, p, seq, []byte{byte(seq), byte(seq >> 8)})
+			if seq%5 == 0 {
+				b = b.WithToken("tkn(shared)")
+			}
+			rec.InternBlock(b)
+			heads[br] = b
+			all = append(all, b)
+			pending[p] = &open{op: rec.InvokeAppend(p, b)}
+		case act == 3 && !hasRead[p]: // mark p faulty — before its first read, per the sink contract
+			rec.MarkFaulty(p)
+		default: // invoke a read: a branch head, or an older block
+			h := heads[int(a>>6)%2]
+			if act == 7 && len(all) > 0 {
+				h = all[int(a>>3)%len(all)]
+			}
+			hasRead[p] = true
+			pending[p] = &open{op: rec.InvokeRead(p), head: h, eager: act == 6}
+		}
+	}
+}
+
+// overlapSeeds is the seed corpus of the fuzzBuildOverlap streams.
+var overlapSeeds = [][]byte{
+	{0, 36, 8, 44, 1, 12, 64, 76, 5, 13, 20, 7, 15, 4},
+	{0, 8, 16, 1, 9, 17, 4, 76, 20, 5, 13, 21, 70, 14, 86, 6, 14, 22},
+	{2, 74, 18, 3, 11, 4, 12, 20, 0, 0, 8, 8, 71, 15, 23, 7, 15, 23, 1},
+	{64, 0, 72, 8, 4, 12, 68, 76, 20, 84, 4, 12, 20, 6, 78, 22, 1, 65},
+}
+
+// FuzzClassifyOverlap holds Checker.Classify — the recording-order
+// replay into a Monitor — against the oracle on histories with
+// overlapping completed operations and pending tails: OK flags,
+// violations and witnesses of every report, and Checked of every report
+// but EventualPrefix (whose count the monitor reconstructs assuming
+// atomic operations — the one divergence its contract documents). The
+// all-pairs StrongPrefix must reach the criterion's verdict too, and so
+// must a monitor fed the same stream in response order, as the
+// recorder's sink (the live deployment's feed): same OK flags, same
+// violated properties — its witnesses are not compared, see
+// TestMonitorResponseOrderFeed.
+func FuzzClassifyOverlap(f *testing.F) {
+	for _, seed := range overlapSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		const procs = 3
+		horizon := 0
+		if len(data) > 0 {
+			horizon = int(data[0]) % 5
+		}
+		rec := history.NewRecorder(procs, nil)
+		online := NewMonitor(MonitorConfig{Procs: procs, Horizon: horizon, Table: rec.Table()})
+		rec.SetSink(online)
+		fuzzBuildOverlap(rec, procs, data)
+		h := rec.Snapshot()
+		for _, op := range rec.PendingOps() {
+			online.OpPending(op)
+		}
+		for _, score := range []core.Score{core.LengthScore{}, core.WeightScore{}} {
+			chk := NewChecker(score, nil)
 			chk.Horizon = horizon
-			bsc, bec := chk.Classify(h)
-
-			if got, want := verdictDump(msc), verdictDump(bsc); got != want {
-				t.Errorf("seg=%d SC mismatch:\n--- batch ---\n%s--- stream ---\n%s", segSize, want, got)
+			sc, ec := chk.Classify(h)
+			kfork := func(k int) *Report { return chk.KForkCoherence(h, k) }
+			if d := diffOracle(h, score, nil, horizon, sc, ec, kfork, true); d != "" {
+				t.Errorf("%s: %s", score.Name(), d)
 			}
-			if got, want := verdictDump(mec), verdictDump(bec); got != want {
-				t.Errorf("seg=%d EC mismatch:\n--- batch ---\n%s--- stream ---\n%s", segSize, want, got)
+			if pairwise := chk.StrongPrefix(h); pairwise.OK != sc.Reports[2].OK {
+				t.Errorf("all-pairs StrongPrefix %v, criterion %v", pairwise.OK, sc.Reports[2].OK)
 			}
-			for _, k := range []int{1, 2} {
-				if got, want := reportDump(mon.KForkReport(k)), reportDump(chk.KForkCoherence(h, k)); got != want {
-					t.Errorf("seg=%d KFork(%d) mismatch:\n--- batch ---\n%s--- stream ---\n%s", segSize, k, want, got)
-				}
-			}
+		}
+		msc, mec := online.Finalize()
+		osc, oec := oracleClassify(nil, nil, horizon, h)
+		if fmt.Sprint(msc.Failing(), mec.Failing()) != fmt.Sprint(osc.Failing(), oec.Failing()) {
+			t.Errorf("response-order feed violates %v / %v, the oracle %v / %v",
+				msc.Failing(), mec.Failing(), osc.Failing(), oec.Failing())
 		}
 	})
 }

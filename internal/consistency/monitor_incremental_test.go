@@ -8,8 +8,8 @@ import (
 )
 
 // These tests pin the incremental per-chain facts of the Monitor
-// (extendFact): their cost, and their equivalence to batch Classify on
-// the streams built to stress them — through interned reads, since
+// (extendFact): their cost, and their equivalence to the oracle on the
+// streams built to stress them — through interned reads, since
 // eagerly recorded chains keep the scan.
 
 // countingPred counts the blocks P is asked about and rejects the listed
@@ -40,47 +40,22 @@ func (s internSink) OpDone(op *history.Op) {
 	s.Monitor.OpDone(op)
 }
 
-// streamAndBatch records build through a recorder whose sink is a
-// Monitor behind an internSink, finalizes it, and requires the verdicts
-// to equal batch Classify under the same score and predicate. It returns
-// the monitor.
-func streamAndBatch(t *testing.T, procs int, score core.Score, pred core.Predicate, build func(rec *history.Recorder)) *Monitor {
-	t.Helper()
-	rec := history.NewRecorder(procs, nil)
-	mon := NewMonitor(MonitorConfig{Procs: procs, Score: score, P: pred, Table: rec.Table()})
-	rec.SetSink(internSink{mon, rec.Table()})
-	build(rec)
-	for _, op := range rec.PendingOps() {
-		mon.OpPending(op)
-	}
-	msc, mec := mon.Finalize()
-	bsc, bec := NewChecker(score, pred).Classify(rec.Snapshot())
-	if got, want := verdictDump(msc), verdictDump(bsc); got != want {
-		t.Errorf("SC verdict mismatch:\n--- batch ---\n%s--- stream ---\n%s", want, got)
-	}
-	if got, want := verdictDump(mec), verdictDump(bec); got != want {
-		t.Errorf("EC verdict mismatch:\n--- batch ---\n%s--- stream ---\n%s", want, got)
-	}
-	return mon
-}
-
 // FuzzMonitorInternedEquivalence replays FuzzMonitorEquivalence's op
 // streams — forks, stale reads, forged and never-appended blocks,
 // duplicate and pending appends — with every read interned, so that the
-// extended facts, not the scan, face the batch oracle — under the length
+// extended facts, not the scan, face the oracle — under the length
 // score (read off the op) and the weight score (scanned).
 func FuzzMonitorInternedEquivalence(f *testing.F) {
-	f.Add([]byte{0, 3, 8, 11, 2, 3, 19, 4})
-	f.Add([]byte{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3})
-	f.Add([]byte{7, 71, 15, 0, 2, 3, 3, 3, 7, 7, 13, 5, 101, 6, 66, 4, 12, 20, 28})
-	f.Add([]byte{1, 9, 17, 25, 33, 41, 49, 57, 3, 11, 19, 27, 2, 10, 18, 26, 4, 12})
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
 		const procs = 3
 		for _, score := range []core.Score{core.LengthScore{}, core.WeightScore{}} {
-			streamAndBatch(t, procs, score, nil, func(rec *history.Recorder) { fuzzBuild(rec, procs, data) })
+			monitorHarness{score: score, interned: true}.run(t, procs, func(rec *history.Recorder) { fuzzBuild(rec, procs, data) })
 		}
 	})
 }
@@ -136,11 +111,11 @@ func TestMonitorValidatesEachBlockOnce(t *testing.T) {
 // its chain's fact is unclean for want of an append. The reads of its
 // descendants must not inherit that — by then the append has arrived —
 // while the early read itself stays a suspect that Finalize re-resolves
-// into the batch checker's "appended only later" witness.
+// into the "appended only later" witness the definition asks for.
 func TestMonitorAppendRecordedAfterRead(t *testing.T) {
 	calls, streamed := 0, 0
 	c := chainN(40)
-	mon := streamAndBatch(t, 2, nil, countingPred{calls: &calls}, func(rec *history.Recorder) {
+	mon := monitorHarness{pred: countingPred{calls: &calls}, interned: true}.run(t, 2, func(rec *history.Recorder) {
 		for _, b := range c {
 			rec.InternBlock(b)
 		}
@@ -170,12 +145,12 @@ func TestMonitorAppendRecordedAfterRead(t *testing.T) {
 // TestMonitorInvalidAncestorExtends: a block P rejects makes every chain
 // through it unclean for good, so those facts are extended, not
 // re-examined — P still sees each block once while streaming — and every
-// read above it is reported exactly as batch reports it.
+// read above it is reported exactly as the oracle reports it.
 func TestMonitorInvalidAncestorExtends(t *testing.T) {
 	calls, streamed := 0, 0
 	c := chainN(30)
 	pred := countingPred{calls: &calls, invalid: map[core.BlockID]bool{c[10].ID: true}}
-	mon := streamAndBatch(t, 2, nil, pred, func(rec *history.Recorder) {
+	mon := monitorHarness{pred: pred, interned: true}.run(t, 2, func(rec *history.Recorder) {
 		for _, b := range c {
 			rec.InternBlock(b)
 		}

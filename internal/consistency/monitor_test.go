@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -43,34 +44,46 @@ func verdictDump(v *Verdict) string {
 	return b.String()
 }
 
-// monitorHarness runs one recorded history through both pipelines: the
-// build function records into a Recorder whose sink is the Monitor
-// (optionally via a SegmentSink), then batch Classify on the snapshot
-// is compared against Monitor.Finalize.
+// monitorHarness holds the Monitor against the oracle on one recorded
+// history: the build function records into a Recorder whose sink is the
+// Monitor (optionally via a SegmentSink, an internSink or a ckptSink),
+// then the definition-literal oracle on the snapshot is compared against
+// Monitor.Finalize. run returns the finalized monitor.
 type monitorHarness struct {
-	horizon int
-	segSize int // 0 = direct sink, >0 = route through a SegmentSink
-	k       int // when >0, also compare KForkReport(k)
+	score    core.Score
+	pred     core.Predicate
+	horizon  int
+	segSize  int  // 0 = direct sink, >0 = route through a SegmentSink
+	interned bool // hand every read over as an interned handle (internSink)
+	ckptAt   int  // >0: checkpoint → restore → continue after that many ops (ckptSink)
+	k        int  // when >0, arms the live k-fork probe
 	// epCheckedLoose skips the EventualPrefix Checked comparison —
 	// the one documented divergence under overlapping completed ops.
 	epCheckedLoose bool
 }
 
-func (hn monitorHarness) run(t *testing.T, procs int, build func(rec *history.Recorder)) {
+func (hn monitorHarness) run(t *testing.T, procs int, build func(rec *history.Recorder)) *Monitor {
 	t.Helper()
 	rec := history.NewRecorder(procs, nil)
-	mon := NewMonitor(MonitorConfig{Procs: procs, Horizon: hn.horizon, K: hn.k, Table: rec.Table()})
+	cfg := MonitorConfig{Procs: procs, Score: hn.score, P: hn.pred, Horizon: hn.horizon, K: hn.k, Table: rec.Table()}
+	mon := NewMonitor(cfg)
 	var seg *history.SegmentSink
-	if hn.segSize > 0 {
+	ckpt := &ckptSink{t: t, mon: mon, cfg: cfg, at: hn.ckptAt}
+	switch {
+	case hn.ckptAt > 0:
+		rec.SetSink(ckpt)
+	case hn.segSize > 0:
 		seg = history.NewSegmentSink(hn.segSize, mon.ConsumeSegment)
 		seg.OnFaulty = mon.Faulty
 		rec.SetSink(seg)
-	} else {
+	case hn.interned:
+		rec.SetSink(internSink{mon, rec.Table()})
+	default:
 		rec.SetSink(mon)
 	}
 	build(rec)
 	h := rec.Snapshot()
-
+	mon = ckpt.mon // the restored one, after a cycle
 	if seg != nil {
 		seg.Seal()
 	}
@@ -79,45 +92,19 @@ func (hn monitorHarness) run(t *testing.T, procs int, build func(rec *history.Re
 	}
 	msc, mec := mon.Finalize()
 
-	chk := NewChecker(nil, nil)
-	chk.Horizon = hn.horizon
-	bsc, bec := chk.Classify(h)
-
-	scWant, scGot := verdictDump(bsc), verdictDump(msc)
-	ecWant, ecGot := verdictDump(bec), verdictDump(mec)
-	if hn.epCheckedLoose {
-		scWant, scGot = dropEPChecked(scWant), dropEPChecked(scGot)
-		ecWant, ecGot = dropEPChecked(ecWant), dropEPChecked(ecGot)
+	if d := diffOracle(h, hn.score, hn.pred, hn.horizon, msc, mec, mon.KForkReport, hn.epCheckedLoose); d != "" {
+		t.Errorf("seg=%d cut=%d: %s", hn.segSize, hn.ckptAt, d)
 	}
-	if scGot != scWant {
-		t.Errorf("SC verdict mismatch:\n--- batch ---\n%s--- stream ---\n%s", scWant, scGot)
-	}
-	if ecGot != ecWant {
-		t.Errorf("EC verdict mismatch:\n--- batch ---\n%s--- stream ---\n%s", ecWant, ecGot)
-	}
-	for _, k := range []int{1, 2, hn.k} {
-		if k <= 0 {
-			continue
-		}
-		want := reportDump(chk.KForkCoherence(h, k))
-		got := reportDump(mon.KForkReport(k))
-		if got != want {
-			t.Errorf("KFork(%d) mismatch:\n--- batch ---\n%s--- stream ---\n%s", k, want, got)
-		}
-	}
+	return mon
 }
 
+// dropEPChecked strips the Checked count off a dump's EventualPrefix
+// lines.
 func dropEPChecked(dump string) string {
-	lines := strings.Split(dump, "\n")
-	for i, l := range lines {
-		if strings.HasPrefix(l, "EventualPrefix ") {
-			if j := strings.Index(l, " checked="); j >= 0 {
-				lines[i] = l[:j]
-			}
-		}
-	}
-	return strings.Join(lines, "\n")
+	return epCheckedRE.ReplaceAllString(dump, "$1")
 }
+
+var epCheckedRE = regexp.MustCompile(`(?m)^(EventualPrefix .*) checked=\d+$`)
 
 func TestMonitorBenignEquivalence(t *testing.T) {
 	monitorHarness{}.run(t, 2, func(rec *history.Recorder) {
@@ -348,5 +335,43 @@ func TestMonitorStatsBounded(t *testing.T) {
 	small, big := retained(500), retained(5000)
 	if big > small+8 {
 		t.Errorf("retained state grew with read count: %d @500 reads vs %d @5000", small, big)
+	}
+}
+
+// TestMonitorResponseOrderFeed exhibits the weaker half of the
+// contract: a monitor fed in response order (the recorder's sink, as in
+// a live deployment) while completed operations overlap reaches the
+// oracle's OK flags and violated properties — FuzzClassifyOverlap holds
+// it to that — but may name another Strong Prefix pair.
+func TestMonitorResponseOrderFeed(t *testing.T) {
+	// Two equal-length reads on different branches, the first invoked
+	// responding last: the definition's tie-break is recording order, a
+	// response-order feed sees them the other way round.
+	rec := history.NewRecorder(2, nil)
+	mon := NewMonitor(MonitorConfig{Procs: 2, Table: rec.Table()})
+	rec.SetSink(mon)
+	a := core.NewBlock(core.GenesisID, 1, 0, 1, []byte("a"))
+	b := core.NewBlock(core.GenesisID, 1, 1, 2, []byte("b"))
+	rec.InternBlock(a)
+	rec.InternBlock(b)
+	rec.Append(0, a, true)
+	rec.Append(1, b, true)
+	ra := rec.InvokeRead(0)
+	rb := rec.InvokeRead(1)
+	rec.RespondReadHead(rb, b)
+	rec.RespondReadHead(ra, a)
+	h := rec.Snapshot()
+	msc, _ := mon.Finalize()
+	osc, _ := oracleClassify(nil, nil, 0, h)
+	csc, _ := NewChecker(nil, nil).Classify(h)
+	if msc.OK || osc.OK || len(msc.Reports[2].Witnesses) != 1 {
+		t.Fatalf("the fork must violate Strong Prefix once:\n%s%s", verdictDump(msc), verdictDump(osc))
+	}
+	if got, want := reportDump(csc.Reports[2]), reportDump(osc.Reports[2]); got != want {
+		t.Errorf("recording-order replay names another pair than the oracle:\n--- oracle ---\n%s--- classify ---\n%s", want, got)
+	}
+	if got, want := msc.Reports[2].Witnesses[0].Ops, osc.Reports[2].Witnesses[0].Ops; got[0].ID != want[1].ID || got[1].ID != want[0].ID {
+		t.Errorf("response-order feed was expected to name the oracle's pair reversed: got %s, oracle %s",
+			msc.Reports[2].Violations, osc.Reports[2].Violations)
 	}
 }

@@ -9,50 +9,6 @@ import (
 	"repro/internal/history"
 )
 
-// refEventualPrefix is the pre-rewrite Eventual Prefix checker, kept
-// verbatim (modulo the Chain() accessor) as the reference the one-pass
-// variant is pinned against: same verdict, same fact count, same
-// violation messages.
-func refEventualPrefix(c *Checker, h *history.History) *Report {
-	rep := &Report{Property: "EventualPrefix", OK: true}
-	reads := h.Reads()
-	w := c.window(h)
-	if w > len(reads) {
-		w = len(reads)
-	}
-	tail := reads[len(reads)-w:]
-	for _, r := range reads {
-		s := c.Score.Of(r.Chain())
-		var after []*history.Op
-		for _, t := range tail {
-			if r.Before(t) {
-				after = append(after, t)
-			}
-		}
-		for a := 0; a < len(after); a++ {
-			for b := a + 1; b < len(after); b++ {
-				rep.Checked++
-				m := core.MCPS(c.Score, after[a].Chain(), after[b].Chain())
-				bound := s
-				if sa := c.Score.Of(after[a].Chain()); sa < bound {
-					bound = sa
-				}
-				if sb := c.Score.Of(after[b].Chain()); sb < bound {
-					bound = sb
-				}
-				if m < bound {
-					rep.violate("after %s (score %d) final-window reads still diverge: mcps(%s, %s)=%d < %d",
-						r, s, after[a], after[b], m, bound)
-					if len(rep.Violations) == MaxViolations {
-						return rep
-					}
-				}
-			}
-		}
-	}
-	return rep
-}
-
 // randomHistory generates a history of reads over a two-branch tree:
 // clean prefix-ordered runs and diverging runs both arise.
 func randomHistory(rng *rand.Rand, procs, nReads int) *history.History {
@@ -84,16 +40,18 @@ func randomHistory(rng *rand.Rand, procs, nReads int) *history.History {
 	return rec.Snapshot()
 }
 
-// TestEventualPrefixMatchesReference pins the one-pass Eventual Prefix
-// (window MCPS computed once, slow-path replay on divergence) against
-// the pre-rewrite enumeration on randomized histories.
+// TestEventualPrefixMatchesReference pins the monitor's Eventual Prefix
+// (window MCPS computed once, the enumeration replayed only over the
+// retained candidates) against the definition-literal enumeration on
+// randomized histories.
 func TestEventualPrefixMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		h := randomHistory(rng, 2+rng.Intn(3), 3+rng.Intn(12))
 		chk := NewChecker(nil, nil)
 		got := chk.EventualPrefix(h)
-		want := refEventualPrefix(NewChecker(nil, nil), h)
+		_, oec := oracleClassify(nil, nil, 0, h)
+		want := oec.Reports[3]
 		if got.OK != want.OK || got.Checked != want.Checked {
 			t.Fatalf("trial %d: (ok=%v checked=%d) vs reference (ok=%v checked=%d)",
 				trial, got.OK, got.Checked, want.OK, want.Checked)
@@ -104,9 +62,9 @@ func TestEventualPrefixMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSortedStrongPrefixMatchesPairwise pins the criterion-level sorted
-// Strong Prefix verdict against the exact pairwise checker on the same
-// randomized histories.
+// TestSortedStrongPrefixMatchesPairwise pins the criterion-level Strong
+// Prefix verdict (reads ordered by chain length) against the all-pairs
+// checker on the same randomized histories.
 func TestSortedStrongPrefixMatchesPairwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -160,47 +118,5 @@ func TestSortedStrongPrefixDegenerateScore(t *testing.T) {
 		if r.Property == "StrongPrefix" && !r.OK {
 			t.Fatalf("sorted StrongPrefix false violation under degenerate score: %v", r.Violations)
 		}
-	}
-	if !chk.StrongPrefixFast(hist).OK {
-		t.Fatal("StrongPrefixFast false violation under degenerate score")
-	}
-}
-
-// TestClassifySharesReports checks single-pass Classify: the three
-// properties common to SC and EC are computed once and shared by
-// pointer between the two verdicts.
-func TestClassifySharesReports(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	h := randomHistory(rng, 3, 8)
-	chk := NewChecker(nil, nil)
-	sc, ec := chk.Classify(h)
-	if sc.Reports[0] != ec.Reports[0] { // BlockValidity
-		t.Fatal("BlockValidity recomputed per criterion")
-	}
-	if sc.Reports[1] != ec.Reports[1] { // LocalMonotonicRead
-		t.Fatal("LocalMonotonicRead recomputed per criterion")
-	}
-	if sc.Reports[3] != ec.Reports[2] { // EverGrowingTree
-		t.Fatal("EverGrowingTree recomputed per criterion")
-	}
-}
-
-// TestCheckerCacheInvalidation: changing Score, P or Horizon between
-// calls on the same history must not reuse stale artifacts.
-func TestCheckerCacheInvalidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	h := randomHistory(rng, 2, 6)
-	chk := NewChecker(core.LengthScore{}, nil)
-	wide := chk.EventualPrefix(h).Checked // default window (≥ 2 reads)
-	chk.Horizon = 1                       // window of one read: no pairs at all
-	if got := chk.EventualPrefix(h).Checked; got != 0 {
-		t.Fatalf("horizon change not picked up: checked %d (default window had %d)", got, wide)
-	}
-	chk.Horizon = 0
-	chk.Score = core.WeightScore{}
-	// Must recompute with the new score without reusing stale score
-	// caches; weights are all 1 so the fact count matches the first run.
-	if got := chk.EventualPrefix(h).Checked; got != wide {
-		t.Fatalf("score change not picked up: checked %d, want %d", got, wide)
 	}
 }

@@ -105,6 +105,7 @@ func LRC(h *history.History) *Report {
 
 	received := make(map[int]map[msgKey]bool)
 	anyRecv := make(map[msgKey]bool)
+	var recvOrder []msgKey // anyRecv's keys by first receive: the report order
 	for _, e := range h.Comm {
 		if e.Kind != history.EvReceive {
 			continue
@@ -114,8 +115,9 @@ func LRC(h *history.History) *Report {
 			received[e.Proc] = make(map[msgKey]bool)
 		}
 		received[e.Proc][k] = true
-		if h.IsCorrect(e.Proc) {
+		if h.IsCorrect(e.Proc) && !anyRecv[k] {
 			anyRecv[k] = true
+			recvOrder = append(recvOrder, k)
 		}
 	}
 
@@ -133,7 +135,7 @@ func LRC(h *history.History) *Report {
 	}
 
 	// Agreement.
-	for k := range anyRecv {
+	for _, k := range recvOrder {
 		rep.Checked++
 		for p := 0; p < h.Procs; p++ {
 			if !h.IsCorrect(p) {

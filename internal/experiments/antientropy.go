@@ -19,36 +19,7 @@ func ExtensionAntiEntropy(seed uint64) *Result {
 	res := &Result{ID: "Extension Anti-entropy", Title: "implementing LRC over transient loss", OK: true}
 
 	run := func(partitionUntil int64, repair bool) (*consistency.Verdict, *consistency.Report, []int) {
-		sim := simnet.NewSim(seed)
-		g := replica.NewGroup(sim, 4, simnet.Synchronous{Delta: 2}, core.LongestChain{})
-		g.SetPredicate(core.WellFormed{})
-		if partitionUntil > 0 {
-			g.Net.SetDrop(func(m simnet.Message) bool {
-				return sim.Now() < partitionUntil && m.To == 3
-			})
-		}
-		parent := core.Genesis()
-		for i := 0; i < 10; i++ {
-			b := core.NewBlock(parent.ID, parent.Height+1, 0, i, []byte{byte(i)})
-			parent = b
-			tt := int64(i*6 + 1)
-			sim.Schedule(tt, func() { g.Procs[0].AppendLocal(b) })
-			sim.Schedule(tt+2, func() {
-				for _, p := range g.Procs {
-					p.Read()
-				}
-			})
-		}
-		if repair {
-			g.EnableAntiEntropy(sim, 15, 12)
-		}
-		sim.RunUntilIdle()
-		for _, p := range g.Procs {
-			p.Read()
-		}
-		for _, p := range g.Procs {
-			p.Read()
-		}
+		g := antiEntropyRun(seed, partitionUntil, repair)
 		chk := consistency.NewChecker(core.LengthScore{}, core.WellFormed{})
 		_, ec := chk.Classify(g.History())
 		lrc := consistency.LRC(g.History())
@@ -84,4 +55,42 @@ func ExtensionAntiEntropy(seed uint64) *Result {
 	}
 	res.addf("anti-entropy implements the LRC abstraction the paper proves necessary")
 	return res
+}
+
+// antiEntropyRun is the experiment's workload: process 0 appends ten
+// blocks over a synchronous network, everybody reads after each, and —
+// with partitionUntil > 0 — process 3 receives nothing before that
+// instant; repair turns the anti-entropy layer on.
+func antiEntropyRun(seed uint64, partitionUntil int64, repair bool) *replica.Group {
+	sim := simnet.NewSim(seed)
+	g := replica.NewGroup(sim, 4, simnet.Synchronous{Delta: 2}, core.LongestChain{})
+	g.SetPredicate(core.WellFormed{})
+	if partitionUntil > 0 {
+		g.Net.SetDrop(func(m simnet.Message) bool {
+			return sim.Now() < partitionUntil && m.To == 3
+		})
+	}
+	parent := core.Genesis()
+	for i := 0; i < 10; i++ {
+		b := core.NewBlock(parent.ID, parent.Height+1, 0, i, []byte{byte(i)})
+		parent = b
+		tt := int64(i*6 + 1)
+		sim.Schedule(tt, func() { g.Procs[0].AppendLocal(b) })
+		sim.Schedule(tt+2, func() {
+			for _, p := range g.Procs {
+				p.Read()
+			}
+		})
+	}
+	if repair {
+		g.EnableAntiEntropy(sim, 15, 12)
+	}
+	sim.RunUntilIdle()
+	for _, p := range g.Procs {
+		p.Read()
+	}
+	for _, p := range g.Procs {
+		p.Read()
+	}
+	return g
 }

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/consistency"
 )
 
 // TestAllExperimentsReproduce is the repository's headline test: every
@@ -118,5 +121,27 @@ func TestTheorem48WitnessesFork(t *testing.T) {
 	}
 	if !strings.Contains(joined, "LRC: OK") {
 		t.Fatalf("LRC should hold:\n%s", joined)
+	}
+}
+
+// TestAntiEntropyLRCReportIsStable: LRC's Agreement pass used to range
+// over a map, so the violations — and the "e.g." of the experiment's
+// unrepaired row — changed from run to run. They are reported in
+// first-receive order; the row is pinned.
+func TestAntiEntropyLRCReportIsStable(t *testing.T) {
+	h := antiEntropyRun(42, 45, false).History()
+	want := consistency.LRC(h).Violations
+	if len(want) < 2 {
+		t.Fatalf("unrepaired partition produced %d LRC violations, want several", len(want))
+	}
+	for i := 0; i < 20; i++ {
+		if got := consistency.LRC(h).Violations; !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: violations reordered:\n got %v\nwant %v", i, got, want)
+		}
+	}
+	const row = "partition, no repair    : EC: VIOLATED (EverGrowingTree) ; LRC: VIOLATED (20 facts, e.g. " +
+		"Agreement: (b0,a003c840) received by some correct process but not by 3) ; heights [10 10 10 0]"
+	if got := ExtensionAntiEntropy(42).Lines[1]; got != row {
+		t.Errorf("unrepaired row:\n got %s\nwant %s", got, row)
 	}
 }

@@ -292,6 +292,10 @@ type History struct {
 	// Consistency criteria quantify over correct processes only
 	// (Definition 4.2). A nil slice means all processes are correct.
 	Correct []bool
+	// Table is the chain table the interned reads of Ops materialize
+	// from (the recorder's); nil for a history whose reads all carry
+	// explicit chains.
+	Table *ChainTable
 
 	memoOnce sync.Once
 	memo     struct {
@@ -397,7 +401,7 @@ func (h *History) CommOf(kind CommKind) []CommEvent {
 // Purged returns a copy of the history without unsuccessful append
 // operations (the Ĥ of Section 3.4).
 func (h *History) Purged() *History {
-	nh := &History{Procs: h.Procs, Correct: h.Correct, Comm: h.Comm}
+	nh := &History{Procs: h.Procs, Correct: h.Correct, Comm: h.Comm, Table: h.Table}
 	for _, op := range h.Ops {
 		if op.Kind == OpAppend && !op.Pending && !op.OK {
 			continue
@@ -665,7 +669,7 @@ func (r *Recorder) appendComm(kind CommKind, p int, parent, block core.BlockID) 
 func (r *Recorder) Snapshot() *History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := &History{Procs: r.procs}
+	h := &History{Procs: r.procs, Table: r.table}
 	if r.drop {
 		h.Ops = r.pendingLocked()
 	} else {

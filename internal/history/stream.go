@@ -16,10 +16,10 @@ import "sort"
 //   - OpDone delivers each operation exactly once, at the moment its
 //     response event is recorded (so the op is complete and immutable).
 //   - CommDone delivers each send/receive/update event as it is recorded.
-//   - Faulty delivers MarkFaulty declarations; for the monitors' exclusion
-//     semantics to match the batch checkers, a process must be marked
-//     before its first read is recorded (adversary wiring marks at
-//     construction time, so protocol runs satisfy this by design).
+//   - Faulty delivers MarkFaulty declarations; for a monitor to exclude
+//     all of a process's reads, as the criteria do, the process must be
+//     marked before its first read is recorded (adversary wiring marks
+//     at construction time, so protocol runs satisfy this by design).
 //
 // Sink implementations must not call back into the Recorder.
 type Sink interface {
@@ -40,10 +40,10 @@ func (r *Recorder) SetSink(s Sink) {
 }
 
 // SetRetain controls whether the Recorder keeps completed operations and
-// communication events for Snapshot. The default (true) preserves the
-// batch pipeline; with retain=false every completed op is owned by the
-// sink alone and Snapshot returns only the still-pending operations —
-// the bounded-memory mode behind ≥1M-op streaming runs.
+// communication events for Snapshot. The default (true) keeps the
+// history for Snapshot and replay; with retain=false every completed op
+// is owned by the sink alone and Snapshot returns only the still-pending
+// operations — the bounded-memory mode behind ≥1M-op streaming runs.
 func (r *Recorder) SetRetain(keep bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -224,6 +224,12 @@ func (s *SegmentSink) History(procs int) *History {
 	for _, seg := range s.kept {
 		h.Ops = append(h.Ops, seg.Ops...)
 		h.Comm = append(h.Comm, seg.Comm...)
+	}
+	for _, op := range h.Ops {
+		if op.src != nil {
+			h.Table = op.src // one recorder, one table
+			break
+		}
 	}
 	// Segments hold ops in response order; the batch History contract
 	// is invocation order.

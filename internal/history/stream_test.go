@@ -104,6 +104,9 @@ func TestSegmentSinkSealsAndAssemblesHistory(t *testing.T) {
 	if got.IsCorrect(1) || !got.IsCorrect(0) {
 		t.Errorf("assembled Correct wrong: %v", got.Correct)
 	}
+	if got.Table != rec.Table() {
+		t.Error("assembled history lost the chain table of its interned reads")
+	}
 	if seg2 := NewSegmentSink(4, nil); seg2.History(2) != nil {
 		t.Error("History() without Keep(true) must return nil")
 	}

@@ -4,10 +4,10 @@
 // one exists to exercise the bounded-memory property: the run records
 // in drop mode (history streamed through sealed segments into the
 // online monitor and released), so resident memory is governed by the
-// block tree and the monitor's window, not by the operation count. A
-// batch Classify of the same run would have to hold every operation —
-// at ~1.2M ops that is two orders of magnitude more resident heap (the
-// measured gap is ablation #10 in DESIGN.md).
+// block tree and the monitor's window, not by the operation count.
+// Classify on the same run would have to retain every operation to
+// replay it — at ~1.2M ops that is two orders of magnitude more resident
+// heap (the measured gap is ablation #10 in DESIGN.md).
 package scenario
 
 import (
@@ -57,7 +57,7 @@ func SmokeLongRun() LongRunSpec {
 // LongOutcome is one checked long run.
 type LongOutcome struct {
 	Spec LongRunSpec
-	// SC and EC are the streaming verdicts (there is no batch verdict:
+	// SC and EC are the online verdicts (there is nothing to replay:
 	// the run retained no history).
 	SC, EC *consistency.Verdict
 	// Violated lists the violated property names in checking order.

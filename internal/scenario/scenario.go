@@ -168,8 +168,8 @@ func (s Spec) Validate() error {
 func (s Spec) Run(seed uint64) (*Outcome, error) { return s.run(seed, false) }
 
 // RunStream executes the scenario with the online consistency monitor
-// attached and builds the Outcome from the streaming verdicts instead
-// of batch Classify. The history is still retained (tee mode), so the
+// attached and builds the Outcome from its verdicts instead of the
+// replay behind Check(). The history is still retained (tee mode), so the
 // replay Digest folds the same run content — a scenario's RunStream
 // digest equals its Run digest exactly; the determinism suite pins this
 // for the whole catalogue.

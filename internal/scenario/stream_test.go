@@ -11,7 +11,7 @@ import (
 // outcomeText flattens everything an Outcome derives from the verdicts:
 // digest, violated set, and the full per-report detail including
 // witness op renderings — the byte-equivalence surface of the
-// streaming-vs-batch acceptance criterion.
+// online-feed-vs-replay acceptance criterion.
 func outcomeText(o *Outcome) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digest=%s violated=%v\n", o.Digest, o.Violated)
@@ -43,9 +43,11 @@ func outcomeText(o *Outcome) string {
 }
 
 // TestStreamingMatchesBatchCatalogue is the acceptance diff test: every
-// pinned scenario run twice — batch Classify vs. online monitor — must
-// produce byte-identical outcomes (digest, verdicts, violations,
-// witnesses).
+// pinned scenario run twice — Classify's replay of the retained history
+// vs. the monitor fed online — must produce byte-identical outcomes
+// (digest, verdicts, violations, witnesses). Both sides are the Monitor;
+// what holds it to the definitions on these runs is
+// consistency.TestClassifyMatchesOracleOnRuns.
 func TestStreamingMatchesBatchCatalogue(t *testing.T) {
 	for _, spec := range Catalogue() {
 		spec := spec
@@ -61,7 +63,7 @@ func TestStreamingMatchesBatchCatalogue(t *testing.T) {
 			}
 			want, got := outcomeText(batch), outcomeText(stream)
 			if got != want {
-				t.Errorf("streaming outcome differs from batch:\n--- batch ---\n%s--- stream ---\n%s", want, got)
+				t.Errorf("online outcome differs from the replay:\n--- replay ---\n%s--- stream ---\n%s", want, got)
 			}
 		})
 	}
@@ -96,7 +98,7 @@ func TestCheckpointedStreamingMatchesBatchCatalogue(t *testing.T) {
 			}
 			want, got := outcomeText(batch), outcomeText(stream)
 			if got != want {
-				t.Errorf("checkpointed streaming outcome differs from batch (%d cycles):\n--- batch ---\n%s--- checkpointed ---\n%s",
+				t.Errorf("checkpointed online outcome differs from the replay (%d cycles):\n--- replay ---\n%s--- checkpointed ---\n%s",
 					so.Checkpoints, want, got)
 			}
 		})

@@ -140,8 +140,8 @@ func (c *LiveConfig) norm() error {
 
 // LiveResult is what a deployment run measures: sustained throughput,
 // client-observed latency quantiles, the online monitor's verdicts,
-// and the raw material (history, trees, creators) the batch checkers
-// and renderers consume — so everything that works on a simulated
+// and the raw material (history, trees, creators) the checkers and
+// renderers consume — so everything that works on a simulated
 // result works on a live one.
 type LiveResult struct {
 	System    string
