@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"unsafe"
 )
 
 // BlockID identifies a block by the hex encoding of a content hash. Using
@@ -27,7 +28,10 @@ func (id BlockID) Short() string {
 }
 
 // Block is one vertex of the BlockTree. Blocks are immutable once
-// created; all mutation happens at the tree level.
+// created; all mutation happens at the tree level. One *Block is shared
+// by every replica tree, the run's Index and the recorded history, and
+// WellFormed remembers its verdict on the object: to change a field,
+// change a copy (WithWeight, WithToken, nb := *b), which is judged afresh.
 type Block struct {
 	// ID is the content hash of the block (or "b0" for genesis).
 	ID BlockID
@@ -55,6 +59,16 @@ type Block struct {
 	// validate this block (b^{tkn_h}_ℓ in the paper). The k-fork
 	// coherence checker groups blocks by this field.
 	Token string
+
+	// valid is WellFormed's memo: the block's own address once
+	// WellFormed.Valid accepted this very object, accessed atomically and
+	// only there. A struct copy carries the original's address, not its
+	// own, and is hashed again; a pointer (not a uintptr) keeps the
+	// original alive, so its address is never a later copy's. A bare
+	// unsafe.Pointer because blocks are copied by value, which vet's
+	// copylocks forbids for the sync/atomic types. The codecs, JSON and
+	// the digests never see it; reflect.DeepEqual does.
+	valid unsafe.Pointer
 }
 
 // Genesis returns the genesis block b0. By assumption in the paper,
@@ -91,7 +105,7 @@ func HashBlock(parent BlockID, creator, round int, payload []byte) BlockID {
 
 // hashMatches reports whether id equals the content hash of the given
 // fields without materializing the hex string — the allocation-free
-// comparison WellFormed runs once per block per replica delivery.
+// comparison WellFormed runs once per distinct block object.
 func hashMatches(id BlockID, parent BlockID, creator, round int, payload []byte) bool {
 	if len(id) != 64 {
 		return false

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -68,9 +67,10 @@ func FuzzChainPrefix(f *testing.F) {
 // checkTreeIndices asserts every incremental index of the tree — leaf
 // set, cached max height, max fork degree, the O(1) selector heads,
 // per-block chain weight, per-block subtree weight — equals a
-// from-scratch recomputation over the nodes, and that the node links
-// (parent pointers, leaf slots, sorted child lists, slab membership) are
-// consistent. It is the shared invariant check for the attach fuzzers.
+// from-scratch recomputation over the blocks' own Parent fields, and that
+// the node table's links (parent handles, child lists, child counts,
+// leaf slots) are consistent. It is the shared invariant check for the
+// attach fuzzers.
 func checkTreeIndices(t *testing.T, tr *Tree) {
 	t.Helper()
 	checkNodeLinks(t, tr)
@@ -93,20 +93,28 @@ func checkTreeIndices(t *testing.T, tr *Tree) {
 		t.Fatalf("cached height %d, scan %d", got, want)
 	}
 	checkHeadsMatchLegacy(t, tr)
-	// chainWeight[b] == WeightScore of the materialized chain;
-	// subtreeWeight[b] == recomputed weight sum over the subtree.
-	sc := WeightScore{}
+	// chainWeight[b] == the weights summed along Parent fields back to
+	// genesis; subtreeWeight[b] == the weight sum over the scanned
+	// subtree.
+	kids := scanChildren(tr)
 	var subtree func(id BlockID) int
 	subtree = func(id BlockID) int {
 		w := tr.Block(id).Weight
-		for _, c := range tr.Children(id) {
+		for _, c := range kids[id] {
 			w += subtree(c)
 		}
 		return w
 	}
 	for _, b := range tr.Blocks() {
-		if got, want := tr.ChainWeight(b.ID), sc.Of(tr.ChainTo(b.ID)); got != want {
+		want := 0
+		for a := b; !a.IsGenesis(); a = tr.Block(a.Parent) {
+			want += a.Weight
+		}
+		if got := tr.ChainWeight(b.ID); got != want {
 			t.Fatalf("chainWeight[%s] = %d, recompute %d", b.ID.Short(), got, want)
+		}
+		if got := (WeightScore{}).Of(tr.ChainTo(b.ID)); got != want {
+			t.Fatalf("WeightScore of ChainTo(%s) = %d, recompute %d", b.ID.Short(), got, want)
 		}
 		if got, want := tr.SubtreeWeight(b.ID), subtree(b.ID); got != want {
 			t.Fatalf("subtreeWeight[%s] = %d, recompute %d", b.ID.Short(), got, want)
@@ -114,65 +122,71 @@ func checkTreeIndices(t *testing.T, tr *Tree) {
 	}
 }
 
-// checkNodeLinks asserts the pointer structure behind the index: every
-// node is carved from this tree's own slabs (so no parent pointer can
-// reach into another tree), sits in the membership pages under the handle
-// the tree's index gives its ID and nowhere else, points at its parent's
-// node, lists its children sorted and owned (a single child inline in the
-// node itself, not in the node it was cloned from), and holds a leaf slot
-// that points back at it exactly when it has no children.
+// checkNodeLinks asserts the structure of the node table: a node sits in
+// the page slot of the handle the tree's index gives its ID, and n counts
+// the slots in use; its parent handle resolves to the node holding the
+// block its Parent field names (noHandle at genesis alone); its child
+// list is strictly ascending by ID and is exactly the held blocks naming
+// it as parent, with nkids its length and maxFork the largest; and leaf
+// slots and the leaves slice point at each other, one slot per childless
+// node.
 func checkNodeLinks(t *testing.T, tr *Tree) {
 	t.Helper()
-	carved := 0
-	eachNode(tr, func(n *node) {
-		if n.h != tr.idx.handle(n.b.ID) {
-			t.Fatalf("node %s carries handle %d, the index says %d", n.b.ID.Short(), n.h, tr.idx.handle(n.b.ID))
-		}
-		if tr.at(n.h) != n {
-			t.Fatalf("slab node %s is not the indexed node", n.b.ID.Short())
-		}
-		carved++
-	})
-	paged := 0
-	for _, pg := range tr.pages {
-		if pg == nil {
-			continue
-		}
-		for _, n := range pg {
-			if n != nil {
-				paged++
-			}
-		}
-	}
-	if carved != tr.n || paged != tr.n {
-		t.Fatalf("%d nodes in the slabs, %d in the pages, %d counted", carved, paged, tr.n)
-	}
-	eachNode(tr, func(n *node) {
+	kids := scanChildren(tr)
+	held, childless, maxFork := 0, 0, 0
+	eachNode(tr, func(h uint32, n *node) {
 		id := n.b.ID
-		if tr.node(id) != n {
+		held++
+		if want := tr.idx.handle(id); h != want {
+			t.Fatalf("node %s sits under handle %d, the index says %d", id.Short(), h, want)
+		}
+		if tr.node(id) != n || tr.held(h) != n {
 			t.Fatalf("lookup of %s does not reach its node", id.Short())
 		}
-		if want := tr.node(n.b.Parent); n.parent != want {
-			t.Fatalf("parent pointer of %s is not this tree's node of %s", id.Short(), n.b.Parent.Short())
+		if n.b.IsGenesis() {
+			if h != 0 || n.parent != noHandle {
+				t.Fatalf("genesis under handle %d with parent %d", h, n.parent)
+			}
+		} else if p := tr.at(n.parent); p == nil || p != tr.node(n.b.Parent) {
+			t.Fatalf("parent handle %d of %s does not resolve to this tree's node of %s", n.parent, id.Short(), n.b.Parent.Short())
 		}
-		if !sort.SliceIsSorted(n.kids, func(i, j int) bool { return n.kids[i] < n.kids[j] }) {
-			t.Fatalf("children of %s not sorted: %v", id.Short(), n.kids)
-		}
-		if len(n.kids) == 1 && &n.kids[0] != &n.kid0[0] {
-			t.Fatalf("single child of %s is not stored inline in its own node", id.Short())
-		}
-		for _, k := range n.kids {
-			if kn := tr.node(k); kn == nil || kn.parent != n {
-				t.Fatalf("child %s of %s does not point back", k.Short(), id.Short())
+		var list []BlockID
+		for k := n.firstKid; k != 0; k = tr.held(k).nextSib {
+			kn := tr.at(k)
+			if kn == nil || kn.parent != h || kn.b.Parent != id {
+				t.Fatalf("child handle %d of %s is not a held block naming it as parent", k, id.Short())
+			}
+			if len(list) > 0 && list[len(list)-1] >= kn.b.ID {
+				t.Fatalf("children of %s not strictly ascending: %v then %s", id.Short(), list, kn.b.ID.Short())
+			}
+			list = append(list, kn.b.ID)
+			if len(list) > tr.n {
+				t.Fatalf("child list of %s does not end", id.Short())
 			}
 		}
-		switch {
-		case len(n.kids) > 0 && n.leaf != -1:
-			t.Fatalf("inner block %s keeps leaf slot %d", id.Short(), n.leaf)
-		case len(n.kids) == 0 && (n.leaf < 0 || int(n.leaf) >= len(tr.leaves) || tr.leaves[n.leaf] != n):
-			t.Fatalf("leaf %s has slot %d, which does not point back", id.Short(), n.leaf)
+		if !reflect.DeepEqual(list, kids[id]) {
+			t.Fatalf("child list of %s is %v, the blocks naming it are %v", id.Short(), list, kids[id])
+		}
+		if !reflect.DeepEqual(tr.Children(id), list) || tr.ForkCount(id) != len(list) || n.nkids() != len(list) {
+			t.Fatalf("%s: Children %v, ForkCount %d, nkids %d for the list %v", id.Short(), tr.Children(id), tr.ForkCount(id), n.nkids(), list)
+		}
+		maxFork = max(maxFork, len(list))
+		if len(list) == 0 {
+			childless++
+			if n.leaf < 0 || int(n.leaf) >= len(tr.leaves) || tr.leaves[n.leaf] != h {
+				t.Fatalf("leaf %s has slot %d, which does not point back", id.Short(), n.leaf)
+			}
 		}
 	})
+	if held != tr.n {
+		t.Fatalf("%d nodes in the pages, %d counted", held, tr.n)
+	}
+	if childless != len(tr.leaves) {
+		t.Fatalf("%d childless nodes, %d leaf slots", childless, len(tr.leaves))
+	}
+	if maxFork != tr.maxFork { // every list equals the scan's, so this is the scanned maximum too
+		t.Fatalf("maxFork %d, largest child list %d", tr.maxFork, maxFork)
+	}
 }
 
 // treeView is what a reader can observe of a tree, for before/after

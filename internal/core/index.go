@@ -25,8 +25,9 @@ import "sync"
 //     names the same parent and looks the named parent up otherwise.
 //   - (iii) Handles are run-local names in intern order, which differs
 //     between shard counts and between live runs. Nothing digest-covered,
-//     rendered, serialized or iterated depends on handle order: trees
-//     iterate in their own attach order, everything else goes by ID.
+//     rendered or serialized depends on handle order, and a tree keeps no
+//     order of its own (Tree: Blocks sorts, Clone copies pages, the GHOST
+//     pass sums subtrees — the same result in any visiting order).
 //   - (iv) The index is safe for concurrent use. A block already interned
 //     is resolved under the read lock, taken once per delivered block;
 //     only the first attach of a block anywhere takes the write lock.

@@ -3,12 +3,19 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Predicate is the paper's application-dependent validity predicate P:
 // B → {true, false}. A block b belongs to B′ (the valid blocks) iff
 // P(b) = ⊤. The BT-ADT only ever appends blocks satisfying P, and the
 // Block Validity consistency property checks every read against it.
+//
+// P judges block *content*; Token is oracle metadata and a predicate must
+// not read it: replicas hand P the delivered block, stamp included, and b
+// and b.WithToken(t) get one verdict. P is pure and safe for concurrent
+// use — every replica, the shard workers and the monitor call one P.
 type Predicate interface {
 	Valid(*Block) bool
 	Name() string
@@ -43,10 +50,19 @@ func (AlwaysValid) Name() string { return "always" }
 // WellFormed accepts blocks whose ID matches the content hash of their
 // fields — the structural half of real-chain validity (a block commits to
 // its parent and payload). Genesis is valid by assumption.
+//
+// Every replica of a run is handed the same immutable *Block and each
+// must call P on it (update_i of Section 4.2; the call count is the
+// model), so a positive verdict is remembered on the object itself
+// (Block.valid) and the N−1 later calls cost one atomic load. The memo is
+// keyed by object identity, never by ID: a struct copy, a block another
+// live node decoded off the wire, a forged twin reusing a validated ID —
+// none holds its own address, each is hashed. A refusal is not
+// remembered.
 type WellFormed struct{}
 
-// Valid recomputes the content hash and compares (allocation-free: the
-// digest and hex encoding stay on the stack).
+// Valid compares the ID with the content hash (allocation-free: the
+// digest and hex encoding stay on the stack), once per block object.
 func (WellFormed) Valid(b *Block) bool {
 	if b == nil {
 		return false
@@ -54,7 +70,14 @@ func (WellFormed) Valid(b *Block) bool {
 	if b.IsGenesis() {
 		return true
 	}
-	return hashMatches(b.ID, b.Parent, b.Creator, b.Round, b.Payload)
+	if atomic.LoadPointer(&b.valid) == unsafe.Pointer(b) {
+		return true
+	}
+	if !hashMatches(b.ID, b.Parent, b.Creator, b.Round, b.Payload) {
+		return false
+	}
+	atomic.StorePointer(&b.valid, unsafe.Pointer(b))
+	return true
 }
 
 // Name returns "wellformed".

@@ -86,7 +86,8 @@ type HeaviestChain struct{}
 func (HeaviestChain) SelectHead(t *Tree) *Block {
 	var best *Block
 	bestW := -1
-	for _, leaf := range t.leaves {
+	for _, h := range t.leaves {
+		leaf := t.held(h)
 		w := leaf.chainWeight
 		if w > bestW || (w == bestW && (best == nil || leaf.b.ID > best.ID)) {
 			best, bestW = leaf.b, w
@@ -132,23 +133,21 @@ func (GHOST) Select(t *Tree) Chain {
 // ghostDescent walks from the root into the child with the heaviest
 // subtree (ties: the largest ID) until it reaches a leaf, which it
 // returns; every block it descends into is appended to path when path is
-// non-nil. It follows node pointers, so a step costs one ID lookup per
-// child.
+// non-nil. It follows the child lists by handle: no ID is looked up.
 func ghostDescent(t *Tree, path *Chain) *Block {
-	n := t.root
+	n := t.at(0)
 	if n == nil {
 		return nil
 	}
 	if !t.ghostActive {
 		t.buildSubtreeWeights()
 	}
-	for len(n.kids) > 0 {
-		var best *node
-		for _, c := range n.kids {
-			cn := t.node(c)
-			if best == nil || cn.subtreeWeight > best.subtreeWeight ||
-				(cn.subtreeWeight == best.subtreeWeight && c > best.b.ID) {
-				best = cn
+	for n.firstKid != 0 {
+		// Children ascend by ID, so on equal weights the later one wins.
+		best := t.held(n.firstKid)
+		for h := best.nextSib; h != 0; h = t.held(h).nextSib {
+			if c := t.held(h); c.subtreeWeight >= best.subtreeWeight {
+				best = c
 			}
 		}
 		n = best

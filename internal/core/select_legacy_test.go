@@ -9,21 +9,43 @@ import "sort"
 // selectors in select.go return byte-identical chains. Do not "optimize"
 // these — their value is being the slow, obviously-correct spec.
 
-// eachNode visits every node of the tree (slab order).
-func eachNode(t *Tree, visit func(n *node)) {
-	for _, slab := range t.slabs {
-		for i := range slab {
-			visit(&slab[i])
+// eachNode visits every node of the tree with its handle (page order).
+func eachNode(t *Tree, visit func(h uint32, n *node)) {
+	for p, pg := range t.pages {
+		if pg == nil {
+			continue
+		}
+		for i := range pg {
+			if pg[i].b != nil {
+				visit(uint32(p<<pageBits|i), &pg[i])
+			}
 		}
 	}
+}
+
+// scanChildren recomputes every block's children from the blocks' own
+// Parent fields — none of the tree's links is read — in ascending ID
+// order.
+func scanChildren(t *Tree) map[BlockID][]BlockID {
+	kids := map[BlockID][]BlockID{}
+	eachNode(t, func(_ uint32, n *node) {
+		if !n.b.IsGenesis() {
+			kids[n.b.Parent] = append(kids[n.b.Parent], n.b.ID)
+		}
+	})
+	for _, ks := range kids {
+		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	}
+	return kids
 }
 
 // scanLeaves recomputes the leaf set by scanning every block, the way
 // Tree.Leaves worked before the maintained leaf set.
 func scanLeaves(t *Tree) []BlockID {
+	kids := scanChildren(t)
 	var out []BlockID
-	eachNode(t, func(n *node) {
-		if len(n.kids) == 0 {
+	eachNode(t, func(_ uint32, n *node) {
+		if len(kids[n.b.ID]) == 0 {
 			out = append(out, n.b.ID)
 		}
 	})
@@ -35,7 +57,7 @@ func scanLeaves(t *Tree) []BlockID {
 // way Tree.Height worked before the cached maxHeight.
 func scanHeight(t *Tree) int {
 	h := 0
-	eachNode(t, func(n *node) {
+	eachNode(t, func(_ uint32, n *node) {
 		if n.b.Height > h {
 			h = n.b.Height
 		}
@@ -48,11 +70,11 @@ func scanHeight(t *Tree) int {
 // maxFork.
 func scanMaxFork(t *Tree) int {
 	max := 0
-	eachNode(t, func(n *node) {
-		if len(n.kids) > max {
-			max = len(n.kids)
+	for _, ks := range scanChildren(t) {
+		if len(ks) > max {
+			max = len(ks)
 		}
-	})
+	}
 	return max
 }
 

@@ -20,21 +20,23 @@ import (
 //
 // Tree names its blocks by the handles of an Index — the run's shared
 // one (NewTreeOn) or, for a lone tree, a private one (NewTree) — and
-// keeps its membership as handle-indexed pages of node pointers: pages
-// are allocated as handles are first used and never regrown, so a tree
-// holding few of a large run's blocks stays small. A node holds the
-// block, a pointer to its parent's node, its sorted child IDs, the
-// cumulative chain weight, the GHOST subtree weight and — for a leaf —
-// its slot in the leaves slice. Attach resolves the block's ID once
-// (Resolve: one read-locked lookup in the index, shared and therefore
-// warm across the replicas of a run) and does the rest by slice index;
-// everything else it maintains is reached through node pointers, so the
-// selection function f (internal/core/select.go) never rescans the
-// tree:
+// keeps its nodes inline in handle-indexed pages, allocated as handles
+// are first used and never regrown, so node addresses stay valid and a
+// tree holding few of a large run's blocks stays small. A node is 40
+// bytes and its one pointer is the block (the copy *this* tree attached);
+// parent, first child and next sibling are handles. Attach resolves the
+// block's ID once (Resolve: one read-locked lookup in the index, warm
+// across the replicas of a run), writes one page slot and allocates
+// nothing else; what it maintains there lets the selection function f
+// (internal/core/select.go) never rescan the tree:
 //
-//   - leaves: the current leaf set, a slice. A first child takes over
-//     its parent's slot, any later child is appended, so the set is
-//     maintained without hashing and a chain-shaped tree keeps one slot;
+//   - firstKid/nextSib: a block's children as an intrusive list in
+//     ascending ID order (deterministic whatever the arrival order, so
+//     tie-breaking selectors are reproducible);
+//   - leaves: the current leaf set, a slice of handles. A first child
+//     takes over its parent's slot, any later child is appended, so the
+//     set is maintained without hashing and a chain-shaped tree keeps one
+//     slot;
 //   - node.chainWeight: the cumulative weight of the root-to-block chain
 //     excluding genesis (chainWeight(b) = chainWeight(parent) + b.Weight,
 //     so at a leaf it is WeightScore of ChainTo(leaf));
@@ -43,32 +45,30 @@ import (
 //   - maxFork: the largest sibling count, so MaxForkDegree is O(1);
 //   - node.subtreeWeight, for GHOST: filled lazily in one bottom-up pass
 //     on the first query and then maintained incrementally (O(depth)
-//     along parent pointers per Attach), so attach-heavy runs under the
+//     along parent handles per Attach), so attach-heavy runs under the
 //     other selectors never pay for it.
 //
 // With them, LongestChain/SingleChain pick their head in O(1),
 // HeaviestChain in O(#leaves), and each materializes only the winning
-// chain, following parent pointers. Nodes are carved from fixed-capacity
-// slabs that are never regrown (node pointers stay valid), in attach
-// order — parents before children — which is also the order Clone and
-// the lazy GHOST pass iterate in.
+// chain, following parent handles.
+//
+// No iteration order is kept, and handle order differs between shard
+// counts (Index invariant (iii)): Blocks scans the pages and sorts by
+// (height, ID), Clone copies pages, the lazy GHOST pass walks the child
+// lists depth-first — each the same result in any visiting order.
 //
 // Tree is not safe for concurrent use; each simulated process owns its
 // replica (internal/replica), and shared-memory experiments wrap it.
 // Trees sharing an Index may be used from different goroutines.
 type Tree struct {
 	idx *Index
-	// pages[h>>pageBits][h&pageMask] is the node of handle h, nil when
-	// the tree does not hold that block; n counts the nodes.
-	pages []*[pageSize]*node
+	// pages hold the nodes by handle; a slot whose b is nil is a block the
+	// tree does not hold. n counts the held ones.
+	pages []*[pageSize]node
 	n     int
-	root  *node
-	// slabs are the node chunks in allocation order; the last one is
-	// being filled.
-	slabs [][]node
-	// leaves is the maintained leaf set: nodes with no children, each
-	// recording its index here in node.leaf.
-	leaves []*node
+	// leaves is the maintained leaf set: the handles of the nodes with no
+	// children, each recording its index here in node.leaf.
+	leaves []uint32
 	// ghostActive records whether node.subtreeWeight is being maintained.
 	ghostActive bool
 	// tallest is the block maximal by (height, ID). A child is higher
@@ -79,30 +79,41 @@ type Tree struct {
 	maxFork int
 }
 
-// node is one block's entry in the tree index.
+// node is one block's entry in the tree: a slot of a page. The zero
+// value is "not held". Handle 0 is genesis, which is nobody's child, so 0
+// ends the child lists; genesis's own parent is noHandle.
 type node struct {
-	b      *Block
-	parent *node // nil at genesis
-	// kids are the child IDs in lexicographic order. A single child —
-	// the common, chain-shaped case — lives in kid0, so only a fork
-	// allocates a sibling list.
-	kids []BlockID
-	kid0 [1]BlockID
+	b *Block
 	// chainWeight is the cumulative weight of the chain from genesis to
 	// the block, genesis excluded (matching WeightScore).
 	chainWeight int
 	// subtreeWeight is the total weight of the subtree rooted here; valid
 	// only while Tree.ghostActive.
 	subtreeWeight int
-	// leaf is the node's index in Tree.leaves, -1 once it has a child.
+	parent        uint32
+	// firstKid heads the node's children, nextSib continues the list the
+	// node itself is on; both lists ascend by ID.
+	firstKid, nextSib uint32
+	// leaf is the node's index in Tree.leaves while it has no children
+	// and minus their number once it has some (one field: 40 bytes).
 	leaf int32
-	// h is the block's handle in Tree.idx.
-	h uint32
 }
 
-// Membership pages hold pageSize handles each (2 KB of pointers).
+// nkids returns the number of the node's children (0 for a nil node).
+func (n *node) nkids() int {
+	if n == nil || n.leaf >= 0 {
+		return 0
+	}
+	return int(-n.leaf)
+}
+
+// A page holds 64 nodes (2.5 KB) and is the least a tree costs: 64 is the
+// largest power of two at which a genesis-only NewTree() allocates no
+// more than with 256 node pointers beside a 16-node slab (3 260 B against
+// 4 344; 128: 5.8 KB; TestGenesisTreeStaysSmall) — the ADT machines clone
+// a small tree on every append. A 5 000-block replica holds 79 pages.
 const (
-	pageBits = 8
+	pageBits = 6
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
 )
@@ -111,22 +122,27 @@ const (
 // (noHandle lies beyond any page).
 func (t *Tree) at(h uint32) *node {
 	if p := int(h >> pageBits); p < len(t.pages) && t.pages[p] != nil {
-		return t.pages[p][h&pageMask]
+		if n := &t.pages[p][h&pageMask]; n.b != nil {
+			return n
+		}
 	}
 	return nil
 }
 
-// set records n as the node of handle n.h.
-func (t *Tree) set(n *node) {
-	p := int(n.h >> pageBits)
+// held returns the node of a handle taken from a parent, child, sibling or
+// leaf link — one the tree is known to hold.
+func (t *Tree) held(h uint32) *node { return &t.pages[h>>pageBits][h&pageMask] }
+
+// slot returns the page slot of handle h, allocating its page on first use.
+func (t *Tree) slot(h uint32) *node {
+	p := int(h >> pageBits)
 	for p >= len(t.pages) {
 		t.pages = append(t.pages, nil)
 	}
 	if t.pages[p] == nil {
-		t.pages[p] = new([pageSize]*node)
+		t.pages[p] = new([pageSize]node)
 	}
-	t.pages[p][n.h&pageMask] = n
-	t.n++
+	return &t.pages[p][h&pageMask]
 }
 
 // node returns the node of the block with the given ID.
@@ -137,31 +153,6 @@ func (t *Tree) node(id BlockID) *node {
 	return t.at(t.idx.handle(id))
 }
 
-// Node slab capacities: chunks double from nodeSlabMin to nodeSlabMax, so
-// a small tree stays small and a large one allocates once per
-// nodeSlabMax blocks.
-const (
-	nodeSlabMin = 16
-	nodeSlabMax = 1024
-)
-
-// newNode carves a zero node from the current slab, starting the next
-// (doubled) one when it is full.
-func (t *Tree) newNode() *node {
-	last := len(t.slabs) - 1
-	if last < 0 || len(t.slabs[last]) == cap(t.slabs[last]) {
-		n := nodeSlabMin
-		if last >= 0 {
-			n = min(2*cap(t.slabs[last]), nodeSlabMax)
-		}
-		t.slabs = append(t.slabs, make([]node, 0, n))
-		last++
-	}
-	s := append(t.slabs[last], node{})
-	t.slabs[last] = s
-	return &s[len(s)-1]
-}
-
 // NewTree returns a BlockTree containing only the genesis block b0, on
 // a private index.
 func NewTree() *Tree { return NewTreeOn(NewIndex()) }
@@ -170,20 +161,17 @@ func NewTree() *Tree { return NewTreeOn(NewIndex()) }
 // its blocks by the handles of idx: the replicas of one run share the
 // run's index.
 func NewTreeOn(idx *Index) *Tree {
-	t := &Tree{idx: idx, tallest: idx.genesis}
-	t.root = t.newNode()
-	t.root.b = idx.genesis
-	t.set(t.root)
-	t.leaves = []*node{t.root}
+	t := &Tree{idx: idx, n: 1, leaves: []uint32{0}, tallest: idx.genesis}
+	*t.slot(0) = node{b: idx.genesis, parent: noHandle}
 	return t
 }
 
 // Root returns the genesis block (nil on a zero-value tree).
 func (t *Tree) Root() *Block {
-	if t.root == nil {
-		return nil
+	if root := t.at(0); root != nil {
+		return root.b
 	}
-	return t.root.b
+	return nil
 }
 
 // Len returns the number of blocks in the tree, genesis included.
@@ -255,56 +243,55 @@ func (t *Tree) AttachResolved(r Ref) error {
 	if r.h == noHandle {
 		r.h = t.idx.intern(b)
 	}
-	n := t.newNode()
-	n.b, n.parent, n.h = b, parent, r.h
-	n.chainWeight = parent.chainWeight + b.Weight
-	t.set(n)
-	if len(parent.kids) == 0 {
-		// First child: stored inline, and it takes over the leaf slot
-		// its parent gives up.
-		parent.kid0[0] = b.ID
-		parent.kids = parent.kid0[:]
-		n.leaf, parent.leaf = parent.leaf, -1
-		t.leaves[n.leaf] = n
-	} else {
-		// Keep sibling order deterministic regardless of arrival order
-		// so that tie-breaking selectors are reproducible: insert in
-		// place (sibling lists are short; no per-attach sort or closure).
-		kids := append(parent.kids, b.ID)
-		for i := len(kids) - 1; i > 0 && kids[i-1] > b.ID; i-- {
-			kids[i], kids[i-1] = kids[i-1], kids[i]
-		}
-		parent.kids = kids
-		n.leaf = int32(len(t.leaves))
-		t.leaves = append(t.leaves, n)
+	n := t.slot(r.h) // may add a page; parent stays valid, pages never move
+	*n = node{b: b, parent: r.parent, chainWeight: parent.chainWeight + b.Weight}
+	t.n++
+	// Link in ahead of the first sibling with a larger ID (sibling lists
+	// are short).
+	link := &parent.firstKid
+	for *link != 0 && t.held(*link).b.ID < b.ID {
+		link = &t.held(*link).nextSib
 	}
-	if len(parent.kids) > t.maxFork {
-		t.maxFork = len(parent.kids)
+	n.nextSib, *link = *link, r.h
+	if parent.leaf >= 0 {
+		// A first child takes over the leaf slot its parent gives up.
+		n.leaf, parent.leaf = parent.leaf, -1
+		t.leaves[n.leaf] = r.h
+	} else {
+		parent.leaf--
+		n.leaf = int32(len(t.leaves))
+		t.leaves = append(t.leaves, r.h)
+	}
+	if k := parent.nkids(); k > t.maxFork {
+		t.maxFork = k
 	}
 	if b.Height > t.tallest.Height || (b.Height == t.tallest.Height && b.ID > t.tallest.ID) {
 		t.tallest = b
 	}
 	if t.ghostActive {
 		n.subtreeWeight = b.Weight
-		for p := parent; p != nil; p = p.parent {
-			p.subtreeWeight += b.Weight
+		for h := r.parent; h != noHandle; h = t.held(h).parent {
+			t.held(h).subtreeWeight += b.Weight
 		}
 	}
 	return nil
 }
 
 // Children returns the IDs of the blocks chaining to id, in lexicographic
-// order (deterministic). The returned slice must not be modified.
+// order (deterministic), in a slice built for the call.
 func (t *Tree) Children(id BlockID) []BlockID {
+	var out []BlockID
 	if n := t.node(id); n != nil {
-		return n.kids
+		for h := n.firstKid; h != 0; h = t.held(h).nextSib {
+			out = append(out, t.held(h).b.ID)
+		}
 	}
-	return nil
+	return out
 }
 
 // ForkCount returns the number of children of id — the number of branches
 // (forks) rooted at that block, the quantity bounded by the frugal oracle.
-func (t *Tree) ForkCount(id BlockID) int { return len(t.Children(id)) }
+func (t *Tree) ForkCount(id BlockID) int { return t.node(id).nkids() }
 
 // MaxForkDegree returns the largest number of branches from any single
 // block in the tree; 1 (or 0 for a bare genesis) means the tree is a
@@ -325,20 +312,34 @@ func (t *Tree) SubtreeWeight(id BlockID) int {
 	return 0
 }
 
-// buildSubtreeWeights computes every subtree weight bottom-up: slabs hold
-// the nodes in attach order, parents before children, so the reverse
-// walk folds each finished subtree into its parent.
+// buildSubtreeWeights computes every subtree weight bottom-up, depth-first
+// without a stack (chains are deep): down along first children to a leaf,
+// then across to the next sibling or, after the last, up to the parent —
+// whose children are then all folded into it.
 func (t *Tree) buildSubtreeWeights() {
-	for i := len(t.slabs) - 1; i >= 0; i-- {
-		for j := len(t.slabs[i]) - 1; j >= 0; j-- {
-			n := &t.slabs[i][j]
+	n := t.at(0)
+	if n == nil {
+		return // zero-value tree
+	}
+	for {
+		for n.firstKid != 0 {
+			n = t.held(n.firstKid)
+		}
+		for {
 			n.subtreeWeight += n.b.Weight
-			if n.parent != nil {
-				n.parent.subtreeWeight += n.subtreeWeight
+			if n.parent == noHandle {
+				t.ghostActive = true
+				return
 			}
+			p := t.held(n.parent)
+			p.subtreeWeight += n.subtreeWeight
+			if n.nextSib != 0 {
+				n = t.held(n.nextSib)
+				break
+			}
+			n = p
 		}
 	}
-	t.ghostActive = true
 }
 
 // ChainWeight returns the cumulative weight of the chain from genesis to
@@ -358,8 +359,8 @@ func (t *Tree) LeafCount() int { return len(t.leaves) }
 // is O(#leaves log #leaves), independent of the tree size.
 func (t *Tree) Leaves() []BlockID {
 	out := make([]BlockID, len(t.leaves))
-	for i, n := range t.leaves {
-		out[i] = n.b.ID
+	for i, h := range t.leaves {
+		out[i] = t.held(h).b.ID
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -367,17 +368,18 @@ func (t *Tree) Leaves() []BlockID {
 
 // ChainTo returns the blockchain {b0}⌢...⌢{b_id}, or nil if id is not in
 // the tree. This is the path from the leaf back to the root along parent
-// pointers, reversed to root-first order.
+// handles, reversed to root-first order.
 func (t *Tree) ChainTo(id BlockID) Chain {
 	n := t.node(id)
 	if n == nil {
 		return nil
 	}
 	out := make(Chain, n.b.Height+1)
-	for i := len(out) - 1; i >= 0; i-- {
+	for i := len(out) - 1; i > 0; i-- {
 		out[i] = n.b
-		n = n.parent
+		n = t.held(n.parent)
 	}
+	out[0] = n.b
 	return out
 }
 
@@ -393,9 +395,14 @@ func (t *Tree) Height() int {
 // The genesis block comes first.
 func (t *Tree) Blocks() []*Block {
 	out := make([]*Block, 0, t.n)
-	for _, slab := range t.slabs {
-		for i := range slab {
-			out = append(out, slab[i].b)
+	for _, pg := range t.pages {
+		if pg == nil {
+			continue
+		}
+		for i := range pg {
+			if b := pg[i].b; b != nil {
+				out = append(out, b)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -408,40 +415,19 @@ func (t *Tree) Blocks() []*Block {
 }
 
 // Clone returns a deep copy of the tree structure, indices included
-// (block pointers are shared; blocks are immutable). The copy's nodes
-// sit in one exact-size slab and point only at each other.
+// (block pointers are shared; blocks are immutable): nodes link by
+// handle, so copying the pages copies the tree.
 func (t *Tree) Clone() *Tree {
-	nt := &Tree{
-		idx:         t.idx,
-		pages:       make([]*[pageSize]*node, 0, len(t.pages)),
-		slabs:       [][]node{make([]node, 0, t.n)},
-		leaves:      make([]*node, len(t.leaves)),
-		ghostActive: t.ghostActive,
-		tallest:     t.tallest,
-		maxFork:     t.maxFork,
-	}
-	for _, slab := range t.slabs {
-		for i := range slab {
-			n := nt.newNode()
-			*n = slab[i]
-			// Attach order puts a parent before its children, so the
-			// parent's copy is already indexed.
-			if n.parent != nil {
-				n.parent = nt.at(n.parent.h)
-			}
-			if len(n.kids) == 1 {
-				n.kids = n.kid0[:]
-			} else if len(n.kids) > 1 {
-				n.kids = append([]BlockID(nil), n.kids...)
-			}
-			if n.leaf >= 0 {
-				nt.leaves[n.leaf] = n
-			}
-			nt.set(n)
+	nt := *t
+	nt.pages = make([]*[pageSize]node, len(t.pages))
+	for i, pg := range t.pages {
+		if pg != nil {
+			cp := *pg
+			nt.pages[i] = &cp
 		}
 	}
-	nt.root = nt.at(0)
-	return nt
+	nt.leaves = append([]uint32(nil), t.leaves...)
+	return &nt
 }
 
 // String summarizes the tree, e.g. "tree(7 blocks, height 4, maxfork 2)".

@@ -2,8 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // child makes a block under parent with a distinguishing round.
@@ -261,10 +264,10 @@ func TestCloneGrownAloneLeavesOriginal(t *testing.T) {
 }
 
 // TestAttachChainAllocs is the tier-1 guard on the attach path's
-// allocation count: with one index, slab-carved nodes and the first
-// child stored inline, a chain costs the amortised map growth plus one
-// slab per nodeSlabMax blocks (~0.01 objects per block). A node or a
-// child list allocated per block would cost 1.
+// allocation count: with one index and nodes inline in the pages, a chain
+// costs the amortised map growth plus one page per pageSize blocks (~0.02
+// objects per block). A node or a child list allocated per block would
+// cost 1.
 func TestAttachChainAllocs(t *testing.T) {
 	const n = 5000
 	chain := make([]*Block, n)
@@ -284,6 +287,82 @@ func TestAttachChainAllocs(t *testing.T) {
 	if perBlock := perRun / n; perBlock > 0.5 {
 		t.Errorf("attaching a %d-block chain allocates %.2f objects per block, want ≤ 0.5", n, perBlock)
 	}
+}
+
+// TestAttachAllocatesNothingOncePagesExist: on a tree whose pages are in
+// place, an attach writes one slot and links it by handle — no node, no
+// sibling list, no leaf record on the heap, however bushy the tree. The
+// blocks are children of genesis and of each other's, eight to a parent,
+// already interned by another tree of the run; the leaf slice's doubling
+// (ten times in 1 000 attaches) is what the floor of AllocsPerRun's
+// average leaves out.
+func TestAttachAllocatesNothingOncePagesExist(t *testing.T) {
+	const n = 1000
+	blocks := make([]*Block, 0, n)
+	parents := []*Block{Genesis()}
+	for i := 0; len(blocks) < n; i++ {
+		b := child(parents[i/8], i%3, i)
+		blocks = append(blocks, b)
+		parents = append(parents, b)
+	}
+	idx := NewIndex()
+	first := NewTreeOn(idx)
+	for _, b := range blocks {
+		if err := first.Attach(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := NewTreeOn(idx)
+	for h := uint32(0); h <= n; h += pageSize {
+		tr.slot(h)
+	}
+	next := 0
+	perAttach := testing.AllocsPerRun(n-1, func() { // AllocsPerRun makes one warm-up call
+		if err := tr.Attach(blocks[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if perAttach != 0 || tr.Len() != n+1 {
+		t.Fatalf("%v allocations per attach over %d blocks, want 0", perAttach, tr.Len()-1)
+	}
+	if tr.MaxForkDegree() != 8 {
+		t.Fatalf("max fork degree %d, want 8", tr.MaxForkDegree())
+	}
+	checkTreeIndices(t, tr)
+}
+
+// TestGenesisTreeStaysSmall: the least a tree costs is its first page, and
+// pageSize is chosen so that a genesis-only tree allocates no more than it
+// did before nodes moved into the pages — 4 344 bytes for NewTree() at the
+// parent commit (a page of 256 node pointers, a 16-node slab, the private
+// index), 3 260 with 64-node pages; 128-node pages would cost 5.8 KB. The
+// node itself must stay at 40 bytes with the block as its only pointer.
+func TestGenesisTreeStaysSmall(t *testing.T) {
+	if sz := unsafe.Sizeof(node{}); sz != 40 {
+		t.Errorf("a node is %d bytes, want 40", sz)
+	}
+	traced := 0 // fields the collector has to look at
+	for i, nt := 0, reflect.TypeOf(node{}); i < nt.NumField(); i++ {
+		if k := nt.Field(i).Type.Kind(); k != reflect.Int && k != reflect.Int32 && k != reflect.Uint32 {
+			traced++
+		}
+	}
+	if traced != 1 {
+		t.Errorf("a node holds %d pointer-bearing fields, want the block alone", traced)
+	}
+	const trees, parentBytes = 64, 4344
+	keep := make([]*Tree, trees)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewTree()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / trees; per > parentBytes {
+		t.Errorf("a genesis-only tree allocates %d bytes, want ≤ %d", per, parentBytes)
+	}
+	runtime.KeepAlive(keep)
 }
 
 func TestSelectorsOnChain(t *testing.T) {

@@ -103,8 +103,7 @@ func (k KSetOutput) Encode() string {
 }
 
 // NewThetaMachine builds the Θ_F,k machine (Θ_P with k = Unbounded) over
-// tapes seeded with seed and validity predicate P (nil means well-formed
-// modulo token stamping).
+// tapes seeded with seed and validity predicate P (nil means well-formed).
 func NewThetaMachine(k int, m tape.Mapping, p core.Predicate, seed uint64) *adt.Machine[ThetaState] {
 	if k < 1 {
 		panic("oracle: k must be >= 1")
@@ -113,11 +112,6 @@ func NewThetaMachine(k int, m tape.Mapping, p core.Predicate, seed uint64) *adt.
 		p = core.WellFormed{}
 	}
 	tapes := tape.NewSet(m, seed)
-	valid := func(b *core.Block) bool {
-		nb := *b
-		nb.Token = ""
-		return p.Valid(&nb)
-	}
 	return &adt.Machine[ThetaState]{
 		Name: fmt.Sprintf("Θ-ADT(k=%d)", k),
 		Initial: func() ThetaState {
@@ -140,13 +134,13 @@ func NewThetaMachine(k int, m tape.Mapping, p core.Predicate, seed uint64) *adt.
 				}
 				b := core.NewBlock(sym.Parent.ID, sym.Parent.Height+1, sym.Creator, sym.Round, sym.Payload)
 				b = b.WithToken(TokenName(sym.Parent.ID))
-				if !valid(b) {
+				if !p.Valid(b) {
 					return ns, TokenOutput{}
 				}
 				return ns, TokenOutput{Block: b}
 			case ConsumeTokenInput:
 				b := sym.Block
-				if b == nil || b.Token != TokenName(b.Parent) || !valid(b) {
+				if b == nil || b.Token != TokenName(b.Parent) || !p.Valid(b) {
 					return st, KSetOutput{Set: st.K[blockParent(b)]}
 				}
 				set := st.K[b.Parent]

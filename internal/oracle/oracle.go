@@ -104,28 +104,18 @@ func (o *Frugal) GetToken(m tape.Merit, parent *core.Block, creator, round int, 
 	}
 	b := core.NewBlock(parent.ID, parent.Height+1, creator, round, payload)
 	b = b.WithToken(TokenName(parent.ID))
-	if !o.validLocked(b) {
+	if !o.p.Valid(b) {
 		return nil, false
 	}
 	o.grants++
 	return b, true
 }
 
-// validLocked checks P, treating token-stamped blocks as the oracle's
-// own products: the WellFormed hash check is applied to the block with
-// the token field cleared, because the token is oracle metadata, not
-// block content.
-func (o *Frugal) validLocked(b *core.Block) bool {
-	nb := *b
-	nb.Token = ""
-	return o.p.Valid(&nb)
-}
-
 // ConsumeToken implements Oracle.
 func (o *Frugal) ConsumeToken(b *core.Block) ([]*core.Block, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if b == nil || b.Token == "" || b.Token != TokenName(b.Parent) || !o.validLocked(b) {
+	if b == nil || b.Token == "" || b.Token != TokenName(b.Parent) || !o.p.Valid(b) {
 		o.rejected++
 		return o.kLocked(b), false
 	}

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -65,5 +66,84 @@ func TestDefaultPredicateAcceptsAnything(t *testing.T) {
 	}
 	if g.Procs[1].RejectedCount() != 0 {
 		t.Fatal("default predicate counted rejections")
+	}
+}
+
+// TestValidityMemoCannotLaunderATwin: WellFormed remembers its verdict
+// on the block object, so a Byzantine process that copies a validated
+// block and alters the payload sends an object carrying the original's
+// address. Every replica that does not hold the ID yet runs P on the
+// twin and must refuse it — here all correct replicas but the creator,
+// which withholds the honest block at first — and once the honest block
+// is attached everywhere a second flood of the twin is a duplicate that
+// changes no tree. Run on the serial scheduler and on four shard workers
+// (under -race: P is called on one *Block from several goroutines).
+func TestValidityMemoCannotLaunderATwin(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		const n, creator, byz = 6, 1, 5
+		sim := simnet.NewSim(11)
+		g := NewGroup(sim, n, simnet.Synchronous{Delta: 2}, core.LongestChain{})
+		g.SetPredicate(core.WellFormed{})
+		g.EnableSharding(shards)
+		first := mkBlock(core.Genesis(), 0, 1)
+		honest := mkBlock(first, creator, 2)
+		var twin *core.Block
+		dumps := func() []string {
+			out := make([]string, n)
+			for i, p := range g.Procs {
+				out[i] = treeDump(p.Tree())
+			}
+			return out
+		}
+		var beforeTwin, beforeSecondFlood []string
+
+		sim.Schedule(1, func() { g.Procs[0].AppendLocal(first) })
+		sim.Schedule(10, func() {
+			g.Procs[creator].Mute = true
+			if !g.Procs[creator].AppendLocal(honest) { // validated here: the verdict is on the object
+				t.Errorf("shards=%d: creator refused its own block", shards)
+			}
+			g.Procs[creator].Mute = false
+			cp := *honest
+			cp.Payload = []byte("pay the forger instead")
+			twin = &cp
+			beforeTwin = dumps()
+			g.Net.Broadcast(byz, UpdateMsg{Parent: twin.Parent, Block: twin})
+		})
+		sim.Schedule(20, func() {
+			for i, p := range g.Procs {
+				want := 1
+				if i == creator || i == byz {
+					want = 0 // holds the ID already: a duplicate; the sender hears nothing
+				}
+				if p.RejectedCount() != want {
+					t.Errorf("shards=%d: process %d rejected %d blocks after the twin's flood, want %d", shards, i, p.RejectedCount(), want)
+				}
+			}
+			if got := dumps(); !reflect.DeepEqual(got, beforeTwin) {
+				t.Errorf("shards=%d: the twin's flood changed a tree:\n%v\n%v", shards, beforeTwin, got)
+			}
+			g.Procs[creator].Publish(honest)
+		})
+		sim.Schedule(30, func() {
+			beforeSecondFlood = dumps()
+			g.Net.Broadcast(byz, UpdateMsg{Parent: twin.Parent, Block: twin})
+		})
+		sim.RunUntilIdle()
+
+		if got := dumps(); !reflect.DeepEqual(got, beforeSecondFlood) {
+			t.Errorf("shards=%d: the second flood of the twin changed a tree", shards)
+		}
+		for i, p := range g.Procs {
+			if p.Tree().Block(honest.ID) != honest || p.Tree().Len() != 3 {
+				t.Errorf("shards=%d: process %d does not hold the honest copy (tree %v)", shards, i, p.Tree())
+			}
+		}
+		if g.Rec.Table().Block(honest.ID) != honest {
+			t.Errorf("shards=%d: the chain table holds another copy of the honest block", shards)
+		}
+		if (core.WellFormed{}).Valid(twin) {
+			t.Errorf("shards=%d: the twin passes P after the run", shards)
+		}
 	}
 }

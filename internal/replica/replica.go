@@ -268,16 +268,9 @@ func (p *Process) applyOne(r core.Ref) bool {
 	if p.tree.Holds(r) {
 		return false
 	}
-	// Token stamps are oracle metadata, not block content: strip
-	// before applying a content predicate such as WellFormed (tokenless
-	// blocks — the flood hot path — validate in place, no copy).
-	vb := b
-	if b.Token != "" {
-		nb := *b
-		nb.Token = ""
-		vb = &nb
-	}
-	if !p.P.Valid(vb) {
+	// P gets the delivered object, stamp included (core.Predicate: P
+	// judges content and never reads Token).
+	if !p.P.Valid(b) {
 		p.rejected++
 		return false
 	}

@@ -32,8 +32,59 @@ func TestCodecRoundTripUpdate(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded wrong type")
 	}
-	if !reflect.DeepEqual(in.Block, out.Block) || in.Parent != out.Parent {
+	if !sameExported(in.Block, out.Block) || in.Parent != out.Parent {
 		t.Fatalf("update round trip: %+v != %+v", in, out)
+	}
+}
+
+// sameExported compares two blocks on every exported field. Blocks are
+// not to be compared with reflect.DeepEqual: core.Block carries
+// WellFormed's unexported verdict, which a validated block has and its
+// decoded copy has not.
+func sameExported(a, b *core.Block) bool {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if va.Type().Field(i).IsExported() && !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCodecDoesNotCarryTheVerdict: the wire carries content, never
+// WellFormed's verdict. A validated block decodes to an equal block that
+// is judged on its own — tampered with before its first judgement it is
+// refused, which an inherited verdict would have waved through — and the
+// frame of a forged twin (a copy of the validated block, payload altered:
+// in memory it carries the original's address) decodes to a block P
+// refuses.
+func TestCodecDoesNotCarryTheVerdict(t *testing.T) {
+	in := testBlock()
+	if !(core.WellFormed{}).Valid(in) {
+		t.Fatal("test block is not well-formed")
+	}
+	decode := func(b *core.Block) *core.Block {
+		return roundTrip(t, replica.UpdateMsg{Parent: b.Parent, Block: b}).(replica.UpdateMsg).Block
+	}
+	out := decode(in)
+	if out == in || !sameExported(in, out) {
+		t.Fatalf("round trip of a validated block: %+v != %+v", in, out)
+	}
+	if reflect.DeepEqual(in, out) {
+		t.Fatal("DeepEqual holds between a validated block and its decoded copy: the verdict travelled, or is no longer on the block")
+	}
+	tampered := decode(in)
+	tampered.Payload[0] ^= 0xFF
+	if (core.WellFormed{}).Valid(tampered) {
+		t.Fatal("a decoded block was accepted without being hashed")
+	}
+	if !(core.WellFormed{}).Valid(out) {
+		t.Fatal("the decoded copy of a well-formed block was refused")
+	}
+	twin := *in
+	twin.Payload = []byte{9, 9, 9, 9}
+	if got := decode(&twin); !sameExported(&twin, got) || (core.WellFormed{}).Valid(got) {
+		t.Fatalf("forged twin off the wire: %+v accepted or altered", got)
 	}
 }
 
