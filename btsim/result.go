@@ -95,7 +95,7 @@ func (r *Result) DigestInto(w io.Writer) {
 	for _, op := range r.History.Ops {
 		io.WriteString(w, op.String())
 	}
-	for _, e := range r.History.Comm {
+	for e := range r.History.Events() {
 		io.WriteString(w, e.String())
 	}
 	for _, t := range r.Trees {

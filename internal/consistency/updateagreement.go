@@ -30,8 +30,7 @@ func UpdateAgreement(h *history.History, creator map[core.BlockID]int) *Report {
 
 	sends := make(map[int]map[msgKey]bool)    // proc → messages sent
 	firstRecv := make(map[int]map[msgKey]int) // proc → message → first receive index
-	recvAnywhere := make(map[msgKey][]int)    // message → receiving procs
-	for _, e := range h.Comm {
+	for e := range h.Events() {
 		k := msgKey{e.Parent, e.Block}
 		switch e.Kind {
 		case history.EvSend:
@@ -46,11 +45,10 @@ func UpdateAgreement(h *history.History, creator map[core.BlockID]int) *Report {
 			if _, ok := firstRecv[e.Proc][k]; !ok {
 				firstRecv[e.Proc][k] = e.Index
 			}
-			recvAnywhere[k] = append(recvAnywhere[k], e.Proc)
 		}
 	}
 
-	for _, e := range h.Comm {
+	for e := range h.Events() {
 		if e.Kind != history.EvUpdate || !h.IsCorrect(e.Proc) {
 			continue
 		}
@@ -106,7 +104,7 @@ func LRC(h *history.History) *Report {
 	received := make(map[int]map[msgKey]bool)
 	anyRecv := make(map[msgKey]bool)
 	var recvOrder []msgKey // anyRecv's keys by first receive: the report order
-	for _, e := range h.Comm {
+	for e := range h.Events() {
 		if e.Kind != history.EvReceive {
 			continue
 		}
@@ -122,7 +120,7 @@ func LRC(h *history.History) *Report {
 	}
 
 	// Validity.
-	for _, e := range h.Comm {
+	for e := range h.Events() {
 		if e.Kind != history.EvSend || !h.IsCorrect(e.Proc) {
 			continue
 		}

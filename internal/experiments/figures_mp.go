@@ -24,7 +24,7 @@ func Figure13(seed uint64) *Result {
 	sim.RunUntilIdle()
 
 	h := group.History()
-	for _, e := range h.Comm {
+	for e := range h.Events() {
 		res.addf("%s", e)
 	}
 	ua := consistency.UpdateAgreement(h, group.Reg.Creators())

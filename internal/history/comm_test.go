@@ -14,19 +14,20 @@ import (
 // checked position by position.
 func commBlock(i int) core.BlockID { return core.BlockID(fmt.Sprintf("b%d", i)) }
 
-// checkFlatComm asserts comm is the serial sequence 0..n-1 of events
+// checkFlatComm asserts h's log is the serial sequence 0..n-1 of events
 // recorded with commBlock, with strictly increasing indices.
-func checkFlatComm(t *testing.T, comm []CommEvent, n int) {
+func checkFlatComm(t *testing.T, h *History, n int) {
 	t.Helper()
-	if len(comm) != n {
-		t.Fatalf("snapshot holds %d comm events, want %d", len(comm), n)
+	if len(h.Comm) != n {
+		t.Fatalf("snapshot holds %d comm events, want %d", len(h.Comm), n)
 	}
-	for i, e := range comm {
-		if e.Block != commBlock(i) || e.Proc != i%3 {
-			t.Fatalf("comm[%d] = %v, want block %s of process %d", i, e, commBlock(i), i%3)
+	for i := range h.Comm {
+		e := h.Event(i)
+		if e.Block != commBlock(i) || e.Parent != core.GenesisID || e.Proc != i%3 || e.Kind != CommKind(i%3) {
+			t.Fatalf("comm[%d] = %v, want %s of block %s under genesis at process %d", i, e, CommKind(i%3), commBlock(i), i%3)
 		}
-		if i > 0 && e.Index <= comm[i-1].Index {
-			t.Fatalf("comm[%d].Index %d not above comm[%d].Index %d", i, e.Index, i-1, comm[i-1].Index)
+		if i > 0 && e.Index <= h.Event(i-1).Index {
+			t.Fatalf("comm[%d].Index %d not above comm[%d].Index %d", i, e.Index, i-1, h.Event(i-1).Index)
 		}
 	}
 }
@@ -46,7 +47,7 @@ func TestCommLogAcrossChunkBoundaries(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rec.RecordComm(CommKind(i%3), i%3, core.GenesisID, commBlock(i))
 		}
-		checkFlatComm(t, rec.Snapshot().Comm, n)
+		checkFlatComm(t, rec.Snapshot(), n)
 		for i, chunk := range rec.comm {
 			if cap(chunk) > commChunkMax || (i < len(rec.comm)-1 && len(chunk) != cap(chunk)) {
 				t.Fatalf("n=%d: chunk %d has len %d cap %d", n, i, len(chunk), cap(chunk))
@@ -55,10 +56,10 @@ func TestCommLogAcrossChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestSnapshotCommIsIndependent pins that History.Comm is a copy: a
-// snapshot taken mid-run is not extended or overwritten by later
-// recording, also when the later events land in the chunk the snapshot
-// was cut from.
+// TestSnapshotCommIsIndependent pins that History.Comm is a copy and
+// History.CommIDs a capped view: a snapshot taken mid-run is not
+// extended or overwritten by later recording, also when the later events
+// land in the chunk the snapshot was cut from.
 func TestSnapshotCommIsIndependent(t *testing.T) {
 	rec := NewRecorder(3, nil)
 	mid := commChunkMin + commChunkMin/2 // inside the second chunk
@@ -69,11 +70,16 @@ func TestSnapshotCommIsIndependent(t *testing.T) {
 	for i := mid; i < 4*commChunkMin; i++ {
 		rec.RecordComm(CommKind(i%3), i%3, core.GenesisID, commBlock(i))
 	}
-	checkFlatComm(t, h.Comm, mid)
+	checkFlatComm(t, h, mid)
 	if cap(h.Comm) != mid {
 		t.Fatalf("snapshot copy has capacity %d, want the exact size %d", cap(h.Comm), mid)
 	}
-	checkFlatComm(t, rec.Snapshot().Comm, 4*commChunkMin)
+	// One ID per event (commBlock(0) is the genesis ID every event names
+	// as parent), and no room to append into.
+	if len(h.CommIDs) != mid || cap(h.CommIDs) != mid {
+		t.Fatalf("snapshot ID table has len %d cap %d, want %d each", len(h.CommIDs), cap(h.CommIDs), mid)
+	}
+	checkFlatComm(t, rec.Snapshot(), 4*commChunkMin)
 }
 
 // TestCommitStagedCommsAcrossChunkBoundary stages events in per-shard
@@ -105,7 +111,7 @@ func TestCommitStagedCommsAcrossChunkBoundary(t *testing.T) {
 		if rec.StagedComms() != 0 {
 			t.Fatalf("shards=%d: staging buffers not drained", shards)
 		}
-		checkFlatComm(t, rec.Snapshot().Comm, n)
+		checkFlatComm(t, rec.Snapshot(), n)
 	}
 }
 
@@ -129,10 +135,10 @@ func TestRecordCommConcurrentWithSnapshot(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			comm := rec.Snapshot().Comm
-			for j := 1; j < len(comm); j++ {
-				if comm[j].Index != comm[j-1].Index+1 {
-					t.Errorf("snapshot %d: index %d follows %d", i, comm[j].Index, comm[j-1].Index)
+			h := rec.Snapshot()
+			for j := 1; j < len(h.Comm); j++ {
+				if h.Event(j).Index != h.Event(j-1).Index+1 {
+					t.Errorf("snapshot %d: index %d follows %d", i, h.Event(j).Index, h.Event(j-1).Index)
 					return
 				}
 			}
@@ -144,32 +150,47 @@ func TestRecordCommConcurrentWithSnapshot(t *testing.T) {
 	}
 }
 
-// TestDropModeRetainsNoComm pins that a drop-mode recorder keeps no comm
-// chunk at all while the hist.comm gauge (and the sink) still see every
-// event.
+// TestDropModeRetainsNoComm pins that bounded-memory mode stays bounded:
+// a drop-mode recorder fed distinct IDs keeps no comm chunk and numbers
+// no ID, while the hist.comm gauge sees every event and the sink gets
+// each one wide, built from the arguments.
 func TestDropModeRetainsNoComm(t *testing.T) {
 	rec := NewRecorder(3, nil)
-	sink := &countingSink{}
+	sink := &lastCommSink{}
 	rec.SetSink(sink)
 	rec.SetRetain(false)
 	reg := metrics.New(0)
 	rec.RegisterMetrics(reg)
-	const n = 2*commChunkMin + 1
+	const n = 100_000
 	for i := 0; i < n; i++ {
-		rec.RecordComm(EvUpdate, i%3, core.GenesisID, commBlock(i))
+		rec.RecordComm(EvUpdate, i%3, commBlock(i), commBlock(i+1))
 	}
-	if len(rec.comm) != 0 || len(rec.Snapshot().Comm) != 0 {
-		t.Fatalf("drop mode retained %d chunks, %d snapshot events", len(rec.comm), len(rec.Snapshot().Comm))
+	if h := rec.Snapshot(); len(rec.comm) != 0 || len(h.Comm) != 0 || len(h.CommIDs) != 0 {
+		t.Fatalf("drop mode retained %d chunks, %d snapshot events, %d snapshot IDs", len(rec.comm), len(h.Comm), len(h.CommIDs))
+	}
+	if len(rec.ids.names) != 0 || len(rec.ids.num) != 0 {
+		t.Fatalf("drop mode numbered %d IDs (%d in the map)", len(rec.ids.names), len(rec.ids.num))
 	}
 	if got, _ := reg.Snapshot().Value("hist.comm.last"); got != n || sink.comm != n {
 		t.Fatalf("hist.comm = %d, sink saw %d, want %d each", got, sink.comm, n)
 	}
+	if want := (CommEvent{Kind: EvUpdate, Proc: (n - 1) % 3, Parent: commBlock(n - 1), Block: commBlock(n), Index: n - 1}); sink.last != want {
+		t.Fatalf("sink's last event is %+v, want %+v", sink.last, want)
+	}
 }
 
+// lastCommSink is a countingSink that also keeps the last comm event.
+type lastCommSink struct {
+	countingSink
+	last CommEvent
+}
+
+func (s *lastCommSink) CommDone(e CommEvent) { s.comm++; s.last = e }
+
 // TestRecordCommBytesPerEvent is the tier-1 guard on the log's growth
-// cost: a CommEvent is 64 B, and a log that is never regrown allocates
-// little more than that per event (a flat slice grown by append
-// allocated ~330 B per event at this size).
+// cost: a CommRecord is 32 B, and a log that is never regrown allocates
+// little more than that per event (the wide 64 B event did 64.2; a flat
+// slice of those grown by append ~330 B per event at this size).
 func TestRecordCommBytesPerEvent(t *testing.T) {
 	const n = 100_000
 	rec := NewRecorder(3, nil)
@@ -180,8 +201,8 @@ func TestRecordCommBytesPerEvent(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / n
-	if perEvent > 80 {
-		t.Errorf("RecordComm allocates %.1f B per event, want ≤ 80", perEvent)
+	if perEvent > 40 {
+		t.Errorf("RecordComm allocates %.1f B per event, want ≤ 40", perEvent)
 	}
 	if got := len(rec.Snapshot().Comm); got != n {
 		t.Fatalf("%d events retained, want %d", got, n)

@@ -1,0 +1,349 @@
+package history
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"repro/internal/core"
+)
+
+// TestCommRecordLayout: the log's record must stay at 32 bytes with no
+// field the collector has to look at — that, not the field list, is what
+// the flooded run's memory and Snapshot's barrier-free copy rest on.
+func TestCommRecordLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(CommRecord{}); sz != 32 {
+		t.Errorf("a CommRecord is %d bytes, want 32", sz)
+	}
+	for i, rt := 0, reflect.TypeOf(CommRecord{}); i < rt.NumField(); i++ {
+		switch f := rt.Field(i); f.Type.Kind() {
+		case reflect.Int, reflect.Int64, reflect.Int32, reflect.Uint32, reflect.Uint8:
+		default:
+			t.Errorf("field %s of CommRecord is a %s: pointer-bearing", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// checkEvents asserts h's log is exactly want — through Events, through
+// Event(i) and by len(h.Comm) — and that its ID table lists the IDs want
+// names, each once, in first-seen order (parent before block).
+func checkEvents(t *testing.T, h *History, want []CommEvent) {
+	t.Helper()
+	if len(h.Comm) != len(want) {
+		t.Fatalf("log holds %d events, want %d", len(h.Comm), len(want))
+	}
+	i := 0
+	for e := range h.Events() {
+		if e != want[i] {
+			t.Fatalf("Events() yields %+v at %d, want %+v", e, i, want[i])
+		}
+		if got := h.Event(i); got != want[i] {
+			t.Fatalf("Event(%d) = %+v, want %+v", i, got, want[i])
+		}
+		i++
+	}
+	if i != len(want) {
+		t.Fatalf("Events() yielded %d events, want %d", i, len(want))
+	}
+	var ids []core.BlockID
+	seen := make(map[core.BlockID]bool)
+	for _, e := range want {
+		for _, id := range []core.BlockID{e.Parent, e.Block} {
+			if !seen[id] {
+				seen[id] = true
+				ids = append(ids, id)
+			}
+		}
+	}
+	if len(h.CommIDs) != len(ids) || cap(h.CommIDs) != len(ids) {
+		t.Fatalf("ID table has len %d cap %d, want %d each: %q", len(h.CommIDs), cap(h.CommIDs), len(ids), h.CommIDs)
+	}
+	for n, id := range ids {
+		if h.CommIDs[n] != id {
+			t.Fatalf("ID table holds %q at %d, want %q", h.CommIDs[n], n, id)
+		}
+	}
+}
+
+// TestCommIDsFirstEventNamesEmptyID: a zero-valued memo reads "number 0",
+// which over an empty table must be a miss, not the answer for the empty
+// ID (or any other).
+func TestCommIDsFirstEventNamesEmptyID(t *testing.T) {
+	rec := NewRecorder(2, nil)
+	want := []CommEvent{
+		rec.RecordComm(EvReceive, 1, "", ""),
+		rec.RecordComm(EvReceive, 1, "", "b1"),
+		rec.RecordComm(EvReceive, 0, "b1", ""),
+	}
+	if want[0] != (CommEvent{Kind: EvReceive, Proc: 1, Index: 0}) {
+		t.Fatalf("RecordComm returned %+v for the empty IDs", want[0])
+	}
+	checkEvents(t, rec.Snapshot(), want)
+}
+
+// TestCommIDsSameIDAsParentAndBlock: the parent's lookup numbers the ID,
+// the block's must find that number and not assign a second one.
+func TestCommIDsSameIDAsParentAndBlock(t *testing.T) {
+	rec := NewRecorder(1, nil)
+	want := []CommEvent{
+		rec.RecordComm(EvSend, 0, "b1", "b1"),
+		rec.RecordComm(EvUpdate, 0, "b1", "b1"),
+		rec.RecordComm(EvUpdate, 0, core.GenesisID, "b1"),
+	}
+	h := rec.Snapshot()
+	checkEvents(t, h, want)
+	if c := h.Comm[0]; c.parent != c.block {
+		t.Fatalf("one ID numbered twice: parent %d, block %d", c.parent, c.block)
+	}
+}
+
+// TestCommIDsStrictAlternation: two blocks named in turn make every call
+// a memo miss; the map behind the memo must still answer each with the
+// number it first got.
+func TestCommIDsStrictAlternation(t *testing.T) {
+	rec := NewRecorder(2, nil)
+	var want []CommEvent
+	for i := 0; i < 200; i++ {
+		parent, block := core.BlockID("p-even"), core.BlockID("b-even")
+		if i%2 == 1 {
+			parent, block = "p-odd", "b-odd"
+		}
+		want = append(want, rec.RecordComm(EvReceive, i%2, parent, block))
+	}
+	h := rec.Snapshot()
+	checkEvents(t, h, want)
+	for i, c := range h.Comm {
+		if c.parent != h.Comm[i%2].parent || c.block != h.Comm[i%2].block {
+			t.Fatalf("record %d numbered (%d, %d), want (%d, %d)", i, c.parent, c.block, h.Comm[i%2].parent, h.Comm[i%2].block)
+		}
+	}
+}
+
+// TestCommIDsForgedTwinUnderAnotherParent: a forger reuses a block's ID
+// under a Parent argument the honest copy does not carry. The events are
+// two records with one block number and two parent numbers — the parent
+// is numbered from the argument, never derived from the block.
+func TestCommIDsForgedTwinUnderAnotherParent(t *testing.T) {
+	rec := NewRecorder(2, nil)
+	want := []CommEvent{
+		rec.RecordComm(EvReceive, 0, core.GenesisID, "b1"),
+		rec.RecordComm(EvReceive, 0, "elsewhere", "b1"),
+	}
+	h := rec.Snapshot()
+	checkEvents(t, h, want)
+	if honest, twin := h.Comm[0], h.Comm[1]; honest.block != twin.block || honest.parent == twin.parent {
+		t.Fatalf("honest record (%d, %d), twin (%d, %d): want one block number, two parent numbers",
+			honest.parent, honest.block, twin.parent, twin.block)
+	}
+}
+
+// FuzzCommLogRoundTrip drives RecordComm from the input — two bytes an
+// event: kind, process and a snapshot request from the first, parent and
+// block from the second, out of a pool small enough that repeats, runs,
+// the empty ID and IDs no tree ever held all occur — and keeps the wide
+// events in a slice of its own. Every snapshot, the mid-sequence ones
+// checked after all recording is done, must widen back to the prefix of
+// that slice it was taken at and list only the IDs that prefix names.
+func FuzzCommLogRoundTrip(f *testing.F) {
+	pool := []core.BlockID{"", core.GenesisID, "b1", "b2", "forged", "never-attached"}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})                                      // the empty ID first, as parent and block
+	f.Add([]byte{1, 8, 1, 8, 1, 8, 250, 8, 2, 8})            // a run, a snapshot inside it
+	f.Add([]byte{1, 8, 1, 15, 1, 8, 1, 15, 1, 8})            // alternation: every call a memo miss
+	f.Add([]byte{1, 13, 255, 16, 1, 13, 4, 16, 254, 35, 7})  // a forged twin, snapshots, an odd tail
+	f.Add([]byte{2, 7, 240, 14, 5, 21, 8, 28, 11, 35, 0, 1}) // same ID both ways, every pool entry
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var tick int64
+		rec := NewRecorder(4, func() int64 { tick += 3; return tick })
+		var ref []CommEvent
+		type cut struct {
+			h *History
+			n int
+		}
+		var cuts []cut
+		for i := 0; i+1 < len(in); i += 2 {
+			if in[i] >= 240 {
+				cuts = append(cuts, cut{rec.Snapshot(), len(ref)})
+			}
+			want := CommEvent{
+				Kind: CommKind(in[i] % 3), Proc: int(in[i]/3) % 4,
+				Parent: pool[int(in[i+1])%len(pool)], Block: pool[int(in[i+1])/len(pool)%len(pool)],
+				Index: len(ref), Time: 3 * int64(len(ref)+1),
+			}
+			if got := rec.RecordComm(want.Kind, want.Proc, want.Parent, want.Block); got != want {
+				t.Fatalf("RecordComm returned %+v, want %+v", got, want)
+			}
+			ref = append(ref, want)
+		}
+		cuts = append(cuts, cut{rec.Snapshot(), len(ref)})
+		for _, c := range cuts {
+			checkEvents(t, c.h, ref[:c.n])
+		}
+	})
+}
+
+// TestStagedCommitEqualsSerial records one event sequence serially and
+// through 2 and 4 shard buffers — deliveries of one to three events
+// staged under the delivery's tag in its process's shard, a barrier
+// every five deliveries, serial-phase events in between — and wants the
+// same log and the same ID table, with no ID numbered before the barrier.
+func TestStagedCommitEqualsSerial(t *testing.T) {
+	type delivery struct {
+		proc   int
+		events []CommEvent // Kind, Parent, Block set
+	}
+	var deliveries []delivery
+	for d := 0; d < 60; d++ {
+		dl := delivery{proc: (d * 7) % 8}
+		block := commBlock(d / 3) // a block's deliveries come in runs
+		parent := commBlock(d / 6)
+		if d%11 == 10 {
+			parent = "forged-parent"
+		}
+		for k := 0; k <= d%3; k++ {
+			dl.events = append(dl.events, CommEvent{Kind: CommKind(1 + k%2), Parent: parent, Block: block})
+		}
+		deliveries = append(deliveries, dl)
+	}
+	record := func(shards int) *History {
+		rec := NewRecorder(8, nil)
+		var tag int64
+		staging := false
+		if shards > 0 {
+			rec.SetShardContext(shards, func(p int) (int, int64, bool) { return p % shards, tag, staging })
+		}
+		for d, dl := range deliveries {
+			if d%5 == 0 { // barrier, then one serial-phase event
+				staging = false
+				if shards > 0 {
+					rec.CommitStagedComms()
+				}
+				rec.RecordComm(EvSend, dl.proc, core.GenesisID, commBlock(d))
+				staging = shards > 0
+			}
+			tag = int64(d)
+			numbered := len(rec.ids.names)
+			for _, e := range dl.events {
+				rec.RecordComm(e.Kind, dl.proc, e.Parent, e.Block)
+			}
+			if staging && len(rec.ids.names) != numbered {
+				t.Fatalf("shards=%d: staging delivery %d numbered an ID", shards, d)
+			}
+		}
+		if shards > 0 {
+			rec.CommitStagedComms()
+		}
+		return rec.Snapshot()
+	}
+	serial := record(0)
+	var want []CommEvent
+	for e := range serial.Events() {
+		want = append(want, e)
+	}
+	if len(want) != 60/5+60*2 {
+		t.Fatalf("serial run recorded %d events", len(want))
+	}
+	for _, shards := range []int{2, 4} {
+		checkEvents(t, record(shards), want)
+	}
+}
+
+// TestSegmentSinkHistoryEqualsSnapshot: in tee mode — a keeping
+// SegmentSink on a retaining recorder — the history assembled from the
+// segments' wide events and the recorder's own snapshot are the same
+// log over the same table, and Purged carries both along.
+func TestSegmentSinkHistoryEqualsSnapshot(t *testing.T) {
+	rec := NewRecorder(3, nil)
+	seg := NewSegmentSink(4, nil)
+	seg.Keep(true)
+	rec.SetSink(seg)
+	c := streamChain(rec, 12)
+	var want []CommEvent
+	for i, b := range c[1:] {
+		rec.Append(i%3, b, i%4 != 3)
+		want = append(want, rec.RecordComm(EvSend, i%3, b.Parent, b.ID))
+		for p := 0; p < 3; p++ {
+			want = append(want,
+				rec.RecordComm(EvReceive, p, b.Parent, b.ID),
+				rec.RecordComm(EvUpdate, p, b.Parent, b.ID))
+		}
+		if i == 5 {
+			want = append(want, rec.RecordComm(EvReceive, 2, "forged-parent", b.ID))
+		}
+	}
+	rec.ReadHead(0, c.Head())
+	snap, assembled := rec.Snapshot(), seg.History(3)
+	if seg.Sealed() < 3 {
+		t.Fatalf("only %d segments sealed: the assembly was not exercised", seg.Sealed())
+	}
+	checkEvents(t, snap, want)
+	checkEvents(t, assembled, want)
+	if len(assembled.Ops) != len(snap.Ops) {
+		t.Fatalf("assembled history has %d ops, snapshot %d", len(assembled.Ops), len(snap.Ops))
+	}
+	for _, h := range []*History{snap, assembled} {
+		p := h.Purged()
+		if len(p.Ops) >= len(h.Ops) {
+			t.Fatalf("Purged dropped no op (%d of %d kept)", len(p.Ops), len(h.Ops))
+		}
+		checkEvents(t, p, want)
+	}
+}
+
+// TestSnapshotEventsWhileRecordingBehindAsyncSink is the live path's
+// -race check: four goroutines record through one recorder whose sink is
+// an AsyncSink — every one of them naming new IDs as it goes, so the
+// table keeps growing — while a fifth takes snapshots and widens every
+// record of each. A snapshot's table is capped at its length and the
+// recorder only writes past that cap; this test is what keeps it so.
+func TestSnapshotEventsWhileRecordingBehindAsyncSink(t *testing.T) {
+	rec := NewRecorder(4, nil)
+	sink := &countingSink{}
+	as := NewAsyncSink(sink, 16)
+	rec.SetSink(as)
+	const perWriter = 2000
+	var writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < perWriter; i++ {
+				parent := core.BlockID(fmt.Sprintf("w%d-%d", w, i/8))
+				rec.RecordComm(CommKind(i%3), w, parent, core.BlockID(fmt.Sprintf("w%d-%d", w, i/4)))
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	reader := make(chan struct{})
+	go func() {
+		defer close(reader)
+		for {
+			h := rec.Snapshot()
+			next := 0
+			for e := range h.Events() {
+				prefix := fmt.Sprintf("w%d-", e.Proc)
+				if e.Index != next || len(e.Block) <= len(prefix) || string(e.Block[:len(prefix)]) != prefix || string(e.Parent[:len(prefix)]) != prefix {
+					t.Errorf("snapshot of %d events yields %+v at %d", len(h.Comm), e, next)
+					return
+				}
+				next++
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	<-reader
+	if err := as.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if h := rec.Snapshot(); len(h.Comm) != 4*perWriter || sink.comm != 4*perWriter {
+		t.Fatalf("%d events retained, sink saw %d, want %d each", len(h.Comm), sink.comm, 4*perWriter)
+	}
+}

@@ -20,6 +20,7 @@ package history
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 
 	"repro/internal/core"
@@ -261,6 +262,9 @@ func (k CommKind) String() string {
 
 // CommEvent is a send_i(bg, b), receive_i(bg, b) or update_i(bg, b) event:
 // process Proc communicates/applies block Block under predecessor Parent.
+// It is the wide, printable form of an event — what RecordComm returns,
+// what a Sink and a Segment carry, and what History.Events yields; the
+// log itself stores CommRecords.
 type CommEvent struct {
 	Kind   CommKind
 	Proc   int
@@ -275,6 +279,70 @@ func (e CommEvent) String() string {
 	return fmt.Sprintf("%s_%d(%s, %s) @%d", e.Kind, e.Proc, e.Parent.Short(), e.Block.Short(), e.Index)
 }
 
+// CommRecord is a communication event as the log stores it: 32 bytes
+// and no pointer, so a flooded run's log — one event per block per
+// process — is memory the collector never scans and Snapshot copies
+// without a write barrier. The two block IDs are numbers in the ID
+// table that travels with the log (History.CommIDs); History.Event and
+// History.Events widen a record back into a CommEvent.
+type CommRecord struct {
+	Index         int
+	Time          int64
+	proc          int32
+	parent, block uint32
+	kind          CommKind
+}
+
+// commIDs numbers the block IDs communication events name, in first-
+// seen order. It is not the run's core.Index: that one admits only
+// blocks a tree accepted, while a receive event names whatever a
+// Byzantine sender put on the wire, and an event's Parent argument need
+// not be its block's Parent field.
+type commIDs struct {
+	num   map[core.BlockID]uint32
+	names []core.BlockID
+	// lastParent and lastBlock are one-entry memos in front of num, one
+	// per argument: a flooded block's events arrive in runs, so most
+	// lookups repeat the previous ID. A memo is only a number, checked
+	// against names, so the zero value is valid over an empty table.
+	lastParent, lastBlock uint32
+}
+
+// number returns id's number, assigning the next one on first sight.
+func (t *commIDs) number(id core.BlockID, memo *uint32) uint32 {
+	if m := *memo; int(m) < len(t.names) && t.names[m] == id {
+		return m
+	}
+	n, ok := t.num[id]
+	if !ok {
+		if t.num == nil {
+			t.num = make(map[core.BlockID]uint32)
+		}
+		n = uint32(len(t.names))
+		t.num[id] = n
+		t.names = append(t.names, id)
+	}
+	*memo = n
+	return n
+}
+
+// pack narrows e into a record over t.
+func (t *commIDs) pack(e CommEvent) CommRecord {
+	return CommRecord{
+		Index: e.Index, Time: e.Time, proc: int32(e.Proc), kind: e.Kind,
+		parent: t.number(e.Parent, &t.lastParent),
+		block:  t.number(e.Block, &t.lastBlock),
+	}
+}
+
+// view returns the table's names as recorded so far, capped so that
+// neither the holder's appends nor the table's own later ones show
+// through: the table only ever writes past the cap.
+func (t *commIDs) view() []core.BlockID {
+	n := len(t.names)
+	return t.names[:n:n]
+}
+
 // History is a finite recorded prefix of a concurrent history. It is
 // immutable once built; use Recorder to construct one.
 //
@@ -284,8 +352,12 @@ func (e CommEvent) String() string {
 // must treat them as read-only, and must not call them before recording
 // has stopped (the same contract the checkers already have).
 type History struct {
-	Ops  []*Op
-	Comm []CommEvent
+	Ops []*Op
+	// Comm is the communication log in recording order, packed; CommIDs
+	// is the ID table its records index. len(Comm) is the event count;
+	// read events through Events and Event.
+	Comm    []CommRecord
+	CommIDs []core.BlockID
 	// Procs is the number of processes (ids 0..Procs-1).
 	Procs int
 	// Correct[i] reports whether process i is correct (non-faulty).
@@ -386,13 +458,33 @@ func (h *History) ByProcess(p int) []*Op {
 	return h.memo.byProc[p]
 }
 
+// Event returns the i-th communication event, 0 ≤ i < len(h.Comm).
+func (h *History) Event(i int) CommEvent {
+	c := &h.Comm[i]
+	return CommEvent{
+		Kind: c.kind, Proc: int(c.proc), Index: c.Index, Time: c.Time,
+		Parent: h.CommIDs[c.parent], Block: h.CommIDs[c.block],
+	}
+}
+
+// Events iterates over the communication events in recording order.
+func (h *History) Events() iter.Seq[CommEvent] {
+	return func(yield func(CommEvent) bool) {
+		for i := range h.Comm {
+			if !yield(h.Event(i)) {
+				return
+			}
+		}
+	}
+}
+
 // CommOf returns the communication events of the given kind, in index
 // order.
 func (h *History) CommOf(kind CommKind) []CommEvent {
 	var out []CommEvent
-	for _, e := range h.Comm {
-		if e.Kind == kind {
-			out = append(out, e)
+	for i := range h.Comm {
+		if h.Comm[i].kind == kind {
+			out = append(out, h.Event(i))
 		}
 	}
 	return out
@@ -401,7 +493,7 @@ func (h *History) CommOf(kind CommKind) []CommEvent {
 // Purged returns a copy of the history without unsuccessful append
 // operations (the Ĥ of Section 3.4).
 func (h *History) Purged() *History {
-	nh := &History{Procs: h.Procs, Correct: h.Correct, Comm: h.Comm, Table: h.Table}
+	nh := &History{Procs: h.Procs, Correct: h.Correct, Comm: h.Comm, CommIDs: h.CommIDs, Table: h.Table}
 	for _, op := range h.Ops {
 		if op.Kind == OpAppend && !op.Pending && !op.OK {
 			continue
@@ -428,8 +520,10 @@ type Recorder struct {
 	// from commChunkMin to commChunkMax, that are filled and never
 	// regrown — a flooded run records an event per block per process,
 	// and regrowing one flat slice to that size copies the log several
-	// times over under the mutex. Snapshot flattens the chunks.
-	comm   [][]CommEvent
+	// times over under the mutex. Snapshot flattens the chunks. ids
+	// numbers the block IDs the records name; drop mode touches neither.
+	comm   [][]CommRecord
+	ids    commIDs
 	ncomm  int // comm events recorded (valid in drop mode, unlike comm)
 	procs  int
 	faulty map[int]bool
@@ -634,9 +728,9 @@ func (r *Recorder) RecordComm(kind CommKind, p int, parent, block core.BlockID) 
 	return r.appendComm(kind, p, parent, block)
 }
 
-// appendComm sequences one communication event, retains it in the
-// chunked log (unless in drop mode) and feeds the sink; callers hold
-// r.mu.
+// appendComm sequences one communication event, packs it into the
+// chunked log (unless in drop mode, which keeps neither the record nor
+// its IDs) and feeds the sink the wide event; callers hold r.mu.
 func (r *Recorder) appendComm(kind CommKind, p int, parent, block core.BlockID) CommEvent {
 	e := CommEvent{Kind: kind, Proc: p, Parent: parent, Block: block, Index: r.seq, Time: r.clock()}
 	r.seq++
@@ -648,10 +742,10 @@ func (r *Recorder) appendComm(kind CommKind, p int, parent, block core.BlockID) 
 			if last >= 0 {
 				n = min(2*cap(r.comm[last]), commChunkMax)
 			}
-			r.comm = append(r.comm, make([]CommEvent, 0, n))
+			r.comm = append(r.comm, make([]CommRecord, 0, n))
 			last++
 		}
-		r.comm[last] = append(r.comm[last], e)
+		r.comm[last] = append(r.comm[last], r.ids.pack(e))
 	}
 	if r.sink != nil {
 		r.sink.CommDone(e)
@@ -662,8 +756,11 @@ func (r *Recorder) appendComm(kind CommKind, p int, parent, block core.BlockID) 
 // Snapshot returns the history recorded so far. The returned History
 // shares Op pointers with the recorder; callers must stop recording
 // before checking criteria (the checkers are read-only). Comm is an
-// independent flat copy of the chunked log — one exact-size allocation —
-// so later recording never shows through it. In drop mode
+// independent flat copy of the chunked log — one exact-size,
+// pointer-free allocation — and CommIDs the ID table as it stands,
+// capped at its length (the recorder only ever writes past that cap), so
+// later recording shows through neither, and a snapshot may be read
+// while other goroutines keep recording. In drop mode
 // (SetRetain(false)) completed ops belong to the sink alone, so the
 // snapshot contains only the still-pending operations.
 func (r *Recorder) Snapshot() *History {
@@ -680,10 +777,11 @@ func (r *Recorder) Snapshot() *History {
 	for _, chunk := range r.comm {
 		n += len(chunk)
 	}
-	h.Comm = make([]CommEvent, 0, n)
+	h.Comm = make([]CommRecord, 0, n)
 	for _, chunk := range r.comm {
 		h.Comm = append(h.Comm, chunk...)
 	}
+	h.CommIDs = r.ids.view()
 	if len(r.faulty) > 0 {
 		h.Correct = make([]bool, r.procs)
 		for i := range h.Correct {

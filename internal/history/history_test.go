@@ -127,10 +127,10 @@ func TestCommEvents(t *testing.T) {
 	if len(h.CommOf(EvSend)) != 1 || len(h.CommOf(EvReceive)) != 1 || len(h.CommOf(EvUpdate)) != 1 {
 		t.Fatal("CommOf filters wrong")
 	}
-	if h.Comm[0].Index >= h.Comm[1].Index || h.Comm[1].Index >= h.Comm[2].Index {
+	if h.Event(0).Index >= h.Event(1).Index || h.Event(1).Index >= h.Event(2).Index {
 		t.Fatal("comm indices not increasing")
 	}
-	if h.Comm[0].Time != 42 {
+	if h.Event(0).Time != 42 {
 		t.Fatal("clock not consulted")
 	}
 }

@@ -1,10 +1,6 @@
 package history
 
-import (
-	"sort"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Sharded-scheduler support: when the simulation runs on a sharded
 // event loop (simnet.EnableSharding), delivery handlers of different
@@ -90,13 +86,4 @@ func (r *Recorder) StagedComms() int {
 		n += len(r.staged[i])
 	}
 	return n
-}
-
-// SortedByIndex returns the comm events sorted by global index — a
-// helper for tests asserting the single-sequence invariant.
-func SortedByIndex(events []CommEvent) []CommEvent {
-	out := make([]CommEvent, len(events))
-	copy(out, events)
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
 }

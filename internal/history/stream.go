@@ -221,10 +221,14 @@ func (s *SegmentSink) History(procs int) *History {
 	}
 	s.Seal()
 	h := &History{Procs: procs}
+	var ids commIDs
 	for _, seg := range s.kept {
 		h.Ops = append(h.Ops, seg.Ops...)
-		h.Comm = append(h.Comm, seg.Comm...)
+		for _, e := range seg.Comm {
+			h.Comm = append(h.Comm, ids.pack(e))
+		}
 	}
+	h.CommIDs = ids.view()
 	for _, op := range h.Ops {
 		if op.src != nil {
 			h.Table = op.src // one recorder, one table

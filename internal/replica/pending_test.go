@@ -38,7 +38,7 @@ func TestPendingBufferDedup(t *testing.T) {
 	}
 	// Exactly one update event per block at this process.
 	updates := 0
-	for _, e := range g.Rec.Snapshot().Comm {
+	for e := range g.Rec.Snapshot().Events() {
 		if e.Kind == history.EvUpdate && e.Proc == 1 {
 			updates++
 		}
@@ -104,7 +104,7 @@ func TestFlushPreservesDepthFirstOrder(t *testing.T) {
 	p.applyUpdate(root)
 
 	var order []core.BlockID
-	for _, e := range g.Rec.Snapshot().Comm {
+	for e := range g.Rec.Snapshot().Events() {
 		if e.Kind == history.EvUpdate {
 			order = append(order, e.Block)
 		}
@@ -143,7 +143,7 @@ func TestFloodedGenesisIsADuplicate(t *testing.T) {
 					t.Fatalf("process %d tree has %d blocks, want genesis alone", i, p.Tree().Len())
 				}
 			}
-			for _, e := range g.History().Comm {
+			for e := range g.History().Events() {
 				if e.Proc != 0 {
 					t.Fatalf("non-sender recorded %v for a flooded genesis", e)
 				}
@@ -173,7 +173,7 @@ func TestNilBlockUpdateIsRejected(t *testing.T) {
 				t.Errorf("shards=%d: process %d did not go on to attach the honest block", shards, i)
 			}
 		}
-		for _, e := range g.History().Comm {
+		for e := range g.History().Events() {
 			if e.Block != b.ID {
 				t.Errorf("shards=%d: %v recorded for a block-less update", shards, e)
 			}
