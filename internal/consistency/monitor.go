@@ -150,20 +150,26 @@ type recSet struct {
 	truncated bool
 }
 
+// insert never grows a full set: a record past the retained ones is
+// dropped at once, one among them pushes the last out in place. The
+// slice grows on demand, not to cap up front — most classes of a long
+// run hold a read or two.
 func (s *recSet) insert(r opRec, cap int) {
 	n := len(s.recs)
-	if n == 0 || s.recs[n-1].inv < r.inv {
-		s.recs = append(s.recs, r)
-	} else {
-		i := sort.Search(n, func(i int) bool { return s.recs[i].inv > r.inv })
-		s.recs = append(s.recs, opRec{})
-		copy(s.recs[i+1:], s.recs[i:])
-		s.recs[i] = r
+	i := n
+	if n > 0 && s.recs[n-1].inv >= r.inv {
+		i = sort.Search(n, func(i int) bool { return s.recs[i].inv > r.inv })
 	}
-	if len(s.recs) > cap {
-		s.recs = s.recs[:cap]
+	if n >= cap {
 		s.truncated = true
+		if i == n {
+			return
+		}
+	} else {
+		s.recs = append(s.recs, opRec{})
 	}
+	copy(s.recs[i+1:], s.recs[i:])
+	s.recs[i] = r
 }
 
 // bvFact is the incremental Block Validity scan of one distinct chain.
@@ -256,8 +262,9 @@ type Monitor struct {
 	path []*core.Block
 
 	// win is the sliding liveness tail: the last `window` correct reads
-	// by invocation index.
-	win []opRec
+	// by invocation index — a view into winBuf (see winInsert).
+	win    []opRec
+	winBuf []opRec
 
 	// LocalMonotonicRead per-process state.
 	lmrPrev    []opRec
@@ -439,13 +446,13 @@ func (m *Monitor) consumeRead(op *history.Op) {
 				}
 				if m.liveLMR < MaxViolations {
 					m.liveLMR++
-					prevOp := m.rebuild(prev)
+					prevOp, curOp := m.rebuild(prev), m.rebuild(rec)
 					m.emit(Witness{
 						Property: "LocalMonotonicRead",
-						Ops:      []*history.Op{prevOp, op},
+						Ops:      []*history.Op{prevOp, curOp},
 						Blocks:   []core.BlockID{prev.head, rec.head},
 						Detail: fmt.Sprintf("process %d: score dropped %d → %d (%s then %s)",
-							p, prev.score, rec.score, prevOp, op),
+							p, prev.score, rec.score, prevOp, curOp),
 					})
 				}
 			}
@@ -466,11 +473,12 @@ func (m *Monitor) consumeRead(op *history.Op) {
 		set.insert(rec, m.cap)
 		if fact.hasInvalid && m.liveBV < MaxViolations {
 			m.liveBV++
+			rOp := m.rebuild(rec)
 			m.emit(Witness{
 				Property: "BlockValidity",
-				Ops:      []*history.Op{op},
+				Ops:      []*history.Op{rOp},
 				Blocks:   []core.BlockID{fact.firstInvalid},
-				Detail:   fmt.Sprintf("read %s returned block %s with P(b)=false", op, fact.firstInvalid.Short()),
+				Detail:   fmt.Sprintf("read %s returned block %s with P(b)=false", rOp, fact.firstInvalid.Short()),
 			})
 		}
 	}
@@ -487,11 +495,26 @@ func (m *Monitor) consumeRead(op *history.Op) {
 	cls.insert(rec, m.cap)
 
 	// StrongPrefix run-length structure + live comparability probe.
-	m.spConsume(rec, op)
+	m.spConsume(rec)
 }
 
+// winInsert adds a read to the liveness window and lets the oldest go
+// once the window is full. The window slides: m.win is a view that moves
+// right along winBuf — dropping the oldest read is a reslice — and is
+// moved back to the front only when it reaches the buffer's end, once
+// per `window` reads on a buffer of twice that, so a read costs O(1)
+// amortised instead of a copy of the whole window.
 func (m *Monitor) winInsert(r opRec) {
 	n := len(m.win)
+	if n == cap(m.win) { // no room behind the view
+		if cap(m.winBuf) <= n {
+			// The view fills its buffer (the window is still filling, or
+			// was restored from a checkpoint): double it, up to twice the
+			// window.
+			m.winBuf = make([]opRec, min(2*n+2, 2*m.window))
+		}
+		m.win = m.winBuf[:copy(m.winBuf, m.win)]
+	}
 	if n == 0 || m.win[n-1].inv < r.inv {
 		m.win = append(m.win, r)
 	} else {
@@ -501,12 +524,11 @@ func (m *Monitor) winInsert(r opRec) {
 		m.win[i] = r
 	}
 	if len(m.win) > m.window {
-		copy(m.win, m.win[1:])
-		m.win = m.win[:len(m.win)-1]
+		m.win = m.win[1:]
 	}
 }
 
-func (m *Monitor) spConsume(rec opRec, op *history.Op) {
+func (m *Monitor) spConsume(rec opRec) {
 	sl := m.spLens[rec.chainLen]
 	if sl == nil {
 		sl = &spLen{}
@@ -546,12 +568,12 @@ func (m *Monitor) spConsume(rec opRec, op *history.Op) {
 		m.spCmp[k] = true
 	} else if m.liveSP < MaxViolations {
 		m.liveSP++
-		maxOp := m.rebuild(m.spMax)
+		maxOp, curOp := m.rebuild(m.spMax), m.rebuild(rec)
 		m.emit(Witness{
 			Property: "StrongPrefix",
-			Ops:      []*history.Op{maxOp, op},
+			Ops:      []*history.Op{maxOp, curOp},
 			Blocks:   []core.BlockID{m.spMax.head, rec.head},
-			Detail:   fmt.Sprintf("incomparable reads: %s vs %s", maxOp, op),
+			Detail:   fmt.Sprintf("incomparable reads: %s vs %s", maxOp, curOp),
 		})
 	}
 	if rec.chainLen > m.spMax.chainLen {
@@ -694,12 +716,14 @@ func (m *Monitor) rebuild(r opRec) *history.Op {
 	return op
 }
 
-// mergedByInv flattens the given sets and sorts by invocation index —
-// the enumeration order.
-func mergedByInv[K comparable](sets map[K]*recSet) []opRec {
+// mergedByInv flattens the sets whose key passes keep (nil: all of them)
+// and sorts by invocation index — the enumeration order.
+func mergedByInv[K comparable](sets map[K]*recSet, keep func(K) bool) []opRec {
 	var out []opRec
-	for _, s := range sets {
-		out = append(out, s.recs...)
+	for k, s := range sets {
+		if keep == nil || keep(k) {
+			out = append(out, s.recs...)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].inv < out[j].inv })
 	return out
@@ -725,7 +749,7 @@ func (m *Monitor) Finalize() (sc, ec *Verdict) {
 
 func (m *Monitor) finalBV() *Report {
 	rep := &Report{Property: "BlockValidity", OK: true, Checked: m.bvChecked}
-	sus := mergedByInv(m.bvSuspects)
+	sus := mergedByInv(m.bvSuspects, nil)
 	finalFacts := make(map[chainKey]*bvFact, len(m.bvSuspects))
 	for _, rec := range sus {
 		f, ok := finalFacts[rec.key()]
@@ -828,7 +852,20 @@ func (m *Monitor) finalSP() *Report {
 
 func (m *Monitor) finalEGT() *Report {
 	rep := &Report{Property: "EverGrowingTree", OK: true, Checked: m.nreads}
-	for _, r := range mergedByInv(m.classes) {
+	if len(m.win) == 0 {
+		return rep
+	}
+	// A read of score s is a witness only if, among the window reads after
+	// it, one scores ≤ s and one scores > s: only the classes with
+	// lo ≤ s < hi, lo and hi the window's extreme scores, can hold one.
+	// The others — every class, on a converged window — are skipped
+	// unmerged; skipping witness-free reads changes neither the order of
+	// the rest nor where the enumeration stops.
+	lo, hi := m.win[0].score, m.win[0].score
+	for _, t := range m.win[1:] {
+		lo, hi = min(lo, t.score), max(hi, t.score)
+	}
+	for _, r := range mergedByInv(m.classes, func(s int) bool { return lo <= s && s < hi }) {
 		maxT := -1
 		stale := -1
 		for j := range m.win {
@@ -885,7 +922,9 @@ func (m *Monitor) finalEP() *Report {
 		}
 		return chains[i]
 	}
-	divergent := false
+	// lowest is the least mcps of a divergent window pair (divergent:
+	// below both its reads' scores).
+	divergent, lowest := false, 0
 	mcps := make([][]int, w)
 	for x := range mcps {
 		mcps[x] = make([]int, w)
@@ -902,6 +941,9 @@ func (m *Monitor) finalEP() *Report {
 			}
 			mcps[x][y] = mm
 			if mm < sx && mm < sy {
+				if !divergent || mm < lowest {
+					lowest = mm
+				}
 				divergent = true
 			}
 		}
@@ -917,8 +959,10 @@ func (m *Monitor) finalEP() *Report {
 	}
 
 	// Divergence in the window: run the literal enumeration over the
-	// retained candidates (provably a superset of the reported reads).
-	for _, r := range mergedByInv(m.classes) {
+	// retained candidates (provably a superset of the reported reads). A
+	// read of score s is a witness only over a pair with mcps < s, so the
+	// classes with s ≤ lowest hold none and are skipped, as in finalEGT.
+	for _, r := range mergedByInv(m.classes, func(s int) bool { return s > lowest }) {
 		var after []int
 		for j := range tail {
 			if !r.pending && r.rsp < tail[j].inv { // r.Before(tail[j])

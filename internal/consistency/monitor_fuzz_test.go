@@ -104,8 +104,9 @@ var fuzzSeeds = [][]byte{
 // FuzzMonitorEquivalence drives randomized op streams through the
 // monitor and requires its Finalize to match the definition-literal
 // oracle exactly — OK flags, Checked counts, violation strings, witness
-// ops and blocks — both with the monitor as direct sink and with
-// delivery through small sealed segments.
+// ops and blocks — with the monitor as direct sink, with delivery
+// through small sealed segments, and with those segments and their ops
+// on loan from a drop-mode recorder that reuses both.
 func FuzzMonitorEquivalence(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -119,10 +120,11 @@ func FuzzMonitorEquivalence(f *testing.F) {
 		if len(data) > 0 {
 			horizon = int(data[0]) % 5 // 0 = the default window
 		}
+		build := func(rec *history.Recorder) { fuzzBuild(rec, procs, data) }
 		for _, segSize := range []int{0, 7} {
-			monitorHarness{horizon: horizon, segSize: segSize}.run(t, procs,
-				func(rec *history.Recorder) { fuzzBuild(rec, procs, data) })
+			monitorHarness{horizon: horizon, segSize: segSize}.run(t, procs, build)
 		}
+		monitorHarness{horizon: horizon, segSize: 2 + len(data)%3, drop: true}.run(t, procs, build)
 	})
 }
 

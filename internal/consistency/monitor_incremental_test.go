@@ -44,7 +44,10 @@ func (s internSink) OpDone(op *history.Op) {
 // streams — forks, stale reads, forged and never-appended blocks,
 // duplicate and pending appends — with every read interned, so that the
 // extended facts, not the scan, face the oracle — under the length
-// score (read off the op) and the weight score (scanned).
+// score (read off the op) and the weight score (scanned), fed directly
+// and out of 2–4-op segments whose ops a drop-mode recorder takes back
+// and reuses (the recycled path: a record that still pointed into a
+// delivered op would render a later operation in its witness).
 func FuzzMonitorInternedEquivalence(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -54,8 +57,10 @@ func FuzzMonitorInternedEquivalence(f *testing.F) {
 			data = data[:512]
 		}
 		const procs = 3
+		build := func(rec *history.Recorder) { fuzzBuild(rec, procs, data) }
 		for _, score := range []core.Score{core.LengthScore{}, core.WeightScore{}} {
-			monitorHarness{score: score, interned: true}.run(t, procs, func(rec *history.Recorder) { fuzzBuild(rec, procs, data) })
+			monitorHarness{score: score, interned: true}.run(t, procs, build)
+			monitorHarness{score: score, interned: true, segSize: 2 + len(data)%3, drop: true}.run(t, procs, build)
 		}
 	})
 }

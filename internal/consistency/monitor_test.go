@@ -55,8 +55,15 @@ type monitorHarness struct {
 	horizon  int
 	segSize  int  // 0 = direct sink, >0 = route through a SegmentSink
 	interned bool // hand every read over as an interned handle (internSink)
-	ckptAt   int  // >0: checkpoint → restore → continue after that many ops (ckptSink)
-	k        int  // when >0, arms the live k-fork probe
+	// drop (with segSize > 0) records in drop mode, the SegmentSink being
+	// the recorder's direct sink: the monitor is fed ops the recorder
+	// takes back and overwrites a segment later, out of a Segment that is
+	// refilled. The recorder then retains nothing, so the oracle reads a
+	// second, retaining recording of the same build, which must be
+	// repeatable.
+	drop   bool
+	ckptAt int // >0: checkpoint → restore → continue after that many ops (ckptSink)
+	k      int // when >0, arms the live k-fork probe
 	// epCheckedLoose skips the EventualPrefix Checked comparison —
 	// the one documented divergence under overlapping completed ops.
 	epCheckedLoose bool
@@ -73,9 +80,24 @@ func (hn monitorHarness) run(t *testing.T, procs int, build func(rec *history.Re
 	case hn.ckptAt > 0:
 		rec.SetSink(ckpt)
 	case hn.segSize > 0:
-		seg = history.NewSegmentSink(hn.segSize, mon.ConsumeSegment)
+		consume := mon.ConsumeSegment
+		if hn.interned {
+			sink := internSink{mon, rec.Table()}
+			consume = func(s *history.Segment) {
+				for _, op := range s.Ops {
+					sink.OpDone(op)
+				}
+				for _, e := range s.Comm {
+					sink.CommDone(e)
+				}
+			}
+		}
+		seg = history.NewSegmentSink(hn.segSize, consume)
 		seg.OnFaulty = mon.Faulty
 		rec.SetSink(seg)
+		if hn.drop {
+			rec.SetRetain(false)
+		}
 	case hn.interned:
 		rec.SetSink(internSink{mon, rec.Table()})
 	default:
@@ -83,6 +105,11 @@ func (hn monitorHarness) run(t *testing.T, procs int, build func(rec *history.Re
 	}
 	build(rec)
 	h := rec.Snapshot()
+	if hn.drop {
+		ref := history.NewRecorder(procs, nil)
+		build(ref)
+		h = ref.Snapshot()
+	}
 	mon = ckpt.mon // the restored one, after a cycle
 	if seg != nil {
 		seg.Seal()
@@ -93,7 +120,7 @@ func (hn monitorHarness) run(t *testing.T, procs int, build func(rec *history.Re
 	msc, mec := mon.Finalize()
 
 	if d := diffOracle(h, hn.score, hn.pred, hn.horizon, msc, mec, mon.KForkReport, hn.epCheckedLoose); d != "" {
-		t.Errorf("seg=%d cut=%d: %s", hn.segSize, hn.ckptAt, d)
+		t.Errorf("seg=%d drop=%v cut=%d: %s", hn.segSize, hn.drop, hn.ckptAt, d)
 	}
 	return mon
 }

@@ -509,8 +509,9 @@ func (h *History) String() string {
 }
 
 // Recorder builds a History from concurrent processes. All methods are
-// safe for concurrent use; the global index is a single atomic sequence,
-// which makes the recorded ≺ a legal linearization of real time.
+// safe for concurrent use; the global index is one counter advanced
+// under the recorder's mutex, which makes the recorded ≺ a legal
+// linearization of real time.
 type Recorder struct {
 	mu     sync.Mutex
 	seq    int
@@ -544,6 +545,11 @@ type Recorder struct {
 	// per operation on the hot path. Drop-mode runs bypass it so
 	// released ops remain individually collectable.
 	slab []Op
+	// free is the drop-mode free list: the ops of the segments a direct
+	// SegmentSink has had consumed and handed back (takeBack). newOp
+	// draws from it, so such a run owns about a segment's worth of Op
+	// objects plus the pending ones for its whole length.
+	free []*Op
 
 	// shardCtx/staged/stagedPos support sharded-scheduler runs: comm
 	// events recorded during a parallel phase are staged per shard and
@@ -562,10 +568,17 @@ const (
 )
 
 // newOp returns a pooled zero Op (callers hold r.mu). In drop mode the
-// pool is bypassed: the slab would pin released ops in memory, and the
-// whole point of drop mode is that completed ops are collectable.
+// slab is bypassed: it would pin released ops in memory, and the whole
+// point of drop mode is that completed ops are collectable. An op the
+// sink has handed back is reused first; the heap serves the rest.
 func (r *Recorder) newOp() *Op {
 	if r.drop {
+		if n := len(r.free); n > 0 {
+			op := r.free[n-1]
+			r.free = r.free[:n-1]
+			*op = Op{}
+			return op
+		}
 		return &Op{}
 	}
 	if len(r.slab) == cap(r.slab) {

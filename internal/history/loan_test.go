@@ -1,0 +1,246 @@
+package history
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// These tests pin the streaming path's ownership rule (see stream.go): a
+// sealed segment, and in drop mode behind a direct SegmentSink its ops,
+// are on loan to the seal handler — and everything the rule exempts
+// (keep mode, pending ops, any other sink) is never reused.
+
+// sameOp compares everything a reader of an op can see.
+func sameOp(a, b *Op) bool {
+	return a.ID == b.ID && a.Kind == b.Kind && a.Proc == b.Proc && a.OK == b.OK && a.Pending == b.Pending &&
+		a.InvIndex == b.InvIndex && a.RspIndex == b.RspIndex && a.String() == b.String() &&
+		a.Chain().String() == b.Chain().String()
+}
+
+// loanWorkload records appends of an n-block chain, then reads cycling
+// over its prefixes, from two processes.
+func loanWorkload(rec *Recorder, n, reads int) {
+	c := streamChain(rec, n)
+	for _, b := range c[1:] {
+		rec.Append(0, b, true)
+	}
+	for i := 0; i < reads; i++ {
+		rec.ReadHead(i%2, c[1+i%n])
+	}
+}
+
+// TestKeepModeNeverRecycles: with Keep(true) a drop-mode recorder's
+// direct segment sink hands nothing back, so the history assembled from
+// ten kept segments is, op for op, a retaining recorder's snapshot.
+func TestKeepModeNeverRecycles(t *testing.T) {
+	ref := NewRecorder(2, nil)
+	loanWorkload(ref, 4, 36)
+	want := ref.Snapshot()
+
+	rec := NewRecorder(2, nil)
+	seg := NewSegmentSink(4, nil)
+	seg.Keep(true)
+	rec.SetSink(seg)
+	rec.SetRetain(false)
+	loanWorkload(rec, 4, 36)
+	got := seg.History(2)
+
+	if seg.Sealed() != 10 {
+		t.Fatalf("sealed %d segments, want 10", seg.Sealed())
+	}
+	if len(rec.free) != 0 {
+		t.Errorf("keep mode handed %d ops back to the recorder", len(rec.free))
+	}
+	if len(got.Ops) != len(want.Ops) {
+		t.Fatalf("kept history has %d ops, snapshot %d", len(got.Ops), len(want.Ops))
+	}
+	distinct := map[*Op]bool{}
+	for i, op := range got.Ops {
+		distinct[op] = true
+		if !sameOp(op, want.Ops[i]) {
+			t.Errorf("op %d: kept %s (id %d, [%d,%d]), recorded %s (id %d, [%d,%d])", i,
+				op, op.ID, op.InvIndex, op.RspIndex, want.Ops[i], want.Ops[i].ID, want.Ops[i].InvIndex, want.Ops[i].RspIndex)
+		}
+	}
+	if len(distinct) != len(got.Ops) {
+		t.Errorf("%d ops share %d objects: an op was reused in keep mode", len(got.Ops), len(distinct))
+	}
+}
+
+// TestPendingOpOutlivesSegments: an op pending while three segments are
+// sealed, consumed and recycled is never among the reused objects —
+// PendingOps keeps returning it, untouched — and reaches the handler
+// intact when it completes.
+func TestPendingOpOutlivesSegments(t *testing.T) {
+	rec := NewRecorder(2, nil)
+	var delivered []Op // copies: the originals are reused
+	seg := NewSegmentSink(4, func(s *Segment) {
+		for _, op := range s.Ops {
+			delivered = append(delivered, *op)
+		}
+	})
+	rec.SetSink(seg)
+	rec.SetRetain(false)
+	c := streamChain(rec, 3)
+
+	pend := rec.InvokeRead(1)
+	id, inv := pend.ID, pend.InvIndex
+	for i := 0; i < 14; i++ { // three segments and a half
+		if op := rec.ReadHead(0, c[1+i%3]); op == pend {
+			t.Fatalf("read %d was recorded in the pending op's object", i)
+		}
+		ps := rec.PendingOps()
+		if len(ps) != 1 || ps[0] != pend || !pend.Pending || pend.ID != id || pend.InvIndex != inv || pend.Proc != 1 {
+			t.Fatalf("after read %d: pending = %v, want op %d untouched", i, ps, id)
+		}
+		for _, f := range rec.free {
+			if f == pend {
+				t.Fatalf("after read %d: the pending op is on the free list", i)
+			}
+		}
+	}
+	if seg.Sealed() != 3 {
+		t.Fatalf("sealed %d segments while the op was pending, want 3", seg.Sealed())
+	}
+	rec.RespondReadHead(pend, c[2])
+	rec.ReadHead(0, c[3]) // completes the fourth segment
+	if len(rec.PendingOps()) != 0 {
+		t.Errorf("pending = %v after the response", rec.PendingOps())
+	}
+	if len(delivered) != 16 {
+		t.Fatalf("handler saw %d ops, want 16", len(delivered))
+	}
+	got := delivered[14]
+	if got.ID != id || got.InvIndex != inv || got.Proc != 1 || got.Pending || got.Head != c[2].ID || got.RspIndex <= delivered[13].RspIndex {
+		t.Errorf("pending op delivered as %+v, want id %d inv %d head %s", got, id, inv, c[2].ID.Short())
+	}
+}
+
+// TestRecyclingBoundsLiveOps: over fifty segments a drop-mode recorder
+// behind a direct segment sink owns at most a segment's worth of Op
+// objects plus the pending ones, and every delivered op still reads as
+// the operation a retaining recorder holds.
+func TestRecyclingBoundsLiveOps(t *testing.T) {
+	const size, segments, longPending = 8, 50, 2
+	record := func(rec *Recorder) {
+		c := streamChain(rec, 4)
+		for p := 0; p < longPending; p++ {
+			rec.InvokeAppend(p, core.NewBlock(c.Head().ID, c.Head().Height+1, p, 9, nil))
+		}
+		for i := 0; i < size*segments; i++ {
+			rec.ReadHead(i%2, c[1+i%4])
+		}
+	}
+	ref := NewRecorder(2, nil)
+	record(ref)
+	want := ref.Snapshot().Ops
+
+	rec := NewRecorder(2, nil)
+	distinct := map[*Op]bool{}
+	sealed := 0
+	seg := NewSegmentSink(size, func(s *Segment) {
+		sealed++
+		for _, op := range s.Ops {
+			distinct[op] = true
+			if !sameOp(op, want[op.ID]) {
+				t.Errorf("segment %d delivers %s (id %d), recorded as %s", s.Index, op, op.ID, want[op.ID])
+			}
+		}
+	})
+	rec.SetSink(seg)
+	rec.SetRetain(false)
+	record(rec)
+	for _, op := range rec.PendingOps() {
+		distinct[op] = true
+	}
+	for _, op := range rec.free {
+		distinct[op] = true
+	}
+	if sealed != segments {
+		t.Fatalf("sealed %d segments, want %d", sealed, segments)
+	}
+	if len(distinct) > size+longPending {
+		t.Errorf("%d ops lived in %d objects, want ≤ %d (segment size + pending)", size*segments, len(distinct), size+longPending)
+	}
+}
+
+// TestSegmentReusedAfterHandler: without keep mode the sink refills the
+// one Segment, and its Ops array, that the handler has returned from.
+func TestSegmentReusedAfterHandler(t *testing.T) {
+	rec := NewRecorder(2, nil)
+	segs, arrays := map[*Segment]bool{}, map[**Op]bool{}
+	var indices []int
+	seg := NewSegmentSink(4, func(s *Segment) {
+		segs[s], arrays[&s.Ops[0]] = true, true
+		indices = append(indices, s.Index)
+		if len(s.Ops) != 4 || cap(s.Ops) != 4 {
+			t.Errorf("segment %d: %d ops in an array of %d, want 4 of 4", s.Index, len(s.Ops), cap(s.Ops))
+		}
+	})
+	rec.SetSink(seg)
+	loanWorkload(rec, 4, 36)
+	if len(indices) != 10 || indices[9] != 9 {
+		t.Fatalf("segment indices %v, want 0..9", indices)
+	}
+	if len(segs) != 1 || len(arrays) != 1 {
+		t.Errorf("10 segments used %d Segment structs and %d Ops arrays, want 1 and 1", len(segs), len(arrays))
+	}
+	if len(rec.free) != 0 {
+		t.Errorf("a retaining recorder took %d ops back", len(rec.free))
+	}
+}
+
+// TestAsyncSegmentChainRecyclesNothing is the benchsuite.RunSimScaleStream
+// shape — recorder → AsyncSink → SegmentSink, drop mode — recorded from
+// two goroutines: the segment sink is not the recorder's direct sink, so
+// no op is handed back, and the consumer goroutine reads ops the
+// recorder never touches again (under -race a reused op would be a
+// write racing that read).
+func TestAsyncSegmentChainRecyclesNothing(t *testing.T) {
+	const procs, reads = 2, 400
+	rec := NewRecorder(procs, nil)
+	c := streamChain(rec, 4)
+	var seen []*Op // consumer goroutine only, read after Drain
+	seg := NewSegmentSink(4, func(s *Segment) {
+		for _, op := range s.Ops {
+			if op.Pending || op.Kind != OpRead || op.Head != c[1+op.ID%4].ID {
+				t.Errorf("delivered op %d reads %s", op.ID, op)
+			}
+			seen = append(seen, op)
+		}
+	})
+	async := NewAsyncSink(seg, 8)
+	rec.SetSink(async)
+	rec.SetRetain(false)
+
+	var wg sync.WaitGroup
+	for p := 0; p < procs; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				op := rec.InvokeRead(p)
+				rec.RespondReadHead(op, c[1+op.ID%4])
+			}
+		}()
+	}
+	wg.Wait()
+	if err := async.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	seg.Seal()
+
+	if len(seen) != procs*reads {
+		t.Fatalf("consumer saw %d ops, want %d", len(seen), procs*reads)
+	}
+	distinct := map[*Op]bool{}
+	for _, op := range seen {
+		distinct[op] = true
+	}
+	if len(distinct) != len(seen) || len(rec.free) != 0 {
+		t.Errorf("%d ops in %d objects, %d handed back: nothing may be reused behind an AsyncSink",
+			len(seen), len(distinct), len(rec.free))
+	}
+}

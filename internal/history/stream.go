@@ -6,6 +6,14 @@
 // run's resident history is bounded by the segment size (plus the ops
 // still pending), not by the run length — the shape the online
 // consistency monitors (internal/consistency.Monitor) consume.
+//
+// One ownership rule governs the path: a sealed segment is on loan to
+// its handler. Without Keep(true) the Segment, its Ops and Comm slices
+// and — on a drop-mode recorder whose direct sink is the SegmentSink —
+// the Op objects themselves are valid until OnSeal returns; after that
+// the sink refills the same Segment and the recorder reuses the ops for
+// later operations. A handler that needs anything longer copies it (the
+// Monitor keeps compact records) or the sink runs in keep mode.
 package history
 
 import "sort"
@@ -15,6 +23,10 @@ import "sort"
 //
 //   - OpDone delivers each operation exactly once, at the moment its
 //     response event is recorded (so the op is complete and immutable).
+//     In drop mode the op is only borrowed: a SegmentSink attached
+//     directly hands it back to the recorder once the segment holding it
+//     has been consumed, so a sink must not keep the pointer beyond
+//     that — see SetRetain.
 //   - CommDone delivers each send/receive/update event as it is recorded.
 //   - Faulty delivers MarkFaulty declarations; for a monitor to exclude
 //     all of a process's reads, as the criteria do, the process must be
@@ -29,13 +41,32 @@ type Sink interface {
 }
 
 // SetSink attaches a streaming consumer. Attach before the first
-// operation is recorded: ops recorded earlier are never replayed.
+// operation is recorded: ops recorded earlier are never replayed. A
+// *SegmentSink attached directly (not decorated, not behind an
+// AsyncSink) is bound to the recorder, so that in drop mode it hands
+// consumed ops back — see SetRetain.
 func (r *Recorder) SetSink(s Sink) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if old, ok := r.sink.(*SegmentSink); ok {
+		old.handBack = nil
+	}
 	r.sink = s
+	if seg, ok := s.(*SegmentSink); ok {
+		seg.handBack = r.takeBack
+	}
 	if r.pending == nil {
 		r.pending = make(map[int]*Op)
+	}
+}
+
+// takeBack receives the ops of a segment the recorder's direct
+// SegmentSink has had consumed. It runs inside Sink.OpDone, so r.mu is
+// held. Only drop mode reuses them: a retaining recorder's ops are its
+// history.
+func (r *Recorder) takeBack(ops []*Op) {
+	if r.drop {
+		r.free = append(r.free, ops...)
 	}
 }
 
@@ -44,6 +75,16 @@ func (r *Recorder) SetSink(s Sink) {
 // history for Snapshot and replay; with retain=false every completed op
 // is owned by the sink alone and Snapshot returns only the still-pending
 // operations — the bounded-memory mode behind ≥1M-op streaming runs.
+//
+// In drop mode a completed op is on loan to the sink. When the sink is
+// a SegmentSink attached directly and not in keep mode, the op is valid
+// until the OnSeal call that delivers its segment returns; the recorder
+// then reuses the object for a later operation. The *Op that
+// InvokeRead, ReadHead, Append and the other recording calls return is
+// the same object, so in that mode a caller may use it only until its
+// segment has been consumed. Pending ops are never reused, and behind
+// any other sink (a decorator, an AsyncSink) nothing is: released ops go
+// to the collector.
 func (r *Recorder) SetRetain(keep bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -113,9 +154,11 @@ func (r *Recorder) pendingLocked() []*Op {
 }
 
 // Segment is one sealed slice of a streamed history: operations in
-// response order and communication events in recording order. Once the
-// seal handler returns, the SegmentSink holds no reference to it (unless
-// keep mode is on), so its backing arrays are reclaimable.
+// response order and communication events in recording order. It is on
+// loan to the seal handler: unless keep mode is on, the SegmentSink
+// refills this very Segment — struct and backing arrays — once the
+// handler has returned, so a handler that wants the segment, a slice or
+// (in drop mode, see SetRetain) an op for longer copies it.
 type Segment struct {
 	// Index numbers segments from 0 in seal order.
 	Index int
@@ -128,20 +171,30 @@ type Segment struct {
 // ops are appended through the Sink interface, and every time `size`
 // operations accumulate the current segment is sealed and handed to
 // OnSeal. With Keep(true) sealed segments are also retained so History()
-// can still assemble the full batch view — the compatibility path.
+// can still assemble the full batch view — the compatibility path, and
+// the only mode in which a segment outlives its handler.
 type SegmentSink struct {
-	// OnSeal receives each sealed segment (may be nil: pure builder).
+	// OnSeal receives each sealed segment (may be nil: pure builder). The
+	// segment is valid until OnSeal returns, unless Keep(true).
 	OnSeal func(*Segment)
 	// OnFaulty forwards MarkFaulty declarations downstream (may be nil).
 	OnFaulty func(int)
 
-	size   int
-	cur    *Segment
-	next   int
-	keep   bool
-	kept   []*Segment
-	faulty map[int]bool
-	nops   int
+	size int
+	cur  *Segment
+	// spare is the last consumed segment, emptied, waiting to be refilled.
+	spare *Segment
+	// handBack, bound by Recorder.SetSink while this sink is the
+	// recorder's direct sink, returns a consumed segment's ops to the
+	// recorder. It needs the recorder's lock, which only the calls the
+	// recorder makes hold: the size-triggered seal hands back, Seal()
+	// from outside does not.
+	handBack func([]*Op)
+	next     int
+	keep     bool
+	kept     []*Segment
+	faulty   map[int]bool
+	nops     int
 }
 
 // DefaultSegmentSize is the segment size used when none is given.
@@ -157,27 +210,37 @@ func NewSegmentSink(size int, onSeal func(*Segment)) *SegmentSink {
 }
 
 // Keep retains sealed segments for History() — the compatibility path
-// that trades the bounded-memory property for the full batch view.
+// that trades the bounded-memory property for the full batch view. A
+// kept segment is never refilled and its ops are never handed back.
 func (s *SegmentSink) Keep(keep bool) { s.keep = keep }
+
+// open returns the segment being filled, starting one — the spare when
+// there is one — if none is open.
+func (s *SegmentSink) open() *Segment {
+	if s.cur == nil {
+		s.cur, s.spare = s.spare, nil
+		if s.cur == nil {
+			s.cur = &Segment{Ops: make([]*Op, 0, s.size)}
+		}
+		s.cur.Index = s.next
+	}
+	return s.cur
+}
 
 // OpDone implements Sink.
 func (s *SegmentSink) OpDone(op *Op) {
-	if s.cur == nil {
-		s.cur = &Segment{Index: s.next}
-	}
-	s.cur.Ops = append(s.cur.Ops, op)
+	seg := s.open()
+	seg.Ops = append(seg.Ops, op)
 	s.nops++
-	if len(s.cur.Ops) >= s.size {
-		s.Seal()
+	if len(seg.Ops) >= s.size {
+		s.seal(s.handBack)
 	}
 }
 
 // CommDone implements Sink.
 func (s *SegmentSink) CommDone(e CommEvent) {
-	if s.cur == nil {
-		s.cur = &Segment{Index: s.next}
-	}
-	s.cur.Comm = append(s.cur.Comm, e)
+	seg := s.open()
+	seg.Comm = append(seg.Comm, e)
 }
 
 // Faulty implements Sink.
@@ -190,11 +253,16 @@ func (s *SegmentSink) Faulty(p int) {
 
 // Seal closes the current partial segment (no-op when empty) and hands
 // it to OnSeal. The run's finalizer calls it once after the last op.
-func (s *SegmentSink) Seal() {
-	if s.cur == nil || (len(s.cur.Ops) == 0 && len(s.cur.Comm) == 0) {
+func (s *SegmentSink) Seal() { s.seal(nil) }
+
+// seal is Seal; once the handler has returned and the loan is over, it
+// gives the segment's ops to handBack (nil: leave them to the collector)
+// and keeps the emptied segment to refill — except in keep mode.
+func (s *SegmentSink) seal(handBack func([]*Op)) {
+	seg := s.cur
+	if seg == nil || (len(seg.Ops) == 0 && len(seg.Comm) == 0) {
 		return
 	}
-	seg := s.cur
 	s.cur = nil
 	s.next++
 	if s.keep {
@@ -203,6 +271,15 @@ func (s *SegmentSink) Seal() {
 	if s.OnSeal != nil {
 		s.OnSeal(seg)
 	}
+	if s.keep {
+		return
+	}
+	if handBack != nil {
+		handBack(seg.Ops)
+	}
+	clear(seg.Ops) // the spare must not pin ops the collector may take
+	seg.Ops, seg.Comm = seg.Ops[:0], seg.Comm[:0]
+	s.spare = seg
 }
 
 // Sealed reports how many segments have been sealed so far.
