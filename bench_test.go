@@ -14,8 +14,10 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/benchsuite"
 	"repro/internal/consistency"
@@ -70,14 +72,54 @@ func BenchmarkTheoremLRCNecessity(b *testing.B)             { benchExperiment(b,
 func BenchmarkTheorem48Impossibility(b *testing.B)          { benchExperiment(b, "thm48") }
 func BenchmarkTable1Classification(b *testing.B)            { benchExperiment(b, "table1") }
 
-// BenchmarkSimScale is the tracked end-to-end pipeline benchmark
+// BenchmarkSimScale is the end-to-end pipeline benchmark
 // (internal/benchsuite): N replicas, one flooded block per tick,
-// periodic read batches, full Classify. Its per-snapshot trajectory is
-// recorded by cmd/bench into BENCH_<date>.json.
+// periodic read batches, a full consistency verdict, and the suite's
+// self-check on every iteration. Besides wall time and -benchmem's
+// B/op and allocs/op each row reports its peak live heap, so the batch
+// and -stream rows — identical workloads — price retained vs. bounded
+// memory directly. SCALING.md records the scaling rows:
+//
+//	go test -run '^$' -bench 'SimScale/N1024' -benchtime 1x -benchmem -count 10 -cpu 1,2 .
 func BenchmarkSimScale(b *testing.B) {
 	for _, c := range benchsuite.Cases() {
-		b.Run(strings.TrimPrefix(c.Name, "SimScale/"), c.Bench)
+		b.Run(strings.TrimPrefix(c.Name(), "SimScale/"), func(b *testing.B) {
+			b.ReportAllocs()
+			stop := samplePeakHeap()
+			defer func() { b.ReportMetric(float64(stop())/1e6, "peak-heap-MB") }()
+			for i := 0; i < b.N; i++ {
+				st, _ := benchsuite.Run(c)
+				if err := benchsuite.Check(c, st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// samplePeakHeap polls the live heap until the returned stop function is
+// called; stop reports the high-water mark in bytes. 2 ms sampling is
+// coarse against individual spikes but faithful for the sustained
+// plateaus the pipeline workloads produce.
+func samplePeakHeap() (stop func() uint64) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	var peak uint64
+	go func() {
+		defer close(done)
+		heap := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for running := true; running; {
+			select {
+			case <-quit:
+				running = false
+			case <-tick.C:
+			}
+			rtmetrics.Read(heap)
+			peak = max(peak, heap[0].Value.Uint64())
+		}
+	}()
+	return func() uint64 { close(quit); <-done; return peak }
 }
 
 // powTrace runs one Bitcoin-style simulation and returns its result

@@ -136,34 +136,41 @@ func TestDigestIndependentOfHandleOrder(t *testing.T) {
 // block/read/comm counts and verdicts of a small SimScale run must not
 // drift across the scheduler and history-interning rewrites.
 func TestSimScaleDeterminismPinned(t *testing.T) {
-	got := benchsuite.RunSimScale(benchsuite.ScaleConfig{N: 8, Blocks: 300, Seed: 5})
-	want := benchsuite.ScaleStats{Blocks: 300, Reads: 72, CommEvts: 5100, MaxHeight: 106, SCOK: false, ECOK: true}
+	pin := benchsuite.Case{N: 8, Blocks: 300, Seed: 5}
+	got, _ := benchsuite.Run(pin)
+	want := benchsuite.Stats{Blocks: 300, Reads: 72, CommEvts: 5100, MaxHeight: 106, SCOK: false, ECOK: true}
 	if got != want {
 		t.Fatalf("SimScale drifted:\n got %+v\nwant %+v", got, want)
 	}
 	// The adversarial variant: partition windows + an equivocator. The
 	// fault-schedule routing, withholding and forgery must replay
 	// exactly too.
-	gotAdv := benchsuite.RunSimScaleAdversarial(benchsuite.ScaleConfig{N: 8, Blocks: 300, Seed: 5})
-	wantAdv := benchsuite.ScaleStats{Blocks: 337, Reads: 70, CommEvts: 5729, MaxHeight: 93, SCOK: false, ECOK: true}
+	adv := pin
+	adv.Variant = benchsuite.Adversarial
+	gotAdv, _ := benchsuite.Run(adv)
+	wantAdv := benchsuite.Stats{Blocks: 337, Reads: 70, CommEvts: 5729, MaxHeight: 93, SCOK: false, ECOK: true}
 	if gotAdv != wantAdv {
 		t.Fatalf("adversarial SimScale drifted:\n got %+v\nwant %+v", gotAdv, wantAdv)
 	}
 	// The streaming variant runs the identical workload through the
 	// online monitor in drop mode: same blocks, same reads, same comm
 	// events, same verdicts — with no retained history at all.
-	gotStream := benchsuite.RunSimScaleStream(benchsuite.ScaleConfig{N: 8, Blocks: 300, Seed: 5})
-	if gotStream != want {
+	stream := pin
+	stream.Variant = benchsuite.Stream
+	if gotStream, _ := benchsuite.Run(stream); gotStream != want {
 		t.Fatalf("streaming SimScale diverged from batch:\n got %+v\nwant %+v", gotStream, want)
 	}
 	// The metered variant attaches the metrics layer to the identical
 	// workload: same stats (instrumentation is observational), and the
 	// snapshot must be identical across shard counts.
-	gotMet, snap := benchsuite.RunSimScaleMetered(benchsuite.ScaleConfig{N: 8, Blocks: 300, Seed: 5})
+	met := pin
+	met.Variant = benchsuite.Metered
+	gotMet, snap := benchsuite.Run(met)
 	if gotMet != want {
 		t.Fatalf("metered SimScale diverged from bare:\n got %+v\nwant %+v", gotMet, want)
 	}
-	_, snapSharded := benchsuite.RunSimScaleMetered(benchsuite.ScaleConfig{N: 8, Blocks: 300, Seed: 5, Shards: 4})
+	met.Shards = 4
+	_, snapSharded := benchsuite.Run(met)
 	if snap.Digest() != snapSharded.Digest() {
 		t.Fatalf("metric snapshot digest differs across shard counts: serial %s, sharded %s",
 			snap.Digest(), snapSharded.Digest())

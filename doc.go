@@ -20,5 +20,11 @@
 // The root package holds only the benchmark harness (bench_test.go)
 // and the cross-layer pinned tests: pipeline/scenario replay digests
 // (determinism_test.go) and the examples' public-API import boundary
-// (boundary_test.go).
+// (boundary_test.go). Measurements have three entry points and no
+// others:
+//
+//	go test -run '^$' -bench SimScale -benchtime 1x -benchmem .
+//	                                — the pipeline scaling rows (SCALING.md)
+//	go run ./cmd/scenarios -long full — the ≥1M-operation streamed run
+//	bash benchmark/run.sh           — the benchmark every claim is made on
 package repro

@@ -1,53 +1,96 @@
-// Package benchsuite defines the repository's tracked benchmark suite:
-// the large-scale simulation→history→checker pipeline workloads whose
-// trajectory is recorded in BENCH_<date>.json snapshots (see cmd/bench)
-// and wrapped as ordinary testing benchmarks in the root bench_test.go.
+// Package benchsuite defines SimScale, the large-scale
+// simulation→history→checker pipeline workload that the root
+// bench_test.go wraps as BenchmarkSimScale and determinism_test.go pins.
 //
-// The headline workload, SimScale, drives the whole pipeline the way the
-// protocol simulators do: N replicas over a FIFO synchronous simnet,
-// one mined block per tick flooded to every replica, periodic read()
-// batches at every process, and a full consistency Classify over the
-// recorded history. It is the workload behind DESIGN.md ablations #6
-// (closure-heap vs. flat-heap scheduler), #7 (copied vs. interned
-// chain reads) and #12 (single-heap vs. sharded scheduler: the -s<k>
-// cases run the identical workload — digest-pinned — on the sharded
-// engine; see SCALING.md).
+// SimScale drives the whole pipeline the way the protocol simulators do:
+// N replicas over a FIFO synchronous simnet, one mined block per tick
+// flooded to every replica, periodic read() batches at every process,
+// and a consistency verdict over the recorded run. It is the workload
+// behind DESIGN.md ablations #6 (closure-heap vs. flat-heap scheduler),
+// #7 (copied vs. interned chain reads), #8 (benign vs. adversarial), #10
+// (replay vs. online checking), #12 (single-heap vs. sharded scheduler:
+// the -s<k> cases run the identical workload — digest-pinned — on the
+// sharded engine; see SCALING.md) and #13 (instrumented vs. bare).
 package benchsuite
 
 import (
 	"fmt"
-	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/history"
+	"repro/internal/metrics"
 	"repro/internal/protocols"
 	"repro/internal/replica"
 	"repro/internal/simnet"
 )
 
-// ScaleConfig parameterizes one SimScale pipeline run.
-type ScaleConfig struct {
+// Variant selects the one way a SimScale run departs from the benign
+// retained-history pipeline. It is a single value, not a set of flags:
+// the adversarial run is never streamed or metered, and the streamed run
+// is never metered.
+type Variant int
+
+const (
+	// Benign retains the full history and classifies it after the run.
+	Benign Variant = iota
+	// Adversarial adds two healed partition windows (messages queue
+	// across the cut and flush on heal) and an equivocating replica that
+	// floods a forged sibling for every block it mines. It prices
+	// fault-schedule routing on every send, fork-heavy trees and a
+	// violation-bearing checker run against the benign baseline.
+	Adversarial
+	// Stream checks the benign workload online: a segmented sink feeds
+	// the monitor, the recorder runs in drop mode (no retained history),
+	// and the verdicts come from Finalize.
+	Stream
+	// Metered attaches the deterministic metrics layer to the benign
+	// workload; Run then also returns the metric snapshot.
+	Metered
+)
+
+// Case is one SimScale run: a row of the case table, or a pinned
+// configuration of the determinism test.
+type Case struct {
 	// N is the number of replicas.
 	N int
-	// Blocks is the number of mined blocks (one per virtual tick,
-	// miner chosen round-robin; each block floods to all N replicas).
+	// Blocks is the number of mined blocks (one per virtual tick, miner
+	// chosen round-robin; each block floods to all N replicas). Every
+	// process reads eight times over the run, once per Blocks/8 ticks.
 	Blocks int
-	// ReadEvery schedules a read() at every process each ReadEvery
-	// ticks; 0 means Blocks/8 (eight read batches per run).
-	ReadEvery int64
 	// Seed drives the delivery-delay randomness.
 	Seed uint64
 	// Shards runs the workload on the sharded deterministic scheduler
 	// (0 or 1 = serial). Stats are shard-count-independent by the
-	// determinism spec; the -s<k> suite entries and the CI smoke pin
-	// that at scale.
-	Shards int
+	// determinism spec; the -s<k> cases and the CI smoke pin that at
+	// scale.
+	Shards  int
+	Variant Variant
 }
 
-// ScaleStats summarizes one SimScale run (used by sanity checks and the
-// determinism pinning test).
-type ScaleStats struct {
+// Name is the case's benchmark name:
+// SimScale/N<n>-b<b>[-adv][-s<k>][-stream][-met].
+func (c Case) Name() string {
+	name := fmt.Sprintf("SimScale/N%d-b%d", c.N, c.Blocks)
+	if c.Variant == Adversarial {
+		name += "-adv"
+	}
+	if c.Shards > 1 {
+		name += fmt.Sprintf("-s%d", c.Shards)
+	}
+	switch c.Variant {
+	case Stream:
+		name += "-stream"
+	case Metered:
+		name += "-met"
+	}
+	return name
+}
+
+// Stats summarizes one SimScale run (used by Check and the determinism
+// pinning test).
+type Stats struct {
 	Blocks    int  // blocks attached at replica 0
 	Reads     int  // completed reads of correct processes
 	CommEvts  int  // recorded send/receive/update events
@@ -56,249 +99,188 @@ type ScaleStats struct {
 	ECOK      bool // Eventual Consistency verdict
 }
 
-// normalize fills the config defaults in place.
-func (cfg *ScaleConfig) normalize() {
-	if cfg.ReadEvery <= 0 {
-		cfg.ReadEvery = int64(cfg.Blocks / 8)
-		if cfg.ReadEvery < 1 {
-			cfg.ReadEvery = 1
-		}
-	}
-}
-
-// benignGroup builds the simulator and replica group every SimScale
-// variant shares: FIFO synchronous flooding, longest-chain selection,
-// well-formedness predicate.
-func benignGroup(cfg ScaleConfig) (*simnet.Sim, *replica.Group) {
-	sim := simnet.NewSim(cfg.Seed)
-	g := replica.NewGroup(sim, cfg.N, simnet.Synchronous{Delta: 3}, core.LongestChain{})
+// Run executes the full pipeline once: simulate, record, check. The
+// workload is deterministic for a fixed case, and a Stream or Metered
+// case returns exactly the Benign stats of the same configuration (the
+// determinism suite pins both). The snapshot is nil unless the case is
+// Metered.
+func Run(c Case) (Stats, *metrics.Snapshot) {
+	sim := simnet.NewSim(c.Seed)
+	g := replica.NewGroup(sim, c.N, simnet.Synchronous{Delta: 3}, core.LongestChain{})
 	g.Net.SetFIFO(true)
 	g.SetPredicate(core.WellFormed{})
-	if cfg.Shards > 1 {
-		g.EnableSharding(cfg.Shards)
+	if c.Shards > 1 {
+		g.EnableSharding(c.Shards)
 	}
-	return sim, g
-}
 
-// runBenignWorkload schedules and runs the benign SimScale workload:
-// mining one block per tick (miner round-robin, extending its local
-// selected head — which can lag in-flight deliveries by up to δ ticks,
-// giving natural short-lived forks as in the PoW simulators), periodic
-// read batches at every process, and a post-convergence read batch (the
-// liveness tail window).
-func runBenignWorkload(sim *simnet.Sim, g *replica.Group, cfg ScaleConfig) {
-	for r := 0; r < cfg.Blocks; r++ {
-		r := r
-		p := g.Procs[r%cfg.N]
-		sim.Schedule(int64(r+1), func() {
-			head := p.SelectedHead()
-			blk := core.NewBlock(head.ID, head.Height+1, p.ID, r, protocols.CoinbasePayload(p.ID, r))
-			p.AppendLocal(blk)
-		})
+	var (
+		adv *adversary.Equivocator
+		reg *metrics.Registry
+	)
+	// judge fills in what the run recorded and what the criteria say of
+	// it: by default a Classify over the retained history.
+	judge := func(st *Stats) (sc, ec *consistency.Verdict) {
+		h := g.History()
+		st.Reads, st.CommEvts = len(h.Reads()), len(h.Comm)
+		return consistency.NewChecker(core.LengthScore{}, core.WellFormed{}).Classify(h)
 	}
-	for t := cfg.ReadEvery; t <= int64(cfg.Blocks); t += cfg.ReadEvery {
-		tt := t
-		sim.Schedule(tt, func() {
-			for _, pr := range g.Procs {
-				pr.Read()
+	// One post-convergence read batch is the liveness tail window. The
+	// adversarial run takes two (as the protocol runs do): the
+	// equivocator's reads are excluded as faulty, so a single batch would
+	// leave room in the window for a pre-heal read.
+	finalReads := 1
+	switch c.Variant {
+	case Adversarial:
+		// Two split-brain windows, each a quarter of the run long, both
+		// healed well before the end so the final reads can converge.
+		quarter := max(int64(c.Blocks/4), 8)
+		var left []int
+		for p := 0; p < c.N/2; p++ {
+			left = append(left, p)
+		}
+		g.Net.SetSchedule(simnet.NewSchedule(
+			simnet.SplitWindow(quarter/2, quarter, c.N, left),
+			simnet.SplitWindow(2*quarter, 2*quarter+quarter/2, c.N, left),
+		))
+		adv = adversary.NewEquivocator(g.Procs[c.N-1], g.Net, adversary.Config{Strategy: adversary.Equivocate, Forks: 2})
+		finalReads = 2
+	case Stream:
+		// The segment/monitor work runs off the recording hot loop through
+		// an AsyncSink — the recorder's critical section ends at the
+		// enqueue, and the single consumer goroutine preserves recording
+		// order, so the verdicts are identical to synchronous delivery.
+		mon := consistency.NewMonitor(consistency.MonitorConfig{
+			Procs: c.N,
+			Score: core.LengthScore{},
+			P:     core.WellFormed{},
+			Table: g.Rec.Table(),
+		})
+		seg := history.NewSegmentSink(0, mon.ConsumeSegment)
+		seg.OnFaulty = mon.Faulty
+		async := history.NewAsyncSink(seg, 0)
+		g.Rec.SetSink(async)
+		g.Rec.SetRetain(false)
+		judge = func(st *Stats) (sc, ec *consistency.Verdict) {
+			if err := async.Drain(); err != nil {
+				panic(err) // a panicking monitor invalidates the whole streamed run
 			}
-		})
+			seg.Seal()
+			for _, op := range g.Rec.PendingOps() {
+				mon.OpPending(op)
+			}
+			sc, ec = mon.Finalize()
+			ms := mon.Stats()
+			st.Reads, st.CommEvts = ms.Reads, ms.Comm
+			return sc, ec
+		}
+	case Metered:
+		// ~64 sample rows per run regardless of horizon, so snapshot size
+		// does not scale with Blocks.
+		reg = metrics.New(max(int64(c.Blocks)/64, 1))
+		sim.SetMetrics(reg)
+		g.Net.RegisterMetrics(reg)
+		g.RegisterMetrics(reg)
+		g.Rec.RegisterMetrics(reg)
 	}
-	sim.RunUntilIdle()
-	for _, pr := range g.Procs {
-		pr.Read()
-	}
-}
 
-// collectStats classifies the recorded history and summarizes the run.
-func collectStats(g *replica.Group) ScaleStats {
-	h := g.History()
-	chk := consistency.NewChecker(core.LengthScore{}, core.WellFormed{})
-	sc, ec := chk.Classify(h)
-	return ScaleStats{
-		Blocks:    g.Procs[0].Tree().Len() - 1,
-		Reads:     len(h.Reads()),
-		CommEvts:  len(h.Comm),
-		MaxHeight: g.Procs[0].Tree().Height(),
-		SCOK:      sc.OK,
-		ECOK:      ec.OK,
-	}
-}
-
-// RunSimScale executes the full pipeline once: simulate, record, check.
-// The workload is deterministic for a fixed config.
-func RunSimScale(cfg ScaleConfig) ScaleStats {
-	cfg.normalize()
-	sim, g := benignGroup(cfg)
-	runBenignWorkload(sim, g, cfg)
-	return collectStats(g)
-}
-
-// RunSimScaleAdversarial executes the attack-scenario variant of the
-// pipeline workload: the same mining/flooding/reading shape as
-// RunSimScale plus two healed partition windows (messages queue across
-// the cut and flush on heal) and an equivocating replica that floods a
-// forged sibling for every block it mines. It prices the adversarial
-// pipeline — fault-schedule routing on every send, fork-heavy trees,
-// violation-bearing checker runs — against the benign baseline
-// (DESIGN.md ablation #8).
-func RunSimScaleAdversarial(cfg ScaleConfig) ScaleStats {
-	cfg.normalize()
-	sim, g := benignGroup(cfg)
-
-	// Two split-brain windows, each a quarter of the run long, both
-	// healed well before the end so the final reads can converge.
-	quarter := int64(cfg.Blocks / 4)
-	if quarter < 8 {
-		quarter = 8
-	}
-	var left []int
-	for p := 0; p < cfg.N/2; p++ {
-		left = append(left, p)
-	}
-	g.Net.SetSchedule(simnet.NewSchedule(
-		simnet.SplitWindow(quarter/2, quarter, cfg.N, left),
-		simnet.SplitWindow(2*quarter, 2*quarter+quarter/2, cfg.N, left),
-	))
-	adv := adversary.NewEquivocator(g.Procs[cfg.N-1], g.Net, adversary.Config{Strategy: adversary.Equivocate, Forks: 2})
-
-	for r := 0; r < cfg.Blocks; r++ {
-		r := r
-		p := g.Procs[r%cfg.N]
+	// Mining: the round-robin miner extends its local selected head —
+	// which can lag in-flight deliveries by up to δ ticks, giving natural
+	// short-lived forks as in the PoW simulators.
+	for r := 0; r < c.Blocks; r++ {
+		p := g.Procs[r%c.N]
 		sim.Schedule(int64(r+1), func() {
 			head := p.SelectedHead()
 			blk := core.NewBlock(head.ID, head.Height+1, p.ID, r, protocols.CoinbasePayload(p.ID, r))
-			if p == adv.P {
+			if adv != nil && p == adv.P {
 				adv.FloodSiblings(blk)
 			} else {
 				p.AppendLocal(blk)
 			}
 		})
 	}
-	for t := cfg.ReadEvery; t <= int64(cfg.Blocks); t += cfg.ReadEvery {
-		tt := t
-		sim.Schedule(tt, func() {
-			for _, pr := range g.Procs {
-				pr.Read()
-			}
-		})
+	readAll := func() {
+		for _, pr := range g.Procs {
+			pr.Read()
+		}
+	}
+	readEvery := max(int64(c.Blocks/8), 1)
+	for t := readEvery; t <= int64(c.Blocks); t += readEvery {
+		sim.Schedule(t, readAll)
 	}
 	sim.RunUntilIdle()
-	// Two post-convergence read batches (as the protocol runs do): the
-	// equivocator's reads are excluded as faulty, so a single batch
-	// would leave room in the liveness tail window for a pre-heal read.
-	for _, pr := range g.Procs {
-		pr.Read()
+	for i := 0; i < finalReads; i++ {
+		readAll()
 	}
-	for _, pr := range g.Procs {
-		pr.Read()
+
+	st := Stats{
+		Blocks:    g.Procs[0].Tree().Len() - 1,
+		MaxHeight: g.Procs[0].Tree().Height(),
 	}
-	return collectStats(g)
+	sc, ec := judge(&st)
+	st.SCOK, st.ECOK = sc.OK, ec.OK
+	if reg != nil {
+		return st, reg.Snapshot()
+	}
+	return st, nil
 }
 
-// Case is one tracked benchmark: Run executes one self-verifying
-// iteration (cmd/bench times it directly), Bench is the testing.B
-// wrapper for `go test -bench`.
-type Case struct {
-	Name  string
-	Run   func() error
-	Bench func(b *testing.B)
-	// Shards is the scheduler shard count the case runs under (0 or 1 =
-	// serial); cmd/bench stamps it into the BENCH_<date>.json entries.
-	Shards int
-	// Metrics, on instrumented (-met) cases, returns the last run's
-	// metric summary (counters, stats, timings) for cmd/bench to embed
-	// in the snapshot entry. Nil on bare cases.
-	Metrics func() map[string]int64
-}
-
-// benchWrap lifts a self-verifying Run into a testing.B loop.
-func benchWrap(run func() error) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// scaleCase wraps one SimScale config as a benchmark case. A lossless
-// synchronous flood with post-convergence reads must satisfy EC; the
-// case fails if it does not, so the suite doubles as a correctness
-// check at scale.
-func scaleCase(cfg ScaleConfig) Case {
-	name := fmt.Sprintf("SimScale/N%d-b%d", cfg.N, cfg.Blocks)
-	if cfg.Shards > 1 {
-		name += fmt.Sprintf("-s%d", cfg.Shards)
-	}
-	run := func() error {
-		st := RunSimScale(cfg)
-		if !st.ECOK {
-			return fmt.Errorf("%s: EC violated on a lossless synchronous run", name)
-		}
-		if st.Blocks != cfg.Blocks {
-			return fmt.Errorf("%s: %d blocks attached, want %d", name, st.Blocks, cfg.Blocks)
-		}
-		return nil
-	}
-	return Case{Name: name, Shards: cfg.Shards, Run: run, Bench: benchWrap(run)}
-}
-
-// scaleAdvCase wraps one adversarial SimScale config. The partitions
-// and the equivocator guarantee measured Strong Prefix violations (the
-// case fails if the checker still says SC holds — the adversarial
-// pipeline must witness the attack), while the healed cuts and the
-// post-convergence reads keep EC intact.
-func scaleAdvCase(cfg ScaleConfig) Case {
-	name := fmt.Sprintf("SimScale/N%d-b%d-adv", cfg.N, cfg.Blocks)
-	if cfg.Shards > 1 {
-		name += fmt.Sprintf("-s%d", cfg.Shards)
-	}
-	run := func() error {
-		st := RunSimScaleAdversarial(cfg)
+// Check is the suite's self-check, so the benchmark doubles as a
+// correctness check at scale. A lossless synchronous flood with
+// post-convergence reads must satisfy EC and attach every block. On the
+// adversarial case the partitions and the equivocator guarantee measured
+// Strong Prefix violations — the check fails if the checker still says
+// SC holds, because the pipeline must witness the attack — while the
+// healed cuts and the final reads keep EC intact, and replica 0 attaches
+// the forged siblings on top of the mined blocks. A Stream case passing
+// at all means the monitor alone carried the verdict: the recorder
+// retained nothing. Metered == bare stats is pinned by the root
+// determinism test, not re-verified here: a -met row's wall time must
+// price only the instrumented run.
+func Check(c Case, st Stats) error {
+	if c.Variant == Adversarial {
 		if st.SCOK {
-			return fmt.Errorf("%s: SC held — the attack went unmeasured", name)
+			return fmt.Errorf("%s: SC held — the attack went unmeasured", c.Name())
 		}
 		if !st.ECOK {
-			return fmt.Errorf("%s: EC violated despite healed partitions", name)
+			return fmt.Errorf("%s: EC violated despite healed partitions", c.Name())
 		}
-		if st.Blocks < cfg.Blocks {
-			return fmt.Errorf("%s: only %d blocks attached at replica 0, want ≥ %d", name, st.Blocks, cfg.Blocks)
+		if st.Blocks < c.Blocks {
+			return fmt.Errorf("%s: only %d blocks attached at replica 0, want ≥ %d", c.Name(), st.Blocks, c.Blocks)
 		}
 		return nil
 	}
-	return Case{Name: name, Shards: cfg.Shards, Run: run, Bench: benchWrap(run)}
+	if !st.ECOK {
+		return fmt.Errorf("%s: EC violated on a lossless synchronous run", c.Name())
+	}
+	if st.Blocks != c.Blocks {
+		return fmt.Errorf("%s: %d blocks attached, want %d", c.Name(), st.Blocks, c.Blocks)
+	}
+	return nil
 }
 
-// Cases returns the tracked suite, smallest first. All entries are
-// deterministic and self-verifying; the -adv entries track the
-// attack-scenario pipeline cost alongside the benign runs, and the
-// -stream entries run the identical workload through the online monitor
-// (segmented, drop mode) so cmd/bench can price batch vs. streaming —
-// wall time and peak memory — on the same executions. The LongRun pair
-// is the ≥1M-op workload of DESIGN.md ablation #10.
+// Cases returns the case table, smallest first. The -adv rows track the
+// attack-scenario pipeline cost beside the benign runs, the -stream row
+// runs the identical workload through the online monitor so the two
+// paths are priced — wall time and peak heap — on the same execution,
+// and each -met row has a bare sibling for the instrumentation overhead.
 func Cases() []Case {
 	return []Case{
-		scaleCase(ScaleConfig{N: 16, Blocks: 5_000, Seed: 42}),
-		scaleAdvCase(ScaleConfig{N: 16, Blocks: 5_000, Seed: 42}),
-		scaleCase(ScaleConfig{N: 64, Blocks: 5_000, Seed: 42}),
-		scaleMetCase(ScaleConfig{N: 64, Blocks: 5_000, Seed: 42}),
-		scaleAdvCase(ScaleConfig{N: 64, Blocks: 5_000, Seed: 42}),
-		scaleCase(ScaleConfig{N: 128, Blocks: 5_000, Seed: 42}),
-		scaleCase(ScaleConfig{N: 128, Blocks: 5_000, Seed: 42, Shards: 4}),
-		scaleCase(ScaleConfig{N: 64, Blocks: 20_000, Seed: 42}),
-		scaleStreamCase(ScaleConfig{N: 64, Blocks: 20_000, Seed: 42}),
-		scaleCase(ScaleConfig{N: 256, Blocks: 2_500, Seed: 42}),
-		scaleAdvCase(ScaleConfig{N: 256, Blocks: 2_500, Seed: 42}),
-		scaleCase(ScaleConfig{N: 256, Blocks: 2_500, Seed: 42, Shards: 4}),
-		scaleMetCase(ScaleConfig{N: 256, Blocks: 2_500, Seed: 42, Shards: 4}),
-		scaleCase(ScaleConfig{N: 1024, Blocks: 1_200, Seed: 42}),
-		scaleAdvCase(ScaleConfig{N: 1024, Blocks: 1_200, Seed: 42}),
-		scaleCase(ScaleConfig{N: 1024, Blocks: 1_200, Seed: 42, Shards: 8}),
-		scaleAdvCase(ScaleConfig{N: 1024, Blocks: 1_200, Seed: 42, Shards: 8}),
-		longRunCase(false),
-		longRunCase(true),
+		{N: 16, Blocks: 5_000, Seed: 42},
+		{N: 16, Blocks: 5_000, Seed: 42, Variant: Adversarial},
+		{N: 64, Blocks: 5_000, Seed: 42},
+		{N: 64, Blocks: 5_000, Seed: 42, Variant: Metered},
+		{N: 64, Blocks: 5_000, Seed: 42, Variant: Adversarial},
+		{N: 128, Blocks: 5_000, Seed: 42},
+		{N: 128, Blocks: 5_000, Seed: 42, Shards: 4},
+		{N: 64, Blocks: 20_000, Seed: 42},
+		{N: 64, Blocks: 20_000, Seed: 42, Variant: Stream},
+		{N: 256, Blocks: 2_500, Seed: 42},
+		{N: 256, Blocks: 2_500, Seed: 42, Variant: Adversarial},
+		{N: 256, Blocks: 2_500, Seed: 42, Shards: 4},
+		{N: 256, Blocks: 2_500, Seed: 42, Shards: 4, Variant: Metered},
+		{N: 1024, Blocks: 1_200, Seed: 42},
+		{N: 1024, Blocks: 1_200, Seed: 42, Variant: Adversarial},
+		{N: 1024, Blocks: 1_200, Seed: 42, Shards: 8},
+		{N: 1024, Blocks: 1_200, Seed: 42, Shards: 8, Variant: Adversarial},
 	}
 }

@@ -192,8 +192,8 @@ func TestSegmentReusedAfterHandler(t *testing.T) {
 	}
 }
 
-// TestAsyncSegmentChainRecyclesNothing is the benchsuite.RunSimScaleStream
-// shape — recorder → AsyncSink → SegmentSink, drop mode — recorded from
+// TestAsyncSegmentChainRecyclesNothing is the shape of benchsuite's
+// Stream variant — recorder → AsyncSink → SegmentSink, drop mode — recorded from
 // two goroutines: the segment sink is not the recorder's direct sink, so
 // no op is handed back, and the consumer goroutine reads ops the
 // recorder never touches again (under -race a reused op would be a

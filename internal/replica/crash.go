@@ -103,17 +103,14 @@ func (p *Process) reset() {
 // timers call it before acting for the process.
 func (p *Process) Down() bool { return p.nw.Down(p.ID) }
 
-// CrashPlan configures Group.EnableCrashRecovery.
-type CrashPlan struct {
-	// Durable selects snapshot/restore recovery; false means amnesia.
-	Durable bool
-	// RetryAfter is the initial catch-up backoff: after each solicit
-	// the replica waits this long, doubling per attempt, before
-	// checking progress and re-soliciting. Default 8.
-	RetryAfter int64
-	// MaxRetries bounds the re-solicits per recovery. Default 3.
-	MaxRetries int
-}
+// Catch-up is bounded: a restarted replica solicits at most
+// CatchUpRetries times, waiting CatchUpBackoff ticks after the first
+// solicit and twice as long after each further one. A tick is one unit
+// of virtual time in simulation and transport.Tick of wall time live.
+const (
+	CatchUpRetries = 3
+	CatchUpBackoff = 8
+)
 
 // RecoveryStats counts crash–recovery activity across a run.
 type RecoveryStats struct {
@@ -126,73 +123,112 @@ type RecoveryStats struct {
 	ResyncBlocks    int // blocks (re)fetched between restart and catch-up end
 }
 
+// CrashRecovery is one process's crash–recovery procedure, stated once
+// for both drivers: the simulator calls Crash and Restart from the
+// network's crash schedule, a live deployment from wall-clock timers on
+// the node's event loop. Every method, and every callback handed to
+// after, must run on the event loop that owns the process; the type
+// takes no lock and starts no goroutine.
+type CrashRecovery struct {
+	p       *Process
+	durable bool
+	// after runs fn on the process's event loop once the given number of
+	// ticks has passed: sim.Schedule in simulation, Node.After scaled by
+	// the tick duration live.
+	after func(ticks int64, fn func())
+	stats *RecoveryStats
+	// done, when non-nil, is called each time a catch-up ends.
+	done func()
+
+	snap *Snapshot
+	// epoch counts crashes. A backoff timer armed before a crash belongs
+	// to a recovery that crash ended: it must neither re-solicit nor
+	// count resynced blocks beside the recovery the next restart starts.
+	epoch int
+}
+
+// NewCrashRecovery binds the procedure to p. Catch-up rides the
+// anti-entropy handlers, which the caller installs on every process of
+// the deployment (the peers answer the solicits).
+func NewCrashRecovery(p *Process, durable bool, after func(ticks int64, fn func()), stats *RecoveryStats, done func()) *CrashRecovery {
+	return &CrashRecovery{p: p, durable: durable, after: after, stats: stats, done: done}
+}
+
+// Crash is the crash edge: a durable replica persists its state. Call
+// it before the carrier marks the process down.
+func (r *CrashRecovery) Crash() {
+	r.stats.Crashes++
+	r.epoch++
+	if r.durable {
+		r.snap = r.p.Snapshot()
+	}
+}
+
+// Restart is the restart edge: restore the snapshot (or reset, when
+// amnesia) and catch up from attempt 0. Call it after the carrier marks
+// the process up.
+func (r *CrashRecovery) Restart() {
+	r.stats.Restarts++
+	if r.durable {
+		if r.snap != nil {
+			r.p.Restore(r.snap)
+			r.stats.DurableRestores++
+		}
+	} else {
+		r.p.Reset()
+		r.stats.AmnesiaResets++
+	}
+	r.solicit(0, CatchUpBackoff, r.p.tree.Len())
+}
+
+// solicit asks the peers for their inventories and checks progress after
+// the backoff, re-soliciting (with the backoff doubled) up to
+// CatchUpRetries times. Catch-up ends when the replica has no orphans
+// left and made progress since the last solicit, or when the retries are
+// exhausted; the blocks gained since restart are then added to
+// stats.ResyncBlocks.
+func (r *CrashRecovery) solicit(attempt int, backoff int64, lenAtRestart int) {
+	p := r.p
+	if p.Down() {
+		return // crashed again before this attempt; the next restart re-enters
+	}
+	r.stats.Solicits++
+	if attempt > 0 {
+		r.stats.Retries++
+	}
+	epoch, lenAtSolicit := r.epoch, p.tree.Len()
+	p.nw.Broadcast(p.ID, SyncMsg{})
+	r.after(backoff, func() {
+		if r.epoch != epoch {
+			return
+		}
+		progressed := p.tree.Len() > lenAtSolicit && p.PendingCount() == 0
+		if progressed || attempt+1 >= CatchUpRetries {
+			r.stats.ResyncBlocks += p.tree.Len() - lenAtRestart
+			if r.done != nil {
+				r.done()
+			}
+			return
+		}
+		r.solicit(attempt+1, backoff*2, lenAtRestart)
+	})
+}
+
 // EnableCrashRecovery wires the group's replicas to the network's crash
 // schedule: on crash a durable replica snapshots its state; on restart
 // it restores (or resets, when amnesia) and catches up via the
 // anti-entropy layer with bounded retry/backoff. Returns the live stats
 // (also kept on g.Recovery). Anti-entropy message handlers are
 // installed idempotently, so combining with EnableAntiEntropy is safe.
-func (g *Group) EnableCrashRecovery(sim *simnet.Sim, plan CrashPlan) *RecoveryStats {
-	if plan.RetryAfter <= 0 {
-		plan.RetryAfter = 8
-	}
-	if plan.MaxRetries <= 0 {
-		plan.MaxRetries = 3
-	}
+func (g *Group) EnableCrashRecovery(sim *simnet.Sim, durable bool) *RecoveryStats {
 	stats := &RecoveryStats{}
 	g.Recovery = stats
-	for _, p := range g.Procs {
+	recs := make([]*CrashRecovery, len(g.Procs))
+	for i, p := range g.Procs {
 		p.installAntiEntropy()
+		recs[i] = NewCrashRecovery(p, durable, sim.Schedule, stats, nil)
 	}
-	snaps := make(map[int]*Snapshot)
-	g.Net.OnCrash(func(id int) {
-		stats.Crashes++
-		if plan.Durable {
-			snaps[id] = g.Procs[id].Snapshot()
-		}
-	})
-	g.Net.OnRestart(func(id int) {
-		stats.Restarts++
-		p := g.Procs[id]
-		if plan.Durable {
-			if s := snaps[id]; s != nil {
-				p.Restore(s)
-				stats.DurableRestores++
-			}
-		} else {
-			p.Reset()
-			stats.AmnesiaResets++
-		}
-		g.catchUp(sim, p, plan, stats, 0, plan.RetryAfter, p.tree.Len())
-	})
+	g.Net.OnCrash(func(id int) { recs[id].Crash() })
+	g.Net.OnRestart(func(id int) { recs[id].Restart() })
 	return stats
-}
-
-// catchUp solicits peer inventories for a restarted replica and checks
-// progress after a backoff, re-soliciting (with the backoff doubled) up
-// to plan.MaxRetries times. Catch-up ends when the replica has no
-// orphans left and made progress since the last solicit, or when the
-// retries are exhausted; the blocks gained since restart are then added
-// to stats.ResyncBlocks.
-func (g *Group) catchUp(sim *simnet.Sim, p *Process, plan CrashPlan, stats *RecoveryStats, attempt int, backoff int64, lenAtRestart int) {
-	if p.Down() {
-		return // crashed again before this attempt; the next restart re-enters
-	}
-	stats.Solicits++
-	if attempt > 0 {
-		stats.Retries++
-	}
-	lenAtSolicit := p.tree.Len()
-	p.nw.Broadcast(p.ID, SyncMsg{})
-	sim.Schedule(backoff, func() {
-		if p.Down() {
-			return
-		}
-		progressed := p.tree.Len() > lenAtSolicit && p.PendingCount() == 0
-		if progressed || attempt+1 >= plan.MaxRetries {
-			stats.ResyncBlocks += p.tree.Len() - lenAtRestart
-			return
-		}
-		g.catchUp(sim, p, plan, stats, attempt+1, backoff*2, lenAtRestart)
-	})
 }

@@ -2,10 +2,13 @@ package replica
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/simnet"
 )
 
@@ -71,7 +74,7 @@ func crashRig(t *testing.T, durable bool, rounds int) (*simnet.Sim, *Group, map[
 	g.SetPredicate(core.WellFormed{})
 	g.Net.RecordFaults(true)
 	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{simnet.Crash(2, 30, 60)}})
-	g.EnableCrashRecovery(sim, CrashPlan{Durable: durable})
+	g.EnableCrashRecovery(sim, durable)
 
 	parent := core.Genesis()
 	for i := 0; i < rounds; i++ {
@@ -145,7 +148,7 @@ func TestCrashStopReplicaStaysDown(t *testing.T) {
 	sim := simnet.NewSim(7)
 	g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{simnet.CrashStop(1, 20)}})
-	g.EnableCrashRecovery(sim, CrashPlan{Durable: true})
+	g.EnableCrashRecovery(sim, true)
 
 	parent := core.Genesis()
 	for i := 0; i < 10; i++ {
@@ -190,7 +193,7 @@ func TestCatchUpRetriesWhenInventoryLost(t *testing.T) {
 		}
 		return m.To == 2 && sim.Now() < 50
 	})
-	g.EnableCrashRecovery(sim, CrashPlan{Durable: false, RetryAfter: 8, MaxRetries: 4})
+	g.EnableCrashRecovery(sim, false)
 
 	parent := core.Genesis()
 	for i := 0; i < 6; i++ {
@@ -205,6 +208,140 @@ func TestCatchUpRetriesWhenInventoryLost(t *testing.T) {
 	}
 	if got, want := treeDump(g.Procs[2].Tree()), treeDump(g.Procs[0].Tree()); got != want {
 		t.Fatalf("retrying catch-up did not converge:\np0: %s\np2: %s", want, got)
+	}
+}
+
+// catchUpRig is one process over a fake carrier and a fake timer: the
+// test decides when a block arrives, when the process is down and when
+// each armed backoff fires.
+type catchUpRig struct {
+	p        *Process
+	rec      *CrashRecovery
+	stats    RecoveryStats
+	down     bool
+	solicits int      // SyncMsg broadcasts seen by the carrier
+	waits    []int64  // every backoff armed, in the timer's own unit
+	timers   []func() // armed and not yet fired, oldest first
+	done     int
+	chain    *core.Block
+}
+
+func (r *catchUpRig) AddShardSafeHandler(int, simnet.Handler) {}
+func (r *catchUpRig) Send(int, int, any)                      {}
+func (r *catchUpRig) Down(int) bool                           { return r.down }
+func (r *catchUpRig) Broadcast(_ int, payload any) {
+	if _, ok := payload.(SyncMsg); ok {
+		r.solicits++
+	}
+}
+
+// fire runs the oldest armed backoff.
+func (r *catchUpRig) fire() {
+	fn := r.timers[0]
+	r.timers = r.timers[1:]
+	fn()
+}
+
+// gain delivers one new block extending the replica's chain.
+func (r *catchUpRig) gain() {
+	r.chain = mkBlock(r.chain, 1, r.chain.Height)
+	r.p.applyUpdate(r.chain)
+}
+
+func (r *catchUpRig) crash()   { r.rec.Crash(); r.down = true }
+func (r *catchUpRig) restart() { r.down = false; r.rec.Restart() }
+
+// TestCatchUpMachineUnderFakeTimer drives the one catch-up state machine
+// through both drivers' timer shapes: the simulator's (backoffs are
+// virtual ticks, handed to sim.Schedule as they are) and a live node's
+// (ticks scaled to a wall-clock duration for Node.After).
+func TestCatchUpMachineUnderFakeTimer(t *testing.T) {
+	const liveTick = 12500 * time.Microsecond // transport.Tick; importing it here would be a cycle
+	shapes := []struct {
+		name string
+		unit int64 // one tick in the timer's unit
+	}{{"virtual-ticks", 1}, {"wall-clock", int64(liveTick)}}
+	cases := []struct {
+		name   string
+		script func(r *catchUpRig)
+		want   RecoveryStats
+		waits  []int64 // in ticks
+		done   int
+	}{
+		{
+			name:   "progress after the first solicit ends it",
+			script: func(r *catchUpRig) { r.crash(); r.restart(); r.gain(); r.fire() },
+			want:   RecoveryStats{Crashes: 1, Restarts: 1, DurableRestores: 1, Solicits: 1, ResyncBlocks: 1},
+			waits:  []int64{8},
+			done:   1,
+		},
+		{
+			name:   "no progress solicits the bounded number of times",
+			script: func(r *catchUpRig) { r.crash(); r.restart(); r.fire(); r.fire(); r.fire() },
+			want:   RecoveryStats{Crashes: 1, Restarts: 1, DurableRestores: 1, Solicits: 3, Retries: 2},
+			waits:  []int64{8, 16, 32},
+			done:   1,
+		},
+		{
+			name: "a second crash during the backoff, timer fires while down",
+			script: func(r *catchUpRig) {
+				r.crash()
+				r.restart()
+				r.gain()
+				r.crash()
+				r.fire() // the first recovery's backoff: it ended with the crash
+				r.restart()
+			},
+			want:  RecoveryStats{Crashes: 2, Restarts: 2, DurableRestores: 2, Solicits: 2},
+			waits: []int64{8, 8},
+		},
+		{
+			name: "a second crash during the backoff, timer fires after the restart",
+			script: func(r *catchUpRig) {
+				r.crash()
+				r.restart()
+				r.gain()
+				r.crash()
+				r.restart()
+				r.fire() // stale: must not count the block beside the new recovery
+				r.gain()
+				r.fire()
+			},
+			want:  RecoveryStats{Crashes: 2, Restarts: 2, DurableRestores: 2, Solicits: 2, ResyncBlocks: 1},
+			waits: []int64{8, 8},
+			done:  1,
+		},
+	}
+	for _, shape := range shapes {
+		for _, c := range cases {
+			t.Run(shape.name+"/"+c.name, func(t *testing.T) {
+				r := &catchUpRig{chain: core.Genesis()}
+				r.p = NewProcess(0, r, nil, history.NewRecorder(1, nil), NewRegistry())
+				after := func(ticks int64, fn func()) {
+					r.waits = append(r.waits, ticks*shape.unit)
+					r.timers = append(r.timers, fn)
+				}
+				r.rec = NewCrashRecovery(r.p, true, after, &r.stats, func() { r.done++ })
+				c.script(r)
+
+				if r.stats != c.want {
+					t.Errorf("stats %+v, want %+v", r.stats, c.want)
+				}
+				if r.solicits != c.want.Solicits {
+					t.Errorf("carrier saw %d solicits, stats count %d", r.solicits, c.want.Solicits)
+				}
+				wantWaits := make([]int64, len(c.waits))
+				for i, w := range c.waits {
+					wantWaits[i] = w * shape.unit
+				}
+				if !slices.Equal(r.waits, wantWaits) {
+					t.Errorf("backoffs %v, want %v", r.waits, wantWaits)
+				}
+				if r.done != c.done {
+					t.Errorf("done called %d times, want %d", r.done, c.done)
+				}
+			})
+		}
 	}
 }
 
@@ -262,7 +399,7 @@ func FuzzDurableRestore(f *testing.F) {
 		g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 		g.SetPredicate(core.WellFormed{})
 		g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{simnet.Crash(2, start, end)}})
-		g.EnableCrashRecovery(sim, CrashPlan{Durable: true})
+		g.EnableCrashRecovery(sim, true)
 
 		var atCrash, atRestart string
 		g.Net.OnCrash(func(p int) { atCrash = treeDump(g.Procs[p].Tree()) + "|" + pendingDump(g.Procs[p]) })

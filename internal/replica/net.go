@@ -31,22 +31,12 @@ type Net interface {
 // and owned by the transport layer. Idempotent.
 func (p *Process) InstallAntiEntropy() { p.installAntiEntropy() }
 
-// SolicitSync broadcasts a catch-up solicit: every peer answers with a
-// point-to-point inventory of its leaves, and this process pulls what
-// it is missing through the ordinary inv/req repair path. A restarted
-// live node calls this (with transport-level retry backoff) to rejoin.
-func (p *Process) SolicitSync() {
-	if p.Down() {
-		return
-	}
-	p.nw.Broadcast(p.ID, SyncMsg{})
-}
-
 // Advertise broadcasts this process's current leaves — one round of the
 // periodic anti-entropy loop, exposed so live deployments can drive it
 // from wall-clock tickers.
 func (p *Process) Advertise() { p.advertise() }
 
 // TreeLen reports the number of blocks attached to the local replica
-// (genesis included) — the progress measure live catch-up polls.
+// (genesis included) — what a live deployment's settle compares across
+// nodes.
 func (p *Process) TreeLen() int { return p.tree.Len() }

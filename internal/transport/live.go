@@ -268,14 +268,29 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	cGrants := mreg.Counter("live.append.granted")
 	cReads := mreg.Counter("live.reads")
 
+	// One teardown for the success path and every error return from here
+	// on: stop the loops (cancelling wall-clock timers), close the
+	// carrier, then drain the monitor queue. Nodes that never listened or
+	// started stop trivially.
+	nodes := make([]*Node, 0, cfg.N)
+	teardown := func() error {
+		for _, n := range nodes {
+			n.Stop()
+		}
+		tr.Close()
+		return async.Drain()
+	}
+	fail := func(err error) (*LiveResult, error) {
+		_ = teardown() // err is what went wrong; a monitor failure behind it is a consequence
+		return nil, err
+	}
+
 	// Build the nodes: listen, host a process, install repair
 	// handlers, dial the mesh, then start the event loops.
-	nodes := make([]*Node, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		n, err := NewNode(i, tr)
 		if err != nil {
-			tr.Close()
-			return nil, err
+			return fail(err)
 		}
 		proc := replica.NewProcess(i, n, prof.Selector, rec, reg)
 		if prof.Predicate != nil {
@@ -283,12 +298,11 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		}
 		proc.InstallAntiEntropy()
 		n.Proc = proc
-		nodes[i] = n
+		nodes = append(nodes, n)
 	}
 	for i := range nodes {
 		if err := tr.Dial(i); err != nil {
-			tr.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 	for _, n := range nodes {
@@ -305,7 +319,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	if cfg.Crash != nil {
 		recovery = &replica.RecoveryStats{}
 		crashDone = make(chan struct{})
-		go runCrash(cfg.Crash, nodes[cfg.Crash.Node], recovery, crashDone)
+		scheduleCrash(cfg.Crash, nodes[cfg.Crash.Node], recovery, func() { close(crashDone) })
 	}
 	loadStart := time.Now()
 	lg.run()
@@ -316,7 +330,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		select {
 		case <-crashDone:
 		case <-time.After(cfg.SettleTimeout + cfg.Crash.After + cfg.Crash.Downtime):
-			return nil, fmt.Errorf("transport: crash/restart did not complete")
+			return fail(fmt.Errorf("transport: crash/restart did not complete"))
 		}
 	}
 
@@ -333,13 +347,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		}
 	}
 
-	// Teardown: stop the loops (cancelling wall-clock timers), close
-	// the carrier, then drain the monitor queue.
-	for _, n := range nodes {
-		n.Stop()
-	}
-	tr.Close()
-	monErr := async.Drain()
+	monErr := teardown()
 	for _, op := range rec.PendingOps() {
 		mon.OpPending(op)
 	}
@@ -408,51 +416,28 @@ func scheduleAdvertise(n *Node, period time.Duration) {
 	n.After(period, tick)
 }
 
-// runCrash executes one crash window against a node: snapshot (when
-// durable) + down, wait, restore/reset + up, then catch up through
-// anti-entropy solicits with doubling wall-clock backoff, mirroring
-// Group.catchUp.
-func runCrash(spec *CrashSpec, n *Node, stats *replica.RecoveryStats, done chan struct{}) {
-	time.Sleep(spec.After)
-	stats.Crashes++
-	snap := n.crash(spec.Durable)
-	time.Sleep(spec.Downtime)
-	stats.Restarts++
-	n.restart(snap)
-	var lenAtRestart int
-	n.Do(func() {
-		if spec.Durable && snap != nil {
-			stats.DurableRestores++
-		} else {
-			stats.AmnesiaResets++
-		}
-		lenAtRestart = n.Proc.TreeLen()
-	})
+// Tick is the wall-clock length of one replica tick in a live
+// deployment: catch-up's first backoff, replica.CatchUpBackoff ticks, is
+// 100 ms.
+const Tick = 12500 * time.Microsecond
 
-	// Catch-up with bounded retries; completion closes done.
-	const maxRetries = 3
-	var attempt func(k int, backoff time.Duration)
-	attempt = func(k int, backoff time.Duration) {
-		var lenAtSolicit int
-		n.Do(func() {
-			stats.Solicits++
-			if k > 0 {
-				stats.Retries++
-			}
-			lenAtSolicit = n.Proc.TreeLen()
-			n.Proc.SolicitSync()
+// scheduleCrash arms one crash window on the node's own timers, so the
+// whole window — crash, restart, catch-up and every stats update — runs
+// on the node's event loop: the crash edge marks the node down (inbound
+// deliveries are dropped, the process neither sends nor operates), the
+// restart edge marks it up, and replica.CrashRecovery does the rest,
+// calling done when the catch-up ends.
+func scheduleCrash(spec *CrashSpec, n *Node, stats *replica.RecoveryStats, done func()) {
+	after := func(ticks int64, fn func()) { n.After(time.Duration(ticks)*Tick, fn) }
+	rec := replica.NewCrashRecovery(n.Proc, spec.Durable, after, stats, done)
+	n.After(spec.After, func() {
+		rec.Crash() // crash-consistent snapshot: the loop is between events
+		n.down.Store(true)
+		n.After(spec.Downtime, func() {
+			n.down.Store(false)
+			rec.Restart()
 		})
-		n.After(backoff, func() {
-			progressed := n.Proc.TreeLen() > lenAtSolicit && n.Proc.PendingCount() == 0
-			if progressed || k+1 >= maxRetries {
-				stats.ResyncBlocks += n.Proc.TreeLen() - lenAtRestart
-				close(done)
-				return
-			}
-			go attempt(k+1, backoff*2)
-		})
-	}
-	attempt(0, 100*time.Millisecond)
+	})
 }
 
 // settle polls until every node reports the same tree size with empty

@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,5 +140,36 @@ func TestLiveRunTCP(t *testing.T) {
 	}
 	if v := res.Violated(); len(v) != 0 {
 		t.Fatalf("tcp benign run violated %v", v)
+	}
+}
+
+// TestLiveRunFailedDeploymentLeavesNoGoroutine occupies a loopback port
+// and hands it to node 1 of a tcp deployment: Run must report the listen
+// error with everything it had already started — node 0's accept loop,
+// the monitor's consumer — stopped again. The goroutine count is compared
+// with its pre-run baseline the way cmd/live -check does it.
+func TestLiveRunFailedDeploymentLeavesNoGoroutine(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	base := runtime.NumGoroutine()
+	_, err = Run(LiveConfig{
+		Transport:  "tcp",
+		N:          3,
+		Addrs:      []string{"", ln.Addr().String(), ""},
+		MaxAppends: 10,
+	}, testProfile())
+	if err == nil || !strings.Contains(err.Error(), "listen") {
+		t.Fatalf("Run on an occupied port returned %v, want a listen error", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutine(s) left behind by the failed deployment", runtime.NumGoroutine()-base)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -171,34 +171,3 @@ func (n *Node) Broadcast(from int, payload any) {
 
 // Down reports the live crash flag.
 func (n *Node) Down(int) bool { return n.down.Load() }
-
-// --- crash / restart (deployment control; see live.go) ---
-
-// crash opens a crash window on the node's loop: the process stops
-// operating and inbound deliveries are dropped. When durable, the
-// replica state is snapshotted first (crash-consistent: the loop is
-// between events). Returns the snapshot (nil under amnesia).
-func (n *Node) crash(durable bool) *replica.Snapshot {
-	var snap *replica.Snapshot
-	n.Do(func() {
-		if durable {
-			snap = n.Proc.Snapshot()
-		}
-		n.down.Store(true)
-	})
-	return snap
-}
-
-// restart closes the crash window: restore the snapshot (durable) or
-// reset to genesis (amnesia), then rejoin. Catch-up runs through the
-// anti-entropy layer with wall-clock retry backoff (live.go).
-func (n *Node) restart(snap *replica.Snapshot) {
-	n.Do(func() {
-		if snap != nil {
-			n.Proc.Restore(snap)
-		} else {
-			n.Proc.Reset()
-		}
-		n.down.Store(false)
-	})
-}
