@@ -21,11 +21,15 @@
 //     and both drivers and the Info read them from there.
 //   - Run options are functional: WithN, WithRounds, WithSeed,
 //     WithDelta, WithDifficulty, WithMerits, WithFaults, WithAdversary,
-//     WithObserver and friends replace the per-protocol config structs.
-//     WithMonitor/WithStreaming attach the online consistency monitor
-//     (live witnesses, bounded-memory runs); WithShards moves the
-//     simulation onto the sharded deterministic scheduler — a pure
-//     wall-clock knob, specified to leave every digest byte-identical.
+//     WithCrashes, WithObserver and friends replace the per-protocol
+//     config structs. WithMonitor/WithStreaming attach the online
+//     consistency monitor (live witnesses, bounded-memory runs);
+//     WithShards moves the simulation onto the sharded deterministic
+//     scheduler — a pure wall-clock knob, specified to leave every
+//     digest byte-identical; WithLive and WithLoad deploy and drive the
+//     system for real. There is one knob set, Config, under both
+//     drivers: a table (options.go) says which driver takes which field,
+//     and an option set where its driver is not is an error naming it.
 //   - Result carries the recorded history, the per-process replica
 //     trees and the fault/adversary event log, plus checker access
 //     (Check, KFork, UpdateAgreement) and a replay Digest: identical
@@ -99,7 +103,7 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 	cfg.system = s.info.Name
 	// A live run owns its monitor: the monitor options reach it through
 	// Base, not through the simulation's streaming state.
-	if !cfg.Live && (cfg.Monitor || cfg.Streaming) {
+	if !cfg.Live && (cfg.Monitor || cfg.Streaming || cfg.MonitorK > 0 || cfg.MonitorCheckpoint > 0 || cfg.OnWitness != nil) {
 		cfg.monrun = &monitorRun{
 			k:         cfg.MonitorK,
 			streaming: cfg.Streaming,
@@ -108,7 +112,7 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 			onWitness: cfg.OnWitness,
 		}
 	}
-	if cfg.Metrics || cfg.MetricsEvery > 0 || cfg.TraceW != nil {
+	if cfg.Metrics || cfg.TraceW != nil {
 		cfg.obsrun = newObsRun(&cfg)
 		if cfg.monrun != nil {
 			cfg.monrun.obs = cfg.obsrun

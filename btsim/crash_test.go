@@ -141,6 +141,15 @@ func TestCrashValidation(t *testing.T) {
 		btsim.WithCrashes(btsim.Crash{Proc: 0, Start: 10, End: 10}))); err == nil {
 		t.Error("empty crash window accepted")
 	}
+	// A process past N used to reach the simulator and index out of range.
+	for name, opts := range map[string][]btsim.Option{
+		"N = 4":     {btsim.WithN(4), btsim.WithCrashes(btsim.Crash{Proc: 99, Start: 1, End: 5})},
+		"default N": {btsim.WithCrashes(btsim.Crash{Proc: 99, Start: 1, End: 5})},
+	} {
+		if _, err := sys.Run(btsim.NewConfig(opts...)); err == nil {
+			t.Errorf("crash process 99 at %s accepted", name)
+		}
+	}
 }
 
 // TestCrashReplayDeterminism: identical crash configs replay to the

@@ -1,6 +1,9 @@
 package btsim_test
 
 import (
+	"io"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/btsim"
@@ -19,8 +22,7 @@ func checkLiveBenign(t *testing.T, system string) {
 		btsim.WithN(8),
 		btsim.WithSeed(42),
 		btsim.WithLive("chan"),
-		btsim.WithLiveAppends(20),
-		btsim.WithLoad(2, 0),
+		btsim.WithLoad(btsim.Load{Clients: 2, Appends: 20}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -71,19 +73,107 @@ func checkLiveBenign(t *testing.T, system string) {
 func TestLiveConformanceBitcoin(t *testing.T) { checkLiveBenign(t, "bitcoin") }
 func TestLiveConformanceFabric(t *testing.T)  { checkLiveBenign(t, "fabric") }
 
+// TestLiveRejectsSimulationKnobs: every simulation-only row of the knobs
+// table, set to a non-zero value on an otherwise valid live run, is
+// rejected with an error naming its option — and so is each live
+// mistake the table range-checks.
 func TestLiveRejectsSimulationKnobs(t *testing.T) {
-	cases := [][]btsim.Option{
-		{btsim.WithLive("chan"), btsim.WithLiveAppends(5), btsim.WithStreaming(0)},
-		{btsim.WithLive("chan"), btsim.WithLiveAppends(5), btsim.WithMonitorCheckpoint(100)},
-		{btsim.WithLive("chan"), btsim.WithLiveAppends(5), btsim.WithShards(4)},
-		{btsim.WithLive("chan"), btsim.WithLiveAppends(5), btsim.WithCrashes(btsim.Crash{Proc: 1, Start: 1, End: 2})},
-		{btsim.WithLive("carrier-pigeon"), btsim.WithLiveAppends(5)},
-		{btsim.WithLive("chan")},   // no duration, no budget
-		{btsim.WithLiveAppends(5)}, // live knob without WithLive
+	sys, _ := btsim.Lookup("bitcoin")
+	live := []btsim.Option{btsim.WithLive("chan"), btsim.WithLoad(btsim.Load{Appends: 5})}
+	simOnly := 0
+	for _, row := range btsim.KnobRows() {
+		if row.Takes != "simulation" {
+			continue
+		}
+		simOnly++
+		cfg := btsim.NewConfig(live...)
+		setNonZero(reflect.ValueOf(&cfg).Elem().FieldByName(row.Field))
+		if _, err := sys.Run(cfg); err == nil || !strings.Contains(err.Error(), row.Option+" is simulation-only") {
+			t.Errorf("live run with Config.%s set: error %v does not reject %s", row.Field, err, row.Option)
+		}
 	}
-	for i, opts := range cases {
-		if _, err := btsim.Run("bitcoin", opts...); err == nil {
-			t.Errorf("case %d: invalid live config accepted", i)
+	if simOnly < 10 {
+		t.Fatalf("the knobs table has only %d simulation-only rows", simOnly)
+	}
+
+	crashes := func(ws ...btsim.Crash) []btsim.Option { return append(live, btsim.WithN(4), btsim.WithCrashes(ws...)) }
+	for name, opts := range map[string][]btsim.Option{
+		"unknown carrier":       {btsim.WithLive("carrier-pigeon"), btsim.WithLoad(btsim.Load{Appends: 5})},
+		"no duration no budget": {btsim.WithLive("chan")},
+		"load without WithLive": {btsim.WithLoad(btsim.Load{Appends: 5})},
+		"crash node past N":     crashes(btsim.Crash{Proc: 99, Start: 1, End: 5}),
+		"live crash-stop":       crashes(btsim.Crash{Proc: 1, Start: 1, End: btsim.NoHeal}),
+		"touching windows":      crashes(btsim.Crash{Proc: 1, Start: 1, End: 5}, btsim.Crash{Proc: 1, Start: 5, End: 9}),
+		"overlapping windows":   crashes(btsim.Crash{Proc: 1, Start: 4, End: 9}, btsim.Crash{Proc: 1, Start: 1, End: 5}),
+	} {
+		if _, err := sys.Run(btsim.NewConfig(opts...)); err == nil {
+			t.Errorf("%s: invalid live config accepted", name)
+		}
+	}
+}
+
+// setNonZero gives a Config field some non-zero value of its type.
+func setNonZero(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Float64:
+		v.SetFloat(1)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value {
+			return []reflect.Value{reflect.Zero(v.Type().Out(0))}
+		}))
+	case reflect.Interface: // TraceW
+		v.Set(reflect.ValueOf(io.Discard))
+	case reflect.Struct:
+		setNonZero(v.Field(0))
+	default:
+		panic("setNonZero: no value for " + v.Type().String())
+	}
+}
+
+// TestCrashRecoversLive drives the public crash path on a deployment:
+// the one Crash declaration and the one durability knob, under WithLive.
+// Fabric's orderer never loses the lottery, so the twelve appends are
+// granted long before tick 4: the window opens and heals while Run waits
+// for the rejoin, and no read lands on a replica that is still catching
+// up — under either discipline the restarted node reconverges and
+// nothing is violated.
+func TestCrashRecoversLive(t *testing.T) {
+	for _, durable := range []bool{true, false} {
+		res, err := btsim.Run("fabric",
+			btsim.WithN(4), btsim.WithSeed(9),
+			btsim.WithLive("chan"), btsim.WithLoad(btsim.Load{Appends: 12}),
+			btsim.WithCrashes(btsim.Crash{Proc: 1, Start: 4, End: 12}),
+			btsim.WithDurability(durable))
+		if err != nil {
+			t.Fatal(err)
+		}
+		restores, resets := 1, 0
+		if !durable {
+			restores, resets = 0, 1
+		}
+		rs := res.Live.Recovery
+		if rs == nil || rs.Crashes != 1 || rs.Restarts != 1 || rs.Solicits == 0 ||
+			rs.DurableRestores != restores || rs.AmnesiaResets != resets {
+			t.Fatalf("durable=%v: recovery stats %+v, want one crash and one restart under that discipline", durable, rs)
+		}
+		if res.Recovery != rs {
+			t.Errorf("durable=%v: Result.Recovery is not the deployment's", durable)
+		}
+		if !res.Live.Converged {
+			t.Errorf("durable=%v: the restarted node did not reconverge", durable)
+		}
+		if v := res.Live.Violated(); len(v) != 0 || res.Live.MonitorErr != nil {
+			t.Errorf("durable=%v: violated %v (monitor error %v)", durable, v, res.Live.MonitorErr)
 		}
 	}
 }
@@ -96,7 +186,7 @@ func TestLiveTakesMonitorOptions(t *testing.T) {
 	var seen int // written by the monitor's consumer goroutine, read after the run joined it
 	res, err := btsim.Run("ethereum",
 		btsim.WithN(6), btsim.WithSeed(3), btsim.WithDifficulty(1),
-		btsim.WithLive("chan"), btsim.WithLiveAppends(60), btsim.WithLiveSpray(), btsim.WithLoad(4, 0),
+		btsim.WithLive("chan"), btsim.WithLoad(btsim.Load{Clients: 4, Appends: 60, Spray: true}),
 		btsim.WithMonitor(func(consistency.Witness) { seen++ }), btsim.WithMonitorK(1))
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +215,7 @@ func TestDefinitionAgreesAcrossDrivers(t *testing.T) {
 			info := sys.Info()
 			// No WithN: every system must run on the shared defaults.
 			sim := mustRun(t, sys, btsim.WithRounds(12), btsim.WithSeed(5))
-			live := mustRun(t, sys, btsim.WithSeed(5), btsim.WithLive("chan"), btsim.WithLiveAppends(6))
+			live := mustRun(t, sys, btsim.WithSeed(5), btsim.WithLive("chan"), btsim.WithLoad(btsim.Load{Appends: 6}))
 			if live.Live == nil || !live.Live.Converged {
 				t.Fatal("live run did not converge")
 			}

@@ -52,7 +52,7 @@ type obsRun struct {
 // counter tracks) and, when a trace writer is set, the tracer.
 func newObsRun(cfg *Config) *obsRun {
 	or := &obsRun{
-		reg:       metrics.New(cfg.MetricsEvery),
+		reg:       metrics.New(0),
 		traceW:    cfg.TraceW,
 		traceOpts: cfg.TraceOpts,
 	}

@@ -3,6 +3,7 @@ package btsim
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"time"
 
 	"repro/internal/adversary"
@@ -15,42 +16,35 @@ import (
 	"repro/internal/transport"
 )
 
-// NoHeal, as a Fault.End value, makes the cut permanent: messages
-// crossing it are lost instead of deferred (mirrors simnet.NoHeal).
-const NoHeal int64 = -1
+// NoHeal, as a Fault.End or Crash.End value, makes the cut or the crash
+// permanent: messages crossing a permanent cut are lost instead of
+// deferred, a process crashed for good never restarts.
+const NoHeal = simnet.NoHeal
 
 // The process-level adversarial strategies (Adversary.Strategy). The
 // empty string is benign.
 const (
 	// Selfish is withhold-and-release selfish mining: mine privately,
 	// publish when the honest chain gets within Lead of the private tip.
-	Selfish = "selfish"
+	Selfish = adversary.Selfish
 	// Withhold is pure block withholding: mine privately, publish only
 	// at the end of the run — the maximal-reorg variant of Selfish.
-	Withhold = "withhold"
+	Withhold = adversary.Withhold
 	// Equivocate is fork flooding: every block the adversary produces
 	// is accompanied by forged siblings reusing the same oracle token.
-	Equivocate = "equivocate"
+	Equivocate = adversary.Equivocate
 )
 
-// Adversary declares a process-level adversarial strategy for a run.
-// The zero value is benign. Systems that support adversaries wire it
-// (the PoW miners and fabric's orderer); the others ignore it.
-type Adversary struct {
-	// Strategy is one of Selfish, Withhold, Equivocate or "" (benign).
-	Strategy string
-	// Proc is the adversarial process id; 0 or out of range means the
-	// last process. Systems with a distinguished role (fabric's
-	// orderer) pin the id themselves.
-	Proc int
-	// Lead is the selfish-mining release threshold (0 means 1).
-	Lead int
-	// Forks is the equivocation width (0 means 2).
-	Forks int
-	// ReleaseAtEnd flushes a still-withheld private chain after the
-	// last round, before the final read batch.
-	ReleaseAtEnd bool
-}
+// Adversary declares a process-level adversarial strategy for a run:
+// Strategy (Selfish, Withhold, Equivocate or "" for benign), the
+// adversarial Proc (0 or out of range means the last process; systems
+// with a distinguished role, such as fabric's orderer, pin it
+// themselves), the selfish-mining release threshold Lead (0 means 1),
+// the equivocation width Forks (0 means 2) and ReleaseAtEnd, which
+// flushes a still-withheld private chain after the last round. The zero
+// value is benign. Systems that support adversaries wire it (the PoW
+// miners and fabric's orderer); the others ignore it.
+type Adversary = adversary.Config
 
 // Fault declares one network partition window without committing to a
 // process count; it is resolved against the run's N at start time.
@@ -94,24 +88,16 @@ func (f Fault) String() string {
 }
 
 // Crash declares one crash window: process Proc is down during
-// [Start, End). While down it neither mines, reads nor receives —
-// deliveries to it are lost, not deferred. End == NoHeal makes the
-// crash permanent (crash-stop); otherwise the process restarts at End
+// [Start, End). While down it neither appends, reads nor receives —
+// deliveries to it are lost, not deferred. At End the process restarts
 // and catches up through the anti-entropy layer, restoring its durable
-// snapshot first when WithDurability(true) is set.
-type Crash struct {
-	Proc       int
-	Start, End int64
-}
-
-// String renders e.g. "crash[2][30,60)" or "crash[1][40,∞)".
-func (cw Crash) String() string {
-	end := fmt.Sprint(cw.End)
-	if cw.End == NoHeal {
-		end = "∞"
-	}
-	return fmt.Sprintf("crash[%d][%d,%s)", cw.Proc, cw.Start, end)
-}
+// snapshot first when WithDurability(true) is set. The instants are
+// virtual time in simulation and, under WithLive, replica ticks
+// (transport.Tick, 12.5 ms) after the start of the load. End == NoHeal
+// makes the crash permanent (crash-stop) — in simulation only: a
+// deployment waits for every node to converge, and two live windows of
+// one process must leave a gap between them.
+type Crash = simnet.CrashWindow
 
 // Drop declares deterministic message loss: the Nth message (0-based)
 // addressed to process To is dropped; To < 0 matches every message.
@@ -119,6 +105,24 @@ func (cw Crash) String() string {
 // update message breaks Eventual Prefix.
 type Drop struct {
 	Nth, To int
+}
+
+// Load shapes the client load of a live run (WithLoad). Duration and
+// Appends bound the load phase, in wall time and in granted appends;
+// the phase ends at whichever comes first and at least one must be set.
+type Load struct {
+	// Clients is the number of concurrent generators (0 means 2).
+	Clients int
+	// Rate is the per-client target in appends/sec; 0 means closed-loop
+	// (submit as soon as the last operation completes).
+	Rate     float64
+	Duration time.Duration
+	// Appends is the deterministic-progress bound tests use.
+	Appends int64
+	// Spray round-robins appends across all nodes instead of the
+	// single-writer default (prodigal systems only get real fork
+	// pressure this way; sequencer systems pin node 0 regardless).
+	Spray bool
 }
 
 // Progress is what a WithObserver callback sees once per protocol
@@ -130,11 +134,8 @@ type Progress struct {
 	// the effective total (the default is substituted when the run
 	// was configured with 0), so p.Round/p.Rounds is always sound.
 	Round, Rounds int
-	// Now is the simulator's virtual time.
-	Now int64
-	// VirtualTime is the simulator's virtual time — the same value as
-	// Now under its canonical name, matching Result.Metrics series
-	// timestamps and trace event times.
+	// VirtualTime is the simulator's virtual time, as in Result.Metrics
+	// series timestamps and trace event times.
 	VirtualTime int64
 	// LiveWitnesses counts the violation witnesses the run's online
 	// monitor has emitted so far (0 when no monitor is attached) — the
@@ -145,7 +146,10 @@ type Progress struct {
 // Config is the uniform knob set every registered system runs under,
 // normally assembled through the With* functional options. Knobs a
 // system has no use for are ignored (difficulty on a BFT chain, say);
-// the conformance suite pins which knobs are observable where.
+// the conformance suite pins which knobs are observable where. Knobs a
+// driver has no use for are rejected: the knobs table below says, field
+// by field, whether the simulation, a WithLive deployment or both take
+// it.
 type Config struct {
 	// N is the number of processes (0 means 4).
 	N int
@@ -173,8 +177,9 @@ type Config struct {
 	Faults []Fault
 	// Adversary is the process-level strategy (zero value = benign).
 	Adversary Adversary
-	// Crashes are the run's crash–recovery windows; every system wires
-	// them (the decided blocks all travel the replica flooding layer).
+	// Crashes are the run's crash–recovery windows, under either driver;
+	// every system wires them (the decided blocks all travel the replica
+	// flooding layer).
 	Crashes []Crash
 	// Durable selects snapshot/restore recovery for crashed processes;
 	// false means amnesia (rejoin from genesis).
@@ -188,84 +193,37 @@ type Config struct {
 	// FaultLog forces the network fault-event log on even for benign
 	// runs (it is implied whenever Faults or an Adversary is set).
 	FaultLog bool
-	// Monitor attaches an online consistency monitor to the run
-	// (history still retained; Result.Stream carries the online
-	// verdicts next to Check()'s replay). See WithMonitor.
-	Monitor bool
-	// MonitorK, when > 0, additionally tracks k-Fork Coherence online,
-	// with live witnesses at the (k+1)-th token reuse. Implies Monitor.
-	MonitorK int
-	// MonitorCheckpoint, when > 0, checkpoint-cycles the online monitor
-	// roughly every MonitorCheckpoint consumed operations: the monitor
-	// serializes its bounded retained state, a fresh monitor is
-	// restored from the bytes, and the run continues on the restored
-	// one. The cycles are specified to be invisible — the finalized
-	// verdicts are byte-identical to an uninterrupted monitor's — which
-	// is the restart-safety claim of the crash–recovery model, and the
-	// catalogue test pins it on every scenario. Implies Monitor.
+	// Monitor attaches the online consistency monitor; MonitorK > 0 adds
+	// k-Fork Coherence to what it tracks, MonitorCheckpoint > 0 cycles it
+	// through serialize → restore every that many operations, OnWitness
+	// receives each violation witness as it forms. Each of the three
+	// implies Monitor. See WithMonitor, WithMonitorK,
+	// WithMonitorCheckpoint.
+	Monitor           bool
+	MonitorK          int
 	MonitorCheckpoint int
-	// OnWitness receives each violation witness the moment it forms
-	// (requires Monitor). It is called from inside the recording path:
-	// keep it fast and do not call back into the run.
-	OnWitness func(consistency.Witness)
-	// Streaming switches the run to bounded-memory recording: history
-	// is streamed through sealed segments into the monitor and
-	// released, never retained. Result.History then holds only the
-	// still-pending operations — Result.Stream is the verdict. Implies
-	// Monitor. See WithStreaming.
-	Streaming bool
-	// StreamSegment is the streaming segment size in operations
-	// (0 means history.DefaultSegmentSize).
+	OnWitness         func(consistency.Witness)
+	// Streaming records in bounded memory, StreamSegment operations per
+	// sealed segment (0 means history.DefaultSegmentSize). See
+	// WithStreaming.
+	Streaming     bool
 	StreamSegment int
-	// Shards runs the simulation on a sharded deterministic scheduler
-	// with that many worker shards; 0 or 1 is the serial scheduler.
-	// Sharding is purely a wall-clock knob: any shard count is
-	// specified to produce byte-identical histories, fault logs and
-	// digests. See WithShards.
+	// Shards is the worker-shard count of the sharded deterministic
+	// scheduler; 0 or 1 is the serial one. See WithShards.
 	Shards int
-	// Metrics attaches the deterministic metrics layer: every layer of
-	// the run registers zero-alloc counters and virtual-time-sampled
-	// gauges, and Result.Metrics carries the typed snapshot. Attaching
-	// metrics is specified to leave the run's digest byte-identical,
-	// and the snapshot itself is identical across shard counts. See
-	// WithMetrics.
-	Metrics bool
-	// MetricsEvery is the virtual-time sampling interval of the gauge
-	// series (0 means metrics.DefaultSampleEvery). Implies Metrics.
-	MetricsEvery int64
-	// TraceW, when set, receives the run's structured scheduler trace
-	// after the run — Chrome trace-event JSON by default (Perfetto /
-	// chrome://tracing loadable), JSON-lines with TraceOpts.JSONL.
-	// Implies Metrics. See WithTrace.
-	TraceW io.Writer
-	// TraceOpts tunes the trace (sampling, retention cap, format).
+	// Metrics attaches the deterministic metrics layer (WithMetrics).
+	// TraceW, when set, receives the run's scheduler trace as TraceOpts
+	// shapes it, and implies Metrics (WithTrace).
+	Metrics   bool
+	TraceW    io.Writer
 	TraceOpts TraceOptions
-	// Live switches the run from a deterministic simulation to a real
-	// concurrent deployment: N nodes hosting the system's replicas over
-	// a live carrier, wall-clock timers, concurrent client load, and an
-	// online consistency monitor attached over the totally ordered op
-	// feed. The run is NOT deterministic (no replay digest pinning);
-	// Result.Live carries the measured throughput, latency quantiles
-	// and finalized online verdicts. See WithLive.
-	Live bool
-	// LiveTransport names the live carrier: "chan" (in-process,
-	// default) or "tcp" (length-prefixed frames over loopback TCP).
+	// Live runs a real concurrent deployment instead of the simulation,
+	// over the carrier LiveTransport names: "chan" (in-process, the
+	// default) or "tcp" (loopback sockets). See WithLive.
+	Live          bool
 	LiveTransport string
-	// LiveClients / LiveRate shape the client load: concurrent
-	// generators (0 means 2) and per-client target appends/sec (0 means
-	// closed-loop). See WithLoad.
-	LiveClients int
-	LiveRate    float64
-	// LiveDuration bounds the load phase in wall time; LiveAppends in
-	// granted appends. At least one must be set for a live run.
-	LiveDuration time.Duration
-	LiveAppends  int64
-	// LiveSpray round-robins appends across all nodes instead of the
-	// single-writer default (prodigal systems only get real fork
-	// pressure this way; sequencer systems pin node 0 regardless).
-	LiveSpray bool
-	// LiveCrash schedules one crash/restart during the live load.
-	LiveCrash *LiveCrash
+	// Load is the live run's client load and its bound. See WithLoad.
+	Load Load
 
 	// system is stamped by System.Run before the adapter sees the
 	// Config, so Base can label Progress events.
@@ -278,16 +236,6 @@ type Config struct {
 	// created by System.Run when Metrics is on — same pattern as
 	// monrun.
 	obsrun *obsRun
-}
-
-// LiveCrash schedules one crash/restart during a live run: the node
-// goes down After into the load for Downtime, then restarts — from its
-// durable snapshot when Durable, from genesis (amnesia) otherwise —
-// and catches up through the anti-entropy layer.
-type LiveCrash struct {
-	Node            int
-	After, Downtime time.Duration
-	Durable         bool
 }
 
 // Option mutates a Config; build one with NewConfig or pass options
@@ -339,9 +287,9 @@ func WithFaults(faults ...Fault) Option {
 func WithAdversary(a Adversary) Option { return func(c *Config) { c.Adversary = a } }
 
 // WithCrashes installs the run's crash–recovery windows (last-wins,
-// like WithFaults: pass all windows in one call). Use End == NoHeal for
-// a crash-stop. Pair with WithDurability to pick the recovery
-// discipline.
+// like WithFaults: pass all windows in one call), in simulation and
+// under WithLive alike. Use End == NoHeal for a simulated crash-stop.
+// Pair with WithDurability to pick the recovery discipline.
 func WithCrashes(crashes ...Crash) Option {
 	return func(c *Config) { c.Crashes = crashes }
 }
@@ -443,16 +391,6 @@ func WithShards(k int) Option { return func(c *Config) { c.Shards = k } }
 // never changes the run's replay digest.
 func WithMetrics() Option { return func(c *Config) { c.Metrics = true } }
 
-// WithMetricsInterval sets the virtual-time sampling interval of the
-// metric gauge series (every ≤ 0 means the default). Implies
-// WithMetrics.
-func WithMetricsInterval(every int64) Option {
-	return func(c *Config) {
-		c.Metrics = true
-		c.MetricsEvery = every
-	}
-}
-
 // WithTrace streams the run's structured scheduler trace — sends,
 // deliveries, timers, faults, crashes, shard epochs, merge stalls and
 // monitor witnesses — to w when the run finishes: Chrome trace-event
@@ -472,14 +410,14 @@ func WithTrace(w io.Writer, opts TraceOptions) Option {
 // named carrier — "chan" (in-process channels, the fast default) or
 // "tcp" (length-prefixed frames over loopback TCP). Live runs host N
 // replica nodes on wall-clock timers, drive them with concurrent client
-// load (WithLoad), attach the online consistency monitor over the
-// totally ordered operation feed, and report throughput, latency
-// quantiles and the finalized verdicts in Result.Live. Bound the load
-// with WithLiveDuration and/or WithLiveAppends (at least one is
-// required). Live runs are not deterministic — the simulation-only
-// knobs (faults, crash windows, adversaries, drops, sharding, streaming,
-// monitor checkpoints, metrics, trace, observer) are rejected;
-// WithMonitor and WithMonitorK configure the deployment's own monitor.
+// load (WithLoad, which also bounds the run), attach the online
+// consistency monitor over the totally ordered operation feed, and
+// report throughput, latency quantiles and the finalized verdicts in
+// Result.Live. WithCrashes and WithDurability take nodes down and back
+// during the load; WithMonitor and WithMonitorK configure the
+// deployment's own monitor. Live runs are not deterministic, and every
+// option the deployment has no use for is rejected by name rather than
+// ignored (the knobs table).
 func WithLive(carrier string) Option {
 	return func(c *Config) {
 		c.Live = true
@@ -487,135 +425,162 @@ func WithLive(carrier string) Option {
 	}
 }
 
-// WithLoad shapes a live run's client load: `clients` concurrent
-// generators (0 means 2) each targeting `rate` appends/sec (0 means
-// closed-loop: submit as soon as the last operation completes).
-func WithLoad(clients int, rate float64) Option {
-	return func(c *Config) {
-		c.LiveClients = clients
-		c.LiveRate = rate
-	}
+// WithLoad shapes and bounds a live run's client load.
+func WithLoad(load Load) Option { return func(c *Config) { c.Load = load } }
+
+// driver says which of the two drivers takes a knob.
+type driver uint8
+
+const (
+	both driver = iota
+	simOnly
+	liveOnly
+)
+
+func (d driver) String() string {
+	return [...]string{both: "either", simOnly: "simulation", liveOnly: "live"}[d]
 }
 
-// WithLiveDuration bounds a live run's load phase in wall time.
-func WithLiveDuration(d time.Duration) Option {
-	return func(c *Config) { c.LiveDuration = d }
+// knob is one row of the knobs table.
+type knob struct {
+	// field is the Config field, option the With* function that sets it
+	// — the name an error uses.
+	field, option string
+	takes         driver
+	// check, when non-nil, range-checks the field (v is its value) in a
+	// run whose driver takes the knob.
+	check func(c *Config, v reflect.Value) error
 }
 
-// WithLiveAppends bounds a live run's load phase in granted appends —
-// the deterministic-progress bound tests use.
-func WithLiveAppends(max int64) Option {
-	return func(c *Config) { c.LiveAppends = max }
-}
-
-// WithLiveSpray round-robins live appends across all nodes instead of
-// the single-writer default.
-func WithLiveSpray() Option {
-	return func(c *Config) { c.LiveSpray = true }
-}
-
-// WithLiveCrash schedules one crash/restart during the live load.
-func WithLiveCrash(crash LiveCrash) Option {
-	return func(c *Config) { c.LiveCrash = &crash }
-}
-
-// validate rejects configurations no system can run.
-func (c Config) validate() error {
-	if c.N < 0 {
-		return fmt.Errorf("negative N %d", c.N)
-	}
-	if c.Rounds < 0 {
-		return fmt.Errorf("negative Rounds %d", c.Rounds)
-	}
-	switch c.Adversary.Strategy {
-	case "", Selfish, Withhold, Equivocate:
-	default:
+// knobs has one row per exported Config field — a test walks the struct
+// to prove it, so a knob cannot be added without deciding which driver
+// takes it. A knob set under a driver that cannot take it is an error
+// naming the option: no run silently ignores half its options.
+var knobs = []knob{
+	{"N", "WithN", both, nonNegative},
+	{"Rounds", "WithRounds", simOnly, nonNegative},
+	{"Seed", "WithSeed", both, nil},
+	{"ReadEvery", "WithReadEvery", simOnly, nil},
+	{"Delta", "WithDelta", simOnly, nil},
+	{"Difficulty", "WithDifficulty", both, nil},
+	{"Merits", "WithMerits", both, func(c *Config, _ reflect.Value) error {
+		for _, m := range c.Merits {
+			if m < 0 {
+				return fmt.Errorf("negative merit %v", m)
+			}
+		}
+		return nil
+	}},
+	{"Faults", "WithFaults", simOnly, func(c *Config, _ reflect.Value) error {
+		for _, f := range c.Faults {
+			switch f.Kind {
+			case "", "split", "eclipse":
+			default:
+				return fmt.Errorf("unknown fault kind %q (known: split, eclipse)", f.Kind)
+			}
+			if f.End != NoHeal && f.End < f.Start {
+				return fmt.Errorf("fault %s ends before it starts", f)
+			}
+		}
+		return nil
+	}},
+	{"Adversary", "WithAdversary", simOnly, func(c *Config, _ reflect.Value) error {
+		switch c.Adversary.Strategy {
+		case "", Selfish, Withhold, Equivocate:
+			return nil
+		}
 		return fmt.Errorf("unknown adversary strategy %q (known: %s, %s, %s)",
 			c.Adversary.Strategy, Selfish, Withhold, Equivocate)
-	}
-	for _, m := range c.Merits {
-		if m < 0 {
-			return fmt.Errorf("negative merit %v", m)
+	}},
+	{"Crashes", "WithCrashes", both, checkCrashes},
+	{"Durable", "WithDurability", both, nil},
+	{"Drop", "WithDropNth", simOnly, nil},
+	{"Observer", "WithObserver", simOnly, nil},
+	{"FaultLog", "WithFaultLog", simOnly, nil},
+	{"Monitor", "WithMonitor", both, nil},
+	{"MonitorK", "WithMonitorK", both, nonNegative},
+	{"MonitorCheckpoint", "WithMonitorCheckpoint", simOnly, nonNegative},
+	{"OnWitness", "WithMonitor", both, nil},
+	{"Streaming", "WithStreaming", simOnly, nil},
+	{"StreamSegment", "WithStreaming", simOnly, nil},
+	{"Shards", "WithShards", simOnly, nonNegative},
+	{"Metrics", "WithMetrics", simOnly, nil},
+	{"TraceW", "WithTrace", simOnly, nil},
+	{"TraceOpts", "WithTrace", simOnly, func(c *Config, _ reflect.Value) error {
+		if c.TraceOpts.SampleEvery < 0 || c.TraceOpts.Limit < 0 {
+			return fmt.Errorf("negative SampleEvery %d or Limit %d", c.TraceOpts.SampleEvery, c.TraceOpts.Limit)
 		}
+		return nil
+	}},
+	{"Live", "WithLive", both, nil},
+	// transport.Run knows the carriers and asks for a bounded load.
+	{"LiveTransport", "WithLive", liveOnly, nil},
+	{"Load", "WithLoad", liveOnly, nil},
+}
+
+// nonNegative is the range check of the integer knobs.
+func nonNegative(_ *Config, v reflect.Value) error {
+	if v.Int() < 0 {
+		return fmt.Errorf("negative value %d", v.Int())
 	}
-	for _, f := range c.Faults {
-		switch f.Kind {
-		case "", "split", "eclipse":
-		default:
-			return fmt.Errorf("unknown fault kind %q (known: split, eclipse)", f.Kind)
-		}
-		if f.End != NoHeal && f.End < f.Start {
-			return fmt.Errorf("fault %s ends before it starts", f)
-		}
-	}
-	for _, cw := range c.Crashes {
-		if cw.Proc < 0 {
-			return fmt.Errorf("crash window %s names a negative process", cw)
-		}
-		if cw.End != NoHeal && cw.End <= cw.Start {
-			return fmt.Errorf("crash window %s ends before it starts", cw)
-		}
-	}
-	if c.MonitorK < 0 {
-		return fmt.Errorf("negative MonitorK %d", c.MonitorK)
-	}
-	if c.MonitorCheckpoint < 0 {
-		return fmt.Errorf("negative MonitorCheckpoint %d", c.MonitorCheckpoint)
-	}
-	if c.OnWitness != nil && !c.Monitor {
-		return fmt.Errorf("OnWitness requires the monitor (use WithMonitor)")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("negative Shards %d", c.Shards)
-	}
-	if c.MetricsEvery < 0 {
-		return fmt.Errorf("negative MetricsEvery %d", c.MetricsEvery)
-	}
-	if c.TraceOpts.SampleEvery < 0 {
-		return fmt.Errorf("negative trace SampleEvery %d", c.TraceOpts.SampleEvery)
-	}
-	if c.TraceOpts.Limit < 0 {
-		return fmt.Errorf("negative trace Limit %d", c.TraceOpts.Limit)
-	}
-	if c.Live {
-		switch c.LiveTransport {
-		case "", "chan", "tcp":
-		default:
-			return fmt.Errorf("unknown live transport %q (known: chan, tcp)", c.LiveTransport)
-		}
-		if c.LiveDuration <= 0 && c.LiveAppends <= 0 {
-			return fmt.Errorf("live run needs WithLiveDuration or WithLiveAppends")
-		}
-		// A live run owns its monitor and its metrics, and nothing about
-		// it is deterministic — every simulation-only knob is rejected so
-		// a caller cannot silently get a run that ignores half its options.
+	return nil
+}
+
+// checkCrashes holds every window to the run's process range under
+// either driver, and under WithLive to what the deployment can run
+// today: its settle phase waits for every node, so each window must
+// heal, and a node's crash and restart edges are armed per window, so
+// two windows of one node must leave a gap (the simulator merges such
+// spans; the deployment does not).
+func checkCrashes(c *Config, _ reflect.Value) error {
+	for i, w := range c.Crashes {
 		switch {
-		case c.Streaming || c.MonitorCheckpoint > 0:
-			return fmt.Errorf("live runs attach their own online monitor (drop WithStreaming/WithMonitorCheckpoint; WithMonitor and WithMonitorK configure it)")
-		case c.Metrics || c.MetricsEvery > 0 || c.TraceW != nil:
-			return fmt.Errorf("live runs measure their own metrics (drop WithMetrics/WithTrace; see Result.Live)")
-		case len(c.Faults) > 0 || len(c.Crashes) > 0 || c.Drop != nil:
-			return fmt.Errorf("live runs take no simulated fault schedule (use WithLiveCrash)")
-		case c.Adversary.Strategy != "":
-			return fmt.Errorf("live runs do not support adversaries")
-		case c.Observer != nil:
-			return fmt.Errorf("live runs do not support WithObserver (use WithMonitor)")
-		case c.Shards > 1:
-			return fmt.Errorf("live runs are already concurrent (drop WithShards)")
+		case w.Proc < 0 || w.Proc >= c.procs():
+			return fmt.Errorf("%s: process out of range [0,%d)", w, c.procs())
+		case w.End != NoHeal && w.End <= w.Start:
+			return fmt.Errorf("%s ends before it starts", w)
+		case !c.Live:
+			continue
+		case w.End == NoHeal:
+			return fmt.Errorf("%s: a live deployment has no crash-stop (it waits for every node to converge)", w)
 		}
-		if c.LiveCrash != nil {
-			n := c.N
-			if n <= 0 {
-				n = 4
-			}
-			if c.LiveCrash.Node < 0 || c.LiveCrash.Node >= n {
-				return fmt.Errorf("live crash node %d out of range [0,%d)", c.LiveCrash.Node, n)
+		for _, o := range c.Crashes[:i] {
+			if o.Proc == w.Proc && w.Start <= o.End && o.Start <= w.End {
+				return fmt.Errorf("%s and %s overlap or touch: a live deployment does not merge the windows of one node", o, w)
 			}
 		}
-	} else if c.LiveTransport != "" || c.LiveClients > 0 || c.LiveRate > 0 ||
-		c.LiveDuration > 0 || c.LiveAppends > 0 || c.LiveSpray ||
-		c.LiveCrash != nil {
-		return fmt.Errorf("live load options require WithLive")
+	}
+	return nil
+}
+
+// procs is the run's process count: N, or the shared default
+// (protocols.Config.Norm's) when N is unset.
+func (c Config) procs() int {
+	if c.N <= 0 {
+		return 4
+	}
+	return c.N
+}
+
+// validate walks the knobs table once: a knob that is set under a driver
+// that does not take it is rejected by name; every knob the driver does
+// take is range-checked.
+func (c Config) validate() error {
+	run := simOnly // the driver this run is under
+	if c.Live {
+		run = liveOnly
+	}
+	cv := reflect.ValueOf(c)
+	for _, k := range knobs {
+		v := cv.FieldByName(k.field)
+		switch taken := k.takes == both || k.takes == run; {
+		case !taken && !v.IsZero() && (v.Kind() != reflect.Slice || v.Len() > 0): // set; an empty slice is not
+			return fmt.Errorf("%s is %s-only: a %s run cannot take it", k.option, k.takes, run)
+		case taken && k.check != nil:
+			if err := k.check(&c, v); err != nil {
+				return fmt.Errorf("%s: %w", k.option, err)
+			}
+		}
 	}
 	return nil
 }
@@ -630,15 +595,10 @@ func (c Config) Base() protocols.Config {
 		Seed:         c.Seed,
 		ReadEvery:    c.ReadEvery,
 		RecordFaults: c.FaultLog,
+		Crashes:      c.Crashes,
 		Durable:      c.Durable,
 		Shards:       c.Shards,
-		Adversary: adversary.Config{
-			Strategy:     adversary.Strategy(c.Adversary.Strategy),
-			Proc:         c.Adversary.Proc,
-			Lead:         c.Adversary.Lead,
-			Forks:        c.Adversary.Forks,
-			ReleaseAtEnd: c.Adversary.ReleaseAtEnd,
-		},
+		Adversary:    c.Adversary,
 	}
 	if len(c.Merits) > 0 {
 		pc.Merits = make([]tape.Merit, len(c.Merits))
@@ -647,18 +607,11 @@ func (c Config) Base() protocols.Config {
 		}
 	}
 	if len(c.Faults) > 0 {
-		n := c.N
-		if n <= 0 {
-			n = 4 // protocols.Config.Norm's default
-		}
 		sched := &simnet.Schedule{}
 		for _, f := range c.Faults {
-			sched.Windows = append(sched.Windows, f.window(n))
+			sched.Windows = append(sched.Windows, f.window(c.procs()))
 		}
 		pc.Faults = sched
-	}
-	for _, cw := range c.Crashes {
-		pc.Crashes = append(pc.Crashes, simnet.CrashWindow{Proc: cw.Proc, Start: cw.Start, End: cw.End})
 	}
 	if c.Observer != nil {
 		obs, system, mr := c.Observer, c.system, c.monrun
@@ -672,7 +625,7 @@ func (c Config) Base() protocols.Config {
 		pc.Observer = func(round int, now int64) bool {
 			return obs(Progress{
 				System: system, Round: round, Rounds: rounds,
-				Now: now, VirtualTime: now,
+				VirtualTime:   now,
 				LiveWitnesses: mr.liveWitnesses(),
 			})
 		}
@@ -693,25 +646,16 @@ func (c Config) Base() protocols.Config {
 		pc.Trace = c.obsrun.tr
 	}
 	if c.Live {
-		lc := &transport.LiveConfig{
+		pc.Live = &transport.LiveConfig{
 			Transport:  c.LiveTransport,
-			Clients:    c.LiveClients,
-			Rate:       c.LiveRate,
-			Duration:   c.LiveDuration,
-			MaxAppends: c.LiveAppends,
-			Spray:      c.LiveSpray,
+			Clients:    c.Load.Clients,
+			Rate:       c.Load.Rate,
+			Duration:   c.Load.Duration,
+			MaxAppends: c.Load.Appends,
+			Spray:      c.Load.Spray,
 			K:          c.MonitorK,
 			OnWitness:  c.OnWitness,
 		}
-		if c.LiveCrash != nil {
-			lc.Crash = &transport.CrashSpec{
-				Node:     c.LiveCrash.Node,
-				After:    c.LiveCrash.After,
-				Downtime: c.LiveCrash.Downtime,
-				Durable:  c.LiveCrash.Durable,
-			}
-		}
-		pc.Live = lc
 	}
 	return pc
 }

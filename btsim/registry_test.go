@@ -1,6 +1,7 @@
 package btsim_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,5 +124,27 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := btsim.Run("bitcoin", tc.opts...); err == nil {
 			t.Errorf("%s: Run accepted invalid config", tc.name)
 		}
+	}
+}
+
+// TestEveryConfigFieldHasAKnob walks Config: each exported field has
+// exactly one row in the knobs table and each row names a field, so a
+// knob cannot be added without saying which driver takes it.
+func TestEveryConfigFieldHasAKnob(t *testing.T) {
+	rows := map[string]int{}
+	for _, row := range btsim.KnobRows() {
+		rows[row.Field]++
+	}
+	typ := reflect.TypeOf(btsim.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			if rows[f.Name] != 1 {
+				t.Errorf("Config.%s has %d rows in the knobs table, want 1", f.Name, rows[f.Name])
+			}
+			delete(rows, f.Name)
+		}
+	}
+	for field := range rows {
+		t.Errorf("the knobs table has a row for %q, which is no exported Config field", field)
 	}
 }

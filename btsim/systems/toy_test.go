@@ -39,7 +39,7 @@ func init() {
 func TestToyEighthSystem(t *testing.T) {
 	for mode, opts := range map[string][]btsim.Option{
 		"sim":  {btsim.WithRounds(100)},
-		"live": {btsim.WithLive("chan"), btsim.WithLiveAppends(60), btsim.WithLiveSpray(), btsim.WithLoad(4, 0)},
+		"live": {btsim.WithLive("chan"), btsim.WithLoad(btsim.Load{Clients: 4, Appends: 60, Spray: true})},
 	} {
 		res, err := btsim.Run("toy", append(opts, btsim.WithN(6), btsim.WithSeed(1))...)
 		if err != nil {

@@ -26,6 +26,7 @@ import (
 
 	"repro/btsim"
 	_ "repro/btsim/systems"
+	"repro/internal/adversary"
 	"repro/internal/consistency"
 	"repro/internal/experiments"
 )
@@ -125,7 +126,7 @@ func classifyStream(name string, seed uint64, adv string) bool {
 	if adv != "" {
 		opts = append(opts,
 			btsim.WithN(4), btsim.WithMerits(1, 1, 1, 2),
-			btsim.WithAdversary(btsim.Adversary{Strategy: adv}))
+			btsim.WithAdversary(btsim.Adversary{Strategy: adversary.Strategy(adv)}))
 	}
 	res, err := sys.Run(btsim.NewConfig(opts...))
 	if err != nil {

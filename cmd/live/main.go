@@ -19,11 +19,15 @@
 //	     [-crash NODE] [-durable] [-crash-after D] [-downtime D]
 //	     [-check] [-v]
 //
-// -crash schedules one crash of the given node during the load phase;
-// -durable restarts it from a snapshot (otherwise amnesia) and the
-// summary reports the anti-entropy rejoin counters. -check exits
-// non-zero on any violated property, a non-convergent deployment, a
-// monitor failure, or a leaked goroutine after teardown.
+// -crash schedules one crash of the given node during the load phase —
+// btsim.WithCrashes, the option a simulated run takes, with -crash-after
+// and -downtime rounded down to its live unit, the 12.5 ms replica tick;
+// -durable (btsim.WithDurability) restarts the node from a snapshot,
+// otherwise from genesis, and the summary reports the anti-entropy
+// rejoin counters. -check exits non-zero on any violated property (bar
+// Local Monotonic Read after an amnesia restart, which the paper
+// predicts), a non-convergent deployment, a monitor failure, or a leaked
+// goroutine after teardown.
 package main
 
 import (
@@ -31,11 +35,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/btsim"
 	_ "repro/btsim/systems"
 	"repro/internal/consistency"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -65,30 +71,22 @@ func main() {
 		btsim.WithN(*n),
 		btsim.WithSeed(*seed),
 		btsim.WithLive(*carrier),
-		btsim.WithLoad(*clients, *rate),
+		btsim.WithLoad(btsim.Load{
+			Clients: *clients, Rate: *rate,
+			Duration: *duration, Appends: *appends, Spray: *spray,
+		}),
 		btsim.WithMonitor(func(w consistency.Witness) {
 			fmt.Println("WITNESS", w)
 		}),
-	}
-	if *duration > 0 {
-		opts = append(opts, btsim.WithLiveDuration(*duration))
-	}
-	if *appends > 0 {
-		opts = append(opts, btsim.WithLiveAppends(*appends))
-	}
-	if *spray {
-		opts = append(opts, btsim.WithLiveSpray())
 	}
 	if *k > 0 {
 		opts = append(opts, btsim.WithMonitorK(*k))
 	}
 	if *crash >= 0 {
-		opts = append(opts, btsim.WithLiveCrash(btsim.LiveCrash{
-			Node:     *crash,
-			After:    *crashAfter,
-			Downtime: *downtime,
-			Durable:  *durable,
-		}))
+		start := int64(*crashAfter / transport.Tick)
+		opts = append(opts,
+			btsim.WithCrashes(btsim.Crash{Proc: *crash, Start: start, End: start + int64(*downtime/transport.Tick)}),
+			btsim.WithDurability(*durable))
 	}
 
 	// Goroutine-leak baseline: everything the deployment spawns (node
@@ -161,6 +159,13 @@ func main() {
 	}
 
 	if *check {
+		// An amnesia restart is allowed the one break the paper predicts
+		// for it (the catalogue pins it on bitcoin/crash-amnesia): a read
+		// that lands on the restarted node before it has resynchronized
+		// jumps backwards.
+		if *crash >= 0 && !*durable {
+			violated = slices.DeleteFunc(violated, func(p string) bool { return p == "LocalMonotonicRead" })
+		}
 		bad := len(violated) > 0 || !lr.Converged || lr.MonitorErr != nil || leaked > 0
 		if lr.AppendsOK == 0 {
 			fmt.Fprintln(os.Stderr, "live: no appends granted")

@@ -41,7 +41,7 @@ func main() {
 		btsim.WithDifficulty(10),
 		btsim.WithObserver(func(p btsim.Progress) bool {
 			if p.Round%100 == 0 {
-				fmt.Printf("  t=%-4d round %d/%d\n", p.Now, p.Round, p.Rounds)
+				fmt.Printf("  t=%-4d round %d/%d\n", p.VirtualTime, p.Round, p.Rounds)
 			}
 			progress++
 			return true // false would stop block production early

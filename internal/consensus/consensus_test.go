@@ -174,8 +174,8 @@ func TestQuorumAndF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.F() != 2 || eng.Quorum() != 5 {
-		t.Fatalf("f=%d quorum=%d for n=7", eng.F(), eng.Quorum())
+	if eng.f != 2 || eng.Quorum() != 5 {
+		t.Fatalf("f=%d quorum=%d for n=7", eng.f, eng.Quorum())
 	}
 }
 

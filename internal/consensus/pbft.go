@@ -151,9 +151,6 @@ func NewEngine(nw *simnet.Network, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// F returns the tolerated fault count.
-func (e *Engine) F() int { return e.f }
-
 // Leader returns the leader of (height, view): the configured policy, or
 // round-robin by default.
 func (e *Engine) Leader(height, view int) int {
@@ -362,21 +359,4 @@ func (nd *node) onViewChange(from int, msg ViewChange) {
 			nd.lead(msg.Height, in.view)
 		}
 	}
-}
-
-// Decided reports whether process p decided height h, and the block.
-func (e *Engine) Decided(p, h int) (*core.Block, bool) {
-	in, ok := e.nodes[p].inst[h]
-	if !ok || !in.decided {
-		return nil, false
-	}
-	// The decided block is the proposal matching the committed digest.
-	for _, sm := range in.commits {
-		for id := range sm {
-			if b := in.blocks[id]; b != nil && in.decided {
-				return b, true
-			}
-		}
-	}
-	return in.proposal, in.decided
 }

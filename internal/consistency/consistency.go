@@ -350,17 +350,6 @@ func (v *Verdict) Witnesses() []Witness {
 	return out
 }
 
-// FirstWitness returns the first counterexample, or a zero Witness when
-// the verdict holds (check OK first).
-func (v *Verdict) FirstWitness() Witness {
-	for _, r := range v.Reports {
-		if len(r.Witnesses) > 0 {
-			return r.Witnesses[0]
-		}
-	}
-	return Witness{}
-}
-
 // verdictOf bundles reports into a criterion verdict.
 func verdictOf(criterion string, reports ...*Report) *Verdict {
 	v := &Verdict{Criterion: criterion, OK: true, Reports: reports}

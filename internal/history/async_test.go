@@ -75,8 +75,7 @@ func TestAsyncSinkPreservesOrder(t *testing.T) {
 func TestAsyncSinkSegmentedEquivalence(t *testing.T) {
 	build := func(wrap func(Sink) (Sink, func())) *History {
 		rec := NewRecorder(1, nil)
-		seg := NewSegmentSink(4, nil)
-		seg.Keep(true)
+		seg, copies := copyingSink(4)
 		sink, drain := wrap(seg)
 		rec.SetSink(sink)
 		rec.SetRetain(false)
@@ -87,7 +86,7 @@ func TestAsyncSinkSegmentedEquivalence(t *testing.T) {
 		rec.ReadHead(0, c.Head())
 		drain()
 		seg.Seal()
-		return seg.History(1)
+		return copies.history(1)
 	}
 
 	direct := build(func(s Sink) (Sink, func()) { return s, func() {} })

@@ -250,14 +250,14 @@ func TestStagedCommitEqualsSerial(t *testing.T) {
 	}
 }
 
-// TestSegmentSinkHistoryEqualsSnapshot: in tee mode — a keeping
-// SegmentSink on a retaining recorder — the history assembled from the
-// segments' wide events and the recorder's own snapshot are the same
-// log over the same table, and Purged carries both along.
+// TestSegmentSinkHistoryEqualsSnapshot: in tee mode — a SegmentSink on a
+// retaining recorder, its handler copying each segment — the history
+// assembled from the segments' wide events and the recorder's own
+// snapshot are the same log over the same table, and Purged carries both
+// along.
 func TestSegmentSinkHistoryEqualsSnapshot(t *testing.T) {
 	rec := NewRecorder(3, nil)
-	seg := NewSegmentSink(4, nil)
-	seg.Keep(true)
+	seg, copies := copyingSink(4)
 	rec.SetSink(seg)
 	c := streamChain(rec, 12)
 	var want []CommEvent
@@ -274,7 +274,8 @@ func TestSegmentSinkHistoryEqualsSnapshot(t *testing.T) {
 		}
 	}
 	rec.ReadHead(0, c.Head())
-	snap, assembled := rec.Snapshot(), seg.History(3)
+	seg.Seal()
+	snap, assembled := rec.Snapshot(), copies.history(3)
 	if seg.Sealed() < 3 {
 		t.Fatalf("only %d segments sealed: the assembly was not exercised", seg.Sealed())
 	}

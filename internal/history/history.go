@@ -112,9 +112,6 @@ func (t *ChainTable) MemoLen() int {
 	return len(t.chains)
 }
 
-// BlocksLen reports how many blocks the table has interned.
-func (t *ChainTable) BlocksLen() int { return t.idx.Len() }
-
 // OpKind distinguishes the two BT-ADT operations.
 type OpKind uint8
 
@@ -214,12 +211,6 @@ func (o *Op) Before(other *Op) bool {
 		return false
 	}
 	return o.RspIndex < other.InvIndex
-}
-
-// Concurrent reports whether neither operation program-order-precedes the
-// other.
-func (o *Op) Concurrent(other *Op) bool {
-	return !o.Before(other) && !other.Before(o)
 }
 
 // String renders the operation like "p1.read()/b0⌢ab12cd34 [5,9]".
@@ -374,7 +365,6 @@ type History struct {
 		reads      []*Op
 		appends    []*Op
 		successful []*Op
-		appended   map[core.BlockID]*Op
 		byProc     [][]*Op
 	}
 }
@@ -382,7 +372,6 @@ type History struct {
 // index builds every memoized view in one pass over Ops.
 func (h *History) index() {
 	h.memoOnce.Do(func() {
-		h.memo.appended = make(map[core.BlockID]*Op)
 		h.memo.byProc = make([][]*Op, h.Procs)
 		for _, op := range h.Ops {
 			if op.Pending {
@@ -400,9 +389,6 @@ func (h *History) index() {
 				h.memo.appends = append(h.memo.appends, op)
 				if op.OK {
 					h.memo.successful = append(h.memo.successful, op)
-					if op.Block != nil {
-						h.memo.appended[op.Block.ID] = op
-					}
 				}
 			}
 		}
@@ -439,13 +425,6 @@ func (h *History) Appends() []*Op {
 func (h *History) SuccessfulAppends() []*Op {
 	h.index()
 	return h.memo.successful
-}
-
-// AppendedBlocks returns the set of block IDs successfully appended.
-// The map is memoized and shared — read-only.
-func (h *History) AppendedBlocks() map[core.BlockID]*Op {
-	h.index()
-	return h.memo.appended
 }
 
 // ByProcess returns the completed operations of process p in program

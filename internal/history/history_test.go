@@ -53,7 +53,7 @@ func TestConcurrencyRelation(t *testing.T) {
 	op1 := rec.InvokeRead(1)
 	rec.RespondRead(op0, chainOf(0))
 	rec.RespondRead(op1, chainOf(0))
-	if !op0.Concurrent(op1) || !op1.Concurrent(op0) {
+	if op0.Before(op1) || op1.Before(op0) {
 		t.Fatal("overlapping ops not concurrent")
 	}
 	op2 := rec.Read(0, chainOf(1))
@@ -106,12 +106,8 @@ func TestAppendsAndPurge(t *testing.T) {
 	if len(purged.Ops) != 1 {
 		t.Fatalf("purged has %d ops, want 1", len(purged.Ops))
 	}
-	blocks := h.AppendedBlocks()
-	if len(blocks) != 1 {
-		t.Fatalf("appended blocks %d, want 1", len(blocks))
-	}
-	if _, ok := blocks[b1.ID]; !ok {
-		t.Fatal("successful append missing from AppendedBlocks")
+	if ok := h.SuccessfulAppends(); len(ok) != 1 || ok[0].Block.ID != b1.ID {
+		t.Fatalf("successful appends %v, want the one of %s", ok, b1.ID)
 	}
 }
 

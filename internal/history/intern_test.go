@@ -96,9 +96,6 @@ func TestMemoizedAccessorsShared(t *testing.T) {
 	if len(h.Appends()) != 4 || len(h.SuccessfulAppends()) != 3 {
 		t.Fatalf("appends %d / successful %d", len(h.Appends()), len(h.SuccessfulAppends()))
 	}
-	if len(h.AppendedBlocks()) != 3 {
-		t.Fatalf("appended blocks %d", len(h.AppendedBlocks()))
-	}
 	if got := len(h.ByProcess(0)); got != 4 {
 		t.Fatalf("ByProcess(0) %d ops, want 4", got)
 	}

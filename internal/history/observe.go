@@ -38,11 +38,3 @@ func (r *Recorder) RegisterMetrics(reg *metrics.Registry) {
 		return n
 	})
 }
-
-// RegisterMetrics registers the segment sink's gauges: segments sealed
-// and operations streamed through — the segment-throughput view of a
-// streaming run.
-func (s *SegmentSink) RegisterMetrics(reg *metrics.Registry) {
-	reg.Probe("seg.sealed", func() int64 { return int64(s.next) })
-	reg.Probe("seg.ops", func() int64 { return int64(s.nops) })
-}

@@ -8,12 +8,12 @@
 // consistency monitors (internal/consistency.Monitor) consume.
 //
 // One ownership rule governs the path: a sealed segment is on loan to
-// its handler. Without Keep(true) the Segment, its Ops and Comm slices
-// and — on a drop-mode recorder whose direct sink is the SegmentSink —
-// the Op objects themselves are valid until OnSeal returns; after that
-// the sink refills the same Segment and the recorder reuses the ops for
-// later operations. A handler that needs anything longer copies it (the
-// Monitor keeps compact records) or the sink runs in keep mode.
+// its handler. The Segment, its Ops and Comm slices and — on a drop-mode
+// recorder whose direct sink is the SegmentSink — the Op objects
+// themselves are valid until OnSeal returns; after that the sink refills
+// the same Segment and the recorder reuses the ops for later operations.
+// A handler that needs anything longer copies it (the Monitor keeps
+// compact records).
 package history
 
 import "sort"
@@ -77,14 +77,13 @@ func (r *Recorder) takeBack(ops []*Op) {
 // operations — the bounded-memory mode behind ≥1M-op streaming runs.
 //
 // In drop mode a completed op is on loan to the sink. When the sink is
-// a SegmentSink attached directly and not in keep mode, the op is valid
-// until the OnSeal call that delivers its segment returns; the recorder
-// then reuses the object for a later operation. The *Op that
-// InvokeRead, ReadHead, Append and the other recording calls return is
-// the same object, so in that mode a caller may use it only until its
-// segment has been consumed. Pending ops are never reused, and behind
-// any other sink (a decorator, an AsyncSink) nothing is: released ops go
-// to the collector.
+// a SegmentSink attached directly, the op is valid until the OnSeal call
+// that delivers its segment returns; the recorder then reuses the
+// object for a later operation. The *Op that InvokeRead, ReadHead,
+// Append and the other recording calls return is the same object, so in
+// that mode a caller may use it only until its segment has been
+// consumed. Pending ops are never reused, and behind any other sink (a
+// decorator, an AsyncSink) nothing is: released ops go to the collector.
 func (r *Recorder) SetRetain(keep bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -155,10 +154,10 @@ func (r *Recorder) pendingLocked() []*Op {
 
 // Segment is one sealed slice of a streamed history: operations in
 // response order and communication events in recording order. It is on
-// loan to the seal handler: unless keep mode is on, the SegmentSink
-// refills this very Segment — struct and backing arrays — once the
-// handler has returned, so a handler that wants the segment, a slice or
-// (in drop mode, see SetRetain) an op for longer copies it.
+// loan to the seal handler: the SegmentSink refills this very Segment —
+// struct and backing arrays — once the handler has returned, so a
+// handler that wants the segment, a slice or (in drop mode, see
+// SetRetain) an op for longer copies it.
 type Segment struct {
 	// Index numbers segments from 0 in seal order.
 	Index int
@@ -170,12 +169,10 @@ type Segment struct {
 // the segmented builder between the Recorder and a downstream consumer:
 // ops are appended through the Sink interface, and every time `size`
 // operations accumulate the current segment is sealed and handed to
-// OnSeal. With Keep(true) sealed segments are also retained so History()
-// can still assemble the full batch view — the compatibility path, and
-// the only mode in which a segment outlives its handler.
+// OnSeal.
 type SegmentSink struct {
 	// OnSeal receives each sealed segment (may be nil: pure builder). The
-	// segment is valid until OnSeal returns, unless Keep(true).
+	// segment is valid until OnSeal returns.
 	OnSeal func(*Segment)
 	// OnFaulty forwards MarkFaulty declarations downstream (may be nil).
 	OnFaulty func(int)
@@ -191,10 +188,6 @@ type SegmentSink struct {
 	// from outside does not.
 	handBack func([]*Op)
 	next     int
-	keep     bool
-	kept     []*Segment
-	faulty   map[int]bool
-	nops     int
 }
 
 // DefaultSegmentSize is the segment size used when none is given.
@@ -206,13 +199,8 @@ func NewSegmentSink(size int, onSeal func(*Segment)) *SegmentSink {
 	if size <= 0 {
 		size = DefaultSegmentSize
 	}
-	return &SegmentSink{OnSeal: onSeal, size: size, faulty: make(map[int]bool)}
+	return &SegmentSink{OnSeal: onSeal, size: size}
 }
-
-// Keep retains sealed segments for History() — the compatibility path
-// that trades the bounded-memory property for the full batch view. A
-// kept segment is never refilled and its ops are never handed back.
-func (s *SegmentSink) Keep(keep bool) { s.keep = keep }
 
 // open returns the segment being filled, starting one — the spare when
 // there is one — if none is open.
@@ -231,7 +219,6 @@ func (s *SegmentSink) open() *Segment {
 func (s *SegmentSink) OpDone(op *Op) {
 	seg := s.open()
 	seg.Ops = append(seg.Ops, op)
-	s.nops++
 	if len(seg.Ops) >= s.size {
 		s.seal(s.handBack)
 	}
@@ -245,7 +232,6 @@ func (s *SegmentSink) CommDone(e CommEvent) {
 
 // Faulty implements Sink.
 func (s *SegmentSink) Faulty(p int) {
-	s.faulty[p] = true
 	if s.OnFaulty != nil {
 		s.OnFaulty(p)
 	}
@@ -257,7 +243,7 @@ func (s *SegmentSink) Seal() { s.seal(nil) }
 
 // seal is Seal; once the handler has returned and the loan is over, it
 // gives the segment's ops to handBack (nil: leave them to the collector)
-// and keeps the emptied segment to refill — except in keep mode.
+// and keeps the emptied segment to refill.
 func (s *SegmentSink) seal(handBack func([]*Op)) {
 	seg := s.cur
 	if seg == nil || (len(seg.Ops) == 0 && len(seg.Comm) == 0) {
@@ -265,14 +251,8 @@ func (s *SegmentSink) seal(handBack func([]*Op)) {
 	}
 	s.cur = nil
 	s.next++
-	if s.keep {
-		s.kept = append(s.kept, seg)
-	}
 	if s.OnSeal != nil {
 		s.OnSeal(seg)
-	}
-	if s.keep {
-		return
 	}
 	if handBack != nil {
 		handBack(seg.Ops)
@@ -284,42 +264,3 @@ func (s *SegmentSink) seal(handBack func([]*Op)) {
 
 // Sealed reports how many segments have been sealed so far.
 func (s *SegmentSink) Sealed() int { return s.next }
-
-// Ops reports how many operations have streamed through the sink.
-func (s *SegmentSink) Ops() int { return s.nops }
-
-// History assembles the full batch history from the kept segments — the
-// compatibility path for consumers that still want the immutable
-// History. It requires Keep(true); without it only the unsealed tail is
-// visible and History returns nil to make the misuse loud.
-func (s *SegmentSink) History(procs int) *History {
-	if !s.keep {
-		return nil
-	}
-	s.Seal()
-	h := &History{Procs: procs}
-	var ids commIDs
-	for _, seg := range s.kept {
-		h.Ops = append(h.Ops, seg.Ops...)
-		for _, e := range seg.Comm {
-			h.Comm = append(h.Comm, ids.pack(e))
-		}
-	}
-	h.CommIDs = ids.view()
-	for _, op := range h.Ops {
-		if op.src != nil {
-			h.Table = op.src // one recorder, one table
-			break
-		}
-	}
-	// Segments hold ops in response order; the batch History contract
-	// is invocation order.
-	sort.Slice(h.Ops, func(i, j int) bool { return h.Ops[i].InvIndex < h.Ops[j].InvIndex })
-	if len(s.faulty) > 0 {
-		h.Correct = make([]bool, procs)
-		for i := range h.Correct {
-			h.Correct[i] = !s.faulty[i]
-		}
-	}
-	return h
-}

@@ -2,6 +2,7 @@ package history
 
 import (
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -58,11 +59,61 @@ func TestSinkDeliveryOrderAndPending(t *testing.T) {
 	}
 }
 
+// segmentCopies keeps what a seal handler is lent the way the loan
+// contract documents: by copying it inside the handler. history then
+// assembles the copies into the batch History a retaining recorder's
+// Snapshot would give.
+type segmentCopies struct {
+	ops    []*Op
+	comm   []CommEvent
+	faulty map[int]bool
+}
+
+// copyingSink returns a SegmentSink whose handler copies every segment.
+func copyingSink(size int) (*SegmentSink, *segmentCopies) {
+	c := &segmentCopies{faulty: map[int]bool{}}
+	seg := NewSegmentSink(size, func(s *Segment) {
+		for _, op := range s.Ops {
+			cp := *op
+			c.ops = append(c.ops, &cp)
+		}
+		c.comm = append(c.comm, s.Comm...)
+	})
+	seg.OnFaulty = func(p int) { c.faulty[p] = true }
+	return seg, c
+}
+
+func (c *segmentCopies) history(procs int) *History {
+	h := &History{Procs: procs}
+	var ids commIDs
+	for _, e := range c.comm {
+		h.Comm = append(h.Comm, ids.pack(e))
+	}
+	h.CommIDs = ids.view()
+	for _, op := range c.ops {
+		h.Ops = append(h.Ops, op)
+		if h.Table == nil {
+			h.Table = op.src // one recorder, one table
+		}
+	}
+	// Segments hold ops in response order; the batch History contract
+	// is invocation order.
+	sort.Slice(h.Ops, func(i, j int) bool { return h.Ops[i].InvIndex < h.Ops[j].InvIndex })
+	if len(c.faulty) > 0 {
+		h.Correct = make([]bool, procs)
+		for i := range h.Correct {
+			h.Correct[i] = !c.faulty[i]
+		}
+	}
+	return h
+}
+
 func TestSegmentSinkSealsAndAssemblesHistory(t *testing.T) {
 	rec := NewRecorder(2, nil)
-	var sealed []*Segment
-	seg := NewSegmentSink(4, func(s *Segment) { sealed = append(sealed, s) })
-	seg.Keep(true)
+	seg, copies := copyingSink(4)
+	var sealed []int // each segment's index, noted before its handler copies it
+	copyOps := seg.OnSeal
+	seg.OnSeal = func(s *Segment) { sealed = append(sealed, s.Index); copyOps(s) }
 	rec.SetSink(seg)
 
 	c := streamChain(rec, 5)
@@ -75,24 +126,22 @@ func TestSegmentSinkSealsAndAssemblesHistory(t *testing.T) {
 	}
 	seg.Seal()
 
-	if seg.Ops() != 11 {
-		t.Fatalf("sink streamed %d ops, want 11", seg.Ops())
+	if len(copies.ops) != 11 {
+		t.Fatalf("sink streamed %d ops, want 11", len(copies.ops))
 	}
 	if len(sealed) != seg.Sealed() || len(sealed) != 3 { // 4+4+3
 		t.Fatalf("sealed %d segments (counter %d), want 3", len(sealed), seg.Sealed())
 	}
-	for i, s := range sealed {
-		if s.Index != i {
-			t.Errorf("segment %d has index %d", i, s.Index)
+	for i, index := range sealed {
+		if index != i {
+			t.Errorf("segment %d has index %d", i, index)
 		}
 	}
 
-	// The compatibility path must equal the recorder's own snapshot.
+	// The history assembled from the copies must equal the recorder's
+	// own snapshot.
 	want := rec.Snapshot()
-	got := seg.History(rec.Procs())
-	if got == nil {
-		t.Fatal("History() returned nil despite Keep(true)")
-	}
+	got := copies.history(rec.Procs())
 	if len(got.Ops) != len(want.Ops) {
 		t.Fatalf("assembled %d ops, want %d", len(got.Ops), len(want.Ops))
 	}
@@ -106,9 +155,6 @@ func TestSegmentSinkSealsAndAssemblesHistory(t *testing.T) {
 	}
 	if got.Table != rec.Table() {
 		t.Error("assembled history lost the chain table of its interned reads")
-	}
-	if seg2 := NewSegmentSink(4, nil); seg2.History(2) != nil {
-		t.Error("History() without Keep(true) must return nil")
 	}
 }
 

@@ -51,9 +51,6 @@ func (c *Counter) Add(d int64) { c.v += d }
 // Value returns the current value.
 func (c *Counter) Value() int64 { return c.v }
 
-// Name returns the registered name.
-func (c *Counter) Name() string { return c.name }
-
 // CounterVec is a counter with one slot per process. Under the sharded
 // scheduler each slot is mutated only by its owner process's handler,
 // so no synchronization is needed and the Total is independent of how
@@ -119,13 +116,6 @@ func (h *Histogram) Observe(v int64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
 // probe is one registered gauge: a named function evaluated at sample
 // points (serial coordinator context only).
 type probe struct {
@@ -169,9 +159,6 @@ func New(every int64) *Registry {
 	}
 	return &Registry{every: every, nextSample: every}
 }
-
-// SampleEvery reports the sampling interval.
-func (r *Registry) SampleEvery() int64 { return r.every }
 
 // Counter registers a named counter.
 func (r *Registry) Counter(name string) *Counter {
@@ -221,10 +208,6 @@ func (r *Registry) Tick(next int64) {
 	}
 }
 
-// Sample forces a sample row at the given virtual time (the final
-// partial-interval sample Snapshot takes).
-func (r *Registry) Sample(vt int64) { r.sampleRow(vt) }
-
 func (r *Registry) sampleRow(vt int64) {
 	if len(r.probes) == 0 {
 		return
@@ -236,9 +219,6 @@ func (r *Registry) sampleRow(vt int64) {
 	r.rows = append(r.rows, Row{VT: vt, Vals: vals})
 }
 
-// Rows returns the sampled series rows so far.
-func (r *Registry) Rows() []Row { return r.rows }
-
 // AddTiming accumulates a named wall-clock measurement (nanoseconds,
 // queue depths — anything non-deterministic). Timing entries land in
 // the snapshot's Timing section, excluded from the digest.
@@ -246,18 +226,6 @@ func (r *Registry) AddTiming(name string, v int64) {
 	for i := range r.timing {
 		if r.timing[i].Name == name {
 			r.timing[i].Value += v
-			return
-		}
-	}
-	r.timing = append(r.timing, NamedValue{Name: name, Value: v})
-}
-
-// SetTiming sets a named wall-clock measurement, replacing any
-// accumulated value.
-func (r *Registry) SetTiming(name string, v int64) {
-	for i := range r.timing {
-		if r.timing[i].Name == name {
-			r.timing[i].Value = v
 			return
 		}
 	}

@@ -62,7 +62,7 @@ func TestTickSamplesBoundaries(t *testing.T) {
 	r.Tick(10) // boundary 10: sampled before the t=10 event runs, sees depth=5
 	depth = 9
 	r.Tick(35) // boundaries 20 and 30
-	rows := r.Rows()
+	rows := r.rows
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}

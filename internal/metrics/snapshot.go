@@ -59,14 +59,6 @@ func (hs *HistSnapshot) Quantile(q float64) int64 {
 	return hs.Sum / hs.N
 }
 
-// Mean returns the average observation (0 when empty).
-func (hs *HistSnapshot) Mean() int64 {
-	if hs.N == 0 {
-		return 0
-	}
-	return hs.Sum / hs.N
-}
-
 // Series is the sampled gauge table: one column per probe, one row per
 // virtual-time sample boundary.
 type Series struct {

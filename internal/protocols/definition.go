@@ -97,13 +97,11 @@ func (d *Definition) Profile(cfg Config) transport.Profile {
 	merits := cfg.Norm()
 	orc := d.Oracle(cfg.Seed)
 	return transport.Profile{
-		System:         d.System,
-		Selector:       d.Selector,
-		Score:          d.Score,
-		Predicate:      d.Predicate,
-		OracleClaim:    d.OracleClaim,
-		PaperCriterion: d.PaperCriterion,
-		Sequencer:      d.Sequencer,
+		System:    d.System,
+		Selector:  d.Selector,
+		Score:     d.Score,
+		Predicate: d.Predicate,
+		Sequencer: d.Sequencer,
 		Mint: func(proc int, parent *core.Block, seq int) *core.Block {
 			round := seq
 			if d.Sequencer {
@@ -122,18 +120,16 @@ func (d *Definition) Profile(cfg Config) transport.Profile {
 // measures: throughput, latency quantiles, the finalized online
 // verdicts and the carrier counters.
 //
-// N, Seed and the normalized merit column come from cfg (the common
-// knob set); cfg.Live supplies the deployment shape (carrier, load,
-// crash schedule).
+// N, Seed, the normalized merit column and the crash schedule with its
+// recovery discipline come from cfg (the common knob set); cfg.Live
+// supplies the deployment shape (carrier, load).
 func RunLive(cfg Config, def *Definition) (*Result, *transport.LiveResult, error) {
 	merits := cfg.Norm()
-	var lc transport.LiveConfig
-	if cfg.Live != nil {
-		lc = *cfg.Live
-	}
+	lc := *cfg.Live
 	lc.N = cfg.N
 	lc.Seed = cfg.Seed
 	lc.Merits = merits
+	lc.Crashes, lc.Durable = cfg.Crashes, cfg.Durable
 
 	lr, err := transport.Run(lc, def.Profile(cfg))
 	if err != nil {

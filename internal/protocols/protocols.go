@@ -54,7 +54,8 @@ type Config struct {
 	// deterministic schedule (see simnet.CrashWindow): deliveries to a
 	// down process are lost, it neither mines nor reads, and at the
 	// window end it restarts and catches up through the anti-entropy
-	// layer. Nil means no crashes.
+	// layer. Nil means no crashes. Instants are virtual time in
+	// simulation and multiples of transport.Tick after load start live.
 	Crashes []simnet.CrashWindow
 	// Durable selects the recovery discipline when Crashes is set: a
 	// durable replica restores its snapshotted tree on restart and only
@@ -99,8 +100,8 @@ type Config struct {
 	// on wall-clock timers, concurrent client load, and an online
 	// consistency monitor attached over the shared recorder. The
 	// registration table dispatches to RunLive instead of the system's
-	// simulated runner when it is set. N, Seed and Merits are taken from
-	// this Config, not from the LiveConfig.
+	// simulated runner when it is set. N, Seed, Merits, Crashes and
+	// Durable are taken from this Config, not from the LiveConfig.
 	Live *transport.LiveConfig
 
 	// halted latches a false Observer return so every later round is

@@ -123,6 +123,18 @@ type RecoveryStats struct {
 	ResyncBlocks    int // blocks (re)fetched between restart and catch-up end
 }
 
+// Add folds o into s: a live deployment counts per node, each on its
+// own event loop, and sums once the loops have stopped.
+func (s *RecoveryStats) Add(o *RecoveryStats) {
+	s.Crashes += o.Crashes
+	s.Restarts += o.Restarts
+	s.DurableRestores += o.DurableRestores
+	s.AmnesiaResets += o.AmnesiaResets
+	s.Solicits += o.Solicits
+	s.Retries += o.Retries
+	s.ResyncBlocks += o.ResyncBlocks
+}
+
 // CrashRecovery is one process's crash–recovery procedure, stated once
 // for both drivers: the simulator calls Crash and Restart from the
 // network's crash schedule, a live deployment from wall-clock timers on

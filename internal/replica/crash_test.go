@@ -73,7 +73,7 @@ func crashRig(t *testing.T, durable bool, rounds int) (*simnet.Sim, *Group, map[
 	g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 	g.SetPredicate(core.WellFormed{})
 	g.Net.RecordFaults(true)
-	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{simnet.Crash(2, 30, 60)}})
+	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 2, Start: 30, End: 60}}})
 	g.EnableCrashRecovery(sim, durable)
 
 	parent := core.Genesis()
@@ -147,7 +147,7 @@ func TestDurableResyncCheaperThanAmnesia(t *testing.T) {
 func TestCrashStopReplicaStaysDown(t *testing.T) {
 	sim := simnet.NewSim(7)
 	g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
-	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{simnet.CrashStop(1, 20)}})
+	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 1, Start: 20, End: simnet.NoHeal}}})
 	g.EnableCrashRecovery(sim, true)
 
 	parent := core.Genesis()
@@ -184,7 +184,7 @@ func TestCatchUpRetriesWhenInventoryLost(t *testing.T) {
 	sim := simnet.NewSim(3)
 	g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 	g.SetPredicate(core.WellFormed{})
-	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{simnet.Crash(2, 10, 40)}})
+	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 2, Start: 10, End: 40}}})
 	// Drop inv replies to p2 until t=50 (past restart at 40 and the
 	// first backoff window), so the initial solicit is wasted.
 	g.Net.SetDrop(func(m simnet.Message) bool {
@@ -398,7 +398,7 @@ func FuzzDurableRestore(f *testing.F) {
 		sim := simnet.NewSim(seed)
 		g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 		g.SetPredicate(core.WellFormed{})
-		g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{simnet.Crash(2, start, end)}})
+		g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 2, Start: start, End: end}}})
 		g.EnableCrashRecovery(sim, true)
 
 		var atCrash, atRestart string

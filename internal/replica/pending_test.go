@@ -200,30 +200,30 @@ func TestTwinWithAnotherParent(t *testing.T) {
 	a, b, c := g.Procs[0], g.Procs[1], g.Procs[2]
 
 	for _, blk := range []*core.Block{p1, p2, x1} {
-		if !a.DeliverCommitted(blk) {
+		if !a.applyUpdate(blk) {
 			t.Fatalf("a refused %s", blk.ID.Short())
 		}
 	}
 	for _, blk := range []*core.Block{p1, p2, x2} {
-		if !b.DeliverCommitted(blk) {
+		if !b.applyUpdate(blk) {
 			t.Fatalf("b refused %s under the parent it names", blk.ID.Short())
 		}
 	}
 	if ch := b.Tree().ChainTo("x"); len(ch) != 3 || ch[1] != p2 {
 		t.Fatalf("b holds the twin as %v, want under %s", ch, p2.ID.Short())
 	}
-	if a.DeliverCommitted(x2) || b.DeliverCommitted(x1) {
+	if a.applyUpdate(x2) || b.applyUpdate(x1) {
 		t.Fatal("a second copy of an attached ID was applied")
 	}
 
-	c.DeliverCommitted(p1)
-	if c.DeliverCommitted(tall) || c.Tree().Has("x") {
+	c.applyUpdate(p1)
+	if c.applyUpdate(tall) || c.Tree().Has("x") {
 		t.Fatal("c attached a copy whose height does not follow its parent's")
 	}
-	if c.DeliverCommitted(x2) || c.Tree().Has("x") || c.PendingCount() != 1 {
+	if c.applyUpdate(x2) || c.Tree().Has("x") || c.PendingCount() != 1 {
 		t.Fatalf("c: twin with a missing parent must wait as an orphan (has x: %v, pending %d)", c.Tree().Has("x"), c.PendingCount())
 	}
-	if !c.DeliverCommitted(p2) || c.PendingCount() != 0 {
+	if !c.applyUpdate(p2) || c.PendingCount() != 0 {
 		t.Fatal("c: the orphan did not flush when its parent arrived")
 	}
 	if ch := c.Tree().ChainTo("x"); len(ch) != 3 || ch[1] != p2 {

@@ -208,14 +208,6 @@ func (p *Process) Publish(b *core.Block) bool {
 	return true
 }
 
-// DeliverCommitted applies an externally committed block (consensus
-// output) at this process as an update without re-broadcasting — used by
-// the k=1 protocol family whose dissemination is the consensus round
-// itself. The receive event is recorded by the consensus layer.
-func (p *Process) DeliverCommitted(b *core.Block) bool {
-	return p.applyUpdate(b)
-}
-
 // applyUpdate inserts b into the local replica, recording the update
 // event, then flushes any buffered descendants that were waiting for
 // it. It serves both the creator's own update (R1 path) and a remote

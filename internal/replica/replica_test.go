@@ -144,19 +144,21 @@ func TestConcurrentForksBothRetained(t *testing.T) {
 	}
 }
 
-func TestDeliverCommittedDoesNotRebroadcast(t *testing.T) {
+// TestApplyUpdateDoesNotRebroadcast: applying a block decided elsewhere
+// records the update and sends nothing.
+func TestApplyUpdateDoesNotRebroadcast(t *testing.T) {
 	sim := simnet.NewSim(6)
 	g := NewGroup(sim, 2, nil, core.SingleChain{})
 	b := mkBlock(core.Genesis(), 0, 1)
 	sim.Schedule(1, func() {
-		if !g.Procs[1].DeliverCommitted(b) {
+		if !g.Procs[1].applyUpdate(b) {
 			t.Error("deliver failed")
 		}
 	})
 	sim.RunUntilIdle()
 	h := g.History()
 	if len(h.CommOf(history.EvSend)) != 0 {
-		t.Fatal("DeliverCommitted broadcast something")
+		t.Fatal("applyUpdate broadcast something")
 	}
 	if len(h.CommOf(history.EvUpdate)) != 1 {
 		t.Fatal("update event missing")

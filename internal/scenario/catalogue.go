@@ -18,136 +18,155 @@ func Catalogue() []Spec {
 	// one half (no trivial majority takeover) and above the share where
 	// withholding is hopeless.
 	advMerits := []float64{1, 1, 1, 1.5}
+	// The three crash-churn windows of crash-durable and crash-amnesia.
+	churn := []btsim.Crash{
+		{Proc: 1, Start: 40, End: 90},
+		{Proc: 3, Start: 120, End: 170},
+		{Proc: 0, Start: 200, End: 250},
+	}
 	return []Spec{
 		{
 			Name: "bitcoin/benign", System: "bitcoin",
-			N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 10,
-			Note: "baseline: lossless synchronous PoW — EC holds, transient forks only",
+			Config: btsim.Config{N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 10},
+			Note:   "baseline: lossless synchronous PoW — EC holds, transient forks only",
 		},
 		{
 			Name: "fabric/benign", System: "fabric",
-			N: 4, Rounds: 60, Seed: 42, ReadEvery: 12, CheckK: 1,
+			Config: btsim.Config{N: 4, Rounds: 60, Seed: 42, ReadEvery: 12}, CheckK: 1,
 			Note: "baseline: frugal k=1 ordering service — SC and 1-fork coherence hold",
 		},
 		{
 			Name: "byzcoin/benign", System: "byzcoin",
-			N: 4, Rounds: 30, Seed: 42, ReadEvery: 12, CheckK: 1,
+			Config: btsim.Config{N: 4, Rounds: 30, Seed: 42, ReadEvery: 12}, CheckK: 1,
 			Note: "baseline: PoW-elected leader + PBFT key blocks — SC holds, no forks",
 		},
 		{
 			Name: "algorand/benign", System: "algorand",
-			N: 4, Rounds: 30, Seed: 42, ReadEvery: 12, CheckK: 1,
+			Config: btsim.Config{N: 4, Rounds: 30, Seed: 42, ReadEvery: 12}, CheckK: 1,
 			Note: "baseline: sortition + BA* committee — SC w.h.p., fork-free at default",
 		},
 		{
 			Name: "peercensus/benign", System: "peercensus",
-			N: 4, Rounds: 30, Seed: 42, ReadEvery: 12, CheckK: 1,
+			Config: btsim.Config{N: 4, Rounds: 30, Seed: 42, ReadEvery: 12}, CheckK: 1,
 			Note: "baseline: PoW identities + committee consensus — SC holds",
 		},
 		{
 			Name: "redbelly/benign", System: "redbelly",
-			N: 6, Rounds: 15, Seed: 42, ReadEvery: 10, CheckK: 1,
+			Config: btsim.Config{N: 6, Rounds: 15, Seed: 42, ReadEvery: 10}, CheckK: 1,
 			Note: "baseline: consortium proposers, one decided block per height — SC holds",
 		},
 		{
 			Name: "bitcoin/selfish", System: "bitcoin",
-			N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 8,
-			Merits:       advMerits,
-			Adversary:    btsim.Adversary{Strategy: btsim.Selfish, Lead: 1},
+			Config: btsim.Config{
+				N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 8,
+				Merits:    advMerits,
+				Adversary: btsim.Adversary{Strategy: btsim.Selfish, Lead: 1},
+			},
 			ExpectBroken: []string{"StrongPrefix"},
 			Note:         "withhold-and-release mining forces reorgs: incomparable honest reads",
 		},
 		{
 			Name: "bitcoin/withhold-release", System: "bitcoin",
-			N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 8,
-			// A pure withholder needs majority hashing power to keep its
-			// private branch ahead until the end-of-run release.
-			Merits:       []float64{1, 1, 1, 4},
-			Adversary:    btsim.Adversary{Strategy: btsim.Withhold, ReleaseAtEnd: true},
+			Config: btsim.Config{
+				N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 8,
+				// A pure withholder needs majority hashing power to keep its
+				// private branch ahead until the end-of-run release.
+				Merits:    []float64{1, 1, 1, 4},
+				Adversary: btsim.Adversary{Strategy: btsim.Withhold, ReleaseAtEnd: true},
+			},
 			ExpectBroken: []string{"StrongPrefix"},
 			Note:         "private chain released only at the end: one maximal late reorg",
 		},
 		{
 			Name: "bitcoin/partition-heal", System: "bitcoin",
-			N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
-			Faults:       []FaultSpec{{Kind: "split", Start: 50, End: 220, Left: []int{0, 1}}},
+			Config: btsim.Config{
+				N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
+				Faults: []btsim.Fault{{Kind: "split", Start: 50, End: 220, Left: []int{0, 1}}},
+			},
 			ExpectBroken: []string{"StrongPrefix"},
 			Note:         "split brain mines two chains; Strong Prefix dies, EC survives the heal",
 		},
 		{
 			Name: "bitcoin/partition-noheal", System: "bitcoin",
-			N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
-			Faults:       []FaultSpec{{Kind: "split", Start: 50, End: btsim.NoHeal, Left: []int{0, 1}}},
+			Config: btsim.Config{
+				N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
+				Faults: []btsim.Fault{{Kind: "split", Start: 50, End: btsim.NoHeal, Left: []int{0, 1}}},
+			},
 			ExpectBroken: []string{"StrongPrefix", "EventualPrefix"},
 			Note:         "permanent cut: divergence persists into the final window — even EC dies",
 		},
 		{
 			Name: "bitcoin/eclipse", System: "bitcoin",
-			N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
-			Faults:       []FaultSpec{{Kind: "eclipse", Start: 100, End: btsim.NoHeal, Left: []int{2}}},
+			Config: btsim.Config{
+				N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
+				Faults: []btsim.Fault{{Kind: "eclipse", Start: 100, End: btsim.NoHeal, Left: []int{2}}},
+			},
 			ExpectBroken: []string{"EverGrowingTree"},
 			Note:         "eclipsed correct process stagnates while the tree demonstrably grows",
 		},
 		{
 			Name: "bitcoin/churn", System: "bitcoin",
-			N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
-			Faults: []FaultSpec{
-				{Kind: "eclipse", Start: 40, End: 90, Left: []int{1}},
-				{Kind: "eclipse", Start: 120, End: 170, Left: []int{3}},
-				{Kind: "eclipse", Start: 200, End: 250, Left: []int{0}},
+			Config: btsim.Config{
+				N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
+				Faults: []btsim.Fault{
+					{Kind: "eclipse", Start: 40, End: 90, Left: []int{1}},
+					{Kind: "eclipse", Start: 120, End: 170, Left: []int{3}},
+					{Kind: "eclipse", Start: 200, End: 250, Left: []int{0}},
+				},
 			},
 			Note: "churn as heal-flushed eclipses: processes drop out and rejoin — EC must survive",
 		},
 		{
 			Name: "bitcoin/crashstop", System: "bitcoin",
-			N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
-			Crashes:      []btsim.Crash{{Proc: 2, Start: 150, End: btsim.NoHeal}},
-			Durable:      true,
+			Config: btsim.Config{
+				N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
+				Crashes: []btsim.Crash{{Proc: 2, Start: 150, End: btsim.NoHeal}},
+				Durable: true,
+			},
 			ExpectBroken: []string{"StrongPrefix"},
 			Note:         "one replica crash-stops mid-run: survivors keep EC, the dead tree just freezes",
 		},
 		{
 			Name: "bitcoin/crash-durable", System: "bitcoin",
-			N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
-			Crashes: []btsim.Crash{
-				{Proc: 1, Start: 40, End: 90},
-				{Proc: 3, Start: 120, End: 170},
-				{Proc: 0, Start: 200, End: 250},
+			Config: btsim.Config{
+				N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
+				Crashes: churn, Durable: true,
 			},
-			Durable:      true,
 			ExpectBroken: []string{"StrongPrefix"},
 			Note:         "crash churn with snapshot/restore: restarts resume from the saved tree — EC holds",
 		},
 		{
 			Name: "bitcoin/crash-amnesia", System: "bitcoin",
-			N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
-			// The exact crash windows of crash-durable — only Durable
-			// differs, so the pair isolates what durability buys.
-			Crashes: []btsim.Crash{
-				{Proc: 1, Start: 40, End: 90},
-				{Proc: 3, Start: 120, End: 170},
-				{Proc: 0, Start: 200, End: 250},
+			Config: btsim.Config{
+				N: 4, Rounds: 300, Seed: 42, ReadEvery: 6, Difficulty: 6,
+				// The exact crash windows of crash-durable — only Durable
+				// differs, so the pair isolates what durability buys.
+				Crashes: churn, Durable: false,
 			},
-			Durable:      false,
 			ExpectBroken: []string{"StrongPrefix", "LocalMonotonicRead"},
 			Note:         "same churn, rejoin from genesis: post-restart reads jump backwards — LMR dies",
 		},
 		{
 			Name: "ethereum/forkflood", System: "ethereum",
-			N: 4, Rounds: 120, Seed: 42, ReadEvery: 4, Difficulty: 4,
-			Merits:       advMerits,
-			Adversary:    btsim.Adversary{Strategy: btsim.Equivocate, Forks: 3},
+			Config: btsim.Config{
+				N: 4, Rounds: 120, Seed: 42, ReadEvery: 4, Difficulty: 4,
+				Merits:    advMerits,
+				Adversary: btsim.Adversary{Strategy: btsim.Equivocate, Forks: 3},
+			},
 			ExpectBroken: []string{"StrongPrefix"},
 			Note:         "fork flooding under ΘP: forged siblings shake GHOST between subtrees",
 		},
 		{
 			Name: "fabric/equivocate", System: "fabric",
-			N: 4, Rounds: 60, Seed: 42, ReadEvery: 12, CheckK: 1,
-			// Strong Prefix survives this attack (the selector is a
-			// deterministic function, so replicas sharing the forked
-			// tree still read the same chain) — exactly why k-Fork
-			// Coherence is a separate criterion in the hierarchy.
-			Adversary:    btsim.Adversary{Strategy: btsim.Equivocate, Proc: 0, Forks: 2},
+			Config: btsim.Config{
+				N: 4, Rounds: 60, Seed: 42, ReadEvery: 12,
+				// Strong Prefix survives this attack (the selector is a
+				// deterministic function, so replicas sharing the forked
+				// tree still read the same chain) — exactly why k-Fork
+				// Coherence is a separate criterion in the hierarchy.
+				Adversary: btsim.Adversary{Strategy: btsim.Equivocate, Proc: 0, Forks: 2},
+			},
+			CheckK:       1,
 			ExpectBroken: []string{"1-ForkCoherence"},
 			Note:         "Byzantine orderer signs two blocks per height token: measured k-fork violation",
 		},

@@ -24,13 +24,13 @@ func TestMetricsDigestNeutralityCatalogue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bare, err := sys.Run(btsim.NewConfig(spec.options(spec.Seed)...))
+			cfg := spec.config(spec.Seed, false)
+			bare, err := sys.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, err := sys.Run(btsim.NewConfig(append(spec.options(spec.Seed),
-				btsim.WithMetrics(),
-				btsim.WithTrace(io.Discard, btsim.TraceOptions{SampleEvery: 8}))...))
+			btsim.WithTrace(io.Discard, btsim.TraceOptions{SampleEvery: 8})(&cfg)
+			inst, err := sys.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +61,9 @@ func TestTraceSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := sys.Run(btsim.NewConfig(append(spec.options(spec.Seed),
-		btsim.WithTrace(&buf, btsim.TraceOptions{SampleEvery: 2}))...)); err != nil {
+	cfg := spec.config(spec.Seed, false)
+	btsim.WithTrace(&buf, btsim.TraceOptions{SampleEvery: 2})(&cfg)
+	if _, err := sys.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {

@@ -26,13 +26,6 @@ import (
 	"repro/internal/consistency"
 )
 
-// FaultSpec declares one partition window without committing to a
-// process count (the window is resolved against N at run time). It is
-// the public btsim fault declaration: "split" cuts Left off from the
-// rest, "eclipse" cuts Left[0] off alone, End == btsim.NoHeal makes the
-// cut permanent.
-type FaultSpec = btsim.Fault
-
 // Spec is one declarative scenario.
 type Spec struct {
 	// Name identifies the scenario in the catalogue and the matrix.
@@ -43,43 +36,15 @@ type Spec struct {
 	// whatever else has been registered). Unknown names make Run
 	// return an error listing the registered options.
 	System string
-	// N, Rounds, Seed, ReadEvery are the common run knobs.
-	N, Rounds int
-	Seed      uint64
-	ReadEvery int64
-	// Delta is the synchrony bound δ (0 = the system's default).
-	Delta int64
-	// Difficulty is the PoW difficulty knob (0 = the system's default).
-	Difficulty float64
-	// Merits skews hashing power / stake (nil = uniform); adversarial
-	// mining power lives here.
-	Merits []float64
-	// Adversary is the process-level strategy (zero value = benign).
-	Adversary btsim.Adversary
-	// Faults are the network-level partition/eclipse windows. Churn is
-	// modeled as temporary eclipse windows: a process leaving and
-	// rejoining is exactly a cut that heals (deferred updates flush).
-	Faults []FaultSpec
-	// Crashes are the process-level crash–recovery windows (End ==
-	// btsim.NoHeal is a crash-stop); Durable picks snapshot/restore
-	// recovery over amnesia rejoin-from-genesis.
-	Crashes []btsim.Crash
-	Durable bool
+	// Config is the run itself, in the public knob set and nowhere
+	// else: N, Rounds, Seed, Merits, Faults, Crashes, Adversary, Shards
+	// and, for a deployed entry, Live and Load. Its fields are promoted,
+	// so spec.N and spec.Shards = 4 read and write them. Run turns the fault log on and overrides Seed when asked to;
+	// RunStream additionally attaches the online monitor.
+	btsim.Config
 	// CheckK, when > 0, additionally checks k-Fork Coherence with this
 	// bound (set it to the frugal oracle's k).
 	CheckK int
-	// CheckpointEvery, when > 0, checkpoint-cycles the online monitor
-	// every that many consumed operations during RunStream (Run ignores
-	// it): the monitor's bounded state is serialized and a fresh
-	// monitor restored from the bytes mid-run. The cycles are specified
-	// to be invisible — the stream_test pins byte-identical outcomes
-	// across the whole catalogue.
-	CheckpointEvery int
-	// Shards runs the scenario on the sharded deterministic scheduler
-	// with that many worker shards (0 or 1 = serial). Digests are
-	// specified to be shard-count-independent, so catalogue entries
-	// leave it 0 and the shard digest-diff test overrides it.
-	Shards int
 	// ExpectBroken names the properties the paper predicts this
 	// scenario must break (empty for benign baselines). cmd/scenarios
 	// -check and the tests fail when a predicted break goes unmeasured.
@@ -106,9 +71,6 @@ type Outcome struct {
 	Digest string
 }
 
-// OK reports whether nothing was violated.
-func (o *Outcome) OK() bool { return len(o.Violated) == 0 }
-
 // MissingExpected returns the predicted-broken properties this run did
 // not measure as broken.
 func (o *Outcome) MissingExpected() []string {
@@ -128,40 +90,6 @@ func (o *Outcome) MissingExpected() []string {
 	return out
 }
 
-// options lowers the spec onto the public run options.
-func (s Spec) options(seed uint64) []btsim.Option {
-	return []btsim.Option{
-		btsim.WithN(s.N),
-		btsim.WithRounds(s.Rounds),
-		btsim.WithSeed(seed),
-		btsim.WithReadEvery(s.ReadEvery),
-		btsim.WithDelta(s.Delta),
-		btsim.WithDifficulty(s.Difficulty),
-		btsim.WithMerits(s.Merits...),
-		btsim.WithFaults(s.Faults...),
-		btsim.WithCrashes(s.Crashes...),
-		btsim.WithDurability(s.Durable),
-		btsim.WithAdversary(s.Adversary),
-		btsim.WithFaultLog(true),
-		btsim.WithShards(s.Shards),
-	}
-}
-
-// Validate reports whether the spec can run at all: the system must be
-// registered and the adversary strategy known. Sweep validates once up
-// front so its workers cannot fail individually.
-func (s Spec) Validate() error {
-	if _, err := btsim.Get(s.System); err != nil {
-		return fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	switch s.Adversary.Strategy {
-	case "", btsim.Selfish, btsim.Withhold, btsim.Equivocate:
-	default:
-		return fmt.Errorf("scenario %q: unknown adversary strategy %q", s.Name, s.Adversary.Strategy)
-	}
-	return nil
-}
-
 // Run executes the scenario with the given seed (0 means Spec.Seed) and
 // checks it. An unregistered System (or any other invalid knob) returns
 // an error naming the registered options — never a silent zero outcome.
@@ -175,6 +103,17 @@ func (s Spec) Run(seed uint64) (*Outcome, error) { return s.run(seed, false) }
 // for the whole catalogue.
 func (s Spec) RunStream(seed uint64) (*Outcome, error) { return s.run(seed, true) }
 
+// config is the spec's Config as one run takes it.
+func (s Spec) config(seed uint64, stream bool) btsim.Config {
+	cfg := s.Config
+	cfg.Seed = seed
+	cfg.FaultLog = !cfg.Live // a simulated scenario always shows its fault events
+	if stream {
+		cfg.Monitor, cfg.MonitorK = true, s.CheckK
+	}
+	return cfg
+}
+
 func (s Spec) run(seed uint64, stream bool) (*Outcome, error) {
 	if seed == 0 {
 		seed = s.Seed
@@ -183,17 +122,7 @@ func (s Spec) run(seed uint64, stream bool) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	opts := s.options(seed)
-	if stream {
-		opts = append(opts, btsim.WithMonitor(nil))
-		if s.CheckK > 0 {
-			opts = append(opts, btsim.WithMonitorK(s.CheckK))
-		}
-		if s.CheckpointEvery > 0 {
-			opts = append(opts, btsim.WithMonitorCheckpoint(s.CheckpointEvery))
-		}
-	}
-	res, err := sys.Run(btsim.NewConfig(opts...))
+	res, err := sys.Run(s.config(seed, stream))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
@@ -272,12 +201,9 @@ func Digest(o *Outcome) string {
 // Sweep runs the spec across the given seeds with at most workers
 // concurrent runs (workers <= 0 means 4). Outcomes are returned in seed
 // order regardless of completion order, so a sweep is as deterministic
-// as a single run. The spec is validated once up front; an invalid spec
-// returns the error before any run starts.
+// as a single run. A run that fails — an unregistered system, an
+// invalid knob — fails the sweep with its error.
 func Sweep(spec Spec, seeds []uint64, workers int) ([]*Outcome, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	if workers <= 0 {
 		workers = 4
 	}

@@ -84,7 +84,7 @@ func TestCheckpointedStreamingMatchesBatchCatalogue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.CheckpointEvery = 64
+			spec.MonitorCheckpoint = 64
 			stream, err := spec.RunStream(0)
 			if err != nil {
 				t.Fatal(err)

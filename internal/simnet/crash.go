@@ -43,17 +43,6 @@ func (w CrashWindow) String() string {
 	return fmt.Sprintf("p%d down [%d,%d)", w.Proc, w.Start, w.End)
 }
 
-// Crash builds a crash–recovery window: proc is down during [start, end).
-func Crash(proc int, start, end int64) CrashWindow {
-	return CrashWindow{Proc: proc, Start: start, End: end}
-}
-
-// CrashStop builds a permanent crash: proc goes down at start and never
-// recovers.
-func CrashStop(proc int, start int64) CrashWindow {
-	return CrashWindow{Proc: proc, Start: start, End: NoHeal}
-}
-
 // DownAt reports whether process p is crashed at time t.
 func (s *Schedule) DownAt(t int64, p int) bool {
 	if s == nil {

@@ -8,7 +8,7 @@ func TestCrashDropsDeliveriesWhileDown(t *testing.T) {
 	sim := NewSim(1)
 	nw, got := collect(t, sim, 3)
 	nw.RecordFaults(true)
-	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{Crash(2, 10, 40)}})
+	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{{Proc: 2, Start: 10, End: 40}}})
 
 	sim.Schedule(5, func() { nw.Send(0, 2, "before") })  // delivers ≤ 6 < 10
 	sim.Schedule(20, func() { nw.Send(0, 2, "during") }) // lost
@@ -41,7 +41,7 @@ func TestCrashStopNeverRestarts(t *testing.T) {
 	sim := NewSim(2)
 	nw, got := collect(t, sim, 2)
 	nw.RecordFaults(true)
-	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{CrashStop(1, 15)}})
+	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{{Proc: 1, Start: 15, End: NoHeal}}})
 
 	var crashes, restarts []int64
 	nw.OnCrash(func(p int) { crashes = append(crashes, sim.Now()) })
@@ -72,7 +72,7 @@ func TestCrashHooksFireBeforeSameTimeDeliveries(t *testing.T) {
 	nw := NewNetwork(sim, 2, Synchronous{Delta: 1})
 	var order []string
 	nw.AddHandler(1, func(m Message) { order = append(order, "deliver") })
-	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{Crash(1, 10, 21)}})
+	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{{Proc: 1, Start: 10, End: 21}}})
 	nw.OnRestart(func(p int) { order = append(order, "restart") })
 
 	sim.Schedule(20, func() { nw.Send(0, 1, "x") }) // delivers at 21 == restart time
@@ -93,9 +93,9 @@ func TestOverlappingCrashWindowsMerge(t *testing.T) {
 	nw.OnCrash(func(int) { crashes++ })
 	nw.OnRestart(func(int) { restarts++ })
 	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{
-		Crash(0, 10, 30),
-		Crash(0, 20, 40), // overlaps the first
-		Crash(0, 40, 50), // adjacent to the second
+		{Proc: 0, Start: 10, End: 30},
+		{Proc: 0, Start: 20, End: 40}, // overlaps the first
+		{Proc: 0, Start: 40, End: 50}, // adjacent to the second
 	}})
 	sim.RunUntilIdle()
 	if crashes != 1 || restarts != 1 {
@@ -139,8 +139,8 @@ func FuzzCrashSchedule(f *testing.F) {
 		// overlap-merge logic.
 		p2 := (n - 1) % n
 		sched := &Schedule{Crashes: []CrashWindow{
-			Crash(0, s1, e1),
-			Crash(p2, s2, e2),
+			{Proc: 0, Start: s1, End: e1},
+			{Proc: p2, Start: s2, End: e2},
 		}}
 
 		sim := NewSim(seed)

@@ -83,14 +83,6 @@ func EclipseWindow(start, end int64, n, victim int) Window {
 	return SplitWindow(start, end, n, []int{victim})
 }
 
-// GSTShiftWindow models a delayed global stabilization time as a
-// partition: the system is split until gst, whole afterwards. Deferred
-// messages flush at gst, exactly the "messages sent before GST arrive
-// after GST" reading of partial synchrony.
-func GSTShiftWindow(gst int64, n int, left []int) Window {
-	return SplitWindow(0, gst, n, left)
-}
-
 // Schedule is a deterministic fault schedule: a set of partition windows
 // and crash windows applied to a network. Message semantics follow real
 // partitions rather than silent loss: a message crossing an active cut

@@ -84,7 +84,9 @@ func TestPermanentCutDrops(t *testing.T) {
 func TestGSTShiftFlushesAtGST(t *testing.T) {
 	sim := NewSim(7)
 	nw, got := collect(t, sim, 2)
-	nw.SetSchedule(NewSchedule(GSTShiftWindow(100, 2, []int{0})))
+	// A delayed global stabilization time as a partition: split until
+	// 100, whole afterwards, deferred messages flushing at the heal.
+	nw.SetSchedule(NewSchedule(SplitWindow(0, 100, 2, []int{0})))
 
 	sim.Schedule(1, func() { nw.Send(0, 1, "pre-GST") })
 	sim.Schedule(150, func() { nw.Send(0, 1, "post-GST") })

@@ -297,6 +297,3 @@ func (nw *Network) Broadcast(from int, payload any) {
 func (nw *Network) Stats() (sent, delivered, dropped int) {
 	return nw.sent, nw.delivered, nw.dropped
 }
-
-// DelayName reports the synchrony model in use.
-func (nw *Network) DelayName() string { return nw.delay.Name() }

@@ -37,9 +37,6 @@ func (s *Sim) SetMetrics(reg *metrics.Registry) {
 	reg.Probe("sim.steps", func() int64 { return int64(s.stepped) })
 }
 
-// Metrics returns the attached registry (nil when none).
-func (s *Sim) Metrics() *metrics.Registry { return s.metrics }
-
 // SetTrace attaches a tracer. Call after EnableSharding (or before —
 // EnableSharding re-sizes the staging areas) and before the run starts.
 func (s *Sim) SetTrace(tr *trace.Tracer) {
@@ -48,9 +45,6 @@ func (s *Sim) SetTrace(tr *trace.Tracer) {
 		tr.SetShards(s.eng.k)
 	}
 }
-
-// Tracer returns the attached tracer (nil when none).
-func (s *Sim) Tracer() *trace.Tracer { return s.tracer }
 
 // traceExec records the execution of an event on the serial path
 // (shard −1 renders in the scheduler lane).

@@ -498,12 +498,3 @@ func (nw *Network) markSerialOnly(p int) {
 		}
 	}
 }
-
-// String renders the engine state for debugging.
-func (eng *engine) String() string {
-	q := 0
-	for i := range eng.heaps {
-		q += eng.heaps[i].len()
-	}
-	return fmt.Sprintf("engine(k=%d, %d sharded events queued)", eng.k, q)
-}

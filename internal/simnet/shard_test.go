@@ -124,7 +124,7 @@ func cascadeSchedule(n int, s1, e1, s2, e2 int64) *Schedule {
 		left = append(left, p)
 	}
 	sched := NewSchedule(SplitWindow(s1, e1, n, left), EclipseWindow(s2, e2, n, 1%n))
-	sched.Crashes = []CrashWindow{Crash(0, s1, s1+18), Crash(n-1, s2, s2+12)}
+	sched.Crashes = []CrashWindow{{Proc: 0, Start: s1, End: s1 + 18}, {Proc: n - 1, Start: s2, End: s2 + 12}}
 	return sched
 }
 

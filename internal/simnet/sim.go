@@ -87,9 +87,6 @@ func (s *Sim) Now() int64 { return s.now }
 // RNG returns the simulator's deterministic random stream.
 func (s *Sim) RNG() *tape.RNG { return s.rng }
 
-// Steps returns how many events have been executed.
-func (s *Sim) Steps() int { return s.stepped }
-
 // push routes e to its queue: the owning shard's when the sharded
 // engine is active and the event is a delivery a shard may process
 // concurrently, the global one otherwise (timers, deliveries to

@@ -51,8 +51,8 @@ func TestSimRunUntil(t *testing.T) {
 		t.Fatalf("pending %d", s.Pending())
 	}
 	s.RunUntilIdle()
-	if ran != 2 || s.Steps() != 2 {
-		t.Fatalf("final ran=%d steps=%d", ran, s.Steps())
+	if ran != 2 || s.stepped != 2 {
+		t.Fatalf("final ran=%d steps=%d", ran, s.stepped)
 	}
 }
 

@@ -81,15 +81,6 @@ func NewTape(a Merit, m Mapping, seed uint64) *Tape {
 	return &Tape{merit: a, prob: m(a), rng: NewRNG(seed)}
 }
 
-// Merit returns the α this tape belongs to.
-func (t *Tape) Merit() Merit { return t.merit }
-
-// Prob returns the per-cell token probability p(α).
-func (t *Tape) Prob() float64 { return t.prob }
-
-// Position returns how many cells have been popped so far.
-func (t *Tape) Position() int { return t.cursor }
-
 func (t *Tape) generate() Cell {
 	if t.rng.Bernoulli(t.prob) {
 		return Token

@@ -95,18 +95,6 @@ func TestBernoulliEdges(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(11)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid/duplicate element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := NewRNG(13)
 	const p = 0.25
@@ -146,8 +134,8 @@ func TestTapeHeadThenPopAgree(t *testing.T) {
 			t.Fatalf("cell %d: Head()=%v but Pop()=%v", i, h, p)
 		}
 	}
-	if tp.Position() != 200 {
-		t.Fatalf("position %d after 200 pops", tp.Position())
+	if tp.cursor != 200 {
+		t.Fatalf("position %d after 200 pops", tp.cursor)
 	}
 }
 
@@ -248,7 +236,7 @@ func TestSetReturnsSameTape(t *testing.T) {
 	if t1 != t2 {
 		t.Fatal("Set returned a different tape for the same merit")
 	}
-	if t2.Position() != 1 {
+	if t2.cursor != 1 {
 		t.Fatal("tape state not shared through the set")
 	}
 }

@@ -108,9 +108,6 @@ func New(opts Options) *Tracer {
 	return &Tracer{sampleEvery: opts.SampleEvery, limit: opts.Limit}
 }
 
-// SampleEvery reports the common-event sampling interval.
-func (t *Tracer) SampleEvery() int64 { return t.sampleEvery }
-
 // Sampled reports whether an event of this kind and scheduler seq is
 // retained. The decision depends only on (kind, seq) — deterministic
 // and shard-count-invariant.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/consistency"
@@ -9,23 +10,22 @@ import (
 	"repro/internal/history"
 	"repro/internal/metrics"
 	"repro/internal/replica"
+	"repro/internal/simnet"
 	"repro/internal/tape"
 )
 
 // Profile is how one registered system produces blocks in a live
-// deployment: the selector/score/predicate triple its replicas run,
-// the paper row it claims, and the oracle-backed mint that turns an
-// append attempt into a block (or a lost lottery). It is built in one
+// deployment: the selector/score/predicate triple its replicas run and
+// the oracle-backed mint that turns an append attempt into a block (or
+// a lost lottery). It is built in one
 // place, protocols.Definition.Profile, from the same definition the
 // simulated run starts from, so the live path reuses the exact oracle,
 // scores and validity the simulated path measures.
 type Profile struct {
-	System         string
-	Selector       core.Selector
-	Score          core.Score
-	Predicate      core.Predicate
-	OracleClaim    string
-	PaperCriterion string
+	System    string
+	Selector  core.Selector
+	Score     core.Score
+	Predicate core.Predicate
 	// Sequencer routes every append through node 0 — the
 	// ordering-service shape of the frugal k=1 family (Fabric's
 	// orderer, the BFT-chain leader, Algorand's per-height proposer
@@ -37,21 +37,6 @@ type Profile struct {
 	// the attempt failed before any operation began, so nothing is
 	// recorded — exactly a getToken miss in the simulators.
 	Mint func(proc int, parent *core.Block, seq int) *core.Block
-}
-
-// CrashSpec schedules one crash/restart during the load phase — the
-// live counterpart of a simnet.CrashWindow.
-type CrashSpec struct {
-	// Node to crash. In sequencer profiles (and the default
-	// single-writer load policy) node 0 is the writer; crashing a
-	// reader exercises rejoin without halting the load.
-	Node int
-	// After is the delay from load start to the crash; Downtime is the
-	// crash window length.
-	After    time.Duration
-	Downtime time.Duration
-	// Durable selects snapshot/restore recovery; false means amnesia.
-	Durable bool
 }
 
 // LiveConfig parameterizes a deployment run.
@@ -76,9 +61,6 @@ type LiveConfig struct {
 	// at least one must be set.
 	Duration   time.Duration
 	MaxAppends int64
-	// ReadsPerAppend is how many reads each client issues, rotating
-	// across nodes, after every append attempt (default 2).
-	ReadsPerAppend int
 	// Spray round-robins append attempts across all nodes instead of
 	// the default single-writer policy (node 0). Spraying a prodigal
 	// system creates real fork pressure: concurrent miners extend
@@ -86,22 +68,31 @@ type LiveConfig struct {
 	// same reason the paper classifies those systems EC, not SC.
 	Spray bool
 
-	// Crash, when set, schedules one crash/restart during the load.
-	Crash *CrashSpec
+	// Crashes take nodes down during the load: Start and End count
+	// Ticks from load start. Every window heals, and two windows of one
+	// node neither overlap nor touch — btsim's knob table is the check.
+	// Durable restarts a node from its crash-time snapshot; false means
+	// amnesia.
+	Crashes []simnet.CrashWindow
+	Durable bool
 
 	// K, when > 0, adds the k-Fork Coherence report to the result.
 	K int
 	// OnWitness streams every live violation witness as the monitor
 	// forms it (called from the monitor consumer goroutine).
 	OnWitness func(consistency.Witness)
-	// AsyncBuf is the monitor queue bound (0 = history default).
-	AsyncBuf int
-
-	// AEPeriod is the anti-entropy advertise interval (default 250ms).
-	AEPeriod time.Duration
-	// SettleTimeout caps the post-load convergence wait (default 10s).
-	SettleTimeout time.Duration
 }
+
+// The deployment's fixed shape: what every caller ran with.
+const (
+	// readsPerAppend is how many reads each client issues, rotating
+	// across nodes, after every append attempt.
+	readsPerAppend = 2
+	// aePeriod is the anti-entropy advertise interval.
+	aePeriod = 250 * time.Millisecond
+	// settleTimeout caps the post-load convergence wait.
+	settleTimeout = 10 * time.Second
+)
 
 func (c *LiveConfig) norm() error {
 	if c.N <= 0 {
@@ -110,30 +101,8 @@ func (c *LiveConfig) norm() error {
 	if c.Clients <= 0 {
 		c.Clients = 2
 	}
-	if c.ReadsPerAppend < 0 {
-		c.ReadsPerAppend = 0
-	} else if c.ReadsPerAppend == 0 {
-		c.ReadsPerAppend = 2
-	}
 	if c.Duration <= 0 && c.MaxAppends <= 0 {
-		return fmt.Errorf("transport: live run needs a Duration or a MaxAppends budget")
-	}
-	if c.AEPeriod <= 0 {
-		c.AEPeriod = 250 * time.Millisecond
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 10 * time.Second
-	}
-	if c.Crash != nil {
-		if c.Crash.Node < 0 || c.Crash.Node >= c.N {
-			return fmt.Errorf("transport: crash node %d out of range [0,%d)", c.Crash.Node, c.N)
-		}
-		if c.Crash.After <= 0 {
-			c.Crash.After = 200 * time.Millisecond
-		}
-		if c.Crash.Downtime <= 0 {
-			c.Crash.Downtime = 300 * time.Millisecond
-		}
+		return fmt.Errorf("transport: a live run needs its load bounded, by a duration or by an appends budget")
 	}
 	return nil
 }
@@ -183,12 +152,12 @@ type LiveResult struct {
 	// trustworthy.
 	MonitorErr error
 
-	// Recovery carries the crash/rejoin counters when a CrashSpec ran.
+	// Recovery carries the crash/rejoin counters when Crashes ran.
 	Recovery *replica.RecoveryStats
 
 	// Sent/Delivered are carrier frame counters; DroppedDown counts
 	// deliveries dropped at crashed nodes; Converged reports whether
-	// every replica reached the same tree size before SettleTimeout.
+	// every replica reached the same tree size before settleTimeout.
 	Sent, Delivered int64
 	DroppedDown     int64
 	Converged       bool
@@ -254,7 +223,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		Table:     rec.Table(),
 		OnWitness: cfg.OnWitness,
 	})
-	async := history.NewAsyncSink(mon, cfg.AsyncBuf)
+	async := history.NewAsyncSink(mon, 0)
 	rec.SetSink(async)
 
 	mreg := metrics.New(0)
@@ -307,29 +276,45 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	}
 	for _, n := range nodes {
 		n.Start()
-		scheduleAdvertise(n, cfg.AEPeriod)
+		scheduleAdvertise(n)
 	}
 
-	// Load phase, with the optional crash/restart riding alongside.
+	// Load phase, with the crash windows riding alongside. Each crashed
+	// node counts its own recovery — the counters are written on its
+	// event loop — and the sum is taken once the loops have stopped.
 	lg := newLoadGen(cfg, prof, nodes, loadInstruments{
 		appendHist: appendHist, readHist: readHist,
 	})
-	var recovery *replica.RecoveryStats
-	var crashDone chan struct{}
-	if cfg.Crash != nil {
-		recovery = &replica.RecoveryStats{}
-		crashDone = make(chan struct{})
-		scheduleCrash(cfg.Crash, nodes[cfg.Crash.Node], recovery, func() { close(crashDone) })
+	var (
+		windows   = map[int][]simnet.CrashWindow{}
+		perNode   []*replica.RecoveryStats
+		rejoining atomic.Int32
+		rejoined  = make(chan struct{})
+		lastEnd   int64
+	)
+	for _, w := range cfg.Crashes {
+		windows[w.Proc] = append(windows[w.Proc], w)
+		lastEnd = max(lastEnd, w.End)
+	}
+	rejoining.Store(int32(len(windows)))
+	for p, ws := range windows {
+		stats := &replica.RecoveryStats{}
+		perNode = append(perNode, stats)
+		scheduleCrashes(nodes[p], ws, cfg.Durable, stats, func() {
+			if rejoining.Add(-1) == 0 {
+				close(rejoined)
+			}
+		})
 	}
 	loadStart := time.Now()
 	lg.run()
 	elapsed := time.Since(loadStart)
-	if crashDone != nil {
-		// The window may outlast a short load phase; rejoin must
-		// complete before convergence is meaningful.
+	if len(windows) > 0 {
+		// A window may outlast a short load phase; rejoin must complete
+		// before convergence is meaningful.
 		select {
-		case <-crashDone:
-		case <-time.After(cfg.SettleTimeout + cfg.Crash.After + cfg.Crash.Downtime):
+		case <-rejoined:
+		case <-time.After(settleTimeout + time.Duration(lastEnd)*Tick):
 			return fail(fmt.Errorf("transport: crash/restart did not complete"))
 		}
 	}
@@ -337,7 +322,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	// Settle: every replica at the same tree size, all inboxes empty,
 	// nothing in flight — twice in a row.
 	settleStart := time.Now()
-	converged := settle(nodes, tr, cfg.SettleTimeout)
+	converged := settle(nodes, tr)
 	settleDur := time.Since(settleStart)
 
 	// Final convergent reads (two rounds, as the simulators take).
@@ -348,6 +333,13 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	}
 
 	monErr := teardown()
+	var recovery *replica.RecoveryStats
+	if len(perNode) > 0 {
+		recovery = &replica.RecoveryStats{}
+		for _, stats := range perNode {
+			recovery.Add(stats)
+		}
+	}
 	for _, op := range rec.PendingOps() {
 		mon.OpPending(op)
 	}
@@ -407,13 +399,13 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 // scheduleAdvertise drives the periodic anti-entropy inventory round
 // on the node's own wall-clock timer (the live stand-in for
 // Group.EnableAntiEntropy's virtual-time schedule).
-func scheduleAdvertise(n *Node, period time.Duration) {
+func scheduleAdvertise(n *Node) {
 	var tick func()
 	tick = func() {
 		n.Proc.Advertise() // no-op while crashed
-		n.After(period, tick)
+		n.After(aePeriod, tick)
 	}
-	n.After(period, tick)
+	n.After(aePeriod, tick)
 }
 
 // Tick is the wall-clock length of one replica tick in a live
@@ -421,29 +413,38 @@ func scheduleAdvertise(n *Node, period time.Duration) {
 // 100 ms.
 const Tick = 12500 * time.Microsecond
 
-// scheduleCrash arms one crash window on the node's own timers, so the
-// whole window — crash, restart, catch-up and every stats update — runs
-// on the node's event loop: the crash edge marks the node down (inbound
-// deliveries are dropped, the process neither sends nor operates), the
-// restart edge marks it up, and replica.CrashRecovery does the rest,
-// calling done when the catch-up ends.
-func scheduleCrash(spec *CrashSpec, n *Node, stats *replica.RecoveryStats, done func()) {
+// scheduleCrashes arms node n's crash windows on the node's own timers,
+// so each whole window — crash, restart, catch-up and every stats update
+// — runs on the node's event loop: the crash edge marks the node down
+// (inbound deliveries are dropped, the process neither sends nor
+// operates), the restart edge marks it up, and replica.CrashRecovery
+// does the rest. done is called when the catch-up after the node's last
+// restart ends; an earlier catch-up may be cut short by the next crash.
+func scheduleCrashes(n *Node, windows []simnet.CrashWindow, durable bool, stats *replica.RecoveryStats, done func()) {
 	after := func(ticks int64, fn func()) { n.After(time.Duration(ticks)*Tick, fn) }
-	rec := replica.NewCrashRecovery(n.Proc, spec.Durable, after, stats, done)
-	n.After(spec.After, func() {
-		rec.Crash() // crash-consistent snapshot: the loop is between events
-		n.down.Store(true)
-		n.After(spec.Downtime, func() {
-			n.down.Store(false)
-			rec.Restart()
-		})
+	left := len(windows) // restarts still to come; touched on n's loop only
+	rec := replica.NewCrashRecovery(n.Proc, durable, after, stats, func() {
+		if left == 0 {
+			done()
+		}
 	})
+	for _, w := range windows {
+		after(w.Start, func() {
+			rec.Crash() // crash-consistent snapshot: the loop is between events
+			n.down.Store(true)
+			after(w.End-w.Start, func() {
+				n.down.Store(false)
+				left--
+				rec.Restart()
+			})
+		})
+	}
 }
 
 // settle polls until every node reports the same tree size with empty
 // inboxes and an idle carrier, twice in a row, or the timeout passes.
-func settle(nodes []*Node, tr Transport, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+func settle(nodes []*Node, tr Transport) bool {
+	deadline := time.Now().Add(settleTimeout)
 	stable := 0
 	for time.Now().Before(deadline) {
 		if deploymentQuiesced(nodes, tr) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/oracle"
+	"repro/internal/simnet"
 )
 
 // testProfile is a minimal prodigal system for driver tests: identity
@@ -16,12 +17,10 @@ import (
 func testProfile() Profile {
 	orc := oracle.NewProdigal(nil, core.WellFormed{}, 0x11fe)
 	return Profile{
-		System:         "TestChain",
-		Selector:       core.LongestChain{},
-		Score:          core.LengthScore{},
-		Predicate:      core.WellFormed{},
-		OracleClaim:    "ΘP",
-		PaperCriterion: "EC",
+		System:    "TestChain",
+		Selector:  core.LongestChain{},
+		Score:     core.LengthScore{},
+		Predicate: core.WellFormed{},
 		Mint: func(proc int, parent *core.Block, seq int) *core.Block {
 			b, ok := orc.GetToken(1, parent, proc, seq, nil)
 			if !ok {
@@ -82,12 +81,10 @@ func TestLiveRunCrashDurableRejoins(t *testing.T) {
 		Seed:      11,
 		Duration:  700 * time.Millisecond,
 		Clients:   2,
-		Crash: &CrashSpec{
-			Node:     2, // a reader: the writer keeps appending past it
-			After:    100 * time.Millisecond,
-			Downtime: 200 * time.Millisecond,
-			Durable:  true,
-		},
+		// Node 2 is a reader: the writer keeps appending past it while it
+		// is down from 100 ms to 300 ms into the load.
+		Crashes: []simnet.CrashWindow{{Proc: 2, Start: 8, End: 24}},
+		Durable: true,
 	}, testProfile())
 	if err != nil {
 		t.Fatal(err)

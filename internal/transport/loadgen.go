@@ -77,7 +77,7 @@ func (g *loadGen) halted() bool {
 }
 
 // client is one generator loop: an append attempt, then
-// ReadsPerAppend reads rotating across the roster, optionally paced
+// readsPerAppend reads rotating across the roster, optionally paced
 // to the target rate.
 func (g *loadGen) client(client int) {
 	var pacer *time.Ticker
@@ -101,7 +101,7 @@ func (g *loadGen) client(client int) {
 				g.halt()
 			}
 		}
-		for r := 0; r < g.cfg.ReadsPerAppend && !g.halted(); r++ {
+		for r := 0; r < readsPerAppend && !g.halted(); r++ {
 			readAt = (readAt + 1) % len(g.nodes)
 			g.submitRead(g.nodes[readAt])
 		}

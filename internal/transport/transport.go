@@ -92,15 +92,6 @@ func NewRoster(n int, merits []tape.Merit, addrs []string) *Roster {
 // N reports the roster size.
 func (r *Roster) N() int { return len(r.Peers) }
 
-// Merits returns the per-node merit column.
-func (r *Roster) Merits() []tape.Merit {
-	out := make([]tape.Merit, len(r.Peers))
-	for i, p := range r.Peers {
-		out[i] = p.Merit
-	}
-	return out
-}
-
 // New builds the named carrier for an n-node roster: "chan" (default
 // when empty) or "tcp".
 func New(name string, roster *Roster) (Transport, error) {
