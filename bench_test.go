@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchsuite"
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -73,7 +72,7 @@ func BenchmarkTheorem48Impossibility(b *testing.B)          { benchExperiment(b,
 func BenchmarkTable1Classification(b *testing.B)            { benchExperiment(b, "table1") }
 
 // BenchmarkSimScale is the end-to-end pipeline benchmark
-// (internal/benchsuite): N replicas, one flooded block per tick,
+// (simscale_test.go): N replicas, one flooded block per tick,
 // periodic read batches, a full consistency verdict, and the suite's
 // self-check on every iteration. Besides wall time and -benchmem's
 // B/op and allocs/op each row reports its peak live heap, so the batch
@@ -82,14 +81,14 @@ func BenchmarkTable1Classification(b *testing.B)            { benchExperiment(b,
 //
 //	go test -run '^$' -bench 'SimScale/N1024' -benchtime 1x -benchmem -count 10 -cpu 1,2 .
 func BenchmarkSimScale(b *testing.B) {
-	for _, c := range benchsuite.Cases() {
+	for _, c := range simScaleCases() {
 		b.Run(strings.TrimPrefix(c.Name(), "SimScale/"), func(b *testing.B) {
 			b.ReportAllocs()
 			stop := samplePeakHeap()
 			defer func() { b.ReportMetric(float64(stop())/1e6, "peak-heap-MB") }()
 			for i := 0; i < b.N; i++ {
-				st, _ := benchsuite.Run(c)
-				if err := benchsuite.Check(c, st); err != nil {
+				st, _ := runSimScale(c)
+				if err := checkSimScale(c, st); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -123,8 +123,18 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("btsim: %s: %w", s.info.Name, err)
 	}
 	res.Info = s.info
-	if res.Live != nil && res.Metrics == nil {
-		res.Metrics = res.Live.Metrics
+	if lr := res.Live; lr != nil {
+		if res.Metrics == nil {
+			res.Metrics = lr.Metrics
+		}
+		// The deployment's monitor is the run's online monitor: its
+		// verdicts go where a simulated run's go.
+		res.Stream = &StreamOutcome{
+			Verdicts:  lr.Verdicts,
+			LiveCount: lr.LiveWitnesses,
+			Ops:       lr.MonitorStats.Ops,
+			Stats:     lr.MonitorStats,
+		}
 	}
 	if cfg.monrun != nil {
 		cfg.monrun.finish(res)

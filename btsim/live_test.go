@@ -195,8 +195,10 @@ func TestLiveTakesMonitorOptions(t *testing.T) {
 	if lr.KFork == nil {
 		t.Fatal("WithMonitorK(1) produced no k-Fork Coherence report on a live run")
 	}
-	if res.Stream != nil {
-		t.Fatal("live run carries a simulation StreamOutcome")
+	// The online verdicts of a run are in Result.Stream under either
+	// driver: a live run's are its deployment's.
+	if so := res.Stream; so == nil || so.Verdicts != lr.Verdicts || so.LiveCount != lr.LiveWitnesses || so.Ops != lr.MonitorStats.Ops {
+		t.Fatalf("Result.Stream = %+v, want the deployment's verdicts and counts", so)
 	}
 	if seen != lr.LiveWitnesses {
 		t.Fatalf("WithMonitor callback saw %d witnesses, the run counted %d", seen, lr.LiveWitnesses)

@@ -18,7 +18,9 @@ type TraceOptions struct {
 	// always kept. 0 means 1: keep everything.
 	SampleEvery int64
 	// Limit caps retained events (0 means trace.DefaultLimit); events
-	// beyond it are counted as dropped, never silently lost.
+	// beyond it are counted as dropped, never silently lost: the count
+	// is Result.Metrics' "trace.dropped" timing entry (absent when
+	// nothing was dropped), which cmd/trace reports.
 	Limit int
 	// JSONL writes the trace as JSON-lines instead of the default
 	// Chrome trace-event JSON (load the default in Perfetto /
@@ -126,6 +128,9 @@ func (or *obsRun) witness(w consistency.Witness) {
 // Called by sysFunc.Run after the monitor finisher, so the legacy Stats
 // map is complete when it is folded into the snapshot.
 func (or *obsRun) finish(res *Result) error {
+	if or.tr != nil && or.tr.Dropped() > 0 {
+		or.reg.AddTiming("trace.dropped", or.tr.Dropped()) // Timing: a traced run's digest is an untraced one's
+	}
 	snap := or.reg.Snapshot()
 	if res.Result != nil {
 		snap.FoldStats(res.Stats)

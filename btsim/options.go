@@ -322,9 +322,9 @@ func WithFaultLog(on bool) Option { return func(c *Config) { c.FaultLog = on } }
 // Result.Stream carries the finalized online verdicts alongside the
 // history, which is still retained — Check() replays it into a second
 // monitor and, on a simulated run, reports the same. A live run always
-// has its monitor attached; there the
-// option only installs onWitness (called from the monitor's consumer
-// goroutine; keep it fast) and the verdicts are in Result.Live.
+// has its monitor attached and always fills Result.Stream from it; there
+// the option only installs onWitness (called from the monitor's consumer
+// goroutine; keep it fast).
 func WithMonitor(onWitness func(consistency.Witness)) Option {
 	return func(c *Config) {
 		c.Monitor = true
@@ -334,7 +334,7 @@ func WithMonitor(onWitness func(consistency.Witness)) Option {
 
 // WithMonitorK additionally tracks k-Fork Coherence online with the
 // given bound (live witnesses at the (k+1)-th token reuse). Implies
-// WithMonitor. On a live run the report is Result.Live.KFork.
+// WithMonitor. The report is Result.Stream.KFork under either driver.
 func WithMonitorK(k int) Option {
 	return func(c *Config) {
 		c.Monitor = true
@@ -345,8 +345,9 @@ func WithMonitorK(k int) Option {
 // WithMonitorCheckpoint checkpoint-cycles the online monitor every
 // `every` consumed operations (serialize → restore → continue), proving
 // mid-run that online checking is restart-safe: the cycles must not
-// change any finalized verdict. Result.Stream.Checkpoints counts the
-// cycles. Implies WithMonitor.
+// change any finalized verdict, which are in Result.Stream as ever;
+// Result.Stream.Checkpoints counts the cycles. Implies WithMonitor.
+// Simulation only: a deployment's monitor is not cycled.
 func WithMonitorCheckpoint(every int) Option {
 	return func(c *Config) {
 		c.Monitor = true
@@ -412,8 +413,9 @@ func WithTrace(w io.Writer, opts TraceOptions) Option {
 // replica nodes on wall-clock timers, drive them with concurrent client
 // load (WithLoad, which also bounds the run), attach the online
 // consistency monitor over the totally ordered operation feed, and
-// report throughput, latency quantiles and the finalized verdicts in
-// Result.Live. WithCrashes and WithDurability take nodes down and back
+// report throughput and latency quantiles in Result.Live and the
+// finalized online verdicts in Result.Stream, where a simulated run's
+// are. WithCrashes and WithDurability take nodes down and back
 // during the load; WithMonitor and WithMonitorK configure the
 // deployment's own monitor. Live runs are not deterministic, and every
 // option the deployment has no use for is rejected by name rather than

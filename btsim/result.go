@@ -22,12 +22,14 @@ type Result struct {
 	*protocols.Result
 	// Info is the descriptor of the system that produced the run.
 	Info Info
-	// Stream carries the online monitor's verdicts when the run was
-	// configured with WithMonitor or WithStreaming (nil otherwise).
-	// With WithMonitor it sits alongside the retained history — the
-	// replay behind Check() and the online feed behind Stream.SC/EC are
-	// diff-tested identical; with WithStreaming it is the only verdict,
-	// since no history was retained.
+	// Stream carries the online monitor's verdicts, under either
+	// driver: a simulated run has them when it was configured with
+	// WithMonitor or WithStreaming (nil otherwise), a WithLive run always
+	// (the deployment's own monitor). With WithMonitor it sits alongside
+	// the retained history — the replay behind Check() and the online
+	// feed behind Stream.SC/EC are diff-tested identical; with
+	// WithStreaming it is the only verdict, since no history was
+	// retained.
 	Stream *StreamOutcome
 	// Metrics is the typed metric snapshot of a WithMetrics/WithTrace
 	// run (nil otherwise): counters, histograms, the virtual-time
@@ -38,8 +40,8 @@ type Result struct {
 	Metrics *metrics.Snapshot
 	// Live carries the deployment measurements of a WithLive run (nil
 	// otherwise): sustained appends/sec, client-observed latency
-	// histograms, the online monitor's finalized verdicts, carrier
-	// counters and crash-recovery stats. The embedded Result fields
+	// histograms, carrier counters and crash-recovery stats (its
+	// verdicts are the ones Stream carries). The embedded Result fields
 	// (History, Trees, Creators, ...) hold the live run's evidence, so
 	// Check(), KFork() and the renderers work on it unchanged.
 	Live *transport.LiveResult

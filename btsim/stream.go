@@ -15,13 +15,14 @@ import (
 // live deployment's response-order feed). The streaming side
 // additionally carries the witnesses that were emitted live, and with
 // WithStreaming it is the only verdict there is, since the run retained
-// no history to replay.
+// no history to replay. A WithLive run's outcome is filled from the
+// deployment's own monitor (verdicts, witness count, ops and stats; the
+// segment and checkpoint fields stay zero).
 type StreamOutcome struct {
-	// SC and EC are the finalized criterion verdicts.
-	SC, EC *consistency.Verdict
-	// KFork is the k-Fork Coherence report for WithMonitorK's k (nil
-	// when no k was configured).
-	KFork *consistency.Report
+	// Verdicts are the finalized criterion verdicts SC and EC, and KFork,
+	// the k-Fork Coherence report for WithMonitorK's k (nil when no k
+	// was configured).
+	consistency.Verdicts
 	// Live holds the witnesses emitted while the run was in flight
 	// (capped at liveKeep); LiveCount is the uncapped total.
 	Live      []consistency.Witness
@@ -169,8 +170,8 @@ func (mr *monitorRun) finish(res *Result) {
 	}
 	sc, ec := mr.mon.Finalize()
 	so := &StreamOutcome{
-		SC: sc, EC: ec,
-		Live: mr.live, LiveCount: mr.n,
+		Verdicts: consistency.Verdicts{SC: sc, EC: ec},
+		Live:     mr.live, LiveCount: mr.n,
 		Stats:       mr.mon.Stats(),
 		Checkpoints: mr.ckpts, CheckpointErr: mr.ckptErr,
 	}

@@ -278,7 +278,7 @@ func writeJSON(w io.Writer, outs []*scenario.Outcome) error {
 // execution whose history could not be retained for a replay — and
 // prints its bounded-memory evidence.
 func runLong(mode string) {
-	var spec scenario.LongRunSpec
+	var spec scenario.Spec
 	switch mode {
 	case "full":
 		spec = scenario.DefaultLongRun()
@@ -288,12 +288,33 @@ func runLong(mode string) {
 		fmt.Fprintf(os.Stderr, "scenarios: unknown -long mode %q (known: full, smoke)\n", mode)
 		os.Exit(2)
 	}
-	o, err := spec.Run()
+	// The peak of the live heap, sampled every 256 rounds and once more
+	// at the end, is the run's memory high-water mark (ablation #10).
+	var peak uint64
+	sample := func() {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		peak = max(peak, ms.HeapAlloc)
+	}
+	spec.Observer = func(p btsim.Progress) bool {
+		if p.Round%256 == 0 {
+			sample()
+		}
+		return true
+	}
+	o, err := spec.Run(0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scenarios:", err)
 		os.Exit(2)
 	}
-	fmt.Println(o)
+	sample()
+	verdict := "all properties hold"
+	if len(o.Violated) > 0 {
+		verdict = fmt.Sprintf("violated: %v", o.Violated)
+	}
+	st := o.Res.Stream
+	fmt.Printf("%s: %d ops in %d segments, peak heap %.1f MB, %d records retained — %s\n",
+		spec.Name, st.Ops, st.Segments, float64(peak)/1e6, st.Stats.Retained, verdict)
 	fmt.Printf("  SC: %v  EC: %v\n", o.SC.OK, o.EC.OK)
 	if len(o.Violated) > 0 {
 		os.Exit(1)

@@ -90,6 +90,9 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	if dropped := res.Metrics.Summary()["timing:trace.dropped"]; dropped > 0 {
+		fmt.Fprintf(os.Stderr, "trace: %d events past the limit were dropped (raise -limit or -sample)\n", dropped)
+	}
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {

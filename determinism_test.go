@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/btsim"
-	"repro/internal/benchsuite"
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/history"
@@ -136,9 +135,9 @@ func TestDigestIndependentOfHandleOrder(t *testing.T) {
 // block/read/comm counts and verdicts of a small SimScale run must not
 // drift across the scheduler and history-interning rewrites.
 func TestSimScaleDeterminismPinned(t *testing.T) {
-	pin := benchsuite.Case{N: 8, Blocks: 300, Seed: 5}
-	got, _ := benchsuite.Run(pin)
-	want := benchsuite.Stats{Blocks: 300, Reads: 72, CommEvts: 5100, MaxHeight: 106, SCOK: false, ECOK: true}
+	pin := simCase{N: 8, Blocks: 300, Seed: 5}
+	got, _ := runSimScale(pin)
+	want := simStats{Blocks: 300, Reads: 72, CommEvts: 5100, MaxHeight: 106, SCOK: false, ECOK: true}
 	if got != want {
 		t.Fatalf("SimScale drifted:\n got %+v\nwant %+v", got, want)
 	}
@@ -146,9 +145,9 @@ func TestSimScaleDeterminismPinned(t *testing.T) {
 	// fault-schedule routing, withholding and forgery must replay
 	// exactly too.
 	adv := pin
-	adv.Variant = benchsuite.Adversarial
-	gotAdv, _ := benchsuite.Run(adv)
-	wantAdv := benchsuite.Stats{Blocks: 337, Reads: 70, CommEvts: 5729, MaxHeight: 93, SCOK: false, ECOK: true}
+	adv.Variant = simAdversarial
+	gotAdv, _ := runSimScale(adv)
+	wantAdv := simStats{Blocks: 337, Reads: 70, CommEvts: 5729, MaxHeight: 93, SCOK: false, ECOK: true}
 	if gotAdv != wantAdv {
 		t.Fatalf("adversarial SimScale drifted:\n got %+v\nwant %+v", gotAdv, wantAdv)
 	}
@@ -156,21 +155,21 @@ func TestSimScaleDeterminismPinned(t *testing.T) {
 	// online monitor in drop mode: same blocks, same reads, same comm
 	// events, same verdicts — with no retained history at all.
 	stream := pin
-	stream.Variant = benchsuite.Stream
-	if gotStream, _ := benchsuite.Run(stream); gotStream != want {
+	stream.Variant = simStream
+	if gotStream, _ := runSimScale(stream); gotStream != want {
 		t.Fatalf("streaming SimScale diverged from batch:\n got %+v\nwant %+v", gotStream, want)
 	}
 	// The metered variant attaches the metrics layer to the identical
 	// workload: same stats (instrumentation is observational), and the
 	// snapshot must be identical across shard counts.
 	met := pin
-	met.Variant = benchsuite.Metered
-	gotMet, snap := benchsuite.Run(met)
+	met.Variant = simMetered
+	gotMet, snap := runSimScale(met)
 	if gotMet != want {
 		t.Fatalf("metered SimScale diverged from bare:\n got %+v\nwant %+v", gotMet, want)
 	}
 	met.Shards = 4
-	_, snapSharded := benchsuite.Run(met)
+	_, snapSharded := runSimScale(met)
 	if snap.Digest() != snapSharded.Digest() {
 		t.Fatalf("metric snapshot digest differs across shard counts: serial %s, sharded %s",
 			snap.Digest(), snapSharded.Digest())

@@ -203,9 +203,10 @@ func TestTOBTotalOrder(t *testing.T) {
 			}
 		}
 	}
-	counts := tob.Delivered()
-	if counts[0] != 10 || counts[3] != 10 {
-		t.Fatalf("Delivered() = %v", counts)
+	for _, nd := range tob.nodes {
+		if nd.nextDlv != 10 {
+			t.Fatalf("p%d is at sequence number %d at quiescence, want 10", nd.id, nd.nextDlv)
+		}
 	}
 }
 
@@ -239,7 +240,7 @@ func TestTOBInOrderDespiteReordering(t *testing.T) {
 func TestTOBSequencerAccessor(t *testing.T) {
 	sim := simnet.NewSim(1)
 	nw := simnet.NewNetwork(sim, 2, nil)
-	if NewTOB(nw, 1).Sequencer() != 1 {
+	if NewTOB(nw, 1).sequencer != 1 {
 		t.Fatal("sequencer accessor")
 	}
 }

@@ -1,10 +1,6 @@
 package consensus
 
-import (
-	"sort"
-
-	"repro/internal/simnet"
-)
+import "repro/internal/simnet"
 
 // TOB is a sequencer-based total-order broadcast: clients submit
 // payloads to a fixed sequencer (the ordering service of Hyperledger
@@ -56,9 +52,6 @@ func (t *TOB) Broadcast(from int, payload any) {
 	t.nw.Send(from, t.sequencer, submitMsg{Payload: payload})
 }
 
-// Sequencer returns the ordering process id.
-func (t *TOB) Sequencer() int { return t.sequencer }
-
 func (nd *tobNode) onMessage(m simnet.Message) {
 	switch msg := m.Payload.(type) {
 	case submitMsg:
@@ -87,15 +80,4 @@ func (nd *tobNode) flush() {
 			cb(nd.id, seq, p)
 		}
 	}
-}
-
-// Delivered reports how many payloads each process has delivered,
-// sorted ascending (diagnostics for tests: all equal at quiescence).
-func (t *TOB) Delivered() []int {
-	out := make([]int, len(t.nodes))
-	for i, nd := range t.nodes {
-		out[i] = nd.nextDlv
-	}
-	sort.Ints(out)
-	return out
 }

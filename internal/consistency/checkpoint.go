@@ -9,6 +9,14 @@
 // monitoring process equivalent to an uninterrupted one (the
 // crash–recovery fault model's observer side).
 //
+// The retained state has one declaration, monitorState (monitor.go), and
+// the checkpoint is that struct through encoding/json: its structures
+// marshal as themselves and chainKey is a text key. Only opRec has a
+// second form (recWire below), because it holds pointers into the run:
+// they are written as block IDs against the checkpoint's pool and
+// resolved after decoding, and eachRec is the one enumeration of
+// retained records both directions walk.
+//
 // Two caches demand care because they are *arrival-conclusive*: the
 // per-chain Block Validity facts and the per-chain scores are computed
 // when a chain is first read, and the monitor's equivalence contract
@@ -16,10 +24,10 @@
 // against a later append index. Both are therefore serialized verbatim
 // and never recomputed on restore.
 //
-// Determinism of the bytes themselves: every map is flattened into a
-// slice sorted by its key (chain keys by (head, length), block pools by
-// ID, token groups by token), so the same monitor state always
-// marshals to the same bytes — checkpoint digests can be pinned.
+// Determinism of the bytes themselves: encoding/json writes struct
+// fields in declaration order and every map sorted by its marshalled
+// key, and the block pool is sorted by ID, so the same monitor state
+// always marshals to the same bytes — checkpoint digests can be pinned.
 //
 // Self-containment: the checkpoint embeds a block pool covering every
 // block a retained record can reference — append arguments, eagerly
@@ -35,189 +43,125 @@ package consistency
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"reflect"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/history"
 )
 
-// checkpointVersion guards the wire format.
-const checkpointVersion = 1
+// checkpointVersion guards the wire format. Version 1 mirrored every
+// monitor structure in a type of its own; no reader for it is kept, as
+// no checkpoint outlives the process that wrote it.
+const checkpointVersion = 2
 
-// ckKey is the serialized form of a chainKey.
-type ckKey struct {
-	Head core.BlockID
-	N    int
-}
-
-func (k ckKey) less(o ckKey) bool {
-	if k.Head != o.Head {
-		return k.Head < o.Head
-	}
-	return k.N < o.N
-}
-
-// ckRec is the serialized form of an opRec. Block pointers are flattened
-// to IDs against the checkpoint's block pool.
-type ckRec struct {
-	ID, Proc   int
-	Kind       history.OpKind
-	OK         bool `json:",omitempty"`
-	Pending    bool `json:",omitempty"`
-	Head       core.BlockID
-	ChainLen   int
-	Inv, Rsp   int
-	InvT, RspT int64
-	Block      core.BlockID   `json:",omitempty"`
-	Chain      []core.BlockID `json:",omitempty"` // eager chain only
-	HasChain   bool           `json:",omitempty"`
-	Score, Ord int
-}
-
-type ckScore struct {
-	Key   ckKey
-	Score int
-}
-
-type ckFact struct {
-	Key          ckKey
-	Clean        bool
-	MaxAppendInv int
-	NonGenesis   int
-	FirstInvalid core.BlockID
-	HasInvalid   bool
-}
-
-type ckSet struct {
-	Key       ckKey
-	Recs      []ckRec
-	Truncated bool
-}
-
-type ckClass struct {
-	Score     int
-	Recs      []ckRec
-	Truncated bool
-}
-
-type ckRun struct {
-	Key         ckKey
-	First, Last ckRec
-	N           int
-}
-
-type ckSPLen struct {
-	Len       int
-	Runs      []ckRun
-	Truncated bool
-	Last      ckRec
-	Count     int
-}
-
-type ckLMRPair struct{ Prev, Cur ckRec }
-
-type ckAppend struct {
-	Block core.BlockID
-	Rec   ckRec
-}
-
-type ckToken struct {
-	Token string
-	Recs  []ckRec
-}
-
-// ckpt is the full serialized monitor state.
+// ckpt is the envelope: the shape RestoreMonitor checks against its
+// MonitorConfig, the state, and the blocks the state's records name.
 type ckpt struct {
-	Version int
-
+	Version          int
 	Procs, Window, K int
-
-	Faulty []int
-
-	Ops, NReads, NAppends, NComm int
-
-	Scores []ckScore
-
-	Win []ckRec
-
-	LMRPrev    []ckRec
-	LMRHas     []bool
-	LMRViol    [][]ckLMRPair
-	LMRChecked int
-
-	SPLens   []ckSPLen
-	SPMax    ckRec
-	SPHasMax bool
-	SPCmp    []ckKey
-
-	Classes []ckClass
-
-	BVFacts    []ckFact
-	BVSuspects []ckSet
-	BVChecked  int
-	AppendInv  []ckAppend
-
-	Tokens []ckToken
-
-	LiveLMR, LiveSP, LiveBV, LiveKF, LiveTotal int
-
-	Pool []*core.Block
+	State            monitorState
+	Pool             []*core.Block
 }
 
-// poolCollector gathers every block a retained record references.
-type poolCollector struct {
-	table  *history.ChainTable
-	blocks map[core.BlockID]*core.Block
+// recFields is opRec without its methods, so that recWire can embed the
+// fields and marshal them without recursing into MarshalJSON.
+type recFields opRec
+
+// recWire is opRec on the wire: its exported fields as they stand, its
+// block and eager chain as IDs into the pool. A null Chain is an interned
+// read (no eager chain), which an empty one is not.
+type recWire struct {
+	recFields
+	Block core.BlockID `json:",omitempty"`
+	Chain []core.BlockID
 }
 
-func (pc *poolCollector) addBlock(b *core.Block) {
-	if b == nil {
-		return
-	}
-	if _, ok := pc.blocks[b.ID]; !ok {
-		pc.blocks[b.ID] = b
-	}
-}
-
-func (pc *poolCollector) addRec(r opRec) {
-	pc.addBlock(r.block)
-	for _, b := range r.chain {
-		pc.addBlock(b)
-	}
-	// Interned read: pull the chain behind the head from the table so
-	// the checkpoint stays self-contained for table-less restores.
-	if r.kind == history.OpRead && r.chain == nil && r.head != "" && pc.table != nil {
-		for _, b := range pc.table.ChainToUncached(r.head) {
-			pc.addBlock(b)
-		}
-	}
-}
-
-func ckOf(r opRec) ckRec {
-	c := ckRec{
-		ID: r.id, Proc: r.proc, Kind: r.kind, OK: r.ok, Pending: r.pending,
-		Head: r.head, ChainLen: r.chainLen, Inv: r.inv, Rsp: r.rsp,
-		InvT: r.invT, RspT: r.rspT, Score: r.score, Ord: r.ord,
-	}
+func (r opRec) MarshalJSON() ([]byte, error) {
+	w := recWire{recFields: recFields(r)}
 	if r.block != nil {
-		c.Block = r.block.ID
+		w.Block = r.block.ID
 	}
 	if r.chain != nil {
-		c.HasChain = true
-		c.Chain = make([]core.BlockID, len(r.chain))
+		w.Chain = make([]core.BlockID, len(r.chain))
 		for i, b := range r.chain {
-			c.Chain[i] = b.ID
+			w.Chain[i] = b.ID
 		}
 	}
-	return c
+	return json.Marshal(w)
 }
 
-func ckRecs(rs []opRec) []ckRec {
-	out := make([]ckRec, len(rs))
-	for i, r := range rs {
-		out[i] = ckOf(r)
+// UnmarshalJSON leaves a stub — a block that is only its ID — wherever
+// the record names a block; resolve swaps the stubs for the table's
+// blocks once the pool is interned.
+func (r *opRec) UnmarshalJSON(data []byte) error {
+	var w recWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
 	}
-	return out
+	*r = opRec(w.recFields)
+	if w.Block != "" {
+		r.block = &core.Block{ID: w.Block}
+	}
+	if w.Chain != nil {
+		r.chain = make(core.Chain, len(w.Chain))
+		for i, id := range w.Chain {
+			r.chain[i] = &core.Block{ID: id}
+		}
+	}
+	return nil
+}
+
+// eachRec calls fn on every retained record, in place, with the kind of
+// operation its place holds: Checkpoint collects the block pool through
+// it, RestoreMonitor checks and resolves decoded records through it. A
+// structure that retains records is listed here and nowhere else. The
+// two slots a flag guards (LMRPrev, SPMax) are visited when the flag
+// says they hold a record.
+func (s *monitorState) eachRec(fn func(r *opRec, kind history.OpKind)) {
+	reads := func(rs []opRec) {
+		for i := range rs {
+			fn(&rs[i], history.OpRead)
+		}
+	}
+	reads(s.Win)
+	for p := range s.LMRPrev {
+		if s.LMRHas[p] {
+			fn(&s.LMRPrev[p], history.OpRead)
+		}
+	}
+	for _, pairs := range s.LMRViol {
+		for i := range pairs {
+			fn(&pairs[i].Prev, history.OpRead)
+			fn(&pairs[i].Cur, history.OpRead)
+		}
+	}
+	for _, sl := range s.SPLens {
+		fn(&sl.Last, history.OpRead)
+		for i := range sl.Runs {
+			fn(&sl.Runs[i].First, history.OpRead)
+			fn(&sl.Runs[i].Last, history.OpRead)
+		}
+	}
+	if s.SPHasMax {
+		fn(&s.SPMax, history.OpRead)
+	}
+	for _, set := range s.Classes {
+		reads(set.Recs)
+	}
+	for _, set := range s.BVSuspects {
+		reads(set.Recs)
+	}
+	for id, r := range s.AppendInv { // map values are not addressable
+		fn(&r, history.OpAppend)
+		s.AppendInv[id] = r
+	}
+	for _, group := range s.Tokens {
+		for i := range group {
+			fn(&group[i], history.OpAppend)
+		}
+	}
 }
 
 // Checkpoint serializes the monitor's retained state. The bytes are
@@ -229,202 +173,35 @@ func ckRecs(rs []opRec) []ckRec {
 // pre-finalization state; Finalize after restore recomputes the same
 // verdicts (it only reads the retained structures).
 func (m *Monitor) Checkpoint() ([]byte, error) {
-	pc := &poolCollector{table: m.table, blocks: map[core.BlockID]*core.Block{}}
-
-	ck := &ckpt{
+	pool := map[core.BlockID]*core.Block{}
+	add := func(bs ...*core.Block) {
+		for _, b := range bs {
+			if _, ok := pool[b.ID]; !ok {
+				pool[b.ID] = b
+			}
+		}
+	}
+	m.eachRec(func(r *opRec, _ history.OpKind) {
+		if r.block != nil {
+			add(r.block)
+		}
+		add(r.chain...)
+		// Interned read: pull the chain behind the head from the table so
+		// the checkpoint stays self-contained for table-less restores.
+		if r.Kind == history.OpRead && r.chain == nil && r.Head != "" && m.table != nil {
+			add(m.table.ChainToUncached(r.Head)...)
+		}
+	})
+	ck := ckpt{
 		Version: checkpointVersion,
 		Procs:   m.procs, Window: m.window, K: m.k,
-		Ops: m.ops, NReads: m.nreads, NAppends: m.nappends, NComm: m.ncomm,
-		LMRChecked: m.lmrChecked,
-		SPHasMax:   m.spHasMax,
-		BVChecked:  m.bvChecked,
-		LiveLMR:    m.liveLMR, LiveSP: m.liveSP, LiveBV: m.liveBV, LiveKF: m.liveKF,
-		LiveTotal: m.liveTotal,
+		State: m.monitorState,
+		Pool:  make([]*core.Block, 0, len(pool)),
 	}
-
-	for p := range m.faulty {
-		if m.faulty[p] {
-			ck.Faulty = append(ck.Faulty, p)
-		}
+	for _, id := range slices.Sorted(maps.Keys(pool)) {
+		ck.Pool = append(ck.Pool, pool[id])
 	}
-	sort.Ints(ck.Faulty)
-
-	ck.Scores = make([]ckScore, 0, len(m.scoreByKey))
-	for k, s := range m.scoreByKey {
-		ck.Scores = append(ck.Scores, ckScore{Key: ckKey{k.head, k.n}, Score: s})
-	}
-	sort.Slice(ck.Scores, func(i, j int) bool { return ck.Scores[i].Key.less(ck.Scores[j].Key) })
-
-	for _, r := range m.win {
-		pc.addRec(r)
-	}
-	ck.Win = ckRecs(m.win)
-
-	ck.LMRPrev = make([]ckRec, len(m.lmrPrev))
-	ck.LMRHas = append([]bool(nil), m.lmrHas...)
-	for p := range m.lmrPrev {
-		if m.lmrHas[p] {
-			pc.addRec(m.lmrPrev[p])
-			ck.LMRPrev[p] = ckOf(m.lmrPrev[p])
-		}
-	}
-	ck.LMRViol = make([][]ckLMRPair, len(m.lmrViol))
-	for p, pairs := range m.lmrViol {
-		for _, pr := range pairs {
-			pc.addRec(pr.prev)
-			pc.addRec(pr.cur)
-			ck.LMRViol[p] = append(ck.LMRViol[p], ckLMRPair{Prev: ckOf(pr.prev), Cur: ckOf(pr.cur)})
-		}
-	}
-
-	lens := make([]int, 0, len(m.spLens))
-	for l := range m.spLens {
-		lens = append(lens, l)
-	}
-	sort.Ints(lens)
-	for _, l := range lens {
-		sl := m.spLens[l]
-		e := ckSPLen{Len: l, Truncated: sl.truncated, Count: sl.count, Last: ckOf(sl.last)}
-		pc.addRec(sl.last)
-		for _, run := range sl.runs {
-			pc.addRec(run.first)
-			pc.addRec(run.last)
-			e.Runs = append(e.Runs, ckRun{
-				Key: ckKey{run.key.head, run.key.n}, First: ckOf(run.first), Last: ckOf(run.last), N: run.n,
-			})
-		}
-		ck.SPLens = append(ck.SPLens, e)
-	}
-	if m.spHasMax {
-		pc.addRec(m.spMax)
-		ck.SPMax = ckOf(m.spMax)
-	}
-	for k := range m.spCmp {
-		if m.spCmp[k] {
-			ck.SPCmp = append(ck.SPCmp, ckKey{k.head, k.n})
-		}
-	}
-	sort.Slice(ck.SPCmp, func(i, j int) bool { return ck.SPCmp[i].less(ck.SPCmp[j]) })
-
-	scores := make([]int, 0, len(m.classes))
-	for s := range m.classes {
-		scores = append(scores, s)
-	}
-	sort.Ints(scores)
-	for _, s := range scores {
-		cls := m.classes[s]
-		for _, r := range cls.recs {
-			pc.addRec(r)
-		}
-		ck.Classes = append(ck.Classes, ckClass{Score: s, Recs: ckRecs(cls.recs), Truncated: cls.truncated})
-	}
-
-	facts := make([]ckFact, 0, len(m.bvFacts))
-	for k, f := range m.bvFacts {
-		facts = append(facts, ckFact{
-			Key: ckKey{k.head, k.n}, Clean: f.clean, MaxAppendInv: f.maxAppendInv,
-			NonGenesis: f.nonGenesis, FirstInvalid: f.firstInvalid, HasInvalid: f.hasInvalid,
-		})
-	}
-	sort.Slice(facts, func(i, j int) bool { return facts[i].Key.less(facts[j].Key) })
-	ck.BVFacts = facts
-
-	susKeys := make([]chainKey, 0, len(m.bvSuspects))
-	for k := range m.bvSuspects {
-		susKeys = append(susKeys, k)
-	}
-	sort.Slice(susKeys, func(i, j int) bool {
-		return (ckKey{susKeys[i].head, susKeys[i].n}).less(ckKey{susKeys[j].head, susKeys[j].n})
-	})
-	for _, k := range susKeys {
-		set := m.bvSuspects[k]
-		for _, r := range set.recs {
-			pc.addRec(r)
-		}
-		ck.BVSuspects = append(ck.BVSuspects, ckSet{
-			Key: ckKey{k.head, k.n}, Recs: ckRecs(set.recs), Truncated: set.truncated,
-		})
-	}
-
-	appIDs := make([]core.BlockID, 0, len(m.appendInv))
-	for id := range m.appendInv {
-		appIDs = append(appIDs, id)
-	}
-	sort.Slice(appIDs, func(i, j int) bool { return appIDs[i] < appIDs[j] })
-	for _, id := range appIDs {
-		r := m.appendInv[id]
-		pc.addRec(r)
-		ck.AppendInv = append(ck.AppendInv, ckAppend{Block: id, Rec: ckOf(r)})
-	}
-
-	toks := make([]string, 0, len(m.tokens))
-	for tok := range m.tokens {
-		toks = append(toks, tok)
-	}
-	sort.Strings(toks)
-	for _, tok := range toks {
-		group := m.tokens[tok]
-		for _, r := range group {
-			pc.addRec(r)
-		}
-		ck.Tokens = append(ck.Tokens, ckToken{Token: tok, Recs: ckRecs(group)})
-	}
-
-	ids := make([]core.BlockID, 0, len(pc.blocks))
-	for id := range pc.blocks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ck.Pool = make([]*core.Block, len(ids))
-	for i, id := range ids {
-		ck.Pool[i] = pc.blocks[id]
-	}
-
-	return json.Marshal(ck)
-}
-
-// restoreCtx resolves serialized records back into live ones against
-// the restored monitor's table.
-type restoreCtx struct {
-	table *history.ChainTable
-}
-
-func (rc *restoreCtx) rec(c ckRec) (opRec, error) {
-	r := opRec{
-		id: c.ID, proc: c.Proc, kind: c.Kind, ok: c.OK, pending: c.Pending,
-		head: c.Head, chainLen: c.ChainLen, inv: c.Inv, rsp: c.Rsp,
-		invT: c.InvT, rspT: c.RspT, score: c.Score, ord: c.Ord,
-	}
-	if c.Block != "" {
-		b := rc.table.Block(c.Block)
-		if b == nil {
-			return r, fmt.Errorf("consistency: checkpoint references block %s missing from pool", c.Block.Short())
-		}
-		r.block = b
-	}
-	if c.HasChain {
-		r.chain = make(core.Chain, len(c.Chain))
-		for i, id := range c.Chain {
-			b := rc.table.Block(id)
-			if b == nil {
-				return r, fmt.Errorf("consistency: checkpoint chain references block %s missing from pool", id.Short())
-			}
-			r.chain[i] = b
-		}
-	}
-	return r, nil
-}
-
-func (rc *restoreCtx) recs(cs []ckRec) ([]opRec, error) {
-	out := make([]opRec, len(cs))
-	for i, c := range cs {
-		r, err := rc.rec(c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
+	return json.Marshal(&ck)
 }
 
 // checkPoolBlock rejects a checkpoint pool entry no run could have
@@ -444,6 +221,38 @@ func checkPoolBlock(b *core.Block) error {
 	return nil
 }
 
+// validate rejects a decoded state whose shape the hot path or eachRec
+// would trip over — the bytes may come from a file, and whatever they say
+// RestoreMonitor returns a monitor that runs and finalizes or a "corrupt
+// checkpoint" error, never a panic later: a map the monitor writes to
+// missing or a keyed entry it dereferences null, per-process state not
+// sized to the process count, a window longer than the one it slides in.
+func (s *monitorState) validate(procs, window int) error {
+	v := reflect.ValueOf(s).Elem()
+	for i := range v.NumField() {
+		f := v.Field(i)
+		if f.Kind() != reflect.Map {
+			continue
+		}
+		bad := f.IsNil()
+		for it := f.MapRange(); !bad && it.Next(); {
+			bad = it.Value().Kind() == reflect.Pointer && it.Value().IsNil()
+		}
+		if bad {
+			return fmt.Errorf("%s is missing or holds a null entry", v.Type().Field(i).Name)
+		}
+	}
+	procs = max(procs, 0)
+	if len(s.LMRPrev) != procs || len(s.LMRHas) != procs || len(s.LMRViol) != procs {
+		return fmt.Errorf("local-monotonic-read state for %d/%d/%d processes, want %d",
+			len(s.LMRPrev), len(s.LMRHas), len(s.LMRViol), procs)
+	}
+	if len(s.Win) > window {
+		return fmt.Errorf("window of %d reads, want at most %d", len(s.Win), window)
+	}
+	return nil
+}
+
 // RestoreMonitor rebuilds a monitor from a Checkpoint. cfg supplies the
 // non-serializable parts — Score, P, Table, OnWitness — and must
 // structurally match the checkpointed monitor (Procs, Horizon, K),
@@ -452,9 +261,12 @@ func checkPoolBlock(b *core.Block) error {
 // materialize. The restored monitor then consumes the remainder of the
 // stream and Finalizes exactly as the original would have.
 func RestoreMonitor(data []byte, cfg MonitorConfig) (*Monitor, error) {
+	corrupt := func(format string, args ...any) (*Monitor, error) {
+		return nil, fmt.Errorf("consistency: corrupt checkpoint: "+format, args...)
+	}
 	var ck ckpt
 	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("consistency: corrupt checkpoint: %w", err)
+		return corrupt("%w", err)
 	}
 	if ck.Version != checkpointVersion {
 		return nil, fmt.Errorf("consistency: checkpoint version %d, want %d", ck.Version, checkpointVersion)
@@ -464,120 +276,44 @@ func RestoreMonitor(data []byte, cfg MonitorConfig) (*Monitor, error) {
 		return nil, fmt.Errorf("consistency: checkpoint shape (procs=%d, window=%d, k=%d) does not match config (procs=%d, window=%d, k=%d)",
 			ck.Procs, ck.Window, ck.K, m.procs, m.window, m.k)
 	}
+	if err := ck.State.validate(m.procs, m.window); err != nil {
+		return corrupt("%w", err)
+	}
 	if m.table == nil {
 		m.table = history.NewChainTable()
 	}
 	for i, b := range ck.Pool {
 		if err := checkPoolBlock(b); err != nil {
-			return nil, fmt.Errorf("consistency: corrupt checkpoint: pool[%d]: %w", i, err)
+			return corrupt("pool[%d]: %w", i, err)
 		}
 		m.table.Intern(b)
 	}
-	rc := &restoreCtx{table: m.table}
+	m.monitorState = ck.State
 
-	m.ops, m.nreads, m.nappends, m.ncomm = ck.Ops, ck.NReads, ck.NAppends, ck.NComm
-	m.lmrChecked, m.bvChecked = ck.LMRChecked, ck.BVChecked
-	m.liveLMR, m.liveSP, m.liveBV, m.liveKF = ck.LiveLMR, ck.LiveSP, ck.LiveBV, ck.LiveKF
-	m.liveTotal = ck.LiveTotal
-
-	for _, p := range ck.Faulty {
-		m.faulty[p] = true
-	}
-	for _, s := range ck.Scores {
-		m.scoreByKey[chainKey{s.Key.Head, s.Key.N}] = s.Score
-	}
-
-	var err error
-	if m.win, err = rc.recs(ck.Win); err != nil {
-		return nil, err
-	}
-
-	if len(ck.LMRHas) != len(m.lmrHas) {
-		return nil, fmt.Errorf("consistency: checkpoint LMR state for %d procs, want %d", len(ck.LMRHas), len(m.lmrHas))
-	}
-	copy(m.lmrHas, ck.LMRHas)
-	for p := range ck.LMRPrev {
-		if !m.lmrHas[p] {
-			continue
+	// Swap each record's stubs for the table's blocks, and hold it to its
+	// place: a witness renders a record by its kind, an append through
+	// its block.
+	var bad error
+	resolve := func(r *opRec, stub *core.Block) *core.Block {
+		b := m.table.Block(stub.ID)
+		if b == nil && bad == nil {
+			bad = fmt.Errorf("record %d names block %s missing from pool", r.ID, stub.ID.Short())
 		}
-		if m.lmrPrev[p], err = rc.rec(ck.LMRPrev[p]); err != nil {
-			return nil, err
-		}
+		return b
 	}
-	for p, pairs := range ck.LMRViol {
-		for _, pr := range pairs {
-			prev, err := rc.rec(pr.Prev)
-			if err != nil {
-				return nil, err
-			}
-			cur, err := rc.rec(pr.Cur)
-			if err != nil {
-				return nil, err
-			}
-			m.lmrViol[p] = append(m.lmrViol[p], lmrPair{prev, cur})
+	m.eachRec(func(r *opRec, kind history.OpKind) {
+		if bad == nil && (r.Kind != kind || (kind == history.OpAppend && r.block == nil)) {
+			bad = fmt.Errorf("record %d is a %s with block %v where %ss are kept", r.ID, r.Kind, r.block != nil, kind)
 		}
-	}
-
-	for _, e := range ck.SPLens {
-		sl := &spLen{truncated: e.Truncated, count: e.Count}
-		if sl.last, err = rc.rec(e.Last); err != nil {
-			return nil, err
+		if r.block != nil {
+			r.block = resolve(r, r.block)
 		}
-		for _, run := range e.Runs {
-			first, err := rc.rec(run.First)
-			if err != nil {
-				return nil, err
-			}
-			last, err := rc.rec(run.Last)
-			if err != nil {
-				return nil, err
-			}
-			sl.runs = append(sl.runs, spRun{
-				key: chainKey{run.Key.Head, run.Key.N}, first: first, last: last, n: run.N,
-			})
+		for i, stub := range r.chain {
+			r.chain[i] = resolve(r, stub)
 		}
-		m.spLens[e.Len] = sl
-	}
-	m.spHasMax = ck.SPHasMax
-	if ck.SPHasMax {
-		if m.spMax, err = rc.rec(ck.SPMax); err != nil {
-			return nil, err
-		}
-	}
-	for _, k := range ck.SPCmp {
-		m.spCmp[chainKey{k.Head, k.N}] = true
-	}
-
-	for _, e := range ck.Classes {
-		recs, err := rc.recs(e.Recs)
-		if err != nil {
-			return nil, err
-		}
-		m.classes[e.Score] = &recSet{recs: recs, truncated: e.Truncated}
-	}
-
-	for _, f := range ck.BVFacts {
-		m.bvFacts[chainKey{f.Key.Head, f.Key.N}] = &bvFact{
-			clean: f.Clean, maxAppendInv: f.MaxAppendInv, nonGenesis: f.NonGenesis,
-			firstInvalid: f.FirstInvalid, hasInvalid: f.HasInvalid,
-		}
-	}
-	for _, e := range ck.BVSuspects {
-		recs, err := rc.recs(e.Recs)
-		if err != nil {
-			return nil, err
-		}
-		m.bvSuspects[chainKey{e.Key.Head, e.Key.N}] = &recSet{recs: recs, truncated: e.Truncated}
-	}
-	for _, e := range ck.AppendInv {
-		if m.appendInv[e.Block], err = rc.rec(e.Rec); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range ck.Tokens {
-		if m.tokens[e.Token], err = rc.recs(e.Recs); err != nil {
-			return nil, err
-		}
+	})
+	if bad != nil {
+		return corrupt("%w", bad)
 	}
 	return m, nil
 }

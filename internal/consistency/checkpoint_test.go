@@ -2,7 +2,9 @@ package consistency
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -174,8 +176,35 @@ func TestCheckpointTablelessRestore(t *testing.T) {
 	}
 }
 
+// withState returns the checkpoint with one field of its State replaced
+// by raw JSON — the edit a damaged file or a hostile writer makes.
+func withState(t *testing.T, data []byte, field, raw string) []byte {
+	t.Helper()
+	var ck, st map[string]json.RawMessage
+	if err := json.Unmarshal(data, &ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(ck["State"], &st); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st[field]; !ok {
+		t.Fatalf("fixture: checkpoint state has no field %s", field)
+	}
+	st[field] = json.RawMessage(raw)
+	var err error
+	if ck["State"], err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestCheckpointValidation pins the failure modes: corrupt bytes, a
-// version from the future, and shape-mismatched configs all error.
+// version from the future, shape-mismatched configs and a state the
+// monitor could not have written all error.
 func TestCheckpointValidation(t *testing.T) {
 	mon := NewMonitor(MonitorConfig{Procs: 3})
 	data, err := mon.Checkpoint()
@@ -194,13 +223,154 @@ func TestCheckpointValidation(t *testing.T) {
 	if _, err := RestoreMonitor(data, MonitorConfig{Procs: 3, K: 2}); err == nil {
 		t.Error("k mismatch accepted")
 	}
-	bad := bytes.Replace(data, []byte(`"Version":1`), []byte(`"Version":99`), 1)
+	bad := bytes.Replace(data, []byte(`"Version":2`), []byte(`"Version":99`), 1)
 	if _, err := RestoreMonitor(bad, MonitorConfig{Procs: 3}); err == nil {
 		t.Error("future version accepted")
 	}
 	if _, err := RestoreMonitor(data, MonitorConfig{Procs: 3}); err != nil {
 		t.Errorf("valid empty checkpoint rejected: %v", err)
 	}
+
+	// State the restore walk used to trust (the first two indexed the
+	// monitor's per-process slices by lengths read from the bytes and
+	// panicked; the third was a nil dereference at the next read).
+	cfg := MonitorConfig{Procs: 2}
+	two, err := NewMonitor(cfg).Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreMonitor(withState(t, two, "Win", `[]`), cfg); err != nil {
+		t.Fatalf("re-encoded valid checkpoint rejected: %v", err)
+	}
+	for _, tc := range []struct{ name, field, raw string }{
+		{"LMRPrev longer than Procs", "LMRPrev", `[{},{},{}]`},
+		{"LMRViol row past Procs", "LMRViol", `[null,null,[]]`},
+		{"LMRHas shorter than Procs", "LMRHas", `[true]`},
+		{"nil score class", "Classes", `{"3":null}`},
+		{"nil suspect set", "BVSuspects", `{"2:x":null}`},
+		{"missing map", "Tokens", `null`},
+		{"window past Horizon", "Win", `[{"Kind":1},{"Kind":1},{"Kind":1}]`},
+		{"read among the appends", "Tokens", `{"tkn":[{"Kind":1}]}`},
+		{"append without a block", "AppendInv", `{"x":{"Kind":0}}`},
+		{"block missing from pool", "Win", `[{"Kind":1,"Chain":["nowhere"]}]`},
+		{"chain key without length", "SPCmp", `{"x":true}`},
+	} {
+		_, err := RestoreMonitor(withState(t, two, tc.field, tc.raw), cfg)
+		if err == nil || !strings.Contains(err.Error(), "corrupt checkpoint") {
+			t.Errorf("%s: err = %v, want a corrupt checkpoint error", tc.name, err)
+		}
+	}
+}
+
+// ckptMonitor is a monitor that has consumed the whole of ckptBuild,
+// with the run's table and config — under the weight score, so that the
+// per-chain score cache is populated too.
+func ckptMonitor(t testing.TB) (*Monitor, MonitorConfig) {
+	t.Helper()
+	rec := history.NewRecorder(3, nil)
+	cfg := MonitorConfig{Procs: 3, K: 1, Score: core.WeightScore{}, Table: rec.Table()}
+	mon := NewMonitor(cfg)
+	rec.SetSink(mon)
+	ckptBuild(rec)
+	for _, op := range rec.PendingOps() {
+		mon.OpPending(op)
+	}
+	return mon, cfg
+}
+
+// stateScratch lists the Monitor fields a checkpoint does not carry:
+// what NewMonitor rebuilds from MonitorConfig, and scratch.
+var stateScratch = map[string]bool{
+	"score": true, "pred": true, "table": true, "procs": true, "window": true,
+	"cap": true, "k": true, "onWitns": true, // rebuilt from MonitorConfig
+	"path": true, "winBuf": true, "finalized": true, "scV": true, "ecV": true, // scratch
+}
+
+// TestMonitorStateIsComplete: the checkpoint is complete by
+// construction. Every field of Monitor is retained state (inside the
+// embedded monitorState, which Checkpoint marshals whole) or is named
+// above with the reason it need not be; a field added beside the state
+// struct fails here until it is moved in or argued out. Inside the state
+// every field must be one encoding/json writes.
+func TestMonitorStateIsComplete(t *testing.T) {
+	mt := reflect.TypeOf(Monitor{})
+	seen := 0
+	for i := range mt.NumField() {
+		f := mt.Field(i)
+		switch {
+		case f.Anonymous && f.Type == reflect.TypeOf(monitorState{}):
+			seen++
+		case !stateScratch[f.Name]:
+			t.Errorf("Monitor.%s is neither in monitorState nor listed as rebuilt/scratch: a restored monitor would lose it", f.Name)
+		}
+	}
+	if seen != 1 {
+		t.Fatalf("Monitor embeds monitorState %d times, want once by value", seen)
+	}
+	var unexported func(reflect.Type, string)
+	unexported = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map:
+			unexported(typ.Elem(), path)
+		case reflect.Struct:
+			if typ.Implements(reflect.TypeFor[json.Marshaler]()) || typ.Implements(reflect.TypeFor[encoding.TextMarshaler]()) {
+				return // its own wire form (opRec, chainKey), held to the state by the round trip below
+			}
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				if !f.IsExported() {
+					t.Errorf("%s.%s is unexported: encoding/json would drop it from the checkpoint", path, f.Name)
+				}
+				unexported(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	unexported(reflect.TypeOf(monitorState{}), "monitorState")
+}
+
+// TestCheckpointStateRoundTrip: restoring a populated monitor against
+// the same table gives back the same state, field for field — stronger
+// than the verdict equality TestCheckpointEveryCutEquivalence pins.
+func TestCheckpointStateRoundTrip(t *testing.T) {
+	mon, cfg := ckptMonitor(t)
+	data, err := mon.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := RestoreMonitor(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := reflect.ValueOf(mon.monitorState), reflect.ValueOf(m2.monitorState)
+	for i := range want.NumField() {
+		if w, g := want.Field(i).Interface(), got.Field(i).Interface(); !reflect.DeepEqual(w, g) {
+			t.Errorf("%s differs after restore:\n want %+v\n got  %+v", want.Type().Field(i).Name, w, g)
+		}
+		if f := want.Field(i); (f.Kind() == reflect.Map || f.Kind() == reflect.Slice) && f.Len() == 0 {
+			t.Errorf("fixture: ckptBuild leaves %s empty, so the round trip says nothing about it", want.Type().Field(i).Name)
+		}
+	}
+}
+
+// FuzzRestoreMonitorBytes: the bytes come from a file. Whatever they
+// are, RestoreMonitor returns an error or a monitor — it does not panic
+// — and a monitor it returns finalizes.
+func FuzzRestoreMonitorBytes(f *testing.F) {
+	mon, _ := ckptMonitor(f)
+	valid, err := mon.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := RestoreMonitor(data, MonitorConfig{Procs: 3, K: 1})
+		if err != nil {
+			return
+		}
+		m.Finalize()
+		m.KForkReport(1)
+	})
 }
 
 // FuzzMonitorCheckpoint drives the randomized fuzzBuild streams with a

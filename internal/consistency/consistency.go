@@ -30,6 +30,8 @@ package consistency
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -166,6 +168,24 @@ type chainKey struct {
 }
 
 func keyOf(op *history.Op) chainKey { return chainKey{op.Head, op.ChainLen} }
+
+// MarshalText makes a chainKey a JSON map key (and a JSON string where it
+// is a value) in a monitor checkpoint: "<length>:<head>", the length
+// first so that a head may hold any byte.
+func (k chainKey) MarshalText() ([]byte, error) {
+	return []byte(strconv.Itoa(k.n) + ":" + string(k.head)), nil
+}
+
+func (k *chainKey) UnmarshalText(text []byte) error {
+	n, head, ok := strings.Cut(string(text), ":")
+	if !ok {
+		return fmt.Errorf("chain key %q is not <length>:<head>", text)
+	}
+	var err error
+	k.n, err = strconv.Atoi(n)
+	k.head = core.BlockID(head)
+	return err
+}
 
 // replay feeds h to a fresh Monitor the way the recorder would have:
 // faulty processes first, then the operations in recording order — the
@@ -347,6 +367,36 @@ func (v *Verdict) Witnesses() []Witness {
 	for _, r := range v.Reports {
 		out = append(out, r.Witnesses...)
 	}
+	return out
+}
+
+// Verdicts is what one run was judged to be: the two criterion verdicts
+// and, when a fork bound was asked for, the k-Fork Coherence report. The
+// result types of both drivers and of the scenario layer embed it, so a
+// run's verdict set has one shape wherever it is read.
+type Verdicts struct {
+	SC, EC *Verdict
+	// KFork is nil when no k was configured.
+	KFork *Report
+}
+
+// Violated lists the distinct violated property names in checking order:
+// SC's reports, then EC's, then k-Fork Coherence.
+func (v Verdicts) Violated() []string {
+	var out []string
+	add := func(reports ...*Report) {
+		for _, rep := range reports {
+			if rep != nil && !rep.OK && !slices.Contains(out, rep.Property) {
+				out = append(out, rep.Property)
+			}
+		}
+	}
+	for _, verdict := range []*Verdict{v.SC, v.EC} {
+		if verdict != nil {
+			add(verdict.Reports...)
+		}
+	}
+	add(v.KFork)
 	return out
 }
 

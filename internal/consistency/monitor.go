@@ -119,35 +119,38 @@ type MonitorConfig struct {
 // everything needed to rebuild the op for a witness, nothing that
 // retains the history (the chain field is only set for reads recorded
 // with an explicit chain; interned reads re-materialize from the table).
+// The exported fields are what a checkpoint writes as they stand; block
+// and chain are pointers into the run and go through recWire
+// (checkpoint.go).
 type opRec struct {
-	id, proc    int
-	kind        history.OpKind
-	ok, pending bool
-	head        core.BlockID
-	chainLen    int
-	inv, rsp    int
-	invT, rspT  int64
+	ID, Proc    int
+	Kind        history.OpKind
+	OK, Pending bool
+	Head        core.BlockID
+	ChainLen    int
+	Inv, Rsp    int
+	InvT, RspT  int64
 	block       *core.Block
 	chain       core.Chain
-	score       int // read score (reads only)
-	ord         int // position in the correct-read order (reads only)
+	Score       int // read score (reads only)
+	Ord         int // position in the correct-read order (reads only)
 }
 
-func (r opRec) key() chainKey { return chainKey{r.head, r.chainLen} }
+func (r opRec) key() chainKey { return chainKey{r.Head, r.ChainLen} }
 
 func recOf(op *history.Op) opRec {
 	return opRec{
-		id: op.ID, proc: op.Proc, kind: op.Kind, ok: op.OK, pending: op.Pending,
-		head: op.Head, chainLen: op.ChainLen, inv: op.InvIndex, rsp: op.RspIndex,
-		invT: op.InvTime, rspT: op.RspTime, block: op.Block, chain: op.EagerChain(),
+		ID: op.ID, Proc: op.Proc, Kind: op.Kind, OK: op.OK, Pending: op.Pending,
+		Head: op.Head, ChainLen: op.ChainLen, Inv: op.InvIndex, Rsp: op.RspIndex,
+		InvT: op.InvTime, RspT: op.RspTime, block: op.Block, chain: op.EagerChain(),
 	}
 }
 
 // recSet retains the first cap records by invocation index (the
 // enumeration order) of one retention class.
 type recSet struct {
-	recs      []opRec
-	truncated bool
+	Recs      []opRec
+	Truncated bool
 }
 
 // insert never grows a full set: a record past the retained ones is
@@ -155,21 +158,21 @@ type recSet struct {
 // slice grows on demand, not to cap up front — most classes of a long
 // run hold a read or two.
 func (s *recSet) insert(r opRec, cap int) {
-	n := len(s.recs)
+	n := len(s.Recs)
 	i := n
-	if n > 0 && s.recs[n-1].inv >= r.inv {
-		i = sort.Search(n, func(i int) bool { return s.recs[i].inv > r.inv })
+	if n > 0 && s.Recs[n-1].Inv >= r.Inv {
+		i = sort.Search(n, func(i int) bool { return s.Recs[i].Inv > r.Inv })
 	}
 	if n >= cap {
-		s.truncated = true
+		s.Truncated = true
 		if i == n {
 			return
 		}
 	} else {
-		s.recs = append(s.recs, opRec{})
+		s.Recs = append(s.Recs, opRec{})
 	}
-	copy(s.recs[i+1:], s.recs[i:])
-	s.recs[i] = r
+	copy(s.Recs[i+1:], s.Recs[i:])
+	s.Recs[i] = r
 }
 
 // bvFact is the incremental Block Validity scan of one distinct chain.
@@ -202,24 +205,24 @@ func (s *recSet) insert(r opRec, cap int) {
 // delivered in response order the extended fact therefore puts exactly
 // the reads in the suspect sets that a scan at arrival would.
 type bvFact struct {
-	clean        bool
-	maxAppendInv int
-	nonGenesis   int
-	firstInvalid core.BlockID
-	hasInvalid   bool
+	Clean        bool
+	MaxAppendInv int
+	NonGenesis   int
+	FirstInvalid core.BlockID
+	HasInvalid   bool
 }
 
 // extendable reports whether descendants' facts may start from f: its
 // verdict on its own blocks is final (all appended and valid, or one
 // invalid for good), not waiting on an append still to be recorded.
-func (f *bvFact) extendable() bool { return f.clean || f.hasInvalid }
+func (f *bvFact) extendable() bool { return f.Clean || f.HasInvalid }
 
 // spRun is one maximal run of equal interned chains in the sorted-read
 // order within one chain length.
 type spRun struct {
-	key         chainKey
-	first, last opRec
-	n           int
+	Key         chainKey
+	First, Last opRec
+	N           int
 }
 
 // spRunsCap bounds the runs retained per chain length: a truncated
@@ -230,20 +233,70 @@ const spRunsCap = MaxViolations + 2
 
 // spLen is the per-chain-length StrongPrefix state.
 type spLen struct {
-	runs      []spRun
-	truncated bool
-	last      opRec // true latest arrival of this length
-	count     int
+	Runs      []spRun
+	Truncated bool
+	Last      opRec // true latest arrival of this length
+	Count     int
 }
 
 // lmrPair is one recorded Local Monotonic Read violation.
-type lmrPair struct{ prev, cur opRec }
+type lmrPair struct{ Prev, Cur opRec }
+
+// monitorState is everything a Monitor retains of the stream it has
+// consumed — the bounded summary that makes the criteria checkable on a
+// run. It is declared once: the hot path reads and writes these fields
+// (promoted through the by-value embedding in Monitor), Checkpoint
+// marshals the struct as it stands and RestoreMonitor decodes into it.
+// The field names are exported because encoding/json sees nothing else;
+// the type is not. A field added here is checkpointed by construction; a
+// field added to Monitor beside it fails TestMonitorStateIsComplete.
+type monitorState struct {
+	// IsFaulty marks the processes whose reads are excluded.
+	IsFaulty map[int]bool
+
+	Ops, NReads, NAppends, NComm int
+
+	ScoreByKey map[chainKey]int
+
+	// Win is the sliding liveness tail: the last `window` correct reads
+	// by invocation index — a view into Monitor.winBuf (see winInsert).
+	Win []opRec
+
+	// LocalMonotonicRead per-process state.
+	LMRPrev    []opRec
+	LMRHas     []bool
+	LMRViol    [][]lmrPair
+	LMRChecked int
+
+	// StrongPrefix state.
+	SPLens   map[int]*spLen
+	SPMax    opRec
+	SPHasMax bool
+	SPCmp    map[chainKey]bool
+
+	// EverGrowingTree / EventualPrefix candidates per score class.
+	Classes map[int]*recSet
+
+	// BlockValidity state.
+	BVFacts    map[chainKey]*bvFact
+	BVSuspects map[chainKey]*recSet
+	BVChecked  int
+	AppendInv  map[core.BlockID]opRec
+
+	// k-Fork Coherence token groups (successful appends per token).
+	Tokens map[string][]opRec
+
+	// live emission caps per property.
+	LiveLMR, LiveSP, LiveBV, LiveKF int
+	LiveTotal                       int
+}
 
 // Monitor evaluates the criteria over a stream of operations: feed it a
 // history as it is recorded (it implements history.Sink) or let Checker
 // replay one into it, then Finalize for the verdicts. Not safe for
 // concurrent use; the Recorder serializes sink calls under its own lock.
 type Monitor struct {
+	// Rebuilt from MonitorConfig.
 	score   core.Score
 	pred    core.Predicate
 	table   *history.ChainTable
@@ -253,47 +306,12 @@ type Monitor struct {
 	k       int
 	onWitns func(Witness)
 
-	faulty map[int]bool
+	monitorState
 
-	ops, nreads, nappends, ncomm int
-
-	scoreByKey map[chainKey]int
-	// path is extendFact's scratch buffer.
-	path []*core.Block
-
-	// win is the sliding liveness tail: the last `window` correct reads
-	// by invocation index — a view into winBuf (see winInsert).
-	win    []opRec
-	winBuf []opRec
-
-	// LocalMonotonicRead per-process state.
-	lmrPrev    []opRec
-	lmrHas     []bool
-	lmrViol    [][]lmrPair
-	lmrChecked int
-
-	// StrongPrefix state.
-	spLens   map[int]*spLen
-	spMax    opRec
-	spHasMax bool
-	spCmp    map[chainKey]bool
-
-	// EverGrowingTree / EventualPrefix candidates per score class.
-	classes map[int]*recSet
-
-	// BlockValidity state.
-	bvFacts    map[chainKey]*bvFact
-	bvSuspects map[chainKey]*recSet
-	bvChecked  int
-	appendInv  map[core.BlockID]opRec
-
-	// k-Fork Coherence token groups (successful appends per token).
-	tokens map[string][]opRec
-
-	// live emission caps per property.
-	liveLMR, liveSP, liveBV, liveKF int
-	liveTotal                       int
-
+	// Scratch: extendFact's path buffer, the buffer Win slides along, and
+	// the memo of Finalize.
+	path      []*core.Block
+	winBuf    []opRec
 	finalized bool
 	scV, ecV  *Verdict
 }
@@ -321,28 +339,30 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		}
 	}
 	m := &Monitor{
-		score:      cfg.Score,
-		pred:       cfg.P,
-		table:      cfg.Table,
-		procs:      cfg.Procs,
-		window:     w,
-		cap:        MaxViolations + procs,
-		k:          cfg.K,
-		onWitns:    cfg.OnWitness,
-		faulty:     make(map[int]bool),
-		scoreByKey: make(map[chainKey]int),
-		spLens:     make(map[int]*spLen),
-		spCmp:      make(map[chainKey]bool),
-		classes:    make(map[int]*recSet),
-		bvFacts:    make(map[chainKey]*bvFact),
-		bvSuspects: make(map[chainKey]*recSet),
-		appendInv:  make(map[core.BlockID]opRec),
-		tokens:     make(map[string][]opRec),
+		score:   cfg.Score,
+		pred:    cfg.P,
+		table:   cfg.Table,
+		procs:   cfg.Procs,
+		window:  w,
+		cap:     MaxViolations + procs,
+		k:       cfg.K,
+		onWitns: cfg.OnWitness,
+		monitorState: monitorState{
+			IsFaulty:   make(map[int]bool),
+			ScoreByKey: make(map[chainKey]int),
+			SPLens:     make(map[int]*spLen),
+			SPCmp:      make(map[chainKey]bool),
+			Classes:    make(map[int]*recSet),
+			BVFacts:    make(map[chainKey]*bvFact),
+			BVSuspects: make(map[chainKey]*recSet),
+			AppendInv:  make(map[core.BlockID]opRec),
+			Tokens:     make(map[string][]opRec),
+		},
 	}
 	if cfg.Procs > 0 {
-		m.lmrPrev = make([]opRec, cfg.Procs)
-		m.lmrHas = make([]bool, cfg.Procs)
-		m.lmrViol = make([][]lmrPair, cfg.Procs)
+		m.LMRPrev = make([]opRec, cfg.Procs)
+		m.LMRHas = make([]bool, cfg.Procs)
+		m.LMRViol = make([][]lmrPair, cfg.Procs)
 	}
 	return m
 }
@@ -350,15 +370,15 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 // Faulty implements history.Sink: process p's reads are excluded from
 // the criteria. Mark before p's first read (the adversary subsystem
 // marks at wiring time, before the simulation starts).
-func (m *Monitor) Faulty(p int) { m.faulty[p] = true }
+func (m *Monitor) Faulty(p int) { m.IsFaulty[p] = true }
 
 // CommDone implements history.Sink. Communication events do not enter
 // the consistency criteria; they are only counted.
-func (m *Monitor) CommDone(history.CommEvent) { m.ncomm++ }
+func (m *Monitor) CommDone(history.CommEvent) { m.NComm++ }
 
 // OpDone implements history.Sink: consume one completed operation.
 func (m *Monitor) OpDone(op *history.Op) {
-	m.ops++
+	m.Ops++
 	switch op.Kind {
 	case history.OpAppend:
 		m.consumeAppend(op, false)
@@ -392,14 +412,14 @@ func (m *Monitor) ConsumeSegment(seg *history.Segment) {
 
 func (m *Monitor) consumeAppend(op *history.Op, pending bool) {
 	if !pending {
-		m.nappends++
+		m.NAppends++
 	}
 	if op.Block == nil {
 		return
 	}
 	rec := recOf(op)
-	if cur, ok := m.appendInv[op.Block.ID]; !ok || rec.inv < cur.inv {
-		m.appendInv[op.Block.ID] = rec
+	if cur, ok := m.AppendInv[op.Block.ID]; !ok || rec.Inv < cur.Inv {
+		m.AppendInv[op.Block.ID] = rec
 	}
 	if pending || !op.OK {
 		return
@@ -408,10 +428,10 @@ func (m *Monitor) consumeAppend(op *history.Op, pending bool) {
 	if key == "" {
 		key = "parent:" + string(op.Block.Parent)
 	}
-	m.tokens[key] = append(m.tokens[key], rec)
-	if m.k > 0 && len(m.tokens[key]) == m.k+1 && m.liveKF < MaxViolations {
-		m.liveKF++
-		group := m.tokens[key]
+	m.Tokens[key] = append(m.Tokens[key], rec)
+	if m.k > 0 && len(m.Tokens[key]) == m.k+1 && m.LiveKF < MaxViolations {
+		m.LiveKF++
+		group := m.Tokens[key]
 		blocks := make([]core.BlockID, len(group))
 		ops := make([]*history.Op, len(group))
 		for i, g := range group {
@@ -428,57 +448,57 @@ func (m *Monitor) consumeAppend(op *history.Op, pending bool) {
 }
 
 func (m *Monitor) consumeRead(op *history.Op) {
-	if m.faulty[op.Proc] {
+	if m.IsFaulty[op.Proc] {
 		return
 	}
 	rec := recOf(op)
-	rec.score = m.scoreOfOp(op)
-	rec.ord = m.nreads
-	m.nreads++
+	rec.Score = m.scoreOfOp(op)
+	rec.Ord = m.NReads
+	m.NReads++
 
 	// LocalMonotonicRead: compare against the process's previous read.
-	if p := rec.proc; p >= 0 && p < len(m.lmrPrev) {
-		if m.lmrHas[p] {
-			m.lmrChecked++
-			if prev := m.lmrPrev[p]; prev.score > rec.score {
-				if len(m.lmrViol[p]) < MaxViolations {
-					m.lmrViol[p] = append(m.lmrViol[p], lmrPair{prev, rec})
+	if p := rec.Proc; p >= 0 && p < len(m.LMRPrev) {
+		if m.LMRHas[p] {
+			m.LMRChecked++
+			if prev := m.LMRPrev[p]; prev.Score > rec.Score {
+				if len(m.LMRViol[p]) < MaxViolations {
+					m.LMRViol[p] = append(m.LMRViol[p], lmrPair{prev, rec})
 				}
-				if m.liveLMR < MaxViolations {
-					m.liveLMR++
+				if m.LiveLMR < MaxViolations {
+					m.LiveLMR++
 					prevOp, curOp := m.rebuild(prev), m.rebuild(rec)
 					m.emit(Witness{
 						Property: "LocalMonotonicRead",
 						Ops:      []*history.Op{prevOp, curOp},
-						Blocks:   []core.BlockID{prev.head, rec.head},
+						Blocks:   []core.BlockID{prev.Head, rec.Head},
 						Detail: fmt.Sprintf("process %d: score dropped %d → %d (%s then %s)",
-							p, prev.score, rec.score, prevOp, curOp),
+							p, prev.Score, rec.Score, prevOp, curOp),
 					})
 				}
 			}
 		}
-		m.lmrPrev[p], m.lmrHas[p] = rec, true
+		m.LMRPrev[p], m.LMRHas[p] = rec, true
 	}
 
 	// BlockValidity: shared per-chain fact, arrival-conclusive on the
 	// pass side; failures become suspects re-resolved at Finalize.
 	fact := m.factOfOp(op)
-	m.bvChecked += fact.nonGenesis
-	if !(fact.clean && fact.maxAppendInv < rec.rsp) {
-		set := m.bvSuspects[rec.key()]
+	m.BVChecked += fact.NonGenesis
+	if !(fact.Clean && fact.MaxAppendInv < rec.Rsp) {
+		set := m.BVSuspects[rec.key()]
 		if set == nil {
 			set = &recSet{}
-			m.bvSuspects[rec.key()] = set
+			m.BVSuspects[rec.key()] = set
 		}
 		set.insert(rec, m.cap)
-		if fact.hasInvalid && m.liveBV < MaxViolations {
-			m.liveBV++
+		if fact.HasInvalid && m.LiveBV < MaxViolations {
+			m.LiveBV++
 			rOp := m.rebuild(rec)
 			m.emit(Witness{
 				Property: "BlockValidity",
 				Ops:      []*history.Op{rOp},
-				Blocks:   []core.BlockID{fact.firstInvalid},
-				Detail:   fmt.Sprintf("read %s returned block %s with P(b)=false", rOp, fact.firstInvalid.Short()),
+				Blocks:   []core.BlockID{fact.FirstInvalid},
+				Detail:   fmt.Sprintf("read %s returned block %s with P(b)=false", rOp, fact.FirstInvalid.Short()),
 			})
 		}
 	}
@@ -487,10 +507,10 @@ func (m *Monitor) consumeRead(op *history.Op) {
 	m.winInsert(rec)
 
 	// EverGrowingTree / EventualPrefix candidates per score class.
-	cls := m.classes[rec.score]
+	cls := m.Classes[rec.Score]
 	if cls == nil {
 		cls = &recSet{}
-		m.classes[rec.score] = cls
+		m.Classes[rec.Score] = cls
 	}
 	cls.insert(rec, m.cap)
 
@@ -499,85 +519,85 @@ func (m *Monitor) consumeRead(op *history.Op) {
 }
 
 // winInsert adds a read to the liveness window and lets the oldest go
-// once the window is full. The window slides: m.win is a view that moves
+// once the window is full. The window slides: m.Win is a view that moves
 // right along winBuf — dropping the oldest read is a reslice — and is
 // moved back to the front only when it reaches the buffer's end, once
 // per `window` reads on a buffer of twice that, so a read costs O(1)
 // amortised instead of a copy of the whole window.
 func (m *Monitor) winInsert(r opRec) {
-	n := len(m.win)
-	if n == cap(m.win) { // no room behind the view
+	n := len(m.Win)
+	if n == cap(m.Win) { // no room behind the view
 		if cap(m.winBuf) <= n {
 			// The view fills its buffer (the window is still filling, or
 			// was restored from a checkpoint): double it, up to twice the
 			// window.
 			m.winBuf = make([]opRec, min(2*n+2, 2*m.window))
 		}
-		m.win = m.winBuf[:copy(m.winBuf, m.win)]
+		m.Win = m.winBuf[:copy(m.winBuf, m.Win)]
 	}
-	if n == 0 || m.win[n-1].inv < r.inv {
-		m.win = append(m.win, r)
+	if n == 0 || m.Win[n-1].Inv < r.Inv {
+		m.Win = append(m.Win, r)
 	} else {
-		i := sort.Search(n, func(i int) bool { return m.win[i].inv > r.inv })
-		m.win = append(m.win, opRec{})
-		copy(m.win[i+1:], m.win[i:])
-		m.win[i] = r
+		i := sort.Search(n, func(i int) bool { return m.Win[i].Inv > r.Inv })
+		m.Win = append(m.Win, opRec{})
+		copy(m.Win[i+1:], m.Win[i:])
+		m.Win[i] = r
 	}
-	if len(m.win) > m.window {
-		m.win = m.win[1:]
+	if len(m.Win) > m.window {
+		m.Win = m.Win[1:]
 	}
 }
 
 func (m *Monitor) spConsume(rec opRec) {
-	sl := m.spLens[rec.chainLen]
+	sl := m.SPLens[rec.ChainLen]
 	if sl == nil {
 		sl = &spLen{}
-		m.spLens[rec.chainLen] = sl
+		m.SPLens[rec.ChainLen] = sl
 	}
 	k := rec.key()
 	switch {
-	case sl.truncated:
+	case sl.Truncated:
 		// Beyond the retained runs: only the true last matters.
-	case len(sl.runs) > 0 && sl.runs[len(sl.runs)-1].key == k:
-		run := &sl.runs[len(sl.runs)-1]
-		run.last = rec
-		run.n++
-	case len(sl.runs) < spRunsCap:
-		sl.runs = append(sl.runs, spRun{key: k, first: rec, last: rec, n: 1})
+	case len(sl.Runs) > 0 && sl.Runs[len(sl.Runs)-1].Key == k:
+		run := &sl.Runs[len(sl.Runs)-1]
+		run.Last = rec
+		run.N++
+	case len(sl.Runs) < spRunsCap:
+		sl.Runs = append(sl.Runs, spRun{Key: k, First: rec, Last: rec, N: 1})
 	default:
-		sl.truncated = true
+		sl.Truncated = true
 	}
-	sl.last = rec
-	sl.count++
+	sl.Last = rec
+	sl.Count++
 
 	// Live incomparability probe against the longest chain read so far.
 	// Advisory: false negatives are possible after the anchor moves;
 	// the exact witness set comes from Finalize.
-	if !m.spHasMax {
-		m.spMax, m.spHasMax = rec, true
+	if !m.SPHasMax {
+		m.SPMax, m.SPHasMax = rec, true
 		return
 	}
-	maxK := m.spMax.key()
-	if k == maxK || m.spCmp[k] {
-		if rec.chainLen > m.spMax.chainLen {
-			m.spMax = rec
+	maxK := m.SPMax.key()
+	if k == maxK || m.SPCmp[k] {
+		if rec.ChainLen > m.SPMax.ChainLen {
+			m.SPMax = rec
 		}
 		return
 	}
 	if m.comparable(k, maxK) {
-		m.spCmp[k] = true
-	} else if m.liveSP < MaxViolations {
-		m.liveSP++
-		maxOp, curOp := m.rebuild(m.spMax), m.rebuild(rec)
+		m.SPCmp[k] = true
+	} else if m.LiveSP < MaxViolations {
+		m.LiveSP++
+		maxOp, curOp := m.rebuild(m.SPMax), m.rebuild(rec)
 		m.emit(Witness{
 			Property: "StrongPrefix",
 			Ops:      []*history.Op{maxOp, curOp},
-			Blocks:   []core.BlockID{m.spMax.head, rec.head},
+			Blocks:   []core.BlockID{m.SPMax.Head, rec.Head},
 			Detail:   fmt.Sprintf("incomparable reads: %s vs %s", maxOp, curOp),
 		})
 	}
-	if rec.chainLen > m.spMax.chainLen {
-		m.spMax = rec
+	if rec.ChainLen > m.SPMax.ChainLen {
+		m.SPMax = rec
 	}
 }
 
@@ -606,24 +626,24 @@ func (m *Monitor) scoreOfOp(op *history.Op) int {
 		return op.ChainLen - 1
 	}
 	k := keyOf(op)
-	if s, ok := m.scoreByKey[k]; ok {
+	if s, ok := m.ScoreByKey[k]; ok {
 		return s
 	}
 	s := m.score.Of(op.ChainUncached())
-	m.scoreByKey[k] = s
+	m.ScoreByKey[k] = s
 	return s
 }
 
 func (m *Monitor) factOfOp(op *history.Op) *bvFact {
 	k := keyOf(op)
-	if f, ok := m.bvFacts[k]; ok {
+	if f, ok := m.BVFacts[k]; ok {
 		return f
 	}
 	f := m.extendFact(op)
 	if f == nil {
 		f = m.scanFact(op.ChainUncached())
 	}
-	m.bvFacts[k] = f
+	m.BVFacts[k] = f
 	return f
 }
 
@@ -640,7 +660,7 @@ func (m *Monitor) extendFact(op *history.Op) *bvFact {
 	if m.table == nil || op.EagerChain() != nil {
 		return nil
 	}
-	f := &bvFact{clean: true, maxAppendInv: -1}
+	f := &bvFact{Clean: true, MaxAppendInv: -1}
 	path := m.path[:0]
 	b := m.table.Block(op.Head)
 	for n := op.ChainLen; ; n-- {
@@ -650,7 +670,7 @@ func (m *Monitor) extendFact(op *history.Op) *bvFact {
 		if b.IsGenesis() {
 			break
 		}
-		if base := m.bvFacts[chainKey{b.ID, n}]; base != nil && base.extendable() {
+		if base := m.BVFacts[chainKey{b.ID, n}]; base != nil && base.extendable() {
 			*f = *base
 			break
 		}
@@ -665,7 +685,7 @@ func (m *Monitor) extendFact(op *history.Op) *bvFact {
 }
 
 func (m *Monitor) scanFact(c core.Chain) *bvFact {
-	f := &bvFact{clean: true, maxAppendInv: -1}
+	f := &bvFact{Clean: true, MaxAppendInv: -1}
 	for _, b := range c {
 		if !b.IsGenesis() {
 			m.scanBlock(f, b)
@@ -676,41 +696,41 @@ func (m *Monitor) scanFact(c core.Chain) *bvFact {
 
 // scanBlock folds one non-genesis block into a fact.
 func (m *Monitor) scanBlock(f *bvFact, b *core.Block) {
-	f.nonGenesis++
+	f.NonGenesis++
 	if !m.pred.Valid(b) {
-		f.clean = false
-		if !f.hasInvalid {
-			f.hasInvalid, f.firstInvalid = true, b.ID
+		f.Clean = false
+		if !f.HasInvalid {
+			f.HasInvalid, f.FirstInvalid = true, b.ID
 		}
 		return
 	}
-	ap, ok := m.appendInv[b.ID]
+	ap, ok := m.AppendInv[b.ID]
 	if !ok {
-		f.clean = false
+		f.Clean = false
 		return
 	}
-	if ap.inv > f.maxAppendInv {
-		f.maxAppendInv = ap.inv
+	if ap.Inv > f.MaxAppendInv {
+		f.MaxAppendInv = ap.Inv
 	}
 }
 
 func (m *Monitor) emit(w Witness) {
-	m.liveTotal++
+	m.LiveTotal++
 	if m.onWitns != nil {
 		m.onWitns(w)
 	}
 }
 
 // LiveWitnesses reports how many live witnesses have been emitted.
-func (m *Monitor) LiveWitnesses() int { return m.liveTotal }
+func (m *Monitor) LiveWitnesses() int { return m.LiveTotal }
 
 // rebuild reconstructs a witness-grade *history.Op from a compact
 // record; its String/Chain renderings equal the original op's.
 func (m *Monitor) rebuild(r opRec) *history.Op {
 	op := &history.Op{
-		ID: r.id, Proc: r.proc, Kind: r.kind, Block: r.block, OK: r.ok,
-		Head: r.head, ChainLen: r.chainLen, InvIndex: r.inv, RspIndex: r.rsp,
-		InvTime: r.invT, RspTime: r.rspT, Pending: r.pending,
+		ID: r.ID, Proc: r.Proc, Kind: r.Kind, Block: r.block, OK: r.OK,
+		Head: r.Head, ChainLen: r.ChainLen, InvIndex: r.Inv, RspIndex: r.Rsp,
+		InvTime: r.InvT, RspTime: r.RspT, Pending: r.Pending,
 	}
 	op.SetSource(m.table, r.chain)
 	return op
@@ -722,10 +742,10 @@ func mergedByInv[K comparable](sets map[K]*recSet, keep func(K) bool) []opRec {
 	var out []opRec
 	for k, s := range sets {
 		if keep == nil || keep(k) {
-			out = append(out, s.recs...)
+			out = append(out, s.Recs...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].inv < out[j].inv })
+	sort.Slice(out, func(i, j int) bool { return out[i].Inv < out[j].Inv })
 	return out
 }
 
@@ -748,16 +768,16 @@ func (m *Monitor) Finalize() (sc, ec *Verdict) {
 }
 
 func (m *Monitor) finalBV() *Report {
-	rep := &Report{Property: "BlockValidity", OK: true, Checked: m.bvChecked}
-	sus := mergedByInv(m.bvSuspects, nil)
-	finalFacts := make(map[chainKey]*bvFact, len(m.bvSuspects))
+	rep := &Report{Property: "BlockValidity", OK: true, Checked: m.BVChecked}
+	sus := mergedByInv(m.BVSuspects, nil)
+	finalFacts := make(map[chainKey]*bvFact, len(m.BVSuspects))
 	for _, rec := range sus {
 		f, ok := finalFacts[rec.key()]
 		if !ok {
 			f = m.scanFact(m.rebuild(rec).ChainUncached())
 			finalFacts[rec.key()] = f
 		}
-		if f.clean && f.maxAppendInv < rec.rsp {
+		if f.Clean && f.MaxAppendInv < rec.Rsp {
 			continue // suspect resolved clean against the final appends
 		}
 		r := m.rebuild(rec)
@@ -770,16 +790,16 @@ func (m *Monitor) finalBV() *Report {
 					"read %s returned block %s with P(b)=false", r, b.ID.Short())
 				continue
 			}
-			ap, ok := m.appendInv[b.ID]
+			ap, ok := m.AppendInv[b.ID]
 			if !ok {
 				rep.witness([]*history.Op{r}, []core.BlockID{b.ID},
 					"read %s returned block %s never passed to append()", r, b.ID.Short())
 				continue
 			}
-			if ap.inv >= rec.rsp {
+			if ap.Inv >= rec.Rsp {
 				rep.witness([]*history.Op{r, m.rebuild(ap)}, []core.BlockID{b.ID},
 					"read %s returned block %s appended only later (inv %d ≥ rsp %d)",
-					r, b.ID.Short(), ap.inv, rec.rsp)
+					r, b.ID.Short(), ap.Inv, rec.Rsp)
 			}
 		}
 		if len(rep.Violations) == MaxViolations {
@@ -790,19 +810,19 @@ func (m *Monitor) finalBV() *Report {
 }
 
 func (m *Monitor) finalLMR() *Report {
-	rep := &Report{Property: "LocalMonotonicRead", OK: true, Checked: m.lmrChecked}
-	for p := 0; p < len(m.lmrViol); p++ {
-		if m.faulty[p] {
+	rep := &Report{Property: "LocalMonotonicRead", OK: true, Checked: m.LMRChecked}
+	for p := 0; p < len(m.LMRViol); p++ {
+		if m.IsFaulty[p] {
 			continue
 		}
-		for _, pair := range m.lmrViol[p] {
+		for _, pair := range m.LMRViol[p] {
 			if len(rep.Violations) == MaxViolations {
 				return rep
 			}
-			prevOp, curOp := m.rebuild(pair.prev), m.rebuild(pair.cur)
-			rep.witness([]*history.Op{prevOp, curOp}, []core.BlockID{pair.prev.head, pair.cur.head},
+			prevOp, curOp := m.rebuild(pair.Prev), m.rebuild(pair.Cur)
+			rep.witness([]*history.Op{prevOp, curOp}, []core.BlockID{pair.Prev.Head, pair.Cur.Head},
 				"process %d: score dropped %d → %d (%s then %s)",
-				p, pair.prev.score, pair.cur.score, prevOp, curOp)
+				p, pair.Prev.Score, pair.Cur.Score, prevOp, curOp)
 		}
 	}
 	return rep
@@ -810,49 +830,49 @@ func (m *Monitor) finalLMR() *Report {
 
 func (m *Monitor) finalSP() *Report {
 	rep := &Report{Property: "StrongPrefix", OK: true}
-	if m.nreads < 2 {
+	if m.NReads < 2 {
 		return rep
 	}
-	rep.Checked = m.nreads - 1
-	lens := make([]int, 0, len(m.spLens))
-	for l := range m.spLens {
+	rep.Checked = m.NReads - 1
+	lens := make([]int, 0, len(m.SPLens))
+	for l := range m.SPLens {
 		lens = append(lens, l)
 	}
 	sort.Ints(lens)
 	var prev opRec
 	havePrev := false
 	for _, l := range lens {
-		sl := m.spLens[l]
-		for _, run := range sl.runs {
+		sl := m.SPLens[l]
+		for _, run := range sl.Runs {
 			// Interned reads are cleared by the O(Δheight) ancestor probe
 			// (prev is never the longer chain, so comparable means
 			// prefix); only a pair the probe cannot clear — a violation,
 			// an eager chain, no table — has its chains materialized.
-			interned := prev.chain == nil && run.first.chain == nil
-			if havePrev && prev.key() != run.first.key() &&
-				!(interned && m.comparable(prev.key(), run.first.key())) {
-				pOp, cOp := m.rebuild(prev), m.rebuild(run.first)
+			interned := prev.chain == nil && run.First.chain == nil
+			if havePrev && prev.key() != run.First.key() &&
+				!(interned && m.comparable(prev.key(), run.First.key())) {
+				pOp, cOp := m.rebuild(prev), m.rebuild(run.First)
 				if !pOp.ChainUncached().Prefix(cOp.ChainUncached()) {
-					rep.witness([]*history.Op{pOp, cOp}, []core.BlockID{prev.head, run.first.head},
+					rep.witness([]*history.Op{pOp, cOp}, []core.BlockID{prev.Head, run.First.Head},
 						"incomparable reads: %s vs %s", pOp, cOp)
 					if len(rep.Violations) == MaxViolations {
 						return rep
 					}
 				}
 			}
-			prev, havePrev = run.last, true
+			prev, havePrev = run.Last, true
 		}
 		// Cross-length boundaries pair this length's true last read
 		// with the next length's first (exact even when runs were
 		// truncated — truncation implies the report filled above).
-		prev, havePrev = sl.last, true
+		prev, havePrev = sl.Last, true
 	}
 	return rep
 }
 
 func (m *Monitor) finalEGT() *Report {
-	rep := &Report{Property: "EverGrowingTree", OK: true, Checked: m.nreads}
-	if len(m.win) == 0 {
+	rep := &Report{Property: "EverGrowingTree", OK: true, Checked: m.NReads}
+	if len(m.Win) == 0 {
 		return rep
 	}
 	// A read of score s is a witness only if, among the window reads after
@@ -861,32 +881,32 @@ func (m *Monitor) finalEGT() *Report {
 	// The others — every class, on a converged window — are skipped
 	// unmerged; skipping witness-free reads changes neither the order of
 	// the rest nor where the enumeration stops.
-	lo, hi := m.win[0].score, m.win[0].score
-	for _, t := range m.win[1:] {
-		lo, hi = min(lo, t.score), max(hi, t.score)
+	lo, hi := m.Win[0].Score, m.Win[0].Score
+	for _, t := range m.Win[1:] {
+		lo, hi = min(lo, t.Score), max(hi, t.Score)
 	}
-	for _, r := range mergedByInv(m.classes, func(s int) bool { return lo <= s && s < hi }) {
+	for _, r := range mergedByInv(m.Classes, func(s int) bool { return lo <= s && s < hi }) {
 		maxT := -1
 		stale := -1
-		for j := range m.win {
-			t := &m.win[j]
-			if r.pending || r.rsp >= t.inv { // !r.Before(t)
+		for j := range m.Win {
+			t := &m.Win[j]
+			if r.Pending || r.Rsp >= t.Inv { // !r.Before(t)
 				continue
 			}
-			if t.score > maxT {
-				maxT = t.score
+			if t.Score > maxT {
+				maxT = t.Score
 			}
-			if t.score <= r.score && stale < 0 {
+			if t.Score <= r.Score && stale < 0 {
 				stale = j
 			}
 		}
-		if stale >= 0 && maxT > r.score {
-			rOp, sOp := m.rebuild(r), m.rebuild(m.win[stale])
-			rep.witness([]*history.Op{rOp, sOp}, []core.BlockID{r.head, m.win[stale].head},
+		if stale >= 0 && maxT > r.Score {
+			rOp, sOp := m.rebuild(r), m.rebuild(m.Win[stale])
+			rep.witness([]*history.Op{rOp, sOp}, []core.BlockID{r.Head, m.Win[stale].Head},
 				"stagnation persists after %s: final-window read %s has score ≤ %d while the window grew to %d",
-				rOp, sOp, r.score, maxT)
+				rOp, sOp, r.Score, maxT)
 			if len(rep.Violations) == MaxViolations {
-				rep.Checked = r.ord + 1 // the enumeration stops here
+				rep.Checked = r.Ord + 1 // the enumeration stops here
 				return rep
 			}
 		}
@@ -894,23 +914,26 @@ func (m *Monitor) finalEGT() *Report {
 	return rep
 }
 
-// epPairs returns the Checked contribution of the read at the given
-// correct-read position, assuming atomic completed operations:
-// every pre-window read sees all w window reads after it; the window
-// member at position j sees the w−1−j later ones.
-func (m *Monitor) epPairs(ord int) int {
-	w := len(m.win)
-	nonWin := m.nreads - w
-	k := w
-	if ord >= nonWin {
-		k = w - 1 - (ord - nonWin)
+// epChecked returns the Checked contribution of the reads at
+// correct-read positions below upto, assuming atomic completed
+// operations: every pre-window read sees all w window reads after it, so
+// it examines w(w−1)/2 pairs; the window member at position j sees the
+// k = w−1−j later ones. O(w), whatever the counters say — they may have
+// come from a checkpoint file.
+func (m *Monitor) epChecked(upto int) int {
+	w := len(m.Win)
+	nonWin := m.NReads - w
+	sum := min(upto, nonWin) * (w * (w - 1) / 2)
+	for ord := max(nonWin, 0); ord < min(upto, m.NReads); ord++ {
+		k := w - 1 - (ord - nonWin)
+		sum += k * (k - 1) / 2
 	}
-	return k * (k - 1) / 2
+	return sum
 }
 
 func (m *Monitor) finalEP() *Report {
 	rep := &Report{Property: "EventualPrefix", OK: true}
-	tail := m.win
+	tail := m.Win
 	w := len(tail)
 
 	// Window chains are materialized only for a pair of distinct keys:
@@ -930,9 +953,9 @@ func (m *Monitor) finalEP() *Report {
 		mcps[x] = make([]int, w)
 	}
 	for x := 0; x < w; x++ {
-		sx := tail[x].score
+		sx := tail[x].Score
 		for y := x + 1; y < w; y++ {
-			sy := tail[y].score
+			sy := tail[y].Score
 			var mm int
 			if tail[x].key() == tail[y].key() {
 				mm = sx
@@ -949,11 +972,7 @@ func (m *Monitor) finalEP() *Report {
 		}
 	}
 
-	fullChecked := 0
-	for ord := 0; ord < m.nreads; ord++ {
-		fullChecked += m.epPairs(ord)
-	}
-	rep.Checked = fullChecked
+	rep.Checked = m.epChecked(m.NReads)
 	if !divergent {
 		return rep
 	}
@@ -962,10 +981,10 @@ func (m *Monitor) finalEP() *Report {
 	// retained candidates (provably a superset of the reported reads). A
 	// read of score s is a witness only over a pair with mcps < s, so the
 	// classes with s ≤ lowest hold none and are skipped, as in finalEGT.
-	for _, r := range mergedByInv(m.classes, func(s int) bool { return s > lowest }) {
+	for _, r := range mergedByInv(m.Classes, func(s int) bool { return s > lowest }) {
 		var after []int
 		for j := range tail {
-			if !r.pending && r.rsp < tail[j].inv { // r.Before(tail[j])
+			if !r.Pending && r.Rsp < tail[j].Inv { // r.Before(tail[j])
 				after = append(after, j)
 			}
 		}
@@ -975,27 +994,23 @@ func (m *Monitor) finalEP() *Report {
 				pairs++
 				ax, ay := after[x], after[y]
 				mm := mcps[ax][ay]
-				bound := r.score
-				if sa := tail[ax].score; sa < bound {
+				bound := r.Score
+				if sa := tail[ax].Score; sa < bound {
 					bound = sa
 				}
-				if sb := tail[ay].score; sb < bound {
+				if sb := tail[ay].Score; sb < bound {
 					bound = sb
 				}
 				if mm < bound {
 					rOp, aOp, bOp := m.rebuild(r), m.rebuild(tail[ax]), m.rebuild(tail[ay])
 					rep.witness([]*history.Op{rOp, aOp, bOp},
-						[]core.BlockID{tail[ax].head, tail[ay].head},
+						[]core.BlockID{tail[ax].Head, tail[ay].Head},
 						"after %s (score %d) final-window reads still diverge: mcps(%s, %s)=%d < %d",
-						rOp, r.score, aOp, bOp, mm, bound)
+						rOp, r.Score, aOp, bOp, mm, bound)
 					if len(rep.Violations) == MaxViolations {
 						// The enumeration stops here: pairs before this
 						// read, plus the pairs it examined.
-						checked := 0
-						for ord := 0; ord < r.ord; ord++ {
-							checked += m.epPairs(ord)
-						}
-						rep.Checked = checked + pairs
+						rep.Checked = m.epChecked(r.Ord) + pairs
 						return rep
 					}
 				}
@@ -1010,14 +1025,14 @@ func (m *Monitor) finalEP() *Report {
 // Finalize.
 func (m *Monitor) KForkReport(k int) *Report {
 	rep := &Report{Property: fmt.Sprintf("%d-ForkCoherence", k), OK: true}
-	toks := make([]string, 0, len(m.tokens))
-	for tok := range m.tokens {
+	toks := make([]string, 0, len(m.Tokens))
+	for tok := range m.Tokens {
 		toks = append(toks, tok)
 	}
 	sort.Strings(toks)
 	for _, tok := range toks {
-		group := append([]opRec(nil), m.tokens[tok]...)
-		sort.Slice(group, func(i, j int) bool { return group[i].inv < group[j].inv })
+		group := append([]opRec(nil), m.Tokens[tok]...)
+		sort.Slice(group, func(i, j int) bool { return group[i].Inv < group[j].Inv })
 		rep.Checked++
 		if len(group) > k {
 			blocks := make([]core.BlockID, len(group))
@@ -1051,29 +1066,29 @@ type MonitorStats struct {
 // sizes.
 func (m *Monitor) Stats() MonitorStats {
 	st := MonitorStats{
-		Ops: m.ops, Reads: m.nreads, Appends: m.nappends, Comm: m.ncomm,
-		ScoreClasses: len(m.classes), SuspectKeys: len(m.bvSuspects),
-		WindowLen: len(m.win),
+		Ops: m.Ops, Reads: m.NReads, Appends: m.NAppends, Comm: m.NComm,
+		ScoreClasses: len(m.Classes), SuspectKeys: len(m.BVSuspects),
+		WindowLen: len(m.Win),
 	}
-	st.Retained = len(m.win)
-	for _, s := range m.classes {
-		st.Retained += len(s.recs)
+	st.Retained = len(m.Win)
+	for _, s := range m.Classes {
+		st.Retained += len(s.Recs)
 	}
-	for _, s := range m.bvSuspects {
-		st.Retained += len(s.recs)
+	for _, s := range m.BVSuspects {
+		st.Retained += len(s.Recs)
 	}
-	for _, v := range m.lmrViol {
+	for _, v := range m.LMRViol {
 		st.Retained += len(v)
 	}
-	for i := range m.lmrHas {
-		if m.lmrHas[i] {
+	for i := range m.LMRHas {
+		if m.LMRHas[i] {
 			st.Retained++
 		}
 	}
-	for _, sl := range m.spLens {
-		st.Retained += 2*len(sl.runs) + 1
+	for _, sl := range m.SPLens {
+		st.Retained += 2*len(sl.Runs) + 1
 	}
-	for _, g := range m.tokens {
+	for _, g := range m.Tokens {
 		st.Retained += len(g)
 	}
 	return st

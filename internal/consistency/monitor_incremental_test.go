@@ -142,7 +142,7 @@ func TestMonitorAppendRecordedAfterRead(t *testing.T) {
 	if got := mon.Stats().SuspectKeys; got != 1 {
 		t.Errorf("suspect chains %d, want 1 (the early read's only)", got)
 	}
-	if f := mon.bvFacts[chainKey{c[40].ID, 41}]; !f.clean || f.nonGenesis != 40 {
+	if f := mon.BVFacts[chainKey{c[40].ID, 41}]; !f.Clean || f.NonGenesis != 40 {
 		t.Errorf("fact of the longest chain: %+v, want clean over 40 blocks", f)
 	}
 }
@@ -168,7 +168,7 @@ func TestMonitorInvalidAncestorExtends(t *testing.T) {
 	if streamed != 30 {
 		t.Errorf("P called %d times while streaming, want 30", streamed)
 	}
-	if f := mon.bvFacts[chainKey{c[30].ID, 31}]; f.clean || !f.hasInvalid || f.firstInvalid != c[10].ID {
+	if f := mon.BVFacts[chainKey{c[30].ID, 31}]; f.Clean || !f.HasInvalid || f.FirstInvalid != c[10].ID {
 		t.Errorf("fact of the longest chain: %+v, want first invalid %s", f, c[10].ID.Short())
 	}
 }

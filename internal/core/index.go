@@ -174,7 +174,10 @@ func (x *Index) ChainTo(head BlockID) Chain {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	h, ok := x.ids[head]
-	if !ok || x.ents[h].b.Height < 0 {
+	// A chain to height n is n+1 interned blocks: a height the index
+	// cannot back (a block from a damaged file) is refused before it
+	// sizes the allocation.
+	if !ok || x.ents[h].b.Height < 0 || x.ents[h].b.Height >= len(x.ents) {
 		return nil
 	}
 	out := make(Chain, x.ents[h].b.Height+1)

@@ -42,14 +42,8 @@ type Counter struct {
 	v    int64
 }
 
-// Inc adds 1.
-func (c *Counter) Inc() { c.v++ }
-
 // Add adds d.
 func (c *Counter) Add(d int64) { c.v += d }
-
-// Value returns the current value.
-func (c *Counter) Value() int64 { return c.v }
 
 // CounterVec is a counter with one slot per process. Under the sharded
 // scheduler each slot is mutated only by its owner process's handler,
@@ -86,9 +80,6 @@ func (cv *CounterVec) Max() int64 {
 	}
 	return m
 }
-
-// Value returns process p's slot.
-func (cv *CounterVec) Value(p int) int64 { return cv.slots[p] }
 
 // Histogram counts observations into fixed buckets (upper bounds,
 // ascending; one implicit +Inf bucket). Observations are rare events

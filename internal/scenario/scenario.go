@@ -19,6 +19,7 @@ package scenario
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/btsim"
@@ -59,12 +60,12 @@ type Outcome struct {
 	// Seed is the seed actually used (sweeps override Spec.Seed).
 	Seed uint64
 	Res  *btsim.Result
-	// SC and EC are the two criterion verdicts; KFork is the optional
-	// k-Fork Coherence report (nil when Spec.CheckK == 0).
-	SC, EC *consistency.Verdict
-	KFork  *consistency.Report
-	// Violated lists the distinct violated property names, in checking
-	// order; Witnesses maps each to its first structured counterexample.
+	// Verdicts are the two criterion verdicts SC and EC, and KFork, the
+	// optional k-Fork Coherence report (nil when Spec.CheckK == 0).
+	consistency.Verdicts
+	// Violated is Verdicts.Violated(): the distinct violated property
+	// names, in checking order; Witnesses maps each to its first
+	// structured counterexample.
 	Violated  []string
 	Witnesses map[string]consistency.Witness
 	// Digest is the replay digest: identical for identical (spec, seed).
@@ -76,14 +77,7 @@ type Outcome struct {
 func (o *Outcome) MissingExpected() []string {
 	var out []string
 	for _, want := range o.Spec.ExpectBroken {
-		found := false
-		for _, got := range o.Violated {
-			if got == want {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(o.Violated, want) {
 			out = append(out, want)
 		}
 	}
@@ -96,19 +90,20 @@ func (o *Outcome) MissingExpected() []string {
 func (s Spec) Run(seed uint64) (*Outcome, error) { return s.run(seed, false) }
 
 // RunStream executes the scenario with the online consistency monitor
-// attached and builds the Outcome from its verdicts instead of the
-// replay behind Check(). The history is still retained (tee mode), so the
-// replay Digest folds the same run content — a scenario's RunStream
-// digest equals its Run digest exactly; the determinism suite pins this
-// for the whole catalogue.
+// attached and builds the Outcome from its verdicts (Result.Stream,
+// under either driver) instead of the replay behind Check(). The history
+// is still retained (tee mode), so the replay Digest folds the same run
+// content — a simulated scenario's RunStream digest equals its Run digest
+// exactly; the determinism suite pins this for the whole catalogue.
 func (s Spec) RunStream(seed uint64) (*Outcome, error) { return s.run(seed, true) }
 
-// config is the spec's Config as one run takes it.
-func (s Spec) config(seed uint64, stream bool) btsim.Config {
+// config is the spec's Config as one run takes it. online says whether
+// the outcome is built from the online monitor's verdicts.
+func (s Spec) config(seed uint64, online bool) btsim.Config {
 	cfg := s.Config
 	cfg.Seed = seed
 	cfg.FaultLog = !cfg.Live // a simulated scenario always shows its fault events
-	if stream {
+	if online {
 		cfg.Monitor, cfg.MonitorK = true, s.CheckK
 	}
 	return cfg
@@ -122,50 +117,31 @@ func (s Spec) run(seed uint64, stream bool) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	res, err := sys.Run(s.config(seed, stream))
+	// A spec that streams retains no history: there is nothing to replay,
+	// and the online verdicts are the only ones.
+	online := stream || s.Streaming
+	res, err := sys.Run(s.config(seed, online))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 
-	var sc, ec *consistency.Verdict
 	o := &Outcome{Spec: s, Seed: seed, Res: res, Witnesses: map[string]consistency.Witness{}}
-	if stream {
-		sc, ec = res.Stream.SC, res.Stream.EC
-		o.KFork = res.Stream.KFork
+	if online {
+		o.Verdicts = res.Stream.Verdicts
 	} else {
-		sc, ec = res.Check()
+		o.SC, o.EC = res.Check()
 		if s.CheckK > 0 {
 			o.KFork = res.KFork(s.CheckK)
 		}
 	}
-	o.SC, o.EC = sc, ec
-
-	reports := map[string]*consistency.Report{}
-	order := []string{}
-	record := func(rep *consistency.Report) {
-		if rep == nil {
-			return
-		}
-		if _, ok := reports[rep.Property]; !ok {
-			reports[rep.Property] = rep
-			order = append(order, rep.Property)
-		}
+	o.Violated = o.Verdicts.Violated()
+	witnesses := append(o.SC.Witnesses(), o.EC.Witnesses()...)
+	if o.KFork != nil {
+		witnesses = append(witnesses, o.KFork.Witnesses...)
 	}
-	for _, rep := range sc.Reports {
-		record(rep)
-	}
-	for _, rep := range ec.Reports {
-		record(rep)
-	}
-	record(o.KFork)
-	for _, name := range order {
-		rep := reports[name]
-		if rep.OK {
-			continue
-		}
-		o.Violated = append(o.Violated, name)
-		if len(rep.Witnesses) > 0 {
-			o.Witnesses[name] = rep.Witnesses[0]
+	for _, w := range witnesses {
+		if _, ok := o.Witnesses[w.Property]; !ok {
+			o.Witnesses[w.Property] = w
 		}
 	}
 	o.Digest = Digest(o)

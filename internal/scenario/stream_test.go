@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/btsim"
 	"repro/internal/consistency"
 )
 
@@ -109,15 +111,26 @@ func TestCheckpointedStreamingMatchesBatchCatalogue(t *testing.T) {
 // the same streaming/drop-mode shape CI exercises under -race — and
 // checks the bounded-memory bookkeeping is alive.
 func TestLongRunStreamingSmoke(t *testing.T) {
-	o, err := SmokeLongRun().Run()
+	spec := SmokeLongRun()
+	var peak uint64
+	spec.Observer = func(p btsim.Progress) bool { // cmd/scenarios -long's sampler
+		if p.Round%256 == 0 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+		}
+		return true
+	}
+	o, err := spec.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Ops < 10_000 {
-		t.Errorf("smoke long run recorded only %d ops", o.Ops)
+	st := o.Res.Stream
+	if st.Ops < 10_000 {
+		t.Errorf("smoke long run recorded only %d ops", st.Ops)
 	}
-	if o.Segments < 2 {
-		t.Errorf("smoke long run sealed only %d segments", o.Segments)
+	if st.Segments < 2 {
+		t.Errorf("smoke long run sealed only %d segments", st.Segments)
 	}
 	if o.SC == nil || o.EC == nil {
 		t.Fatal("missing streaming verdicts")
@@ -125,10 +138,33 @@ func TestLongRunStreamingSmoke(t *testing.T) {
 	if len(o.Violated) != 0 {
 		t.Errorf("benign long run violated %v", o.Violated)
 	}
-	if o.Stats.Retained > 10_000 {
-		t.Errorf("monitor retained %d records — not bounded", o.Stats.Retained)
+	if st.Stats.Retained > 10_000 {
+		t.Errorf("monitor retained %d records — not bounded", st.Stats.Retained)
 	}
-	if o.PeakHeap == 0 {
+	if peak == 0 {
 		t.Error("no heap samples taken")
+	}
+}
+
+// TestLiveSpecRunStream: a catalogue entry may carry Live/Load, and the
+// online verdicts of a deployed run are in Result.Stream like a
+// simulated one's, so RunStream judges it (it used to dereference a nil
+// Stream) and agrees with the replay behind Run on a benign run.
+func TestLiveSpecRunStream(t *testing.T) {
+	spec := Spec{Name: "live/bitcoin", System: "bitcoin",
+		Config: btsim.Config{N: 4, Live: true, Load: btsim.Load{Appends: 50}}}
+	replay, err := spec.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	online, err := spec.RunStream(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if online.SC == nil || online.EC == nil || online.Res.Stream.Ops == 0 {
+		t.Fatalf("RunStream on a live spec: verdicts %v/%v over %d ops", online.SC, online.EC, online.Res.Stream.Ops)
+	}
+	if len(replay.Violated) != 0 || len(online.Violated) != 0 {
+		t.Errorf("benign live run: Run violated %v, RunStream violated %v", replay.Violated, online.Violated)
 	}
 }

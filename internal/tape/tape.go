@@ -132,7 +132,6 @@ type Set struct {
 	mapping Mapping
 	master  *RNG
 	tapes   map[Merit]*Tape
-	order   []Merit
 }
 
 // NewSet creates an empty tape set under mapping m (nil means identity),
@@ -151,16 +150,5 @@ func (s *Set) Tape(a Merit) *Tape {
 	}
 	t := NewTape(a, s.mapping, s.master.Uint64())
 	s.tapes[a] = t
-	s.order = append(s.order, a)
 	return t
 }
-
-// Merits returns the merits registered so far, in first-use order.
-func (s *Set) Merits() []Merit {
-	out := make([]Merit, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// Len returns the number of materialized tapes.
-func (s *Set) Len() int { return len(s.tapes) }

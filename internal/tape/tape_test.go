@@ -246,12 +246,18 @@ func TestSetMeritsOrder(t *testing.T) {
 	s.Tape(0.3)
 	s.Tape(0.1)
 	s.Tape(0.3) // no duplicate registration
-	m := s.Merits()
-	if len(m) != 2 || m[0] != 0.3 || m[1] != 0.1 {
-		t.Fatalf("Merits() = %v, want [0.3 0.1]", m)
+	if len(s.tapes) != 2 || s.tapes[0.3] == nil || s.tapes[0.1] == nil {
+		t.Fatalf("tapes = %v, want one for 0.3 and one for 0.1", s.tapes)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", s.Len())
+	// A tape's seed is drawn at first use, so the order of first uses —
+	// not of later ones — decides what each tape holds.
+	r := NewSet(nil, 42)
+	r.Tape(0.3)
+	r.Tape(0.1)
+	for i := 0; i < 64; i++ {
+		if s.Tape(0.1).Pop() != r.Tape(0.1).Pop() {
+			t.Fatal("a repeated Tape(0.3) re-registered the merit and moved 0.1's seed")
+		}
 	}
 }
 

@@ -93,7 +93,6 @@ type Tracer struct {
 	events      []Event
 	staged      [][]Event
 	dropped     int64
-	counts      [len(kindNames)]int64
 	witnessSeq  int64
 }
 
@@ -118,7 +117,6 @@ func (t *Tracer) Sampled(kind Kind, seq int64) bool {
 // Emit records an event from serial scheduler context. Call Sampled
 // first on hot paths to skip constructing the Event.
 func (t *Tracer) Emit(ev Event) {
-	t.counts[ev.Kind]++
 	if len(t.events) >= t.limit {
 		t.dropped++
 		return
@@ -190,7 +188,3 @@ func (t *Tracer) Events() []Event {
 
 // Dropped reports events discarded after Limit was reached.
 func (t *Tracer) Dropped() int64 { return t.dropped }
-
-// Count reports how many events of the kind were emitted (including
-// any dropped past the limit).
-func (t *Tracer) Count(k Kind) int64 { return t.counts[k] }

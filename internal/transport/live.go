@@ -140,11 +140,11 @@ type LiveResult struct {
 	// wall-clock timing section).
 	Metrics *metrics.Snapshot
 
-	// SC/EC are the online monitor's finalized verdicts; KFork is the
-	// optional k-fork coherence report; LiveWitnesses counts witnesses
-	// streamed while the run was still going.
-	SC, EC        *consistency.Verdict
-	KFork         *consistency.Report
+	// Verdicts are the online monitor's finalized SC/EC verdicts and
+	// the optional k-fork coherence report (with Violated());
+	// LiveWitnesses counts witnesses streamed while the run was still
+	// going.
+	consistency.Verdicts
 	LiveWitnesses int
 	MonitorStats  consistency.MonitorStats
 	// MonitorErr is non-nil when the online monitor's consumer failed
@@ -166,27 +166,6 @@ type LiveResult struct {
 	History  *history.History
 	Trees    []*core.Tree
 	Creators map[core.BlockID]int
-}
-
-// Violated lists the property names any verdict reports broken.
-func (r *LiveResult) Violated() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, v := range []*consistency.Verdict{r.SC, r.EC} {
-		if v == nil {
-			continue
-		}
-		for _, rep := range v.Reports {
-			if !rep.OK && !seen[rep.Property] {
-				seen[rep.Property] = true
-				out = append(out, rep.Property)
-			}
-		}
-	}
-	if r.KFork != nil && !r.KFork.OK {
-		out = append(out, r.KFork.Property)
-	}
-	return out
 }
 
 // statser is the carrier-side counter pair both carriers expose.
@@ -351,8 +330,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		N:         cfg.N,
 		Elapsed:   elapsed,
 		Settle:    settleDur,
-		SC:        sc,
-		EC:        ec,
+		Verdicts:  consistency.Verdicts{SC: sc, EC: ec},
 		Converged: converged,
 		Recovery:  recovery,
 		History:   rec.Snapshot(),

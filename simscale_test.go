@@ -1,6 +1,7 @@
-// Package benchsuite defines SimScale, the large-scale
-// simulation→history→checker pipeline workload that the root
-// bench_test.go wraps as BenchmarkSimScale and determinism_test.go pins.
+// SimScale is the large-scale simulation→history→checker pipeline
+// workload that bench_test.go wraps as BenchmarkSimScale and
+// determinism_test.go pins (it was the package internal/benchsuite while
+// cmd/bench also ran it; its only callers are this package's tests).
 //
 // SimScale drives the whole pipeline the way the protocol simulators do:
 // N replicas over a FIFO synchronous simnet, one mined block per tick
@@ -11,7 +12,7 @@
 // (replay vs. online checking), #12 (single-heap vs. sharded scheduler:
 // the -s<k> cases run the identical workload — digest-pinned — on the
 // sharded engine; see SCALING.md) and #13 (instrumented vs. bare).
-package benchsuite
+package repro
 
 import (
 	"fmt"
@@ -26,33 +27,33 @@ import (
 	"repro/internal/simnet"
 )
 
-// Variant selects the one way a SimScale run departs from the benign
+// simVariant selects the one way a SimScale run departs from the benign
 // retained-history pipeline. It is a single value, not a set of flags:
 // the adversarial run is never streamed or metered, and the streamed run
 // is never metered.
-type Variant int
+type simVariant int
 
 const (
-	// Benign retains the full history and classifies it after the run.
-	Benign Variant = iota
-	// Adversarial adds two healed partition windows (messages queue
+	// simBenign retains the full history and classifies it after the run.
+	simBenign simVariant = iota
+	// simAdversarial adds two healed partition windows (messages queue
 	// across the cut and flush on heal) and an equivocating replica that
 	// floods a forged sibling for every block it mines. It prices
 	// fault-schedule routing on every send, fork-heavy trees and a
 	// violation-bearing checker run against the benign baseline.
-	Adversarial
-	// Stream checks the benign workload online: a segmented sink feeds
+	simAdversarial
+	// simStream checks the benign workload online: a segmented sink feeds
 	// the monitor, the recorder runs in drop mode (no retained history),
 	// and the verdicts come from Finalize.
-	Stream
-	// Metered attaches the deterministic metrics layer to the benign
-	// workload; Run then also returns the metric snapshot.
-	Metered
+	simStream
+	// simMetered attaches the deterministic metrics layer to the benign
+	// workload; runSimScale then also returns the metric snapshot.
+	simMetered
 )
 
-// Case is one SimScale run: a row of the case table, or a pinned
+// simCase is one SimScale run: a row of the case table, or a pinned
 // configuration of the determinism test.
-type Case struct {
+type simCase struct {
 	// N is the number of replicas.
 	N int
 	// Blocks is the number of mined blocks (one per virtual tick, miner
@@ -66,31 +67,31 @@ type Case struct {
 	// determinism spec; the -s<k> cases and the CI smoke pin that at
 	// scale.
 	Shards  int
-	Variant Variant
+	Variant simVariant
 }
 
 // Name is the case's benchmark name:
 // SimScale/N<n>-b<b>[-adv][-s<k>][-stream][-met].
-func (c Case) Name() string {
+func (c simCase) Name() string {
 	name := fmt.Sprintf("SimScale/N%d-b%d", c.N, c.Blocks)
-	if c.Variant == Adversarial {
+	if c.Variant == simAdversarial {
 		name += "-adv"
 	}
 	if c.Shards > 1 {
 		name += fmt.Sprintf("-s%d", c.Shards)
 	}
 	switch c.Variant {
-	case Stream:
+	case simStream:
 		name += "-stream"
-	case Metered:
+	case simMetered:
 		name += "-met"
 	}
 	return name
 }
 
-// Stats summarizes one SimScale run (used by Check and the determinism
-// pinning test).
-type Stats struct {
+// simStats summarizes one SimScale run (used by checkSimScale and the
+// determinism pinning test).
+type simStats struct {
 	Blocks    int  // blocks attached at replica 0
 	Reads     int  // completed reads of correct processes
 	CommEvts  int  // recorded send/receive/update events
@@ -99,12 +100,12 @@ type Stats struct {
 	ECOK      bool // Eventual Consistency verdict
 }
 
-// Run executes the full pipeline once: simulate, record, check. The
-// workload is deterministic for a fixed case, and a Stream or Metered
-// case returns exactly the Benign stats of the same configuration (the
+// runSimScale executes the full pipeline once: simulate, record, check. The
+// workload is deterministic for a fixed case, and a simStream or simMetered
+// case returns exactly the simBenign stats of the same configuration (the
 // determinism suite pins both). The snapshot is nil unless the case is
-// Metered.
-func Run(c Case) (Stats, *metrics.Snapshot) {
+// simMetered.
+func runSimScale(c simCase) (simStats, *metrics.Snapshot) {
 	sim := simnet.NewSim(c.Seed)
 	g := replica.NewGroup(sim, c.N, simnet.Synchronous{Delta: 3}, core.LongestChain{})
 	g.Net.SetFIFO(true)
@@ -119,7 +120,7 @@ func Run(c Case) (Stats, *metrics.Snapshot) {
 	)
 	// judge fills in what the run recorded and what the criteria say of
 	// it: by default a Classify over the retained history.
-	judge := func(st *Stats) (sc, ec *consistency.Verdict) {
+	judge := func(st *simStats) (sc, ec *consistency.Verdict) {
 		h := g.History()
 		st.Reads, st.CommEvts = len(h.Reads()), len(h.Comm)
 		return consistency.NewChecker(core.LengthScore{}, core.WellFormed{}).Classify(h)
@@ -130,7 +131,7 @@ func Run(c Case) (Stats, *metrics.Snapshot) {
 	// leave room in the window for a pre-heal read.
 	finalReads := 1
 	switch c.Variant {
-	case Adversarial:
+	case simAdversarial:
 		// Two split-brain windows, each a quarter of the run long, both
 		// healed well before the end so the final reads can converge.
 		quarter := max(int64(c.Blocks/4), 8)
@@ -144,7 +145,7 @@ func Run(c Case) (Stats, *metrics.Snapshot) {
 		))
 		adv = adversary.NewEquivocator(g.Procs[c.N-1], g.Net, adversary.Config{Strategy: adversary.Equivocate, Forks: 2})
 		finalReads = 2
-	case Stream:
+	case simStream:
 		// The segment/monitor work runs off the recording hot loop through
 		// an AsyncSink — the recorder's critical section ends at the
 		// enqueue, and the single consumer goroutine preserves recording
@@ -160,7 +161,7 @@ func Run(c Case) (Stats, *metrics.Snapshot) {
 		async := history.NewAsyncSink(seg, 0)
 		g.Rec.SetSink(async)
 		g.Rec.SetRetain(false)
-		judge = func(st *Stats) (sc, ec *consistency.Verdict) {
+		judge = func(st *simStats) (sc, ec *consistency.Verdict) {
 			if err := async.Drain(); err != nil {
 				panic(err) // a panicking monitor invalidates the whole streamed run
 			}
@@ -173,7 +174,7 @@ func Run(c Case) (Stats, *metrics.Snapshot) {
 			st.Reads, st.CommEvts = ms.Reads, ms.Comm
 			return sc, ec
 		}
-	case Metered:
+	case simMetered:
 		// ~64 sample rows per run regardless of horizon, so snapshot size
 		// does not scale with Blocks.
 		reg = metrics.New(max(int64(c.Blocks)/64, 1))
@@ -212,7 +213,7 @@ func Run(c Case) (Stats, *metrics.Snapshot) {
 		readAll()
 	}
 
-	st := Stats{
+	st := simStats{
 		Blocks:    g.Procs[0].Tree().Len() - 1,
 		MaxHeight: g.Procs[0].Tree().Height(),
 	}
@@ -224,20 +225,20 @@ func Run(c Case) (Stats, *metrics.Snapshot) {
 	return st, nil
 }
 
-// Check is the suite's self-check, so the benchmark doubles as a
+// checkSimScale is the suite's self-check, so the benchmark doubles as a
 // correctness check at scale. A lossless synchronous flood with
 // post-convergence reads must satisfy EC and attach every block. On the
 // adversarial case the partitions and the equivocator guarantee measured
 // Strong Prefix violations — the check fails if the checker still says
 // SC holds, because the pipeline must witness the attack — while the
 // healed cuts and the final reads keep EC intact, and replica 0 attaches
-// the forged siblings on top of the mined blocks. A Stream case passing
+// the forged siblings on top of the mined blocks. A simStream case passing
 // at all means the monitor alone carried the verdict: the recorder
-// retained nothing. Metered == bare stats is pinned by the root
+// retained nothing. simMetered == bare stats is pinned by the root
 // determinism test, not re-verified here: a -met row's wall time must
 // price only the instrumented run.
-func Check(c Case, st Stats) error {
-	if c.Variant == Adversarial {
+func checkSimScale(c simCase, st simStats) error {
+	if c.Variant == simAdversarial {
 		if st.SCOK {
 			return fmt.Errorf("%s: SC held — the attack went unmeasured", c.Name())
 		}
@@ -258,29 +259,29 @@ func Check(c Case, st Stats) error {
 	return nil
 }
 
-// Cases returns the case table, smallest first. The -adv rows track the
+// simScaleCases returns the case table, smallest first. The -adv rows track the
 // attack-scenario pipeline cost beside the benign runs, the -stream row
 // runs the identical workload through the online monitor so the two
 // paths are priced — wall time and peak heap — on the same execution,
 // and each -met row has a bare sibling for the instrumentation overhead.
-func Cases() []Case {
-	return []Case{
+func simScaleCases() []simCase {
+	return []simCase{
 		{N: 16, Blocks: 5_000, Seed: 42},
-		{N: 16, Blocks: 5_000, Seed: 42, Variant: Adversarial},
+		{N: 16, Blocks: 5_000, Seed: 42, Variant: simAdversarial},
 		{N: 64, Blocks: 5_000, Seed: 42},
-		{N: 64, Blocks: 5_000, Seed: 42, Variant: Metered},
-		{N: 64, Blocks: 5_000, Seed: 42, Variant: Adversarial},
+		{N: 64, Blocks: 5_000, Seed: 42, Variant: simMetered},
+		{N: 64, Blocks: 5_000, Seed: 42, Variant: simAdversarial},
 		{N: 128, Blocks: 5_000, Seed: 42},
 		{N: 128, Blocks: 5_000, Seed: 42, Shards: 4},
 		{N: 64, Blocks: 20_000, Seed: 42},
-		{N: 64, Blocks: 20_000, Seed: 42, Variant: Stream},
+		{N: 64, Blocks: 20_000, Seed: 42, Variant: simStream},
 		{N: 256, Blocks: 2_500, Seed: 42},
-		{N: 256, Blocks: 2_500, Seed: 42, Variant: Adversarial},
+		{N: 256, Blocks: 2_500, Seed: 42, Variant: simAdversarial},
 		{N: 256, Blocks: 2_500, Seed: 42, Shards: 4},
-		{N: 256, Blocks: 2_500, Seed: 42, Shards: 4, Variant: Metered},
+		{N: 256, Blocks: 2_500, Seed: 42, Shards: 4, Variant: simMetered},
 		{N: 1024, Blocks: 1_200, Seed: 42},
-		{N: 1024, Blocks: 1_200, Seed: 42, Variant: Adversarial},
+		{N: 1024, Blocks: 1_200, Seed: 42, Variant: simAdversarial},
 		{N: 1024, Blocks: 1_200, Seed: 42, Shards: 8},
-		{N: 1024, Blocks: 1_200, Seed: 42, Shards: 8, Variant: Adversarial},
+		{N: 1024, Blocks: 1_200, Seed: 42, Shards: 8, Variant: simAdversarial},
 	}
 }
