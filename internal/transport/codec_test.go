@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -140,7 +141,9 @@ func TestCodecTruncationFails(t *testing.T) {
 // every payload that decodes — re-encoding a decoded payload and
 // decoding again yields the same payload. (Byte-identity of the frames
 // themselves is not claimed: varint decoding accepts non-minimal
-// encodings that re-encode canonically.)
+// encodings that re-encode canonically.) A third, which tcpNet's reused
+// read buffer rests on: a decoded payload keeps no reference into the
+// bytes it was decoded from.
 func FuzzFrameCodec(f *testing.F) {
 	seedPayloads := []any{
 		replica.UpdateMsg{Parent: "b12", Block: testBlock()},
@@ -157,9 +160,16 @@ func FuzzFrameCodec(f *testing.F) {
 	}
 	f.Add([]byte{frameInv, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		clean := bytes.Clone(data)
 		payload, err := DecodePayload(data)
 		if err != nil {
 			return // invalid frames just error
+		}
+		for i := range data {
+			data[i] = ^data[i]
+		}
+		if fresh, err := DecodePayload(clean); err != nil || !reflect.DeepEqual(payload, fresh) {
+			t.Fatalf("payload changed when its frame was overwritten:\nheld:  %#v\nfresh: %#v (%v)", payload, fresh, err)
 		}
 		re, err := AppendPayload(nil, payload)
 		if err != nil {

@@ -10,13 +10,18 @@ import (
 )
 
 // event is one unit of work for a node's event loop: either a
-// transport delivery (isMsg) or a closure (client operation, timer
-// callback, crash/restart control).
+// transport delivery (fn is nil) or a closure (client operation, timer
+// callback, crash/restart control). done, when set, is signalled after
+// fn returns — Do's completion.
 type event struct {
-	msg   Message
-	fn    func()
-	isMsg bool
+	msg  Message
+	fn   func()
+	done chan struct{}
 }
+
+// donePool holds Do's completion channels: one slot each, so the loop's
+// signal never blocks, and empty again once Do has received from it.
+var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // Node hosts one replica.Process as an actor: a single event-loop
 // goroutine owns the process, and every touch — message delivery,
@@ -66,7 +71,7 @@ func NewNode(id int, tr Transport) (*Node, error) {
 
 // deliver enqueues a carrier delivery (called from carrier goroutines
 // or peer node loops; non-blocking).
-func (n *Node) deliver(m Message) { n.q.push(event{msg: m, isMsg: true}) }
+func (n *Node) deliver(m Message) { n.q.push(event{msg: m}) }
 
 // Start launches the event loop. Call after every handler is
 // registered and the carrier is dialed.
@@ -96,7 +101,7 @@ func (n *Node) loop() {
 		if !ok {
 			return
 		}
-		if e.isMsg {
+		if e.fn == nil {
 			if n.down.Load() {
 				n.droppedDown++ // deliveries to a crashed node are lost
 				continue
@@ -107,19 +112,24 @@ func (n *Node) loop() {
 			continue
 		}
 		e.fn()
+		if e.done != nil {
+			e.done <- struct{}{}
+		}
 	}
 }
 
 // Do executes fn on the node's event loop and waits for it — the
 // synchronous entry point client load and deployment control use. It
-// reports false (without running fn) when the node has stopped.
+// reports false (without running fn) when the node has stopped. The
+// caller's closure is its only allocation.
 func (n *Node) Do(fn func()) bool {
-	done := make(chan struct{})
-	if !n.q.push(event{fn: func() { defer close(done); fn() }}) {
-		return false
+	done := donePool.Get().(chan struct{})
+	ok := n.q.push(event{fn: fn, done: done})
+	if ok {
+		<-done
 	}
-	<-done
-	return true
+	donePool.Put(done)
+	return ok
 }
 
 // After schedules fn to run on the event loop d from now. The timer is

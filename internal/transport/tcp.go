@@ -17,6 +17,17 @@ import (
 // Per-peer FIFO holds end to end: single queue → single writer →
 // single TCP stream → single reader. Loopback (self) delivery skips
 // the socket and invokes the local callback directly, as chanNet does.
+//
+// Frame ownership: a frame is encoded once, by encodeFrame, and is
+// immutable from the moment it is pushed onto a link's queue. Broadcast
+// pushes the one []byte onto every peer's queue, so n-1 writeLoops read
+// the same bytes concurrently; none of them, and nothing after push, may
+// write to it.
+//
+// Read buffer: each readLoop decodes every frame out of one buffer it
+// reuses, which the next frame overwrites. That is sound only because
+// DecodePayload copies everything it keeps (decoder.str, decoder.bytes;
+// TestReadBufferIsNotAliased and FuzzFrameCodec hold it to that).
 type tcpNet struct {
 	n     int
 	addrs []string // resolved listen addresses, indexed by node
@@ -95,8 +106,16 @@ func (t *tcpNet) acceptLoop(id int, ln net.Listener) {
 	}
 }
 
+// frameCap sizes a fresh frame so that a flooded block (≈ 215 B with
+// two 64-byte hex IDs and a token) is encoded without regrowing.
+const frameCap = 256
+
+// readBufKeep is the largest read buffer a readLoop holds on to between
+// frames; one oversized frame must not pin up to maxFrame per connection.
+const readBufKeep = 64 << 10
+
 // readLoop decodes the peer handshake then frames until the connection
-// drops.
+// drops. A frame is counted delivered once the receiver's inbox has it.
 func (t *tcpNet) readLoop(id int, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -109,6 +128,7 @@ func (t *tcpNet) readLoop(id int, conn net.Conn) {
 	if from < 0 || from >= t.n {
 		return
 	}
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
@@ -117,7 +137,10 @@ func (t *tcpNet) readLoop(id int, conn net.Conn) {
 		if size == 0 || size > maxFrame {
 			return
 		}
-		body := make([]byte, size)
+		if cap(buf) < int(size) {
+			buf = make([]byte, max(int(size), 2*cap(buf)))
+		}
+		body := buf[:size]
 		if _, err := io.ReadFull(r, body); err != nil {
 			return
 		}
@@ -125,8 +148,11 @@ func (t *tcpNet) readLoop(id int, conn net.Conn) {
 		if err != nil {
 			return
 		}
-		t.delivered.Add(1)
 		t.recv[id](Message{From: from, To: id, Payload: payload})
+		t.delivered.Add(1)
+		if cap(buf) > readBufKeep {
+			buf = nil
+		}
 	}
 }
 
@@ -160,8 +186,9 @@ func (t *tcpNet) Dial(id int) error {
 	return nil
 }
 
-// writeLoop drains one link's queue onto its connection. Frames are
-// pre-encoded by Send, so the loop is a pure byte pump.
+// writeLoop drains one link's queue onto its connection. Frames arrive
+// encoded and possibly shared with other links, so the loop is a pure
+// byte pump that only reads them.
 func (t *tcpNet) writeLoop(link *sendLink) {
 	defer t.wg.Done()
 	w := bufio.NewWriter(link.conn)
@@ -183,24 +210,62 @@ func (t *tcpNet) writeLoop(link *sendLink) {
 	}
 }
 
+// encodeFrame encodes payload as one length-prefixed frame.
+func encodeFrame(payload any) ([]byte, error) {
+	buf, err := AppendPayload(make([]byte, 4, frameCap), payload)
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+	return buf, nil
+}
+
 // Send encodes the payload into a frame and queues it on the (from,
 // to) link; self-sends deliver locally without touching a socket.
 func (t *tcpNet) Send(from, to int, payload any) error {
 	if to < 0 || to >= t.n {
 		return fmt.Errorf("transport: send to unknown node %d", to)
 	}
-	t.sent.Add(1)
 	if to == from {
-		t.delivered.Add(1)
-		t.recv[to](Message{From: from, To: to, Payload: payload})
+		t.loopback(from, payload)
 		return nil
 	}
-	buf := make([]byte, 4, 64)
-	buf, err := AppendPayload(buf, payload)
+	frame, err := encodeFrame(payload)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+	return t.enqueue(from, to, frame)
+}
+
+// Broadcast encodes the payload once and queues that one frame on every
+// link out of from — the paper's single send(b_g, b) event with n
+// receives.
+func (t *tcpNet) Broadcast(from int, payload any) error {
+	frame, err := encodeFrame(payload)
+	if err != nil {
+		return err
+	}
+	for to := 0; to < t.n; to++ {
+		if to == from {
+			t.loopback(from, payload)
+		} else if err := t.enqueue(from, to, frame); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loopback hands a node its own payload, undecoded.
+func (t *tcpNet) loopback(id int, payload any) {
+	t.sent.Add(1)
+	t.recv[id](Message{From: id, To: id, Payload: payload})
+	t.delivered.Add(1)
+}
+
+// enqueue pushes an encoded frame onto the (from, to) link. Only a frame
+// a writer will see is counted sent: a refused one would leave sent and
+// delivered apart for good, and settle waiting on them.
+func (t *tcpNet) enqueue(from, to int, frame []byte) error {
 	t.mu.Lock()
 	link := t.out[from][to]
 	closed := t.closed
@@ -211,15 +276,11 @@ func (t *tcpNet) Send(from, to int, payload any) error {
 	if link == nil {
 		return fmt.Errorf("transport: node %d has not dialed node %d", from, to)
 	}
-	link.q.push(buf)
-	return nil
-}
-
-func (t *tcpNet) Broadcast(from int, payload any) error {
-	for to := 0; to < t.n; to++ {
-		if err := t.Send(from, to, payload); err != nil {
-			return err
-		}
+	// Counted before the push, so delivered never runs ahead of sent.
+	t.sent.Add(1)
+	if !link.q.push(frame) {
+		t.sent.Add(-1)
+		return fmt.Errorf("transport: send on closed carrier")
 	}
 	return nil
 }

@@ -182,6 +182,9 @@ func (c *chanNet) Stats() (sent, delivered int64) {
 // cycle); unbounded queues keep Send non-blocking so the flood graph
 // can never cycle-wait. Memory stays bounded in practice by the
 // in-flight load. Node inboxes and TCP writer queues both build on it.
+// A queue moves its items and never looks inside them: tcpNet queues one
+// []byte frame on many links at once, so an item may be shared and is
+// read-only from push on (tcp.go's header has the rule).
 type queue[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
