@@ -22,18 +22,22 @@
 //   - Run options are functional: WithN, WithRounds, WithSeed,
 //     WithDelta, WithDifficulty, WithMerits, WithFaults, WithAdversary,
 //     WithCrashes, WithObserver and friends replace the per-protocol
-//     config structs. WithMonitor/WithStreaming attach the online
-//     consistency monitor (live witnesses, bounded-memory runs);
-//     WithShards moves the simulation onto the sharded deterministic
-//     scheduler — a pure wall-clock knob, specified to leave every
-//     digest byte-identical; WithLive and WithLoad deploy and drive the
-//     system for real. There is one knob set, Config, under both
-//     drivers: a table (options.go) says which driver takes which field,
-//     and an option set where its driver is not is an error naming it.
+//     config structs. Every run is checked by an online consistency
+//     monitor; WithMonitor/WithMonitorK take its live witnesses and
+//     k-Fork bound, WithStreaming runs it in bounded memory. WithShards
+//     moves the simulation onto the sharded deterministic scheduler — a
+//     determinism and race-detection instrument, not an accelerator
+//     (SCALING.md measured no sharded row faster than serial), specified
+//     to leave every digest byte-identical. WithLive and WithLoad deploy
+//     and drive the system for real. There is one knob set, Config,
+//     under both drivers: a table (options.go) says which driver takes
+//     which field, and an option set where its driver is not is an error
+//     naming it.
 //   - Result carries the recorded history, the per-process replica
-//     trees and the fault/adversary event log, plus checker access
-//     (Check, KFork, UpdateAgreement) and a replay Digest: identical
-//     (system, options, seed) triples produce identical digests.
+//     trees and the fault/adversary event log, the monitor's verdicts
+//     (Stream, which Check and KFork read), UpdateAgreement and a replay
+//     Digest: identical (system, options, seed) triples produce
+//     identical digests.
 //
 // A minimal run:
 //
@@ -101,14 +105,13 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("btsim: %s: %w", s.info.Name, err)
 	}
 	cfg.system = s.info.Name
-	// A live run owns its monitor: the monitor options reach it through
-	// Base, not through the simulation's streaming state.
-	if !cfg.Live && (cfg.Monitor || cfg.Streaming || cfg.MonitorK > 0 || cfg.MonitorCheckpoint > 0 || cfg.OnWitness != nil) {
+	// Every run is judged by the monitor that watched it. A live run owns
+	// its monitor: the monitor options reach it through Base.
+	if !cfg.Live {
 		cfg.monrun = &monitorRun{
 			k:         cfg.MonitorK,
 			streaming: cfg.Streaming,
 			segSize:   cfg.StreamSegment,
-			ckptEvery: cfg.MonitorCheckpoint,
 			onWitness: cfg.OnWitness,
 		}
 	}

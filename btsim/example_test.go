@@ -30,10 +30,11 @@ func Example() {
 	// replay digest identical: true
 }
 
-// WithShards moves the run onto the sharded deterministic scheduler.
-// Sharding is purely a wall-clock knob: the contract — pinned by the
-// catalogue-wide digest-diff test — is that every shard count replays
-// the byte-identical history, fault log and digest of the serial run.
+// WithShards moves the run onto the sharded deterministic scheduler, a
+// determinism and race-detection instrument: the contract — pinned by
+// the catalogue-wide digest-diff test — is that every shard count
+// replays the byte-identical history, fault log and digest of the
+// serial run.
 func ExampleWithShards() {
 	opts := func(shards int) []btsim.Option {
 		return []btsim.Option{

@@ -68,29 +68,14 @@ func newObsRun(cfg *Config) *obsRun {
 }
 
 // bind runs inside the protocols.Config.Stream hook, right after the
-// runner built its recorder: it keeps the recorder for witness-latency
-// timestamps and registers the monitor's retained-state gauges when an
-// online monitor rides along.
-func (or *obsRun) bind(rec *history.Recorder, mr *monitorRun) {
+// runner built its recorder and the run's monitor: it keeps the recorder
+// for witness-latency timestamps and registers the monitor's gauges.
+// Stats() walks the retained state — fine at sample points, which sit
+// outside any handler.
+func (or *obsRun) bind(rec *history.Recorder, mon *consistency.Monitor) {
 	or.rec = rec
-	if mr == nil {
-		return
-	}
-	// Probes read mr.mon at sample time, so checkpoint cycles swapping
-	// the monitor pointer are followed. Stats() walks the retained
-	// state — fine at sample points, which sit outside any handler.
-	or.reg.Probe("mon.retained", func() int64 {
-		if mr.mon == nil {
-			return 0
-		}
-		return int64(mr.mon.Stats().Retained)
-	})
-	or.reg.Probe("mon.witnesses", func() int64 {
-		if mr.mon == nil {
-			return 0
-		}
-		return int64(mr.mon.LiveWitnesses())
-	})
+	or.reg.Probe("mon.retained", func() int64 { return int64(mon.Stats().Retained) })
+	or.reg.Probe("mon.witnesses", func() int64 { return int64(mon.LiveWitnesses()) })
 	or.witLat = or.reg.Histogram("mon.witnessLatency", witnessLatencyBounds...)
 }
 
@@ -113,9 +98,7 @@ func (or *obsRun) witness(w consistency.Witness) {
 			formed = t
 		}
 	}
-	if or.witLat != nil {
-		or.witLat.Observe(now - formed)
-	}
+	or.witLat.Observe(now - formed)
 	if or.tr != nil {
 		or.tr.Emit(trace.Event{
 			VT: now, Seq: or.tr.NextWitnessSeq(), Kind: trace.KWitness,

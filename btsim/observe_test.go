@@ -63,7 +63,7 @@ func TestMetricsDigestNeutral(t *testing.T) {
 // and pins the digest value itself, so any drift in what the metrics
 // observe is a conscious re-pin.
 func TestMetricsSnapshotShardIndependent(t *testing.T) {
-	const want = "cb4cd05d48b7fc15"
+	const want = "5c5745837f5e1959"
 	run := func(k int) *btsim.Result {
 		sys, _ := btsim.Lookup("bitcoin")
 		return mustRun(t, sys,
@@ -130,16 +130,15 @@ func TestTraceExport(t *testing.T) {
 }
 
 // TestMonitorMetrics pins the monitor-side instrumentation: a
-// WithMonitor+WithMetrics run samples the monitor's retained-state
-// gauge, and every live witness lands in the detection-latency
-// histogram.
+// WithMetrics run samples its monitor's retained-state gauge, and every
+// live witness lands in the detection-latency histogram.
 func TestMonitorMetrics(t *testing.T) {
 	sys, _ := btsim.Lookup("bitcoin")
 	res := mustRun(t, sys,
 		btsim.WithN(4), btsim.WithRounds(120), btsim.WithSeed(9),
 		btsim.WithReadEvery(15), btsim.WithDifficulty(5),
 		btsim.WithDropNth(3, 2), // a lost update breaks EC → witnesses
-		btsim.WithMonitor(nil), btsim.WithMetrics())
+		btsim.WithMetrics())
 	snap := res.Metrics
 	if snap == nil || res.Stream == nil {
 		t.Fatal("run missing snapshot or stream outcome")

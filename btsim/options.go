@@ -138,8 +138,7 @@ type Progress struct {
 	// series timestamps and trace event times.
 	VirtualTime int64
 	// LiveWitnesses counts the violation witnesses the run's online
-	// monitor has emitted so far (0 when no monitor is attached) — the
-	// live-verdict feed of WithMonitor/WithStreaming runs.
+	// monitor has emitted so far.
 	LiveWitnesses int
 }
 
@@ -193,16 +192,11 @@ type Config struct {
 	// FaultLog forces the network fault-event log on even for benign
 	// runs (it is implied whenever Faults or an Adversary is set).
 	FaultLog bool
-	// Monitor attaches the online consistency monitor; MonitorK > 0 adds
-	// k-Fork Coherence to what it tracks, MonitorCheckpoint > 0 cycles it
-	// through serialize → restore every that many operations, OnWitness
-	// receives each violation witness as it forms. Each of the three
-	// implies Monitor. See WithMonitor, WithMonitorK,
-	// WithMonitorCheckpoint.
-	Monitor           bool
-	MonitorK          int
-	MonitorCheckpoint int
-	OnWitness         func(consistency.Witness)
+	// MonitorK > 0 adds k-Fork Coherence to what the run's online
+	// monitor reports; OnWitness receives each violation witness as it
+	// forms. See WithMonitorK, WithMonitor.
+	MonitorK  int
+	OnWitness func(consistency.Witness)
 	// Streaming records in bounded memory, StreamSegment operations per
 	// sealed segment (0 means history.DefaultSegmentSize). See
 	// WithStreaming.
@@ -228,9 +222,9 @@ type Config struct {
 	// system is stamped by System.Run before the adapter sees the
 	// Config, so Base can label Progress events.
 	system string
-	// monrun is the run's streaming state, created by System.Run when
-	// Monitor/Streaming is on. Config travels by value; the shared
-	// pointer is how Base's hook and the post-run finisher meet.
+	// monrun is a simulated run's monitor state, created by System.Run.
+	// Config travels by value; the shared pointer is how Base's hook and
+	// the post-run finisher meet.
 	monrun *monitorRun
 	// obsrun is the run's observability state (metrics + trace),
 	// created by System.Run when Metrics is on — same pattern as
@@ -316,55 +310,29 @@ func WithObserver(fn func(Progress) bool) Option { return func(c *Config) { c.Ob
 // WithAdversary).
 func WithFaultLog(on bool) Option { return func(c *Config) { c.FaultLog = on } }
 
-// WithMonitor attaches an online consistency monitor: the run's history
-// is checked incrementally as it is recorded, violation witnesses are
-// delivered to onWitness (may be nil) the moment they form, and
-// Result.Stream carries the finalized online verdicts alongside the
-// history, which is still retained — Check() replays it into a second
-// monitor and, on a simulated run, reports the same. A live run always
-// has its monitor attached and always fills Result.Stream from it; there
-// the option only installs onWitness (called from the monitor's consumer
-// goroutine; keep it fast).
+// WithMonitor delivers the violation witnesses of the run's online
+// monitor to onWitness the moment they form. Every run, under either
+// driver, is checked by that monitor and has its verdicts in
+// Result.Stream; this option only installs the callback (live, it is
+// called from the monitor's consumer goroutine; keep it fast).
 func WithMonitor(onWitness func(consistency.Witness)) Option {
-	return func(c *Config) {
-		c.Monitor = true
-		c.OnWitness = onWitness
-	}
+	return func(c *Config) { c.OnWitness = onWitness }
 }
 
 // WithMonitorK additionally tracks k-Fork Coherence online with the
-// given bound (live witnesses at the (k+1)-th token reuse). Implies
-// WithMonitor. The report is Result.Stream.KFork under either driver.
-func WithMonitorK(k int) Option {
-	return func(c *Config) {
-		c.Monitor = true
-		c.MonitorK = k
-	}
-}
-
-// WithMonitorCheckpoint checkpoint-cycles the online monitor every
-// `every` consumed operations (serialize → restore → continue), proving
-// mid-run that online checking is restart-safe: the cycles must not
-// change any finalized verdict, which are in Result.Stream as ever;
-// Result.Stream.Checkpoints counts the cycles. Implies WithMonitor.
-// Simulation only: a deployment's monitor is not cycled.
-func WithMonitorCheckpoint(every int) Option {
-	return func(c *Config) {
-		c.Monitor = true
-		c.MonitorCheckpoint = every
-	}
-}
+// given bound (live witnesses at the (k+1)-th token reuse). The report
+// is Result.Stream.KFork under either driver.
+func WithMonitorK(k int) Option { return func(c *Config) { c.MonitorK = k } }
 
 // WithStreaming runs in bounded-memory mode: operations stream through
 // sealed fixed-size segments (segment ≤ 0 means the default size) into
 // the online monitor and are released — resident memory is independent
 // of run length, which is what makes ≥1M-op runs checkable at all. The
 // trade: Result.History holds only the still-pending operations, so
-// Check() and Digest() see an empty run; Result.Stream is the verdict.
-// Implies WithMonitor.
+// Digest() and the history readers (UpdateAgreement, MonotonicPrefix)
+// see an empty run; Check() and KFork() answer from the monitor.
 func WithStreaming(segment int) Option {
 	return func(c *Config) {
-		c.Monitor = true
 		c.Streaming = true
 		c.StreamSegment = segment
 	}
@@ -377,11 +345,12 @@ func WithStreaming(segment int) Option {
 // delay draws, history recording, fault-log appends) is staged and
 // committed at a merge barrier in exactly the serial execution order.
 // The result — history, digest, fault log, verdicts — is specified to
-// be byte-identical for every k, so sharding is purely a wall-clock
-// knob; the catalogue-wide digest-diff test pins it. k ≤ 1 (the
-// default) is the plain serial scheduler. Consensus-style systems
-// whose handlers are not shard-safe run serially regardless — still
-// correct, just not accelerated.
+// be byte-identical for every k; the catalogue-wide digest-diff test
+// pins it. Sharding is a determinism and race-detection instrument, not
+// an accelerator: SCALING.md measured no sharded row faster than its
+// serial sibling. k ≤ 1 (the default) is the plain serial scheduler.
+// Consensus-style systems whose handlers are not shard-safe run
+// serially regardless.
 func WithShards(k int) Option { return func(c *Config) { c.Shards = k } }
 
 // WithMetrics attaches the deterministic metrics layer: counters,
@@ -499,9 +468,7 @@ var knobs = []knob{
 	{"Drop", "WithDropNth", simOnly, nil},
 	{"Observer", "WithObserver", simOnly, nil},
 	{"FaultLog", "WithFaultLog", simOnly, nil},
-	{"Monitor", "WithMonitor", both, nil},
 	{"MonitorK", "WithMonitorK", both, nonNegative},
-	{"MonitorCheckpoint", "WithMonitorCheckpoint", simOnly, nonNegative},
 	{"OnWitness", "WithMonitor", both, nil},
 	{"Streaming", "WithStreaming", simOnly, nil},
 	{"StreamSegment", "WithStreaming", simOnly, nil},
@@ -555,11 +522,11 @@ func checkCrashes(c *Config, _ reflect.Value) error {
 	return nil
 }
 
-// procs is the run's process count: N, or the shared default
-// (protocols.Config.Norm's) when N is unset.
+// procs is the run's process count: N, or the shared default when N is
+// unset.
 func (c Config) procs() int {
 	if c.N <= 0 {
-		return 4
+		return protocols.DefaultN
 	}
 	return c.N
 }
@@ -618,11 +585,11 @@ func (c Config) Base() protocols.Config {
 	if c.Observer != nil {
 		obs, system, mr := c.Observer, c.system, c.monrun
 		// Progress reports the effective round count: 0 means the
-		// shared default (protocols.Config.Norm), so observers can
-		// guard on p.Round < p.Rounds and compute percentages.
+		// shared default, so observers can guard on p.Round < p.Rounds
+		// and compute percentages.
 		rounds := c.Rounds
 		if rounds <= 0 {
-			rounds = 50
+			rounds = protocols.DefaultRounds
 		}
 		pc.Observer = func(round int, now int64) bool {
 			return obs(Progress{
@@ -632,14 +599,12 @@ func (c Config) Base() protocols.Config {
 			})
 		}
 	}
-	if c.monrun != nil || c.obsrun != nil {
+	if c.monrun != nil {
 		mr, or := c.monrun, c.obsrun
 		pc.Stream = func(rec *history.Recorder, score core.Score) {
-			if mr != nil {
-				mr.bind(rec, score)
-			}
+			mr.bind(rec, score)
 			if or != nil {
-				or.bind(rec, mr)
+				or.bind(rec, mr.mon)
 			}
 		}
 	}

@@ -22,14 +22,10 @@ type Result struct {
 	*protocols.Result
 	// Info is the descriptor of the system that produced the run.
 	Info Info
-	// Stream carries the online monitor's verdicts, under either
-	// driver: a simulated run has them when it was configured with
-	// WithMonitor or WithStreaming (nil otherwise), a WithLive run always
-	// (the deployment's own monitor). With WithMonitor it sits alongside
-	// the retained history — the replay behind Check() and the online
-	// feed behind Stream.SC/EC are diff-tested identical; with
-	// WithStreaming it is the only verdict, since no history was
-	// retained.
+	// Stream carries the verdicts of the online monitor that watched the
+	// run, under either driver: a simulated run's own monitor, a WithLive
+	// run's deployment monitor. It is the run's only verdict; Check()
+	// returns it. With WithStreaming no history is retained beside it.
 	Stream *StreamOutcome
 	// Metrics is the typed metric snapshot of a WithMetrics/WithTrace
 	// run (nil otherwise): counters, histograms, the virtual-time
@@ -45,20 +41,30 @@ type Result struct {
 	// (History, Trees, Creators, ...) hold the live run's evidence, so
 	// Check(), KFork() and the renderers work on it unchanged.
 	Live *transport.LiveResult
+
+	// mon is a simulated run's finalized monitor, which KFork asks.
+	mon *consistency.Monitor
 }
 
-// Check classifies the recorded history against both consistency
-// criteria — BT Strong Consistency and BT Eventual Consistency — by
-// replaying it into a consistency.Monitor. The verdicts carry the
-// per-property reports and counterexample witnesses; their String
-// renderings are print-ready.
+// Check returns the run's verdicts on both consistency criteria — BT
+// Strong Consistency and BT Eventual Consistency — as the online
+// monitor that watched the run reached them (Stream.SC, Stream.EC). The
+// verdicts carry the per-property reports and counterexample witnesses;
+// their String renderings are print-ready.
 func (r *Result) Check() (sc, ec *consistency.Verdict) {
-	return r.checker().Classify(r.History)
+	return r.Stream.SC, r.Stream.EC
 }
 
 // KFork checks k-Fork Coherence — no oracle token reused more than k
-// times — the measured side of the frugal-oracle claim.
+// times — the measured side of the frugal-oracle claim. A simulated run
+// answers from its monitor, which tracks every token group, for any k.
+// A live run's monitor belongs to the deployment and is gone once the
+// run returns (it reports WithMonitorK's k, in Stream.KFork); a live run
+// retains its history, so its KFork replays that.
 func (r *Result) KFork(k int) *consistency.Report {
+	if r.mon != nil {
+		return r.mon.KForkReport(k)
+	}
 	return r.checker().KForkCoherence(r.History, k)
 }
 
@@ -70,7 +76,9 @@ func (r *Result) UpdateAgreement() *consistency.Report {
 
 // MonotonicPrefix checks the Monotonic Prefix Consistency criterion of
 // the paper's reference [20] — each process's successive reads only
-// ever extend — positioned between EC and SC in the hierarchy.
+// ever extend — positioned between EC and SC in the hierarchy. The
+// monitor does not track it: it replays the retained history, which a
+// WithStreaming run does not have.
 func (r *Result) MonotonicPrefix() *consistency.Report {
 	return r.checker().MonotonicPrefix(r.History)
 }

@@ -9,9 +9,9 @@ import (
 
 // TestWithShardsDigestNeutral pins the WithShards contract on every
 // registered system: a sharded run replays to the byte-identical digest
-// of the serial run — sharding is purely a wall-clock knob. Systems
-// whose handlers are order-sensitive simply run serially under the
-// option; either way the digest must not move.
+// of the serial run — sharding is a determinism and race-detection
+// instrument. Systems whose handlers are order-sensitive simply run
+// serially under the option; either way the digest must not move.
 func TestWithShardsDigestNeutral(t *testing.T) {
 	for _, sys := range btsim.Systems() {
 		sys := sys

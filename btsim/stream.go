@@ -6,18 +6,12 @@ import (
 	"repro/internal/history"
 )
 
-// StreamOutcome is the online-monitor side of a Result: the verdicts an
-// attached consistency.Monitor reached by watching the run's history as
-// it was recorded. Check() reaches its verdicts from the same engine, by
-// replaying the retained history into a fresh monitor afterwards; for a
-// simulated run the two are identical (diff-tested over segments,
-// checkpoint cycles and tee mode; see consistency/monitor.go for the
-// live deployment's response-order feed). The streaming side
-// additionally carries the witnesses that were emitted live, and with
-// WithStreaming it is the only verdict there is, since the run retained
-// no history to replay. A WithLive run's outcome is filled from the
-// deployment's own monitor (verdicts, witness count, ops and stats; the
-// segment and checkpoint fields stay zero).
+// StreamOutcome is a run's verdict: what the consistency.Monitor that
+// watched the run's history as it was recorded reached, under either
+// driver. A simulated run's monitor is the recorder's sink (behind the
+// segment sink with WithStreaming, which retains no history); a WithLive
+// run's is the deployment's own (verdicts, witness count, ops and stats;
+// the segment field stays zero). Check() returns its SC and EC.
 type StreamOutcome struct {
 	// Verdicts are the finalized criterion verdicts SC and EC, and KFork,
 	// the k-Fork Coherence report for WithMonitorK's k (nil when no k
@@ -30,12 +24,6 @@ type StreamOutcome struct {
 	// Segments and Ops describe the streamed history: sealed segment
 	// count (WithStreaming only) and operations consumed.
 	Segments, Ops int
-	// Checkpoints counts the checkpoint→restore cycles the monitor went
-	// through mid-run (WithMonitorCheckpoint); CheckpointErr carries
-	// the first cycle failure — nil in any correct run, surfaced rather
-	// than swallowed so tests can pin it.
-	Checkpoints   int
-	CheckpointErr error
 	// Stats is the monitor's retained-state summary — the observable
 	// side of the bounded-memory claim.
 	Stats consistency.MonitorStats
@@ -44,7 +32,7 @@ type StreamOutcome struct {
 // liveKeep caps how many live witnesses a StreamOutcome retains.
 const liveKeep = 64
 
-// monitorRun carries one run's streaming state from option processing
+// monitorRun carries one simulated run's monitor from option processing
 // (sysFunc.Run) through the protocol adapter (Config.Base wires bind as
 // the protocols.Config.Stream hook) to finalization after the run.
 // Config is passed by value everywhere, so the shared pointer is what
@@ -53,64 +41,16 @@ type monitorRun struct {
 	k         int
 	streaming bool
 	segSize   int
-	ckptEvery int
 	onWitness func(consistency.Witness)
 
-	rec    *history.Recorder
-	mon    *consistency.Monitor
-	monCfg consistency.MonitorConfig
-	seg    *history.SegmentSink
-	live   []consistency.Witness
-	n      int
-
-	ckptOps int
-	ckpts   int
-	ckptErr error
+	rec  *history.Recorder
+	mon  *consistency.Monitor
+	seg  *history.SegmentSink
+	live []consistency.Witness
 
 	// obs, when the run also carries the metrics/trace layer, receives
 	// each witness for latency measurement and trace emission.
 	obs *obsRun
-}
-
-// monSink delegates the stream to the run's *current* monitor, so a
-// checkpoint cycle can swap in the restored monitor mid-stream.
-type monSink struct{ mr *monitorRun }
-
-func (s monSink) OpDone(op *history.Op) {
-	s.mr.mon.OpDone(op)
-	s.mr.opConsumed(1)
-}
-func (s monSink) CommDone(e history.CommEvent) { s.mr.mon.CommDone(e) }
-func (s monSink) Faulty(p int)                 { s.mr.mon.Faulty(p) }
-
-// opConsumed advances the checkpoint-cycle countdown.
-func (mr *monitorRun) opConsumed(n int) {
-	if mr.ckptEvery <= 0 || mr.ckptErr != nil {
-		return
-	}
-	mr.ckptOps += n
-	for mr.ckptOps >= mr.ckptEvery {
-		mr.ckptOps -= mr.ckptEvery
-		mr.cycle()
-	}
-}
-
-// cycle is one crash–recovery cut on the observer: serialize the
-// monitor's retained state, restore a fresh monitor from the bytes, and
-// continue on the restored one. Specified to be invisible.
-func (mr *monitorRun) cycle() {
-	data, err := mr.mon.Checkpoint()
-	if err != nil {
-		mr.ckptErr = err
-		return
-	}
-	m2, err := consistency.RestoreMonitor(data, mr.monCfg)
-	if err != nil {
-		mr.ckptErr = err
-		return
-	}
-	mr.mon = m2
-	mr.ckpts++
 }
 
 // bind is the protocols.Config.Stream hook: the runner hands over its
@@ -118,14 +58,13 @@ func (mr *monitorRun) cycle() {
 // before the first operation is recorded.
 func (mr *monitorRun) bind(rec *history.Recorder, score core.Score) {
 	mr.rec = rec
-	mr.monCfg = consistency.MonitorConfig{
+	mr.mon = consistency.NewMonitor(consistency.MonitorConfig{
 		Procs: rec.Procs(),
 		Score: score,
-		P:     core.WellFormed{}, // what Result.Check classifies with
+		P:     core.WellFormed{},
 		K:     mr.k,
 		Table: rec.Table(),
 		OnWitness: func(w consistency.Witness) {
-			mr.n++
 			if len(mr.live) < liveKeep {
 				mr.live = append(mr.live, w)
 			}
@@ -136,24 +75,15 @@ func (mr *monitorRun) bind(rec *history.Recorder, score core.Score) {
 				mr.onWitness(w)
 			}
 		},
+	})
+	if !mr.streaming {
+		rec.SetSink(mr.mon)
+		return
 	}
-	mr.mon = consistency.NewMonitor(mr.monCfg)
-	if mr.streaming {
-		// The segment handler reads mr.mon at delivery time (not a bound
-		// method), so checkpoint cycles swap the consumer too; cycles
-		// land on segment boundaries in this mode.
-		mr.seg = history.NewSegmentSink(mr.segSize, func(seg *history.Segment) {
-			mr.mon.ConsumeSegment(seg)
-			if seg != nil {
-				mr.opConsumed(len(seg.Ops))
-			}
-		})
-		mr.seg.OnFaulty = func(p int) { mr.mon.Faulty(p) }
-		rec.SetSink(mr.seg)
-		rec.SetRetain(false)
-	} else {
-		rec.SetSink(monSink{mr})
-	}
+	mr.seg = history.NewSegmentSink(mr.segSize, mr.mon.ConsumeSegment)
+	mr.seg.OnFaulty = mr.mon.Faulty
+	rec.SetSink(mr.seg)
+	rec.SetRetain(false)
 }
 
 // finish seals the stream, feeds the still-pending operations, and
@@ -171,9 +101,8 @@ func (mr *monitorRun) finish(res *Result) {
 	sc, ec := mr.mon.Finalize()
 	so := &StreamOutcome{
 		Verdicts: consistency.Verdicts{SC: sc, EC: ec},
-		Live:     mr.live, LiveCount: mr.n,
-		Stats:       mr.mon.Stats(),
-		Checkpoints: mr.ckpts, CheckpointErr: mr.ckptErr,
+		Live:     mr.live, LiveCount: mr.mon.LiveWitnesses(),
+		Stats: mr.mon.Stats(),
 	}
 	so.Ops = so.Stats.Ops
 	if mr.seg != nil {
@@ -183,12 +112,14 @@ func (mr *monitorRun) finish(res *Result) {
 		so.KFork = mr.mon.KForkReport(mr.k)
 	}
 	res.Stream = so
+	res.mon = mr.mon
 }
 
-// liveWitnesses is read by the Progress observer wrapper.
+// liveWitnesses is read by the Progress observer wrapper: 0 until the
+// monitor is bound, and for a Config lowered by Base outside System.Run.
 func (mr *monitorRun) liveWitnesses() int {
-	if mr == nil {
+	if mr == nil || mr.mon == nil {
 		return 0
 	}
-	return mr.n
+	return mr.mon.LiveWitnesses()
 }

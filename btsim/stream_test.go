@@ -8,6 +8,9 @@ import (
 	"repro/btsim"
 	_ "repro/btsim/systems"
 	"repro/internal/consistency"
+	"repro/internal/core"
+	"repro/internal/history"
+	"repro/internal/protocols/bitcoin"
 )
 
 // verdictText flattens a verdict for equality checks: OK flags, failing
@@ -40,10 +43,10 @@ func reportText(rep *consistency.Report) string {
 	return b.String()
 }
 
-// TestMonitorMatchesBatchAcrossSystems runs every registered system in
-// tee mode (monitor attached, history retained) and requires the online
-// verdicts to equal Check()'s replay of the retained history exactly —
-// including an adversarial bitcoin run that actually violates
+// TestMonitorMatchesBatchAcrossSystems runs every registered system and
+// requires the verdicts of the monitor that watched the run (Stream) to
+// equal an explicit consistency.Checker replay of the retained history
+// exactly — including an adversarial bitcoin run that actually violates
 // properties. (The replay is held to the definitions, one run per
 // system, by consistency.TestClassifyMatchesOracleOnRuns.)
 func TestMonitorMatchesBatchAcrossSystems(t *testing.T) {
@@ -68,22 +71,22 @@ func TestMonitorMatchesBatchAcrossSystems(t *testing.T) {
 	}})
 
 	for _, r := range runs {
-		opts := append(r.opts, btsim.WithMonitor(nil), btsim.WithMonitorK(1))
-		res, err := btsim.Run(r.name, opts...)
+		res, err := btsim.Run(r.name, append(r.opts, btsim.WithMonitorK(1))...)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
 		if res.Stream == nil {
-			t.Fatalf("%s: no StreamOutcome despite WithMonitor", r.name)
+			t.Fatalf("%s: no StreamOutcome", r.name)
 		}
-		bsc, bec := res.Check()
+		chk := consistency.NewChecker(res.Score, core.WellFormed{})
+		bsc, bec := chk.Classify(res.History)
 		if got, want := verdictText(res.Stream.SC), verdictText(bsc); got != want {
 			t.Errorf("%s: SC stream != replay:\n--- replay ---\n%s--- stream ---\n%s", r.name, want, got)
 		}
 		if got, want := verdictText(res.Stream.EC), verdictText(bec); got != want {
 			t.Errorf("%s: EC stream != replay:\n--- replay ---\n%s--- stream ---\n%s", r.name, want, got)
 		}
-		if got, want := reportText(res.Stream.KFork), reportText(res.KFork(1)); got != want {
+		if got, want := reportText(res.Stream.KFork), reportText(chk.KForkCoherence(res.History, 1)); got != want {
 			t.Errorf("%s: KFork stream != replay:\n--- replay ---\n%s--- stream ---\n%s", r.name, want, got)
 		}
 		if res.Stream.Ops == 0 {
@@ -93,16 +96,16 @@ func TestMonitorMatchesBatchAcrossSystems(t *testing.T) {
 }
 
 // TestStreamingModeMatchesTeeMode runs the same configuration twice —
-// bounded-memory streaming vs. monitor-with-history — and requires
-// identical verdicts, while the streaming run's Result.History must not
-// have retained the run.
+// bounded-memory streaming vs. history retained beside the monitor — and
+// requires identical verdicts, while the streaming run's Result.History
+// must not have retained the run.
 func TestStreamingModeMatchesTeeMode(t *testing.T) {
 	base := []btsim.Option{
 		btsim.WithN(4), btsim.WithRounds(60), btsim.WithSeed(5),
 		btsim.WithMerits(1, 1, 1, 2),
 		btsim.WithAdversary(btsim.Adversary{Strategy: btsim.Selfish, Lead: 2}),
 	}
-	tee, err := btsim.Run("bitcoin", append(base[:len(base):len(base)], btsim.WithMonitor(nil))...)
+	tee, err := btsim.Run("bitcoin", base...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,36 +129,73 @@ func TestStreamingModeMatchesTeeMode(t *testing.T) {
 }
 
 // TestStreamingCheckpointCycles pins checkpoint cycling in
-// bounded-memory mode: with WithStreaming + WithMonitorCheckpoint the
-// monitor is serialized and restored at segment boundaries, and the
-// finalized verdicts still match an uncycled streaming run exactly —
-// restart-safe online checking without retained history.
+// bounded-memory mode on a real run: the run's segment sink feeds a
+// monitor that is serialized and restored at segment boundaries (every
+// 10 consumed operations or more), wired through protocols.Config.Stream
+// the way WithStreaming wires its own, and the finalized verdicts still
+// match a plain WithStreaming run exactly — restart-safe online checking
+// without retained history.
 func TestStreamingCheckpointCycles(t *testing.T) {
-	base := []btsim.Option{
+	cfg := btsim.NewConfig(
 		btsim.WithN(4), btsim.WithRounds(60), btsim.WithSeed(5),
 		btsim.WithMerits(1, 1, 1, 2),
 		btsim.WithAdversary(btsim.Adversary{Strategy: btsim.Selfish, Lead: 2}),
 		btsim.WithStreaming(8),
-	}
-	plain, err := btsim.Run("bitcoin", base[:len(base):len(base)]...)
+	)
+	sys, _ := btsim.Lookup("bitcoin")
+	plain, err := sys.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycled, err := btsim.Run("bitcoin", append(base[:len(base):len(base)], btsim.WithMonitorCheckpoint(10))...)
-	if err != nil {
-		t.Fatal(err)
+
+	var (
+		rec      *history.Recorder
+		mon      *consistency.Monitor
+		seg      *history.SegmentSink
+		mcfg     consistency.MonitorConfig
+		consumed int
+		cycles   int
+	)
+	pc := cfg.Base()
+	pc.Stream = func(r *history.Recorder, score core.Score) {
+		rec = r
+		mcfg = consistency.MonitorConfig{Procs: r.Procs(), Score: score, P: core.WellFormed{}, Table: r.Table()}
+		mon = consistency.NewMonitor(mcfg)
+		seg = history.NewSegmentSink(cfg.StreamSegment, func(s *history.Segment) {
+			mon.ConsumeSegment(s)
+			if s == nil {
+				return
+			}
+			if consumed += len(s.Ops); consumed < 10 {
+				return
+			}
+			consumed = 0
+			data, err := mon.Checkpoint()
+			if err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+			if mon, err = consistency.RestoreMonitor(data, mcfg); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			cycles++
+		})
+		seg.OnFaulty = func(p int) { mon.Faulty(p) }
+		r.SetSink(seg)
+		r.SetRetain(false)
 	}
-	so := cycled.Stream
-	if so.CheckpointErr != nil {
-		t.Fatalf("checkpoint cycle failed: %v", so.CheckpointErr)
+	bitcoin.Run(bitcoin.Config{Config: pc})
+	seg.Seal()
+	for _, op := range rec.PendingOps() {
+		mon.OpPending(op)
 	}
-	if so.Checkpoints == 0 {
-		t.Fatalf("run consumed %d ops but never cycled", so.Ops)
+	sc, ec := mon.Finalize()
+	if cycles == 0 {
+		t.Fatalf("%d segments sealed but the monitor never cycled", seg.Sealed())
 	}
-	if got, want := verdictText(so.SC), verdictText(plain.Stream.SC); got != want {
+	if got, want := verdictText(sc), verdictText(plain.Stream.SC); got != want {
 		t.Errorf("cycled SC != plain SC:\n--- plain ---\n%s--- cycled ---\n%s", want, got)
 	}
-	if got, want := verdictText(so.EC), verdictText(plain.Stream.EC); got != want {
+	if got, want := verdictText(ec), verdictText(plain.Stream.EC); got != want {
 		t.Errorf("cycled EC != plain EC:\n--- plain ---\n%s--- cycled ---\n%s", want, got)
 	}
 }

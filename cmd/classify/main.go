@@ -11,11 +11,10 @@
 // With -system, only that registered system is run and classified (any
 // entry of btsim.Names()). With -seeds K > 1 the classification is
 // repeated over K consecutive seeds and a stability summary is printed
-// (how often each row matched). With -stream the run is checked by the
-// online consistency monitor instead of a replay afterwards: violation
-// witnesses print incrementally as they form, followed by the finalized
-// verdicts; -adversary (selfish, withhold, equivocate) makes witnesses
-// actually appear.
+// (how often each row matched). With -stream the witnesses of the online
+// consistency monitor that checks every run print incrementally as they
+// form, followed by its finalized verdicts; -adversary (selfish,
+// withhold, equivocate) makes witnesses actually appear.
 package main
 
 import (
@@ -102,9 +101,9 @@ func main() {
 	}
 }
 
-// classifyStream runs one system with the online monitor attached,
-// printing each violation witness the moment it forms and the finalized
-// streaming verdicts afterwards. Returns whether the run was usable.
+// classifyStream runs one system, printing each violation witness of its
+// online monitor the moment it forms and the finalized verdicts
+// afterwards. Returns whether the run was usable.
 func classifyStream(name string, seed uint64, adv string) bool {
 	sys, err := btsim.Get(name)
 	if err != nil {

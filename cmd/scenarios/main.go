@@ -12,17 +12,14 @@
 //
 // Usage:
 //
-//	scenarios [-list] [-only substr] [-seed N] [-sweep K] [-workers W] [-v] [-check] [-stream] [-json]
+//	scenarios [-list] [-only substr] [-seed N] [-sweep K] [-workers W] [-v] [-check] [-json]
 //	          [-long full|smoke] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -list prints the catalogue and the registered systems; -seed
 // overrides every pinned seed; -sweep K re-runs each scenario at K
 // consecutive seeds (parallel) and reports how often each property
 // broke; -check exits non-zero when a scenario fails to measure a
-// violation the paper predicts (CI smoke); -stream checks every
-// scenario with the online consistency monitor and exits non-zero if
-// any outcome diverges from the replay of the retained history; -json
-// emits the matrix as
+// violation the paper predicts (CI smoke); -json emits the matrix as
 // machine-readable JSON (one object per run, with per-property
 // verdicts and witnesses) instead of the rendered tables; -long runs the
 // streaming-only ≥1M-op scenario ("smoke" is the scaled CI variant);
@@ -54,7 +51,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print every witness and the fault-event log")
 	check := flag.Bool("check", false, "exit 1 if a predicted violation goes unmeasured")
 	jsonOut := flag.Bool("json", false, "emit the violation matrix as JSON instead of the rendered tables")
-	stream := flag.Bool("stream", false, "check with the online monitor and diff every outcome against the replay of the retained history")
 	long := flag.String("long", "", `run the streaming-only long-run scenario: "full" (≥1M ops) or "smoke" (CI scale)`)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (at exit) to this file")
@@ -107,19 +103,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scenarios:", err)
 			os.Exit(2)
-		}
-		if *stream {
-			so, err := spec.RunStream(*seed)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scenarios:", err)
-				os.Exit(2)
-			}
-			if so.Digest != o.Digest || fmt.Sprint(so.Violated) != fmt.Sprint(o.Violated) {
-				fmt.Fprintf(os.Stderr, "scenarios: %s: online feed diverges from the replay (digest %s vs %s, violated %v vs %v)\n",
-					spec.Name, so.Digest, o.Digest, so.Violated, o.Violated)
-				os.Exit(2)
-			}
-			o = so // identical by construction; report the streamed one
 		}
 		outs = append(outs, o)
 		if missing := o.MissingExpected(); len(missing) > 0 {

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	trace [-system name] [-n N] [-rounds R] [-seed S] [-shards K]
-//	      [-difficulty D] [-read-every E] [-drop nth,to] [-monitor]
+//	      [-difficulty D] [-read-every E] [-drop nth,to]
 //	      [-sample S] [-limit L] [-format chrome|jsonl] [-o file]
 //	      [-lanes] [-check file]
 //
@@ -45,7 +45,6 @@ func main() {
 	difficulty := flag.Float64("difficulty", 5, "PoW difficulty (PoW systems)")
 	readEvery := flag.Int64("read-every", 15, "issue a read every this many virtual-time units")
 	drop := flag.String("drop", "", `drop every nth message to a replica, as "nth,to"`)
-	monitor := flag.Bool("monitor", false, "attach the online consistency monitor (adds mon.* series and witness events)")
 	sample := flag.Int64("sample", 1, "keep one in S common events (rare kinds always kept)")
 	limit := flag.Int("limit", 0, "cap retained events (0 = library default)")
 	format := flag.String("format", "chrome", `output format: "chrome" (Perfetto-loadable) or "jsonl"`)
@@ -75,9 +74,6 @@ func main() {
 			fatalf("bad -drop %q (want \"nth,to\"): %v", *drop, err)
 		}
 		opts = append(opts, btsim.WithDropNth(nth, to))
-	}
-	if *monitor {
-		opts = append(opts, btsim.WithMonitor(nil))
 	}
 
 	// The run always traces into a buffer; -lanes needs the parseable
@@ -218,8 +214,8 @@ func renderLanes(w io.Writer, res *btsim.Result, events []trace.Event) {
 		fmt.Fprintf(w, "%-13s |%s| F=fault C=crash R=restart E=epoch S=stall W=witness\n", "events", lane)
 	}
 
-	// Monitor-state timeline (or scheduler queue depth when the online
-	// monitor is not attached) from the snapshot's sampled series.
+	// Monitor-state timeline and scheduler queue depth from the
+	// snapshot's sampled series.
 	if res.Metrics != nil {
 		for _, col := range []string{"mon.retained", "mon.witnesses", "sim.queue"} {
 			renderSeriesLane(w, res, col, vtMax, bucket)

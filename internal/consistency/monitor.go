@@ -50,8 +50,9 @@
 //     deployment's AsyncSink: OK flags and the set of violated
 //     properties are identical. Strong Prefix breaks ties between reads
 //     of equal chain length by arrival, so the incomparable *pairs* it
-//     reports may differ from those Result.Check() reports on the same
-//     retained history, and the Checked counts of a full
+//     reports may differ from those a Checker replay of the same
+//     retained history reports (a run's Result.Check() is this monitor's
+//     verdict, not that replay), and the Checked counts of a full
 //     EverGrowingTree report and of EventualPrefix are reconstructed
 //     from arrival positions.
 //

@@ -26,12 +26,19 @@ import (
 	"repro/internal/transport"
 )
 
+// The run defaults Norm fills in; btsim reads them from here.
+const (
+	DefaultN      = 4
+	DefaultRounds = 50
+)
+
 // Config is the common knob set. Protocol-specific knobs live in each
 // sub-package's own config embedding this one.
 type Config struct {
-	// N is the number of processes.
+	// N is the number of processes (0 means DefaultN).
 	N int
-	// Rounds is the number of protocol rounds (ticks / heights).
+	// Rounds is the number of protocol rounds — ticks / heights (0 means
+	// DefaultRounds).
 	Rounds int
 	// Seed drives all randomness.
 	Seed uint64
@@ -83,9 +90,9 @@ type Config struct {
 	Stream func(rec *history.Recorder, score core.Score)
 	// Shards runs the simulation on a sharded scheduler with that many
 	// worker shards (simnet.EnableSharding). 0 or 1 is the serial
-	// scheduler — today's exact behavior; any value is specified to
-	// produce a byte-identical history and digest, so this is purely a
-	// wall-clock knob.
+	// scheduler; any value is specified to produce a byte-identical
+	// history and digest. It is a determinism and race-detection
+	// instrument, not an accelerator (SCALING.md).
 	Shards int
 	// Metrics, when set, is the registry every layer of the run hangs
 	// its deterministic counters and virtual-time-sampled gauges on.
@@ -127,10 +134,10 @@ func (c *Config) Tick(round int, now int64) bool {
 // that Σ α_p = 1 (the convention every Section 5 mapping states).
 func (c *Config) Norm() []tape.Merit {
 	if c.N <= 0 {
-		c.N = 4
+		c.N = DefaultN
 	}
 	if c.Rounds <= 0 {
-		c.Rounds = 50
+		c.Rounds = DefaultRounds
 	}
 	if c.ReadEvery <= 0 {
 		c.ReadEvery = 10

@@ -24,7 +24,7 @@ func TestMetricsDigestNeutralityCatalogue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := spec.config(spec.Seed, false)
+			cfg := spec.config(spec.Seed)
 			bare, err := sys.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -61,7 +61,7 @@ func TestTraceSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	cfg := spec.config(spec.Seed, false)
+	cfg := spec.config(spec.Seed)
 	btsim.WithTrace(&buf, btsim.TraceOptions{SampleEvery: 2})(&cfg)
 	if _, err := sys.Run(cfg); err != nil {
 		t.Fatal(err)

@@ -40,8 +40,9 @@ type Spec struct {
 	// Config is the run itself, in the public knob set and nowhere
 	// else: N, Rounds, Seed, Merits, Faults, Crashes, Adversary, Shards
 	// and, for a deployed entry, Live and Load. Its fields are promoted,
-	// so spec.N and spec.Shards = 4 read and write them. Run turns the fault log on and overrides Seed when asked to;
-	// RunStream additionally attaches the online monitor.
+	// so spec.N and spec.Shards = 4 read and write them. Run turns the
+	// fault log on, sets MonitorK to CheckK and overrides Seed when asked
+	// to.
 	btsim.Config
 	// CheckK, when > 0, additionally checks k-Fork Coherence with this
 	// bound (set it to the frugal oracle's k).
@@ -85,31 +86,11 @@ func (o *Outcome) MissingExpected() []string {
 }
 
 // Run executes the scenario with the given seed (0 means Spec.Seed) and
-// checks it. An unregistered System (or any other invalid knob) returns
-// an error naming the registered options — never a silent zero outcome.
-func (s Spec) Run(seed uint64) (*Outcome, error) { return s.run(seed, false) }
-
-// RunStream executes the scenario with the online consistency monitor
-// attached and builds the Outcome from its verdicts (Result.Stream,
-// under either driver) instead of the replay behind Check(). The history
-// is still retained (tee mode), so the replay Digest folds the same run
-// content — a simulated scenario's RunStream digest equals its Run digest
-// exactly; the determinism suite pins this for the whole catalogue.
-func (s Spec) RunStream(seed uint64) (*Outcome, error) { return s.run(seed, true) }
-
-// config is the spec's Config as one run takes it. online says whether
-// the outcome is built from the online monitor's verdicts.
-func (s Spec) config(seed uint64, online bool) btsim.Config {
-	cfg := s.Config
-	cfg.Seed = seed
-	cfg.FaultLog = !cfg.Live // a simulated scenario always shows its fault events
-	if online {
-		cfg.Monitor, cfg.MonitorK = true, s.CheckK
-	}
-	return cfg
-}
-
-func (s Spec) run(seed uint64, stream bool) (*Outcome, error) {
+// builds the Outcome from the verdicts of the online monitor that
+// watched the run (Result.Stream, under either driver). An unregistered
+// System (or any other invalid knob) returns an error naming the
+// registered options — never a silent zero outcome.
+func (s Spec) Run(seed uint64) (*Outcome, error) {
 	if seed == 0 {
 		seed = s.Seed
 	}
@@ -117,35 +98,40 @@ func (s Spec) run(seed uint64, stream bool) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	// A spec that streams retains no history: there is nothing to replay,
-	// and the online verdicts are the only ones.
-	online := stream || s.Streaming
-	res, err := sys.Run(s.config(seed, online))
+	res, err := sys.Run(s.config(seed))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
+	o := &Outcome{Spec: s, Seed: seed, Res: res}
+	o.judge(res.Stream.Verdicts)
+	return o, nil
+}
 
-	o := &Outcome{Spec: s, Seed: seed, Res: res, Witnesses: map[string]consistency.Witness{}}
-	if online {
-		o.Verdicts = res.Stream.Verdicts
-	} else {
-		o.SC, o.EC = res.Check()
-		if s.CheckK > 0 {
-			o.KFork = res.KFork(s.CheckK)
-		}
+// config is the spec's Config as one run takes it.
+func (s Spec) config(seed uint64) btsim.Config {
+	cfg := s.Config
+	cfg.Seed = seed
+	cfg.FaultLog = !cfg.Live // a simulated scenario always shows its fault events
+	cfg.MonitorK = s.CheckK
+	return cfg
+}
+
+// judge derives everything an Outcome states from the verdicts: the
+// violated set, the first witness per property and the digest.
+func (o *Outcome) judge(v consistency.Verdicts) {
+	o.Verdicts = v
+	o.Violated = v.Violated()
+	witnesses := append(v.SC.Witnesses(), v.EC.Witnesses()...)
+	if v.KFork != nil {
+		witnesses = append(witnesses, v.KFork.Witnesses...)
 	}
-	o.Violated = o.Verdicts.Violated()
-	witnesses := append(o.SC.Witnesses(), o.EC.Witnesses()...)
-	if o.KFork != nil {
-		witnesses = append(witnesses, o.KFork.Witnesses...)
-	}
+	o.Witnesses = map[string]consistency.Witness{}
 	for _, w := range witnesses {
 		if _, ok := o.Witnesses[w.Property]; !ok {
 			o.Witnesses[w.Property] = w
 		}
 	}
 	o.Digest = Digest(o)
-	return o, nil
 }
 
 // MustRun is Run for specs known to be valid — the static catalogue,

@@ -9,9 +9,9 @@ import (
 // — benign, adversarial, partitioned, crashing — run with shards=4 must
 // produce the byte-identical replay digest (operations, communication
 // events, replica trees, fault log, verdicts) as its serial run. This
-// is the diff test behind the "sharding is purely a wall-clock knob"
-// specification; with the serial digests pinned in the root
-// determinism test, it transitively pins the sharded ones too.
+// is the diff test behind sharding as a determinism and race-detection
+// instrument; with the serial digests pinned in the root determinism
+// test, it transitively pins the sharded ones too.
 func TestShardDigestEquivalenceCatalogue(t *testing.T) {
 	for _, spec := range Catalogue() {
 		spec := spec

@@ -8,6 +8,8 @@ import (
 
 	"repro/btsim"
 	"repro/internal/consistency"
+	"repro/internal/core"
+	"repro/internal/history"
 )
 
 // outcomeText flattens everything an Outcome derives from the verdicts:
@@ -44,64 +46,137 @@ func outcomeText(o *Outcome) string {
 	return b.String()
 }
 
+// rejudged is o with its verdicts replaced by v and everything an
+// Outcome derives from them (violated set, witnesses, digest) derived
+// again — the other side of a byte-for-byte outcomeText comparison.
+func rejudged(o *Outcome, v consistency.Verdicts) *Outcome {
+	r := &Outcome{Spec: o.Spec, Seed: o.Seed, Res: o.Res}
+	r.judge(v)
+	return r
+}
+
 // TestStreamingMatchesBatchCatalogue is the acceptance diff test: every
-// pinned scenario run twice — Classify's replay of the retained history
-// vs. the monitor fed online — must produce byte-identical outcomes
-// (digest, verdicts, violations, witnesses). Both sides are the Monitor;
-// what holds it to the definitions on these runs is
+// pinned scenario's outcome — built from the verdicts of the monitor
+// that watched the run — must equal byte for byte (digest, verdicts,
+// violations, witnesses) an explicit consistency.Checker replay of the
+// run's retained history. Both sides are the Monitor; what holds it to
+// the definitions on these runs is
 // consistency.TestClassifyMatchesOracleOnRuns.
 func TestStreamingMatchesBatchCatalogue(t *testing.T) {
 	for _, spec := range Catalogue() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			batch, err := spec.Run(0)
+			online, err := spec.Run(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, err := spec.RunStream(0)
-			if err != nil {
-				t.Fatal(err)
+			h := online.Res.History
+			chk := consistency.NewChecker(online.Res.Score, core.WellFormed{})
+			var v consistency.Verdicts
+			v.SC, v.EC = chk.Classify(h)
+			if spec.CheckK > 0 {
+				v.KFork = chk.KForkCoherence(h, spec.CheckK)
 			}
-			want, got := outcomeText(batch), outcomeText(stream)
+			want, got := outcomeText(rejudged(online, v)), outcomeText(online)
 			if got != want {
-				t.Errorf("online outcome differs from the replay:\n--- replay ---\n%s--- stream ---\n%s", want, got)
+				t.Errorf("online outcome differs from the replay:\n--- replay ---\n%s--- online ---\n%s", want, got)
 			}
 		})
 	}
 }
 
+// cycledReplay feeds h to a monitor the way Checker's replay does —
+// faulty processes first, then the operations in recording order — and
+// checkpoint-cycles it every `every` operations: serialize, restore a
+// fresh monitor from the bytes, continue on the restored one.
+func cycledReplay(t *testing.T, h *history.History, score core.Score, k, every int) (v consistency.Verdicts, cycles int) {
+	t.Helper()
+	cfg := consistency.MonitorConfig{Procs: h.Procs, Score: score, P: core.WellFormed{}, K: k, Table: h.Table}
+	m := consistency.NewMonitor(cfg)
+	for p, ok := range h.Correct {
+		if !ok {
+			m.Faulty(p)
+		}
+	}
+	for i, op := range h.Ops {
+		if op.Pending {
+			m.OpPending(op)
+		} else {
+			m.OpDone(op)
+		}
+		if (i+1)%every != 0 {
+			continue
+		}
+		data, err := m.Checkpoint()
+		if err != nil {
+			t.Fatalf("checkpoint after %d ops: %v", i+1, err)
+		}
+		if m, err = consistency.RestoreMonitor(data, cfg); err != nil {
+			t.Fatalf("restore after %d ops: %v", i+1, err)
+		}
+		cycles++
+	}
+	v.SC, v.EC = m.Finalize()
+	if k > 0 {
+		v.KFork = m.KForkReport(k)
+	}
+	return v, cycles
+}
+
 // TestCheckpointedStreamingMatchesBatchCatalogue is the restart-safety
-// acceptance diff: every pinned scenario re-run with the online monitor
-// checkpoint-cycled every 64 operations (serialize → restore →
-// continue) must still produce the byte-identical outcome — digest,
-// verdicts, violations, witnesses — proving a crashed-and-recovered
-// monitor is indistinguishable from one that never went down.
+// acceptance diff: every pinned scenario's retained history replayed
+// through a monitor checkpoint-cycled every 64 operations (serialize →
+// restore → continue) must give the byte-identical outcome — digest,
+// verdicts, violations, witnesses — the run's own monitor gave, proving
+// a crashed-and-recovered monitor is indistinguishable from one that
+// never went down.
 func TestCheckpointedStreamingMatchesBatchCatalogue(t *testing.T) {
 	for _, spec := range Catalogue() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			batch, err := spec.Run(0)
+			online, err := spec.Run(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.MonitorCheckpoint = 64
-			stream, err := spec.RunStream(0)
-			if err != nil {
-				t.Fatal(err)
+			v, cycles := cycledReplay(t, online.Res.History, online.Res.Score, spec.CheckK, 64)
+			if cycles == 0 {
+				t.Fatalf("%d ops replayed but the monitor never cycled", len(online.Res.History.Ops))
 			}
-			so := stream.Res.Stream
-			if so.CheckpointErr != nil {
-				t.Fatalf("checkpoint cycle failed: %v", so.CheckpointErr)
-			}
-			if so.Checkpoints == 0 {
-				t.Fatalf("run consumed %d ops but never cycled the monitor", so.Ops)
-			}
-			want, got := outcomeText(batch), outcomeText(stream)
+			want, got := outcomeText(online), outcomeText(rejudged(online, v))
 			if got != want {
-				t.Errorf("checkpointed online outcome differs from the replay (%d cycles):\n--- replay ---\n%s--- checkpointed ---\n%s",
-					so.Checkpoints, want, got)
+				t.Errorf("checkpointed replay differs from the online outcome (%d cycles):\n--- online ---\n%s--- checkpointed ---\n%s",
+					cycles, want, got)
+			}
+		})
+	}
+}
+
+// TestStreamedCheckIsTheMonitors: a WithStreaming run retains no
+// history, so a replay behind Check() or KFork() would judge an empty run
+// and find nothing. On three catalogue entries that break properties,
+// streamed, Check() and KFork(1) must report what the run's own monitor
+// found — the violations the same run measures with its history kept.
+func TestStreamedCheckIsTheMonitors(t *testing.T) {
+	for _, name := range []string{"bitcoin/selfish", "bitcoin/crash-amnesia", "fabric/equivocate"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			spec := *ByName(name)
+			spec.CheckK = 1
+			kept := spec.MustRun(0)
+			spec.Streaming = true
+			o := spec.MustRun(0)
+			if len(o.Res.History.Ops) >= len(kept.Res.History.Ops) {
+				t.Fatalf("the streamed run retained its history: %d ops (kept: %d)", len(o.Res.History.Ops), len(kept.Res.History.Ops))
+			}
+			if len(o.Violated) == 0 || fmt.Sprint(o.Violated) != fmt.Sprint(kept.Violated) {
+				t.Fatalf("streamed run violated %v, the kept run %v", o.Violated, kept.Violated)
+			}
+			sc, ec := o.Res.Check()
+			checked := rejudged(o, consistency.Verdicts{SC: sc, EC: ec, KFork: o.Res.KFork(1)})
+			if want, got := outcomeText(o), outcomeText(checked); got != want {
+				t.Errorf("Check()/KFork(1) differ from Stream:\n--- Stream ---\n%s--- Check/KFork ---\n%s", want, got)
 			}
 		})
 	}
@@ -146,25 +221,24 @@ func TestLongRunStreamingSmoke(t *testing.T) {
 	}
 }
 
-// TestLiveSpecRunStream: a catalogue entry may carry Live/Load, and the
-// online verdicts of a deployed run are in Result.Stream like a
-// simulated one's, so RunStream judges it (it used to dereference a nil
-// Stream) and agrees with the replay behind Run on a benign run.
+// TestLiveSpecRunStream: a catalogue entry may carry Live/Load. A
+// deployed run's verdicts are in Result.Stream like a simulated one's, so
+// Run judges it from there (a live spec once dereferenced a nil Stream),
+// and Check() reports the same verdicts.
 func TestLiveSpecRunStream(t *testing.T) {
 	spec := Spec{Name: "live/bitcoin", System: "bitcoin",
 		Config: btsim.Config{N: 4, Live: true, Load: btsim.Load{Appends: 50}}}
-	replay, err := spec.Run(0)
+	o, err := spec.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	online, err := spec.RunStream(0)
-	if err != nil {
-		t.Fatal(err)
+	if o.SC == nil || o.EC == nil || o.Res.Stream.Ops == 0 {
+		t.Fatalf("live spec: verdicts %v/%v over %d ops", o.SC, o.EC, o.Res.Stream.Ops)
 	}
-	if online.SC == nil || online.EC == nil || online.Res.Stream.Ops == 0 {
-		t.Fatalf("RunStream on a live spec: verdicts %v/%v over %d ops", online.SC, online.EC, online.Res.Stream.Ops)
+	if len(o.Violated) != 0 {
+		t.Errorf("benign live run violated %v", o.Violated)
 	}
-	if len(replay.Violated) != 0 || len(online.Violated) != 0 {
-		t.Errorf("benign live run: Run violated %v, RunStream violated %v", replay.Violated, online.Violated)
+	if sc, ec := o.Res.Check(); sc != o.SC || ec != o.EC {
+		t.Errorf("Check() on a live run: %v/%v, Stream: %v/%v", sc, ec, o.SC, o.EC)
 	}
 }

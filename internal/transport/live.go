@@ -43,7 +43,7 @@ type Profile struct {
 type LiveConfig struct {
 	// Transport names the carrier: "chan" (default) or "tcp".
 	Transport string
-	// N is the node count; Seed drives the oracle and load shuffling;
+	// N is the node count (≥ 1); Seed drives the oracle and load shuffling;
 	// Merits are the normalized α_p column (nil = uniform).
 	N      int
 	Seed   uint64
@@ -96,7 +96,9 @@ const (
 
 func (c *LiveConfig) norm() error {
 	if c.N <= 0 {
-		c.N = 4
+		// The run defaults are protocols' (Config.Norm, which RunLive
+		// applies first); this package cannot import it.
+		return fmt.Errorf("transport: a live run needs N ≥ 1 nodes, got %d", c.N)
 	}
 	if c.Clients <= 0 {
 		c.Clients = 2

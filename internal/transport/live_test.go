@@ -117,6 +117,10 @@ func TestLiveRunNeedsABound(t *testing.T) {
 	if _, err := Run(LiveConfig{Transport: "chan", N: 2}, testProfile()); err == nil {
 		t.Fatal("unbounded live run accepted")
 	}
+	// N has no default here: protocols.Config.Norm supplies it.
+	if _, err := Run(LiveConfig{Transport: "chan", MaxAppends: 5}, testProfile()); err == nil {
+		t.Fatal("live run without nodes accepted")
+	}
 }
 
 func TestLiveRunTCP(t *testing.T) {
