@@ -35,9 +35,11 @@
 //     naming it.
 //   - Result carries the recorded history, the per-process replica
 //     trees and the fault/adversary event log, the monitor's verdicts
-//     (Stream, which Check and KFork read), UpdateAgreement and a replay
-//     Digest: identical (system, options, seed) triples produce
-//     identical digests.
+//     (Stream, which Check reads) and a replay Digest: identical
+//     (system, options, seed) triples produce identical digests. The
+//     same monitor answers every other property the paper defines on a
+//     run — KFork, UpdateAgreement and LRC (Definitions 4.3 and 4.4),
+//     and MonotonicPrefix — with or without WithStreaming.
 //
 // A minimal run:
 //
@@ -131,13 +133,15 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 			res.Metrics = lr.Metrics
 		}
 		// The deployment's monitor is the run's online monitor: its
-		// verdicts go where a simulated run's go.
+		// verdicts go where a simulated run's go, and it answers the
+		// other reports.
 		res.Stream = &StreamOutcome{
 			Verdicts:  lr.Verdicts,
 			LiveCount: lr.LiveWitnesses,
 			Ops:       lr.MonitorStats.Ops,
 			Stats:     lr.MonitorStats,
 		}
+		res.mon = lr.Monitor
 	}
 	if cfg.monrun != nil {
 		cfg.monrun.finish(res)

@@ -38,11 +38,12 @@ type Result struct {
 	// otherwise): sustained appends/sec, client-observed latency
 	// histograms, carrier counters and crash-recovery stats (its
 	// verdicts are the ones Stream carries). The embedded Result fields
-	// (History, Trees, Creators, ...) hold the live run's evidence, so
-	// Check(), KFork() and the renderers work on it unchanged.
+	// (History, Trees, ...) hold the live run's evidence, so the
+	// renderers work on it unchanged.
 	Live *transport.LiveResult
 
-	// mon is a simulated run's finalized monitor, which KFork asks.
+	// mon is the run's finalized monitor — a simulated run's own, a live
+	// run's the deployment's — which the reports beyond Check ask.
 	mon *consistency.Monitor
 }
 
@@ -56,32 +57,25 @@ func (r *Result) Check() (sc, ec *consistency.Verdict) {
 }
 
 // KFork checks k-Fork Coherence — no oracle token reused more than k
-// times — the measured side of the frugal-oracle claim. A simulated run
-// answers from its monitor, which tracks every token group, for any k.
-// A live run's monitor belongs to the deployment and is gone once the
-// run returns (it reports WithMonitorK's k, in Stream.KFork); a live run
-// retains its history, so its KFork replays that.
-func (r *Result) KFork(k int) *consistency.Report {
-	if r.mon != nil {
-		return r.mon.KForkReport(k)
-	}
-	return r.checker().KForkCoherence(r.History, k)
-}
+// times — the measured side of the frugal-oracle claim, for any k: the
+// run's monitor tracks every token group under either driver.
+func (r *Result) KFork(k int) *consistency.Report { return r.mon.KForkReport(k) }
 
-// UpdateAgreement checks the R1–R3 communication properties of the
-// recorded run (Definition 4.2).
-func (r *Result) UpdateAgreement() *consistency.Report {
-	return consistency.UpdateAgreement(r.History, r.Creators)
-}
+// UpdateAgreement checks the R1–R3 communication properties of
+// Definition 4.3, as the run's monitor judged them from the run's send,
+// receive and update events — under either driver, WithStreaming
+// included.
+func (r *Result) UpdateAgreement() *consistency.Report { return r.mon.UpdateAgreement() }
+
+// LRC checks Light Reliable Communication (Definition 4.4), as the run's
+// monitor judged it, like UpdateAgreement.
+func (r *Result) LRC() *consistency.Report { return r.mon.LRC() }
 
 // MonotonicPrefix checks the Monotonic Prefix Consistency criterion of
 // the paper's reference [20] — each process's successive reads only
-// ever extend — positioned between EC and SC in the hierarchy. The
-// monitor does not track it: it replays the retained history, which a
-// WithStreaming run does not have.
-func (r *Result) MonotonicPrefix() *consistency.Report {
-	return r.checker().MonotonicPrefix(r.History)
-}
+// ever extend — positioned between EC and SC in the hierarchy, as the
+// run's monitor judged it, like UpdateAgreement.
+func (r *Result) MonotonicPrefix() *consistency.Report { return r.mon.MonotonicPrefix() }
 
 // Chain returns the chain the system's own selection function f picks
 // from the given replica's final BlockTree.
@@ -90,10 +84,6 @@ func (r *Result) Chain(replica int) core.Chain {
 		return nil
 	}
 	return r.Selector.Select(r.Trees[replica])
-}
-
-func (r *Result) checker() *consistency.Checker {
-	return consistency.NewChecker(r.Score, core.WellFormed{})
 }
 
 // DigestInto folds the run's replayable content — the history header,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/protocols/bitcoin"
+	"repro/internal/scenario"
 )
 
 // verdictText flattens a verdict for equality checks: OK flags, failing
@@ -40,7 +41,109 @@ func reportText(rep *consistency.Report) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s ok=%v checked=%d viol=%v\n", rep.Property, rep.OK, rep.Checked, rep.Violations)
+	for _, w := range rep.Witnesses {
+		fmt.Fprintf(&b, "W %s | %s | %v %v\n", w.Property, w.Detail, w.Ops, w.Blocks)
+	}
 	return b.String()
+}
+
+// commText renders the reports a run's monitor answers beside its
+// verdicts: Update Agreement, LRC and Monotonic Prefix.
+func commText(ua, lrc, mp *consistency.Report) string {
+	return reportText(ua) + reportText(lrc) + reportText(mp)
+}
+
+// replayText is commText of the replays of a retained history.
+func replayText(res *btsim.Result) string {
+	h := res.History
+	return commText(consistency.UpdateAgreement(h), consistency.LRC(h),
+		consistency.NewChecker(res.Score, core.WellFormed{}).MonotonicPrefix(h))
+}
+
+// ownText is commText as the run's own monitor answers.
+func ownText(res *btsim.Result) string {
+	return commText(res.UpdateAgreement(), res.LRC(), res.MonotonicPrefix())
+}
+
+// TestStreamedCommPropertiesAreTheMonitors: Update Agreement, LRC and
+// Monotonic Prefix are judged by the monitor that watched the run, so a
+// WithStreaming run, which retains no history, reports them exactly as a
+// replay of the same run's retained history does — OK, Checked,
+// violations and witnesses. Probed on Theorem 4.6/4.7's lossy run and
+// on Extension MPC's reorganising bitcoin run, then on every catalogue
+// entry; a live deployment's reports come from its own monitor and
+// equal a replay of its history.
+func TestStreamedCommPropertiesAreTheMonitors(t *testing.T) {
+	probes := []struct {
+		opts []btsim.Option
+		want []string
+	}{
+		{[]btsim.Option{
+			btsim.WithN(4), btsim.WithRounds(120), btsim.WithSeed(1), btsim.WithReadEvery(15),
+			btsim.WithDifficulty(10), btsim.WithMerits(1, 0, 0, 0), btsim.WithDropNth(0, 2),
+		}, []string{"UpdateAgreement: VIOLATED (39 facts", "LRC: VIOLATED (26 facts"}},
+		{[]btsim.Option{
+			btsim.WithN(4), btsim.WithRounds(300), btsim.WithSeed(1), btsim.WithReadEvery(4), btsim.WithDifficulty(5),
+		}, []string{"MonotonicPrefix: VIOLATED (253 facts"}},
+	}
+	for _, pr := range probes {
+		kept, err := btsim.Run("bitcoin", pr.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := btsim.Run("bitcoin", append(pr.opts, btsim.WithStreaming(0))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(streamed.History.Comm) != 0 {
+			t.Fatalf("the streamed run retained %d communication events", len(streamed.History.Comm))
+		}
+		if got, want := ownText(streamed), replayText(kept); got != want {
+			t.Errorf("streamed:\n%sreplay of the retained run:\n%s", got, want)
+		}
+		reports := streamed.UpdateAgreement().String() + streamed.LRC().String() + streamed.MonotonicPrefix().String()
+		for _, w := range pr.want {
+			if !strings.Contains(reports, w) {
+				t.Errorf("streamed reports %q, want %q", reports, w)
+			}
+		}
+	}
+
+	for _, spec := range scenario.Catalogue() {
+		kept, err := spec.Run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Streaming = true
+		streamed, err := spec.Run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ownText(streamed.Res), replayText(kept.Res); got != want {
+			t.Errorf("%s streamed:\n%sreplay of the retained run:\n%s", spec.Name, got, want)
+		}
+	}
+
+	live, err := btsim.Run("fabric", btsim.WithN(8), btsim.WithSeed(42),
+		btsim.WithLive("chan"), btsim.WithLoad(btsim.Load{Clients: 2, Appends: 20}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := live.Live.Monitor
+	if mon == nil {
+		t.Fatal("the deployment handed over no monitor")
+	}
+	own := ownText(live) + reportText(live.KFork(1))
+	if deployed := commText(mon.UpdateAgreement(), mon.LRC(), mon.MonotonicPrefix()) + reportText(mon.KForkReport(1)); own != deployed {
+		t.Errorf("live run reports\n%sits deployment's monitor\n%s", own, deployed)
+	}
+	h := live.Live.History
+	if replay := replayText(live) + reportText(consistency.NewChecker(nil, nil).KForkCoherence(h, 1)); own != replay {
+		t.Errorf("live run reports\n%sa replay of its history\n%s", own, replay)
+	}
+	if st := live.Stream.Stats; st.Comm == 0 || st.InFlight != 0 {
+		t.Errorf("live monitor consumed %d communication events and ends with %d messages in flight", st.Comm, st.InFlight)
+	}
 }
 
 // TestMonitorMatchesBatchAcrossSystems runs every registered system and

@@ -11,11 +11,11 @@
 //
 // The retained state has one declaration, monitorState (monitor.go), and
 // the checkpoint is that struct through encoding/json: its structures
-// marshal as themselves and chainKey is a text key. Only opRec has a
-// second form (recWire below), because it holds pointers into the run:
-// they are written as block IDs against the checkpoint's pool and
-// resolved after decoding, and eachRec is the one enumeration of
-// retained records both directions walk.
+// marshal as themselves and chainKey and msgKey are text keys. Only
+// opRec has a second form (recWire below), because it holds pointers
+// into the run: they are written as block IDs against the checkpoint's
+// pool and resolved after decoding, and eachRec is the one enumeration
+// of retained records both directions walk.
 //
 // Two caches demand care because they are *arrival-conclusive*: the
 // per-chain Block Validity facts and the per-chain scores are computed
@@ -131,7 +131,7 @@ func (s *monitorState) eachRec(fn func(r *opRec, kind history.OpKind)) {
 			fn(&s.LMRPrev[p], history.OpRead)
 		}
 	}
-	for _, pairs := range s.LMRViol {
+	for _, pairs := range slices.Concat(s.LMRViol, s.MPViol) {
 		for i := range pairs {
 			fn(&pairs[i].Prev, history.OpRead)
 			fn(&pairs[i].Cur, history.OpRead)
@@ -243,9 +243,19 @@ func (s *monitorState) validate(procs, window int) error {
 		}
 	}
 	procs = max(procs, 0)
-	if len(s.LMRPrev) != procs || len(s.LMRHas) != procs || len(s.LMRViol) != procs {
-		return fmt.Errorf("local-monotonic-read state for %d/%d/%d processes, want %d",
-			len(s.LMRPrev), len(s.LMRHas), len(s.LMRViol), procs)
+	for _, n := range []int{len(s.LMRPrev), len(s.LMRHas), len(s.LMRViol), len(s.MPViol), len(s.PerProc)} {
+		if n != procs {
+			return fmt.Errorf("per-process state for %d processes, want %d", n, procs)
+		}
+	}
+	for _, ms := range s.Msgs {
+		bad := ms.Recv == nil && ms.Missing > 0 || ms.Recv != nil && len(ms.Recv) != procs
+		for _, r := range ms.Upd {
+			bad = bad || r.Late && (ms.Recv == nil || r.Proc < 0 || r.Proc >= procs)
+		}
+		if bad {
+			return fmt.Errorf("a message in flight is not sized to %d processes", procs)
+		}
 	}
 	if len(s.Win) > window {
 		return fmt.Errorf("window of %d reads, want at most %d", len(s.Win), window)

@@ -57,10 +57,12 @@ func (s *ckptSink) CommDone(e history.CommEvent) { s.mon.CommDone(e) }
 func (s *ckptSink) Faulty(p int)                 { s.mon.Faulty(p) }
 
 // ckptBuild is the deterministic workload: forks (StrongPrefix +
-// EventualPrefix violations), a backwards read (LocalMonotonicRead), a
-// forged never-appended block (BlockValidity), a shared-token fork
-// group (k-Fork), a faulty process, and a permanently-pending append —
-// every retained structure of the monitor is populated.
+// EventualPrefix violations), a backwards read (LocalMonotonicRead,
+// MonotonicPrefix), a forged never-appended block (BlockValidity), a
+// shared-token fork group (k-Fork), a faulty process, a permanently-
+// pending append, and a delivered message beside one still in flight
+// (UpdateAgreement, LRC) — every retained structure of the monitor is
+// populated.
 func ckptBuild(rec *history.Recorder) {
 	base := chainN(5)
 	fork := forkN(base, 2, 4)
@@ -74,6 +76,17 @@ func ckptBuild(rec *history.Recorder) {
 		}
 	}
 	rec.MarkFaulty(2)
+	// base[1], generated at 0, reaches both correct processes and leaves
+	// the flight; 1 updates the fork's head without receiving it, and 0
+	// sends it without receiving it either.
+	b1, fh := base[1], fork.Head()
+	rec.RecordComm(history.EvUpdate, 0, b1.Parent, b1.ID)
+	rec.RecordComm(history.EvSend, 0, b1.Parent, b1.ID)
+	rec.RecordComm(history.EvReceive, 0, b1.Parent, b1.ID)
+	rec.RecordComm(history.EvReceive, 1, b1.Parent, b1.ID)
+	rec.RecordComm(history.EvUpdate, 1, b1.Parent, b1.ID)
+	rec.RecordComm(history.EvUpdate, 1, fh.Parent, fh.ID)
+	rec.RecordComm(history.EvSend, 0, fh.Parent, fh.ID)
 	rec.Read(0, base)
 	rec.Read(1, fork)
 	rec.Read(2, base) // faulty: excluded
@@ -283,7 +296,7 @@ func ckptMonitor(t testing.TB) (*Monitor, MonitorConfig) {
 var stateScratch = map[string]bool{
 	"score": true, "pred": true, "table": true, "procs": true, "window": true,
 	"cap": true, "k": true, "onWitns": true, // rebuilt from MonitorConfig
-	"path": true, "winBuf": true, "finalized": true, "scV": true, "ecV": true, // scratch
+	"path": true, "winBuf": true, "spare": true, "finalized": true, "scV": true, "ecV": true, // scratch
 }
 
 // TestMonitorStateIsComplete: the checkpoint is complete by
@@ -354,7 +367,8 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 
 // FuzzRestoreMonitorBytes: the bytes come from a file. Whatever they
 // are, RestoreMonitor returns an error or a monitor — it does not panic
-// — and a monitor it returns finalizes.
+// — and a monitor it returns finalizes, reports and takes further
+// events.
 func FuzzRestoreMonitorBytes(f *testing.F) {
 	mon, _ := ckptMonitor(f)
 	valid, err := mon.Checkpoint()
@@ -368,8 +382,17 @@ func FuzzRestoreMonitorBytes(f *testing.F) {
 		if err != nil {
 			return
 		}
+		for _, kind := range []history.CommKind{history.EvSend, history.EvReceive, history.EvUpdate} {
+			for p := range 3 {
+				m.CommDone(history.CommEvent{Kind: kind, Proc: p, Parent: core.GenesisID, Block: "b1"})
+			}
+		}
+		m.Faulty(1)
 		m.Finalize()
 		m.KForkReport(1)
+		m.UpdateAgreement()
+		m.LRC()
+		m.MonotonicPrefix()
 	})
 }
 
@@ -379,7 +402,7 @@ func FuzzRestoreMonitorBytes(f *testing.F) {
 // the oracle's on the full history — the cut must be invisible.
 func FuzzMonitorCheckpoint(f *testing.F) {
 	for i, seed := range fuzzSeeds {
-		f.Add([]uint8{3, 9, 1, 250}[i], seed)
+		f.Add([]uint8{3, 9, 1, 250, 2}[i], seed)
 	}
 	f.Fuzz(func(t *testing.T, cutByte uint8, data []byte) {
 		if len(data) > 512 {

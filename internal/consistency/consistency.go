@@ -8,7 +8,9 @@
 //     Consistency (Definition 3.4);
 //   - k-Fork Coherence (Definition 3.9);
 //   - the Update Agreement properties R1–R3 (Definition 4.3) and the
-//     Light Reliable Communication properties (Definition 4.4).
+//     Light Reliable Communication properties (Definition 4.4);
+//   - Monotonic Prefix, the session criterion of the paper's reference
+//     [20].
 //
 // The paper's liveness-flavoured properties quantify over infinite
 // histories; a checker sees a finite prefix. The finitary readings used
@@ -18,10 +20,11 @@
 // exclude a configurable trailing "horizon" of reads for which the
 // history contains no future.
 //
-// One engine evaluates the six properties of the criteria: the
-// incremental Monitor (monitor.go). It is fed either online, as the
-// recorder's sink while a run is in flight, or after the fact — Checker
-// replays a retained History into a fresh Monitor. This file holds the
+// One engine evaluates them all, in state bounded by the block tree, the
+// liveness window and the messages in flight: the incremental Monitor
+// (monitor.go). It is fed either online, as the recorder's sink while a
+// run is in flight, or after the fact — Checker, UpdateAgreement and LRC
+// replay a retained History into a fresh Monitor. This file holds the
 // vocabulary (Witness, Report, Verdict, Checker), that replay, and the
 // all-pairs StrongPrefix of Definition 3.2; the definition-literal
 // reading of every property lives in the tests (oracle_test.go), where
@@ -188,15 +191,22 @@ func (k *chainKey) UnmarshalText(text []byte) error {
 }
 
 // replay feeds h to a fresh Monitor the way the recorder would have:
-// faulty processes first, then the operations in recording order — the
-// order the monitor's tie-breaks are specified in, see monitor.go —
-// pending ones through OpPending.
-func (c *Checker) replay(h *history.History) *Monitor {
-	m := NewMonitor(MonitorConfig{Procs: h.Procs, Score: c.Score, P: c.P, Horizon: c.Horizon, Table: h.Table})
+// faulty processes first, then the communication events or the
+// operations in recording order — the order the monitor's tie-breaks
+// are specified in, see monitor.go — pending ones through OpPending.
+func replay(h *history.History, cfg MonitorConfig, comm bool) *Monitor {
+	cfg.Procs, cfg.Table = h.Procs, h.Table
+	m := NewMonitor(cfg)
 	for p, ok := range h.Correct {
 		if !ok {
 			m.Faulty(p)
 		}
+	}
+	if comm {
+		for e := range h.Events() {
+			m.CommDone(e)
+		}
+		return m
 	}
 	for _, op := range h.Ops {
 		if op.Pending {
@@ -206,6 +216,11 @@ func (c *Checker) replay(h *history.History) *Monitor {
 		}
 	}
 	return m
+}
+
+// replay is the replay of h for the operation properties under c.
+func (c *Checker) replay(h *history.History) *Monitor {
+	return replay(h, MonitorConfig{Score: c.Score, P: c.P, Horizon: c.Horizon}, false)
 }
 
 // Classify returns both verdicts, the shape of Table 1's consistency
@@ -281,14 +296,9 @@ func (c *Checker) EventualPrefix(h *history.History) *Report {
 // operations return ⊤ for the same token. Blocks record the consumed
 // token name; successful appends are grouped by it. Blocks with no token
 // (histories not produced through an oracle refinement) are grouped by
-// parent, which is the object the token was for. The definition speaks
-// of appends alone, so only they are fed to the monitor.
+// parent, which is the object the token was for.
 func (c *Checker) KForkCoherence(h *history.History, k int) *Report {
-	m := NewMonitor(MonitorConfig{Procs: h.Procs})
-	for _, op := range h.Appends() {
-		m.OpDone(op)
-	}
-	return m.KForkReport(k)
+	return c.replay(h).KForkReport(k)
 }
 
 // StrongPrefix checks that for every pair of reads by correct processes

@@ -1,8 +1,8 @@
-// The Monitor: the engine that evaluates the criteria, in incremental
-// form. A Monitor implements history.Sink — operations are fed to it the
-// moment their response is recorded, or replayed from a retained
-// History by Checker — and maintains O(tree + window) state instead of
-// the whole history:
+// The Monitor: the engine that evaluates every property this package
+// defines, in incremental form. A Monitor implements history.Sink —
+// operations and communication events are fed to it the moment they are
+// recorded, or replayed from a retained History — and maintains O(tree +
+// window + messages in flight) state instead of the whole history:
 //
 //   - StrongPrefix: per-chain-length run-length structure over the
 //     interned chain handles, plus a live comparability probe against
@@ -14,7 +14,13 @@
 //     candidate retention, so the windowed MCPS state never grows with
 //     the run;
 //   - BlockValidity / LocalMonotonicRead: incremental per-chain facts
-//     and per-process previous-read state.
+//     and per-process previous-read state;
+//   - MonotonicPrefix: an ancestor probe against the same previous read;
+//   - UpdateAgreement / LRC: per message in flight, its receives and the
+//     updates and sends still to judge (updateagreement.go). They read
+//     the communication events alone, as the others read the operations
+//     alone, so how a feed interleaves the two does not matter; they
+//     emit no live witnesses.
 //
 // Cost per read: O(1) amortized for interned reads under the length
 // score, while the append of every block read is eventually recorded.
@@ -57,9 +63,11 @@
 //     from arrival positions.
 //
 // Boundedness: retained state is O(#blocks + #distinct chains + w +
-// (MaxViolations+procs)·#distinct scores + #successful appends) — all
-// bounded by the block tree and the window, never by the number of
-// reads, which dominate long runs.
+// (MaxViolations+procs)·#distinct scores + #successful appends +
+// procs·#messages in flight) — all bounded by the block tree, the window
+// and what the network has not delivered yet (only a cut that never
+// heals keeps a message in flight, which Update Agreement and LRC then
+// report), never by the number of reads or messages.
 //
 // Soundness of the bounded candidate retention (the "staircase" bound):
 // within one retention class (a score class for EGT/EP, a suspect chain
@@ -101,10 +109,11 @@ type MonitorConfig struct {
 	// groups are tracked regardless, so KForkReport works for any k.
 	K int
 	// Table is the run's shared chain table: incremental scoring and
-	// validity facts walk its parent links, and witness reconstruction
-	// materializes chains from it without growing its memo cache. May be
-	// nil for histories recorded with explicit chains (RespondRead),
-	// which the monitor retains on the few ops it keeps.
+	// validity facts walk its parent links, witness reconstruction
+	// materializes chains from it without growing its memo cache, and
+	// Update Agreement reads a block's creator off it. May be nil for
+	// histories recorded with explicit chains (RespondRead), which the
+	// monitor retains on the few ops it keeps.
 	Table *history.ChainTable
 	// OnWitness, when set, receives each violation witness the moment
 	// it forms. It runs under the recorder's lock: keep it fast and do
@@ -240,8 +249,18 @@ type spLen struct {
 	Count     int
 }
 
-// lmrPair is one recorded Local Monotonic Read violation.
-type lmrPair struct{ Prev, Cur opRec }
+// readPair is one recorded violation between a process's consecutive
+// reads (Local Monotonic Read, Monotonic Prefix); N is the process's
+// pair count when it was found.
+type readPair struct {
+	Prev, Cur opRec
+	N         int
+}
+
+// procCounts are one process's counts for the properties judged per
+// process: updates (Update Agreement), sends (LRC Validity) and pairs of
+// consecutive reads (Monotonic Prefix).
+type procCounts struct{ Updates, Sends, ReadPairs int }
 
 // monitorState is everything a Monitor retains of the stream it has
 // consumed — the bounded summary that makes the criteria checkable on a
@@ -266,8 +285,17 @@ type monitorState struct {
 	// LocalMonotonicRead per-process state.
 	LMRPrev    []opRec
 	LMRHas     []bool
-	LMRViol    [][]lmrPair
+	LMRViol    [][]readPair
 	LMRChecked int
+
+	// Monotonic Prefix reorganisations, and per-process counts.
+	MPViol  [][]readPair
+	PerProc []procCounts
+
+	// Update Agreement / LRC: the messages in flight, and the ones that
+	// left it with whether their creator sent them (updateagreement.go).
+	Msgs    map[msgKey]*msgState
+	Settled map[msgKey]bool
 
 	// StrongPrefix state.
 	SPLens   map[int]*spLen
@@ -309,10 +337,11 @@ type Monitor struct {
 
 	monitorState
 
-	// Scratch: extendFact's path buffer, the buffer Win slides along, and
-	// the memo of Finalize.
+	// Scratch: extendFact's path buffer, the buffer Win slides along, the
+	// storage of messages that left the flight, and the memo of Finalize.
 	path      []*core.Block
 	winBuf    []opRec
+	spare     []*msgState
 	finalized bool
 	scV, ecV  *Verdict
 }
@@ -358,24 +387,43 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 			BVSuspects: make(map[chainKey]*recSet),
 			AppendInv:  make(map[core.BlockID]opRec),
 			Tokens:     make(map[string][]opRec),
+			Msgs:       make(map[msgKey]*msgState),
+			Settled:    make(map[msgKey]bool),
 		},
 	}
 	if cfg.Procs > 0 {
 		m.LMRPrev = make([]opRec, cfg.Procs)
 		m.LMRHas = make([]bool, cfg.Procs)
-		m.LMRViol = make([][]lmrPair, cfg.Procs)
+		m.LMRViol = make([][]readPair, cfg.Procs)
+		m.MPViol = make([][]readPair, cfg.Procs)
+		m.PerProc = make([]procCounts, cfg.Procs)
 	}
 	return m
 }
 
 // Faulty implements history.Sink: process p's reads are excluded from
 // the criteria. Mark before p's first read (the adversary subsystem
-// marks at wiring time, before the simulation starts).
-func (m *Monitor) Faulty(p int) { m.IsFaulty[p] = true }
+// marks at wiring time, before the simulation starts); for the
+// communication properties any time will do.
+func (m *Monitor) Faulty(p int) {
+	if m.IsFaulty[p] {
+		return
+	}
+	m.IsFaulty[p] = true
+	for k, ms := range m.Msgs {
+		if ms.Missing > 0 && p >= 0 && p < len(ms.Recv) && ms.Recv[p] < 0 { // p may have been all it lacked
+			ms.Missing--
+			m.settle(k, ms)
+		}
+	}
+}
 
-// CommDone implements history.Sink. Communication events do not enter
-// the consistency criteria; they are only counted.
-func (m *Monitor) CommDone(history.CommEvent) { m.NComm++ }
+// CommDone implements history.Sink: the event is judged for Update
+// Agreement and LRC.
+func (m *Monitor) CommDone(e history.CommEvent) {
+	m.NComm++
+	m.judgeComm(e)
+}
 
 // OpDone implements history.Sink: consume one completed operation.
 func (m *Monitor) OpDone(op *history.Op) {
@@ -457,13 +505,18 @@ func (m *Monitor) consumeRead(op *history.Op) {
 	rec.Ord = m.NReads
 	m.NReads++
 
-	// LocalMonotonicRead: compare against the process's previous read.
+	// LocalMonotonicRead, MonotonicPrefix: against p's previous read.
 	if p := rec.Proc; p >= 0 && p < len(m.LMRPrev) {
 		if m.LMRHas[p] {
 			m.LMRChecked++
-			if prev := m.LMRPrev[p]; prev.Score > rec.Score {
+			prev := m.LMRPrev[p]
+			m.PerProc[p].ReadPairs++
+			if len(m.MPViol[p]) < MaxViolations && !m.extends(prev, rec) {
+				m.MPViol[p] = append(m.MPViol[p], readPair{prev, rec, m.PerProc[p].ReadPairs})
+			}
+			if prev.Score > rec.Score {
 				if len(m.LMRViol[p]) < MaxViolations {
-					m.LMRViol[p] = append(m.LMRViol[p], lmrPair{prev, rec})
+					m.LMRViol[p] = append(m.LMRViol[p], readPair{Prev: prev, Cur: rec})
 				}
 				if m.LiveLMR < MaxViolations {
 					m.LiveLMR++
@@ -1061,6 +1114,8 @@ type MonitorStats struct {
 	ScoreClasses, SuspectKeys int
 	// WindowLen is the current liveness-window occupancy.
 	WindowLen int
+	// InFlight counts the messages Update Agreement and LRC hold.
+	InFlight int
 }
 
 // Stats reports the monitor's consumption counters and retained-state
@@ -1069,7 +1124,7 @@ func (m *Monitor) Stats() MonitorStats {
 	st := MonitorStats{
 		Ops: m.Ops, Reads: m.NReads, Appends: m.NAppends, Comm: m.NComm,
 		ScoreClasses: len(m.Classes), SuspectKeys: len(m.BVSuspects),
-		WindowLen: len(m.Win),
+		WindowLen: len(m.Win), InFlight: len(m.Msgs),
 	}
 	st.Retained = len(m.Win)
 	for _, s := range m.Classes {

@@ -16,6 +16,15 @@ import (
 // which is the regime where a response-order feed's Checked counts are
 // specified to match the definitions exactly (fuzzBuildOverlap is the
 // other regime).
+//
+// Every extension and fork is flooded: the creator's update and send,
+// then one delivery per later byte — a receive and an update at the
+// target — among which some are dropped (never received), some update
+// before they receive, some relay a send, some arrive twice (a replica
+// rejoining from genesis receives and updates again, its creator too).
+// A muted creator never sends, a loopback may never arrive, a block may
+// reach everyone without its creator's send, and a process may be
+// marked faulty after its messages.
 func fuzzBuild(rec *history.Recorder, procs int, data []byte) {
 	chains := make([]core.Chain, procs)
 	for p := range chains {
@@ -25,6 +34,65 @@ func fuzzBuild(rec *history.Recorder, procs int, data []byte) {
 	hasRead := make([]bool, procs)
 	faulty := make([]bool, procs)
 	seq := 0
+
+	type delivery struct {
+		to      int
+		b       *core.Block
+		loop    bool // the creator's own send coming back
+		again   bool // arrives a second time later
+		relayed bool
+	}
+	var inflight []delivery
+	comm := func(kind history.CommKind, p int, b *core.Block) { rec.RecordComm(kind, p, b.Parent, b.ID) }
+	flood := func(p int, b *core.Block, a byte) {
+		mode := a >> 6
+		if mode == 3 && a&1 == 1 {
+			// Relayed without its creator's send: p applies it only when
+			// it comes back, perhaps after everyone else has it.
+			for q := 0; q < procs; q++ {
+				inflight = append(inflight, delivery{to: q, b: b})
+			}
+			return
+		}
+		comm(history.EvUpdate, p, b)
+		if mode == 3 {
+			return // muted
+		}
+		comm(history.EvSend, p, b)
+		for q := 0; q < procs; q++ {
+			if q != p || mode != 1 { // mode 1: the loopback never arrives
+				inflight = append(inflight, delivery{to: q, b: b, loop: q == p, again: mode == 2})
+			}
+		}
+	}
+	deliver := func(step int, a byte) {
+		if len(inflight) == 0 {
+			return
+		}
+		i := int(a>>3) % len(inflight)
+		d := inflight[i]
+		inflight = append(inflight[:i], inflight[i+1:]...)
+		switch (int(a)*7 + step) % 6 {
+		case 0: // dropped
+			return
+		case 1: // updated before it is received
+			comm(history.EvUpdate, d.to, d.b)
+			comm(history.EvReceive, d.to, d.b)
+		default:
+			comm(history.EvReceive, d.to, d.b)
+			if !d.loop {
+				comm(history.EvUpdate, d.to, d.b)
+			}
+			if step%5 == 0 && !d.relayed {
+				d.relayed = true
+				comm(history.EvSend, d.to, d.b)
+			}
+		}
+		if d.again {
+			d.again, d.loop = false, false
+			inflight = append(inflight, d)
+		}
+	}
 
 	mint := func(parent *core.Block, creator int) *core.Block {
 		seq++
@@ -37,7 +105,8 @@ func fuzzBuild(rec *history.Recorder, procs int, data []byte) {
 		return b
 	}
 
-	for _, a := range data {
+	for step, a := range data {
+		deliver(step, a)
 		p := int(a>>3) % procs
 		switch a % 8 {
 		case 0, 1: // extend p's chain with a successful append
@@ -45,6 +114,7 @@ func fuzzBuild(rec *history.Recorder, procs int, data []byte) {
 			chains[p] = chains[p].Append(b)
 			rec.Append(p, b, true)
 			all = append(all, b)
+			flood(p, b, a)
 		case 2: // fork: branch p's chain at half height
 			cut := len(chains[p])/2 + 1
 			forked := chains[p][:cut].Clone()
@@ -52,6 +122,7 @@ func fuzzBuild(rec *history.Recorder, procs int, data []byte) {
 			chains[p] = forked.Append(b)
 			rec.Append(p, b, true)
 			all = append(all, b)
+			flood(p, b, a)
 		case 3: // explicit-chain read of p's current chain
 			rec.Read(p, chains[p].Clone())
 			hasRead[p] = true
@@ -99,14 +170,18 @@ var fuzzSeeds = [][]byte{
 	{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3},
 	{7, 71, 15, 0, 2, 3, 3, 3, 7, 7, 13, 5, 101, 6, 66, 4, 12, 20, 28},
 	{1, 9, 17, 25, 33, 41, 49, 57, 3, 11, 19, 27, 2, 10, 18, 26, 4, 12},
+	{0xf1, 0x43, 0x38, 0x41, 0x30}, // a block's creator applies it after everyone else, unsent
 }
 
-// FuzzMonitorEquivalence drives randomized op streams through the
-// monitor and requires its Finalize to match the definition-literal
-// oracle exactly — OK flags, Checked counts, violation strings, witness
-// ops and blocks — with the monitor as direct sink, with delivery
-// through small sealed segments, and with those segments and their ops
-// on loan from a drop-mode recorder that reuses both.
+// FuzzMonitorEquivalence drives randomized op and message streams
+// through the monitor and requires its Finalize, k-Fork, Update
+// Agreement, LRC and Monotonic Prefix reports to match the
+// definition-literal oracle exactly — OK flags, Checked counts,
+// violation strings, witness ops and blocks — with the monitor as direct
+// sink, with delivery through small sealed segments (which hand over a
+// segment's operations before its communication events), and with those
+// segments and their ops on loan from a drop-mode recorder that reuses
+// both.
 func FuzzMonitorEquivalence(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -230,7 +305,8 @@ func FuzzClassifyOverlap(f *testing.F) {
 			chk.Horizon = horizon
 			sc, ec := chk.Classify(h)
 			kfork := func(k int) *Report { return chk.KForkCoherence(h, k) }
-			if d := diffOracle(h, score, nil, horizon, sc, ec, kfork, true); d != "" {
+			if d := diffOracle(h, score, nil, horizon, sc, ec, kfork,
+				UpdateAgreement(h), LRC(h), chk.MonotonicPrefix(h), true); d != "" {
 				t.Errorf("%s: %s", score.Name(), d)
 			}
 			if pairwise := chk.StrongPrefix(h); pairwise.OK != sc.Reports[2].OK {

@@ -119,7 +119,8 @@ func (hn monitorHarness) run(t *testing.T, procs int, build func(rec *history.Re
 	}
 	msc, mec := mon.Finalize()
 
-	if d := diffOracle(h, hn.score, hn.pred, hn.horizon, msc, mec, mon.KForkReport, hn.epCheckedLoose); d != "" {
+	if d := diffOracle(h, hn.score, hn.pred, hn.horizon, msc, mec, mon.KForkReport,
+		mon.UpdateAgreement(), mon.LRC(), mon.MonotonicPrefix(), hn.epCheckedLoose); d != "" {
 		t.Errorf("seg=%d drop=%v cut=%d: %s", hn.segSize, hn.drop, hn.ckptAt, d)
 	}
 	return mon

@@ -13,8 +13,10 @@ import (
 // diffOracle requires Checker — the replay of the run's retained history
 // into a Monitor — to report exactly what the definition-literal oracle
 // reports on it: both verdicts whole (OK flags, Checked, violations,
-// witnesses) and k-Fork Coherence for k = 1, 2. Simulated runs record
-// atomic operations, so no Checked count is exempt.
+// witnesses) and k-Fork Coherence for k = 1, 2. Update Agreement, LRC and
+// Monotonic Prefix are the run's own monitor's reports, which must equal
+// the oracle's and the replays'. Simulated runs record atomic operations,
+// so no Checked count is exempt.
 func diffOracle(t *testing.T, res *btsim.Result) {
 	t.Helper()
 	h := res.History
@@ -24,8 +26,16 @@ func diffOracle(t *testing.T, res *btsim.Result) {
 	chk := consistency.NewChecker(res.Score, core.WellFormed{})
 	sc, ec := chk.Classify(h)
 	kfork := func(k int) *consistency.Report { return chk.KForkCoherence(h, k) }
-	if d := consistency.DiffOracle(h, res.Score, core.WellFormed{}, 0, sc, ec, kfork, false); d != "" {
+	ua, lrc, mp := res.UpdateAgreement(), res.LRC(), res.MonotonicPrefix()
+	if d := consistency.DiffOracle(h, res.Score, core.WellFormed{}, 0, sc, ec, kfork, ua, lrc, mp, false); d != "" {
 		t.Error(d)
+	}
+	for _, rep := range [][2]*consistency.Report{
+		{ua, consistency.UpdateAgreement(h)}, {lrc, consistency.LRC(h)}, {mp, chk.MonotonicPrefix(h)},
+	} {
+		if got, replay := consistency.ReportDump(rep[0]), consistency.ReportDump(rep[1]); got != replay {
+			t.Errorf("the run's monitor reports\n%sa replay of its history\n%s", got, replay)
+		}
 	}
 }
 

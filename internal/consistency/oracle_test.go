@@ -12,7 +12,8 @@ import (
 // The definition-literal oracle: Definitions 3.2–3.4 and 3.9 (with the
 // finitary readings documented on Checker) as plain loops over
 // h.Reads(), recomputing every score and every maximal common prefix
-// where it is needed. It is the independent reference the Monitor — the
+// where it is needed, Definitions 4.3 and 4.4 as walks over the
+// communication events, and Monotonic Prefix over each process's reads. It is the independent reference the Monitor — the
 // only checking engine in product code — is held against: by the fuzz
 // targets on generated streams and, through export_test.go, by the
 // external catalogue test on real runs. It reports in the same
@@ -40,12 +41,12 @@ func oracleClassify(sc core.Score, p core.Predicate, horizon int, h *history.His
 		verdictOf("EC", bv, lmr, egt, o.eventualPrefix(h))
 }
 
-// diffOracle renders where the verdicts sc and ec and the reports
-// kfork(1), kfork(2) depart from the oracle's on h ("" when nowhere);
-// looseEP exempts EventualPrefix.Checked, the one count the monitor does
-// not promise when completed operations overlap.
+// diffOracle renders where the verdicts sc and ec, the reports kfork(1),
+// kfork(2) and the reports ua, lrc and mp depart from the oracle's on h
+// ("" when nowhere); looseEP exempts EventualPrefix.Checked, the one
+// count the monitor does not promise when completed operations overlap.
 func diffOracle(h *history.History, sc core.Score, p core.Predicate, horizon int,
-	gsc, gec *Verdict, kfork func(int) *Report, looseEP bool) string {
+	gsc, gec *Verdict, kfork func(int) *Report, ua, lrc, mp *Report, looseEP bool) string {
 	var b strings.Builder
 	cmp := func(what, got, want string) {
 		if looseEP {
@@ -61,6 +62,9 @@ func diffOracle(h *history.History, sc core.Score, p core.Predicate, horizon int
 	for _, k := range []int{1, 2} {
 		cmp(fmt.Sprintf("KFork(%d)", k), reportDump(kfork(k)), reportDump(oracleKFork(h, k)))
 	}
+	cmp("UpdateAgreement", reportDump(ua), reportDump(oracleUpdateAgreement(h)))
+	cmp("LRC", reportDump(lrc), reportDump(oracleLRC(h)))
+	cmp("MonotonicPrefix", reportDump(mp), reportDump(oracleMonotonicPrefix(h)))
 	return b.String()
 }
 
@@ -256,6 +260,150 @@ func oracleKFork(h *history.History, k int) *Report {
 			}
 			rep.witness(ops, blocks,
 				"token %q consumed by %d successful appends (k=%d): forks %s", tok, len(ops), k, shortIDs(blocks))
+		}
+	}
+	return rep
+}
+
+// oracleUpdateAgreement: R1–R3 of Definition 4.3, every update of a
+// correct process in recording order. A block is generated at the
+// process its Creator field names in the history's chain table; a block
+// the table does not know is remote for every updater.
+func oracleUpdateAgreement(h *history.History) *Report {
+	rep := &Report{Property: "UpdateAgreement", OK: true}
+	sends := make(map[int]map[msgKey]bool)    // proc → messages sent
+	firstRecv := make(map[int]map[msgKey]int) // proc → message → first receive index
+	for e := range h.Events() {
+		k := msgKey{e.Parent, e.Block}
+		switch e.Kind {
+		case history.EvSend:
+			if sends[e.Proc] == nil {
+				sends[e.Proc] = make(map[msgKey]bool)
+			}
+			sends[e.Proc][k] = true
+		case history.EvReceive:
+			if firstRecv[e.Proc] == nil {
+				firstRecv[e.Proc] = make(map[msgKey]int)
+			}
+			if _, ok := firstRecv[e.Proc][k]; !ok {
+				firstRecv[e.Proc][k] = e.Index
+			}
+		}
+	}
+	for e := range h.Events() {
+		if e.Kind != history.EvUpdate || !h.IsCorrect(e.Proc) {
+			continue
+		}
+		k := msgKey{e.Parent, e.Block}
+		local := false
+		if h.Table != nil {
+			if b := h.Table.Block(e.Block); b != nil && b.Creator == e.Proc {
+				local = true
+			}
+		}
+		rep.Checked++
+		if local {
+			// R1: the locally generated update must be sent.
+			if !sends[e.Proc][k] {
+				rep.violate("R1: update_%d(%s,%s) has no matching send_%d",
+					e.Proc, e.Parent.Short(), e.Block.Short(), e.Proc)
+			}
+		} else {
+			// R2: a remote update must follow a receive at the same
+			// process.
+			idx, ok := firstRecv[e.Proc][k]
+			if !ok {
+				rep.violate("R2: update_%d(%s,%s) has no matching receive_%d",
+					e.Proc, e.Parent.Short(), e.Block.Short(), e.Proc)
+			} else if idx > e.Index {
+				rep.violate("R2: receive_%d(%s,%s) at %d after update at %d",
+					e.Proc, e.Parent.Short(), e.Block.Short(), idx, e.Index)
+			}
+		}
+		// R3: every correct process eventually receives the update's
+		// message.
+		for p := 0; p < h.Procs; p++ {
+			if !h.IsCorrect(p) {
+				continue
+			}
+			if _, ok := firstRecv[p][k]; !ok {
+				rep.violate("R3: update of (%s,%s) never received by process %d",
+					e.Parent.Short(), e.Block.Short(), p)
+				break
+			}
+		}
+	}
+	return rep
+}
+
+// oracleLRC: Definition 4.4 — Validity for every send of a correct
+// process, in recording order, then Agreement for every message a
+// correct process received, in the order of those first receives.
+func oracleLRC(h *history.History) *Report {
+	rep := &Report{Property: "LRC", OK: true}
+	received := make(map[int]map[msgKey]bool)
+	anyRecv := make(map[msgKey]bool)
+	var recvOrder []msgKey // anyRecv's keys by first receive: the report order
+	for e := range h.Events() {
+		if e.Kind != history.EvReceive {
+			continue
+		}
+		k := msgKey{e.Parent, e.Block}
+		if received[e.Proc] == nil {
+			received[e.Proc] = make(map[msgKey]bool)
+		}
+		received[e.Proc][k] = true
+		if h.IsCorrect(e.Proc) && !anyRecv[k] {
+			anyRecv[k] = true
+			recvOrder = append(recvOrder, k)
+		}
+	}
+	for e := range h.Events() {
+		if e.Kind != history.EvSend || !h.IsCorrect(e.Proc) {
+			continue
+		}
+		rep.Checked++
+		if k := (msgKey{e.Parent, e.Block}); !received[e.Proc][k] {
+			rep.violate("Validity: send_%d(%s,%s) never received by sender itself",
+				e.Proc, e.Parent.Short(), e.Block.Short())
+		}
+	}
+	for _, k := range recvOrder {
+		rep.Checked++
+		for p := 0; p < h.Procs; p++ {
+			if h.IsCorrect(p) && !received[p][k] {
+				rep.violate("Agreement: (%s,%s) received by some correct process but not by %d",
+					k.parent.Short(), k.block.Short(), p)
+				break
+			}
+		}
+	}
+	return rep
+}
+
+// oracleMonotonicPrefix: along each correct process's reads, every chain
+// prefixes the next one.
+func oracleMonotonicPrefix(h *history.History) *Report {
+	rep := &Report{Property: "MonotonicPrefix", OK: true}
+	for p := 0; p < h.Procs; p++ {
+		if !h.IsCorrect(p) {
+			continue
+		}
+		var prev *history.Op
+		for _, op := range h.ByProcess(p) {
+			if op.Kind != history.OpRead {
+				continue
+			}
+			if prev != nil {
+				rep.Checked++
+				if !prev.Chain().Prefix(op.Chain()) {
+					rep.violate("process %d reorganised: %s then %s", p, prev, op)
+					if len(rep.Violations) == MaxViolations {
+						return rep
+					}
+				}
+			}
+			prev = op
 		}
 	}
 	return rep

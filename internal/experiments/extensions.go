@@ -225,7 +225,7 @@ func ExtensionSolvability(seed uint64) *Result {
 		h := g.History()
 		chk := consistency.NewChecker(core.LengthScore{}, core.WellFormed{})
 		_, ec := chk.Classify(h)
-		ua := consistency.UpdateAgreement(h, g.Reg.Creators())
+		ua := consistency.UpdateAgreement(h)
 		res.addf("%-22s %s ; %s", m.Name(), ec, ua)
 		if !ec.OK || !ua.OK {
 			res.OK = false

@@ -27,7 +27,7 @@ func Figure13(seed uint64) *Result {
 	for e := range h.Events() {
 		res.addf("%s", e)
 	}
-	ua := consistency.UpdateAgreement(h, group.Reg.Creators())
+	ua := consistency.UpdateAgreement(h)
 	lrc := consistency.LRC(h)
 	res.addf("%s", ua)
 	res.addf("%s", lrc)
@@ -91,7 +91,7 @@ func TheoremLRC(seed uint64) *Result {
 	chk := consistency.NewChecker(broken.Score, core.WellFormed{})
 	ec := chk.EventualConsistency(broken.History)
 	ua := broken.UpdateAgreement()
-	lrc := consistency.LRC(broken.History)
+	lrc := broken.LRC()
 	res.addf("one message to p2 dropped: %s ; %s ; %s", ec, ua, lrc)
 	res.addf("final heights: clean=%v lossy=%v", clean.FinalHeights(), broken.FinalHeights())
 

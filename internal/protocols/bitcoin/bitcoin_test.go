@@ -60,7 +60,7 @@ func TestEventuallyConsistent(t *testing.T) {
 
 func TestUpdateAgreementHolds(t *testing.T) {
 	res := Run(defaultCfg(4))
-	rep := consistency.UpdateAgreement(res.History, res.Creators)
+	rep := consistency.UpdateAgreement(res.History)
 	if !rep.OK {
 		t.Fatalf("update agreement: %v", rep.Violations)
 	}
@@ -113,7 +113,7 @@ func TestDroppedUpdateBreaksAgreement(t *testing.T) {
 	cfg.Merits = []tape.Merit{1, 0, 0, 0}
 	cfg.DropRule = simnet.DropNth(0, simnet.DropToProcess(3))
 	res := Run(cfg)
-	if rep := consistency.UpdateAgreement(res.History, res.Creators); rep.OK {
+	if rep := consistency.UpdateAgreement(res.History); rep.OK {
 		t.Fatal("dropped update not detected")
 	}
 	chk := consistency.NewChecker(res.Score, core.WellFormed{})

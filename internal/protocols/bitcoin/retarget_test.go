@@ -72,7 +72,7 @@ func TestRetargetPreservesEventualConsistency(t *testing.T) {
 	if !ec.OK {
 		t.Fatalf("EC violated under retargeting: %v", ec.Failing())
 	}
-	if rep := consistency.UpdateAgreement(res.History, res.Creators); !rep.OK {
+	if rep := consistency.UpdateAgreement(res.History); !rep.OK {
 		t.Fatalf("update agreement under retargeting: %v", rep.Violations)
 	}
 }

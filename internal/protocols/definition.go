@@ -137,7 +137,6 @@ func RunLive(cfg Config, def *Definition) (*Result, *transport.LiveResult, error
 	}
 	res := def.result()
 	res.History = lr.History
-	res.Creators = lr.Creators
 	res.Trees = lr.Trees
 	res.Stats = map[string]int{
 		"liveAttempts": int(lr.Attempts),

@@ -92,7 +92,7 @@ func TestGHOSTAndLongestCanDisagree(t *testing.T) {
 
 func TestUpdateAgreement(t *testing.T) {
 	res := Run(defaultCfg(6))
-	if rep := consistency.UpdateAgreement(res.History, res.Creators); !rep.OK {
+	if rep := consistency.UpdateAgreement(res.History); !rep.OK {
 		t.Fatalf("update agreement: %v", rep.Violations)
 	}
 }

@@ -221,7 +221,6 @@ func (h *Harness) Finish() *Result {
 
 	res := h.Def.result()
 	res.History = h.Group.History()
-	res.Creators = h.Group.Reg.Creators()
 	res.Stats = h.Stats
 	res.FaultEvents = h.Group.Net.FaultEvents()
 	if h.advID >= 0 {

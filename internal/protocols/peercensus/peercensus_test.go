@@ -67,7 +67,7 @@ func TestFaultToleranceWithCrash(t *testing.T) {
 
 func TestUpdateAgreement(t *testing.T) {
 	res := Run(defaultCfg(5))
-	if rep := consistency.UpdateAgreement(res.History, res.Creators); !rep.OK {
+	if rep := consistency.UpdateAgreement(res.History); !rep.OK {
 		t.Fatalf("update agreement: %v", rep.Violations)
 	}
 }

@@ -170,9 +170,6 @@ type Result struct {
 	System string
 	// History is the recorded concurrent history.
 	History *history.History
-	// Creators maps block ID → creating process (for Update
-	// Agreement checks).
-	Creators map[core.BlockID]int
 	// Trees are the final per-process replicas.
 	Trees []*core.Tree
 	// Selector and Score are the f and score the system uses, which

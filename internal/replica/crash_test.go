@@ -316,7 +316,7 @@ func TestCatchUpMachineUnderFakeTimer(t *testing.T) {
 		for _, c := range cases {
 			t.Run(shape.name+"/"+c.name, func(t *testing.T) {
 				r := &catchUpRig{chain: core.Genesis()}
-				r.p = NewProcess(0, r, nil, history.NewRecorder(1, nil), NewRegistry())
+				r.p = NewProcess(0, r, nil, history.NewRecorder(1, nil))
 				after := func(ticks int64, fn func()) {
 					r.waits = append(r.waits, ticks*shape.unit)
 					r.timers = append(r.timers, fn)

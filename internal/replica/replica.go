@@ -9,8 +9,6 @@
 package replica
 
 import (
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/metrics"
@@ -24,38 +22,6 @@ type UpdateMsg struct {
 	Block  *core.Block
 }
 
-// Registry tracks block creators across the whole run (the ID → creator
-// map the Update Agreement checker consumes) and deduplicates flooding.
-type Registry struct {
-	mu      sync.Mutex
-	creator map[core.BlockID]int
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{creator: make(map[core.BlockID]int)}
-}
-
-// Record notes that block id was created by proc (first writer wins).
-func (r *Registry) Record(id core.BlockID, proc int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.creator[id]; !ok {
-		r.creator[id] = proc
-	}
-}
-
-// Creators returns a copy of the ID → creator map.
-func (r *Registry) Creators() map[core.BlockID]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[core.BlockID]int, len(r.creator))
-	for k, v := range r.creator {
-		out[k] = v
-	}
-	return out
-}
-
 // Process is one replica: a process id, its local BlockTree copy, the
 // selection function, and the plumbing to the network and the history
 // recorder.
@@ -63,7 +29,6 @@ type Process struct {
 	ID  int
 	F   core.Selector
 	Rec *history.Recorder
-	Reg *Registry
 
 	// P validates incoming blocks before they are applied to the
 	// local replica — the replica-side half of "only valid blocks can
@@ -117,7 +82,7 @@ type Process struct {
 // tree is built on the block index of rec's chain table, so all replicas
 // recording into one recorder share one index and every block they
 // attach is known to the table.
-func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder, reg *Registry) *Process {
+func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder) *Process {
 	if f == nil {
 		f = core.LongestChain{}
 	}
@@ -125,7 +90,6 @@ func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder, reg *Reg
 		ID:         id,
 		F:          f,
 		Rec:        rec,
-		Reg:        reg,
 		P:          core.AlwaysValid{},
 		nw:         nw,
 		tree:       core.NewTreeOn(rec.Table().Index()),
@@ -179,15 +143,8 @@ func (p *Process) AppendLocal(b *core.Block) bool {
 	op := p.Rec.InvokeAppend(p.ID, b)
 	ok := p.applyUpdate(b)
 	p.Rec.RespondAppend(op, ok, b)
-	if ok {
-		p.Reg.Record(b.ID, p.ID)
-		if !p.Mute {
-			p.Rec.RecordComm(history.EvSend, p.ID, b.Parent, b.ID)
-			if p.mFlood != nil {
-				p.mFlood.Inc(p.ID)
-			}
-			p.nw.Broadcast(p.ID, UpdateMsg{Parent: b.Parent, Block: b})
-		}
+	if ok && !p.Mute {
+		p.Publish(b)
 	}
 	return ok
 }
@@ -344,11 +301,10 @@ func (p *Process) RejectedCount() int { return p.rejected }
 func (p *Process) PendingCount() int { return p.pendingN }
 
 // Group is a convenience bundle: n replicas over one network with a
-// shared recorder and registry.
+// shared recorder.
 type Group struct {
 	Procs []*Process
 	Rec   *history.Recorder
-	Reg   *Registry
 	Net   *simnet.Network
 
 	// Recovery holds the crash–recovery counters once
@@ -361,10 +317,9 @@ type Group struct {
 func NewGroup(sim *simnet.Sim, n int, delay simnet.DelayModel, f core.Selector) *Group {
 	nw := simnet.NewNetwork(sim, n, delay)
 	rec := history.NewRecorder(n, sim.Now)
-	reg := NewRegistry()
-	g := &Group{Rec: rec, Reg: reg, Net: nw}
+	g := &Group{Rec: rec, Net: nw}
 	for i := 0; i < n; i++ {
-		g.Procs = append(g.Procs, NewProcess(i, nw, f, rec, reg))
+		g.Procs = append(g.Procs, NewProcess(i, nw, f, rec))
 	}
 	return g
 }

@@ -75,9 +75,6 @@ func TestAppendLocalRecordsAppendOp(t *testing.T) {
 	if len(aps) != 1 || aps[0].Proc != 1 || aps[0].Block.ID != b.ID {
 		t.Fatalf("append op wrong: %v", aps)
 	}
-	if g.Reg.Creators()[b.ID] != 1 {
-		t.Fatal("creator registry wrong")
-	}
 }
 
 func TestDuplicateAppendRejected(t *testing.T) {
@@ -197,7 +194,7 @@ func TestDropToProcessLeavesItStuck(t *testing.T) {
 		t.Fatal("connected process missed blocks")
 	}
 	// Update Agreement must be violated (R3).
-	rep := consistency.UpdateAgreement(g.History(), g.Reg.Creators())
+	rep := consistency.UpdateAgreement(g.History())
 	if rep.OK {
 		t.Fatal("partition not detected by Update Agreement")
 	}
@@ -216,19 +213,10 @@ func TestLosslessRunSatisfiesUpdateAgreementAndLRC(t *testing.T) {
 	}
 	sim.RunUntilIdle()
 	h := g.History()
-	if rep := consistency.UpdateAgreement(h, g.Reg.Creators()); !rep.OK {
+	if rep := consistency.UpdateAgreement(h); !rep.OK {
 		t.Fatalf("update agreement: %v", rep.Violations)
 	}
 	if rep := consistency.LRC(h); !rep.OK {
 		t.Fatalf("LRC: %v", rep.Violations)
-	}
-}
-
-func TestRegistryFirstWriterWins(t *testing.T) {
-	r := NewRegistry()
-	r.Record("x", 1)
-	r.Record("x", 2)
-	if r.Creators()["x"] != 1 {
-		t.Fatal("registry overwrote first creator")
 	}
 }

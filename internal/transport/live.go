@@ -110,10 +110,9 @@ func (c *LiveConfig) norm() error {
 }
 
 // LiveResult is what a deployment run measures: sustained throughput,
-// client-observed latency quantiles, the online monitor's verdicts,
-// and the raw material (history, trees, creators) the checkers and
-// renderers consume — so everything that works on a simulated
-// result works on a live one.
+// client-observed latency quantiles, the online monitor and its
+// verdicts, and the raw material (history, trees) the renderers consume
+// — so everything that works on a simulated result works on a live one.
 type LiveResult struct {
 	System    string
 	Transport string
@@ -145,10 +144,13 @@ type LiveResult struct {
 	// Verdicts are the online monitor's finalized SC/EC verdicts and
 	// the optional k-fork coherence report (with Violated());
 	// LiveWitnesses counts witnesses streamed while the run was still
-	// going.
+	// going. Monitor is that monitor, finalized and handed over: the
+	// reports beyond Verdicts (any k-Fork bound, Update Agreement, LRC,
+	// Monotonic Prefix) are asked of it.
 	consistency.Verdicts
 	LiveWitnesses int
 	MonitorStats  consistency.MonitorStats
+	Monitor       *consistency.Monitor
 	// MonitorErr is non-nil when the online monitor's consumer failed
 	// mid-run (AsyncSink panic recovery); the verdicts are then not
 	// trustworthy.
@@ -164,13 +166,12 @@ type LiveResult struct {
 	DroppedDown     int64
 	Converged       bool
 
-	// History, Trees, Creators mirror a protocols.Result's evidence.
-	// Trees are the stopped nodes' own trees, handed over, not copies:
-	// nothing else holds them once Run returns, and every reader in the
-	// repository (selectors, Len, heights, renderers) only reads them.
-	History  *history.History
-	Trees    []*core.Tree
-	Creators map[core.BlockID]int
+	// History and Trees mirror a protocols.Result's evidence. Trees are
+	// the stopped nodes' own trees, handed over, not copies: nothing else
+	// holds them once Run returns, and every reader in the repository
+	// (selectors, Len, heights, renderers) only reads them.
+	History *history.History
+	Trees   []*core.Tree
 }
 
 // statser is the carrier-side counter pair both carriers expose.
@@ -198,7 +199,6 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	// records into it, its mutex totally orders the op feed, and the
 	// AsyncSink replays that order into the monitor off the hot path.
 	rec := history.NewRecorder(cfg.N, clock)
-	reg := replica.NewRegistry()
 	mon := consistency.NewMonitor(consistency.MonitorConfig{
 		Procs:     cfg.N,
 		Score:     prof.Score,
@@ -245,7 +245,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		if err != nil {
 			return fail(err)
 		}
-		proc := replica.NewProcess(i, n, prof.Selector, rec, reg)
+		proc := replica.NewProcess(i, n, prof.Selector, rec)
 		if prof.Predicate != nil {
 			proc.P = prof.Predicate
 		}
@@ -339,7 +339,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		Converged: converged,
 		Recovery:  recovery,
 		History:   rec.Snapshot(),
-		Creators:  reg.Creators(),
+		Monitor:   mon,
 	}
 	if cfg.K > 0 {
 		res.KFork = mon.KForkReport(cfg.K)
