@@ -24,15 +24,16 @@
 //     WithCrashes, WithObserver and friends replace the per-protocol
 //     config structs. Every run is checked by an online consistency
 //     monitor; WithMonitor/WithMonitorK take its live witnesses and
-//     k-Fork bound, WithStreaming runs it in bounded memory. WithShards
-//     moves the simulation onto the sharded deterministic scheduler — a
-//     determinism and race-detection instrument, not an accelerator
-//     (SCALING.md measured no sharded row faster than serial), specified
-//     to leave every digest byte-identical. WithLive and WithLoad deploy
-//     and drive the system for real. There is one knob set, Config,
-//     under both drivers: a table (options.go) says which driver takes
-//     which field, and an option set where its driver is not is an error
-//     naming it.
+//     k-Fork bound, WithStreaming runs it in bounded memory. WithLive
+//     and WithLoad deploy and drive the system for real. There is one
+//     knob set, Config, under both drivers: a table (options.go) says
+//     which driver takes which field, and an option set where its
+//     driver is not is an error naming it.
+//   - A simulated run executes on one goroutine, scheduler, replicas
+//     and monitor alike. A live run gives each node its own event loop;
+//     the nodes share only the block index and the recorder, both safe
+//     for concurrent use, and the recorder feeds the monitor on a
+//     goroutine of its own.
 //   - Result carries the recorded history, the per-process replica
 //     trees and the fault/adversary event log, the monitor's verdicts
 //     (Stream, which Check reads) and a replay Digest: identical

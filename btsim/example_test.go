@@ -30,36 +30,6 @@ func Example() {
 	// replay digest identical: true
 }
 
-// WithShards moves the run onto the sharded deterministic scheduler, a
-// determinism and race-detection instrument: the contract — pinned by
-// the catalogue-wide digest-diff test — is that every shard count
-// replays the byte-identical history, fault log and digest of the
-// serial run.
-func ExampleWithShards() {
-	opts := func(shards int) []btsim.Option {
-		return []btsim.Option{
-			btsim.WithN(8), btsim.WithRounds(120), btsim.WithSeed(42),
-			btsim.WithShards(shards),
-		}
-	}
-	serial, err := btsim.Run("bitcoin", opts(1)...)
-	if err != nil {
-		fmt.Println("run:", err)
-		return
-	}
-	for _, k := range []int{2, 4} {
-		sharded, err := btsim.Run("bitcoin", opts(k)...)
-		if err != nil {
-			fmt.Println("run:", err)
-			return
-		}
-		fmt.Printf("shards=%d digest equals serial: %v\n", k, sharded.Digest() == serial.Digest())
-	}
-	// Output:
-	// shards=2 digest equals serial: true
-	// shards=4 digest equals serial: true
-}
-
 // Systems lists every registered system (in paper-section order) with
 // the oracle family and consistency criterion the paper claims for it.
 func ExampleSystems() {

@@ -14,8 +14,8 @@ import (
 type TraceOptions struct {
 	// SampleEvery keeps every SampleEvery-th send/deliver/timer event
 	// (by scheduler sequence number — deterministic); rare events
-	// (faults, crashes, shard epochs, merge stalls, witnesses) are
-	// always kept. 0 means 1: keep everything.
+	// (faults, crashes, witnesses) are always kept. 0 means 1: keep
+	// everything.
 	SampleEvery int64
 	// Limit caps retained events (0 means trace.DefaultLimit); events
 	// beyond it are counted as dropped, never silently lost: the count
@@ -102,7 +102,7 @@ func (or *obsRun) witness(w consistency.Witness) {
 	if or.tr != nil {
 		or.tr.Emit(trace.Event{
 			VT: now, Seq: or.tr.NextWitnessSeq(), Kind: trace.KWitness,
-			Shard: -1, P: -1, Detail: w.Property,
+			P: -1, Detail: w.Property,
 		})
 	}
 }

@@ -58,60 +58,52 @@ func TestMetricsDigestNeutral(t *testing.T) {
 	}
 }
 
-// TestMetricsSnapshotShardIndependent pins that the digest-relevant
-// sections of a metric snapshot are identical across shard counts —
-// and pins the digest value itself, so any drift in what the metrics
-// observe is a conscious re-pin.
-func TestMetricsSnapshotShardIndependent(t *testing.T) {
+// TestMetricsSnapshotPinned pins the digest of a metric snapshot's
+// deterministic sections, so any drift in what the metrics observe is a
+// conscious re-pin.
+func TestMetricsSnapshotPinned(t *testing.T) {
 	const want = "5c5745837f5e1959"
-	run := func(k int) *btsim.Result {
-		sys, _ := btsim.Lookup("bitcoin")
-		return mustRun(t, sys,
-			btsim.WithN(8), btsim.WithRounds(150), btsim.WithSeed(11),
-			btsim.WithReadEvery(15), btsim.WithDifficulty(5),
-			btsim.WithShards(k), btsim.WithMetrics())
-	}
-	r1, r4 := run(1), run(4)
-	d1, d4 := r1.Metrics.Digest(), r4.Metrics.Digest()
-	if d1 != d4 {
-		t.Fatalf("metric snapshot digest differs across shard counts: k=1 %s, k=4 %s", d1, d4)
-	}
-	if d1 != want {
-		t.Fatalf("metric snapshot digest drifted: got %s, want %s (re-pin only if the change is intended)", d1, want)
-	}
-	// The k-specific section is populated only on the sharded run and
-	// stays out of the digest.
-	if r1.Metrics.Sharding != nil {
-		t.Fatal("serial run has a Sharding section")
-	}
-	if sh := r4.Metrics.Sharding; sh == nil || sh.Shards != 4 {
-		t.Fatalf("sharded run's Sharding section wrong: %+v", sh)
+	sys, _ := btsim.Lookup("bitcoin")
+	res := mustRun(t, sys,
+		btsim.WithN(8), btsim.WithRounds(150), btsim.WithSeed(11),
+		btsim.WithReadEvery(15), btsim.WithDifficulty(5),
+		btsim.WithMetrics())
+	if got := res.Metrics.Digest(); got != want {
+		t.Fatalf("metric snapshot digest drifted: got %s, want %s (re-pin only if the change is intended)", got, want)
 	}
 }
 
 // TestTraceExport pins the WithTrace output formats: the default is
 // Chrome trace-event JSON that json.Unmarshal accepts with a non-empty
 // traceEvents array, and TraceOptions.JSONL is a line stream that
-// trace.ParseJSONL round-trips.
+// trace.ParseJSONL round-trips. Both are byte-reproducible: the same
+// options traced twice write the same bytes.
 func TestTraceExport(t *testing.T) {
 	sys, _ := btsim.Lookup("bitcoin")
 	base := benignOpts(sys, 42)
+	traced := func(opts btsim.TraceOptions) []byte {
+		var buf bytes.Buffer
+		mustRun(t, sys, append(base, btsim.WithTrace(&buf, opts))...)
+		return buf.Bytes()
+	}
+	for _, opts := range []btsim.TraceOptions{{SampleEvery: 4}, {SampleEvery: 4, JSONL: true}} {
+		if a, b := traced(opts), traced(opts); !bytes.Equal(a, b) {
+			t.Fatalf("two runs with %+v wrote different traces (%d and %d bytes)", opts, len(a), len(b))
+		}
+	}
 
-	var chrome bytes.Buffer
-	mustRun(t, sys, append(base, btsim.WithTrace(&chrome, btsim.TraceOptions{SampleEvery: 4}))...)
+	chrome := traced(btsim.TraceOptions{SampleEvery: 4})
 	var parsed struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(chrome.Bytes(), &parsed); err != nil {
+	if err := json.Unmarshal(chrome, &parsed); err != nil {
 		t.Fatalf("Chrome trace does not parse: %v", err)
 	}
 	if len(parsed.TraceEvents) == 0 {
 		t.Fatal("Chrome trace is empty")
 	}
 
-	var jsonl bytes.Buffer
-	mustRun(t, sys, append(base, btsim.WithTrace(&jsonl, btsim.TraceOptions{SampleEvery: 4, JSONL: true}))...)
-	events, err := trace.ParseJSONL(&jsonl)
+	events, err := trace.ParseJSONL(bytes.NewReader(traced(btsim.TraceOptions{SampleEvery: 4, JSONL: true})))
 	if err != nil {
 		t.Fatalf("JSONL trace does not parse: %v", err)
 	}

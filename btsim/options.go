@@ -202,9 +202,6 @@ type Config struct {
 	// WithStreaming.
 	Streaming     bool
 	StreamSegment int
-	// Shards is the worker-shard count of the sharded deterministic
-	// scheduler; 0 or 1 is the serial one. See WithShards.
-	Shards int
 	// Metrics attaches the deterministic metrics layer (WithMetrics).
 	// TraceW, when set, receives the run's scheduler trace as TraceOpts
 	// shapes it, and implies Metrics (WithTrace).
@@ -338,35 +335,20 @@ func WithStreaming(segment int) Option {
 	}
 }
 
-// WithShards runs the simulation on a sharded deterministic scheduler:
-// the event heap is partitioned across k worker shards by replica
-// group, independent same-timestamp deliveries are processed
-// concurrently, and every order-sensitive effect (message sends, RNG
-// delay draws, history recording, fault-log appends) is staged and
-// committed at a merge barrier in exactly the serial execution order.
-// The result — history, digest, fault log, verdicts — is specified to
-// be byte-identical for every k; the catalogue-wide digest-diff test
-// pins it. Sharding is a determinism and race-detection instrument, not
-// an accelerator: SCALING.md measured no sharded row faster than its
-// serial sibling. k ≤ 1 (the default) is the plain serial scheduler.
-// Consensus-style systems whose handlers are not shard-safe run
-// serially regardless.
-func WithShards(k int) Option { return func(c *Config) { c.Shards = k } }
-
 // WithMetrics attaches the deterministic metrics layer: counters,
 // gauges and histograms across the scheduler, network, replica,
 // history and monitor layers, sampled against virtual time.
 // Result.Metrics carries the typed snapshot; its digest-relevant
-// sections are identical across shard counts, and attaching metrics
-// never changes the run's replay digest.
+// sections are deterministic, and attaching metrics never changes the
+// run's replay digest.
 func WithMetrics() Option { return func(c *Config) { c.Metrics = true } }
 
 // WithTrace streams the run's structured scheduler trace — sends,
-// deliveries, timers, faults, crashes, shard epochs, merge stalls and
-// monitor witnesses — to w when the run finishes: Chrome trace-event
-// JSON by default (load in Perfetto or chrome://tracing), JSON-lines
-// with opts.JSONL. Sampling is deterministic (by scheduler sequence
-// number) and attaching a trace never changes the run's digest.
+// deliveries, timers, faults, crashes and monitor witnesses — to w when
+// the run finishes: Chrome trace-event JSON by default (load in Perfetto
+// or chrome://tracing), JSON-lines with opts.JSONL. Sampling is
+// deterministic (by scheduler sequence number), the same run writes the
+// same bytes, and attaching a trace never changes the run's digest.
 // Implies WithMetrics.
 func WithTrace(w io.Writer, opts TraceOptions) Option {
 	return func(c *Config) {
@@ -472,7 +454,6 @@ var knobs = []knob{
 	{"OnWitness", "WithMonitor", both, nil},
 	{"Streaming", "WithStreaming", simOnly, nil},
 	{"StreamSegment", "WithStreaming", simOnly, nil},
-	{"Shards", "WithShards", simOnly, nonNegative},
 	{"Metrics", "WithMetrics", simOnly, nil},
 	{"TraceW", "WithTrace", simOnly, nil},
 	{"TraceOpts", "WithTrace", simOnly, func(c *Config, _ reflect.Value) error {
@@ -566,7 +547,6 @@ func (c Config) Base() protocols.Config {
 		RecordFaults: c.FaultLog,
 		Crashes:      c.Crashes,
 		Durable:      c.Durable,
-		Shards:       c.Shards,
 		Adversary:    c.Adversary,
 	}
 	if len(c.Merits) > 0 {

@@ -31,8 +31,7 @@ type Result struct {
 	// run (nil otherwise): counters, histograms, the virtual-time
 	// gauge series, and the legacy protocol stats folded in — a
 	// superset of the Stats map. Its digest-relevant sections are
-	// deterministic across shard counts; the Sharding and Timing
-	// sections carry the k-specific and wall-clock readings.
+	// deterministic; the Timing section carries the wall-clock readings.
 	Metrics *metrics.Snapshot
 	// Live carries the deployment measurements of a WithLive run (nil
 	// otherwise): sustained appends/sec, client-observed latency

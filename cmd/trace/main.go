@@ -2,14 +2,14 @@
 // observability layer (btsim.WithMetrics + WithTrace) and renders the
 // resulting virtual-time trace: raw Chrome trace-event JSON for
 // Perfetto / chrome://tracing, JSON-lines for ad-hoc tooling, or an
-// ASCII view with per-shard event lanes and the monitor-state timeline
+// ASCII view with an event-density lane and the monitor-state timeline
 // sampled from the metric series. Because the trace is sampled by
 // scheduler sequence number against virtual time, re-running the same
-// (system, seed, flags) reproduces the same stream byte for byte.
+// (system, seed, flags) reproduces the same output byte for byte.
 //
 // Usage:
 //
-//	trace [-system name] [-n N] [-rounds R] [-seed S] [-shards K]
+//	trace [-system name] [-n N] [-rounds R] [-seed S]
 //	      [-difficulty D] [-read-every E] [-drop nth,to]
 //	      [-sample S] [-limit L] [-format chrome|jsonl] [-o file]
 //	      [-lanes] [-check file]
@@ -17,7 +17,7 @@
 // -lanes renders the ASCII lane view instead of the raw trace; -check
 // skips the run entirely and validates an existing Chrome trace-event
 // JSON file (the CI trace-smoke step), exiting non-zero if it does not
-// parse or is empty.
+// parse or is empty. A run whose output cannot be written exits 2.
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 	n := flag.Int("n", 8, "replica count")
 	rounds := flag.Int("rounds", 150, "simulated rounds")
 	seed := flag.Uint64("seed", 1, "deterministic seed")
-	shards := flag.Int("shards", 1, "scheduler shard count (trace is identical for any value)")
 	difficulty := flag.Float64("difficulty", 5, "PoW difficulty (PoW systems)")
 	readEvery := flag.Int64("read-every", 15, "issue a read every this many virtual-time units")
 	drop := flag.String("drop", "", `drop every nth message to a replica, as "nth,to"`)
@@ -49,7 +48,7 @@ func main() {
 	limit := flag.Int("limit", 0, "cap retained events (0 = library default)")
 	format := flag.String("format", "chrome", `output format: "chrome" (Perfetto-loadable) or "jsonl"`)
 	out := flag.String("o", "", "write the trace here instead of stdout")
-	lanes := flag.Bool("lanes", false, "render ASCII per-shard lanes and the monitor-state timeline instead of the raw trace")
+	lanes := flag.Bool("lanes", false, "render the ASCII event lane and the monitor-state timeline instead of the raw trace")
 	check := flag.String("check", "", "validate an existing Chrome trace-event JSON file and exit")
 	flag.Parse()
 
@@ -64,9 +63,6 @@ func main() {
 		btsim.WithN(*n), btsim.WithRounds(*rounds), btsim.WithSeed(*seed),
 		btsim.WithReadEvery(*readEvery), btsim.WithDifficulty(*difficulty),
 		btsim.WithMetrics(),
-	}
-	if *shards > 1 {
-		opts = append(opts, btsim.WithShards(*shards))
 	}
 	if *drop != "" {
 		var nth, to int
@@ -91,26 +87,38 @@ func main() {
 	}
 
 	w := io.Writer(os.Stdout)
+	var f *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if f, err = os.Create(*out); err != nil {
 			fatalf("%v", err)
 		}
-		defer f.Close()
 		w = f
 	}
-
-	if *lanes {
-		events, err := trace.ParseJSONL(&buf)
-		if err != nil {
-			fatalf("parsing own trace: %v", err)
+	err = emit(w, res, buf.Bytes(), *lanes)
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		renderLanes(w, res, events)
-		return
 	}
-	if _, err := io.Copy(w, &buf); err != nil {
+	if err != nil {
 		fatalf("%v", err)
 	}
+}
+
+// emit writes the run's output to w in one Write: the raw trace as
+// recorded or, with lanes, the ASCII view rendered from it.
+func emit(w io.Writer, res *btsim.Result, raw []byte, lanes bool) error {
+	if lanes {
+		events, err := trace.ParseJSONL(bytes.NewReader(raw))
+		if err != nil {
+			return fmt.Errorf("parsing own trace: %w", err)
+		}
+		var view bytes.Buffer
+		renderLanes(&view, res, events)
+		raw = view.Bytes()
+	}
+	_, err := w.Write(raw)
+	return err
 }
 
 func fatalf(format string, args ...any) {
@@ -125,11 +133,19 @@ const laneWidth = 64
 // to a glyph; index 0 is "empty".
 var density = []byte(" .:-=+*#%@")
 
-// renderLanes prints the ASCII trace view: one lane per scheduler
-// shard (bucketed event density over virtual time), a marker lane for
-// the rare kinds, and the monitor-state timeline from the sampled
-// metric series.
-func renderLanes(w io.Writer, res *btsim.Result, events []trace.Event) {
+// glyph is v's density glyph on a lane whose busiest bucket holds peak.
+func glyph(v, peak int64) byte {
+	if v <= 0 {
+		return density[0]
+	}
+	return density[1+v*int64(len(density)-2)/peak]
+}
+
+// renderLanes prints the ASCII trace view: the scheduler lane (bucketed
+// event density over virtual time), a marker lane for the rare kinds,
+// and the monitor-state timeline from the sampled metric series, into a
+// buffer (emit writes it out).
+func renderLanes(w *bytes.Buffer, res *btsim.Result, events []trace.Event) {
 	if len(events) == 0 {
 		fmt.Fprintln(w, "trace: no events retained")
 		return
@@ -148,61 +164,30 @@ func renderLanes(w io.Writer, res *btsim.Result, events []trace.Event) {
 		return b
 	}
 
-	// Per-shard density lanes. Serial-context events (sends, timers,
-	// witnesses) carry no shard; they get the scheduler lane.
-	shardOf := func(ev trace.Event) int {
-		if ev.Kind == trace.KDeliver || ev.Kind == trace.KEpoch || ev.Kind == trace.KStall {
-			return ev.Shard
-		}
-		return -1
-	}
-	counts := map[int][]int{}
+	counts := make([]int64, laneWidth)
 	kinds := map[trace.Kind]int{}
 	for _, ev := range events {
-		s := shardOf(ev)
-		if counts[s] == nil {
-			counts[s] = make([]int, laneWidth)
-		}
-		counts[s][bucket(ev.VT)]++
+		counts[bucket(ev.VT)]++
 		kinds[ev.Kind]++
 	}
-	var shardIDs []int
-	for s := range counts {
-		shardIDs = append(shardIDs, s)
+	peak := int64(1)
+	for _, c := range counts {
+		peak = max(peak, c)
 	}
-	sort.Ints(shardIDs)
-
+	lane := make([]byte, laneWidth)
+	for i, c := range counts {
+		lane[i] = glyph(c, peak)
+	}
 	fmt.Fprintf(w, "virtual time 0..%d across %d columns (each column ≈ %d vt units)\n\n",
 		vtMax, laneWidth, (vtMax+laneWidth)/laneWidth)
-	for _, s := range shardIDs {
-		label := "scheduler"
-		if s >= 0 {
-			label = fmt.Sprintf("shard %d", s)
-		}
-		peak := 1
-		for _, c := range counts[s] {
-			if c > peak {
-				peak = c
-			}
-		}
-		lane := make([]byte, laneWidth)
-		for i, c := range counts[s] {
-			idx := 0
-			if c > 0 {
-				idx = 1 + c*(len(density)-2)/peak
-			}
-			lane[i] = density[idx]
-		}
-		fmt.Fprintf(w, "%-13s |%s| peak %d/col\n", label, lane, peak)
-	}
+	fmt.Fprintf(w, "%-13s |%s| peak %d/col\n", "scheduler", lane, peak)
 
 	// Rare-event marker lane: one glyph per kind, last writer wins
 	// within a bucket.
 	marks := map[trace.Kind]byte{
-		trace.KFault: 'F', trace.KCrash: 'C', trace.KRestart: 'R',
-		trace.KEpoch: 'E', trace.KStall: 'S', trace.KWitness: 'W',
+		trace.KFault: 'F', trace.KCrash: 'C', trace.KRestart: 'R', trace.KWitness: 'W',
 	}
-	lane := bytes.Repeat([]byte{' '}, laneWidth)
+	lane = bytes.Repeat([]byte{' '}, laneWidth)
 	any := false
 	for _, ev := range events {
 		if g, ok := marks[ev.Kind]; ok {
@@ -211,7 +196,7 @@ func renderLanes(w io.Writer, res *btsim.Result, events []trace.Event) {
 		}
 	}
 	if any {
-		fmt.Fprintf(w, "%-13s |%s| F=fault C=crash R=restart E=epoch S=stall W=witness\n", "events", lane)
+		fmt.Fprintf(w, "%-13s |%s| F=fault C=crash R=restart W=witness\n", "events", lane)
 	}
 
 	// Monitor-state timeline and scheduler queue depth from the
@@ -237,7 +222,7 @@ func renderLanes(w io.Writer, res *btsim.Result, events []trace.Event) {
 
 // renderSeriesLane prints one metric column as a density lane, scaled
 // against its own peak. Missing columns are silently skipped.
-func renderSeriesLane(w io.Writer, res *btsim.Result, col string, vtMax int64, bucket func(int64) int) {
+func renderSeriesLane(w *bytes.Buffer, res *btsim.Result, col string, vtMax int64, bucket func(int64) int) {
 	idx := -1
 	for i, c := range res.Metrics.Series.Cols {
 		if c == col {
@@ -269,11 +254,7 @@ func renderSeriesLane(w io.Writer, res *btsim.Result, col string, vtMax int64, b
 			v = vals[i]
 			last = v
 		}
-		idx := 0
-		if v > 0 {
-			idx = 1 + int(v*int64(len(density)-2)/peak)
-		}
-		lane[i] = density[idx]
+		lane[i] = glyph(v, peak)
 	}
 	fmt.Fprintf(w, "%-13s |%s| peak %d\n", col, lane, peak)
 }

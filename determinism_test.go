@@ -89,16 +89,16 @@ func TestPipelineDeterminismPinned(t *testing.T) {
 
 // TestDigestIndependentOfHandleOrder: the run's block index names blocks
 // by handles in intern order, and that order is an accident of
-// scheduling (it differs between shard counts and between live runs).
+// scheduling (in a live run, the nodes' event loops race to intern).
 // Interning every block of the run beforehand, in reverse — children
 // before parents, so no tree ever assigns a handle and each tree's
 // attach order is the opposite of handle order — must leave the pinned
-// digest untouched, on the serial scheduler and on four shards.
+// digest untouched.
 func TestDigestIndependentOfHandleOrder(t *testing.T) {
 	const want = "6e285a33a4969092" // bitcoin-seed1 of TestPipelineDeterminismPinned
-	run := func(shards int, pre []*core.Block) *btsim.Result {
+	run := func(pre []*core.Block) *btsim.Result {
 		cfg := bitcoin.Config{Difficulty: 5, Config: protocols.Config{
-			N: 4, Rounds: 120, Seed: 1, ReadEvery: 15, Shards: shards,
+			N: 4, Rounds: 120, Seed: 1, ReadEvery: 15,
 			Stream: func(rec *history.Recorder, _ core.Score) {
 				for i := len(pre) - 1; i >= 0; i-- {
 					rec.Table().Intern(pre[i])
@@ -107,7 +107,7 @@ func TestDigestIndependentOfHandleOrder(t *testing.T) {
 		}}
 		return &btsim.Result{Result: bitcoin.Run(cfg)}
 	}
-	base := run(1, nil)
+	base := run(nil)
 	if got := pipelineDigest(base); got != want {
 		t.Fatalf("untouched run: digest %s, want %s", got, want)
 	}
@@ -124,10 +124,8 @@ func TestDigestIndependentOfHandleOrder(t *testing.T) {
 	if len(blocks) < 20 {
 		t.Fatalf("fixture: only %d blocks in the run", len(blocks))
 	}
-	for _, shards := range []int{1, 4} {
-		if got := pipelineDigest(run(shards, blocks)); got != want {
-			t.Errorf("shards=%d, blocks pre-interned in reverse: digest %s, want %s", shards, got, want)
-		}
+	if got := pipelineDigest(run(blocks)); got != want {
+		t.Errorf("blocks pre-interned in reverse: digest %s, want %s", got, want)
 	}
 }
 
@@ -160,19 +158,16 @@ func TestSimScaleDeterminismPinned(t *testing.T) {
 		t.Fatalf("streaming SimScale diverged from batch:\n got %+v\nwant %+v", gotStream, want)
 	}
 	// The metered variant attaches the metrics layer to the identical
-	// workload: same stats (instrumentation is observational), and the
-	// snapshot must be identical across shard counts.
+	// workload: same stats (instrumentation is observational), and a
+	// pinned snapshot.
 	met := pin
 	met.Variant = simMetered
 	gotMet, snap := runSimScale(met)
 	if gotMet != want {
 		t.Fatalf("metered SimScale diverged from bare:\n got %+v\nwant %+v", gotMet, want)
 	}
-	met.Shards = 4
-	_, snapSharded := runSimScale(met)
-	if snap.Digest() != snapSharded.Digest() {
-		t.Fatalf("metric snapshot digest differs across shard counts: serial %s, sharded %s",
-			snap.Digest(), snapSharded.Digest())
+	if got, wantSnap := snap.Digest(), "522d79cb7af2e7a2"; got != wantSnap {
+		t.Fatalf("metered SimScale snapshot digest %s, want %s", got, wantSnap)
 	}
 }
 

@@ -24,10 +24,12 @@ import "sync"
 //     first copy interned; resolve uses it only when the copy at hand
 //     names the same parent and looks the named parent up otherwise.
 //   - (iii) Handles are run-local names in intern order, which differs
-//     between shard counts and between live runs. Nothing digest-covered,
-//     rendered or serialized depends on handle order, and a tree keeps no
-//     order of its own (Tree: Blocks sorts, Clone copies pages, the GHOST
-//     pass sums subtrees — the same result in any visiting order).
+//     between live runs (the nodes' event loops race to intern a block
+//     first) and with what a caller interned beforehand. Nothing
+//     digest-covered, rendered or serialized depends on handle order,
+//     and a tree keeps no order of its own (Tree: Blocks sorts, Clone
+//     copies pages, the GHOST pass sums subtrees — the same result in
+//     any visiting order).
 //   - (iv) The index is safe for concurrent use. A block already interned
 //     is resolved under the read lock, taken once per delivered block;
 //     only the first attach of a block anywhere takes the write lock.

@@ -96,7 +96,7 @@ func TestWellFormedMemoIsPerObject(t *testing.T) {
 
 // TestWellFormedMemoConcurrent: one block, its forged twins and a block
 // nobody judged yet, judged from parallel subtests and plain goroutines
-// at once — the shape of shard workers and live nodes sharing a delivered
+// at once — the shape of live nodes and the monitor sharing a delivered
 // *Block. Run under -race this is the memo's concurrency contract: atomic
 // accesses only, the same verdicts on every call.
 func TestWellFormedMemoConcurrent(t *testing.T) {

@@ -15,7 +15,9 @@ import (
 // P judges block *content*; Token is oracle metadata and a predicate must
 // not read it: replicas hand P the delivered block, stamp included, and b
 // and b.WithToken(t) get one verdict. P is pure and safe for concurrent
-// use — every replica, the shard workers and the monitor call one P.
+// use — every replica and the monitor call one P, and in a live run each
+// node's event loop and the monitor's consumer run on goroutines of
+// their own.
 type Predicate interface {
 	Valid(*Block) bool
 	Name() string

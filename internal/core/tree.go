@@ -52,8 +52,8 @@ import (
 // HeaviestChain in O(#leaves), and each materializes only the winning
 // chain, following parent handles.
 //
-// No iteration order is kept, and handle order differs between shard
-// counts (Index invariant (iii)): Blocks scans the pages and sorts by
+// No iteration order is kept, and handle order differs between live
+// runs (Index invariant (iii)): Blocks scans the pages and sorts by
 // (height, ID), Clone copies pages, the lazy GHOST pass walks the child
 // lists depth-first — each the same result in any visiting order.
 //

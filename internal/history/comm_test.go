@@ -82,39 +82,6 @@ func TestSnapshotCommIsIndependent(t *testing.T) {
 	checkFlatComm(t, rec.Snapshot(), 4*commChunkMin)
 }
 
-// TestCommitStagedCommsAcrossChunkBoundary stages events in per-shard
-// buffers so that one barrier commit straddles a chunk boundary, and
-// checks the flushed log equals the serial recording whatever the shard
-// count.
-func TestCommitStagedCommsAcrossChunkBoundary(t *testing.T) {
-	const n = 2*commChunkMin + 7
-	for _, shards := range []int{1, 4} {
-		rec := NewRecorder(3, nil)
-		var tag int64
-		staging := false
-		rec.SetShardContext(shards, func(p int) (int, int64, bool) {
-			return int(tag) % shards, tag, staging
-		})
-		serial := commChunkMin - 5 // recorded outside a parallel phase
-		for i := 0; i < serial; i++ {
-			rec.RecordComm(CommKind(i%3), i%3, core.GenesisID, commBlock(i))
-		}
-		staging = true
-		for i := serial; i < n; i++ {
-			tag = int64(i)
-			rec.RecordComm(CommKind(i%3), i%3, core.GenesisID, commBlock(i))
-		}
-		if got := rec.StagedComms(); got != n-serial {
-			t.Fatalf("shards=%d: %d events staged, want %d", shards, got, n-serial)
-		}
-		rec.CommitStagedComms()
-		if rec.StagedComms() != 0 {
-			t.Fatalf("shards=%d: staging buffers not drained", shards)
-		}
-		checkFlatComm(t, rec.Snapshot(), n)
-	}
-}
-
 // TestRecordCommConcurrentWithSnapshot is the -race check of the chunked
 // log: writers append while a reader flattens, and every snapshot is a
 // prefix-consistent log.

@@ -184,72 +184,6 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 	})
 }
 
-// TestStagedCommitEqualsSerial records one event sequence serially and
-// through 2 and 4 shard buffers — deliveries of one to three events
-// staged under the delivery's tag in its process's shard, a barrier
-// every five deliveries, serial-phase events in between — and wants the
-// same log and the same ID table, with no ID numbered before the barrier.
-func TestStagedCommitEqualsSerial(t *testing.T) {
-	type delivery struct {
-		proc   int
-		events []CommEvent // Kind, Parent, Block set
-	}
-	var deliveries []delivery
-	for d := 0; d < 60; d++ {
-		dl := delivery{proc: (d * 7) % 8}
-		block := commBlock(d / 3) // a block's deliveries come in runs
-		parent := commBlock(d / 6)
-		if d%11 == 10 {
-			parent = "forged-parent"
-		}
-		for k := 0; k <= d%3; k++ {
-			dl.events = append(dl.events, CommEvent{Kind: CommKind(1 + k%2), Parent: parent, Block: block})
-		}
-		deliveries = append(deliveries, dl)
-	}
-	record := func(shards int) *History {
-		rec := NewRecorder(8, nil)
-		var tag int64
-		staging := false
-		if shards > 0 {
-			rec.SetShardContext(shards, func(p int) (int, int64, bool) { return p % shards, tag, staging })
-		}
-		for d, dl := range deliveries {
-			if d%5 == 0 { // barrier, then one serial-phase event
-				staging = false
-				if shards > 0 {
-					rec.CommitStagedComms()
-				}
-				rec.RecordComm(EvSend, dl.proc, core.GenesisID, commBlock(d))
-				staging = shards > 0
-			}
-			tag = int64(d)
-			numbered := len(rec.ids.names)
-			for _, e := range dl.events {
-				rec.RecordComm(e.Kind, dl.proc, e.Parent, e.Block)
-			}
-			if staging && len(rec.ids.names) != numbered {
-				t.Fatalf("shards=%d: staging delivery %d numbered an ID", shards, d)
-			}
-		}
-		if shards > 0 {
-			rec.CommitStagedComms()
-		}
-		return rec.Snapshot()
-	}
-	serial := record(0)
-	var want []CommEvent
-	for e := range serial.Events() {
-		want = append(want, e)
-	}
-	if len(want) != 60/5+60*2 {
-		t.Fatalf("serial run recorded %d events", len(want))
-	}
-	for _, shards := range []int{2, 4} {
-		checkEvents(t, record(shards), want)
-	}
-}
-
 // TestSegmentSinkHistoryEqualsSnapshot: in tee mode — a SegmentSink on a
 // retaining recorder, its handler copying each segment — the history
 // assembled from the segments' wide events and the recorder's own

@@ -529,13 +529,6 @@ type Recorder struct {
 	// draws from it, so such a run owns about a segment's worth of Op
 	// objects plus the pending ones for its whole length.
 	free []*Op
-
-	// shardCtx/staged/stagedPos support sharded-scheduler runs: comm
-	// events recorded during a parallel phase are staged per shard and
-	// flushed in global order at the barrier (see shard.go).
-	shardCtx  ShardContext
-	staged    [][]stagedComm
-	stagedPos []int
 }
 
 // opSlabChunk is the pooled Op allocator's chunk capacity;
@@ -700,30 +693,12 @@ func (r *Recorder) Append(p int, b *core.Block, ok bool) *Op {
 	return op
 }
 
-// RecordComm records a send/receive/update event. During a sharded
-// parallel phase (SetShardContext installed and the context reports an
-// active phase) the event is staged and committed at the scheduler's
-// barrier in global order; the returned CommEvent then carries no
-// Index/Time yet — the replica layer discards the return value, and no
-// other caller records from a parallel phase.
+// RecordComm records a send/receive/update event: it sequences the
+// event, packs it into the chunked log (unless in drop mode, which keeps
+// neither the record nor its IDs) and feeds the sink the wide event.
 func (r *Recorder) RecordComm(kind CommKind, p int, parent, block core.BlockID) CommEvent {
-	if ctx := r.shardCtx; ctx != nil {
-		if sh, tag, ok := ctx(p); ok {
-			// Single writer per shard buffer (the shard's worker), so
-			// staging is lock-free by construction.
-			r.staged[sh] = append(r.staged[sh], stagedComm{tag: tag, kind: kind, proc: p, parent: parent, block: block})
-			return CommEvent{Kind: kind, Proc: p, Parent: parent, Block: block}
-		}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.appendComm(kind, p, parent, block)
-}
-
-// appendComm sequences one communication event, packs it into the
-// chunked log (unless in drop mode, which keeps neither the record nor
-// its IDs) and feeds the sink the wide event; callers hold r.mu.
-func (r *Recorder) appendComm(kind CommKind, p int, parent, block core.BlockID) CommEvent {
 	e := CommEvent{Kind: kind, Proc: p, Parent: parent, Block: block, Index: r.seq, Time: r.clock()}
 	r.seq++
 	r.ncomm++

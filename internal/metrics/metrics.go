@@ -2,41 +2,35 @@
 // gauges and histograms sampled against *virtual time*, so that for a
 // fixed configuration and seed the full metric stream — every sampled
 // series row, every final counter value — is byte-identical across
-// runs AND across scheduler shard counts. It is the instrument panel
-// of the whole pipeline (simnet, replica, history, consistency,
-// btsim), and its hard correctness requirement is digest-neutrality:
-// attaching a Registry must not change a single scheduled event, RNG
-// draw or recorded history byte.
+// runs. It is the instrument panel of the whole pipeline (simnet,
+// replica, history, consistency, btsim), and its hard correctness
+// requirement is digest-neutrality: attaching a Registry must not
+// change a single scheduled event, RNG draw or recorded history byte.
 //
 // The determinism argument, instrument by instrument:
 //
-//   - Counters (and per-process CounterVec slots) are commutative sums.
-//     Under the sharded scheduler a slot is mutated only by its owner
-//     process (the shard-safety contract of simnet.AddShardSafeHandler),
-//     so increments race with nothing and totals are independent of
-//     worker interleaving.
+//   - Counters (and per-process CounterVec slots) are plain sums, mutated
+//     from the goroutine that runs the simulation; a live deployment
+//     adds its totals once, after its nodes have stopped.
 //   - Gauges are probe *functions*, evaluated only at sample points.
 //     Sample points sit at virtual-time boundaries — "just before the
-//     first event with time ≥ boundary executes" — which the serial
-//     and sharded schedulers cross at identical event-set states: all
-//     events strictly earlier have executed, and every staged side
-//     effect of theirs has committed at the merge barrier.
+//     first event with time ≥ boundary executes" — where every event
+//     strictly earlier has executed and none later has.
 //   - Histograms accumulate bucket counts (commutative sums again); a
-//     small mutex makes rare cross-goroutine observations safe without
-//     affecting determinism.
+//     small mutex lets a live run's client goroutines observe
+//     concurrently without affecting the counts.
 //
-// Wall-clock measurements (merge-barrier stall time, async queue
+// Wall-clock measurements (live elapsed and settle times, async queue
 // high-water marks) are inherently non-deterministic; they live in the
-// Snapshot's Timing section, which — like the shard-count-specific
-// Sharding section — is excluded from Snapshot.Digest.
+// Snapshot's Timing section, which is excluded from Snapshot.Digest.
 package metrics
 
 import "sync"
 
 // Counter is a monotone (or at least sum-semantics) int64 counter.
 // Inc/Add perform one integer addition: no allocation, no lock — safe
-// on the hottest paths. Mutate it only from the serial scheduler
-// context or from a single owning process (see the package comment).
+// on the hottest paths. Mutate it from one goroutine at a time (see the
+// package comment).
 type Counter struct {
 	name string
 	v    int64
@@ -45,11 +39,8 @@ type Counter struct {
 // Add adds d.
 func (c *Counter) Add(d int64) { c.v += d }
 
-// CounterVec is a counter with one slot per process. Under the sharded
-// scheduler each slot is mutated only by its owner process's handler,
-// so no synchronization is needed and the Total is independent of how
-// workers interleaved — the per-process layout is exactly what makes a
-// counter shard-safe.
+// CounterVec is a counter with one slot per process, each incremented
+// on behalf of its own process.
 type CounterVec struct {
 	name  string
 	slots []int64
@@ -108,7 +99,7 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // probe is one registered gauge: a named function evaluated at sample
-// points (serial coordinator context only).
+// points.
 type probe struct {
 	name string
 	fn   func() int64
@@ -135,7 +126,6 @@ type Registry struct {
 	rows       []Row
 	clock      func() int64
 	timing     []NamedValue
-	onSnap     []func(*Snapshot)
 }
 
 // DefaultSampleEvery is the sampling interval used when none is given.
@@ -174,10 +164,10 @@ func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
 }
 
 // Probe registers a named gauge: fn is evaluated at every sample point
-// (serial scheduler context — it may read state the parallel phase
-// owns, because no worker runs at a sample point) and its final value
-// is folded into the snapshot's Counters section. Registration order
-// defines the series column order, so wire probes in a fixed order.
+// (between two events, so it may read any simulation state) and its
+// final value is folded into the snapshot's Counters section.
+// Registration order defines the series column order, so wire probes
+// in a fixed order.
 func (r *Registry) Probe(name string, fn func() int64) {
 	r.probes = append(r.probes, probe{name: name, fn: fn})
 }
@@ -189,9 +179,9 @@ func (r *Registry) SetClock(clock func() int64) { r.clock = clock }
 // Tick advances the sampler: next is the virtual time of the next
 // event about to execute. Every boundary ≤ next that has not been
 // sampled yet is sampled now — i.e. with the state "after all events
-// strictly before the boundary's crossing event", which is the same
-// state in serial and sharded execution. The common case (no boundary
-// crossed) is a single comparison, keeping the hot loop unharmed.
+// strictly before the boundary's crossing event". The common case (no
+// boundary crossed) is a single comparison, keeping the hot loop
+// unharmed.
 func (r *Registry) Tick(next int64) {
 	for r.nextSample <= next {
 		r.sampleRow(r.nextSample)
@@ -221,10 +211,4 @@ func (r *Registry) AddTiming(name string, v int64) {
 		}
 	}
 	r.timing = append(r.timing, NamedValue{Name: name, Value: v})
-}
-
-// OnSnapshot registers a hook run while Snapshot assembles (the sharded
-// scheduler fills the Sharding section here).
-func (r *Registry) OnSnapshot(fn func(*Snapshot)) {
-	r.onSnap = append(r.onSnap, fn)
 }

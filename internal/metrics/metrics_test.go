@@ -83,13 +83,12 @@ func TestSnapshotDigestDeterministicAndSectioned(t *testing.T) {
 		g := int64(7)
 		r.Probe("g", func() int64 { return g })
 		r.Tick(12)
-		r.AddTiming("stallns", timing)
-		r.OnSnapshot(func(s *Snapshot) { s.Sharding = &ShardInfo{Shards: int(timing % 7)} })
+		r.AddTiming("wallns", timing)
 		return r.Snapshot()
 	}
 	s1, s2 := build(111), build(99999)
 	if s1.Digest() != s2.Digest() {
-		t.Fatalf("digest covers Timing/Sharding: %s vs %s", s1.Digest(), s2.Digest())
+		t.Fatalf("digest covers Timing: %s vs %s", s1.Digest(), s2.Digest())
 	}
 	// A change in a core counter must change the digest.
 	r := New(5)

@@ -67,31 +67,21 @@ type Series struct {
 	Rows        []Row    `json:"rows"`
 }
 
-// ShardInfo describes the sharded scheduler's run shape. It is
-// k-specific by nature, so it is excluded from the snapshot digest.
-type ShardInfo struct {
-	Shards    int     `json:"shards"`
-	Batches   int64   `json:"batches"`
-	Delivered []int64 `json:"delivered"` // per-shard staged deliveries
-}
-
 // Snapshot is a run's frozen metric state, split into a deterministic
-// core (Counters, Hists, Series, Stats — identical across runs and
-// shard counts; covered by Digest) and two excluded sections: Sharding
-// (shape of the k-way split) and Timing (wall-clock measurements).
+// core (Counters, Hists, Series, Stats — identical across runs; covered
+// by Digest) and the excluded Timing section (wall-clock measurements).
 type Snapshot struct {
 	Counters []NamedValue   `json:"counters"`
 	Hists    []HistSnapshot `json:"hists,omitempty"`
 	Series   Series         `json:"series"`
 	Stats    []NamedValue   `json:"stats,omitempty"`
-	Sharding *ShardInfo     `json:"sharding,omitempty"`
 	Timing   []NamedValue   `json:"timing,omitempty"`
 }
 
 // Snapshot freezes the registry: takes a final sample at the current
 // virtual time (if a clock is attached and the last row is older),
-// folds counters, vec totals/maxima and final probe values into the
-// Counters section sorted by name, and runs OnSnapshot hooks.
+// and folds counters, vec totals/maxima and final probe values into the
+// Counters section sorted by name.
 func (r *Registry) Snapshot() *Snapshot {
 	if r.clock != nil {
 		now := r.clock()
@@ -143,9 +133,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Series.Cols = append(s.Series.Cols, p.name)
 	}
 	s.Series.Rows = r.rows
-	for _, fn := range r.onSnap {
-		fn(s)
-	}
 	return s
 }
 
@@ -179,10 +166,9 @@ func (s *Snapshot) Value(name string) (int64, bool) {
 }
 
 // DigestInto folds the deterministic core sections — Counters, Hists,
-// Series, Stats — into h. Sharding and Timing are deliberately
-// excluded: the former differs across shard counts, the latter across
-// machines. Everything folded here must be byte-identical for the same
-// (config, seed) regardless of k.
+// Series, Stats — into h. Timing is deliberately excluded: it differs
+// across machines. Everything folded here must be byte-identical for
+// the same (config, seed).
 func (s *Snapshot) DigestInto(h hash.Hash) {
 	for _, nv := range s.Counters {
 		fmt.Fprintf(h, "C%s=%d;", nv.Name, nv.Value)

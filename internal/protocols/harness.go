@@ -43,9 +43,8 @@ type Harness struct {
 // every system — stream sinks bound before the first operation, message
 // loss, FIFO, the partition and crash schedules merged into one (the
 // caller's Faults schedule is never mutated) with crash recovery wired,
-// sharding, then metrics and trace (after sharding, so the sharded
-// engine is in place for per-shard staging). cfg is normalized in place
-// and stays the runner's: Tick latches on it.
+// then metrics and trace. cfg is normalized in place and stays the
+// runner's: Tick latches on it.
 func (d *Definition) Start(cfg *Config, delta int64, drop simnet.DropRule) *Harness {
 	merits := cfg.Norm()
 	sim := simnet.NewSim(cfg.Seed)
@@ -72,9 +71,6 @@ func (d *Definition) Start(cfg *Config, delta int64, drop simnet.DropRule) *Harn
 	}
 	if sched != nil {
 		group.Net.SetSchedule(sched)
-	}
-	if cfg.Shards > 1 {
-		group.EnableSharding(cfg.Shards)
 	}
 	if cfg.Trace != nil {
 		sim.SetTrace(cfg.Trace)

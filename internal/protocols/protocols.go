@@ -88,19 +88,13 @@ type Config struct {
 	// one the run's batch classification uses, so a monitor can match
 	// it.
 	Stream func(rec *history.Recorder, score core.Score)
-	// Shards runs the simulation on a sharded scheduler with that many
-	// worker shards (simnet.EnableSharding). 0 or 1 is the serial
-	// scheduler; any value is specified to produce a byte-identical
-	// history and digest. It is a determinism and race-detection
-	// instrument, not an accelerator (SCALING.md).
-	Shards int
 	// Metrics, when set, is the registry every layer of the run hangs
 	// its deterministic counters and virtual-time-sampled gauges on.
 	// Attaching it never changes the run's digest.
 	Metrics *metrics.Registry
 	// Trace, when set, collects structured scheduler events (sends,
-	// deliveries, timers, faults, crashes, shard epochs, merge stalls)
-	// with deterministic sequence-number sampling.
+	// deliveries, timers, faults, crashes) with deterministic
+	// sequence-number sampling.
 	Trace *trace.Tracer
 	// Live, when set, switches the run from a deterministic simulation
 	// to a real concurrent deployment over internal/transport: N nodes

@@ -61,10 +61,10 @@ func (p *Process) installAntiEntropy() {
 		return
 	}
 	p.aeInstalled = true
-	// Shard-safe: the inv/req/sync handlers read and repair only this
-	// process's tree and reply as themselves (catch-up *timers* are
-	// scheduled from crash/restart hooks, which run serially).
-	p.nw.AddShardSafeHandler(p.ID, func(m simnet.Message) {
+	// The inv/req/sync handlers read and repair only this process's tree
+	// and reply as themselves (catch-up timers are scheduled from the
+	// crash/restart hooks).
+	p.nw.AddHandler(p.ID, func(m simnet.Message) {
 		switch msg := m.Payload.(type) {
 		case InvMsg:
 			p.onInventory(m.From, msg)

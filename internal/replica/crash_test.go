@@ -226,9 +226,9 @@ type catchUpRig struct {
 	chain    *core.Block
 }
 
-func (r *catchUpRig) AddShardSafeHandler(int, simnet.Handler) {}
-func (r *catchUpRig) Send(int, int, any)                      {}
-func (r *catchUpRig) Down(int) bool                           { return r.down }
+func (r *catchUpRig) AddHandler(int, simnet.Handler) {}
+func (r *catchUpRig) Send(int, int, any)             {}
+func (r *catchUpRig) Down(int) bool                  { return r.down }
 func (r *catchUpRig) Broadcast(_ int, payload any) {
 	if _, ok := payload.(SyncMsg); ok {
 		r.solicits++

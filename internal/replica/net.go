@@ -11,12 +11,12 @@ import "repro/internal/simnet"
 // deliver messages from one peer in send order (per-peer FIFO is what
 // the orphan-buffer bound and the anti-entropy segment repair assume).
 type Net interface {
-	// AddShardSafeHandler registers a delivery handler for process p.
-	// The "shard-safe" contract carries over from simnet: the handler
-	// touches only process p's state and sends only as p, so carriers
-	// may run handlers of different processes concurrently as long as
-	// each process's handlers run serially.
-	AddShardSafeHandler(p int, h simnet.Handler)
+	// AddHandler registers a delivery handler for process p. The
+	// handler touches only process p's state and sends only as p, so a
+	// carrier may run handlers of different processes concurrently as
+	// long as each process's handlers run one at a time (a live node's
+	// event loop does).
+	AddHandler(p int, h simnet.Handler)
 	// Send queues payload from one process to another.
 	Send(from, to int, payload any)
 	// Broadcast queues payload from p to every other process.

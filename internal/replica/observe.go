@@ -4,12 +4,11 @@ import "repro/internal/metrics"
 
 // RegisterMetrics instruments the replica layer. Per-process counters
 // (flood broadcasts, orphan bufferings, duplicate flood deliveries,
-// anti-entropy repair requests) use CounterVec slots mutated only by
-// the owning process, upholding the shard-safety contract; gauges
-// (orphan-buffer size, rejected blocks, attached blocks) are probes
-// evaluated at serial sample points. Counts are identical across shard
-// counts because every increment is driven by the same deterministic
-// event sequence.
+// anti-entropy repair requests) use CounterVec slots, one per process;
+// gauges (orphan-buffer size, rejected blocks, attached blocks) are
+// probes evaluated at sample points. Counts are identical across runs
+// because every increment is driven by the same deterministic event
+// sequence.
 func (g *Group) RegisterMetrics(reg *metrics.Registry) {
 	n := len(g.Procs)
 	flood := reg.CounterVec("replica.floods", n)

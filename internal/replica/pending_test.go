@@ -154,29 +154,25 @@ func TestFloodedGenesisIsADuplicate(t *testing.T) {
 
 // TestNilBlockUpdateIsRejected: an UpdateMsg carrying no block — nothing
 // a correct process sends — is dropped and counted as rejected at every
-// receiver instead of stopping the run with a nil dereference, on the
-// serial scheduler and on shard workers alike.
+// receiver instead of stopping the run with a nil dereference.
 func TestNilBlockUpdateIsRejected(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		sim := simnet.NewSim(5)
-		g := NewGroup(sim, 4, simnet.Synchronous{Delta: 3}, core.LongestChain{})
-		g.EnableSharding(shards)
-		sim.Schedule(1, func() { g.Net.Broadcast(3, UpdateMsg{Parent: core.GenesisID}) })
-		b := core.NewBlock(core.GenesisID, 1, 0, 1, nil)
-		sim.Schedule(2, func() { g.Procs[0].AppendLocal(b) })
-		sim.RunUntilIdle()
-		for i, p := range g.Procs {
-			if p.RejectedCount() != 1 {
-				t.Errorf("shards=%d: process %d rejected %d messages, want 1", shards, i, p.RejectedCount())
-			}
-			if !p.Tree().Has(b.ID) || p.Tree().Len() != 2 {
-				t.Errorf("shards=%d: process %d did not go on to attach the honest block", shards, i)
-			}
+	sim := simnet.NewSim(5)
+	g := NewGroup(sim, 4, simnet.Synchronous{Delta: 3}, core.LongestChain{})
+	sim.Schedule(1, func() { g.Net.Broadcast(3, UpdateMsg{Parent: core.GenesisID}) })
+	b := core.NewBlock(core.GenesisID, 1, 0, 1, nil)
+	sim.Schedule(2, func() { g.Procs[0].AppendLocal(b) })
+	sim.RunUntilIdle()
+	for i, p := range g.Procs {
+		if p.RejectedCount() != 1 {
+			t.Errorf("process %d rejected %d messages, want 1", i, p.RejectedCount())
 		}
-		for e := range g.History().Events() {
-			if e.Block != b.ID {
-				t.Errorf("shards=%d: %v recorded for a block-less update", shards, e)
-			}
+		if !p.Tree().Has(b.ID) || p.Tree().Len() != 2 {
+			t.Errorf("process %d did not go on to attach the honest block", i)
+		}
+	}
+	for e := range g.History().Events() {
+		if e.Block != b.ID {
+			t.Errorf("%v recorded for a block-less update", e)
 		}
 	}
 }

@@ -76,74 +76,70 @@ func TestDefaultPredicateAcceptsAnything(t *testing.T) {
 // twin and must refuse it — here all correct replicas but the creator,
 // which withholds the honest block at first — and once the honest block
 // is attached everywhere a second flood of the twin is a duplicate that
-// changes no tree. Run on the serial scheduler and on four shard workers
-// (under -race: P is called on one *Block from several goroutines).
+// changes no tree.
 func TestValidityMemoCannotLaunderATwin(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		const n, creator, byz = 6, 1, 5
-		sim := simnet.NewSim(11)
-		g := NewGroup(sim, n, simnet.Synchronous{Delta: 2}, core.LongestChain{})
-		g.SetPredicate(core.WellFormed{})
-		g.EnableSharding(shards)
-		first := mkBlock(core.Genesis(), 0, 1)
-		honest := mkBlock(first, creator, 2)
-		var twin *core.Block
-		dumps := func() []string {
-			out := make([]string, n)
-			for i, p := range g.Procs {
-				out[i] = treeDump(p.Tree())
-			}
-			return out
-		}
-		var beforeTwin, beforeSecondFlood []string
-
-		sim.Schedule(1, func() { g.Procs[0].AppendLocal(first) })
-		sim.Schedule(10, func() {
-			g.Procs[creator].Mute = true
-			if !g.Procs[creator].AppendLocal(honest) { // validated here: the verdict is on the object
-				t.Errorf("shards=%d: creator refused its own block", shards)
-			}
-			g.Procs[creator].Mute = false
-			cp := *honest
-			cp.Payload = []byte("pay the forger instead")
-			twin = &cp
-			beforeTwin = dumps()
-			g.Net.Broadcast(byz, UpdateMsg{Parent: twin.Parent, Block: twin})
-		})
-		sim.Schedule(20, func() {
-			for i, p := range g.Procs {
-				want := 1
-				if i == creator || i == byz {
-					want = 0 // holds the ID already: a duplicate; the sender hears nothing
-				}
-				if p.RejectedCount() != want {
-					t.Errorf("shards=%d: process %d rejected %d blocks after the twin's flood, want %d", shards, i, p.RejectedCount(), want)
-				}
-			}
-			if got := dumps(); !reflect.DeepEqual(got, beforeTwin) {
-				t.Errorf("shards=%d: the twin's flood changed a tree:\n%v\n%v", shards, beforeTwin, got)
-			}
-			g.Procs[creator].Publish(honest)
-		})
-		sim.Schedule(30, func() {
-			beforeSecondFlood = dumps()
-			g.Net.Broadcast(byz, UpdateMsg{Parent: twin.Parent, Block: twin})
-		})
-		sim.RunUntilIdle()
-
-		if got := dumps(); !reflect.DeepEqual(got, beforeSecondFlood) {
-			t.Errorf("shards=%d: the second flood of the twin changed a tree", shards)
-		}
+	const n, creator, byz = 6, 1, 5
+	sim := simnet.NewSim(11)
+	g := NewGroup(sim, n, simnet.Synchronous{Delta: 2}, core.LongestChain{})
+	g.SetPredicate(core.WellFormed{})
+	first := mkBlock(core.Genesis(), 0, 1)
+	honest := mkBlock(first, creator, 2)
+	var twin *core.Block
+	dumps := func() []string {
+		out := make([]string, n)
 		for i, p := range g.Procs {
-			if p.Tree().Block(honest.ID) != honest || p.Tree().Len() != 3 {
-				t.Errorf("shards=%d: process %d does not hold the honest copy (tree %v)", shards, i, p.Tree())
+			out[i] = treeDump(p.Tree())
+		}
+		return out
+	}
+	var beforeTwin, beforeSecondFlood []string
+
+	sim.Schedule(1, func() { g.Procs[0].AppendLocal(first) })
+	sim.Schedule(10, func() {
+		g.Procs[creator].Mute = true
+		if !g.Procs[creator].AppendLocal(honest) { // validated here: the verdict is on the object
+			t.Error("creator refused its own block")
+		}
+		g.Procs[creator].Mute = false
+		cp := *honest
+		cp.Payload = []byte("pay the forger instead")
+		twin = &cp
+		beforeTwin = dumps()
+		g.Net.Broadcast(byz, UpdateMsg{Parent: twin.Parent, Block: twin})
+	})
+	sim.Schedule(20, func() {
+		for i, p := range g.Procs {
+			want := 1
+			if i == creator || i == byz {
+				want = 0 // holds the ID already: a duplicate; the sender hears nothing
+			}
+			if p.RejectedCount() != want {
+				t.Errorf("process %d rejected %d blocks after the twin's flood, want %d", i, p.RejectedCount(), want)
 			}
 		}
-		if g.Rec.Table().Block(honest.ID) != honest {
-			t.Errorf("shards=%d: the chain table holds another copy of the honest block", shards)
+		if got := dumps(); !reflect.DeepEqual(got, beforeTwin) {
+			t.Errorf("the twin's flood changed a tree:\n%v\n%v", beforeTwin, got)
 		}
-		if (core.WellFormed{}).Valid(twin) {
-			t.Errorf("shards=%d: the twin passes P after the run", shards)
+		g.Procs[creator].Publish(honest)
+	})
+	sim.Schedule(30, func() {
+		beforeSecondFlood = dumps()
+		g.Net.Broadcast(byz, UpdateMsg{Parent: twin.Parent, Block: twin})
+	})
+	sim.RunUntilIdle()
+
+	if got := dumps(); !reflect.DeepEqual(got, beforeSecondFlood) {
+		t.Error("the second flood of the twin changed a tree")
+	}
+	for i, p := range g.Procs {
+		if p.Tree().Block(honest.ID) != honest || p.Tree().Len() != 3 {
+			t.Errorf("process %d does not hold the honest copy (tree %v)", i, p.Tree())
 		}
+	}
+	if g.Rec.Table().Block(honest.ID) != honest {
+		t.Error("the chain table holds another copy of the honest block")
+	}
+	if (core.WellFormed{}).Valid(twin) {
+		t.Error("the twin passes P after the run")
 	}
 }

@@ -69,9 +69,8 @@ type Process struct {
 	// metrics probe does not walk the pending map at every sample.
 	pendingN int
 
-	// Metric slots (nil when metrics are off; see Group.RegisterMetrics).
-	// Each is mutated only under this process's ID — the shard-safety
-	// contract that makes the counts order-free.
+	// Metric slots (nil when metrics are off; see Group.RegisterMetrics),
+	// each incremented at this process's ID.
 	mFlood, mOrphan, mDup, mAEReq *metrics.CounterVec
 }
 
@@ -96,12 +95,7 @@ func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder) *Process
 		pending:    make(map[core.BlockID][]*core.Block),
 		pendingHas: make(map[core.BlockID]bool),
 	}
-	// The replica handler upholds the shard-safety contract: onMessage
-	// touches only this process's state (tree, pending maps),
-	// records and sends only as itself, and never schedules — so a
-	// sharded scheduler may run replicas of different shards
-	// concurrently (simnet.AddShardSafeHandler).
-	nw.AddShardSafeHandler(id, p.onMessage)
+	nw.AddHandler(id, p.onMessage)
 	return p
 }
 
@@ -324,23 +318,11 @@ func NewGroup(sim *simnet.Sim, n int, delay simnet.DelayModel, f core.Selector) 
 	return g
 }
 
-// EnableSharding runs the group's network on a sharded scheduler with
-// k worker shards (k ≤ 1 is a no-op). It wires the three pieces that
-// must agree for sharded runs to stay byte-identical to serial ones:
-// the simnet engine (per-shard heaps, staged sends, merge barrier),
-// the recorder's staged communication events, and the barrier hook
-// flushing them in global order. Call it after the group is built and
-// before the run starts; protocol layers that register order-sensitive
-// handlers (plain AddHandler) remain correct — their processes simply
-// stay on the serial path.
-func (g *Group) EnableSharding(k int) {
-	g.Net.EnableSharding(k)
-	if g.Net.Shards() <= 1 {
-		return
-	}
-	g.Rec.SetShardContext(g.Net.Shards(), g.Net.ShardContext)
-	g.Net.OnBarrier(g.Rec.CommitStagedComms)
-}
+// EnableSharding does nothing: the simulator has one serial scheduler.
+//
+// Deprecated: kept only for the benchmark module; ROADMAP 8(b)'s
+// benchmark-only PR deletes it.
+func (g *Group) EnableSharding(int) {}
 
 // History snapshots the recorded history.
 func (g *Group) History() *history.History { return g.Rec.Snapshot() }

@@ -38,9 +38,9 @@ type Spec struct {
 	// return an error listing the registered options.
 	System string
 	// Config is the run itself, in the public knob set and nowhere
-	// else: N, Rounds, Seed, Merits, Faults, Crashes, Adversary, Shards
-	// and, for a deployed entry, Live and Load. Its fields are promoted,
-	// so spec.N and spec.Shards = 4 read and write them. Run turns the
+	// else: N, Rounds, Seed, Merits, Faults, Crashes, Adversary and, for
+	// a deployed entry, Live and Load. Its fields are promoted, so
+	// spec.N and spec.Seed = 7 read and write them. Run turns the
 	// fault log on, sets MonitorK to CheckK and overrides Seed when asked
 	// to.
 	btsim.Config

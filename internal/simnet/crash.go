@@ -117,7 +117,7 @@ func (nw *Network) armCrashes(s *Schedule) {
 					return // schedule was replaced after arming
 				}
 				if tr := nw.sim.tracer; tr != nil {
-					tr.Emit(trace.Event{VT: nw.sim.now, Seq: nw.sim.curSeq, Kind: trace.KCrash, Shard: -1, P: w.Proc})
+					tr.Emit(trace.Event{VT: nw.sim.now, Seq: nw.sim.curSeq, Kind: trace.KCrash, P: w.Proc})
 				}
 				for _, fn := range nw.onCrash {
 					fn(w.Proc)
@@ -136,7 +136,7 @@ func (nw *Network) armCrashes(s *Schedule) {
 					return
 				}
 				if tr := nw.sim.tracer; tr != nil {
-					tr.Emit(trace.Event{VT: nw.sim.now, Seq: nw.sim.curSeq, Kind: trace.KRestart, Shard: -1, P: w.Proc})
+					tr.Emit(trace.Event{VT: nw.sim.now, Seq: nw.sim.curSeq, Kind: trace.KRestart, P: w.Proc})
 				}
 				for _, fn := range nw.onRestart {
 					fn(w.Proc)

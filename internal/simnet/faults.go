@@ -209,21 +209,11 @@ func (nw *Network) Schedule() *Schedule { return nw.sched }
 func (nw *Network) RecordFaults(on bool) { nw.logFaults = on }
 
 // NoteFault appends an externally observed fault event (adversarial
-// strategies record their withhold/release decisions here). During a
-// sharded parallel phase the event is staged under the acting process
-// (e.From) and committed at the barrier in global order — FaultEvents
-// sorts stably by time, so the recording order of same-time events is
-// digest-relevant and must match the serial run's.
+// strategies record their withhold/release decisions here).
 func (nw *Network) NoteFault(e FaultEvent) {
-	if !nw.logFaults {
-		return
+	if nw.logFaults {
+		nw.faultLog = append(nw.faultLog, e)
 	}
-	if eng := nw.eng; eng != nil && eng.inParallel {
-		st := &eng.stages[eng.shardOf(e.From)]
-		st.items = append(st.items, stagedItem{tag: st.curTag, kind: stNote, note: e})
-		return
-	}
-	nw.faultLog = append(nw.faultLog, e)
 }
 
 // FaultEvents returns the recorded fault events sorted by time (stable:

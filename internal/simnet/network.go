@@ -69,9 +69,7 @@ type Network struct {
 	// Bitcoin/Ethereum mappings): a message never overtakes an earlier
 	// one on the same link. lastOut tracks the latest scheduled
 	// delivery time per link, as a flat n×n array indexed from·n+to —
-	// the per-send map lookup was a top profile entry at N ≥ 256, and
-	// the array is written only on the serial path (sends are staged
-	// during parallel phases), so it needs no lock.
+	// the per-send map lookup was a top profile entry at N ≥ 256.
 	fifo    bool
 	lastOut []int64
 
@@ -88,12 +86,6 @@ type Network struct {
 	// catch-up here.
 	onCrash   []func(p int)
 	onRestart []func(p int)
-
-	// eng is the sharded execution engine when EnableSharding was
-	// called (shard.go); serialOnly[p] pins process p's deliveries to
-	// the serial path because a plain AddHandler was registered for it.
-	eng        *engine
-	serialOnly []bool
 
 	sent, delivered, dropped int
 }
@@ -115,16 +107,21 @@ func (nw *Network) Sim() *Sim { return nw.sim }
 // AddHandler registers a delivery handler for process p. Multiple layers
 // (replica updates, consensus rounds) each register one; every handler
 // sees every delivered message and dispatches on the payload type.
-//
-// A handler registered this way may do anything — touch shared state,
-// schedule timers — so under a sharded scheduler (EnableSharding) all
-// of p's deliveries run on the serial path. Handlers that uphold the
-// shard-safety contract register with AddShardSafeHandler instead and
-// are eligible for concurrent processing.
 func (nw *Network) AddHandler(p int, h Handler) {
 	nw.handlers[p] = append(nw.handlers[p], h)
-	nw.markSerialOnly(p)
 }
+
+// AddShardSafeHandler is AddHandler.
+//
+// Deprecated: kept only for the benchmark module; ROADMAP 8(b)'s
+// benchmark-only PR deletes it.
+func (nw *Network) AddShardSafeHandler(p int, h Handler) { nw.AddHandler(p, h) }
+
+// EnableSharding does nothing: the simulator has one serial scheduler.
+//
+// Deprecated: kept only for the benchmark module; ROADMAP 8(b)'s
+// benchmark-only PR deletes it.
+func (nw *Network) EnableSharding(int) {}
 
 // SetDrop installs a drop rule (nil restores DropNone).
 func (nw *Network) SetDrop(r DropRule) {
@@ -152,23 +149,7 @@ func (nw *Network) SetFIFO(on bool) {
 // Send transmits payload from from to to. Loopback (from == to) is
 // delivered with delay 0 — a process always receives its own broadcast,
 // which is how the LRC Validity property is realized.
-//
-// During a sharded parallel phase the send is staged: the engine
-// replays it at the batch barrier in global event order, where the
-// drop decision, delay draw and sequence assignment happen exactly as
-// a serial run would have made them (shard.go).
 func (nw *Network) Send(from, to int, payload any) {
-	if eng := nw.eng; eng != nil && eng.inParallel {
-		st := &eng.stages[eng.shardOf(from)]
-		st.items = append(st.items, stagedItem{tag: st.curTag, kind: stSend, from: from, to: to, payload: payload})
-		return
-	}
-	nw.sendNow(from, to, payload)
-}
-
-// sendNow is the real send path: serial contexts call it directly via
-// Send, and the barrier commit calls it when replaying staged sends.
-func (nw *Network) sendNow(from, to int, payload any) {
 	if to < 0 || to >= nw.n {
 		panic(fmt.Sprintf("simnet: send to unknown process %d", to))
 	}
@@ -257,7 +238,7 @@ func (nw *Network) sendNow(from, to int, payload any) {
 	nw.sim.schedule(d, event{kind: evDeliver, nw: nw, msg: m})
 	if tr := nw.sim.tracer; tr != nil && tr.Sampled(trace.KSend, nw.sim.seq) {
 		tr.Emit(trace.Event{
-			VT: nw.sim.now, Seq: nw.sim.seq, Kind: trace.KSend, Shard: -1, P: from,
+			VT: nw.sim.now, Seq: nw.sim.seq, Kind: trace.KSend, P: from,
 			Detail: fmt.Sprintf("->%d", to),
 		})
 	}

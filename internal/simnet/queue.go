@@ -5,13 +5,10 @@ package simnet
 // moves 24-byte keys the garbage collector never looks at — no write
 // barrier per swap — while the 72-byte events, which carry the callback,
 // network and payload pointers, are written once on push and once on pop.
-// The global queue and the per-shard queues of the sharded engine are
-// both queues.
 //
 // pop yields events in exact (time, seq) order for any push order: seq is
 // unique, so the order is total and independent of heap internals. push
-// takes the event's time and seq as given (Sim.schedule assigns them), so
-// an event migrating between queues keeps its position.
+// takes the event's time and seq as given (Sim.schedule assigns them).
 type queue struct {
 	keys  []qkey
 	slots []event

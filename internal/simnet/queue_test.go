@@ -9,9 +9,9 @@ import (
 
 // TestQueueDifferentialOrder drives the queue with random interleaved
 // pushes and pops — duplicate timestamps, sequence numbers pushed out of
-// order, and events migrating from a second queue with the time and seq
-// they were first given (what markSerialOnly does) — and compares every
-// pop with a sort by (time, seq) of what is queued.
+// order, and batches parked in a second queue and pushed later with the
+// time and seq they were first given — and compares every pop with a
+// sort by (time, seq) of what is queued.
 func TestQueueDifferentialOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := tape.NewRNG(seed)

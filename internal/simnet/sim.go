@@ -46,12 +46,9 @@ type event struct {
 	msg  Message  // evDeliver payload
 }
 
-// Sim is the discrete-event scheduler. By default it is single-threaded:
-// callbacks run sequentially in virtual-time order, which makes every
-// run reproducible from its seed. A network may enable sharded execution
-// (Network.EnableSharding), which processes independent same-timestamp
-// deliveries on worker goroutines while preserving the exact sequential
-// order of every observable effect (see shard.go).
+// Sim is the discrete-event scheduler. It is single-threaded: callbacks
+// run sequentially in virtual-time order, which makes every run
+// reproducible from its seed.
 type Sim struct {
 	now     int64
 	seq     int64
@@ -59,18 +56,10 @@ type Sim struct {
 	rng     *tape.RNG
 	stepped int
 
-	// eng, when non-nil, is the sharded execution engine installed by
-	// Network.EnableSharding. The zero state (nil) is the plain serial
-	// scheduler — the default, and the reference semantics the engine
-	// must reproduce byte-for-byte.
-	eng *engine
-
 	// metrics/tracer, when non-nil, observe the run (observe.go). Both
 	// are strictly passive: they never schedule, draw randomness, or
 	// mutate simulation state. curSeq is the sequence number of the
-	// event currently executing (or, during barrier commit, the tag of
-	// the staged effect being replayed) — it stamps fault trace events
-	// identically across shard counts.
+	// event currently executing — it stamps fault trace events.
 	metrics *metrics.Registry
 	tracer  *trace.Tracer
 	curSeq  int64
@@ -87,21 +76,6 @@ func (s *Sim) Now() int64 { return s.now }
 // RNG returns the simulator's deterministic random stream.
 func (s *Sim) RNG() *tape.RNG { return s.rng }
 
-// push routes e to its queue: the owning shard's when the sharded
-// engine is active and the event is a delivery a shard may process
-// concurrently, the global one otherwise (timers, deliveries to
-// processes with order-sensitive handlers, deliveries on non-sharded
-// networks).
-func (s *Sim) push(e event) {
-	if s.eng != nil && e.kind == evDeliver && e.nw == s.eng.nw {
-		if sh, ok := s.eng.nw.safeShard(e.msg.To); ok {
-			s.eng.heaps[sh].push(e)
-			return
-		}
-	}
-	s.pq.push(e)
-}
-
 // schedule enqueues e after delay virtual-time units.
 func (s *Sim) schedule(delay int64, e event) {
 	if delay < 0 {
@@ -110,18 +84,12 @@ func (s *Sim) schedule(delay int64, e event) {
 	s.seq++
 	e.time = s.now + delay
 	e.seq = s.seq
-	s.push(e)
+	s.pq.push(e)
 }
 
 // Schedule runs fn after delay virtual time units (delay 0 runs at the
-// current time, after already-queued same-time events). It must not be
-// called from a shard-safe delivery handler (AddShardSafeHandler):
-// timer creation is order-sensitive engine state, so handlers that
-// schedule must stay on the serial path (plain AddHandler).
+// current time, after already-queued same-time events).
 func (s *Sim) Schedule(delay int64, fn func()) {
-	if s.eng != nil && s.eng.inParallel {
-		panic("simnet: Schedule called from a shard-safe handler; register it with AddHandler instead")
-	}
 	s.schedule(delay, event{kind: evTimer, fn: fn})
 }
 
@@ -150,9 +118,6 @@ func (s *Sim) step() {
 // Run executes events until the queue empties or the next event is later
 // than until. It returns the number of events executed.
 func (s *Sim) Run(until int64) int {
-	if s.eng != nil {
-		return s.eng.run(until, true)
-	}
 	n := 0
 	for s.pq.len() > 0 && s.pq.keys[0].time <= until {
 		if s.metrics != nil {
@@ -173,9 +138,6 @@ func (s *Sim) Run(until int64) int {
 // RunUntilIdle drains the event queue completely (the queue must be
 // finite: every protocol run is bounded by construction).
 func (s *Sim) RunUntilIdle() int {
-	if s.eng != nil {
-		return s.eng.run(maxTime, false)
-	}
 	n := 0
 	for s.pq.len() > 0 {
 		if s.metrics != nil {
@@ -188,15 +150,7 @@ func (s *Sim) RunUntilIdle() int {
 }
 
 // Pending returns the number of queued events.
-func (s *Sim) Pending() int {
-	n := s.pq.len()
-	if s.eng != nil {
-		for i := range s.eng.heaps {
-			n += s.eng.heaps[i].len()
-		}
-	}
-	return n
-}
+func (s *Sim) Pending() int { return s.pq.len() }
 
 // DelayModel decides the delivery delay of each message, defining the
 // synchrony assumption of Section 4.2.

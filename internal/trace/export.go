@@ -14,10 +14,8 @@ type jsonlEvent struct {
 	VT     int64  `json:"vt"`
 	Seq    int64  `json:"seq"`
 	Kind   string `json:"kind"`
-	Shard  int    `json:"shard"`
 	P      int    `json:"p"`
 	Detail string `json:"detail,omitempty"`
-	Wall   int64  `json:"wall,omitempty"`
 }
 
 // WriteJSONL writes one JSON object per event, in canonical order.
@@ -25,8 +23,7 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, ev := range events {
-		je := jsonlEvent{ev.VT, ev.Seq, ev.Kind.String(), ev.Shard, ev.P, ev.Detail, ev.Wall}
-		if err := enc.Encode(je); err != nil {
+		if err := enc.Encode(jsonlEvent{ev.VT, ev.Seq, ev.Kind.String(), ev.P, ev.Detail}); err != nil {
 			return err
 		}
 	}
@@ -49,7 +46,7 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 		if !ok {
 			return nil, fmt.Errorf("trace: unknown kind %q", je.Kind)
 		}
-		out = append(out, Event{je.VT, je.Seq, k, je.Shard, je.P, je.Detail, je.Wall})
+		out = append(out, Event{je.VT, je.Seq, k, je.P, je.Detail})
 	}
 }
 
@@ -74,54 +71,34 @@ type chromeFile struct {
 
 // WriteChrome writes the events (plus, if snap is non-nil, its sampled
 // metric series as counter tracks) as a Chrome trace-event JSON file
-// loadable in Perfetto or chrome://tracing. Lanes: pid 0 is the serial
-// scheduler, pid s+1 is shard s; tid is the replica ID.
+// loadable in Perfetto or chrome://tracing. Everything is in one
+// process, the scheduler; tid is the replica ID.
 func WriteChrome(w io.Writer, events []Event, snap *metrics.Snapshot) error {
 	f := chromeFile{DisplayTimeUnit: "ms"}
-	procs := map[int]string{0: "scheduler"}
 	for _, ev := range events {
-		pid := 0
-		if ev.Kind == KDeliver || ev.Kind == KEpoch || ev.Kind == KStall {
-			pid = ev.Shard + 1
+		ce := chromeEvent{Name: ev.Kind.String(), Ts: ev.VT, Tid: ev.P}
+		if ev.Detail != "" {
+			ce.Name += " " + ev.Detail
 		}
-		if _, ok := procs[pid]; !ok {
-			procs[pid] = fmt.Sprintf("shard %d", pid-1)
-		}
-		ce := chromeEvent{Ts: ev.VT, Pid: pid, Tid: ev.P}
 		switch ev.Kind {
 		case KSend, KDeliver, KTimer:
-			ce.Name = ev.Kind.String()
-			if ev.Detail != "" {
-				ce.Name += " " + ev.Detail
-			}
 			ce.Ph = "X"
 			ce.Dur = 1
-		case KStall:
-			ce.Name = "merge-stall"
-			ce.Ph = "X"
-			ce.Dur = 1
-			ce.Args = map[string]any{"wallNs": ev.Wall, "batch": ev.Seq}
 		default:
-			ce.Name = ev.Kind.String()
-			if ev.Detail != "" {
-				ce.Name += " " + ev.Detail
-			}
 			ce.Ph = "i"
 			ce.Scope = "g"
 		}
 		f.TraceEvents = append(f.TraceEvents, ce)
 	}
-	for pid, name := range procs {
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name},
-		})
-	}
+	f.TraceEvents = append(f.TraceEvents, chromeEvent{
+		Name: "process_name", Ph: "M",
+		Args: map[string]any{"name": "scheduler"},
+	})
 	if snap != nil {
 		for _, row := range snap.Series.Rows {
 			for i, col := range snap.Series.Cols {
 				f.TraceEvents = append(f.TraceEvents, chromeEvent{
-					Name: col, Ph: "C", Ts: row.VT, Pid: 0,
+					Name: col, Ph: "C", Ts: row.VT,
 					Args: map[string]any{col: row.Vals[i]},
 				})
 			}

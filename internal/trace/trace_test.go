@@ -21,26 +21,6 @@ func TestSamplingDeterministic(t *testing.T) {
 	}
 }
 
-func TestStagedCommitMergesBySeq(t *testing.T) {
-	tr := New(Options{})
-	tr.SetShards(3)
-	tr.EmitStaged(0, Event{VT: 5, Seq: 2, Kind: KDeliver, Shard: 0})
-	tr.EmitStaged(0, Event{VT: 5, Seq: 9, Kind: KDeliver, Shard: 0})
-	tr.EmitStaged(2, Event{VT: 5, Seq: 4, Kind: KDeliver, Shard: 2})
-	tr.EmitStaged(1, Event{VT: 5, Seq: 7, Kind: KDeliver, Shard: 1})
-	tr.Commit()
-	evs := tr.Events()
-	got := []int64{evs[0].Seq, evs[1].Seq, evs[2].Seq, evs[3].Seq}
-	for i, w := range []int64{2, 4, 7, 9} {
-		if got[i] != w {
-			t.Fatalf("merge order = %v", got)
-		}
-	}
-	if len(evs) != 4 {
-		t.Fatalf("merged %d events, want 4", len(evs))
-	}
-}
-
 func TestLimitDrops(t *testing.T) {
 	tr := New(Options{Limit: 2})
 	for i := 0; i < 5; i++ {
@@ -55,7 +35,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	evs := []Event{
 		{VT: 1, Seq: 3, Kind: KSend, P: 2, Detail: "0->2"},
 		{VT: 4, Seq: 8, Kind: KCrash, P: 1, Detail: "window"},
-		{VT: 9, Seq: 1, Kind: KStall, Shard: 2, Wall: 1234},
+		{VT: 9, Seq: 1, Kind: KWitness, P: -1, Detail: "SP"},
 	}
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, evs); err != nil {
@@ -76,9 +56,9 @@ func TestChromeTraceParses(t *testing.T) {
 	reg.Probe("depth", func() int64 { return d })
 	reg.Tick(5)
 	tr := New(Options{})
-	tr.Emit(Event{VT: 1, Seq: 0, Kind: KDeliver, Shard: 1, P: 2})
+	tr.Emit(Event{VT: 1, Seq: 0, Kind: KDeliver, P: 2})
 	tr.Emit(Event{VT: 2, Seq: 1, Kind: KFault, P: 0, Detail: "drop"})
-	tr.Emit(Event{VT: 3, Seq: 0, Kind: KStall, Shard: 0, Wall: 99})
+	tr.Emit(Event{VT: 3, Seq: 2, Kind: KSend, P: 1, Detail: "->3"})
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, tr.Events(), reg.Snapshot()); err != nil {
 		t.Fatal(err)

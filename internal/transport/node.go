@@ -59,7 +59,7 @@ type Node struct {
 
 // NewNode creates node id over the carrier and registers its delivery
 // callback. The caller then builds the replica.Process over the node
-// (NewProcess registers the handler through AddShardSafeHandler),
+// (NewProcess registers the handler through AddHandler),
 // dials, and calls Start.
 func NewNode(id int, tr Transport) (*Node, error) {
 	n := &Node{ID: id, tr: tr, q: newQueue[event](), timers: make(map[*time.Timer]struct{})}
@@ -154,10 +154,9 @@ func (n *Node) After(d time.Duration, fn func()) {
 
 // --- replica.Net ---
 
-// AddShardSafeHandler registers a delivery handler. The shard-safety
-// contract maps onto the actor model directly: the handler touches
-// only this node's process, and the single event loop serializes it.
-func (n *Node) AddShardSafeHandler(_ int, h simnet.Handler) {
+// AddHandler registers a delivery handler. The handler touches only
+// this node's process, and the single event loop serializes it.
+func (n *Node) AddHandler(_ int, h simnet.Handler) {
 	n.handlers = append(n.handlers, h)
 }
 

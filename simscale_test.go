@@ -9,9 +9,7 @@
 // and a consistency verdict over the recorded run. It is the workload
 // behind DESIGN.md ablations #6 (closure-heap vs. flat-heap scheduler),
 // #7 (copied vs. interned chain reads), #8 (benign vs. adversarial), #10
-// (replay vs. online checking), #12 (single-heap vs. sharded scheduler:
-// the -s<k> cases run the identical workload — digest-pinned — on the
-// sharded engine; see SCALING.md) and #13 (instrumented vs. bare).
+// (replay vs. online checking) and #13 (instrumented vs. bare).
 package repro
 
 import (
@@ -61,26 +59,17 @@ type simCase struct {
 	// process reads eight times over the run, once per Blocks/8 ticks.
 	Blocks int
 	// Seed drives the delivery-delay randomness.
-	Seed uint64
-	// Shards runs the workload on the sharded deterministic scheduler
-	// (0 or 1 = serial). Stats are shard-count-independent by the
-	// determinism spec; the -s<k> cases and the CI smoke pin that at
-	// scale.
-	Shards  int
+	Seed    uint64
 	Variant simVariant
 }
 
 // Name is the case's benchmark name:
-// SimScale/N<n>-b<b>[-adv][-s<k>][-stream][-met].
+// SimScale/N<n>-b<b>[-adv][-stream][-met].
 func (c simCase) Name() string {
 	name := fmt.Sprintf("SimScale/N%d-b%d", c.N, c.Blocks)
-	if c.Variant == simAdversarial {
-		name += "-adv"
-	}
-	if c.Shards > 1 {
-		name += fmt.Sprintf("-s%d", c.Shards)
-	}
 	switch c.Variant {
+	case simAdversarial:
+		name += "-adv"
 	case simStream:
 		name += "-stream"
 	case simMetered:
@@ -110,9 +99,6 @@ func runSimScale(c simCase) (simStats, *metrics.Snapshot) {
 	g := replica.NewGroup(sim, c.N, simnet.Synchronous{Delta: 3}, core.LongestChain{})
 	g.Net.SetFIFO(true)
 	g.SetPredicate(core.WellFormed{})
-	if c.Shards > 1 {
-		g.EnableSharding(c.Shards)
-	}
 
 	var (
 		adv *adversary.Equivocator
@@ -272,16 +258,11 @@ func simScaleCases() []simCase {
 		{N: 64, Blocks: 5_000, Seed: 42, Variant: simMetered},
 		{N: 64, Blocks: 5_000, Seed: 42, Variant: simAdversarial},
 		{N: 128, Blocks: 5_000, Seed: 42},
-		{N: 128, Blocks: 5_000, Seed: 42, Shards: 4},
 		{N: 64, Blocks: 20_000, Seed: 42},
 		{N: 64, Blocks: 20_000, Seed: 42, Variant: simStream},
 		{N: 256, Blocks: 2_500, Seed: 42},
 		{N: 256, Blocks: 2_500, Seed: 42, Variant: simAdversarial},
-		{N: 256, Blocks: 2_500, Seed: 42, Shards: 4},
-		{N: 256, Blocks: 2_500, Seed: 42, Shards: 4, Variant: simMetered},
 		{N: 1024, Blocks: 1_200, Seed: 42},
 		{N: 1024, Blocks: 1_200, Seed: 42, Variant: simAdversarial},
-		{N: 1024, Blocks: 1_200, Seed: 42, Shards: 8},
-		{N: 1024, Blocks: 1_200, Seed: 42, Shards: 8, Variant: simAdversarial},
 	}
 }
