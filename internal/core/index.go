@@ -18,7 +18,9 @@ import "sync"
 //     height checks passed — or through Intern's direct callers (the
 //     recorder interning a read head, a restored monitor's pool). Never
 //     on receipt: a forged copy that no tree accepts cannot win
-//     first-writer-wins.
+//     first-writer-wins. The tcp carrier's decoder reads the index
+//     (BlockBytes) to hand back the interned block for a frame equal to
+//     it on every field, and never interns into it.
 //   - (ii) A tree attaches a block under the parent that block's own
 //     Parent field names. The parent handle cached here belongs to the
 //     first copy interned; resolve uses it only when the copy at hand
@@ -154,6 +156,17 @@ func (x *Index) Block(id BlockID) *Block {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	if h, ok := x.ids[id]; ok {
+		return x.ents[h].b
+	}
+	return nil
+}
+
+// BlockBytes is Block for an ID held as bytes — a frame being decoded —
+// and allocates nothing: the map is indexed by the bytes in place.
+func (x *Index) BlockBytes(id []byte) *Block {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	if h, ok := x.ids[BlockID(id)]; ok {
 		return x.ents[h].b
 	}
 	return nil

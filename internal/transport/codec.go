@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -124,21 +125,10 @@ func (d *decoder) varint(what string) int64 {
 	return v
 }
 
-func (d *decoder) str(what string) string {
-	n := d.uvarint(what)
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.b)-d.off) < n {
-		d.fail(what)
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *decoder) bytes(what string) []byte {
+// raw returns the next length-prefixed field as a view of the frame, valid
+// only until the frame's buffer is reused: str and bytes copy it, interned
+// only compares it.
+func (d *decoder) raw(what string) []byte {
 	n := d.uvarint(what)
 	if d.err != nil {
 		return nil
@@ -147,30 +137,43 @@ func (d *decoder) bytes(what string) []byte {
 		d.fail(what)
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	p := make([]byte, n)
-	copy(p, d.b[d.off:])
+	p := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
 	return p
 }
 
+func (d *decoder) str(what string) string { return string(d.raw(what)) }
+
+func (d *decoder) bytes(what string) []byte {
+	p := d.raw(what)
+	if len(p) == 0 {
+		return nil
+	}
+	out := make([]byte, len(p))
+	copy(out, p)
+	return out
+}
+
 // DecodePayload decodes one frame body back into the carrier payload.
 // Round-tripping is the identity for every payload AppendPayload
-// accepts (FuzzFrameCodec pins this).
-func DecodePayload(body []byte) (any, error) {
+// accepts (FuzzFrameCodec pins this). A body is exactly one payload:
+// trailing bytes are an error.
+func DecodePayload(body []byte) (any, error) { return decodePayload(body, nil) }
+
+// decodePayload is DecodePayload against the run's index: an update frame
+// whose block equals an interned block on every encoded field decodes to
+// that very block, any other frame as DecodePayload decodes it. idx may be
+// nil. The index is only read.
+func decodePayload(body []byte, idx *core.Index) (any, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("transport: empty frame")
 	}
 	d := &decoder{b: body, off: 1}
+	var payload any
 	switch body[0] {
 	case frameUpdate:
-		b := decodeBlock(d)
-		if d.err != nil {
-			return nil, d.err
-		}
-		return replica.UpdateMsg{Parent: b.Parent, Block: b}, nil
+		b := decodeBlock(d, idx)
+		payload = replica.UpdateMsg{Parent: b.Parent, Block: b}
 	case frameInv:
 		n := d.uvarint("inv count")
 		if n > uint64(len(body)) { // each leaf costs ≥1 byte
@@ -180,24 +183,31 @@ func DecodePayload(body []byte) (any, error) {
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			msg.Leaves = append(msg.Leaves, core.BlockID(d.str("inv leaf")))
 		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		return msg, nil
+		payload = msg
 	case frameReq:
-		id := d.str("req id")
-		if d.err != nil {
-			return nil, d.err
-		}
-		return replica.ReqMsg{ID: core.BlockID(id)}, nil
+		payload = replica.ReqMsg{ID: core.BlockID(d.str("req id"))}
 	case frameSync:
-		return replica.SyncMsg{}, nil
+		payload = replica.SyncMsg{}
 	default:
 		return nil, fmt.Errorf("transport: unknown frame kind %d", body[0])
 	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	if d.off != len(body) {
+		return nil, fmt.Errorf("transport: %d trailing bytes after a frame kind %d payload", len(body)-d.off, body[0])
+	}
+	return payload, nil
 }
 
-func decodeBlock(d *decoder) *core.Block {
+// decodeBlock decodes a block, or hands back the interned one when the
+// frame holds exactly its content.
+func decodeBlock(d *decoder, idx *core.Index) *core.Block {
+	if idx != nil {
+		if b := d.interned(idx); b != nil {
+			return b
+		}
+	}
 	b := &core.Block{}
 	b.ID = core.BlockID(d.str("block id"))
 	b.Parent = core.BlockID(d.str("block parent"))
@@ -207,5 +217,32 @@ func decodeBlock(d *decoder) *core.Block {
 	b.Weight = int(d.varint("block weight"))
 	b.Payload = d.bytes("block payload")
 	b.Token = d.str("block token")
+	return b
+}
+
+// interned reads a block's fields in place, allocating nothing, and
+// returns the block idx holds under the frame's ID when every field equals
+// it — the block decodeBlock would build, down to a nil payload; otherwise
+// nil, with d untouched. A forged twin, a re-weighted or re-stamped copy
+// or a block no tree accepted (Index invariant (i)) is decoded, and
+// judged, afresh.
+func (d *decoder) interned(idx *core.Index) *core.Block {
+	p := *d
+	b := idx.BlockBytes(p.raw("block id"))
+	if b == nil ||
+		string(p.raw("block parent")) != string(b.Parent) ||
+		int(p.varint("block height")) != b.Height ||
+		int(p.varint("block creator")) != b.Creator ||
+		int(p.varint("block round")) != b.Round ||
+		int(p.varint("block weight")) != b.Weight {
+		return nil
+	}
+	if pl := p.raw("block payload"); !bytes.Equal(pl, b.Payload) || (len(pl) == 0) != (b.Payload == nil) {
+		return nil
+	}
+	if string(p.raw("block token")) != b.Token || p.err != nil {
+		return nil
+	}
+	*d = p
 	return b
 }

@@ -186,19 +186,20 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	if err := cfg.norm(); err != nil {
 		return nil, err
 	}
-	roster := NewRoster(cfg.N, cfg.Merits, cfg.Addrs)
-	tr, err := New(cfg.Transport, roster)
-	if err != nil {
-		return nil, err
-	}
-
 	start := time.Now()
 	clock := func() int64 { return time.Since(start).Microseconds() }
 
 	// The shared recorder is the sequencing collector: every node
 	// records into it, its mutex totally orders the op feed, and the
 	// AsyncSink replays that order into the monitor off the hot path.
+	// Its chain table's index is the one every tree is built on, which
+	// the carrier decodes against.
 	rec := history.NewRecorder(cfg.N, clock)
+	roster := NewRoster(cfg.N, cfg.Merits, cfg.Addrs)
+	tr, err := newCarrier(cfg.Transport, roster, rec.Table().Index())
+	if err != nil {
+		return nil, err
+	}
 	mon := consistency.NewMonitor(consistency.MonitorConfig{
 		Procs:     cfg.N,
 		Score:     prof.Score,

@@ -144,6 +144,32 @@ func TestLiveRunTCP(t *testing.T) {
 	}
 }
 
+// TestLiveTCPTreesHoldTheIndexBlocks: over tcp, as over chan, a flooded
+// block is one object in the whole deployment — every tree holds the very
+// *core.Block the run's index interned, not a copy its node decoded.
+func TestLiveTCPTreesHoldTheIndexBlocks(t *testing.T) {
+	res, err := Run(LiveConfig{
+		Transport:  "tcp",
+		N:          8,
+		Seed:       5,
+		MaxAppends: 40,
+	}, testProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.AppendsOK < 40 {
+		t.Fatalf("tcp run: appends=%d converged=%v", res.AppendsOK, res.Converged)
+	}
+	idx := res.History.Table.Index()
+	for i, tree := range res.Trees {
+		for _, b := range tree.Blocks() {
+			if held := idx.Block(b.ID); held != b {
+				t.Fatalf("tree %d holds its own copy %p of %s, the index holds %p", i, b, b, held)
+			}
+		}
+	}
+}
+
 // TestLiveRunFailedDeploymentLeavesNoGoroutine occupies a loopback port
 // and hands it to node 1 of a tcp deployment: Run must report the listen
 // error with everything it had already started — node 0's accept loop,

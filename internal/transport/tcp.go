@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/core"
 )
 
 // tcpNet carries frames over real TCP on loopback: one connection per
@@ -25,12 +27,21 @@ import (
 // write to it.
 //
 // Read buffer: each readLoop decodes every frame out of one buffer it
-// reuses, which the next frame overwrites. That is sound only because
-// DecodePayload copies everything it keeps (decoder.str, decoder.bytes;
-// TestReadBufferIsNotAliased and FuzzFrameCodec hold it to that).
+// reuses, which the next frame overwrites. That is sound only because a
+// decoded payload copies what it keeps or is the interned block — never a
+// view of the buffer (decoder.str and decoder.bytes copy, decoder.interned
+// only compares; TestReadBufferIsNotAliased and FuzzFrameCodec hold it to
+// that).
+//
+// Shared blocks: the nodes of a deployment share one process and the run's
+// core.Index, so an update frame whose block some tree already accepted
+// decodes to the index's *core.Block, the object chanNet would have
+// delivered, instead of a per-peer copy that each tree would hold and hash
+// again. Reader goroutines only read the index; node loops intern into it.
 type tcpNet struct {
 	n     int
-	addrs []string // resolved listen addresses, indexed by node
+	addrs []string    // resolved listen addresses, indexed by node
+	idx   *core.Index // the run's block index; nil decodes every block afresh
 
 	mu     sync.Mutex
 	recv   []func(Message)
@@ -52,10 +63,12 @@ type sendLink struct {
 // newTCPNet builds the carrier for the roster. Empty peer addresses
 // mean "127.0.0.1:0" — a kernel-assigned loopback port, resolved at
 // Listen time (the usual case for single-host deployments and tests).
-func newTCPNet(roster *Roster) (*tcpNet, error) {
+// idx is the run's block index, or nil.
+func newTCPNet(roster *Roster, idx *core.Index) (*tcpNet, error) {
 	n := roster.N()
 	t := &tcpNet{
 		n:     n,
+		idx:   idx,
 		addrs: make([]string, n),
 		recv:  make([]func(Message), n),
 		ln:    make([]net.Listener, n),
@@ -144,7 +157,7 @@ func (t *tcpNet) readLoop(id int, conn net.Conn) {
 		if _, err := io.ReadFull(r, body); err != nil {
 			return
 		}
-		payload, err := DecodePayload(body)
+		payload, err := decodePayload(body, t.idx)
 		if err != nil {
 			return
 		}

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/tape"
 )
@@ -95,11 +96,18 @@ func (r *Roster) N() int { return len(r.Peers) }
 // New builds the named carrier for an n-node roster: "chan" (default
 // when empty) or "tcp".
 func New(name string, roster *Roster) (Transport, error) {
+	return newCarrier(name, roster, nil)
+}
+
+// newCarrier is New for a deployment whose trees share idx: tcpNet decodes
+// an update frame of an accepted block to idx's copy (tcp.go). chanNet
+// delivers the sender's block as it is and needs no index.
+func newCarrier(name string, roster *Roster, idx *core.Index) (Transport, error) {
 	switch name {
 	case "", "chan":
 		return newChanNet(roster.N()), nil
 	case "tcp":
-		return newTCPNet(roster)
+		return newTCPNet(roster, idx)
 	default:
 		return nil, fmt.Errorf("transport: unknown carrier %q (known: chan, tcp)", name)
 	}

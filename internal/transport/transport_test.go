@@ -150,7 +150,7 @@ func TestNewRejectsUnknownCarrier(t *testing.T) {
 // and nothing behind them — no sockets, no goroutines — so that what
 // Broadcast itself allocates and queues can be counted.
 func bareTCPNet(n int) *tcpNet {
-	tr, _ := newTCPNet(NewRoster(n, nil, nil))
+	tr, _ := newTCPNet(NewRoster(n, nil, nil), nil)
 	tr.recv[0] = func(Message) {}
 	for to := 1; to < n; to++ {
 		tr.out[0][to] = &sendLink{q: newQueue[[]byte]()}
