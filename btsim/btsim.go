@@ -56,7 +56,11 @@
 // definition and a simulated runner, plus one row in btsim/systems.
 package btsim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/consistency"
+)
 
 // Info describes a registered system: the paper's claims, which the
 // checkers then measure rather than assume.
@@ -108,6 +112,18 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("btsim: %s: %w", s.info.Name, err)
 	}
 	cfg.system = s.info.Name
+	// Keep the first liveKeep witnesses under either driver (live, on the
+	// monitor's goroutine, which the run joins before it returns).
+	var live []consistency.Witness
+	onWitness := cfg.OnWitness
+	cfg.OnWitness = func(w consistency.Witness) {
+		if len(live) < liveKeep {
+			live = append(live, w)
+		}
+		if onWitness != nil {
+			onWitness(w)
+		}
+	}
 	// Every run is judged by the monitor that watched it. A live run owns
 	// its monitor: the monitor options reach it through Base.
 	if !cfg.Live {
@@ -146,6 +162,9 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 	}
 	if cfg.monrun != nil {
 		cfg.monrun.finish(res)
+	}
+	if res.Stream != nil {
+		res.Stream.Live = live
 	}
 	if cfg.obsrun != nil {
 		if err := cfg.obsrun.finish(res); err != nil {

@@ -208,6 +208,34 @@ func TestLiveTakesMonitorOptions(t *testing.T) {
 	}
 }
 
+// TestStreamKeepsLiveWitnessesUnderBothDrivers: Result.Stream.Live holds
+// the first liveKeep (64) witnesses the WithMonitor callback saw, in its
+// order, whichever driver ran: PoW at difficulty 1 forks, so both runs
+// raise witnesses.
+func TestStreamKeepsLiveWitnessesUnderBothDrivers(t *testing.T) {
+	for driver, opts := range map[string][]btsim.Option{
+		"live": {btsim.WithLive("chan"), btsim.WithLoad(btsim.Load{Clients: 4, Appends: 300, Spray: true})},
+		"sim":  {btsim.WithRounds(200)},
+	} {
+		t.Run(driver, func(t *testing.T) {
+			var seen []consistency.Witness // written on the monitor's goroutine, read after the run joined it
+			opts = append(opts, btsim.WithN(4), btsim.WithSeed(3), btsim.WithDifficulty(1),
+				btsim.WithMonitor(func(w consistency.Witness) { seen = append(seen, w) }))
+			res, err := btsim.Run("bitcoin", opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			so := res.Stream
+			if so.LiveCount == 0 || so.LiveCount != len(seen) {
+				t.Fatalf("LiveCount %d, callback saw %d witnesses; want the same, > 0", so.LiveCount, len(seen))
+			}
+			if want := seen[:min(len(seen), 64)]; !reflect.DeepEqual(so.Live, want) {
+				t.Fatalf("Stream.Live holds %d witnesses, want the callback's first %d in its order", len(so.Live), len(want))
+			}
+		})
+	}
+}
+
 // TestDefinitionAgreesAcrossDrivers: for every registered system the
 // registry descriptor, the simulated run and the live run state the same
 // Table 1 row — they all read it off one protocols.Definition.

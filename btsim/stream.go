@@ -10,8 +10,8 @@ import (
 // watched the run's history as it was recorded reached, under either
 // driver. A simulated run's monitor is the recorder's sink (behind the
 // segment sink with WithStreaming, which retains no history); a WithLive
-// run's is the deployment's own (verdicts, witness count, ops and stats;
-// the segment field stays zero). Check() returns its SC and EC.
+// run's is the deployment's own (the segment field stays zero). Check()
+// returns its SC and EC.
 type StreamOutcome struct {
 	// Verdicts are the finalized criterion verdicts SC and EC, and KFork,
 	// the k-Fork Coherence report for WithMonitorK's k (nil when no k
@@ -43,10 +43,9 @@ type monitorRun struct {
 	segSize   int
 	onWitness func(consistency.Witness)
 
-	rec  *history.Recorder
-	mon  *consistency.Monitor
-	seg  *history.SegmentSink
-	live []consistency.Witness
+	rec *history.Recorder
+	mon *consistency.Monitor
+	seg *history.SegmentSink
 
 	// obs, when the run also carries the metrics/trace layer, receives
 	// each witness for latency measurement and trace emission.
@@ -65,15 +64,10 @@ func (mr *monitorRun) bind(rec *history.Recorder, score core.Score) {
 		K:     mr.k,
 		Table: rec.Table(),
 		OnWitness: func(w consistency.Witness) {
-			if len(mr.live) < liveKeep {
-				mr.live = append(mr.live, w)
-			}
 			if mr.obs != nil {
 				mr.obs.witness(w)
 			}
-			if mr.onWitness != nil {
-				mr.onWitness(w)
-			}
+			mr.onWitness(w) // sysFunc.Run's, which keeps the first liveKeep
 		},
 	})
 	if !mr.streaming {
@@ -100,9 +94,9 @@ func (mr *monitorRun) finish(res *Result) {
 	}
 	sc, ec := mr.mon.Finalize()
 	so := &StreamOutcome{
-		Verdicts: consistency.Verdicts{SC: sc, EC: ec},
-		Live:     mr.live, LiveCount: mr.mon.LiveWitnesses(),
-		Stats: mr.mon.Stats(),
+		Verdicts:  consistency.Verdicts{SC: sc, EC: ec},
+		LiveCount: mr.mon.LiveWitnesses(),
+		Stats:     mr.mon.Stats(),
 	}
 	so.Ops = so.Stats.Ops
 	if mr.seg != nil {

@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"repro/btsim"
-	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/history"
@@ -119,8 +118,7 @@ func render(res *btsim.Result) {
 	fmt.Println("\nfinal BlockTree (replica 0):")
 	drawTree(res.Trees[0], core.GenesisID, "")
 
-	chk := consistency.NewChecker(res.Score, core.WellFormed{})
-	sc, ec := chk.Classify(res.History)
+	sc, ec := res.Check() // the verdicts of the monitor that watched the run
 	fmt.Println()
 	fmt.Println(sc)
 	fmt.Println(ec)

@@ -123,7 +123,7 @@ type Mint func(parent *core.Block) *core.Block
 // note records a strategy decision on the network's fault log (shown by
 // cmd/historyviz and scenario reports).
 func note(nw *simnet.Network, kind string, proc int, detail string) {
-	nw.NoteFault(simnet.FaultEvent{Time: nw.Sim().Now(), Kind: kind, From: proc, To: -1, Detail: detail})
+	nw.NoteFault(simnet.FaultEvent{Kind: kind, From: proc, To: -1, Detail: detail})
 }
 
 // markFaulty is shared wiring: the adversarial process is Byzantine, so

@@ -4,21 +4,42 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 )
 
-// harness runs one PBFT height over n processes and returns the decided
-// blocks per process (nil where undecided).
-func harness(t *testing.T, n int, behaviors map[int]Behavior, heights int) [][]*core.Block {
+// nets lists nw once per process, the way a simulated run hands its
+// network to the engine.
+func nets(nw replica.Net, n int) []replica.Net {
+	out := make([]replica.Net, n)
+	for i := range out {
+		out[i] = nw
+	}
+	return out
+}
+
+// crashed takes the given processes down from time 0 for good: the
+// network drops their sends and every delivery to them.
+func crashed(procs ...int) *simnet.Schedule {
+	s := &simnet.Schedule{}
+	for _, p := range procs {
+		s.Crashes = append(s.Crashes, simnet.CrashWindow{Proc: p, Start: 0, End: simnet.NoHeal})
+	}
+	return s
+}
+
+// harness runs PBFT heights over n processes, the given ones crashed,
+// and returns the decided blocks per process (nil where undecided).
+func harness(t *testing.T, n int, behaviors map[int]Behavior, down *simnet.Schedule, heights int) [][]*core.Block {
 	t.Helper()
 	sim := simnet.NewSim(42)
 	nw := simnet.NewNetwork(sim, n, simnet.Synchronous{Delta: 2})
+	nw.SetSchedule(down)
 	decided := make([][]*core.Block, n)
 	for i := range decided {
 		decided[i] = make([]*core.Block, heights)
 	}
-	eng, err := NewEngine(nw, Config{
-		N:         n,
+	eng, err := NewEngine(nets(nw, n), Config{
 		Timeout:   30,
 		Behaviors: behaviors,
 		Propose: func(proc, height int) *core.Block {
@@ -32,14 +53,16 @@ func harness(t *testing.T, n int, behaviors map[int]Behavior, heights int) [][]*
 		t.Fatal(err)
 	}
 	for h := 0; h < heights; h++ {
-		eng.Start(h)
+		for p := 0; p < n; p++ {
+			eng.Start(p, h)
+		}
 	}
 	sim.RunUntilIdle()
 	return decided
 }
 
 func TestPBFTAllHonestDecide(t *testing.T) {
-	decided := harness(t, 4, nil, 1)
+	decided := harness(t, 4, nil, nil, 1)
 	for p := 0; p < 4; p++ {
 		if decided[p][0] == nil {
 			t.Fatalf("process %d undecided", p)
@@ -55,7 +78,7 @@ func TestPBFTAllHonestDecide(t *testing.T) {
 }
 
 func TestPBFTMultipleHeights(t *testing.T) {
-	decided := harness(t, 4, nil, 5)
+	decided := harness(t, 4, nil, nil, 5)
 	for h := 0; h < 5; h++ {
 		for p := 0; p < 4; p++ {
 			if decided[p][h] == nil {
@@ -76,7 +99,7 @@ func TestPBFTCrashedLeaderViewChange(t *testing.T) {
 	// Leader of height 0 is process 0; crash it. The view change must
 	// elect process 1, whose proposal gets decided by the correct
 	// processes.
-	decided := harness(t, 4, map[int]Behavior{0: Crashed}, 1)
+	decided := harness(t, 4, nil, crashed(0), 1)
 	for p := 1; p < 4; p++ {
 		if decided[p][0] == nil {
 			t.Fatalf("process %d undecided after view change", p)
@@ -88,7 +111,7 @@ func TestPBFTCrashedLeaderViewChange(t *testing.T) {
 }
 
 func TestPBFTCrashedFollowerStillDecides(t *testing.T) {
-	decided := harness(t, 4, map[int]Behavior{3: Crashed}, 2)
+	decided := harness(t, 4, nil, crashed(3), 2)
 	for h := 0; h < 2; h++ {
 		for p := 0; p < 3; p++ {
 			if decided[p][h] == nil {
@@ -102,7 +125,7 @@ func TestPBFTEquivocatingLeaderSafety(t *testing.T) {
 	// The height-0 leader equivocates. Whatever happens (a view change
 	// or one proposal winning), no two correct processes may decide
 	// different blocks.
-	decided := harness(t, 4, map[int]Behavior{0: EquivocatingLeader}, 1)
+	decided := harness(t, 4, map[int]Behavior{0: EquivocatingLeader}, nil, 1)
 	var ref *core.Block
 	for p := 1; p < 4; p++ {
 		if decided[p][0] == nil {
@@ -123,7 +146,7 @@ func TestPBFTEquivocatingLeaderSafety(t *testing.T) {
 func TestPBFTTooManyFaults(t *testing.T) {
 	// n=4 tolerates f=1; with 2 crashed processes the quorum of 3 is
 	// unreachable: nobody must decide (safety preserved over liveness).
-	decided := harness(t, 4, map[int]Behavior{2: Crashed, 3: Crashed}, 1)
+	decided := harness(t, 4, nil, crashed(2, 3), 1)
 	for p := 0; p < 2; p++ {
 		if decided[p][0] != nil {
 			t.Fatalf("process %d decided without a quorum", p)
@@ -132,12 +155,8 @@ func TestPBFTTooManyFaults(t *testing.T) {
 }
 
 func TestEngineConfigValidation(t *testing.T) {
-	sim := simnet.NewSim(1)
-	nw := simnet.NewNetwork(sim, 4, nil)
-	if _, err := NewEngine(nw, Config{N: 3, Propose: func(int, int) *core.Block { return nil }}); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-	if _, err := NewEngine(nw, Config{N: 4}); err == nil {
+	nw := simnet.NewNetwork(simnet.NewSim(1), 4, nil)
+	if _, err := NewEngine(nets(nw, 4), Config{}); err == nil {
 		t.Fatal("missing Propose accepted")
 	}
 }
@@ -146,8 +165,7 @@ func TestLeaderFnOverride(t *testing.T) {
 	sim := simnet.NewSim(9)
 	nw := simnet.NewNetwork(sim, 4, simnet.Synchronous{Delta: 2})
 	decided := make([]*core.Block, 4)
-	eng, err := NewEngine(nw, Config{
-		N:        4,
+	eng, err := NewEngine(nets(nw, 4), Config{
 		Timeout:  30,
 		LeaderFn: func(h, v int) int { return 2 }, // fixed leader
 		Propose: func(proc, height int) *core.Block {
@@ -158,7 +176,9 @@ func TestLeaderFnOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Start(0)
+	for p := range decided {
+		eng.Start(p, 0)
+	}
 	sim.RunUntilIdle()
 	for p, b := range decided {
 		if b == nil || b.Creator != 2 {
@@ -168,9 +188,8 @@ func TestLeaderFnOverride(t *testing.T) {
 }
 
 func TestQuorumAndF(t *testing.T) {
-	sim := simnet.NewSim(1)
-	nw := simnet.NewNetwork(sim, 7, nil)
-	eng, err := NewEngine(nw, Config{N: 7, Propose: func(int, int) *core.Block { return nil }})
+	nw := simnet.NewNetwork(simnet.NewSim(1), 7, nil)
+	eng, err := NewEngine(nets(nw, 7), Config{Propose: func(int, int) *core.Block { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +201,7 @@ func TestQuorumAndF(t *testing.T) {
 func TestTOBTotalOrder(t *testing.T) {
 	sim := simnet.NewSim(17)
 	nw := simnet.NewNetwork(sim, 4, simnet.Synchronous{Delta: 5})
-	tob := NewTOB(nw, 0)
+	tob := NewTOB(nets(nw, 4), 0)
 	delivered := make([][]any, 4)
 	tob.OnDeliver = func(proc, seq int, payload any) {
 		delivered[proc] = append(delivered[proc], payload)
@@ -215,7 +234,7 @@ func TestTOBInOrderDespiteReordering(t *testing.T) {
 	// buffer must still deliver in sequence.
 	sim := simnet.NewSim(23)
 	nw := simnet.NewNetwork(sim, 3, simnet.Synchronous{Delta: 20})
-	tob := NewTOB(nw, 0)
+	tob := NewTOB(nets(nw, 3), 0)
 	var seqs []int
 	tob.OnDeliver = func(proc, seq int, payload any) {
 		if proc == 1 {
@@ -238,9 +257,8 @@ func TestTOBInOrderDespiteReordering(t *testing.T) {
 }
 
 func TestTOBSequencerAccessor(t *testing.T) {
-	sim := simnet.NewSim(1)
-	nw := simnet.NewNetwork(sim, 2, nil)
-	if NewTOB(nw, 1).sequencer != 1 {
+	nw := simnet.NewNetwork(simnet.NewSim(1), 2, nil)
+	if NewTOB(nets(nw, 2), 1).sequencer != 1 {
 		t.Fatal("sequencer accessor")
 	}
 }

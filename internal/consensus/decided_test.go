@@ -10,8 +10,7 @@ import (
 func TestDecidedAccessor(t *testing.T) {
 	sim := simnet.NewSim(31)
 	nw := simnet.NewNetwork(sim, 4, simnet.Synchronous{Delta: 2})
-	eng, err := NewEngine(nw, Config{
-		N:       4,
+	eng, err := NewEngine(nets(nw, 4), Config{
 		Timeout: 30,
 		Propose: func(proc, height int) *core.Block {
 			return core.NewBlock(core.GenesisID, 1, proc, height, []byte{byte(height)})
@@ -23,7 +22,9 @@ func TestDecidedAccessor(t *testing.T) {
 	if _, ok := eng.Decided(0, 0); ok {
 		t.Fatal("decided before start")
 	}
-	eng.Start(0)
+	for p := 0; p < 4; p++ {
+		eng.Start(p, 0)
+	}
 	sim.RunUntilIdle()
 	var ref *core.Block
 	for p := 0; p < 4; p++ {
@@ -43,10 +44,8 @@ func TestDecidedAccessor(t *testing.T) {
 }
 
 func TestEngineDefaultTimeoutAndMaxViews(t *testing.T) {
-	sim := simnet.NewSim(33)
-	nw := simnet.NewNetwork(sim, 4, nil)
-	eng, err := NewEngine(nw, Config{
-		N:       4,
+	nw := simnet.NewNetwork(simnet.NewSim(33), 4, nil)
+	eng, err := NewEngine(nets(nw, 4), Config{
 		Propose: func(int, int) *core.Block { return nil },
 	})
 	if err != nil {
@@ -64,8 +63,7 @@ func TestNilProposalStallsSafely(t *testing.T) {
 	sim := simnet.NewSim(35)
 	nw := simnet.NewNetwork(sim, 4, simnet.Synchronous{Delta: 2})
 	decided := 0
-	eng, err := NewEngine(nw, Config{
-		N:        4,
+	eng, err := NewEngine(nets(nw, 4), Config{
 		Timeout:  20,
 		MaxViews: 3,
 		Propose:  func(proc, height int) *core.Block { return nil },
@@ -74,7 +72,9 @@ func TestNilProposalStallsSafely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Start(0)
+	for p := 0; p < 4; p++ {
+		eng.Start(p, 0)
+	}
 	sim.RunUntilIdle() // must terminate despite never deciding
 	if decided != 0 {
 		t.Fatalf("decided %d with nil proposals", decided)

@@ -3,8 +3,10 @@
 // Belly, Hyperledger Fabric): a PBFT-style three-phase Byzantine
 // consensus engine (pre-prepare / prepare / commit, tolerating f < n/3
 // Byzantine processes, with view change on leader timeout) and a
-// sequencer-based total-order broadcast built on it, both running over
-// the internal/simnet discrete-event network.
+// sequencer-based total-order broadcast, both written once over one
+// replica.Net per process — its messages and timers — so they run on the
+// simulated network and on live transport nodes alike. A crashed process
+// is one its carrier reports down (and drops the traffic of).
 //
 // In the paper's terms this substrate is what implements the frugal
 // oracle with k = 1: exactly one proposed block per height has its token
@@ -17,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 )
 
@@ -50,8 +53,6 @@ type Behavior int
 const (
 	// Honest follows the protocol.
 	Honest Behavior = iota
-	// Crashed never sends anything.
-	Crashed
 	// EquivocatingLeader proposes two different blocks to the two
 	// halves of the process set when it leads.
 	EquivocatingLeader
@@ -59,9 +60,7 @@ const (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// N is the number of processes; the engine tolerates f < N/3.
-	N int
-	// Timeout is the view-change timeout in virtual time units.
+	// Timeout is the view-change timeout in ticks of the carrier's timer.
 	Timeout int64
 	// Behaviors maps process → fault behavior (nil: all honest).
 	Behaviors map[int]Behavior
@@ -86,18 +85,20 @@ type Config struct {
 }
 
 // Engine runs an unbounded sequence of PBFT instances (one per height)
-// over a simnet network. Heights are started explicitly with Start.
+// over n processes, tolerating f < n/3. Heights are started explicitly
+// with Start.
 type Engine struct {
 	cfg   Config
-	nw    *simnet.Network
 	nodes []*node
 	f     int
 }
 
-// node is the per-process PBFT state machine.
+// node is the per-process PBFT state machine; it touches only its own
+// state and sends only as itself, on its own carrier.
 type node struct {
 	eng  *Engine
 	id   int
+	nw   replica.Net
 	beh  Behavior
 	inst map[int]*instance // height → state
 }
@@ -127,11 +128,9 @@ func newInstance() *instance {
 	}
 }
 
-// NewEngine builds the engine over nw (which must have N processes).
-func NewEngine(nw *simnet.Network, cfg Config) (*Engine, error) {
-	if cfg.N != nw.N() {
-		return nil, fmt.Errorf("consensus: config N=%d, network has %d", cfg.N, nw.N())
-	}
+// NewEngine builds the engine over one carrier per process: process p
+// registers its handler on, sends on and arms its timers on nets[p].
+func NewEngine(nets []replica.Net, cfg Config) (*Engine, error) {
 	if cfg.Propose == nil {
 		return nil, fmt.Errorf("consensus: Propose callback required")
 	}
@@ -141,12 +140,11 @@ func NewEngine(nw *simnet.Network, cfg Config) (*Engine, error) {
 	if cfg.MaxViews <= 0 {
 		cfg.MaxViews = 16
 	}
-	e := &Engine{cfg: cfg, nw: nw, f: (cfg.N - 1) / 3}
-	for i := 0; i < cfg.N; i++ {
-		nd := &node{eng: e, id: i, beh: cfg.Behaviors[i], inst: make(map[int]*instance)}
+	e := &Engine{cfg: cfg, f: (len(nets) - 1) / 3}
+	for i, nw := range nets {
+		nd := &node{eng: e, id: i, nw: nw, beh: cfg.Behaviors[i], inst: make(map[int]*instance)}
 		e.nodes = append(e.nodes, nd)
-		id := i
-		nw.AddHandler(i, func(m simnet.Message) { e.nodes[id].onMessage(m) })
+		nw.AddHandler(i, nd.onMessage)
 	}
 	return e, nil
 }
@@ -155,21 +153,18 @@ func NewEngine(nw *simnet.Network, cfg Config) (*Engine, error) {
 // round-robin by default.
 func (e *Engine) Leader(height, view int) int {
 	if e.cfg.LeaderFn != nil {
-		return e.cfg.LeaderFn(height, view) % e.cfg.N
+		return e.cfg.LeaderFn(height, view) % len(e.nodes)
 	}
-	return (height + view) % e.cfg.N
+	return (height + view) % len(e.nodes)
 }
 
 // Quorum returns the 2f+1 quorum size.
 func (e *Engine) Quorum() int { return 2*e.f + 1 }
 
-// Start launches the instance for height at every process: the leader
-// proposes, everyone arms its view-change timer.
-func (e *Engine) Start(height int) {
-	for _, nd := range e.nodes {
-		nd.start(height)
-	}
-}
+// Start launches the instance for height at process p: p arms its
+// view-change timer and proposes if it leads. Call it for every process,
+// on the event loop that runs p's handlers.
+func (e *Engine) Start(p, height int) { e.nodes[p].start(height) }
 
 func (nd *node) get(h int) *instance {
 	in, ok := nd.inst[h]
@@ -181,9 +176,6 @@ func (nd *node) get(h int) *instance {
 }
 
 func (nd *node) start(height int) {
-	if nd.beh == Crashed {
-		return
-	}
 	in := nd.get(height)
 	nd.armTimer(height, in.view)
 	leader := nd.eng.Leader(height, in.view)
@@ -203,30 +195,27 @@ func (nd *node) lead(height, view int) {
 		// liveness recovers via view change.
 		alt := core.NewBlock(b.Parent, b.Height, nd.id, b.Round+1_000_000, b.Payload)
 		alt = alt.WithToken(b.Token)
-		for to := 0; to < nd.eng.cfg.N; to++ {
+		for to := range nd.eng.nodes {
 			prop := b
 			if to%2 == 1 {
 				prop = alt
 			}
-			nd.eng.nw.Send(nd.id, to, PrePrepare{Height: height, View: view, Block: prop})
+			nd.nw.Send(nd.id, to, PrePrepare{Height: height, View: view, Block: prop})
 		}
 		return
 	}
-	nd.eng.nw.Broadcast(nd.id, PrePrepare{Height: height, View: view, Block: b})
+	nd.nw.Broadcast(nd.id, PrePrepare{Height: height, View: view, Block: b})
 }
 
 func (nd *node) armTimer(height, view int) {
 	in := nd.get(height)
 	in.timerView = view
-	nd.eng.nw.Sim().Schedule(nd.eng.cfg.Timeout, func() {
+	nd.nw.After(nd.eng.cfg.Timeout, func() {
 		nd.onTimeout(height, view)
 	})
 }
 
 func (nd *node) onTimeout(height, view int) {
-	if nd.beh == Crashed {
-		return
-	}
 	in := nd.get(height)
 	if in.decided || in.view != view {
 		return
@@ -236,14 +225,11 @@ func (nd *node) onTimeout(height, view int) {
 		return // give up on liveness for this height (quorum unreachable)
 	}
 	// Ask to move to view+1.
-	nd.eng.nw.Broadcast(nd.id, ViewChange{Height: height, NewView: view + 1})
+	nd.nw.Broadcast(nd.id, ViewChange{Height: height, NewView: view + 1})
 	nd.armTimer(height, view)
 }
 
 func (nd *node) onMessage(m simnet.Message) {
-	if nd.beh == Crashed {
-		return
-	}
 	switch msg := m.Payload.(type) {
 	case PrePrepare:
 		nd.onPrePrepare(m.From, msg)
@@ -276,7 +262,7 @@ func (nd *node) onPrePrepare(from int, msg PrePrepare) {
 		nd.decide(msg.Height, msg.Block.ID)
 		return
 	}
-	nd.eng.nw.Broadcast(nd.id, Prepare{Height: msg.Height, View: msg.View, ID: msg.Block.ID})
+	nd.nw.Broadcast(nd.id, Prepare{Height: msg.Height, View: msg.View, ID: msg.Block.ID})
 }
 
 func votes(m map[int]map[core.BlockID]map[int]bool, view int, id core.BlockID) map[int]bool {
@@ -303,7 +289,7 @@ func (nd *node) onVote(from, height, view int, id core.BlockID, prepare bool) {
 		sm[from] = true
 		if !in.prepared && len(sm) >= nd.eng.Quorum() {
 			in.prepared = true
-			nd.eng.nw.Broadcast(nd.id, Commit{Height: height, View: view, ID: id})
+			nd.nw.Broadcast(nd.id, Commit{Height: height, View: view, ID: id})
 		}
 		return
 	}

@@ -1,6 +1,9 @@
 package consensus
 
-import "repro/internal/simnet"
+import (
+	"repro/internal/replica"
+	"repro/internal/simnet"
+)
 
 // TOB is a sequencer-based total-order broadcast: clients submit
 // payloads to a fixed sequencer (the ordering service of Hyperledger
@@ -10,9 +13,7 @@ import "repro/internal/simnet"
 // total order — which is all the Fabric mapping needs: a unique chain,
 // i.e. the frugal oracle with k = 1.
 type TOB struct {
-	nw        *simnet.Network
 	sequencer int
-	nextSeq   int
 	nodes     []*tobNode
 	// OnDeliver runs at each process for each payload, in total order.
 	OnDeliver func(proc, seq int, payload any)
@@ -21,6 +22,8 @@ type TOB struct {
 type tobNode struct {
 	t        *TOB
 	id       int
+	nw       replica.Net
+	nextSeq  int // the sequencer's only
 	nextDlv  int
 	buffered map[int]any
 }
@@ -34,22 +37,22 @@ type (
 	}
 )
 
-// NewTOB builds a total-order broadcast over nw with the given sequencer
-// process.
-func NewTOB(nw *simnet.Network, sequencer int) *TOB {
-	t := &TOB{nw: nw, sequencer: sequencer}
-	for i := 0; i < nw.N(); i++ {
-		nd := &tobNode{t: t, id: i, buffered: make(map[int]any)}
+// NewTOB builds a total-order broadcast over one carrier per process
+// (process p on nets[p]) with the given sequencer process.
+func NewTOB(nets []replica.Net, sequencer int) *TOB {
+	t := &TOB{sequencer: sequencer}
+	for i, nw := range nets {
+		nd := &tobNode{t: t, id: i, nw: nw, buffered: make(map[int]any)}
 		t.nodes = append(t.nodes, nd)
-		id := i
-		nw.AddHandler(i, func(m simnet.Message) { t.nodes[id].onMessage(m) })
+		nw.AddHandler(i, nd.onMessage)
 	}
 	return t
 }
 
-// Broadcast submits payload for total ordering on behalf of process from.
+// Broadcast submits payload for total ordering on behalf of process
+// from; call it on the event loop that runs from's handlers.
 func (t *TOB) Broadcast(from int, payload any) {
-	t.nw.Send(from, t.sequencer, submitMsg{Payload: payload})
+	t.nodes[from].nw.Send(from, t.sequencer, submitMsg{Payload: payload})
 }
 
 func (nd *tobNode) onMessage(m simnet.Message) {
@@ -58,9 +61,9 @@ func (nd *tobNode) onMessage(m simnet.Message) {
 		if nd.id != nd.t.sequencer {
 			return
 		}
-		seq := nd.t.nextSeq
-		nd.t.nextSeq++
-		nd.t.nw.Broadcast(nd.id, orderMsg{Seq: seq, Payload: msg.Payload})
+		seq := nd.nextSeq
+		nd.nextSeq++
+		nd.nw.Broadcast(nd.id, orderMsg{Seq: seq, Payload: msg.Payload})
 	case orderMsg:
 		nd.buffered[msg.Seq] = msg.Payload
 		nd.flush()

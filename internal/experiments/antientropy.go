@@ -83,7 +83,7 @@ func antiEntropyRun(seed uint64, partitionUntil int64, repair bool) *replica.Gro
 		})
 	}
 	if repair {
-		g.EnableAntiEntropy(sim, 15, 12)
+		g.EnableAntiEntropy(15, 12)
 	}
 	sim.RunUntilIdle()
 	for _, p := range g.Procs {

@@ -28,7 +28,7 @@ type Config struct {
 	Timeout int64
 	// LeaderFn picks the leader per (height, view); nil = round-robin.
 	LeaderFn func(height, view int) int
-	// Behaviors injects faults per process.
+	// Behaviors injects Byzantine behaviors (a crash is a Crashes window).
 	Behaviors map[int]consensus.Behavior
 	// MeritOf returns the proposing merit of a process; nil = common
 	// normalized merit. Red Belly sets 0 outside the consortium.
@@ -87,8 +87,7 @@ func Run(cfg Config) *protocols.Result {
 	// Single-threaded simulator: no races.
 	var engStart func(height int)
 
-	eng, err := consensus.NewEngine(group.Net, consensus.Config{
-		N:         cfg.N,
+	eng, err := consensus.NewEngine(group.Nets(), consensus.Config{
 		Timeout:   cfg.Timeout,
 		Behaviors: cfg.Behaviors,
 		LeaderFn:  cfg.LeaderFn,
@@ -140,7 +139,9 @@ func Run(cfg Config) *protocols.Result {
 		if !cfg.Tick(height, sim.Now()) {
 			return
 		}
-		eng.Start(height)
+		for p := range group.Procs {
+			eng.Start(p, height)
+		}
 	}
 	engStart(0)
 

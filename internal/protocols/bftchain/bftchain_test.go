@@ -3,9 +3,9 @@ package bftchain
 import (
 	"testing"
 
-	"repro/internal/consensus"
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/simnet"
 	"repro/internal/tape"
 )
 
@@ -53,7 +53,7 @@ func TestStronglyConsistent(t *testing.T) {
 func TestCrashedFollowerTolerated(t *testing.T) {
 	cfg := defaultCfg(4)
 	cfg.Rounds = 8
-	cfg.Behaviors = map[int]consensus.Behavior{3: consensus.Crashed}
+	cfg.Crashes = []simnet.CrashWindow{{Proc: 3, Start: 0, End: simnet.NoHeal}}
 	res := Run(cfg)
 	// The three live replicas reach the full height.
 	live := 0
@@ -75,7 +75,7 @@ func TestCrashedLeaderRecoveredByViewChange(t *testing.T) {
 	cfg.Rounds = 6
 	// Fixed leader policy pointing at a crashed process for height 0,
 	// view 0; the view change must rotate past it.
-	cfg.Behaviors = map[int]consensus.Behavior{0: consensus.Crashed}
+	cfg.Crashes = []simnet.CrashWindow{{Proc: 0, Start: 0, End: simnet.NoHeal}}
 	cfg.LeaderFn = func(h, v int) int { return (h + v) % 4 }
 	res := Run(cfg)
 	hs := res.FinalHeights()

@@ -6,6 +6,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/simnet"
 	"repro/internal/tape"
 )
 
@@ -70,7 +71,7 @@ func TestByzantineLeaderDoesNotForkChain(t *testing.T) {
 func TestProgressWithCrashedFollower(t *testing.T) {
 	cfg := defaultCfg(5)
 	cfg.Rounds = 6
-	cfg.Behaviors = map[int]consensus.Behavior{3: consensus.Crashed}
+	cfg.Crashes = []simnet.CrashWindow{{Proc: 3, Start: 0, End: simnet.NoHeal}}
 	res := Run(cfg)
 	if res.Selector.Select(res.Trees[0]).Height() != 6 {
 		t.Fatal("chain stalled with one crashed follower")

@@ -95,7 +95,7 @@ func Run(cfg Config) *protocols.Result {
 		cfg.Endorsers = cfg.N/2 + 1
 	}
 	sim, group, orc, stats := h.Sim, h.Group, h.Oracle, h.Stats
-	tob := consensus.NewTOB(group.Net, 0) // process 0 is the ordering service
+	tob := consensus.NewTOB(group.Nets(), 0) // process 0 is the ordering service
 	orderer := 0
 
 	// Adversarial wiring: an equivocating ordering service. Fabric's

@@ -67,7 +67,7 @@ func (d *Definition) Start(cfg *Config, delta int64, drop simnet.DropRule) *Harn
 		if cfg.Faults != nil {
 			sched.Windows = cfg.Faults.Windows
 		}
-		recovery = group.EnableCrashRecovery(sim, cfg.Durable)
+		recovery = group.EnableCrashRecovery(cfg.Durable)
 	}
 	if sched != nil {
 		group.Net.SetSchedule(sched)

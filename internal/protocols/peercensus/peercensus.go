@@ -9,7 +9,6 @@
 package peercensus
 
 import (
-	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/protocols"
 	"repro/internal/protocols/bftchain"
@@ -19,7 +18,6 @@ import (
 type Config struct {
 	protocols.Config
 	Delta, Timeout int64
-	Behaviors      map[int]consensus.Behavior
 }
 
 // lower maps the configuration onto the shared BFT chain, the one place
@@ -30,11 +28,10 @@ func lower(cfg Config) bftchain.Config {
 	// the leader of height h+1 is that creator (committee anchoring).
 	lastCreator := map[int]int{}
 	return bftchain.Config{
-		Config:    cfg.Config,
-		System:    "PeerCensus",
-		Delta:     cfg.Delta,
-		Timeout:   cfg.Timeout,
-		Behaviors: cfg.Behaviors,
+		Config:  cfg.Config,
+		System:  "PeerCensus",
+		Delta:   cfg.Delta,
+		Timeout: cfg.Timeout,
 		LeaderFn: func(height, view int) int {
 			base := height // genesis epoch: rotate
 			if c, ok := lastCreator[height-1]; ok {

@@ -3,9 +3,9 @@ package peercensus
 import (
 	"testing"
 
-	"repro/internal/consensus"
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/simnet"
 )
 
 func defaultCfg(seed uint64) Config {
@@ -57,7 +57,7 @@ func TestCommitteeAnchoring(t *testing.T) {
 func TestFaultToleranceWithCrash(t *testing.T) {
 	cfg := defaultCfg(4)
 	cfg.Rounds = 6
-	cfg.Behaviors = map[int]consensus.Behavior{2: consensus.Crashed}
+	cfg.Crashes = []simnet.CrashWindow{{Proc: 2, Start: 0, End: simnet.NoHeal}}
 	res := Run(cfg)
 	heights := res.FinalHeights()
 	if heights[len(heights)-1] != 6 {

@@ -8,7 +8,6 @@
 package redbelly
 
 import (
-	"repro/internal/consensus"
 	"repro/internal/protocols"
 	"repro/internal/protocols/bftchain"
 	"repro/internal/tape"
@@ -21,7 +20,6 @@ type Config struct {
 	// propose; the rest are read-only). 0 means N/2+1.
 	M              int
 	Delta, Timeout int64
-	Behaviors      map[int]consensus.Behavior
 }
 
 // lower maps the configuration onto the shared BFT chain, the one place
@@ -34,11 +32,10 @@ func lower(cfg Config) (bftchain.Config, int) {
 		m = cfg.N/2 + 1
 	}
 	return bftchain.Config{
-		Config:    cfg.Config,
-		System:    "RedBelly",
-		Delta:     cfg.Delta,
-		Timeout:   cfg.Timeout,
-		Behaviors: cfg.Behaviors,
+		Config:  cfg.Config,
+		System:  "RedBelly",
+		Delta:   cfg.Delta,
+		Timeout: cfg.Timeout,
 		// Leaders rotate within the consortium M only.
 		LeaderFn: func(height, view int) int {
 			return (height + view) % m

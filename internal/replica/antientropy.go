@@ -40,13 +40,13 @@ type SyncMsg struct{}
 // the group: each process broadcasts its leaves every period time units,
 // `rounds` times. Message handlers for inv/req are installed
 // immediately.
-func (g *Group) EnableAntiEntropy(sim *simnet.Sim, period int64, rounds int) {
+func (g *Group) EnableAntiEntropy(period int64, rounds int) {
 	for _, p := range g.Procs {
 		p.installAntiEntropy()
 	}
 	for r := 1; r <= rounds; r++ {
 		at := int64(r) * period
-		sim.Schedule(at, func() {
+		g.Net.After(at, func() {
 			for _, p := range g.Procs {
 				p.advertise()
 			}

@@ -30,7 +30,7 @@ func TestAntiEntropyHealsPartition(t *testing.T) {
 		sim.Schedule(tt, func() { g.Procs[0].AppendLocal(b) })
 	}
 	// Anti-entropy every 20 units for 10 rounds (well past healing).
-	g.EnableAntiEntropy(sim, 20, 10)
+	g.EnableAntiEntropy(20, 10)
 	sim.RunUntilIdle()
 
 	if got := g.Procs[3].Tree().Len(); got != 9 {
@@ -80,7 +80,7 @@ func TestAntiEntropyRestoresEventualConsistency(t *testing.T) {
 			})
 		}
 		if repair {
-			g.EnableAntiEntropy(sim, 15, 8)
+			g.EnableAntiEntropy(15, 8)
 		}
 		sim.RunUntilIdle()
 		for _, p := range g.Procs {
@@ -110,7 +110,7 @@ func TestAntiEntropyIdleIsCheap(t *testing.T) {
 	sim.Schedule(1, func() { g.Procs[0].AppendLocal(b) })
 	sim.Run(20) // flood settles
 	sentBefore, _, _ := g.Net.Stats()
-	g.EnableAntiEntropy(sim, 10, 3)
+	g.EnableAntiEntropy(10, 3)
 	sim.RunUntilIdle()
 	sentAfter, _, _ := g.Net.Stats()
 	// 3 rounds × 3 processes × 3 destinations = 27 inv messages, and
@@ -138,7 +138,7 @@ func TestAntiEntropyRandomLossSoak(t *testing.T) {
 			g.Procs[p].AppendLocal(b)
 		})
 	}
-	g.EnableAntiEntropy(sim, 12, 40)
+	g.EnableAntiEntropy(12, 40)
 	sim.RunUntilIdle()
 
 	want := g.Procs[0].Tree().Len()

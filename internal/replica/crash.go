@@ -4,13 +4,13 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/simnet"
 )
 
 // This file implements the crash–recovery half of the fault model at
-// the replica layer. The network (internal/simnet) takes processes down
-// and up on a deterministic schedule; here each process gains a durable
-// snapshot of its replica state and a catch-up procedure that runs on
+// the replica layer. The carrier (Net) takes processes down and up and
+// drops a down process's traffic — the one crash model, consensus
+// included. Here each process gains a durable snapshot of its replica
+// state and a catch-up procedure, timed by Net.After, that runs on
 // restart. Two recovery disciplines are modeled:
 //
 //   - durable: the replica persists its block tree and pending buffer
@@ -137,18 +137,14 @@ func (s *RecoveryStats) Add(o *RecoveryStats) {
 
 // CrashRecovery is one process's crash–recovery procedure, stated once
 // for both drivers: the simulator calls Crash and Restart from the
-// network's crash schedule, a live deployment from wall-clock timers on
-// the node's event loop. Every method, and every callback handed to
-// after, must run on the event loop that owns the process; the type
+// network's crash schedule, a live deployment from timers on the node's
+// event loop. Every method must run on the event loop that owns the
+// process, where the process's Net runs the backoff timers too; the type
 // takes no lock and starts no goroutine.
 type CrashRecovery struct {
 	p       *Process
 	durable bool
-	// after runs fn on the process's event loop once the given number of
-	// ticks has passed: sim.Schedule in simulation, Node.After scaled by
-	// the tick duration live.
-	after func(ticks int64, fn func())
-	stats *RecoveryStats
+	stats   *RecoveryStats
 	// done, when non-nil, is called each time a catch-up ends.
 	done func()
 
@@ -162,8 +158,8 @@ type CrashRecovery struct {
 // NewCrashRecovery binds the procedure to p. Catch-up rides the
 // anti-entropy handlers, which the caller installs on every process of
 // the deployment (the peers answer the solicits).
-func NewCrashRecovery(p *Process, durable bool, after func(ticks int64, fn func()), stats *RecoveryStats, done func()) *CrashRecovery {
-	return &CrashRecovery{p: p, durable: durable, after: after, stats: stats, done: done}
+func NewCrashRecovery(p *Process, durable bool, stats *RecoveryStats, done func()) *CrashRecovery {
+	return &CrashRecovery{p: p, durable: durable, stats: stats, done: done}
 }
 
 // Crash is the crash edge: a durable replica persists its state. Call
@@ -210,7 +206,7 @@ func (r *CrashRecovery) solicit(attempt int, backoff int64, lenAtRestart int) {
 	}
 	epoch, lenAtSolicit := r.epoch, p.tree.Len()
 	p.nw.Broadcast(p.ID, SyncMsg{})
-	r.after(backoff, func() {
+	p.nw.After(backoff, func() {
 		if r.epoch != epoch {
 			return
 		}
@@ -232,13 +228,13 @@ func (r *CrashRecovery) solicit(attempt int, backoff int64, lenAtRestart int) {
 // anti-entropy layer with bounded retry/backoff. Returns the live stats
 // (also kept on g.Recovery). Anti-entropy message handlers are
 // installed idempotently, so combining with EnableAntiEntropy is safe.
-func (g *Group) EnableCrashRecovery(sim *simnet.Sim, durable bool) *RecoveryStats {
+func (g *Group) EnableCrashRecovery(durable bool) *RecoveryStats {
 	stats := &RecoveryStats{}
 	g.Recovery = stats
 	recs := make([]*CrashRecovery, len(g.Procs))
 	for i, p := range g.Procs {
 		p.installAntiEntropy()
-		recs[i] = NewCrashRecovery(p, durable, sim.Schedule, stats, nil)
+		recs[i] = NewCrashRecovery(p, durable, stats, nil)
 	}
 	g.Net.OnCrash(func(id int) { recs[id].Crash() })
 	g.Net.OnRestart(func(id int) { recs[id].Restart() })

@@ -74,7 +74,7 @@ func crashRig(t *testing.T, durable bool, rounds int) (*simnet.Sim, *Group, map[
 	g.SetPredicate(core.WellFormed{})
 	g.Net.RecordFaults(true)
 	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 2, Start: 30, End: 60}}})
-	g.EnableCrashRecovery(sim, durable)
+	g.EnableCrashRecovery(durable)
 
 	parent := core.Genesis()
 	for i := 0; i < rounds; i++ {
@@ -148,7 +148,7 @@ func TestCrashStopReplicaStaysDown(t *testing.T) {
 	sim := simnet.NewSim(7)
 	g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 1, Start: 20, End: simnet.NoHeal}}})
-	g.EnableCrashRecovery(sim, true)
+	g.EnableCrashRecovery(true)
 
 	parent := core.Genesis()
 	for i := 0; i < 10; i++ {
@@ -193,7 +193,7 @@ func TestCatchUpRetriesWhenInventoryLost(t *testing.T) {
 		}
 		return m.To == 2 && sim.Now() < 50
 	})
-	g.EnableCrashRecovery(sim, false)
+	g.EnableCrashRecovery(false)
 
 	parent := core.Genesis()
 	for i := 0; i < 6; i++ {
@@ -211,7 +211,7 @@ func TestCatchUpRetriesWhenInventoryLost(t *testing.T) {
 	}
 }
 
-// catchUpRig is one process over a fake carrier and a fake timer: the
+// catchUpRig is one process over a fake carrier with a fake timer: the
 // test decides when a block arrives, when the process is down and when
 // each armed backoff fires.
 type catchUpRig struct {
@@ -219,6 +219,7 @@ type catchUpRig struct {
 	rec      *CrashRecovery
 	stats    RecoveryStats
 	down     bool
+	unit     int64    // one tick in the timer's own unit
 	solicits int      // SyncMsg broadcasts seen by the carrier
 	waits    []int64  // every backoff armed, in the timer's own unit
 	timers   []func() // armed and not yet fired, oldest first
@@ -233,6 +234,10 @@ func (r *catchUpRig) Broadcast(_ int, payload any) {
 	if _, ok := payload.(SyncMsg); ok {
 		r.solicits++
 	}
+}
+func (r *catchUpRig) After(ticks int64, fn func()) {
+	r.waits = append(r.waits, ticks*r.unit)
+	r.timers = append(r.timers, fn)
 }
 
 // fire runs the oldest armed backoff.
@@ -252,9 +257,9 @@ func (r *catchUpRig) crash()   { r.rec.Crash(); r.down = true }
 func (r *catchUpRig) restart() { r.down = false; r.rec.Restart() }
 
 // TestCatchUpMachineUnderFakeTimer drives the one catch-up state machine
-// through both drivers' timer shapes: the simulator's (backoffs are
-// virtual ticks, handed to sim.Schedule as they are) and a live node's
-// (ticks scaled to a wall-clock duration for Node.After).
+// through both carriers' timer shapes: the simulator's (backoffs are
+// virtual ticks, scheduled as they are) and a live node's (Node.After
+// scales ticks to a wall-clock duration).
 func TestCatchUpMachineUnderFakeTimer(t *testing.T) {
 	const liveTick = 12500 * time.Microsecond // transport.Tick; importing it here would be a cycle
 	shapes := []struct {
@@ -315,13 +320,9 @@ func TestCatchUpMachineUnderFakeTimer(t *testing.T) {
 	for _, shape := range shapes {
 		for _, c := range cases {
 			t.Run(shape.name+"/"+c.name, func(t *testing.T) {
-				r := &catchUpRig{chain: core.Genesis()}
+				r := &catchUpRig{chain: core.Genesis(), unit: shape.unit}
 				r.p = NewProcess(0, r, nil, history.NewRecorder(1, nil))
-				after := func(ticks int64, fn func()) {
-					r.waits = append(r.waits, ticks*shape.unit)
-					r.timers = append(r.timers, fn)
-				}
-				r.rec = NewCrashRecovery(r.p, true, after, &r.stats, func() { r.done++ })
+				r.rec = NewCrashRecovery(r.p, true, &r.stats, func() { r.done++ })
 				c.script(r)
 
 				if r.stats != c.want {
@@ -399,7 +400,7 @@ func FuzzDurableRestore(f *testing.F) {
 		g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 		g.SetPredicate(core.WellFormed{})
 		g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 2, Start: start, End: end}}})
-		g.EnableCrashRecovery(sim, true)
+		g.EnableCrashRecovery(true)
 
 		var atCrash, atRestart string
 		g.Net.OnCrash(func(p int) { atCrash = treeDump(g.Procs[p].Tree()) + "|" + pendingDump(g.Procs[p]) })

@@ -2,11 +2,10 @@ package replica
 
 import "repro/internal/simnet"
 
-// Net is the message-layer contract a Process needs from whatever
-// carries its traffic: handler registration, point-to-point send,
-// broadcast, and the crash predicate. *simnet.Network satisfies it for
-// deterministic simulation; internal/transport provides live
-// implementations (in-process channels, TCP) so the same Process code
+// Net is what a Process, and internal/consensus above it, needs from the
+// carrier: handler registration, send, broadcast, the crash predicate
+// and a timer. *simnet.Network satisfies it for deterministic simulation,
+// a live internal/transport.Node for its own process, so the same code
 // runs unchanged as a real concurrent deployment. Implementations must
 // deliver messages from one peer in send order (per-peer FIFO is what
 // the orphan-buffer bound and the anti-entropy segment repair assume).
@@ -21,8 +20,12 @@ type Net interface {
 	Send(from, to int, payload any)
 	// Broadcast queues payload from p to every other process.
 	Broadcast(from int, payload any)
-	// Down reports whether process p is currently crashed.
+	// Down reports whether process p is currently crashed: the carrier
+	// drops its sends and the deliveries addressed to it.
 	Down(p int) bool
+	// After runs fn on the process's event loop ticks ticks from now: a
+	// virtual time unit each in simulation, transport.Tick live.
+	After(ticks int64, fn func())
 }
 
 // InstallAntiEntropy registers the inventory/repair (inv/req/sync)

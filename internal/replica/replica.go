@@ -9,6 +9,8 @@
 package replica
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/metrics"
@@ -317,6 +319,10 @@ func NewGroup(sim *simnet.Sim, n int, delay simnet.DelayModel, f core.Selector) 
 	}
 	return g
 }
+
+// Nets lists the group's network once per process, for the layers that
+// take one Net per process (internal/consensus; live, each is a node).
+func (g *Group) Nets() []Net { return slices.Repeat([]Net{g.Net}, len(g.Procs)) }
 
 // EnableSharding does nothing: the simulator has one serial scheduler.
 //

@@ -208,10 +208,11 @@ func (nw *Network) Schedule() *Schedule { return nw.sched }
 // SetSchedule so the cut/heal boundary events are captured.
 func (nw *Network) RecordFaults(on bool) { nw.logFaults = on }
 
-// NoteFault appends an externally observed fault event (adversarial
-// strategies record their withhold/release decisions here).
+// NoteFault appends an externally observed fault event at the current
+// time (adversarial strategies record their withhold/release decisions).
 func (nw *Network) NoteFault(e FaultEvent) {
 	if nw.logFaults {
+		e.Time = nw.sim.Now()
 		nw.faultLog = append(nw.faultLog, e)
 	}
 }

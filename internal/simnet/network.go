@@ -98,11 +98,9 @@ func NewNetwork(sim *Sim, n int, delay DelayModel) *Network {
 	return &Network{sim: sim, n: n, delay: delay, drop: DropNone, handlers: make([][]Handler, n)}
 }
 
-// N returns the number of processes.
-func (nw *Network) N() int { return nw.n }
-
-// Sim returns the underlying simulator.
-func (nw *Network) Sim() *Sim { return nw.sim }
+// After runs fn once ticks virtual time units have passed: a timer of
+// any process, since the simulator is every process's one event loop.
+func (nw *Network) After(ticks int64, fn func()) { nw.sim.Schedule(ticks, fn) }
 
 // AddHandler registers a delivery handler for process p. Multiple layers
 // (replica updates, consensus rounds) each register one; every handler

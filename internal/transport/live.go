@@ -88,8 +88,8 @@ const (
 	// readsPerAppend is how many reads each client issues, rotating
 	// across nodes, after every append attempt.
 	readsPerAppend = 2
-	// aePeriod is the anti-entropy advertise interval.
-	aePeriod = 250 * time.Millisecond
+	// aePeriod is the anti-entropy advertise interval in Ticks (250 ms).
+	aePeriod = 20
 	// settleTimeout caps the post-load convergence wait.
 	settleTimeout = 10 * time.Second
 )
@@ -381,8 +381,8 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 }
 
 // scheduleAdvertise drives the periodic anti-entropy inventory round
-// on the node's own wall-clock timer (the live stand-in for
-// Group.EnableAntiEntropy's virtual-time schedule).
+// on the node's own timer (the live stand-in for
+// Group.EnableAntiEntropy's bounded schedule).
 func scheduleAdvertise(n *Node) {
 	var tick func()
 	tick = func() {
@@ -392,9 +392,9 @@ func scheduleAdvertise(n *Node) {
 	n.After(aePeriod, tick)
 }
 
-// Tick is the wall-clock length of one replica tick in a live
-// deployment: catch-up's first backoff, replica.CatchUpBackoff ticks, is
-// 100 ms.
+// Tick is the wall-clock unit of Node.After, the replica.Net timer: every
+// timer above the carrier counts in it (catch-up's first backoff,
+// replica.CatchUpBackoff ticks, is 100 ms; the advertise period 250 ms).
 const Tick = 12500 * time.Microsecond
 
 // scheduleCrashes arms node n's crash windows on the node's own timers,
@@ -405,18 +405,17 @@ const Tick = 12500 * time.Microsecond
 // does the rest. done is called when the catch-up after the node's last
 // restart ends; an earlier catch-up may be cut short by the next crash.
 func scheduleCrashes(n *Node, windows []simnet.CrashWindow, durable bool, stats *replica.RecoveryStats, done func()) {
-	after := func(ticks int64, fn func()) { n.After(time.Duration(ticks)*Tick, fn) }
 	left := len(windows) // restarts still to come; touched on n's loop only
-	rec := replica.NewCrashRecovery(n.Proc, durable, after, stats, func() {
+	rec := replica.NewCrashRecovery(n.Proc, durable, stats, func() {
 		if left == 0 {
 			done()
 		}
 	})
 	for _, w := range windows {
-		after(w.Start, func() {
+		n.After(w.Start, func() {
 			rec.Crash() // crash-consistent snapshot: the loop is between events
 			n.down.Store(true)
-			after(w.End-w.Start, func() {
+			n.After(w.End-w.Start, func() {
 				n.down.Store(false)
 				left--
 				rec.Restart()

@@ -26,9 +26,9 @@ var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 // Node hosts one replica.Process as an actor: a single event-loop
 // goroutine owns the process, and every touch — message delivery,
 // client append/read, wall-clock timer, crash control — is an event
-// executed serially by that loop. Node implements replica.Net, so the
-// Process floods and repairs through the live Transport with the same
-// code paths the simulator drives.
+// executed serially by that loop. Node implements replica.Net, timer
+// included, so the Process and the consensus layer run on the live
+// Transport with the same code paths the simulator drives.
 type Node struct {
 	ID   int
 	Proc *replica.Process
@@ -132,17 +132,17 @@ func (n *Node) Do(fn func()) bool {
 	return ok
 }
 
-// After schedules fn to run on the event loop d from now. The timer is
-// cancelled by Stop; a callback racing Stop finds the queue closed and
-// is dropped.
-func (n *Node) After(d time.Duration, fn func()) {
+// After schedules fn to run on the event loop ticks × Tick from now (the
+// replica.Net timer). The timer is cancelled by Stop; a callback racing
+// Stop finds the queue closed and is dropped.
+func (n *Node) After(ticks int64, fn func()) {
 	n.timersMu.Lock()
 	if n.stopped {
 		n.timersMu.Unlock()
 		return
 	}
 	var t *time.Timer
-	t = time.AfterFunc(d, func() {
+	t = time.AfterFunc(time.Duration(ticks)*Tick, func() {
 		n.timersMu.Lock()
 		delete(n.timers, t)
 		n.timersMu.Unlock()
