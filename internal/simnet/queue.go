@@ -1,23 +1,54 @@
 package simnet
 
-// queue is the scheduler's priority queue: a binary min-heap of
-// pointer-free (time, seq, slot) keys over a pool of event slots. Sifting
-// moves 24-byte keys the garbage collector never looks at — no write
-// barrier per swap — while the 72-byte events, which carry the callback,
-// network and payload pointers, are written once on push and once on pop.
+// queue is the scheduler's priority queue. Events queued for one virtual
+// time form runs: FIFO lists linked through their slots. A binary min-heap
+// orders the runs by pointer-free (time, seq of the run's first event,
+// run) keys, one key per run, so a pop sifts only when it empties a run
+// and a push only when it opens one. Sifting moves 24-byte keys the
+// garbage collector never looks at, while the 72-byte events, which carry
+// the callback, network and payload pointers, are written once on push
+// and once on pop.
 //
-// pop yields events in exact (time, seq) order for any push order: seq is
-// unique, so the order is total and independent of heap internals. push
-// takes the event's time and seq as given (Sim.schedule assigns them).
+// Pushes must carry ascending seq, as Sim.schedule hands them out; times
+// may come in any order. pop then yields exact (time, seq) order: a run
+// grows only while the finder points at it, and the finder points only at
+// the newest run of its time, so seq ascends within a run, and every
+// event of an earlier-opened run of a time precedes the first event of a
+// later one.
 type queue struct {
-	keys  []qkey
-	slots []event
-	free  []int32 // slots released by pop, reused before the pool grows
+	keys     []qkey  // min-heap, one key per open run
+	runs     []run   // run pool
+	freeRuns []int32 // closed runs, reused before the pool grows
+	pages    []*page // event slots, added a page at a time; a page never moves
+	freeSlot int32   // head of the free slot list, linked through next
+	n        int     // queued events; the other slots are free
+	// finder holds run+1 of the newest open run of some time t at
+	// t & finderMask, or 0. A miss (another time, or none) opens a run.
+	finder [finderLen]int32
+}
+
+const (
+	finderLen  = 16
+	finderMask = finderLen - 1
+	pageShift  = 9
+	pageLen    = 1 << pageShift // events per page
+	pageMask   = pageLen - 1
+)
+
+type page struct {
+	ev   [pageLen]event
+	next [pageLen]int32 // next slot of the run, or of the free list
+}
+
+// run is a FIFO of queued events of one time, from head to tail.
+type run struct {
+	time       int64
+	head, tail int32
 }
 
 type qkey struct {
 	time, seq int64
-	slot      int32
+	run       int32
 }
 
 func (k *qkey) before(o *qkey) bool {
@@ -27,22 +58,42 @@ func (k *qkey) before(o *qkey) bool {
 	return k.seq < o.seq
 }
 
-// len returns the number of queued events; keys[0] is the earliest.
-func (q *queue) len() int { return len(q.keys) }
+// len returns the number of queued events.
+func (q *queue) len() int { return q.n }
 
-// push inserts e. Steady state allocates nothing: slots and keys are
-// reused, and both grow only with the peak queue length.
+// peek returns the time of the earliest event of a non-empty queue.
+func (q *queue) peek() int64 { return q.keys[0].time }
+
+// push inserts e. Steady state allocates nothing: slots, runs and keys are
+// reused, and each grows only with the peak it has to hold.
 func (q *queue) push(e event) {
-	var slot int32
-	if n := len(q.free); n > 0 {
-		slot = q.free[n-1]
-		q.free = q.free[:n-1]
-		q.slots[slot] = e
-	} else {
-		slot = int32(len(q.slots))
-		q.slots = append(q.slots, e)
+	if q.n == len(q.pages)<<pageShift {
+		q.grow()
 	}
-	h := append(q.keys, qkey{time: e.time, seq: e.seq, slot: slot})
+	s := q.freeSlot
+	p := q.pages[s>>pageShift]
+	q.freeSlot = p.next[s&pageMask]
+	p.ev[s&pageMask] = e
+	q.n++
+
+	f := &q.finder[e.time&finderMask]
+	if r := *f - 1; r >= 0 && q.runs[r].time == e.time {
+		ru := &q.runs[r]
+		q.pages[ru.tail>>pageShift].next[ru.tail&pageMask] = s
+		ru.tail = s
+		return
+	}
+	var r int32
+	if n := len(q.freeRuns); n > 0 {
+		r = q.freeRuns[n-1]
+		q.freeRuns = q.freeRuns[:n-1]
+	} else {
+		r = int32(len(q.runs))
+		q.runs = append(q.runs, run{})
+	}
+	q.runs[r] = run{time: e.time, head: s, tail: s}
+	*f = r + 1
+	h := append(q.keys, qkey{time: e.time, seq: e.seq, run: r})
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -55,25 +106,52 @@ func (q *queue) push(e event) {
 	q.keys = h
 }
 
+// grow adds a page and makes its slots the free list.
+func (q *queue) grow() {
+	base := int32(len(q.pages)) << pageShift
+	p := new(page)
+	for i := range p.next {
+		p.next[i] = base + int32(i) + 1
+	}
+	q.pages = append(q.pages, p)
+	q.freeSlot = base
+}
+
 // pop removes and returns the earliest event of a non-empty queue.
 func (q *queue) pop() event {
+	r := q.keys[0].run
+	ru := &q.runs[r]
+	s := ru.head
+	p := q.pages[s>>pageShift]
+	e := p.ev[s&pageMask]
+	p.ev[s&pageMask] = event{} // release fn/nw/payload references
+	next := p.next[s&pageMask]
+	p.next[s&pageMask] = q.freeSlot
+	q.freeSlot = s
+	q.n--
+	if s != ru.tail {
+		ru.head = next
+		return e
+	}
+
+	// The run is empty: close it and sift its key out of the heap.
+	if f := &q.finder[ru.time&finderMask]; *f == r+1 {
+		*f = 0
+	}
+	q.freeRuns = append(q.freeRuns, r)
 	h := q.keys
-	slot := h[0].slot
-	e := q.slots[slot]
-	q.slots[slot] = event{} // release fn/nw/payload references
-	q.free = append(q.free, slot)
 	n := len(h) - 1
 	h[0] = h[n]
 	h = h[:n]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
+		lc, rc := 2*i+1, 2*i+2
+		if lc >= n {
 			break
 		}
-		min := l
-		if r < n && h[r].before(&h[l]) {
-			min = r
+		min := lc
+		if rc < n && h[rc].before(&h[lc]) {
+			min = rc
 		}
 		if !h[min].before(&h[i]) {
 			break

@@ -119,9 +119,9 @@ func (s *Sim) step() {
 // than until. It returns the number of events executed.
 func (s *Sim) Run(until int64) int {
 	n := 0
-	for s.pq.len() > 0 && s.pq.keys[0].time <= until {
+	for s.pq.len() > 0 && s.pq.peek() <= until {
 		if s.metrics != nil {
-			s.metrics.Tick(s.pq.keys[0].time)
+			s.metrics.Tick(s.pq.peek())
 		}
 		s.step()
 		n++
@@ -141,7 +141,7 @@ func (s *Sim) RunUntilIdle() int {
 	n := 0
 	for s.pq.len() > 0 {
 		if s.metrics != nil {
-			s.metrics.Tick(s.pq.keys[0].time)
+			s.metrics.Tick(s.pq.peek())
 		}
 		s.step()
 		n++

@@ -10,9 +10,10 @@ import (
 
 // This file preserves the pre-rewrite scheduler — a container/heap of
 // per-event pointer nodes whose deliveries were capturing closures — and
-// pins the flat value-type event heap against it: for identical schedule
-// programs and seeds, the execution order must be byte-identical
-// (DESIGN.md ablation #6 measures the cost gap between the two).
+// pins the production scheduler (flat events in queue.go's run queue)
+// against it: for identical schedule programs and seeds, the execution
+// order must be byte-identical (DESIGN.md ablations #6 and #31 measure
+// the cost gap between the two).
 
 // legacyEvent is the old per-event heap node.
 type legacyEvent struct {
@@ -183,7 +184,7 @@ func runLegacy(seed uint64, n int, prog []schedStep, fifo bool, mkDrop func() Dr
 	return trace
 }
 
-// TestSchedulerDifferentialOrder pins the flat-heap scheduler against
+// TestSchedulerDifferentialOrder pins the scheduler against
 // the legacy closure heap: identical seeds and programs must yield
 // byte-identical delivery traces across synchrony models, with and
 // without FIFO links.
@@ -215,7 +216,7 @@ func TestSchedulerDifferentialOrder(t *testing.T) {
 }
 
 // TestSchedulerDifferentialWithDrops pins DropNth/DropToProcess under
-// the new event heap: the dropped message set and the surviving
+// the run queue: the dropped message set and the surviving
 // delivery order must match the legacy scheduler exactly.
 func TestSchedulerDifferentialWithDrops(t *testing.T) {
 	rules := []struct {
@@ -243,7 +244,7 @@ func TestSchedulerDifferentialWithDrops(t *testing.T) {
 }
 
 // TestFIFOLinkOrderUnderFlatHeap floods one link with same-time sends
-// and checks per-link FIFO order survives the flat-heap rewrite even
+// and checks per-link FIFO order survives the scheduler rewrites even
 // when the delay model would reorder aggressively.
 func TestFIFOLinkOrderUnderFlatHeap(t *testing.T) {
 	s := NewSim(97)
@@ -275,7 +276,7 @@ func TestFIFOLinkOrderUnderFlatHeap(t *testing.T) {
 }
 
 // TestDropNthExactUnderFlood checks that DropNth drops exactly its
-// target under a broadcast flood on the new heap: every other matching
+// target under a broadcast flood on the run queue: every other matching
 // message is delivered.
 func TestDropNthExactUnderFlood(t *testing.T) {
 	s := NewSim(13)
@@ -308,11 +309,11 @@ func TestDropNthExactUnderFlood(t *testing.T) {
 }
 
 // BenchmarkSchedulerFlood measures the scheduler cost per flooded
-// message, flat value-type heap vs. the legacy closure heap (DESIGN.md
-// ablation #6).
+// message, the run queue vs. the legacy closure heap (DESIGN.md
+// ablations #6 and #31).
 func BenchmarkSchedulerFlood(b *testing.B) {
 	const n = 8
-	b.Run("flat-heap", func(b *testing.B) {
+	b.Run("run-queue", func(b *testing.B) {
 		b.ReportAllocs()
 		s := NewSim(1)
 		nw := NewNetwork(s, n, Synchronous{Delta: 3})

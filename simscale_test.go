@@ -7,7 +7,7 @@
 // N replicas over a FIFO synchronous simnet, one mined block per tick
 // flooded to every replica, periodic read() batches at every process,
 // and a consistency verdict over the recorded run. It is the workload
-// behind DESIGN.md ablations #6 (closure-heap vs. flat-heap scheduler),
+// behind DESIGN.md ablations #6 (closure-heap vs. flat-event scheduler),
 // #7 (copied vs. interned chain reads), #8 (benign vs. adversarial), #10
 // (replay vs. online checking) and #13 (instrumented vs. bare).
 package repro
