@@ -141,6 +141,11 @@ func TestCrashValidation(t *testing.T) {
 		btsim.WithCrashes(btsim.Crash{Proc: 0, Start: 10, End: 10}))); err == nil {
 		t.Error("empty crash window accepted")
 	}
+	// Logged at virtual time -5 while it acted at 0.
+	if _, err := sys.Run(btsim.NewConfig(
+		btsim.WithCrashes(btsim.Crash{Proc: 0, Start: -5, End: 10}))); err == nil {
+		t.Error("crash starting before time 0 accepted")
+	}
 	// A process past N used to reach the simulator and index out of range.
 	for name, opts := range map[string][]btsim.Option{
 		"N = 4":     {btsim.WithN(4), btsim.WithCrashes(btsim.Crash{Proc: 99, Start: 1, End: 5})},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"time"
 
 	"repro/internal/adversary"
@@ -431,8 +432,13 @@ var knobs = []knob{
 			default:
 				return fmt.Errorf("unknown fault kind %q (known: split, eclipse)", f.Kind)
 			}
-			if f.End != NoHeal && f.End < f.Start {
+			switch {
+			case f.Start < 0:
+				return fmt.Errorf("fault %s starts before time 0", f)
+			case f.End != NoHeal && f.End < f.Start:
 				return fmt.Errorf("fault %s ends before it starts", f)
+			case slices.ContainsFunc(f.Left, func(p int) bool { return p < 0 || p >= c.procs() }):
+				return fmt.Errorf("fault %s names a process out of range [0,%d)", f, c.procs())
 			}
 		}
 		return nil
@@ -447,7 +453,12 @@ var knobs = []knob{
 	}},
 	{"Crashes", "WithCrashes", both, checkCrashes},
 	{"Durable", "WithDurability", both, nil},
-	{"Drop", "WithDropNth", simOnly, nil},
+	{"Drop", "WithDropNth", simOnly, func(c *Config, _ reflect.Value) error {
+		if d := c.Drop; d != nil && (d.Nth < 0 || d.To >= c.procs()) {
+			return fmt.Errorf("message %d to process %d: want an index ≥ 0 and a process below %d", d.Nth, d.To, c.procs())
+		}
+		return nil
+	}},
 	{"Observer", "WithObserver", simOnly, nil},
 	{"FaultLog", "WithFaultLog", simOnly, nil},
 	{"MonitorK", "WithMonitorK", both, nonNegative},
@@ -487,6 +498,8 @@ func checkCrashes(c *Config, _ reflect.Value) error {
 		switch {
 		case w.Proc < 0 || w.Proc >= c.procs():
 			return fmt.Errorf("%s: process out of range [0,%d)", w, c.procs())
+		case w.Start < 0:
+			return fmt.Errorf("%s starts before time 0", w)
 		case w.End != NoHeal && w.End <= w.Start:
 			return fmt.Errorf("%s ends before it starts", w)
 		case !c.Live:

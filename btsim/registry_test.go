@@ -1,9 +1,11 @@
 package btsim_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/btsim"
 	_ "repro/btsim/systems"
@@ -119,10 +121,58 @@ func TestConfigValidation(t *testing.T) {
 		{"negative merit", []btsim.Option{btsim.WithMerits(1, -2)}},
 		{"bad fault kind", []btsim.Option{btsim.WithFaults(btsim.Fault{Kind: "wormhole"})}},
 		{"fault ends before start", []btsim.Option{btsim.WithFaults(btsim.Fault{Kind: "split", Start: 10, End: 5})}},
+		// A rule naming no process of the run used to be a silent no-op.
+		{"fault side past N", []btsim.Option{btsim.WithN(4), btsim.WithFaults(btsim.Fault{Start: 5, End: 30, Left: []int{9}})}},
+		{"fault side at default N", []btsim.Option{btsim.WithFaults(btsim.Fault{Start: 5, End: 30, Left: []int{0, 9}})}},
+		{"negative fault side", []btsim.Option{btsim.WithN(4), btsim.WithFaults(btsim.Fault{Start: 5, End: 30, Left: []int{-1}})}},
+		{"eclipse victim past N", []btsim.Option{btsim.WithN(4), btsim.WithFaults(btsim.Fault{Kind: "eclipse", Start: 5, End: 30, Left: []int{9}})}},
+		{"fault starts before 0", []btsim.Option{btsim.WithFaults(btsim.Fault{Start: -5, End: 30, Left: []int{0}})}},
+		{"drop to a process past N", []btsim.Option{btsim.WithN(4), btsim.WithDropNth(0, 7)}},
+		{"negative drop index", []btsim.Option{btsim.WithDropNth(-1, 1)}},
+		{"negative drop index, every message", []btsim.Option{btsim.WithDropNth(-1, -1)}},
 	}
 	for _, tc := range cases {
 		if _, err := btsim.Run("bitcoin", tc.opts...); err == nil {
 			t.Errorf("%s: Run accepted invalid config", tc.name)
+		}
+	}
+}
+
+// TestEverySystemRunsAtOneAndTwoProcesses: every registered system
+// finishes a one- and a two-process run and returns its verdicts.
+// Algorand's sortition used to draw forever for a committee of three
+// distinct members out of one or two processes.
+func TestEverySystemRunsAtOneAndTwoProcesses(t *testing.T) {
+	type outcome struct {
+		run string
+		res *btsim.Result
+		err error
+	}
+	names := btsim.Names()
+	done := make(chan outcome, 2*len(names)) // a run that returns after the deadline must not block
+	runs := 0
+	for _, name := range names {
+		for _, n := range []int{1, 2} {
+			runs++
+			go func() {
+				res, err := btsim.Run(name, btsim.WithN(n))
+				done <- outcome{fmt.Sprintf("%s at N=%d", name, n), res, err}
+			}()
+		}
+	}
+	deadline := time.After(60 * time.Second)
+	for ; runs > 0; runs-- {
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Errorf("%s: %v", o.run, o.err)
+				continue
+			}
+			if sc, ec := o.res.Check(); sc == nil || ec == nil {
+				t.Errorf("%s returned no verdicts", o.run)
+			}
+		case <-deadline:
+			t.Fatalf("%d runs did not return within 60 s", runs)
 		}
 	}
 }

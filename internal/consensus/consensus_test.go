@@ -8,12 +8,12 @@ import (
 	"repro/internal/simnet"
 )
 
-// nets lists nw once per process, the way a simulated run hands its
-// network to the engine.
-func nets(nw replica.Net, n int) []replica.Net {
+// nets lists each process's port on nw, the way a simulated run hands
+// its network to the engine.
+func nets(nw *simnet.Network, n int) []replica.Net {
 	out := make([]replica.Net, n)
 	for i := range out {
-		out[i] = nw
+		out[i] = nw.Port(i)
 	}
 	return out
 }

@@ -144,7 +144,7 @@ func NewEngine(nets []replica.Net, cfg Config) (*Engine, error) {
 	for i, nw := range nets {
 		nd := &node{eng: e, id: i, nw: nw, beh: cfg.Behaviors[i], inst: make(map[int]*instance)}
 		e.nodes = append(e.nodes, nd)
-		nw.AddHandler(i, nd.onMessage)
+		nw.AddHandler(nd.onMessage)
 	}
 	return e, nil
 }
@@ -200,11 +200,11 @@ func (nd *node) lead(height, view int) {
 			if to%2 == 1 {
 				prop = alt
 			}
-			nd.nw.Send(nd.id, to, PrePrepare{Height: height, View: view, Block: prop})
+			nd.nw.Send(to, PrePrepare{Height: height, View: view, Block: prop})
 		}
 		return
 	}
-	nd.nw.Broadcast(nd.id, PrePrepare{Height: height, View: view, Block: b})
+	nd.nw.Broadcast(PrePrepare{Height: height, View: view, Block: b})
 }
 
 func (nd *node) armTimer(height, view int) {
@@ -225,7 +225,7 @@ func (nd *node) onTimeout(height, view int) {
 		return // give up on liveness for this height (quorum unreachable)
 	}
 	// Ask to move to view+1.
-	nd.nw.Broadcast(nd.id, ViewChange{Height: height, NewView: view + 1})
+	nd.nw.Broadcast(ViewChange{Height: height, NewView: view + 1})
 	nd.armTimer(height, view)
 }
 
@@ -262,7 +262,7 @@ func (nd *node) onPrePrepare(from int, msg PrePrepare) {
 		nd.decide(msg.Height, msg.Block.ID)
 		return
 	}
-	nd.nw.Broadcast(nd.id, Prepare{Height: msg.Height, View: msg.View, ID: msg.Block.ID})
+	nd.nw.Broadcast(Prepare{Height: msg.Height, View: msg.View, ID: msg.Block.ID})
 }
 
 func votes(m map[int]map[core.BlockID]map[int]bool, view int, id core.BlockID) map[int]bool {
@@ -289,7 +289,7 @@ func (nd *node) onVote(from, height, view int, id core.BlockID, prepare bool) {
 		sm[from] = true
 		if !in.prepared && len(sm) >= nd.eng.Quorum() {
 			in.prepared = true
-			nd.nw.Broadcast(nd.id, Commit{Height: height, View: view, ID: id})
+			nd.nw.Broadcast(Commit{Height: height, View: view, ID: id})
 		}
 		return
 	}

@@ -44,7 +44,7 @@ func NewTOB(nets []replica.Net, sequencer int) *TOB {
 	for i, nw := range nets {
 		nd := &tobNode{t: t, id: i, nw: nw, buffered: make(map[int]any)}
 		t.nodes = append(t.nodes, nd)
-		nw.AddHandler(i, nd.onMessage)
+		nw.AddHandler(nd.onMessage)
 	}
 	return t
 }
@@ -52,7 +52,7 @@ func NewTOB(nets []replica.Net, sequencer int) *TOB {
 // Broadcast submits payload for total ordering on behalf of process
 // from; call it on the event loop that runs from's handlers.
 func (t *TOB) Broadcast(from int, payload any) {
-	t.nodes[from].nw.Send(from, t.sequencer, submitMsg{Payload: payload})
+	t.nodes[from].nw.Send(t.sequencer, submitMsg{Payload: payload})
 }
 
 func (nd *tobNode) onMessage(m simnet.Message) {
@@ -63,7 +63,7 @@ func (nd *tobNode) onMessage(m simnet.Message) {
 		}
 		seq := nd.nextSeq
 		nd.nextSeq++
-		nd.nw.Broadcast(nd.id, orderMsg{Seq: seq, Payload: msg.Payload})
+		nd.nw.Broadcast(orderMsg{Seq: seq, Payload: msg.Payload})
 	case orderMsg:
 		nd.buffered[msg.Seq] = msg.Payload
 		nd.flush()

@@ -146,7 +146,7 @@ func ExtensionByzantineFlood(seed uint64) *Result {
 		forged.Payload = []byte("tampered") // ID no longer matches content
 		tt := int64(i*5 + 2)
 		sim.Schedule(tt, func() {
-			g.Net.Broadcast(3, replica.UpdateMsg{Parent: forged.Parent, Block: forged})
+			g.Nets()[3].Broadcast(replica.UpdateMsg{Parent: forged.Parent, Block: forged})
 		})
 	}
 	sim.RunUntilIdle()

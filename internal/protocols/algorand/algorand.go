@@ -23,7 +23,7 @@ import (
 type Config struct {
 	protocols.Config
 	// CommitteeSize is the sortition committee size (0 means
-	// max(3, N/2)).
+	// max(3, N/2+1)), capped at N.
 	CommitteeSize int
 	// ForkProb is the per-round probability of a BA* fork (default 0;
 	// the real system's bound is ~1e-7).
@@ -77,12 +77,12 @@ func Run(cfg Config) *protocols.Result {
 	}
 	h := Definition(cfg).Start(&cfg.Config, cfg.Delta, nil)
 	if cfg.CommitteeSize <= 0 {
-		cfg.CommitteeSize = cfg.N/2 + 1
-		if cfg.CommitteeSize < 3 {
-			cfg.CommitteeSize = 3
-		}
+		cfg.CommitteeSize = max(3, cfg.N/2+1)
 	}
+	// Sortition draws distinct members: a run has no more than N.
+	cfg.CommitteeSize = min(cfg.CommitteeSize, cfg.N)
 	sim, group, orc, merits, stats := h.Sim, h.Group, h.Oracle, h.Merits, h.Stats
+	nets := group.Nets()
 	sortRNG := tape.NewRNG(cfg.Seed ^ 0x50421710)
 
 	// Per-round state, reset in each round closure.
@@ -111,13 +111,13 @@ func Run(cfg Config) *protocols.Result {
 	// quorum commits (the consumeToken succeeding).
 	for i := 0; i < cfg.N; i++ {
 		id := i
-		group.Net.AddHandler(id, func(m simnet.Message) {
+		nets[id].AddHandler(func(m simnet.Message) {
 			switch msg := m.Payload.(type) {
 			case proposal:
 				st := stateOf(msg.Round)
 				st.block[msg.Block.ID] = msg.Block
 				if st.committee[id] {
-					group.Net.Broadcast(id, vote{Round: msg.Round, ID: msg.Block.ID, Voter: id})
+					nets[id].Broadcast(vote{Round: msg.Round, ID: msg.Block.ID, Voter: id})
 				}
 			case vote:
 				st := stateOf(msg.Round)
@@ -181,7 +181,7 @@ func Run(cfg Config) *protocols.Result {
 				return
 			}
 			stats["proposals"]++
-			group.Net.Broadcast(proposer, proposal{Round: round, Block: b})
+			nets[proposer].Broadcast(proposal{Round: round, Block: b})
 
 			// BA* residual fork: with probability ForkProb a
 			// second proposal survives agreement — two tokens

@@ -95,7 +95,8 @@ func Run(cfg Config) *protocols.Result {
 		cfg.Endorsers = cfg.N/2 + 1
 	}
 	sim, group, orc, stats := h.Sim, h.Group, h.Oracle, h.Stats
-	tob := consensus.NewTOB(group.Nets(), 0) // process 0 is the ordering service
+	nets := group.Nets()
+	tob := consensus.NewTOB(nets, 0) // process 0 is the ordering service
 	orderer := 0
 
 	// Adversarial wiring: an equivocating ordering service. Fabric's
@@ -151,12 +152,12 @@ func Run(cfg Config) *protocols.Result {
 	// ordering service; the orderer batches delivered txs.
 	for i := 0; i < cfg.N; i++ {
 		id := i
-		group.Net.AddHandler(id, func(m simnet.Message) {
+		nets[id].AddHandler(func(m simnet.Message) {
 			switch msg := m.Payload.(type) {
 			case endorseReq:
 				if id < cfg.Endorsers {
 					stats["endorsements"]++
-					group.Net.Send(id, msg.Client, endorseAck{Client: msg.Client, Seq: msg.Seq})
+					nets[id].Send(msg.Client, endorseAck{Client: msg.Client, Seq: msg.Seq})
 				}
 			case endorseAck:
 				if id != msg.Client || sent[id][msg.Seq] {
@@ -187,7 +188,7 @@ func Run(cfg Config) *protocols.Result {
 			batchStart = sim.Now()
 			// Arm the time-based stop condition for this batch.
 			start := batchStart
-			sim.Schedule(cfg.MaxBatchDelay, func() {
+			nets[orderer].After(cfg.MaxBatchDelay, func() {
 				if len(batch) > 0 && batchStart == start && sim.Now()-batchStart >= cfg.MaxBatchDelay {
 					cut("time")
 				}
@@ -212,7 +213,7 @@ func Run(cfg Config) *protocols.Result {
 			stats["submitted"]++
 			req := endorseReq{Tx: core.Tx{From: 0, To: uint32(client + 1), Amount: 1}, Client: client, Seq: s}
 			for e := 0; e < cfg.Endorsers; e++ {
-				group.Net.Send(client, e, req)
+				nets[client].Send(e, req)
 			}
 		})
 		seq++

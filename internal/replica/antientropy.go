@@ -36,22 +36,27 @@ type ReqMsg struct {
 // next periodic advertise round.
 type SyncMsg struct{}
 
-// EnableAntiEntropy starts the inventory/repair loop at every process of
-// the group: each process broadcasts its leaves every period time units,
-// `rounds` times. Message handlers for inv/req are installed
-// immediately.
+// EnableAntiEntropy runs AntiEntropy(period, rounds) at every process.
 func (g *Group) EnableAntiEntropy(period int64, rounds int) {
 	for _, p := range g.Procs {
-		p.installAntiEntropy()
+		p.AntiEntropy(period, rounds)
 	}
-	for r := 1; r <= rounds; r++ {
-		at := int64(r) * period
-		g.Net.After(at, func() {
-			for _, p := range g.Procs {
-				p.advertise()
-			}
-		})
+}
+
+// AntiEntropy is the inventory/repair loop of one process, simulated or
+// live: it installs the inv/req/sync handler and advertises the leaves
+// every period ticks of the process's own timer, rounds times, or until
+// the carrier stops its timers when rounds ≤ 0 (a live node's Stop).
+func (p *Process) AntiEntropy(period int64, rounds int) {
+	p.installAntiEntropy()
+	var tick func()
+	tick = func() {
+		p.advertise()
+		if rounds--; rounds != 0 {
+			p.nw.After(period, tick)
+		}
 	}
+	p.nw.After(period, tick)
 }
 
 // installAntiEntropy registers the inv/req/sync handler for the process
@@ -64,7 +69,7 @@ func (p *Process) installAntiEntropy() {
 	// The inv/req/sync handlers read and repair only this process's tree
 	// and reply as themselves (catch-up timers are scheduled from the
 	// crash/restart hooks).
-	p.nw.AddHandler(p.ID, func(m simnet.Message) {
+	p.nw.AddHandler(func(m simnet.Message) {
 		switch msg := m.Payload.(type) {
 		case InvMsg:
 			p.onInventory(m.From, msg)
@@ -86,7 +91,7 @@ func (p *Process) advertise() {
 	if len(leaves) == 0 {
 		return
 	}
-	p.nw.Broadcast(p.ID, InvMsg{Leaves: leaves})
+	p.nw.Broadcast(InvMsg{Leaves: leaves})
 }
 
 // onSolicit answers a catch-up solicit with a point-to-point inventory
@@ -96,7 +101,7 @@ func (p *Process) onSolicit(from int) {
 	if from == p.ID {
 		return
 	}
-	p.nw.Send(p.ID, from, InvMsg{Leaves: p.tree.Leaves()})
+	p.nw.Send(from, InvMsg{Leaves: p.tree.Leaves()})
 }
 
 // onInventory requests every advertised block this process does not hold
@@ -111,7 +116,7 @@ func (p *Process) onInventory(from int, msg InvMsg) {
 			if p.mAEReq != nil {
 				p.mAEReq.Inc(p.ID)
 			}
-			p.nw.Send(p.ID, from, ReqMsg{ID: id})
+			p.nw.Send(from, ReqMsg{ID: id})
 		}
 	}
 	// Also repair the buffered orphans: their parents are missing.
@@ -120,7 +125,7 @@ func (p *Process) onInventory(from int, msg InvMsg) {
 			if p.mAEReq != nil {
 				p.mAEReq.Inc(p.ID)
 			}
-			p.nw.Send(p.ID, from, ReqMsg{ID: parent})
+			p.nw.Send(from, ReqMsg{ID: parent})
 		}
 	}
 }
@@ -138,6 +143,6 @@ func (p *Process) onRequest(from int, msg ReqMsg) {
 		if b.IsGenesis() {
 			continue
 		}
-		p.nw.Send(p.ID, from, UpdateMsg{Parent: b.Parent, Block: b})
+		p.nw.Send(from, UpdateMsg{Parent: b.Parent, Block: b})
 	}
 }

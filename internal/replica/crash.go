@@ -7,11 +7,11 @@ import (
 )
 
 // This file implements the crash–recovery half of the fault model at
-// the replica layer. The carrier (Net) takes processes down and up and
-// drops a down process's traffic — the one crash model, consensus
-// included. Here each process gains a durable snapshot of its replica
-// state and a catch-up procedure, timed by Net.After, that runs on
-// restart. Two recovery disciplines are modeled:
+// the replica layer. The carrier takes processes down and up and drops
+// a down process's traffic — the one crash model, consensus included.
+// Here each process gains a durable snapshot of its replica state and a
+// catch-up procedure, timed by its port's After, that runs on restart.
+// Two recovery disciplines are modeled:
 //
 //   - durable: the replica persists its block tree and pending buffer
 //     at crash time, restores them on restart, and only has to fetch
@@ -101,7 +101,7 @@ func (p *Process) reset() {
 
 // Down reports whether this process is currently crashed. Harness
 // timers call it before acting for the process.
-func (p *Process) Down() bool { return p.nw.Down(p.ID) }
+func (p *Process) Down() bool { return p.nw.Down() }
 
 // Catch-up is bounded: a restarted replica solicits at most
 // CatchUpRetries times, waiting CatchUpBackoff ticks after the first
@@ -139,7 +139,7 @@ func (s *RecoveryStats) Add(o *RecoveryStats) {
 // for both drivers: the simulator calls Crash and Restart from the
 // network's crash schedule, a live deployment from timers on the node's
 // event loop. Every method must run on the event loop that owns the
-// process, where the process's Net runs the backoff timers too; the type
+// process, where the process's port runs the backoff timers too; the type
 // takes no lock and starts no goroutine.
 type CrashRecovery struct {
 	p       *Process
@@ -205,7 +205,7 @@ func (r *CrashRecovery) solicit(attempt int, backoff int64, lenAtRestart int) {
 		r.stats.Retries++
 	}
 	epoch, lenAtSolicit := r.epoch, p.tree.Len()
-	p.nw.Broadcast(p.ID, SyncMsg{})
+	p.nw.Broadcast(SyncMsg{})
 	p.nw.After(backoff, func() {
 		if r.epoch != epoch {
 			return

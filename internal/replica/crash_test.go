@@ -227,10 +227,10 @@ type catchUpRig struct {
 	chain    *core.Block
 }
 
-func (r *catchUpRig) AddHandler(int, simnet.Handler) {}
-func (r *catchUpRig) Send(int, int, any)             {}
-func (r *catchUpRig) Down(int) bool                  { return r.down }
-func (r *catchUpRig) Broadcast(_ int, payload any) {
+func (r *catchUpRig) AddHandler(simnet.Handler) {}
+func (r *catchUpRig) Send(int, any)             {}
+func (r *catchUpRig) Down() bool                { return r.down }
+func (r *catchUpRig) Broadcast(payload any) {
 	if _, ok := payload.(SyncMsg); ok {
 		r.solicits++
 	}

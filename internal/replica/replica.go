@@ -9,8 +9,6 @@
 package replica
 
 import (
-	"slices"
-
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/metrics"
@@ -76,9 +74,9 @@ type Process struct {
 	mFlood, mOrphan, mDup, mAEReq *metrics.CounterVec
 }
 
-// NewProcess creates replica id over network nw — a *simnet.Network in
+// NewProcess creates replica id over its port nw — a simnet.Port in
 // simulation, a transport.Node in live deployments. The handler for the
-// process is installed on the network; protocol layers that need their
+// process is installed on the port; protocol layers that need their
 // own messages should multiplex through SetAuxHandler. The replica's
 // tree is built on the block index of rec's chain table, so all replicas
 // recording into one recorder share one index and every block they
@@ -97,7 +95,7 @@ func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder) *Process
 		pending:    make(map[core.BlockID][]*core.Block),
 		pendingHas: make(map[core.BlockID]bool),
 	}
-	nw.AddHandler(id, p.onMessage)
+	nw.AddHandler(p.onMessage)
 	return p
 }
 
@@ -157,7 +155,7 @@ func (p *Process) Publish(b *core.Block) bool {
 	if p.mFlood != nil {
 		p.mFlood.Inc(p.ID)
 	}
-	p.nw.Broadcast(p.ID, UpdateMsg{Parent: b.Parent, Block: b})
+	p.nw.Broadcast(UpdateMsg{Parent: b.Parent, Block: b})
 	return true
 }
 
@@ -296,8 +294,8 @@ func (p *Process) RejectedCount() int { return p.rejected }
 // (diagnostics; should be 0 at the end of a loss-free run).
 func (p *Process) PendingCount() int { return p.pendingN }
 
-// Group is a convenience bundle: n replicas over one network with a
-// shared recorder.
+// Group is a convenience bundle: n replicas over one network, each on
+// its own port, with a shared recorder.
 type Group struct {
 	Procs []*Process
 	Rec   *history.Recorder
@@ -315,14 +313,20 @@ func NewGroup(sim *simnet.Sim, n int, delay simnet.DelayModel, f core.Selector) 
 	rec := history.NewRecorder(n, sim.Now)
 	g := &Group{Rec: rec, Net: nw}
 	for i := 0; i < n; i++ {
-		g.Procs = append(g.Procs, NewProcess(i, nw, f, rec))
+		g.Procs = append(g.Procs, NewProcess(i, nw.Port(i), f, rec))
 	}
 	return g
 }
 
-// Nets lists the group's network once per process, for the layers that
-// take one Net per process (internal/consensus; live, each is a node).
-func (g *Group) Nets() []Net { return slices.Repeat([]Net{g.Net}, len(g.Procs)) }
+// Nets lists each process's port, the one its replica talks through, for
+// the layers that take one Net per process (internal/consensus).
+func (g *Group) Nets() []Net {
+	nets := make([]Net, len(g.Procs))
+	for i, p := range g.Procs {
+		nets[i] = p.nw
+	}
+	return nets
+}
 
 // EnableSharding does nothing: the simulator has one serial scheduler.
 //

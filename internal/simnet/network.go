@@ -98,9 +98,22 @@ func NewNetwork(sim *Sim, n int, delay DelayModel) *Network {
 	return &Network{sim: sim, n: n, delay: delay, drop: DropNone, handlers: make([][]Handler, n)}
 }
 
-// After runs fn once ticks virtual time units have passed: a timer of
-// any process, since the simulator is every process's one event loop.
-func (nw *Network) After(ticks int64, fn func()) { nw.sim.Schedule(ticks, fn) }
+// Port is process p's view of the network, the replica.Net a simulated
+// process talks through: its handlers, its sends, its crash flag and its
+// timers (scheduled events: the simulator is every process's loop).
+type Port struct {
+	nw *Network
+	p  int
+}
+
+// Port returns process p's view of the network.
+func (nw *Network) Port(p int) Port { return Port{nw: nw, p: p} }
+
+func (pt Port) AddHandler(h Handler)         { pt.nw.AddHandler(pt.p, h) }
+func (pt Port) Send(to int, payload any)     { pt.nw.Send(pt.p, to, payload) }
+func (pt Port) Broadcast(payload any)        { pt.nw.Broadcast(pt.p, payload) }
+func (pt Port) Down() bool                   { return pt.nw.Down(pt.p) }
+func (pt Port) After(ticks int64, fn func()) { pt.nw.sim.Schedule(ticks, fn) }
 
 // AddHandler registers a delivery handler for process p. Multiple layers
 // (replica updates, consensus rounds) each register one; every handler

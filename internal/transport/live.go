@@ -239,8 +239,8 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		return nil, err
 	}
 
-	// Build the nodes: listen, host a process, install repair
-	// handlers, dial the mesh, then start the event loops.
+	// Build the nodes: listen, host a process, start its anti-entropy
+	// loop, dial the mesh, then start the event loops.
 	for i := 0; i < cfg.N; i++ {
 		n, err := NewNode(i, tr)
 		if err != nil {
@@ -250,7 +250,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		if prof.Predicate != nil {
 			proc.P = prof.Predicate
 		}
-		proc.InstallAntiEntropy()
+		proc.AntiEntropy(aePeriod, 0) // advertises until Stop cancels its timer
 		n.Proc = proc
 		nodes = append(nodes, n)
 	}
@@ -261,7 +261,6 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	}
 	for _, n := range nodes {
 		n.Start()
-		scheduleAdvertise(n)
 	}
 
 	// Load phase, with the crash windows riding alongside. Each crashed
@@ -380,18 +379,6 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	return res, nil
 }
 
-// scheduleAdvertise drives the periodic anti-entropy inventory round
-// on the node's own timer (the live stand-in for
-// Group.EnableAntiEntropy's bounded schedule).
-func scheduleAdvertise(n *Node) {
-	var tick func()
-	tick = func() {
-		n.Proc.Advertise() // no-op while crashed
-		n.After(aePeriod, tick)
-	}
-	n.After(aePeriod, tick)
-}
-
 // Tick is the wall-clock unit of Node.After, the replica.Net timer: every
 // timer above the carrier counts in it (catch-up's first backoff,
 // replica.CatchUpBackoff ticks, is 100 ms; the advertise period 250 ms).
@@ -459,7 +446,7 @@ func deploymentQuiesced(nodes []*Node, tr Transport) bool {
 			return false
 		}
 		var l int
-		if !n.Do(func() { l = n.Proc.TreeLen() }) {
+		if !n.Do(func() { l = n.Proc.Tree().Len() }) {
 			return false
 		}
 		if size == -1 {

@@ -26,9 +26,9 @@ var donePool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 // Node hosts one replica.Process as an actor: a single event-loop
 // goroutine owns the process, and every touch — message delivery,
 // client append/read, wall-clock timer, crash control — is an event
-// executed serially by that loop. Node implements replica.Net, timer
-// included, so the Process and the consensus layer run on the live
-// Transport with the same code paths the simulator drives.
+// executed serially by that loop. Node is process ID's replica.Net port,
+// timer included, so the Process and the consensus layer run on the live
+// Transport with the code paths the simulator drives through a Port.
 type Node struct {
 	ID   int
 	Proc *replica.Process
@@ -156,27 +156,27 @@ func (n *Node) After(ticks int64, fn func()) {
 
 // AddHandler registers a delivery handler. The handler touches only
 // this node's process, and the single event loop serializes it.
-func (n *Node) AddHandler(_ int, h simnet.Handler) {
+func (n *Node) AddHandler(h simnet.Handler) {
 	n.handlers = append(n.handlers, h)
 }
 
-// Send forwards a point-to-point message; a crashed node sends
-// nothing (defense in depth — Process guards on Down first).
-func (n *Node) Send(from, to int, payload any) {
+// Send forwards a point-to-point message from this node; a crashed node
+// sends nothing (defense in depth — Process guards on Down first).
+func (n *Node) Send(to int, payload any) {
 	if n.down.Load() {
 		return
 	}
-	_ = n.tr.Send(from, to, payload)
+	_ = n.tr.Send(n.ID, to, payload)
 }
 
 // Broadcast floods to every node, loopback included (the recorded
 // receive of one's own send is LRC Validity, as in simnet).
-func (n *Node) Broadcast(from int, payload any) {
+func (n *Node) Broadcast(payload any) {
 	if n.down.Load() {
 		return
 	}
-	_ = n.tr.Broadcast(from, payload)
+	_ = n.tr.Broadcast(n.ID, payload)
 }
 
 // Down reports the live crash flag.
-func (n *Node) Down(int) bool { return n.down.Load() }
+func (n *Node) Down() bool { return n.down.Load() }
