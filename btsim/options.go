@@ -51,13 +51,13 @@ type Adversary = adversary.Config
 // process count; it is resolved against the run's N at start time.
 type Fault struct {
 	// Kind is "split" (Left vs. the rest; the default) or "eclipse"
-	// (Left[0] cut off alone).
+	// (the one process in Left cut off alone).
 	Kind string
 	// Start and End bound the window; End == NoHeal makes the cut
 	// permanent (cross-cut messages are lost, not deferred).
 	Start, End int64
-	// Left is the cut-off side: the split's side-0 members, or the
-	// eclipse victim as Left[0].
+	// Left is the cut-off side: the split's side-0 members (at least
+	// one, and not every process), or the eclipse victim alone.
 	Left []int
 }
 
@@ -65,11 +65,7 @@ type Fault struct {
 func (f Fault) window(n int) simnet.Window {
 	switch f.Kind {
 	case "eclipse":
-		victim := 0
-		if len(f.Left) > 0 {
-			victim = f.Left[0]
-		}
-		return simnet.EclipseWindow(f.Start, f.End, n, victim)
+		return simnet.EclipseWindow(f.Start, f.End, n, f.Left[0])
 	default:
 		return simnet.SplitWindow(f.Start, f.End, n, f.Left)
 	}
@@ -439,6 +435,10 @@ var knobs = []knob{
 				return fmt.Errorf("fault %s ends before it starts", f)
 			case slices.ContainsFunc(f.Left, func(p int) bool { return p < 0 || p >= c.procs() }):
 				return fmt.Errorf("fault %s names a process out of range [0,%d)", f, c.procs())
+			case f.Kind == "eclipse" && len(f.Left) != 1:
+				return fmt.Errorf("fault %s: an eclipse names exactly one process", f)
+			case f.Kind != "eclipse" && (len(f.Left) == 0 || len(slices.Compact(slices.Sorted(slices.Values(f.Left)))) == c.procs()):
+				return fmt.Errorf("fault %s: a split's side must name a process and leave one out", f)
 			}
 		}
 		return nil

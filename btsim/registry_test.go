@@ -126,6 +126,11 @@ func TestConfigValidation(t *testing.T) {
 		{"fault side at default N", []btsim.Option{btsim.WithFaults(btsim.Fault{Start: 5, End: 30, Left: []int{0, 9}})}},
 		{"negative fault side", []btsim.Option{btsim.WithN(4), btsim.WithFaults(btsim.Fault{Start: 5, End: 30, Left: []int{-1}})}},
 		{"eclipse victim past N", []btsim.Option{btsim.WithN(4), btsim.WithFaults(btsim.Fault{Kind: "eclipse", Start: 5, End: 30, Left: []int{9}})}},
+		// A fault that cuts nobody, or another victim than it names.
+		{"eclipse naming no victim", []btsim.Option{btsim.WithN(4), btsim.WithFaults(btsim.Fault{Kind: "eclipse", Start: 5, End: 30})}},
+		{"eclipse naming two victims", []btsim.Option{btsim.WithN(4), btsim.WithFaults(btsim.Fault{Kind: "eclipse", Start: 5, End: 30, Left: []int{1, 2}})}},
+		{"split with an empty side", []btsim.Option{btsim.WithN(4), btsim.WithFaults(btsim.Fault{Start: 5, End: 30})}},
+		{"split with every process on one side", []btsim.Option{btsim.WithN(4), btsim.WithFaults(btsim.Fault{Start: 5, End: 30, Left: []int{0, 1, 2, 3}})}},
 		{"fault starts before 0", []btsim.Option{btsim.WithFaults(btsim.Fault{Start: -5, End: 30, Left: []int{0}})}},
 		{"drop to a process past N", []btsim.Option{btsim.WithN(4), btsim.WithDropNth(0, 7)}},
 		{"negative drop index", []btsim.Option{btsim.WithDropNth(-1, 1)}},

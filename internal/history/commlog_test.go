@@ -10,12 +10,12 @@ import (
 	"repro/internal/core"
 )
 
-// TestCommRecordLayout: the log's record must stay at 32 bytes with no
+// TestCommRecordLayout: the log's record must stay at 24 bytes with no
 // field the collector has to look at — that, not the field list, is what
 // the flooded run's memory and Snapshot's barrier-free copy rest on.
 func TestCommRecordLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(CommRecord{}); sz != 32 {
-		t.Errorf("a CommRecord is %d bytes, want 32", sz)
+	if sz := unsafe.Sizeof(CommRecord{}); sz != 24 {
+		t.Errorf("a CommRecord is %d bytes, want 24", sz)
 	}
 	for i, rt := 0, reflect.TypeOf(CommRecord{}); i < rt.NumField(); i++ {
 		switch f := rt.Field(i); f.Type.Kind() {
@@ -155,8 +155,7 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 13, 255, 16, 1, 13, 4, 16, 254, 35, 7})  // a forged twin, snapshots, an odd tail
 	f.Add([]byte{2, 7, 240, 14, 5, 21, 8, 28, 11, 35, 0, 1}) // same ID both ways, every pool entry
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var tick int64
-		rec := NewRecorder(4, func() int64 { tick += 3; return tick })
+		rec := NewRecorder(4, nil)
 		var ref []CommEvent
 		type cut struct {
 			h *History
@@ -170,7 +169,7 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 			want := CommEvent{
 				Kind: CommKind(in[i] % 3), Proc: int(in[i]/3) % 4,
 				Parent: pool[int(in[i+1])%len(pool)], Block: pool[int(in[i+1])/len(pool)%len(pool)],
-				Index: len(ref), Time: 3 * int64(len(ref)+1),
+				Index: len(ref),
 			}
 			if got := rec.RecordComm(want.Kind, want.Proc, want.Parent, want.Block); got != want {
 				t.Fatalf("RecordComm returned %+v, want %+v", got, want)

@@ -255,14 +255,13 @@ func (k CommKind) String() string {
 // process Proc communicates/applies block Block under predecessor Parent.
 // It is the wide, printable form of an event — what RecordComm returns,
 // what a Sink and a Segment carry, and what History.Events yields; the
-// log itself stores CommRecords.
+// log itself stores CommRecords. Events are ordered by Index alone.
 type CommEvent struct {
 	Kind   CommKind
 	Proc   int
 	Parent core.BlockID
 	Block  core.BlockID
 	Index  int
-	Time   int64
 }
 
 // String renders e.g. "update_2(b0, ab12cd34) @7".
@@ -270,7 +269,7 @@ func (e CommEvent) String() string {
 	return fmt.Sprintf("%s_%d(%s, %s) @%d", e.Kind, e.Proc, e.Parent.Short(), e.Block.Short(), e.Index)
 }
 
-// CommRecord is a communication event as the log stores it: 32 bytes
+// CommRecord is a communication event as the log stores it: 24 bytes
 // and no pointer, so a flooded run's log — one event per block per
 // process — is memory the collector never scans and Snapshot copies
 // without a write barrier. The two block IDs are numbers in the ID
@@ -278,7 +277,6 @@ func (e CommEvent) String() string {
 // History.Events widen a record back into a CommEvent.
 type CommRecord struct {
 	Index         int
-	Time          int64
 	proc          int32
 	parent, block uint32
 	kind          CommKind
@@ -320,7 +318,7 @@ func (t *commIDs) number(id core.BlockID, memo *uint32) uint32 {
 // pack narrows e into a record over t.
 func (t *commIDs) pack(e CommEvent) CommRecord {
 	return CommRecord{
-		Index: e.Index, Time: e.Time, proc: int32(e.Proc), kind: e.Kind,
+		Index: e.Index, proc: int32(e.Proc), kind: e.Kind,
 		parent: t.number(e.Parent, &t.lastParent),
 		block:  t.number(e.Block, &t.lastBlock),
 	}
@@ -441,7 +439,7 @@ func (h *History) ByProcess(p int) []*Op {
 func (h *History) Event(i int) CommEvent {
 	c := &h.Comm[i]
 	return CommEvent{
-		Kind: c.kind, Proc: int(c.proc), Index: c.Index, Time: c.Time,
+		Kind: c.kind, Proc: int(c.proc), Index: c.Index,
 		Parent: h.CommIDs[c.parent], Block: h.CommIDs[c.block],
 	}
 }
@@ -561,8 +559,8 @@ func (r *Recorder) newOp() *Op {
 }
 
 // NewRecorder creates a recorder for procs processes. clock supplies
-// virtual timestamps; nil means "always 0" (pure shared-memory runs where
-// only the order matters).
+// the operations' virtual timestamps; nil means "always 0" (pure
+// shared-memory runs where only the order matters).
 func NewRecorder(procs int, clock func() int64) *Recorder {
 	if clock == nil {
 		clock = func() int64 { return 0 }
@@ -699,7 +697,23 @@ func (r *Recorder) Append(p int, b *core.Block, ok bool) *Op {
 func (r *Recorder) RecordComm(kind CommKind, p int, parent, block core.BlockID) CommEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := CommEvent{Kind: kind, Proc: p, Parent: parent, Block: block, Index: r.seq, Time: r.clock()}
+	return r.commLocked(kind, p, parent, block)
+}
+
+// RecordDelivery records the generic update of Section 4.2 as one step:
+// receive_p(parent, b) and update_p(b.Parent, b) at consecutive indices,
+// under one critical section. parent is the predecessor the delivery
+// named, which need not be b.Parent.
+func (r *Recorder) RecordDelivery(p int, parent core.BlockID, b *core.Block) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.commLocked(EvReceive, p, parent, b.ID)
+	r.commLocked(EvUpdate, p, b.Parent, b.ID)
+}
+
+// commLocked is RecordComm's body (callers hold r.mu).
+func (r *Recorder) commLocked(kind CommKind, p int, parent, block core.BlockID) CommEvent {
+	e := CommEvent{Kind: kind, Proc: p, Parent: parent, Block: block, Index: r.seq}
 	r.seq++
 	r.ncomm++
 	if !r.drop {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/simnet"
 )
 
@@ -33,6 +34,22 @@ func TestPredicateRejectsForgedBlocks(t *testing.T) {
 		if proc.RejectedCount() == 0 {
 			t.Fatalf("replica %d rejected nothing", p)
 		}
+	}
+	// A rejected delivery records its receive and no update.
+	var receives, updates int
+	for e := range g.History().Events() {
+		if e.Block != forged.ID || e.Proc == 2 {
+			continue
+		}
+		switch e.Kind {
+		case history.EvReceive:
+			receives++
+		case history.EvUpdate:
+			updates++
+		}
+	}
+	if receives != 2 || updates != 0 {
+		t.Fatalf("the forged block has %d receives and %d updates, want 2 and 0", receives, updates)
 	}
 }
 

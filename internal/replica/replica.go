@@ -161,17 +161,18 @@ func (p *Process) Publish(b *core.Block) bool {
 
 // applyUpdate inserts b into the local replica, recording the update
 // event, then flushes any buffered descendants that were waiting for
-// it. It serves both the creator's own update (R1 path) and a remote
-// one (R2 path, whose prior receive onMessage records).
+// it: the creator's own update (R1 path). A remote one (R2 path) goes
+// through applyResolved, which records its receive in the same step.
 func (p *Process) applyUpdate(b *core.Block) bool {
-	return p.applyResolved(p.tree.Resolve(b))
+	return p.applyResolved(p.tree.Resolve(b), nil)
 }
 
 // applyResolved is applyUpdate for a block whose ID the caller already
-// looked up (onMessage resolves a delivered block once).
-func (p *Process) applyResolved(r core.Ref) bool {
+// looked up (onMessage resolves a delivered block once). recv is the
+// parent a delivery named, nil for a local update (see applyOne).
+func (p *Process) applyResolved(r core.Ref, recv *core.BlockID) bool {
 	b := r.Block()
-	if !p.applyOne(r) {
+	if !p.applyOne(r, recv) {
 		return false
 	}
 	// Iterative depth-first flush of the buffered orphans: the old
@@ -192,7 +193,7 @@ func (p *Process) applyResolved(r core.Ref) bool {
 		}
 		child := f.kids[f.i]
 		f.i++
-		if p.applyOne(p.tree.Resolve(child)) {
+		if p.applyOne(p.tree.Resolve(child), nil) {
 			stack = append(stack, frame{kids: p.takePending(child.ID)})
 		}
 	}
@@ -200,13 +201,13 @@ func (p *Process) applyResolved(r core.Ref) bool {
 }
 
 // applyOne validates and attaches a single block, recording the update
-// event. It reports whether the block was newly attached: a block the
-// tree already holds (flooding re-delivers; genesis always) is a
-// duplicate, and blocks whose parent is missing are buffered
-// (deduplicated) for the flush above. Everything the tree is asked goes
-// by the handles in r — no further lookup of the block's ID or its
-// parent's.
-func (p *Process) applyOne(r core.Ref) bool {
+// event — with the delivery's receive in one step when recv is set. It
+// reports whether the block was newly attached: a block the tree
+// already holds (flooding re-delivers; genesis always) is a duplicate,
+// and blocks whose parent is missing are buffered (deduplicated) for the
+// flush above. Everything the tree is asked goes by the handles in r —
+// no further lookup of the block's ID or its parent's.
+func (p *Process) applyOne(r core.Ref, recv *core.BlockID) bool {
 	b := r.Block()
 	if p.tree.Holds(r) {
 		return false
@@ -235,7 +236,11 @@ func (p *Process) applyOne(r core.Ref) bool {
 	if err := p.tree.AttachResolved(r); err != nil {
 		return false
 	}
-	p.Rec.RecordComm(history.EvUpdate, p.ID, b.Parent, b.ID)
+	if recv != nil {
+		p.Rec.RecordDelivery(p.ID, *recv, b)
+	} else {
+		p.Rec.RecordComm(history.EvUpdate, p.ID, b.Parent, b.ID)
+	}
 	if p.OnCommit != nil {
 		p.OnCommit(b)
 	}
@@ -257,7 +262,9 @@ func (p *Process) takePending(id core.BlockID) []*core.Block {
 }
 
 // onMessage handles network delivery: record receive_j(b_g, b_i), then
-// update_j(b_g, b_i).
+// update_j(b_g, b_i), one recorder step when the block attaches. A
+// delivery that does not attach records its receive alone, after the
+// attempt, which records nothing.
 func (p *Process) onMessage(m simnet.Message) {
 	um, ok := m.Payload.(UpdateMsg)
 	if !ok {
@@ -277,14 +284,11 @@ func (p *Process) onMessage(m simnet.Message) {
 		}
 		return
 	}
-	p.Rec.RecordComm(history.EvReceive, p.ID, um.Parent, um.Block.ID)
-	if m.From == p.ID {
-		// Loopback delivery of our own send: the update was already
-		// applied in AppendLocal; only the receive event matters
-		// (LRC Validity).
-		return
+	// A loopback of our own send: the update was already applied in
+	// AppendLocal; only the receive event matters (LRC Validity).
+	if m.From == p.ID || !p.applyResolved(r, &um.Parent) {
+		p.Rec.RecordComm(history.EvReceive, p.ID, um.Parent, um.Block.ID)
 	}
-	p.applyResolved(r)
 }
 
 // RejectedCount reports how many invalid blocks the predicate P dropped.

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/consistency"
@@ -56,6 +57,28 @@ func TestOutOfOrderDeliveryBuffered(t *testing.T) {
 		}
 		if proc.PendingCount() != 0 {
 			t.Fatalf("process %d still buffering", p)
+		}
+	}
+	// A delivery that attaches records its receive and update as one
+	// step; an orphan's receive stands alone and its update follows
+	// the parent's. Seed 7 delivers b2 before b1 at process 2, and b3,
+	// b2, b1 in that order at process 1.
+	type ev struct {
+		kind  history.CommKind
+		block core.BlockID
+	}
+	rcv, upd := history.EvReceive, history.EvUpdate
+	want := map[int][]ev{
+		1: {{rcv, b3.ID}, {rcv, b2.ID}, {rcv, b1.ID}, {upd, b1.ID}, {upd, b2.ID}, {upd, b3.ID}},
+		2: {{rcv, b2.ID}, {rcv, b1.ID}, {upd, b1.ID}, {upd, b2.ID}, {rcv, b3.ID}, {upd, b3.ID}},
+	}
+	got := map[int][]ev{}
+	for e := range g.History().Events() {
+		got[e.Proc] = append(got[e.Proc], ev{e.Kind, e.Block})
+	}
+	for p, w := range want {
+		if fmt.Sprint(got[p]) != fmt.Sprint(w) {
+			t.Errorf("process %d recorded %v, want %v", p, got[p], w)
 		}
 	}
 }
