@@ -407,7 +407,12 @@ type knob struct {
 // takes it. A knob set under a driver that cannot take it is an error
 // naming the option: no run silently ignores half its options.
 var knobs = []knob{
-	{"N", "WithN", both, nonNegative},
+	{"N", "WithN", both, func(c *Config, v reflect.Value) error {
+		if c.N > history.MaxProcs {
+			return fmt.Errorf("%d processes, a run's history names at most %d", c.N, history.MaxProcs)
+		}
+		return nonNegative(c, v)
+	}},
 	{"Rounds", "WithRounds", simOnly, nonNegative},
 	{"Seed", "WithSeed", both, nil},
 	{"ReadEvery", "WithReadEvery", simOnly, nil},

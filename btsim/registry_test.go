@@ -9,6 +9,7 @@ import (
 
 	"repro/btsim"
 	_ "repro/btsim/systems"
+	"repro/internal/history"
 )
 
 // sevenSystems is the full Section 5 mapping the registry must carry
@@ -116,6 +117,7 @@ func TestConfigValidation(t *testing.T) {
 		opts []btsim.Option
 	}{
 		{"negative N", []btsim.Option{btsim.WithN(-1)}},
+		{"N past what a history names", []btsim.Option{btsim.WithN(history.MaxProcs + 1)}},
 		{"negative rounds", []btsim.Option{btsim.WithRounds(-5)}},
 		{"unknown strategy", []btsim.Option{btsim.WithAdversary(btsim.Adversary{Strategy: "51pct"})}},
 		{"negative merit", []btsim.Option{btsim.WithMerits(1, -2)}},

@@ -70,9 +70,20 @@ func FuzzChainPrefix(f *testing.F) {
 // from-scratch recomputation over the blocks' own Parent fields, and that
 // the node table's links (parent handles, child lists, child counts,
 // leaf slots) are consistent. It is the shared invariant check for the
-// attach fuzzers.
+// attach fuzzers. Its weight queries fill the weight table.
 func checkTreeIndices(t *testing.T, tr *Tree) {
 	t.Helper()
+	checkTreeStructure(t, tr)
+	checkHeadsMatchLegacy(t, tr)
+	checkWeights(t, tr)
+}
+
+// checkTreeStructure is the part of checkTreeIndices that asks no weight
+// query: node links, leaf set, height and the LongestChain/SingleChain
+// heads. None of it may fill the weight table.
+func checkTreeStructure(t *testing.T, tr *Tree) {
+	t.Helper()
+	lazy := tr.weights == nil
 	checkNodeLinks(t, tr)
 	// Leaf set == scan of all blocks with no children.
 	wantLeaves := scanLeaves(tr)
@@ -92,10 +103,23 @@ func checkTreeIndices(t *testing.T, tr *Tree) {
 	if got, want := tr.Height(), scanHeight(tr); got != want {
 		t.Fatalf("cached height %d, scan %d", got, want)
 	}
-	checkHeadsMatchLegacy(t, tr)
-	// chainWeight[b] == the weights summed along Parent fields back to
-	// genesis; subtreeWeight[b] == the weight sum over the scanned
-	// subtree.
+	if got, want := HeadOf(LongestChain{}, tr), legacySelectLongest(tr).Head(); got.ID != want.ID {
+		t.Fatalf("longest head %s, legacy scan %s", got, want)
+	}
+	if got, want := HeadOf(SingleChain{}, tr), legacySelectSingle(tr).Head(); got.ID != want.ID {
+		t.Fatalf("single head %s, legacy scan %s", got, want)
+	}
+	if lazy && tr.weights != nil {
+		t.Fatal("a structural read filled the weight table")
+	}
+}
+
+// checkWeights asserts the weight table against a recompute: the chain
+// weight of b is the weights summed along Parent fields back to genesis,
+// its subtree weight the weight sum over the scanned subtree, and GHOST
+// descends as the scan does.
+func checkWeights(t *testing.T, tr *Tree) {
+	t.Helper()
 	kids := scanChildren(tr)
 	var subtree func(id BlockID) int
 	subtree = func(id BlockID) int {
@@ -111,14 +135,17 @@ func checkTreeIndices(t *testing.T, tr *Tree) {
 			want += a.Weight
 		}
 		if got := tr.ChainWeight(b.ID); got != want {
-			t.Fatalf("chainWeight[%s] = %d, recompute %d", b.ID.Short(), got, want)
+			t.Fatalf("ChainWeight(%s) = %d, recompute %d", b.ID.Short(), got, want)
 		}
 		if got := (WeightScore{}).Of(tr.ChainTo(b.ID)); got != want {
 			t.Fatalf("WeightScore of ChainTo(%s) = %d, recompute %d", b.ID.Short(), got, want)
 		}
 		if got, want := tr.SubtreeWeight(b.ID), subtree(b.ID); got != want {
-			t.Fatalf("subtreeWeight[%s] = %d, recompute %d", b.ID.Short(), got, want)
+			t.Fatalf("SubtreeWeight(%s) = %d, recompute %d", b.ID.Short(), got, want)
 		}
+	}
+	if got, want := (GHOST{}).Select(tr), scanGHOST(tr); !got.Equal(want) {
+		t.Fatalf("GHOST selects %v, the scan %v", got, want)
 	}
 }
 
@@ -224,7 +251,7 @@ func viewOf(tr *Tree) treeView {
 // and weights do not move.
 func checkCloneIsolated(t *testing.T, tr *Tree) {
 	t.Helper()
-	cl := tr.Clone() // before the view below queries (and so activates) tr's GHOST weights
+	cl := tr.Clone() // before the view below queries (and so fills) tr's weight table, if it is not yet
 	before := viewOf(tr)
 	for i, parent := range tr.Blocks() {
 		for j := 0; j < 2; j++ {
@@ -293,17 +320,39 @@ func FuzzTreeAttach(f *testing.F) {
 // any cache), out-of-order delivery (a child offered before its parent
 // must be rejected, then accepted once the parent lands) and, for op
 // bytes >= 200, zero weights (a child that does not outweigh its parent).
-// After the schedule, every cache must equal a recompute from scratch,
-// on the tree and on a clone that is then grown alone.
+// The lazy weight table is switched on by a query before step on (after
+// the schedule when on is past its end), and the tree is cloned just
+// before and just after: the later attaches, replayed into both clones,
+// must leave the one-pass fill (the clone without a table), the
+// incremental maintenance (the tree) and the copied table (the clone
+// with it) equal to a recompute and to each other. After the schedule,
+// every cache must equal a recompute from scratch, on the tree and on a
+// clone that is then grown alone.
 func FuzzTreeIndices(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
-	f.Add([]byte{9, 9, 9, 9})
-	f.Add([]byte{0, 20, 0, 20, 41, 62})
-	f.Add([]byte{0, 200, 5, 201, 210, 6, 255, 203, 1})
-	f.Fuzz(func(t *testing.T, schedule []byte) {
+	f.Add(uint8(3), []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(uint8(0), []byte{9, 9, 9, 9})
+	f.Add(uint8(4), []byte{0, 20, 0, 20, 41, 62})
+	f.Add(uint8(255), []byte{0, 200, 5, 201, 210, 6, 255, 203, 1})
+	f.Fuzz(func(t *testing.T, on uint8, schedule []byte) {
 		tr := NewTree()
 		attached := []*Block{Genesis()}
+		var lazy, filled *Tree // the clones taken around the first weight query
+		from := 0              // len(attached) then
+		switchOn := func() {
+			lazy, from = tr.Clone(), len(attached)
+			if tr.weights != nil {
+				t.Fatal("weight table filled before the first weight query")
+			}
+			tr.SubtreeWeight(GenesisID)
+			filled = tr.Clone()
+			if lazy.weights != nil || filled.weights == nil {
+				t.Fatal("a clone does not carry its tree's weight table as it stood")
+			}
+		}
 		for i, op := range schedule {
+			if i == int(on) {
+				switchOn()
+			}
 			switch op % 5 {
 			case 0, 1: // ordinary attach under a random existing parent
 				parent := attached[int(op/5)%len(attached)]
@@ -351,12 +400,31 @@ func FuzzTreeIndices(f *testing.F) {
 			}
 			// Per-step recompute is quadratic; keep it for short
 			// schedules and fall back to end-of-run checks on long
-			// fuzz-generated ones.
+			// fuzz-generated ones. Before the switch it asks no weight.
 			if len(schedule) <= 32 {
-				checkTreeIndices(t, tr)
+				if lazy == nil {
+					checkTreeStructure(t, tr)
+				} else {
+					checkTreeIndices(t, tr)
+				}
 			}
 		}
+		if lazy == nil {
+			switchOn()
+		}
 		checkTreeIndices(t, tr)
+		for _, cl := range []*Tree{lazy, filled} {
+			for _, b := range attached[from:] {
+				if err := cl.Attach(b); err != nil {
+					t.Fatalf("replay on a clone: %v", err)
+				}
+			}
+			checkTreeIndices(t, cl)
+			if !reflect.DeepEqual(viewOf(cl), viewOf(tr)) {
+				t.Fatal("a clone taken at the weight switch and grown alike differs from the tree")
+			}
+		}
+		checkTreeIndices(t, tr) // growing the clones must not have touched tr's tables
 		checkCloneIsolated(t, tr)
 		checkSharedIndex(t, tr, attached)
 	})

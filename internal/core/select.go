@@ -81,14 +81,17 @@ func (LongestChain) Name() string { return "longest" }
 type HeaviestChain struct{}
 
 // SelectHead returns the leaf with the largest cumulative chain weight in
-// O(#leaves), reading the chain weight each leaf's node maintains instead
-// of re-walking and re-summing each root-to-leaf path.
+// O(#leaves), reading the chain weight the tree's weight table keeps for
+// each leaf instead of re-walking and re-summing each root-to-leaf path.
 func (HeaviestChain) SelectHead(t *Tree) *Block {
+	if !t.fillWeights() {
+		return nil // zero-value tree; HeadOf falls back
+	}
 	var best *Block
 	bestW := -1
 	for _, h := range t.leaves {
 		leaf := t.held(h)
-		w := leaf.chainWeight
+		w := t.wt(h).chain
 		if w > bestW || (w == bestW && (best == nil || leaf.b.ID > best.ID)) {
 			best, bestW = leaf.b, w
 		}
@@ -135,22 +138,22 @@ func (GHOST) Select(t *Tree) Chain {
 // returns; every block it descends into is appended to path when path is
 // non-nil. It follows the child lists by handle: no ID is looked up.
 func ghostDescent(t *Tree, path *Chain) *Block {
-	n := t.at(0)
-	if n == nil {
+	if !t.fillWeights() {
 		return nil
 	}
-	if !t.ghostActive {
-		t.buildSubtreeWeights()
-	}
-	for n.firstKid != 0 {
-		// Children ascend by ID, so on equal weights the later one wins.
-		best := t.held(n.firstKid)
-		for h := best.nextSib; h != 0; h = t.held(h).nextSib {
-			if c := t.held(h); c.subtreeWeight >= best.subtreeWeight {
-				best = c
+	n := t.held(0)
+	for h := n.firstKid; h != 0; h = n.firstKid {
+		n = t.held(h)
+		if n.nextSib != 0 { // an only child is taken without reading a weight
+			// Children ascend by ID, so on equal weights the later one wins.
+			best, bestW := h, t.wt(h).subtree
+			for s := n.nextSib; s != 0; s = t.held(s).nextSib {
+				if w := t.wt(s).subtree; w >= bestW {
+					best, bestW = s, w
+				}
 			}
+			n = t.held(best)
 		}
-		n = best
 		if path != nil {
 			*path = append(*path, n.b)
 		}

@@ -126,3 +126,33 @@ func legacySelectSingle(t *Tree) Chain {
 	}
 	return legacySelectLongest(t)
 }
+
+// scanGHOST is GHOST's descent over recomputed subtree weights: every
+// block's weight folded into its parent's in descending (height, ID)
+// order, then the heaviest child taken from genesis down, the later
+// (larger) ID on a tie. It reads neither the tree's links nor its weight
+// table.
+func scanGHOST(t *Tree) Chain {
+	kids := scanChildren(t)
+	sub := map[BlockID]int{}
+	blocks := t.Blocks()
+	for i := len(blocks) - 1; i >= 0; i-- {
+		b := blocks[i]
+		sub[b.ID] += b.Weight
+		if !b.IsGenesis() {
+			sub[b.Parent] += sub[b.ID]
+		}
+	}
+	out := Chain{t.Root()}
+	for id := GenesisID; len(kids[id]) > 0; {
+		best := kids[id][0]
+		for _, k := range kids[id][1:] {
+			if sub[k] >= sub[best] {
+				best = k
+			}
+		}
+		id = best
+		out = append(out, t.Block(id))
+	}
+	return out
+}

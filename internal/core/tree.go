@@ -22,7 +22,7 @@ import (
 // one (NewTreeOn) or, for a lone tree, a private one (NewTree) — and
 // keeps its nodes inline in handle-indexed pages, allocated as handles
 // are first used and never regrown, so node addresses stay valid and a
-// tree holding few of a large run's blocks stays small. A node is 40
+// tree holding few of a large run's blocks stays small. A node is 24
 // bytes and its one pointer is the block (the copy *this* tree attached);
 // parent, first child and next sibling are handles. Attach resolves the
 // block's ID once (Resolve: one read-locked lookup in the index, warm
@@ -37,16 +37,17 @@ import (
 //     takes over its parent's slot, any later child is appended, so the
 //     set is maintained without hashing and a chain-shaped tree keeps one
 //     slot;
-//   - node.chainWeight: the cumulative weight of the root-to-block chain
-//     excluding genesis (chainWeight(b) = chainWeight(parent) + b.Weight,
-//     so at a leaf it is WeightScore of ChainTo(leaf));
 //   - tallest: the block maximal by (height, ID) — the head LongestChain
 //     and SingleChain select, read in O(1);
 //   - maxFork: the largest sibling count, so MaxForkDegree is O(1);
-//   - node.subtreeWeight, for GHOST: filled lazily in one bottom-up pass
-//     on the first query and then maintained incrementally (O(depth)
-//     along parent handles per Attach), so attach-heavy runs under the
-//     other selectors never pay for it.
+//   - weights: per block, the cumulative weight of the root-to-block
+//     chain excluding genesis (chain(b) = chain(parent) + b.Weight, so at
+//     a leaf it is WeightScore of ChainTo(leaf)) and the total weight of
+//     its subtree. It is a second handle-paged table beside the nodes,
+//     nil until the first weight query (ChainWeight, SubtreeWeight,
+//     HeaviestChain, GHOST), which fills it in one depth-first pass;
+//     Attach then maintains it (O(depth) along parent handles). Trees
+//     under LongestChain and SingleChain never allocate or update it.
 //
 // With them, LongestChain/SingleChain pick their head in O(1),
 // HeaviestChain in O(#leaves), and each materializes only the winning
@@ -69,8 +70,9 @@ type Tree struct {
 	// leaves is the maintained leaf set: the handles of the nodes with no
 	// children, each recording its index here in node.leaf.
 	leaves []uint32
-	// ghostActive records whether node.subtreeWeight is being maintained.
-	ghostActive bool
+	// weights pages the weight caches by handle, beside pages: nil until
+	// the first weight query, maintained by Attach from then on.
+	weights []*[pageSize]weight
 	// tallest is the block maximal by (height, ID). A child is higher
 	// than its parent, so tallest is always a leaf: the head LongestChain
 	// selects.
@@ -83,20 +85,24 @@ type Tree struct {
 // value is "not held". Handle 0 is genesis, which is nobody's child, so 0
 // ends the child lists; genesis's own parent is noHandle.
 type node struct {
-	b *Block
-	// chainWeight is the cumulative weight of the chain from genesis to
-	// the block, genesis excluded (matching WeightScore).
-	chainWeight int
-	// subtreeWeight is the total weight of the subtree rooted here; valid
-	// only while Tree.ghostActive.
-	subtreeWeight int
-	parent        uint32
+	b      *Block
+	parent uint32
 	// firstKid heads the node's children, nextSib continues the list the
 	// node itself is on; both lists ascend by ID.
 	firstKid, nextSib uint32
 	// leaf is the node's index in Tree.leaves while it has no children
-	// and minus their number once it has some (one field: 40 bytes).
+	// and minus their number once it has some (one field: 24 bytes).
 	leaf int32
+}
+
+// weight is one block's entry in the weight table.
+type weight struct {
+	// chain is the cumulative weight of the chain from genesis to the
+	// block, genesis excluded (matching WeightScore).
+	chain int
+	// subtree is the total weight of the subtree rooted at the block, its
+	// own weight included.
+	subtree int
 }
 
 // nkids returns the number of the node's children (0 for a nil node).
@@ -107,11 +113,12 @@ func (n *node) nkids() int {
 	return int(-n.leaf)
 }
 
-// A page holds 64 nodes (2.5 KB) and is the least a tree costs: 64 is the
-// largest power of two at which a genesis-only NewTree() allocates no
-// more than with 256 node pointers beside a 16-node slab (3 260 B against
-// 4 344; 128: 5.8 KB; TestGenesisTreeStaysSmall) — the ADT machines clone
-// a small tree on every append. A 5 000-block replica holds 79 pages.
+// A page holds 64 nodes (1.5 KB) and is the least a tree costs: 64 was
+// chosen as the largest power of two at which a genesis-only NewTree()
+// allocated no more than with 256 node pointers beside a 16-node slab
+// (TestGenesisTreeStaysSmall) — the ADT machines clone a small tree on
+// every append. A 5 000-block replica holds 79 pages, and 79 weight pages
+// (1 KB each) once a weight query has been asked.
 const (
 	pageBits = 6
 	pageSize = 1 << pageBits
@@ -133,17 +140,22 @@ func (t *Tree) at(h uint32) *node {
 // leaf link — one the tree is known to hold.
 func (t *Tree) held(h uint32) *node { return &t.pages[h>>pageBits][h&pageMask] }
 
-// slot returns the page slot of handle h, allocating its page on first use.
-func (t *Tree) slot(h uint32) *node {
+// slot returns the slot of handle h in a paged table — the nodes or the
+// weights — allocating its page on first use.
+func slot[T any](pages *[]*[pageSize]T, h uint32) *T {
 	p := int(h >> pageBits)
-	for p >= len(t.pages) {
-		t.pages = append(t.pages, nil)
+	for p >= len(*pages) {
+		*pages = append(*pages, nil)
 	}
-	if t.pages[p] == nil {
-		t.pages[p] = new([pageSize]node)
+	if (*pages)[p] == nil {
+		(*pages)[p] = new([pageSize]T)
 	}
-	return &t.pages[p][h&pageMask]
+	return &(*pages)[p][h&pageMask]
 }
+
+// wt returns the weight entry of a handle the tree holds; the weight
+// table must be filled.
+func (t *Tree) wt(h uint32) *weight { return &t.weights[h>>pageBits][h&pageMask] }
 
 // node returns the node of the block with the given ID.
 func (t *Tree) node(id BlockID) *node {
@@ -162,7 +174,7 @@ func NewTree() *Tree { return NewTreeOn(NewIndex()) }
 // run's index.
 func NewTreeOn(idx *Index) *Tree {
 	t := &Tree{idx: idx, n: 1, leaves: []uint32{0}, tallest: idx.genesis}
-	*t.slot(0) = node{b: idx.genesis, parent: noHandle}
+	*slot(&t.pages, 0) = node{b: idx.genesis, parent: noHandle}
 	return t
 }
 
@@ -243,8 +255,8 @@ func (t *Tree) AttachResolved(r Ref) error {
 	if r.h == noHandle {
 		r.h = t.idx.intern(b)
 	}
-	n := t.slot(r.h) // may add a page; parent stays valid, pages never move
-	*n = node{b: b, parent: r.parent, chainWeight: parent.chainWeight + b.Weight}
+	n := slot(&t.pages, r.h) // may add a page; parent stays valid, pages never move
+	*n = node{b: b, parent: r.parent}
 	t.n++
 	// Link in ahead of the first sibling with a larger ID (sibling lists
 	// are short).
@@ -268,10 +280,10 @@ func (t *Tree) AttachResolved(r Ref) error {
 	if b.Height > t.tallest.Height || (b.Height == t.tallest.Height && b.ID > t.tallest.ID) {
 		t.tallest = b
 	}
-	if t.ghostActive {
-		n.subtreeWeight = b.Weight
+	if t.weights != nil {
+		*slot(&t.weights, r.h) = weight{chain: t.wt(r.parent).chain + b.Weight, subtree: b.Weight}
 		for h := r.parent; h != noHandle; h = t.held(h).parent {
-			t.held(h).subtreeWeight += b.Weight
+			t.wt(h).subtree += b.Weight
 		}
 	}
 	return nil
@@ -299,57 +311,66 @@ func (t *Tree) ForkCount(id BlockID) int { return t.node(id).nkids() }
 func (t *Tree) MaxForkDegree() int { return t.maxFork }
 
 // SubtreeWeight returns the total weight of the subtree rooted at id
-// (the block's own weight included). Used by the GHOST selector. The
-// first query fills the whole index in one O(n) bottom-up pass and
-// activates incremental maintenance.
-func (t *Tree) SubtreeWeight(id BlockID) int {
-	if !t.ghostActive {
-		t.buildSubtreeWeights()
-	}
-	if n := t.node(id); n != nil {
-		return n.subtreeWeight
-	}
-	return 0
-}
-
-// buildSubtreeWeights computes every subtree weight bottom-up, depth-first
-// without a stack (chains are deep): down along first children to a leaf,
-// then across to the next sibling or, after the last, up to the parent —
-// whose children are then all folded into it.
-func (t *Tree) buildSubtreeWeights() {
-	n := t.at(0)
-	if n == nil {
-		return // zero-value tree
-	}
-	for {
-		for n.firstKid != 0 {
-			n = t.held(n.firstKid)
-		}
-		for {
-			n.subtreeWeight += n.b.Weight
-			if n.parent == noHandle {
-				t.ghostActive = true
-				return
-			}
-			p := t.held(n.parent)
-			p.subtreeWeight += n.subtreeWeight
-			if n.nextSib != 0 {
-				n = t.held(n.nextSib)
-				break
-			}
-			n = p
-		}
-	}
-}
+// (the block's own weight included), 0 for an absent block. Used by the
+// GHOST selector.
+func (t *Tree) SubtreeWeight(id BlockID) int { return t.weightOf(id).subtree }
 
 // ChainWeight returns the cumulative weight of the chain from genesis to
 // id, genesis excluded — exactly WeightScore{}.Of(t.ChainTo(id)) without
 // materializing the chain. Returns 0 for genesis or an absent block.
-func (t *Tree) ChainWeight(id BlockID) int {
-	if n := t.node(id); n != nil {
-		return n.chainWeight
+func (t *Tree) ChainWeight(id BlockID) int { return t.weightOf(id).chain }
+
+// weightOf returns the weights of the block with the given ID, filling
+// the table on the first query; zero for a block the tree does not hold.
+func (t *Tree) weightOf(id BlockID) weight {
+	if t.idx != nil {
+		if h := t.idx.handle(id); t.at(h) != nil && t.fillWeights() {
+			return *t.wt(h)
+		}
 	}
-	return 0
+	return weight{}
+}
+
+// fillWeights fills the weight table on the first weight query and
+// reports whether there is one (not on a zero-value tree). The pass is
+// depth-first without a stack (chains are deep): down along first
+// children, setting each block's chain weight from its parent's, to a
+// leaf, then across to the next sibling or, after the last, up to the
+// parent — whose children are then all folded into its subtree weight.
+func (t *Tree) fillWeights() bool {
+	if t.weights != nil {
+		return true
+	}
+	if t.at(0) == nil {
+		return false
+	}
+	t.weights = make([]*[pageSize]weight, len(t.pages))
+	h := uint32(0)
+	for {
+		for {
+			n, w := t.held(h), slot(&t.weights, h)
+			if n.parent != noHandle {
+				w.chain = t.wt(n.parent).chain + n.b.Weight
+			}
+			if n.firstKid == 0 {
+				break
+			}
+			h = n.firstKid
+		}
+		for {
+			n, w := t.held(h), t.wt(h)
+			w.subtree += n.b.Weight
+			if n.parent == noHandle {
+				return true
+			}
+			t.wt(n.parent).subtree += w.subtree
+			if n.nextSib != 0 {
+				h = n.nextSib
+				break
+			}
+			h = n.parent
+		}
+	}
 }
 
 // LeafCount returns the number of leaves without allocating.
@@ -414,20 +435,30 @@ func (t *Tree) Blocks() []*Block {
 	return out
 }
 
-// Clone returns a deep copy of the tree structure, indices included
-// (block pointers are shared; blocks are immutable): nodes link by
-// handle, so copying the pages copies the tree.
+// Clone returns a deep copy of the tree structure, indices and weight
+// table (if filled) included (block pointers are shared; blocks are
+// immutable): nodes link by handle, so copying the pages copies the tree.
 func (t *Tree) Clone() *Tree {
 	nt := *t
-	nt.pages = make([]*[pageSize]node, len(t.pages))
-	for i, pg := range t.pages {
-		if pg != nil {
-			cp := *pg
-			nt.pages[i] = &cp
-		}
-	}
+	nt.pages = copyPages(t.pages)
+	nt.weights = copyPages(t.weights)
 	nt.leaves = append([]uint32(nil), t.leaves...)
 	return &nt
+}
+
+// copyPages copies a paged table page by page; nil stays nil.
+func copyPages[T any](pages []*[pageSize]T) []*[pageSize]T {
+	if pages == nil {
+		return nil
+	}
+	out := make([]*[pageSize]T, len(pages))
+	for i, pg := range pages {
+		if pg != nil {
+			cp := *pg
+			out[i] = &cp
+		}
+	}
+	return out
 }
 
 // String summarizes the tree, e.g. "tree(7 blocks, height 4, maxfork 2)".

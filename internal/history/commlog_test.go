@@ -3,6 +3,7 @@ package history
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -10,20 +11,67 @@ import (
 	"repro/internal/core"
 )
 
-// TestCommRecordLayout: the log's record must stay at 24 bytes with no
+// TestCommRecordLayout: the log's record must stay at 16 bytes with no
 // field the collector has to look at — that, not the field list, is what
 // the flooded run's memory and Snapshot's barrier-free copy rest on.
 func TestCommRecordLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(CommRecord{}); sz != 24 {
-		t.Errorf("a CommRecord is %d bytes, want 24", sz)
+	if sz := unsafe.Sizeof(CommRecord{}); sz != 16 {
+		t.Errorf("a CommRecord is %d bytes, want 16", sz)
 	}
 	for i, rt := 0, reflect.TypeOf(CommRecord{}); i < rt.NumField(); i++ {
 		switch f := rt.Field(i); f.Type.Kind() {
-		case reflect.Int, reflect.Int64, reflect.Int32, reflect.Uint32, reflect.Uint8:
+		case reflect.Int, reflect.Int64, reflect.Int32, reflect.Uint64, reflect.Uint32, reflect.Uint8:
 		default:
 			t.Errorf("field %s of CommRecord is a %s: pointer-bearing", f.Name, f.Type.Kind())
 		}
 	}
+}
+
+// TestCommRecordPacksItsBounds: the packed word carries the largest
+// process, every kind and an index past 32 bits back out unchanged, and
+// refuses a process or an index its bits cannot hold — as the recorder
+// refuses more processes than it can name — with a message naming the
+// bound.
+func TestCommRecordPacksItsBounds(t *testing.T) {
+	var ids commIDs
+	var want []CommEvent
+	h := &History{}
+	for _, proc := range []int{0, 1, MaxProcs - 1} {
+		for _, index := range []int{0, 1<<32 + 5, maxCommIndex - 1} {
+			for _, kind := range []CommKind{EvSend, EvReceive, EvUpdate} {
+				e := CommEvent{Kind: kind, Proc: proc, Parent: "p", Block: core.BlockID(fmt.Sprint(index)), Index: index}
+				want = append(want, e)
+				h.Comm = append(h.Comm, ids.pack(e))
+			}
+		}
+	}
+	h.CommIDs = ids.view()
+	for i, e := range want {
+		if got := h.Event(i); got != e {
+			t.Fatalf("packed %+v, widened %+v", e, got)
+		}
+	}
+	if got := len(h.CommOf(EvReceive)); got != len(want)/3 {
+		t.Fatalf("CommOf(receive) finds %d events, want %d", got, len(want)/3)
+	}
+	mustPanic := func(what, bound string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, bound) {
+				t.Errorf("%s: panic %q does not name the bound %s", what, msg, bound)
+			}
+		}()
+		f()
+	}
+	procBound, indexBound := fmt.Sprint(MaxProcs), fmt.Sprint(uint64(maxCommIndex))
+	mustPanic("process MaxProcs", procBound, func() { ids.pack(CommEvent{Proc: MaxProcs}) })
+	mustPanic("process -1", procBound, func() { ids.pack(CommEvent{Proc: -1}) })
+	mustPanic("index 1<<40", indexBound, func() { ids.pack(CommEvent{Index: maxCommIndex}) })
+	mustPanic("index -1", indexBound, func() { ids.pack(CommEvent{Index: -1}) })
+	mustPanic("kind 3", "kind 3", func() { ids.pack(CommEvent{Kind: EvUpdate + 1}) })
+	mustPanic("MaxProcs+1 processes", procBound, func() { NewRecorder(MaxProcs+1, nil) })
+	NewRecorder(MaxProcs, nil) // the largest run the record can name
 }
 
 // checkEvents asserts h's log is exactly want — through Events, through

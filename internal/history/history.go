@@ -269,18 +269,33 @@ func (e CommEvent) String() string {
 	return fmt.Sprintf("%s_%d(%s, %s) @%d", e.Kind, e.Proc, e.Parent.Short(), e.Block.Short(), e.Index)
 }
 
-// CommRecord is a communication event as the log stores it: 24 bytes
+// CommRecord is a communication event as the log stores it: 16 bytes
 // and no pointer, so a flooded run's log — one event per block per
 // process — is memory the collector never scans and Snapshot copies
 // without a write barrier. The two block IDs are numbers in the ID
-// table that travels with the log (History.CommIDs); History.Event and
-// History.Events widen a record back into a CommEvent.
+// table that travels with the log (History.CommIDs); index, process and
+// kind share one word,
+//
+//	word = index<<24 | proc<<2 | kind
+//
+// so an index is below 1<<40, a process in [0, 1<<22) (MaxProcs) and a
+// kind one of the three; packing an event outside those bounds panics
+// rather than let the fields overlap. History.Event and History.Events
+// widen a record back into a CommEvent. Drop mode packs nothing.
 type CommRecord struct {
-	Index         int
-	proc          int32
 	parent, block uint32
-	kind          CommKind
+	word          uint64
 }
+
+// The bounds of the record's packed word.
+const (
+	kindBits = 2
+	procBits = 22
+	// MaxProcs is the number of processes a Recorder can name.
+	MaxProcs = 1 << procBits
+	// maxCommIndex bounds the global index a recorded event can carry.
+	maxCommIndex = 1 << (64 - procBits - kindBits)
+)
 
 // commIDs numbers the block IDs communication events name, in first-
 // seen order. It is not the run's core.Index: that one admits only
@@ -315,14 +330,28 @@ func (t *commIDs) number(id core.BlockID, memo *uint32) uint32 {
 	return n
 }
 
-// pack narrows e into a record over t.
+// pack narrows e into a record over t. It panics on a field its bits
+// cannot hold.
 func (t *commIDs) pack(e CommEvent) CommRecord {
+	switch {
+	case uint(e.Proc) >= MaxProcs:
+		panic(fmt.Sprintf("history: process %d outside [0, %d)", e.Proc, MaxProcs))
+	case uint64(e.Index) >= maxCommIndex:
+		panic(fmt.Sprintf("history: comm index %d outside [0, %d)", e.Index, uint64(maxCommIndex)))
+	case e.Kind > EvUpdate:
+		panic(fmt.Sprintf("history: comm kind %d is none of send, receive, update", e.Kind))
+	}
 	return CommRecord{
-		Index: e.Index, proc: int32(e.Proc), kind: e.Kind,
 		parent: t.number(e.Parent, &t.lastParent),
 		block:  t.number(e.Block, &t.lastBlock),
+		word:   uint64(e.Index)<<(procBits+kindBits) | uint64(e.Proc)<<kindBits | uint64(e.Kind),
 	}
 }
+
+// kind, proc and index unpack the record's word.
+func (c *CommRecord) kind() CommKind { return CommKind(c.word & (1<<kindBits - 1)) }
+func (c *CommRecord) proc() int      { return int(c.word >> kindBits & (MaxProcs - 1)) }
+func (c *CommRecord) index() int     { return int(c.word >> (procBits + kindBits)) }
 
 // view returns the table's names as recorded so far, capped so that
 // neither the holder's appends nor the table's own later ones show
@@ -439,7 +468,7 @@ func (h *History) ByProcess(p int) []*Op {
 func (h *History) Event(i int) CommEvent {
 	c := &h.Comm[i]
 	return CommEvent{
-		Kind: c.kind, Proc: int(c.proc), Index: c.Index,
+		Kind: c.kind(), Proc: c.proc(), Index: c.index(),
 		Parent: h.CommIDs[c.parent], Block: h.CommIDs[c.block],
 	}
 }
@@ -460,7 +489,7 @@ func (h *History) Events() iter.Seq[CommEvent] {
 func (h *History) CommOf(kind CommKind) []CommEvent {
 	var out []CommEvent
 	for i := range h.Comm {
-		if h.Comm[i].kind == kind {
+		if h.Comm[i].kind() == kind {
 			out = append(out, h.Event(i))
 		}
 	}
@@ -558,10 +587,13 @@ func (r *Recorder) newOp() *Op {
 	return &r.slab[len(r.slab)-1]
 }
 
-// NewRecorder creates a recorder for procs processes. clock supplies
-// the operations' virtual timestamps; nil means "always 0" (pure
-// shared-memory runs where only the order matters).
+// NewRecorder creates a recorder for procs processes, at most MaxProcs.
+// clock supplies the operations' virtual timestamps; nil means "always 0"
+// (pure shared-memory runs where only the order matters).
 func NewRecorder(procs int, clock func() int64) *Recorder {
+	if procs > MaxProcs {
+		panic(fmt.Sprintf("history: %d processes, a recorder names at most %d", procs, MaxProcs))
+	}
 	if clock == nil {
 		clock = func() int64 { return 0 }
 	}
