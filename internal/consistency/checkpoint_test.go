@@ -292,11 +292,15 @@ func ckptMonitor(t testing.TB) (*Monitor, MonitorConfig) {
 }
 
 // stateScratch lists the Monitor fields a checkpoint does not carry:
-// what NewMonitor rebuilds from MonitorConfig, and scratch.
+// what NewMonitor rebuilds from MonitorConfig, and scratch. factKey and
+// fact memoize the last BVFacts lookup; a stored fact is never replaced,
+// so a restored monitor that starts the memo empty finds the same fact
+// in BVFacts on its next read.
 var stateScratch = map[string]bool{
 	"score": true, "pred": true, "table": true, "procs": true, "window": true,
 	"cap": true, "k": true, "onWitns": true, // rebuilt from MonitorConfig
 	"path": true, "winBuf": true, "spare": true, "finalized": true, "scV": true, "ecV": true, // scratch
+	"factKey": true, "fact": true, // memo of BVFacts, refilled on the next read
 }
 
 // TestMonitorStateIsComplete: the checkpoint is complete by
@@ -404,6 +408,10 @@ func FuzzMonitorCheckpoint(f *testing.F) {
 	for i, seed := range fuzzSeeds {
 		f.Add([]uint8{3, 9, 1, 250, 2}[i], seed)
 	}
+	// An append and two interned reads of its chain by process 0, the cut
+	// between the reads: the restored monitor meets the second with its
+	// BVFacts memo empty and must find the first read's fact in BVFacts.
+	f.Add(uint8(1), []byte{0, 4, 28})
 	f.Fuzz(func(t *testing.T, cutByte uint8, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]

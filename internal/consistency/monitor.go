@@ -146,7 +146,7 @@ type opRec struct {
 	Ord         int // position in the correct-read order (reads only)
 }
 
-func (r opRec) key() chainKey { return chainKey{r.Head, r.ChainLen} }
+func (r *opRec) key() chainKey { return chainKey{r.Head, r.ChainLen} }
 
 func recOf(op *history.Op) opRec {
 	return opRec{
@@ -166,8 +166,8 @@ type recSet struct {
 // insert never grows a full set: a record past the retained ones is
 // dropped at once, one among them pushes the last out in place. The
 // slice grows on demand, not to cap up front — most classes of a long
-// run hold a read or two.
-func (s *recSet) insert(r opRec, cap int) {
+// run hold a read or two. r is copied only if it is retained.
+func (s *recSet) insert(r *opRec, cap int) {
 	n := len(s.Recs)
 	i := n
 	if n > 0 && s.Recs[n-1].Inv >= r.Inv {
@@ -182,7 +182,7 @@ func (s *recSet) insert(r opRec, cap int) {
 		s.Recs = append(s.Recs, opRec{})
 	}
 	copy(s.Recs[i+1:], s.Recs[i:])
-	s.Recs[i] = r
+	s.Recs[i] = *r
 }
 
 // bvFact is the incremental Block Validity scan of one distinct chain.
@@ -338,12 +338,17 @@ type Monitor struct {
 	monitorState
 
 	// Scratch: extendFact's path buffer, the buffer Win slides along, the
-	// storage of messages that left the flight, and the memo of Finalize.
+	// storage of messages that left the flight, the memo of Finalize, and
+	// factOfOp's one-entry memo in front of BVFacts (consecutive reads
+	// mostly return one chain; a fact is never replaced once stored, so
+	// a memo hit is a map hit, and a restored monitor starts it empty).
 	path      []*core.Block
 	winBuf    []opRec
 	spare     []*msgState
 	finalized bool
 	scV, ecV  *Verdict
+	factKey   chainKey
+	fact      *bvFact
 }
 
 // NewMonitor builds an online monitor. Attach it to a Recorder with
@@ -509,18 +514,18 @@ func (m *Monitor) consumeRead(op *history.Op) {
 	if p := rec.Proc; p >= 0 && p < len(m.LMRPrev) {
 		if m.LMRHas[p] {
 			m.LMRChecked++
-			prev := m.LMRPrev[p]
+			prev := &m.LMRPrev[p]
 			m.PerProc[p].ReadPairs++
-			if len(m.MPViol[p]) < MaxViolations && !m.extends(prev, rec) {
-				m.MPViol[p] = append(m.MPViol[p], readPair{prev, rec, m.PerProc[p].ReadPairs})
+			if len(m.MPViol[p]) < MaxViolations && !m.extends(prev, &rec) {
+				m.MPViol[p] = append(m.MPViol[p], readPair{*prev, rec, m.PerProc[p].ReadPairs})
 			}
 			if prev.Score > rec.Score {
 				if len(m.LMRViol[p]) < MaxViolations {
-					m.LMRViol[p] = append(m.LMRViol[p], readPair{Prev: prev, Cur: rec})
+					m.LMRViol[p] = append(m.LMRViol[p], readPair{Prev: *prev, Cur: rec})
 				}
 				if m.LiveLMR < MaxViolations {
 					m.LiveLMR++
-					prevOp, curOp := m.rebuild(prev), m.rebuild(rec)
+					prevOp, curOp := m.rebuild(*prev), m.rebuild(rec)
 					m.emit(Witness{
 						Property: "LocalMonotonicRead",
 						Ops:      []*history.Op{prevOp, curOp},
@@ -544,7 +549,7 @@ func (m *Monitor) consumeRead(op *history.Op) {
 			set = &recSet{}
 			m.BVSuspects[rec.key()] = set
 		}
-		set.insert(rec, m.cap)
+		set.insert(&rec, m.cap)
 		if fact.HasInvalid && m.LiveBV < MaxViolations {
 			m.LiveBV++
 			rOp := m.rebuild(rec)
@@ -558,7 +563,7 @@ func (m *Monitor) consumeRead(op *history.Op) {
 	}
 
 	// Liveness tail window: last `window` correct reads by invocation.
-	m.winInsert(rec)
+	m.winInsert(&rec)
 
 	// EverGrowingTree / EventualPrefix candidates per score class.
 	cls := m.Classes[rec.Score]
@@ -566,10 +571,10 @@ func (m *Monitor) consumeRead(op *history.Op) {
 		cls = &recSet{}
 		m.Classes[rec.Score] = cls
 	}
-	cls.insert(rec, m.cap)
+	cls.insert(&rec, m.cap)
 
 	// StrongPrefix run-length structure + live comparability probe.
-	m.spConsume(rec)
+	m.spConsume(&rec)
 }
 
 // winInsert adds a read to the liveness window and lets the oldest go
@@ -578,7 +583,7 @@ func (m *Monitor) consumeRead(op *history.Op) {
 // moved back to the front only when it reaches the buffer's end, once
 // per `window` reads on a buffer of twice that, so a read costs O(1)
 // amortised instead of a copy of the whole window.
-func (m *Monitor) winInsert(r opRec) {
+func (m *Monitor) winInsert(r *opRec) {
 	n := len(m.Win)
 	if n == cap(m.Win) { // no room behind the view
 		if cap(m.winBuf) <= n {
@@ -590,19 +595,19 @@ func (m *Monitor) winInsert(r opRec) {
 		m.Win = m.winBuf[:copy(m.winBuf, m.Win)]
 	}
 	if n == 0 || m.Win[n-1].Inv < r.Inv {
-		m.Win = append(m.Win, r)
+		m.Win = append(m.Win, *r)
 	} else {
 		i := sort.Search(n, func(i int) bool { return m.Win[i].Inv > r.Inv })
 		m.Win = append(m.Win, opRec{})
 		copy(m.Win[i+1:], m.Win[i:])
-		m.Win[i] = r
+		m.Win[i] = *r
 	}
 	if len(m.Win) > m.window {
 		m.Win = m.Win[1:]
 	}
 }
 
-func (m *Monitor) spConsume(rec opRec) {
+func (m *Monitor) spConsume(rec *opRec) {
 	sl := m.SPLens[rec.ChainLen]
 	if sl == nil {
 		sl = &spLen{}
@@ -614,27 +619,27 @@ func (m *Monitor) spConsume(rec opRec) {
 		// Beyond the retained runs: only the true last matters.
 	case len(sl.Runs) > 0 && sl.Runs[len(sl.Runs)-1].Key == k:
 		run := &sl.Runs[len(sl.Runs)-1]
-		run.Last = rec
+		run.Last = *rec
 		run.N++
 	case len(sl.Runs) < spRunsCap:
-		sl.Runs = append(sl.Runs, spRun{Key: k, First: rec, Last: rec, N: 1})
+		sl.Runs = append(sl.Runs, spRun{Key: k, First: *rec, Last: *rec, N: 1})
 	default:
 		sl.Truncated = true
 	}
-	sl.Last = rec
+	sl.Last = *rec
 	sl.Count++
 
 	// Live incomparability probe against the longest chain read so far.
 	// Advisory: false negatives are possible after the anchor moves;
 	// the exact witness set comes from Finalize.
 	if !m.SPHasMax {
-		m.SPMax, m.SPHasMax = rec, true
+		m.SPMax, m.SPHasMax = *rec, true
 		return
 	}
 	maxK := m.SPMax.key()
 	if k == maxK || m.SPCmp[k] {
 		if rec.ChainLen > m.SPMax.ChainLen {
-			m.SPMax = rec
+			m.SPMax = *rec
 		}
 		return
 	}
@@ -642,7 +647,7 @@ func (m *Monitor) spConsume(rec opRec) {
 		m.SPCmp[k] = true
 	} else if m.LiveSP < MaxViolations {
 		m.LiveSP++
-		maxOp, curOp := m.rebuild(m.SPMax), m.rebuild(rec)
+		maxOp, curOp := m.rebuild(m.SPMax), m.rebuild(*rec)
 		m.emit(Witness{
 			Property: "StrongPrefix",
 			Ops:      []*history.Op{maxOp, curOp},
@@ -651,7 +656,7 @@ func (m *Monitor) spConsume(rec opRec) {
 		})
 	}
 	if rec.ChainLen > m.SPMax.ChainLen {
-		m.SPMax = rec
+		m.SPMax = *rec
 	}
 }
 
@@ -690,14 +695,17 @@ func (m *Monitor) scoreOfOp(op *history.Op) int {
 
 func (m *Monitor) factOfOp(op *history.Op) *bvFact {
 	k := keyOf(op)
-	if f, ok := m.BVFacts[k]; ok {
-		return f
+	if m.fact != nil && m.factKey == k {
+		return m.fact
 	}
-	f := m.extendFact(op)
-	if f == nil {
-		f = m.scanFact(op.ChainUncached())
+	f, ok := m.BVFacts[k]
+	if !ok {
+		if f = m.extendFact(op); f == nil {
+			f = m.scanFact(op.ChainUncached())
+		}
+		m.BVFacts[k] = f
 	}
-	m.BVFacts[k] = f
+	m.factKey, m.fact = k, f
 	return f
 }
 

@@ -172,3 +172,27 @@ func TestMonitorInvalidAncestorExtends(t *testing.T) {
 		t.Errorf("fact of the longest chain: %+v, want first invalid %s", f, c[10].ID.Short())
 	}
 }
+
+// TestMonitorFactMemoKeysOnHead: consecutive reads of two chains of one
+// length, the second through a block P rejects, take two facts — the
+// one-entry memo in front of BVFacts matches the whole key, head and
+// length — and a read of the first chain after them finds its own fact
+// again. The harness holds the Block Validity report to the oracle's.
+func TestMonitorFactMemoKeysOnHead(t *testing.T) {
+	base := chainN(3)
+	fork := forkN(base, 1, 2)
+	pred := countingPred{calls: new(int), invalid: map[core.BlockID]bool{fork[3].ID: true}}
+	mon := monitorHarness{pred: pred, interned: true}.run(t, 2, func(rec *history.Recorder) {
+		for _, b := range append(base, fork[2:]...) {
+			rec.InternBlock(b)
+		}
+		recordChain(rec, base, fork)
+		rec.ReadHead(0, base.Head())
+		rec.ReadHead(1, fork.Head())
+		rec.ReadHead(0, base.Head())
+	})
+	sc, _ := mon.Finalize()
+	if bv := sc.Reports[0]; bv.Property != "BlockValidity" || bv.OK || len(bv.Violations) != 1 {
+		t.Errorf("Block Validity %v with %d violations, want the fork's read alone", bv.OK, len(bv.Violations))
+	}
+}

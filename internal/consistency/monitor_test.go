@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/history"
@@ -42,6 +43,18 @@ func verdictDump(v *Verdict) string {
 		b.WriteString(reportDump(rep))
 	}
 	return b.String()
+}
+
+// TestOpRecLayout pins the monitor's retained record at 128 bytes. A
+// read builds one and hands it down by pointer; it is copied only into
+// the slots that keep it (the window, a class, a suspect set, a process's
+// previous read, a Strong Prefix run), so its size is what a retained
+// read costs, and a field added to it is a deliberate choice. The
+// checkpoint writes it through recWire whatever its layout.
+func TestOpRecLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(opRec{}); sz != 128 {
+		t.Errorf("an opRec is %d bytes, want 128", sz)
+	}
 }
 
 // monitorHarness holds the Monitor against the oracle on one recorded

@@ -49,10 +49,10 @@ func (m *Monitor) MonotonicPrefix() *Report {
 // interned reads are answered by one ancestor probe in the table, which
 // holds every ancestor of a read head, without allocating; an eager chain
 // or no table take the materialized chains.
-func (m *Monitor) extends(prev, cur opRec) bool {
+func (m *Monitor) extends(prev, cur *opRec) bool {
 	switch {
 	case prev.chain != nil || cur.chain != nil || m.table == nil:
-		return m.rebuild(prev).ChainUncached().Prefix(m.rebuild(cur).ChainUncached())
+		return m.rebuild(*prev).ChainUncached().Prefix(m.rebuild(*cur).ChainUncached())
 	case prev.key() == cur.key():
 		return true
 	}

@@ -158,6 +158,9 @@ type Op struct {
 	// Pending marks an operation whose response has not been recorded
 	// (the process crashed or the run was truncated).
 	Pending bool
+	// slot is the op's index in Recorder.pending while it is tracked
+	// there (it sits in Pending's padding: an Op stays 136 bytes).
+	slot int32
 }
 
 // Chain returns the blockchain returned by read(), materializing from
@@ -539,11 +542,12 @@ type Recorder struct {
 
 	// sink, when set, receives every completed op and comm event as it
 	// is recorded (see stream.go); drop releases completed ops instead
-	// of retaining them for Snapshot; pending indexes invoked-but-
-	// unresponded ops when a sink or drop mode needs them.
+	// of retaining them for Snapshot; pending holds the invoked-but-
+	// unresponded ops, in no order, each at its Op.slot, when a sink or
+	// drop mode needs them (non-nil exactly then).
 	sink    Sink
 	drop    bool
-	pending map[int]*Op
+	pending []*Op
 
 	// slab is the pooled Op allocator: ops are appended into fixed-
 	// capacity chunks (pointers into a chunk stay valid because a full
@@ -556,6 +560,10 @@ type Recorder struct {
 	// draws from it, so such a run owns about a segment's worth of Op
 	// objects plus the pending ones for its whole length.
 	free []*Op
+	// lastHead is a one-entry memo in front of RespondReadHead's intern:
+	// consecutive reads mostly return one head, and the table never
+	// forgets a block, so skipping the repeat is exact.
+	lastHead *core.Block
 }
 
 // opSlabChunk is the pooled Op allocator's chunk capacity;
@@ -660,7 +668,10 @@ func (r *Recorder) RespondRead(op *Op, c core.Chain) {
 func (r *Recorder) RespondReadHead(op *Op, head *core.Block) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.table.Intern(head)
+	if head != r.lastHead {
+		r.table.Intern(head)
+		r.lastHead = head
+	}
 	op.Head = head.ID
 	op.ChainLen = head.Height + 1
 	op.src = r.table

@@ -16,7 +16,10 @@
 // compact records).
 package history
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Sink consumes a recorded history as it grows. The Recorder invokes it
 // under its own lock, in response order:
@@ -55,9 +58,7 @@ func (r *Recorder) SetSink(s Sink) {
 	if seg, ok := s.(*SegmentSink); ok {
 		seg.handBack = r.takeBack
 	}
-	if r.pending == nil {
-		r.pending = make(map[int]*Op)
-	}
+	r.trackPending()
 }
 
 // takeBack receives the ops of a segment the recorder's direct
@@ -88,8 +89,8 @@ func (r *Recorder) SetRetain(keep bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.drop = !keep
-	if r.drop && r.pending == nil {
-		r.pending = make(map[int]*Op)
+	if r.drop {
+		r.trackPending()
 	}
 }
 
@@ -101,22 +102,37 @@ func (r *Recorder) Procs() int { return r.procs }
 // mode). Callers hold r.mu.
 func (r *Recorder) tracksPending() bool { return r.pending != nil }
 
+// trackPending starts indexing pending ops from the next invocation on;
+// ops already pending stay untracked. Callers hold r.mu.
+func (r *Recorder) trackPending() {
+	if r.pending == nil {
+		r.pending = make([]*Op, 0, 16)
+	}
+}
+
 // opInvoked files a freshly invoked (pending) operation. Callers hold r.mu.
 func (r *Recorder) opInvoked(op *Op) {
 	if !r.drop {
 		r.ops = append(r.ops, op)
 	}
 	if r.tracksPending() {
-		r.pending[op.ID] = op
+		op.slot = int32(len(r.pending))
+		r.pending = append(r.pending, op)
 	}
 }
 
 // opCompleted forwards a completed operation to the sink. Callers hold
 // r.mu; the sink contract forbids re-entry, so invoking it under the
-// lock is safe and keeps delivery in response order.
+// lock is safe and keeps delivery in response order. The op leaves the
+// pending set by a swap with the last one; an op invoked before tracking
+// began is not in the set, which the identity check tells.
 func (r *Recorder) opCompleted(op *Op) {
-	if r.tracksPending() {
-		delete(r.pending, op.ID)
+	if i := int(op.slot); i < len(r.pending) && r.pending[i] == op {
+		last := len(r.pending) - 1
+		r.pending[i] = r.pending[last]
+		r.pending[i].slot = int32(i)
+		r.pending[last] = nil
+		r.pending = r.pending[:last]
 	}
 	if r.sink != nil {
 		r.sink.OpDone(op)
@@ -144,11 +160,8 @@ func (r *Recorder) pendingLocked() []*Op {
 		}
 		return out
 	}
-	out := make([]*Op, 0, len(r.pending))
-	for _, op := range r.pending {
-		out = append(out, op)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].InvIndex < out[j].InvIndex })
+	out := slices.Clone(r.pending)
+	slices.SortFunc(out, func(a, b *Op) int { return cmp.Compare(a.InvIndex, b.InvIndex) })
 	return out
 }
 
