@@ -186,10 +186,10 @@ func (m *Monitor) Checkpoint() ([]byte, error) {
 			add(r.block)
 		}
 		add(r.chain...)
-		// Interned read: pull the chain behind the head from the table so
-		// the checkpoint stays self-contained for table-less restores.
+		// Interned read: pull the chain behind the head from the index so
+		// the checkpoint stays self-contained for index-less restores.
 		if r.Kind == history.OpRead && r.chain == nil && r.Head != "" && m.table != nil {
-			add(m.table.ChainToUncached(r.Head)...)
+			add(m.table.ChainTo(r.Head)...)
 		}
 	})
 	ck := ckpt{
@@ -205,7 +205,7 @@ func (m *Monitor) Checkpoint() ([]byte, error) {
 }
 
 // checkPoolBlock rejects a checkpoint pool entry no run could have
-// interned: the pool comes from a file, and the chain table sizes a
+// interned: the pool comes from a file, and the block index sizes a
 // materialized chain by its head's height.
 func checkPoolBlock(b *core.Block) error {
 	switch {
@@ -266,7 +266,7 @@ func (s *monitorState) validate(procs, window int) error {
 // RestoreMonitor rebuilds a monitor from a Checkpoint. cfg supplies the
 // non-serializable parts — Score, P, Table, OnWitness — and must
 // structurally match the checkpointed monitor (Procs, Horizon, K),
-// which is validated. A nil cfg.Table gets a fresh table; either way
+// which is validated. A nil cfg.Table gets a fresh index; either way
 // the checkpoint's block pool is interned so retained records
 // materialize. The restored monitor then consumes the remainder of the
 // stream and Finalizes exactly as the original would have.
@@ -290,7 +290,7 @@ func RestoreMonitor(data []byte, cfg MonitorConfig) (*Monitor, error) {
 		return corrupt("%w", err)
 	}
 	if m.table == nil {
-		m.table = history.NewChainTable()
+		m.table = core.NewIndex()
 	}
 	for i, b := range ck.Pool {
 		if err := checkPoolBlock(b); err != nil {

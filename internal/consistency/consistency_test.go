@@ -336,8 +336,8 @@ func TestVerdictAggregation(t *testing.T) {
 
 // TestCheckerConcurrentClassify: every call replays into its own
 // monitor, so one Checker serves concurrent callers without a lock —
-// run under -race. The history is shared too (its memoized views and the
-// chain table's memo are filled concurrently).
+// run under -race. The history is shared too (its memoized views are
+// filled, and its block index walked, concurrently).
 func TestCheckerConcurrentClassify(t *testing.T) {
 	rec := history.NewRecorder(3, nil)
 	fuzzBuild(rec, 3, []byte{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3, 4, 12, 20})

@@ -27,15 +27,15 @@
 // The length score is the read's recorded chain length, and the Block
 // Validity fact of a chain not seen before is extended from that of the
 // nearest ancestor chain already read, by walking parent links in the
-// chain table (extendFact), so over a run P examines each block about
-// once and no chain is materialized while streaming. A block whose
+// run's block index (extendFact), so over a run P examines each block
+// about once and no chain is materialized while streaming. A block whose
 // append is never recorded (a Byzantine block that bypassed append())
 // makes every distinct chain through it re-walk from below that block,
 // O(distance to it). An eagerly recorded chain, any other Score and a
-// monitor without a table are scanned over the whole chain, O(height)
+// monitor without an index are scanned over the whole chain, O(height)
 // per distinct chain. Finalize materializes chains only for Block
 // Validity suspects, violations and distinct chains inside the final
-// window, and never through the table's memo.
+// window.
 //
 // Violation Witnesses are emitted through OnWitness the moment they
 // form (live channel, advisory for the window properties), and
@@ -108,13 +108,12 @@ type MonitorConfig struct {
 	// emitted the moment a token is consumed a (K+1)-th time. Token
 	// groups are tracked regardless, so KForkReport works for any k.
 	K int
-	// Table is the run's shared chain table: incremental scoring and
-	// validity facts walk its parent links, witness reconstruction
-	// materializes chains from it without growing its memo cache, and
-	// Update Agreement reads a block's creator off it. May be nil for
-	// histories recorded with explicit chains (RespondRead), which the
-	// monitor retains on the few ops it keeps.
-	Table *history.ChainTable
+	// Table is the run's block index: incremental scoring and validity
+	// facts walk its parent links, witness reconstruction materializes
+	// chains from it, and Update Agreement reads a block's creator off
+	// it. May be nil for histories recorded with explicit chains
+	// (RespondRead), which the monitor retains on the few ops it keeps.
+	Table *core.Index
 	// OnWitness, when set, receives each violation witness the moment
 	// it forms. It runs under the recorder's lock: keep it fast and do
 	// not call back into the recorder. Live witnesses for the window
@@ -328,7 +327,7 @@ type Monitor struct {
 	// Rebuilt from MonitorConfig.
 	score   core.Score
 	pred    core.Predicate
-	table   *history.ChainTable
+	table   *core.Index
 	procs   int
 	window  int
 	cap     int
@@ -688,7 +687,7 @@ func (m *Monitor) scoreOfOp(op *history.Op) int {
 	if s, ok := m.ScoreByKey[k]; ok {
 		return s
 	}
-	s := m.score.Of(op.ChainUncached())
+	s := m.score.Of(op.Chain())
 	m.ScoreByKey[k] = s
 	return s
 }
@@ -701,7 +700,7 @@ func (m *Monitor) factOfOp(op *history.Op) *bvFact {
 	f, ok := m.BVFacts[k]
 	if !ok {
 		if f = m.extendFact(op); f == nil {
-			f = m.scanFact(op.ChainUncached())
+			f = m.scanFact(op.Chain())
 		}
 		m.BVFacts[k] = f
 	}
@@ -836,14 +835,14 @@ func (m *Monitor) finalBV() *Report {
 	for _, rec := range sus {
 		f, ok := finalFacts[rec.key()]
 		if !ok {
-			f = m.scanFact(m.rebuild(rec).ChainUncached())
+			f = m.scanFact(m.rebuild(rec).Chain())
 			finalFacts[rec.key()] = f
 		}
 		if f.Clean && f.MaxAppendInv < rec.Rsp {
 			continue // suspect resolved clean against the final appends
 		}
 		r := m.rebuild(rec)
-		for _, b := range r.ChainUncached() {
+		for _, b := range r.Chain() {
 			if b.IsGenesis() {
 				continue
 			}
@@ -914,7 +913,7 @@ func (m *Monitor) finalSP() *Report {
 			if havePrev && prev.key() != run.First.key() &&
 				!(interned && m.comparable(prev.key(), run.First.key())) {
 				pOp, cOp := m.rebuild(prev), m.rebuild(run.First)
-				if !pOp.ChainUncached().Prefix(cOp.ChainUncached()) {
+				if !pOp.Chain().Prefix(cOp.Chain()) {
 					rep.witness([]*history.Op{pOp, cOp}, []core.BlockID{prev.Head, run.First.Head},
 						"incomparable reads: %s vs %s", pOp, cOp)
 					if len(rep.Violations) == MaxViolations {
@@ -1003,7 +1002,7 @@ func (m *Monitor) finalEP() *Report {
 	chains := make([]core.Chain, w)
 	chainOf := func(i int) core.Chain {
 		if chains[i] == nil {
-			chains[i] = m.rebuild(tail[i]).ChainUncached()
+			chains[i] = m.rebuild(tail[i]).Chain()
 		}
 		return chains[i]
 	}

@@ -24,11 +24,11 @@ func (countingPred) Name() string               { return "counting" }
 
 // internSink hands every read to the monitor as an interned (head,
 // length) handle, dropping an eagerly recorded chain: the blocks are in
-// the table, so the handle names the same chain, and the stream takes
-// the extending path where it would have taken the scan.
+// the run's block index, so the handle names the same chain, and the
+// stream takes the extending path where it would have taken the scan.
 type internSink struct {
 	*Monitor
-	table *history.ChainTable
+	table *core.Index
 }
 
 func (s internSink) OpDone(op *history.Op) {
@@ -69,10 +69,7 @@ func FuzzMonitorInternedEquivalence(f *testing.F) {
 // single-writer stream with one read per block the monitor asks P about
 // each block once — 2 000 calls, where a scan per distinct chain makes
 // 2 001 000 — also when the monitor is checkpointed and restored half
-// way, and Finalize on the benign run adds none. It also pins that
-// Finalize leaves the chain table's memo alone on a benign run: the
-// window's two distinct chains are materialized for EventualPrefix, but
-// not memoized.
+// way, and Finalize on the benign run adds none.
 func TestMonitorValidatesEachBlockOnce(t *testing.T) {
 	const blocks = 2000
 	for _, cut := range []int{-1, blocks / 2} {
@@ -94,7 +91,6 @@ func TestMonitorValidatesEachBlockOnce(t *testing.T) {
 			t.Errorf("cut=%d: P called %d times while streaming, want %d", cut, calls, blocks)
 		}
 
-		memo := rec.Table().MemoLen()
 		sc, ec := sink.mon.Finalize()
 		if !sc.OK || !ec.OK {
 			t.Errorf("cut=%d: benign stream judged SC=%v EC=%v", cut, sc.OK, ec.OK)
@@ -104,9 +100,6 @@ func TestMonitorValidatesEachBlockOnce(t *testing.T) {
 		}
 		if calls != blocks {
 			t.Errorf("cut=%d: P called %d times after Finalize, want %d", cut, calls, blocks)
-		}
-		if got := rec.Table().MemoLen(); got != memo {
-			t.Errorf("cut=%d: Finalize grew the chain memo from %d to %d", cut, memo, got)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func (m *Monitor) MonotonicPrefix() *Report {
 func (m *Monitor) extends(prev, cur *opRec) bool {
 	switch {
 	case prev.chain != nil || cur.chain != nil || m.table == nil:
-		return m.rebuild(*prev).ChainUncached().Prefix(m.rebuild(*cur).ChainUncached())
+		return m.rebuild(*prev).Chain().Prefix(m.rebuild(*cur).Chain())
 	case prev.key() == cur.key():
 		return true
 	}

@@ -267,8 +267,8 @@ func oracleKFork(h *history.History, k int) *Report {
 
 // oracleUpdateAgreement: R1–R3 of Definition 4.3, every update of a
 // correct process in recording order. A block is generated at the
-// process its Creator field names in the history's chain table; a block
-// the table does not know is remote for every updater.
+// process its Creator field names in the history's block index; a block
+// the index does not know is remote for every updater.
 func oracleUpdateAgreement(h *history.History) *Report {
 	rep := &Report{Property: "UpdateAgreement", OK: true}
 	sends := make(map[int]map[msgKey]bool)    // proc → messages sent

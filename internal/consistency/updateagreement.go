@@ -63,8 +63,8 @@ type commRec struct {
 }
 
 // judgeComm consumes one communication event. A block is generated at
-// the process its Creator field names in the chain table; one the table
-// does not know is remote everywhere.
+// the process its Creator field names in the run's block index; one the
+// index does not know is remote everywhere.
 func (m *Monitor) judgeComm(e history.CommEvent) {
 	p, k := e.Proc, msgKey{e.Parent, e.Block}
 	if p < 0 || p >= len(m.PerProc) {
@@ -255,7 +255,7 @@ func (m *Monitor) LRC() *Report {
 //	R3: ∀ update_i(bg, b_j), ∀ correct k, ∃ receive_k(bg, b_j).
 //
 // A block is generated at the process its Creator field names in the
-// history's chain table; a block the table does not know is remote for
+// history's block index; a block the index does not know is remote for
 // every updater, the conservative direction. The events are replayed
 // through a fresh Monitor; violations are reported update by update, in
 // recording order.

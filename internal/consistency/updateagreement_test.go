@@ -107,7 +107,7 @@ func TestR3IgnoresFaultyProcesses(t *testing.T) {
 func TestUnknownCreatorTreatedAsRemote(t *testing.T) {
 	rec := history.NewRecorder(1, nil)
 	b := core.NewBlock(core.GenesisID, 1, 0, 1, nil)
-	// No receive precedes the update and the chain table does not know
+	// No receive precedes the update and the block index does not know
 	// the block: R2 must flag it (conservative direction).
 	rec.RecordComm(history.EvUpdate, 0, core.GenesisID, b.ID)
 	rep := UpdateAgreement(rec.Snapshot())

@@ -6,10 +6,10 @@ import "sync"
 // dense uint32 handle in intern order (genesis is 0) and remembers, per
 // handle, the first copy of the block interned and the handle of the
 // parent that copy names. Every Tree of a run and the run's
-// history.ChainTable share one Index, so the 64-byte hex ID is hashed
-// once per delivered block (Tree.Resolve) and everything after — tree
-// membership, the attach, the chain table's parent walks — goes by slice
-// index. Handles never leave this package.
+// history.Recorder share one Index, so the 64-byte hex ID is hashed once
+// per delivered block (Tree.Resolve) and everything after — tree
+// membership, the attach, a read's chain walk — goes by slice index.
+// Handles never leave this package.
 //
 // Invariants:
 //

@@ -107,7 +107,8 @@ func TestIndexConcurrentIntern(t *testing.T) {
 
 // TestIndexWalksStopAtAGap: a chain with a missing or mis-heighted
 // ancestor materializes as nil and has no ancestors past the gap, and
-// becomes walkable once the gap is interned.
+// becomes walkable once the gap is interned; a never-interned head
+// materializes as nil, genesis as the one-block chain.
 func TestIndexWalksStopAtAGap(t *testing.T) {
 	blocks := chainAndForks(1)
 	b1 := blocks[0]
@@ -139,6 +140,13 @@ func TestIndexWalksStopAtAGap(t *testing.T) {
 	idx.Intern(neg)
 	if idx.ChainTo("neg") != nil {
 		t.Fatal("chain to a negative height")
+	}
+	// A never-interned head has no chain; genesis's is genesis alone.
+	if c := idx.ChainTo("nowhere"); c != nil {
+		t.Fatalf("unknown head materialized %v", c)
+	}
+	if c := idx.ChainTo(GenesisID); len(c) != 1 || c[0] != idx.Block(GenesisID) {
+		t.Fatalf("genesis chain %v", c)
 	}
 }
 

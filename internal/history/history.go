@@ -12,10 +12,10 @@
 //
 // Read results are interned: in a tree, the chain a read returns is
 // determined by its head block, so a read records only a compact
-// (head, length) handle against a shared ChainTable instead of copying
-// an O(height) slice per read. Op.Chain() materializes lazily — and
-// memoized per head — when a checker or renderer actually needs the
-// blocks.
+// (head, length) handle against the run's block index (core.Index)
+// instead of copying an O(height) slice per read. Op.Chain()
+// materializes from the index when a checker or renderer actually needs
+// the blocks.
 package history
 
 import (
@@ -25,92 +25,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// ChainTable is the run's block index plus a memo of materialized
-// chains by head block. It is shared by all replicas recording into one
-// Recorder; because blocks are immutable and block IDs are content
-// hashes, the chain from genesis to a given head is unique, so one
-// table serves every replica's reads. The blocks themselves live in the
-// core.Index every replica tree of the run is built on (Index()): a
-// tree interns a block when it attaches it, so the table knows every
-// block a read can return without being told.
-type ChainTable struct {
-	idx    *core.Index
-	mu     sync.RWMutex // guards chains; taken before the index's own lock
-	chains map[core.BlockID]core.Chain
-}
-
-// NewChainTable returns a table holding only the genesis block.
-func NewChainTable() *ChainTable {
-	idx := core.NewIndex()
-	g := idx.Block(core.GenesisID)
-	return &ChainTable{idx: idx, chains: map[core.BlockID]core.Chain{g.ID: {g}}}
-}
-
-// Index returns the block index behind the table — the one the run's
-// replica trees share (core.NewTreeOn).
-func (t *ChainTable) Index() *core.Index { return t.idx }
-
-// Intern registers a block (first writer wins; blocks are immutable and
-// content-addressed, so later copies are identical). A block already
-// known — the common case: every read interns its head — is found under
-// the index's read lock.
-func (t *ChainTable) Intern(b *core.Block) { t.idx.Intern(b) }
-
-// ChainTo materializes the chain from genesis to head, memoized per
-// head. It returns nil if head or one of its ancestors was never
-// interned. A memoized head is served under the read lock.
-func (t *ChainTable) ChainTo(head core.BlockID) core.Chain {
-	t.mu.RLock()
-	c, ok := t.chains[head]
-	t.mu.RUnlock()
-	if ok {
-		return c
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok = t.chains[head]; ok {
-		return c
-	}
-	if c = t.idx.ChainTo(head); c != nil {
-		t.chains[head] = c
-	}
-	return c
-}
-
-// ChainToUncached materializes the chain from genesis to head without
-// growing the memo cache: an existing memo entry is reused, but a fresh
-// materialization is returned to the caller alone. The streaming
-// monitors use it so that checking an unbounded run does not accumulate
-// one cached chain per distinct read head.
-func (t *ChainTable) ChainToUncached(head core.BlockID) core.Chain {
-	t.mu.RLock()
-	c, ok := t.chains[head]
-	t.mu.RUnlock()
-	if ok {
-		return c
-	}
-	return t.idx.ChainTo(head)
-}
-
-// Block returns the interned block with the given ID (nil if unknown).
-func (t *ChainTable) Block(id core.BlockID) *core.Block { return t.idx.Block(id) }
-
-// AncestorAt returns head's ancestor at the given height (nil when head
-// is unknown, the height is out of range, or an ancestor was never
-// interned). It follows parent handles without materializing a chain —
-// the monitors' O(Δh) comparability probe.
-func (t *ChainTable) AncestorAt(head core.BlockID, height int) *core.Block {
-	return t.idx.AncestorAt(head, height)
-}
-
-// MemoLen reports how many chains the table has memoized (observability
-// for the streaming memory-bound tests).
-func (t *ChainTable) MemoLen() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.chains)
-}
 
 // OpKind distinguishes the two BT-ADT operations.
 type OpKind uint8
@@ -148,10 +62,10 @@ type Op struct {
 	Head     core.BlockID
 	ChainLen int
 
-	// chain is the materialized read result: set eagerly when the read
-	// was recorded with an explicit chain, lazily from src otherwise.
+	// chain is the read result recorded explicitly (RespondRead); an
+	// interned read leaves it nil and materializes from src.
 	chain core.Chain
-	src   *ChainTable
+	src   *core.Index
 
 	InvIndex, RspIndex int
 	InvTime, RspTime   int64
@@ -163,11 +77,12 @@ type Op struct {
 	slot int32
 }
 
-// Chain returns the blockchain returned by read(), materializing from
-// the chain table (memoized there, shared per head) when the read was
-// recorded as an interned handle. It must not be called concurrently
-// with recording; after recording has stopped it is safe for concurrent
-// use (the op itself is never written, and the table is locked).
+// Chain returns the blockchain returned by read(). A read recorded as
+// an interned handle is materialized from the run's block index afresh
+// on every call, so the caller owns that slice. It must not be called
+// concurrently with recording; after recording has stopped it is safe
+// for concurrent use (the op itself is never written, and the index is
+// locked).
 func (o *Op) Chain() core.Chain {
 	if o.chain != nil {
 		return o.chain
@@ -178,31 +93,18 @@ func (o *Op) Chain() core.Chain {
 	return nil
 }
 
-// ChainUncached materializes the read's chain like Chain, but without
-// growing the table's memo cache — the streaming monitors' accessor
-// (they process reads whose chains must not accumulate in the table).
-func (o *Op) ChainUncached() core.Chain {
-	if o.chain != nil {
-		return o.chain
-	}
-	if o.src != nil {
-		return o.src.ChainToUncached(o.Head)
-	}
-	return nil
-}
-
 // EagerChain returns the explicitly recorded chain (RespondRead path),
 // nil for interned reads. The monitors retain it on the few ops they
 // keep, so witness reconstruction works for histories recorded without
-// a chain table.
+// a block index.
 func (o *Op) EagerChain() core.Chain { return o.chain }
 
-// SetSource attaches the chain table (and optional eagerly recorded
+// SetSource attaches the block index (and optional eagerly recorded
 // chain) a rebuilt operation materializes its read result from. The
 // streaming monitors use it to reconstruct witness operations from
 // compact records after the original ops were released.
-func (o *Op) SetSource(t *ChainTable, chain core.Chain) {
-	o.src, o.chain = t, chain
+func (o *Op) SetSource(idx *core.Index, chain core.Chain) {
+	o.src, o.chain = idx, chain
 }
 
 // Before reports the program order ր: op ր other iff op's response event
@@ -385,10 +287,10 @@ type History struct {
 	// Consistency criteria quantify over correct processes only
 	// (Definition 4.2). A nil slice means all processes are correct.
 	Correct []bool
-	// Table is the chain table the interned reads of Ops materialize
+	// Table is the block index the interned reads of Ops materialize
 	// from (the recorder's); nil for a history whose reads all carry
 	// explicit chains.
-	Table *ChainTable
+	Table *core.Index
 
 	memoOnce sync.Once
 	memo     struct {
@@ -538,7 +440,7 @@ type Recorder struct {
 	procs  int
 	faulty map[int]bool
 	clock  func() int64
-	table  *ChainTable
+	table  *core.Index
 
 	// sink, when set, receives every completed op and comm event as it
 	// is recorded (see stream.go); drop releases completed ops instead
@@ -561,7 +463,7 @@ type Recorder struct {
 	// objects plus the pending ones for its whole length.
 	free []*Op
 	// lastHead is a one-entry memo in front of RespondReadHead's intern:
-	// consecutive reads mostly return one head, and the table never
+	// consecutive reads mostly return one head, and the index never
 	// forgets a block, so skipping the repeat is exact.
 	lastHead *core.Block
 }
@@ -605,17 +507,17 @@ func NewRecorder(procs int, clock func() int64) *Recorder {
 	if clock == nil {
 		clock = func() int64 { return 0 }
 	}
-	return &Recorder{procs: procs, faulty: make(map[int]bool), clock: clock, table: NewChainTable()}
+	return &Recorder{procs: procs, faulty: make(map[int]bool), clock: clock, table: core.NewIndex()}
 }
 
-// Table returns the recorder's shared chain table. The run's replica
-// trees are built on its index and intern every block they attach, so
-// interned reads can always materialize.
-func (r *Recorder) Table() *ChainTable { return r.table }
+// Table returns the run's block index. The run's replica trees are
+// built on it and intern every block they attach, so interned reads can
+// always materialize.
+func (r *Recorder) Table() *core.Index { return r.table }
 
-// InternBlock registers a block in the shared chain table, for a caller
-// that records interned reads without a replica tree on the table's
-// index (the benchmark's record_read kernel, tests).
+// InternBlock registers a block in the run's block index, for a caller
+// that records interned reads without a replica tree on the index (the
+// benchmark's record_read kernel, tests).
 func (r *Recorder) InternBlock(b *core.Block) { r.table.Intern(b) }
 
 // MarkFaulty declares process p Byzantine/crashed; its reads are excluded
@@ -663,7 +565,7 @@ func (r *Recorder) RespondRead(op *Op, c core.Chain) {
 
 // RespondReadHead records the response event of a pending read as an
 // interned (head, length) handle — O(1), no chain copy. The head block
-// and its ancestors must be interned in the recorder's table (replicas
+// and its ancestors must be interned in the recorder's index (replicas
 // intern on attach), so Op.Chain() can materialize on demand.
 func (r *Recorder) RespondReadHead(op *Op, head *core.Block) {
 	r.mu.Lock()

@@ -30,10 +30,19 @@ func TestInternedReadMaterializes(t *testing.T) {
 	if !got.Equal(chain) {
 		t.Fatalf("materialized %s, want %s", got, chain)
 	}
-	// A second read at the same head shares the memoized chain.
+	// A second read at the same head materializes an equal chain of its
+	// own: the caller may modify it without touching another read's.
 	op2 := rec.ReadHead(0, chain.Head())
-	if &op2.Chain()[0] != &got[0] {
-		t.Fatal("same-head reads did not share the interned chain")
+	got2 := op2.Chain()
+	if !got2.Equal(got) {
+		t.Fatalf("same-head read materialized %s, want %s", got2, got)
+	}
+	if &got2[0] == &got[0] {
+		t.Fatal("same-head reads share one backing array")
+	}
+	got2[0] = nil
+	if !got.Equal(chain) || !op2.Chain().Equal(chain) {
+		t.Fatal("modifying one read's chain changed another's")
 	}
 }
 
@@ -46,23 +55,6 @@ func TestInternedReadAtIntermediateHead(t *testing.T) {
 	op := rec.ReadHead(0, chain[4])
 	if got := op.Chain(); !got.Equal(chain[:5]) {
 		t.Fatalf("intermediate-head chain %s, want %s", got, chain[:5])
-	}
-}
-
-func TestChainTableMissingAncestor(t *testing.T) {
-	tab := NewChainTable()
-	chain := buildChain(3)
-	// Intern the head but not its ancestors.
-	tab.Intern(chain.Head())
-	if c := tab.ChainTo(chain.Head().ID); c != nil {
-		t.Fatalf("materialized a chain with missing ancestors: %s", c)
-	}
-	// ChainTo of a never-interned head is nil, genesis always works.
-	if c := tab.ChainTo("nowhere"); c != nil {
-		t.Fatal("unknown head materialized")
-	}
-	if c := tab.ChainTo(core.GenesisID); c.Len() != 1 {
-		t.Fatalf("genesis chain %v", c)
 	}
 }
 

@@ -93,7 +93,7 @@ func (c *segmentCopies) history(procs int) *History {
 	for _, op := range c.ops {
 		h.Ops = append(h.Ops, op)
 		if h.Table == nil {
-			h.Table = op.src // one recorder, one table
+			h.Table = op.src // one recorder, one index
 		}
 	}
 	// Segments hold ops in response order; the batch History contract
@@ -154,7 +154,7 @@ func TestSegmentSinkSealsAndAssemblesHistory(t *testing.T) {
 		t.Errorf("assembled Correct wrong: %v", got.Correct)
 	}
 	if got.Table != rec.Table() {
-		t.Error("assembled history lost the chain table of its interned reads")
+		t.Error("assembled history lost the block index of its interned reads")
 	}
 }
 
@@ -177,7 +177,7 @@ func TestDropModeSnapshotKeepsOnlyPending(t *testing.T) {
 // mode with a release-after-seal segment sink, the heap after GC is
 // independent of how many operations streamed through — sealed
 // segments (and their op records) really are reclaimed, and nothing
-// (recorder, table memo, sink) retains their backing arrays.
+// (recorder, block index, sink) retains their backing arrays.
 func TestSegmentReleaseReclaimable(t *testing.T) {
 	heapAfter := func(reads int) uint64 {
 		rec := NewRecorder(1, nil)
@@ -189,17 +189,12 @@ func TestSegmentReleaseReclaimable(t *testing.T) {
 		for _, b := range c[1:] {
 			rec.Append(0, b, true)
 		}
-		memo0 := rec.Table().MemoLen()
 		for i := 0; i < reads; i++ {
 			rec.ReadHead(0, c[1+i%8])
 		}
 		seg.Seal()
 		if sink.ops != reads+8 {
 			t.Fatalf("sink saw %d ops, want %d", sink.ops, reads+8)
-		}
-		// Interned reads must not have grown the table memo.
-		if grown := rec.Table().MemoLen() - memo0; grown > 8 {
-			t.Fatalf("table memo grew by %d chains over %d reads", grown, reads)
 		}
 		runtime.GC()
 		var ms runtime.MemStats

@@ -183,7 +183,7 @@ func TestNilBlockUpdateIsRejected(t *testing.T) {
 // parent that copy names: a twin whose parent is missing waits as an
 // orphan for that parent (never hung under the other copy's), a twin
 // whose height does not follow its parent's is refused, and the run's
-// chain table keeps the first copy any replica attached. The outcome
+// block index keeps the first copy any replica attached. The outcome
 // was the same before the replicas shared a block index.
 func TestTwinWithAnotherParent(t *testing.T) {
 	sim := simnet.NewSim(5)
@@ -226,6 +226,6 @@ func TestTwinWithAnotherParent(t *testing.T) {
 		t.Fatalf("c holds the twin as %v, want under %s", ch, p2.ID.Short())
 	}
 	if got := g.Rec.Table().ChainTo("x"); len(got) != 3 || got[1] != p1 {
-		t.Fatalf("chain table reads %v for x, want the first copy attached (under %s)", got, p1.ID.Short())
+		t.Fatalf("block index reads %v for x, want the first copy attached (under %s)", got, p1.ID.Short())
 	}
 }

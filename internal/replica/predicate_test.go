@@ -154,7 +154,7 @@ func TestValidityMemoCannotLaunderATwin(t *testing.T) {
 		}
 	}
 	if g.Rec.Table().Block(honest.ID) != honest {
-		t.Error("the chain table holds another copy of the honest block")
+		t.Error("the block index holds another copy of the honest block")
 	}
 	if (core.WellFormed{}).Valid(twin) {
 		t.Error("the twin passes P after the run")

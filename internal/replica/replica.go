@@ -78,9 +78,9 @@ type Process struct {
 // simulation, a transport.Node in live deployments. The handler for the
 // process is installed on the port; protocol layers that need their
 // own messages should multiplex through SetAuxHandler. The replica's
-// tree is built on the block index of rec's chain table, so all replicas
-// recording into one recorder share one index and every block they
-// attach is known to the table.
+// tree is built on rec's block index, so all replicas recording into
+// one recorder share one index and every block they attach is known to
+// the recorder.
 func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder) *Process {
 	if f == nil {
 		f = core.LongestChain{}
@@ -91,7 +91,7 @@ func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder) *Process
 		Rec:        rec,
 		P:          core.AlwaysValid{},
 		nw:         nw,
-		tree:       core.NewTreeOn(rec.Table().Index()),
+		tree:       core.NewTreeOn(rec.Table()),
 		pending:    make(map[core.BlockID][]*core.Block),
 		pendingHas: make(map[core.BlockID]bool),
 	}
@@ -107,7 +107,7 @@ func (p *Process) Tree() *core.Tree { return p.tree }
 // operation as an interned (head, length) handle: the selector's
 // head-only fast path picks the head and no O(height) chain is copied.
 // The recorded op materializes its chain lazily (op.Chain()) from the
-// recorder's shared chain table when a checker or renderer asks.
+// run's block index when a checker or renderer asks.
 func (p *Process) Read() *history.Op {
 	if p.Down() {
 		return nil // a crashed process performs no operations
@@ -231,8 +231,9 @@ func (p *Process) applyOne(r core.Ref, recv *core.BlockID) bool {
 		}
 		return false
 	}
-	// The attach is also what interns b in the run's index (and so in
-	// the recorder's chain table): only a block this replica accepted.
+	// The attach is also what interns b in the run's index, the one the
+	// recorder's reads materialize from: only a block this replica
+	// accepted.
 	if err := p.tree.AttachResolved(r); err != nil {
 		return false
 	}

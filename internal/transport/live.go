@@ -192,11 +192,11 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	// The shared recorder is the sequencing collector: every node
 	// records into it, its mutex totally orders the op feed, and the
 	// AsyncSink replays that order into the monitor off the hot path.
-	// Its chain table's index is the one every tree is built on, which
-	// the carrier decodes against.
+	// Its block index is the one every tree is built on, which the
+	// carrier decodes against.
 	rec := history.NewRecorder(cfg.N, clock)
 	roster := NewRoster(cfg.N, cfg.Merits, cfg.Addrs)
-	tr, err := newCarrier(cfg.Transport, roster, rec.Table().Index())
+	tr, err := newCarrier(cfg.Transport, roster, rec.Table())
 	if err != nil {
 		return nil, err
 	}

@@ -160,7 +160,7 @@ func TestLiveTCPTreesHoldTheIndexBlocks(t *testing.T) {
 	if !res.Converged || res.AppendsOK < 40 {
 		t.Fatalf("tcp run: appends=%d converged=%v", res.AppendsOK, res.Converged)
 	}
-	idx := res.History.Table.Index()
+	idx := res.History.Table
 	for i, tree := range res.Trees {
 		for _, b := range tree.Blocks() {
 			if held := idx.Block(b.ID); held != b {
