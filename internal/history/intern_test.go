@@ -58,6 +58,28 @@ func TestInternedReadAtIntermediateHead(t *testing.T) {
 	}
 }
 
+// TestChainTableMissingAncestor: a read interned at a head whose
+// ancestors the run's block index lacks materializes no chain; a
+// never-interned head has none either, genesis's is genesis alone.
+func TestChainTableMissingAncestor(t *testing.T) {
+	rec := NewRecorder(1, nil)
+	chain := buildChain(3)
+	// Intern the head but not its ancestors.
+	rec.InternBlock(chain.Head())
+	if c := rec.ReadHead(0, chain.Head()).Chain(); c != nil {
+		t.Fatalf("materialized a chain with missing ancestors: %s", c)
+	}
+	if c := rec.Table().ChainTo(chain.Head().ID); c != nil {
+		t.Fatalf("index materialized a chain with missing ancestors: %s", c)
+	}
+	if c := rec.Table().ChainTo("nowhere"); c != nil {
+		t.Fatal("unknown head materialized")
+	}
+	if c := rec.Table().ChainTo(core.GenesisID); c.Len() != 1 {
+		t.Fatalf("genesis chain %v", c)
+	}
+}
+
 func TestExplicitChainReadStillWorks(t *testing.T) {
 	rec := NewRecorder(1, nil)
 	chain := buildChain(4)
