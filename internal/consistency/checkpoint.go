@@ -30,14 +30,13 @@
 // always marshals to the same bytes — checkpoint digests can be pinned.
 //
 // Self-containment: the checkpoint embeds a block pool covering every
-// block a retained record can reference — append arguments, eagerly
-// recorded chains, and the interned chains behind retained read heads —
-// so RestoreMonitor works with a fresh table (a recovered process that
-// lost its recorder) as well as with the live run's table. Restoring
-// interns the pool into whichever table is used; for histories honoring
-// the Recorder invariant (every attached block is interned) this is a
-// no-op, which is what keeps restored-monitor renderings byte-identical
-// to the uninterrupted run's.
+// block a retained record can reference — append arguments and the
+// chains behind retained read heads — so RestoreMonitor works with a
+// fresh table (a recovered process that lost its recorder) as well as
+// with the live run's table. Restoring interns the pool into whichever
+// table is used; for histories honoring the Recorder invariant (every
+// read's chain is interned) this is a no-op, which is what keeps
+// restored-monitor renderings byte-identical to the uninterrupted run's.
 package consistency
 
 import (
@@ -70,12 +69,10 @@ type ckpt struct {
 type recFields opRec
 
 // recWire is opRec on the wire: its exported fields as they stand, its
-// block and eager chain as IDs into the pool. A null Chain is an interned
-// read (no eager chain), which an empty one is not.
+// block as an ID into the pool.
 type recWire struct {
 	recFields
 	Block core.BlockID `json:",omitempty"`
-	Chain []core.BlockID
 }
 
 func (r opRec) MarshalJSON() ([]byte, error) {
@@ -83,18 +80,12 @@ func (r opRec) MarshalJSON() ([]byte, error) {
 	if r.block != nil {
 		w.Block = r.block.ID
 	}
-	if r.chain != nil {
-		w.Chain = make([]core.BlockID, len(r.chain))
-		for i, b := range r.chain {
-			w.Chain[i] = b.ID
-		}
-	}
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON leaves a stub — a block that is only its ID — wherever
-// the record names a block; resolve swaps the stubs for the table's
-// blocks once the pool is interned.
+// UnmarshalJSON leaves a stub — a block that is only its ID — where the
+// record names a block; RestoreMonitor swaps the stub for the table's
+// block once the pool is interned.
 func (r *opRec) UnmarshalJSON(data []byte) error {
 	var w recWire
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -103,12 +94,6 @@ func (r *opRec) UnmarshalJSON(data []byte) error {
 	*r = opRec(w.recFields)
 	if w.Block != "" {
 		r.block = &core.Block{ID: w.Block}
-	}
-	if w.Chain != nil {
-		r.chain = make(core.Chain, len(w.Chain))
-		for i, id := range w.Chain {
-			r.chain[i] = &core.Block{ID: id}
-		}
 	}
 	return nil
 }
@@ -185,10 +170,9 @@ func (m *Monitor) Checkpoint() ([]byte, error) {
 		if r.block != nil {
 			add(r.block)
 		}
-		add(r.chain...)
-		// Interned read: pull the chain behind the head from the index so
-		// the checkpoint stays self-contained for index-less restores.
-		if r.Kind == history.OpRead && r.chain == nil && r.Head != "" && m.table != nil {
+		// A read: pull the chain behind the head from the index so the
+		// checkpoint stays self-contained for index-less restores.
+		if r.Kind == history.OpRead {
 			add(m.table.ChainTo(r.Head)...)
 		}
 	})
@@ -266,10 +250,11 @@ func (s *monitorState) validate(procs, window int) error {
 // RestoreMonitor rebuilds a monitor from a Checkpoint. cfg supplies the
 // non-serializable parts — Score, P, Table, OnWitness — and must
 // structurally match the checkpointed monitor (Procs, Horizon, K),
-// which is validated. A nil cfg.Table gets a fresh index; either way
-// the checkpoint's block pool is interned so retained records
-// materialize. The restored monitor then consumes the remainder of the
-// stream and Finalizes exactly as the original would have.
+// which is validated. A nil cfg.Table gets a fresh index (NewMonitor's
+// default); either way the checkpoint's block pool is interned so
+// retained records materialize. The restored monitor then consumes the
+// remainder of the stream and Finalizes exactly as the original would
+// have.
 func RestoreMonitor(data []byte, cfg MonitorConfig) (*Monitor, error) {
 	corrupt := func(format string, args ...any) (*Monitor, error) {
 		return nil, fmt.Errorf("consistency: corrupt checkpoint: "+format, args...)
@@ -289,9 +274,6 @@ func RestoreMonitor(data []byte, cfg MonitorConfig) (*Monitor, error) {
 	if err := ck.State.validate(m.procs, m.window); err != nil {
 		return corrupt("%w", err)
 	}
-	if m.table == nil {
-		m.table = core.NewIndex()
-	}
 	for i, b := range ck.Pool {
 		if err := checkPoolBlock(b); err != nil {
 			return corrupt("pool[%d]: %w", i, err)
@@ -300,26 +282,28 @@ func RestoreMonitor(data []byte, cfg MonitorConfig) (*Monitor, error) {
 	}
 	m.monitorState = ck.State
 
-	// Swap each record's stubs for the table's blocks, and hold it to its
+	// Swap each record's stub for the table's block, and hold it to its
 	// place: a witness renders a record by its kind, an append through
-	// its block.
+	// its block, a read through the chain its head names.
 	var bad error
-	resolve := func(r *opRec, stub *core.Block) *core.Block {
-		b := m.table.Block(stub.ID)
-		if b == nil && bad == nil {
-			bad = fmt.Errorf("record %d names block %s missing from pool", r.ID, stub.ID.Short())
-		}
-		return b
-	}
 	m.eachRec(func(r *opRec, kind history.OpKind) {
-		if bad == nil && (r.Kind != kind || (kind == history.OpAppend && r.block == nil)) {
+		if bad != nil {
+			return
+		}
+		if r.Kind != kind || (kind == history.OpAppend && r.block == nil) {
 			bad = fmt.Errorf("record %d is a %s with block %v where %ss are kept", r.ID, r.Kind, r.block != nil, kind)
+			return
 		}
 		if r.block != nil {
-			r.block = resolve(r, r.block)
+			stub := r.block
+			if r.block = m.table.Block(stub.ID); r.block == nil {
+				bad = fmt.Errorf("record %d names block %s missing from pool", r.ID, stub.ID.Short())
+			}
 		}
-		for i, stub := range r.chain {
-			r.chain[i] = resolve(r, stub)
+		if kind == history.OpRead {
+			if c := m.table.ChainTo(r.Head); len(c) != r.ChainLen || c == nil && r.Head != "" {
+				bad = fmt.Errorf("record %d reads a chain of %d blocks to %s the pool does not hold", r.ID, r.ChainLen, r.Head.Short())
+			}
 		}
 	})
 	if bad != nil {

@@ -265,7 +265,8 @@ func TestCheckpointValidation(t *testing.T) {
 		{"window past Horizon", "Win", `[{"Kind":1},{"Kind":1},{"Kind":1}]`},
 		{"read among the appends", "Tokens", `{"tkn":[{"Kind":1}]}`},
 		{"append without a block", "AppendInv", `{"x":{"Kind":0}}`},
-		{"block missing from pool", "Win", `[{"Kind":1,"Chain":["nowhere"]}]`},
+		{"block missing from pool", "AppendInv", `{"x":{"Kind":0,"Block":"nowhere"}}`},
+		{"read head missing from pool", "Win", `[{"Kind":1,"Head":"nowhere","ChainLen":3}]`},
 		{"chain key without length", "SPCmp", `{"x":true}`},
 	} {
 		_, err := RestoreMonitor(withState(t, two, tc.field, tc.raw), cfg)

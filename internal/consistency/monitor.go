@@ -22,20 +22,19 @@
 //     alone, so how a feed interleaves the two does not matter; they
 //     emit no live witnesses.
 //
-// Cost per read: O(1) amortized for interned reads under the length
-// score, while the append of every block read is eventually recorded.
-// The length score is the read's recorded chain length, and the Block
-// Validity fact of a chain not seen before is extended from that of the
-// nearest ancestor chain already read, by walking parent links in the
-// run's block index (extendFact), so over a run P examines each block
-// about once and no chain is materialized while streaming. A block whose
-// append is never recorded (a Byzantine block that bypassed append())
-// makes every distinct chain through it re-walk from below that block,
-// O(distance to it). An eagerly recorded chain, any other Score and a
-// monitor without an index are scanned over the whole chain, O(height)
-// per distinct chain. Finalize materializes chains only for Block
-// Validity suspects, violations and distinct chains inside the final
-// window.
+// Cost per read: O(1) amortized under the length score, while the
+// append of every block read is eventually recorded. Every read is an
+// interned (head, length) handle on the run's block index. The length
+// score is the read's recorded chain length, and the Block Validity fact
+// of a chain not seen before is extended from that of the nearest
+// ancestor chain already read, by walking parent links in the index
+// (extendFact), so over a run P examines each block about once and no
+// chain is materialized while streaming. A block whose append is never
+// recorded (a Byzantine block that bypassed append()) makes every
+// distinct chain through it re-walk from below that block, O(distance to
+// it). Any other Score materializes each distinct chain once to score
+// it, O(height). Finalize materializes chains only for Block Validity
+// suspects, violations and distinct chains inside the final window.
 //
 // Violation Witnesses are emitted through OnWitness the moment they
 // form (live channel, advisory for the window properties), and
@@ -108,11 +107,11 @@ type MonitorConfig struct {
 	// emitted the moment a token is consumed a (K+1)-th time. Token
 	// groups are tracked regardless, so KForkReport works for any k.
 	K int
-	// Table is the run's block index: incremental scoring and validity
-	// facts walk its parent links, witness reconstruction materializes
-	// chains from it, and Update Agreement reads a block's creator off
-	// it. May be nil for histories recorded with explicit chains
-	// (RespondRead), which the monitor retains on the few ops it keeps.
+	// Table is the run's block index (the recorder's): incremental
+	// scoring and validity facts walk its parent links, witness
+	// reconstruction materializes chains from it, and Update Agreement
+	// reads a block's creator off it. Nil means a fresh index, which
+	// knows no block but genesis.
 	Table *core.Index
 	// OnWitness, when set, receives each violation witness the moment
 	// it forms. It runs under the recorder's lock: keep it fast and do
@@ -126,11 +125,9 @@ type MonitorConfig struct {
 
 // opRec is the compact record of one operation the monitors retain:
 // everything needed to rebuild the op for a witness, nothing that
-// retains the history (the chain field is only set for reads recorded
-// with an explicit chain; interned reads re-materialize from the table).
+// retains the history (a read re-materializes its chain from the table).
 // The exported fields are what a checkpoint writes as they stand; block
-// and chain are pointers into the run and go through recWire
-// (checkpoint.go).
+// is a pointer into the run and goes through recWire (checkpoint.go).
 type opRec struct {
 	ID, Proc    int
 	Kind        history.OpKind
@@ -140,7 +137,6 @@ type opRec struct {
 	Inv, Rsp    int
 	InvT, RspT  int64
 	block       *core.Block
-	chain       core.Chain
 	Score       int // read score (reads only)
 	Ord         int // position in the correct-read order (reads only)
 }
@@ -151,7 +147,7 @@ func recOf(op *history.Op) opRec {
 	return opRec{
 		ID: op.ID, Proc: op.Proc, Kind: op.Kind, OK: op.OK, Pending: op.Pending,
 		Head: op.Head, ChainLen: op.ChainLen, Inv: op.InvIndex, Rsp: op.RspIndex,
-		InvT: op.InvTime, RspT: op.RspTime, block: op.Block, chain: op.EagerChain(),
+		InvT: op.InvTime, RspT: op.RspTime, block: op.Block,
 	}
 }
 
@@ -191,7 +187,7 @@ func (s *recSet) insert(r *opRec, cap int) {
 // keep passing. Reads that fail at arrival become suspects, re-resolved
 // against the final append index at Finalize.
 //
-// The fact of an interned read is not scanned from genesis but extended,
+// The fact of a read is not scanned from genesis but extended,
 // block by block, from the fact of the nearest ancestor chain already
 // read (extendFact), so P sees each block once, not once per chain
 // containing it. The ancestor's fact is older than a scan made now, and
@@ -371,6 +367,9 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		if w < 2 {
 			w = 2
 		}
+	}
+	if cfg.Table == nil {
+		cfg.Table = core.NewIndex()
 	}
 	m := &Monitor{
 		score:   cfg.Score,
@@ -659,7 +658,7 @@ func (m *Monitor) spConsume(rec *opRec) {
 	}
 }
 
-// comparable probes whether the chains behind two interned keys are
+// comparable probes whether the chains behind two read keys are
 // prefix-comparable, by walking parent links in the table (O(Δheight),
 // no materialization).
 func (m *Monitor) comparable(a, b chainKey) bool {
@@ -669,9 +668,6 @@ func (m *Monitor) comparable(a, b chainKey) bool {
 	short, long := a, b
 	if short.n > long.n {
 		short, long = long, short
-	}
-	if m.table == nil {
-		return false
 	}
 	anc := m.table.AncestorAt(long.head, short.n-1)
 	return anc != nil && anc.ID == short.head
@@ -708,19 +704,15 @@ func (m *Monitor) factOfOp(op *history.Op) *bvFact {
 	return f
 }
 
-// extendFact builds an interned read's fact from the fact of its nearest
+// extendFact builds a read's fact from the fact of its nearest
 // already-read ancestor chain that is extendable (see bvFact): it walks
 // parent links in the table from the read's head towards genesis until
 // it meets one, then folds the blocks passed into a copy of it. Reads
 // mostly return the chain of a recent read plus a block or two, so the
 // walk is O(1) amortized where the materialization is O(height). It
-// returns nil when there is nothing to walk or the walk breaks — an
-// eagerly recorded chain, no table, a missing ancestor, a height that
+// returns nil when the walk breaks — a missing ancestor, a height that
 // does not match — and the caller scans the materialized chain.
 func (m *Monitor) extendFact(op *history.Op) *bvFact {
-	if m.table == nil || op.EagerChain() != nil {
-		return nil
-	}
 	f := &bvFact{Clean: true, MaxAppendInv: -1}
 	path := m.path[:0]
 	b := m.table.Block(op.Head)
@@ -793,7 +785,7 @@ func (m *Monitor) rebuild(r opRec) *history.Op {
 		Head: r.Head, ChainLen: r.ChainLen, InvIndex: r.Inv, RspIndex: r.Rsp,
 		InvTime: r.InvT, RspTime: r.RspT, Pending: r.Pending,
 	}
-	op.SetSource(m.table, r.chain)
+	op.SetSource(m.table)
 	return op
 }
 
@@ -905,13 +897,11 @@ func (m *Monitor) finalSP() *Report {
 	for _, l := range lens {
 		sl := m.SPLens[l]
 		for _, run := range sl.Runs {
-			// Interned reads are cleared by the O(Δheight) ancestor probe
-			// (prev is never the longer chain, so comparable means
-			// prefix); only a pair the probe cannot clear — a violation,
-			// an eager chain, no table — has its chains materialized.
-			interned := prev.chain == nil && run.First.chain == nil
-			if havePrev && prev.key() != run.First.key() &&
-				!(interned && m.comparable(prev.key(), run.First.key())) {
+			// A pair is cleared by the O(Δheight) ancestor probe (prev is
+			// never the longer chain, so comparable means prefix); only a
+			// pair the probe cannot clear — a violation, a chain the
+			// table cannot walk — has its chains materialized.
+			if havePrev && !m.comparable(prev.key(), run.First.key()) {
 				pOp, cOp := m.rebuild(prev), m.rebuild(run.First)
 				if !pOp.Chain().Prefix(cOp.Chain()) {
 					rep.witness([]*history.Op{pOp, cOp}, []core.BlockID{prev.Head, run.First.Head},

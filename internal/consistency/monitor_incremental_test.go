@@ -9,8 +9,7 @@ import (
 
 // These tests pin the incremental per-chain facts of the Monitor
 // (extendFact): their cost, and their equivalence to the oracle on the
-// streams built to stress them — through interned reads, since
-// eagerly recorded chains keep the scan.
+// streams built to stress them.
 
 // countingPred counts the blocks P is asked about and rejects the listed
 // ones.
@@ -22,32 +21,15 @@ type countingPred struct {
 func (p countingPred) Valid(b *core.Block) bool { *p.calls++; return !p.invalid[b.ID] }
 func (countingPred) Name() string               { return "counting" }
 
-// internSink hands every read to the monitor as an interned (head,
-// length) handle, dropping an eagerly recorded chain: the blocks are in
-// the run's block index, so the handle names the same chain, and the
-// stream takes the extending path where it would have taken the scan.
-type internSink struct {
-	*Monitor
-	table *core.Index
-}
-
-func (s internSink) OpDone(op *history.Op) {
-	if op.Kind == history.OpRead && op.EagerChain() != nil {
-		interned := *op
-		interned.SetSource(s.table, nil)
-		op = &interned
-	}
-	s.Monitor.OpDone(op)
-}
-
 // FuzzMonitorInternedEquivalence replays FuzzMonitorEquivalence's op
 // streams — forks, stale reads, forged and never-appended blocks,
-// duplicate and pending appends — with every read interned, so that the
-// extended facts, not the scan, face the oracle — under the length
-// score (read off the op) and the weight score (scanned), fed directly
-// and out of 2–4-op segments whose ops a drop-mode recorder takes back
-// and reuses (the recycled path: a record that still pointed into a
-// delivered op would render a later operation in its witness).
+// duplicate and pending appends, reads recorded as a head or as an
+// explicit chain, both interned — so that the extended facts face the
+// oracle under the length score (read off the op) and the weight score
+// (scanned), fed directly and out of 2–4-op segments whose ops a
+// drop-mode recorder takes back and reuses (the recycled path: a record
+// that still pointed into a delivered op would render a later operation
+// in its witness).
 func FuzzMonitorInternedEquivalence(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -59,8 +41,8 @@ func FuzzMonitorInternedEquivalence(f *testing.F) {
 		const procs = 3
 		build := func(rec *history.Recorder) { fuzzBuild(rec, procs, data) }
 		for _, score := range []core.Score{core.LengthScore{}, core.WeightScore{}} {
-			monitorHarness{score: score, interned: true}.run(t, procs, build)
-			monitorHarness{score: score, interned: true, segSize: 2 + len(data)%3, drop: true}.run(t, procs, build)
+			monitorHarness{score: score}.run(t, procs, build)
+			monitorHarness{score: score, segSize: 2 + len(data)%3, drop: true}.run(t, procs, build)
 		}
 	})
 }
@@ -68,38 +50,47 @@ func FuzzMonitorInternedEquivalence(f *testing.F) {
 // TestMonitorValidatesEachBlockOnce proves the complexity claim: on a
 // single-writer stream with one read per block the monitor asks P about
 // each block once — 2 000 calls, where a scan per distinct chain makes
-// 2 001 000 — also when the monitor is checkpointed and restored half
-// way, and Finalize on the benign run adds none.
+// 2 001 000 — whether the reads are recorded as heads or as explicit
+// chains, also when the monitor is checkpointed and restored half way,
+// and Finalize on the benign run adds none.
 func TestMonitorValidatesEachBlockOnce(t *testing.T) {
 	const blocks = 2000
-	for _, cut := range []int{-1, blocks / 2} {
-		calls := 0
-		rec := history.NewRecorder(1, nil)
-		rec.SetRetain(false)
-		cfg := MonitorConfig{Procs: 1, P: countingPred{calls: &calls}, Table: rec.Table()}
-		sink := &ckptSink{t: t, mon: NewMonitor(cfg), cfg: cfg, at: 2 * cut}
-		rec.SetSink(sink)
+	for _, explicit := range []bool{false, true} {
+		for _, cut := range []int{-1, blocks / 2} {
+			calls := 0
+			rec := history.NewRecorder(1, nil)
+			rec.SetRetain(false)
+			cfg := MonitorConfig{Procs: 1, P: countingPred{calls: &calls}, Table: rec.Table()}
+			sink := &ckptSink{t: t, mon: NewMonitor(cfg), cfg: cfg, at: 2 * cut}
+			rec.SetSink(sink)
 
-		head := core.Genesis()
-		for i := 1; i <= blocks; i++ {
-			head = core.NewBlock(head.ID, head.Height+1, 0, i, nil)
-			rec.InternBlock(head)
-			rec.Append(0, head, true)
-			rec.ReadHead(0, head)
-		}
-		if calls != blocks {
-			t.Errorf("cut=%d: P called %d times while streaming, want %d", cut, calls, blocks)
-		}
+			chain := core.GenesisChain()
+			for i := 1; i <= blocks; i++ {
+				parent := chain.Head()
+				head := core.NewBlock(parent.ID, parent.Height+1, 0, i, nil)
+				chain = append(chain, head)
+				rec.InternBlock(head)
+				rec.Append(0, head, true)
+				if explicit {
+					rec.Read(0, chain)
+				} else {
+					rec.ReadHead(0, head)
+				}
+			}
+			if calls != blocks {
+				t.Errorf("explicit=%v cut=%d: P called %d times while streaming, want %d", explicit, cut, calls, blocks)
+			}
 
-		sc, ec := sink.mon.Finalize()
-		if !sc.OK || !ec.OK {
-			t.Errorf("cut=%d: benign stream judged SC=%v EC=%v", cut, sc.OK, ec.OK)
-		}
-		if got := sc.Reports[0]; got.Property != "BlockValidity" || got.Checked != blocks*(blocks+1)/2 {
-			t.Errorf("cut=%d: %s checked %d blocks, want %d", cut, got.Property, got.Checked, blocks*(blocks+1)/2)
-		}
-		if calls != blocks {
-			t.Errorf("cut=%d: P called %d times after Finalize, want %d", cut, calls, blocks)
+			sc, ec := sink.mon.Finalize()
+			if !sc.OK || !ec.OK {
+				t.Errorf("explicit=%v cut=%d: benign stream judged SC=%v EC=%v", explicit, cut, sc.OK, ec.OK)
+			}
+			if got := sc.Reports[0]; got.Property != "BlockValidity" || got.Checked != blocks*(blocks+1)/2 {
+				t.Errorf("explicit=%v cut=%d: %s checked %d blocks, want %d", explicit, cut, got.Property, got.Checked, blocks*(blocks+1)/2)
+			}
+			if calls != blocks {
+				t.Errorf("explicit=%v cut=%d: P called %d times after Finalize, want %d", explicit, cut, calls, blocks)
+			}
 		}
 	}
 }
@@ -113,7 +104,7 @@ func TestMonitorValidatesEachBlockOnce(t *testing.T) {
 func TestMonitorAppendRecordedAfterRead(t *testing.T) {
 	calls, streamed := 0, 0
 	c := chainN(40)
-	mon := monitorHarness{pred: countingPred{calls: &calls}, interned: true}.run(t, 2, func(rec *history.Recorder) {
+	mon := monitorHarness{pred: countingPred{calls: &calls}}.run(t, 2, func(rec *history.Recorder) {
 		for _, b := range c {
 			rec.InternBlock(b)
 		}
@@ -148,7 +139,7 @@ func TestMonitorInvalidAncestorExtends(t *testing.T) {
 	calls, streamed := 0, 0
 	c := chainN(30)
 	pred := countingPred{calls: &calls, invalid: map[core.BlockID]bool{c[10].ID: true}}
-	mon := monitorHarness{pred: pred, interned: true}.run(t, 2, func(rec *history.Recorder) {
+	mon := monitorHarness{pred: pred}.run(t, 2, func(rec *history.Recorder) {
 		for _, b := range c {
 			rec.InternBlock(b)
 		}
@@ -175,7 +166,7 @@ func TestMonitorFactMemoKeysOnHead(t *testing.T) {
 	base := chainN(3)
 	fork := forkN(base, 1, 2)
 	pred := countingPred{calls: new(int), invalid: map[core.BlockID]bool{fork[3].ID: true}}
-	mon := monitorHarness{pred: pred, interned: true}.run(t, 2, func(rec *history.Recorder) {
+	mon := monitorHarness{pred: pred}.run(t, 2, func(rec *history.Recorder) {
 		for _, b := range append(base, fork[2:]...) {
 			rec.InternBlock(b)
 		}

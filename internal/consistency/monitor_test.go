@@ -45,29 +45,28 @@ func verdictDump(v *Verdict) string {
 	return b.String()
 }
 
-// TestOpRecLayout pins the monitor's retained record at 128 bytes. A
+// TestOpRecLayout pins the monitor's retained record at 104 bytes. A
 // read builds one and hands it down by pointer; it is copied only into
 // the slots that keep it (the window, a class, a suspect set, a process's
 // previous read, a Strong Prefix run), so its size is what a retained
 // read costs, and a field added to it is a deliberate choice. The
 // checkpoint writes it through recWire whatever its layout.
 func TestOpRecLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(opRec{}); sz != 128 {
-		t.Errorf("an opRec is %d bytes, want 128", sz)
+	if sz := unsafe.Sizeof(opRec{}); sz != 104 {
+		t.Errorf("an opRec is %d bytes, want 104", sz)
 	}
 }
 
 // monitorHarness holds the Monitor against the oracle on one recorded
 // history: the build function records into a Recorder whose sink is the
-// Monitor (optionally via a SegmentSink, an internSink or a ckptSink),
-// then the definition-literal oracle on the snapshot is compared against
+// Monitor (optionally via a SegmentSink or a ckptSink), then the
+// definition-literal oracle on the snapshot is compared against
 // Monitor.Finalize. run returns the finalized monitor.
 type monitorHarness struct {
-	score    core.Score
-	pred     core.Predicate
-	horizon  int
-	segSize  int  // 0 = direct sink, >0 = route through a SegmentSink
-	interned bool // hand every read over as an interned handle (internSink)
+	score   core.Score
+	pred    core.Predicate
+	horizon int
+	segSize int // 0 = direct sink, >0 = route through a SegmentSink
 	// drop (with segSize > 0) records in drop mode, the SegmentSink being
 	// the recorder's direct sink: the monitor is fed ops the recorder
 	// takes back and overwrites a segment later, out of a Segment that is
@@ -93,26 +92,12 @@ func (hn monitorHarness) run(t *testing.T, procs int, build func(rec *history.Re
 	case hn.ckptAt > 0:
 		rec.SetSink(ckpt)
 	case hn.segSize > 0:
-		consume := mon.ConsumeSegment
-		if hn.interned {
-			sink := internSink{mon, rec.Table()}
-			consume = func(s *history.Segment) {
-				for _, op := range s.Ops {
-					sink.OpDone(op)
-				}
-				for _, e := range s.Comm {
-					sink.CommDone(e)
-				}
-			}
-		}
-		seg = history.NewSegmentSink(hn.segSize, consume)
+		seg = history.NewSegmentSink(hn.segSize, mon.ConsumeSegment)
 		seg.OnFaulty = mon.Faulty
 		rec.SetSink(seg)
 		if hn.drop {
 			rec.SetRetain(false)
 		}
-	case hn.interned:
-		rec.SetSink(internSink{mon, rec.Table()})
 	default:
 		rec.SetSink(mon)
 	}

@@ -45,15 +45,11 @@ func (m *Monitor) MonotonicPrefix() *Report {
 	return rep
 }
 
-// extends reports whether prev's chain is a prefix of cur's. Two
-// interned reads are answered by one ancestor probe in the table, which
-// holds every ancestor of a read head, without allocating; an eager chain
-// or no table take the materialized chains.
+// extends reports whether prev's chain is a prefix of cur's, by one
+// ancestor probe in the table, which holds every ancestor of a read
+// head, without allocating.
 func (m *Monitor) extends(prev, cur *opRec) bool {
-	switch {
-	case prev.chain != nil || cur.chain != nil || m.table == nil:
-		return m.rebuild(*prev).Chain().Prefix(m.rebuild(*cur).Chain())
-	case prev.key() == cur.key():
+	if prev.key() == cur.key() {
 		return true
 	}
 	anc := m.table.AncestorAt(cur.Head, prev.ChainLen-1)

@@ -71,7 +71,7 @@ func (m *Monitor) judgeComm(e history.CommEvent) {
 		return
 	}
 	local := false
-	if m.table != nil && e.Kind != history.EvReceive {
+	if e.Kind != history.EvReceive {
 		b := m.table.Block(e.Block)
 		local = b != nil && b.Creator == p
 	}

@@ -3,7 +3,8 @@
 // rows/series the paper's artifact shows and whose OK reports whether
 // the reproduction exhibits the property the paper claims. The bench
 // harness (bench_test.go at the repository root) wraps each experiment
-// in a testing.B benchmark; EXPERIMENTS.md records paper-vs-measured.
+// in a testing.B benchmark; `go run ./cmd/btadt` prints every artifact
+// with its paper-vs-measured verdict.
 package experiments
 
 import (

@@ -11,11 +11,11 @@
 // iff the response index of e precedes the invocation index of e′.
 //
 // Read results are interned: in a tree, the chain a read returns is
-// determined by its head block, so a read records only a compact
+// determined by its head block, so every read records only a compact
 // (head, length) handle against the run's block index (core.Index)
-// instead of copying an O(height) slice per read. Op.Chain()
-// materializes from the index when a checker or renderer actually needs
-// the blocks.
+// instead of copying an O(height) slice per read — a read answered with
+// an explicit chain interns its blocks first. Op.Chain() materializes
+// from the index when a checker or renderer actually needs the blocks.
 package history
 
 import (
@@ -57,55 +57,40 @@ type Op struct {
 	OK bool
 
 	// Head and ChainLen are the interned result of read(): the head
-	// block's ID and the chain length including genesis. The full chain
-	// is available via Chain().
+	// block's ID and the chain length including genesis (an empty chain
+	// is Head "", ChainLen 0). The full chain is available via Chain(),
+	// which materializes it from src, the run's block index.
 	Head     core.BlockID
 	ChainLen int
-
-	// chain is the read result recorded explicitly (RespondRead); an
-	// interned read leaves it nil and materializes from src.
-	chain core.Chain
-	src   *core.Index
+	src      *core.Index
 
 	InvIndex, RspIndex int
 	InvTime, RspTime   int64
 	// Pending marks an operation whose response has not been recorded
 	// (the process crashed or the run was truncated).
 	Pending bool
-	// slot is the op's index in Recorder.pending while it is tracked
-	// there (it sits in Pending's padding: an Op stays 136 bytes).
+	// slot is the op's index in Recorder.pending while it is pending
+	// (it sits in Pending's padding: an Op stays 112 bytes).
 	slot int32
 }
 
-// Chain returns the blockchain returned by read(). A read recorded as
-// an interned handle is materialized from the run's block index afresh
-// on every call, so the caller owns that slice. It must not be called
-// concurrently with recording; after recording has stopped it is safe
-// for concurrent use (the op itself is never written, and the index is
-// locked).
+// Chain returns the blockchain returned by read(), materialized from
+// the run's block index afresh on every call, so the caller owns the
+// slice. It must not be called concurrently with recording; after
+// recording has stopped it is safe for concurrent use (the op itself is
+// never written, and the index is locked).
 func (o *Op) Chain() core.Chain {
-	if o.chain != nil {
-		return o.chain
+	if o.src == nil {
+		return nil
 	}
-	if o.src != nil {
-		return o.src.ChainTo(o.Head)
-	}
-	return nil
+	return o.src.ChainTo(o.Head)
 }
 
-// EagerChain returns the explicitly recorded chain (RespondRead path),
-// nil for interned reads. The monitors retain it on the few ops they
-// keep, so witness reconstruction works for histories recorded without
-// a block index.
-func (o *Op) EagerChain() core.Chain { return o.chain }
-
-// SetSource attaches the block index (and optional eagerly recorded
-// chain) a rebuilt operation materializes its read result from. The
-// streaming monitors use it to reconstruct witness operations from
-// compact records after the original ops were released.
-func (o *Op) SetSource(idx *core.Index, chain core.Chain) {
-	o.src, o.chain = idx, chain
-}
+// SetSource attaches the block index a rebuilt operation materializes
+// its read result from. The streaming monitors use it to reconstruct
+// witness operations from compact records after the original ops were
+// released.
+func (o *Op) SetSource(idx *core.Index) { o.src = idx }
 
 // Before reports the program order ր: op ր other iff op's response event
 // precedes other's invocation event. Because processes are sequential,
@@ -287,9 +272,8 @@ type History struct {
 	// Consistency criteria quantify over correct processes only
 	// (Definition 4.2). A nil slice means all processes are correct.
 	Correct []bool
-	// Table is the block index the interned reads of Ops materialize
-	// from (the recorder's); nil for a history whose reads all carry
-	// explicit chains.
+	// Table is the block index the reads of Ops materialize from (the
+	// recorder's).
 	Table *core.Index
 
 	memoOnce sync.Once
@@ -445,8 +429,7 @@ type Recorder struct {
 	// sink, when set, receives every completed op and comm event as it
 	// is recorded (see stream.go); drop releases completed ops instead
 	// of retaining them for Snapshot; pending holds the invoked-but-
-	// unresponded ops, in no order, each at its Op.slot, when a sink or
-	// drop mode needs them (non-nil exactly then).
+	// unresponded ops, in no order, each at its Op.slot.
 	sink    Sink
 	drop    bool
 	pending []*Op
@@ -545,28 +528,24 @@ func (r *Recorder) InvokeRead(p int) *Op {
 	return op
 }
 
-// RespondRead records the response event of a pending read with an
-// explicitly materialized blockchain (sequential generators and tests;
-// the simulator hot path uses RespondReadHead).
+// RespondRead records the response event of a pending read answered
+// with an explicitly materialized blockchain (the refined BT-ADT object,
+// sequential generators and tests): it interns c's blocks into the
+// recorder's index and records the read as RespondReadHead does. An
+// empty chain records Head "" and ChainLen 0.
 func (r *Recorder) RespondRead(op *Op, c core.Chain) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	op.chain = c
-	if head := c.Head(); head != nil {
-		op.Head = head.ID
-		op.ChainLen = len(c)
+	for _, b := range c {
+		r.table.Intern(b)
 	}
-	op.RspIndex = r.seq
-	op.RspTime = r.clock()
-	op.Pending = false
-	r.seq++
-	r.opCompleted(op)
+	r.respondReadLocked(op, c.Head())
 }
 
 // RespondReadHead records the response event of a pending read as an
-// interned (head, length) handle — O(1), no chain copy. The head block
-// and its ancestors must be interned in the recorder's index (replicas
-// intern on attach), so Op.Chain() can materialize on demand.
+// interned (head, length) handle — O(1), no chain copy. The head block's
+// ancestors must be interned in the recorder's index (replicas intern on
+// attach), so Op.Chain() can materialize on demand.
 func (r *Recorder) RespondReadHead(op *Op, head *core.Block) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -574,8 +553,16 @@ func (r *Recorder) RespondReadHead(op *Op, head *core.Block) {
 		r.table.Intern(head)
 		r.lastHead = head
 	}
-	op.Head = head.ID
-	op.ChainLen = head.Height + 1
+	r.respondReadLocked(op, head)
+}
+
+// respondReadLocked is the response of a read whose head is interned; a
+// nil head is the empty chain. Callers hold r.mu.
+func (r *Recorder) respondReadLocked(op *Op, head *core.Block) {
+	if head != nil {
+		op.Head = head.ID
+		op.ChainLen = head.Height + 1
+	}
 	op.src = r.table
 	op.RspIndex = r.seq
 	op.RspTime = r.clock()

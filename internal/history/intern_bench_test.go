@@ -7,8 +7,9 @@ import (
 )
 
 // BenchmarkRecordRead measures recording one read of a deep chain:
-// the legacy copied-slice path (RespondRead materializes O(height))
-// against the interned (head, length) handle (DESIGN.md ablation #7).
+// materializing the chain and recording it explicitly (RespondRead
+// interns it, O(height)) against the interned (head, length) handle
+// (DESIGN.md ablation #7).
 func BenchmarkRecordRead(b *testing.B) {
 	chain := core.GenesisChain()
 	for i := 1; i <= 2000; i++ {

@@ -90,6 +90,9 @@ func TestExplicitChainReadStillWorks(t *testing.T) {
 	if !op.Chain().Equal(chain[:3]) {
 		t.Fatal("explicit chain lost")
 	}
+	if rec.Table().Block(chain[2].ID) == nil || rec.Table().Block(chain[3].ID) != nil {
+		t.Fatal("an explicit read must intern its chain's blocks and no others")
+	}
 }
 
 func TestMemoizedAccessorsShared(t *testing.T) {

@@ -26,15 +26,6 @@ func (r *Recorder) RegisterMetrics(reg *metrics.Registry) {
 	reg.Probe("hist.pendingOps", func() int64 {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		if r.pending != nil {
-			return int64(len(r.pending))
-		}
-		n := int64(0)
-		for _, op := range r.ops {
-			if op.Pending {
-				n++
-			}
-		}
-		return n
+		return int64(len(r.pending))
 	})
 }

@@ -13,16 +13,16 @@ import (
 // owns a segment's worth of ops plus the pending ones, and a retaining
 // run one Op per operation: their size is the run's op memory.
 func TestOpLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(Op{}); sz > 136 {
-		t.Errorf("an Op is %d bytes, want ≤ 136", sz)
+	if sz := unsafe.Sizeof(Op{}); sz > 112 {
+		t.Errorf("an Op is %d bytes, want ≤ 112", sz)
 	}
 }
 
 // TestOpInvokedBeforeTrackingLeavesPendingInPlace: an op invoked before
-// the recorder tracks pending ops (a sink attached, or retention dropped,
-// after it) is not in the pending set, and answering it later removes
-// nothing from it: the ops invoked since stay pending, in invocation
-// order, in PendingOps, in a drop-mode snapshot and in the probe.
+// a sink is attached, or retention dropped, is pending like any other,
+// and answering it afterwards takes it alone out of the pending set: the
+// ops invoked since stay pending, in invocation order, in PendingOps, in
+// a drop-mode snapshot and in the probe.
 func TestOpInvokedBeforeTrackingLeavesPendingInPlace(t *testing.T) {
 	for _, late := range []struct {
 		name  string
@@ -62,12 +62,12 @@ func TestOpInvokedBeforeTrackingLeavesPendingInPlace(t *testing.T) {
 // order. A script byte invokes a read (a%4 == 0) or an append (1) by
 // process a>>2 % 3, answers the (a>>2)-th open op (2), or seals the
 // current segment (3). A direct segment sink is attached before step
-// sinkAt and retention dropped before step dropAt, so ops invoked before
-// either are open but untracked, and in drop mode the ops of sealed
-// segments are handed back and reused under the open ones. After every
-// step PendingOps, a drop-mode Snapshot().Ops and the hist.pendingOps
-// probe must equal the model, and every open op must still read as the
-// operation it was invoked as.
+// sinkAt and retention dropped before step dropAt, so some ops are
+// invoked before either and answered after, and in drop mode the ops of
+// sealed segments are handed back and reused under the open ones. After
+// every step PendingOps, a drop-mode Snapshot().Ops and the
+// hist.pendingOps probe must equal the model, and every open op must
+// still read as the operation it was invoked as.
 func FuzzPendingOps(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{0, 1, 4, 2, 0, 6, 2, 2, 3, 2})
 	f.Add(uint8(3), uint8(255), []byte{0, 5, 9, 0, 2, 1, 6, 10, 2, 3, 2})       // sink after three invocations, keep mode
@@ -94,18 +94,16 @@ func FuzzPendingOps(f *testing.F) {
 			op         *Op
 			id, inv, p int
 			kind       OpKind
-			tracked    bool
 		}
 		var open []entry // invoked, unanswered, in invocation order
-		tracking, drop := false, false
+		drop := false
 		for step, a := range script {
 			if step == int(sinkAt) {
 				rec.SetSink(seg)
-				tracking = true
 			}
 			if step == int(dropAt) {
 				rec.SetRetain(false)
-				tracking, drop = true, true
+				drop = true
 			}
 			p := int(a>>2) % procs
 			switch a % 4 {
@@ -116,7 +114,7 @@ func FuzzPendingOps(f *testing.F) {
 				} else {
 					op = rec.InvokeAppend(p, c[1+p])
 				}
-				open = append(open, entry{op, op.ID, op.InvIndex, p, op.Kind, tracking})
+				open = append(open, entry{op, op.ID, op.InvIndex, p, op.Kind})
 			case 2:
 				if len(open) == 0 {
 					break
@@ -137,9 +135,7 @@ func FuzzPendingOps(f *testing.F) {
 				if op := e.op; !op.Pending || op.ID != e.id || op.InvIndex != e.inv || op.Proc != e.p || op.Kind != e.kind {
 					t.Fatalf("step %d: open op %d (inv %d, p%d, %s) now reads %+v", step, e.id, e.inv, e.p, e.kind, *op)
 				}
-				if e.tracked || !tracking {
-					want = append(want, e.op)
-				}
+				want = append(want, e.op)
 			}
 			if got := rec.PendingOps(); !slices.Equal(got, want) {
 				t.Fatalf("step %d: PendingOps = %v, want %v", step, got, want)

@@ -58,7 +58,6 @@ func (r *Recorder) SetSink(s Sink) {
 	if seg, ok := s.(*SegmentSink); ok {
 		seg.handBack = r.takeBack
 	}
-	r.trackPending()
 }
 
 // takeBack receives the ops of a segment the recorder's direct
@@ -89,43 +88,25 @@ func (r *Recorder) SetRetain(keep bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.drop = !keep
-	if r.drop {
-		r.trackPending()
-	}
 }
 
 // Procs returns the number of processes the recorder was created for.
 func (r *Recorder) Procs() int { return r.procs }
-
-// tracksPending reports whether the recorder must index pending ops
-// (needed to deliver them at Finalize time and to snapshot in drop
-// mode). Callers hold r.mu.
-func (r *Recorder) tracksPending() bool { return r.pending != nil }
-
-// trackPending starts indexing pending ops from the next invocation on;
-// ops already pending stay untracked. Callers hold r.mu.
-func (r *Recorder) trackPending() {
-	if r.pending == nil {
-		r.pending = make([]*Op, 0, 16)
-	}
-}
 
 // opInvoked files a freshly invoked (pending) operation. Callers hold r.mu.
 func (r *Recorder) opInvoked(op *Op) {
 	if !r.drop {
 		r.ops = append(r.ops, op)
 	}
-	if r.tracksPending() {
-		op.slot = int32(len(r.pending))
-		r.pending = append(r.pending, op)
-	}
+	op.slot = int32(len(r.pending))
+	r.pending = append(r.pending, op)
 }
 
 // opCompleted forwards a completed operation to the sink. Callers hold
 // r.mu; the sink contract forbids re-entry, so invoking it under the
 // lock is safe and keeps delivery in response order. The op leaves the
-// pending set by a swap with the last one; an op invoked before tracking
-// began is not in the set, which the identity check tells.
+// pending set by a swap with the last one; an op answered a second time
+// is no longer in the set, which the identity check tells.
 func (r *Recorder) opCompleted(op *Op) {
 	if i := int(op.slot); i < len(r.pending) && r.pending[i] == op {
 		last := len(r.pending) - 1
@@ -150,16 +131,6 @@ func (r *Recorder) PendingOps() []*Op {
 }
 
 func (r *Recorder) pendingLocked() []*Op {
-	if r.pending == nil {
-		// Without pending tracking, scan the retained ops.
-		var out []*Op
-		for _, op := range r.ops {
-			if op.Pending {
-				out = append(out, op)
-			}
-		}
-		return out
-	}
 	out := slices.Clone(r.pending)
 	slices.SortFunc(out, func(a, b *Op) int { return cmp.Compare(a.InvIndex, b.InvIndex) })
 	return out

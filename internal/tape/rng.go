@@ -11,8 +11,8 @@ import "math"
 
 // RNG is a small, fast, deterministic pseudorandom generator based on
 // splitmix64. It is intentionally self-contained (no math/rand) so the
-// sequence is stable across Go releases, which keeps the recorded
-// experiment outputs in EXPERIMENTS.md reproducible.
+// sequence is stable across Go releases, which keeps the experiment
+// outputs `go run ./cmd/btadt` prints reproducible.
 type RNG struct {
 	state uint64
 }
