@@ -108,7 +108,11 @@ func render(res *btsim.Result) {
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "p%d │", p)
 		for _, r := range byProc[p] {
-			fmt.Fprintf(&sb, " [l=%d %s]", r.Chain().Height(), headShort(r.Chain()))
+			head := "∅"
+			if r.Head != "" {
+				head = r.Head.Short()
+			}
+			fmt.Fprintf(&sb, " [l=%d %s]", r.ChainLen-1, head)
 		}
 		fmt.Println(sb.String())
 	}
@@ -163,13 +167,6 @@ func renderFaults(res *btsim.Result) {
 		}
 		fmt.Printf("       │ %s\n", line)
 	}
-}
-
-func headShort(c core.Chain) string {
-	if h := c.Head(); h != nil {
-		return h.ID.Short()
-	}
-	return "∅"
 }
 
 func drawTree(t *core.Tree, id core.BlockID, indent string) {

@@ -172,6 +172,21 @@ type chainKey struct {
 
 func keyOf(op *history.Op) chainKey { return chainKey{op.Head, op.ChainLen} }
 
+// keysComparable probes whether the chains behind two read keys are
+// prefix-comparable by walking parent links in x (O(Δheight), no
+// materialization); false means only that the probe cannot clear them.
+func keysComparable(x *core.Index, a, b chainKey) bool {
+	if a == b {
+		return true
+	}
+	short, long := a, b
+	if short.n > long.n {
+		short, long = long, short
+	}
+	anc := x.AncestorAt(long.head, short.n-1)
+	return anc != nil && anc.ID == short.head
+}
+
 // MarshalText makes a chainKey a JSON map key (and a JSON string where it
 // is a value) in a monitor checkpoint: "<length>:<head>", the length
 // first so that a head may hold any byte.
@@ -303,7 +318,9 @@ func (c *Checker) KForkCoherence(h *history.History, k int) *Report {
 
 // StrongPrefix checks that for every pair of reads by correct processes
 // one returned chain prefixes the other — Definition 3.2 read literally,
-// O(r²), reporting the first incomparable pairs in recording order. The
+// O(r²), reporting the first incomparable pairs in recording order. A
+// pair is cleared by the ancestor probe on h.Table; only a pair the probe
+// cannot clear has its chains materialized. The
 // criterion verdicts (StrongConsistency, Classify) reach the same OK flag
 // from the reads ordered by chain length (a prefix is never longer than
 // its extension, so all pairs are comparable iff each chain prefixes the
@@ -314,8 +331,8 @@ func (c *Checker) StrongPrefix(h *history.History) *Report {
 	for i := 0; i < len(reads); i++ {
 		for j := i + 1; j < len(reads); j++ {
 			rep.Checked++
-			if keyOf(reads[i]) == keyOf(reads[j]) {
-				continue // identical interned chains
+			if keysComparable(h.Table, keyOf(reads[i]), keyOf(reads[j])) {
+				continue
 			}
 			if !reads[i].Chain().Comparable(reads[j].Chain()) {
 				rep.witness([]*history.Op{reads[i], reads[j]}, []core.BlockID{reads[i].Head, reads[j].Head},

@@ -165,6 +165,29 @@ func TestStrongPrefixHoldsOnPrefixes(t *testing.T) {
 	}
 }
 
+func TestStrongPrefixClearsPairsByProbe(t *testing.T) {
+	// Every read is a distinct prefix of one chain: the ancestor probe
+	// clears each of the pairs, so no chain is materialized and the
+	// report is the only allocation.
+	rec := history.NewRecorder(2, nil)
+	c := chainN(40)
+	recordChain(rec, c)
+	for i := range c {
+		rec.Read(i%2, c[:i+1])
+	}
+	chk := NewChecker(nil, nil)
+	h := rec.Snapshot()
+	h.Reads()
+	allocs := testing.AllocsPerRun(5, func() {
+		if !chk.StrongPrefix(h).OK {
+			t.Fatal("prefix-ordered reads rejected")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("StrongPrefix allocated %.0f times over %d comparable pairs, want the report only", allocs, 41*40/2)
+	}
+}
+
 func TestEverGrowingTree(t *testing.T) {
 	rec := history.NewRecorder(1, nil)
 	c := chainN(5)

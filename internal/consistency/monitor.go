@@ -111,7 +111,8 @@ type MonitorConfig struct {
 	// scoring and validity facts walk its parent links, witness
 	// reconstruction materializes chains from it, and Update Agreement
 	// reads a block's creator off it. Nil means a fresh index, which
-	// knows no block but genesis.
+	// knows no block but genesis: a monitor fed a recorder's reads must
+	// be given its Table, or materializing a read panics.
 	Table *core.Index
 	// OnWitness, when set, receives each violation witness the moment
 	// it forms. It runs under the recorder's lock: keep it fast and do
@@ -641,7 +642,7 @@ func (m *Monitor) spConsume(rec *opRec) {
 		}
 		return
 	}
-	if m.comparable(k, maxK) {
+	if keysComparable(m.table, k, maxK) {
 		m.SPCmp[k] = true
 	} else if m.LiveSP < MaxViolations {
 		m.LiveSP++
@@ -656,21 +657,6 @@ func (m *Monitor) spConsume(rec *opRec) {
 	if rec.ChainLen > m.SPMax.ChainLen {
 		m.SPMax = *rec
 	}
-}
-
-// comparable probes whether the chains behind two read keys are
-// prefix-comparable, by walking parent links in the table (O(Δheight),
-// no materialization).
-func (m *Monitor) comparable(a, b chainKey) bool {
-	if a == b {
-		return true
-	}
-	short, long := a, b
-	if short.n > long.n {
-		short, long = long, short
-	}
-	anc := m.table.AncestorAt(long.head, short.n-1)
-	return anc != nil && anc.ID == short.head
 }
 
 func (m *Monitor) scoreOfOp(op *history.Op) int {
@@ -780,6 +766,10 @@ func (m *Monitor) LiveWitnesses() int { return m.LiveTotal }
 // rebuild reconstructs a witness-grade *history.Op from a compact
 // record; its String/Chain renderings equal the original op's.
 func (m *Monitor) rebuild(r opRec) *history.Op {
+	if r.Kind == history.OpRead && r.ChainLen > 0 && m.table.Block(r.Head) == nil {
+		panic(fmt.Sprintf("consistency: read %d's head %s is not in the monitor's table (MonitorConfig.Table must be the recorder's)",
+			r.ID, r.Head.Short()))
+	}
 	op := &history.Op{
 		ID: r.ID, Proc: r.Proc, Kind: r.Kind, Block: r.block, OK: r.OK,
 		Head: r.Head, ChainLen: r.ChainLen, InvIndex: r.Inv, RspIndex: r.Rsp,
@@ -901,7 +891,7 @@ func (m *Monitor) finalSP() *Report {
 			// never the longer chain, so comparable means prefix); only a
 			// pair the probe cannot clear — a violation, a chain the
 			// table cannot walk — has its chains materialized.
-			if havePrev && !m.comparable(prev.key(), run.First.key()) {
+			if havePrev && !keysComparable(m.table, prev.key(), run.First.key()) {
 				pOp, cOp := m.rebuild(prev), m.rebuild(run.First)
 				if !pOp.Chain().Prefix(cOp.Chain()) {
 					rep.witness([]*history.Op{pOp, cOp}, []core.BlockID{prev.Head, run.First.Head},

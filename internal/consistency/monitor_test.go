@@ -340,6 +340,23 @@ func TestMonitorLiveWitnesses(t *testing.T) {
 	}
 }
 
+func TestMonitorWithoutRecorderTablePanics(t *testing.T) {
+	// A monitor left on its own fresh index cannot materialize a
+	// recorder's reads: rendering the live StrongPrefix witness must
+	// fail loudly, not render the reads as empty chains.
+	rec := history.NewRecorder(2, nil)
+	rec.SetSink(NewMonitor(MonitorConfig{Procs: 2}))
+	base := chainN(3)
+	fork := forkN(base, 1, 2)
+	rec.Read(0, base)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a read the monitor's table does not hold was rendered")
+		}
+	}()
+	rec.Read(1, fork)
+}
+
 func TestMonitorStatsBounded(t *testing.T) {
 	// Retained compact records must stay bounded while reads grow 10x.
 	retained := func(reads int) int {

@@ -15,12 +15,13 @@ import "sync"
 //
 //   - (i) A block enters the index only when a tree attaches it — after
 //     the replica's predicate accepted it and the tree's own parent and
-//     height checks passed — or through Intern's direct callers (the
-//     recorder interning a read head, a restored monitor's pool). Never
-//     on receipt: a forged copy that no tree accepts cannot win
-//     first-writer-wins. The tcp carrier's decoder reads the index
-//     (BlockBytes) to hand back the interned block for a frame equal to
-//     it on every field, and never interns into it.
+//     height checks passed — or through Intern's direct callers: the
+//     recorder interning a read head or every block of a chain handed to
+//     Recorder.RespondRead (checked only at its ends), and a restored
+//     monitor's pool. Never on receipt: a forged copy that no tree
+//     accepts cannot win first-writer-wins. The tcp carrier's decoder
+//     reads the index (BlockBytes) to hand back the interned block for a
+//     frame equal to it on every field, and never interns into it.
 //   - (ii) A tree attaches a block under the parent that block's own
 //     Parent field names. The parent handle cached here belongs to the
 //     first copy interned; resolve uses it only when the copy at hand

@@ -529,11 +529,16 @@ func (r *Recorder) InvokeRead(p int) *Op {
 }
 
 // RespondRead records the response event of a pending read answered
-// with an explicitly materialized blockchain (the refined BT-ADT object,
-// sequential generators and tests): it interns c's blocks into the
-// recorder's index and records the read as RespondReadHead does. An
-// empty chain records Head "" and ChainLen 0.
+// with an explicitly materialized blockchain (sequential generators and
+// tests): it interns c's blocks into the recorder's index and records
+// the read as RespondReadHead does. An empty chain records Head "" and
+// ChainLen 0; any other c must run from genesis to a head at height
+// len(c)-1, or RespondRead panics (an O(1) check of the ends only).
 func (r *Recorder) RespondRead(op *Op, c core.Chain) {
+	if len(c) > 0 && (!c[0].IsGenesis() || c.Head().Height != len(c)-1) {
+		panic(fmt.Sprintf("history: read of %d blocks from %s to height %d is not a chain from genesis",
+			len(c), c[0].ID.Short(), c.Head().Height))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, b := range c {

@@ -95,6 +95,26 @@ func TestExplicitChainReadStillWorks(t *testing.T) {
 	}
 }
 
+func TestRespondReadRejectsNonChain(t *testing.T) {
+	// A read is recorded by its head alone, so a chain that does not
+	// start at genesis or skips a height is refused, not recorded as a
+	// different read.
+	chain := buildChain(4)
+	for name, c := range map[string]core.Chain{
+		"no genesis": chain[1:],
+		"gap":        append(core.Chain{chain[0]}, chain[2:]...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("recorded %s", c)
+				}
+			}()
+			NewRecorder(1, nil).Read(0, c)
+		})
+	}
+}
+
 func TestMemoizedAccessorsShared(t *testing.T) {
 	rec := NewRecorder(2, nil)
 	chain := buildChain(3)

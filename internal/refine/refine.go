@@ -38,7 +38,8 @@ type Config struct {
 	Selector core.Selector
 	// Oracle is the Θ instance (required).
 	Oracle oracle.Oracle
-	// Recorder, if non-nil, receives invocation/response events.
+	// Recorder, if non-nil, receives invocation/response events, and
+	// the tree is built on its block index, so a read records its head.
 	Recorder *history.Recorder
 	// MaxMine bounds getToken attempts per append; 0 means 1<<16.
 	MaxMine int
@@ -57,7 +58,11 @@ func New(cfg Config) *BT {
 	if mm <= 0 {
 		mm = 1 << 16
 	}
-	return &BT{tree: core.NewTree(), f: f, o: cfg.Oracle, rec: cfg.Recorder, maxMine: mm}
+	tree := core.NewTree()
+	if cfg.Recorder != nil {
+		tree = core.NewTreeOn(cfg.Recorder.Table())
+	}
+	return &BT{tree: tree, f: f, o: cfg.Oracle, rec: cfg.Recorder, maxMine: mm}
 }
 
 // Read implements the BT-ADT read(): it returns {b0}⌢f(bt).
@@ -70,7 +75,7 @@ func (bt *BT) Read(proc int) core.Chain {
 	c := bt.f.Select(bt.tree)
 	bt.mu.Unlock()
 	if bt.rec != nil {
-		bt.rec.RespondRead(op, c)
+		bt.rec.RespondReadHead(op, c.Head())
 	}
 	return c
 }

@@ -50,11 +50,20 @@ func TestAppendExtendsSelectedChain(t *testing.T) {
 func TestAppendRecordsHistory(t *testing.T) {
 	rec := history.NewRecorder(2, nil)
 	bt := newBT(1, 3, rec)
-	bt.Append(0, 0.9, 1, []byte("a"))
-	bt.Read(1)
+	b, _ := bt.Append(0, 0.9, 1, []byte("a"))
+	// The tree is built on the recorder's block index: the append
+	// interns its block there, and a read is recorded by its head and
+	// materializes the chain the object returned.
+	if rec.Table().Block(b.ID) != b {
+		t.Fatal("the recorder's index does not hold the tree's blocks")
+	}
+	c := bt.Read(1)
 	h := rec.Snapshot()
 	if len(h.SuccessfulAppends()) != 1 || len(h.Reads()) != 1 {
 		t.Fatalf("recorded %d appends, %d reads", len(h.SuccessfulAppends()), len(h.Reads()))
+	}
+	if rd := h.Reads()[0]; rd.Head != c.Head().ID || !rd.Chain().Equal(c) {
+		t.Fatalf("recorded read %s, object returned %s", rd, c)
 	}
 	ap := h.SuccessfulAppends()[0]
 	if ap.Block == nil || ap.Block.ID == "pending" {
