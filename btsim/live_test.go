@@ -103,8 +103,6 @@ func TestLiveRejectsSimulationKnobs(t *testing.T) {
 		"load without WithLive": {btsim.WithLoad(btsim.Load{Appends: 5})},
 		"crash node past N":     crashes(btsim.Crash{Proc: 99, Start: 1, End: 5}),
 		"live crash-stop":       crashes(btsim.Crash{Proc: 1, Start: 1, End: btsim.NoHeal}),
-		"touching windows":      crashes(btsim.Crash{Proc: 1, Start: 1, End: 5}, btsim.Crash{Proc: 1, Start: 5, End: 9}),
-		"overlapping windows":   crashes(btsim.Crash{Proc: 1, Start: 4, End: 9}, btsim.Crash{Proc: 1, Start: 1, End: 5}),
 	} {
 		if _, err := sys.Run(btsim.NewConfig(opts...)); err == nil {
 			t.Errorf("%s: invalid live config accepted", name)
@@ -174,6 +172,34 @@ func TestCrashRecoversLive(t *testing.T) {
 		}
 		if v := res.Live.Violated(); len(v) != 0 || res.Live.MonitorErr != nil {
 			t.Errorf("durable=%v: violated %v (monitor error %v)", durable, v, res.Live.MonitorErr)
+		}
+	}
+}
+
+// TestCrashWindowsMergeLive: a deployment merges the windows of one
+// node that touch or overlap into one down-span, as the simulator does —
+// one crash and one restart, after which the node reconverges with
+// nothing violated.
+func TestCrashWindowsMergeLive(t *testing.T) {
+	for name, windows := range map[string][]btsim.Crash{
+		"touching":    {{Proc: 1, Start: 4, End: 8}, {Proc: 1, Start: 8, End: 12}},
+		"overlapping": {{Proc: 1, Start: 6, End: 12}, {Proc: 1, Start: 4, End: 8}},
+	} {
+		res, err := btsim.Run("fabric",
+			btsim.WithN(4), btsim.WithSeed(9),
+			btsim.WithLive("chan"), btsim.WithLoad(btsim.Load{Appends: 12}),
+			btsim.WithCrashes(windows...), btsim.WithDurability(true))
+		if err != nil {
+			t.Fatalf("%s windows: %v", name, err)
+		}
+		if rs := res.Live.Recovery; rs == nil || rs.Crashes != 1 || rs.Restarts != 1 || rs.DurableRestores != 1 {
+			t.Errorf("%s windows: recovery stats %+v, want one crash and one restart", name, rs)
+		}
+		if !res.Live.Converged {
+			t.Errorf("%s windows: the restarted node did not reconverge", name)
+		}
+		if v := res.Live.Violated(); len(v) != 0 || res.Live.MonitorErr != nil {
+			t.Errorf("%s windows: violated %v (monitor error %v)", name, v, res.Live.MonitorErr)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/protocols"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/tape"
 	"repro/internal/transport"
@@ -92,9 +93,10 @@ func (f Fault) String() string {
 // virtual time in simulation and, under WithLive, replica ticks
 // (transport.Tick, 12.5 ms) after the start of the load. End == NoHeal
 // makes the crash permanent (crash-stop) — in simulation only: a
-// deployment waits for every node to converge, and two live windows of
-// one process must leave a gap between them.
-type Crash = simnet.CrashWindow
+// deployment waits for every node to converge. Under either driver the
+// windows of one process that overlap or touch are one down-span, with
+// one crash and one restart.
+type Crash = replica.CrashWindow
 
 // Drop declares deterministic message loss: the Nth message (0-based)
 // addressed to process To is dropped; To < 0 matches every message.
@@ -415,9 +417,9 @@ var knobs = []knob{
 	}},
 	{"Rounds", "WithRounds", simOnly, nonNegative},
 	{"Seed", "WithSeed", both, nil},
-	{"ReadEvery", "WithReadEvery", simOnly, nil},
-	{"Delta", "WithDelta", simOnly, nil},
-	{"Difficulty", "WithDifficulty", both, nil},
+	{"ReadEvery", "WithReadEvery", simOnly, nonNegative},
+	{"Delta", "WithDelta", simOnly, nonNegative},
+	{"Difficulty", "WithDifficulty", both, nonNegative},
 	{"Merits", "WithMerits", both, func(c *Config, _ reflect.Value) error {
 		for _, m := range c.Merits {
 			if m < 0 {
@@ -481,25 +483,33 @@ var knobs = []knob{
 	{"Live", "WithLive", both, nil},
 	// transport.Run knows the carriers and asks for a bounded load.
 	{"LiveTransport", "WithLive", liveOnly, nil},
-	{"Load", "WithLoad", liveOnly, nil},
+	{"Load", "WithLoad", liveOnly, func(_ *Config, v reflect.Value) error {
+		for i := 0; i < v.NumField(); i++ {
+			if err := nonNegative(nil, v.Field(i)); err != nil {
+				return fmt.Errorf("%s: %w", v.Type().Field(i).Name, err)
+			}
+		}
+		return nil
+	}},
 }
 
-// nonNegative is the range check of the integer knobs.
+// nonNegative is the range check of the numeric knobs; it passes any
+// other kind.
 func nonNegative(_ *Config, v reflect.Value) error {
-	if v.Int() < 0 {
+	switch {
+	case v.CanInt() && v.Int() < 0:
 		return fmt.Errorf("negative value %d", v.Int())
+	case v.CanFloat() && v.Float() < 0:
+		return fmt.Errorf("negative value %v", v.Float())
 	}
 	return nil
 }
 
 // checkCrashes holds every window to the run's process range under
-// either driver, and under WithLive to what the deployment can run
-// today: its settle phase waits for every node, so each window must
-// heal, and a node's crash and restart edges are armed per window, so
-// two windows of one node must leave a gap (the simulator merges such
-// spans; the deployment does not).
+// either driver, and under WithLive to what the deployment can run: its
+// settle phase waits for every node, so each window must heal.
 func checkCrashes(c *Config, _ reflect.Value) error {
-	for i, w := range c.Crashes {
+	for _, w := range c.Crashes {
 		switch {
 		case w.Proc < 0 || w.Proc >= c.procs():
 			return fmt.Errorf("%s: process out of range [0,%d)", w, c.procs())
@@ -511,11 +521,6 @@ func checkCrashes(c *Config, _ reflect.Value) error {
 			continue
 		case w.End == NoHeal:
 			return fmt.Errorf("%s: a live deployment has no crash-stop (it waits for every node to converge)", w)
-		}
-		for _, o := range c.Crashes[:i] {
-			if o.Proc == w.Proc && w.Start <= o.End && o.Start <= w.End {
-				return fmt.Errorf("%s and %s overlap or touch: a live deployment does not merge the windows of one node", o, w)
-			}
 		}
 	}
 	return nil

@@ -111,6 +111,11 @@ func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
 	mustPanic("duplicate name", func() { btsim.Register(dummy) })
 }
 
+// liveLoad is a chan deployment under load.
+func liveLoad(load btsim.Load) []btsim.Option {
+	return []btsim.Option{btsim.WithLive("chan"), btsim.WithLoad(load)}
+}
+
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -137,6 +142,14 @@ func TestConfigValidation(t *testing.T) {
 		{"drop to a process past N", []btsim.Option{btsim.WithN(4), btsim.WithDropNth(0, 7)}},
 		{"negative drop index", []btsim.Option{btsim.WithDropNth(-1, 1)}},
 		{"negative drop index, every message", []btsim.Option{btsim.WithDropNth(-1, -1)}},
+		// Out-of-range knobs that used to fall back to a default silently.
+		{"negative read interval", []btsim.Option{btsim.WithReadEvery(-3)}},
+		{"negative delta", []btsim.Option{btsim.WithDelta(-2)}},
+		{"negative difficulty", []btsim.Option{btsim.WithDifficulty(-1)}},
+		{"negative live clients", liveLoad(btsim.Load{Clients: -3, Appends: 5})},
+		{"negative live rate", liveLoad(btsim.Load{Rate: -1, Appends: 5})},
+		{"negative live appends", liveLoad(btsim.Load{Appends: -5, Duration: 200 * time.Millisecond})},
+		{"negative live duration", liveLoad(btsim.Load{Duration: -time.Second, Appends: 5})},
 	}
 	for _, tc := range cases {
 		if _, err := btsim.Run("bitcoin", tc.opts...); err == nil {

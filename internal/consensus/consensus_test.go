@@ -18,23 +18,17 @@ func nets(nw *simnet.Network, n int) []replica.Net {
 	return out
 }
 
-// crashed takes the given processes down from time 0 for good: the
-// network drops their sends and every delivery to them.
-func crashed(procs ...int) *simnet.Schedule {
-	s := &simnet.Schedule{}
-	for _, p := range procs {
-		s.Crashes = append(s.Crashes, simnet.CrashWindow{Proc: p, Start: 0, End: simnet.NoHeal})
-	}
-	return s
-}
-
-// harness runs PBFT heights over n processes, the given ones crashed,
-// and returns the decided blocks per process (nil where undecided).
-func harness(t *testing.T, n int, behaviors map[int]Behavior, down *simnet.Schedule, heights int) [][]*core.Block {
+// harness runs PBFT heights over n processes, the down ones crashed
+// for good from the start (the network drops their sends and every
+// delivery to them), and returns the decided blocks per process (nil
+// where undecided).
+func harness(t *testing.T, n int, behaviors map[int]Behavior, down []int, heights int) [][]*core.Block {
 	t.Helper()
 	sim := simnet.NewSim(42)
 	nw := simnet.NewNetwork(sim, n, simnet.Synchronous{Delta: 2})
-	nw.SetSchedule(down)
+	for _, p := range down {
+		nw.Port(p).SetDown(true)
+	}
 	decided := make([][]*core.Block, n)
 	for i := range decided {
 		decided[i] = make([]*core.Block, heights)
@@ -99,7 +93,7 @@ func TestPBFTCrashedLeaderViewChange(t *testing.T) {
 	// Leader of height 0 is process 0; crash it. The view change must
 	// elect process 1, whose proposal gets decided by the correct
 	// processes.
-	decided := harness(t, 4, nil, crashed(0), 1)
+	decided := harness(t, 4, nil, []int{0}, 1)
 	for p := 1; p < 4; p++ {
 		if decided[p][0] == nil {
 			t.Fatalf("process %d undecided after view change", p)
@@ -111,7 +105,7 @@ func TestPBFTCrashedLeaderViewChange(t *testing.T) {
 }
 
 func TestPBFTCrashedFollowerStillDecides(t *testing.T) {
-	decided := harness(t, 4, nil, crashed(3), 2)
+	decided := harness(t, 4, nil, []int{3}, 2)
 	for h := 0; h < 2; h++ {
 		for p := 0; p < 3; p++ {
 			if decided[p][h] == nil {
@@ -146,7 +140,7 @@ func TestPBFTEquivocatingLeaderSafety(t *testing.T) {
 func TestPBFTTooManyFaults(t *testing.T) {
 	// n=4 tolerates f=1; with 2 crashed processes the quorum of 3 is
 	// unreachable: nobody must decide (safety preserved over liveness).
-	decided := harness(t, 4, nil, crashed(2, 3), 1)
+	decided := harness(t, 4, nil, []int{2, 3}, 1)
 	for p := 0; p < 2; p++ {
 		if decided[p][0] != nil {
 			t.Fatalf("process %d decided without a quorum", p)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/tape"
 )
@@ -53,7 +54,7 @@ func TestStronglyConsistent(t *testing.T) {
 func TestCrashedFollowerTolerated(t *testing.T) {
 	cfg := defaultCfg(4)
 	cfg.Rounds = 8
-	cfg.Crashes = []simnet.CrashWindow{{Proc: 3, Start: 0, End: simnet.NoHeal}}
+	cfg.Crashes = []replica.CrashWindow{{Proc: 3, Start: 0, End: simnet.NoHeal}}
 	res := Run(cfg)
 	// The three live replicas reach the full height.
 	live := 0
@@ -75,7 +76,7 @@ func TestCrashedLeaderRecoveredByViewChange(t *testing.T) {
 	cfg.Rounds = 6
 	// Fixed leader policy pointing at a crashed process for height 0,
 	// view 0; the view change must rotate past it.
-	cfg.Crashes = []simnet.CrashWindow{{Proc: 0, Start: 0, End: simnet.NoHeal}}
+	cfg.Crashes = []replica.CrashWindow{{Proc: 0, Start: 0, End: simnet.NoHeal}}
 	cfg.LeaderFn = func(h, v int) int { return (h + v) % 4 }
 	res := Run(cfg)
 	hs := res.FinalHeights()

@@ -120,15 +120,15 @@ func (d *Definition) Profile(cfg Config) transport.Profile {
 // measures: throughput, latency quantiles, the finalized online
 // verdicts and the carrier counters.
 //
-// N, Seed, the normalized merit column and the crash schedule with its
-// recovery discipline come from cfg (the common knob set); cfg.Live
-// supplies the deployment shape (carrier, load).
+// N, Seed and the crash schedule with its recovery discipline come from
+// cfg (the common knob set), and so does the merit column the profile's
+// mint draws with; cfg.Live supplies the deployment shape (carrier,
+// load).
 func RunLive(cfg Config, def *Definition) (*Result, *transport.LiveResult, error) {
-	merits := cfg.Norm()
+	cfg.Norm()
 	lc := *cfg.Live
 	lc.N = cfg.N
 	lc.Seed = cfg.Seed
-	lc.Merits = merits
 	lc.Crashes, lc.Durable = cfg.Crashes, cfg.Durable
 
 	lr, err := transport.Run(lc, def.Profile(cfg))

@@ -41,9 +41,10 @@ type Harness struct {
 // running the definition's selector and predicate over a synchronous
 // network with delay bound delta, with the common knobs applied once for
 // every system — stream sinks bound before the first operation, message
-// loss, FIFO, the partition and crash schedules merged into one (the
-// caller's Faults schedule is never mutated) with crash recovery wired,
-// then metrics and trace. cfg is normalized in place and stays the
+// loss, FIFO, the partition schedule, the trace, the crash windows
+// armed on the processes' ports with crash recovery wired (before any
+// runner schedules, so each edge precedes its same-time deliveries),
+// then metrics. cfg is normalized in place and stays the
 // runner's: Tick latches on it.
 func (d *Definition) Start(cfg *Config, delta int64, drop simnet.DropRule) *Harness {
 	merits := cfg.Norm()
@@ -60,20 +61,15 @@ func (d *Definition) Start(cfg *Config, delta int64, drop simnet.DropRule) *Harn
 	if cfg.RecordFaults || cfg.Faults != nil || cfg.Adversary.Active() || len(cfg.Crashes) > 0 {
 		group.Net.RecordFaults(true)
 	}
-	sched := cfg.Faults
-	var recovery *replica.RecoveryStats
-	if len(cfg.Crashes) > 0 {
-		sched = &simnet.Schedule{Crashes: cfg.Crashes}
-		if cfg.Faults != nil {
-			sched.Windows = cfg.Faults.Windows
-		}
-		recovery = group.EnableCrashRecovery(cfg.Durable)
-	}
-	if sched != nil {
-		group.Net.SetSchedule(sched)
+	if cfg.Faults != nil {
+		group.Net.SetSchedule(cfg.Faults)
 	}
 	if cfg.Trace != nil {
 		sim.SetTrace(cfg.Trace)
+	}
+	var recovery *replica.RecoveryStats
+	if len(cfg.Crashes) > 0 {
+		recovery = group.EnableCrashRecovery(cfg.Durable, cfg.Crashes)
 	}
 	if cfg.Metrics != nil {
 		sim.SetMetrics(cfg.Metrics)

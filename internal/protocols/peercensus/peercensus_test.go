@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/replica"
 	"repro/internal/simnet"
 )
 
@@ -57,7 +58,7 @@ func TestCommitteeAnchoring(t *testing.T) {
 func TestFaultToleranceWithCrash(t *testing.T) {
 	cfg := defaultCfg(4)
 	cfg.Rounds = 6
-	cfg.Crashes = []simnet.CrashWindow{{Proc: 2, Start: 0, End: simnet.NoHeal}}
+	cfg.Crashes = []replica.CrashWindow{{Proc: 2, Start: 0, End: simnet.NoHeal}}
 	res := Run(cfg)
 	heights := res.FinalHeights()
 	if heights[len(heights)-1] != 6 {

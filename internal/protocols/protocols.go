@@ -58,12 +58,12 @@ type Config struct {
 	// is set).
 	RecordFaults bool
 	// Crashes optionally takes individual processes down on a
-	// deterministic schedule (see simnet.CrashWindow): deliveries to a
+	// deterministic schedule (see replica.CrashWindow): deliveries to a
 	// down process are lost, it neither mines nor reads, and at the
 	// window end it restarts and catches up through the anti-entropy
 	// layer. Nil means no crashes. Instants are virtual time in
 	// simulation and multiples of transport.Tick after load start live.
-	Crashes []simnet.CrashWindow
+	Crashes []replica.CrashWindow
 	// Durable selects the recovery discipline when Crashes is set: a
 	// durable replica restores its snapshotted tree on restart and only
 	// fetches what it missed; otherwise it rejoins from genesis

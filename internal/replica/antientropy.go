@@ -68,7 +68,7 @@ func (p *Process) installAntiEntropy() {
 	p.aeInstalled = true
 	// The inv/req/sync handlers read and repair only this process's tree
 	// and reply as themselves (catch-up timers are scheduled from the
-	// crash/restart hooks).
+	// crash/restart edges).
 	p.nw.AddHandler(func(m simnet.Message) {
 		switch msg := m.Payload.(type) {
 		case InvMsg:

@@ -1,15 +1,31 @@
 package replica
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/simnet"
 )
 
-// This file implements the crash–recovery half of the fault model at
-// the replica layer. The carrier takes processes down and up and drops
-// a down process's traffic — the one crash model, consensus included.
-// Here each process gains a durable snapshot of its replica state and a
+// This file is the crash–recovery half of the fault model, stated once
+// for both drivers. Alongside partition windows (simnet's Schedule), a
+// run can carry CrashWindows that take individual processes down for an
+// interval. ArmCrashes arms each window's edges on the port of the
+// process it names: while a process is down its carrier drops every
+// delivery addressed to it (the simulator logs a "crashloss" fault
+// event) and anything it would send, and harness timers consult Down
+// before acting for it, so a crashed replica neither mines, reads, nor
+// advertises. This is the one crash model, consensus included.
+//
+// Crash semantics differ from partitions on purpose: a partitioned
+// message is *deferred* to the heal (the link recovers, the queue
+// flushes), while a message to a crashed process is *lost* (the process
+// was not there to receive it) — recovery must resynchronize through
+// the anti-entropy layer, which is exactly the durable-vs-amnesia
+// experiment the catalogue measures.
+//
+// Each process gains a durable snapshot of its replica state and a
 // catch-up procedure, timed by its port's After, that runs on restart.
 // Two recovery disciplines are modeled:
 //
@@ -26,6 +42,89 @@ import (
 // times, covering inventory replies lost to concurrent partitions or
 // further crashes. The durable-vs-amnesia split in recovery traffic and
 // consistency violations is what the scenario catalogue measures.
+
+// CrashWindow takes process Proc down during [Start, End): virtual time
+// in simulation, transport.Tick after the start of the load live. End ==
+// simnet.NoHeal means the process never recovers (crash-stop).
+type CrashWindow struct {
+	Proc       int
+	Start, End int64
+}
+
+// String renders e.g. "p2 down [30,60)" or "p1 crash-stop @40".
+func (w CrashWindow) String() string {
+	if w.End == simnet.NoHeal {
+		return fmt.Sprintf("p%d crash-stop @%d", w.Proc, w.Start)
+	}
+	return fmt.Sprintf("p%d down [%d,%d)", w.Proc, w.Start, w.End)
+}
+
+func (w CrashWindow) empty() bool { return w.End != simnet.NoHeal && w.End <= w.Start }
+
+// active reports whether the window has its process down at time t.
+func (w CrashWindow) active(t int64) bool {
+	return t >= w.Start && (w.End == simnet.NoHeal || t < w.End)
+}
+
+// ArmCrashes arms every crash window on the port of the process it
+// names, through that port's After, so each edge runs on the process's
+// own event loop: the crash edge runs recs[w.Proc].Crash and then marks
+// the port down, the restart edge marks it up and then runs Restart.
+// The windows of one process that overlap or touch form one down-span,
+// with one crash edge and, unless it is permanent, one restart edge; an
+// empty window arms nothing. Edges are armed in window order, crash
+// before restart, and count from the call: made before anything else is
+// scheduled at those instants, an edge runs before the same-time
+// deliveries, and a crash edge due at the call (Start 0) runs within
+// it, before the caller's own setup acts for the process — so call it
+// before the process's event loop runs anything. recs[p] is process p's
+// recovery, read only for a process some window names.
+func ArmCrashes(windows []CrashWindow, recs []*CrashRecovery) {
+	for i, w := range windows {
+		if w.empty() {
+			continue
+		}
+		r := recs[w.Proc]
+		port := r.p.nw
+		if spanEdge(windows, i, w.Start-1, func(o CrashWindow) int64 { return o.Start }) {
+			crash := func() {
+				r.Crash()
+				port.SetDown(true)
+			}
+			if w.Start <= 0 {
+				crash() // due now: the process is down for the caller's own setup too
+			} else {
+				port.After(w.Start, crash)
+			}
+		}
+		if w.End != simnet.NoHeal && spanEdge(windows, i, w.End, func(o CrashWindow) int64 { return o.End }) {
+			r.restarts++
+			port.After(w.End, func() {
+				port.SetDown(false)
+				r.restarts--
+				r.Restart()
+			})
+		}
+	}
+}
+
+// spanEdge reports whether window i's boundary (its Start or its End, as
+// edge reads it) is an edge of its process's down-span: no window of the
+// process has it down at up — the tick before a crash edge, the instant
+// of a restart edge — and no earlier window of the process shares the
+// boundary.
+func spanEdge(windows []CrashWindow, i int, up int64, edge func(CrashWindow) int64) bool {
+	w := windows[i]
+	for j, o := range windows {
+		if o.Proc != w.Proc || o.empty() {
+			continue
+		}
+		if o.active(up) || j < i && edge(o) == edge(w) {
+			return false
+		}
+	}
+	return true
+}
 
 // Snapshot is the durable state of a Process: everything needed to
 // restore the replica exactly as it was at crash time. Block pointers
@@ -136,17 +235,20 @@ func (s *RecoveryStats) Add(o *RecoveryStats) {
 }
 
 // CrashRecovery is one process's crash–recovery procedure, stated once
-// for both drivers: the simulator calls Crash and Restart from the
-// network's crash schedule, a live deployment from timers on the node's
-// event loop. Every method must run on the event loop that owns the
-// process, where the process's port runs the backoff timers too; the type
-// takes no lock and starts no goroutine.
+// for both drivers: ArmCrashes calls Crash and Restart from the
+// process's port timers. Every method must run on the event loop that
+// owns the process, where the process's port runs the backoff timers
+// too; the type takes no lock and starts no goroutine.
 type CrashRecovery struct {
 	p       *Process
 	durable bool
 	stats   *RecoveryStats
-	// done, when non-nil, is called each time a catch-up ends.
+	// done, when non-nil, is called each time a catch-up ends with no
+	// restart edge still to come.
 	done func()
+	// restarts counts the restart edges ArmCrashes armed that have not
+	// run yet.
+	restarts int
 
 	snap *Snapshot
 	// epoch counts crashes. A backoff timer armed before a crash belongs
@@ -213,7 +315,7 @@ func (r *CrashRecovery) solicit(attempt int, backoff int64, lenAtRestart int) {
 		progressed := p.tree.Len() > lenAtSolicit && p.PendingCount() == 0
 		if progressed || attempt+1 >= CatchUpRetries {
 			r.stats.ResyncBlocks += p.tree.Len() - lenAtRestart
-			if r.done != nil {
+			if r.done != nil && r.restarts == 0 {
 				r.done()
 			}
 			return
@@ -222,13 +324,14 @@ func (r *CrashRecovery) solicit(attempt int, backoff int64, lenAtRestart int) {
 	})
 }
 
-// EnableCrashRecovery wires the group's replicas to the network's crash
-// schedule: on crash a durable replica snapshots its state; on restart
-// it restores (or resets, when amnesia) and catches up via the
+// EnableCrashRecovery arms windows on the group's ports (ArmCrashes),
+// each process with its own recovery procedure and the group one set of
+// stats: on crash a durable replica snapshots its state; on restart it
+// restores (or resets, when amnesia) and catches up via the
 // anti-entropy layer with bounded retry/backoff. Returns the live stats
 // (also kept on g.Recovery). Anti-entropy message handlers are
 // installed idempotently, so combining with EnableAntiEntropy is safe.
-func (g *Group) EnableCrashRecovery(durable bool) *RecoveryStats {
+func (g *Group) EnableCrashRecovery(durable bool, windows []CrashWindow) *RecoveryStats {
 	stats := &RecoveryStats{}
 	g.Recovery = stats
 	recs := make([]*CrashRecovery, len(g.Procs))
@@ -236,7 +339,6 @@ func (g *Group) EnableCrashRecovery(durable bool) *RecoveryStats {
 		p.installAntiEntropy()
 		recs[i] = NewCrashRecovery(p, durable, stats, nil)
 	}
-	g.Net.OnCrash(func(id int) { recs[id].Crash() })
-	g.Net.OnRestart(func(id int) { recs[id].Restart() })
+	ArmCrashes(windows, recs)
 	return stats
 }

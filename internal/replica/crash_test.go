@@ -73,8 +73,7 @@ func crashRig(t *testing.T, durable bool, rounds int) (*simnet.Sim, *Group, map[
 	g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 	g.SetPredicate(core.WellFormed{})
 	g.Net.RecordFaults(true)
-	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 2, Start: 30, End: 60}}})
-	g.EnableCrashRecovery(durable)
+	g.EnableCrashRecovery(durable, []CrashWindow{{Proc: 2, Start: 30, End: 60}})
 
 	parent := core.Genesis()
 	for i := 0; i < rounds; i++ {
@@ -83,14 +82,13 @@ func crashRig(t *testing.T, durable bool, rounds int) (*simnet.Sim, *Group, map[
 		sim.Schedule(int64(i*5+1), func() { g.Procs[0].AppendLocal(b) })
 	}
 
-	// Probes around the crash boundaries, registered after
-	// EnableCrashRecovery so they observe the post-snapshot /
-	// post-restore state.
+	// Probes at the crash edges, scheduled after EnableCrashRecovery
+	// armed them so they observe the post-snapshot / post-restore state.
 	probes := map[string]string{}
-	g.Net.OnCrash(func(p int) { probes["atCrash"] = treeDump(g.Procs[p].Tree()) })
-	g.Net.OnRestart(func(p int) {
-		probes["atRestart"] = treeDump(g.Procs[p].Tree())
-		checkTreeReads(t, g.Procs[p].Tree())
+	sim.At(30, func() { probes["atCrash"] = treeDump(g.Procs[2].Tree()) })
+	sim.At(60, func() {
+		probes["atRestart"] = treeDump(g.Procs[2].Tree())
+		checkTreeReads(t, g.Procs[2].Tree())
 	})
 	return sim, g, probes
 }
@@ -147,8 +145,7 @@ func TestDurableResyncCheaperThanAmnesia(t *testing.T) {
 func TestCrashStopReplicaStaysDown(t *testing.T) {
 	sim := simnet.NewSim(7)
 	g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
-	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 1, Start: 20, End: simnet.NoHeal}}})
-	g.EnableCrashRecovery(true)
+	g.EnableCrashRecovery(true, []CrashWindow{{Proc: 1, Start: 20, End: simnet.NoHeal}})
 
 	parent := core.Genesis()
 	for i := 0; i < 10; i++ {
@@ -184,7 +181,6 @@ func TestCatchUpRetriesWhenInventoryLost(t *testing.T) {
 	sim := simnet.NewSim(3)
 	g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 	g.SetPredicate(core.WellFormed{})
-	g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 2, Start: 10, End: 40}}})
 	// Drop inv replies to p2 until t=50 (past restart at 40 and the
 	// first backoff window), so the initial solicit is wasted.
 	g.Net.SetDrop(func(m simnet.Message) bool {
@@ -193,7 +189,7 @@ func TestCatchUpRetriesWhenInventoryLost(t *testing.T) {
 		}
 		return m.To == 2 && sim.Now() < 50
 	})
-	g.EnableCrashRecovery(false)
+	g.EnableCrashRecovery(false, []CrashWindow{{Proc: 2, Start: 10, End: 40}})
 
 	parent := core.Genesis()
 	for i := 0; i < 6; i++ {
@@ -230,6 +226,7 @@ type catchUpRig struct {
 func (r *catchUpRig) AddHandler(simnet.Handler) {}
 func (r *catchUpRig) Send(int, any)             {}
 func (r *catchUpRig) Down() bool                { return r.down }
+func (r *catchUpRig) SetDown(down bool)         { r.down = down }
 func (r *catchUpRig) Broadcast(payload any) {
 	if _, ok := payload.(SyncMsg); ok {
 		r.solicits++
@@ -253,8 +250,8 @@ func (r *catchUpRig) gain() {
 	r.p.applyUpdate(r.chain)
 }
 
-func (r *catchUpRig) crash()   { r.rec.Crash(); r.down = true }
-func (r *catchUpRig) restart() { r.down = false; r.rec.Restart() }
+func (r *catchUpRig) crash()   { r.rec.Crash(); r.SetDown(true) }
+func (r *catchUpRig) restart() { r.SetDown(false); r.rec.Restart() }
 
 // TestCatchUpMachineUnderFakeTimer drives the one catch-up state machine
 // through both carriers' timer shapes: the simulator's (backoffs are
@@ -399,14 +396,16 @@ func FuzzDurableRestore(f *testing.F) {
 		sim := simnet.NewSim(seed)
 		g := NewGroup(sim, 3, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 		g.SetPredicate(core.WellFormed{})
-		g.Net.SetSchedule(&simnet.Schedule{Crashes: []simnet.CrashWindow{{Proc: 2, Start: start, End: end}}})
-		g.EnableCrashRecovery(true)
+		g.EnableCrashRecovery(true, []CrashWindow{{Proc: 2, Start: start, End: end}})
 
+		// Scheduled right after the edges were armed, the probes are the
+		// next events at their instants.
 		var atCrash, atRestart string
-		g.Net.OnCrash(func(p int) { atCrash = treeDump(g.Procs[p].Tree()) + "|" + pendingDump(g.Procs[p]) })
-		g.Net.OnRestart(func(p int) {
-			atRestart = treeDump(g.Procs[p].Tree()) + "|" + pendingDump(g.Procs[p])
-			checkTreeReads(t, g.Procs[p].Tree())
+		p2 := g.Procs[2]
+		sim.At(start, func() { atCrash = treeDump(p2.Tree()) + "|" + pendingDump(p2) })
+		sim.At(end, func() {
+			atRestart = treeDump(p2.Tree()) + "|" + pendingDump(p2)
+			checkTreeReads(t, p2.Tree())
 		})
 
 		rng := sim.RNG().Split()

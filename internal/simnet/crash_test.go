@@ -1,14 +1,53 @@
-package simnet
+package simnet_test
 
 import (
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/replica"
+	"repro/internal/simnet"
 )
 
-func TestCrashDropsDeliveriesWhileDown(t *testing.T) {
-	sim := NewSim(1)
-	nw, got := collect(t, sim, 3)
+// delivery is one message a handler saw.
+type delivery struct {
+	at       int64
+	from, to int
+	payload  any
+}
+
+// crashNet turns nw's fault recording on and collects every string
+// payload its n processes are delivered (replica traffic is skipped).
+func crashNet(sim *simnet.Sim, nw *simnet.Network, n int) *[]delivery {
 	nw.RecordFaults(true)
-	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{{Proc: 2, Start: 10, End: 40}}})
+	var got []delivery
+	for p := 0; p < n; p++ {
+		nw.AddHandler(p, func(m simnet.Message) {
+			if _, ok := m.Payload.(string); ok {
+				got = append(got, delivery{sim.Now(), m.From, m.To, m.Payload})
+			}
+		})
+	}
+	return &got
+}
+
+// edges lists the network's crash and restart fault events.
+func edges(nw *simnet.Network) []simnet.FaultEvent {
+	var out []simnet.FaultEvent
+	for _, e := range nw.FaultEvents() {
+		if e.Kind == "crash" || e.Kind == "restart" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func TestCrashDropsDeliveriesWhileDown(t *testing.T) {
+	sim := simnet.NewSim(1)
+	nw := simnet.NewNetwork(sim, 3, simnet.Synchronous{Delta: 1})
+	got := crashNet(sim, nw, 3)
+	down := nw.Port(2)
+	sim.At(10, func() { down.SetDown(true) })
+	sim.At(40, func() { down.SetDown(false) })
 
 	sim.Schedule(5, func() { nw.Send(0, 2, "before") })  // delivers ≤ 6 < 10
 	sim.Schedule(20, func() { nw.Send(0, 2, "during") }) // lost
@@ -20,8 +59,8 @@ func TestCrashDropsDeliveriesWhileDown(t *testing.T) {
 		t.Fatalf("delivered %d messages, want 2 (before+after): %v", len(*got), *got)
 	}
 	for _, d := range *got {
-		if nw.Schedule().DownAt(d.At, d.To) {
-			t.Fatalf("delivery to p%d at %d while down", d.To, d.At)
+		if d.to == 2 && d.at >= 10 && d.at < 40 {
+			t.Fatalf("delivery to p%d at %d while down", d.to, d.at)
 		}
 	}
 	_, _, dropped := nw.Stats()
@@ -38,48 +77,45 @@ func TestCrashDropsDeliveriesWhileDown(t *testing.T) {
 }
 
 func TestCrashStopNeverRestarts(t *testing.T) {
-	sim := NewSim(2)
-	nw, got := collect(t, sim, 2)
-	nw.RecordFaults(true)
-	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{{Proc: 1, Start: 15, End: NoHeal}}})
+	sim := simnet.NewSim(2)
+	g := replica.NewGroup(sim, 2, simnet.Synchronous{Delta: 1}, core.LongestChain{})
+	got := crashNet(sim, g.Net, 2)
+	g.EnableCrashRecovery(true, []replica.CrashWindow{{Proc: 1, Start: 15, End: simnet.NoHeal}})
 
-	var crashes, restarts []int64
-	nw.OnCrash(func(p int) { crashes = append(crashes, sim.Now()) })
-	nw.OnRestart(func(p int) { restarts = append(restarts, sim.Now()) })
-
-	sim.Schedule(30, func() { nw.Send(0, 1, "lost") })
+	sim.Schedule(30, func() { g.Net.Send(0, 1, "lost") })
 	sim.Run(200)
 
 	if len(*got) != 0 {
 		t.Fatalf("deliveries to a crash-stopped process: %v", *got)
 	}
-	if len(crashes) != 1 || crashes[0] != 15 {
-		t.Fatalf("crash firings %v, want one at 15", crashes)
+	if e := edges(g.Net); len(e) != 1 || e[0].Kind != "crash" || e[0].Time != 15 {
+		t.Fatalf("crash and restart edges %v, want one crash at 15", e)
 	}
-	if len(restarts) != 0 {
-		t.Fatalf("restart fired for a crash-stop: %v", restarts)
+	if g.Recovery.Crashes != 1 || g.Recovery.Restarts != 0 {
+		t.Fatalf("recovery %+v, want one crash and no restart", g.Recovery)
 	}
-	if !nw.Down(1) {
+	if !g.Net.Port(1).Down() {
 		t.Fatal("process 1 should still be down at end of run")
 	}
 }
 
 // TestCrashHooksFireBeforeSameTimeDeliveries pins the boundary order: a
-// restart hook scheduled at t runs before messages delivered at t, so a
+// restart edge armed for t runs before messages delivered at t, so a
 // restored replica is back before its first post-recovery message.
 func TestCrashHooksFireBeforeSameTimeDeliveries(t *testing.T) {
-	sim := NewSim(3)
-	nw := NewNetwork(sim, 2, Synchronous{Delta: 1})
-	var order []string
-	nw.AddHandler(1, func(m Message) { order = append(order, "deliver") })
-	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{{Proc: 1, Start: 10, End: 21}}})
-	nw.OnRestart(func(p int) { order = append(order, "restart") })
+	sim := simnet.NewSim(3)
+	g := replica.NewGroup(sim, 2, simnet.Synchronous{Delta: 1}, core.LongestChain{})
+	got := crashNet(sim, g.Net, 2)
+	g.EnableCrashRecovery(false, []replica.CrashWindow{{Proc: 1, Start: 10, End: 21}})
 
-	sim.Schedule(20, func() { nw.Send(0, 1, "x") }) // delivers at 21 == restart time
+	sim.Schedule(20, func() { g.Net.Send(0, 1, "x") }) // delivers at 21 == restart time
 	sim.RunUntilIdle()
 
-	if len(order) != 2 || order[0] != "restart" || order[1] != "deliver" {
-		t.Fatalf("order = %v, want [restart deliver]", order)
+	if len(*got) != 1 || (*got)[0].at != 21 {
+		t.Fatalf("deliveries %v, want x at 21", *got)
+	}
+	if e := edges(g.Net); len(e) != 2 || e[1].Kind != "restart" || e[1].Time != 21 {
+		t.Fatalf("crash and restart edges %v, want the restart at 21", e)
 	}
 }
 
@@ -87,195 +123,27 @@ func TestCrashHooksFireBeforeSameTimeDeliveries(t *testing.T) {
 // adjacent windows for the same process act as one continuous down-span:
 // exactly one crash and one restart fire.
 func TestOverlappingCrashWindowsMerge(t *testing.T) {
-	sim := NewSim(4)
-	nw := NewNetwork(sim, 2, Synchronous{Delta: 1})
-	var crashes, restarts int
-	nw.OnCrash(func(int) { crashes++ })
-	nw.OnRestart(func(int) { restarts++ })
-	nw.SetSchedule(&Schedule{Crashes: []CrashWindow{
+	sim := simnet.NewSim(4)
+	g := replica.NewGroup(sim, 2, simnet.Synchronous{Delta: 1}, core.LongestChain{})
+	g.Net.RecordFaults(true)
+	g.EnableCrashRecovery(false, []replica.CrashWindow{
 		{Proc: 0, Start: 10, End: 30},
 		{Proc: 0, Start: 20, End: 40}, // overlaps the first
 		{Proc: 0, Start: 40, End: 50}, // adjacent to the second
-	}})
-	sim.RunUntilIdle()
-	if crashes != 1 || restarts != 1 {
-		t.Fatalf("crashes=%d restarts=%d, want 1 and 1", crashes, restarts)
-	}
-	if nw.Schedule().DownAt(25, 0) != true || nw.Schedule().DownAt(50, 0) != false {
-		t.Fatal("DownAt disagrees with the merged span [10,50)")
-	}
-}
-
-// FuzzCrashSchedule mirrors FuzzPartitionSchedule for the crash model:
-// (1) no delivery ever reaches a process while it is down, and nothing a
-// down process sends escapes; (2) each continuous down-span fires
-// exactly one crash and — unless permanent — exactly one restart, with
-// Down(p) false right after the restart hook (timers resume); (3) every
-// message whose endpoints are both up at send and delivery time is
-// delivered exactly once.
-func FuzzCrashSchedule(f *testing.F) {
-	f.Add(uint64(1), int64(10), int64(30), int64(20), int64(60), uint8(6), uint8(12), true)
-	f.Add(uint64(9), int64(0), int64(5), int64(5), int64(9), uint8(3), uint8(40), false)
-	f.Add(uint64(42), int64(7), int64(-1), int64(0), int64(0), uint8(4), uint8(25), true)
-	f.Fuzz(func(t *testing.T, seed uint64, s1, e1, s2, e2 int64, nprocs, nmsgs uint8, fifo bool) {
-		n := int(nprocs%6) + 2
-		norm := func(s, e int64) (int64, int64) {
-			if s < 0 {
-				s = -s
-			}
-			s %= 80
-			if e != NoHeal {
-				if e < 0 {
-					e = -e
-				}
-				e = s + e%80
-			}
-			return s, e
-		}
-		s1, e1 = norm(s1, e1)
-		s2, e2 = norm(s2, e2)
-		// Two windows on overlapping processes: proc 0 and proc n-1 when
-		// distinct, both on proc 0 when n is small — exercising the
-		// overlap-merge logic.
-		p2 := (n - 1) % n
-		sched := &Schedule{Crashes: []CrashWindow{
-			{Proc: 0, Start: s1, End: e1},
-			{Proc: p2, Start: s2, End: e2},
-		}}
-
-		sim := NewSim(seed)
-		nw := NewNetwork(sim, n, Synchronous{Delta: 2})
-		type delivery struct {
-			at       int64
-			from, to int
-			id       int
-		}
-		var got []delivery
-		for p := 0; p < n; p++ {
-			nw.AddHandler(p, func(m Message) {
-				got = append(got, delivery{sim.Now(), m.From, m.To, m.Payload.(int)})
-			})
-		}
-		nw.SetFIFO(fifo)
-
-		type firing struct {
-			at   int64
-			proc int
-		}
-		var crashes, restarts []firing
-		nw.OnCrash(func(p int) {
-			crashes = append(crashes, firing{sim.Now(), p})
-			if !nw.Down(p) {
-				t.Fatalf("crash hook for p%d at %d but Down reports up", p, sim.Now())
-			}
-		})
-		nw.OnRestart(func(p int) {
-			restarts = append(restarts, firing{sim.Now(), p})
-			if nw.Down(p) {
-				t.Fatalf("restart hook for p%d at %d but Down still reports down", p, sim.Now())
-			}
-		})
-		nw.SetSchedule(sched)
-
-		type sent struct {
-			at       int64
-			from, to int
-			id       int
-		}
-		var sends []sent
-		rng := sim.RNG().Split()
-		m := int(nmsgs%40) + 1
-		for i := 0; i < m; i++ {
-			at := int64(rng.Intn(120))
-			from := rng.Intn(n)
-			to := rng.Intn(n)
-			if from == to {
-				to = (to + 1) % n
-			}
-			id := i
-			sends = append(sends, sent{at, from, to, id})
-			sim.At(at, func() { nw.Send(from, to, id) })
-		}
-		sim.RunUntilIdle()
-
-		// Invariant 1: no delivery to (or surviving send from) a down
-		// process.
-		for _, d := range got {
-			if sched.DownAt(d.at, d.to) {
-				t.Fatalf("message %d delivered to crashed p%d at %d", d.id, d.to, d.at)
-			}
-		}
-		bySend := map[int]sent{}
-		for _, s := range sends {
-			bySend[s.id] = s
-		}
-		for _, d := range got {
-			if s := bySend[d.id]; sched.DownAt(s.at, s.from) {
-				t.Fatalf("message %d sent by crashed p%d at %d was delivered", d.id, s.from, s.at)
-			}
-		}
-
-		// Invariant 2: exactly one crash per continuous down-span and
-		// exactly one restart per recovery. Count spans per process from
-		// the schedule itself.
-		spanCount := func(p int) (downs, ups int) {
-			wasDown := false
-			const horizon = 400
-			for tt := int64(0); tt < horizon; tt++ {
-				down := sched.DownAt(tt, p)
-				if down && !wasDown {
-					downs++
-				}
-				if !down && wasDown {
-					ups++
-				}
-				wasDown = down
-			}
-			return
-		}
-		for p := 0; p < n; p++ {
-			wantDown, wantUp := spanCount(p)
-			gotDown, gotUp := 0, 0
-			for _, c := range crashes {
-				if c.proc == p {
-					gotDown++
-				}
-			}
-			for _, r := range restarts {
-				if r.proc == p {
-					gotUp++
-				}
-			}
-			if gotDown != wantDown || gotUp != wantUp {
-				t.Fatalf("p%d: %d crashes / %d restarts fired, schedule has %d down-spans / %d recoveries (%v)",
-					p, gotDown, gotUp, wantDown, wantUp, sched.Crashes)
-			}
-		}
-
-		// Invariant 3: a message between endpoints that are up at send
-		// time is delivered exactly once unless the destination was down
-		// at its (delay-dependent) delivery time; deliveries never
-		// duplicate.
-		seen := map[int]int{}
-		for _, d := range got {
-			seen[d.id]++
-		}
-		for _, s := range sends {
-			if seen[s.id] > 1 {
-				t.Fatalf("message %d delivered %d times", s.id, seen[s.id])
-			}
-			if seen[s.id] == 0 {
-				// Must be explained by a crash at one endpoint: sender
-				// down at send, or destination down somewhere in the
-				// possible delivery range (FIFO bumps can extend it, so
-				// only the crash-free case is asserted).
-				senderDown := sched.DownAt(s.at, s.from)
-				destEverDown := len(sched.Crashes) > 0 &&
-					(sched.Crashes[0].Proc == s.to || sched.Crashes[1].Proc == s.to)
-				if !senderDown && !destEverDown {
-					t.Fatalf("message %d (%d→%d @%d) lost with no crash on either endpoint", s.id, s.from, s.to, s.at)
-				}
-			}
-		}
 	})
+	port := g.Net.Port(0)
+	var at25, at50 bool
+	sim.At(25, func() { at25 = port.Down() })
+	sim.At(50, func() { at50 = port.Down() })
+	sim.RunUntilIdle()
+
+	if rs := g.Recovery; rs.Crashes != 1 || rs.Restarts != 1 {
+		t.Fatalf("crashes=%d restarts=%d, want 1 and 1", rs.Crashes, rs.Restarts)
+	}
+	if e := edges(g.Net); len(e) != 2 || e[0].Time != 10 || e[1].Time != 50 {
+		t.Fatalf("crash and restart edges %v, want the merged span [10,50)", e)
+	}
+	if !at25 || at50 {
+		t.Fatal("Down disagrees with the merged span [10,50)")
+	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // NoHeal marks a partition window that never heals: messages across the
-// cut are lost, not deferred.
+// cut are lost, not deferred. As a crash window's End it is a crash that
+// never restarts.
 const NoHeal int64 = -1
 
 // Window is one partition interval [Start, End): from virtual time Start
@@ -84,16 +85,15 @@ func EclipseWindow(start, end int64, n, victim int) Window {
 }
 
 // Schedule is a deterministic fault schedule: a set of partition windows
-// and crash windows applied to a network. Message semantics follow real
-// partitions rather than silent loss: a message crossing an active cut
-// is *deferred* to the earliest time at which no window separates its
-// endpoints (the heal flush), and dropped only when no such time exists
-// (a NoHeal window). Crash windows (crash.go) lose messages instead:
-// deliveries to a down process are dropped, and the process recovers by
-// resynchronizing, not by a queue flush.
+// applied to a network. Message semantics follow real partitions rather
+// than silent loss: a message crossing an active cut is *deferred* to the
+// earliest time at which no window separates its endpoints (the heal
+// flush), and dropped only when no such time exists (a NoHeal window).
+// A crashed process (Port.SetDown) loses messages instead: deliveries to
+// it are dropped, and it recovers by resynchronizing, not by a queue
+// flush.
 type Schedule struct {
 	Windows []Window
-	Crashes []CrashWindow
 }
 
 // NewSchedule builds a schedule from windows.
@@ -177,11 +177,9 @@ func (e FaultEvent) String() string {
 }
 
 // SetSchedule installs a fault schedule on the network (nil removes it).
-// When fault recording is on, the schedule's cut/heal and crash/restart
-// boundaries are logged immediately so renderers can draw the spans.
-// Crash windows additionally arm the deterministic crash/restart hook
-// firings (crash.go); schedules without crash windows leave the event
-// queue untouched.
+// When fault recording is on, the schedule's cut/heal boundaries are
+// logged immediately so renderers can draw the spans. The event queue is
+// left untouched.
 func (nw *Network) SetSchedule(s *Schedule) {
 	nw.sched = s
 	if s == nil {
@@ -195,9 +193,6 @@ func (nw *Network) SetSchedule(s *Schedule) {
 				nw.faultLog = append(nw.faultLog, FaultEvent{Time: w.End, Kind: "heal", From: -1, To: -1, Detail: w.sides()})
 			}
 		}
-	}
-	if len(s.Crashes) > 0 {
-		nw.armCrashes(s)
 	}
 }
 

@@ -81,11 +81,10 @@ type Network struct {
 	faultLog  []FaultEvent
 	logFaults bool
 
-	// onCrash/onRestart run when a crash window opens or closes
-	// (crash.go); the replica layer hooks durable snapshot/restore and
-	// catch-up here.
-	onCrash   []func(p int)
-	onRestart []func(p int)
+	// down[p] is process p's crash flag, set through its port's
+	// SetDown: while it is set the network drops p's sends and every
+	// delivery addressed to p.
+	down []bool
 
 	sent, delivered, dropped int
 }
@@ -95,7 +94,7 @@ func NewNetwork(sim *Sim, n int, delay DelayModel) *Network {
 	if delay == nil {
 		delay = Synchronous{Delta: 1}
 	}
-	return &Network{sim: sim, n: n, delay: delay, drop: DropNone, handlers: make([][]Handler, n)}
+	return &Network{sim: sim, n: n, delay: delay, drop: DropNone, handlers: make([][]Handler, n), down: make([]bool, n)}
 }
 
 // Port is process p's view of the network, the replica.Net a simulated
@@ -112,8 +111,26 @@ func (nw *Network) Port(p int) Port { return Port{nw: nw, p: p} }
 func (pt Port) AddHandler(h Handler)         { pt.nw.AddHandler(pt.p, h) }
 func (pt Port) Send(to int, payload any)     { pt.nw.Send(pt.p, to, payload) }
 func (pt Port) Broadcast(payload any)        { pt.nw.Broadcast(pt.p, payload) }
-func (pt Port) Down() bool                   { return pt.nw.Down(pt.p) }
+func (pt Port) Down() bool                   { return pt.nw.down[pt.p] }
 func (pt Port) After(ticks int64, fn func()) { pt.nw.sim.Schedule(ticks, fn) }
+
+// SetDown marks the process crashed or back up, and records the edge: a
+// "crash" or "restart" fault event when fault recording is on, a
+// KCrash or KRestart trace event when tracing.
+func (pt Port) SetDown(down bool) {
+	nw := pt.nw
+	nw.down[pt.p] = down
+	kind, tk := "restart", trace.KRestart
+	if down {
+		kind, tk = "crash", trace.KCrash
+	}
+	if nw.logFaults {
+		nw.faultLog = append(nw.faultLog, FaultEvent{Time: nw.sim.Now(), Kind: kind, From: -1, To: -1, Detail: fmt.Sprintf("p%d", pt.p)})
+	}
+	if tr := nw.sim.tracer; tr != nil {
+		tr.Emit(trace.Event{VT: nw.sim.now, Seq: nw.sim.curSeq, Kind: tk, P: pt.p})
+	}
+}
 
 // AddHandler registers a delivery handler for process p. Multiple layers
 // (replica updates, consensus rounds) each register one; every handler
@@ -166,26 +183,14 @@ func (nw *Network) Send(from, to int, payload any) {
 	}
 	m := Message{From: from, To: to, Payload: payload}
 	nw.sent++
-	if nw.sched.DownAt(nw.sim.Now(), from) {
+	if nw.down[from] {
 		// A crashed process sends nothing. Timers are suppressed at the
 		// harness layer, so this is defense in depth for late callbacks.
-		nw.dropped++
-		if nw.logFaults {
-			nw.faultLog = append(nw.faultLog, FaultEvent{Time: nw.sim.Now(), Kind: "crashloss", From: from, To: to})
-		}
-		if nw.sim.tracer != nil {
-			nw.traceFault(nw.sim.Now(), "crashloss", from, to)
-		}
+		nw.lose("crashloss", from, to)
 		return
 	}
 	if from != to && nw.drop(m) {
-		nw.dropped++
-		if nw.logFaults {
-			nw.faultLog = append(nw.faultLog, FaultEvent{Time: nw.sim.Now(), Kind: "drop", From: from, To: to})
-		}
-		if nw.sim.tracer != nil {
-			nw.traceFault(nw.sim.Now(), "drop", from, to)
-		}
+		nw.lose("drop", from, to)
 		return
 	}
 	var d int64
@@ -208,13 +213,7 @@ func (nw *Network) Send(from, to int, payload any) {
 			if nw.sched != nil {
 				resolved, ok := nw.sched.DeliveryTime(at, from, to)
 				if !ok {
-					nw.dropped++
-					if nw.logFaults {
-						nw.faultLog = append(nw.faultLog, FaultEvent{Time: now, Kind: "partloss", From: from, To: to})
-					}
-					if nw.sim.tracer != nil {
-						nw.traceFault(now, "partloss", from, to)
-					}
+					nw.lose("partloss", from, to)
 					return
 				}
 				if resolved != at {
@@ -260,19 +259,25 @@ func (nw *Network) Send(from, to int, payload any) {
 // crashed process is lost — unlike a partition, a crash does not defer:
 // the process must resynchronize after recovery.
 func (nw *Network) deliver(m Message) {
-	if nw.sched.DownAt(nw.sim.Now(), m.To) {
-		nw.dropped++
-		if nw.logFaults {
-			nw.faultLog = append(nw.faultLog, FaultEvent{Time: nw.sim.Now(), Kind: "crashloss", From: m.From, To: m.To})
-		}
-		if nw.sim.tracer != nil {
-			nw.traceFault(nw.sim.Now(), "crashloss", m.From, m.To)
-		}
+	if nw.down[m.To] {
+		nw.lose("crashloss", m.From, m.To)
 		return
 	}
 	nw.delivered++
 	for _, h := range nw.handlers[m.To] {
 		h(m)
+	}
+}
+
+// lose counts a message from→to as dropped now, for the reason kind: a
+// fault event when fault recording is on, a trace event when tracing.
+func (nw *Network) lose(kind string, from, to int) {
+	nw.dropped++
+	if nw.logFaults {
+		nw.faultLog = append(nw.faultLog, FaultEvent{Time: nw.sim.Now(), Kind: kind, From: from, To: to})
+	}
+	if nw.sim.tracer != nil {
+		nw.traceFault(nw.sim.Now(), kind, from, to)
 	}
 }
 

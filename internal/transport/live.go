@@ -10,8 +10,6 @@ import (
 	"repro/internal/history"
 	"repro/internal/metrics"
 	"repro/internal/replica"
-	"repro/internal/simnet"
-	"repro/internal/tape"
 )
 
 // Profile is how one registered system produces blocks in a live
@@ -43,11 +41,9 @@ type Profile struct {
 type LiveConfig struct {
 	// Transport names the carrier: "chan" (default) or "tcp".
 	Transport string
-	// N is the node count (≥ 1); Seed drives the oracle and load shuffling;
-	// Merits are the normalized α_p column (nil = uniform).
-	N      int
-	Seed   uint64
-	Merits []tape.Merit
+	// N is the node count (≥ 1); Seed drives the oracle and load shuffling.
+	N    int
+	Seed uint64
 	// Addrs are carrier addresses (tcp; empty = loopback auto-ports).
 	Addrs []string
 
@@ -69,11 +65,11 @@ type LiveConfig struct {
 	Spray bool
 
 	// Crashes take nodes down during the load: Start and End count
-	// Ticks from load start. Every window heals, and two windows of one
-	// node neither overlap nor touch — btsim's knob table is the check.
-	// Durable restarts a node from its crash-time snapshot; false means
-	// amnesia.
-	Crashes []simnet.CrashWindow
+	// Ticks from load start, and every window heals (btsim's knob table
+	// is the check). Windows of one node that overlap or touch form one
+	// down-span, as in simulation (replica.ArmCrashes). Durable restarts
+	// a node from its crash-time snapshot; false means amnesia.
+	Crashes []replica.CrashWindow
 	Durable bool
 
 	// K, when > 0, adds the k-Fork Coherence report to the result.
@@ -195,7 +191,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	// Its block index is the one every tree is built on, which the
 	// carrier decodes against.
 	rec := history.NewRecorder(cfg.N, clock)
-	roster := NewRoster(cfg.N, cfg.Merits, cfg.Addrs)
+	roster := NewRoster(cfg.N, nil, cfg.Addrs)
 	tr, err := newCarrier(cfg.Transport, roster, rec.Table())
 	if err != nil {
 		return nil, err
@@ -240,7 +236,8 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	}
 
 	// Build the nodes: listen, host a process, start its anti-entropy
-	// loop, dial the mesh, then start the event loops.
+	// loop, dial the mesh, arm the crash windows, then start the event
+	// loops.
 	for i := 0; i < cfg.N; i++ {
 		n, err := NewNode(i, tr)
 		if err != nil {
@@ -259,41 +256,43 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 			return fail(err)
 		}
 	}
-	for _, n := range nodes {
-		n.Start()
-	}
-
-	// Load phase, with the crash windows riding alongside. Each crashed
-	// node counts its own recovery — the counters are written on its
-	// event loop — and the sum is taken once the loops have stopped.
-	lg := newLoadGen(cfg, prof, nodes, loadInstruments{
-		appendHist: appendHist, readHist: readHist,
-	})
+	// The crash windows ride alongside the load, armed on the nodes' own
+	// timers before their loops start. Each crashed node counts its own
+	// recovery — the counters are written on its event loop — and the sum
+	// is taken once the loops have stopped.
 	var (
-		windows   = map[int][]simnet.CrashWindow{}
+		recs      = make([]*replica.CrashRecovery, cfg.N)
 		perNode   []*replica.RecoveryStats
 		rejoining atomic.Int32
 		rejoined  = make(chan struct{})
 		lastEnd   int64
 	)
 	for _, w := range cfg.Crashes {
-		windows[w.Proc] = append(windows[w.Proc], w)
 		lastEnd = max(lastEnd, w.End)
-	}
-	rejoining.Store(int32(len(windows)))
-	for p, ws := range windows {
+		if recs[w.Proc] != nil {
+			continue
+		}
 		stats := &replica.RecoveryStats{}
 		perNode = append(perNode, stats)
-		scheduleCrashes(nodes[p], ws, cfg.Durable, stats, func() {
+		rejoining.Add(1)
+		recs[w.Proc] = replica.NewCrashRecovery(nodes[w.Proc].Proc, cfg.Durable, stats, func() {
 			if rejoining.Add(-1) == 0 {
 				close(rejoined)
 			}
 		})
 	}
+	replica.ArmCrashes(cfg.Crashes, recs)
+	for _, n := range nodes {
+		n.Start()
+	}
+
+	lg := newLoadGen(cfg, prof, nodes, loadInstruments{
+		appendHist: appendHist, readHist: readHist,
+	})
 	loadStart := time.Now()
 	lg.run()
 	elapsed := time.Since(loadStart)
-	if len(windows) > 0 {
+	if len(perNode) > 0 {
 		// A window may outlast a short load phase; rejoin must complete
 		// before convergence is meaningful.
 		select {
@@ -383,33 +382,6 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 // timer above the carrier counts in it (catch-up's first backoff,
 // replica.CatchUpBackoff ticks, is 100 ms; the advertise period 250 ms).
 const Tick = 12500 * time.Microsecond
-
-// scheduleCrashes arms node n's crash windows on the node's own timers,
-// so each whole window — crash, restart, catch-up and every stats update
-// — runs on the node's event loop: the crash edge marks the node down
-// (inbound deliveries are dropped, the process neither sends nor
-// operates), the restart edge marks it up, and replica.CrashRecovery
-// does the rest. done is called when the catch-up after the node's last
-// restart ends; an earlier catch-up may be cut short by the next crash.
-func scheduleCrashes(n *Node, windows []simnet.CrashWindow, durable bool, stats *replica.RecoveryStats, done func()) {
-	left := len(windows) // restarts still to come; touched on n's loop only
-	rec := replica.NewCrashRecovery(n.Proc, durable, stats, func() {
-		if left == 0 {
-			done()
-		}
-	})
-	for _, w := range windows {
-		n.After(w.Start, func() {
-			rec.Crash() // crash-consistent snapshot: the loop is between events
-			n.down.Store(true)
-			n.After(w.End-w.Start, func() {
-				n.down.Store(false)
-				left--
-				rec.Restart()
-			})
-		})
-	}
-}
 
 // settle polls until every node reports the same tree size with empty
 // inboxes and an idle carrier, twice in a row, or the timeout passes. The

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/oracle"
-	"repro/internal/simnet"
+	"repro/internal/replica"
 )
 
 // testProfile is a minimal prodigal system for driver tests: identity
@@ -83,7 +83,7 @@ func TestLiveRunCrashDurableRejoins(t *testing.T) {
 		Clients:   2,
 		// Node 2 is a reader: the writer keeps appending past it while it
 		// is down from 100 ms to 300 ms into the load.
-		Crashes: []simnet.CrashWindow{{Proc: 2, Start: 8, End: 24}},
+		Crashes: []replica.CrashWindow{{Proc: 2, Start: 8, End: 24}},
 		Durable: true,
 	}, testProfile())
 	if err != nil {

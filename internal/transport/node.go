@@ -42,9 +42,9 @@ type Node struct {
 	// starts; read-only afterwards.
 	handlers []simnet.Handler
 
-	// down is the live crash flag: while set, inbound deliveries are
-	// dropped and the process neither sends nor operates (replica.Net
-	// Down plumbs it into every Process guard).
+	// down is the live crash flag, set through SetDown: while set,
+	// inbound deliveries are dropped and the process neither sends nor
+	// operates (replica.Net Down plumbs it into every Process guard).
 	down atomic.Bool
 
 	// droppedDown counts deliveries dropped while crashed (loop-only).
@@ -180,3 +180,6 @@ func (n *Node) Broadcast(payload any) {
 
 // Down reports the live crash flag.
 func (n *Node) Down() bool { return n.down.Load() }
+
+// SetDown sets the live crash flag.
+func (n *Node) SetDown(down bool) { n.down.Store(down) }

@@ -21,35 +21,21 @@ var (
 type portCtl struct {
 	// on runs fn on process p's event loop and returns once it ran.
 	on func(p int, fn func())
-	// crash takes p down; restart brings it back up.
-	crash, restart func(p int)
 	// quiesce returns once every message sent and every timer armed so
 	// far has run (the script's handlers send nothing).
 	quiesce func()
 }
 
-// simPorts hands out each process's simnet.Port on one network. Its
-// crash edges open and close a window of the network's schedule at the
-// current virtual time, a tick apart.
+// simPorts hands out each process's simnet.Port on one network.
 func simPorts(_ *testing.T, n int) ([]replica.Net, portCtl) {
 	sim := simnet.NewSim(1)
 	nw := simnet.NewNetwork(sim, n, simnet.Synchronous{Delta: 2})
-	sched := &simnet.Schedule{}
-	nw.SetSchedule(sched)
 	ports := make([]replica.Net, n)
 	for p := range ports {
 		ports[p] = nw.Port(p)
 	}
 	return ports, portCtl{
-		on: func(p int, fn func()) { sim.Schedule(0, fn); sim.RunUntilIdle() },
-		crash: func(p int) {
-			sim.Run(sim.Now() + 1)
-			sched.Crashes = append(sched.Crashes, simnet.CrashWindow{Proc: p, Start: sim.Now(), End: simnet.NoHeal})
-		},
-		restart: func(p int) {
-			sim.Run(sim.Now() + 1)
-			sched.Crashes[len(sched.Crashes)-1].End = sim.Now()
-		},
+		on:      func(p int, fn func()) { sim.Schedule(0, fn); sim.RunUntilIdle() },
 		quiesce: func() { sim.RunUntilIdle() },
 	}
 }
@@ -91,9 +77,7 @@ func chanPorts(t *testing.T, n int) ([]replica.Net, portCtl) {
 	return ports, portCtl{
 		// The handlers are registered before the first step, so the loops
 		// start there.
-		on:      func(p int, fn func()) { start(); nodes[p].Do(fn) },
-		crash:   func(p int) { nodes[p].down.Store(true) },
-		restart: func(p int) { nodes[p].down.Store(false) },
+		on: func(p int, fn func()) { start(); nodes[p].Do(fn) },
 		quiesce: func() {
 			st := tr.(statser)
 			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -127,8 +111,8 @@ type tagged struct {
 
 // TestPortContract runs one script over simulated and live ports: a process
 // sends and broadcasts only as itself (loopback included), a broadcast
-// reaches every process, Down is true exactly while the process is
-// crashed, and After runs its callback on the process's own loop.
+// reaches every process, Down reports what SetDown last set on the
+// process's loop, and After runs its callback on the process's own loop.
 func TestPortContract(t *testing.T) {
 	const n = 4
 	for _, kind := range []struct {
@@ -183,9 +167,9 @@ func TestPortContract(t *testing.T) {
 				}
 			}
 			downs("before the crash", -1)
-			ctl.crash(1)
+			ctl.on(1, func() { ports[1].SetDown(true) })
 			downs("p1 crashed", 1)
-			ctl.restart(1)
+			ctl.on(1, func() { ports[1].SetDown(false) })
 			downs("p1 restarted", -1)
 
 			loop := make([]string, n)
