@@ -154,39 +154,49 @@ func checkWeights(t *testing.T, tr *Tree) {
 // the slots in use; its parent handle resolves to the node holding the
 // block its Parent field names (noHandle at genesis alone); its child
 // list is strictly ascending by ID and is exactly the held blocks naming
-// it as parent, with nkids its length and maxFork the largest; and leaf
+// it as parent, with nkids its length and maxFork the largest; leaf
 // slots and the leaves slice point at each other, one slot per childless
-// node.
+// node; and the side table holds only held handles whose copy is not the
+// index entry's.
 func checkNodeLinks(t *testing.T, tr *Tree) {
 	t.Helper()
 	kids := scanChildren(tr)
 	held, childless, maxFork := 0, 0, 0
-	eachNode(tr, func(h uint32, n *node) {
-		id := n.b.ID
+	eachNode(tr, func(h uint32, b *Block, n *node) {
+		id := b.ID
 		held++
 		if want := tr.idx.handle(id); h != want {
 			t.Fatalf("node %s sits under handle %d, the index says %d", id.Short(), h, want)
 		}
-		if tr.node(id) != n || tr.held(h) != n {
+		if tr.find(id) != h || tr.held(h) != n {
 			t.Fatalf("lookup of %s does not reach its node", id.Short())
 		}
-		if n.b.IsGenesis() {
-			if h != 0 || n.parent != noHandle {
-				t.Fatalf("genesis under handle %d with parent %d", h, n.parent)
+		_, parent := tr.ref(h)
+		if c, ok := tr.copies[h]; ok {
+			if e := tr.idx.entry(h); c.b == e.b && c.parent == e.parent.Load() {
+				t.Fatalf("side table repeats the index entry of %s", id.Short())
 			}
-		} else if p := tr.at(n.parent); p == nil || p != tr.node(n.b.Parent) {
-			t.Fatalf("parent handle %d of %s does not resolve to this tree's node of %s", n.parent, id.Short(), n.b.Parent.Short())
+		}
+		if b.IsGenesis() {
+			if h != 0 || parent != noHandle {
+				t.Fatalf("genesis under handle %d with parent %d", h, parent)
+			}
+		} else if tr.at(parent) == nil || parent != tr.find(b.Parent) {
+			t.Fatalf("parent handle %d of %s does not resolve to this tree's node of %s", parent, id.Short(), b.Parent.Short())
 		}
 		var list []BlockID
 		for k := n.firstKid; k != 0; k = tr.held(k).nextSib {
-			kn := tr.at(k)
-			if kn == nil || kn.parent != h || kn.b.Parent != id {
+			if tr.at(k) == nil {
+				t.Fatalf("child handle %d of %s is not held", k, id.Short())
+			}
+			kb, kp := tr.ref(k)
+			if kp != h || kb.Parent != id {
 				t.Fatalf("child handle %d of %s is not a held block naming it as parent", k, id.Short())
 			}
-			if len(list) > 0 && list[len(list)-1] >= kn.b.ID {
-				t.Fatalf("children of %s not strictly ascending: %v then %s", id.Short(), list, kn.b.ID.Short())
+			if len(list) > 0 && list[len(list)-1] >= kb.ID {
+				t.Fatalf("children of %s not strictly ascending: %v then %s", id.Short(), list, kb.ID.Short())
 			}
-			list = append(list, kn.b.ID)
+			list = append(list, kb.ID)
 			if len(list) > tr.n {
 				t.Fatalf("child list of %s does not end", id.Short())
 			}
@@ -200,11 +210,16 @@ func checkNodeLinks(t *testing.T, tr *Tree) {
 		maxFork = max(maxFork, len(list))
 		if len(list) == 0 {
 			childless++
-			if n.leaf < 0 || int(n.leaf) >= len(tr.leaves) || tr.leaves[n.leaf] != h {
-				t.Fatalf("leaf %s has slot %d, which does not point back", id.Short(), n.leaf)
+			if n.leaf < 1 || int(n.leaf) > len(tr.leaves) || tr.leaves[n.leaf-1] != h {
+				t.Fatalf("leaf %s has slot %d, which does not point back", id.Short(), n.leaf-1)
 			}
 		}
 	})
+	for h := range tr.copies {
+		if tr.at(h) == nil {
+			t.Fatalf("side table holds handle %d, which the tree does not", h)
+		}
+	}
 	if held != tr.n {
 		t.Fatalf("%d nodes in the pages, %d counted", held, tr.n)
 	}
@@ -433,16 +448,22 @@ func FuzzTreeIndices(f *testing.F) {
 // checkSharedIndex rebuilds tr — grown on a private index from attached,
 // in that order — as two trees on one shared index, the way the replicas
 // of a run hold overlapping block sets: a takes the first two thirds in
-// attach order, b takes everything in (height, ID) order, and the two
-// alternate, so either may be the one that interns a block and handle
-// order matches neither tree's attach order. Each must be
-// indistinguishable from a private-index tree of the same blocks.
+// attach order, b takes everything in (height, ID) order, as copies
+// under a second pointer, and the two alternate, so either may be the
+// one that interns a block, handle order matches neither tree's attach
+// order and either tree may read a block from its side table. Each must
+// be indistinguishable from a private-index tree of the same blocks and
+// read back the very copies it attached.
 func checkSharedIndex(t *testing.T, tr *Tree, attached []*Block) {
 	t.Helper()
 	idx := NewIndex()
 	a, b := NewTreeOn(idx), NewTreeOn(idx)
 	forA := attached[1 : 1+2*(len(attached)-1)/3]
 	forB := tr.Blocks()[1:]
+	for i, blk := range forB {
+		cp := *blk
+		forB[i] = &cp
+	}
 	for i := range forB {
 		if i < len(forA) {
 			if err := a.Attach(forA[i]); err != nil {
@@ -451,6 +472,16 @@ func checkSharedIndex(t *testing.T, tr *Tree, attached []*Block) {
 		}
 		if err := b.Attach(forB[i]); err != nil {
 			t.Fatalf("shared index, height order: %v", err)
+		}
+	}
+	for _, own := range []struct {
+		tr     *Tree
+		blocks []*Block
+	}{{a, forA}, {b, forB}} {
+		for _, blk := range own.blocks {
+			if got := own.tr.Block(blk.ID); got != blk {
+				t.Fatalf("shared index: Block(%s) reads %p, the tree attached %p", blk.ID.Short(), got, blk)
+			}
 		}
 	}
 	alone := NewTree()

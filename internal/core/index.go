@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+)
 
 // Index is the run-wide block index: it hands every distinct BlockID a
 // dense uint32 handle in intern order (genesis is 0) and remembers, per
@@ -33,19 +37,35 @@ import "sync"
 //     and a tree keeps no order of its own (Tree: Blocks sorts, Clone
 //     copies pages, the GHOST pass sums subtrees — the same result in
 //     any visiting order).
-//   - (iv) The index is safe for concurrent use. A block already interned
-//     is resolved under the read lock, taken once per delivered block;
-//     only the first attach of a block anywhere takes the write lock.
+//   - (iv) The index is safe for concurrent use. ID lookups take the
+//     read lock: a block already interned is resolved under it once per
+//     delivered block, and only the first attach of a block anywhere
+//     takes the write lock. The entry of a handle the caller holds —
+//     a tree's node, a parent link, the head a walk started from — is
+//     read without the lock: entries sit in append-only pages that
+//     never move, a page is published (an atomic store of the page
+//     directory) before any handle on it is, and an entry is written
+//     before its handle enters the map. Whoever holds a handle got it,
+//     directly or through a tree, from the map under the lock or from a
+//     parent link, so the entry's writes happen before the read. An
+//     entry's block never changes; its parent is read and patched
+//     atomically (next item).
 //   - A parent handle is noHandle exactly while the parent's ID is not
 //     interned: a child interned before its parent (a restored monitor's
 //     pool comes in no particular order) is patched when the parent
-//     arrives.
+//     arrives, under the write lock, by one atomic store that a walk
+//     racing it reads either way.
 type Index struct {
-	genesis *Block // ents[0].b, readable without the lock
+	genesis *Block // entry 0's block
 
-	mu   sync.RWMutex
-	ids  map[BlockID]uint32
-	ents []indexEntry
+	// pages is the page directory: page k holds the 1<<k entries of the
+	// handles from 1<<k - 1 on, so a genesis-only index holds one entry
+	// and a run of n blocks log2(n) pages. Only intern stores it, under
+	// mu; anyone holding a handle loads it.
+	pages atomic.Pointer[[][]indexEntry]
+
+	mu  sync.RWMutex
+	ids map[BlockID]uint32
 	// waiting lists, per missing parent ID, the handles interned before
 	// that parent; empty in a run whose blocks arrive through trees.
 	waiting map[BlockID][]uint32
@@ -53,7 +73,7 @@ type Index struct {
 
 type indexEntry struct {
 	b      *Block
-	parent uint32
+	parent atomic.Uint32
 }
 
 // noHandle marks "not interned"; no tree holds anything under it.
@@ -62,11 +82,18 @@ const noHandle = ^uint32(0)
 // NewIndex returns an index holding only the genesis block.
 func NewIndex() *Index {
 	g := Genesis()
-	return &Index{
-		genesis: g,
-		ids:     map[BlockID]uint32{g.ID: 0},
-		ents:    []indexEntry{{b: g, parent: noHandle}},
-	}
+	x := &Index{genesis: g, ids: map[BlockID]uint32{g.ID: 0}}
+	dir := [][]indexEntry{{{b: g}}}
+	dir[0][0].parent.Store(noHandle)
+	x.pages.Store(&dir)
+	return x
+}
+
+// entry returns the entry of a handle the caller holds, without the lock
+// (invariant (iv)).
+func (x *Index) entry(h uint32) *indexEntry {
+	k := bits.Len32(h+1) - 1
+	return &(*x.pages.Load())[k][h+1-1<<k]
 }
 
 // Ref is a block resolved against an Index: its handle and the handle of
@@ -85,11 +112,11 @@ func (r Ref) Block() *Block { return r.b }
 func (x *Index) resolve(b *Block) Ref {
 	r := Ref{b: b, h: noHandle, parent: noHandle}
 	x.mu.RLock()
+	defer x.mu.RUnlock()
 	if h, ok := x.ids[b.ID]; ok {
 		r.h = h
-		if e := &x.ents[h]; e.b == b || e.b.Parent == b.Parent {
-			r.parent = e.parent
-			x.mu.RUnlock()
+		if e := x.entry(h); e.b == b || e.b.Parent == b.Parent {
+			r.parent = e.parent.Load()
 			return r
 		}
 	}
@@ -97,7 +124,6 @@ func (x *Index) resolve(b *Block) Ref {
 	if ph, ok := x.ids[b.Parent]; ok {
 		r.parent = ph
 	}
-	x.mu.RUnlock()
 	return r
 }
 
@@ -112,12 +138,11 @@ func (x *Index) Intern(b *Block) {
 
 // intern returns b.ID's handle, assigning the next one on first sight.
 // The read-locked probe keeps re-interning (every read interns its head)
-// off the write lock.
+// off the write lock. The entry is written before the handle enters the
+// map, and a new page is published before the entry is written
+// (invariant (iv)); nothing is allocated but a page when one fills.
 func (x *Index) intern(b *Block) uint32 {
-	x.mu.RLock()
-	h, ok := x.ids[b.ID]
-	x.mu.RUnlock()
-	if ok {
+	if h := x.handle(b.ID); h != noHandle {
 		return h
 	}
 	x.mu.Lock()
@@ -125,7 +150,13 @@ func (x *Index) intern(b *Block) uint32 {
 	if h, ok := x.ids[b.ID]; ok {
 		return h
 	}
-	h = uint32(len(x.ents))
+	h := uint32(len(x.ids))
+	if dir := *x.pages.Load(); h == 1<<len(dir)-1 {
+		grown := append(dir, make([]indexEntry, h+1))
+		x.pages.Store(&grown)
+	}
+	e := x.entry(h)
+	e.b = b
 	parent, ok := x.ids[b.Parent]
 	if !ok {
 		parent = noHandle
@@ -134,11 +165,11 @@ func (x *Index) intern(b *Block) uint32 {
 		}
 		x.waiting[b.Parent] = append(x.waiting[b.Parent], h)
 	}
+	e.parent.Store(parent)
 	x.ids[b.ID] = h
-	x.ents = append(x.ents, indexEntry{b: b, parent: parent})
 	if len(x.waiting) > 0 {
 		for _, c := range x.waiting[b.ID] {
-			x.ents[c].parent = h
+			x.entry(c).parent.Store(h)
 		}
 		delete(x.waiting, b.ID)
 	}
@@ -149,15 +180,13 @@ func (x *Index) intern(b *Block) uint32 {
 func (x *Index) Len() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return len(x.ents)
+	return len(x.ids)
 }
 
 // Block returns the interned block with the given ID (nil if unknown).
 func (x *Index) Block(id BlockID) *Block {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if h, ok := x.ids[id]; ok {
-		return x.ents[h].b
+	if h := x.handle(id); h != noHandle {
+		return x.entry(h).b
 	}
 	return nil
 }
@@ -166,9 +195,10 @@ func (x *Index) Block(id BlockID) *Block {
 // and allocates nothing: the map is indexed by the bytes in place.
 func (x *Index) BlockBytes(id []byte) *Block {
 	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if h, ok := x.ids[BlockID(id)]; ok {
-		return x.ents[h].b
+	h, ok := x.ids[BlockID(id)]
+	x.mu.RUnlock()
+	if ok {
+		return x.entry(h).b
 	}
 	return nil
 }
@@ -185,24 +215,34 @@ func (x *Index) handle(id BlockID) uint32 {
 
 // ChainTo materializes the chain from genesis to head along parent
 // handles. It returns nil if head or one of its ancestors was never
-// interned, or if heights do not descend by one to genesis.
+// interned, or if heights do not descend by one to genesis. Only the
+// head's lookup takes the lock.
 func (x *Index) ChainTo(head BlockID) Chain {
 	x.mu.RLock()
-	defer x.mu.RUnlock()
 	h, ok := x.ids[head]
+	n := len(x.ids)
+	x.mu.RUnlock()
+	if !ok {
+		return nil
+	}
 	// A chain to height n is n+1 interned blocks: a height the index
 	// cannot back (a block from a damaged file) is refused before it
 	// sizes the allocation.
-	if !ok || x.ents[h].b.Height < 0 || x.ents[h].b.Height >= len(x.ents) {
+	hb := x.entry(h).b
+	if hb.Height < 0 || hb.Height >= n {
 		return nil
 	}
-	out := make(Chain, x.ents[h].b.Height+1)
+	out := make(Chain, hb.Height+1)
 	for i := len(out) - 1; i >= 0; i-- {
-		if h == noHandle || x.ents[h].b.Height != i {
+		if h == noHandle {
 			return nil
 		}
-		out[i] = x.ents[h].b
-		h = x.ents[h].parent
+		e := x.entry(h)
+		if e.b.Height != i {
+			return nil
+		}
+		out[i] = e.b
+		h = e.parent.Load()
 	}
 	if out[0] != x.genesis {
 		return nil
@@ -213,24 +253,25 @@ func (x *Index) ChainTo(head BlockID) Chain {
 // AncestorAt returns head's ancestor at the given height (nil when head
 // is unknown, the height is out of range, an ancestor was never interned
 // or heights do not descend by one). It follows parent handles without
-// materializing a chain — the monitors' O(Δh) comparability probe.
+// materializing a chain — the monitors' O(Δh) comparability probe — and
+// takes the lock only for the head's lookup.
 func (x *Index) AncestorAt(head BlockID, height int) *Block {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	h, ok := x.ids[head]
-	if !ok {
+	h := x.handle(head)
+	if h == noHandle {
 		return nil
 	}
-	b := x.ents[h].b
-	if height < 0 || height > b.Height {
+	e := x.entry(h)
+	if height < 0 || height > e.b.Height {
 		return nil
 	}
-	for b.Height > height {
-		h = x.ents[h].parent
-		if h == noHandle || x.ents[h].b.Height != b.Height-1 {
+	for e.b.Height > height {
+		want := e.b.Height - 1
+		if h = e.parent.Load(); h == noHandle {
 			return nil
 		}
-		b = x.ents[h].b
+		if e = x.entry(h); e.b.Height != want {
+			return nil
+		}
 	}
-	return b
+	return e.b
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -83,11 +84,11 @@ func TestIndexConcurrentIntern(t *testing.T) {
 			t.Fatalf("block %s: handle %d is missing, out of range or shared", b.ID.Short(), h)
 		}
 		seen[h] = true
-		if got := idx.ents[h].b; got.ID != b.ID {
+		if got := idx.entry(h).b; got.ID != b.ID {
 			t.Fatalf("handle %d holds %s, want %s", h, got.ID.Short(), b.ID.Short())
 		}
-		if !b.IsGenesis() && idx.ents[h].parent != idx.handle(b.Parent) {
-			t.Fatalf("block %s: parent handle %d, want %d", b.ID.Short(), idx.ents[h].parent, idx.handle(b.Parent))
+		if p := idx.entry(h).parent.Load(); !b.IsGenesis() && p != idx.handle(b.Parent) {
+			t.Fatalf("block %s: parent handle %d, want %d", b.ID.Short(), p, idx.handle(b.Parent))
 		}
 		c := idx.ChainTo(b.ID)
 		if len(c) != b.Height+1 || !c.WellFormed() || c.Head().ID != b.ID {
@@ -252,4 +253,214 @@ func TestSparseHandlesStaySmall(t *testing.T) {
 		t.Fatalf("tree of 2 blocks holds %d pages (%d blocks)", pages, small.Len())
 	}
 	checkTreeIndices(t, small)
+}
+
+// TestTreesKeepTheirOwnCopies: two trees on one index attach same-ID
+// copies of every block that differ from each other only by pointer, by
+// WithToken or by WithWeight — the tree holding the originals interning
+// the even blocks first, the tree holding the copies the odd ones. Each
+// tree, and a clone of it, must answer every read with the copy it
+// attached: Block, ChainTo, Blocks, Leaves, ChainWeight and the GHOST and
+// HeaviestChain heads. The weights are chosen so that the two trees'
+// GHOST heads differ when the copies are re-weighted.
+func TestTreesKeepTheirOwnCopies(t *testing.T) {
+	g := Genesis()
+	a := NewBlock(g.ID, 1, 0, 1, nil)
+	b1 := NewBlock(a.ID, 2, 0, 2, nil)
+	b2 := NewBlock(a.ID, 2, 1, 2, nil).WithWeight(3)
+	b3 := NewBlock(a.ID, 2, 2, 2, nil)
+	d := NewBlock(b1.ID, 3, 0, 3, nil)
+	originals := []*Block{a, b1, b2, b3, d}
+	for _, tc := range []struct {
+		name string
+		copy func(*Block) *Block
+	}{
+		{"pointer", func(b *Block) *Block { cp := *b; return &cp }},
+		{"token", func(b *Block) *Block { return b.WithToken("t") }},
+		{"weight", func(b *Block) *Block { return b.WithWeight(10 - b.Weight) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx := NewIndex()
+			orig, copies := NewTreeOn(idx), NewTreeOn(idx)
+			ownO, ownC := map[BlockID]*Block{GenesisID: idx.genesis}, map[BlockID]*Block{GenesisID: idx.genesis}
+			for i, b := range originals {
+				cp := tc.copy(b)
+				ownO[b.ID], ownC[b.ID] = b, cp
+				first, second := orig, copies
+				fb, sb := b, cp
+				if i%2 == 1 {
+					first, second, fb, sb = copies, orig, cp, b
+				}
+				if err := first.Attach(fb); err != nil {
+					t.Fatal(err)
+				}
+				if err := second.Attach(sb); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := orig.Attach(ownC[b2.ID]); tc.name == "weight" && err == nil {
+				t.Fatal("a re-weighted copy of a held block was accepted")
+			}
+			for _, tr := range []*Tree{orig, copies} {
+				if tr.copies == nil {
+					t.Fatal("a tree attached copies it does not share with the index, and keeps no side table")
+				}
+			}
+			checkOwnCopies(t, orig, ownO)
+			checkOwnCopies(t, copies, ownC)
+			clO, clC := orig.Clone(), copies.Clone()
+			checkOwnCopies(t, clO, ownO)
+			checkOwnCopies(t, clC, ownC)
+			// A clone that attaches a copy of a block the index holds keeps
+			// it in its own side table, not its tree's.
+			e := NewBlock(d.ID, 4, 5, 4, nil)
+			idx.Intern(e)
+			if err := clC.Attach(e.WithToken("e")); err != nil {
+				t.Fatal(err)
+			}
+			if copies.Has(e.ID) || len(clC.copies) != len(copies.copies)+1 {
+				t.Fatalf("growing a clone reached its tree: %d and %d copies", len(clC.copies), len(copies.copies))
+			}
+			gO, gC := GHOST{}.SelectHead(orig), GHOST{}.SelectHead(copies)
+			if gO != b2 {
+				t.Fatalf("GHOST head of the originals %v, want %v", gO, b2)
+			}
+			if tc.name == "weight" && gC != ownC[d.ID] {
+				t.Fatalf("GHOST head of the re-weighted copies %v, want %v", gC, ownC[d.ID])
+			}
+		})
+	}
+}
+
+// checkOwnCopies asserts that every read of tr answers with the copy of
+// each block in own (the tree's blocks, by ID) — pointer identity — and
+// that its weights are the sums of those copies' weights.
+func checkOwnCopies(t *testing.T, tr *Tree, own map[BlockID]*Block) {
+	t.Helper()
+	checkTreeIndices(t, tr)
+	if tr.Len() != len(own) {
+		t.Fatalf("tree holds %d blocks, want %d", tr.Len(), len(own))
+	}
+	chainWeight := func(b *Block) int {
+		w := 0
+		for ; !b.IsGenesis(); b = own[b.Parent] {
+			w += b.Weight
+		}
+		return w
+	}
+	for id, want := range own {
+		if got := tr.Block(id); got != want {
+			t.Fatalf("Block(%s) = %p, want the attached copy %p", id.Short(), got, want)
+		}
+		c := tr.ChainTo(id)
+		for _, b := range c {
+			if b != own[b.ID] {
+				t.Fatalf("ChainTo(%s) holds %p for %s, want %p", id.Short(), b, b.ID.Short(), own[b.ID])
+			}
+		}
+		if len(c) != want.Height+1 || c.Head() != want {
+			t.Fatalf("ChainTo(%s) = %v", id.Short(), c)
+		}
+		if got, w := tr.ChainWeight(id), chainWeight(want); got != w {
+			t.Fatalf("ChainWeight(%s) = %d, the copies sum to %d", id.Short(), got, w)
+		}
+	}
+	for _, b := range tr.Blocks() {
+		if b != own[b.ID] {
+			t.Fatalf("Blocks holds %p for %s, want %p", b, b.ID.Short(), own[b.ID])
+		}
+	}
+	for _, id := range tr.Leaves() {
+		if tr.ForkCount(id) != 0 || own[id] == nil {
+			t.Fatalf("leaf %s is not a childless block of the tree", id.Short())
+		}
+	}
+	for _, sel := range []Selector{GHOST{}, HeaviestChain{}, LongestChain{}} {
+		head := HeadOf(sel, tr)
+		if head != own[head.ID] {
+			t.Fatalf("%s head %p, want the attached copy %p", sel.Name(), head, own[head.ID])
+		}
+		for _, b := range sel.Select(tr) {
+			if b != own[b.ID] {
+				t.Fatalf("%s chain holds %p for %s, want %p", sel.Name(), b, b.ID.Short(), own[b.ID])
+			}
+		}
+	}
+}
+
+// TestTreesReadEntriesWhileInterning: several trees on one index attach
+// a fork-heavy block set, one goroutine per tree and each in its own
+// parent-first order (one of them attaching copies under a second
+// pointer, so its reads go to its side table), while another goroutine
+// interns every head children-first — each child waits for its parent
+// and is patched when the parent arrives — and walks ChainTo and
+// AncestorAt. Trees read their blocks' entries without the index's lock
+// while those entries' pages are published and parents patched; under
+// -race this is that contract (invariant (iv)). Afterwards every tree
+// and the index must be whole.
+func TestTreesReadEntriesWhileInterning(t *testing.T) {
+	blocks := chainAndForks(300)
+	idx := NewIndex()
+	const trees = 4
+	out := make([]*Tree, trees)
+	var wg sync.WaitGroup
+	for i := range out {
+		tr := NewTreeOn(idx)
+		out[i] = tr
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			pending := append([]*Block(nil), blocks...)
+			for len(pending) > 0 {
+				rng.Shuffle(len(pending), func(a, b int) { pending[a], pending[b] = pending[b], pending[a] })
+				next := pending[:0]
+				for _, b := range pending {
+					if !tr.Has(b.Parent) {
+						next = append(next, b)
+						continue
+					}
+					if seed == 1 {
+						cp := *b
+						b = &cp
+					}
+					if err := tr.Attach(b); err != nil {
+						t.Error(err)
+						return
+					}
+					tr.ChainTo(b.ID)
+				}
+				pending = next
+			}
+		}(int64(i))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := len(blocks) - 1; i >= 0; i-- {
+			b := blocks[i]
+			idx.Intern(b)
+			if c := idx.ChainTo(b.ID); c != nil && (len(c) != b.Height+1 || !c.WellFormed() || c.Head().ID != b.ID) {
+				t.Errorf("ChainTo(%s) = %v", b.ID.Short(), c)
+			}
+			if a := idx.AncestorAt(b.ID, b.Height/2); a != nil && a.Height != b.Height/2 {
+				t.Errorf("AncestorAt(%s, %d) at height %d", b.ID.Short(), b.Height/2, a.Height)
+			}
+		}
+	}()
+	wg.Wait()
+	if idx.Len() != len(blocks)+1 || len(idx.waiting) != 0 {
+		t.Fatalf("index holds %d blocks with %d parents awaited, want %d and none", idx.Len(), len(idx.waiting), len(blocks)+1)
+	}
+	for i, tr := range out {
+		if tr.Len() != len(blocks)+1 {
+			t.Fatalf("tree holds %d blocks, want %d", tr.Len(), len(blocks)+1)
+		}
+		checkTreeIndices(t, tr)
+		for _, b := range blocks {
+			if got := tr.Block(b.ID); (got == b) == (i == 1) {
+				t.Fatalf("tree %d reads %p for %s, which it did not attach", i, got, b.ID.Short())
+			}
+		}
+	}
 }

@@ -90,10 +90,10 @@ func (HeaviestChain) SelectHead(t *Tree) *Block {
 	var best *Block
 	bestW := -1
 	for _, h := range t.leaves {
-		leaf := t.held(h)
+		leaf := t.block(h)
 		w := t.wt(h).chain
-		if w > bestW || (w == bestW && (best == nil || leaf.b.ID > best.ID)) {
-			best, bestW = leaf.b, w
+		if w > bestW || (w == bestW && (best == nil || leaf.ID > best.ID)) {
+			best, bestW = leaf, w
 		}
 	}
 	if best == nil {
@@ -141,24 +141,23 @@ func ghostDescent(t *Tree, path *Chain) *Block {
 	if !t.fillWeights() {
 		return nil
 	}
-	n := t.held(0)
-	for h := n.firstKid; h != 0; h = n.firstKid {
-		n = t.held(h)
-		if n.nextSib != 0 { // an only child is taken without reading a weight
+	h := uint32(0)
+	for k := t.held(h).firstKid; k != 0; k = t.held(h).firstKid {
+		h = k
+		if s := t.held(k).nextSib; s != 0 { // an only child is taken without reading a weight
 			// Children ascend by ID, so on equal weights the later one wins.
-			best, bestW := h, t.wt(h).subtree
-			for s := n.nextSib; s != 0; s = t.held(s).nextSib {
+			bestW := t.wt(k).subtree
+			for ; s != 0; s = t.held(s).nextSib {
 				if w := t.wt(s).subtree; w >= bestW {
-					best, bestW = s, w
+					h, bestW = s, w
 				}
 			}
-			n = t.held(best)
 		}
 		if path != nil {
-			*path = append(*path, n.b)
+			*path = append(*path, t.block(h))
 		}
 	}
-	return n.b
+	return t.block(h)
 }
 
 // Name returns "ghost".

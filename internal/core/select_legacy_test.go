@@ -9,15 +9,17 @@ import "sort"
 // selectors in select.go return byte-identical chains. Do not "optimize"
 // these — their value is being the slow, obviously-correct spec.
 
-// eachNode visits every node of the tree with its handle (page order).
-func eachNode(t *Tree, visit func(h uint32, n *node)) {
+// eachNode visits every node of the tree with its handle and block (page
+// order).
+func eachNode(t *Tree, visit func(h uint32, b *Block, n *node)) {
 	for p, pg := range t.pages {
 		if pg == nil {
 			continue
 		}
 		for i := range pg {
-			if pg[i].b != nil {
-				visit(uint32(p<<pageBits|i), &pg[i])
+			if pg[i].leaf != 0 {
+				h := uint32(p<<pageBits | i)
+				visit(h, t.block(h), &pg[i])
 			}
 		}
 	}
@@ -28,9 +30,9 @@ func eachNode(t *Tree, visit func(h uint32, n *node)) {
 // order.
 func scanChildren(t *Tree) map[BlockID][]BlockID {
 	kids := map[BlockID][]BlockID{}
-	eachNode(t, func(_ uint32, n *node) {
-		if !n.b.IsGenesis() {
-			kids[n.b.Parent] = append(kids[n.b.Parent], n.b.ID)
+	eachNode(t, func(_ uint32, b *Block, _ *node) {
+		if !b.IsGenesis() {
+			kids[b.Parent] = append(kids[b.Parent], b.ID)
 		}
 	})
 	for _, ks := range kids {
@@ -44,9 +46,9 @@ func scanChildren(t *Tree) map[BlockID][]BlockID {
 func scanLeaves(t *Tree) []BlockID {
 	kids := scanChildren(t)
 	var out []BlockID
-	eachNode(t, func(_ uint32, n *node) {
-		if len(kids[n.b.ID]) == 0 {
-			out = append(out, n.b.ID)
+	eachNode(t, func(_ uint32, b *Block, _ *node) {
+		if len(kids[b.ID]) == 0 {
+			out = append(out, b.ID)
 		}
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -57,9 +59,9 @@ func scanLeaves(t *Tree) []BlockID {
 // way Tree.Height worked before the cached maxHeight.
 func scanHeight(t *Tree) int {
 	h := 0
-	eachNode(t, func(_ uint32, n *node) {
-		if n.b.Height > h {
-			h = n.b.Height
+	eachNode(t, func(_ uint32, b *Block, _ *node) {
+		if b.Height > h {
+			h = b.Height
 		}
 	})
 	return h

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -22,13 +23,20 @@ import (
 // one (NewTreeOn) or, for a lone tree, a private one (NewTree) — and
 // keeps its nodes inline in handle-indexed pages, allocated as handles
 // are first used and never regrown, so node addresses stay valid and a
-// tree holding few of a large run's blocks stays small. A node is 24
-// bytes and its one pointer is the block (the copy *this* tree attached);
-// parent, first child and next sibling are handles. Attach resolves the
-// block's ID once (Resolve: one read-locked lookup in the index, warm
-// across the replicas of a run), writes one page slot and allocates
-// nothing else; what it maintains there lets the selection function f
-// (internal/core/select.go) never rescan the tree:
+// tree holding few of a large run's blocks stays small. A node is 12
+// bytes and holds no pointer: first child and next sibling are handles,
+// and a held block's pointer and parent handle are read from the index
+// entry without its lock (Index invariant (iv)), not repeated per tree.
+// Where the copy a tree attached is not the entry's block under the
+// entry's parent — a same-ID twin naming another parent (invariant
+// (ii)), a WithWeight or WithToken copy, a tcp frame decoded before the
+// block was first interned — the tree keeps its copy in a side table,
+// nil on every simulated run. Pointer identity decides, not equal
+// fields: Token is outside the ID and k-Fork Coherence groups by it.
+// Attach resolves the block's ID once (Resolve: one read-locked lookup
+// in the index, warm across the replicas of a run), writes one page
+// slot and allocates nothing else; what it maintains there lets the
+// selection function f (internal/core/select.go) never rescan the tree:
 //
 //   - firstKid/nextSib: a block's children as an intrusive list in
 //     ascending ID order (deterministic whatever the arrival order, so
@@ -63,12 +71,15 @@ import (
 // Trees sharing an Index may be used from different goroutines.
 type Tree struct {
 	idx *Index
-	// pages hold the nodes by handle; a slot whose b is nil is a block the
-	// tree does not hold. n counts the held ones.
+	// pages hold the nodes by handle; a slot whose leaf is 0 is a block
+	// the tree does not hold. n counts the held ones.
 	pages []*[pageSize]node
 	n     int
+	// copies holds, by handle, the block and parent this tree attached
+	// where they are not the index entry's; nil until one is.
+	copies map[uint32]copyRef
 	// leaves is the maintained leaf set: the handles of the nodes with no
-	// children, each recording its index here in node.leaf.
+	// children, each recording its index here, plus one, in node.leaf.
 	leaves []uint32
 	// weights pages the weight caches by handle, beside pages: nil until
 	// the first weight query, maintained by Attach from then on.
@@ -83,16 +94,22 @@ type Tree struct {
 
 // node is one block's entry in the tree: a slot of a page. The zero
 // value is "not held". Handle 0 is genesis, which is nobody's child, so 0
-// ends the child lists; genesis's own parent is noHandle.
+// ends the child lists; the block and its parent handle are the index
+// entry's (Tree.ref).
 type node struct {
-	b      *Block
-	parent uint32
 	// firstKid heads the node's children, nextSib continues the list the
 	// node itself is on; both lists ascend by ID.
 	firstKid, nextSib uint32
-	// leaf is the node's index in Tree.leaves while it has no children
-	// and minus their number once it has some (one field: 24 bytes).
+	// leaf is one more than the node's index in Tree.leaves while it has
+	// no children and minus their number once it has some, so 0 is "not
+	// held" (one field: 12 bytes).
 	leaf int32
+}
+
+// copyRef is a block and its parent handle as a tree attached them.
+type copyRef struct {
+	b      *Block
+	parent uint32
 }
 
 // weight is one block's entry in the weight table.
@@ -113,12 +130,13 @@ func (n *node) nkids() int {
 	return int(-n.leaf)
 }
 
-// A page holds 64 nodes (1.5 KB) and is the least a tree costs: 64 was
-// chosen as the largest power of two at which a genesis-only NewTree()
-// allocated no more than with 256 node pointers beside a 16-node slab
-// (TestGenesisTreeStaysSmall) — the ADT machines clone a small tree on
-// every append. A 5 000-block replica holds 79 pages, and 79 weight pages
-// (1 KB each) once a weight query has been asked.
+// A page holds 64 nodes (768 B) and is the least a tree costs: 64 was
+// chosen, with 24-byte nodes, as the largest power of two at which a
+// genesis-only NewTree() allocated no more than with 256 node pointers
+// beside a 16-node slab (TestGenesisTreeStaysSmall) — the ADT machines
+// clone a small tree on every append. A 5 000-block replica holds 79
+// pages, and 79 weight pages (1 KB each) once a weight query has been
+// asked.
 const (
 	pageBits = 6
 	pageSize = 1 << pageBits
@@ -129,7 +147,7 @@ const (
 // (noHandle lies beyond any page).
 func (t *Tree) at(h uint32) *node {
 	if p := int(h >> pageBits); p < len(t.pages) && t.pages[p] != nil {
-		if n := &t.pages[p][h&pageMask]; n.b != nil {
+		if n := &t.pages[p][h&pageMask]; n.leaf != 0 {
 			return n
 		}
 	}
@@ -153,16 +171,39 @@ func slot[T any](pages *[]*[pageSize]T, h uint32) *T {
 	return &(*pages)[p][h&pageMask]
 }
 
+// ref returns the block of a handle the tree holds and its parent's
+// handle (noHandle at genesis): the index entry's, or the tree's own copy
+// where it attached another.
+func (t *Tree) ref(h uint32) (*Block, uint32) {
+	if t.copies != nil {
+		if c, ok := t.copies[h]; ok {
+			return c.b, c.parent
+		}
+	}
+	e := t.idx.entry(h)
+	return e.b, e.parent.Load()
+}
+
+// block returns the block of a handle the tree holds.
+func (t *Tree) block(h uint32) *Block {
+	b, _ := t.ref(h)
+	return b
+}
+
 // wt returns the weight entry of a handle the tree holds; the weight
 // table must be filled.
 func (t *Tree) wt(h uint32) *weight { return &t.weights[h>>pageBits][h&pageMask] }
 
-// node returns the node of the block with the given ID.
-func (t *Tree) node(id BlockID) *node {
+// find returns the handle of the block with the given ID, noHandle when
+// the tree does not hold it.
+func (t *Tree) find(id BlockID) uint32 {
 	if t.idx == nil {
-		return nil // zero-value tree
+		return noHandle // zero-value tree
 	}
-	return t.at(t.idx.handle(id))
+	if h := t.idx.handle(id); t.at(h) != nil {
+		return h
+	}
+	return noHandle
 }
 
 // NewTree returns a BlockTree containing only the genesis block b0, on
@@ -174,14 +215,14 @@ func NewTree() *Tree { return NewTreeOn(NewIndex()) }
 // run's index.
 func NewTreeOn(idx *Index) *Tree {
 	t := &Tree{idx: idx, n: 1, leaves: []uint32{0}, tallest: idx.genesis}
-	*slot(&t.pages, 0) = node{b: idx.genesis, parent: noHandle}
+	*slot(&t.pages, 0) = node{leaf: 1}
 	return t
 }
 
 // Root returns the genesis block (nil on a zero-value tree).
 func (t *Tree) Root() *Block {
-	if root := t.at(0); root != nil {
-		return root.b
+	if t.at(0) != nil {
+		return t.idx.genesis
 	}
 	return nil
 }
@@ -191,14 +232,14 @@ func (t *Tree) Len() int { return t.n }
 
 // Block returns the block with the given ID, or nil if absent.
 func (t *Tree) Block(id BlockID) *Block {
-	if n := t.node(id); n != nil {
-		return n.b
+	if h := t.find(id); h != noHandle {
+		return t.block(h)
 	}
 	return nil
 }
 
 // Has reports whether the tree contains a block with the given ID.
-func (t *Tree) Has(id BlockID) bool { return t.node(id) != nil }
+func (t *Tree) Has(id BlockID) bool { return t.find(id) != noHandle }
 
 // Resolve looks b's ID up in the tree's index, once: the replica's
 // delivery path resolves a block on receipt and then asks Holds,
@@ -237,8 +278,8 @@ func (t *Tree) AttachResolved(r Ref) error {
 	if b.IsGenesis() {
 		return nil // genesis is always present
 	}
-	if n := t.at(r.h); n != nil {
-		existing := n.b
+	if t.at(r.h) != nil {
+		existing := t.block(r.h)
 		if existing.Parent != b.Parent || existing.Height != b.Height ||
 			existing.Weight != b.Weight || !bytes.Equal(existing.Payload, b.Payload) {
 			return fmt.Errorf("core: conflicting block %s already attached", b.ID.Short())
@@ -249,30 +290,35 @@ func (t *Tree) AttachResolved(r Ref) error {
 	if parent == nil {
 		return fmt.Errorf("core: parent %s of %s not in tree", b.Parent.Short(), b.ID.Short())
 	}
-	if b.Height != parent.b.Height+1 {
-		return fmt.Errorf("core: block %s height %d, want %d", b.ID.Short(), b.Height, parent.b.Height+1)
+	if ph := t.block(r.parent).Height; b.Height != ph+1 {
+		return fmt.Errorf("core: block %s height %d, want %d", b.ID.Short(), b.Height, ph+1)
 	}
 	if r.h == noHandle {
 		r.h = t.idx.intern(b)
 	}
+	if t.idx.entry(r.h).b != b { // a copy under the same pointer names the same parent
+		if t.copies == nil {
+			t.copies = make(map[uint32]copyRef)
+		}
+		t.copies[r.h] = copyRef{b: b, parent: r.parent}
+	}
 	n := slot(&t.pages, r.h) // may add a page; parent stays valid, pages never move
-	*n = node{b: b, parent: r.parent}
 	t.n++
 	// Link in ahead of the first sibling with a larger ID (sibling lists
 	// are short).
 	link := &parent.firstKid
-	for *link != 0 && t.held(*link).b.ID < b.ID {
+	for *link != 0 && t.block(*link).ID < b.ID {
 		link = &t.held(*link).nextSib
 	}
 	n.nextSib, *link = *link, r.h
-	if parent.leaf >= 0 {
+	if parent.leaf > 0 {
 		// A first child takes over the leaf slot its parent gives up.
 		n.leaf, parent.leaf = parent.leaf, -1
-		t.leaves[n.leaf] = r.h
+		t.leaves[n.leaf-1] = r.h
 	} else {
 		parent.leaf--
-		n.leaf = int32(len(t.leaves))
 		t.leaves = append(t.leaves, r.h)
+		n.leaf = int32(len(t.leaves))
 	}
 	if k := parent.nkids(); k > t.maxFork {
 		t.maxFork = k
@@ -282,7 +328,7 @@ func (t *Tree) AttachResolved(r Ref) error {
 	}
 	if t.weights != nil {
 		*slot(&t.weights, r.h) = weight{chain: t.wt(r.parent).chain + b.Weight, subtree: b.Weight}
-		for h := r.parent; h != noHandle; h = t.held(h).parent {
+		for h := r.parent; h != noHandle; _, h = t.ref(h) {
 			t.wt(h).subtree += b.Weight
 		}
 	}
@@ -293,9 +339,9 @@ func (t *Tree) AttachResolved(r Ref) error {
 // order (deterministic), in a slice built for the call.
 func (t *Tree) Children(id BlockID) []BlockID {
 	var out []BlockID
-	if n := t.node(id); n != nil {
+	if n := t.at(t.find(id)); n != nil {
 		for h := n.firstKid; h != 0; h = t.held(h).nextSib {
-			out = append(out, t.held(h).b.ID)
+			out = append(out, t.block(h).ID)
 		}
 	}
 	return out
@@ -303,7 +349,7 @@ func (t *Tree) Children(id BlockID) []BlockID {
 
 // ForkCount returns the number of children of id — the number of branches
 // (forks) rooted at that block, the quantity bounded by the frugal oracle.
-func (t *Tree) ForkCount(id BlockID) int { return t.node(id).nkids() }
+func (t *Tree) ForkCount(id BlockID) int { return t.at(t.find(id)).nkids() }
 
 // MaxForkDegree returns the largest number of branches from any single
 // block in the tree; 1 (or 0 for a bare genesis) means the tree is a
@@ -323,10 +369,8 @@ func (t *Tree) ChainWeight(id BlockID) int { return t.weightOf(id).chain }
 // weightOf returns the weights of the block with the given ID, filling
 // the table on the first query; zero for a block the tree does not hold.
 func (t *Tree) weightOf(id BlockID) weight {
-	if t.idx != nil {
-		if h := t.idx.handle(id); t.at(h) != nil && t.fillWeights() {
-			return *t.wt(h)
-		}
+	if h := t.find(id); h != noHandle && t.fillWeights() {
+		return *t.wt(h)
 	}
 	return weight{}
 }
@@ -348,27 +392,30 @@ func (t *Tree) fillWeights() bool {
 	h := uint32(0)
 	for {
 		for {
-			n, w := t.held(h), slot(&t.weights, h)
-			if n.parent != noHandle {
-				w.chain = t.wt(n.parent).chain + n.b.Weight
+			b, parent := t.ref(h)
+			w := slot(&t.weights, h)
+			if parent != noHandle {
+				w.chain = t.wt(parent).chain + b.Weight
 			}
+			n := t.held(h)
 			if n.firstKid == 0 {
 				break
 			}
 			h = n.firstKid
 		}
 		for {
-			n, w := t.held(h), t.wt(h)
-			w.subtree += n.b.Weight
-			if n.parent == noHandle {
+			b, parent := t.ref(h)
+			w := t.wt(h)
+			w.subtree += b.Weight
+			if parent == noHandle {
 				return true
 			}
-			t.wt(n.parent).subtree += w.subtree
-			if n.nextSib != 0 {
-				h = n.nextSib
+			t.wt(parent).subtree += w.subtree
+			if s := t.held(h).nextSib; s != 0 {
+				h = s
 				break
 			}
-			h = n.parent
+			h = parent
 		}
 	}
 }
@@ -381,7 +428,7 @@ func (t *Tree) LeafCount() int { return len(t.leaves) }
 func (t *Tree) Leaves() []BlockID {
 	out := make([]BlockID, len(t.leaves))
 	for i, h := range t.leaves {
-		out[i] = t.held(h).b.ID
+		out[i] = t.block(h).ID
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -391,16 +438,17 @@ func (t *Tree) Leaves() []BlockID {
 // the tree. This is the path from the leaf back to the root along parent
 // handles, reversed to root-first order.
 func (t *Tree) ChainTo(id BlockID) Chain {
-	n := t.node(id)
-	if n == nil {
+	h := t.find(id)
+	if h == noHandle {
 		return nil
 	}
-	out := make(Chain, n.b.Height+1)
+	b, parent := t.ref(h)
+	out := make(Chain, b.Height+1)
 	for i := len(out) - 1; i > 0; i-- {
-		out[i] = n.b
-		n = t.held(n.parent)
+		out[i] = b
+		b, parent = t.ref(parent)
 	}
-	out[0] = n.b
+	out[0] = b
 	return out
 }
 
@@ -416,13 +464,13 @@ func (t *Tree) Height() int {
 // The genesis block comes first.
 func (t *Tree) Blocks() []*Block {
 	out := make([]*Block, 0, t.n)
-	for _, pg := range t.pages {
+	for p, pg := range t.pages {
 		if pg == nil {
 			continue
 		}
 		for i := range pg {
-			if b := pg[i].b; b != nil {
-				out = append(out, b)
+			if pg[i].leaf != 0 {
+				out = append(out, t.block(uint32(p<<pageBits|i)))
 			}
 		}
 	}
@@ -435,12 +483,14 @@ func (t *Tree) Blocks() []*Block {
 	return out
 }
 
-// Clone returns a deep copy of the tree structure, indices and weight
-// table (if filled) included (block pointers are shared; blocks are
-// immutable): nodes link by handle, so copying the pages copies the tree.
+// Clone returns a deep copy of the tree structure, indices, side table
+// and weight table (if filled) included (block pointers are shared;
+// blocks are immutable): nodes link by handle, so copying the pages
+// copies the tree.
 func (t *Tree) Clone() *Tree {
 	nt := *t
 	nt.pages = copyPages(t.pages)
+	nt.copies = maps.Clone(t.copies)
 	nt.weights = copyPages(t.weights)
 	nt.leaves = append([]uint32(nil), t.leaves...)
 	return &nt

@@ -338,12 +338,14 @@ func TestAttachAllocatesNothingOncePagesExist(t *testing.T) {
 // did before nodes moved into the pages — 4 344 bytes for NewTree() then
 // (a page of 256 node pointers, a 16-node slab, the private index), 3 260
 // with 64-node pages of 40-byte nodes, 2 380 once the weight caches moved
-// out of the node into their own lazily allocated table (2 392 under the
-// race detector, the bar). The node itself must stay at 24 bytes with the
-// block as its only pointer, and a fresh tree holds no weight page.
+// out of the node into their own lazily allocated table, 1 388 once the
+// node stopped repeating the index entry's block and parent (1 400 under
+// the race detector, the bar). The node itself must stay at 12 bytes with
+// no pointer for the collector to trace, and a fresh tree holds no weight
+// page and no side table.
 func TestGenesisTreeStaysSmall(t *testing.T) {
-	if sz := unsafe.Sizeof(node{}); sz != 24 {
-		t.Errorf("a node is %d bytes, want 24", sz)
+	if sz := unsafe.Sizeof(node{}); sz != 12 {
+		t.Errorf("a node is %d bytes, want 12", sz)
 	}
 	traced := 0 // fields the collector has to look at
 	for i, nt := 0, reflect.TypeOf(node{}); i < nt.NumField(); i++ {
@@ -351,15 +353,18 @@ func TestGenesisTreeStaysSmall(t *testing.T) {
 			traced++
 		}
 	}
-	if traced != 1 {
-		t.Errorf("a node holds %d pointer-bearing fields, want the block alone", traced)
+	if traced != 0 {
+		t.Errorf("a node holds %d pointer-bearing fields, want none", traced)
+	}
+	if tr := NewTree(); tr.copies != nil {
+		t.Error("a genesis-only tree holds a side table")
 	}
 	if NewTree().weights != nil {
 		t.Error("a genesis-only tree holds a weight table")
 	}
 	// The least of five rounds: another goroutine's allocation landing in
 	// one round's window is not the tree's.
-	const trees, rounds, maxBytes = 64, 5, 2392
+	const trees, rounds, maxBytes = 64, 5, 1400
 	keep := make([]*Tree, trees)
 	per := uint64(math.MaxUint64)
 	for range rounds {
