@@ -124,13 +124,7 @@ func samplePeakHeap() (stop func() uint64) {
 // powTrace runs one Bitcoin-style simulation and returns its result
 // (shared input for the fork-choice ablation).
 func powTrace(seed uint64) *protocols.Result {
-	cfg := bitcoin.Config{}
-	cfg.N = 4
-	cfg.Rounds = 200
-	cfg.Seed = seed
-	cfg.ReadEvery = 10
-	cfg.Difficulty = 5
-	return bitcoin.Run(cfg)
+	return bitcoin.Run(protocols.Config{N: 4, Rounds: 200, Seed: seed, ReadEvery: 10, Difficulty: 5})
 }
 
 // BenchmarkAblationForkChoice evaluates the three selection functions on
@@ -331,42 +325,22 @@ func BenchmarkSelectorScaling(b *testing.B) {
 // BenchmarkProtocolRuns measures one full simulation per system — the
 // end-to-end cost of a Table 1 row.
 func BenchmarkProtocolRuns(b *testing.B) {
-	common := protocols.Config{N: 4, Rounds: 30, ReadEvery: 10}
+	seeded := func(s uint64) protocols.Config { return protocols.Config{N: 4, Rounds: 30, ReadEvery: 10, Seed: s} }
 	for _, run := range []struct {
 		name string
 		fn   func(seed uint64) *protocols.Result
 	}{
 		{"Bitcoin", powTrace},
 		{"Ethereum", func(s uint64) *protocols.Result {
-			c := ethereum.Config{Config: common, Difficulty: 4}
-			c.Seed = s
+			c := seeded(s)
+			c.Difficulty = 4
 			return ethereum.Run(c)
 		}},
-		{"Algorand", func(s uint64) *protocols.Result {
-			c := algorand.Config{Config: common}
-			c.Seed = s
-			return algorand.Run(c)
-		}},
-		{"ByzCoin", func(s uint64) *protocols.Result {
-			c := byzcoin.Config{Config: common}
-			c.Seed = s
-			return byzcoin.Run(c)
-		}},
-		{"PeerCensus", func(s uint64) *protocols.Result {
-			c := peercensus.Config{Config: common}
-			c.Seed = s
-			return peercensus.Run(c)
-		}},
-		{"RedBelly", func(s uint64) *protocols.Result {
-			c := redbelly.Config{Config: common}
-			c.Seed = s
-			return redbelly.Run(c)
-		}},
-		{"Fabric", func(s uint64) *protocols.Result {
-			c := fabric.Config{Config: common}
-			c.Seed = s
-			return fabric.Run(c)
-		}},
+		{"Algorand", func(s uint64) *protocols.Result { return algorand.Run(seeded(s)) }},
+		{"ByzCoin", func(s uint64) *protocols.Result { return byzcoin.Run(seeded(s)) }},
+		{"PeerCensus", func(s uint64) *protocols.Result { return peercensus.Run(seeded(s)) }},
+		{"RedBelly", func(s uint64) *protocols.Result { return redbelly.Run(seeded(s)) }},
+		{"Fabric", func(s uint64) *protocols.Result { return fabric.Run(fabric.Config{Config: seeded(s)}) }},
 	} {
 		b.Run(run.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -113,7 +113,7 @@ func TestConformanceOptionN(t *testing.T) {
 
 // TestConformanceOptionRoundTrip pins that each remaining With* option
 // is observable in the run it configures (on the richest adapter,
-// bitcoin, plus delta on the consensus family).
+// bitcoin, plus delta on every system).
 func TestConformanceOptionRoundTrip(t *testing.T) {
 	bitcoin, _ := btsim.Lookup("bitcoin")
 	base := benignOpts(bitcoin, 42)
@@ -133,15 +133,12 @@ func TestConformanceOptionRoundTrip(t *testing.T) {
 		}
 	})
 	t.Run("delta", func(t *testing.T) {
-		res := mustRun(t, bitcoin, append(base, btsim.WithDelta(9))...)
-		if res.Digest() == ref.Digest() {
-			t.Fatal("tripling the delay bound left the run unchanged")
-		}
-		byzcoin, _ := btsim.Lookup("byzcoin")
-		bref := mustRun(t, byzcoin, benignOpts(byzcoin, 42)...)
-		bres := mustRun(t, byzcoin, append(benignOpts(byzcoin, 42), btsim.WithDelta(9))...)
-		if bres.Digest() == bref.Digest() {
-			t.Fatal("delta not observable on the consensus family")
+		for _, sys := range btsim.Systems() {
+			ref := mustRun(t, sys, benignOpts(sys, 42)...)
+			res := mustRun(t, sys, append(benignOpts(sys, 42), btsim.WithDelta(9))...)
+			if res.Digest() == ref.Digest() {
+				t.Errorf("%s: a delay bound of 9 left the run unchanged", sys.Name())
+			}
 		}
 	})
 	t.Run("difficulty", func(t *testing.T) {
@@ -261,14 +258,23 @@ func TestConformanceObserver(t *testing.T) {
 	}
 }
 
-// TestConformanceIgnoredKnobsAreHarmless pins that knobs a system has
-// no use for do not break its run (the documented Config contract).
+// TestConformanceIgnoredKnobsAreHarmless pins where the PoW knobs
+// reach: difficulty and message loss move the run of each prodigal-
+// oracle system (bitcoin, ethereum) and leave every other system's
+// byte-identical (the documented Config contract).
 func TestConformanceIgnoredKnobsAreHarmless(t *testing.T) {
-	fabric, _ := btsim.Lookup("fabric")
-	res := mustRun(t, fabric, append(benignOpts(fabric, 42),
-		btsim.WithDifficulty(9), btsim.WithDropNth(0, 1))...)
-	if sc, _ := res.Check(); !sc.OK {
-		t.Fatal("fabric with ignored PoW knobs lost strong consistency")
+	for _, sys := range btsim.Systems() {
+		pow := sys.Info().K == 0
+		ref := mustRun(t, sys, benignOpts(sys, 42)...)
+		for name, opt := range map[string]btsim.Option{
+			"WithDifficulty(2)": btsim.WithDifficulty(2),
+			"WithDropNth(0, 1)": btsim.WithDropNth(0, 1),
+		} {
+			res := mustRun(t, sys, append(benignOpts(sys, 42), opt)...)
+			if moved := res.Digest() != ref.Digest(); moved != pow {
+				t.Errorf("%s: %s moved the digest: %v, want %v", sys.Name(), name, moved, pow)
+			}
+		}
 	}
 }
 

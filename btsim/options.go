@@ -558,15 +558,18 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Base lowers the public knob set onto the shared internal protocol
-// config. The rows of the registration table (btsim/systems) call it
-// when they lower a Config; it has already been validated by System.Run.
+// Base lowers the public knob set, all but Drop (see DropRule), onto
+// the shared internal protocol config. The rows of the registration
+// table (btsim/systems) call it when they lower a Config; it has already
+// been validated by System.Run.
 func (c Config) Base() protocols.Config {
 	pc := protocols.Config{
 		N:            c.N,
 		Rounds:       c.Rounds,
 		Seed:         c.Seed,
 		ReadEvery:    c.ReadEvery,
+		Delta:        c.Delta,
+		Difficulty:   c.Difficulty,
 		RecordFaults: c.FaultLog,
 		Crashes:      c.Crashes,
 		Durable:      c.Durable,
@@ -630,8 +633,10 @@ func (c Config) Base() protocols.Config {
 	return pc
 }
 
-// DropRule lowers the Drop spec to the simnet rule the PoW rows pass
-// on (nil when no loss is configured).
+// DropRule lowers the Drop spec to a simnet rule (nil when no loss is
+// configured). Base leaves it out: the bitcoin and ethereum rows of
+// btsim/systems set it as protocols.Config.Drop, and the other five
+// systems run lossless whatever Drop says.
 func (c Config) DropRule() simnet.DropRule {
 	if c.Drop == nil {
 		return nil

@@ -286,7 +286,7 @@ func TestStreamingCheckpointCycles(t *testing.T) {
 		r.SetSink(seg)
 		r.SetRetain(false)
 	}
-	bitcoin.Run(bitcoin.Config{Config: pc})
+	bitcoin.Run(pc)
 	seg.Seal()
 	for _, op := range rec.PendingOps() {
 		mon.OpPending(op)

@@ -8,10 +8,12 @@
 // execute any of them by name.
 //
 // A system is stated once, as a protocols.Definition (oracle, selector,
-// score, predicate, the paper's claims) built by its package from its
-// own Config. A row of the table (init, below) adds what only the
-// registry knows — name, paper section, synopsis — and one closure
-// lowering the public btsim.Config onto that package's Config. register
+// score, predicate, the paper's claims) built by its package from the
+// one internal knob set, protocols.Config. A row of the table (init,
+// below) adds what only the registry knows — name, paper section,
+// synopsis — and how the public btsim.Config is lowered for it: every
+// row takes Config.Base, and the bitcoin and ethereum rows alone also
+// take message loss (lossy). register
 // derives the rest: Info.Oracle, Info.Criterion and Info.K are read off
 // the definition, and the one sim/live dispatch of the module runs
 // either the package's simulated runner or protocols.RunLive on the same
@@ -34,7 +36,7 @@ import (
 
 // register adds one row of the table to the btsim registry: def and run
 // are the package's Definition and simulated runner, lower maps the
-// public knob set onto the package's Config type C.
+// public knob set onto the config type C they take.
 func register[C any](name, section, synopsis string,
 	def func(C) *protocols.Definition, run func(C) *protocols.Result, lower func(btsim.Config) C) {
 	d := def(lower(btsim.Config{}))
@@ -59,33 +61,27 @@ func register[C any](name, section, synopsis string,
 	}))
 }
 
+// lossy lowers the public knob set with its message loss: only the
+// bitcoin and ethereum rows take it.
+func lossy(c btsim.Config) protocols.Config {
+	pc := c.Base()
+	pc.Drop = c.DropRule()
+	return pc
+}
+
 func init() {
 	register("bitcoin", "5.1", "permissionless PoW, flooding, longest-chain selection",
-		bitcoin.Definition, bitcoin.Run, func(c btsim.Config) bitcoin.Config {
-			return bitcoin.Config{Config: c.Base(), Difficulty: c.Difficulty, Delta: c.Delta, DropRule: c.DropRule()}
-		})
+		bitcoin.Definition, bitcoin.Run, lossy)
 	register("ethereum", "5.2", "fast-block PoW, flooding, GHOST heaviest-subtree selection",
-		ethereum.Definition, ethereum.Run, func(c btsim.Config) ethereum.Config {
-			return ethereum.Config{Config: c.Base(), Difficulty: c.Difficulty, Delta: c.Delta, DropRule: c.DropRule()}
-		})
+		ethereum.Definition, ethereum.Run, lossy)
 	register("byzcoin", "5.3", "PoW-elected leader, PBFT commit of one key block per height",
-		byzcoin.Definition, byzcoin.Run, func(c btsim.Config) byzcoin.Config {
-			return byzcoin.Config{Config: c.Base(), Delta: c.Delta}
-		})
+		byzcoin.Definition, byzcoin.Run, btsim.Config.Base)
 	register("algorand", "5.4", "stake-weighted sortition, BA* committee agreement per round",
-		algorand.Definition, algorand.Run, func(c btsim.Config) algorand.Config {
-			return algorand.Config{Config: c.Base(), Delta: c.Delta}
-		})
+		algorand.Definition, algorand.Run, btsim.Config.Base)
 	register("peercensus", "5.5", "PoW identities, committee consensus anchored on prior creators",
-		peercensus.Definition, peercensus.Run, func(c btsim.Config) peercensus.Config {
-			return peercensus.Config{Config: c.Base(), Delta: c.Delta}
-		})
+		peercensus.Definition, peercensus.Run, btsim.Config.Base)
 	register("redbelly", "5.6", "consortium proposers, Byzantine consensus decides each height",
-		redbelly.Definition, redbelly.Run, func(c btsim.Config) redbelly.Config {
-			return redbelly.Config{Config: c.Base(), Delta: c.Delta}
-		})
+		redbelly.Definition, redbelly.Run, btsim.Config.Base)
 	register("fabric", "5.7", "permissioned: endorsement, ordering service, block cutting",
-		fabric.Definition, fabric.Run, func(c btsim.Config) fabric.Config {
-			return fabric.Config{Config: c.Base(), Delta: c.Delta}
-		})
+		fabric.Definition, fabric.Run, func(c btsim.Config) fabric.Config { return fabric.Config{Config: c.Base()} })
 }

@@ -12,11 +12,10 @@ import (
 
 // An eighth system in one file: a flooding lottery whose oracle lets at
 // most two blocks chain to one parent (ΘF,k=2), longest-chain selection.
-// It has no knobs of its own, so its Config is the common one.
 func toyDefinition(protocols.Config) *protocols.Definition {
 	return &protocols.Definition{
 		System: "Toy", Selector: core.LongestChain{}, Score: core.LengthScore{}, Predicate: core.WellFormed{},
-		OracleClaim: "ΘF,k=2", PaperCriterion: "EC", FIFO: true,
+		OracleClaim: "ΘF,k=2", PaperCriterion: "EC", FIFO: true, Delta: 3,
 		Oracle: func(seed uint64) *oracle.Frugal {
 			return oracle.NewFrugal(2, tape.DifficultyMapping(0.5), core.WellFormed{}, seed)
 		},
@@ -24,8 +23,8 @@ func toyDefinition(protocols.Config) *protocols.Definition {
 }
 
 func toyRun(cfg protocols.Config) *protocols.Result {
-	h := toyDefinition(cfg).Start(&cfg, 3, nil)
-	h.LotteryRounds(nil)
+	h := toyDefinition(cfg).Start(&cfg)
+	h.LotteryRounds()
 	h.ReadsEvery(cfg.ReadEvery, int64(cfg.Rounds))
 	return h.Finish()
 }

@@ -14,6 +14,10 @@
 //	      [-sample S] [-limit L] [-format chrome|jsonl] [-o file]
 //	      [-lanes] [-check file]
 //
+// -drop nth,to loses exactly one message: the nth (0-based) addressed
+// to replica to, or the nth overall when to < 0. Only bitcoin and
+// ethereum take message loss; every other system runs lossless.
+//
 // -lanes renders the ASCII lane view instead of the raw trace; -check
 // skips the run entirely and validates an existing Chrome trace-event
 // JSON file (the CI trace-smoke step), exiting non-zero if it does not
@@ -43,7 +47,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "deterministic seed")
 	difficulty := flag.Float64("difficulty", 5, "PoW difficulty (PoW systems)")
 	readEvery := flag.Int64("read-every", 15, "issue a read every this many virtual-time units")
-	drop := flag.String("drop", "", `drop every nth message to a replica, as "nth,to"`)
+	drop := flag.String("drop", "", `lose the nth message (0-based) addressed to a replica, as "nth,to" (bitcoin and ethereum only)`)
 	sample := flag.Int64("sample", 1, "keep one in S common events (rare kinds always kept)")
 	limit := flag.Int("limit", 0, "cap retained events (0 = library default)")
 	format := flag.String("format", "chrome", `output format: "chrome" (Perfetto-loadable) or "jsonl"`)

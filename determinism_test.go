@@ -97,14 +97,14 @@ func TestPipelineDeterminismPinned(t *testing.T) {
 func TestDigestIndependentOfHandleOrder(t *testing.T) {
 	const want = "6e285a33a4969092" // bitcoin-seed1 of TestPipelineDeterminismPinned
 	run := func(pre []*core.Block) *btsim.Result {
-		cfg := bitcoin.Config{Difficulty: 5, Config: protocols.Config{
-			N: 4, Rounds: 120, Seed: 1, ReadEvery: 15,
+		cfg := protocols.Config{
+			N: 4, Rounds: 120, Seed: 1, ReadEvery: 15, Difficulty: 5,
 			Stream: func(rec *history.Recorder, _ core.Score) {
 				for i := len(pre) - 1; i >= 0; i-- {
 					rec.Table().Intern(pre[i])
 				}
 			},
-		}}
+		}
 		return &btsim.Result{Result: bitcoin.Run(cfg)}
 	}
 	base := run(nil)

@@ -131,8 +131,9 @@ func DecodeTxs(payload []byte) ([]Tx, error) {
 // Bitcoin's P: a block is valid iff it is well-formed and its payload
 // parses into transactions. (Whether the transactions are *spendable*
 // depends on the chain the block extends, which is context the paper's
-// P does not see; the chain-contextual check lives in LedgerState and is
-// exercised by the protocol simulators when they build blocks.)
+// P does not see; that chain-contextual check is LedgerState. The
+// protocol simulators do not run it: their payloads are built with
+// EncodeTxs alone.)
 type LedgerPredicate struct{}
 
 // Valid checks structural hash validity plus payload parseability.
@@ -162,9 +163,10 @@ func (RejectAll) Valid(b *Block) bool { return b != nil && b.IsGenesis() }
 func (RejectAll) Name() string { return "rejectall" }
 
 // LedgerState replays a chain's transactions to compute account balances,
-// rejecting double spends. It provides the chain-contextual validity the
-// protocol simulators use when *creating* blocks (the oracle only ever
-// validates blocks that pass it).
+// rejecting double spends: the chain-contextual validity LedgerPredicate
+// leaves out. No simulator builds its blocks against it (they encode
+// their payloads with EncodeTxs alone); the oracle and the checkers see
+// only the context-free predicates.
 type LedgerState struct {
 	balances map[uint32]uint64
 }

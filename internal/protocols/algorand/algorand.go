@@ -5,10 +5,9 @@
 // implements consumeToken, committing that block when the committee
 // reaches a two-thirds vote. BA* may fork with (very small) probability
 // when the network misbehaves (Theorem 2 of the Algorand paper bounds it
-// by 10⁻⁷); the simulator exposes that probability as a knob, so the
-// default run classifies as a frugal oracle with k = 1 — "SC w.h.p." —
-// while a run with an inflated fork probability exhibits the residual
-// fork the paper's caveat is about.
+// by 10⁻⁷). The simulator does not inject that residual fork, so a
+// benign run classifies as a frugal oracle with k = 1 — "SC w.h.p.",
+// where "w.h.p." is the paper's caveat, not something a run measures.
 package algorand
 
 import (
@@ -18,20 +17,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/tape"
 )
-
-// Config extends the common knobs.
-type Config struct {
-	protocols.Config
-	// CommitteeSize is the sortition committee size (0 means
-	// max(3, N/2+1)), capped at N.
-	CommitteeSize int
-	// ForkProb is the per-round probability of a BA* fork (default 0;
-	// the real system's bound is ~1e-7).
-	ForkProb float64
-	// Delta is the synchronous delay bound (Algorand assumes strong
-	// synchrony for liveness).
-	Delta int64
-}
 
 // proposal is the proposer's block broadcast; vote is a committee vote.
 type (
@@ -49,7 +34,7 @@ type (
 // Definition is Algorand's Table 1 row: sortition is the frugal oracle's
 // lottery, retried as the real proposer re-runs it, and the BA*
 // agreement consumes the height's single token.
-func Definition(Config) *protocols.Definition {
+func Definition(protocols.Config) *protocols.Definition {
 	return &protocols.Definition{
 		System:         "Algorand",
 		Selector:       core.LongestChain{},
@@ -59,6 +44,7 @@ func Definition(Config) *protocols.Definition {
 		PaperCriterion: "SC w.h.p.",
 		Sequencer:      true,
 		MineCap:        1 << 10,
+		Delta:          2, // Algorand assumes strong synchrony for liveness
 		Oracle: func(seed uint64) *oracle.Frugal {
 			return oracle.NewFrugal(1, func(a tape.Merit) float64 {
 				if a <= 0 {
@@ -71,16 +57,11 @@ func Definition(Config) *protocols.Definition {
 }
 
 // Run executes the simulation.
-func Run(cfg Config) *protocols.Result {
-	if cfg.Delta <= 0 {
-		cfg.Delta = 2
-	}
-	h := Definition(cfg).Start(&cfg.Config, cfg.Delta, nil)
-	if cfg.CommitteeSize <= 0 {
-		cfg.CommitteeSize = max(3, cfg.N/2+1)
-	}
-	// Sortition draws distinct members: a run has no more than N.
-	cfg.CommitteeSize = min(cfg.CommitteeSize, cfg.N)
+func Run(cfg protocols.Config) *protocols.Result {
+	h := Definition(cfg).Start(&cfg)
+	// The sortition committee: max(3, N/2+1) distinct members, and a
+	// run has no more than N.
+	committee := min(max(3, cfg.N/2+1), cfg.N)
 	sim, group, orc, merits, stats := h.Sim, h.Group, h.Oracle, h.Merits, h.Stats
 	nets := group.Nets()
 	sortRNG := tape.NewRNG(cfg.Seed ^ 0x50421710)
@@ -105,7 +86,7 @@ func Run(cfg Config) *protocols.Result {
 		}
 		return st
 	}
-	threshold := 2*cfg.CommitteeSize/3 + 1
+	threshold := 2*committee/3 + 1
 
 	// Message handling: proposals trigger committee votes; a vote
 	// quorum commits (the consumeToken succeeding).
@@ -172,7 +153,7 @@ func Run(cfg Config) *protocols.Result {
 			// the first pick is the highest-priority proposer.
 			proposer := weightedPick()
 			st.committee[proposer] = true
-			for len(st.committee) < cfg.CommitteeSize {
+			for len(st.committee) < committee {
 				st.committee[weightedPick()] = true
 			}
 			head := group.Procs[proposer].SelectedHead()
@@ -182,20 +163,6 @@ func Run(cfg Config) *protocols.Result {
 			}
 			stats["proposals"]++
 			nets[proposer].Broadcast(proposal{Round: round, Block: b})
-
-			// BA* residual fork: with probability ForkProb a
-			// second proposal survives agreement — two tokens
-			// effectively consumed for the same parent.
-			if cfg.ForkProb > 0 && sortRNG.Bernoulli(cfg.ForkProb) {
-				alt := weightedPick()
-				if alt == proposer {
-					alt = (proposer + 1) % cfg.N
-				}
-				b2 := core.NewBlock(head.ID, head.Height+1, alt, round, protocols.CoinbasePayload(alt, round))
-				b2 = b2.WithToken(oracle.TokenName(head.ID))
-				stats["forkEvents"]++
-				group.Procs[alt].AppendLocal(b2)
-			}
 		})
 	}
 

@@ -5,11 +5,12 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/protocols"
 	"repro/internal/tape"
 )
 
-func defaultCfg(seed uint64) Config {
-	var c Config
+func defaultCfg(seed uint64) protocols.Config {
+	var c protocols.Config
 	c.N = 5
 	c.Rounds = 25
 	c.Seed = seed
@@ -35,7 +36,7 @@ func TestForkFreeByDefault(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		res := Run(defaultCfg(seed))
 		if res.MeasuredForkMax > 1 {
-			t.Fatalf("seed %d: fork degree %d with ForkProb=0", seed, res.MeasuredForkMax)
+			t.Fatalf("seed %d: fork degree %d", seed, res.MeasuredForkMax)
 		}
 		chk := consistency.NewChecker(res.Score, core.WellFormed{})
 		sc, _ := chk.Classify(res.History)
@@ -45,25 +46,6 @@ func TestForkFreeByDefault(t *testing.T) {
 		if rep := chk.KForkCoherence(res.History, 1); !rep.OK {
 			t.Fatalf("seed %d: k=1 coherence: %v", seed, rep.Violations)
 		}
-	}
-}
-
-func TestInflatedForkProbabilityWitnessesFork(t *testing.T) {
-	// The "w.h.p." caveat of Table 1: with the BA* failure probability
-	// inflated, forks appear and 1-fork coherence breaks.
-	cfg := defaultCfg(4)
-	cfg.Rounds = 60
-	cfg.ForkProb = 0.4
-	res := Run(cfg)
-	if res.Stats["forkEvents"] == 0 {
-		t.Skip("no fork event sampled at this seed")
-	}
-	if res.MeasuredForkMax <= 1 {
-		t.Fatal("fork events produced no tree fork")
-	}
-	chk := consistency.NewChecker(res.Score, core.WellFormed{})
-	if rep := chk.KForkCoherence(res.History, 1); rep.OK {
-		t.Fatal("1-fork coherence survived BA* forks")
 	}
 }
 
@@ -89,9 +71,7 @@ func TestStakeWeightedProposers(t *testing.T) {
 }
 
 func TestCommitteeSizeDefault(t *testing.T) {
-	cfg := defaultCfg(6)
-	cfg.CommitteeSize = 0
-	res := Run(cfg) // must not panic and must make progress
+	res := Run(defaultCfg(6)) // must not panic and must make progress
 	if res.FinalHeights()[0] == 0 {
 		t.Fatal("no progress with default committee")
 	}

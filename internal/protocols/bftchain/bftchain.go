@@ -17,19 +17,17 @@ import (
 	"repro/internal/tape"
 )
 
-// Config parameterizes one BFT-chain run.
+// viewTimeout is the PBFT view-change timeout.
+const viewTimeout = 40
+
+// Config is one BFT-chain run: the common knobs plus the hooks in which
+// the family's systems differ.
 type Config struct {
 	protocols.Config
 	// System names the protocol for the result.
 	System string
-	// Delta is the synchronous delay bound δ.
-	Delta int64
-	// Timeout is the PBFT view-change timeout.
-	Timeout int64
 	// LeaderFn picks the leader per (height, view); nil = round-robin.
 	LeaderFn func(height, view int) int
-	// Behaviors injects Byzantine behaviors (a crash is a Crashes window).
-	Behaviors map[int]consensus.Behavior
 	// MeritOf returns the proposing merit of a process; nil = common
 	// normalized merit. Red Belly sets 0 outside the consortium.
 	MeritOf func(proc int) tape.Merit
@@ -58,6 +56,7 @@ func Definition(cfg Config) *protocols.Definition {
 		Sequencer:      true,
 		MineCap:        1 << 12,
 		MeritOf:        cfg.MeritOf,
+		Delta:          3,
 		Oracle: func(seed uint64) *oracle.Frugal {
 			return oracle.NewFrugal(1, func(a tape.Merit) float64 {
 				if a <= 0 {
@@ -71,13 +70,7 @@ func Definition(cfg Config) *protocols.Definition {
 
 // Run executes Rounds heights of the BFT chain.
 func Run(cfg Config) *protocols.Result {
-	if cfg.Delta <= 0 {
-		cfg.Delta = 3
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 40
-	}
-	h := Definition(cfg).Start(&cfg.Config, cfg.Delta, nil)
+	h := Definition(cfg).Start(&cfg.Config)
 	sim, group, orc, stats := h.Sim, h.Group, h.Oracle, h.Stats
 	consumedAt := make(map[int]bool) // height → token consumed
 
@@ -88,9 +81,8 @@ func Run(cfg Config) *protocols.Result {
 	var engStart func(height int)
 
 	eng, err := consensus.NewEngine(group.Nets(), consensus.Config{
-		Timeout:   cfg.Timeout,
-		Behaviors: cfg.Behaviors,
-		LeaderFn:  cfg.LeaderFn,
+		Timeout:  viewTimeout,
+		LeaderFn: cfg.LeaderFn,
 		Propose: func(proc, height int) *core.Block {
 			// A process outside M (merit 0) draws nothing: it is not
 			// allowed to propose.
@@ -145,7 +137,7 @@ func Run(cfg Config) *protocols.Result {
 	}
 	engStart(0)
 
-	h.ReadsEvery(cfg.ReadEvery*4, int64(cfg.Rounds)*(cfg.Timeout+cfg.Delta*4))
+	h.ReadsEvery(cfg.ReadEvery*4, int64(cfg.Rounds)*(viewTimeout+cfg.Delta*4))
 	res := h.Finish()
 	gets, grants, consumed, rejected := orc.Stats()
 	stats["getToken"] = gets

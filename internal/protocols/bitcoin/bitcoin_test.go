@@ -5,12 +5,13 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/protocols"
 	"repro/internal/simnet"
 	"repro/internal/tape"
 )
 
-func defaultCfg(seed uint64) Config {
-	var c Config
+func defaultCfg(seed uint64) protocols.Config {
+	var c protocols.Config
 	c.N = 4
 	c.Rounds = 150
 	c.Seed = seed
@@ -111,7 +112,7 @@ func TestHashingPowerSkewsBlockShare(t *testing.T) {
 func TestDroppedUpdateBreaksAgreement(t *testing.T) {
 	cfg := defaultCfg(9)
 	cfg.Merits = []tape.Merit{1, 0, 0, 0}
-	cfg.DropRule = simnet.DropNth(0, simnet.DropToProcess(3))
+	cfg.Drop = simnet.DropNth(0, simnet.DropToProcess(3))
 	res := Run(cfg)
 	if rep := consistency.UpdateAgreement(res.History); rep.OK {
 		t.Fatal("dropped update not detected")

@@ -9,24 +9,14 @@
 package byzcoin
 
 import (
-	"repro/internal/consensus"
 	"repro/internal/protocols"
 	"repro/internal/protocols/bftchain"
 	"repro/internal/tape"
 )
 
-// Config extends the common knobs.
-type Config struct {
-	protocols.Config
-	// Delta / Timeout as in bftchain.
-	Delta, Timeout int64
-	// Behaviors injects Byzantine behaviors.
-	Behaviors map[int]consensus.Behavior
-}
-
 // lower maps the configuration onto the shared BFT chain, the one place
 // ByzCoin's row and leader rule are stated.
-func lower(cfg Config) bftchain.Config {
+func lower(cfg protocols.Config) bftchain.Config {
 	merits := cfg.Norm()
 	// PoW winner per height: a seeded lottery weighted by hashing
 	// power — ByzCoin's key-block mining race. The winner leads the
@@ -47,11 +37,8 @@ func lower(cfg Config) bftchain.Config {
 		}
 	}
 	return bftchain.Config{
-		Config:    cfg.Config,
-		System:    "ByzCoin",
-		Delta:     cfg.Delta,
-		Timeout:   cfg.Timeout,
-		Behaviors: cfg.Behaviors,
+		Config: cfg,
+		System: "ByzCoin",
 		LeaderFn: func(height, view int) int {
 			return (winners[height%len(winners)] + view) % cfg.N
 		},
@@ -61,7 +48,7 @@ func lower(cfg Config) bftchain.Config {
 // Definition is ByzCoin's Table 1 row. The PoW leader election is a
 // simulation-time concern; live, the height token consumed at the
 // sequencer is the PBFT commit.
-func Definition(cfg Config) *protocols.Definition { return bftchain.Definition(lower(cfg)) }
+func Definition(cfg protocols.Config) *protocols.Definition { return bftchain.Definition(lower(cfg)) }
 
 // Run executes the simulation.
-func Run(cfg Config) *protocols.Result { return bftchain.Run(lower(cfg)) }
+func Run(cfg protocols.Config) *protocols.Result { return bftchain.Run(lower(cfg)) }

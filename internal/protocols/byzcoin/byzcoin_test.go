@@ -3,16 +3,16 @@ package byzcoin
 import (
 	"testing"
 
-	"repro/internal/consensus"
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/protocols"
 	"repro/internal/replica"
 	"repro/internal/simnet"
 	"repro/internal/tape"
 )
 
-func defaultCfg(seed uint64) Config {
-	var c Config
+func defaultCfg(seed uint64) protocols.Config {
+	var c protocols.Config
 	c.N = 4
 	c.Rounds = 15
 	c.Seed = seed
@@ -52,20 +52,6 @@ func TestPoWWinnersLead(t *testing.T) {
 		if !b.IsGenesis() && b.Creator != 2 {
 			t.Fatalf("block by %d despite p2 holding all power", b.Creator)
 		}
-	}
-}
-
-func TestByzantineLeaderDoesNotForkChain(t *testing.T) {
-	cfg := defaultCfg(4)
-	cfg.Rounds = 6
-	cfg.Behaviors = map[int]consensus.Behavior{1: consensus.EquivocatingLeader}
-	res := Run(cfg)
-	if res.MeasuredForkMax > 1 {
-		t.Fatal("equivocation forked the committed chain")
-	}
-	chk := consistency.NewChecker(res.Score, core.WellFormed{})
-	if sc, _ := chk.Classify(res.History); !sc.OK {
-		t.Fatalf("SC lost under equivocation: %v", sc.Failing())
 	}
 }
 

@@ -9,12 +9,14 @@ import (
 
 // Definition is one executable Table 1 row: the tuple the paper maps a
 // system onto — oracle Θ, selection function f, score, predicate P —
-// the criterion Table 1 claims for it, and the three facts a driver
-// needs to produce blocks with it. It is the only place a system's row
-// is written: Start runs it on the simulated network, Profile deploys
-// it, and the registration table reads Info.Oracle/Criterion off it.
-// A Definition is a description, not a configuration surface; each
-// protocol package builds one from its own Config.
+// the criterion Table 1 claims for it, and what a driver needs to
+// produce blocks with it (the delay bound its synchrony assumes, the
+// getToken discipline, the sequencer, FIFO channels, the merit rule).
+// It is the only place a system's row is written: Start runs it on the
+// simulated network, Profile deploys it, and the registration table
+// reads Info.Oracle/Criterion off it. A Definition is a description, not
+// a configuration surface; each protocol package builds one from the
+// run's Config.
 type Definition struct {
 	// System names the protocol ("Bitcoin", ...).
 	System string
@@ -30,6 +32,8 @@ type Definition struct {
 	PaperCriterion string
 	// Oracle builds the run's Θ from the run seed.
 	Oracle func(seed uint64) *oracle.Frugal
+	// Delta is the system's delay bound δ, used when Config.Delta is 0.
+	Delta int64
 	// MineCap is the getToken discipline: 0 is one lottery draw per
 	// attempt (a miss is a lost tick, the PoW miners); > 0 repeats
 	// getToken until it grants, at most MineCap times — the τ_b ∘ τ_a*

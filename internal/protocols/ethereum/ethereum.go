@@ -14,25 +14,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/protocols"
-	"repro/internal/simnet"
 	"repro/internal/tape"
 )
 
-// Config extends the common knobs with Ethereum-specific ones.
-type Config struct {
-	protocols.Config
-	// Difficulty divides the per-tick success probability; Ethereum's
-	// default here is lower than Bitcoin's (faster blocks).
-	Difficulty float64
-	// Delta is the synchronous delay bound.
-	Delta int64
-	// DropRule optionally injects message loss.
-	DropRule simnet.DropRule
-}
-
 // Definition is Ethereum's Table 1 row: fast-block prodigal PoW with
 // GHOST heaviest-subtree selection.
-func Definition(cfg Config) *protocols.Definition {
+func Definition(cfg protocols.Config) *protocols.Definition {
 	if cfg.Difficulty <= 0 {
 		cfg.Difficulty = 3 // faster blocks than Bitcoin → more forks
 	}
@@ -44,6 +31,7 @@ func Definition(cfg Config) *protocols.Definition {
 		OracleClaim:    "ΘP",
 		PaperCriterion: "EC",
 		FIFO:           true,
+		Delta:          3,
 		Oracle: func(seed uint64) *oracle.Frugal {
 			return oracle.NewProdigal(tape.DifficultyMapping(cfg.Difficulty), core.WellFormed{}, seed^0xe7e12e)
 		},
@@ -53,12 +41,9 @@ func Definition(cfg Config) *protocols.Definition {
 // Run executes the simulation. Fork flooding is the interesting
 // adversarial strategy against GHOST — forged siblings inflate a
 // subtree's weight, dragging correct replicas between branches.
-func Run(cfg Config) *protocols.Result {
-	if cfg.Delta <= 0 {
-		cfg.Delta = 3
-	}
-	h := Definition(cfg).Start(&cfg.Config, cfg.Delta, cfg.DropRule)
-	h.LotteryRounds(nil)
+func Run(cfg protocols.Config) *protocols.Result {
+	h := Definition(cfg).Start(&cfg)
+	h.LotteryRounds()
 	h.ReadsEvery(cfg.ReadEvery, int64(cfg.Rounds))
 	return h.Finish()
 }

@@ -5,10 +5,11 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/protocols"
 )
 
-func defaultCfg(seed uint64) Config {
-	var c Config
+func defaultCfg(seed uint64) protocols.Config {
+	var c protocols.Config
 	c.N = 4
 	c.Rounds = 200
 	c.Seed = seed

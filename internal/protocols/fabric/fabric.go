@@ -19,24 +19,21 @@ import (
 	"repro/internal/transport"
 )
 
-// Config extends the common knobs.
-type Config struct {
-	protocols.Config
-	// Endorsers is the number of endorsing peers (first E processes);
-	// a transaction needs a majority of endorsements. 0 means N/2+1.
-	Endorsers int
-	// MaxTxPerBlock is the block-cut size condition (0 means 4).
-	MaxTxPerBlock int
-	// MaxBatchDelay is the block-cut time condition: the maximal
-	// elapsed virtual time since the first transaction of the batch
-	// (0 means 12).
-	MaxBatchDelay int64
-	// Delta is the network delay bound.
-	Delta int64
-	// TxInterval is the virtual time between client submissions
-	// (0 means 3).
-	TxInterval int64
-}
+// Config is the common knob set: Fabric declares no knobs of its own.
+// The type stays because code outside the module's packages
+// (benchmark/) builds it.
+type Config struct{ protocols.Config }
+
+// The pipeline's fixed shape: the first N/2+1 processes endorse and a
+// transaction needs a majority of their endorsements; a client submits
+// every txInterval; the orderer cuts a block at maxTxPerBlock
+// transactions (the size stop condition) or maxBatchDelay after the
+// batch's first transaction (the time stop condition).
+const (
+	maxTxPerBlock = 4
+	maxBatchDelay = 12
+	txInterval    = 3
+)
 
 // Message types of the endorsement flow.
 type (
@@ -65,6 +62,7 @@ func Definition(Config) *protocols.Definition {
 		PaperCriterion: "SC",
 		Sequencer:      true,
 		MeritOf:        func(int) tape.Merit { return 1 },
+		Delta:          2,
 		Oracle: func(seed uint64) *oracle.Frugal {
 			return oracle.NewFrugal(1, func(tape.Merit) float64 { return 1 }, core.WellFormed{}, seed^0xfab21c)
 		},
@@ -78,22 +76,8 @@ func LiveProfile(cfg Config) transport.Profile { return Definition(cfg).Profile(
 
 // Run executes the simulation.
 func Run(cfg Config) *protocols.Result {
-	if cfg.MaxTxPerBlock <= 0 {
-		cfg.MaxTxPerBlock = 4
-	}
-	if cfg.MaxBatchDelay <= 0 {
-		cfg.MaxBatchDelay = 12
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 2
-	}
-	if cfg.TxInterval <= 0 {
-		cfg.TxInterval = 3
-	}
-	h := Definition(cfg).Start(&cfg.Config, cfg.Delta, nil)
-	if cfg.Endorsers <= 0 || cfg.Endorsers > cfg.N {
-		cfg.Endorsers = cfg.N/2 + 1
-	}
+	h := Definition(cfg).Start(&cfg.Config)
+	endorsers := cfg.N/2 + 1
 	sim, group, orc, stats := h.Sim, h.Group, h.Oracle, h.Stats
 	nets := group.Nets()
 	tob := consensus.NewTOB(nets, 0) // process 0 is the ordering service
@@ -107,7 +91,7 @@ func Run(cfg Config) *protocols.Result {
 	// built to measure. Only the orderer can equivocate on cuts,
 	// whichever process the configuration names.
 	equiv := h.Equivocator(orderer)
-	need := cfg.Endorsers/2 + 1
+	need := endorsers/2 + 1
 
 	// Endorsement bookkeeping at each client: acks per submitted tx.
 	acks := make([]map[int]int, cfg.N)
@@ -155,7 +139,7 @@ func Run(cfg Config) *protocols.Result {
 		nets[id].AddHandler(func(m simnet.Message) {
 			switch msg := m.Payload.(type) {
 			case endorseReq:
-				if id < cfg.Endorsers {
+				if id < endorsers {
 					stats["endorsements"]++
 					nets[id].Send(msg.Client, endorseAck{Client: msg.Client, Seq: msg.Seq})
 				}
@@ -188,21 +172,21 @@ func Run(cfg Config) *protocols.Result {
 			batchStart = sim.Now()
 			// Arm the time-based stop condition for this batch.
 			start := batchStart
-			nets[orderer].After(cfg.MaxBatchDelay, func() {
-				if len(batch) > 0 && batchStart == start && sim.Now()-batchStart >= cfg.MaxBatchDelay {
+			nets[orderer].After(maxBatchDelay, func() {
+				if len(batch) > 0 && batchStart == start && sim.Now()-batchStart >= maxBatchDelay {
 					cut("time")
 				}
 			})
 		}
 		batch = append(batch, tx)
-		if len(batch) >= cfg.MaxTxPerBlock {
+		if len(batch) >= maxTxPerBlock {
 			cut("size")
 		}
 	}
 
 	// Clients submit transactions periodically.
 	seq := 0
-	for t := int64(1); t <= int64(cfg.Rounds)*cfg.TxInterval; t += cfg.TxInterval {
+	for t := int64(1); t <= int64(cfg.Rounds)*txInterval; t += txInterval {
 		tt := t
 		s := seq
 		sim.Schedule(tt, func() {
@@ -212,7 +196,7 @@ func Run(cfg Config) *protocols.Result {
 			client := int(tt) % cfg.N
 			stats["submitted"]++
 			req := endorseReq{Tx: core.Tx{From: 0, To: uint32(client + 1), Amount: 1}, Client: client, Seq: s}
-			for e := 0; e < cfg.Endorsers; e++ {
+			for e := 0; e < endorsers; e++ {
 				nets[client].Send(e, req)
 			}
 		})
@@ -220,7 +204,7 @@ func Run(cfg Config) *protocols.Result {
 	}
 
 	// Periodic reads.
-	h.ReadsEvery(cfg.ReadEvery, int64(cfg.Rounds)*cfg.TxInterval+cfg.MaxBatchDelay*2)
+	h.ReadsEvery(cfg.ReadEvery, int64(cfg.Rounds)*txInterval+maxBatchDelay*2)
 
 	sim.RunUntilIdle()
 	cut("final")

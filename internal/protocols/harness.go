@@ -39,22 +39,25 @@ type Harness struct {
 
 // Start builds the simulated run: a replica group of cfg.N processes
 // running the definition's selector and predicate over a synchronous
-// network with delay bound delta, with the common knobs applied once for
-// every system — stream sinks bound before the first operation, message
-// loss, FIFO, the partition schedule, the trace, the crash windows
-// armed on the processes' ports with crash recovery wired (before any
-// runner schedules, so each edge precedes its same-time deliveries),
-// then metrics. cfg is normalized in place and stays the
-// runner's: Tick latches on it.
-func (d *Definition) Start(cfg *Config, delta int64, drop simnet.DropRule) *Harness {
+// network with delay bound cfg.Delta, with the common knobs applied once
+// for every system — stream sinks bound before the first operation,
+// message loss, FIFO, the partition schedule, the trace, the crash
+// windows armed on the processes' ports with crash recovery wired
+// (before any runner schedules, so each edge precedes its same-time
+// deliveries), then metrics. cfg is normalized in place, a zero Delta
+// becoming the definition's, and stays the runner's: Tick latches on it.
+func (d *Definition) Start(cfg *Config) *Harness {
 	merits := cfg.Norm()
+	if cfg.Delta <= 0 {
+		cfg.Delta = d.Delta
+	}
 	sim := simnet.NewSim(cfg.Seed)
-	group := replica.NewGroup(sim, cfg.N, simnet.Synchronous{Delta: delta}, d.Selector)
+	group := replica.NewGroup(sim, cfg.N, simnet.Synchronous{Delta: cfg.Delta}, d.Selector)
 	if cfg.Stream != nil {
 		cfg.Stream(group.Rec, d.Score)
 	}
-	if drop != nil {
-		group.Net.SetDrop(drop)
+	if cfg.Drop != nil {
+		group.Net.SetDrop(cfg.Drop)
 	}
 	group.Net.SetFIFO(d.FIFO)
 
@@ -107,11 +110,8 @@ func (h *Harness) Equivocator(proc int) *adversary.Equivocator {
 // (update_i + send_i). One process may run a selfish-mining /
 // withholding / equivocation strategy instead; its reads are excluded
 // from the criteria (it is Byzantine), and what the checkers then
-// measure is the damage inflicted on the correct processes. minted, if
-// set, runs inside the mint after each block, so protocol bookkeeping
-// (difficulty retarget epochs) is identical on the honest and
-// adversarial paths.
-func (h *Harness) LotteryRounds(minted func()) {
+// measure is the damage inflicted on the correct processes.
+func (h *Harness) LotteryRounds() {
 	h.lottery = true
 	adv := h.cfg.Adversary
 	switch adv.Strategy {
@@ -131,9 +131,6 @@ func (h *Harness) LotteryRounds(minted func()) {
 					b := h.Def.Mint(h.Oracle, h.Merit(p.ID), parent, p.ID, round, CoinbasePayload(p.ID, round))
 					if b != nil {
 						h.Stats["mined"]++
-						if minted != nil {
-							minted()
-						}
 					}
 					return b
 				})
@@ -163,22 +160,6 @@ func (h *Harness) mineTick(p *replica.Process, mint adversary.Mint) {
 		return
 	}
 	p.AppendLocal(b)
-}
-
-// SwapOracle replaces the run's oracle (Bitcoin's retarget: the merit
-// mapping is an oracle parameter), folding the outgoing one's counters
-// into the stats first.
-func (h *Harness) SwapOracle(orc *oracle.Frugal) {
-	h.foldOracleStats()
-	h.Oracle = orc
-}
-
-func (h *Harness) foldOracleStats() {
-	gets, grants, consumed, rejected := h.Oracle.Stats()
-	h.Stats["getToken"] += gets
-	h.Stats["grants"] += grants
-	h.Stats["consumed"] += consumed
-	h.Stats["rejected"] += rejected
 }
 
 // ReadsEvery schedules a read() at every process from cfg.ReadEvery on,
@@ -227,7 +208,11 @@ func (h *Harness) Finish() *Result {
 		h.Stats["forged"] = h.equiv.Forged
 	}
 	if h.lottery {
-		h.foldOracleStats()
+		gets, grants, consumed, rejected := h.Oracle.Stats()
+		h.Stats["getToken"] = gets
+		h.Stats["grants"] = grants
+		h.Stats["consumed"] = consumed
+		h.Stats["rejected"] = rejected
 	}
 	res.exportRecovery(h.recovery)
 	for _, p := range h.Group.Procs {

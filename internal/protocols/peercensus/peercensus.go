@@ -14,24 +14,16 @@ import (
 	"repro/internal/protocols/bftchain"
 )
 
-// Config extends the common knobs.
-type Config struct {
-	protocols.Config
-	Delta, Timeout int64
-}
-
 // lower maps the configuration onto the shared BFT chain, the one place
 // PeerCensus's row and leader rule are stated.
-func lower(cfg Config) bftchain.Config {
+func lower(cfg protocols.Config) bftchain.Config {
 	cfg.Norm()
 	// lastCreator[h] is the creator of the decided block at height h;
 	// the leader of height h+1 is that creator (committee anchoring).
 	lastCreator := map[int]int{}
 	return bftchain.Config{
-		Config:  cfg.Config,
-		System:  "PeerCensus",
-		Delta:   cfg.Delta,
-		Timeout: cfg.Timeout,
+		Config: cfg,
+		System: "PeerCensus",
 		LeaderFn: func(height, view int) int {
 			base := height // genesis epoch: rotate
 			if c, ok := lastCreator[height-1]; ok {
@@ -50,7 +42,7 @@ func lower(cfg Config) bftchain.Config {
 // Definition is PeerCensus's Table 1 row. Committee anchoring picks
 // leaders in simulation; live, the sequencer holds the
 // identity-granting token per height.
-func Definition(cfg Config) *protocols.Definition { return bftchain.Definition(lower(cfg)) }
+func Definition(cfg protocols.Config) *protocols.Definition { return bftchain.Definition(lower(cfg)) }
 
 // Run executes the simulation.
-func Run(cfg Config) *protocols.Result { return bftchain.Run(lower(cfg)) }
+func Run(cfg protocols.Config) *protocols.Result { return bftchain.Run(lower(cfg)) }

@@ -5,12 +5,13 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/protocols"
 	"repro/internal/replica"
 	"repro/internal/simnet"
 )
 
-func defaultCfg(seed uint64) Config {
-	var c Config
+func defaultCfg(seed uint64) protocols.Config {
+	var c protocols.Config
 	c.N = 4
 	c.Rounds = 15
 	c.Seed = seed

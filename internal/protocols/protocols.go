@@ -32,8 +32,8 @@ const (
 	DefaultRounds = 50
 )
 
-// Config is the common knob set. Protocol-specific knobs live in each
-// sub-package's own config embedding this one.
+// Config is the one knob set every system runs from; no protocol
+// package declares knobs of its own.
 type Config struct {
 	// N is the number of processes (0 means DefaultN).
 	N int
@@ -45,6 +45,16 @@ type Config struct {
 	// ReadEvery schedules a read() at every process each ReadEvery
 	// virtual-time units (0 means 10).
 	ReadEvery int64
+	// Delta is the synchronous network delay bound δ (0 means the
+	// definition's Delta).
+	Delta int64
+	// Difficulty divides the PoW lottery's per-tick success
+	// probability: higher means rarer blocks and fewer natural forks
+	// (0 means the system's default). Only bitcoin and ethereum read it.
+	Difficulty float64
+	// Drop optionally injects message loss (the Theorem 4.6/4.7
+	// experiments). Nil means lossless.
+	Drop simnet.DropRule
 	// Merits are the α_p values (hashing power / stake); nil means
 	// uniform 1/N.
 	Merits []tape.Merit

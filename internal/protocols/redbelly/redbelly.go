@@ -13,29 +13,16 @@ import (
 	"repro/internal/tape"
 )
 
-// Config extends the common knobs.
-type Config struct {
-	protocols.Config
-	// M is the number of consortium members (processes 0..M-1 may
-	// propose; the rest are read-only). 0 means N/2+1.
-	M              int
-	Delta, Timeout int64
-}
-
 // lower maps the configuration onto the shared BFT chain, the one place
 // Red Belly's row, leader rule and consortium merit rule are stated. It
-// also returns the effective consortium size.
-func lower(cfg Config) (bftchain.Config, int) {
+// also returns the consortium size: processes 0..N/2 may propose, the
+// rest are read-only.
+func lower(cfg protocols.Config) (bftchain.Config, int) {
 	cfg.Norm()
-	m := cfg.M
-	if m <= 0 || m > cfg.N {
-		m = cfg.N/2 + 1
-	}
+	m := cfg.N/2 + 1
 	return bftchain.Config{
-		Config:  cfg.Config,
-		System:  "RedBelly",
-		Delta:   cfg.Delta,
-		Timeout: cfg.Timeout,
+		Config: cfg,
+		System: "RedBelly",
 		// Leaders rotate within the consortium M only.
 		LeaderFn: func(height, view int) int {
 			return (height + view) % m
@@ -53,13 +40,13 @@ func lower(cfg Config) (bftchain.Config, int) {
 }
 
 // Definition is Red Belly's Table 1 row.
-func Definition(cfg Config) *protocols.Definition {
+func Definition(cfg protocols.Config) *protocols.Definition {
 	bc, _ := lower(cfg)
 	return bftchain.Definition(bc)
 }
 
 // Run executes the simulation.
-func Run(cfg Config) *protocols.Result {
+func Run(cfg protocols.Config) *protocols.Result {
 	bc, m := lower(cfg)
 	res := bftchain.Run(bc)
 	res.Stats["consortium"] = m

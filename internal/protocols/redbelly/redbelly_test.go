@@ -5,15 +5,15 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/protocols"
 )
 
-func defaultCfg(seed uint64) Config {
-	var c Config
+func defaultCfg(seed uint64) protocols.Config {
+	var c protocols.Config
 	c.N = 5
 	c.Rounds = 12
 	c.Seed = seed
 	c.ReadEvery = 10
-	c.M = 3
 	return c
 }
 
@@ -70,7 +70,7 @@ func TestEveryoneReads(t *testing.T) {
 }
 
 func TestDefaultM(t *testing.T) {
-	var c Config
+	var c protocols.Config
 	c.N = 4
 	c.Rounds = 4
 	c.Seed = 5
