@@ -11,12 +11,12 @@ import (
 	"repro/internal/core"
 )
 
-// TestCommRecordLayout: the log's record must stay at 16 bytes with no
+// TestCommRecordLayout: the log's record must stay at 8 bytes with no
 // field the collector has to look at — that, not the field list, is what
 // the flooded run's memory and Snapshot's barrier-free copy rest on.
 func TestCommRecordLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(CommRecord{}); sz != 16 {
-		t.Errorf("a CommRecord is %d bytes, want 16", sz)
+	if sz := unsafe.Sizeof(CommRecord{}); sz != 8 {
+		t.Errorf("a CommRecord is %d bytes, want 8", sz)
 	}
 	for i, rt := 0, reflect.TypeOf(CommRecord{}); i < rt.NumField(); i++ {
 		switch f := rt.Field(i); f.Type.Kind() {
@@ -28,16 +28,17 @@ func TestCommRecordLayout(t *testing.T) {
 }
 
 // TestCommRecordPacksItsBounds: the packed word carries the largest
-// process, every kind and an index past 32 bits back out unchanged, and
-// refuses a process or an index its bits cannot hold — as the recorder
-// refuses more processes than it can name — with a message naming the
-// bound.
+// process and every kind back out unchanged, and refuses a process its
+// bits cannot hold — as the recorder refuses more processes than it can
+// name — with a message naming the bound. The index is not in the word,
+// so it has no bound: indices past 32 bits, repeated and going back all
+// widen through the jump list.
 func TestCommRecordPacksItsBounds(t *testing.T) {
 	var ids commIDs
 	var want []CommEvent
 	h := &History{}
 	for _, proc := range []int{0, 1, MaxProcs - 1} {
-		for _, index := range []int{0, 1<<32 + 5, maxCommIndex - 1} {
+		for _, index := range []int{0, 1<<32 + 5, 1 << 62} {
 			for _, kind := range []CommKind{EvSend, EvReceive, EvUpdate} {
 				e := CommEvent{Kind: kind, Proc: proc, Parent: "p", Block: core.BlockID(fmt.Sprint(index)), Index: index}
 				want = append(want, e)
@@ -45,7 +46,7 @@ func TestCommRecordPacksItsBounds(t *testing.T) {
 			}
 		}
 	}
-	h.CommIDs = ids.view()
+	h.tables = ids.view()
 	for i, e := range want {
 		if got := h.Event(i); got != e {
 			t.Fatalf("packed %+v, widened %+v", e, got)
@@ -64,19 +65,18 @@ func TestCommRecordPacksItsBounds(t *testing.T) {
 		}()
 		f()
 	}
-	procBound, indexBound := fmt.Sprint(MaxProcs), fmt.Sprint(uint64(maxCommIndex))
+	procBound := fmt.Sprint(MaxProcs)
 	mustPanic("process MaxProcs", procBound, func() { ids.pack(CommEvent{Proc: MaxProcs}) })
 	mustPanic("process -1", procBound, func() { ids.pack(CommEvent{Proc: -1}) })
-	mustPanic("index 1<<40", indexBound, func() { ids.pack(CommEvent{Index: maxCommIndex}) })
-	mustPanic("index -1", indexBound, func() { ids.pack(CommEvent{Index: -1}) })
 	mustPanic("kind 3", "kind 3", func() { ids.pack(CommEvent{Kind: EvUpdate + 1}) })
 	mustPanic("MaxProcs+1 processes", procBound, func() { NewRecorder(MaxProcs+1, nil) })
 	NewRecorder(MaxProcs, nil) // the largest run the record can name
 }
 
 // checkEvents asserts h's log is exactly want — through Events, through
-// Event(i) and by len(h.Comm) — and that its ID table lists the IDs want
-// names, each once, in first-seen order (parent before block).
+// Event(i), through CommOf and by len(h.Comm) — and that its ID table
+// lists the IDs want names, each once, in first-seen order (parent
+// before block).
 func checkEvents(t *testing.T, h *History, want []CommEvent) {
 	t.Helper()
 	if len(h.Comm) != len(want) {
@@ -95,6 +95,20 @@ func checkEvents(t *testing.T, h *History, want []CommEvent) {
 	if i != len(want) {
 		t.Fatalf("Events() yielded %d events, want %d", i, len(want))
 	}
+	for _, kind := range []CommKind{EvSend, EvReceive, EvUpdate} {
+		got, j := h.CommOf(kind), 0
+		for _, e := range want {
+			if e.Kind == kind {
+				if j >= len(got) || got[j] != e {
+					t.Fatalf("CommOf(%s) differs from the log's %s events at %d", kind, kind, j)
+				}
+				j++
+			}
+		}
+		if j != len(got) {
+			t.Fatalf("CommOf(%s) yields %d events, want %d", kind, len(got), j)
+		}
+	}
 	var ids []core.BlockID
 	seen := make(map[core.BlockID]bool)
 	for _, e := range want {
@@ -105,12 +119,13 @@ func checkEvents(t *testing.T, h *History, want []CommEvent) {
 			}
 		}
 	}
-	if len(h.CommIDs) != len(ids) || cap(h.CommIDs) != len(ids) {
-		t.Fatalf("ID table has len %d cap %d, want %d each: %q", len(h.CommIDs), cap(h.CommIDs), len(ids), h.CommIDs)
+	names := h.tables.names
+	if len(names) != len(ids) || cap(names) != len(ids) {
+		t.Fatalf("ID table has len %d cap %d, want %d each: %q", len(names), cap(names), len(ids), names)
 	}
 	for n, id := range ids {
-		if h.CommIDs[n] != id {
-			t.Fatalf("ID table holds %q at %d, want %q", h.CommIDs[n], n, id)
+		if names[n] != id {
+			t.Fatalf("ID table holds %q at %d, want %q", names[n], n, id)
 		}
 	}
 }
@@ -142,8 +157,11 @@ func TestCommIDsSameIDAsParentAndBlock(t *testing.T) {
 	}
 	h := rec.Snapshot()
 	checkEvents(t, h, want)
-	if c := h.Comm[0]; c.parent != c.block {
-		t.Fatalf("one ID numbered twice: parent %d, block %d", c.parent, c.block)
+	if c := h.Comm[0]; h.tables.parent[c.block] != c.block || c.odd() {
+		t.Fatalf("one ID numbered twice: block %d first recorded under parent %d", c.block, h.tables.parent[c.block])
+	}
+	if !h.Comm[2].odd() || h.Event(2).Parent != core.GenesisID {
+		t.Fatalf("the update under genesis widens to %v (odd %v)", h.Event(2), h.Comm[2].odd())
 	}
 }
 
@@ -163,37 +181,81 @@ func TestCommIDsStrictAlternation(t *testing.T) {
 	h := rec.Snapshot()
 	checkEvents(t, h, want)
 	for i, c := range h.Comm {
-		if c.parent != h.Comm[i%2].parent || c.block != h.Comm[i%2].block {
-			t.Fatalf("record %d numbered (%d, %d), want (%d, %d)", i, c.parent, c.block, h.Comm[i%2].parent, h.Comm[i%2].block)
+		if c.block != h.Comm[i%2].block || c.odd() || h.Event(i).Parent != h.Event(i%2).Parent {
+			t.Fatalf("record %d numbered block %d (odd %v) under %s, want block %d under %s",
+				i, c.block, c.odd(), h.Event(i).Parent, h.Comm[i%2].block, h.Event(i%2).Parent)
 		}
 	}
 }
 
 // TestCommIDsForgedTwinUnderAnotherParent: a forger reuses a block's ID
 // under a Parent argument the honest copy does not carry. The events are
-// two records with one block number and two parent numbers — the parent
-// is numbered from the argument, never derived from the block.
+// two records with one block number; the later one is odd, its parent
+// numbered from the argument, never derived from the block — whichever
+// copy comes first.
 func TestCommIDsForgedTwinUnderAnotherParent(t *testing.T) {
-	rec := NewRecorder(2, nil)
-	want := []CommEvent{
-		rec.RecordComm(EvReceive, 0, core.GenesisID, "b1"),
-		rec.RecordComm(EvReceive, 0, "elsewhere", "b1"),
-	}
-	h := rec.Snapshot()
-	checkEvents(t, h, want)
-	if honest, twin := h.Comm[0], h.Comm[1]; honest.block != twin.block || honest.parent == twin.parent {
-		t.Fatalf("honest record (%d, %d), twin (%d, %d): want one block number, two parent numbers",
-			honest.parent, honest.block, twin.parent, twin.block)
+	for _, forgedFirst := range []bool{false, true} {
+		rec := NewRecorder(2, nil)
+		parents := []core.BlockID{core.GenesisID, "elsewhere"}
+		if forgedFirst {
+			parents[0], parents[1] = parents[1], parents[0]
+		}
+		want := []CommEvent{
+			rec.RecordComm(EvReceive, 0, parents[0], "b1"),
+			rec.RecordComm(EvReceive, 0, parents[1], "b1"),
+			rec.RecordComm(EvUpdate, 1, parents[0], "b1"),
+		}
+		h := rec.Snapshot()
+		checkEvents(t, h, want)
+		first, twin := h.Comm[0], h.Comm[1]
+		if first.block != twin.block || first.odd() || !twin.odd() || h.Comm[2].odd() {
+			t.Fatalf("forged first %v: records %+v: want one block number, only the second record odd", forgedFirst, h.Comm)
+		}
 	}
 }
 
+// TestCommIDsParentBeforeBlockAcrossSnapshot: an ID first named as a
+// parent has no first parent of its own until it is named as a block,
+// which writes its entry in the recorder's table. A snapshot taken in
+// between must not see that write, and both widen exactly. (Three IDs
+// before the snapshot leave the recorder's table room to grow into, so
+// the write lands in place.)
+func TestCommIDsParentBeforeBlockAcrossSnapshot(t *testing.T) {
+	rec := NewRecorder(2, nil)
+	want := []CommEvent{
+		rec.RecordComm(EvSend, 0, "b1", "b2"), // b1 first seen as a parent
+		rec.RecordComm(EvReceive, 1, "b1", "b2"),
+		rec.RecordComm(EvSend, 1, "b2", "b3"),
+	}
+	before := rec.Snapshot()
+	b1 := rec.ids.num["b1"]
+	if before.tables.parent[b1] != noParent {
+		t.Fatalf("b1 has first parent %d before it was named as a block", before.tables.parent[b1])
+	}
+	want = append(want,
+		rec.RecordComm(EvSend, 1, "b3", "b1"),
+		rec.RecordComm(EvSend, 1, core.GenesisID, "b1"),
+		rec.RecordComm(EvUpdate, 0, "forged", "b1"),
+		rec.RecordComm(EvUpdate, 0, core.GenesisID, "b1"),
+		rec.RecordComm(EvReceive, 1, "b2", "b1"))
+	after := rec.Snapshot()
+	if before.tables.parent[b1] != noParent {
+		t.Fatalf("recording after the snapshot wrote its first-parent table (b1 → %d)", before.tables.parent[b1])
+	}
+	checkEvents(t, before, want[:3])
+	checkEvents(t, after, want)
+}
+
 // FuzzCommLogRoundTrip drives RecordComm from the input — two bytes an
-// event: kind, process and a snapshot request from the first, parent and
+// event: kind, process and a snapshot request from the first; parent and
 // block from the second, out of a pool small enough that repeats, runs,
-// the empty ID and IDs no tree ever held all occur — and keeps the wide
-// events in a slice of its own. Every snapshot, the mid-sequence ones
-// checked after all recording is done, must widen back to the prefix of
-// that slice it was taken at and list only the IDs that prefix names.
+// the empty ID and IDs no tree ever held all occur, and whether an
+// operation is recorded first (a read, an append, successful or not, or
+// a read left pending), so that indices skip and the jump list fills —
+// and keeps the wide events in a slice of its own. Every snapshot, the
+// mid-sequence ones checked after all recording is done, must widen
+// back to the prefix of that slice it was taken at and list only the
+// IDs that prefix names, and so must its Purged copy.
 func FuzzCommLogRoundTrip(f *testing.F) {
 	pool := []core.BlockID{"", core.GenesisID, "b1", "b2", "forged", "never-attached"}
 	f.Add([]byte{})
@@ -202,6 +264,11 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 8, 1, 15, 1, 8, 1, 15, 1, 8})            // alternation: every call a memo miss
 	f.Add([]byte{1, 13, 255, 16, 1, 13, 4, 16, 254, 35, 7})  // a forged twin, snapshots, an odd tail
 	f.Add([]byte{2, 7, 240, 14, 5, 21, 8, 28, 11, 35, 0, 1}) // same ID both ways, every pool entry
+	// A forged parent first, behind a read; the honest copy behind a
+	// failed append; a snapshot behind a pending read; a plain event; a
+	// second forgery, under the block itself.
+	f.Add([]byte{1, 16 + 36, 14, 13 + 72, 241, 13 + 108, 4, 13, 5, 14})
+	genesis := core.Genesis()
 	f.Fuzz(func(t *testing.T, in []byte) {
 		rec := NewRecorder(4, nil)
 		var ref []CommEvent
@@ -210,23 +277,39 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 			n int
 		}
 		var cuts []cut
+		seq := 0
 		for i := 0; i+1 < len(in); i += 2 {
-			if in[i] >= 240 {
+			a, b := in[i], int(in[i+1])
+			proc := int(a/3) % 4
+			switch b / 36 % 4 {
+			case 1:
+				rec.ReadHead(proc, genesis)
+				seq += 2
+			case 2:
+				rec.Append(proc, genesis, a/12%2 == 0)
+				seq += 2
+			case 3:
+				rec.InvokeRead(proc)
+				seq++
+			}
+			if a >= 240 {
 				cuts = append(cuts, cut{rec.Snapshot(), len(ref)})
 			}
 			want := CommEvent{
-				Kind: CommKind(in[i] % 3), Proc: int(in[i]/3) % 4,
-				Parent: pool[int(in[i+1])%len(pool)], Block: pool[int(in[i+1])/len(pool)%len(pool)],
-				Index: len(ref),
+				Kind: CommKind(a % 3), Proc: proc,
+				Parent: pool[b%len(pool)], Block: pool[b/len(pool)%len(pool)],
+				Index: seq,
 			}
 			if got := rec.RecordComm(want.Kind, want.Proc, want.Parent, want.Block); got != want {
 				t.Fatalf("RecordComm returned %+v, want %+v", got, want)
 			}
 			ref = append(ref, want)
+			seq++
 		}
 		cuts = append(cuts, cut{rec.Snapshot(), len(ref)})
 		for _, c := range cuts {
 			checkEvents(t, c.h, ref[:c.n])
+			checkEvents(t, c.h.Purged(), ref[:c.n])
 		}
 	})
 }

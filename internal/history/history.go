@@ -21,6 +21,8 @@ package history
 import (
 	"fmt"
 	"iter"
+	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -159,42 +161,87 @@ func (e CommEvent) String() string {
 	return fmt.Sprintf("%s_%d(%s, %s) @%d", e.Kind, e.Proc, e.Parent.Short(), e.Block.Short(), e.Index)
 }
 
-// CommRecord is a communication event as the log stores it: 16 bytes
+// CommRecord is a communication event as the log stores it: 8 bytes
 // and no pointer, so a flooded run's log — one event per block per
 // process — is memory the collector never scans and Snapshot copies
-// without a write barrier. The two block IDs are numbers in the ID
-// table that travels with the log (History.CommIDs); index, process and
-// kind share one word,
+// without a write barrier. The record keeps the event's block, as a
+// number in the ID table that travels with the log, and one word for
+// process and kind,
 //
-//	word = index<<24 | proc<<2 | kind
+//	word = proc<<3 | odd<<2 | kind
 //
-// so an index is below 1<<40, a process in [0, 1<<22) (MaxProcs) and a
-// kind one of the three; packing an event outside those bounds panics
-// rather than let the fields overlap. History.Event and History.Events
-// widen a record back into a CommEvent. Drop mode packs nothing.
+// so a process is in [0, 1<<22) (MaxProcs) and a kind one of the three;
+// packing an event outside those bounds panics rather than let the
+// fields overlap. The event's parent and index are not in the record:
+// the parent is the one its block was first recorded under, unless the
+// odd bit says the event named another (honest senders all name the
+// block's own Parent, so only a forged argument does), and the index is
+// one past the previous event's unless operation events came in
+// between. The tables' odd and jump lists record those exceptions.
+// History.Event and History.Events widen a record back into a
+// CommEvent. Drop mode packs nothing.
 type CommRecord struct {
-	parent, block uint32
-	word          uint64
+	block, word uint32
 }
 
-// The bounds of the record's packed word.
+// The layout of the record's packed word.
 const (
-	kindBits = 2
-	procBits = 22
+	kindBits  = 2
+	oddBit    = 1 << kindBits
+	procShift = kindBits + 1
+	procBits  = 22
 	// MaxProcs is the number of processes a Recorder can name.
 	MaxProcs = 1 << procBits
-	// maxCommIndex bounds the global index a recorded event can carry.
-	maxCommIndex = 1 << (64 - procBits - kindBits)
 )
 
-// commIDs numbers the block IDs communication events name, in first-
-// seen order. It is not the run's core.Index: that one admits only
-// blocks a tree accepted, while a receive event names whatever a
-// Byzantine sender put on the wire, and an event's Parent argument need
-// not be its block's Parent field.
+// kind and proc unpack the record's word; odd reports that the event's
+// parent is in the odd list, not its block's first parent.
+func (c CommRecord) kind() CommKind { return CommKind(c.word & (1<<kindBits - 1)) }
+func (c CommRecord) proc() int      { return int(c.word >> procShift) }
+func (c CommRecord) odd() bool      { return c.word&oddBit != 0 }
+
+// commTables is what widening a log's records takes. names lists the
+// block IDs the events name, in first-seen order (parent before block),
+// and parent[n] is the number of the parent names[n] was first recorded
+// under as a block (noParent while it has only been named as a parent).
+// The two lists hold the exceptions, each in log order: odd the parent of
+// every record with the odd bit, jumps the index of every record whose
+// index is not its predecessor's + 1 (the first record's predecessor
+// sits at -1).
+//
+// It is not the run's core.Index: that one admits only blocks a tree
+// accepted, while a receive event names whatever a Byzantine sender put
+// on the wire, and an event's Parent argument need not be its block's
+// Parent field.
+type commTables struct {
+	names  []core.BlockID
+	parent []uint32
+	odd    []commOdd
+	jumps  []commJump
+}
+
+// commOdd is the parent of the record at pos; commJump the index of the
+// record at pos, the records after it following one by one.
+type (
+	commOdd struct {
+		pos    int
+		parent uint32
+	}
+	commJump struct{ pos, index int }
+)
+
+const noParent = ^uint32(0)
+
+// commIDs packs events into records, numbering the block IDs they name
+// and growing the tables that widen them. The tables are append-only
+// except parent, whose entry for an ID first named as a parent is
+// written once more when the ID is first named as a block.
 type commIDs struct {
-	num   map[core.BlockID]uint32
-	names []core.BlockID
+	commTables
+	num map[core.BlockID]uint32
+	// n is the number of records packed, next the index one more
+	// record would carry without a jump.
+	n, next int
 	// lastParent and lastBlock are one-entry memos in front of num, one
 	// per argument: a flooded block's events arrive in runs, so most
 	// lookups repeat the previous ID. A memo is only a number, checked
@@ -215,40 +262,85 @@ func (t *commIDs) number(id core.BlockID, memo *uint32) uint32 {
 		n = uint32(len(t.names))
 		t.num[id] = n
 		t.names = append(t.names, id)
+		t.parent = append(t.parent, noParent)
 	}
 	*memo = n
 	return n
 }
 
-// pack narrows e into a record over t. It panics on a field its bits
-// cannot hold.
+// pack narrows e, the next event of the log, into a record over t. It
+// panics on a process or kind its bits cannot hold.
 func (t *commIDs) pack(e CommEvent) CommRecord {
 	switch {
 	case uint(e.Proc) >= MaxProcs:
 		panic(fmt.Sprintf("history: process %d outside [0, %d)", e.Proc, MaxProcs))
-	case uint64(e.Index) >= maxCommIndex:
-		panic(fmt.Sprintf("history: comm index %d outside [0, %d)", e.Index, uint64(maxCommIndex)))
 	case e.Kind > EvUpdate:
 		panic(fmt.Sprintf("history: comm kind %d is none of send, receive, update", e.Kind))
 	}
-	return CommRecord{
-		parent: t.number(e.Parent, &t.lastParent),
-		block:  t.number(e.Block, &t.lastBlock),
-		word:   uint64(e.Index)<<(procBits+kindBits) | uint64(e.Proc)<<kindBits | uint64(e.Kind),
+	parent := t.number(e.Parent, &t.lastParent)
+	c := CommRecord{block: t.number(e.Block, &t.lastBlock), word: uint32(e.Proc)<<procShift | uint32(e.Kind)}
+	if t.parent[c.block] == noParent {
+		t.parent[c.block] = parent
+	} else if t.parent[c.block] != parent {
+		c.word |= oddBit
+		t.odd = append(t.odd, commOdd{t.n, parent})
+	}
+	if e.Index != t.next {
+		t.jumps = append(t.jumps, commJump{t.n, e.Index})
+	}
+	t.n, t.next = t.n+1, e.Index+1
+	return c
+}
+
+// view returns the tables as recorded so far, for a snapshot: the
+// append-only lists capped so that neither the holder's appends nor the
+// packer's own later ones show through (it only ever writes past the
+// cap), and parent copied, since the packer may still fill an entry.
+func (t *commIDs) view() commTables {
+	return commTables{
+		names:  t.names[:len(t.names):len(t.names)],
+		parent: slices.Clone(t.parent),
+		odd:    t.odd[:len(t.odd):len(t.odd)],
+		jumps:  t.jumps[:len(t.jumps):len(t.jumps)],
 	}
 }
 
-// kind, proc and index unpack the record's word.
-func (c *CommRecord) kind() CommKind { return CommKind(c.word & (1<<kindBits - 1)) }
-func (c *CommRecord) proc() int      { return int(c.word >> kindBits & (MaxProcs - 1)) }
-func (c *CommRecord) index() int     { return int(c.word >> (procBits + kindBits)) }
+// commCursor widens a log's records in order, stepping through the two
+// lists instead of searching them: O(1) an event.
+type commCursor struct {
+	t         *commTables
+	odd, jump int // the next entry of each list
+	skip      int // index − position, as of the last jump
+}
 
-// view returns the table's names as recorded so far, capped so that
-// neither the holder's appends nor the table's own later ones show
-// through: the table only ever writes past the cap.
-func (t *commIDs) view() []core.BlockID {
-	n := len(t.names)
-	return t.names[:n:n]
+// cursor returns a cursor whose next record is the one at pos, placed by
+// binary search of the two lists.
+func (t *commTables) cursor(pos int) commCursor {
+	cur := commCursor{
+		t:    t,
+		odd:  sort.Search(len(t.odd), func(o int) bool { return t.odd[o].pos >= pos }),
+		jump: sort.Search(len(t.jumps), func(j int) bool { return t.jumps[j].pos >= pos }),
+	}
+	if cur.jump > 0 {
+		last := t.jumps[cur.jump-1]
+		cur.skip = last.index - last.pos
+	}
+	return cur
+}
+
+// next widens c, the record at pos, and moves past it.
+func (cur *commCursor) next(c CommRecord, pos int) CommEvent {
+	t := cur.t
+	if cur.jump < len(t.jumps) && t.jumps[cur.jump].pos == pos {
+		cur.skip = t.jumps[cur.jump].index - pos
+		cur.jump++
+	}
+	parent := t.parent[c.block]
+	if c.odd() {
+		parent = t.odd[cur.odd].parent
+		cur.odd++
+	}
+	return CommEvent{Kind: c.kind(), Proc: c.proc(), Parent: t.names[parent], Block: t.names[c.block], Index: pos + cur.skip}
 }
 
 // History is a finite recorded prefix of a concurrent history. It is
@@ -261,11 +353,11 @@ func (t *commIDs) view() []core.BlockID {
 // has stopped (the same contract the checkers already have).
 type History struct {
 	Ops []*Op
-	// Comm is the communication log in recording order, packed; CommIDs
-	// is the ID table its records index. len(Comm) is the event count;
-	// read events through Events and Event.
-	Comm    []CommRecord
-	CommIDs []core.BlockID
+	// Comm is the communication log in recording order, packed.
+	// len(Comm) is the event count; read events through Events and
+	// Event, which widen the records over the side tables.
+	Comm   []CommRecord
+	tables commTables
 	// Procs is the number of processes (ids 0..Procs-1).
 	Procs int
 	// Correct[i] reports whether process i is correct (non-faulty).
@@ -355,18 +447,16 @@ func (h *History) ByProcess(p int) []*Op {
 
 // Event returns the i-th communication event, 0 ≤ i < len(h.Comm).
 func (h *History) Event(i int) CommEvent {
-	c := &h.Comm[i]
-	return CommEvent{
-		Kind: c.kind(), Proc: c.proc(), Index: c.index(),
-		Parent: h.CommIDs[c.parent], Block: h.CommIDs[c.block],
-	}
+	cur := h.tables.cursor(i)
+	return cur.next(h.Comm[i], i)
 }
 
 // Events iterates over the communication events in recording order.
 func (h *History) Events() iter.Seq[CommEvent] {
 	return func(yield func(CommEvent) bool) {
-		for i := range h.Comm {
-			if !yield(h.Event(i)) {
+		cur := h.tables.cursor(0)
+		for i, c := range h.Comm {
+			if !yield(cur.next(c, i)) {
 				return
 			}
 		}
@@ -377,9 +467,9 @@ func (h *History) Events() iter.Seq[CommEvent] {
 // order.
 func (h *History) CommOf(kind CommKind) []CommEvent {
 	var out []CommEvent
-	for i := range h.Comm {
-		if h.Comm[i].kind() == kind {
-			out = append(out, h.Event(i))
+	for e := range h.Events() {
+		if e.Kind == kind {
+			out = append(out, e)
 		}
 	}
 	return out
@@ -388,7 +478,7 @@ func (h *History) CommOf(kind CommKind) []CommEvent {
 // Purged returns a copy of the history without unsuccessful append
 // operations (the Ĥ of Section 3.4).
 func (h *History) Purged() *History {
-	nh := &History{Procs: h.Procs, Correct: h.Correct, Comm: h.Comm, CommIDs: h.CommIDs, Table: h.Table}
+	nh := &History{Procs: h.Procs, Correct: h.Correct, Comm: h.Comm, tables: h.tables, Table: h.Table}
 	for _, op := range h.Ops {
 		if op.Kind == OpAppend && !op.Pending && !op.OK {
 			continue
@@ -417,7 +507,8 @@ type Recorder struct {
 	// regrown — a flooded run records an event per block per process,
 	// and regrowing one flat slice to that size copies the log several
 	// times over under the mutex. Snapshot flattens the chunks. ids
-	// numbers the block IDs the records name; drop mode touches neither.
+	// packs the records and keeps the tables that widen them; drop mode
+	// touches neither.
 	comm   [][]CommRecord
 	ids    commIDs
 	ncomm  int // comm events recorded (valid in drop mode, unlike comm)
@@ -675,10 +766,11 @@ func (r *Recorder) commLocked(kind CommKind, p int, parent, block core.BlockID) 
 // shares Op pointers with the recorder; callers must stop recording
 // before checking criteria (the checkers are read-only). Comm is an
 // independent flat copy of the chunked log — one exact-size,
-// pointer-free allocation — and CommIDs the ID table as it stands,
-// capped at its length (the recorder only ever writes past that cap), so
-// later recording shows through neither, and a snapshot may be read
-// while other goroutines keep recording. In drop mode
+// pointer-free allocation — widened over the recorder's tables as they
+// stand (commIDs.view: the small first-parent table copied, the rest
+// capped at their length), so later recording shows through neither,
+// and a snapshot may be read while other goroutines keep recording. In
+// drop mode
 // (SetRetain(false)) completed ops belong to the sink alone, so the
 // snapshot contains only the still-pending operations.
 func (r *Recorder) Snapshot() *History {
@@ -699,7 +791,7 @@ func (r *Recorder) Snapshot() *History {
 	for _, chunk := range r.comm {
 		h.Comm = append(h.Comm, chunk...)
 	}
-	h.CommIDs = r.ids.view()
+	h.tables = r.ids.view()
 	if len(r.faulty) > 0 {
 		h.Correct = make([]bool, r.procs)
 		for i := range h.Correct {

@@ -89,7 +89,7 @@ func (c *segmentCopies) history(procs int) *History {
 	for _, e := range c.comm {
 		h.Comm = append(h.Comm, ids.pack(e))
 	}
-	h.CommIDs = ids.view()
+	h.tables = ids.view()
 	for _, op := range c.ops {
 		h.Ops = append(h.Ops, op)
 		if h.Table == nil {
