@@ -3,7 +3,7 @@
 // regenerating the artifact and failing the benchmark if it does not
 // reproduce, plus the ablation benches DESIGN.md calls out:
 //
-//	BenchmarkAblationForkChoice      — longest vs heaviest vs GHOST on one trace
+//	BenchmarkAblationForkChoice      — longest vs GHOST on one trace
 //	BenchmarkAblationFrugalK         — k = 1, 2, 4, ∞ frugal oracles
 //	BenchmarkAblationSynchrony       — δ-sync vs GST vs async delivery
 //	BenchmarkAblationCheckerStrategy — pairwise vs sorted Strong Prefix check
@@ -127,14 +127,14 @@ func powTrace(seed uint64) *protocols.Result {
 	return bitcoin.Run(protocols.Config{N: 4, Rounds: 200, Seed: seed, ReadEvery: 10, Difficulty: 5})
 }
 
-// BenchmarkAblationForkChoice evaluates the three selection functions on
-// the same final BlockTree: the selector changes which chain reads
-// return (and how fast selection runs) but never the EC verdict
-// (DESIGN.md ablation #1).
+// BenchmarkAblationForkChoice evaluates longest chain and GHOST on the
+// same final BlockTree: the selector changes which chain reads return
+// (and how fast selection runs) but never the EC verdict (DESIGN.md
+// ablation #1).
 func BenchmarkAblationForkChoice(b *testing.B) {
 	res := powTrace(1)
 	tree := res.Trees[0]
-	for _, f := range []core.Selector{core.LongestChain{}, core.HeaviestChain{}, core.GHOST{}} {
+	for _, f := range []core.Selector{core.LongestChain{}, core.GHOST{}} {
 		b.Run(f.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := f.Select(tree)
@@ -251,8 +251,6 @@ func BenchmarkAblationCheckerStrategy(b *testing.B) {
 //   - "forked": every block chains under a uniformly random earlier
 //     block — many leaves, shallow paths, the worst case for leaf-count
 //     dependent selection.
-//
-// Weights cycle 1..7 so heaviest-chain does real work.
 func buildScalingTree(b *testing.B, n int, shape string) *core.Tree {
 	b.Helper()
 	tr := core.NewTree()
@@ -271,8 +269,7 @@ func buildScalingTree(b *testing.B, n int, shape string) *core.Tree {
 		for i := 0; i < n; i++ {
 			k := i % branches
 			p := tips[k]
-			blk := core.NewBlock(p.ID, p.Height+1, k, i, []byte{byte(i), byte(i >> 8)}).
-				WithWeight(i%7 + 1)
+			blk := core.NewBlock(p.ID, p.Height+1, k, i, []byte{byte(i), byte(i >> 8)})
 			attach(blk)
 			tips[k] = blk
 		}
@@ -281,8 +278,7 @@ func buildScalingTree(b *testing.B, n int, shape string) *core.Tree {
 		all := []*core.Block{core.Genesis()}
 		for i := 0; i < n; i++ {
 			p := all[rng.Intn(len(all))]
-			blk := core.NewBlock(p.ID, p.Height+1, i%8, i, []byte{byte(i), byte(i >> 8)}).
-				WithWeight(i%7 + 1)
+			blk := core.NewBlock(p.ID, p.Height+1, i%8, i, []byte{byte(i), byte(i >> 8)})
 			attach(blk)
 			all = append(all, blk)
 		}
@@ -297,12 +293,12 @@ func buildScalingTree(b *testing.B, n int, shape string) *core.Tree {
 // incremental indices, selection cost depends on the leaf count and the
 // winning chain's height, not the tree size — the per-op time must stay
 // near-flat in n for chainlike shapes (fixed leaf count) instead of
-// growing linearly (longest, ghost) or quadratically (heaviest).
+// growing linearly with it.
 func BenchmarkSelectorScaling(b *testing.B) {
 	for _, shape := range []string{"chainlike", "forked"} {
 		for _, n := range []int{1_000, 10_000, 100_000} {
 			tree := buildScalingTree(b, n, shape)
-			for _, f := range []core.Selector{core.LongestChain{}, core.HeaviestChain{}, core.GHOST{}} {
+			for _, f := range []core.Selector{core.LongestChain{}, core.GHOST{}} {
 				b.Run(fmt.Sprintf("%s/%dk/%s", shape, n/1000, f.Name()), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						if c := f.Select(tree); c.Len() == 0 {

@@ -181,12 +181,6 @@ func TestConformanceOptionRoundTrip(t *testing.T) {
 			t.Fatal("dropping the first update to p2 should break Update Agreement")
 		}
 	})
-	t.Run("fault-log-is-observational", func(t *testing.T) {
-		res := mustRun(t, bitcoin, append(base, btsim.WithFaultLog(true))...)
-		if res.Digest() != ref.Digest() {
-			t.Fatal("enabling the fault log changed a benign run")
-		}
-	})
 }
 
 // TestConformanceObserver pins the WithObserver contract: a pure

@@ -188,9 +188,6 @@ type Config struct {
 	// false stops block production early (the run still drains in-flight
 	// messages and takes its final reads).
 	Observer func(Progress) bool
-	// FaultLog forces the network fault-event log on even for benign
-	// runs (it is implied whenever Faults or an Adversary is set).
-	FaultLog bool
 	// MonitorK > 0 adds k-Fork Coherence to what the run's online
 	// monitor reports; OnWitness receives each violation witness as it
 	// forms. See WithMonitorK, WithMonitor.
@@ -301,10 +298,6 @@ func WithDropNth(nth, to int) Option {
 // WithObserver installs a per-round progress callback; returning false
 // stops block production early.
 func WithObserver(fn func(Progress) bool) Option { return func(c *Config) { c.Observer = fn } }
-
-// WithFaultLog forces the fault-event log on (implied by WithFaults and
-// WithAdversary).
-func WithFaultLog(on bool) Option { return func(c *Config) { c.FaultLog = on } }
 
 // WithMonitor delivers the violation witnesses of the run's online
 // monitor to onWitness the moment they form. Every run, under either
@@ -467,7 +460,6 @@ var knobs = []knob{
 		return nil
 	}},
 	{"Observer", "WithObserver", simOnly, nil},
-	{"FaultLog", "WithFaultLog", simOnly, nil},
 	{"MonitorK", "WithMonitorK", both, nonNegative},
 	{"OnWitness", "WithMonitor", both, nil},
 	{"Streaming", "WithStreaming", simOnly, nil},
@@ -564,16 +556,15 @@ func (c Config) validate() error {
 // been validated by System.Run.
 func (c Config) Base() protocols.Config {
 	pc := protocols.Config{
-		N:            c.N,
-		Rounds:       c.Rounds,
-		Seed:         c.Seed,
-		ReadEvery:    c.ReadEvery,
-		Delta:        c.Delta,
-		Difficulty:   c.Difficulty,
-		RecordFaults: c.FaultLog,
-		Crashes:      c.Crashes,
-		Durable:      c.Durable,
-		Adversary:    c.Adversary,
+		N:          c.N,
+		Rounds:     c.Rounds,
+		Seed:       c.Seed,
+		ReadEvery:  c.ReadEvery,
+		Delta:      c.Delta,
+		Difficulty: c.Difficulty,
+		Crashes:    c.Crashes,
+		Durable:    c.Durable,
+		Adversary:  c.Adversary,
 	}
 	if len(c.Merits) > 0 {
 		pc.Merits = make([]tape.Merit, len(c.Merits))

@@ -277,12 +277,12 @@ func TestCheckpointValidation(t *testing.T) {
 }
 
 // ckptMonitor is a monitor that has consumed the whole of ckptBuild,
-// with the run's table and config — under the weight score, so that the
+// with the run's table and config — under chainLength, so that the
 // per-chain score cache is populated too.
 func ckptMonitor(t testing.TB) (*Monitor, MonitorConfig) {
 	t.Helper()
 	rec := history.NewRecorder(3, nil)
-	cfg := MonitorConfig{Procs: 3, K: 1, Score: core.WeightScore{}, Table: rec.Table()}
+	cfg := MonitorConfig{Procs: 3, K: 1, Score: chainLength{}, Table: rec.Table()}
 	mon := NewMonitor(cfg)
 	rec.SetSink(mon)
 	ckptBuild(rec)
@@ -367,6 +367,42 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 		if f := want.Field(i); (f.Kind() == reflect.Map || f.Kind() == reflect.Slice) && f.Len() == 0 {
 			t.Errorf("fixture: ckptBuild leaves %s empty, so the round trip says nothing about it", want.Type().Field(i).Name)
 		}
+	}
+}
+
+// TestCheckpointIgnoresPoolWeightKey: checkpoints written while a
+// block carried its own weight hold a "Weight" key in every pool entry.
+// They still restore, to the same state: encoding/json ignores the key.
+func TestCheckpointIgnoresPoolWeightKey(t *testing.T) {
+	mon, cfg := ckptMonitor(t)
+	data, err := mon.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck map[string]json.RawMessage
+	var pool []map[string]json.RawMessage
+	if err := json.Unmarshal(data, &ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(ck["Pool"], &pool); err != nil || len(pool) == 0 {
+		t.Fatalf("fixture: pool of %d entries, err %v", len(pool), err)
+	}
+	for _, b := range pool {
+		b["Weight"] = json.RawMessage("1")
+	}
+	if ck["Pool"], err = json.Marshal(pool); err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := RestoreMonitor(old, cfg)
+	if err != nil {
+		t.Fatalf("a pool with weights does not restore: %v", err)
+	}
+	if again, err := m2.Checkpoint(); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("restored from a pool with weights, the monitor checkpoints differently (err %v)", err)
 	}
 }
 

@@ -365,8 +365,8 @@ func TestCheckerConcurrentClassify(t *testing.T) {
 	rec := history.NewRecorder(3, nil)
 	fuzzBuild(rec, 3, []byte{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3, 4, 12, 20})
 	h := rec.Snapshot()
-	chk := NewChecker(core.WeightScore{}, nil)
-	osc, oec := oracleClassify(core.WeightScore{}, nil, 0, h)
+	chk := NewChecker(chainLength{}, nil)
+	osc, oec := oracleClassify(chainLength{}, nil, 0, h)
 	want := verdictDump(osc) + verdictDump(oec) + reportDump(oracleKFork(h, 1))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

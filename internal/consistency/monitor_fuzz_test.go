@@ -300,7 +300,7 @@ func FuzzClassifyOverlap(f *testing.F) {
 		for _, op := range rec.PendingOps() {
 			online.OpPending(op)
 		}
-		for _, score := range []core.Score{core.LengthScore{}, core.WeightScore{}} {
+		for _, score := range []core.Score{core.LengthScore{}, chainLength{}} {
 			chk := NewChecker(score, nil)
 			chk.Horizon = horizon
 			sc, ec := chk.Classify(h)

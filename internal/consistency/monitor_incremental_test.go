@@ -25,11 +25,13 @@ func (countingPred) Name() string               { return "counting" }
 // streams — forks, stale reads, forged and never-appended blocks,
 // duplicate and pending appends, reads recorded as a head or as an
 // explicit chain, both interned — so that the extended facts face the
-// oracle under the length score (read off the op) and the weight score
-// (scanned), fed directly and out of 2–4-op segments whose ops a
-// drop-mode recorder takes back and reuses (the recycled path: a record
-// that still pointed into a delivered op would render a later operation
-// in its witness).
+// oracle under the length score (read off the op) and chainLength (the
+// same score, materialized and memoized by chain), fed directly and out
+// of 2–4-op segments whose ops a drop-mode recorder takes back and
+// reuses (the recycled path: a record that still pointed into a
+// delivered op would render a later operation in its witness). On each
+// feed the two scores' verdicts, witnesses and Checked counts must be
+// equal.
 func FuzzMonitorInternedEquivalence(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -40,9 +42,18 @@ func FuzzMonitorInternedEquivalence(f *testing.F) {
 		}
 		const procs = 3
 		build := func(rec *history.Recorder) { fuzzBuild(rec, procs, data) }
-		for _, score := range []core.Score{core.LengthScore{}, core.WeightScore{}} {
-			monitorHarness{score: score}.run(t, procs, build)
-			monitorHarness{score: score, segSize: 2 + len(data)%3, drop: true}.run(t, procs, build)
+		for _, hn := range []monitorHarness{{}, {segSize: 2 + len(data)%3, drop: true}} {
+			var fast string
+			for _, score := range []core.Score{core.LengthScore{}, chainLength{}} {
+				hn.score = score
+				sc, ec := hn.run(t, procs, build).Finalize()
+				got := verdictDump(sc) + verdictDump(ec)
+				if fast == "" {
+					fast = got
+				} else if got != fast {
+					t.Errorf("seg=%d: %s judges\n%s\nthe length fast path\n%s", hn.segSize, score.Name(), got, fast)
+				}
+			}
 		}
 	})
 }

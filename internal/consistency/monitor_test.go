@@ -62,6 +62,15 @@ func TestOpRecLayout(t *testing.T) {
 // Monitor (optionally via a SegmentSink or a ckptSink), then the
 // definition-literal oracle on the snapshot is compared against
 // Monitor.Finalize. run returns the finalized monitor.
+// chainLength scores a chain by its length, as core.LengthScore does,
+// but is another type: a monitor under it takes the materializing path
+// (scoreOfOp's ScoreByKey memo, core.MCPS in finalEP), where every
+// answer must equal the length fast path's.
+type chainLength struct{}
+
+func (chainLength) Of(c core.Chain) int { return core.LengthScore{}.Of(c) }
+func (chainLength) Name() string        { return "chain-length" }
+
 type monitorHarness struct {
 	score   core.Score
 	pred    core.Predicate

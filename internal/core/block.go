@@ -31,7 +31,9 @@ func (id BlockID) Short() string {
 // created; all mutation happens at the tree level. One *Block is shared
 // by every replica tree, the run's Index and the recorded history, and
 // WellFormed remembers its verdict on the object: to change a field,
-// change a copy (WithWeight, WithToken, nb := *b), which is judged afresh.
+// change a copy (WithToken, nb := *b), which is judged afresh. Every
+// block weighs one: a score or selector that weighs blocks (GHOST's
+// subtree weight) counts them.
 type Block struct {
 	// ID is the content hash of the block (or "b0" for genesis).
 	ID BlockID
@@ -46,12 +48,6 @@ type Block struct {
 	// Round is the protocol round or virtual time at which the block
 	// was produced. Purely informational; used by visualizers.
 	Round int
-	// Weight is the block's own weight under weighted scores (e.g.
-	// total difficulty contribution in an Ethereum-style chain).
-	// Length-based scores ignore it. Must be >= 1 so that every
-	// weighted score is strictly monotonic, as Definition 3.2's score
-	// functions require.
-	Weight int
 	// Payload is opaque application data; the validity predicate P may
 	// inspect it (e.g. the toy ledger predicate).
 	Payload []byte
@@ -74,7 +70,7 @@ type Block struct {
 // Genesis returns the genesis block b0. By assumption in the paper,
 // b0 ∈ B′ (it is valid) and it belongs to every BlockTree.
 func Genesis() *Block {
-	return &Block{ID: GenesisID, Height: 0, Creator: -1, Weight: 1}
+	return &Block{ID: GenesisID, Height: 0, Creator: -1}
 }
 
 // hashBlockSum computes the content hash preimage and digest on the
@@ -126,18 +122,8 @@ func NewBlock(parent BlockID, height, creator, round int, payload []byte) *Block
 		Height:  height,
 		Creator: creator,
 		Round:   round,
-		Weight:  1,
 		Payload: payload,
 	}
-}
-
-// WithWeight returns a copy of b with the given weight. Weight does not
-// participate in the ID so that the same logical block can be re-weighted
-// by fork-choice experiments without changing its identity.
-func (b *Block) WithWeight(w int) *Block {
-	nb := *b
-	nb.Weight = w
-	return &nb
 }
 
 // WithToken returns a copy of b carrying the consumed oracle token name.

@@ -13,9 +13,6 @@ func TestGenesisProperties(t *testing.T) {
 	if g.ID != GenesisID || g.Height != 0 || g.Parent != "" {
 		t.Fatalf("unexpected genesis: %+v", g)
 	}
-	if g.Weight != 1 {
-		t.Fatalf("genesis weight %d, want 1", g.Weight)
-	}
 }
 
 func TestHashBlockDeterministic(t *testing.T) {
@@ -46,23 +43,16 @@ func TestNewBlockFields(t *testing.T) {
 	if b.Parent != GenesisID || b.Height != 1 || b.Creator != 3 || b.Round != 7 {
 		t.Fatalf("fields wrong: %+v", b)
 	}
-	if b.Weight != 1 {
-		t.Fatalf("default weight %d, want 1", b.Weight)
-	}
 	if b.ID != HashBlock(GenesisID, 3, 7, []byte("p")) {
 		t.Fatal("ID does not match content hash")
 	}
 }
 
-func TestWithWeightAndTokenDoNotMutate(t *testing.T) {
+func TestWithTokenDoesNotMutate(t *testing.T) {
 	b := NewBlock(GenesisID, 1, 0, 0, nil)
-	w := b.WithWeight(5)
 	tk := b.WithToken("tkn(b0)")
-	if b.Weight != 1 || b.Token != "" {
+	if b.Token != "" {
 		t.Fatal("original block mutated")
-	}
-	if w.Weight != 5 || w.ID != b.ID {
-		t.Fatal("WithWeight wrong")
 	}
 	if tk.Token != "tkn(b0)" || tk.ID != b.ID {
 		t.Fatal("WithToken wrong")

@@ -150,34 +150,17 @@ func TestChainString(t *testing.T) {
 }
 
 func TestScoreMonotonicity(t *testing.T) {
-	for _, sc := range []Score{LengthScore{}, WeightScore{}} {
-		c := GenesisChain()
-		prev := sc.Of(c)
-		for i := 1; i <= 10; i++ {
-			head := c.Head()
-			b := NewBlock(head.ID, head.Height+1, 0, i, nil).WithWeight(i%3 + 1)
-			c = c.Append(b)
-			cur := sc.Of(c)
-			if cur <= prev {
-				t.Fatalf("%s not strictly monotonic: %d then %d", sc.Name(), prev, cur)
-			}
-			prev = cur
-		}
-	}
-}
-
-func TestWeightScore(t *testing.T) {
+	sc := LengthScore{}
 	c := GenesisChain()
-	head := c.Head()
-	b1 := NewBlock(head.ID, 1, 0, 1, nil).WithWeight(3)
-	c = c.Append(b1)
-	b2 := NewBlock(b1.ID, 2, 0, 2, nil).WithWeight(4)
-	c = c.Append(b2)
-	if got := (WeightScore{}).Of(c); got != 7 {
-		t.Fatalf("weight score %d, want 7", got)
-	}
-	if got := (LengthScore{}).Of(c); got != 2 {
-		t.Fatalf("length score %d, want 2", got)
+	prev := sc.Of(c)
+	for i := 1; i <= 10; i++ {
+		head := c.Head()
+		c = c.Append(NewBlock(head.ID, head.Height+1, 0, i, nil))
+		cur := sc.Of(c)
+		if cur <= prev {
+			t.Fatalf("%s not strictly monotonic: %d then %d", sc.Name(), prev, cur)
+		}
+		prev = cur
 	}
 }
 
@@ -270,17 +253,15 @@ func TestQuickCommonPrefixMaximal(t *testing.T) {
 }
 
 // Property of the merit-tape + score interplay used throughout: a chain
-// extended by any block strictly increases both built-in scores (the
+// extended by any block strictly increases the length score (the
 // paper's monotonicity requirement on score functions).
 func TestQuickScoreStrictGrowth(t *testing.T) {
-	f := func(nRaw uint8, w uint8, seed uint8) bool {
+	f := func(nRaw uint8, seed uint8) bool {
 		n := int(nRaw % 10)
 		c := mkChain(n, int(seed))
 		head := c.Head()
-		b := NewBlock(head.ID, head.Height+1, 1, 999, nil).WithWeight(int(w%9) + 1)
-		c2 := c.Append(b)
-		return LengthScore{}.Of(c2) > LengthScore{}.Of(c) &&
-			WeightScore{}.Of(c2) > WeightScore{}.Of(c)
+		c2 := c.Append(NewBlock(head.ID, head.Height+1, 1, 999, nil))
+		return LengthScore{}.Of(c2) > LengthScore{}.Of(c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

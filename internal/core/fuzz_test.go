@@ -66,7 +66,7 @@ func FuzzChainPrefix(f *testing.F) {
 
 // checkTreeIndices asserts every incremental index of the tree — leaf
 // set, cached max height, max fork degree, the O(1) selector heads,
-// per-block chain weight, per-block subtree weight — equals a
+// per-block subtree weight — equals a
 // from-scratch recomputation over the blocks' own Parent fields, and that
 // the node table's links (parent handles, child lists, child counts,
 // leaf slots) are consistent. It is the shared invariant check for the
@@ -114,32 +114,21 @@ func checkTreeStructure(t *testing.T, tr *Tree) {
 	}
 }
 
-// checkWeights asserts the weight table against a recompute: the chain
-// weight of b is the weights summed along Parent fields back to genesis,
-// its subtree weight the weight sum over the scanned subtree, and GHOST
+// checkWeights asserts the weight table against a recompute: the subtree
+// weight of b is the number of blocks in its scanned subtree, and GHOST
 // descends as the scan does.
 func checkWeights(t *testing.T, tr *Tree) {
 	t.Helper()
 	kids := scanChildren(tr)
 	var subtree func(id BlockID) int
 	subtree = func(id BlockID) int {
-		w := tr.Block(id).Weight
+		w := 1
 		for _, c := range kids[id] {
 			w += subtree(c)
 		}
 		return w
 	}
 	for _, b := range tr.Blocks() {
-		want := 0
-		for a := b; !a.IsGenesis(); a = tr.Block(a.Parent) {
-			want += a.Weight
-		}
-		if got := tr.ChainWeight(b.ID); got != want {
-			t.Fatalf("ChainWeight(%s) = %d, recompute %d", b.ID.Short(), got, want)
-		}
-		if got := (WeightScore{}).Of(tr.ChainTo(b.ID)); got != want {
-			t.Fatalf("WeightScore of ChainTo(%s) = %d, recompute %d", b.ID.Short(), got, want)
-		}
 		if got, want := tr.SubtreeWeight(b.ID), subtree(b.ID); got != want {
 			t.Fatalf("SubtreeWeight(%s) = %d, recompute %d", b.ID.Short(), got, want)
 		}
@@ -237,7 +226,6 @@ type treeView struct {
 	leaves   []BlockID
 	children map[BlockID][]BlockID
 	subtree  map[BlockID]int
-	chain    map[BlockID]int
 	maxFork  int
 	head     BlockID
 }
@@ -247,14 +235,12 @@ func viewOf(tr *Tree) treeView {
 		leaves:   tr.Leaves(),
 		children: map[BlockID][]BlockID{},
 		subtree:  map[BlockID]int{},
-		chain:    map[BlockID]int{},
 		maxFork:  tr.MaxForkDegree(),
 		head:     GHOST{}.SelectHead(tr).ID,
 	}
 	for _, b := range tr.Blocks() {
 		v.children[b.ID] = append([]BlockID(nil), tr.Children(b.ID)...)
 		v.subtree[b.ID] = tr.SubtreeWeight(b.ID)
-		v.chain[b.ID] = tr.ChainWeight(b.ID)
 	}
 	return v
 }
@@ -270,7 +256,7 @@ func checkCloneIsolated(t *testing.T, tr *Tree) {
 	before := viewOf(tr)
 	for i, parent := range tr.Blocks() {
 		for j := 0; j < 2; j++ {
-			b := NewBlock(parent.ID, parent.Height+1, 5, 5000+2*i+j, []byte{byte(i), byte(j)}).WithWeight(1 + j)
+			b := NewBlock(parent.ID, parent.Height+1, 5, 5000+2*i+j, []byte{byte(i), byte(j)})
 			if err := cl.Attach(b); err != nil {
 				t.Fatalf("attach on clone: %v", err)
 			}
@@ -316,7 +302,7 @@ func FuzzTreeAttach(f *testing.F) {
 		if tr.Len() != len(attached) {
 			t.Fatalf("tree size %d, attached %d", tr.Len(), len(attached))
 		}
-		for _, sel := range []Selector{LongestChain{}, GHOST{}, HeaviestChain{}} {
+		for _, sel := range []Selector{LongestChain{}, GHOST{}} {
 			if c := sel.Select(tr); !c.WellFormed() {
 				t.Fatalf("%s selected malformed chain", sel.Name())
 			}
@@ -329,13 +315,11 @@ func FuzzTreeAttach(f *testing.F) {
 }
 
 // FuzzTreeIndices stresses the incremental indices directly: arbitrary
-// attach schedules with random weights, duplicate deliveries (the same
-// block attached again must be idempotent), conflicting re-weighted
-// twins (same ID, different weight — must be rejected without touching
-// any cache), out-of-order delivery (a child offered before its parent
-// must be rejected, then accepted once the parent lands) and, for op
-// bytes >= 200, zero weights (a child that does not outweigh its parent).
-// The lazy weight table is switched on by a query before step on (after
+// attach schedules, duplicate deliveries (the same block attached again
+// must be idempotent), conflicting twins (same ID, another payload —
+// must be rejected without touching any cache) and out-of-order delivery
+// (a child offered before its parent must be rejected, then accepted
+// once the parent lands). The lazy weight table is switched on by a query before step on (after
 // the schedule when on is past its end), and the tree is cloned just
 // before and just after: the later attaches, replayed into both clones,
 // must leave the one-pass fill (the clone without a table), the
@@ -371,11 +355,7 @@ func FuzzTreeIndices(f *testing.F) {
 			switch op % 5 {
 			case 0, 1: // ordinary attach under a random existing parent
 				parent := attached[int(op/5)%len(attached)]
-				w := int(op)%4 + 1
-				if op >= 200 {
-					w = 0
-				}
-				b := NewBlock(parent.ID, parent.Height+1, int(op)%3, i, []byte{op, byte(i)}).WithWeight(w)
+				b := NewBlock(parent.ID, parent.Height+1, int(op)%3, i, []byte{op, byte(i)})
 				if err := tr.Attach(b); err != nil {
 					t.Fatalf("valid attach rejected: %v", err)
 				}
@@ -389,14 +369,15 @@ func FuzzTreeIndices(f *testing.F) {
 				if tr.Len() != before {
 					t.Fatal("duplicate attach changed tree size")
 				}
-			case 3: // conflicting twin: same ID, different weight
+			case 3: // conflicting twin: same ID, another payload
 				orig := attached[int(op/5)%len(attached)]
 				if orig.IsGenesis() {
 					continue // genesis attach is always a no-op
 				}
-				twin := orig.WithWeight(orig.Weight + 1)
-				if err := tr.Attach(twin); err == nil {
-					t.Fatal("conflicting re-weighted twin accepted")
+				twin := *orig
+				twin.Payload = append([]byte{op}, orig.Payload...)
+				if err := tr.Attach(&twin); err == nil {
+					t.Fatal("conflicting twin accepted")
 				}
 			case 4: // out-of-order delivery: child before parent
 				parent := attached[int(op/5)%len(attached)]

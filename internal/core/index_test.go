@@ -158,8 +158,8 @@ func TestIndexWalksStopAtAGap(t *testing.T) {
 func TestTwinUnderAnotherParent(t *testing.T) {
 	p1 := NewBlock(GenesisID, 1, 0, 1, nil)
 	p2 := NewBlock(GenesisID, 1, 1, 1, nil)
-	x1 := &Block{ID: "x", Parent: p1.ID, Height: 2, Weight: 1}
-	x2 := &Block{ID: "x", Parent: p2.ID, Height: 2, Weight: 1}
+	x1 := &Block{ID: "x", Parent: p1.ID, Height: 2}
+	x2 := &Block{ID: "x", Parent: p2.ID, Height: 2}
 	idx := NewIndex()
 	first, second, third := NewTreeOn(idx), NewTreeOn(idx), NewTreeOn(idx)
 	for _, b := range []*Block{p1, p2, x1} {
@@ -257,17 +257,17 @@ func TestSparseHandlesStaySmall(t *testing.T) {
 
 // TestTreesKeepTheirOwnCopies: two trees on one index attach same-ID
 // copies of every block that differ from each other only by pointer, by
-// WithToken or by WithWeight — the tree holding the originals interning
+// WithToken or by Payload — the tree holding the originals interning
 // the even blocks first, the tree holding the copies the odd ones. Each
 // tree, and a clone of it, must answer every read with the copy it
-// attached: Block, ChainTo, Blocks, Leaves, ChainWeight and the GHOST and
-// HeaviestChain heads. The weights are chosen so that the two trees'
-// GHOST heads differ when the copies are re-weighted.
+// attached: Block, ChainTo, Blocks, Leaves, SubtreeWeight and the GHOST
+// and LongestChain heads. A copy with another payload conflicts with
+// the original, so the tree holding that original refuses it.
 func TestTreesKeepTheirOwnCopies(t *testing.T) {
 	g := Genesis()
 	a := NewBlock(g.ID, 1, 0, 1, nil)
 	b1 := NewBlock(a.ID, 2, 0, 2, nil)
-	b2 := NewBlock(a.ID, 2, 1, 2, nil).WithWeight(3)
+	b2 := NewBlock(a.ID, 2, 1, 2, nil)
 	b3 := NewBlock(a.ID, 2, 2, 2, nil)
 	d := NewBlock(b1.ID, 3, 0, 3, nil)
 	originals := []*Block{a, b1, b2, b3, d}
@@ -277,7 +277,7 @@ func TestTreesKeepTheirOwnCopies(t *testing.T) {
 	}{
 		{"pointer", func(b *Block) *Block { cp := *b; return &cp }},
 		{"token", func(b *Block) *Block { return b.WithToken("t") }},
-		{"weight", func(b *Block) *Block { return b.WithWeight(10 - b.Weight) }},
+		{"payload", func(b *Block) *Block { cp := *b; cp.Payload = []byte("copy"); return &cp }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			idx := NewIndex()
@@ -298,8 +298,8 @@ func TestTreesKeepTheirOwnCopies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := orig.Attach(ownC[b2.ID]); tc.name == "weight" && err == nil {
-				t.Fatal("a re-weighted copy of a held block was accepted")
+			if err := orig.Attach(ownC[b2.ID]); tc.name == "payload" && err == nil {
+				t.Fatal("a copy of a held block with another payload was accepted")
 			}
 			for _, tr := range []*Tree{orig, copies} {
 				if tr.copies == nil {
@@ -322,11 +322,8 @@ func TestTreesKeepTheirOwnCopies(t *testing.T) {
 				t.Fatalf("growing a clone reached its tree: %d and %d copies", len(clC.copies), len(copies.copies))
 			}
 			gO, gC := GHOST{}.SelectHead(orig), GHOST{}.SelectHead(copies)
-			if gO != b2 {
-				t.Fatalf("GHOST head of the originals %v, want %v", gO, b2)
-			}
-			if tc.name == "weight" && gC != ownC[d.ID] {
-				t.Fatalf("GHOST head of the re-weighted copies %v, want %v", gC, ownC[d.ID])
+			if gO != d || gC != ownC[d.ID] {
+				t.Fatalf("GHOST heads %v and %v, want d's original and its copy", gO, gC)
 			}
 		})
 	}
@@ -334,19 +331,21 @@ func TestTreesKeepTheirOwnCopies(t *testing.T) {
 
 // checkOwnCopies asserts that every read of tr answers with the copy of
 // each block in own (the tree's blocks, by ID) — pointer identity — and
-// that its weights are the sums of those copies' weights.
+// that its subtree weights count those copies.
 func checkOwnCopies(t *testing.T, tr *Tree, own map[BlockID]*Block) {
 	t.Helper()
 	checkTreeIndices(t, tr)
 	if tr.Len() != len(own) {
 		t.Fatalf("tree holds %d blocks, want %d", tr.Len(), len(own))
 	}
-	chainWeight := func(b *Block) int {
-		w := 0
-		for ; !b.IsGenesis(); b = own[b.Parent] {
-			w += b.Weight
+	subtree := map[BlockID]int{}
+	for _, b := range own {
+		for ; ; b = own[b.Parent] {
+			subtree[b.ID]++
+			if b.IsGenesis() {
+				break
+			}
 		}
-		return w
 	}
 	for id, want := range own {
 		if got := tr.Block(id); got != want {
@@ -361,8 +360,8 @@ func checkOwnCopies(t *testing.T, tr *Tree, own map[BlockID]*Block) {
 		if len(c) != want.Height+1 || c.Head() != want {
 			t.Fatalf("ChainTo(%s) = %v", id.Short(), c)
 		}
-		if got, w := tr.ChainWeight(id), chainWeight(want); got != w {
-			t.Fatalf("ChainWeight(%s) = %d, the copies sum to %d", id.Short(), got, w)
+		if got, w := tr.SubtreeWeight(id), subtree[id]; got != w {
+			t.Fatalf("SubtreeWeight(%s) = %d, the copies count %d", id.Short(), got, w)
 		}
 	}
 	for _, b := range tr.Blocks() {
@@ -375,7 +374,7 @@ func checkOwnCopies(t *testing.T, tr *Tree, own map[BlockID]*Block) {
 			t.Fatalf("leaf %s is not a childless block of the tree", id.Short())
 		}
 	}
-	for _, sel := range []Selector{GHOST{}, HeaviestChain{}, LongestChain{}} {
+	for _, sel := range []Selector{GHOST{}, LongestChain{}} {
 		head := HeadOf(sel, tr)
 		if head != own[head.ID] {
 			t.Fatalf("%s head %p, want the attached copy %p", sel.Name(), head, own[head.ID])

@@ -57,7 +57,6 @@ func TestWellFormedMemoIsPerObject(t *testing.T) {
 		mk   func() *Block
 		want bool
 	}{
-		{"WithWeight", func() *Block { return b.WithWeight(9) }, true},
 		{"WithToken", func() *Block { return b.WithToken("tkn(b0)") }, true},
 		{"plain copy", alter(func(*Block) {}), true},
 		{"ID", alter(func(nb *Block) { nb.ID = other.ID }), false},
@@ -86,7 +85,7 @@ func TestWellFormedMemoIsPerObject(t *testing.T) {
 		t.Fatal("judging copies moved the original's verdict")
 	}
 	// A block that never hashed right, with nobody's address on it.
-	bad := &Block{ID: other.ID, Parent: GenesisID, Height: 1, Weight: 1, Payload: []byte("x")}
+	bad := &Block{ID: other.ID, Parent: GenesisID, Height: 1, Payload: []byte("x")}
 	for try := 0; try < 3; try++ {
 		if (WellFormed{}).Valid(bad) || remembered(bad) {
 			t.Fatalf("offer %d: an ill-formed block was accepted or remembered", try)

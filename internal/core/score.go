@@ -2,13 +2,14 @@ package core
 
 // Score is the paper's score : BC → N, a deterministic monotonically
 // increasing function over blockchains: score(bc⌢{b}) > score(bc) for
-// every block b. The two canonical instances are chain length (Bitcoin's
-// "longest chain") and cumulative weight (Ethereum's "most work").
+// every block b. Every system here scores by length (LengthScore); the
+// checkers take any Score, and one that is not LengthScore is evaluated
+// on materialized chains.
 type Score interface {
 	// Of returns the score of the chain. The genesis chain's score is
-	// s0 (0 for both built-in scores).
+	// s0 (0 for LengthScore).
 	Of(Chain) int
-	// Name identifies the score for reports ("length", "weight").
+	// Name identifies the score for reports ("length").
 	Name() string
 }
 
@@ -26,25 +27,6 @@ func (LengthScore) Of(c Chain) int {
 
 // Name returns "length".
 func (LengthScore) Name() string { return "length" }
-
-// WeightScore scores a chain by the sum of its non-genesis block weights.
-// Since every block weight is >= 1, the score is strictly monotonic as
-// Definition 3.2 requires.
-type WeightScore struct{}
-
-// Of returns the cumulative weight of the chain's non-genesis blocks.
-func (WeightScore) Of(c Chain) int {
-	s := 0
-	for _, b := range c {
-		if !b.IsGenesis() {
-			s += b.Weight
-		}
-	}
-	return s
-}
-
-// Name returns "weight".
-func (WeightScore) Name() string { return "weight" }
 
 // MCPS is the paper's mcps : BC × BC → N — the score, under sc, of the
 // maximal common prefix of bc and bc′. It is the quantity bounded by the

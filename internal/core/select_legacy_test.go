@@ -97,24 +97,6 @@ func legacySelectLongest(t *Tree) Chain {
 	return t.ChainTo(best)
 }
 
-// legacySelectHeaviest is the original HeaviestChain.Select: materialize
-// the full root-to-leaf chain of every leaf and score it (O(n·h)).
-func legacySelectHeaviest(t *Tree) Chain {
-	var best BlockID
-	bestW := -1
-	sc := WeightScore{}
-	for _, leaf := range scanLeaves(t) {
-		w := sc.Of(t.ChainTo(leaf))
-		if w > bestW || (w == bestW && leaf > best) {
-			best, bestW = leaf, w
-		}
-	}
-	if bestW < 0 {
-		return GenesisChain()
-	}
-	return t.ChainTo(best)
-}
-
 // legacySelectSingle is the original SingleChain.Select (minus its
 // unguarded leaves[0] panic on degenerate trees, fixed in the indexed
 // version; with a genesis block present the two never diverge).
@@ -129,8 +111,8 @@ func legacySelectSingle(t *Tree) Chain {
 	return legacySelectLongest(t)
 }
 
-// scanGHOST is GHOST's descent over recomputed subtree weights: every
-// block's weight folded into its parent's in descending (height, ID)
+// scanGHOST is GHOST's descent over recomputed subtree counts: every
+// block's count folded into its parent's in descending (height, ID)
 // order, then the heaviest child taken from genesis down, the later
 // (larger) ID on a tie. It reads neither the tree's links nor its weight
 // table.
@@ -140,7 +122,7 @@ func scanGHOST(t *Tree) Chain {
 	blocks := t.Blocks()
 	for i := len(blocks) - 1; i >= 0; i-- {
 		b := blocks[i]
-		sub[b.ID] += b.Weight
+		sub[b.ID]++
 		if !b.IsGenesis() {
 			sub[b.Parent] += sub[b.ID]
 		}

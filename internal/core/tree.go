@@ -29,7 +29,7 @@ import (
 // entry without its lock (Index invariant (iv)), not repeated per tree.
 // Where the copy a tree attached is not the entry's block under the
 // entry's parent — a same-ID twin naming another parent (invariant
-// (ii)), a WithWeight or WithToken copy, a tcp frame decoded before the
+// (ii)), a WithToken copy, a tcp frame decoded before the
 // block was first interned — the tree keeps its copy in a side table,
 // nil on every simulated run. Pointer identity decides, not equal
 // fields: Token is outside the ID and k-Fork Coherence groups by it.
@@ -48,18 +48,16 @@ import (
 //   - tallest: the block maximal by (height, ID) — the head LongestChain
 //     and SingleChain select, read in O(1);
 //   - maxFork: the largest sibling count, so MaxForkDegree is O(1);
-//   - weights: per block, the cumulative weight of the root-to-block
-//     chain excluding genesis (chain(b) = chain(parent) + b.Weight, so at
-//     a leaf it is WeightScore of ChainTo(leaf)) and the total weight of
-//     its subtree. It is a second handle-paged table beside the nodes,
-//     nil until the first weight query (ChainWeight, SubtreeWeight,
-//     HeaviestChain, GHOST), which fills it in one depth-first pass;
+//   - weights: per block, the number of blocks in its subtree, its own
+//     included (every block weighs one). It is a second handle-paged
+//     table beside the nodes, nil until the first weight query
+//     (SubtreeWeight, GHOST), which fills it in one depth-first pass;
 //     Attach then maintains it (O(depth) along parent handles). Trees
 //     under LongestChain and SingleChain never allocate or update it.
 //
-// With them, LongestChain/SingleChain pick their head in O(1),
-// HeaviestChain in O(#leaves), and each materializes only the winning
-// chain, following parent handles.
+// With them, LongestChain/SingleChain pick their head in O(1) and each
+// selector materializes only the winning chain, following parent
+// handles.
 //
 // No iteration order is kept, and handle order differs between live
 // runs (Index invariant (iii)): Blocks scans the pages and sorts by
@@ -81,9 +79,9 @@ type Tree struct {
 	// leaves is the maintained leaf set: the handles of the nodes with no
 	// children, each recording its index here, plus one, in node.leaf.
 	leaves []uint32
-	// weights pages the weight caches by handle, beside pages: nil until
-	// the first weight query, maintained by Attach from then on.
-	weights []*[pageSize]weight
+	// weights pages the subtree counts by handle, beside pages: nil
+	// until the first weight query, maintained by Attach from then on.
+	weights []*[pageSize]int
 	// tallest is the block maximal by (height, ID). A child is higher
 	// than its parent, so tallest is always a leaf: the head LongestChain
 	// selects.
@@ -112,16 +110,6 @@ type copyRef struct {
 	parent uint32
 }
 
-// weight is one block's entry in the weight table.
-type weight struct {
-	// chain is the cumulative weight of the chain from genesis to the
-	// block, genesis excluded (matching WeightScore).
-	chain int
-	// subtree is the total weight of the subtree rooted at the block, its
-	// own weight included.
-	subtree int
-}
-
 // nkids returns the number of the node's children (0 for a nil node).
 func (n *node) nkids() int {
 	if n == nil || n.leaf >= 0 {
@@ -135,7 +123,7 @@ func (n *node) nkids() int {
 // genesis-only NewTree() allocated no more than with 256 node pointers
 // beside a 16-node slab (TestGenesisTreeStaysSmall) — the ADT machines
 // clone a small tree on every append. A 5 000-block replica holds 79
-// pages, and 79 weight pages (1 KB each) once a weight query has been
+// pages, and 79 weight pages (512 B each) once a weight query has been
 // asked.
 const (
 	pageBits = 6
@@ -190,9 +178,9 @@ func (t *Tree) block(h uint32) *Block {
 	return b
 }
 
-// wt returns the weight entry of a handle the tree holds; the weight
+// wt returns the subtree count of a handle the tree holds; the weight
 // table must be filled.
-func (t *Tree) wt(h uint32) *weight { return &t.weights[h>>pageBits][h&pageMask] }
+func (t *Tree) wt(h uint32) *int { return &t.weights[h>>pageBits][h&pageMask] }
 
 // find returns the handle of the block with the given ID, noHandle when
 // the tree does not hold it.
@@ -255,11 +243,9 @@ func (t *Tree) HoldsParent(r Ref) bool { return t.at(r.parent) != nil }
 
 // Attach inserts block b under its parent. It returns an error if the
 // parent is unknown, the height is inconsistent, or a different block
-// with the same ID is already present — Parent, Height, Weight and
-// Payload must all match the attached copy, so a re-weighted twin
-// (Block.WithWeight keeps the ID) cannot silently corrupt the weight
-// caches. Attaching an identical block twice is idempotent (duplicate
-// delivery in the network simulator).
+// with the same ID is already present — Parent, Height and Payload must
+// all match the attached copy. Attaching an identical block twice is
+// idempotent (duplicate delivery in the network simulator).
 func (t *Tree) Attach(b *Block) error {
 	if b == nil {
 		return fmt.Errorf("core: attach nil block")
@@ -280,8 +266,7 @@ func (t *Tree) AttachResolved(r Ref) error {
 	}
 	if t.at(r.h) != nil {
 		existing := t.block(r.h)
-		if existing.Parent != b.Parent || existing.Height != b.Height ||
-			existing.Weight != b.Weight || !bytes.Equal(existing.Payload, b.Payload) {
+		if existing.Parent != b.Parent || existing.Height != b.Height || !bytes.Equal(existing.Payload, b.Payload) {
 			return fmt.Errorf("core: conflicting block %s already attached", b.ID.Short())
 		}
 		return nil
@@ -327,9 +312,9 @@ func (t *Tree) AttachResolved(r Ref) error {
 		t.tallest = b
 	}
 	if t.weights != nil {
-		*slot(&t.weights, r.h) = weight{chain: t.wt(r.parent).chain + b.Weight, subtree: b.Weight}
+		*slot(&t.weights, r.h) = 1
 		for h := r.parent; h != noHandle; _, h = t.ref(h) {
-			t.wt(h).subtree += b.Weight
+			*t.wt(h)++
 		}
 	}
 	return nil
@@ -356,31 +341,22 @@ func (t *Tree) ForkCount(id BlockID) int { return t.at(t.find(id)).nkids() }
 // chain. Used to verify k-Fork Coherence empirically. O(1).
 func (t *Tree) MaxForkDegree() int { return t.maxFork }
 
-// SubtreeWeight returns the total weight of the subtree rooted at id
-// (the block's own weight included), 0 for an absent block. Used by the
-// GHOST selector.
-func (t *Tree) SubtreeWeight(id BlockID) int { return t.weightOf(id).subtree }
-
-// ChainWeight returns the cumulative weight of the chain from genesis to
-// id, genesis excluded — exactly WeightScore{}.Of(t.ChainTo(id)) without
-// materializing the chain. Returns 0 for genesis or an absent block.
-func (t *Tree) ChainWeight(id BlockID) int { return t.weightOf(id).chain }
-
-// weightOf returns the weights of the block with the given ID, filling
-// the table on the first query; zero for a block the tree does not hold.
-func (t *Tree) weightOf(id BlockID) weight {
+// SubtreeWeight returns the number of blocks in the subtree rooted at id
+// (the block itself included), 0 for an absent block: the weight the
+// GHOST selector compares, since every block weighs one.
+func (t *Tree) SubtreeWeight(id BlockID) int {
 	if h := t.find(id); h != noHandle && t.fillWeights() {
 		return *t.wt(h)
 	}
-	return weight{}
+	return 0
 }
 
 // fillWeights fills the weight table on the first weight query and
 // reports whether there is one (not on a zero-value tree). The pass is
 // depth-first without a stack (chains are deep): down along first
-// children, setting each block's chain weight from its parent's, to a
-// leaf, then across to the next sibling or, after the last, up to the
-// parent — whose children are then all folded into its subtree weight.
+// children to a leaf, then across to the next sibling or, after the
+// last, up to the parent — whose children are then all folded into its
+// subtree count.
 func (t *Tree) fillWeights() bool {
 	if t.weights != nil {
 		return true
@@ -388,29 +364,25 @@ func (t *Tree) fillWeights() bool {
 	if t.at(0) == nil {
 		return false
 	}
-	t.weights = make([]*[pageSize]weight, len(t.pages))
+	t.weights = make([]*[pageSize]int, len(t.pages))
+	for i, pg := range t.pages {
+		if pg != nil {
+			t.weights[i] = new([pageSize]int)
+		}
+	}
 	h := uint32(0)
 	for {
-		for {
-			b, parent := t.ref(h)
-			w := slot(&t.weights, h)
-			if parent != noHandle {
-				w.chain = t.wt(parent).chain + b.Weight
-			}
-			n := t.held(h)
-			if n.firstKid == 0 {
-				break
-			}
-			h = n.firstKid
+		for k := t.held(h).firstKid; k != 0; k = t.held(h).firstKid {
+			h = k
 		}
 		for {
-			b, parent := t.ref(h)
+			_, parent := t.ref(h)
 			w := t.wt(h)
-			w.subtree += b.Weight
+			*w++
 			if parent == noHandle {
 				return true
 			}
-			t.wt(parent).subtree += w.subtree
+			*t.wt(parent) += *w
 			if s := t.held(h).nextSib; s != 0 {
 				h = s
 				break

@@ -82,43 +82,16 @@ func TestAttachIdempotentAndConflict(t *testing.T) {
 	if err := tr.Attach(&evil); err == nil {
 		t.Error("conflicting attach accepted")
 	}
-	// Same ID, different weight (WithWeight keeps the ID): conflict —
-	// accepting it as a duplicate would desynchronize the weight caches.
-	if err := tr.Attach(b1.WithWeight(7)); err == nil {
-		t.Error("re-weighted twin accepted as duplicate")
-	}
-	if got := tr.SubtreeWeight(GenesisID); got != 2 {
-		t.Errorf("rejected twin perturbed weight cache: %d, want 2", got)
-	}
-	// Same ID, different payload: conflict.
+	// Same ID, different payload: conflict, and the filled weight table
+	// is left as it was.
+	tr.SubtreeWeight(GenesisID)
 	evil2 := *b1
 	evil2.Payload = []byte("tampered")
 	if err := tr.Attach(&evil2); err == nil {
 		t.Error("payload-tampered twin accepted as duplicate")
 	}
-}
-
-func TestChainWeightIndex(t *testing.T) {
-	g := Genesis()
-	a := child(g, 0, 1) // weight 1
-	b := child(a, 0, 2).WithWeight(3)
-	c := child(g, 1, 3).WithWeight(2)
-	tr := buildTree(t, a, b, c)
-	for id, want := range map[BlockID]int{
-		GenesisID: 0, // genesis excluded, matching WeightScore
-		a.ID:      1,
-		b.ID:      4,
-		c.ID:      2,
-	} {
-		if got := tr.ChainWeight(id); got != want {
-			t.Errorf("ChainWeight(%s) = %d, want %d", id.Short(), got, want)
-		}
-		if got, want := tr.ChainWeight(id), (WeightScore{}).Of(tr.ChainTo(id)); got != want {
-			t.Errorf("ChainWeight(%s) = %d, WeightScore gives %d", id.Short(), got, want)
-		}
-	}
-	if tr.ChainWeight("missing") != 0 {
-		t.Error("ChainWeight of missing block not 0")
+	if got := tr.SubtreeWeight(GenesisID); got != 2 {
+		t.Errorf("rejected twin perturbed the weight table: %d, want 2", got)
 	}
 }
 
@@ -198,18 +171,22 @@ func TestChildrenSortedDeterministically(t *testing.T) {
 
 func TestSubtreeWeight(t *testing.T) {
 	g := Genesis()
-	a := child(g, 0, 1) // weight 1
-	b := child(a, 0, 2).WithWeight(3)
-	c := child(g, 1, 3).WithWeight(2)
-	tr := buildTree(t, a, b, c)
-	if got := tr.SubtreeWeight(a.ID); got != 4 {
-		t.Errorf("subtree(a) = %d, want 4", got)
+	a := child(g, 0, 1)
+	b := child(a, 0, 2)
+	b2 := child(a, 1, 3)
+	c := child(g, 1, 4)
+	tr := buildTree(t, a, b, b2, c)
+	if got := tr.SubtreeWeight(a.ID); got != 3 {
+		t.Errorf("subtree(a) = %d, want 3", got)
 	}
-	if got := tr.SubtreeWeight(c.ID); got != 2 {
-		t.Errorf("subtree(c) = %d, want 2", got)
+	if got := tr.SubtreeWeight(c.ID); got != 1 {
+		t.Errorf("subtree(c) = %d, want 1", got)
 	}
-	if got := tr.SubtreeWeight(GenesisID); got != 7 { // 1(g)+1(a)+3(b)+2(c)
-		t.Errorf("subtree(g) = %d, want 7", got)
+	if got := tr.SubtreeWeight(GenesisID); got != 5 { // every block weighs one
+		t.Errorf("subtree(g) = %d, want 5", got)
+	}
+	if tr.SubtreeWeight("missing") != 0 {
+		t.Error("SubtreeWeight of missing block not 0")
 	}
 }
 
@@ -385,8 +362,8 @@ func TestGenesisTreeStaysSmall(t *testing.T) {
 // TestWeightTableIsLazy: a tree grown to 5 000 blocks and read only the
 // way LongestChain and SingleChain runs read it — the selectors of every
 // benchmark workload — never allocates the weight table. The first
-// HeaviestChain or GHOST query then fills it to exactly the recompute,
-// and Attach keeps it so.
+// GHOST query then fills it to exactly the recompute, and Attach keeps
+// it so.
 func TestWeightTableIsLazy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := NewTree()
@@ -397,8 +374,7 @@ func TestWeightTableIsLazy(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				parent = attached[rng.Intn(len(attached))]
 			}
-			b := NewBlock(parent.ID, parent.Height+1, rng.Intn(8), len(attached), []byte{byte(i), byte(i >> 8)}).
-				WithWeight(1 + rng.Intn(9))
+			b := NewBlock(parent.ID, parent.Height+1, rng.Intn(8), len(attached), []byte{byte(i), byte(i >> 8)})
 			if err := tr.Attach(b); err != nil {
 				t.Fatal(err)
 			}
@@ -412,9 +388,6 @@ func TestWeightTableIsLazy(t *testing.T) {
 		t.Helper()
 		if got, want := (GHOST{}).Select(tr), scanGHOST(tr); !got.Equal(want) {
 			t.Fatalf("%s: GHOST selects head %s, the scan %s", when, got.Head().ID.Short(), want.Head().ID.Short())
-		}
-		if got, want := (HeaviestChain{}).Select(tr), legacySelectHeaviest(tr); !got.Equal(want) {
-			t.Fatalf("%s: HeaviestChain selects head %s, the scan %s", when, got.Head().ID.Short(), want.Head().ID.Short())
 		}
 	}
 	grow(5000)
@@ -433,7 +406,7 @@ func TestSelectorsOnChain(t *testing.T) {
 	a := child(g, 0, 1)
 	b := child(a, 0, 2)
 	tr := buildTree(t, a, b)
-	for _, f := range []Selector{LongestChain{}, HeaviestChain{}, GHOST{}, SingleChain{}} {
+	for _, f := range []Selector{LongestChain{}, GHOST{}, SingleChain{}} {
 		got := f.Select(tr)
 		if got.Height() != 2 || got.Head().ID != b.ID {
 			t.Errorf("%s on a chain selected %v", f.Name(), got)
@@ -458,22 +431,6 @@ func TestLongestChainTieBreak(t *testing.T) {
 	// Determinism.
 	if got2 := (LongestChain{}).Select(tr); !got.Equal(got2) {
 		t.Fatal("selector not deterministic")
-	}
-}
-
-func TestHeaviestVsLongest(t *testing.T) {
-	g := Genesis()
-	// Short heavy branch vs long light branch.
-	heavy := child(g, 0, 1).WithWeight(10)
-	l1 := child(g, 1, 2)
-	l2 := child(l1, 1, 3)
-	l3 := child(l2, 1, 4)
-	tr := buildTree(t, heavy, l1, l2, l3)
-	if got := (LongestChain{}).Select(tr); got.Head().ID != l3.ID {
-		t.Fatalf("longest selected %v", got)
-	}
-	if got := (HeaviestChain{}).Select(tr); got.Head().ID != heavy.ID {
-		t.Fatalf("heaviest selected %v", got)
 	}
 }
 
@@ -532,13 +489,13 @@ func TestQuickTreeInvariants(t *testing.T) {
 			}
 			parents = append(parents, b)
 		}
-		for _, f := range []Selector{LongestChain{}, HeaviestChain{}, GHOST{}} {
+		for _, f := range []Selector{LongestChain{}, GHOST{}} {
 			c := f.Select(tr)
 			if !c.WellFormed() {
 				return false
 			}
 		}
-		// Root subtree weight equals total block count (unit weights).
+		// Root subtree weight equals total block count.
 		return tr.SubtreeWeight(GenesisID) == tr.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -546,7 +503,7 @@ func TestQuickTreeInvariants(t *testing.T) {
 	}
 }
 
-// Property: GHOST and HeaviestChain agree on fork-free trees.
+// Property: GHOST and LongestChain agree on fork-free trees.
 func TestQuickSelectorsAgreeOnChains(t *testing.T) {
 	f := func(nRaw uint8, seed uint8) bool {
 		n := int(nRaw % 12)
@@ -559,10 +516,7 @@ func TestQuickSelectorsAgreeOnChains(t *testing.T) {
 			}
 			p = b
 		}
-		a := GHOST{}.Select(tr)
-		b := HeaviestChain{}.Select(tr)
-		c := LongestChain{}.Select(tr)
-		return a.Equal(b) && b.Equal(c)
+		return GHOST{}.Select(tr).Equal(LongestChain{}.Select(tr))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -61,7 +61,7 @@ func (d *Definition) Start(cfg *Config) *Harness {
 	}
 	group.Net.SetFIFO(d.FIFO)
 
-	if cfg.RecordFaults || cfg.Faults != nil || cfg.Adversary.Active() || len(cfg.Crashes) > 0 {
+	if cfg.Faults != nil || cfg.Adversary.Active() || len(cfg.Crashes) > 0 {
 		group.Net.RecordFaults(true)
 	}
 	if cfg.Faults != nil {
@@ -181,7 +181,8 @@ func (h *Harness) readAll() {
 // strategy or ReleaseAtEnd) is published and left to propagate — one
 // maximal reorg — and every process takes the two final convergent
 // reads. The run is labelled with the strategy a runner wired, "—" when
-// none did, whatever cfg.Adversary asked for.
+// none did, whatever cfg.Adversary asked for. The Result takes the
+// processes' trees themselves: the run is over once Finish returns.
 func (h *Harness) Finish() *Result {
 	h.Sim.RunUntilIdle()
 	adv := h.cfg.Adversary
@@ -216,7 +217,7 @@ func (h *Harness) Finish() *Result {
 	}
 	res.exportRecovery(h.recovery)
 	for _, p := range h.Group.Procs {
-		res.Trees = append(res.Trees, p.Tree().Clone())
+		res.Trees = append(res.Trees, p.Tree())
 	}
 	res.computeForkMax()
 	return res

@@ -63,10 +63,6 @@ type Config struct {
 	// crossing an active cut are deferred to the heal time, or lost
 	// under a permanent cut. Nil means a fault-free network.
 	Faults *simnet.Schedule
-	// RecordFaults enables the network fault-event log, surfaced in
-	// Result.FaultEvents (implied when Faults, Crashes or an adversary
-	// is set).
-	RecordFaults bool
 	// Crashes optionally takes individual processes down on a
 	// deterministic schedule (see replica.CrashWindow): deliveries to a
 	// down process are lost, it neither mines nor reads, and at the
@@ -174,7 +170,9 @@ type Result struct {
 	System string
 	// History is the recorded concurrent history.
 	History *history.History
-	// Trees are the final per-process replicas.
+	// Trees are the final per-process replicas: the processes' own
+	// trees, handed over once the run is over (nothing attaches to
+	// them after), not copies. A reader only reads them.
 	Trees []*core.Tree
 	// Selector and Score are the f and score the system uses, which
 	// the classifier must use too.
@@ -192,7 +190,8 @@ type Result struct {
 	Stats map[string]int
 	// FaultEvents is the run's recorded fault/adversary event log
 	// (drops, partition cuts and heals, withhold/release decisions);
-	// empty on benign runs without RecordFaults.
+	// recorded when Faults, Crashes or an adversary is set, empty
+	// otherwise.
 	FaultEvents []simnet.FaultEvent
 	// AdversaryName labels the adversarial strategy that ran ("—" when
 	// benign, or when the system wires no such strategy), for scenario

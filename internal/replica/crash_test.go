@@ -22,7 +22,7 @@ func treeDump(t *core.Tree) string {
 }
 
 // checkTreeReads asserts the tree's O(1) reads — MaxForkDegree and the
-// Longest/Heaviest/Single heads — equal a recomputation from its blocks
+// Longest/Single heads — equal a recomputation from its blocks
 // and leaves. Restore re-attaches in (height, ID) order, not arrival
 // order, and must arrive at the same indices.
 func checkTreeReads(t testing.TB, tr *core.Tree) {
@@ -36,21 +36,15 @@ func checkTreeReads(t testing.TB, tr *core.Tree) {
 	if got := tr.MaxForkDegree(); got != maxFork {
 		t.Fatalf("MaxForkDegree %d, recomputed %d", got, maxFork)
 	}
-	var longest, heaviest core.BlockID
+	var longest core.BlockID
 	for _, id := range tr.Leaves() { // ascending IDs: >= keeps the largest on ties
 		if longest == "" || tr.Block(id).Height >= tr.Block(longest).Height {
 			longest = id
 		}
-		if heaviest == "" || tr.ChainWeight(id) >= tr.ChainWeight(heaviest) {
-			heaviest = id
-		}
 	}
-	for _, c := range []struct {
-		sel  core.Selector
-		want core.BlockID
-	}{{core.LongestChain{}, longest}, {core.HeaviestChain{}, heaviest}, {core.SingleChain{}, longest}} {
-		if got := core.HeadOf(c.sel, tr).ID; got != c.want {
-			t.Fatalf("%s head %s, recomputed %s", c.sel.Name(), got.Short(), c.want.Short())
+	for _, sel := range []core.Selector{core.LongestChain{}, core.SingleChain{}} {
+		if got := core.HeadOf(sel, tr).ID; got != longest {
+			t.Fatalf("%s head %s, recomputed %s", sel.Name(), got.Short(), longest.Short())
 		}
 	}
 }

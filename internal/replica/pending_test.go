@@ -190,9 +190,9 @@ func TestTwinWithAnotherParent(t *testing.T) {
 	g := NewGroup(sim, 3, simnet.Synchronous{Delta: 1}, core.LongestChain{})
 	p1 := core.NewBlock(core.GenesisID, 1, 0, 1, nil)
 	p2 := core.NewBlock(core.GenesisID, 1, 1, 1, nil)
-	x1 := &core.Block{ID: "x", Parent: p1.ID, Height: 2, Weight: 1}
-	x2 := &core.Block{ID: "x", Parent: p2.ID, Height: 2, Weight: 1}
-	tall := &core.Block{ID: "x", Parent: p1.ID, Height: 5, Weight: 1}
+	x1 := &core.Block{ID: "x", Parent: p1.ID, Height: 2}
+	x2 := &core.Block{ID: "x", Parent: p2.ID, Height: 2}
+	tall := &core.Block{ID: "x", Parent: p1.ID, Height: 5}
 	a, b, c := g.Procs[0], g.Procs[1], g.Procs[2]
 
 	for _, blk := range []*core.Block{p1, p2, x1} {

@@ -40,9 +40,8 @@ type Spec struct {
 	// Config is the run itself, in the public knob set and nowhere
 	// else: N, Rounds, Seed, Merits, Faults, Crashes, Adversary and, for
 	// a deployed entry, Live and Load. Its fields are promoted, so
-	// spec.N and spec.Seed = 7 read and write them. Run turns the
-	// fault log on, sets MonitorK to CheckK and overrides Seed when asked
-	// to.
+	// spec.N and spec.Seed = 7 read and write them. Run sets MonitorK
+	// to CheckK and overrides Seed when asked to.
 	btsim.Config
 	// CheckK, when > 0, additionally checks k-Fork Coherence with this
 	// bound (set it to the frugal oracle's k).
@@ -111,7 +110,6 @@ func (s Spec) Run(seed uint64) (*Outcome, error) {
 func (s Spec) config(seed uint64) btsim.Config {
 	cfg := s.Config
 	cfg.Seed = seed
-	cfg.FaultLog = !cfg.Live // a simulated scenario always shows its fault events
 	cfg.MonitorK = s.CheckK
 	return cfg
 }

@@ -71,16 +71,15 @@ func AppendPayload(buf []byte, payload any) ([]byte, error) {
 	}
 }
 
-// appendBlock encodes every identity-bearing field of a block. Weight
-// and Token ride along so re-weighted and token-stamped blocks survive
-// the wire byte-exactly (the k-fork checker groups by Token).
+// appendBlock encodes every field of a block. Token rides along so
+// token-stamped blocks survive the wire byte-exactly (the k-fork checker
+// groups by Token).
 func appendBlock(buf []byte, b *core.Block) []byte {
 	buf = appendString(buf, string(b.ID))
 	buf = appendString(buf, string(b.Parent))
 	buf = appendInt(buf, b.Height)
 	buf = appendInt(buf, b.Creator)
 	buf = appendInt(buf, b.Round)
-	buf = appendInt(buf, b.Weight)
 	buf = appendBytes(buf, b.Payload)
 	buf = appendString(buf, string(b.Token))
 	return buf
@@ -214,7 +213,6 @@ func decodeBlock(d *decoder, idx *core.Index) *core.Block {
 	b.Height = int(d.varint("block height"))
 	b.Creator = int(d.varint("block creator"))
 	b.Round = int(d.varint("block round"))
-	b.Weight = int(d.varint("block weight"))
 	b.Payload = d.bytes("block payload")
 	b.Token = d.str("block token")
 	return b
@@ -223,7 +221,7 @@ func decodeBlock(d *decoder, idx *core.Index) *core.Block {
 // interned reads a block's fields in place, allocating nothing, and
 // returns the block idx holds under the frame's ID when every field equals
 // it — the block decodeBlock would build, down to a nil payload; otherwise
-// nil, with d untouched. A forged twin, a re-weighted or re-stamped copy
+// nil, with d untouched. A forged twin, a re-stamped copy
 // or a block no tree accepted (Index invariant (i)) is decoded, and
 // judged, afresh.
 func (d *decoder) interned(idx *core.Index) *core.Block {
@@ -233,8 +231,7 @@ func (d *decoder) interned(idx *core.Index) *core.Block {
 		string(p.raw("block parent")) != string(b.Parent) ||
 		int(p.varint("block height")) != b.Height ||
 		int(p.varint("block creator")) != b.Creator ||
-		int(p.varint("block round")) != b.Round ||
-		int(p.varint("block weight")) != b.Weight {
+		int(p.varint("block round")) != b.Round {
 		return nil
 	}
 	if pl := p.raw("block payload"); !bytes.Equal(pl, b.Payload) || (len(pl) == 0) != (b.Payload == nil) {

@@ -138,7 +138,6 @@ func TestCodecDecodesByReference(t *testing.T) {
 		{"Height", func(b *core.Block) { b.Height++ }, false},
 		{"Creator", func(b *core.Block) { b.Creator++ }, true},
 		{"Round", func(b *core.Block) { b.Round++ }, true},
-		{"Weight", func(b *core.Block) { b.Weight = 5 }, false},
 		{"Payload (a forged twin)", func(b *core.Block) { b.Payload = []byte{9, 9, 9, 9} }, true},
 		{"Token", func(b *core.Block) { b.Token = "tok(b13)" }, false},
 	} {
