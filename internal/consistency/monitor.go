@@ -986,25 +986,18 @@ func (m *Monitor) finalEP() *Report {
 		}
 		return chains[i]
 	}
+	mcpsOf := func(x, y int) int {
+		if tail[x].key() == tail[y].key() {
+			return tail[x].Score
+		}
+		return core.MCPS(m.score, chainOf(x), chainOf(y))
+	}
 	// lowest is the least mcps of a divergent window pair (divergent:
 	// below both its reads' scores).
 	divergent, lowest := false, 0
-	mcps := make([][]int, w)
-	for x := range mcps {
-		mcps[x] = make([]int, w)
-	}
 	for x := 0; x < w; x++ {
-		sx := tail[x].Score
 		for y := x + 1; y < w; y++ {
-			sy := tail[y].Score
-			var mm int
-			if tail[x].key() == tail[y].key() {
-				mm = sx
-			} else {
-				mm = core.MCPS(m.score, chainOf(x), chainOf(y))
-			}
-			mcps[x][y] = mm
-			if mm < sx && mm < sy {
+			if mm := mcpsOf(x, y); mm < tail[x].Score && mm < tail[y].Score {
 				if !divergent || mm < lowest {
 					lowest = mm
 				}
@@ -1022,6 +1015,8 @@ func (m *Monitor) finalEP() *Report {
 	// retained candidates (provably a superset of the reported reads). A
 	// read of score s is a witness only over a pair with mcps < s, so the
 	// classes with s ≤ lowest hold none and are skipped, as in finalEGT.
+	// A pair's mcps is computed again here, once per pair of head keys.
+	memo := map[[2]chainKey]int{}
 	for _, r := range mergedByInv(m.Classes, func(s int) bool { return s > lowest }) {
 		var after []int
 		for j := range tail {
@@ -1034,7 +1029,12 @@ func (m *Monitor) finalEP() *Report {
 			for y := x + 1; y < len(after); y++ {
 				pairs++
 				ax, ay := after[x], after[y]
-				mm := mcps[ax][ay]
+				pk := [2]chainKey{tail[ax].key(), tail[ay].key()}
+				mm, ok := memo[pk]
+				if !ok {
+					mm = mcpsOf(ax, ay)
+					memo[pk] = mm
+				}
 				bound := r.Score
 				if sa := tail[ax].Score; sa < bound {
 					bound = sa

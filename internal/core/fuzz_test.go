@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -68,8 +69,8 @@ func FuzzChainPrefix(f *testing.F) {
 // set, cached max height, max fork degree, the O(1) selector heads,
 // per-block subtree weight — equals a
 // from-scratch recomputation over the blocks' own Parent fields, and that
-// the node table's links (parent handles, child lists, child counts,
-// leaf slots) are consistent. It is the shared invariant check for the
+// the held set over the index's links (parent handles, shared child
+// lists, held-kid counts) is consistent. It is the shared invariant check for the
 // attach fuzzers. Its weight queries fill the weight table.
 func checkTreeIndices(t *testing.T, tr *Tree) {
 	t.Helper()
@@ -79,7 +80,7 @@ func checkTreeIndices(t *testing.T, tr *Tree) {
 }
 
 // checkTreeStructure is the part of checkTreeIndices that asks no weight
-// query: node links, leaf set, height and the LongestChain/SingleChain
+// query: held links, leaf set, height and the LongestChain/SingleChain
 // heads. None of it may fill the weight table.
 func checkTreeStructure(t *testing.T, tr *Tree) {
 	t.Helper()
@@ -89,15 +90,12 @@ func checkTreeStructure(t *testing.T, tr *Tree) {
 	wantLeaves := scanLeaves(tr)
 	gotLeaves := tr.Leaves()
 	if len(gotLeaves) != len(wantLeaves) {
-		t.Fatalf("leaf index has %d leaves, scan finds %d", len(gotLeaves), len(wantLeaves))
+		t.Fatalf("Leaves has %d leaves, scan finds %d", len(gotLeaves), len(wantLeaves))
 	}
 	for i := range wantLeaves {
 		if gotLeaves[i] != wantLeaves[i] {
-			t.Fatalf("leaf index %v != scan %v", gotLeaves, wantLeaves)
+			t.Fatalf("Leaves %v != scan %v", gotLeaves, wantLeaves)
 		}
-	}
-	if tr.LeafCount() != len(wantLeaves) {
-		t.Fatalf("LeafCount %d, scan finds %d", tr.LeafCount(), len(wantLeaves))
 	}
 	// Cached height == scan.
 	if got, want := tr.Height(), scanHeight(tr); got != want {
@@ -138,27 +136,27 @@ func checkWeights(t *testing.T, tr *Tree) {
 	}
 }
 
-// checkNodeLinks asserts the structure of the node table: a node sits in
-// the page slot of the handle the tree's index gives its ID, and n counts
-// the slots in use; its parent handle resolves to the node holding the
-// block its Parent field names (noHandle at genesis alone); its child
-// list is strictly ascending by ID and is exactly the held blocks naming
-// it as parent, with nkids its length and maxFork the largest; leaf
-// slots and the leaves slice point at each other, one slot per childless
-// node; and the side table holds only held handles whose copy is not the
-// index entry's.
+// checkNodeLinks asserts the tree's held set over the index's shared
+// links: a held block sits at the bit of the handle the tree's index
+// gives its ID, and n counts the bits; its parent handle resolves to the
+// held block its Parent field names (noHandle at genesis alone); the
+// shared child list of every held block ascends strictly by ID and holds
+// exactly the entries naming it as parent; the children the tree holds
+// under it (the shared list filtered by the bitset, then its twins) are
+// exactly the held blocks naming it as parent — Children sorted, with
+// ForkCount and the held-kid count their number and maxFork the largest;
+// Leaves lists the childless blocks; the side table holds only held
+// handles whose copy is not the index entry's, and the twin table only
+// those whose copy names another parent, under that parent.
 func checkNodeLinks(t *testing.T, tr *Tree) {
 	t.Helper()
 	kids := scanChildren(tr)
-	held, childless, maxFork := 0, 0, 0
-	eachNode(tr, func(h uint32, b *Block, n *node) {
+	held, childless, maxFork, interned := 0, 0, 0, tr.idx.Len()
+	eachNode(tr, func(h uint32, b *Block) {
 		id := b.ID
 		held++
-		if want := tr.idx.handle(id); h != want {
-			t.Fatalf("node %s sits under handle %d, the index says %d", id.Short(), h, want)
-		}
-		if tr.find(id) != h || tr.held(h) != n {
-			t.Fatalf("lookup of %s does not reach its node", id.Short())
+		if want := tr.idx.handle(id); h != want || tr.find(id) != h {
+			t.Fatalf("block %s sits at bit %d, the index says %d", id.Short(), h, want)
 		}
 		_, parent := tr.ref(h)
 		if c, ok := tr.copies[h]; ok {
@@ -170,50 +168,60 @@ func checkNodeLinks(t *testing.T, tr *Tree) {
 			if h != 0 || parent != noHandle {
 				t.Fatalf("genesis under handle %d with parent %d", h, parent)
 			}
-		} else if tr.at(parent) == nil || parent != tr.find(b.Parent) {
-			t.Fatalf("parent handle %d of %s does not resolve to this tree's node of %s", parent, id.Short(), b.Parent.Short())
+		} else if !tr.has(parent) || parent != tr.find(b.Parent) {
+			t.Fatalf("parent handle %d of %s does not resolve to this tree's block %s", parent, id.Short(), b.Parent.Short())
+		}
+		var shared BlockID
+		for k, n := tr.idx.entry(h).firstKid.Load(), 0; k != 0; k, n = tr.idx.entry(k).nextSib.Load(), n+1 {
+			e := tr.idx.entry(k)
+			if e.parent.Load() != h || e.b.Parent != tr.idx.entry(h).b.ID || e.b.ID <= shared || n > interned {
+				t.Fatalf("shared child list of %s: entry %d (%s) out of order or not naming it", id.Short(), k, e.b.ID.Short())
+			}
+			shared = e.b.ID
 		}
 		var list []BlockID
-		for k := n.firstKid; k != 0; k = tr.held(k).nextSib {
-			if tr.at(k) == nil {
+		for k := range tr.kids(h) {
+			if !tr.has(k) {
 				t.Fatalf("child handle %d of %s is not held", k, id.Short())
 			}
 			kb, kp := tr.ref(k)
 			if kp != h || kb.Parent != id {
 				t.Fatalf("child handle %d of %s is not a held block naming it as parent", k, id.Short())
 			}
-			if len(list) > 0 && list[len(list)-1] >= kb.ID {
-				t.Fatalf("children of %s not strictly ascending: %v then %s", id.Short(), list, kb.ID.Short())
-			}
 			list = append(list, kb.ID)
 			if len(list) > tr.n {
 				t.Fatalf("child list of %s does not end", id.Short())
 			}
 		}
+		slices.Sort(list)
 		if !reflect.DeepEqual(list, kids[id]) {
-			t.Fatalf("child list of %s is %v, the blocks naming it are %v", id.Short(), list, kids[id])
+			t.Fatalf("children of %s are %v, the blocks naming it are %v", id.Short(), list, kids[id])
 		}
-		if !reflect.DeepEqual(tr.Children(id), list) || tr.ForkCount(id) != len(list) || n.nkids() != len(list) {
-			t.Fatalf("%s: Children %v, ForkCount %d, nkids %d for the list %v", id.Short(), tr.Children(id), tr.ForkCount(id), n.nkids(), list)
+		if !reflect.DeepEqual(tr.Children(id), list) || tr.ForkCount(id) != len(list) || tr.nkids(h) != len(list) {
+			t.Fatalf("%s: Children %v, ForkCount %d, nkids %d for the list %v", id.Short(), tr.Children(id), tr.ForkCount(id), tr.nkids(h), list)
 		}
 		maxFork = max(maxFork, len(list))
 		if len(list) == 0 {
 			childless++
-			if n.leaf < 1 || int(n.leaf) > len(tr.leaves) || tr.leaves[n.leaf-1] != h {
-				t.Fatalf("leaf %s has slot %d, which does not point back", id.Short(), n.leaf-1)
-			}
 		}
 	})
 	for h := range tr.copies {
-		if tr.at(h) == nil {
+		if !tr.has(h) {
 			t.Fatalf("side table holds handle %d, which the tree does not", h)
 		}
 	}
-	if held != tr.n {
-		t.Fatalf("%d nodes in the pages, %d counted", held, tr.n)
+	for p, tw := range tr.twins {
+		for _, h := range tw {
+			if c, ok := tr.copies[h]; !ok || c.parent != p || p == tr.idx.entry(h).parent.Load() || !tr.has(h) {
+				t.Fatalf("twin table lists handle %d under %d, where the tree does not hold it as a twin", h, p)
+			}
+		}
 	}
-	if childless != len(tr.leaves) {
-		t.Fatalf("%d childless nodes, %d leaf slots", childless, len(tr.leaves))
+	if held != tr.n {
+		t.Fatalf("%d bits set, %d counted", held, tr.n)
+	}
+	if childless != len(tr.Leaves()) {
+		t.Fatalf("%d childless blocks, %d leaves", childless, len(tr.Leaves()))
 	}
 	if maxFork != tr.maxFork { // every list equals the scan's, so this is the scanned maximum too
 		t.Fatalf("maxFork %d, largest child list %d", tr.maxFork, maxFork)

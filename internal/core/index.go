@@ -8,12 +8,14 @@ import (
 
 // Index is the run-wide block index: it hands every distinct BlockID a
 // dense uint32 handle in intern order (genesis is 0) and remembers, per
-// handle, the first copy of the block interned and the handle of the
-// parent that copy names. Every Tree of a run and the run's
+// handle, the first copy of the block interned, the handle of the parent
+// that copy names and the block's place in the tree's shape: its first
+// child and its next sibling. Every Tree of a run and the run's
 // history.Recorder share one Index, so the 64-byte hex ID is hashed once
-// per delivered block (Tree.Resolve) and everything after — tree
-// membership, the attach, a read's chain walk — goes by slice index.
-// Handles never leave this package.
+// per delivered block (Tree.Resolve), the block tree's shape is kept once
+// per run, and everything after — tree membership, the attach, a
+// replica's walk of a block's children, a read's chain walk — goes by
+// slice index. Handles never leave this package.
 //
 // Invariants:
 //
@@ -35,26 +37,33 @@ import (
 //     first) and with what a caller interned beforehand. Nothing
 //     digest-covered, rendered or serialized depends on handle order,
 //     and a tree keeps no order of its own (Tree: Blocks sorts, Clone
-//     copies pages, the GHOST pass sums subtrees — the same result in
-//     any visiting order).
+//     copies the held set, the GHOST pass sums subtrees — the same
+//     result in any visiting order).
 //   - (iv) The index is safe for concurrent use. ID lookups take the
 //     read lock: a block already interned is resolved under it once per
 //     delivered block, and only the first attach of a block anywhere
 //     takes the write lock. The entry of a handle the caller holds —
-//     a tree's node, a parent link, the head a walk started from — is
-//     read without the lock: entries sit in append-only pages that
-//     never move, a page is published (an atomic store of the page
+//     a tree's block, a parent or child link, the head a walk started
+//     from — is read without the lock: entries sit in append-only pages
+//     that never move, a page is published (an atomic store of the page
 //     directory) before any handle on it is, and an entry is written
-//     before its handle enters the map. Whoever holds a handle got it,
-//     directly or through a tree, from the map under the lock or from a
-//     parent link, so the entry's writes happen before the read. An
-//     entry's block never changes; its parent is read and patched
-//     atomically (next item).
-//   - A parent handle is noHandle exactly while the parent's ID is not
-//     interned: a child interned before its parent (a restored monitor's
-//     pool comes in no particular order) is patched when the parent
-//     arrives, under the write lock, by one atomic store that a walk
-//     racing it reads either way.
+//     before its handle enters the map or a list. Whoever holds a handle
+//     got it, directly or through a tree, from the map under the lock or
+//     from a link, so the entry's writes happen before the read. An
+//     entry's block never changes; its links are read and written
+//     atomically (next two items).
+//   - (v) A parent handle is noHandle exactly while the parent's ID is
+//     not interned: a child interned before its parent (a restored
+//     monitor's pool comes in no particular order) is patched when the
+//     parent arrives, under the write lock, by one atomic store that a
+//     walk racing it reads either way.
+//   - (vi) An entry is on its parent's child list exactly when its
+//     parent handle is set: intern links it in under the write lock, at
+//     once or when a late parent arrives. A list ascends strictly by ID
+//     and ends at 0 (genesis is nobody's child). A splice sets the new
+//     entry's next sibling before one atomic store makes it reachable,
+//     so a walk racing it sees the list with or without it, whole
+//     either way; nothing is ever unlinked.
 type Index struct {
 	genesis *Block // entry 0's block
 
@@ -74,6 +83,9 @@ type Index struct {
 type indexEntry struct {
 	b      *Block
 	parent atomic.Uint32
+	// firstKid heads the entry's child list, nextSib continues the list
+	// the entry is on (invariant (vi)).
+	firstKid, nextSib atomic.Uint32
 }
 
 // noHandle marks "not interned"; no tree holds anything under it.
@@ -166,14 +178,30 @@ func (x *Index) intern(b *Block) uint32 {
 		x.waiting[b.Parent] = append(x.waiting[b.Parent], h)
 	}
 	e.parent.Store(parent)
+	if ok {
+		x.link(parent, h)
+	}
 	x.ids[b.ID] = h
 	if len(x.waiting) > 0 {
 		for _, c := range x.waiting[b.ID] {
 			x.entry(c).parent.Store(h)
+			x.link(h, c)
 		}
 		delete(x.waiting, b.ID)
 	}
 	return h
+}
+
+// link splices child c into p's child list ahead of the first sibling
+// with a larger ID, under the write lock (invariant (vi)).
+func (x *Index) link(p, c uint32) {
+	id := x.entry(c).b.ID
+	at := &x.entry(p).firstKid
+	for s := at.Load(); s != 0 && x.entry(s).b.ID < id; s = at.Load() {
+		at = &x.entry(s).nextSib
+	}
+	x.entry(c).nextSib.Store(at.Load())
+	at.Store(c)
 }
 
 // Len reports how many blocks are interned, genesis included.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -181,13 +183,30 @@ func TestTwinUnderAnotherParent(t *testing.T) {
 	if err := second.Attach(x1); err == nil {
 		t.Fatal("conflicting copy accepted over the attached twin")
 	}
+	// A second twin whose ID sorts below p2's child on the shared list:
+	// second's children of p2 come off that list and off its twin list,
+	// and must still read in ID order.
+	y1 := &Block{ID: "0", Parent: p1.ID, Height: 2}
+	y2 := &Block{ID: "0", Parent: p2.ID, Height: 2}
+	z := NewBlock(p2.ID, 2, 5, 5, nil)
+	if err := first.Attach(y1); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*Block{z, y2, NewBlock("0", 3, 0, 6, nil)} {
+		if err := second.Attach(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := second.Children(p2.ID); len(got) != 3 || got[0] != "0" || got[1] != z.ID || got[2] != "x" || second.ForkCount(p1.ID) != 0 {
+		t.Fatalf("second's children of p2: %v, of p1: %v", got, second.Children(p1.ID))
+	}
 	if err := third.Attach(p1); err != nil {
 		t.Fatal(err)
 	}
 	if err := third.Attach(x2); err == nil {
 		t.Fatal("twin attached although the parent it names is absent")
 	}
-	if third.Has("x") || third.Len() != 2 {
+	if third.Has("x") || third.Len() != 2 || third.Children(p1.ID) != nil {
 		t.Fatalf("refused twin left a trace: %v", third)
 	}
 	for _, tr := range []*Tree{first, second, third} {
@@ -224,10 +243,11 @@ func TestRejectedBlockIsNotInterned(t *testing.T) {
 }
 
 // TestSparseHandlesStaySmall: a tree holding few blocks of a large index
-// allocates pages only where its handles fall — an amnesia restart late
-// in a long run must not pay for the run's whole handle range.
+// costs a bit per handle of the run up to its highest, and nothing per
+// block it does not hold — an amnesia restart late in a long run pays an
+// eighth of a byte per block of the run, not a node.
 func TestSparseHandlesStaySmall(t *testing.T) {
-	blocks := chainAndForks(20 * pageSize)
+	blocks := chainAndForks(20 * 64)
 	idx := NewIndex()
 	full := NewTreeOn(idx)
 	for _, b := range blocks {
@@ -243,14 +263,12 @@ func TestSparseHandlesStaySmall(t *testing.T) {
 	if err := small.Attach(late); err != nil {
 		t.Fatal(err)
 	}
-	pages := 0
-	for _, pg := range small.pages {
-		if pg != nil {
-			pages++
-		}
+	words := (idx.Len()-1)/64 + 1 // the late block holds the last handle
+	if len(small.held) != words || cap(small.held) > 2*words || small.Len() != 2 {
+		t.Fatalf("tree of %d blocks holds %d bitset words (capacity %d), want %d", small.Len(), len(small.held), cap(small.held), words)
 	}
-	if pages != 2 || small.Len() != 2 {
-		t.Fatalf("tree of 2 blocks holds %d pages (%d blocks)", pages, small.Len())
+	if small.copies != nil || small.twins != nil || small.weights != nil {
+		t.Fatal("a tree of shared blocks holds a side or weight table")
 	}
 	checkTreeIndices(t, small)
 }
@@ -462,4 +480,104 @@ func TestTreesReadEntriesWhileInterning(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSharedLinksUnderConcurrentAttach: several trees on one index attach
+// a fork-heavy block set, one goroutine per tree in its own parent-first
+// order (one attaching copies under a second pointer), while another
+// goroutine interns the same blocks children-first — so parents arrive
+// late and link their waiting children — and, in between, children that
+// no tree attaches, so every shared child list holds entries a tree must
+// filter out. A tree reads the index's child links without its lock
+// (invariant (vi)); under -race this is that contract. After each attach
+// the attaching tree's Children, ForkCount, MaxForkDegree and
+// LongestChain head must equal a recompute from its Blocks().
+func TestSharedLinksUnderConcurrentAttach(t *testing.T) {
+	blocks := chainAndForks(150)
+	var foreign []*Block // children-first: each waits for its parent
+	for i, b := range blocks {
+		if i%4 == 0 {
+			x := NewBlock(b.ID, b.Height+1, 7, i, []byte{byte(i)})
+			foreign = append(foreign, NewBlock(x.ID, x.Height+1, 7, i, nil), x)
+		}
+	}
+	idx := NewIndex()
+	var wg sync.WaitGroup
+	for seed := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr := NewTreeOn(idx)
+			rng := rand.New(rand.NewSource(int64(seed)))
+			pending := append([]*Block(nil), blocks...)
+			for len(pending) > 0 {
+				rng.Shuffle(len(pending), func(a, b int) { pending[a], pending[b] = pending[b], pending[a] })
+				next := pending[:0]
+				for _, b := range pending {
+					if !tr.Has(b.Parent) {
+						next = append(next, b)
+						continue
+					}
+					if seed == 1 {
+						cp := *b
+						b = &cp
+					}
+					if err := tr.Attach(b); err != nil {
+						t.Error(err)
+						return
+					}
+					if msg := recomputeDiff(tr); msg != "" {
+						t.Error(msg)
+						return
+					}
+				}
+				pending = next
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := len(blocks) - 1; i >= 0; i-- {
+			idx.Intern(blocks[i])
+			if i%2 == 0 && len(foreign) > 0 {
+				idx.Intern(foreign[0])
+				foreign = foreign[1:]
+			}
+		}
+		for _, b := range foreign {
+			idx.Intern(b)
+		}
+	}()
+	wg.Wait()
+	if len(idx.waiting) != 0 {
+		t.Fatalf("%d parents still awaited", len(idx.waiting))
+	}
+}
+
+// recomputeDiff compares a tree's child reads, fork degrees and longest
+// head with a recompute from its Blocks(), "" when they agree.
+func recomputeDiff(tr *Tree) string {
+	blocks := tr.Blocks()
+	kids := map[BlockID][]BlockID{}
+	head, maxFork := blocks[0], 0
+	for _, b := range blocks[1:] { // (height, ID) order: parents first
+		kids[b.Parent] = append(kids[b.Parent], b.ID)
+		maxFork = max(maxFork, len(kids[b.Parent]))
+		head = b // the last is maximal by (height, ID)
+	}
+	for _, b := range blocks {
+		want := kids[b.ID]
+		slices.Sort(want)
+		if got := tr.Children(b.ID); !slices.Equal(got, want) || tr.ForkCount(b.ID) != len(want) {
+			return fmt.Sprintf("%s: Children %v, ForkCount %d; the blocks name %v", b.ID.Short(), got, tr.ForkCount(b.ID), want)
+		}
+	}
+	if tr.MaxForkDegree() != maxFork {
+		return fmt.Sprintf("MaxForkDegree %d, recompute %d", tr.MaxForkDegree(), maxFork)
+	}
+	if got := HeadOf(LongestChain{}, tr); got != head {
+		return fmt.Sprintf("longest head %s, recompute %s", got.ID.Short(), head.ID.Short())
+	}
+	return ""
 }

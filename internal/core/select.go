@@ -88,38 +88,55 @@ func (GHOST) SelectHead(t *Tree) *Block {
 	return ghostDescent(t, nil) // nil on a degenerate zero-value tree; HeadOf falls back
 }
 
-// Select performs the greedy heaviest-subtree descent.
+// Select performs the greedy heaviest-subtree descent, the genesis chain
+// on a degenerate zero-value tree.
 func (GHOST) Select(t *Tree) Chain {
 	chain := Chain{t.Root()}
-	ghostDescent(t, &chain)
+	if ghostDescent(t, &chain) == nil {
+		return GenesisChain()
+	}
 	return chain
 }
 
 // ghostDescent walks from the root into the child with the heaviest
 // subtree (ties: the largest ID) until it reaches a leaf, which it
 // returns; every block it descends into is appended to path when path is
-// non-nil. It follows the child lists by handle: no ID is looked up.
+// non-nil. It walks each block's children as Tree.kids yields them —
+// the shared child list by handle, filtered by the held bitset, then the
+// block's twins — spelled out inline, which halves a descent's cost; no
+// ID is looked up but on a tie with a twin, which no list orders.
 func ghostDescent(t *Tree, path *Chain) *Block {
 	if !t.fillWeights() {
 		return nil
 	}
-	h := uint32(0)
-	for k := t.held(h).firstKid; k != 0; k = t.held(h).firstKid {
-		h = k
-		if s := t.held(k).nextSib; s != 0 { // an only child is taken without reading a weight
-			// Children ascend by ID, so on equal weights the later one wins.
-			bestW := *t.wt(k)
-			for ; s != 0; s = t.held(s).nextSib {
-				if w := *t.wt(s); w >= bestW {
-					h, bestW = s, w
+	x := t.idx
+	h, e := uint32(0), x.entry(0)
+	for {
+		best, bestW, be := uint32(0), 0, e
+		for k := e.firstKid.Load(); k != 0; {
+			ke := x.entry(k)
+			// Children ascend by ID, so on equal weights the later one wins;
+			// every weight is at least one, so the first held child does.
+			if t.has(k) && (t.twins == nil || !t.isTwin(k)) && t.weights[k] >= bestW {
+				best, bestW, be = k, t.weights[k], ke
+			}
+			k = ke.nextSib.Load()
+		}
+		if t.twins != nil {
+			for _, k := range t.twins[h] {
+				if w := t.weights[k]; w > bestW || w == bestW && t.block(k).ID > t.block(best).ID {
+					best, bestW, be = k, w, x.entry(k)
 				}
 			}
 		}
+		if best == 0 {
+			return t.block(h)
+		}
+		h, e = best, be
 		if path != nil {
 			*path = append(*path, t.block(h))
 		}
 	}
-	return t.block(h)
 }
 
 // Name returns "ghost".

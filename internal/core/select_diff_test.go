@@ -182,12 +182,13 @@ func TestHeadsMatchLegacyAfterEveryAttach(t *testing.T) {
 }
 
 // TestSingleChainDegenerate pins the empty-case handling: a zero-value
-// Tree (no genesis, no leaf set) must select the genesis chain instead of
-// panicking on leaves[0], and HeadOf must return the genesis block (not
-// nil) so append paths never dereference a nil head.
+// Tree (no genesis, no held block) must select the genesis chain under
+// every selector — GHOST once returned Chain{nil}, on which Equal
+// panicked — and HeadOf must return the genesis block (not nil) so append
+// paths never dereference a nil head.
 func TestSingleChainDegenerate(t *testing.T) {
 	var tr Tree
-	for _, sel := range []Selector{SingleChain{}, LongestChain{}} {
+	for _, sel := range []Selector{SingleChain{}, LongestChain{}, GHOST{}} {
 		got := sel.Select(&tr)
 		if !got.Equal(GenesisChain()) {
 			t.Fatalf("%s on degenerate tree = %v, want genesis chain", sel.Name(), got)

@@ -9,17 +9,14 @@ import "sort"
 // selectors in select.go return byte-identical chains. Do not "optimize"
 // these — their value is being the slow, obviously-correct spec.
 
-// eachNode visits every node of the tree with its handle and block (page
+// eachNode visits every block the tree holds with its handle (bitset
 // order).
-func eachNode(t *Tree, visit func(h uint32, b *Block, n *node)) {
-	for p, pg := range t.pages {
-		if pg == nil {
-			continue
-		}
-		for i := range pg {
-			if pg[i].leaf != 0 {
-				h := uint32(p<<pageBits | i)
-				visit(h, t.block(h), &pg[i])
+func eachNode(t *Tree, visit func(h uint32, b *Block)) {
+	for i, w := range t.held {
+		for j := 0; j < 64; j++ {
+			if w&(1<<j) != 0 {
+				h := uint32(i*64 + j)
+				visit(h, t.block(h))
 			}
 		}
 	}
@@ -30,7 +27,7 @@ func eachNode(t *Tree, visit func(h uint32, b *Block, n *node)) {
 // order.
 func scanChildren(t *Tree) map[BlockID][]BlockID {
 	kids := map[BlockID][]BlockID{}
-	eachNode(t, func(_ uint32, b *Block, _ *node) {
+	eachNode(t, func(_ uint32, b *Block) {
 		if !b.IsGenesis() {
 			kids[b.Parent] = append(kids[b.Parent], b.ID)
 		}
@@ -46,7 +43,7 @@ func scanChildren(t *Tree) map[BlockID][]BlockID {
 func scanLeaves(t *Tree) []BlockID {
 	kids := scanChildren(t)
 	var out []BlockID
-	eachNode(t, func(_ uint32, b *Block, _ *node) {
+	eachNode(t, func(_ uint32, b *Block) {
 		if len(kids[b.ID]) == 0 {
 			out = append(out, b.ID)
 		}
@@ -59,7 +56,7 @@ func scanLeaves(t *Tree) []BlockID {
 // way Tree.Height worked before the cached maxHeight.
 func scanHeight(t *Tree) int {
 	h := 0
-	eachNode(t, func(_ uint32, b *Block, _ *node) {
+	eachNode(t, func(_ uint32, b *Block) {
 		if b.Height > h {
 			h = b.Height
 		}

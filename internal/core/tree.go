@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -19,69 +21,57 @@ import (
 //   - the BT-ADT append()/read() of Definition 3.1 lives in the adt and
 //     refine packages, built on top of Attach and a Selector.
 //
-// Tree names its blocks by the handles of an Index — the run's shared
-// one (NewTreeOn) or, for a lone tree, a private one (NewTree) — and
-// keeps its nodes inline in handle-indexed pages, allocated as handles
-// are first used and never regrown, so node addresses stay valid and a
-// tree holding few of a large run's blocks stays small. A node is 12
-// bytes and holds no pointer: first child and next sibling are handles,
-// and a held block's pointer and parent handle are read from the index
-// entry without its lock (Index invariant (iv)), not repeated per tree.
-// Where the copy a tree attached is not the entry's block under the
-// entry's parent — a same-ID twin naming another parent (invariant
-// (ii)), a WithToken copy, a tcp frame decoded before the
-// block was first interned — the tree keeps its copy in a side table,
-// nil on every simulated run. Pointer identity decides, not equal
-// fields: Token is outside the ID and k-Fork Coherence groups by it.
-// Attach resolves the block's ID once (Resolve: one read-locked lookup
-// in the index, warm across the replicas of a run), writes one page
-// slot and allocates nothing else; what it maintains there lets the
-// selection function f (internal/core/select.go) never rescan the tree:
+// The tree's shape is the Index's: a run's replicas share one index
+// (NewTreeOn; NewTree gives a lone tree a private one), which keeps each
+// block's parent and child list once, and a Tree is the set of blocks one
+// process has received — a bit per handle. A block's children in a tree
+// are its shared child list filtered by the bitset, read without the
+// index's lock (Index invariants (iv)–(vi)). Where the copy a tree
+// attached is not the entry's block under the entry's parent — a same-ID
+// twin naming another parent (invariant (ii)), a WithToken copy, a tcp
+// frame decoded before the block was first interned — the tree keeps it
+// in a side table, and a twin, which its parent's shared list does not
+// hold, in a second; both are nil on every simulated run. Pointer
+// identity decides, not equal fields: Token is outside the ID and k-Fork
+// Coherence groups by it. Attach resolves the block's ID once (Resolve:
+// one read-locked lookup, warm across the replicas of a run), sets a bit
+// — allocating only a bitset word where the handle needs one — and
+// maintains what lets the selection function f (select.go) never rescan
+// the tree:
 //
-//   - firstKid/nextSib: a block's children as an intrusive list in
-//     ascending ID order (deterministic whatever the arrival order, so
-//     tie-breaking selectors are reproducible);
-//   - leaves: the current leaf set, a slice of handles. A first child
-//     takes over its parent's slot, any later child is appended, so the
-//     set is maintained without hashing and a chain-shaped tree keeps one
-//     slot;
 //   - tallest: the block maximal by (height, ID) — the head LongestChain
 //     and SingleChain select, read in O(1);
 //   - maxFork: the largest sibling count, so MaxForkDegree is O(1);
-//   - weights: per block, the number of blocks in its subtree, its own
-//     included (every block weighs one). It is a second handle-paged
-//     table beside the nodes, nil until the first weight query
-//     (SubtreeWeight, GHOST), which fills it in one depth-first pass;
-//     Attach then maintains it (O(depth) along parent handles). Trees
-//     under LongestChain and SingleChain never allocate or update it.
+//   - weights: per block by handle, the number of blocks in its subtree
+//     (every block weighs one). It is nil until the first weight query
+//     (SubtreeWeight, GHOST), which fills it in one pass; Attach then
+//     maintains it (O(depth)). LongestChain and SingleChain trees never
+//     allocate it.
 //
-// With them, LongestChain/SingleChain pick their head in O(1) and each
-// selector materializes only the winning chain, following parent
-// handles.
-//
-// No iteration order is kept, and handle order differs between live
-// runs (Index invariant (iii)): Blocks scans the pages and sorts by
-// (height, ID), Clone copies pages, the lazy GHOST pass walks the child
-// lists depth-first — each the same result in any visiting order.
+// No leaf set is kept (Leaves scans the held blocks; only anti-entropy
+// asks), and no iteration order: handle order differs between live runs
+// (Index invariant (iii)), so Blocks sorts by (height, ID) and the
+// weight pass sums subtrees — the same result in any visiting order.
 //
 // Tree is not safe for concurrent use; each simulated process owns its
 // replica (internal/replica), and shared-memory experiments wrap it.
 // Trees sharing an Index may be used from different goroutines.
 type Tree struct {
 	idx *Index
-	// pages hold the nodes by handle; a slot whose leaf is 0 is a block
-	// the tree does not hold. n counts the held ones.
-	pages []*[pageSize]node
-	n     int
+	// held is the tree's block set, bit h&63 of word h>>6 for handle h;
+	// n counts it.
+	held []uint64
+	n    int
 	// copies holds, by handle, the block and parent this tree attached
 	// where they are not the index entry's; nil until one is.
 	copies map[uint32]copyRef
-	// leaves is the maintained leaf set: the handles of the nodes with no
-	// children, each recording its index here, plus one, in node.leaf.
-	leaves []uint32
-	// weights pages the subtree counts by handle, beside pages: nil
-	// until the first weight query, maintained by Attach from then on.
-	weights []*[pageSize]int
+	// twins lists, by parent handle, the held blocks whose copy names
+	// another parent than their index entry — off the shared child list
+	// of the parent they hang under; nil until one is attached.
+	twins map[uint32][]uint32
+	// weights holds the subtree counts by handle: nil until the first
+	// weight query, maintained by Attach from then on.
+	weights []int
 	// tallest is the block maximal by (height, ID). A child is higher
 	// than its parent, so tallest is always a leaf: the head LongestChain
 	// selects.
@@ -90,73 +80,72 @@ type Tree struct {
 	maxFork int
 }
 
-// node is one block's entry in the tree: a slot of a page. The zero
-// value is "not held". Handle 0 is genesis, which is nobody's child, so 0
-// ends the child lists; the block and its parent handle are the index
-// entry's (Tree.ref).
-type node struct {
-	// firstKid heads the node's children, nextSib continues the list the
-	// node itself is on; both lists ascend by ID.
-	firstKid, nextSib uint32
-	// leaf is one more than the node's index in Tree.leaves while it has
-	// no children and minus their number once it has some, so 0 is "not
-	// held" (one field: 12 bytes).
-	leaf int32
-}
-
 // copyRef is a block and its parent handle as a tree attached them.
 type copyRef struct {
 	b      *Block
 	parent uint32
 }
 
-// nkids returns the number of the node's children (0 for a nil node).
-func (n *node) nkids() int {
-	if n == nil || n.leaf >= 0 {
-		return 0
-	}
-	return int(-n.leaf)
+// has reports whether the tree holds handle h (never noHandle, which
+// lies beyond any bitset).
+func (t *Tree) has(h uint32) bool {
+	w := int(h >> 6)
+	return w < len(t.held) && t.held[w]&(1<<(h&63)) != 0
 }
 
-// A page holds 64 nodes (768 B) and is the least a tree costs: 64 was
-// chosen, with 24-byte nodes, as the largest power of two at which a
-// genesis-only NewTree() allocated no more than with 256 node pointers
-// beside a 16-node slab (TestGenesisTreeStaysSmall) — the ADT machines
-// clone a small tree on every append. A 5 000-block replica holds 79
-// pages, and 79 weight pages (512 B each) once a weight query has been
-// asked.
-const (
-	pageBits = 6
-	pageSize = 1 << pageBits
-	pageMask = pageSize - 1
-)
-
-// at returns the node of handle h, nil when the tree does not hold it
-// (noHandle lies beyond any page).
-func (t *Tree) at(h uint32) *node {
-	if p := int(h >> pageBits); p < len(t.pages) && t.pages[p] != nil {
-		if n := &t.pages[p][h&pageMask]; n.leaf != 0 {
-			return n
+// handles yields the held handles in ascending order.
+func (t *Tree) handles(yield func(uint32) bool) {
+	for i, w := range t.held {
+		for ; w != 0; w &= w - 1 {
+			if !yield(uint32(i<<6 | bits.TrailingZeros64(w))) {
+				return
+			}
 		}
 	}
-	return nil
 }
 
-// held returns the node of a handle taken from a parent, child, sibling or
-// leaf link — one the tree is known to hold.
-func (t *Tree) held(h uint32) *node { return &t.pages[h>>pageBits][h&pageMask] }
+// grow returns s extended with zeros so that index i is in range.
+func grow[T any](s []T, i uint32) []T {
+	if int(i) < len(s) {
+		return s
+	}
+	return append(s, make([]T, int(i)+1-len(s))...)
+}
 
-// slot returns the slot of handle h in a paged table — the nodes or the
-// weights — allocating its page on first use.
-func slot[T any](pages *[]*[pageSize]T, h uint32) *T {
-	p := int(h >> pageBits)
-	for p >= len(*pages) {
-		*pages = append(*pages, nil)
+// kids yields the children the tree holds under held handle p: p's
+// shared child list, ascending by ID, filtered by the bitset, then p's
+// twins.
+func (t *Tree) kids(p uint32) func(yield func(uint32) bool) {
+	return func(yield func(uint32) bool) {
+		for k := t.idx.entry(p).firstKid.Load(); k != 0; k = t.idx.entry(k).nextSib.Load() {
+			if t.has(k) && (t.twins == nil || !t.isTwin(k)) && !yield(k) {
+				return
+			}
+		}
+		if t.twins != nil {
+			for _, k := range t.twins[p] {
+				if !yield(k) {
+					return
+				}
+			}
+		}
 	}
-	if (*pages)[p] == nil {
-		(*pages)[p] = new([pageSize]T)
+}
+
+// isTwin reports whether the tree holds handle k under another parent
+// than the index entry's.
+func (t *Tree) isTwin(k uint32) bool {
+	c, ok := t.copies[k]
+	return ok && c.parent != t.idx.entry(k).parent.Load()
+}
+
+// nkids returns the number of children the tree holds under handle p.
+func (t *Tree) nkids(p uint32) int {
+	n := 0
+	for range t.kids(p) {
+		n++
 	}
-	return &(*pages)[p][h&pageMask]
+	return n
 }
 
 // ref returns the block of a handle the tree holds and its parent's
@@ -178,17 +167,13 @@ func (t *Tree) block(h uint32) *Block {
 	return b
 }
 
-// wt returns the subtree count of a handle the tree holds; the weight
-// table must be filled.
-func (t *Tree) wt(h uint32) *int { return &t.weights[h>>pageBits][h&pageMask] }
-
 // find returns the handle of the block with the given ID, noHandle when
 // the tree does not hold it.
 func (t *Tree) find(id BlockID) uint32 {
 	if t.idx == nil {
 		return noHandle // zero-value tree
 	}
-	if h := t.idx.handle(id); t.at(h) != nil {
+	if h := t.idx.handle(id); t.has(h) {
 		return h
 	}
 	return noHandle
@@ -202,14 +187,12 @@ func NewTree() *Tree { return NewTreeOn(NewIndex()) }
 // its blocks by the handles of idx: the replicas of one run share the
 // run's index.
 func NewTreeOn(idx *Index) *Tree {
-	t := &Tree{idx: idx, n: 1, leaves: []uint32{0}, tallest: idx.genesis}
-	*slot(&t.pages, 0) = node{leaf: 1}
-	return t
+	return &Tree{idx: idx, held: []uint64{1}, n: 1, tallest: idx.genesis}
 }
 
 // Root returns the genesis block (nil on a zero-value tree).
 func (t *Tree) Root() *Block {
-	if t.at(0) != nil {
+	if t.has(0) {
 		return t.idx.genesis
 	}
 	return nil
@@ -235,11 +218,11 @@ func (t *Tree) Has(id BlockID) bool { return t.find(id) != noHandle }
 func (t *Tree) Resolve(b *Block) Ref { return t.idx.resolve(b) }
 
 // Holds reports whether the tree contains a block with r's ID.
-func (t *Tree) Holds(r Ref) bool { return t.at(r.h) != nil }
+func (t *Tree) Holds(r Ref) bool { return t.has(r.h) }
 
 // HoldsParent reports whether the tree contains the parent r's block
 // names.
-func (t *Tree) HoldsParent(r Ref) bool { return t.at(r.parent) != nil }
+func (t *Tree) HoldsParent(r Ref) bool { return t.has(r.parent) }
 
 // Attach inserts block b under its parent. It returns an error if the
 // parent is unknown, the height is inconsistent, or a different block
@@ -264,15 +247,14 @@ func (t *Tree) AttachResolved(r Ref) error {
 	if b.IsGenesis() {
 		return nil // genesis is always present
 	}
-	if t.at(r.h) != nil {
+	if t.has(r.h) {
 		existing := t.block(r.h)
 		if existing.Parent != b.Parent || existing.Height != b.Height || !bytes.Equal(existing.Payload, b.Payload) {
 			return fmt.Errorf("core: conflicting block %s already attached", b.ID.Short())
 		}
 		return nil
 	}
-	parent := t.at(r.parent)
-	if parent == nil {
+	if !t.has(r.parent) {
 		return fmt.Errorf("core: parent %s of %s not in tree", b.Parent.Short(), b.ID.Short())
 	}
 	if ph := t.block(r.parent).Height; b.Height != ph+1 {
@@ -281,40 +263,32 @@ func (t *Tree) AttachResolved(r Ref) error {
 	if r.h == noHandle {
 		r.h = t.idx.intern(b)
 	}
-	if t.idx.entry(r.h).b != b { // a copy under the same pointer names the same parent
+	if e := t.idx.entry(r.h); e.b != b { // a copy under the same pointer names the same parent
 		if t.copies == nil {
 			t.copies = make(map[uint32]copyRef)
 		}
 		t.copies[r.h] = copyRef{b: b, parent: r.parent}
+		if r.parent != e.parent.Load() {
+			if t.twins == nil {
+				t.twins = make(map[uint32][]uint32)
+			}
+			t.twins[r.parent] = append(t.twins[r.parent], r.h)
+		}
 	}
-	n := slot(&t.pages, r.h) // may add a page; parent stays valid, pages never move
+	t.held = grow(t.held, r.h>>6)
+	t.held[r.h>>6] |= 1 << (r.h & 63)
 	t.n++
-	// Link in ahead of the first sibling with a larger ID (sibling lists
-	// are short).
-	link := &parent.firstKid
-	for *link != 0 && t.block(*link).ID < b.ID {
-		link = &t.held(*link).nextSib
-	}
-	n.nextSib, *link = *link, r.h
-	if parent.leaf > 0 {
-		// A first child takes over the leaf slot its parent gives up.
-		n.leaf, parent.leaf = parent.leaf, -1
-		t.leaves[n.leaf-1] = r.h
-	} else {
-		parent.leaf--
-		t.leaves = append(t.leaves, r.h)
-		n.leaf = int32(len(t.leaves))
-	}
-	if k := parent.nkids(); k > t.maxFork {
+	if k := t.nkids(r.parent); k > t.maxFork {
 		t.maxFork = k
 	}
 	if b.Height > t.tallest.Height || (b.Height == t.tallest.Height && b.ID > t.tallest.ID) {
 		t.tallest = b
 	}
 	if t.weights != nil {
-		*slot(&t.weights, r.h) = 1
+		t.weights = grow(t.weights, r.h)
+		t.weights[r.h] = 1
 		for h := r.parent; h != noHandle; _, h = t.ref(h) {
-			*t.wt(h)++
+			t.weights[h]++
 		}
 	}
 	return nil
@@ -323,18 +297,28 @@ func (t *Tree) AttachResolved(r Ref) error {
 // Children returns the IDs of the blocks chaining to id, in lexicographic
 // order (deterministic), in a slice built for the call.
 func (t *Tree) Children(id BlockID) []BlockID {
+	h := t.find(id)
+	if h == noHandle {
+		return nil
+	}
 	var out []BlockID
-	if n := t.at(t.find(id)); n != nil {
-		for h := n.firstKid; h != 0; h = t.held(h).nextSib {
-			out = append(out, t.block(h).ID)
-		}
+	for k := range t.kids(h) {
+		out = append(out, t.block(k).ID)
+	}
+	if len(t.twins[h]) > 0 {
+		slices.Sort(out)
 	}
 	return out
 }
 
 // ForkCount returns the number of children of id — the number of branches
 // (forks) rooted at that block, the quantity bounded by the frugal oracle.
-func (t *Tree) ForkCount(id BlockID) int { return t.at(t.find(id)).nkids() }
+func (t *Tree) ForkCount(id BlockID) int {
+	if h := t.find(id); h != noHandle {
+		return t.nkids(h)
+	}
+	return 0
+}
 
 // MaxForkDegree returns the largest number of branches from any single
 // block in the tree; 1 (or 0 for a bare genesis) means the tree is a
@@ -346,63 +330,48 @@ func (t *Tree) MaxForkDegree() int { return t.maxFork }
 // GHOST selector compares, since every block weighs one.
 func (t *Tree) SubtreeWeight(id BlockID) int {
 	if h := t.find(id); h != noHandle && t.fillWeights() {
-		return *t.wt(h)
+		return t.weights[h]
 	}
 	return 0
 }
 
 // fillWeights fills the weight table on the first weight query and
-// reports whether there is one (not on a zero-value tree). The pass is
-// depth-first without a stack (chains are deep): down along first
-// children to a leaf, then across to the next sibling or, after the
-// last, up to the parent — whose children are then all folded into its
-// subtree count.
+// reports whether there is one (not on a zero-value tree): the held
+// blocks listed parents first, breadth-first from genesis, then each
+// count folded into its parent's from the last block back.
 func (t *Tree) fillWeights() bool {
 	if t.weights != nil {
 		return true
 	}
-	if t.at(0) == nil {
+	if !t.has(0) {
 		return false
 	}
-	t.weights = make([]*[pageSize]int, len(t.pages))
-	for i, pg := range t.pages {
-		if pg != nil {
-			t.weights[i] = new([pageSize]int)
+	t.weights = make([]int, 64*len(t.held))
+	order := make([]uint32, 1, t.n)
+	for i := 0; i < len(order); i++ {
+		for k := range t.kids(order[i]) {
+			order = append(order, k)
 		}
 	}
-	h := uint32(0)
-	for {
-		for k := t.held(h).firstKid; k != 0; k = t.held(h).firstKid {
-			h = k
-		}
-		for {
-			_, parent := t.ref(h)
-			w := t.wt(h)
-			*w++
-			if parent == noHandle {
-				return true
-			}
-			*t.wt(parent) += *w
-			if s := t.held(h).nextSib; s != 0 {
-				h = s
-				break
-			}
-			h = parent
+	for _, h := range slices.Backward(order) {
+		t.weights[h]++
+		if _, parent := t.ref(h); parent != noHandle {
+			t.weights[parent] += t.weights[h]
 		}
 	}
+	return true
 }
 
-// LeafCount returns the number of leaves without allocating.
-func (t *Tree) LeafCount() int { return len(t.leaves) }
-
-// Leaves returns the IDs of all leaves, in lexicographic order. The cost
-// is O(#leaves log #leaves), independent of the tree size.
+// Leaves returns the IDs of all leaves, in lexicographic order: a scan of
+// the held blocks, O(n + #leaves log #leaves).
 func (t *Tree) Leaves() []BlockID {
-	out := make([]BlockID, len(t.leaves))
-	for i, h := range t.leaves {
-		out[i] = t.block(h).ID
+	var out []BlockID
+	for h := range t.handles {
+		if t.nkids(h) == 0 {
+			out = append(out, t.block(h).ID)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -436,15 +405,8 @@ func (t *Tree) Height() int {
 // The genesis block comes first.
 func (t *Tree) Blocks() []*Block {
 	out := make([]*Block, 0, t.n)
-	for p, pg := range t.pages {
-		if pg == nil {
-			continue
-		}
-		for i := range pg {
-			if pg[i].leaf != 0 {
-				out = append(out, t.block(uint32(p<<pageBits|i)))
-			}
-		}
+	for h := range t.handles {
+		out = append(out, t.block(h))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Height != out[j].Height {
@@ -455,32 +417,21 @@ func (t *Tree) Blocks() []*Block {
 	return out
 }
 
-// Clone returns a deep copy of the tree structure, indices, side table
-// and weight table (if filled) included (block pointers are shared;
-// blocks are immutable): nodes link by handle, so copying the pages
-// copies the tree.
+// Clone returns a deep copy of the tree: its held set, side tables and
+// weight table (if filled) (block pointers and the index are shared;
+// blocks are immutable, the index only grows).
 func (t *Tree) Clone() *Tree {
 	nt := *t
-	nt.pages = copyPages(t.pages)
+	nt.held = slices.Clone(t.held)
 	nt.copies = maps.Clone(t.copies)
-	nt.weights = copyPages(t.weights)
-	nt.leaves = append([]uint32(nil), t.leaves...)
-	return &nt
-}
-
-// copyPages copies a paged table page by page; nil stays nil.
-func copyPages[T any](pages []*[pageSize]T) []*[pageSize]T {
-	if pages == nil {
-		return nil
-	}
-	out := make([]*[pageSize]T, len(pages))
-	for i, pg := range pages {
-		if pg != nil {
-			cp := *pg
-			out[i] = &cp
+	if t.twins != nil {
+		nt.twins = make(map[uint32][]uint32, len(t.twins))
+		for p, tw := range t.twins {
+			nt.twins[p] = slices.Clone(tw)
 		}
 	}
-	return out
+	nt.weights = slices.Clone(t.weights)
+	return &nt
 }
 
 // String summarizes the tree, e.g. "tree(7 blocks, height 4, maxfork 2)".

@@ -3,11 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 // child makes a block under parent with a distinguishing round.
@@ -115,8 +113,8 @@ func TestLeafAndHeightIndices(t *testing.T) {
 			t.Fatalf("after attach %d: cached height %d, scan %d", i, got, want)
 		}
 	}
-	if tr.LeafCount() != 2 { // b and c
-		t.Fatalf("LeafCount = %d, want 2", tr.LeafCount())
+	if len(tr.Leaves()) != 2 { // b and c
+		t.Fatalf("%d leaves, want 2", len(tr.Leaves()))
 	}
 	// Clone carries the indices independently.
 	cl := tr.Clone()
@@ -124,11 +122,11 @@ func TestLeafAndHeightIndices(t *testing.T) {
 	if err := tr.Attach(d); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Height() != 2 || cl.LeafCount() != 2 {
+	if cl.Height() != 2 || len(cl.Leaves()) != 2 {
 		t.Fatal("clone indices affected by original's attach")
 	}
-	if tr.Height() != 3 || tr.LeafCount() != 2 {
-		t.Fatalf("indices after growth: height %d leaves %d", tr.Height(), tr.LeafCount())
+	if tr.Height() != 3 || len(tr.Leaves()) != 2 {
+		t.Fatalf("indices after growth: height %d leaves %d", tr.Height(), len(tr.Leaves()))
 	}
 }
 
@@ -242,10 +240,9 @@ func TestCloneGrownAloneLeavesOriginal(t *testing.T) {
 }
 
 // TestAttachChainAllocs is the tier-1 guard on the attach path's
-// allocation count: with one index and nodes inline in the pages, a chain
-// costs the amortised map growth plus one page per pageSize blocks (~0.02
-// objects per block). A node or a child list allocated per block would
-// cost 1.
+// allocation count: a chain costs the amortised growth of the index's
+// map, pages and the tree's bitset (~0.02 objects per block). A node or a
+// child list allocated per block would cost 1.
 func TestAttachChainAllocs(t *testing.T) {
 	const n = 5000
 	chain := make([]*Block, n)
@@ -267,13 +264,12 @@ func TestAttachChainAllocs(t *testing.T) {
 	}
 }
 
-// TestAttachAllocatesNothingOncePagesExist: on a tree whose pages are in
-// place, an attach writes one slot and links it by handle — no node, no
+// TestAttachAllocatesNothingOncePagesExist: on a tree whose held bitset
+// already covers the handles, an attach sets one bit and counts the
+// parent's held children along the index's shared list — no node, no
 // sibling list, no leaf record on the heap, however bushy the tree. The
 // blocks are children of genesis and of each other's, eight to a parent,
-// already interned by another tree of the run; the leaf slice's doubling
-// (ten times in 1 000 attaches) is what the floor of AllocsPerRun's
-// average leaves out.
+// already interned by another tree of the run.
 func TestAttachAllocatesNothingOncePagesExist(t *testing.T) {
 	const n = 1000
 	blocks := make([]*Block, 0, n)
@@ -291,9 +287,7 @@ func TestAttachAllocatesNothingOncePagesExist(t *testing.T) {
 		}
 	}
 	tr := NewTreeOn(idx)
-	for h := uint32(0); h <= n; h += pageSize {
-		slot(&tr.pages, h)
-	}
+	tr.held = grow(tr.held, n>>6)
 	next := 0
 	perAttach := testing.AllocsPerRun(n-1, func() { // AllocsPerRun makes one warm-up call
 		if err := tr.Attach(blocks[next]); err != nil {
@@ -310,53 +304,46 @@ func TestAttachAllocatesNothingOncePagesExist(t *testing.T) {
 	checkTreeIndices(t, tr)
 }
 
-// TestGenesisTreeStaysSmall: the least a tree costs is its first page, and
-// pageSize is chosen so that a genesis-only tree allocates no more than it
-// did before nodes moved into the pages — 4 344 bytes for NewTree() then
-// (a page of 256 node pointers, a 16-node slab, the private index), 3 260
-// with 64-node pages of 40-byte nodes, 2 380 once the weight caches moved
-// out of the node into their own lazily allocated table, 1 388 once the
-// node stopped repeating the index entry's block and parent (1 400 under
-// the race detector, the bar). The node itself must stay at 12 bytes with
-// no pointer for the collector to trace, and a fresh tree holds no weight
-// page and no side table.
+// TestGenesisTreeStaysSmall: the least a replica costs on a run's index
+// is its struct and one bitset word, 104 bytes (112 under the race
+// detector, the bar) — the ADT machines clone a small tree on every
+// append. NewTree() adds its private index: 608 bytes (616 under the
+// race detector). A fresh tree holds no weight table and no side table.
 func TestGenesisTreeStaysSmall(t *testing.T) {
-	if sz := unsafe.Sizeof(node{}); sz != 12 {
-		t.Errorf("a node is %d bytes, want 12", sz)
-	}
-	traced := 0 // fields the collector has to look at
-	for i, nt := 0, reflect.TypeOf(node{}); i < nt.NumField(); i++ {
-		if k := nt.Field(i).Type.Kind(); k != reflect.Int && k != reflect.Int32 && k != reflect.Uint32 {
-			traced++
-		}
-	}
-	if traced != 0 {
-		t.Errorf("a node holds %d pointer-bearing fields, want none", traced)
-	}
-	if tr := NewTree(); tr.copies != nil {
+	if tr := NewTree(); tr.copies != nil || tr.twins != nil {
 		t.Error("a genesis-only tree holds a side table")
 	}
-	if NewTree().weights != nil {
-		t.Error("a genesis-only tree holds a weight table")
+	if tr := NewTree(); tr.weights != nil || len(tr.held) != 1 {
+		t.Errorf("a genesis-only tree holds a weight table or %d bitset words", len(tr.held))
 	}
-	// The least of five rounds: another goroutine's allocation landing in
-	// one round's window is not the tree's.
-	const trees, rounds, maxBytes = 64, 5, 1400
-	keep := make([]*Tree, trees)
-	per := uint64(math.MaxUint64)
-	for range rounds {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := range keep {
-			keep[i] = NewTree()
+	idx := NewIndex()
+	for _, tc := range []struct {
+		name     string
+		make     func() *Tree
+		maxBytes uint64
+	}{
+		{"NewTreeOn", func() *Tree { return NewTreeOn(idx) }, 112},
+		{"NewTree", NewTree, 620},
+	} {
+		// The least of five rounds: another goroutine's allocation landing
+		// in one round's window is not the tree's.
+		const trees, rounds = 64, 5
+		keep := make([]*Tree, trees)
+		per := uint64(math.MaxUint64)
+		for range rounds {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range keep {
+				keep[i] = tc.make()
+			}
+			runtime.ReadMemStats(&after)
+			per = min(per, (after.TotalAlloc-before.TotalAlloc)/trees)
 		}
-		runtime.ReadMemStats(&after)
-		per = min(per, (after.TotalAlloc-before.TotalAlloc)/trees)
+		if per > tc.maxBytes {
+			t.Errorf("a genesis-only %s tree allocates %d bytes, want ≤ %d", tc.name, per, tc.maxBytes)
+		}
+		runtime.KeepAlive(keep)
 	}
-	if per > maxBytes {
-		t.Errorf("a genesis-only tree allocates %d bytes, want ≤ %d", per, maxBytes)
-	}
-	runtime.KeepAlive(keep)
 }
 
 // TestWeightTableIsLazy: a tree grown to 5 000 blocks and read only the
