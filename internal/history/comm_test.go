@@ -159,10 +159,10 @@ type lastCommSink struct {
 func (s *lastCommSink) CommDone(e CommEvent) { s.comm++; s.last = e }
 
 // TestRecordCommBytesPerEvent is the tier-1 guard on the log's growth
-// cost: a CommRecord is 8 B, and a log that is never regrown allocates
-// little more than that per event (the 16 B record did 16.4, the 24 B
-// one 24.4, the wide 64 B event 64.2; a flat slice of those grown by
-// append ~330 B per event at this size).
+// cost: a CommRecord is 4 B, and a log that is never regrown allocates
+// little more than that per event (the 8 B record did 8.2, the 16 B one
+// 16.4, the 24 B one 24.4, the wide 64 B event 64.2; a flat slice of
+// those grown by append ~330 B per event at this size).
 func TestRecordCommBytesPerEvent(t *testing.T) {
 	const n = 100_000
 	rec := NewRecorder(3, nil)
@@ -174,8 +174,8 @@ func TestRecordCommBytesPerEvent(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / n
 	t.Logf("%.1f B per event", perEvent)
-	if perEvent > 12 {
-		t.Errorf("RecordComm allocates %.1f B per event, want ≤ 12", perEvent)
+	if perEvent > 6 {
+		t.Errorf("RecordComm allocates %.1f B per event, want ≤ 6", perEvent)
 	}
 	if got := len(rec.Snapshot().Comm); got != n {
 		t.Fatalf("%d events retained, want %d", got, n)

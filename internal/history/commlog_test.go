@@ -11,12 +11,12 @@ import (
 	"repro/internal/core"
 )
 
-// TestCommRecordLayout: the log's record must stay at 8 bytes with no
+// TestCommRecordLayout: the log's record must stay at 4 bytes with no
 // field the collector has to look at — that, not the field list, is what
 // the flooded run's memory and Snapshot's barrier-free copy rest on.
 func TestCommRecordLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(CommRecord{}); sz != 8 {
-		t.Errorf("a CommRecord is %d bytes, want 8", sz)
+	if sz := unsafe.Sizeof(CommRecord{}); sz != 4 {
+		t.Errorf("a CommRecord is %d bytes, want 4", sz)
 	}
 	for i, rt := 0, reflect.TypeOf(CommRecord{}); i < rt.NumField(); i++ {
 		switch f := rt.Field(i); f.Type.Kind() {
@@ -27,12 +27,23 @@ func TestCommRecordLayout(t *testing.T) {
 	}
 }
 
-// TestCommRecordPacksItsBounds: the packed word carries the largest
-// process and every kind back out unchanged, and refuses a process its
-// bits cannot hold — as the recorder refuses more processes than it can
-// name — with a message naming the bound. The index is not in the word,
-// so it has no bound: indices past 32 bits, repeated and going back all
-// widen through the jump list.
+// TestCommRecordPacksItsBounds: the packed word carries every kind
+// back out unchanged, and the recorder refuses a process outside
+// [0, MaxProcs) — as it refuses more processes than it can name — with a
+// message naming the bound. A zero commIDs splits no bit to the process,
+// so every process above 0 escapes to the wide list and still widens
+// exactly. The index is not in the word, so it has no bound: indices past
+// 32 bits, repeated and going back all widen through the jump list.
+//
+// The split between process and block number, at its edges: MaxProcs
+// leaves 7 block bits, so block number 127 is the last inline value,
+// except under the largest process, where it is the escape mark itself,
+// and 128 is one past. One process leaves all 29 bits to the block, more
+// names than a test can make, so there the process escapes. Around a
+// power of two the last process is inline and 2^pbits escapes. Each case
+// must escape exactly when expected, widen back exactly through
+// Event(i), Events and CommOf, and the wide list hold exactly the
+// escaped records.
 func TestCommRecordPacksItsBounds(t *testing.T) {
 	var ids commIDs
 	var want []CommEvent
@@ -52,9 +63,58 @@ func TestCommRecordPacksItsBounds(t *testing.T) {
 			t.Fatalf("packed %+v, widened %+v", e, got)
 		}
 	}
-	if got := len(h.CommOf(EvReceive)); got != len(want)/3 {
-		t.Fatalf("CommOf(receive) finds %d events, want %d", got, len(want)/3)
+	if got, esc := len(h.CommOf(EvReceive)), len(h.tables.wide); got != len(want)/3 || esc != 2*len(want)/3 {
+		t.Fatalf("CommOf(receive) finds %d events, want %d; %d escaped, want %d", got, len(want)/3, esc, 2*len(want)/3)
 	}
+
+	type split struct {
+		proc  int
+		block int // the block's number: "p" is 0, "b<k>" is k
+		wide  bool
+	}
+	for _, tc := range []struct {
+		procs int
+		pbits uint
+		cases []split
+	}{
+		{MaxProcs, 22, []split{
+			{0, 127, false}, {MaxProcs - 2, 127, false}, {MaxProcs - 1, 127, true},
+			{0, 128, true}, {MaxProcs - 1, 126, false}, {MaxProcs - 1, 128, true}, {5, 1, false},
+		}},
+		{1, 0, []split{{0, 3, false}, {1, 3, true}, {MaxProcs - 1, 4, true}, {0, 4, false}, {2, 1, true}}},
+		{2, 1, []split{{1, 5, false}, {2, 5, true}}},
+		{512, 9, []split{{511, 5, false}, {512, 5, true}}},
+		{513, 10, []split{{512, 5, false}, {1024, 5, true}}},
+	} {
+		rec := NewRecorder(tc.procs, nil)
+		if rec.ids.pbits != tc.pbits {
+			t.Errorf("%d procs split %d process bits, want %d", tc.procs, rec.ids.pbits, tc.pbits)
+		}
+		var want []CommEvent
+		for k := 1; k <= 128; k++ { // number the blocks b1..b128 in order
+			want = append(want, rec.RecordComm(EvSend, 0, "p", core.BlockID(fmt.Sprint("b", k))))
+		}
+		for _, c := range tc.cases {
+			want = append(want, rec.RecordComm(EvUpdate, c.proc, "p", core.BlockID(fmt.Sprint("b", c.block))))
+		}
+		h, n := rec.Snapshot(), 0
+		checkEvents(t, h, want)
+		for i := range h.Comm {
+			if escaped(h, i) {
+				n++
+			}
+			if i >= 128 {
+				if c := tc.cases[i-128]; escaped(h, i) != c.wide || blockNum(h, i) != uint32(c.block) {
+					t.Errorf("%d procs: process %d, block %d: escaped %v (want %v), block number %d",
+						tc.procs, c.proc, c.block, escaped(h, i), c.wide, blockNum(h, i))
+				}
+			}
+		}
+		if n != len(h.tables.wide) {
+			t.Errorf("%d procs: %d records escaped, the wide list holds %d", tc.procs, n, len(h.tables.wide))
+		}
+	}
+
 	mustPanic := func(what, bound string, f func()) {
 		t.Helper()
 		defer func() {
@@ -70,7 +130,18 @@ func TestCommRecordPacksItsBounds(t *testing.T) {
 	mustPanic("process -1", procBound, func() { ids.pack(CommEvent{Proc: -1}) })
 	mustPanic("kind 3", "kind 3", func() { ids.pack(CommEvent{Kind: EvUpdate + 1}) })
 	mustPanic("MaxProcs+1 processes", procBound, func() { NewRecorder(MaxProcs+1, nil) })
-	NewRecorder(MaxProcs, nil) // the largest run the record can name
+}
+
+// escaped reports whether h's record i keeps its process and block in
+// the wide list.
+func escaped(h *History, i int) bool { return h.Comm[i].word>>payloadShift == escape }
+
+// blockNum is the number of the block h's record i names, from its word
+// or, escaped, from the wide list.
+func blockNum(h *History, i int) uint32 {
+	cur := h.tables.cursor(i)
+	_, block := cur.split(h.Comm[i])
+	return block
 }
 
 // checkEvents asserts h's log is exactly want — through Events, through
@@ -123,6 +194,10 @@ func checkEvents(t *testing.T, h *History, want []CommEvent) {
 	if len(names) != len(ids) || cap(names) != len(ids) {
 		t.Fatalf("ID table has len %d cap %d, want %d each: %q", len(names), cap(names), len(ids), names)
 	}
+	if tb := h.tables; cap(tb.odd) != len(tb.odd) || cap(tb.jumps) != len(tb.jumps) || cap(tb.wide) != len(tb.wide) {
+		t.Fatalf("exception lists not capped at their length: odd %d/%d, jumps %d/%d, wide %d/%d",
+			len(tb.odd), cap(tb.odd), len(tb.jumps), cap(tb.jumps), len(tb.wide), cap(tb.wide))
+	}
 	for n, id := range ids {
 		if names[n] != id {
 			t.Fatalf("ID table holds %q at %d, want %q", names[n], n, id)
@@ -157,8 +232,8 @@ func TestCommIDsSameIDAsParentAndBlock(t *testing.T) {
 	}
 	h := rec.Snapshot()
 	checkEvents(t, h, want)
-	if c := h.Comm[0]; h.tables.parent[c.block] != c.block || c.odd() {
-		t.Fatalf("one ID numbered twice: block %d first recorded under parent %d", c.block, h.tables.parent[c.block])
+	if b := blockNum(h, 0); h.tables.parent[b] != b || h.Comm[0].odd() {
+		t.Fatalf("one ID numbered twice: block %d first recorded under parent %d", b, h.tables.parent[b])
 	}
 	if !h.Comm[2].odd() || h.Event(2).Parent != core.GenesisID {
 		t.Fatalf("the update under genesis widens to %v (odd %v)", h.Event(2), h.Comm[2].odd())
@@ -181,9 +256,9 @@ func TestCommIDsStrictAlternation(t *testing.T) {
 	h := rec.Snapshot()
 	checkEvents(t, h, want)
 	for i, c := range h.Comm {
-		if c.block != h.Comm[i%2].block || c.odd() || h.Event(i).Parent != h.Event(i%2).Parent {
+		if blockNum(h, i) != blockNum(h, i%2) || c.odd() || h.Event(i).Parent != h.Event(i%2).Parent {
 			t.Fatalf("record %d numbered block %d (odd %v) under %s, want block %d under %s",
-				i, c.block, c.odd(), h.Event(i).Parent, h.Comm[i%2].block, h.Event(i%2).Parent)
+				i, blockNum(h, i), c.odd(), h.Event(i).Parent, blockNum(h, i%2), h.Event(i%2).Parent)
 		}
 	}
 }
@@ -208,7 +283,7 @@ func TestCommIDsForgedTwinUnderAnotherParent(t *testing.T) {
 		h := rec.Snapshot()
 		checkEvents(t, h, want)
 		first, twin := h.Comm[0], h.Comm[1]
-		if first.block != twin.block || first.odd() || !twin.odd() || h.Comm[2].odd() {
+		if blockNum(h, 0) != blockNum(h, 1) || first.odd() || !twin.odd() || h.Comm[2].odd() {
 			t.Fatalf("forged first %v: records %+v: want one block number, only the second record odd", forgedFirst, h.Comm)
 		}
 	}
@@ -246,31 +321,61 @@ func TestCommIDsParentBeforeBlockAcrossSnapshot(t *testing.T) {
 	checkEvents(t, after, want)
 }
 
-// FuzzCommLogRoundTrip drives RecordComm from the input — two bytes an
-// event: kind, process and a snapshot request from the first; parent and
-// block from the second, out of a pool small enough that repeats, runs,
-// the empty ID and IDs no tree ever held all occur, and whether an
-// operation is recorded first (a read, an append, successful or not, or
-// a read left pending), so that indices skip and the jump list fills —
-// and keeps the wide events in a slice of its own. Every snapshot, the
+// FuzzCommLogRoundTrip drives RecordComm from the input — the first
+// byte picks the recorder's process count, 1, 4 or MaxProcs, and so how
+// many process bits the record splits off; then two bytes an event:
+// kind, process and a snapshot request from the first; parent and block
+// from the second, out of a pool small enough that repeats, runs, the
+// empty ID and IDs no tree ever held all occur, or a fresh block, so
+// that MaxProcs's 7 block bits overflow; and whether an operation is
+// recorded first (a read, an append, successful or not, or a read left
+// pending), so that indices skip and the jump list fills — and keeps
+// the wide events in a slice of its own. Processes past the split and
+// blocks past its bits fill the escape list, which Event(i) and the
+// mid-sequence snapshots enter anywhere. Every snapshot, the
 // mid-sequence ones checked after all recording is done, must widen
 // back to the prefix of that slice it was taken at and list only the
 // IDs that prefix names, and so must its Purged copy.
 func FuzzCommLogRoundTrip(f *testing.F) {
 	pool := []core.BlockID{"", core.GenesisID, "b1", "b2", "forged", "never-attached"}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0})                                      // the empty ID first, as parent and block
-	f.Add([]byte{1, 8, 1, 8, 1, 8, 250, 8, 2, 8})            // a run, a snapshot inside it
-	f.Add([]byte{1, 8, 1, 15, 1, 8, 1, 15, 1, 8})            // alternation: every call a memo miss
-	f.Add([]byte{1, 13, 255, 16, 1, 13, 4, 16, 254, 35, 7})  // a forged twin, snapshots, an odd tail
-	f.Add([]byte{2, 7, 240, 14, 5, 21, 8, 28, 11, 35, 0, 1}) // same ID both ways, every pool entry
+	f.Add([]byte{1, 0, 0})                                      // the empty ID first, as parent and block
+	f.Add([]byte{1, 1, 8, 1, 8, 1, 8, 250, 8, 2, 8})            // a run, a snapshot inside it
+	f.Add([]byte{1, 1, 8, 1, 15, 1, 8, 1, 15, 1, 8})            // alternation: every call a memo miss
+	f.Add([]byte{1, 1, 13, 255, 16, 1, 13, 4, 16, 254, 35, 7})  // a forged twin, snapshots, an odd tail
+	f.Add([]byte{1, 2, 7, 240, 14, 5, 21, 8, 28, 11, 35, 0, 1}) // same ID both ways, every pool entry
 	// A forged parent first, behind a read; the honest copy behind a
 	// failed append; a snapshot behind a pending read; a plain event; a
 	// second forgery, under the block itself.
-	f.Add([]byte{1, 16 + 36, 14, 13 + 72, 241, 13 + 108, 4, 13, 5, 14})
+	f.Add([]byte{1, 1, 16 + 36, 14, 13 + 72, 241, 13 + 108, 4, 13, 5, 14})
+	// One process: processes 1 and 3 escape, around and between
+	// snapshots, one behind a read.
+	f.Add([]byte{0, 3, 8, 243, 8 + 36, 9, 15, 250, 14, 6, 8, 0, 8})
+	// MaxProcs: 150 fresh blocks under genesis overrun the 7 block bits;
+	// the largest process lands on the escape mark at block 127 and sits
+	// inline elsewhere; snapshots cut before and inside the escaped tail.
+	escapes := []byte{2}
+	for k := 1; k <= 150; k++ {
+		a := byte(0)
+		switch k {
+		case 50, 127:
+			a = 9 // process MaxProcs-1
+		case 100:
+			a = 240
+		case 140:
+			a = 249
+		}
+		escapes = append(escapes, a, 145)
+	}
+	f.Add(escapes)
 	genesis := core.Genesis()
 	f.Fuzz(func(t *testing.T, in []byte) {
-		rec := NewRecorder(4, nil)
+		if len(in) == 0 {
+			return
+		}
+		procs := []int{1, 4, MaxProcs}[in[0]%3]
+		in = in[1:]
+		rec := NewRecorder(procs, nil)
 		var ref []CommEvent
 		type cut struct {
 			h *History
@@ -280,7 +385,7 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 		seq := 0
 		for i := 0; i+1 < len(in); i += 2 {
 			a, b := in[i], int(in[i+1])
-			proc := int(a/3) % 4
+			proc := []int{0, 1, 3, procs - 1}[a/3%4]
 			switch b / 36 % 4 {
 			case 1:
 				rec.ReadHead(proc, genesis)
@@ -299,6 +404,9 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 				Kind: CommKind(a % 3), Proc: proc,
 				Parent: pool[b%len(pool)], Block: pool[b/len(pool)%len(pool)],
 				Index: seq,
+			}
+			if b >= 144 {
+				want.Block = core.BlockID(fmt.Sprint("fresh-", len(ref)))
 			}
 			if got := rec.RecordComm(want.Kind, want.Proc, want.Parent, want.Block); got != want {
 				t.Fatalf("RecordComm returned %+v, want %+v", got, want)

@@ -21,6 +21,7 @@ package history
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -161,53 +162,56 @@ func (e CommEvent) String() string {
 	return fmt.Sprintf("%s_%d(%s, %s) @%d", e.Kind, e.Proc, e.Parent.Short(), e.Block.Short(), e.Index)
 }
 
-// CommRecord is a communication event as the log stores it: 8 bytes
+// CommRecord is a communication event as the log stores it: 4 bytes
 // and no pointer, so a flooded run's log — one event per block per
 // process — is memory the collector never scans and Snapshot copies
-// without a write barrier. The record keeps the event's block, as a
-// number in the ID table that travels with the log, and one word for
-// process and kind,
+// without a write barrier. The record is one word,
 //
-//	word = proc<<3 | odd<<2 | kind
+//	word = payload<<3 | odd<<2 | kind,  payload = block<<pbits | proc
 //
-// so a process is in [0, 1<<22) (MaxProcs) and a kind one of the three;
-// packing an event outside those bounds panics rather than let the
-// fields overlap. The event's parent and index are not in the record:
-// the parent is the one its block was first recorded under, unless the
-// odd bit says the event named another (honest senders all name the
-// block's own Parent, so only a forged argument does), and the index is
-// one past the previous event's unless operation events came in
-// between. The tables' odd and jump lists record those exceptions.
+// where block is the event's block as a number in the ID table that
+// travels with the log and pbits = bits.Len(procs-1) is fixed by the
+// recorder's process count, leaving 29-pbits bits for the block (20 at
+// 512 processes). An event whose process or block number does not fit,
+// or whose payload would be the all-ones escape mark, stores the mark
+// and keeps both in the tables' wide list. A process must be in
+// [0, MaxProcs) and a kind one of the three; packing an event outside
+// those bounds panics. The event's parent and index are not in the
+// record: the parent is the one its block was first recorded under,
+// unless the odd bit says the event named another (honest senders all
+// name the block's own Parent, so only a forged argument does), and the
+// index is one past the previous event's unless operation events came
+// in between. The tables' odd and jump lists record those exceptions.
 // History.Event and History.Events widen a record back into a
 // CommEvent. Drop mode packs nothing.
 type CommRecord struct {
-	block, word uint32
+	word uint32
 }
 
-// The layout of the record's packed word.
+// The layout of the record's word.
 const (
-	kindBits  = 2
-	oddBit    = 1 << kindBits
-	procShift = kindBits + 1
-	procBits  = 22
+	kindBits     = 2
+	oddBit       = 1 << kindBits
+	payloadShift = kindBits + 1
+	escape       = 1<<(32-payloadShift) - 1
 	// MaxProcs is the number of processes a Recorder can name.
-	MaxProcs = 1 << procBits
+	MaxProcs = 1 << 22
 )
 
-// kind and proc unpack the record's word; odd reports that the event's
-// parent is in the odd list, not its block's first parent.
+// kind unpacks the record's word; odd reports that the event's parent is
+// in the odd list, not its block's first parent.
 func (c CommRecord) kind() CommKind { return CommKind(c.word & (1<<kindBits - 1)) }
-func (c CommRecord) proc() int      { return int(c.word >> procShift) }
 func (c CommRecord) odd() bool      { return c.word&oddBit != 0 }
 
 // commTables is what widening a log's records takes. names lists the
 // block IDs the events name, in first-seen order (parent before block),
 // and parent[n] is the number of the parent names[n] was first recorded
 // under as a block (noParent while it has only been named as a parent).
-// The two lists hold the exceptions, each in log order: odd the parent of
-// every record with the odd bit, jumps the index of every record whose
-// index is not its predecessor's + 1 (the first record's predecessor
-// sits at -1).
+// pbits is the payload's process width. The three lists hold the
+// exceptions, each in log order: odd the parent of every record with the
+// odd bit, jumps the index of every record whose index is not its
+// predecessor's + 1 (the first record's predecessor sits at -1), wide
+// the process and block of every record whose payload is the escape.
 //
 // It is not the run's core.Index: that one admits only blocks a tree
 // accepted, while a receive event names whatever a Byzantine sender put
@@ -218,16 +222,23 @@ type commTables struct {
 	parent []uint32
 	odd    []commOdd
 	jumps  []commJump
+	wide   []commWide
+	pbits  uint
 }
 
 // commOdd is the parent of the record at pos; commJump the index of the
-// record at pos, the records after it following one by one.
+// record at pos, the records after it following one by one; commWide the
+// process and block number of the escaped record at pos.
 type (
 	commOdd struct {
 		pos    int
 		parent uint32
 	}
 	commJump struct{ pos, index int }
+	commWide struct {
+		pos         int
+		proc, block uint32
+	}
 )
 
 const noParent = ^uint32(0)
@@ -269,7 +280,7 @@ func (t *commIDs) number(id core.BlockID, memo *uint32) uint32 {
 }
 
 // pack narrows e, the next event of the log, into a record over t. It
-// panics on a process or kind its bits cannot hold.
+// panics on a process outside [0, MaxProcs) or a kind none of the three.
 func (t *commIDs) pack(e CommEvent) CommRecord {
 	switch {
 	case uint(e.Proc) >= MaxProcs:
@@ -277,11 +288,16 @@ func (t *commIDs) pack(e CommEvent) CommRecord {
 	case e.Kind > EvUpdate:
 		panic(fmt.Sprintf("history: comm kind %d is none of send, receive, update", e.Kind))
 	}
-	parent := t.number(e.Parent, &t.lastParent)
-	c := CommRecord{block: t.number(e.Block, &t.lastBlock), word: uint32(e.Proc)<<procShift | uint32(e.Kind)}
-	if t.parent[c.block] == noParent {
-		t.parent[c.block] = parent
-	} else if t.parent[c.block] != parent {
+	parent, block := t.number(e.Parent, &t.lastParent), t.number(e.Block, &t.lastBlock)
+	payload := uint64(block)<<t.pbits | uint64(e.Proc)
+	if uint(e.Proc) >= 1<<t.pbits || payload >= escape {
+		payload = escape
+		t.wide = append(t.wide, commWide{t.n, uint32(e.Proc), block})
+	}
+	c := CommRecord{uint32(payload)<<payloadShift | uint32(e.Kind)}
+	if t.parent[block] == noParent {
+		t.parent[block] = parent
+	} else if t.parent[block] != parent {
 		c.word |= oddBit
 		t.odd = append(t.odd, commOdd{t.n, parent})
 	}
@@ -302,24 +318,27 @@ func (t *commIDs) view() commTables {
 		parent: slices.Clone(t.parent),
 		odd:    t.odd[:len(t.odd):len(t.odd)],
 		jumps:  t.jumps[:len(t.jumps):len(t.jumps)],
+		wide:   t.wide[:len(t.wide):len(t.wide)],
+		pbits:  t.pbits,
 	}
 }
 
-// commCursor widens a log's records in order, stepping through the two
-// lists instead of searching them: O(1) an event.
+// commCursor widens a log's records in order, stepping through the
+// three lists instead of searching them: O(1) an event.
 type commCursor struct {
-	t         *commTables
-	odd, jump int // the next entry of each list
-	skip      int // index − position, as of the last jump
+	t               *commTables
+	odd, jump, wide int // the next entry of each list
+	skip            int // index − position, as of the last jump
 }
 
 // cursor returns a cursor whose next record is the one at pos, placed by
-// binary search of the two lists.
+// binary search of the three lists.
 func (t *commTables) cursor(pos int) commCursor {
 	cur := commCursor{
 		t:    t,
 		odd:  sort.Search(len(t.odd), func(o int) bool { return t.odd[o].pos >= pos }),
 		jump: sort.Search(len(t.jumps), func(j int) bool { return t.jumps[j].pos >= pos }),
+		wide: sort.Search(len(t.wide), func(w int) bool { return t.wide[w].pos >= pos }),
 	}
 	if cur.jump > 0 {
 		last := t.jumps[cur.jump-1]
@@ -335,12 +354,25 @@ func (cur *commCursor) next(c CommRecord, pos int) CommEvent {
 		cur.skip = t.jumps[cur.jump].index - pos
 		cur.jump++
 	}
-	parent := t.parent[c.block]
+	proc, block := cur.split(c)
+	parent := t.parent[block]
 	if c.odd() {
 		parent = t.odd[cur.odd].parent
 		cur.odd++
 	}
-	return CommEvent{Kind: c.kind(), Proc: c.proc(), Parent: t.names[parent], Block: t.names[c.block], Index: pos + cur.skip}
+	return CommEvent{Kind: c.kind(), Proc: int(proc), Parent: t.names[parent], Block: t.names[block], Index: pos + cur.skip}
+}
+
+// split returns the process and block number of c, the cursor's next
+// record, moving past its wide entry if c is escaped.
+func (cur *commCursor) split(c CommRecord) (proc, block uint32) {
+	payload := c.word >> payloadShift
+	if payload != escape {
+		return payload & (1<<cur.t.pbits - 1), payload >> cur.t.pbits
+	}
+	w := cur.t.wide[cur.wide]
+	cur.wide++
+	return w.proc, w.block
 }
 
 // History is a finite recorded prefix of a concurrent history. It is
@@ -581,7 +613,9 @@ func NewRecorder(procs int, clock func() int64) *Recorder {
 	if clock == nil {
 		clock = func() int64 { return 0 }
 	}
-	return &Recorder{procs: procs, faulty: make(map[int]bool), clock: clock, table: core.NewIndex()}
+	r := &Recorder{procs: procs, faulty: make(map[int]bool), clock: clock, table: core.NewIndex()}
+	r.ids.pbits = uint(bits.Len(uint(max(procs-1, 0))))
+	return r
 }
 
 // Table returns the run's block index. The run's replica trees are
