@@ -322,9 +322,10 @@ func TestCommIDsParentBeforeBlockAcrossSnapshot(t *testing.T) {
 }
 
 // FuzzCommLogRoundTrip drives RecordComm from the input — the first
-// byte picks the recorder's process count, 1, 4 or MaxProcs, and so how
-// many process bits the record splits off; then two bytes an event:
-// kind, process and a snapshot request from the first; parent and block
+// byte picks the recorder's process count, 1, 4 or MaxProcs (4 for the
+// empty input), and so how many process bits the record splits off; then
+// two bytes an event: kind, process (0, 1, 2 or the last) and a snapshot
+// request from the first; parent and block
 // from the second, out of a pool small enough that repeats, runs, the
 // empty ID and IDs no tree ever held all occur, or a fresh block, so
 // that MaxProcs's 7 block bits overflow; and whether an operation is
@@ -348,7 +349,7 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 	// failed append; a snapshot behind a pending read; a plain event; a
 	// second forgery, under the block itself.
 	f.Add([]byte{1, 1, 16 + 36, 14, 13 + 72, 241, 13 + 108, 4, 13, 5, 14})
-	// One process: processes 1 and 3 escape, around and between
+	// One process: processes 1 and 2 escape, around and between
 	// snapshots, one behind a read.
 	f.Add([]byte{0, 3, 8, 243, 8 + 36, 9, 15, 250, 14, 6, 8, 0, 8})
 	// MaxProcs: 150 fresh blocks under genesis overrun the 7 block bits;
@@ -370,11 +371,11 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 	f.Add(escapes)
 	genesis := core.Genesis()
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) == 0 {
-			return
+		procs := 4 // the empty input still checks an empty log
+		if len(in) > 0 {
+			procs = []int{1, 4, MaxProcs}[in[0]%3]
+			in = in[1:]
 		}
-		procs := []int{1, 4, MaxProcs}[in[0]%3]
-		in = in[1:]
 		rec := NewRecorder(procs, nil)
 		var ref []CommEvent
 		type cut struct {
@@ -385,7 +386,7 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 		seq := 0
 		for i := 0; i+1 < len(in); i += 2 {
 			a, b := in[i], int(in[i+1])
-			proc := []int{0, 1, 3, procs - 1}[a/3%4]
+			proc := []int{0, 1, 2, procs - 1}[a/3%4]
 			switch b / 36 % 4 {
 			case 1:
 				rec.ReadHead(proc, genesis)
