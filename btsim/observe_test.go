@@ -62,7 +62,7 @@ func TestMetricsDigestNeutral(t *testing.T) {
 // deterministic sections, so any drift in what the metrics observe is a
 // conscious re-pin.
 func TestMetricsSnapshotPinned(t *testing.T) {
-	const want = "5c5745837f5e1959"
+	const want = "fb41c735a9b1527c"
 	sys, _ := btsim.Lookup("bitcoin")
 	res := mustRun(t, sys,
 		btsim.WithN(8), btsim.WithRounds(150), btsim.WithSeed(11),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -403,6 +404,114 @@ func TestCheckpointIgnoresPoolWeightKey(t *testing.T) {
 	}
 	if again, err := m2.Checkpoint(); err != nil || !bytes.Equal(again, data) {
 		t.Fatalf("restored from a pool with weights, the monitor checkpoints differently (err %v)", err)
+	}
+}
+
+// TestCheckpointRestoresCappedClasses: checkpoints written while a
+// retention class kept its first MaxViolations+procs reads by invocation
+// hold those reads and a "Truncated" key in every class and suspect set.
+// They still restore — encoding/json ignores the key — and, fed the rest
+// of the stream, finalize to the verdicts of the monitor that never
+// stopped and of the oracle: the reads beyond the dominance rule are ones
+// the enumeration never reaches.
+func TestCheckpointRestoresCappedClasses(t *testing.T) {
+	const procs, horizon = 3, 2
+	rec := history.NewRecorder(procs, nil)
+	c := chainN(3)
+	recordChain(rec, c)
+	forged := core.NewBlock(c[1].ID, 2, 1, 99, []byte("forged"))
+	rec.InternBlock(forged)
+	for i := range MaxViolations + procs + 4 {
+		rec.Read(i%procs, c[:2])                        // stagnant: Ever Growing Tree
+		rec.Read(i%procs, c[:2].Clone().Append(forged)) // never appended: Block Validity
+	}
+	rec.Read(0, c[:2]) // the final window: stagnant, then grown
+	rec.Read(0, c)
+	h := rec.Snapshot()
+	cut := len(h.Ops) - 2
+
+	cfg := MonitorConfig{Procs: procs, Horizon: horizon, Table: h.Table}
+	mon := NewMonitor(cfg)
+	for _, op := range h.Ops[:cut] {
+		mon.OpDone(op)
+	}
+	data, err := mon.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := largestClass(mon); n != MaxViolations {
+		t.Fatalf("fixture: the largest class holds %d reads, want %d", n, MaxViolations)
+	}
+
+	marshal := func(v any) json.RawMessage {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// capped is a class as the fixed bound kept it: the first
+	// MaxViolations+procs reads fed before the cut that keep selects.
+	capped := func(keep func(op *history.Op) bool) json.RawMessage {
+		var recs []opRec
+		ord := 0
+		for _, op := range h.Ops[:cut] {
+			if op.Kind != history.OpRead {
+				continue
+			}
+			r := recOf(op)
+			r.Score, r.Ord = op.ChainLen-1, ord
+			ord++
+			if keep(op) && len(recs) < MaxViolations+procs {
+				recs = append(recs, r)
+			}
+		}
+		return marshal(map[string]any{"Recs": recs, "Truncated": true})
+	}
+	decode := func(raw []byte, into *map[string]json.RawMessage) {
+		if err := json.Unmarshal(raw, into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ck, st, classes, suspects map[string]json.RawMessage
+	decode(data, &ck)
+	decode(ck["State"], &st)
+	decode(st["Classes"], &classes)
+	decode(st["BVSuspects"], &suspects)
+	for k := range classes {
+		classes[k] = capped(func(op *history.Op) bool { return fmt.Sprint(op.ChainLen-1) == k })
+	}
+	for k := range suspects {
+		var key chainKey
+		if err := key.UnmarshalText([]byte(k)); err != nil {
+			t.Fatal(err)
+		}
+		suspects[k] = capped(func(op *history.Op) bool { return keyOf(op) == key })
+	}
+	old := withState(t, withState(t, data, "Classes", string(marshal(classes))), "BVSuspects", string(marshal(suspects)))
+	m2, err := RestoreMonitor(old, cfg)
+	if err != nil {
+		t.Fatalf("a checkpoint of capped classes does not restore: %v", err)
+	}
+	if n := largestClass(m2); n != MaxViolations+procs {
+		t.Fatalf("fixture: the restored largest class holds %d reads, want %d", n, MaxViolations+procs)
+	}
+
+	for _, op := range h.Ops[cut:] {
+		mon.OpDone(op)
+		m2.OpDone(op)
+	}
+	sc, ec := mon.Finalize()
+	sc2, ec2 := m2.Finalize()
+	if got, want := verdictDump(sc2)+verdictDump(ec2), verdictDump(sc)+verdictDump(ec); got != want {
+		t.Errorf("restored from capped classes, the monitor finalizes differently:\n--- uninterrupted ---\n%s--- restored ---\n%s", want, got)
+	}
+	if sc.Reports[0].OK || sc.Reports[3].OK {
+		t.Errorf("fixture: Block Validity and Ever Growing Tree must fail:\n%s", verdictDump(sc))
+	}
+	if d := diffOracle(h, nil, nil, horizon, sc2, ec2, m2.KForkReport,
+		m2.UpdateAgreement(), m2.LRC(), m2.MonotonicPrefix(), false); d != "" {
+		t.Error(d)
 	}
 }
 

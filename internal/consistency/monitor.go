@@ -62,30 +62,30 @@
 //     from arrival positions.
 //
 // Boundedness: retained state is O(#blocks + #distinct chains + w +
-// (MaxViolations+procs)·#distinct scores + #successful appends +
-// procs·#messages in flight) — all bounded by the block tree, the window
-// and what the network has not delivered yet (only a cut that never
-// heals keeps a message in flight, which Update Agreement and LRC then
-// report), never by the number of reads or messages.
+// MaxViolations·(#distinct scores + #suspect chains) + #successful
+// appends + procs·#messages in flight), with MaxViolations+procs−1 in
+// place of MaxViolations when operations overlap — all bounded by the
+// block tree, the window and what the network has not delivered yet
+// (only a cut that never heals keeps a message in flight, which Update
+// Agreement and LRC then report), never by the number of reads or
+// messages.
 //
-// Soundness of the bounded candidate retention (the "staircase" bound):
-// within one retention class (a score class for EGT/EP, a suspect chain
-// for BV) the violation status is monotone in the response index — if a
-// read is violated, any same-class read with an earlier-or-equal
-// response is violated too. A read evicted from the first
-// MaxViolations+procs (by invocation order) therefore has at least
-// MaxViolations+procs earlier-invoked classmates, of which at most
-// procs−1 can be non-violated when the evicted read is violated (a
-// non-violated earlier-invoked classmate must respond after the evicted
-// read responds, i.e. span it entirely; processes are sequential, so at
-// most one op per other process spans any instant). That leaves ≥
-// MaxViolations+1 violated reads strictly earlier in the enumeration
-// order: the evicted read can never be among the MaxViolations reported
-// witnesses.
+// Candidate retention (the "staircase" argument): within a retention
+// class (a score class for EGT/EP, a suspect chain for BV) a violated
+// read makes every classmate with an earlier-or-equal response violated.
+// A classmate invoked earlier that responded no later dominates a read,
+// and a class drops a read that arrives dominated by MaxViolations kept
+// classmates: were it violated, they would fill the report before the
+// enumeration (invocation order) reached it, so it is neither a witness
+// nor where EGT's and EP's Checked stop. Fed in invocation or in
+// response order, any other classmate kept before a kept read spans it,
+// at most one per other process: a class holds at most
+// MaxViolations+procs−1 reads, MaxViolations when ops are atomic.
 package consistency
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -152,33 +152,34 @@ func recOf(op *history.Op) opRec {
 	}
 }
 
-// recSet retains the first cap records by invocation index (the
-// enumeration order) of one retention class.
-type recSet struct {
-	Recs      []opRec
-	Truncated bool
+// recSet holds a retention class's reads by invocation index (equal
+// indices by arrival), less those that arrive dominated by MaxViolations
+// kept classmates. Every feed is in invocation or in response order, and
+// in neither does a later arrival dominate a kept read, so nothing kept
+// is dropped later; a feed of mixed order would need that eviction.
+type recSet struct{ Recs []opRec }
+
+// dominated reports whether MaxViolations of rs responded no later than r.
+func dominated(rs []opRec, r *opRec) bool {
+	n := 0
+	for i := 0; i < len(rs) && n < MaxViolations; i++ {
+		if rs[i].Rsp <= r.Rsp {
+			n++
+		}
+	}
+	return n == MaxViolations
 }
 
-// insert never grows a full set: a record past the retained ones is
-// dropped at once, one among them pushes the last out in place. The
-// slice grows on demand, not to cap up front — most classes of a long
-// run hold a read or two. r is copied only if it is retained.
-func (s *recSet) insert(r *opRec, cap int) {
-	n := len(s.Recs)
-	i := n
-	if n > 0 && s.Recs[n-1].Inv >= r.Inv {
-		i = sort.Search(n, func(i int) bool { return s.Recs[i].Inv > r.Inv })
+// insert keeps r unless it arrives dominated. The slice grows on demand;
+// r is copied only if it is kept.
+func (s *recSet) insert(r *opRec) {
+	i := len(s.Recs)
+	if i > 0 && s.Recs[i-1].Inv > r.Inv {
+		i = sort.Search(i, func(j int) bool { return s.Recs[j].Inv > r.Inv })
 	}
-	if n >= cap {
-		s.Truncated = true
-		if i == n {
-			return
-		}
-	} else {
-		s.Recs = append(s.Recs, opRec{})
+	if !dominated(s.Recs[:i], r) {
+		s.Recs = slices.Insert(s.Recs, i, *r)
 	}
-	copy(s.Recs[i+1:], s.Recs[i:])
-	s.Recs[i] = *r
 }
 
 // bvFact is the incremental Block Validity scan of one distinct chain.
@@ -327,7 +328,6 @@ type Monitor struct {
 	table   *core.Index
 	procs   int
 	window  int
-	cap     int
 	k       int
 	onWitns func(Witness)
 
@@ -358,10 +358,6 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 	if cfg.P == nil {
 		cfg.P = core.AlwaysValid{}
 	}
-	procs := cfg.Procs
-	if procs < 1 {
-		procs = 1
-	}
 	w := cfg.Horizon
 	if w <= 0 {
 		w = cfg.Procs
@@ -378,7 +374,6 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		table:   cfg.Table,
 		procs:   cfg.Procs,
 		window:  w,
-		cap:     MaxViolations + procs,
 		k:       cfg.K,
 		onWitns: cfg.OnWitness,
 		monitorState: monitorState{
@@ -548,7 +543,7 @@ func (m *Monitor) consumeRead(op *history.Op) {
 			set = &recSet{}
 			m.BVSuspects[rec.key()] = set
 		}
-		set.insert(&rec, m.cap)
+		set.insert(&rec)
 		if fact.HasInvalid && m.LiveBV < MaxViolations {
 			m.LiveBV++
 			rOp := m.rebuild(rec)
@@ -570,7 +565,7 @@ func (m *Monitor) consumeRead(op *history.Op) {
 		cls = &recSet{}
 		m.Classes[rec.Score] = cls
 	}
-	cls.insert(&rec, m.cap)
+	cls.insert(&rec)
 
 	// StrongPrefix run-length structure + live comparability probe.
 	m.spConsume(&rec)

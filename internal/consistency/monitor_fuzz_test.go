@@ -181,7 +181,8 @@ var fuzzSeeds = [][]byte{
 // sink, with delivery through small sealed segments (which hand over a
 // segment's operations before its communication events), and with those
 // segments and their ops on loan from a drop-mode recorder that reuses
-// both.
+// both. Its completed operations are atomic, so every retention class
+// must hold at most MaxViolations reads at the end.
 func FuzzMonitorEquivalence(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -196,10 +197,15 @@ func FuzzMonitorEquivalence(f *testing.F) {
 			horizon = int(data[0]) % 5 // 0 = the default window
 		}
 		build := func(rec *history.Recorder) { fuzzBuild(rec, procs, data) }
-		for _, segSize := range []int{0, 7} {
-			monitorHarness{horizon: horizon, segSize: segSize}.run(t, procs, build)
+		for _, hn := range []monitorHarness{
+			{horizon: horizon},
+			{horizon: horizon, segSize: 7},
+			{horizon: horizon, segSize: 2 + len(data)%3, drop: true},
+		} {
+			if n := largestClass(hn.run(t, procs, build)); n > MaxViolations {
+				t.Errorf("seg=%d drop=%v: a retention class holds %d reads, bound %d", hn.segSize, hn.drop, n, MaxViolations)
+			}
 		}
-		monitorHarness{horizon: horizon, segSize: 2 + len(data)%3, drop: true}.run(t, procs, build)
 	})
 }
 
@@ -278,7 +284,8 @@ var overlapSeeds = [][]byte{
 // must a monitor fed the same stream in response order, as the
 // recorder's sink (the live deployment's feed): same OK flags, same
 // violated properties — its witnesses are not compared, see
-// TestMonitorResponseOrderFeed.
+// TestMonitorResponseOrderFeed. In both monitors every retention class
+// must hold at most MaxViolations+procs−1 reads.
 func FuzzClassifyOverlap(f *testing.F) {
 	for _, seed := range overlapSeeds {
 		f.Add(seed)
@@ -303,7 +310,11 @@ func FuzzClassifyOverlap(f *testing.F) {
 		for _, score := range []core.Score{core.LengthScore{}, chainLength{}} {
 			chk := NewChecker(score, nil)
 			chk.Horizon = horizon
-			sc, ec := chk.Classify(h)
+			replayed := chk.replay(h)
+			if n := largestClass(replayed); n > MaxViolations+procs-1 {
+				t.Errorf("%s: a retention class of the replay holds %d reads, bound %d", score.Name(), n, MaxViolations+procs-1)
+			}
+			sc, ec := replayed.Finalize()
 			kfork := func(k int) *Report { return chk.KForkCoherence(h, k) }
 			if d := diffOracle(h, score, nil, horizon, sc, ec, kfork,
 				UpdateAgreement(h), LRC(h), chk.MonotonicPrefix(h), true); d != "" {
@@ -312,6 +323,9 @@ func FuzzClassifyOverlap(f *testing.F) {
 			if pairwise := chk.StrongPrefix(h); pairwise.OK != sc.Reports[2].OK {
 				t.Errorf("all-pairs StrongPrefix %v, criterion %v", pairwise.OK, sc.Reports[2].OK)
 			}
+		}
+		if n := largestClass(online); n > MaxViolations+procs-1 {
+			t.Errorf("a retention class of the response-order feed holds %d reads, bound %d", n, MaxViolations+procs-1)
 		}
 		msc, mec := online.Finalize()
 		osc, oec := oracleClassify(nil, nil, horizon, h)
