@@ -3,9 +3,13 @@ package btsim_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/btsim"
 	_ "repro/btsim/systems"
@@ -151,4 +155,56 @@ func TestMonitorMetrics(t *testing.T) {
 	if int(lat) != res.Stream.LiveCount {
 		t.Fatalf("witness latency histogram has %d observations, %d live witnesses", lat, res.Stream.LiveCount)
 	}
+}
+
+// TestStreamedObservedRunPinned pins a streamed run that carries every
+// observer at once — metrics, a sampled trace, a per-round observer and
+// an equivocating adversary whose forks the monitor witnesses — by the
+// result digest, the metric snapshot digest, the trace bytes and the
+// live witness list. Once the run returns, no goroutine it started is
+// left running.
+func TestStreamedObservedRunPinned(t *testing.T) {
+	const (
+		wantResult  = "298c8faf42e33bc7"
+		wantMetrics = "c193703f4bcb10f1"
+		wantTrace   = "b5040bb14e84f38a"
+		wantLive    = "cb7c5093ea664c2a"
+	)
+	before := runtime.NumGoroutine()
+	var buf bytes.Buffer
+	rounds := 0
+	sys, _ := btsim.Lookup("bitcoin")
+	res := mustRun(t, sys,
+		btsim.WithN(6), btsim.WithRounds(300), btsim.WithSeed(7),
+		btsim.WithMerits(1, 1, 1, 1, 1, 3), btsim.WithReadEvery(2),
+		btsim.WithAdversary(btsim.Adversary{Strategy: btsim.Equivocate, Forks: 2}),
+		btsim.WithStreaming(64), btsim.WithMetrics(),
+		btsim.WithTrace(&buf, btsim.TraceOptions{SampleEvery: 4}),
+		btsim.WithObserver(func(btsim.Progress) bool { rounds++; return true }))
+	if rounds == 0 || res.Stream.Segments < 2 || len(res.Stream.Live) == 0 {
+		t.Fatalf("run too small to pin: %d rounds, %d segments, %d live witnesses",
+			rounds, res.Stream.Segments, len(res.Stream.Live))
+	}
+	live := fnv.New64a()
+	for _, w := range res.Stream.Live {
+		fmt.Fprintf(live, "%s|%s|%v|%v\n", w.Property, w.Detail, w.Ops, w.Blocks)
+	}
+	got := [4]string{res.Digest(), res.Metrics.Digest(),
+		fmt.Sprintf("%016x", fnv64(buf.Bytes())), fmt.Sprintf("%016x", live.Sum64())}
+	if want := [4]string{wantResult, wantMetrics, wantTrace, wantLive}; got != want {
+		t.Errorf("streamed observed run drifted: result, metrics, trace, live = %q, want %q", got, want)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines before the run, %d after it returned", before, n)
+	}
+}
+
+func fnv64(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
