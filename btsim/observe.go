@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/consistency"
-	"repro/internal/history"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -45,7 +44,6 @@ type obsRun struct {
 	traceW    io.Writer
 	traceOpts TraceOptions
 
-	rec    *history.Recorder
 	witLat *metrics.Histogram
 }
 
@@ -68,26 +66,23 @@ func newObsRun(cfg *Config) *obsRun {
 }
 
 // bind runs inside the protocols.Config.Stream hook, right after the
-// runner built its recorder and the run's monitor: it keeps the recorder
-// for witness-latency timestamps and registers the monitor's gauges.
+// runner built the run's monitor: it registers the monitor's gauges.
 // Stats() walks the retained state — fine at sample points, which sit
-// outside any handler.
-func (or *obsRun) bind(rec *history.Recorder, mon *consistency.Monitor) {
-	or.rec = rec
-	or.reg.Probe("mon.retained", func() int64 { return int64(mon.Stats().Retained) })
-	or.reg.Probe("mon.witnesses", func() int64 { return int64(mon.LiveWitnesses()) })
+// outside any handler, once the segment check in flight has returned.
+func (or *obsRun) bind(mr *monitorRun) {
+	or.reg.Probe("mon.retained", func() int64 { mr.sync(); return int64(mr.mon.Stats().Retained) })
+	or.reg.Probe("mon.witnesses", func() int64 { mr.sync(); return int64(mr.seen) })
 	or.witLat = or.reg.Histogram("mon.witnessLatency", witnessLatencyBounds...)
 }
 
-// witness observes one live violation witness: detection latency is the
-// virtual time elapsed since the violation formed — the latest response
-// among the witnessing operations (invocation time for still-pending
-// ones). Also emits the always-kept trace event.
-func (or *obsRun) witness(w consistency.Witness) {
-	if or.rec == nil {
+// witness observes one live violation witness detected at virtual time
+// now: detection latency is the time elapsed since the violation formed
+// — the latest response among the witnessing operations (invocation
+// time for still-pending ones). Also emits the always-kept trace event.
+func (or *obsRun) witness(w consistency.Witness, now int64) {
+	if or.witLat == nil {
 		return
 	}
-	now := or.rec.Now()
 	formed := int64(0)
 	for _, op := range w.Ops {
 		t := op.RspTime

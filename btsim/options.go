@@ -601,7 +601,7 @@ func (c Config) Base() protocols.Config {
 		pc.Stream = func(rec *history.Recorder, score core.Score) {
 			mr.bind(rec, score)
 			if or != nil {
-				or.bind(rec, mr.mon)
+				or.bind(mr)
 			}
 		}
 	}

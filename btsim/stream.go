@@ -50,25 +50,27 @@ type monitorRun struct {
 	// obs, when the run also carries the metrics/trace layer, receives
 	// each witness for latency measurement and trace emission.
 	obs *obsRun
+	// held are the witnesses a streamed run's monitor emitted while it
+	// checked a segment off the recording goroutine; join observes them
+	// there. seen counts the witnesses observed so far.
+	held []consistency.Witness
+	seen int
 }
 
 // bind is the protocols.Config.Stream hook: the runner hands over its
 // recorder (and score function) right after building the replica group,
-// before the first operation is recorded.
+// before the first operation is recorded. A streamed run checks each
+// sealed segment on a goroutine of its own while the recorder fills the
+// next one.
 func (mr *monitorRun) bind(rec *history.Recorder, score core.Score) {
 	mr.rec = rec
 	mr.mon = consistency.NewMonitor(consistency.MonitorConfig{
-		Procs: rec.Procs(),
-		Score: score,
-		P:     core.WellFormed{},
-		K:     mr.k,
-		Table: rec.Table(),
-		OnWitness: func(w consistency.Witness) {
-			if mr.obs != nil {
-				mr.obs.witness(w)
-			}
-			mr.onWitness(w) // sysFunc.Run's, which keeps the first liveKeep
-		},
+		Procs:     rec.Procs(),
+		Score:     score,
+		P:         core.WellFormed{},
+		K:         mr.k,
+		Table:     rec.Table(),
+		OnWitness: mr.witness,
 	})
 	if !mr.streaming {
 		rec.SetSink(mr.mon)
@@ -76,8 +78,48 @@ func (mr *monitorRun) bind(rec *history.Recorder, score core.Score) {
 	}
 	mr.seg = history.NewSegmentSink(mr.segSize, mr.mon.ConsumeSegment)
 	mr.seg.OnFaulty = mr.mon.Faulty
+	mr.seg.Overlap = true
+	mr.seg.OnJoin = func(s *history.Segment) { mr.join(s.At) }
 	rec.SetSink(mr.seg)
 	rec.SetRetain(false)
+}
+
+// witness is the monitor's OnWitness. The callback (sysFunc.Run's, which
+// keeps the first liveKeep) runs where the monitor does; the witness is
+// observed on the recording goroutine — at once when the monitor is the
+// recorder's own sink, at the segment's join when it is streamed.
+func (mr *monitorRun) witness(w consistency.Witness) {
+	mr.onWitness(w)
+	if mr.seg == nil {
+		mr.observe(w, mr.rec.Now())
+		return
+	}
+	mr.held = append(mr.held, w)
+}
+
+// join observes the witnesses held since the last join, at the virtual
+// time the segment they came from was sealed.
+func (mr *monitorRun) join(at int64) {
+	for _, w := range mr.held {
+		mr.observe(w, at)
+	}
+	clear(mr.held)
+	mr.held = mr.held[:0]
+}
+
+func (mr *monitorRun) observe(w consistency.Witness, now int64) {
+	mr.seen++
+	if mr.obs != nil {
+		mr.obs.witness(w, now)
+	}
+}
+
+// sync makes the monitor safe to read on the recording goroutine: it
+// waits for the segment check in flight, if any.
+func (mr *monitorRun) sync() {
+	if mr.seg != nil {
+		mr.seg.Wait()
+	}
 }
 
 // finish seals the stream, feeds the still-pending operations, and
@@ -93,6 +135,7 @@ func (mr *monitorRun) finish(res *Result) {
 		mr.mon.OpPending(op)
 	}
 	sc, ec := mr.mon.Finalize()
+	mr.join(mr.rec.Now())
 	so := &StreamOutcome{
 		Verdicts:  consistency.Verdicts{SC: sc, EC: ec},
 		LiveCount: mr.mon.LiveWitnesses(),
@@ -109,11 +152,13 @@ func (mr *monitorRun) finish(res *Result) {
 	res.mon = mr.mon
 }
 
-// liveWitnesses is read by the Progress observer wrapper: 0 until the
-// monitor is bound, and for a Config lowered by Base outside System.Run.
+// liveWitnesses is read by the Progress observer wrapper: the witnesses
+// observed on the recording goroutine so far (a streamed run's lag its
+// monitor by the segment in check), 0 for a Config lowered by Base
+// outside System.Run.
 func (mr *monitorRun) liveWitnesses() int {
-	if mr == nil || mr.mon == nil {
+	if mr == nil {
 		return 0
 	}
-	return mr.mon.LiveWitnesses()
+	return mr.seen
 }

@@ -301,7 +301,7 @@ func RestoreMonitor(data []byte, cfg MonitorConfig) (*Monitor, error) {
 			}
 		}
 		if kind == history.OpRead {
-			if c := m.table.ChainTo(r.Head); len(c) != r.ChainLen || c == nil && r.Head != "" {
+			if c := m.table.ChainTo(r.Head); len(c) != int(r.ChainLen) || c == nil && r.Head != "" {
 				bad = fmt.Errorf("record %d reads a chain of %d blocks to %s the pool does not hold", r.ID, r.ChainLen, r.Head.Short())
 			}
 		}

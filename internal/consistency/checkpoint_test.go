@@ -460,7 +460,7 @@ func TestCheckpointRestoresCappedClasses(t *testing.T) {
 				continue
 			}
 			r := recOf(op)
-			r.Score, r.Ord = op.ChainLen-1, ord
+			r.Score, r.Ord = int32(op.ChainLen-1), int32(ord)
 			ord++
 			if keep(op) && len(recs) < MaxViolations+procs {
 				recs = append(recs, r)

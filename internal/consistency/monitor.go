@@ -85,6 +85,7 @@ package consistency
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -129,27 +130,41 @@ type MonitorConfig struct {
 // retains the history (a read re-materializes its chain from the table).
 // The exported fields are what a checkpoint writes as they stand; block
 // is a pointer into the run and goes through recWire (checkpoint.go).
+//
+// A record is 80 bytes (TestOpRecLayout): the int32s and the flags share
+// the first 24, and a value past an int32 panics (narrow).
 type opRec struct {
-	ID, Proc    int
+	ID, Proc    int32
+	ChainLen    int32
+	Score       int32 // read score (reads only)
+	Ord         int32 // position in the correct-read order (reads only)
 	Kind        history.OpKind
 	OK, Pending bool
 	Head        core.BlockID
-	ChainLen    int
 	Inv, Rsp    int
 	InvT, RspT  int64
 	block       *core.Block
-	Score       int // read score (reads only)
-	Ord         int // position in the correct-read order (reads only)
 }
 
-func (r *opRec) key() chainKey { return chainKey{r.Head, r.ChainLen} }
+func (r *opRec) key() chainKey { return chainKey{r.Head, int(r.ChainLen)} }
 
 func recOf(op *history.Op) opRec {
 	return opRec{
-		ID: op.ID, Proc: op.Proc, Kind: op.Kind, OK: op.OK, Pending: op.Pending,
-		Head: op.Head, ChainLen: op.ChainLen, Inv: op.InvIndex, Rsp: op.RspIndex,
+		ID: narrow(op.ID, "operation id"), Proc: narrow(op.Proc, "process"),
+		ChainLen: narrow(op.ChainLen, "chain length"),
+		Kind:     op.Kind, OK: op.OK, Pending: op.Pending,
+		Head: op.Head, Inv: op.InvIndex, Rsp: op.RspIndex,
 		InvT: op.InvTime, RspT: op.RspTime, block: op.Block,
 	}
+}
+
+// narrow returns v as the int32 an opRec keeps it in; a value past the
+// bound panics and names it.
+func narrow(v int, what string) int32 {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		panic(fmt.Sprintf("consistency: %s %d is past the monitor's bound of %d", what, v, math.MaxInt32))
+	}
+	return int32(v)
 }
 
 // recSet holds a retention class's reads by invocation index (equal
@@ -500,12 +515,12 @@ func (m *Monitor) consumeRead(op *history.Op) {
 		return
 	}
 	rec := recOf(op)
-	rec.Score = m.scoreOfOp(op)
-	rec.Ord = m.NReads
+	rec.Score = narrow(m.scoreOfOp(op), "read score")
+	rec.Ord = narrow(m.NReads, "read ordinal")
 	m.NReads++
 
 	// LocalMonotonicRead, MonotonicPrefix: against p's previous read.
-	if p := rec.Proc; p >= 0 && p < len(m.LMRPrev) {
+	if p := int(rec.Proc); p >= 0 && p < len(m.LMRPrev) {
 		if m.LMRHas[p] {
 			m.LMRChecked++
 			prev := &m.LMRPrev[p]
@@ -560,10 +575,10 @@ func (m *Monitor) consumeRead(op *history.Op) {
 	m.winInsert(&rec)
 
 	// EverGrowingTree / EventualPrefix candidates per score class.
-	cls := m.Classes[rec.Score]
+	cls := m.Classes[int(rec.Score)]
 	if cls == nil {
 		cls = &recSet{}
-		m.Classes[rec.Score] = cls
+		m.Classes[int(rec.Score)] = cls
 	}
 	cls.insert(&rec)
 
@@ -602,10 +617,10 @@ func (m *Monitor) winInsert(r *opRec) {
 }
 
 func (m *Monitor) spConsume(rec *opRec) {
-	sl := m.SPLens[rec.ChainLen]
+	sl := m.SPLens[int(rec.ChainLen)]
 	if sl == nil {
 		sl = &spLen{}
-		m.SPLens[rec.ChainLen] = sl
+		m.SPLens[int(rec.ChainLen)] = sl
 	}
 	k := rec.key()
 	switch {
@@ -766,8 +781,8 @@ func (m *Monitor) rebuild(r opRec) *history.Op {
 			r.ID, r.Head.Short()))
 	}
 	op := &history.Op{
-		ID: r.ID, Proc: r.Proc, Kind: r.Kind, Block: r.block, OK: r.OK,
-		Head: r.Head, ChainLen: r.ChainLen, InvIndex: r.Inv, RspIndex: r.Rsp,
+		ID: int(r.ID), Proc: int(r.Proc), Kind: r.Kind, Block: r.block, OK: r.OK,
+		Head: r.Head, ChainLen: int(r.ChainLen), InvIndex: r.Inv, RspIndex: r.Rsp,
 		InvTime: r.InvT, RspTime: r.RspT, Pending: r.Pending,
 	}
 	op.SetSource(m.table)
@@ -917,12 +932,12 @@ func (m *Monitor) finalEGT() *Report {
 	// The others — every class, on a converged window — are skipped
 	// unmerged; skipping witness-free reads changes neither the order of
 	// the rest nor where the enumeration stops.
-	lo, hi := m.Win[0].Score, m.Win[0].Score
+	lo, hi := int(m.Win[0].Score), int(m.Win[0].Score)
 	for _, t := range m.Win[1:] {
-		lo, hi = min(lo, t.Score), max(hi, t.Score)
+		lo, hi = min(lo, int(t.Score)), max(hi, int(t.Score))
 	}
 	for _, r := range mergedByInv(m.Classes, func(s int) bool { return lo <= s && s < hi }) {
-		maxT := -1
+		maxT := int32(-1)
 		stale := -1
 		for j := range m.Win {
 			t := &m.Win[j]
@@ -942,7 +957,7 @@ func (m *Monitor) finalEGT() *Report {
 				"stagnation persists after %s: final-window read %s has score ≤ %d while the window grew to %d",
 				rOp, sOp, r.Score, maxT)
 			if len(rep.Violations) == MaxViolations {
-				rep.Checked = r.Ord + 1 // the enumeration stops here
+				rep.Checked = int(r.Ord) + 1 // the enumeration stops here
 				return rep
 			}
 		}
@@ -983,7 +998,7 @@ func (m *Monitor) finalEP() *Report {
 	}
 	mcpsOf := func(x, y int) int {
 		if tail[x].key() == tail[y].key() {
-			return tail[x].Score
+			return int(tail[x].Score)
 		}
 		return core.MCPS(m.score, chainOf(x), chainOf(y))
 	}
@@ -992,7 +1007,7 @@ func (m *Monitor) finalEP() *Report {
 	divergent, lowest := false, 0
 	for x := 0; x < w; x++ {
 		for y := x + 1; y < w; y++ {
-			if mm := mcpsOf(x, y); mm < tail[x].Score && mm < tail[y].Score {
+			if mm := mcpsOf(x, y); mm < int(min(tail[x].Score, tail[y].Score)) {
 				if !divergent || mm < lowest {
 					lowest = mm
 				}
@@ -1030,13 +1045,7 @@ func (m *Monitor) finalEP() *Report {
 					mm = mcpsOf(ax, ay)
 					memo[pk] = mm
 				}
-				bound := r.Score
-				if sa := tail[ax].Score; sa < bound {
-					bound = sa
-				}
-				if sb := tail[ay].Score; sb < bound {
-					bound = sb
-				}
+				bound := int(min(r.Score, tail[ax].Score, tail[ay].Score))
 				if mm < bound {
 					rOp, aOp, bOp := m.rebuild(r), m.rebuild(tail[ax]), m.rebuild(tail[ay])
 					rep.witness([]*history.Op{rOp, aOp, bOp},
@@ -1046,7 +1055,7 @@ func (m *Monitor) finalEP() *Report {
 					if len(rep.Violations) == MaxViolations {
 						// The enumeration stops here: pairs before this
 						// read, plus the pairs it examined.
-						rep.Checked = m.epChecked(r.Ord) + pairs
+						rep.Checked = m.epChecked(int(r.Ord)) + pairs
 						return rep
 					}
 				}

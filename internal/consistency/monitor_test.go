@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -45,15 +46,30 @@ func verdictDump(v *Verdict) string {
 	return b.String()
 }
 
-// TestOpRecLayout pins the monitor's retained record at 104 bytes. A
+// TestOpRecLayout pins the monitor's retained record at 80 bytes. A
 // read builds one and hands it down by pointer; it is copied only into
 // the slots that keep it (the window, a class, a suspect set, a process's
 // previous read, a Strong Prefix run), so its size is what a retained
 // read costs, and a field added to it is a deliberate choice. The
-// checkpoint writes it through recWire whatever its layout.
+// checkpoint writes it through recWire whatever its layout. Its id,
+// process, chain length, score and read ordinal are int32s: a wider
+// value panics and names the bound.
 func TestOpRecLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(opRec{}); sz != 104 {
-		t.Errorf("an opRec is %d bytes, want 104", sz)
+	if sz := unsafe.Sizeof(opRec{}); sz != 80 {
+		t.Errorf("an opRec is %d bytes, want 80", sz)
+	}
+	for _, op := range []*history.Op{{ID: math.MaxInt32 + 1}, {Proc: math.MaxInt32 + 1}, {ChainLen: math.MaxInt32 + 1}} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "2147483647") {
+					t.Errorf("recOf(%+v) panicked with %q, want the bound named", *op, msg)
+				}
+			}()
+			recOf(op)
+		}()
+	}
+	if r := recOf(&history.Op{ID: math.MaxInt32, ChainLen: math.MaxInt32}); r.ID != math.MaxInt32 || r.ChainLen != math.MaxInt32 {
+		t.Errorf("recOf at the bound kept id %d, chain length %d", r.ID, r.ChainLen)
 	}
 }
 

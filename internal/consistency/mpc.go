@@ -52,6 +52,6 @@ func (m *Monitor) extends(prev, cur *opRec) bool {
 	if prev.key() == cur.key() {
 		return true
 	}
-	anc := m.table.AncestorAt(cur.Head, prev.ChainLen-1)
+	anc := m.table.AncestorAt(cur.Head, int(prev.ChainLen)-1)
 	return anc != nil && anc.ID == prev.Head
 }

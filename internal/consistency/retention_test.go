@@ -163,7 +163,7 @@ func TestRecSetFeedOrders(t *testing.T) {
 				reads = append(reads, *r)
 				open[p] = nil
 			} else {
-				open[p] = &opRec{ID: step, Proc: p, Kind: history.OpRead, Inv: step}
+				open[p] = &opRec{ID: int32(step), Proc: int32(p), Kind: history.OpRead, Inv: step}
 			}
 		}
 		dominators := func(rs []opRec, r opRec) int {
@@ -181,7 +181,7 @@ func TestRecSetFeedOrders(t *testing.T) {
 			for i := range order {
 				s.insert(&order[i])
 			}
-			kept := map[int]bool{}
+			kept := map[int32]bool{}
 			for i, r := range s.Recs {
 				kept[r.ID] = true
 				if i > 0 && s.Recs[i-1].Inv > r.Inv {

@@ -11,13 +11,16 @@
 // its handler. The Segment, its Ops and Comm slices and — on a drop-mode
 // recorder whose direct sink is the SegmentSink — the Op objects
 // themselves are valid until OnSeal returns; after that the sink refills
-// the same Segment and the recorder reuses the ops for later operations.
-// A handler that needs anything longer copies it (the Monitor keeps
-// compact records).
+// the same Segment and the recorder reuses the ops for later operations
+// (an overlapped sink hands them back at the next seal, after waiting
+// for the handler). A handler that needs anything longer copies it (the
+// Monitor keeps compact records).
 package history
 
 import (
 	"cmp"
+	"fmt"
+	"runtime/debug"
 	"slices"
 )
 
@@ -52,11 +55,11 @@ func (r *Recorder) SetSink(s Sink) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if old, ok := r.sink.(*SegmentSink); ok {
-		old.handBack = nil
+		old.handBack, old.clock = nil, nil
 	}
 	r.sink = s
 	if seg, ok := s.(*SegmentSink); ok {
-		seg.handBack = r.takeBack
+		seg.handBack, seg.clock = r.takeBack, r.clock
 	}
 }
 
@@ -145,8 +148,11 @@ func (r *Recorder) pendingLocked() []*Op {
 type Segment struct {
 	// Index numbers segments from 0 in seal order.
 	Index int
-	Ops   []*Op
-	Comm  []CommEvent
+	// At is the recorder's virtual time when the segment was sealed (0
+	// when the sink is not the recorder's direct sink).
+	At   int64
+	Ops  []*Op
+	Comm []CommEvent
 }
 
 // SegmentSink batches a streamed history into fixed-size segments. It is
@@ -154,23 +160,44 @@ type Segment struct {
 // ops are appended through the Sink interface, and every time `size`
 // operations accumulate the current segment is sealed and handed to
 // OnSeal.
+//
+// By default OnSeal runs inside the seal, on the recording goroutine.
+// An Overlap sink runs it on a goroutine of its own while the recorder
+// fills the next segment; the next seal, Faulty, Seal and Wait each wait
+// for it first, so at most one segment is ever in the handler's hands,
+// the handler sees the same calls in the same order, and OnFaulty never
+// runs beside it. A handler's panic is raised again, on the recording
+// goroutine, by that wait and every later one.
 type SegmentSink struct {
 	// OnSeal receives each sealed segment (may be nil: pure builder). The
 	// segment is valid until OnSeal returns.
 	OnSeal func(*Segment)
 	// OnFaulty forwards MarkFaulty declarations downstream (may be nil).
 	OnFaulty func(int)
+	// Overlap, set before the first seal, runs OnSeal off the recording
+	// goroutine; OnJoin (may be nil) then runs on the recording goroutine
+	// once per segment, when a wait finds its handler returned — the
+	// place to act on what the handler left behind.
+	Overlap bool
+	OnJoin  func(*Segment)
 
 	size int
 	cur  *Segment
 	// spare is the last consumed segment, emptied, waiting to be refilled.
 	spare *Segment
+	// busy is the segment an overlapped handler has or had in hand until
+	// the next seal releases it; done closes when that handler returns,
+	// and is nil once a wait has joined it; fault is its panic.
+	busy  *Segment
+	done  chan struct{}
+	fault any
 	// handBack, bound by Recorder.SetSink while this sink is the
 	// recorder's direct sink, returns a consumed segment's ops to the
 	// recorder. It needs the recorder's lock, which only the calls the
 	// recorder makes hold: the size-triggered seal hands back, Seal()
-	// from outside does not.
+	// from outside does not. clock, bound with it, stamps Segment.At.
 	handBack func([]*Op)
+	clock    func() int64
 	next     int
 }
 
@@ -216,28 +243,81 @@ func (s *SegmentSink) CommDone(e CommEvent) {
 
 // Faulty implements Sink.
 func (s *SegmentSink) Faulty(p int) {
+	s.Wait()
 	if s.OnFaulty != nil {
 		s.OnFaulty(p)
 	}
 }
 
-// Seal closes the current partial segment (no-op when empty) and hands
-// it to OnSeal. The run's finalizer calls it once after the last op.
-func (s *SegmentSink) Seal() { s.seal(nil) }
+// Seal closes the current partial segment (no-op when empty), hands it
+// to OnSeal and waits for the handler. The run's finalizer calls it
+// once after the last op.
+func (s *SegmentSink) Seal() {
+	s.seal(nil)
+	s.Wait()
+}
 
-// seal is Seal; once the handler has returned and the loan is over, it
-// gives the segment's ops to handBack (nil: leave them to the collector)
-// and keeps the emptied segment to refill.
+// Wait blocks until an overlapped handler has returned, then runs
+// OnJoin for its segment; it panics with the handler's panic. The
+// segment stays on loan until the next seal.
+func (s *SegmentSink) Wait() {
+	if s.done != nil {
+		<-s.done
+		s.done = nil
+		if s.fault == nil && s.OnJoin != nil {
+			s.OnJoin(s.busy)
+		}
+	}
+	if s.fault != nil {
+		panic(s.fault)
+	}
+}
+
+// seal waits for and releases the segment an overlapped handler had,
+// then seals the current one and hands it to OnSeal — on a goroutine of
+// its own with Overlap, else here, releasing it at once.
 func (s *SegmentSink) seal(handBack func([]*Op)) {
+	s.Wait()
+	if s.busy != nil {
+		s.release(s.busy, handBack)
+		s.busy = nil
+	}
 	seg := s.cur
 	if seg == nil || (len(seg.Ops) == 0 && len(seg.Comm) == 0) {
 		return
 	}
 	s.cur = nil
 	s.next++
-	if s.OnSeal != nil {
+	if s.clock != nil {
+		seg.At = s.clock()
+	}
+	switch {
+	case s.OnSeal == nil:
+	case s.Overlap:
+		s.busy, s.done = seg, make(chan struct{})
+		go s.handle(seg, s.done)
+		return
+	default:
 		s.OnSeal(seg)
 	}
+	s.release(seg, handBack)
+}
+
+// handle runs OnSeal for an overlapped seal and keeps a panic for the
+// next wait to raise on the recording goroutine.
+func (s *SegmentSink) handle(seg *Segment, done chan struct{}) {
+	defer close(done)
+	defer func() {
+		if r := recover(); r != nil {
+			s.fault = fmt.Sprintf("history: the handler of segment %d panicked: %v\n%s", seg.Index, r, debug.Stack())
+		}
+	}()
+	s.OnSeal(seg)
+}
+
+// release ends a segment's loan: it gives the ops to handBack (nil:
+// leave them to the collector) and keeps the emptied segment to refill.
+func (s *SegmentSink) release(seg *Segment, handBack func([]*Op)) {
 	if handBack != nil {
 		handBack(seg.Ops)
 	}
