@@ -137,7 +137,9 @@ type Progress struct {
 	// series timestamps and trace event times.
 	VirtualTime int64
 	// LiveWitnesses counts the violation witnesses the run's online
-	// monitor has emitted so far.
+	// monitor has emitted so far. A WithStreaming run counts those of
+	// the segments whose check has returned: the segment still in check
+	// on its own goroutine is not waited for.
 	LiveWitnesses int
 }
 
@@ -302,8 +304,12 @@ func WithObserver(fn func(Progress) bool) Option { return func(c *Config) { c.Ob
 // WithMonitor delivers the violation witnesses of the run's online
 // monitor to onWitness the moment they form. Every run, under either
 // driver, is checked by that monitor and has its verdicts in
-// Result.Stream; this option only installs the callback (live, it is
-// called from the monitor's consumer goroutine; keep it fast).
+// Result.Stream; this option only installs the callback. It is called
+// where the monitor runs — the monitor's consumer goroutine live, the
+// goroutine checking a sealed segment under WithStreaming, the
+// simulation's otherwise — so keep it fast, and share nothing with an
+// observer or other callbacks without a lock; every call has returned
+// when the run does.
 func WithMonitor(onWitness func(consistency.Witness)) Option {
 	return func(c *Config) { c.OnWitness = onWitness }
 }
@@ -317,7 +323,9 @@ func WithMonitorK(k int) Option { return func(c *Config) { c.MonitorK = k } }
 // sealed fixed-size segments (segment ≤ 0 means the default size) into
 // the online monitor and are released — resident memory is independent
 // of run length, which is what makes ≥1M-op runs checkable at all. The
-// trade: Result.History holds only the still-pending operations, so
+// monitor checks each sealed segment on a goroutine of its own while the
+// simulation records the next; verdicts, metrics and traces are those
+// of a run checked in line. The trade: Result.History holds only the still-pending operations, so
 // Digest() and the history readers (UpdateAgreement, MonotonicPrefix)
 // see an empty run; Check() and KFork() answer from the monitor.
 func WithStreaming(segment int) Option {

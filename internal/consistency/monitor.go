@@ -116,8 +116,11 @@ type MonitorConfig struct {
 	// be given its Table, or materializing a read panics.
 	Table *core.Index
 	// OnWitness, when set, receives each violation witness the moment
-	// it forms. It runs under the recorder's lock: keep it fast and do
-	// not call back into the recorder. Live witnesses for the window
+	// it forms, on the goroutine feeding the monitor: under the
+	// recorder's lock when the monitor is the recorder's sink, on the
+	// segment's own goroutine behind an overlapped SegmentSink (every
+	// WithStreaming run), on the consumer goroutine of a live run. Keep
+	// it fast and do not call back into the recorder. Live witnesses for the window
 	// properties (EverGrowingTree, EventualPrefix) cannot exist — those
 	// violations are defined over the final window and only form at
 	// Finalize; live StrongPrefix witnesses are advisory incomparable

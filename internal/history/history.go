@@ -52,12 +52,9 @@ func (k OpKind) String() string {
 type Op struct {
 	ID   int
 	Proc int
-	Kind OpKind
 
 	// Block is the argument of append(b); nil for read().
 	Block *core.Block
-	// OK is the boolean response of append().
-	OK bool
 
 	// Head and ChainLen are the interned result of read(): the head
 	// block's ID and the chain length including genesis (an empty chain
@@ -69,11 +66,16 @@ type Op struct {
 
 	InvIndex, RspIndex int
 	InvTime, RspTime   int64
+
+	// The one-byte fields and slot share the last word: an Op is 96
+	// bytes.
+	Kind OpKind
+	// OK is the boolean response of append().
+	OK bool
 	// Pending marks an operation whose response has not been recorded
 	// (the process crashed or the run was truncated).
 	Pending bool
-	// slot is the op's index in Recorder.pending while it is pending
-	// (it sits in Pending's padding: an Op stays 112 bytes).
+	// slot is the op's index in Recorder.pending while it is pending.
 	slot int32
 }
 

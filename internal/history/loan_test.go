@@ -1,6 +1,8 @@
 package history
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -116,8 +118,10 @@ func TestPendingOpOutlivesSegments(t *testing.T) {
 
 // TestRecyclingBoundsLiveOps: over fifty segments a drop-mode recorder
 // behind a direct segment sink owns at most a segment's worth of Op
-// objects plus the pending ones, and every delivered op still reads as
-// the operation a retaining recorder holds.
+// objects plus the pending ones — two segments' worth behind an
+// overlapped sink, whose handler holds one segment while the next fills
+// — and every delivered op still reads as the operation a retaining
+// recorder holds.
 func TestRecyclingBoundsLiveOps(t *testing.T) {
 	const size, segments, longPending = 8, 50, 2
 	record := func(rec *Recorder) {
@@ -133,32 +137,141 @@ func TestRecyclingBoundsLiveOps(t *testing.T) {
 	record(ref)
 	want := ref.Snapshot().Ops
 
-	rec := NewRecorder(2, nil)
-	distinct := map[*Op]bool{}
-	sealed := 0
-	seg := NewSegmentSink(size, func(s *Segment) {
-		sealed++
-		for _, op := range s.Ops {
+	for _, overlap := range []bool{false, true} {
+		rec := NewRecorder(2, nil)
+		distinct := map[*Op]bool{}
+		sealed := 0
+		seg := NewSegmentSink(size, func(s *Segment) {
+			sealed++
+			for _, op := range s.Ops {
+				distinct[op] = true
+				if !sameOp(op, want[op.ID]) {
+					t.Errorf("overlap %v: segment %d delivers %s (id %d), recorded as %s", overlap, s.Index, op, op.ID, want[op.ID])
+				}
+			}
+		})
+		seg.Overlap = overlap
+		rec.SetSink(seg)
+		rec.SetRetain(false)
+		record(rec)
+		seg.Wait()
+		for _, op := range rec.PendingOps() {
 			distinct[op] = true
+		}
+		for _, op := range rec.free {
+			distinct[op] = true
+		}
+		bound := size + longPending
+		if overlap {
+			bound += size
+		}
+		if sealed != segments {
+			t.Fatalf("overlap %v: sealed %d segments, want %d", overlap, sealed, segments)
+		}
+		if len(distinct) > bound {
+			t.Errorf("overlap %v: %d ops lived in %d objects, want ≤ %d", overlap, size*segments, len(distinct), bound)
+		}
+	}
+}
+
+// TestOverlappedLoanEndsAfterHandler: an overlapped sink's handler still
+// holds segment k while the recorder fills segment k+1 almost to the
+// seal, and no op of segment k is reused before the handler returns:
+// each handler, released only then, finds its ops as recorded, and no
+// two consecutive segments share an Op object. Under -race a reuse
+// would also be a write racing the handler's reads.
+func TestOverlappedLoanEndsAfterHandler(t *testing.T) {
+	const size, segments = 4, 12
+	ref := NewRecorder(2, nil)
+	loanWorkload(ref, 4, size*segments-4)
+	want := ref.Snapshot().Ops
+
+	rec := NewRecorder(2, nil)
+	proceed := make(chan struct{}, 1)
+	objects := make([]map[*Op]bool, segments)
+	seg := NewSegmentSink(size, func(s *Segment) {
+		<-proceed
+		objects[s.Index] = map[*Op]bool{}
+		for _, op := range s.Ops {
+			objects[s.Index][op] = true
 			if !sameOp(op, want[op.ID]) {
 				t.Errorf("segment %d delivers %s (id %d), recorded as %s", s.Index, op, op.ID, want[op.ID])
 			}
 		}
 	})
+	seg.Overlap = true
 	rec.SetSink(seg)
 	rec.SetRetain(false)
-	record(rec)
-	for _, op := range rec.PendingOps() {
-		distinct[op] = true
+	c := streamChain(rec, 4)
+	ops := 0
+	record := func(op func()) {
+		op()
+		// Release the handler once the next segment lacks one op.
+		if ops++; ops > size && ops%size == size-1 {
+			proceed <- struct{}{}
+		}
 	}
-	for _, op := range rec.free {
-		distinct[op] = true
+	for _, b := range c[1:] {
+		record(func() { rec.Append(0, b, true) })
 	}
-	if sealed != segments {
-		t.Fatalf("sealed %d segments, want %d", sealed, segments)
+	for i := 0; i < size*segments-4; i++ {
+		record(func() { rec.ReadHead(i%2, c[1+i%4]) })
 	}
-	if len(distinct) > size+longPending {
-		t.Errorf("%d ops lived in %d objects, want ≤ %d (segment size + pending)", size*segments, len(distinct), size+longPending)
+	proceed <- struct{}{}
+	seg.Seal()
+	if seg.Sealed() != segments {
+		t.Fatalf("sealed %d segments, want %d", seg.Sealed(), segments)
+	}
+	for k := 1; k < segments; k++ {
+		for op := range objects[k] {
+			if objects[k-1][op] {
+				t.Fatalf("segments %d and %d share op %d's object", k-1, k, op.ID)
+			}
+		}
+	}
+	if len(rec.free) == 0 {
+		t.Error("the recorder was handed no op back")
+	}
+}
+
+// TestOverlappedHandlerPanicEndsTheLoan: a panic in an overlapped
+// handler does not crash the process from the handler's goroutine; the
+// next wait — the seal of the next segment, or Seal — panics with it on
+// the recording goroutine, naming the segment, and so does every later
+// one.
+func TestOverlappedHandlerPanicEndsTheLoan(t *testing.T) {
+	panics := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return "<nil>"
+	}
+	for _, bad := range []int{1, 2} { // 2 is the last segment: Seal meets it
+		rec := NewRecorder(2, nil)
+		seg := NewSegmentSink(4, func(s *Segment) {
+			if s.Index == bad {
+				panic("boom")
+			}
+		})
+		seg.Overlap = true
+		rec.SetSink(seg)
+		rec.SetRetain(false)
+		c := streamChain(rec, 4)
+		var msg string
+		for i := 0; i < 12 && msg == ""; i++ { // three segments
+			if m := panics(func() { rec.ReadHead(i%2, c[1+i%4]) }); m != "<nil>" {
+				msg = fmt.Sprintf("read %d: %s", i, m)
+			}
+		}
+		if msg == "" {
+			msg = "Seal: " + panics(seg.Seal)
+		}
+		wantAt := map[int]string{1: "read 11: ", 2: "Seal: "}[bad]
+		if !strings.HasPrefix(msg, wantAt) || !strings.Contains(msg, fmt.Sprintf("segment %d panicked: boom", bad)) {
+			t.Errorf("handler of segment %d: got %.120q, want it raised at %q", bad, msg, wantAt)
+		}
+		if m := panics(seg.Seal); !strings.Contains(m, "boom") {
+			t.Errorf("handler of segment %d: a later Seal returned (%s)", bad, m)
+		}
 	}
 }
 

@@ -8,13 +8,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestOpLayout: the pending set's slot index lives in the padding after
-// Pending, so tracking an op costs the Op no bytes. A drop-mode run
-// owns a segment's worth of ops plus the pending ones, and a retaining
-// run one Op per operation: their size is the run's op memory.
+// TestOpLayout: the pending set's slot index shares a word with the
+// op's kind and flags, so tracking an op costs the Op no bytes. A
+// drop-mode run owns a segment's worth of ops (two behind an overlapped
+// sink) plus the pending ones, and a retaining run one Op per
+// operation: their size is the run's op memory.
 func TestOpLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(Op{}); sz > 112 {
-		t.Errorf("an Op is %d bytes, want ≤ 112", sz)
+	if sz := unsafe.Sizeof(Op{}); sz > 96 {
+		t.Errorf("an Op is %d bytes, want ≤ 96", sz)
 	}
 }
 

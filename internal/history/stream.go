@@ -81,8 +81,9 @@ func (r *Recorder) takeBack(ops []*Op) {
 //
 // In drop mode a completed op is on loan to the sink. When the sink is
 // a SegmentSink attached directly, the op is valid until the OnSeal call
-// that delivers its segment returns; the recorder then reuses the
-// object for a later operation. The *Op that InvokeRead, ReadHead,
+// that delivers its segment returns — with Overlap, until the next seal,
+// which waits for that call — and the recorder then reuses the object
+// for a later operation. The *Op that InvokeRead, ReadHead,
 // Append and the other recording calls return is the same object, so in
 // that mode a caller may use it only until its segment has been
 // consumed. Pending ops are never reused, and behind any other sink (a
@@ -177,7 +178,8 @@ type SegmentSink struct {
 	// Overlap, set before the first seal, runs OnSeal off the recording
 	// goroutine; OnJoin (may be nil) then runs on the recording goroutine
 	// once per segment, when a wait finds its handler returned — the
-	// place to act on what the handler left behind.
+	// place to act on what the handler left behind. Like a Sink, OnJoin
+	// may run under the recorder's lock and must not call back into it.
 	Overlap bool
 	OnJoin  func(*Segment)
 

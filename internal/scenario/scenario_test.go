@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/btsim"
+	"repro/internal/consistency"
 )
 
 // TestCatalogueMeasuresPredictedViolations is the acceptance criterion
@@ -141,6 +142,20 @@ func TestSweepMatchesSerialRuns(t *testing.T) {
 	}
 	if got := SweepSummary(par); !strings.Contains(got, "/5") {
 		t.Fatalf("summary should aggregate over 5 seeds: %q", got)
+	}
+}
+
+// TestSweepRecordsStreamedHandlerPanic: a streamed run checks its
+// sealed segments off the recording goroutine, and a panic there — here
+// a witness callback's — reaches the sweep as that seed's error, not as
+// a crash of the process from a goroutine nobody recovers.
+func TestSweepRecordsStreamedHandlerPanic(t *testing.T) {
+	spec := *ByName("bitcoin/selfish")
+	spec.Streaming, spec.StreamSegment = true, 16
+	spec.OnWitness = func(consistency.Witness) { panic("witness callback") }
+	if _, err := Sweep(spec, []uint64{3, 5}, 2); err == nil ||
+		!strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "witness callback") {
+		t.Fatalf("sweep error %v, want the handler's panic", err)
 	}
 }
 
