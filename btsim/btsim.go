@@ -112,8 +112,9 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("btsim: %s: %w", s.info.Name, err)
 	}
 	cfg.system = s.info.Name
-	// Keep the first liveKeep witnesses under either driver (live, on the
-	// monitor's goroutine, which the run joins before it returns).
+	// Keep the first liveKeep witnesses under either driver (live or
+	// streamed, on the goroutine the monitor runs on, which the run joins
+	// before it returns).
 	var live []consistency.Witness
 	onWitness := cfg.OnWitness
 	cfg.OnWitness = func(w consistency.Witness) {

@@ -80,9 +80,6 @@ func (or *obsRun) bind(mr *monitorRun) {
 // — the latest response among the witnessing operations (invocation
 // time for still-pending ones). Also emits the always-kept trace event.
 func (or *obsRun) witness(w consistency.Witness, now int64) {
-	if or.witLat == nil {
-		return
-	}
 	formed := int64(0)
 	for _, op := range w.Ops {
 		t := op.RspTime

@@ -325,9 +325,10 @@ func WithMonitorK(k int) Option { return func(c *Config) { c.MonitorK = k } }
 // of run length, which is what makes ≥1M-op runs checkable at all. The
 // monitor checks each sealed segment on a goroutine of its own while the
 // simulation records the next; verdicts, metrics and traces are those
-// of a run checked in line. The trade: Result.History holds only the still-pending operations, so
-// Digest() and the history readers (UpdateAgreement, MonotonicPrefix)
-// see an empty run; Check() and KFork() answer from the monitor.
+// of a run checked in line. The trade: Result.History holds only the
+// still-pending operations, so Digest() and the history readers
+// (UpdateAgreement, MonotonicPrefix) see an empty run; Check() and
+// KFork() answer from the monitor.
 func WithStreaming(segment int) Option {
 	return func(c *Config) {
 		c.Streaming = true

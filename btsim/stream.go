@@ -103,8 +103,7 @@ func (mr *monitorRun) join(at int64) {
 	for _, w := range mr.held {
 		mr.observe(w, at)
 	}
-	clear(mr.held)
-	mr.held = mr.held[:0]
+	mr.held = nil
 }
 
 func (mr *monitorRun) observe(w consistency.Witness, now int64) {
@@ -153,9 +152,9 @@ func (mr *monitorRun) finish(res *Result) {
 }
 
 // liveWitnesses is read by the Progress observer wrapper: the witnesses
-// observed on the recording goroutine so far (a streamed run's lag its
-// monitor by the segment in check), 0 for a Config lowered by Base
-// outside System.Run.
+// observed on the recording goroutine so far (a streamed run's count
+// lags its monitor by the segment in check), 0 for a Config lowered by
+// Base outside System.Run.
 func (mr *monitorRun) liveWitnesses() int {
 	if mr == nil {
 		return 0

@@ -120,11 +120,11 @@ type MonitorConfig struct {
 	// recorder's lock when the monitor is the recorder's sink, on the
 	// segment's own goroutine behind an overlapped SegmentSink (every
 	// WithStreaming run), on the consumer goroutine of a live run. Keep
-	// it fast and do not call back into the recorder. Live witnesses for the window
-	// properties (EverGrowingTree, EventualPrefix) cannot exist — those
-	// violations are defined over the final window and only form at
-	// Finalize; live StrongPrefix witnesses are advisory incomparable
-	// pairs (the exact witness set comes from Finalize).
+	// it fast and do not call back into the recorder. Live witnesses for
+	// the window properties (EverGrowingTree, EventualPrefix) cannot
+	// exist — those violations are defined over the final window and
+	// only form at Finalize; live StrongPrefix witnesses are advisory
+	// incomparable pairs (the exact witness set comes from Finalize).
 	OnWitness func(Witness)
 }
 

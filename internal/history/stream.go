@@ -178,8 +178,9 @@ type SegmentSink struct {
 	// Overlap, set before the first seal, runs OnSeal off the recording
 	// goroutine; OnJoin (may be nil) then runs on the recording goroutine
 	// once per segment, when a wait finds its handler returned — the
-	// place to act on what the handler left behind. Like a Sink, OnJoin
-	// may run under the recorder's lock and must not call back into it.
+	// place to act on what the handler left behind. A wait may hold the
+	// recorder's lock, so neither OnSeal nor OnJoin may call back into
+	// the recorder.
 	Overlap bool
 	OnJoin  func(*Segment)
 
