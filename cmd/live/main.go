@@ -17,7 +17,7 @@
 //	live [-transport chan|tcp] [-system bitcoin] [-n 4] [-duration 2s | -appends N]
 //	     [-clients 2] [-rate R] [-spray] [-k K] [-seed S]
 //	     [-crash NODE] [-durable] [-crash-after D] [-downtime D]
-//	     [-check] [-v]
+//	     [-check] [-v] [-cpuprofile cpu.pprof] [-mutexprofile mutex.pprof]
 //
 // -crash schedules one crash of the given node during the load phase —
 // btsim.WithCrashes, the option a simulated run takes, with -crash-after
@@ -27,7 +27,9 @@
 // rejoin counters. -check exits non-zero on any violated property (bar
 // Local Monotonic Read after an amnesia restart, which the paper
 // predicts), a non-convergent deployment, a monitor failure, or a leaked
-// goroutine after teardown.
+// goroutine after teardown. -cpuprofile and -mutexprofile profile the
+// run itself (the load phase, the settle and the final check), the
+// latter recording every lock contention.
 package main
 
 import (
@@ -35,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"time"
 
@@ -61,6 +64,8 @@ func main() {
 	downtime := flag.Duration("downtime", 300*time.Millisecond, "crash window length")
 	check := flag.Bool("check", false, "exit non-zero on violation, non-convergence, monitor error, or goroutine leak")
 	verbose := flag.Bool("v", false, "print full verdicts and the metrics summary")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	mutexprofile := flag.String("mutexprofile", "", "write a profile of every lock contention in the run to this file")
 	flag.Parse()
 
 	if *duration == 0 && *appends == 0 {
@@ -92,9 +97,11 @@ func main() {
 	// Goroutine-leak baseline: everything the deployment spawns (node
 	// loops, TCP accept/read/write loops, the monitor consumer, load
 	// clients) must be gone after teardown.
+	stopProfiles := startProfiles(*cpuprofile, *mutexprofile)
 	base := runtime.NumGoroutine()
 
 	res, err := btsim.Run(*system, opts...)
+	stopProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "live:", err)
 		os.Exit(1)
@@ -173,6 +180,44 @@ func main() {
 		}
 		if bad {
 			os.Exit(1)
+		}
+	}
+}
+
+// startProfiles starts a CPU profile and records every lock contention
+// as the flags ask (an empty path: not asked); the function it returns
+// stops them and writes them out.
+func startProfiles(cpu, mutex string) (stop func()) {
+	var cpuFile *os.File
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "live:", err)
+			os.Exit(1)
+		}
+		cpuFile = f
+	}
+	if mutex != "" {
+		runtime.SetMutexProfileFraction(1)
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if mutex == "" {
+			return
+		}
+		f, err := os.Create(mutex)
+		if err == nil {
+			err = pprof.Lookup("mutex").WriteTo(f, 0)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "live:", err)
 		}
 	}
 }

@@ -14,6 +14,7 @@
 //
 //	scenarios [-list] [-only substr] [-seed N] [-sweep K] [-workers W] [-v] [-check] [-json]
 //	          [-long full|smoke] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	          [-mutexprofile mutex.pprof] [-blockprofile block.pprof]
 //
 // -list prints the catalogue and the registered systems; -seed
 // overrides every pinned seed; -sweep K re-runs each scenario at K
@@ -24,7 +25,9 @@
 // verdicts and witnesses) instead of the rendered tables; -long runs the
 // streaming-only ≥1M-op scenario ("smoke" is the scaled CI variant);
 // -cpuprofile/-memprofile write pprof profiles of the whole invocation
-// (see SCALING.md's profiling workflow).
+// (see SCALING.md's profiling workflow); -mutexprofile/-blockprofile
+// record every lock contention and every blocking event of it and write
+// them out at exit.
 package main
 
 import (
@@ -54,6 +57,8 @@ func main() {
 	long := flag.String("long", "", `run the streaming-only long-run scenario: "full" (≥1M ops) or "smoke" (CI scale)`)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (at exit) to this file")
+	mutexprofile := flag.String("mutexprofile", "", "write a profile of every lock contention (at exit) to this file")
+	blockprofile := flag.String("blockprofile", "", "write a profile of every blocking event (at exit) to this file")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -71,17 +76,17 @@ func main() {
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scenarios:", err)
-				return
-			}
-			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "scenarios:", err)
-			}
+			writeProfile("heap", *memprofile)
 		}()
+	}
+	if *mutexprofile != "" {
+		runtime.SetMutexProfileFraction(1)
+		defer writeProfile("mutex", *mutexprofile)
+	}
+	if *blockprofile != "" {
+		runtime.SetBlockProfileRate(1)
+		defer writeProfile("block", *blockprofile)
 	}
 
 	if *list {
@@ -320,5 +325,18 @@ func printList() {
 			expect = "breaks " + strings.Join(s.ExpectBroken, ",")
 		}
 		fmt.Printf("  %-26s %-11s %-34s %s\n", s.Name, s.System, expect, s.Note)
+	}
+}
+
+// writeProfile writes the named runtime profile (pprof.Lookup) to path.
+func writeProfile(name, path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scenarios:", err)
+		return
+	}
+	defer f.Close()
+	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
+		fmt.Fprintln(os.Stderr, "scenarios:", err)
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"hash/maphash"
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Index is the run-wide block index: it hands every distinct BlockID a
@@ -11,11 +13,11 @@ import (
 // handle, the first copy of the block interned, the handle of the parent
 // that copy names and the block's place in the tree's shape: its first
 // child and its next sibling. Every Tree of a run and the run's
-// history.Recorder share one Index, so the 64-byte hex ID is hashed once
-// per delivered block (Tree.Resolve), the block tree's shape is kept once
-// per run, and everything after — tree membership, the attach, a
-// replica's walk of a block's children, a read's chain walk — goes by
-// slice index. Handles never leave this package.
+// history.Recorder share one Index, so a delivered block is looked up
+// once (Tree.Resolve: by its pointer, or by its 64-byte hex ID's hash),
+// the block tree's shape is kept once per run, and everything after —
+// tree membership, the attach, a replica's walk of a block's children, a
+// read's chain walk — goes by slice index. Handles never leave this package.
 //
 // Invariants:
 //
@@ -39,26 +41,31 @@ import (
 //     and a tree keeps no order of its own (Tree: Blocks sorts, Clone
 //     copies the held set, the GHOST pass sums subtrees — the same
 //     result in any visiting order).
-//   - (iv) The index is safe for concurrent use. ID lookups take the
-//     read lock: a block already interned is resolved under it once per
-//     delivered block, and only the first attach of a block anywhere
-//     takes the write lock. The entry of a handle the caller holds —
-//     a tree's block, a parent or child link, the head a walk started
-//     from — is read without the lock: entries sit in append-only pages
-//     that never move, a page is published (an atomic store of the page
-//     directory) before any handle on it is, and an entry is written
-//     before its handle enters the map or a list. Whoever holds a handle
-//     got it, directly or through a tree, from the map under the lock or
-//     from a link, so the entry's writes happen before the read. An
-//     entry's block never changes; its links are read and written
-//     atomically (next two items).
+//   - (iv) The index is safe for concurrent use, and no lookup takes a
+//     lock. An ID's handle is found in byID, a block pointer's in
+//     byBlock: open-addressed tables of handle+1 (0 is an empty slot),
+//     probed linearly and kept at most half full. Only intern writes
+//     them, under mu. It writes the new entry — and patches the
+//     children waiting for it (v) — before one atomic store puts the
+//     handle in a slot, so whoever finds a handle finds its entry
+//     whole; it grows a table by filling a copy and publishing it (an
+//     atomic store of the table pointer) before any reader can probe
+//     it. A reader still probing the table a growth replaced misses only
+//     handles interned after it loaded that table: its lookup ran
+//     before their insert. Entries sit in append-only pages that never
+//     move, and a page is published (an atomic store of the page
+//     directory) before any handle on it is. Whoever holds a handle got
+//     it, directly or through a tree, from a table or from a link, so
+//     the entry's writes happen before its reads. An entry's block never
+//     changes; its links are read and written atomically (next two
+//     items).
 //   - (v) A parent handle is noHandle exactly while the parent's ID is
 //     not interned: a child interned before its parent (a restored
 //     monitor's pool comes in no particular order) is patched when the
-//     parent arrives, under the write lock, by one atomic store that a
-//     walk racing it reads either way.
+//     parent arrives, under mu and before the parent's handle enters a
+//     table, by one atomic store that a walk racing it reads either way.
 //   - (vi) An entry is on its parent's child list exactly when its
-//     parent handle is set: intern links it in under the write lock, at
+//     parent handle is set: intern links it in under mu, at
 //     once or when a late parent arrives. A list ascends strictly by ID
 //     and ends at 0 (genesis is nobody's child). A splice sets the new
 //     entry's next sibling before one atomic store makes it reachable,
@@ -73,8 +80,12 @@ type Index struct {
 	// mu; anyone holding a handle loads it.
 	pages atomic.Pointer[[][]indexEntry]
 
-	mu  sync.RWMutex
-	ids map[BlockID]uint32
+	// byID and byBlock find a handle by its block's ID and by the
+	// pointer its entry holds (invariant (iv)); n counts the handles.
+	byID, byBlock atomic.Pointer[handleTable]
+	n             atomic.Uint32
+
+	mu sync.Mutex // serializes intern
 	// waiting lists, per missing parent ID, the handles interned before
 	// that parent; empty in a run whose blocks arrive through trees.
 	waiting map[BlockID][]uint32
@@ -91,17 +102,71 @@ type indexEntry struct {
 // noHandle marks "not interned"; no tree holds anything under it.
 const noHandle = ^uint32(0)
 
+// handleTable is an open-addressed table of handles: a slot holds
+// handle+1, 0 when empty. A key's probe starts at the top bits of its
+// hash and steps linearly; intern keeps the table at most half full, so
+// every probe ends at an empty slot.
+type handleTable struct {
+	slots []atomic.Uint32
+	shift uint // 64 - log2(len(slots))
+}
+
+// minSlots is a new index's table size: room for 8 handles.
+const minSlots = 16
+
+func newHandleTable(slots int) *handleTable {
+	return &handleTable{slots: make([]atomic.Uint32, slots), shift: uint(64 - bits.Len(uint(slots)-1))}
+}
+
+// put stores h in the first empty slot of hash's probe, under mu.
+func (t *handleTable) put(hash uint64, h uint32) {
+	mask := uint64(len(t.slots) - 1)
+	i := hash >> t.shift
+	for t.slots[i].Load() != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i].Store(h + 1)
+}
+
+// idSeed keys every index's byID hash; a per-process seed keeps probe
+// lengths independent of the IDs a peer chooses.
+var idSeed = maphash.MakeSeed()
+
+func idHash(id BlockID) uint64 { return maphash.String(idSeed, string(id)) }
+
+// blockHash spreads a block's address over the hash's top bits
+// (Fibonacci hashing). Go's heap does not move objects, and the index
+// keeps every block it holds alive, so an entry's address never changes.
+func blockHash(b *Block) uint64 {
+	return uint64(uintptr(unsafe.Pointer(b))) * 0x9e3779b97f4a7c15
+}
+
 // NewIndex returns an index holding only the genesis block.
 func NewIndex() *Index {
 	g := Genesis()
-	x := &Index{genesis: g, ids: map[BlockID]uint32{g.ID: 0}}
+	x := &Index{genesis: g}
 	dir := [][]indexEntry{{{b: g}}}
 	dir[0][0].parent.Store(noHandle)
 	x.pages.Store(&dir)
+	x.n.Store(1)
+	x.publishTables(minSlots)
 	return x
 }
 
-// entry returns the entry of a handle the caller holds, without the lock
+// publishTables fills both tables afresh at the given size with every
+// handle below n, then publishes them: the growth step, under mu.
+func (x *Index) publishTables(slots int) {
+	byID, byBlock := newHandleTable(slots), newHandleTable(slots)
+	for h := range x.n.Load() {
+		b := x.entry(h).b
+		byID.put(idHash(b.ID), h)
+		byBlock.put(blockHash(b), h)
+	}
+	x.byID.Store(byID)
+	x.byBlock.Store(byBlock)
+}
+
+// entry returns the entry of a handle the caller holds, without a lock
 // (invariant (iv)).
 func (x *Index) entry(h uint32) *indexEntry {
 	k := bits.Len32(h+1) - 1
@@ -120,12 +185,16 @@ type Ref struct {
 // Block returns the block the Ref was resolved for.
 func (r Ref) Block() *Block { return r.b }
 
-// resolve looks b up under one read-lock acquisition.
+// resolve looks b up without a lock: by its pointer first — a block
+// delivered as the copy that was interned costs no hash of its ID — and
+// by its ID on a miss, so no answer depends on an address.
 func (x *Index) resolve(b *Block) Ref {
 	r := Ref{b: b, h: noHandle, parent: noHandle}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if h, ok := x.ids[b.ID]; ok {
+	h := x.blockHandle(b)
+	if h == noHandle {
+		h = x.handle(b.ID)
+	}
+	if h != noHandle {
 		r.h = h
 		if e := x.entry(h); e.b == b || e.b.Parent == b.Parent {
 			r.parent = e.parent.Load()
@@ -133,9 +202,7 @@ func (x *Index) resolve(b *Block) Ref {
 		}
 	}
 	// Not interned yet, or a same-ID twin naming another parent.
-	if ph, ok := x.ids[b.Parent]; ok {
-		r.parent = ph
-	}
+	r.parent = x.handle(b.Parent)
 	return r
 }
 
@@ -149,39 +216,38 @@ func (x *Index) Intern(b *Block) {
 }
 
 // intern returns b.ID's handle, assigning the next one on first sight.
-// The read-locked probe keeps re-interning (every read interns its head)
-// off the write lock. The entry is written before the handle enters the
-// map, and a new page is published before the entry is written
-// (invariant (iv)); nothing is allocated but a page when one fills.
+// The lock-free probe keeps re-interning (every read interns its head)
+// off mu. A new page is published before the entry is written, and the
+// entry, its links and its waiting children's before the handle enters
+// the tables (invariant (iv)); nothing is allocated but a page when one
+// fills and a pair of tables when they reach half full.
 func (x *Index) intern(b *Block) uint32 {
 	if h := x.handle(b.ID); h != noHandle {
 		return h
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if h, ok := x.ids[b.ID]; ok {
+	if h := x.handle(b.ID); h != noHandle {
 		return h
 	}
-	h := uint32(len(x.ids))
+	h := x.n.Load()
 	if dir := *x.pages.Load(); h == 1<<len(dir)-1 {
 		grown := append(dir, make([]indexEntry, h+1))
 		x.pages.Store(&grown)
 	}
 	e := x.entry(h)
 	e.b = b
-	parent, ok := x.ids[b.Parent]
-	if !ok {
-		parent = noHandle
+	parent := x.handle(b.Parent)
+	if parent == noHandle {
 		if x.waiting == nil {
 			x.waiting = make(map[BlockID][]uint32)
 		}
 		x.waiting[b.Parent] = append(x.waiting[b.Parent], h)
 	}
 	e.parent.Store(parent)
-	if ok {
+	if parent != noHandle {
 		x.link(parent, h)
 	}
-	x.ids[b.ID] = h
 	if len(x.waiting) > 0 {
 		for _, c := range x.waiting[b.ID] {
 			x.entry(c).parent.Store(h)
@@ -189,11 +255,18 @@ func (x *Index) intern(b *Block) uint32 {
 		}
 		delete(x.waiting, b.ID)
 	}
+	x.n.Store(h + 1)
+	if t := x.byID.Load(); 2*(h+1) > uint32(len(t.slots)) {
+		x.publishTables(2 * len(t.slots))
+	} else {
+		t.put(idHash(b.ID), h)
+		x.byBlock.Load().put(blockHash(b), h)
+	}
 	return h
 }
 
 // link splices child c into p's child list ahead of the first sibling
-// with a larger ID, under the write lock (invariant (vi)).
+// with a larger ID, under mu (invariant (vi)).
 func (x *Index) link(p, c uint32) {
 	id := x.entry(c).b.ID
 	at := &x.entry(p).firstKid
@@ -205,11 +278,7 @@ func (x *Index) link(p, c uint32) {
 }
 
 // Len reports how many blocks are interned, genesis included.
-func (x *Index) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return len(x.ids)
-}
+func (x *Index) Len() int { return int(x.n.Load()) }
 
 // Block returns the interned block with the given ID (nil if unknown).
 func (x *Index) Block(id BlockID) *Block {
@@ -220,44 +289,59 @@ func (x *Index) Block(id BlockID) *Block {
 }
 
 // BlockBytes is Block for an ID held as bytes — a frame being decoded —
-// and allocates nothing: the map is indexed by the bytes in place.
+// and allocates nothing: the probe reads the bytes in place as a string
+// it does not keep.
 func (x *Index) BlockBytes(id []byte) *Block {
-	x.mu.RLock()
-	h, ok := x.ids[BlockID(id)]
-	x.mu.RUnlock()
-	if ok {
-		return x.entry(h).b
+	if len(id) == 0 {
+		return nil
 	}
-	return nil
+	return x.Block(BlockID(unsafe.String(&id[0], len(id))))
 }
 
 // handle returns id's handle, noHandle if it was never interned.
 func (x *Index) handle(id BlockID) uint32 {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if h, ok := x.ids[id]; ok {
-		return h
+	t := x.byID.Load()
+	mask := uint64(len(t.slots) - 1)
+	for i := idHash(id) >> t.shift; ; i = (i + 1) & mask {
+		s := t.slots[i].Load()
+		if s == 0 {
+			return noHandle
+		}
+		if x.entry(s-1).b.ID == id {
+			return s - 1
+		}
 	}
-	return noHandle
+}
+
+// blockHandle returns the handle whose entry holds b itself, noHandle
+// if b is not the copy an ID was first interned with.
+func (x *Index) blockHandle(b *Block) uint32 {
+	t := x.byBlock.Load()
+	mask := uint64(len(t.slots) - 1)
+	for i := blockHash(b) >> t.shift; ; i = (i + 1) & mask {
+		s := t.slots[i].Load()
+		if s == 0 {
+			return noHandle
+		}
+		if x.entry(s-1).b == b {
+			return s - 1
+		}
+	}
 }
 
 // ChainTo materializes the chain from genesis to head along parent
 // handles. It returns nil if head or one of its ancestors was never
-// interned, or if heights do not descend by one to genesis. Only the
-// head's lookup takes the lock.
+// interned, or if heights do not descend by one to genesis.
 func (x *Index) ChainTo(head BlockID) Chain {
-	x.mu.RLock()
-	h, ok := x.ids[head]
-	n := len(x.ids)
-	x.mu.RUnlock()
-	if !ok {
+	h := x.handle(head)
+	if h == noHandle {
 		return nil
 	}
 	// A chain to height n is n+1 interned blocks: a height the index
 	// cannot back (a block from a damaged file) is refused before it
 	// sizes the allocation.
 	hb := x.entry(h).b
-	if hb.Height < 0 || hb.Height >= n {
+	if hb.Height < 0 || hb.Height >= x.Len() {
 		return nil
 	}
 	out := make(Chain, hb.Height+1)
@@ -281,8 +365,7 @@ func (x *Index) ChainTo(head BlockID) Chain {
 // AncestorAt returns head's ancestor at the given height (nil when head
 // is unknown, the height is out of range, an ancestor was never interned
 // or heights do not descend by one). It follows parent handles without
-// materializing a chain — the monitors' O(Δh) comparability probe — and
-// takes the lock only for the head's lookup.
+// materializing a chain — the monitors' O(Δh) comparability probe.
 func (x *Index) AncestorAt(head BlockID, height int) *Block {
 	h := x.handle(head)
 	if h == noHandle {

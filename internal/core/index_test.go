@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -580,4 +582,191 @@ func recomputeDiff(tr *Tree) string {
 		return fmt.Sprintf("longest head %s, recompute %s", got.ID.Short(), head.ID.Short())
 	}
 	return ""
+}
+
+// TestIndexLookupsWhileTablesGrow: one goroutine interns a fork-heavy
+// block set — the handle tables double again and again from their
+// starting size — while readers resolve the blocks' own pointers, look
+// their IDs up as strings and as bytes and walk ChainTo and AncestorAt,
+// all without a lock (invariant (iv)). A block interned before a lookup
+// began is found, as the pointer interned, however many tables it
+// spans; no handle comes back at or past Len; and every handle a reader
+// saw is still the block's handle once the writer is done.
+func TestIndexLookupsWhileTablesGrow(t *testing.T) {
+	blocks := chainAndForks(1000)
+	idx := NewIndex()
+	var interned atomic.Int64 // blocks[:interned] are in the index
+	const readers = 3
+	seen := make([][]uint32, readers) // 0: not seen (genesis is not in blocks)
+	var wg sync.WaitGroup
+	for r := range readers {
+		seen[r] = make([]uint32, len(blocks))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for interned.Load() < int64(len(blocks)) {
+				done := int(interned.Load())
+				i := rng.Intn(len(blocks))
+				if r == 0 && done > 0 {
+					i = done - 1 // the block interned last, most likely in a fresh table
+				}
+				b := blocks[i]
+				ref := idx.resolve(b)
+				if ref.h != noHandle && ref.h >= uint32(idx.Len()) {
+					t.Errorf("resolve(%s) returned handle %d, Len %d", b.ID.Short(), ref.h, idx.Len())
+					return
+				}
+				if i >= done {
+					continue // racing its intern: either answer is right
+				}
+				if ref.h == noHandle {
+					t.Errorf("block %d of %d interned, resolve misses it", i, done)
+					return
+				}
+				seen[r][i] = ref.h
+				if got := idx.Block(b.ID); got != b {
+					t.Errorf("Block(%s) = %p, want %p", b.ID.Short(), got, b)
+					return
+				}
+				if got := idx.BlockBytes([]byte(b.ID)); got != b {
+					t.Errorf("BlockBytes(%s) = %p, want %p", b.ID.Short(), got, b)
+					return
+				}
+				if c := idx.ChainTo(b.ID); len(c) != b.Height+1 || c.Head() != b {
+					t.Errorf("ChainTo(%s) = %v", b.ID.Short(), c)
+					return
+				}
+				if a := idx.AncestorAt(b.ID, b.Height/2); a == nil || a.Height != b.Height/2 {
+					t.Errorf("AncestorAt(%s, %d) = %v", b.ID.Short(), b.Height/2, a)
+					return
+				}
+			}
+		}()
+	}
+	for i, b := range blocks {
+		idx.Intern(b)
+		interned.Store(int64(i + 1))
+		if i%16 == 0 {
+			runtime.Gosched()
+		}
+	}
+	wg.Wait()
+
+	for name, tab := range map[string]*handleTable{"byID": idx.byID.Load(), "byBlock": idx.byBlock.Load()} {
+		if len(tab.slots) < minSlots<<6 {
+			t.Fatalf("%s holds %d slots, want at least 6 doublings of %d", name, len(tab.slots), minSlots)
+		}
+	}
+	for r := range seen {
+		for i, h := range seen[r] {
+			if h != 0 && idx.handle(blocks[i].ID) != h {
+				t.Fatalf("reader %d saw handle %d for block %d, the index now says %d", r, h, i, idx.handle(blocks[i].ID))
+			}
+		}
+	}
+}
+
+// TestHandleTablesMatchAMap interns a corpus — content-hashed blocks,
+// short non-hex IDs, a twin of an interned ID under a second pointer —
+// and compares both handle tables with a map kept beside them, for the
+// corpus, genesis and IDs never interned. Empty bytes look nothing up;
+// a struct copy of an interned block is not its pointer, so it resolves
+// by ID to the same handle, and a copy naming another parent gets the
+// twin's Ref: its own named parent.
+func TestHandleTablesMatchAMap(t *testing.T) {
+	idx := NewIndex()
+	want := map[BlockID]uint32{GenesisID: 0}
+	first := map[BlockID]*Block{GenesisID: idx.genesis}
+	intern := func(b *Block) {
+		idx.Intern(b)
+		if _, ok := want[b.ID]; !ok {
+			want[b.ID] = uint32(len(want))
+			first[b.ID] = b
+		}
+	}
+	x := &Block{ID: "x", Parent: GenesisID, Height: 1}
+	intern(x)
+	intern(&Block{ID: "b1", Parent: "x", Height: 2})
+	intern(&Block{ID: "b1", Parent: "x", Height: 2}) // a second pointer: not interned
+	for _, b := range chainAndForks(100) {
+		intern(b)
+	}
+	if idx.Len() != len(want) {
+		t.Fatalf("Len %d, want %d", idx.Len(), len(want))
+	}
+
+	never := []BlockID{"", "y", "b2", "b", "x0", BlockID(HashBlock(GenesisID, 9, 9, nil))}
+	for _, id := range never {
+		if _, ok := want[id]; ok {
+			t.Fatalf("corpus interned %q", id)
+		}
+		want[id] = noHandle
+	}
+	for id, h := range want {
+		if got := idx.handle(id); got != h {
+			t.Errorf("handle(%q) = %d, want %d", id, got, h)
+		}
+		var wantBlock *Block
+		if h != noHandle {
+			wantBlock = first[id]
+		}
+		if got := idx.Block(id); got != wantBlock {
+			t.Errorf("Block(%q) = %p, want %p", id, got, wantBlock)
+		}
+		if got := idx.BlockBytes([]byte(id)); id != "" && got != wantBlock {
+			t.Errorf("BlockBytes(%q) = %p, want %p", id, got, wantBlock)
+		}
+	}
+	for id, b := range first {
+		if got := idx.blockHandle(b); got != want[id] {
+			t.Errorf("blockHandle(%q's interned pointer) = %d, want %d", id, got, want[id])
+		}
+	}
+
+	// Every handle sits in exactly one slot of each table.
+	for name, tab := range map[string]*handleTable{"byID": idx.byID.Load(), "byBlock": idx.byBlock.Load()} {
+		count := make([]int, idx.Len())
+		for i := range tab.slots {
+			if s := tab.slots[i].Load(); s != 0 {
+				if int(s-1) >= len(count) {
+					t.Fatalf("%s slot %d holds handle %d, Len %d", name, i, s-1, idx.Len())
+				}
+				count[s-1]++
+			}
+		}
+		for h, c := range count {
+			if c != 1 {
+				t.Fatalf("%s holds handle %d %d times", name, h, c)
+			}
+		}
+		if 2*idx.Len() > len(tab.slots) {
+			t.Fatalf("%s holds %d handles in %d slots, more than half full", name, idx.Len(), len(tab.slots))
+		}
+	}
+
+	if idx.BlockBytes(nil) != nil || idx.BlockBytes([]byte{}) != nil {
+		t.Fatal("BlockBytes of no bytes found a block")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { idx.BlockBytes(nil); idx.BlockBytes([]byte{}) }); allocs != 0 {
+		t.Fatalf("BlockBytes of no bytes allocates %.0f times", allocs)
+	}
+
+	b := first[chainAndForks(100)[50].ID]
+	cp := *b
+	if idx.blockHandle(&cp) != noHandle {
+		t.Fatal("a struct copy hit byBlock")
+	}
+	if r := idx.resolve(&cp); r.h != want[b.ID] || r.parent != want[b.Parent] {
+		t.Fatalf("the copy resolves to (%d, parent %d), want (%d, %d)", r.h, r.parent, want[b.ID], want[b.Parent])
+	}
+	twin := *b
+	twin.Parent = "x"
+	if r := idx.resolve(&twin); r.h != want[b.ID] || r.parent != want["x"] {
+		t.Fatalf("a twin under x resolves to (%d, parent %d), want (%d, %d)", r.h, r.parent, want[b.ID], want["x"])
+	}
+	twin.Parent = "y"
+	if r := idx.resolve(&twin); r.h != want[b.ID] || r.parent != noHandle {
+		t.Fatalf("a twin under a never-interned parent resolves to (%d, parent %d), want (%d, none)", r.h, r.parent, want[b.ID])
+	}
 }

@@ -25,16 +25,17 @@ import (
 // (NewTreeOn; NewTree gives a lone tree a private one), which keeps each
 // block's parent and child list once, and a Tree is the set of blocks one
 // process has received — a bit per handle. A block's children in a tree
-// are its shared child list filtered by the bitset, read without the
-// index's lock (Index invariants (iv)–(vi)). Where the copy a tree
+// are its shared child list filtered by the bitset, read without a lock
+// (Index invariants (iv)–(vi)). Where the copy a tree
 // attached is not the entry's block under the entry's parent — a same-ID
 // twin naming another parent (invariant (ii)), a WithToken copy, a tcp
 // frame decoded before the block was first interned — the tree keeps it
 // in a side table, and a twin, which its parent's shared list does not
 // hold, in a second; both are nil on every simulated run. Pointer
 // identity decides, not equal fields: Token is outside the ID and k-Fork
-// Coherence groups by it. Attach resolves the block's ID once (Resolve:
-// one read-locked lookup, warm across the replicas of a run), sets a bit
+// Coherence groups by it. Attach resolves the block once (Resolve: a
+// lock-free lookup by pointer, then by ID, warm across the replicas of a
+// run), sets a bit
 // — allocating only a bitset word where the handle needs one — and
 // maintains what lets the selection function f (select.go) never rescan
 // the tree:
@@ -212,7 +213,7 @@ func (t *Tree) Block(id BlockID) *Block {
 // Has reports whether the tree contains a block with the given ID.
 func (t *Tree) Has(id BlockID) bool { return t.find(id) != noHandle }
 
-// Resolve looks b's ID up in the tree's index, once: the replica's
+// Resolve looks b up in the tree's index, once: the replica's
 // delivery path resolves a block on receipt and then asks Holds,
 // HoldsParent and AttachResolved by handle. b must not be nil.
 func (t *Tree) Resolve(b *Block) Ref { return t.idx.resolve(b) }
