@@ -206,7 +206,9 @@ func startProfiles(cpu, mutex string) (stop func()) {
 	return func() {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
-			cpuFile.Close()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "live:", err)
+			}
 		}
 		if mutex == "" {
 			return
@@ -214,7 +216,9 @@ func startProfiles(cpu, mutex string) (stop func()) {
 		f, err := os.Create(mutex)
 		if err == nil {
 			err = pprof.Lookup("mutex").WriteTo(f, 0)
-			f.Close()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "live:", err)

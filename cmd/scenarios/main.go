@@ -335,8 +335,11 @@ func writeProfile(name, path string) {
 		fmt.Fprintln(os.Stderr, "scenarios:", err)
 		return
 	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
+	err = pprof.Lookup(name).WriteTo(f, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "scenarios:", err)
 	}
 }
