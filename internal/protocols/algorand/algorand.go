@@ -142,29 +142,26 @@ func Run(cfg protocols.Config) *protocols.Result {
 	}
 
 	roundLen := cfg.Delta*6 + 2
-	for r := 0; r < cfg.Rounds; r++ {
-		round := r
-		sim.Schedule(int64(round)*roundLen+1, func() {
-			if !cfg.Tick(round, sim.Now()) {
-				return
-			}
-			st := stateOf(round)
-			// Sortition: committee members weighted by stake,
-			// the first pick is the highest-priority proposer.
-			proposer := weightedPick()
-			st.committee[proposer] = true
-			for len(st.committee) < committee {
-				st.committee[weightedPick()] = true
-			}
-			head := group.Procs[proposer].SelectedHead()
-			b, _ := h.Def.Token(orc, merits[proposer], head, proposer, round, protocols.CoinbasePayload(proposer, round))
-			if b == nil {
-				return
-			}
-			stats["proposals"]++
-			nets[proposer].Broadcast(proposal{Round: round, Block: b})
-		})
-	}
+	sim.Every(1, roundLen, cfg.Rounds, func(round int) {
+		if !cfg.Tick(round, sim.Now()) {
+			return
+		}
+		st := stateOf(round)
+		// Sortition: committee members weighted by stake,
+		// the first pick is the highest-priority proposer.
+		proposer := weightedPick()
+		st.committee[proposer] = true
+		for len(st.committee) < committee {
+			st.committee[weightedPick()] = true
+		}
+		head := group.Procs[proposer].SelectedHead()
+		b, _ := h.Def.Token(orc, merits[proposer], head, proposer, round, protocols.CoinbasePayload(proposer, round))
+		if b == nil {
+			return
+		}
+		stats["proposals"]++
+		nets[proposer].Broadcast(proposal{Round: round, Block: b})
+	})
 
 	h.ReadsEvery(cfg.ReadEvery, int64(cfg.Rounds)*roundLen)
 	return h.Finish()

@@ -91,15 +91,12 @@ func Run(cfg Config) *protocols.Result {
 	// built to measure. Only the orderer can equivocate on cuts,
 	// whichever process the configuration names.
 	equiv := h.Equivocator(orderer)
-	need := endorsers/2 + 1
+	need := int32(endorsers/2 + 1)
 
-	// Endorsement bookkeeping at each client: acks per submitted tx.
-	acks := make([]map[int]int, cfg.N)
-	sent := make([]map[int]bool, cfg.N)
-	for i := range acks {
-		acks[i] = make(map[int]int)
-		sent[i] = make(map[int]bool)
-	}
+	// Endorsement bookkeeping at the clients: acks per submitted tx, by
+	// its seq, which is unique across the run. A tx is forwarded when
+	// its count reaches need, and the acks that come later find it there.
+	acks := make([]int32, cfg.Rounds)
 
 	// Batch state at the orderer.
 	var (
@@ -144,12 +141,10 @@ func Run(cfg Config) *protocols.Result {
 					nets[id].Send(msg.Client, endorseAck{Client: msg.Client, Seq: msg.Seq})
 				}
 			case endorseAck:
-				if id != msg.Client || sent[id][msg.Seq] {
+				if id != msg.Client || acks[msg.Seq] >= need {
 					return
 				}
-				acks[id][msg.Seq]++
-				if acks[id][msg.Seq] >= need {
-					sent[id][msg.Seq] = true
+				if acks[msg.Seq]++; acks[msg.Seq] == need {
 					stats["ordered"]++
 					tx := core.Tx{From: 0, To: uint32(id + 1), Amount: uint32(msg.Seq%97 + 1)}
 					tob.Broadcast(id, tx)
@@ -184,24 +179,19 @@ func Run(cfg Config) *protocols.Result {
 		}
 	}
 
-	// Clients submit transactions periodically.
-	seq := 0
-	for t := int64(1); t <= int64(cfg.Rounds)*txInterval; t += txInterval {
-		tt := t
-		s := seq
-		sim.Schedule(tt, func() {
-			if !cfg.Tick(s, sim.Now()) {
-				return
-			}
-			client := int(tt) % cfg.N
-			stats["submitted"]++
-			req := endorseReq{Tx: core.Tx{From: 0, To: uint32(client + 1), Amount: 1}, Client: client, Seq: s}
-			for e := 0; e < endorsers; e++ {
-				nets[client].Send(e, req)
-			}
-		})
-		seq++
-	}
+	// Clients submit transactions periodically, transaction seq at time
+	// 1 + seq·txInterval. The request is boxed once for all endorsers.
+	sim.Every(1, txInterval, cfg.Rounds, func(seq int) {
+		if !cfg.Tick(seq, sim.Now()) {
+			return
+		}
+		client := int(1+int64(seq)*txInterval) % cfg.N
+		stats["submitted"]++
+		var req any = endorseReq{Tx: core.Tx{From: 0, To: uint32(client + 1), Amount: 1}, Client: client, Seq: seq}
+		for e := 0; e < endorsers; e++ {
+			nets[client].Send(e, req)
+		}
+	})
 
 	// Periodic reads.
 	h.ReadsEvery(cfg.ReadEvery, int64(cfg.Rounds)*txInterval+maxBatchDelay*2)

@@ -121,22 +121,20 @@ func (h *Harness) LotteryRounds() {
 	case adversary.Equivocate:
 		h.Equivocator(adv.ProcID(h.cfg.N))
 	}
-	for round := 0; round < h.cfg.Rounds; round++ {
-		h.Sim.Schedule(int64(round+1), func() {
-			if !h.cfg.Tick(round, h.Sim.Now()) {
-				return
-			}
-			for _, p := range h.Group.Procs {
-				h.mineTick(p, func(parent *core.Block) *core.Block {
-					b := h.Def.Mint(h.Oracle, h.Merit(p.ID), parent, p.ID, round, CoinbasePayload(p.ID, round))
-					if b != nil {
-						h.Stats["mined"]++
-					}
-					return b
-				})
-			}
-		})
-	}
+	h.Sim.Every(1, 1, h.cfg.Rounds, func(round int) {
+		if !h.cfg.Tick(round, h.Sim.Now()) {
+			return
+		}
+		for _, p := range h.Group.Procs {
+			h.mineTick(p, func(parent *core.Block) *core.Block {
+				b := h.Def.Mint(h.Oracle, h.Merit(p.ID), parent, p.ID, round, CoinbasePayload(p.ID, round))
+				if b != nil {
+					h.Stats["mined"]++
+				}
+				return b
+			})
+		}
+	})
 }
 
 // mineTick runs process p's tick under the wired strategy: the selfish
@@ -165,9 +163,11 @@ func (h *Harness) mineTick(p *replica.Process, mint adversary.Mint) {
 // ReadsEvery schedules a read() at every process from cfg.ReadEvery on,
 // each step units of virtual time, up to until.
 func (h *Harness) ReadsEvery(step, until int64) {
-	for t := h.cfg.ReadEvery; t <= until; t += step {
-		h.Sim.Schedule(t, h.readAll)
+	first := h.cfg.ReadEvery
+	if first > until {
+		return
 	}
+	h.Sim.Every(first, step, int((until-first)/step)+1, func(int) { h.readAll() })
 }
 
 func (h *Harness) readAll() {

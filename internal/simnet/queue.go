@@ -162,3 +162,11 @@ func (q *queue) pop() event {
 	q.keys = h
 	return e
 }
+
+// peekSeq returns the seq of the earliest event of a non-empty queue: the
+// head of the first key's run, which a part-drained run has moved past
+// the key's own seq.
+func (q *queue) peekSeq() int64 {
+	s := q.runs[q.keys[0].run].head
+	return q.pages[s>>pageShift].ev[s&pageMask].seq
+}

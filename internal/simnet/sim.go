@@ -56,6 +56,14 @@ type Sim struct {
 	rng     *tape.RNG
 	stepped int
 
+	// Pending Every series (every.go), their occurrences still to fire,
+	// and, while any is pending, the earliest of those: series[due], at
+	// (dueTime, dueSeq).
+	series          []series
+	occurrences     int
+	due             int
+	dueTime, dueSeq int64
+
 	// metrics/tracer, when non-nil, observe the run (observe.go). Both
 	// are strictly passive: they never schedule, draw randomness, or
 	// mutate simulation state. curSeq is the sequence number of the
@@ -88,7 +96,8 @@ func (s *Sim) schedule(delay int64, e event) {
 }
 
 // Schedule runs fn after delay virtual time units (delay 0 runs at the
-// current time, after already-queued same-time events).
+// current time, after already-queued same-time events). A timer that
+// fires again and again is one Every call, not a loop of Schedule calls.
 func (s *Sim) Schedule(delay int64, fn func()) {
 	s.schedule(delay, event{kind: evTimer, fn: fn})
 }
@@ -99,8 +108,22 @@ func (s *Sim) At(t int64, fn func()) {
 	s.Schedule(d, fn)
 }
 
-// step pops and executes the earliest event.
+// peek returns the time of the earliest pending event or occurrence of
+// a simulator with one pending.
+func (s *Sim) peek() int64 {
+	if s.occurrences == 0 || s.pq.len() > 0 && s.pq.peek() < s.dueTime {
+		return s.pq.peek()
+	}
+	return s.dueTime
+}
+
+// step executes the earliest pending event or occurrence.
 func (s *Sim) step() {
+	if s.occurrences > 0 && s.occurrenceFirst() {
+		s.fire()
+		s.stepped++
+		return
+	}
 	e := s.pq.pop()
 	s.now = e.time
 	s.curSeq = e.seq
@@ -119,9 +142,9 @@ func (s *Sim) step() {
 // than until. It returns the number of events executed.
 func (s *Sim) Run(until int64) int {
 	n := 0
-	for s.pq.len() > 0 && s.pq.peek() <= until {
+	for s.Pending() > 0 && s.peek() <= until {
 		if s.metrics != nil {
-			s.metrics.Tick(s.pq.peek())
+			s.metrics.Tick(s.peek())
 		}
 		s.step()
 		n++
@@ -139,9 +162,9 @@ func (s *Sim) Run(until int64) int {
 // finite: every protocol run is bounded by construction).
 func (s *Sim) RunUntilIdle() int {
 	n := 0
-	for s.pq.len() > 0 {
+	for s.Pending() > 0 {
 		if s.metrics != nil {
-			s.metrics.Tick(s.pq.peek())
+			s.metrics.Tick(s.peek())
 		}
 		s.step()
 		n++
@@ -149,8 +172,9 @@ func (s *Sim) RunUntilIdle() int {
 	return n
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.pq.len() }
+// Pending returns the number of queued events plus the occurrences of
+// Every series still to fire.
+func (s *Sim) Pending() int { return s.pq.len() + s.occurrences }
 
 // DelayModel decides the delivery delay of each message, defining the
 // synchrony assumption of Section 4.2.

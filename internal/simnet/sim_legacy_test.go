@@ -3,6 +3,7 @@ package simnet
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/tape"
@@ -60,12 +61,16 @@ func (s *legacySim) schedule(delay int64, fn func()) {
 	heap.Push(&s.pq, &legacyEvent{time: s.now + delay, seq: s.seq, fn: fn})
 }
 
-func (s *legacySim) runUntilIdle() {
-	for len(s.pq) > 0 {
+func (s *legacySim) runUntilIdle() { s.run(math.MaxInt64) }
+
+// run executes events up to time until, like Sim.Run.
+func (s *legacySim) run(until int64) {
+	for len(s.pq) > 0 && s.pq[0].time <= until {
 		e := heap.Pop(&s.pq).(*legacyEvent)
 		s.now = e.time
 		e.fn()
 	}
+	s.now = max(s.now, until)
 }
 
 // legacyNet replays the old Network.Send logic (delivery as a capturing
@@ -104,32 +109,114 @@ func (nw *legacyNet) send(from, to int, payload any) {
 	})
 }
 
-// schedProgram describes one deterministic message workload: a mix of
-// point-to-point sends and broadcasts at varying submission times.
+// schedProgram describes one deterministic workload: point-to-point
+// sends and broadcasts at varying submission times, periodic series
+// that send as they fire, and the times at which the run is stopped
+// (Run(until)) before it drains.
+type schedProgram struct {
+	steps  []schedStep
+	series []schedSeries
+	stops  []int64
+}
+
 type schedStep struct {
 	at       int64
 	from, to int // to < 0 means broadcast
 	payload  int
 }
 
-func buildProgram(seed uint64, n, steps int) []schedStep {
+// schedSeries is a periodic timer: count occurrences, first + k·step
+// after it is set up. It is set up before the run, or, when after > 0,
+// once the run has stopped at stops[after-1]. Occurrence k sends from
+// process from to process k mod n; a nested series also schedules, from
+// inside the occurrence, a delay-0 timer that sends back.
+type schedSeries struct {
+	first, step int64
+	count       int
+	from        int
+	after       int
+	nested      bool
+}
+
+func buildProgram(seed uint64, n, steps int) schedProgram {
 	rng := tape.NewRNG(seed ^ 0x5eed)
-	out := make([]schedStep, steps)
-	for i := range out {
+	var prog schedProgram
+	prog.steps = make([]schedStep, steps)
+	for i := range prog.steps {
 		st := schedStep{at: int64(rng.Intn(40)), from: rng.Intn(n), payload: i}
 		if rng.Intn(4) == 0 {
 			st.to = -1
 		} else {
 			st.to = rng.Intn(n)
 		}
-		out[i] = st
+		prog.steps[i] = st
 	}
-	return out
+	// Two series with one shape fire at equal times, and at times the
+	// sends' deliveries land on; the others fire at their own pace, one
+	// from inside the run.
+	first, step := int64(1+rng.Intn(3)), int64(1+rng.Intn(4))
+	prog.series = []schedSeries{
+		{first: first, step: step, count: 12, from: rng.Intn(n)},
+		{first: first, step: step, count: 9, from: rng.Intn(n), nested: true},
+		{first: 0, step: 5, count: 7, from: rng.Intn(n), nested: true},
+		{first: int64(rng.Intn(6)), step: int64(2 + rng.Intn(3)), count: 10, from: rng.Intn(n), after: 1},
+		{first: 0, step: 0, count: 1, from: rng.Intn(n), after: 2},
+	}
+	prog.stops = []int64{int64(5 + rng.Intn(10)), int64(20 + rng.Intn(10))}
+	return prog
+}
+
+// seriesPayload names occurrence k of series i; the nested timer's send
+// carries the same name, negated.
+func seriesPayload(i, k int, nested bool) int {
+	p := 1_000_000 + 1000*i + k
+	if nested {
+		return -p
+	}
+	return p
+}
+
+// runProgram sets up prog's sends and series on a scheduler and runs it
+// to its stops and then to idle. every sets up a series: Sim.Every on
+// the production scheduler, a loop of schedule calls on the legacy one.
+func runProgram(prog schedProgram, n int, schedule func(int64, func()), every func(first, step int64, count int, fn func(k int)),
+	run func(int64), send func(from, to, payload int)) {
+	for _, st := range prog.steps {
+		st := st
+		schedule(st.at, func() {
+			if st.to < 0 {
+				for to := 0; to < n; to++ {
+					send(st.from, to, st.payload)
+				}
+			} else {
+				send(st.from, st.to, st.payload)
+			}
+		})
+	}
+	setUp := func(after int) {
+		for i, sr := range prog.series {
+			if sr.after != after {
+				continue
+			}
+			every(sr.first, sr.step, sr.count, func(k int) {
+				send(sr.from, k%n, seriesPayload(i, k, false))
+				if sr.nested {
+					schedule(0, func() { send(k%n, sr.from, seriesPayload(i, k, true)) })
+				}
+			})
+		}
+	}
+	setUp(0)
+	for i, until := range prog.stops {
+		run(until)
+		setUp(i + 1)
+	}
+	run(math.MaxInt64)
 }
 
 // runNew drives the production Sim/Network with the program and returns
 // the delivery trace.
-func runNew(seed uint64, n int, prog []schedStep, fifo bool, mkDrop func() DropRule, model DelayModel) []string {
+func runNew(seed uint64, n int, prog schedProgram, fifo bool, mkDrop func() DropRule, model DelayModel) []string {
 	var trace []string
 	s := NewSim(seed)
 	nw := NewNetwork(s, n, model)
@@ -144,23 +231,20 @@ func runNew(seed uint64, n int, prog []schedStep, fifo bool, mkDrop func() DropR
 			trace = append(trace, fmt.Sprintf("t=%d %d→%d %v", s.Now(), m.From, m.To, m.Payload))
 		})
 	}
-	for _, st := range prog {
-		st := st
-		s.Schedule(st.at, func() {
-			if st.to < 0 {
-				nw.Broadcast(st.from, st.payload)
-			} else {
-				nw.Send(st.from, st.to, st.payload)
-			}
-		})
-	}
-	s.RunUntilIdle()
+	runProgram(prog, n, s.Schedule, s.Every, func(until int64) {
+		if until == math.MaxInt64 {
+			s.RunUntilIdle()
+		} else {
+			s.Run(until)
+		}
+	}, func(from, to, payload int) { nw.Send(from, to, payload) })
 	return trace
 }
 
 // runLegacy drives the preserved old scheduler+send path with the same
-// program and returns its delivery trace.
-func runLegacy(seed uint64, n int, prog []schedStep, fifo bool, mkDrop func() DropRule, model DelayModel) []string {
+// program, each series expanded into its loop of schedule calls, and
+// returns its delivery trace.
+func runLegacy(seed uint64, n int, prog schedProgram, fifo bool, mkDrop func() DropRule, model DelayModel) []string {
 	var trace []string
 	s := newLegacySim(seed)
 	drop := DropRule(DropNone)
@@ -168,26 +252,20 @@ func runLegacy(seed uint64, n int, prog []schedStep, fifo bool, mkDrop func() Dr
 		drop = mkDrop()
 	}
 	nw := &legacyNet{sim: s, n: n, delay: model, drop: drop, fifo: fifo, last: map[[2]int]int64{}, trace: &trace}
-	for _, st := range prog {
-		st := st
-		s.schedule(st.at, func() {
-			if st.to < 0 {
-				for to := 0; to < n; to++ {
-					nw.send(st.from, to, st.payload)
-				}
-			} else {
-				nw.send(st.from, st.to, st.payload)
-			}
-		})
+	every := func(first, step int64, count int, fn func(k int)) {
+		for k := 0; k < count; k++ {
+			s.schedule(first+int64(k)*step, func() { fn(k) })
+		}
 	}
-	s.runUntilIdle()
+	runProgram(prog, n, s.schedule, every, s.run, func(from, to, payload int) { nw.send(from, to, payload) })
 	return trace
 }
 
 // TestSchedulerDifferentialOrder pins the scheduler against
 // the legacy closure heap: identical seeds and programs must yield
 // byte-identical delivery traces across synchrony models, with and
-// without FIFO links.
+// without FIFO links. The programs' periodic series run as Sim.Every
+// here and as schedule loops there.
 func TestSchedulerDifferentialOrder(t *testing.T) {
 	models := []DelayModel{
 		Synchronous{Delta: 1},
