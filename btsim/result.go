@@ -90,22 +90,39 @@ func (r *Result) Chain(replica int) core.Chain {
 // event, every replica tree, and the fault/adversary event log — into
 // w, in a fixed order shared with the scenario layer's pinned digests.
 func (r *Result) DigestInto(w io.Writer) {
-	io.WriteString(w, r.History.String())
+	sw, ok := w.(io.StringWriter)
+	if !ok {
+		sw = &stringWriter{w: w}
+	}
+	sw.WriteString(r.History.String())
 	for _, op := range r.History.Ops {
-		io.WriteString(w, op.String())
+		sw.WriteString(op.String())
 	}
 	for e := range r.History.Events() {
-		io.WriteString(w, e.String())
+		sw.WriteString(e.String())
 	}
 	for _, t := range r.Trees {
 		for _, b := range t.Blocks() {
-			io.WriteString(w, string(b.ID))
-			io.WriteString(w, string(b.Parent))
+			sw.WriteString(string(b.ID))
+			sw.WriteString(string(b.Parent))
 		}
 	}
 	for _, e := range r.FaultEvents {
-		io.WriteString(w, e.String())
+		sw.WriteString(e.String())
 	}
+}
+
+// stringWriter writes strings to a writer that has no WriteString, such
+// as an fnv hash, through one reused buffer, where io.WriteString would
+// copy every string into a fresh []byte. The bytes written are the same.
+type stringWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+func (s *stringWriter) WriteString(str string) (int, error) {
+	s.buf = append(s.buf[:0], str...)
+	return s.w.Write(s.buf)
 }
 
 // Digest is the replay digest: identical (system, options, seed)

@@ -41,6 +41,7 @@ type (
 		Tx     core.Tx
 		Client int
 		Seq    int
+		Ack    any // the endorseAck every endorser answers with, boxed once
 	}
 	endorseAck struct {
 		Client int
@@ -138,7 +139,7 @@ func Run(cfg Config) *protocols.Result {
 			case endorseReq:
 				if id < endorsers {
 					stats["endorsements"]++
-					nets[id].Send(msg.Client, endorseAck{Client: msg.Client, Seq: msg.Seq})
+					nets[id].Send(msg.Client, msg.Ack)
 				}
 			case endorseAck:
 				if id != msg.Client || acks[msg.Seq] >= need {
@@ -180,14 +181,16 @@ func Run(cfg Config) *protocols.Result {
 	}
 
 	// Clients submit transactions periodically, transaction seq at time
-	// 1 + seq·txInterval. The request is boxed once for all endorsers.
+	// 1 + seq·txInterval. The request, and the ack it asks for, are each
+	// boxed once for all endorsers.
 	sim.Every(1, txInterval, cfg.Rounds, func(seq int) {
 		if !cfg.Tick(seq, sim.Now()) {
 			return
 		}
 		client := int(1+int64(seq)*txInterval) % cfg.N
 		stats["submitted"]++
-		var req any = endorseReq{Tx: core.Tx{From: 0, To: uint32(client + 1), Amount: 1}, Client: client, Seq: seq}
+		var req any = endorseReq{Tx: core.Tx{From: 0, To: uint32(client + 1), Amount: 1}, Client: client, Seq: seq,
+			Ack: endorseAck{Client: client, Seq: seq}}
 		for e := 0; e < endorsers; e++ {
 			nets[client].Send(e, req)
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -111,6 +112,34 @@ func TestRunIsDeterministic(t *testing.T) {
 	c := spec.MustRun(7)
 	if c.Digest == a.Digest {
 		t.Fatalf("different seeds collided on digest %s", a.Digest)
+	}
+}
+
+// TestDigestIntoAllocatesOnlyRenderings bounds the replay fold's
+// allocations on one catalogue run: hashing the run allocates at most 8
+// times more than rendering the strings it hashes (the hash, the string
+// adapter and its buffer's growth), not once more per string, as
+// io.WriteString into an fnv hash did (1 158 more on this run).
+func TestDigestIntoAllocatesOnlyRenderings(t *testing.T) {
+	r := ByName("bitcoin/partition-heal").MustRun(0).Res
+	render := testing.AllocsPerRun(3, func() {
+		_ = r.History.String()
+		for _, op := range r.History.Ops {
+			_ = op.String()
+		}
+		for e := range r.History.Events() {
+			_ = e.String()
+		}
+		for _, tr := range r.Trees {
+			_ = tr.Blocks()
+		}
+		for _, e := range r.FaultEvents {
+			_ = e.String()
+		}
+	})
+	digest := testing.AllocsPerRun(3, func() { r.DigestInto(fnv.New64a()) })
+	if digest > render+8 {
+		t.Fatalf("DigestInto allocates %.0f times, rendering its strings %.0f", digest, render)
 	}
 }
 

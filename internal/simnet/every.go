@@ -87,7 +87,7 @@ func (s *Sim) fire() {
 	s.occurrences--
 	s.findDue()
 	if s.tracer != nil {
-		s.traceExec(&event{time: s.now, seq: s.curSeq, kind: evTimer})
+		s.traceExec(s.curSeq, -1)
 	}
 	fn(k)
 }

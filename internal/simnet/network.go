@@ -177,21 +177,25 @@ func (nw *Network) SetFIFO(on bool) {
 // Send transmits payload from from to to. Loopback (from == to) is
 // delivered with delay 0 — a process always receives its own broadcast,
 // which is how the LRC Validity property is realized.
-func (nw *Network) Send(from, to int, payload any) {
+func (nw *Network) Send(from, to int, payload any) { nw.send(from, to, payload, -1) }
+
+// send is Send with the record the message rides on: rec, which takes
+// one more reference, or a record filed for it when rec is −1. It returns
+// that record, or rec again when the message is lost.
+func (nw *Network) send(from, to int, payload any, rec int32) int32 {
 	if to < 0 || to >= nw.n {
 		panic(fmt.Sprintf("simnet: send to unknown process %d", to))
 	}
-	m := Message{From: from, To: to, Payload: payload}
 	nw.sent++
 	if nw.down[from] {
 		// A crashed process sends nothing. Timers are suppressed at the
 		// harness layer, so this is defense in depth for late callbacks.
 		nw.lose("crashloss", from, to)
-		return
+		return rec
 	}
-	if from != to && nw.drop(m) {
+	if from != to && nw.drop(Message{From: from, To: to, Payload: payload}) {
 		nw.lose("drop", from, to)
-		return
+		return rec
 	}
 	var d int64
 	if from != to {
@@ -214,7 +218,7 @@ func (nw *Network) Send(from, to int, payload any) {
 				resolved, ok := nw.sched.DeliveryTime(at, from, to)
 				if !ok {
 					nw.lose("partloss", from, to)
-					return
+					return rec
 				}
 				if resolved != at {
 					at = resolved
@@ -243,15 +247,21 @@ func (nw *Network) Send(from, to int, payload any) {
 		}
 		d = at - now
 	}
-	// Flat delivery event: the message rides in the heap entry itself,
-	// so the hot send path performs no closure or node allocation.
-	nw.sim.schedule(d, event{kind: evDeliver, nw: nw, msg: m})
+	// The slot names the record and the recipient: the send performs no
+	// closure or node allocation, and a broadcast's sends share a record.
+	if rec < 0 {
+		rec = nw.sim.recs.file(record{nw: nw, payload: payload, from: int32(from)})
+	} else {
+		nw.sim.recs.ref(rec)
+	}
+	nw.sim.schedule(d, int32(to), rec)
 	if tr := nw.sim.tracer; tr != nil && tr.Sampled(trace.KSend, nw.sim.seq) {
 		tr.Emit(trace.Event{
 			VT: nw.sim.now, Seq: nw.sim.seq, Kind: trace.KSend, P: from,
 			Detail: fmt.Sprintf("->%d", to),
 		})
 	}
+	return rec
 }
 
 // deliver runs the delivery of m at its destination (called by the
@@ -283,10 +293,13 @@ func (nw *Network) lose(kind string, from, to int) {
 
 // Broadcast sends payload from from to every process, itself included
 // (best-effort flooding; reliability properties are what the checkers
-// measure, not what the primitive promises).
+// measure, not what the primitive promises). Its sends run exactly as n
+// Send calls would, but every delivery they schedule shares one record;
+// a broadcast whose every send is lost files none.
 func (nw *Network) Broadcast(from int, payload any) {
+	rec := int32(-1)
 	for to := 0; to < nw.n; to++ {
-		nw.Send(from, to, payload)
+		rec = nw.send(from, to, payload, rec)
 	}
 }
 

@@ -35,15 +35,16 @@ func (s *Sim) SetMetrics(reg *metrics.Registry) {
 // SetTrace attaches a tracer. Call before the run starts.
 func (s *Sim) SetTrace(tr *trace.Tracer) { s.tracer = tr }
 
-// traceExec records the execution of an event.
-func (s *Sim) traceExec(e *event) {
+// traceExec records the execution, now, of the event stamped seq: a
+// delivery to process to, or a timer when to is −1.
+func (s *Sim) traceExec(seq int64, to int32) {
 	tr := s.tracer
-	if e.kind == evDeliver {
-		if tr.Sampled(trace.KDeliver, e.seq) {
-			tr.Emit(trace.Event{VT: e.time, Seq: e.seq, Kind: trace.KDeliver, P: e.msg.To})
+	if to >= 0 {
+		if tr.Sampled(trace.KDeliver, seq) {
+			tr.Emit(trace.Event{VT: s.now, Seq: seq, Kind: trace.KDeliver, P: int(to)})
 		}
-	} else if tr.Sampled(trace.KTimer, e.seq) {
-		tr.Emit(trace.Event{VT: e.time, Seq: e.seq, Kind: trace.KTimer, P: -1})
+	} else if tr.Sampled(trace.KTimer, seq) {
+		tr.Emit(trace.Event{VT: s.now, Seq: seq, Kind: trace.KTimer, P: -1})
 	}
 }
 

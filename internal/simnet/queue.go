@@ -4,10 +4,10 @@ package simnet
 // time form runs: FIFO lists linked through their slots. A binary min-heap
 // orders the runs by pointer-free (time, seq of the run's first event,
 // run) keys, one key per run, so a pop sifts only when it empties a run
-// and a push only when it opens one. Sifting moves 24-byte keys the
-// garbage collector never looks at, while the 72-byte events, which carry
-// the callback, network and payload pointers, are written once on push
-// and once on pop.
+// and a push only when it opens one. A slot is 16 pointer-free bytes, its
+// time held by its run: the callback, network and payload it runs live in
+// a record (records, below) that every delivery of one broadcast shares,
+// so the collector scans neither the keys nor the slot pages.
 //
 // Pushes must carry ascending seq, as Sim.schedule hands them out; times
 // may come in any order. pop then yields exact (time, seq) order: a run
@@ -19,7 +19,7 @@ type queue struct {
 	keys     []qkey  // min-heap, one key per open run
 	runs     []run   // run pool
 	freeRuns []int32 // closed runs, reused before the pool grows
-	pages    []*page // event slots, added a page at a time; a page never moves
+	pages    []*page // slots, added a page at a time; a page never moves
 	freeSlot int32   // head of the free slot list, linked through next
 	n        int     // queued events; the other slots are free
 	// finder holds run+1 of the newest open run of some time t at
@@ -31,12 +31,20 @@ const (
 	finderLen  = 16
 	finderMask = finderLen - 1
 	pageShift  = 9
-	pageLen    = 1 << pageShift // events per page
+	pageLen    = 1 << pageShift // slots per page
 	pageMask   = pageLen - 1
 )
 
+// slot is one queued event: its seq, the process a delivery goes to (−1
+// for a timer) and the index of the record it runs.
+type slot struct {
+	seq int64
+	to  int32
+	rec int32
+}
+
 type page struct {
-	ev   [pageLen]event
+	ev   [pageLen]slot
 	next [pageLen]int32 // next slot of the run, or of the free list
 }
 
@@ -64,9 +72,9 @@ func (q *queue) len() int { return q.n }
 // peek returns the time of the earliest event of a non-empty queue.
 func (q *queue) peek() int64 { return q.keys[0].time }
 
-// push inserts e. Steady state allocates nothing: slots, runs and keys are
-// reused, and each grows only with the peak it has to hold.
-func (q *queue) push(e event) {
+// push queues e at time t. Steady state allocates nothing: slots, runs and
+// keys are reused, and each grows only with the peak it has to hold.
+func (q *queue) push(t int64, e slot) {
 	if q.n == len(q.pages)<<pageShift {
 		q.grow()
 	}
@@ -76,8 +84,8 @@ func (q *queue) push(e event) {
 	p.ev[s&pageMask] = e
 	q.n++
 
-	f := &q.finder[e.time&finderMask]
-	if r := *f - 1; r >= 0 && q.runs[r].time == e.time {
+	f := &q.finder[t&finderMask]
+	if r := *f - 1; r >= 0 && q.runs[r].time == t {
 		ru := &q.runs[r]
 		q.pages[ru.tail>>pageShift].next[ru.tail&pageMask] = s
 		ru.tail = s
@@ -91,9 +99,9 @@ func (q *queue) push(e event) {
 		r = int32(len(q.runs))
 		q.runs = append(q.runs, run{})
 	}
-	q.runs[r] = run{time: e.time, head: s, tail: s}
+	q.runs[r] = run{time: t, head: s, tail: s}
 	*f = r + 1
-	h := append(q.keys, qkey{time: e.time, seq: e.seq, run: r})
+	h := append(q.keys, qkey{time: t, seq: e.seq, run: r})
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -117,21 +125,21 @@ func (q *queue) grow() {
 	q.freeSlot = base
 }
 
-// pop removes and returns the earliest event of a non-empty queue.
-func (q *queue) pop() event {
+// pop removes the earliest event of a non-empty queue and returns its
+// time and slot.
+func (q *queue) pop() (int64, slot) {
 	r := q.keys[0].run
 	ru := &q.runs[r]
-	s := ru.head
+	t, s := ru.time, ru.head
 	p := q.pages[s>>pageShift]
 	e := p.ev[s&pageMask]
-	p.ev[s&pageMask] = event{} // release fn/nw/payload references
 	next := p.next[s&pageMask]
 	p.next[s&pageMask] = q.freeSlot
 	q.freeSlot = s
 	q.n--
 	if s != ru.tail {
 		ru.head = next
-		return e
+		return t, e
 	}
 
 	// The run is empty: close it and sift its key out of the heap.
@@ -160,7 +168,7 @@ func (q *queue) pop() event {
 		i = min
 	}
 	q.keys = h
-	return e
+	return t, e
 }
 
 // peekSeq returns the seq of the earliest event of a non-empty queue: the
@@ -169,4 +177,73 @@ func (q *queue) pop() event {
 func (q *queue) peekSeq() int64 {
 	s := q.runs[q.keys[0].run].head
 	return q.pages[s>>pageShift].ev[s&pageMask].seq
+}
+
+// records holds what queued events run: a timer's callback, or a
+// message's network, payload and sender, shared by every slot of one
+// Broadcast. Records live in pages that never move, so a record's index
+// stays valid while the pool grows, and a freed record goes on a free
+// list linked through its page's next array.
+type records struct {
+	pages []*recPage
+	free  int32 // head of the free list
+	n     int   // records in use
+}
+
+const (
+	recShift   = 8
+	recPageLen = 1 << recShift // records per page
+	recMask    = recPageLen - 1
+)
+
+type record struct {
+	fn      func()   // a timer's callback
+	nw      *Network // a delivery's network
+	payload any
+	from    int32
+	refs    int32 // queued slots that run this record
+}
+
+type recPage struct {
+	r    [recPageLen]record
+	next [recPageLen]int32 // next record of the free list
+}
+
+// file stores r with one reference and returns its index.
+func (rs *records) file(r record) int32 {
+	if rs.n == len(rs.pages)<<recShift {
+		base := int32(len(rs.pages)) << recShift
+		p := new(recPage)
+		for i := range p.next {
+			p.next[i] = base + int32(i) + 1
+		}
+		rs.pages = append(rs.pages, p)
+		rs.free = base
+	}
+	i := rs.free
+	p := rs.pages[i>>recShift]
+	rs.free = p.next[i&recMask]
+	r.refs = 1
+	p.r[i&recMask] = r
+	rs.n++
+	return i
+}
+
+// ref adds a reference to record i, for one more slot that runs it.
+func (rs *records) ref(i int32) { rs.pages[i>>recShift].r[i&recMask].refs++ }
+
+// take returns a copy of record i for one of its slots, and frees the
+// record when that slot was its last, so the copy is all the caller may
+// use: a callback it runs may file a record under the same index.
+func (rs *records) take(i int32) record {
+	p := rs.pages[i>>recShift]
+	r := &p.r[i&recMask]
+	out := *r
+	if r.refs--; r.refs == 0 {
+		*r = record{} // release fn/nw/payload references
+		p.next[i&recMask] = rs.free
+		rs.free = i
+		rs.n--
+	}
+	return out
 }

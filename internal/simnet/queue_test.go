@@ -32,19 +32,20 @@ func (a stamp) before(b stamp) bool {
 
 func (m *queueModel) push(time int64) {
 	m.seq++
-	m.q.push(event{time: time, seq: m.seq, kind: evDeliver, msg: Message{To: int(m.seq)}})
+	m.q.push(time, slot{seq: m.seq, to: int32(m.seq), rec: int32(-m.seq)})
 	s := stamp{time, m.seq}
 	i := sort.Search(len(m.model), func(i int) bool { return s.before(m.model[i]) })
 	m.model = slices.Insert(m.model, i, s)
 }
 
 func (m *queueModel) pop(t testing.TB) {
-	got, want := m.q.pop(), m.model[0]
+	at, got := m.q.pop()
+	want := m.model[0]
 	m.model = m.model[1:]
-	m.last = got.time
-	if got.time != want.time || got.seq != want.seq || got.msg.To != int(want.seq) {
-		t.Fatalf("popped (t=%d seq=%d to=%d), want (t=%d seq=%d to=%d)",
-			got.time, got.seq, got.msg.To, want.time, want.seq, want.seq)
+	m.last = at
+	if at != want.time || got.seq != want.seq || got.to != int32(want.seq) || got.rec != int32(-want.seq) {
+		t.Fatalf("popped (t=%d seq=%d to=%d rec=%d), want (t=%d seq=%d to=%d rec=%d)",
+			at, got.seq, got.to, got.rec, want.time, want.seq, want.seq, -want.seq)
 	}
 	if m.q.len() != len(m.model) {
 		t.Fatalf("queue holds %d events, model %d", m.q.len(), len(m.model))
@@ -135,40 +136,45 @@ func FuzzQueueOrder(f *testing.F) {
 }
 
 // TestQueueSteadyStateAllocs: once the queue has reached its peak length,
-// pushing and popping allocates nothing — slots, runs, keys and the free
-// lists are all reused.
+// pushing and popping allocates nothing — slots, runs, keys, records and
+// the free lists are all reused.
 func TestQueueSteadyStateAllocs(t *testing.T) {
 	var q queue
+	var rs records
 	var seq int64
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			seq++
-			q.push(event{time: seq % 17, seq: seq, kind: evDeliver, msg: Message{Payload: seq}})
-		}
-	}
-	push(512)
-	for q.len() > 0 {
-		q.pop()
-	}
 	payload := any("p")
+	push := func() {
+		seq++
+		q.push(seq%17, slot{seq: seq, to: int32(seq % 5), rec: rs.file(record{payload: payload})})
+	}
+	pop := func() {
+		_, e := q.pop()
+		rs.take(e.rec)
+	}
+	for i := 0; i < 512; i++ {
+		push()
+	}
+	for q.len() > 0 {
+		pop()
+	}
 	avg := testing.AllocsPerRun(50, func() {
 		for i := 0; i < 512; i++ {
-			seq++
-			q.push(event{time: seq % 17, seq: seq, kind: evDeliver, msg: Message{Payload: payload}})
+			push()
 			if i%3 == 2 {
-				q.pop()
-				q.pop()
+				pop()
+				pop()
 			}
 		}
 		for q.len() > 0 {
-			q.pop()
+			pop()
 		}
 	})
 	if avg != 0 {
 		t.Fatalf("%.1f allocations per 512 push/pop cycle at steady state, want 0", avg)
 	}
-	if len(q.pages) != 1 {
-		t.Fatalf("%d pages for a peak of 512 queued events, want 1", len(q.pages))
+	if len(q.pages) != 1 || len(rs.pages) != 512/recPageLen || rs.n != 0 {
+		t.Fatalf("%d slot pages, %d record pages and %d records in use after a peak of 512 queued events, want 1, %d and 0",
+			len(q.pages), len(rs.pages), rs.n, 512/recPageLen)
 	}
 }
 
@@ -183,7 +189,7 @@ func TestQueueMemoryBoundedByPeak(t *testing.T) {
 	for cycle := int64(0); cycle < 6; cycle++ {
 		for q.len() < peak {
 			seq++
-			q.push(event{time: seq % (3 + 11*cycle), seq: seq})
+			q.push(seq%(3+11*cycle), slot{seq: seq})
 			openRuns = max(openRuns, len(q.keys))
 			if seq%5 == 0 {
 				q.pop()
@@ -201,42 +207,113 @@ func TestQueueMemoryBoundedByPeak(t *testing.T) {
 	}
 }
 
-// TestQueuePopReleasesReferences: a popped event's slot keeps no callback,
-// network or payload alive while it waits on the free list.
+// freeRecords walks the record pool's free list and fails unless it
+// holds every index not in use exactly once; it returns the set.
+func freeRecords(t *testing.T, rs *records) map[int32]bool {
+	t.Helper()
+	free := map[int32]bool{}
+	for i, k := rs.free, 0; k < len(rs.pages)<<recShift-rs.n; k++ {
+		if free[i] {
+			t.Fatalf("the free list reaches record %d twice", i)
+		}
+		free[i] = true
+		i = rs.pages[i>>recShift].next[i&recMask]
+	}
+	return free
+}
+
+// TestQueuePopReleasesReferences: a record lives while a queued slot
+// still runs it — a broadcast delivered to some of its recipients keeps
+// its record — and once its last slot pops it keeps no callback, network
+// or payload alive and its index is on the free list. A broadcast whose
+// every send is lost files no record.
 func TestQueuePopReleasesReferences(t *testing.T) {
-	var q queue
-	nw := &Network{}
-	q.push(event{time: 2, seq: 1, kind: evTimer, fn: func() {}})
-	q.push(event{time: 1, seq: 2, kind: evDeliver, nw: nw, msg: Message{Payload: "x"}})
-	q.push(event{time: 3, seq: 3, kind: evDeliver, nw: nw, msg: Message{Payload: "y"}})
-	if e := q.pop(); e.nw != nw || e.msg.Payload != "x" {
-		t.Fatalf("first pop %+v", e)
-	}
-	if e := q.pop(); e.fn == nil {
-		t.Fatalf("second pop %+v", e)
-	}
-	free := 0
-	for _, p := range q.pages {
-		for i := range p.ev {
-			s := &p.ev[i]
-			if s.seq == 3 {
-				continue // still queued
+	s := NewSim(1)
+	nw := NewNetwork(s, 3, Synchronous{Delta: 1}) // loopback at delay 0, the others at 1
+	delivered := 0
+	for p := 0; p < 3; p++ {
+		nw.AddHandler(p, func(m Message) {
+			if m.From != 0 || m.To != p || m.Payload != "x" {
+				t.Fatalf("process %d got %+v", p, m)
 			}
-			free++
-			if s.fn != nil || s.nw != nil || s.msg.Payload != nil {
-				t.Fatalf("released slot %d still references %+v", i, *s)
+			delivered++
+		})
+	}
+	s.Schedule(5, func() {})
+	nw.Broadcast(0, "x")
+	const timer, bc = 0, 1 // filing order
+	r := &s.recs.pages[0].r[bc]
+	if s.recs.n != 2 || r.refs != 3 || r.nw != nw || r.payload != "x" || s.recs.pages[0].r[timer].fn == nil {
+		t.Fatalf("%d records in use, broadcast record %+v", s.recs.n, *r)
+	}
+	s.Run(0)
+	if delivered != 1 || r.refs != 2 || r.nw != nw || r.payload != "x" {
+		t.Fatalf("after the loopback delivery: %d delivered, broadcast record %+v", delivered, *r)
+	}
+	s.Run(1)
+	if delivered != 3 || r.fn != nil || r.nw != nil || r.payload != nil || r.refs != 0 {
+		t.Fatalf("after the last delivery: %d delivered, broadcast record %+v", delivered, *r)
+	}
+	if free := freeRecords(t, &s.recs); !free[bc] || free[timer] || s.recs.n != 1 {
+		t.Fatalf("free list %v with %d records in use; want the broadcast's index free, the timer's in use", free, s.recs.n)
+	}
+	s.RunUntilIdle()
+	if t0 := s.recs.pages[0].r[timer]; t0.fn != nil || s.recs.n != 0 || len(freeRecords(t, &s.recs)) != recPageLen {
+		t.Fatalf("after the timer: record %+v, %d in use", t0, s.recs.n)
+	}
+
+	nw.Port(0).SetDown(true)
+	nw.Broadcast(0, "y")
+	if _, _, dropped := nw.Stats(); dropped != 3 || s.recs.n != 0 || s.Pending() != 0 {
+		t.Fatalf("a broadcast from a crashed process: %d dropped, %d records, %d pending", dropped, s.recs.n, s.Pending())
+	}
+}
+
+// TestBroadcastIsOneRecord: one broadcast to 512 processes queues 512
+// slots that all run one record, also when some of its sends are lost,
+// and at steady state a broadcast and its deliveries allocate nothing.
+func TestBroadcastIsOneRecord(t *testing.T) {
+	const n = 512
+	s := NewSim(1)
+	nw := NewNetwork(s, n, Synchronous{Delta: 4})
+	delivered := 0
+	for p := 0; p < n; p++ {
+		nw.AddHandler(p, func(m Message) {
+			if m.From != 7 || m.To != p || m.Payload != "b" {
+				t.Fatalf("process %d got %+v", p, m)
 			}
+			delivered++
+		})
+	}
+	nw.Broadcast(7, "b")
+	if s.Pending() != n || s.recs.n != 1 || len(s.recs.pages) != 1 || len(s.pq.pages) != n/pageLen {
+		t.Fatalf("%d pending in %d slot pages, %d records in %d pages; want %d, %d, 1, 1",
+			s.Pending(), len(s.pq.pages), s.recs.n, len(s.recs.pages), n, n/pageLen)
+	}
+	if refs := s.recs.pages[0].r[0].refs; refs != n {
+		t.Fatalf("the record has %d references, want %d", refs, n)
+	}
+	to := map[int32]bool{}
+	for _, p := range s.pq.pages {
+		for _, e := range p.ev {
+			if e.rec != 0 || to[e.to] {
+				t.Fatalf("slot %+v: a second record, or a second slot for its process", e)
+			}
+			to[e.to] = true
 		}
 	}
-	if free != pageLen-1 {
-		t.Fatalf("%d slots clear, want %d", free, pageLen-1)
+	if s.RunUntilIdle(); delivered != n || s.recs.n != 0 {
+		t.Fatalf("%d delivered, %d records left", delivered, s.recs.n)
 	}
-	onList := map[int32]bool{}
-	for s, k := q.freeSlot, 0; k < pageLen-1; k++ {
-		if onList[s] || q.pages[0].ev[s].seq == 3 {
-			t.Fatalf("free list reaches slot %d twice or reaches the queued slot", s)
-		}
-		onList[s] = true
-		s = q.pages[0].next[s]
+	payload := any("b")
+	if a := testing.AllocsPerRun(20, func() { nw.Broadcast(7, payload); s.RunUntilIdle() }); a != 0 {
+		t.Fatalf("%.1f allocations per broadcast and its %d deliveries, want 0", a, n)
+	}
+
+	// Sends lost before and between the queued ones do not split it.
+	nw.SetDrop(func(m Message) bool { return m.To%2 == 0 })
+	nw.Broadcast(7, "b")
+	if s.Pending() != n/2 || s.recs.n != 1 {
+		t.Fatalf("a broadcast with every even recipient dropped: %d pending, %d records", s.Pending(), s.recs.n)
 	}
 }

@@ -20,39 +20,14 @@ import (
 	"repro/internal/trace"
 )
 
-// eventKind tags the payload of a scheduled event.
-type eventKind uint8
-
-const (
-	// evTimer runs an arbitrary callback (harness scheduling).
-	evTimer eventKind = iota
-	// evDeliver delivers a message on a network (the hot path): the
-	// payload is carried inline so Send/Broadcast allocate nothing.
-	evDeliver
-)
-
-// event is one scheduled occurrence, stored by value in a queue slot
-// (queue.go). The payload is a tagged union: a timer callback or a
-// message delivery. Keeping events flat (no per-event heap node, no
-// delivery closure) is what makes the scheduler allocation-free on the
-// message path — the pre-rewrite scheduler allocated a heap node plus a
-// capturing closure per message (DESIGN.md ablation #6).
-type event struct {
-	time int64
-	seq  int64 // tiebreaker: FIFO among same-time events
-	kind eventKind
-	fn   func()   // evTimer payload
-	nw   *Network // evDeliver payload
-	msg  Message  // evDeliver payload
-}
-
 // Sim is the discrete-event scheduler. It is single-threaded: callbacks
 // run sequentially in virtual-time order, which makes every run
 // reproducible from its seed.
 type Sim struct {
 	now     int64
 	seq     int64
-	pq      queue // ordered by (time, seq)
+	pq      queue   // slots, ordered by (time, seq)
+	recs    records // what the queued slots run
 	rng     *tape.RNG
 	stepped int
 
@@ -84,22 +59,22 @@ func (s *Sim) Now() int64 { return s.now }
 // RNG returns the simulator's deterministic random stream.
 func (s *Sim) RNG() *tape.RNG { return s.rng }
 
-// schedule enqueues e after delay virtual-time units.
-func (s *Sim) schedule(delay int64, e event) {
+// schedule queues a slot that runs record rec (a delivery to process to,
+// or a timer when to is −1) after delay virtual-time units. The slot
+// holds one of rec's references.
+func (s *Sim) schedule(delay int64, to, rec int32) {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	e.time = s.now + delay
-	e.seq = s.seq
-	s.pq.push(e)
+	s.pq.push(s.now+delay, slot{seq: s.seq, to: to, rec: rec})
 }
 
 // Schedule runs fn after delay virtual time units (delay 0 runs at the
 // current time, after already-queued same-time events). A timer that
 // fires again and again is one Every call, not a loop of Schedule calls.
 func (s *Sim) Schedule(delay int64, fn func()) {
-	s.schedule(delay, event{kind: evTimer, fn: fn})
+	s.schedule(delay, -1, s.recs.file(record{fn: fn}))
 }
 
 // At schedules fn at absolute virtual time t (clamped to now).
@@ -124,16 +99,17 @@ func (s *Sim) step() {
 		s.stepped++
 		return
 	}
-	e := s.pq.pop()
-	s.now = e.time
+	t, e := s.pq.pop()
+	s.now = t
 	s.curSeq = e.seq
+	r := s.recs.take(e.rec)
 	if s.tracer != nil {
-		s.traceExec(&e)
+		s.traceExec(e.seq, e.to)
 	}
-	if e.kind == evDeliver {
-		e.nw.deliver(e.msg)
+	if e.to >= 0 {
+		r.nw.deliver(Message{From: int(r.from), To: int(e.to), Payload: r.payload})
 	} else {
-		e.fn()
+		r.fn()
 	}
 	s.stepped++
 }

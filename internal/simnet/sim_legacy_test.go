@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tape"
@@ -84,6 +85,7 @@ type legacyNet struct {
 	fifo  bool
 	last  map[[2]int]int64
 	trace *[]string
+	relay func(m Message) // when set, runs after each delivery is traced
 }
 
 func (nw *legacyNet) send(from, to int, payload any) {
@@ -106,7 +108,17 @@ func (nw *legacyNet) send(from, to int, payload any) {
 	}
 	nw.sim.schedule(d, func() {
 		*nw.trace = append(*nw.trace, fmt.Sprintf("t=%d %d→%d %v", nw.sim.now, m.From, m.To, m.Payload))
+		if nw.relay != nil {
+			nw.relay(m)
+		}
 	})
+}
+
+// broadcast is the old Broadcast: one send per process, itself included.
+func (nw *legacyNet) broadcast(from int, payload any) {
+	for to := 0; to < nw.n; to++ {
+		nw.send(from, to, payload)
+	}
 }
 
 // schedProgram describes one deterministic workload: point-to-point
@@ -179,15 +191,14 @@ func seriesPayload(i, k int, nested bool) int {
 // runProgram sets up prog's sends and series on a scheduler and runs it
 // to its stops and then to idle. every sets up a series: Sim.Every on
 // the production scheduler, a loop of schedule calls on the legacy one.
+// broadcast is Network.Broadcast there, a loop of sends here.
 func runProgram(prog schedProgram, n int, schedule func(int64, func()), every func(first, step int64, count int, fn func(k int)),
-	run func(int64), send func(from, to, payload int)) {
+	run func(int64), send func(from, to, payload int), broadcast func(from, payload int)) {
 	for _, st := range prog.steps {
 		st := st
 		schedule(st.at, func() {
 			if st.to < 0 {
-				for to := 0; to < n; to++ {
-					send(st.from, to, st.payload)
-				}
+				broadcast(st.from, st.payload)
 			} else {
 				send(st.from, st.to, st.payload)
 			}
@@ -237,7 +248,7 @@ func runNew(seed uint64, n int, prog schedProgram, fifo bool, mkDrop func() Drop
 		} else {
 			s.Run(until)
 		}
-	}, func(from, to, payload int) { nw.Send(from, to, payload) })
+	}, func(from, to, payload int) { nw.Send(from, to, payload) }, func(from, payload int) { nw.Broadcast(from, payload) })
 	return trace
 }
 
@@ -257,7 +268,8 @@ func runLegacy(seed uint64, n int, prog schedProgram, fifo bool, mkDrop func() D
 			s.schedule(first+int64(k)*step, func() { fn(k) })
 		}
 	}
-	runProgram(prog, n, s.schedule, every, s.run, func(from, to, payload int) { nw.send(from, to, payload) })
+	runProgram(prog, n, s.schedule, every, s.run, func(from, to, payload int) { nw.send(from, to, payload) },
+		func(from, payload int) { nw.broadcast(from, payload) })
 	return trace
 }
 
@@ -319,6 +331,142 @@ func TestSchedulerDifferentialWithDrops(t *testing.T) {
 			}
 		}
 	}
+}
+
+// broadcastScript is what a FuzzBroadcastOrder script drives: the
+// production network, or the legacy scheduler's send loop.
+type broadcastScript struct {
+	send      func(from, to, payload int)
+	broadcast func(from, payload int)
+	schedule  func(delay int64, fn func())
+	run       func(until int64)
+	now       func() int64
+}
+
+// relay is what a delivery of m does besides being traced: a first-hand
+// payload p (p > 0) is broadcast again by its recipient when p%3 == 0,
+// and sent back to its sender when p%3 == 1, as −p. Relayed payloads are
+// not relayed again.
+func relay(b *broadcastScript, m Message) {
+	switch p := m.Payload.(int); {
+	case p > 0 && p%3 == 0:
+		b.broadcast(m.To, -p)
+	case p > 0 && p%3 == 1:
+		b.send(m.To, m.From, -p)
+	}
+}
+
+// playBroadcastScript plays script's byte triples (op, x, y) on a
+// network of n processes; the payload of the triple at byte i is i+1.
+//
+//	op%4 == 0: Run(now + x%16)
+//	op%4 == 1: Send(x%n, y%n, …)
+//	op%4 == 2: Broadcast(x%n, …)
+//	op%4 == 3: Schedule(x%8, …) of a timer that broadcasts from y%n and,
+//	           when op/4 is odd, also sends from y%n to x%n
+//
+// Scripts are cut at 128 triples, and then run to idle.
+func playBroadcastScript(b *broadcastScript, n int, script []byte) {
+	for i := 0; i+2 < min(len(script), 3*128); i += 3 {
+		op, x, y := script[i], int(script[i+1]), int(script[i+2])
+		id := i + 1
+		switch op % 4 {
+		case 0:
+			b.run(b.now() + int64(x%16))
+		case 1:
+			b.send(x%n, y%n, id)
+		case 2:
+			b.broadcast(x%n, id)
+		case 3:
+			b.schedule(int64(x%8), func() {
+				b.broadcast(y%n, id)
+				if op/4%2 == 1 {
+					b.send(y%n, x%n, id)
+				}
+			})
+		}
+	}
+	b.run(math.MaxInt64)
+}
+
+// FuzzBroadcastOrder holds Broadcast's shared records to the legacy send
+// loop: a fuzz-chosen script of Broadcast, Send, Schedule and Run(until)
+// calls, with deliveries that broadcast or send again from inside their
+// handler, yields the legacy scheduler's delivery trace exactly. The
+// first byte picks 1–5 processes, FIFO links and δ; the second a DropNth
+// rule, over all messages or those to one process, so broadcasts are
+// partly dropped and FIFO bumps shift some of their deliveries. At idle
+// every record is back on the free list.
+func FuzzBroadcastOrder(f *testing.F) {
+	f.Add([]byte{0x1c, 3, 2, 0, 0, 1, 1, 2, 0, 2, 0, 0})          // FIFO, δ 2: two broadcasts, a send between, one dropped
+	f.Add([]byte{0x24, 200, 3, 1, 2, 2, 4, 0, 0, 3, 0, 7, 3, 2})  // a timer's broadcast, sends to one process dropped
+	f.Add([]byte{0x0b, 0, 2, 0, 0, 2, 1, 0, 0, 5, 0, 2, 2, 0, 0}) // broadcasts relayed from inside handlers, a stop mid-run
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) < 2 {
+			return
+		}
+		n, fifo, delta := 1+int(script[0]%5), script[0]&8 != 0, 1+int64(script[0]>>4%6)
+		c := int(script[1])
+		rule := func() DropRule {
+			if c >= 128 {
+				return DropNth(c%8, DropToProcess(c/8%n))
+			}
+			return DropNth(c%32, nil)
+		}
+		script = script[2:]
+
+		var got []string
+		s := NewSim(1)
+		nw := NewNetwork(s, n, Synchronous{Delta: delta})
+		nw.SetFIFO(fifo)
+		nw.SetDrop(rule())
+		prod := &broadcastScript{
+			send:      func(from, to, p int) { nw.Send(from, to, p) },
+			broadcast: func(from, p int) { nw.Broadcast(from, p) },
+			schedule:  s.Schedule,
+			run: func(until int64) {
+				if until == math.MaxInt64 {
+					s.RunUntilIdle()
+				} else {
+					s.Run(until)
+				}
+			},
+			now: s.Now,
+		}
+		for p := 0; p < n; p++ {
+			nw.AddHandler(p, func(m Message) {
+				got = append(got, fmt.Sprintf("t=%d %d→%d %v", s.Now(), m.From, m.To, m.Payload))
+				relay(prod, m)
+			})
+		}
+		playBroadcastScript(prod, n, script)
+
+		var want []string
+		ls := newLegacySim(1)
+		lnw := &legacyNet{sim: ls, n: n, delay: Synchronous{Delta: delta}, drop: rule(), fifo: fifo, last: map[[2]int]int64{}, trace: &want}
+		legacy := &broadcastScript{
+			send:      func(from, to, p int) { lnw.send(from, to, p) },
+			broadcast: func(from, p int) { lnw.broadcast(from, p) },
+			schedule:  ls.schedule,
+			run:       ls.run,
+			now:       func() int64 { return ls.now },
+		}
+		lnw.relay = func(m Message) { relay(legacy, m) }
+		playBroadcastScript(legacy, n, script)
+
+		if !slices.Equal(got, want) {
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("delivery %d: %q, the legacy loop %q", i, got[i], want[i])
+				}
+			}
+			t.Fatalf("%d deliveries, the legacy loop %d", len(got), len(want))
+		}
+		if s.Pending() != 0 || s.recs.n != 0 {
+			t.Fatalf("idle with %d pending and %d records in use", s.Pending(), s.recs.n)
+		}
+		freeRecords(t, &s.recs)
+	})
 }
 
 // TestFIFOLinkOrderUnderFlatHeap floods one link with same-time sends
