@@ -52,7 +52,7 @@
 //     operations overlap, EventualPrefix.Checked is reconstructed as if
 //     they were atomic and may differ.
 //   - Response order with overlapping operations — the live
-//     deployment's AsyncSink: OK flags and the set of violated
+//     deployment's segment sink: OK flags and the set of violated
 //     properties are identical. Strong Prefix breaks ties between reads
 //     of equal chain length by arrival, so the incomparable *pairs* it
 //     reports may differ from those a Checker replay of the same

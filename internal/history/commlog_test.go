@@ -466,17 +466,27 @@ func TestSegmentSinkHistoryEqualsSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotEventsWhileRecordingBehindAsyncSink is the live path's
-// -race check: four goroutines record through one recorder whose sink is
-// an AsyncSink — every one of them naming new IDs as it goes, so the
-// table keeps growing — while a fifth takes snapshots and widens every
-// record of each. A snapshot's table is capped at its length and the
-// recorder only writes past that cap; this test is what keeps it so.
-func TestSnapshotEventsWhileRecordingBehindAsyncSink(t *testing.T) {
+// TestSnapshotEventsWhileRecordingBehindOverlappedSink is the live path's
+// -race check: four goroutines record through one retaining recorder
+// whose direct sink is an overlapped SegmentSink — every one of them
+// naming new IDs as it goes, so the table keeps growing, and sealing a
+// segment every 1024 events for a goroutine of its own to read — while a
+// fifth takes snapshots and widens every record of each. A snapshot's
+// table is capped at its length and the recorder only writes past that
+// cap; this test is what keeps it so.
+func TestSnapshotEventsWhileRecordingBehindOverlappedSink(t *testing.T) {
 	rec := NewRecorder(4, nil)
-	sink := &countingSink{}
-	as := NewAsyncSink(sink, 16)
-	rec.SetSink(as)
+	consumed := 0 // handler goroutines only, in turn; read after Seal
+	seg := NewSegmentSink(0, func(s *Segment) {
+		for _, e := range s.Comm {
+			if prefix := fmt.Sprintf("w%d-", e.Proc); string(e.Block[:len(prefix)]) != prefix {
+				t.Errorf("segment %d carries %+v", s.Index, e)
+			}
+		}
+		consumed += len(s.Comm)
+	})
+	seg.Overlap = true
+	rec.SetSink(seg)
 	const perWriter = 2000
 	var writers sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -514,10 +524,11 @@ func TestSnapshotEventsWhileRecordingBehindAsyncSink(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	<-reader
-	if err := as.Drain(); err != nil {
-		t.Fatalf("Drain: %v", err)
+	seg.Seal()
+	if h := rec.Snapshot(); len(h.Comm) != 4*perWriter || consumed != 4*perWriter {
+		t.Fatalf("%d events retained, sink consumed %d, want %d each", len(h.Comm), consumed, 4*perWriter)
 	}
-	if h := rec.Snapshot(); len(h.Comm) != 4*perWriter || sink.comm != 4*perWriter {
-		t.Fatalf("%d events retained, sink saw %d, want %d each", len(h.Comm), sink.comm, 4*perWriter)
+	if seg.Sealed() < 4*perWriter/1024 {
+		t.Fatalf("%d segments sealed, want one per 1024 events at least", seg.Sealed())
 	}
 }

@@ -222,3 +222,32 @@ func TestIsCorrectBounds(t *testing.T) {
 		t.Fatal("out-of-range processes should default to correct")
 	}
 }
+
+// TestRecorderSlabPointerStability pins the pooled-Op allocator
+// contract: *Op pointers handed out (and retained by histories and
+// sinks) stay valid and distinct as the slab grows through many chunk
+// replacements.
+func TestRecorderSlabPointerStability(t *testing.T) {
+	rec := NewRecorder(1, nil)
+	g := core.Genesis()
+	var ptrs []*Op
+	for i := 0; i < 3*opSlabChunk+7; i++ {
+		op := rec.InvokeRead(0)
+		rec.RespondReadHead(op, g)
+		ptrs = append(ptrs, op)
+	}
+	seen := map[*Op]bool{}
+	for i, op := range ptrs {
+		if op.ID != i {
+			t.Fatalf("op %d has ID %d after slab growth — pointer invalidated?", i, op.ID)
+		}
+		if seen[op] {
+			t.Fatalf("op %d shares a pointer with an earlier op", i)
+		}
+		seen[op] = true
+	}
+	h := rec.Snapshot()
+	if len(h.Ops) != len(ptrs) {
+		t.Fatalf("snapshot has %d ops, want %d", len(h.Ops), len(ptrs))
+	}
+}

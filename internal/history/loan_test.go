@@ -301,17 +301,17 @@ func TestSegmentReusedAfterHandler(t *testing.T) {
 	}
 }
 
-// TestAsyncSegmentChainRecyclesNothing is the shape of benchsuite's
-// Stream variant — recorder → AsyncSink → SegmentSink, drop mode — recorded from
-// two goroutines: the segment sink is not the recorder's direct sink, so
-// no op is handed back, and the consumer goroutine reads ops the
-// recorder never touches again (under -race a reused op would be a
-// write racing that read).
-func TestAsyncSegmentChainRecyclesNothing(t *testing.T) {
+// TestOverlappedSegmentChainRecyclesNothing is the shape of the live
+// deployment's sink — a retaining recorder, its direct sink an overlapped
+// SegmentSink — recorded from two goroutines: every op is delivered once,
+// and none is handed back, so a handler goroutine reads ops the recorder
+// never touches again (under -race a reused op would be a write racing
+// that read).
+func TestOverlappedSegmentChainRecyclesNothing(t *testing.T) {
 	const procs, reads = 2, 400
 	rec := NewRecorder(procs, nil)
 	c := streamChain(rec, 4)
-	var seen []*Op // consumer goroutine only, read after Drain
+	var seen []*Op // handler goroutines only, in turn; read after Seal
 	seg := NewSegmentSink(4, func(s *Segment) {
 		for _, op := range s.Ops {
 			if op.Pending || op.Kind != OpRead || op.Head != c[1+op.ID%4].ID {
@@ -320,9 +320,8 @@ func TestAsyncSegmentChainRecyclesNothing(t *testing.T) {
 			seen = append(seen, op)
 		}
 	})
-	async := NewAsyncSink(seg, 8)
-	rec.SetSink(async)
-	rec.SetRetain(false)
+	seg.Overlap = true
+	rec.SetSink(seg)
 
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
@@ -336,20 +335,17 @@ func TestAsyncSegmentChainRecyclesNothing(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if err := async.Drain(); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
 	seg.Seal()
 
 	if len(seen) != procs*reads {
-		t.Fatalf("consumer saw %d ops, want %d", len(seen), procs*reads)
+		t.Fatalf("handlers saw %d ops, want %d", len(seen), procs*reads)
 	}
 	distinct := map[*Op]bool{}
 	for _, op := range seen {
 		distinct[op] = true
 	}
 	if len(distinct) != len(seen) || len(rec.free) != 0 {
-		t.Errorf("%d ops in %d objects, %d handed back: nothing may be reused behind an AsyncSink",
+		t.Errorf("%d ops in %d objects, %d handed back: a retaining recorder reuses nothing",
 			len(seen), len(distinct), len(rec.free))
 	}
 }

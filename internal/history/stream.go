@@ -48,9 +48,8 @@ type Sink interface {
 
 // SetSink attaches a streaming consumer. Attach before the first
 // operation is recorded: ops recorded earlier are never replayed. A
-// *SegmentSink attached directly (not decorated, not behind an
-// AsyncSink) is bound to the recorder, so that in drop mode it hands
-// consumed ops back — see SetRetain.
+// *SegmentSink attached directly is bound to the recorder, so that in
+// drop mode it hands consumed ops back — see SetRetain.
 func (r *Recorder) SetSink(s Sink) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -64,9 +63,9 @@ func (r *Recorder) SetSink(s Sink) {
 }
 
 // takeBack receives the ops of a segment the recorder's direct
-// SegmentSink has had consumed. It runs inside Sink.OpDone, so r.mu is
-// held. Only drop mode reuses them: a retaining recorder's ops are its
-// history.
+// SegmentSink has had consumed. It runs inside the sink's OpDone or
+// CommDone, so r.mu is held. Only drop mode reuses them: a retaining
+// recorder's ops are its history.
 func (r *Recorder) takeBack(ops []*Op) {
 	if r.drop {
 		r.free = append(r.free, ops...)
@@ -86,8 +85,8 @@ func (r *Recorder) takeBack(ops []*Op) {
 // for a later operation. The *Op that InvokeRead, ReadHead,
 // Append and the other recording calls return is the same object, so in
 // that mode a caller may use it only until its segment has been
-// consumed. Pending ops are never reused, and behind any other sink (a
-// decorator, an AsyncSink) nothing is: released ops go to the collector.
+// consumed. Pending ops are never reused, and behind any other sink
+// nothing is: released ops go to the collector.
 func (r *Recorder) SetRetain(keep bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -156,11 +155,11 @@ type Segment struct {
 	Comm []CommEvent
 }
 
-// SegmentSink batches a streamed history into fixed-size segments. It is
+// SegmentSink batches a streamed history into bounded segments. It is
 // the segmented builder between the Recorder and a downstream consumer:
-// ops are appended through the Sink interface, and every time `size`
-// operations accumulate the current segment is sealed and handed to
-// OnSeal.
+// ops and communication events are appended through the Sink interface,
+// and the current segment is sealed and handed to OnSeal as soon as it
+// holds `size` operations or commSeal events, whichever comes first.
 //
 // By default OnSeal runs inside the seal, on the recording goroutine.
 // An Overlap sink runs it on a goroutine of its own while the recorder
@@ -169,6 +168,10 @@ type Segment struct {
 // the handler sees the same calls in the same order, and OnFaulty never
 // runs beside it. A handler's panic is raised again, on the recording
 // goroutine, by that wait and every later one.
+//
+// Faulty reaches OnFaulty before the open segment's ops, which OnSeal
+// sees later; the Sink contract already asks that a process be marked
+// before its first read is recorded.
 type SegmentSink struct {
 	// OnSeal receives each sealed segment (may be nil: pure builder). The
 	// segment is valid until OnSeal returns.
@@ -197,8 +200,9 @@ type SegmentSink struct {
 	// handBack, bound by Recorder.SetSink while this sink is the
 	// recorder's direct sink, returns a consumed segment's ops to the
 	// recorder. It needs the recorder's lock, which only the calls the
-	// recorder makes hold: the size-triggered seal hands back, Seal()
-	// from outside does not. clock, bound with it, stamps Segment.At.
+	// recorder makes hold: a seal that OpDone or CommDone triggers hands
+	// back, Seal() from outside does not. clock, bound with it, stamps
+	// Segment.At.
 	handBack func([]*Op)
 	clock    func() int64
 	next     int
@@ -206,6 +210,12 @@ type SegmentSink struct {
 
 // DefaultSegmentSize is the segment size used when none is given.
 const DefaultSegmentSize = 4096
+
+// commSeal bounds a segment's communication events, which a live run's
+// settle phase (few ops, every block flooded) would otherwise pile into
+// one segment. Comm is allocated at this capacity on a segment's first
+// event and kept by the spare, so it never grows by append copies.
+const commSeal = 1024
 
 // NewSegmentSink returns a segmented builder sealing every size ops
 // (size <= 0 means DefaultSegmentSize) into onSeal.
@@ -241,7 +251,13 @@ func (s *SegmentSink) OpDone(op *Op) {
 // CommDone implements Sink.
 func (s *SegmentSink) CommDone(e CommEvent) {
 	seg := s.open()
+	if seg.Comm == nil {
+		seg.Comm = make([]CommEvent, 0, commSeal)
+	}
 	seg.Comm = append(seg.Comm, e)
+	if len(seg.Comm) >= commSeal {
+		s.seal(s.handBack)
+	}
 }
 
 // Faulty implements Sink.

@@ -2,6 +2,7 @@ package history
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -235,5 +236,34 @@ func TestStreamingSteadyStateAllocs(t *testing.T) {
 	// is 1 alloc/op on its own and fails this.
 	if avg >= 1 {
 		t.Errorf("streaming read costs %.2f allocs/op, want < 1", avg)
+	}
+}
+
+// TestSegmentSinkSealsAtCommBound: a segment seals at 1024 (commSeal)
+// communication events even when no operation arrives, and its Comm,
+// allocated at that capacity on the first event and kept by the spare,
+// never grows past it.
+func TestSegmentSinkSealsAtCommBound(t *testing.T) {
+	fed := 0
+	var at, lens []int // events fed at each seal; each segment's length
+	seg := NewSegmentSink(4096, func(s *Segment) {
+		at, lens = append(at, fed), append(lens, len(s.Comm))
+		if len(s.Ops) != 0 {
+			t.Errorf("segment %d carries %d ops, none were fed", s.Index, len(s.Ops))
+		}
+		if cap(s.Comm) > 1024 {
+			t.Errorf("segment %d's Comm grew to capacity %d, over 1024", s.Index, cap(s.Comm))
+		}
+	})
+	for fed < 5000 {
+		fed++
+		seg.CommDone(CommEvent{Kind: EvSend, Index: fed})
+	}
+	if want := []int{1024, 2048, 3072, 4096}; !slices.Equal(at, want) {
+		t.Fatalf("sealed after %v events, want %v", at, want)
+	}
+	seg.Seal()
+	if want := []int{1024, 1024, 1024, 1024, 904}; !slices.Equal(lens, want) {
+		t.Fatalf("segments hold %v events, want %v", lens, want)
 	}
 }

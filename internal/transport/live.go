@@ -75,7 +75,7 @@ type LiveConfig struct {
 	// K, when > 0, adds the k-Fork Coherence report to the result.
 	K int
 	// OnWitness streams every live violation witness as the monitor
-	// forms it (called from the monitor consumer goroutine).
+	// forms it (called from the goroutine checking a sealed segment).
 	OnWitness func(consistency.Witness)
 }
 
@@ -147,9 +147,8 @@ type LiveResult struct {
 	LiveWitnesses int
 	MonitorStats  consistency.MonitorStats
 	Monitor       *consistency.Monitor
-	// MonitorErr is non-nil when the online monitor's consumer failed
-	// mid-run (AsyncSink panic recovery); the verdicts are then not
-	// trustworthy.
+	// MonitorErr is non-nil when the online monitor panicked mid-run; the
+	// later segments went unchecked, so the verdicts are not trustworthy.
 	MonitorErr error
 
 	// Recovery carries the crash/rejoin counters when Crashes ran.
@@ -187,9 +186,9 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 
 	// The shared recorder is the sequencing collector: every node
 	// records into it, its mutex totally orders the op feed, and the
-	// AsyncSink replays that order into the monitor off the hot path.
-	// Its block index is the one every tree is built on, which the
-	// carrier decodes against.
+	// overlapped segment sink checks each sealed segment off the node
+	// loops while the next one fills. Its block index is the one every
+	// tree is built on, which the carrier decodes against.
 	rec := history.NewRecorder(cfg.N, clock)
 	roster := NewRoster(cfg.N, nil, cfg.Addrs)
 	tr, err := newCarrier(cfg.Transport, roster, rec.Table())
@@ -204,8 +203,24 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		Table:     rec.Table(),
 		OnWitness: cfg.OnWitness,
 	})
-	async := history.NewAsyncSink(mon, 0)
-	rec.SetSink(async)
+	// A monitor panic becomes the run's error and later segments go
+	// unchecked; the sink would raise it again on the node loop sealing
+	// next, under the recorder's lock. The sink's waits order monErr.
+	var monErr error
+	guard := func(check func()) {
+		defer func() {
+			if r := recover(); r != nil {
+				monErr = fmt.Errorf("transport: the online monitor panicked: %v", r)
+			}
+		}()
+		if monErr == nil {
+			check()
+		}
+	}
+	seg := history.NewSegmentSink(0, func(s *history.Segment) { guard(func() { mon.ConsumeSegment(s) }) })
+	seg.OnFaulty = func(p int) { guard(func() { mon.Faulty(p) }) }
+	seg.Overlap = true
+	rec.SetSink(seg)
 
 	mreg := metrics.New(0)
 	mreg.SetClock(clock)
@@ -220,18 +235,18 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 
 	// One teardown for the success path and every error return from here
 	// on: stop the loops (cancelling wall-clock timers), close the
-	// carrier, then drain the monitor queue. Nodes that never listened or
-	// started stop trivially.
+	// carrier, then seal the last segment and wait for its check. Nodes
+	// that never listened or started stop trivially.
 	nodes := make([]*Node, 0, cfg.N)
-	teardown := func() error {
+	teardown := func() {
 		for _, n := range nodes {
 			n.Stop()
 		}
 		tr.Close()
-		return async.Drain()
+		seg.Seal()
 	}
 	fail := func(err error) (*LiveResult, error) {
-		_ = teardown() // err is what went wrong; a monitor failure behind it is a consequence
+		teardown() // err is what went wrong; a monitor failure behind it is a consequence
 		return nil, err
 	}
 
@@ -315,7 +330,7 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		}
 	}
 
-	monErr := teardown()
+	teardown()
 	var recovery *replica.RecoveryStats
 	if len(perNode) > 0 {
 		recovery = &replica.RecoveryStats{}
@@ -363,9 +378,6 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 	}
 	mreg.AddTiming("live.elapsed.us", elapsed.Microseconds())
 	mreg.AddTiming("live.settle.us", settleDur.Microseconds())
-	high, blocked, _ := async.QueueStats()
-	mreg.AddTiming("live.monitor.queue.highwater", int64(high))
-	mreg.AddTiming("live.monitor.queue.blocked", blocked)
 	res.Metrics = mreg.Snapshot()
 	for _, h := range res.Metrics.Hists {
 		switch h.Name {

@@ -262,7 +262,7 @@ func TestLiveMonitorPanicIsMonitorErr(t *testing.T) {
 	if res.AppendsOK < 400 || !res.Converged {
 		t.Fatalf("node loops stalled behind the failed monitor: appends=%d converged=%v", res.AppendsOK, res.Converged)
 	}
-	if n := len(res.History.Comm); n <= 2048 {
+	if n := len(res.History.Comm); n <= 1024 {
 		t.Fatalf("the run recorded %d communication events, too few to be checked in part mid-run", n)
 	}
 	deadline := time.Now().Add(2 * time.Second)

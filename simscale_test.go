@@ -132,10 +132,11 @@ func runSimScale(c simCase) (simStats, *metrics.Snapshot) {
 		adv = adversary.NewEquivocator(g.Procs[c.N-1], g.Net, adversary.Config{Strategy: adversary.Equivocate, Forks: 2})
 		finalReads = 2
 	case simStream:
-		// The segment/monitor work runs off the recording hot loop through
-		// an AsyncSink — the recorder's critical section ends at the
-		// enqueue, and the single consumer goroutine preserves recording
-		// order, so the verdicts are identical to synchronous delivery.
+		// The monitor checks each sealed segment off the recording hot
+		// loop, on a goroutine of its own while the next one fills (an
+		// overlapped sink, attached directly as btsim's streamed runs
+		// attach it); the sink feeds it the segments in recording order,
+		// so the verdicts are those of synchronous delivery.
 		mon := consistency.NewMonitor(consistency.MonitorConfig{
 			Procs: c.N,
 			Score: core.LengthScore{},
@@ -144,14 +145,11 @@ func runSimScale(c simCase) (simStats, *metrics.Snapshot) {
 		})
 		seg := history.NewSegmentSink(0, mon.ConsumeSegment)
 		seg.OnFaulty = mon.Faulty
-		async := history.NewAsyncSink(seg, 0)
-		g.Rec.SetSink(async)
+		seg.Overlap = true
+		g.Rec.SetSink(seg)
 		g.Rec.SetRetain(false)
 		judge = func(st *simStats) (sc, ec *consistency.Verdict) {
-			if err := async.Drain(); err != nil {
-				panic(err) // a panicking monitor invalidates the whole streamed run
-			}
-			seg.Seal()
+			seg.Seal() // a monitor panic is raised again here or at an earlier seal
 			for _, op := range g.Rec.PendingOps() {
 				mon.OpPending(op)
 			}
