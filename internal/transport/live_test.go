@@ -208,17 +208,16 @@ func TestLiveRunFailedDeploymentLeavesNoGoroutine(t *testing.T) {
 // still report on the monitor it left behind.
 type panicScore struct {
 	core.LengthScore
-	calls, nth atomic.Int32
+	calls atomic.Int32
+	nth   int32
 }
 
 func (s *panicScore) Of(c core.Chain) int {
-	if s.calls.Add(1) == s.nth.Load() {
+	if s.calls.Add(1) == s.nth {
 		panic("score exploded")
 	}
 	return s.LengthScore.Of(c)
 }
-
-func (s *panicScore) Name() string { return "panicking length" }
 
 // TestLiveMonitorPanicIsMonitorErr pins the live run's error contract: a
 // monitor that panics mid-run fails the run's check, not the run. Run
@@ -229,8 +228,7 @@ func (s *panicScore) Name() string { return "panicking length" }
 // while the nodes still record.
 func TestLiveMonitorPanicIsMonitorErr(t *testing.T) {
 	base := runtime.NumGoroutine()
-	score := &panicScore{}
-	score.nth.Store(3)
+	score := &panicScore{nth: 3}
 	prof := testProfile()
 	prof.Score = score
 
