@@ -151,20 +151,16 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 			res.Metrics = lr.Metrics
 		}
 		// The deployment's monitor is the run's online monitor: its
-		// verdicts go where a simulated run's go, and it answers the
-		// other reports.
-		res.Stream = &StreamOutcome{
-			Verdicts:  lr.Verdicts,
-			LiveCount: lr.LiveWitnesses,
-			Ops:       lr.MonitorStats.Ops,
-			Stats:     lr.MonitorStats,
-		}
-		res.mon = lr.Monitor
+		// outcome goes where a simulated run's goes.
+		res.Stream = &StreamOutcome{Outcome: lr.Outcome, Ops: lr.MonitorStats.Ops}
 	}
 	if cfg.monrun != nil {
 		cfg.monrun.finish(res)
 	}
 	if res.Stream != nil {
+		if err := res.Stream.MonitorErr; err != nil {
+			return nil, fmt.Errorf("btsim: %s: the online monitor failed: %w", s.info.Name, err)
+		}
 		res.Stream.Live = live
 	}
 	if cfg.obsrun != nil {

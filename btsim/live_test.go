@@ -223,8 +223,8 @@ func TestLiveTakesMonitorOptions(t *testing.T) {
 	}
 	// The online verdicts of a run are in Result.Stream under either
 	// driver: a live run's are its deployment's.
-	if so := res.Stream; so == nil || so.Verdicts != lr.Verdicts || so.LiveCount != lr.LiveWitnesses || so.Ops != lr.MonitorStats.Ops {
-		t.Fatalf("Result.Stream = %+v, want the deployment's verdicts and counts", so)
+	if so := res.Stream; so == nil || so.Outcome != lr.Outcome || so.Ops != lr.MonitorStats.Ops {
+		t.Fatalf("Result.Stream = %+v, want the deployment's outcome", so)
 	}
 	if seen != lr.LiveWitnesses {
 		t.Fatalf("WithMonitor callback saw %d witnesses, the run counted %d", seen, lr.LiveWitnesses)
@@ -252,8 +252,8 @@ func TestStreamKeepsLiveWitnessesUnderBothDrivers(t *testing.T) {
 				t.Fatal(err)
 			}
 			so := res.Stream
-			if so.LiveCount == 0 || so.LiveCount != len(seen) {
-				t.Fatalf("LiveCount %d, callback saw %d witnesses; want the same, > 0", so.LiveCount, len(seen))
+			if so.LiveWitnesses == 0 || so.LiveWitnesses != len(seen) {
+				t.Fatalf("LiveWitnesses %d, callback saw %d witnesses; want the same, > 0", so.LiveWitnesses, len(seen))
 			}
 			if want := seen[:min(len(seen), 64)]; !reflect.DeepEqual(so.Live, want) {
 				t.Fatalf("Stream.Live holds %d witnesses, want the callback's first %d in its order", len(so.Live), len(want))

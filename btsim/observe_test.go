@@ -152,8 +152,8 @@ func TestMonitorMetrics(t *testing.T) {
 	if lat < 0 {
 		t.Fatal("snapshot missing the mon.witnessLatency histogram")
 	}
-	if int(lat) != res.Stream.LiveCount {
-		t.Fatalf("witness latency histogram has %d observations, %d live witnesses", lat, res.Stream.LiveCount)
+	if int(lat) != res.Stream.LiveWitnesses {
+		t.Fatalf("witness latency histogram has %d observations, %d live witnesses", lat, res.Stream.LiveWitnesses)
 	}
 }
 

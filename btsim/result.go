@@ -40,10 +40,6 @@ type Result struct {
 	// (History, Trees, ...) hold the live run's evidence, so the
 	// renderers work on it unchanged.
 	Live *transport.LiveResult
-
-	// mon is the run's finalized monitor — a simulated run's own, a live
-	// run's the deployment's — which the reports beyond Check ask.
-	mon *consistency.Monitor
 }
 
 // Check returns the run's verdicts on both consistency criteria — BT
@@ -58,23 +54,23 @@ func (r *Result) Check() (sc, ec *consistency.Verdict) {
 // KFork checks k-Fork Coherence — no oracle token reused more than k
 // times — the measured side of the frugal-oracle claim, for any k: the
 // run's monitor tracks every token group under either driver.
-func (r *Result) KFork(k int) *consistency.Report { return r.mon.KForkReport(k) }
+func (r *Result) KFork(k int) *consistency.Report { return r.Stream.Monitor.KForkReport(k) }
 
 // UpdateAgreement checks the R1–R3 communication properties of
 // Definition 4.3, as the run's monitor judged them from the run's send,
 // receive and update events — under either driver, WithStreaming
 // included.
-func (r *Result) UpdateAgreement() *consistency.Report { return r.mon.UpdateAgreement() }
+func (r *Result) UpdateAgreement() *consistency.Report { return r.Stream.Monitor.UpdateAgreement() }
 
 // LRC checks Light Reliable Communication (Definition 4.4), as the run's
 // monitor judged it, like UpdateAgreement.
-func (r *Result) LRC() *consistency.Report { return r.mon.LRC() }
+func (r *Result) LRC() *consistency.Report { return r.Stream.Monitor.LRC() }
 
 // MonotonicPrefix checks the Monotonic Prefix Consistency criterion of
 // the paper's reference [20] — each process's successive reads only
 // ever extend — positioned between EC and SC in the hierarchy, as the
 // run's monitor judged it, like UpdateAgreement.
-func (r *Result) MonotonicPrefix() *consistency.Report { return r.mon.MonotonicPrefix() }
+func (r *Result) MonotonicPrefix() *consistency.Report { return r.Stream.Monitor.MonotonicPrefix() }
 
 // Chain returns the chain the system's own selection function f picks
 // from the given replica's final BlockTree.

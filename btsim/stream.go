@@ -13,20 +13,14 @@ import (
 // run's is the deployment's own (the segment field stays zero). Check()
 // returns its SC and EC.
 type StreamOutcome struct {
-	// Verdicts are the finalized criterion verdicts SC and EC, and KFork,
-	// the k-Fork Coherence report for WithMonitorK's k (nil when no k
-	// was configured).
-	consistency.Verdicts
-	// Live holds the witnesses emitted while the run was in flight
-	// (capped at liveKeep); LiveCount is the uncapped total.
-	Live      []consistency.Witness
-	LiveCount int
+	// Outcome is the monitor's (KFork answers WithMonitorK's k); a run
+	// whose MonitorErr is set returns an error, not a Result.
+	consistency.Outcome
+	// Live holds the first liveKeep live witnesses.
+	Live []consistency.Witness
 	// Segments and Ops describe the streamed history: sealed segment
 	// count (WithStreaming only) and operations consumed.
 	Segments, Ops int
-	// Stats is the monitor's retained-state summary — the observable
-	// side of the bounded-memory claim.
-	Stats consistency.MonitorStats
 }
 
 // liveKeep caps how many live witnesses a StreamOutcome retains.
@@ -121,34 +115,23 @@ func (mr *monitorRun) sync() {
 	}
 }
 
-// finish seals the stream, feeds the still-pending operations, and
-// stamps the finalized StreamOutcome onto the Result.
+// finish seals the stream, finishes the monitor, and stamps the
+// StreamOutcome onto the Result.
 func (mr *monitorRun) finish(res *Result) {
 	if mr.mon == nil {
 		return // the adapter never bound a recorder
 	}
+	var err error
+	so := &StreamOutcome{}
 	if mr.seg != nil {
 		mr.seg.Seal()
-	}
-	for _, op := range mr.rec.PendingOps() {
-		mr.mon.OpPending(op)
-	}
-	sc, ec := mr.mon.Finalize()
-	mr.join(mr.rec.Now())
-	so := &StreamOutcome{
-		Verdicts:  consistency.Verdicts{SC: sc, EC: ec},
-		LiveCount: mr.mon.LiveWitnesses(),
-		Stats:     mr.mon.Stats(),
-	}
-	so.Ops = so.Stats.Ops
-	if mr.seg != nil {
+		err = mr.seg.Err()
 		so.Segments = mr.seg.Sealed()
 	}
-	if mr.k > 0 {
-		so.KFork = mr.mon.KForkReport(mr.k)
-	}
+	so.Outcome = mr.mon.Finish(mr.rec.PendingOps(), mr.k, err)
+	so.Ops = so.MonitorStats.Ops
+	mr.join(mr.rec.Now())
 	res.Stream = so
-	res.mon = mr.mon
 }
 
 // liveWitnesses is read by the Progress observer wrapper: the witnesses

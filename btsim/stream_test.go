@@ -141,7 +141,7 @@ func TestStreamedCommPropertiesAreTheMonitors(t *testing.T) {
 	if replay := replayText(live) + reportText(consistency.NewChecker(nil, nil).KForkCoherence(h, 1)); own != replay {
 		t.Errorf("live run reports\n%sa replay of its history\n%s", own, replay)
 	}
-	if st := live.Stream.Stats; st.Comm == 0 || st.InFlight != 0 {
+	if st := live.Stream.MonitorStats; st.Comm == 0 || st.InFlight != 0 {
 		t.Errorf("live monitor consumed %d communication events and ends with %d messages in flight", st.Comm, st.InFlight)
 	}
 }
@@ -331,8 +331,8 @@ func TestObserverSeesLiveWitnesses(t *testing.T) {
 	if maxSeen == 0 {
 		t.Error("observer never saw a nonzero LiveWitnesses count")
 	}
-	if res.Stream.LiveCount != len(fromCallback) {
-		t.Errorf("LiveCount=%d but callback saw %d", res.Stream.LiveCount, len(fromCallback))
+	if res.Stream.LiveWitnesses != len(fromCallback) {
+		t.Errorf("LiveWitnesses=%d but callback saw %d", res.Stream.LiveWitnesses, len(fromCallback))
 	}
 	for _, w := range fromCallback {
 		if w.Property == "" || w.Detail == "" {

@@ -138,7 +138,7 @@ func classifyStream(name string, seed uint64, adv string) bool {
 		fmt.Printf(" %s=%v", st.KFork.Property, st.KFork.OK)
 	}
 	fmt.Printf("  (%d ops checked, %d live witnesses, %d records retained)\n",
-		st.Ops, st.LiveCount, st.Stats.Retained)
+		st.MonitorStats.Ops, st.LiveWitnesses, st.MonitorStats.Retained)
 	return true
 }
 

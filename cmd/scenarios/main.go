@@ -302,7 +302,7 @@ func runLong(mode string) {
 	}
 	st := o.Res.Stream
 	fmt.Printf("%s: %d ops in %d segments, peak heap %.1f MB, %d records retained — %s\n",
-		spec.Name, st.Ops, st.Segments, float64(peak)/1e6, st.Stats.Retained, verdict)
+		spec.Name, st.MonitorStats.Ops, st.Segments, float64(peak)/1e6, st.MonitorStats.Retained, verdict)
 	fmt.Printf("  SC: %v  EC: %v\n", o.SC.OK, o.EC.OK)
 	if len(o.Violated) > 0 {
 		os.Exit(1)

@@ -19,7 +19,7 @@ func TestCommJudgeBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := res.Stream.Stats; st.Comm == 0 || st.InFlight != 0 {
+	if st := res.Stream.MonitorStats; st.Comm == 0 || st.InFlight != 0 {
 		t.Fatalf("streamed fabric run: %d communication events, %d messages still in flight", st.Comm, st.InFlight)
 	}
 	if !res.UpdateAgreement().OK || !res.LRC().OK {

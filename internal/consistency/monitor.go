@@ -823,6 +823,37 @@ func (m *Monitor) Finalize() (sc, ec *Verdict) {
 	return m.scV, m.ecV
 }
 
+// Outcome is what a run's online monitor reached, under either driver:
+// the verdicts, the count of witnesses streamed while the run went on,
+// the retained-state summary and the finished monitor, which answers the
+// reports beyond the verdicts. MonitorErr, when set, is all it holds.
+type Outcome struct {
+	Verdicts
+	LiveWitnesses int
+	MonitorStats  MonitorStats
+	MonitorErr    error
+	Monitor       *Monitor
+}
+
+// Finish ends a run's monitoring: it feeds the operations left pending,
+// finalizes, and adds the k-Fork Coherence report when k > 0. When err,
+// a failure of the monitor mid-run, is set, Finish returns it alone and
+// leaves the half-updated monitor untouched.
+func (m *Monitor) Finish(pending []*history.Op, k int, err error) Outcome {
+	if err != nil {
+		return Outcome{MonitorErr: err}
+	}
+	for _, op := range pending {
+		m.OpPending(op)
+	}
+	sc, ec := m.Finalize()
+	o := Outcome{Verdicts: Verdicts{SC: sc, EC: ec}, LiveWitnesses: m.LiveTotal, MonitorStats: m.Stats(), Monitor: m}
+	if k > 0 {
+		o.KFork = m.KForkReport(k)
+	}
+	return o
+}
+
 func (m *Monitor) finalBV() *Report {
 	rep := &Report{Property: "BlockValidity", OK: true, Checked: m.BVChecked}
 	sus := mergedByInv(m.BVSuspects, nil)

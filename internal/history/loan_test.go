@@ -235,42 +235,41 @@ func TestOverlappedLoanEndsAfterHandler(t *testing.T) {
 }
 
 // TestOverlappedHandlerPanicEndsTheLoan: a panic in an overlapped
-// handler does not crash the process from the handler's goroutine; the
-// next wait — the seal of the next segment, or Seal — panics with it on
-// the recording goroutine, naming the segment, and so does every later
-// one.
+// handler does not crash the process from the handler's goroutine, and
+// no wait raises it on the recording goroutine: it becomes the sink's
+// Err, naming the segment, the handler sees no later segment and
+// OnFaulty no later mark.
 func TestOverlappedHandlerPanicEndsTheLoan(t *testing.T) {
-	panics := func(f func()) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		f()
-		return "<nil>"
-	}
-	for _, bad := range []int{1, 2} { // 2 is the last segment: Seal meets it
+	for _, bad := range []int{0, 1, 2} { // 2 is the last segment: MarkFaulty's wait meets it
 		rec := NewRecorder(2, nil)
+		var handled []int
 		seg := NewSegmentSink(4, func(s *Segment) {
+			handled = append(handled, s.Index)
 			if s.Index == bad {
 				panic("boom")
 			}
 		})
 		seg.Overlap = true
+		marked := 0
+		seg.OnFaulty = func(int) { marked++ }
 		rec.SetSink(seg)
 		rec.SetRetain(false)
 		c := streamChain(rec, 4)
-		var msg string
-		for i := 0; i < 12 && msg == ""; i++ { // three segments
-			if m := panics(func() { rec.ReadHead(i%2, c[1+i%4]) }); m != "<nil>" {
-				msg = fmt.Sprintf("read %d: %s", i, m)
-			}
+		for i := 0; i < 12; i++ { // three segments
+			rec.ReadHead(i%2, c[1+i%4])
 		}
-		if msg == "" {
-			msg = "Seal: " + panics(seg.Seal)
+		rec.MarkFaulty(1)
+		seg.Seal()
+		seg.Seal() // a later wait
+		err := seg.Err()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("segment %d panicked: boom", bad)) {
+			t.Errorf("handler of segment %d: Err() = %.120q, want it named with the panic value", bad, err)
 		}
-		wantAt := map[int]string{1: "read 11: ", 2: "Seal: "}[bad]
-		if !strings.HasPrefix(msg, wantAt) || !strings.Contains(msg, fmt.Sprintf("segment %d panicked: boom", bad)) {
-			t.Errorf("handler of segment %d: got %.120q, want it raised at %q", bad, msg, wantAt)
+		if want := bad + 1; len(handled) != want || seg.Sealed() != 3 {
+			t.Errorf("handler of segment %d: handled %v of %d sealed segments, want the first %d", bad, handled, seg.Sealed(), want)
 		}
-		if m := panics(seg.Seal); !strings.Contains(m, "boom") {
-			t.Errorf("handler of segment %d: a later Seal returned (%s)", bad, m)
+		if marked != 0 {
+			t.Errorf("handler of segment %d: OnFaulty ran after it failed", bad)
 		}
 	}
 }

@@ -166,8 +166,8 @@ type Segment struct {
 // fills the next segment; the next seal, Faulty, Seal and Wait each wait
 // for it first, so at most one segment is ever in the handler's hands,
 // the handler sees the same calls in the same order, and OnFaulty never
-// runs beside it. A handler's panic is raised again, on the recording
-// goroutine, by that wait and every later one.
+// runs beside it. A handler's panic is kept as Err; from then on seals
+// release segments unhandled and Faulty skips OnFaulty.
 //
 // Faulty reaches OnFaulty before the open segment's ops, which OnSeal
 // sees later; the Sink contract already asks that a process be marked
@@ -193,10 +193,10 @@ type SegmentSink struct {
 	spare *Segment
 	// busy is the segment an overlapped handler has or had in hand until
 	// the next seal releases it; done closes when that handler returns,
-	// and is nil once a wait has joined it; fault is its panic.
-	busy  *Segment
-	done  chan struct{}
-	fault any
+	// and is nil once a wait has joined it; err is its panic.
+	busy *Segment
+	done chan struct{}
+	err  error
 	// handBack, bound by Recorder.SetSink while this sink is the
 	// recorder's direct sink, returns a consumed segment's ops to the
 	// recorder. It needs the recorder's lock, which only the calls the
@@ -263,7 +263,7 @@ func (s *SegmentSink) CommDone(e CommEvent) {
 // Faulty implements Sink.
 func (s *SegmentSink) Faulty(p int) {
 	s.Wait()
-	if s.OnFaulty != nil {
+	if s.err == nil && s.OnFaulty != nil {
 		s.OnFaulty(p)
 	}
 }
@@ -277,24 +277,29 @@ func (s *SegmentSink) Seal() {
 }
 
 // Wait blocks until an overlapped handler has returned, then runs
-// OnJoin for its segment; it panics with the handler's panic. The
-// segment stays on loan until the next seal.
+// OnJoin for its segment unless the handler panicked. The segment stays
+// on loan until the next seal.
 func (s *SegmentSink) Wait() {
 	if s.done != nil {
 		<-s.done
 		s.done = nil
-		if s.fault == nil && s.OnJoin != nil {
+		if s.err == nil && s.OnJoin != nil {
 			s.OnJoin(s.busy)
 		}
 	}
-	if s.fault != nil {
-		panic(s.fault)
-	}
+}
+
+// Err waits for an overlapped handler in flight and reports the first
+// handler panic, naming its segment (nil: none panicked).
+func (s *SegmentSink) Err() error {
+	s.Wait()
+	return s.err
 }
 
 // seal waits for and releases the segment an overlapped handler had,
 // then seals the current one and hands it to OnSeal — on a goroutine of
-// its own with Overlap, else here, releasing it at once.
+// its own with Overlap, else here, releasing it at once (unhandled after
+// a handler panic).
 func (s *SegmentSink) seal(handBack func([]*Op)) {
 	s.Wait()
 	if s.busy != nil {
@@ -311,7 +316,7 @@ func (s *SegmentSink) seal(handBack func([]*Op)) {
 		seg.At = s.clock()
 	}
 	switch {
-	case s.OnSeal == nil:
+	case s.OnSeal == nil, s.err != nil:
 	case s.Overlap:
 		s.busy, s.done = seg, make(chan struct{})
 		go s.handle(seg, s.done)
@@ -322,13 +327,12 @@ func (s *SegmentSink) seal(handBack func([]*Op)) {
 	s.release(seg, handBack)
 }
 
-// handle runs OnSeal for an overlapped seal and keeps a panic for the
-// next wait to raise on the recording goroutine.
+// handle runs OnSeal for an overlapped seal and keeps a panic as Err.
 func (s *SegmentSink) handle(seg *Segment, done chan struct{}) {
 	defer close(done)
 	defer func() {
 		if r := recover(); r != nil {
-			s.fault = fmt.Sprintf("history: the handler of segment %d panicked: %v\n%s", seg.Index, r, debug.Stack())
+			s.err = fmt.Errorf("history: the handler of segment %d panicked: %v\n%s", seg.Index, r, debug.Stack())
 		}
 	}()
 	s.OnSeal(seg)

@@ -213,8 +213,8 @@ func TestLongRunStreamingSmoke(t *testing.T) {
 	if len(o.Violated) != 0 {
 		t.Errorf("benign long run violated %v", o.Violated)
 	}
-	if st.Stats.Retained > 10_000 {
-		t.Errorf("monitor retained %d records — not bounded", st.Stats.Retained)
+	if st.MonitorStats.Retained > 10_000 {
+		t.Errorf("monitor retained %d records — not bounded", st.MonitorStats.Retained)
 	}
 	if peak == 0 {
 		t.Error("no heap samples taken")

@@ -137,19 +137,9 @@ type LiveResult struct {
 	// wall-clock timing section).
 	Metrics *metrics.Snapshot
 
-	// Verdicts are the online monitor's finalized SC/EC verdicts and
-	// the optional k-fork coherence report (with Violated());
-	// LiveWitnesses counts witnesses streamed while the run was still
-	// going. Monitor is that monitor, finalized and handed over: the
-	// reports beyond Verdicts (any k-Fork bound, Update Agreement, LRC,
-	// Monotonic Prefix) are asked of it.
-	consistency.Verdicts
-	LiveWitnesses int
-	MonitorStats  consistency.MonitorStats
-	Monitor       *consistency.Monitor
-	// MonitorErr is non-nil when the online monitor panicked mid-run; the
-	// later segments went unchecked, so the verdicts are not trustworthy.
-	MonitorErr error
+	// Outcome is what the online monitor reached (KFork answers K): its
+	// MonitorErr is the sink's error when the monitor panicked mid-run.
+	consistency.Outcome
 
 	// Recovery carries the crash/rejoin counters when Crashes ran.
 	Recovery *replica.RecoveryStats
@@ -203,22 +193,10 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 		Table:     rec.Table(),
 		OnWitness: cfg.OnWitness,
 	})
-	// A monitor panic becomes the run's error and later segments go
-	// unchecked; the sink would raise it again on the node loop sealing
-	// next, under the recorder's lock. The sink's waits order monErr.
-	var monErr error
-	guard := func(check func()) {
-		defer func() {
-			if r := recover(); r != nil {
-				monErr = fmt.Errorf("transport: the online monitor panicked: %v", r)
-			}
-		}()
-		if monErr == nil {
-			check()
-		}
-	}
-	seg := history.NewSegmentSink(0, func(s *history.Segment) { guard(func() { mon.ConsumeSegment(s) }) })
-	seg.OnFaulty = func(p int) { guard(func() { mon.Faulty(p) }) }
+	// A monitor panic is the sink's error, and later segments go
+	// unchecked; the node loops record on.
+	seg := history.NewSegmentSink(0, mon.ConsumeSegment)
+	seg.OnFaulty = mon.Faulty
 	seg.Overlap = true
 	rec.SetSink(seg)
 
@@ -338,29 +316,17 @@ func Run(cfg LiveConfig, prof Profile) (*LiveResult, error) {
 			recovery.Add(stats)
 		}
 	}
-	for _, op := range rec.PendingOps() {
-		mon.OpPending(op)
-	}
-	sc, ec := mon.Finalize()
-
 	res := &LiveResult{
 		System:    prof.System,
 		Transport: tr.Name(),
 		N:         cfg.N,
 		Elapsed:   elapsed,
 		Settle:    settleDur,
-		Verdicts:  consistency.Verdicts{SC: sc, EC: ec},
+		Outcome:   mon.Finish(rec.PendingOps(), cfg.K, seg.Err()),
 		Converged: converged,
 		Recovery:  recovery,
 		History:   rec.Snapshot(),
-		Monitor:   mon,
 	}
-	if cfg.K > 0 {
-		res.KFork = mon.KForkReport(cfg.K)
-	}
-	res.LiveWitnesses = mon.LiveWitnesses()
-	res.MonitorStats = mon.Stats()
-	res.MonitorErr = monErr
 	res.Attempts, res.AppendsOK, res.Reads = lg.totals()
 	cAttempts.Add(res.Attempts)
 	cGrants.Add(res.AppendsOK)

@@ -202,18 +202,18 @@ func TestLiveRunFailedDeploymentLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// panicScore is the length score except that its nth Of call panics. A
-// live run's Profile.Score reaches only the online monitor, so the panic
-// is the monitor's; the calls after it answer again, so the finalizer can
-// still report on the monitor it left behind.
+// panicScore is the length score except that its nth Of call panics,
+// and with repeat every call from the nth on. A live run's Profile.Score
+// reaches only the online monitor, so the panic is the monitor's.
 type panicScore struct {
 	core.LengthScore
-	calls atomic.Int32
-	nth   int32
+	calls  atomic.Int32
+	nth    int32
+	repeat bool
 }
 
 func (s *panicScore) Of(c core.Chain) int {
-	if s.calls.Add(1) == s.nth {
+	if n := s.calls.Add(1); n == s.nth || s.repeat && n > s.nth {
 		panic("score exploded")
 	}
 	return s.LengthScore.Of(c)
@@ -221,53 +221,61 @@ func (s *panicScore) Of(c core.Chain) int {
 
 // TestLiveMonitorPanicIsMonitorErr pins the live run's error contract: a
 // monitor that panics mid-run fails the run's check, not the run. Run
-// returns, with MonitorErr carrying the panic value; the node loops
-// neither block nor die (the load completes and the deployment
-// converges); and every goroutine the run started is gone again. The run
-// records enough communication events that the monitor checks part of it
-// while the nodes still record.
+// returns, with MonitorErr carrying the panic value, whether the score
+// panics once or on every call from then on (the monitor it leaves
+// behind is never finalized); the node loops neither block nor die (the
+// load completes and the deployment converges); and every goroutine the
+// run started is gone again. The run records enough communication events
+// that the monitor checks part of it while the nodes still record.
 func TestLiveMonitorPanicIsMonitorErr(t *testing.T) {
-	base := runtime.NumGoroutine()
-	score := &panicScore{nth: 3}
-	prof := testProfile()
-	prof.Score = score
+	for _, tc := range []struct {
+		name   string
+		repeat bool
+	}{{"once", false}, {"from-then-on", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			score := &panicScore{nth: 3, repeat: tc.repeat}
+			prof := testProfile()
+			prof.Score = score
 
-	type outcome struct {
-		res *LiveResult
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := Run(LiveConfig{Transport: "chan", N: 4, Seed: 9, MaxAppends: 400}, prof)
-		done <- outcome{res, err}
-	}()
-	var out outcome
-	select {
-	case out = <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("Run did not return after the monitor panicked")
-	}
-	if out.err != nil {
-		t.Fatalf("Run failed: %v", out.err)
-	}
-	res := out.res
-	if res.MonitorErr == nil {
-		t.Fatalf("the monitor panicked after %d score calls, but MonitorErr is nil", score.calls.Load())
-	}
-	if !strings.Contains(res.MonitorErr.Error(), "score exploded") {
-		t.Fatalf("MonitorErr %q does not carry the panic value", res.MonitorErr)
-	}
-	if res.AppendsOK < 400 || !res.Converged {
-		t.Fatalf("node loops stalled behind the failed monitor: appends=%d converged=%v", res.AppendsOK, res.Converged)
-	}
-	if n := len(res.History.Comm); n <= 1024 {
-		t.Fatalf("the run recorded %d communication events, too few to be checked in part mid-run", n)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutine(s) left behind by the run", runtime.NumGoroutine()-base)
-		}
-		time.Sleep(20 * time.Millisecond)
+			type outcome struct {
+				res *LiveResult
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := Run(LiveConfig{Transport: "chan", N: 4, Seed: 9, MaxAppends: 400}, prof)
+				done <- outcome{res, err}
+			}()
+			var out outcome
+			select {
+			case out = <-done:
+			case <-time.After(60 * time.Second):
+				t.Fatal("Run did not return after the monitor panicked")
+			}
+			if out.err != nil {
+				t.Fatalf("Run failed: %v", out.err)
+			}
+			res := out.res
+			if res.MonitorErr == nil {
+				t.Fatalf("the monitor panicked after %d score calls, but MonitorErr is nil", score.calls.Load())
+			}
+			if !strings.Contains(res.MonitorErr.Error(), "score exploded") {
+				t.Fatalf("MonitorErr %q does not carry the panic value", res.MonitorErr)
+			}
+			if res.AppendsOK < 400 || !res.Converged {
+				t.Fatalf("node loops stalled behind the failed monitor: appends=%d converged=%v", res.AppendsOK, res.Converged)
+			}
+			if n := len(res.History.Comm); n <= 1024 {
+				t.Fatalf("the run recorded %d communication events, too few to be checked in part mid-run", n)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutine(s) left behind by the run", runtime.NumGoroutine()-base)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -149,14 +149,13 @@ func runSimScale(c simCase) (simStats, *metrics.Snapshot) {
 		g.Rec.SetSink(seg)
 		g.Rec.SetRetain(false)
 		judge = func(st *simStats) (sc, ec *consistency.Verdict) {
-			seg.Seal() // a monitor panic is raised again here or at an earlier seal
-			for _, op := range g.Rec.PendingOps() {
-				mon.OpPending(op)
+			seg.Seal()
+			o := mon.Finish(g.Rec.PendingOps(), 0, seg.Err())
+			if o.MonitorErr != nil {
+				panic(o.MonitorErr)
 			}
-			sc, ec = mon.Finalize()
-			ms := mon.Stats()
-			st.Reads, st.CommEvts = ms.Reads, ms.Comm
-			return sc, ec
+			st.Reads, st.CommEvts = o.MonitorStats.Reads, o.MonitorStats.Comm
+			return o.SC, o.EC
 		}
 	case simMetered:
 		// ~64 sample rows per run regardless of horizon, so snapshot size
