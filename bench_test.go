@@ -138,7 +138,7 @@ func BenchmarkAblationForkChoice(b *testing.B) {
 		b.Run(f.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := f.Select(tree)
-				if c.Len() == 0 {
+				if len(c) == 0 {
 					b.Fatal("empty selection")
 				}
 			}
@@ -301,7 +301,7 @@ func BenchmarkSelectorScaling(b *testing.B) {
 			for _, f := range []core.Selector{core.LongestChain{}, core.GHOST{}} {
 				b.Run(fmt.Sprintf("%s/%dk/%s", shape, n/1000, f.Name()), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if c := f.Select(tree); c.Len() == 0 {
+						if c := f.Select(tree); len(c) == 0 {
 							b.Fatal("empty selection")
 						}
 					}

@@ -61,53 +61,33 @@ func main() {
 	blockprofile := flag.String("blockprofile", "", "write a profile of every blocking event (at exit) to this file")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scenarios:", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "scenarios:", err)
-			os.Exit(2)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			runtime.GC()
-			writeProfile("heap", *memprofile)
-		}()
-	}
-	if *mutexprofile != "" {
-		runtime.SetMutexProfileFraction(1)
-		defer writeProfile("mutex", *mutexprofile)
-	}
-	if *blockprofile != "" {
-		runtime.SetBlockProfileRate(1)
-		defer writeProfile("block", *blockprofile)
-	}
-
-	if *list {
+	stopProfiles := startProfiles(*cpuprofile, *memprofile, *mutexprofile, *blockprofile)
+	var code int
+	switch {
+	case *list:
 		printList()
-		return
+	case *long != "":
+		code = runLong(*long)
+	default:
+		code = runCatalogue(*only, *seed, *sweep, *workers, *verbose, *check, *jsonOut)
 	}
-	if *long != "" {
-		runLong(*long)
-		return
-	}
+	stopProfiles()
+	os.Exit(code)
+}
 
+// runCatalogue runs the catalogue entries the flags select, prints the
+// matrix (or its JSON) and the sweep, and returns the exit code.
+func runCatalogue(only string, seed uint64, sweep, workers int, verbose, check, jsonOut bool) int {
 	var outs []*scenario.Outcome
 	failed := false
 	for _, spec := range scenario.Catalogue() {
-		if *only != "" && !strings.Contains(spec.Name, *only) {
+		if only != "" && !strings.Contains(spec.Name, only) {
 			continue
 		}
-		o, err := spec.Run(*seed)
+		o, err := spec.Run(seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scenarios:", err)
-			os.Exit(2)
+			return 2
 		}
 		outs = append(outs, o)
 		if missing := o.MissingExpected(); len(missing) > 0 {
@@ -117,18 +97,18 @@ func main() {
 	}
 	if len(outs) == 0 {
 		fmt.Fprintln(os.Stderr, "scenarios: no scenario matched")
-		os.Exit(2)
+		return 2
 	}
 
-	if *jsonOut {
+	if jsonOut {
 		if err := writeJSON(os.Stdout, outs); err != nil {
 			fmt.Fprintln(os.Stderr, "scenarios:", err)
-			os.Exit(2)
+			return 2
 		}
-		if *check && failed {
-			os.Exit(1)
+		if check && failed {
+			return 1
 		}
-		return
+		return 0
 	}
 
 	fmt.Print(scenario.Matrix(outs))
@@ -137,7 +117,7 @@ func main() {
 		fmt.Printf("%-26s seed=%-6d digest=%s  %s\n", o.Spec.Name, o.Seed, o.Digest, o.Spec.Note)
 	}
 
-	if *verbose {
+	if verbose {
 		for _, o := range outs {
 			if len(o.Violated) == 0 && len(o.Res.FaultEvents) == 0 {
 				continue
@@ -161,25 +141,26 @@ func main() {
 		}
 	}
 
-	if *sweep > 0 {
-		fmt.Printf("\nsweep (%d seeds each, %d workers):\n", *sweep, *workers)
+	if sweep > 0 {
+		fmt.Printf("\nsweep (%d seeds each, %d workers):\n", sweep, workers)
 		for _, o := range outs {
-			seeds := make([]uint64, *sweep)
+			seeds := make([]uint64, sweep)
 			for i := range seeds {
 				seeds[i] = o.Seed + uint64(i)
 			}
-			res, err := scenario.Sweep(o.Spec, seeds, *workers)
+			res, err := scenario.Sweep(o.Spec, seeds, workers)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "scenarios:", err)
-				os.Exit(2)
+				return 2
 			}
 			fmt.Printf("%-26s %s\n", o.Spec.Name, scenario.SweepSummary(res))
 		}
 	}
 
-	if *check && failed {
-		os.Exit(1)
+	if check && failed {
+		return 1
 	}
+	return 0
 }
 
 // jsonOutcome is the machine-readable row of the violation matrix: one
@@ -263,9 +244,9 @@ func writeJSON(w io.Writer, outs []*scenario.Outcome) error {
 }
 
 // runLong executes the streaming-only long-run scenario — the ≥1M-op
-// execution whose history could not be retained for a replay — and
-// prints its bounded-memory evidence.
-func runLong(mode string) {
+// execution whose history could not be retained for a replay — prints
+// its bounded-memory evidence and returns the exit code.
+func runLong(mode string) int {
 	var spec scenario.Spec
 	switch mode {
 	case "full":
@@ -274,7 +255,7 @@ func runLong(mode string) {
 		spec = scenario.SmokeLongRun()
 	default:
 		fmt.Fprintf(os.Stderr, "scenarios: unknown -long mode %q (known: full, smoke)\n", mode)
-		os.Exit(2)
+		return 2
 	}
 	// The peak of the live heap, sampled every 256 rounds and once more
 	// at the end, is the run's memory high-water mark (ablation #10).
@@ -293,7 +274,7 @@ func runLong(mode string) {
 	o, err := spec.Run(0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scenarios:", err)
-		os.Exit(2)
+		return 2
 	}
 	sample()
 	verdict := "all properties hold"
@@ -305,8 +286,9 @@ func runLong(mode string) {
 		spec.Name, st.MonitorStats.Ops, st.Segments, float64(peak)/1e6, st.MonitorStats.Retained, verdict)
 	fmt.Printf("  SC: %v  EC: %v\n", o.SC.OK, o.EC.OK)
 	if len(o.Violated) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // printList renders the catalogue and the btsim registry: what can run,
@@ -325,6 +307,49 @@ func printList() {
 			expect = "breaks " + strings.Join(s.ExpectBroken, ",")
 		}
 		fmt.Printf("  %-26s %-11s %-34s %s\n", s.Name, s.System, expect, s.Note)
+	}
+}
+
+// startProfiles starts a CPU profile and the lock and blocking records
+// as the flags ask (an empty path: not asked); the function it returns
+// stops them and writes every asked profile out, the heap after a GC.
+// It runs before every exit of the command.
+func startProfiles(cpu, mem, mutex, block string) (stop func()) {
+	var cpuFile *os.File
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "scenarios:", err)
+			os.Exit(2)
+		}
+		cpuFile = f
+	}
+	if mutex != "" {
+		runtime.SetMutexProfileFraction(1)
+	}
+	if block != "" {
+		runtime.SetBlockProfileRate(1)
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "scenarios:", err)
+			}
+		}
+		if mem != "" {
+			runtime.GC()
+			writeProfile("heap", mem)
+		}
+		if mutex != "" {
+			writeProfile("mutex", mutex)
+		}
+		if block != "" {
+			writeProfile("block", block)
+		}
 	}
 }
 

@@ -209,7 +209,11 @@ func TestScenarioDigestsPinned(t *testing.T) {
 			if !ok {
 				t.Fatalf("no pinned digest for %s", spec.Name)
 			}
-			if got := spec.MustRun(0).Digest; got != w {
+			o, err := spec.Run(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := o.Digest; got != w {
 				t.Fatalf("digest changed: got %s, want %s (adversarial runs must replay byte-identically)", got, w)
 			}
 		})

@@ -44,7 +44,7 @@ func TestBTMachineAppendGrowsSelectedChain(t *testing.T) {
 }
 
 func TestBTMachineRejectsInvalid(t *testing.T) {
-	m := NewBTMachine(nil, core.RejectAll{})
+	m := NewBTMachine(nil, core.PredicateFunc("rejectall", (*core.Block).IsGenesis))
 	states, outs := m.Run([]Input{appendIn(block(core.GenesisID, 1, 1)), ReadInput{}})
 	if outs[0].(BoolOutput) != false {
 		t.Fatal("invalid append accepted")

@@ -31,9 +31,6 @@ func NewSnapshot[T any](n int) *Snapshot[T] {
 	return &Snapshot[T]{regs: make([]atomic.Pointer[snapCell[T]], n)}
 }
 
-// N returns the number of component registers.
-func (s *Snapshot[T]) N() int { return len(s.regs) }
-
 func (s *Snapshot[T]) collect() []*snapCell[T] {
 	out := make([]*snapCell[T], len(s.regs))
 	for i := range s.regs {

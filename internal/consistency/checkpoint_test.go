@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,10 +93,10 @@ func ckptBuild(rec *history.Recorder) {
 	rec.Read(1, fork)
 	rec.Read(2, base) // faulty: excluded
 	rec.ReadHead(0, base.Head())
-	rec.Read(0, base[:3].Clone()) // score drop: LMR violation
+	rec.Read(0, slices.Clone(base[:3])) // score drop: LMR violation
 	forged := core.NewBlock(base.Head().ID, base.Head().Height+1, 1, 99, []byte("forged"))
 	rec.InternBlock(forged)
-	rec.Read(1, base.Clone().Append(forged)) // BlockValidity violation
+	rec.Read(1, slices.Clone(base).Append(forged)) // BlockValidity violation
 	tok := core.NewBlock(base[2].ID, base[2].Height+1, 0, 50, nil).WithToken("tkn(x)")
 	tok2 := core.NewBlock(base[2].ID, base[2].Height+1, 1, 51, []byte{1}).WithToken("tkn(x)")
 	rec.Append(0, tok, true)
@@ -422,8 +423,8 @@ func TestCheckpointRestoresCappedClasses(t *testing.T) {
 	forged := core.NewBlock(c[1].ID, 2, 1, 99, []byte("forged"))
 	rec.InternBlock(forged)
 	for i := range MaxViolations + procs + 4 {
-		rec.Read(i%procs, c[:2])                        // stagnant: Ever Growing Tree
-		rec.Read(i%procs, c[:2].Clone().Append(forged)) // never appended: Block Validity
+		rec.Read(i%procs, c[:2])                              // stagnant: Ever Growing Tree
+		rec.Read(i%procs, slices.Clone(c[:2]).Append(forged)) // never appended: Block Validity
 	}
 	rec.Read(0, c[:2]) // the final window: stagnant, then grown
 	rec.Read(0, c)

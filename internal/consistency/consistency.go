@@ -244,22 +244,6 @@ func (c *Checker) Classify(h *history.History) (sc, ec *Verdict) {
 	return c.replay(h).Finalize()
 }
 
-// StrongConsistency checks the BT Strong Consistency criterion
-// (Definition 3.2): Block Validity ∧ Local Monotonic Read ∧ Strong
-// Prefix ∧ Ever Growing Tree.
-func (c *Checker) StrongConsistency(h *history.History) *Verdict {
-	sc, _ := c.Classify(h)
-	return sc
-}
-
-// EventualConsistency checks the BT Eventual Consistency criterion
-// (Definition 3.4): Block Validity ∧ Local Monotonic Read ∧ Ever Growing
-// Tree ∧ Eventual Prefix.
-func (c *Checker) EventualConsistency(h *history.History) *Verdict {
-	_, ec := c.Classify(h)
-	return ec
-}
-
 // property returns the named report of the two verdicts.
 func (c *Checker) property(h *history.History, name string) *Report {
 	sc, ec := c.Classify(h)
@@ -321,7 +305,7 @@ func (c *Checker) KForkCoherence(h *history.History, k int) *Report {
 // O(r²), reporting the first incomparable pairs in recording order. A
 // pair is cleared by the ancestor probe on h.Table; only a pair the probe
 // cannot clear has its chains materialized. The
-// criterion verdicts (StrongConsistency, Classify) reach the same OK flag
+// criterion verdicts (Classify) reach the same OK flag
 // from the reads ordered by chain length (a prefix is never longer than
 // its extension, so all pairs are comparable iff each chain prefixes the
 // next) and report the adjacent pairs of that order instead.

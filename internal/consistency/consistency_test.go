@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -22,7 +23,7 @@ func chainN(n int) core.Chain {
 // forkN builds a chain diverging from base after `common` blocks with
 // `extra` fresh blocks.
 func forkN(base core.Chain, common, extra int) core.Chain {
-	c := base[:common+1].Clone()
+	c := slices.Clone(base[:common+1])
 	for i := 0; i < extra; i++ {
 		h := c.Head()
 		c = c.Append(core.NewBlock(h.ID, h.Height+1, 7, 1000+i, []byte{0xBB, byte(i)}))
@@ -86,7 +87,7 @@ func TestBlockValidityPredicate(t *testing.T) {
 	c := chainN(1)
 	recordChain(rec, c)
 	rec.Read(0, c)
-	rep := NewChecker(nil, core.RejectAll{}).BlockValidity(rec.Snapshot())
+	rep := NewChecker(nil, core.PredicateFunc("rejectall", (*core.Block).IsGenesis)).BlockValidity(rec.Snapshot())
 	if rep.OK {
 		t.Fatal("P(b)=false block accepted")
 	}

@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -117,14 +118,14 @@ func fuzzBuild(rec *history.Recorder, procs int, data []byte) {
 			flood(p, b, a)
 		case 2: // fork: branch p's chain at half height
 			cut := len(chains[p])/2 + 1
-			forked := chains[p][:cut].Clone()
+			forked := slices.Clone(chains[p][:cut])
 			b := mint(forked.Head(), p)
 			chains[p] = forked.Append(b)
 			rec.Append(p, b, true)
 			all = append(all, b)
 			flood(p, b, a)
 		case 3: // explicit-chain read of p's current chain
-			rec.Read(p, chains[p].Clone())
+			rec.Read(p, slices.Clone(chains[p]))
 			hasRead[p] = true
 		case 4: // interned read of p's current head
 			rec.ReadHead(p, chains[p].Head())
@@ -149,7 +150,7 @@ func fuzzBuild(rec *history.Recorder, procs int, data []byte) {
 			if a>>6 == 0 {
 				rec.Append(p, b, false) // failed append
 			}
-			rec.Read(p, chains[p].Clone().Append(b))
+			rec.Read(p, slices.Clone(chains[p]).Append(b))
 			hasRead[p] = true
 		case 7: // mid-stream fault (only before p's first read, per the
 			// sink contract) or a permanently-pending append

@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -26,7 +27,7 @@ func TestLiveWitnessesOutliveRecycledOps(t *testing.T) {
 	bad := core.NewBlock(base.Head().ID, base.Head().Height+1, 0, 77, []byte("rejected"))
 	pred := countingPred{calls: new(int), invalid: map[core.BlockID]bool{bad.ID: true}}
 	build := func(rec *history.Recorder) {
-		for _, b := range append(append(base.Clone(), fork...), bad) {
+		for _, b := range append(append(slices.Clone(base), fork...), bad) {
 			rec.InternBlock(b)
 		}
 		recordChain(rec, base, fork)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -218,12 +219,12 @@ func TestMonitorBlockValidityEquivalence(t *testing.T) {
 		recordChain(rec, c)
 		forged := core.NewBlock(c.Head().ID, c.Head().Height+1, 9, 99, []byte("forged"))
 		rec.InternBlock(forged)
-		bad := c.Clone().Append(forged)
+		bad := slices.Clone(c).Append(forged)
 		rec.Read(0, bad) // forged never appended
 
 		late := core.NewBlock(c.Head().ID, c.Head().Height+1, 1, 50, []byte("late"))
 		rec.InternBlock(late)
-		withLate := c.Clone().Append(late)
+		withLate := slices.Clone(c).Append(late)
 		rec.Read(1, withLate)     // read before its append
 		rec.Append(1, late, true) // append only later
 		rec.Read(1, withLate)     // now clean
@@ -233,7 +234,7 @@ func TestMonitorBlockValidityEquivalence(t *testing.T) {
 		pend := core.NewBlock(late.ID, late.Height+1, 0, 51, []byte("pend"))
 		rec.InternBlock(pend)
 		rec.InvokeAppend(0, pend)
-		rec.Read(0, withLate.Clone().Append(pend))
+		rec.Read(0, slices.Clone(withLate).Append(pend))
 	})
 }
 

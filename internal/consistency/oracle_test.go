@@ -126,8 +126,8 @@ func (o oracle) localMonotonicRead(h *history.History) *Report {
 			continue
 		}
 		var prev *history.Op
-		for _, op := range h.ByProcess(p) {
-			if op.Kind != history.OpRead {
+		for _, op := range h.Reads() {
+			if op.Proc != p {
 				continue
 			}
 			if prev != nil {
@@ -237,8 +237,8 @@ func oracleKFork(h *history.History, k int) *Report {
 	rep := &Report{Property: fmt.Sprintf("%d-ForkCoherence", k), OK: true}
 	groups := map[string][]*history.Op{}
 	var toks []string
-	for _, op := range h.SuccessfulAppends() {
-		if op.Block == nil {
+	for _, op := range h.Ops {
+		if op.Kind != history.OpAppend || op.Pending || !op.OK || op.Block == nil {
 			continue
 		}
 		tok := op.Block.Token
@@ -390,8 +390,8 @@ func oracleMonotonicPrefix(h *history.History) *Report {
 			continue
 		}
 		var prev *history.Op
-		for _, op := range h.ByProcess(p) {
-			if op.Kind != history.OpRead {
+		for _, op := range h.Reads() {
+			if op.Proc != p {
 				continue
 			}
 			if prev != nil {

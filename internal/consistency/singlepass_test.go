@@ -3,6 +3,7 @@ package consistency
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -17,7 +18,7 @@ func randomHistory(rng *rand.Rand, procs, nReads int) *history.History {
 		h := main.Head()
 		main = main.Append(core.NewBlock(h.ID, h.Height+1, 0, i, []byte{byte(i)}))
 	}
-	alt := main[:1+rng.Intn(4)].Clone()
+	alt := slices.Clone(main[:1+rng.Intn(4)])
 	for i := 0; i < 8; i++ {
 		h := alt.Head()
 		alt = alt.Append(core.NewBlock(h.ID, h.Height+1, 1, 100+i, []byte{byte(i)}))
@@ -34,7 +35,7 @@ func randomHistory(rng *rand.Rand, procs, nReads int) *history.History {
 		if rng.Intn(3) == 0 {
 			src = alt
 		}
-		cut := 1 + rng.Intn(src.Len()-1)
+		cut := 1 + rng.Intn(len(src)-1)
 		rec.Read(rng.Intn(procs), src[:cut+1])
 	}
 	return rec.Snapshot()
@@ -71,7 +72,7 @@ func TestSortedStrongPrefixMatchesPairwise(t *testing.T) {
 		h := randomHistory(rng, 2+rng.Intn(3), 3+rng.Intn(12))
 		chk := NewChecker(nil, nil)
 		pairwise := chk.StrongPrefix(h)
-		sc := chk.StrongConsistency(h)
+		sc, _ := chk.Classify(h)
 		var sorted *Report
 		for _, r := range sc.Reports {
 			if r.Property == "StrongPrefix" {
@@ -113,7 +114,7 @@ func TestSortedStrongPrefixDegenerateScore(t *testing.T) {
 	if !chk.StrongPrefix(hist).OK {
 		t.Fatal("pairwise checker rejected comparable reads")
 	}
-	sc := chk.StrongConsistency(hist)
+	sc, _ := chk.Classify(hist)
 	for _, r := range sc.Reports {
 		if r.Property == "StrongPrefix" && !r.OK {
 			t.Fatalf("sorted StrongPrefix false violation under degenerate score: %v", r.Violations)

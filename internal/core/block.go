@@ -49,7 +49,7 @@ type Block struct {
 	// was produced. Purely informational; used by visualizers.
 	Round int
 	// Payload is opaque application data; the validity predicate P may
-	// inspect it (e.g. the toy ledger predicate).
+	// inspect it (WellFormed hashes it into the ID).
 	Payload []byte
 	// Token, when non-empty, names the oracle token consumed to
 	// validate this block (b^{tkn_h}_ℓ in the paper). The k-fork

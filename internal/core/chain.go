@@ -11,9 +11,6 @@ type Chain []*Block
 // returned by read() on the initial state (Definition 3.1).
 func GenesisChain() Chain { return Chain{Genesis()} }
 
-// Len returns the number of blocks in the chain, genesis included.
-func (c Chain) Len() int { return len(c) }
-
 // Head returns the last (leaf-most) block of the chain, or nil if empty.
 func (c Chain) Head() *Block {
 	if len(c) == 0 {
@@ -36,13 +33,6 @@ func (c Chain) Append(b *Block) Chain {
 	out := make(Chain, len(c), len(c)+1)
 	copy(out, c)
 	return append(out, b)
-}
-
-// Clone returns a copy sharing the block pointers (blocks are immutable).
-func (c Chain) Clone() Chain {
-	out := make(Chain, len(c))
-	copy(out, c)
-	return out
 }
 
 // Prefix reports whether c ⊑ other: every block of c appears at the same
@@ -87,23 +77,6 @@ func (c Chain) Block(h int) *Block {
 	return c[h]
 }
 
-// WellFormed reports whether the chain starts at genesis and every block
-// links to its predecessor with consecutive heights.
-func (c Chain) WellFormed() bool {
-	if len(c) == 0 {
-		return false
-	}
-	if !c[0].IsGenesis() {
-		return false
-	}
-	for i := 1; i < len(c); i++ {
-		if c[i].Parent != c[i-1].ID || c[i].Height != c[i-1].Height+1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether the two chains contain the same blocks in the
 // same order.
 func (c Chain) Equal(other Chain) bool {
@@ -116,15 +89,6 @@ func (c Chain) Equal(other Chain) bool {
 		}
 	}
 	return true
-}
-
-// IDs returns the chain's block IDs, root-first. Useful for tests.
-func (c Chain) IDs() []BlockID {
-	out := make([]BlockID, len(c))
-	for i, b := range c {
-		out[i] = b.ID
-	}
-	return out
 }
 
 // String renders the chain in the paper's concatenation notation,

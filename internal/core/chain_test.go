@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,7 +21,7 @@ func mkChain(n int, seed int) Chain {
 // fork builds a chain sharing the first common blocks of base and then
 // diverging for extra blocks.
 func forkOf(base Chain, common, extra int, seed int) Chain {
-	c := base[:common+1].Clone() // +1 for genesis
+	c := slices.Clone(base[:common+1]) // +1 for genesis
 	for i := 0; i < extra; i++ {
 		head := c.Head()
 		c = c.Append(NewBlock(head.ID, head.Height+1, 9, seed*7777+i, []byte{0xAA, byte(i)}))
@@ -30,10 +31,10 @@ func forkOf(base Chain, common, extra int, seed int) Chain {
 
 func TestGenesisChain(t *testing.T) {
 	gc := GenesisChain()
-	if gc.Len() != 1 || !gc.Head().IsGenesis() || gc.Height() != 0 {
+	if len(gc) != 1 || !gc.Head().IsGenesis() || gc.Height() != 0 {
 		t.Fatalf("bad genesis chain: %v", gc)
 	}
-	if !gc.WellFormed() {
+	if !wellFormed(gc) {
 		t.Fatal("genesis chain not well formed")
 	}
 }
@@ -41,8 +42,8 @@ func TestGenesisChain(t *testing.T) {
 func TestChainAppendDoesNotAlias(t *testing.T) {
 	a := mkChain(3, 1)
 	b := a.Append(NewBlock(a.Head().ID, 4, 0, 99, nil))
-	if a.Len() != 4 || b.Len() != 5 {
-		t.Fatalf("lengths %d/%d", a.Len(), b.Len())
+	if len(a) != 4 || len(b) != 5 {
+		t.Fatalf("lengths %d/%d", len(a), len(b))
 	}
 	// Appending to a again must not clobber b's extra element.
 	c := a.Append(NewBlock(a.Head().ID, 4, 0, 100, nil))
@@ -81,8 +82,8 @@ func TestCommonPrefix(t *testing.T) {
 		t.Fatal("common prefix does not prefix both")
 	}
 	// Identical chains: common prefix is the whole chain.
-	if got := c.CommonPrefix(c.Clone()); got.Len() != c.Len() {
-		t.Fatalf("self common prefix length %d", got.Len())
+	if got := c.CommonPrefix(slices.Clone(c)); len(got) != len(c) {
+		t.Fatalf("self common prefix length %d", len(got))
 	}
 }
 
@@ -102,40 +103,36 @@ func TestChainBlockAccess(t *testing.T) {
 func TestWellFormedRejects(t *testing.T) {
 	c := mkChain(3, 7)
 	// Broken link.
-	bad := c.Clone()
+	bad := slices.Clone(c)
 	bad[2] = NewBlock("wrong-parent", 2, 0, 1, nil)
-	if bad.WellFormed() {
+	if wellFormed(bad) {
 		t.Error("broken link accepted")
 	}
 	// Wrong height.
-	bad2 := c.Clone()
+	bad2 := slices.Clone(c)
 	blk := *bad2[2]
 	blk.Height = 7
 	bad2[2] = &blk
-	if bad2.WellFormed() {
+	if wellFormed(bad2) {
 		t.Error("wrong height accepted")
 	}
 	// Missing genesis.
-	if c[1:].WellFormed() {
+	if wellFormed(c[1:]) {
 		t.Error("chain without genesis accepted")
 	}
 	// Empty chain.
-	if (Chain{}).WellFormed() {
+	if wellFormed(Chain{}) {
 		t.Error("empty chain accepted")
 	}
 }
 
 func TestEqualAndIDs(t *testing.T) {
 	c := mkChain(3, 8)
-	if !c.Equal(c.Clone()) {
+	if !c.Equal(slices.Clone(c)) {
 		t.Fatal("clone not equal")
 	}
 	if c.Equal(c[:3]) {
 		t.Fatal("different lengths equal")
-	}
-	ids := c.IDs()
-	if len(ids) != 4 || ids[0] != GenesisID {
-		t.Fatalf("IDs wrong: %v", ids)
 	}
 }
 
@@ -239,8 +236,8 @@ func TestQuickCommonPrefixMaximal(t *testing.T) {
 			return false
 		}
 		// One block longer is no longer a common prefix.
-		if cp.Len() < a.Len() && cp.Len() < b.Len() {
-			longer := a[:cp.Len()+1]
+		if len(cp) < len(a) && len(cp) < len(b) {
+			longer := a[:len(cp)+1]
 			if longer.Prefix(b) {
 				return false
 			}
@@ -266,4 +263,19 @@ func TestQuickScoreStrictGrowth(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// wellFormed reports whether the chain starts at genesis and every block
+// links to its predecessor with consecutive heights: the reference the
+// selectors' and the index's chains are checked against.
+func wellFormed(c Chain) bool {
+	if len(c) == 0 || !c[0].IsGenesis() {
+		return false
+	}
+	for i := 1; i < len(c); i++ {
+		if c[i].Parent != c[i-1].ID || c[i].Height != c[i-1].Height+1 {
+			return false
+		}
+	}
+	return true
 }

@@ -65,22 +65,3 @@ func ExampleGHOST() {
 	// longest goes through hub: false
 	// ghost goes through hub: true
 }
-
-// ExampleReplay shows the toy ledger rejecting a double spend — the
-// paper's example instantiation of the validity predicate P.
-func ExampleReplay() {
-	g := core.Genesis()
-	mint := core.NewBlock(g.ID, 1, 0, 1, core.EncodeTxs([]core.Tx{{From: 0, To: 1, Amount: 10}}))
-	spend := core.NewBlock(mint.ID, 2, 0, 2, core.EncodeTxs([]core.Tx{{From: 1, To: 2, Amount: 10}}))
-	doubleSpend := core.NewBlock(spend.ID, 3, 0, 3, core.EncodeTxs([]core.Tx{{From: 1, To: 3, Amount: 10}}))
-
-	if _, err := core.Replay(core.Chain{g, mint, spend}); err == nil {
-		fmt.Println("honest chain: valid")
-	}
-	if _, err := core.Replay(core.Chain{g, mint, spend, doubleSpend}); err != nil {
-		fmt.Println("double spend: rejected")
-	}
-	// Output:
-	// honest chain: valid
-	// double spend: rejected
-}

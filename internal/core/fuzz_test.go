@@ -1,30 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"slices"
 	"testing"
 )
-
-// FuzzDecodeTxs checks that the payload parser never panics and that
-// decode ∘ encode is the identity whenever decoding succeeds.
-func FuzzDecodeTxs(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodeTxs([]Tx{{From: 0, To: 1, Amount: 50}}))
-	f.Add([]byte{1, 2, 3})
-	f.Add(bytes.Repeat([]byte{0xFF}, 36))
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		txs, err := DecodeTxs(payload)
-		if err != nil {
-			return
-		}
-		re := EncodeTxs(txs)
-		if !bytes.Equal(re, payload) {
-			t.Fatalf("decode/encode not inverse: %x → %x", payload, re)
-		}
-	})
-}
 
 // FuzzChainPrefix checks the prefix/common-prefix algebra on arbitrary
 // cut points of a fixed chain and its fork: CommonPrefix prefixes both
@@ -35,7 +15,7 @@ func FuzzChainPrefix(f *testing.F) {
 		h := base.Head()
 		base = base.Append(NewBlock(h.ID, h.Height+1, 0, i, []byte{byte(i)}))
 	}
-	alt := base[:5].Clone()
+	alt := slices.Clone(base[:5])
 	for i := 0; i < 8; i++ {
 		h := alt.Head()
 		alt = alt.Append(NewBlock(h.ID, h.Height+1, 9, 100+i, []byte{byte(i)}))
@@ -48,7 +28,7 @@ func FuzzChainPrefix(f *testing.F) {
 			if useAlt {
 				c = alt
 			}
-			n := int(cut) % c.Len()
+			n := int(cut) % len(c)
 			return c[:n+1]
 		}
 		a, b := pick(aCut, aAlt), pick(bCut, bAlt)
@@ -127,8 +107,8 @@ func checkWeights(t *testing.T, tr *Tree) {
 		return w
 	}
 	for _, b := range tr.Blocks() {
-		if got, want := tr.SubtreeWeight(b.ID), subtree(b.ID); got != want {
-			t.Fatalf("SubtreeWeight(%s) = %d, recompute %d", b.ID.Short(), got, want)
+		if got, want := tr.subtreeWeight(b.ID), subtree(b.ID); got != want {
+			t.Fatalf("subtreeWeight(%s) = %d, recompute %d", b.ID.Short(), got, want)
 		}
 	}
 	if got, want := (GHOST{}).Select(tr), scanGHOST(tr); !got.Equal(want) {
@@ -144,7 +124,7 @@ func checkWeights(t *testing.T, tr *Tree) {
 // exactly the entries naming it as parent; the children the tree holds
 // under it (the shared list filtered by the bitset, then its twins) are
 // exactly the held blocks naming it as parent — Children sorted, with
-// ForkCount and the held-kid count their number and maxFork the largest;
+// the held-kid count their number and maxFork the largest;
 // Leaves lists the childless blocks; the side table holds only held
 // handles whose copy is not the index entry's, and the twin table only
 // those whose copy names another parent, under that parent.
@@ -197,8 +177,8 @@ func checkNodeLinks(t *testing.T, tr *Tree) {
 		if !reflect.DeepEqual(list, kids[id]) {
 			t.Fatalf("children of %s are %v, the blocks naming it are %v", id.Short(), list, kids[id])
 		}
-		if !reflect.DeepEqual(tr.Children(id), list) || tr.ForkCount(id) != len(list) || tr.nkids(h) != len(list) {
-			t.Fatalf("%s: Children %v, ForkCount %d, nkids %d for the list %v", id.Short(), tr.Children(id), tr.ForkCount(id), tr.nkids(h), list)
+		if !reflect.DeepEqual(tr.Children(id), list) || tr.nkids(h) != len(list) {
+			t.Fatalf("%s: Children %v, nkids %d for the list %v", id.Short(), tr.Children(id), tr.nkids(h), list)
 		}
 		maxFork = max(maxFork, len(list))
 		if len(list) == 0 {
@@ -248,7 +228,7 @@ func viewOf(tr *Tree) treeView {
 	}
 	for _, b := range tr.Blocks() {
 		v.children[b.ID] = append([]BlockID(nil), tr.Children(b.ID)...)
-		v.subtree[b.ID] = tr.SubtreeWeight(b.ID)
+		v.subtree[b.ID] = tr.subtreeWeight(b.ID)
 	}
 	return v
 }
@@ -311,11 +291,11 @@ func FuzzTreeAttach(f *testing.F) {
 			t.Fatalf("tree size %d, attached %d", tr.Len(), len(attached))
 		}
 		for _, sel := range []Selector{LongestChain{}, GHOST{}} {
-			if c := sel.Select(tr); !c.WellFormed() {
+			if c := sel.Select(tr); !wellFormed(c) {
 				t.Fatalf("%s selected malformed chain", sel.Name())
 			}
 		}
-		if tr.SubtreeWeight(GenesisID) != tr.Len() {
+		if tr.subtreeWeight(GenesisID) != tr.Len() {
 			t.Fatal("subtree weight out of sync")
 		}
 		checkTreeIndices(t, tr)
@@ -350,7 +330,7 @@ func FuzzTreeIndices(f *testing.F) {
 			if tr.weights != nil {
 				t.Fatal("weight table filled before the first weight query")
 			}
-			tr.SubtreeWeight(GenesisID)
+			tr.subtreeWeight(GenesisID)
 			filled = tr.Clone()
 			if lazy.weights != nil || filled.weights == nil {
 				t.Fatal("a clone does not carry its tree's weight table as it stood")

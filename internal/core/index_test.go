@@ -95,7 +95,7 @@ func TestIndexConcurrentIntern(t *testing.T) {
 			t.Fatalf("block %s: parent handle %d, want %d", b.ID.Short(), p, idx.handle(b.Parent))
 		}
 		c := idx.ChainTo(b.ID)
-		if len(c) != b.Height+1 || !c.WellFormed() || c.Head().ID != b.ID {
+		if len(c) != b.Height+1 || !wellFormed(c) || c.Head().ID != b.ID {
 			t.Fatalf("ChainTo(%s) = %v", b.ID.Short(), c)
 		}
 		if a := idx.AncestorAt(b.ID, b.Height/2); a == nil || a.ID != c[b.Height/2].ID {
@@ -199,7 +199,7 @@ func TestTwinUnderAnotherParent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := second.Children(p2.ID); len(got) != 3 || got[0] != "0" || got[1] != z.ID || got[2] != "x" || second.ForkCount(p1.ID) != 0 {
+	if got := second.Children(p2.ID); len(got) != 3 || got[0] != "0" || got[1] != z.ID || got[2] != "x" || len(second.Children(p1.ID)) != 0 {
 		t.Fatalf("second's children of p2: %v, of p1: %v", got, second.Children(p1.ID))
 	}
 	if err := third.Attach(p1); err != nil {
@@ -280,7 +280,7 @@ func TestSparseHandlesStaySmall(t *testing.T) {
 // WithToken or by Payload — the tree holding the originals interning
 // the even blocks first, the tree holding the copies the odd ones. Each
 // tree, and a clone of it, must answer every read with the copy it
-// attached: Block, ChainTo, Blocks, Leaves, SubtreeWeight and the GHOST
+// attached: Block, ChainTo, Blocks, Leaves, subtreeWeight and the GHOST
 // and LongestChain heads. A copy with another payload conflicts with
 // the original, so the tree holding that original refuses it.
 func TestTreesKeepTheirOwnCopies(t *testing.T) {
@@ -380,8 +380,8 @@ func checkOwnCopies(t *testing.T, tr *Tree, own map[BlockID]*Block) {
 		if len(c) != want.Height+1 || c.Head() != want {
 			t.Fatalf("ChainTo(%s) = %v", id.Short(), c)
 		}
-		if got, w := tr.SubtreeWeight(id), subtree[id]; got != w {
-			t.Fatalf("SubtreeWeight(%s) = %d, the copies count %d", id.Short(), got, w)
+		if got, w := tr.subtreeWeight(id), subtree[id]; got != w {
+			t.Fatalf("subtreeWeight(%s) = %d, the copies count %d", id.Short(), got, w)
 		}
 	}
 	for _, b := range tr.Blocks() {
@@ -390,7 +390,7 @@ func checkOwnCopies(t *testing.T, tr *Tree, own map[BlockID]*Block) {
 		}
 	}
 	for _, id := range tr.Leaves() {
-		if tr.ForkCount(id) != 0 || own[id] == nil {
+		if tr.nkids(tr.find(id)) != 0 || own[id] == nil {
 			t.Fatalf("leaf %s is not a childless block of the tree", id.Short())
 		}
 	}
@@ -459,7 +459,7 @@ func TestTreesReadEntriesWhileInterning(t *testing.T) {
 		for i := len(blocks) - 1; i >= 0; i-- {
 			b := blocks[i]
 			idx.Intern(b)
-			if c := idx.ChainTo(b.ID); c != nil && (len(c) != b.Height+1 || !c.WellFormed() || c.Head().ID != b.ID) {
+			if c := idx.ChainTo(b.ID); c != nil && (len(c) != b.Height+1 || !wellFormed(c) || c.Head().ID != b.ID) {
 				t.Errorf("ChainTo(%s) = %v", b.ID.Short(), c)
 			}
 			if a := idx.AncestorAt(b.ID, b.Height/2); a != nil && a.Height != b.Height/2 {
@@ -492,7 +492,7 @@ func TestTreesReadEntriesWhileInterning(t *testing.T) {
 // no tree attaches, so every shared child list holds entries a tree must
 // filter out. A tree reads the index's child links without its lock
 // (invariant (vi)); under -race this is that contract. After each attach
-// the attaching tree's Children, ForkCount, MaxForkDegree and
+// the attaching tree's Children, held-kid counts, MaxForkDegree and
 // LongestChain head must equal a recompute from its Blocks().
 func TestSharedLinksUnderConcurrentAttach(t *testing.T) {
 	blocks := chainAndForks(150)
@@ -571,8 +571,8 @@ func recomputeDiff(tr *Tree) string {
 	for _, b := range blocks {
 		want := kids[b.ID]
 		slices.Sort(want)
-		if got := tr.Children(b.ID); !slices.Equal(got, want) || tr.ForkCount(b.ID) != len(want) {
-			return fmt.Sprintf("%s: Children %v, ForkCount %d; the blocks name %v", b.ID.Short(), got, tr.ForkCount(b.ID), want)
+		if got, n := tr.Children(b.ID), tr.nkids(tr.find(b.ID)); !slices.Equal(got, want) || n != len(want) {
+			return fmt.Sprintf("%s: Children %v, nkids %d; the blocks name %v", b.ID.Short(), got, n, want)
 		}
 	}
 	if tr.MaxForkDegree() != maxFork {

@@ -11,17 +11,22 @@ import (
 // remembered reports whether WellFormed's memo on b is set for b itself.
 func remembered(b *Block) bool { return atomic.LoadPointer(&b.valid) == unsafe.Pointer(b) }
 
+// wrapped is a second predicate that reaches WellFormed's memo, as a
+// predicate composing WellFormed with a payload check would.
+var wrapped = PredicateFunc("wrapped", WellFormed{}.Valid)
+
 // TestPredicatesIgnoreToken: P judges content and Token is not content —
 // every predicate of the package gives b and b.WithToken(t) one verdict,
 // on accepted and on refused blocks alike (replicas hand P the delivered
 // block with its stamp on).
 func TestPredicatesIgnoreToken(t *testing.T) {
 	ledger := NewBlock(GenesisID, 1, 2, 3, EncodeTxs([]Tx{{From: 0, To: 1, Amount: 5}}))
-	opaque := NewBlock(GenesisID, 1, 2, 4, []byte{1, 2, 3}) // well-formed, not a ledger payload
+	opaque := NewBlock(GenesisID, 1, 2, 4, []byte{1, 2, 3}) // well-formed, not a Tx payload
 	forged := *ledger
 	forged.Payload = EncodeTxs([]Tx{{From: 0, To: 2, Amount: 500}})
 	preds := []Predicate{
-		AlwaysValid{}, WellFormed{}, LedgerPredicate{}, RejectAll{},
+		AlwaysValid{}, WellFormed{}, wrapped,
+		PredicateFunc("rejectall", func(b *Block) bool { return b.IsGenesis() }),
 		PredicateFunc("odd-rounds", func(b *Block) bool { return b.Round%2 == 1 }),
 	}
 	for _, p := range preds {
@@ -65,7 +70,7 @@ func TestWellFormedMemoIsPerObject(t *testing.T) {
 		{"Round", alter(func(nb *Block) { nb.Round++ }), false},
 		{"Payload", alter(func(nb *Block) { nb.Payload = EncodeTxs([]Tx{{From: 0, To: 2, Amount: 500}}) }), false},
 	}
-	for _, p := range []Predicate{WellFormed{}, LedgerPredicate{}} {
+	for _, p := range []Predicate{WellFormed{}, wrapped} {
 		for _, c := range cases {
 			cp := c.mk()
 			if cp.valid != unsafe.Pointer(b) || remembered(cp) {
@@ -108,7 +113,7 @@ func TestWellFormedMemoConcurrent(t *testing.T) {
 	fresh := NewBlock(good.ID, 2, 0, 4, nil) // first judged inside the storm
 	judge := func(t *testing.T) {
 		for i := 0; i < 500; i++ {
-			if !(WellFormed{}).Valid(good) || !(LedgerPredicate{}).Valid(good) || !(WellFormed{}).Valid(fresh) {
+			if !(WellFormed{}).Valid(good) || !wrapped.Valid(good) || !(WellFormed{}).Valid(fresh) {
 				t.Error("the honest block was refused")
 			}
 			if (WellFormed{}).Valid(&early) || (WellFormed{}).Valid(&late) {

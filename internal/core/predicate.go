@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
@@ -85,7 +84,7 @@ func (WellFormed) Valid(b *Block) bool {
 // Name returns "wellformed".
 func (WellFormed) Name() string { return "wellformed" }
 
-// Tx is one transfer in the toy ledger payload: From pays To the Amount.
+// Tx is one transfer of a block payload: From pays To the Amount.
 // Account 0 is the mint: transfers from it create money (coinbase).
 type Tx struct {
 	From, To uint32
@@ -105,120 +104,4 @@ func EncodeTxs(txs []Tx) []byte {
 		out = append(out, rec[:]...)
 	}
 	return out
-}
-
-// DecodeTxs parses a block payload back into transactions. A malformed
-// payload (length not a multiple of the record size) yields an error,
-// which the ledger predicate turns into "invalid block".
-func DecodeTxs(payload []byte) ([]Tx, error) {
-	const rec = 12 // 3 × uint32
-	if len(payload)%rec != 0 {
-		return nil, fmt.Errorf("core: payload length %d not a multiple of %d", len(payload), rec)
-	}
-	out := make([]Tx, len(payload)/rec)
-	for i := range out {
-		off := i * rec
-		out[i] = Tx{
-			From:   binary.LittleEndian.Uint32(payload[off : off+4]),
-			To:     binary.LittleEndian.Uint32(payload[off+4 : off+8]),
-			Amount: binary.LittleEndian.Uint32(payload[off+8 : off+12]),
-		}
-	}
-	return out, nil
-}
-
-// LedgerPredicate is the "no double spend" example the paper gives for
-// Bitcoin's P: a block is valid iff it is well-formed and its payload
-// parses into transactions. (Whether the transactions are *spendable*
-// depends on the chain the block extends, which is context the paper's
-// P does not see; that chain-contextual check is LedgerState. The
-// protocol simulators do not run it: their payloads are built with
-// EncodeTxs alone.)
-type LedgerPredicate struct{}
-
-// Valid checks structural hash validity plus payload parseability.
-func (LedgerPredicate) Valid(b *Block) bool {
-	if !(WellFormed{}).Valid(b) {
-		return false
-	}
-	if b.IsGenesis() {
-		return true
-	}
-	_, err := DecodeTxs(b.Payload)
-	return err == nil
-}
-
-// Name returns "ledger".
-func (LedgerPredicate) Name() string { return "ledger" }
-
-// RejectAll accepts nothing (except genesis, which is valid by
-// assumption). Used by tests to check that append() of invalid blocks
-// leaves the abstract state unchanged and returns false, as in Figure 1.
-type RejectAll struct{}
-
-// Valid returns true only for genesis.
-func (RejectAll) Valid(b *Block) bool { return b != nil && b.IsGenesis() }
-
-// Name returns "rejectall".
-func (RejectAll) Name() string { return "rejectall" }
-
-// LedgerState replays a chain's transactions to compute account balances,
-// rejecting double spends: the chain-contextual validity LedgerPredicate
-// leaves out. No simulator builds its blocks against it (they encode
-// their payloads with EncodeTxs alone); the oracle and the checkers see
-// only the context-free predicates.
-type LedgerState struct {
-	balances map[uint32]uint64
-}
-
-// NewLedgerState returns an empty ledger (all balances zero; account 0 is
-// the mint and may always pay).
-func NewLedgerState() *LedgerState {
-	return &LedgerState{balances: make(map[uint32]uint64)}
-}
-
-// Balance returns the balance of an account.
-func (l *LedgerState) Balance(acct uint32) uint64 { return l.balances[acct] }
-
-// ApplyTx applies one transaction, failing on an overdraft.
-func (l *LedgerState) ApplyTx(tx Tx) error {
-	if tx.From != 0 {
-		if l.balances[tx.From] < uint64(tx.Amount) {
-			return fmt.Errorf("core: account %d overdraft: has %d, spends %d",
-				tx.From, l.balances[tx.From], tx.Amount)
-		}
-		l.balances[tx.From] -= uint64(tx.Amount)
-	}
-	l.balances[tx.To] += uint64(tx.Amount)
-	return nil
-}
-
-// ApplyBlock applies every transaction of the block, failing on the first
-// invalid one (the block is then a double spend w.r.t. this state).
-func (l *LedgerState) ApplyBlock(b *Block) error {
-	if b.IsGenesis() {
-		return nil
-	}
-	txs, err := DecodeTxs(b.Payload)
-	if err != nil {
-		return err
-	}
-	for _, tx := range txs {
-		if err := l.ApplyTx(tx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Replay computes the ledger state at the head of the chain, or an error
-// if any block double-spends.
-func Replay(c Chain) (*LedgerState, error) {
-	l := NewLedgerState()
-	for _, b := range c {
-		if err := l.ApplyBlock(b); err != nil {
-			return nil, fmt.Errorf("core: replay %s: %w", b.ID.Short(), err)
-		}
-	}
-	return l, nil
 }

@@ -24,14 +24,14 @@ func BenchmarkIndexedVsLegacySelect(b *testing.B) {
 		for _, c := range cases {
 			b.Run(fmt.Sprintf("%dk/%s/indexed", n/1000, c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if ch := c.indexed(tree); ch.Len() == 0 {
+					if ch := c.indexed(tree); len(ch) == 0 {
 						b.Fatal("empty selection")
 					}
 				}
 			})
 			b.Run(fmt.Sprintf("%dk/%s/legacy", n/1000, c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if ch := c.legacy(tree); ch.Len() == 0 {
+					if ch := c.legacy(tree); len(ch) == 0 {
 						b.Fatal("empty selection")
 					}
 				}

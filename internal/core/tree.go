@@ -45,7 +45,7 @@ import (
 //   - maxFork: the largest sibling count, so MaxForkDegree is O(1);
 //   - weights: per block by handle, the number of blocks in its subtree
 //     (every block weighs one). It is nil until the first weight query
-//     (SubtreeWeight, GHOST), which fills it in one pass; Attach then
+//     (GHOST, or subtreeWeight), which fills it in one pass; Attach then
 //     maintains it (O(depth)). LongestChain and SingleChain trees never
 //     allocate it.
 //
@@ -312,24 +312,15 @@ func (t *Tree) Children(id BlockID) []BlockID {
 	return out
 }
 
-// ForkCount returns the number of children of id — the number of branches
-// (forks) rooted at that block, the quantity bounded by the frugal oracle.
-func (t *Tree) ForkCount(id BlockID) int {
-	if h := t.find(id); h != noHandle {
-		return t.nkids(h)
-	}
-	return 0
-}
-
 // MaxForkDegree returns the largest number of branches from any single
 // block in the tree; 1 (or 0 for a bare genesis) means the tree is a
 // chain. Used to verify k-Fork Coherence empirically. O(1).
 func (t *Tree) MaxForkDegree() int { return t.maxFork }
 
-// SubtreeWeight returns the number of blocks in the subtree rooted at id
+// subtreeWeight returns the number of blocks in the subtree rooted at id
 // (the block itself included), 0 for an absent block: the weight the
 // GHOST selector compares, since every block weighs one.
-func (t *Tree) SubtreeWeight(id BlockID) int {
+func (t *Tree) subtreeWeight(id BlockID) int {
 	if h := t.find(id); h != noHandle && t.fillWeights() {
 		return t.weights[h]
 	}

@@ -44,7 +44,7 @@ func TestAttachChain(t *testing.T) {
 		t.Fatalf("tree %v", tr)
 	}
 	c := tr.ChainTo(b2.ID)
-	if c.Height() != 2 || !c.WellFormed() {
+	if c.Height() != 2 || !wellFormed(c) {
 		t.Fatalf("chain %v", c)
 	}
 }
@@ -82,13 +82,13 @@ func TestAttachIdempotentAndConflict(t *testing.T) {
 	}
 	// Same ID, different payload: conflict, and the filled weight table
 	// is left as it was.
-	tr.SubtreeWeight(GenesisID)
+	tr.subtreeWeight(GenesisID)
 	evil2 := *b1
 	evil2.Payload = []byte("tampered")
 	if err := tr.Attach(&evil2); err == nil {
 		t.Error("payload-tampered twin accepted as duplicate")
 	}
-	if got := tr.SubtreeWeight(GenesisID); got != 2 {
+	if got := tr.subtreeWeight(GenesisID); got != 2 {
 		t.Errorf("rejected twin perturbed the weight table: %d, want 2", got)
 	}
 }
@@ -146,8 +146,8 @@ func TestForkCounting(t *testing.T) {
 	b := child(g, 1, 2)
 	c := child(g, 2, 3)
 	tr := buildTree(t, a, b, c)
-	if tr.ForkCount(GenesisID) != 3 || tr.MaxForkDegree() != 3 {
-		t.Fatalf("fork counts wrong: %d / %d", tr.ForkCount(GenesisID), tr.MaxForkDegree())
+	if n := tr.nkids(tr.find(GenesisID)); n != 3 || tr.MaxForkDegree() != 3 {
+		t.Fatalf("fork counts wrong: %d / %d", n, tr.MaxForkDegree())
 	}
 	if got := len(tr.Leaves()); got != 3 {
 		t.Fatalf("leaves %d, want 3", got)
@@ -174,17 +174,17 @@ func TestSubtreeWeight(t *testing.T) {
 	b2 := child(a, 1, 3)
 	c := child(g, 1, 4)
 	tr := buildTree(t, a, b, b2, c)
-	if got := tr.SubtreeWeight(a.ID); got != 3 {
+	if got := tr.subtreeWeight(a.ID); got != 3 {
 		t.Errorf("subtree(a) = %d, want 3", got)
 	}
-	if got := tr.SubtreeWeight(c.ID); got != 1 {
+	if got := tr.subtreeWeight(c.ID); got != 1 {
 		t.Errorf("subtree(c) = %d, want 1", got)
 	}
-	if got := tr.SubtreeWeight(GenesisID); got != 5 { // every block weighs one
+	if got := tr.subtreeWeight(GenesisID); got != 5 { // every block weighs one
 		t.Errorf("subtree(g) = %d, want 5", got)
 	}
-	if tr.SubtreeWeight("missing") != 0 {
-		t.Error("SubtreeWeight of missing block not 0")
+	if tr.subtreeWeight("missing") != 0 {
+		t.Error("subtreeWeight of missing block not 0")
 	}
 }
 
@@ -224,7 +224,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if cl.Has(b.ID) {
 		t.Fatal("clone sees later attach")
 	}
-	if cl.SubtreeWeight(GenesisID) == tr.SubtreeWeight(GenesisID) {
+	if cl.subtreeWeight(GenesisID) == tr.subtreeWeight(GenesisID) {
 		t.Fatal("clone weight cache shared")
 	}
 }
@@ -478,12 +478,12 @@ func TestQuickTreeInvariants(t *testing.T) {
 		}
 		for _, f := range []Selector{LongestChain{}, GHOST{}} {
 			c := f.Select(tr)
-			if !c.WellFormed() {
+			if !wellFormed(c) {
 				return false
 			}
 		}
 		// Root subtree weight equals total block count.
-		return tr.SubtreeWeight(GenesisID) == tr.Len()
+		return tr.subtreeWeight(GenesisID) == tr.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ func TheoremLRC(seed uint64) *Result {
 		return res
 	}
 	chkClean := consistency.NewChecker(clean.Score, core.WellFormed{})
-	ecClean := chkClean.EventualConsistency(clean.History)
+	_, ecClean := chkClean.Classify(clean.History)
 	uaClean := clean.UpdateAgreement()
 	res.addf("lossless run: %s ; %s", ecClean, uaClean)
 
@@ -89,7 +89,7 @@ func TheoremLRC(seed uint64) *Result {
 		return res
 	}
 	chk := consistency.NewChecker(broken.Score, core.WellFormed{})
-	ec := chk.EventualConsistency(broken.History)
+	_, ec := chk.Classify(broken.History)
 	ua := broken.UpdateAgreement()
 	lrc := broken.LRC()
 	res.addf("one message to p2 dropped: %s ; %s ; %s", ec, ua, lrc)

@@ -21,14 +21,15 @@ func checkFlatComm(t *testing.T, h *History, n int) {
 	if len(h.Comm) != n {
 		t.Fatalf("snapshot holds %d comm events, want %d", len(h.Comm), n)
 	}
-	for i := range h.Comm {
-		e := h.Event(i)
+	i, prev := 0, -1
+	for e := range h.Events() {
 		if e.Block != commBlock(i) || e.Parent != core.GenesisID || e.Proc != i%3 || e.Kind != CommKind(i%3) {
 			t.Fatalf("comm[%d] = %v, want %s of block %s under genesis at process %d", i, e, CommKind(i%3), commBlock(i), i%3)
 		}
-		if i > 0 && e.Index <= h.Event(i-1).Index {
-			t.Fatalf("comm[%d].Index %d not above comm[%d].Index %d", i, e.Index, i-1, h.Event(i-1).Index)
+		if e.Index <= prev {
+			t.Fatalf("comm[%d].Index %d not above comm[%d].Index %d", i, e.Index, i-1, prev)
 		}
+		prev, i = e.Index, i+1
 	}
 }
 
@@ -106,11 +107,13 @@ func TestRecordCommConcurrentWithSnapshot(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			h := rec.Snapshot()
-			for j := 1; j < len(h.Comm); j++ {
-				if h.Event(j).Index != h.Event(j-1).Index+1 {
-					t.Errorf("snapshot %d: index %d follows %d", i, h.Event(j).Index, h.Event(j-1).Index)
+			prev := -1
+			for e := range h.Events() {
+				if prev >= 0 && e.Index != prev+1 {
+					t.Errorf("snapshot %d: index %d follows %d", i, e.Index, prev)
 					return
 				}
+				prev = e.Index
 			}
 		}
 	}()

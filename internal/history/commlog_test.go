@@ -3,6 +3,7 @@ package history
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,9 +42,8 @@ func TestCommRecordLayout(t *testing.T) {
 // and 128 is one past. One process leaves all 29 bits to the block, more
 // names than a test can make, so there the process escapes. Around a
 // power of two the last process is inline and 2^pbits escapes. Each case
-// must escape exactly when expected, widen back exactly through
-// Event(i), Events and CommOf, and the wide list hold exactly the
-// escaped records.
+// must escape exactly when expected, widen back exactly through Events
+// and CommOf, and the wide list hold exactly the escaped records.
 func TestCommRecordPacksItsBounds(t *testing.T) {
 	var ids commIDs
 	var want []CommEvent
@@ -58,9 +58,9 @@ func TestCommRecordPacksItsBounds(t *testing.T) {
 		}
 	}
 	h.tables = ids.view()
-	for i, e := range want {
-		if got := h.Event(i); got != e {
-			t.Fatalf("packed %+v, widened %+v", e, got)
+	for i, got := range slices.Collect(h.Events()) {
+		if got != want[i] {
+			t.Fatalf("packed %+v, widened %+v", want[i], got)
 		}
 	}
 	if got, esc := len(h.CommOf(EvReceive)), len(h.tables.wide); got != len(want)/3 || esc != 2*len(want)/3 {
@@ -139,13 +139,16 @@ func escaped(h *History, i int) bool { return h.Comm[i].word>>payloadShift == es
 // blockNum is the number of the block h's record i names, from its word
 // or, escaped, from the wide list.
 func blockNum(h *History, i int) uint32 {
-	cur := h.tables.cursor(i)
+	cur := commCursor{t: &h.tables}
+	for j := range i {
+		cur.next(h.Comm[j], j)
+	}
 	_, block := cur.split(h.Comm[i])
 	return block
 }
 
 // checkEvents asserts h's log is exactly want — through Events, through
-// Event(i), through CommOf and by len(h.Comm) — and that its ID table
+// CommOf and by len(h.Comm) — and that its ID table
 // lists the IDs want names, each once, in first-seen order (parent
 // before block).
 func checkEvents(t *testing.T, h *History, want []CommEvent) {
@@ -157,9 +160,6 @@ func checkEvents(t *testing.T, h *History, want []CommEvent) {
 	for e := range h.Events() {
 		if e != want[i] {
 			t.Fatalf("Events() yields %+v at %d, want %+v", e, i, want[i])
-		}
-		if got := h.Event(i); got != want[i] {
-			t.Fatalf("Event(%d) = %+v, want %+v", i, got, want[i])
 		}
 		i++
 	}
@@ -235,8 +235,8 @@ func TestCommIDsSameIDAsParentAndBlock(t *testing.T) {
 	if b := blockNum(h, 0); h.tables.parent[b] != b || h.Comm[0].odd() {
 		t.Fatalf("one ID numbered twice: block %d first recorded under parent %d", b, h.tables.parent[b])
 	}
-	if !h.Comm[2].odd() || h.Event(2).Parent != core.GenesisID {
-		t.Fatalf("the update under genesis widens to %v (odd %v)", h.Event(2), h.Comm[2].odd())
+	if e := slices.Collect(h.Events())[2]; !h.Comm[2].odd() || e.Parent != core.GenesisID {
+		t.Fatalf("the update under genesis widens to %v (odd %v)", e, h.Comm[2].odd())
 	}
 }
 
@@ -255,10 +255,11 @@ func TestCommIDsStrictAlternation(t *testing.T) {
 	}
 	h := rec.Snapshot()
 	checkEvents(t, h, want)
+	ev := slices.Collect(h.Events())
 	for i, c := range h.Comm {
-		if blockNum(h, i) != blockNum(h, i%2) || c.odd() || h.Event(i).Parent != h.Event(i%2).Parent {
+		if blockNum(h, i) != blockNum(h, i%2) || c.odd() || ev[i].Parent != ev[i%2].Parent {
 			t.Fatalf("record %d numbered block %d (odd %v) under %s, want block %d under %s",
-				i, blockNum(h, i), c.odd(), h.Event(i).Parent, blockNum(h, i%2), h.Event(i%2).Parent)
+				i, blockNum(h, i), c.odd(), ev[i].Parent, blockNum(h, i%2), ev[i%2].Parent)
 		}
 	}
 }
@@ -332,11 +333,10 @@ func TestCommIDsParentBeforeBlockAcrossSnapshot(t *testing.T) {
 // recorded first (a read, an append, successful or not, or a read left
 // pending), so that indices skip and the jump list fills — and keeps
 // the wide events in a slice of its own. Processes past the split and
-// blocks past its bits fill the escape list, which Event(i) and the
-// mid-sequence snapshots enter anywhere. Every snapshot, the
-// mid-sequence ones checked after all recording is done, must widen
-// back to the prefix of that slice it was taken at and list only the
-// IDs that prefix names, and so must its Purged copy.
+// blocks past its bits fill the escape list, which the mid-sequence
+// snapshots cut anywhere. Every snapshot, the mid-sequence ones checked
+// after all recording is done, must widen back to the prefix of that
+// slice it was taken at and list only the IDs that prefix names.
 func FuzzCommLogRoundTrip(f *testing.F) {
 	pool := []core.BlockID{"", core.GenesisID, "b1", "b2", "forged", "never-attached"}
 	f.Add([]byte{})
@@ -418,7 +418,6 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 		cuts = append(cuts, cut{rec.Snapshot(), len(ref)})
 		for _, c := range cuts {
 			checkEvents(t, c.h, ref[:c.n])
-			checkEvents(t, c.h.Purged(), ref[:c.n])
 		}
 	})
 }
@@ -426,8 +425,7 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 // TestSegmentSinkHistoryEqualsSnapshot: in tee mode — a SegmentSink on a
 // retaining recorder, its handler copying each segment — the history
 // assembled from the segments' wide events and the recorder's own
-// snapshot are the same log over the same table, and Purged carries both
-// along.
+// snapshot are the same log over the same table.
 func TestSegmentSinkHistoryEqualsSnapshot(t *testing.T) {
 	rec := NewRecorder(3, nil)
 	seg, copies := copyingSink(4)
@@ -456,13 +454,6 @@ func TestSegmentSinkHistoryEqualsSnapshot(t *testing.T) {
 	checkEvents(t, assembled, want)
 	if len(assembled.Ops) != len(snap.Ops) {
 		t.Fatalf("assembled history has %d ops, snapshot %d", len(assembled.Ops), len(snap.Ops))
-	}
-	for _, h := range []*History{snap, assembled} {
-		p := h.Purged()
-		if len(p.Ops) >= len(h.Ops) {
-			t.Fatalf("Purged dropped no op (%d of %d kept)", len(p.Ops), len(h.Ops))
-		}
-		checkEvents(t, p, want)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"iter"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -184,8 +183,8 @@ func (e CommEvent) String() string {
 // name the block's own Parent, so only a forged argument does), and the
 // index is one past the previous event's unless operation events came
 // in between. The tables' odd and jump lists record those exceptions.
-// History.Event and History.Events widen a record back into a
-// CommEvent. Drop mode packs nothing.
+// History.Events widens the records back into CommEvents, in order.
+// Drop mode packs nothing.
 type CommRecord struct {
 	word uint32
 }
@@ -222,25 +221,18 @@ func (c CommRecord) odd() bool      { return c.word&oddBit != 0 }
 type commTables struct {
 	names  []core.BlockID
 	parent []uint32
-	odd    []commOdd
+	odd    []uint32
 	jumps  []commJump
 	wide   []commWide
 	pbits  uint
 }
 
-// commOdd is the parent of the record at pos; commJump the index of the
-// record at pos, the records after it following one by one; commWide the
-// process and block number of the escaped record at pos.
+// commJump is the index of the record at pos, the records after it
+// following one by one; commWide the process and block number of an
+// escaped record.
 type (
-	commOdd struct {
-		pos    int
-		parent uint32
-	}
 	commJump struct{ pos, index int }
-	commWide struct {
-		pos         int
-		proc, block uint32
-	}
+	commWide struct{ proc, block uint32 }
 )
 
 const noParent = ^uint32(0)
@@ -294,14 +286,14 @@ func (t *commIDs) pack(e CommEvent) CommRecord {
 	payload := uint64(block)<<t.pbits | uint64(e.Proc)
 	if uint(e.Proc) >= 1<<t.pbits || payload >= escape {
 		payload = escape
-		t.wide = append(t.wide, commWide{t.n, uint32(e.Proc), block})
+		t.wide = append(t.wide, commWide{uint32(e.Proc), block})
 	}
 	c := CommRecord{uint32(payload)<<payloadShift | uint32(e.Kind)}
 	if t.parent[block] == noParent {
 		t.parent[block] = parent
 	} else if t.parent[block] != parent {
 		c.word |= oddBit
-		t.odd = append(t.odd, commOdd{t.n, parent})
+		t.odd = append(t.odd, parent)
 	}
 	if e.Index != t.next {
 		t.jumps = append(t.jumps, commJump{t.n, e.Index})
@@ -325,28 +317,12 @@ func (t *commIDs) view() commTables {
 	}
 }
 
-// commCursor widens a log's records in order, stepping through the
-// three lists instead of searching them: O(1) an event.
+// commCursor widens a log's records in order from the first, stepping
+// through the three lists: O(1) an event.
 type commCursor struct {
 	t               *commTables
 	odd, jump, wide int // the next entry of each list
 	skip            int // index − position, as of the last jump
-}
-
-// cursor returns a cursor whose next record is the one at pos, placed by
-// binary search of the three lists.
-func (t *commTables) cursor(pos int) commCursor {
-	cur := commCursor{
-		t:    t,
-		odd:  sort.Search(len(t.odd), func(o int) bool { return t.odd[o].pos >= pos }),
-		jump: sort.Search(len(t.jumps), func(j int) bool { return t.jumps[j].pos >= pos }),
-		wide: sort.Search(len(t.wide), func(w int) bool { return t.wide[w].pos >= pos }),
-	}
-	if cur.jump > 0 {
-		last := t.jumps[cur.jump-1]
-		cur.skip = last.index - last.pos
-	}
-	return cur
 }
 
 // next widens c, the record at pos, and moves past it.
@@ -359,7 +335,7 @@ func (cur *commCursor) next(c CommRecord, pos int) CommEvent {
 	proc, block := cur.split(c)
 	parent := t.parent[block]
 	if c.odd() {
-		parent = t.odd[cur.odd].parent
+		parent = t.odd[cur.odd]
 		cur.odd++
 	}
 	return CommEvent{Kind: c.kind(), Proc: int(proc), Parent: t.names[parent], Block: t.names[block], Index: pos + cur.skip}
@@ -380,16 +356,15 @@ func (cur *commCursor) split(c CommRecord) (proc, block uint32) {
 // History is a finite recorded prefix of a concurrent history. It is
 // immutable once built; use Recorder to construct one.
 //
-// The operation accessors (Reads, Appends, SuccessfulAppends,
-// AppendedBlocks, ByProcess) are memoized on first use — checkers call
-// them repeatedly — so the returned slices and maps are shared: callers
-// must treat them as read-only, and must not call them before recording
-// has stopped (the same contract the checkers already have).
+// Reads is memoized on first use — checkers call it repeatedly — so the
+// returned slice is shared: callers must treat it as read-only, and must
+// not call it before recording has stopped (the same contract the
+// checkers already have).
 type History struct {
 	Ops []*Op
 	// Comm is the communication log in recording order, packed.
-	// len(Comm) is the event count; read events through Events and
-	// Event, which widen the records over the side tables.
+	// len(Comm) is the event count; read events through Events, which
+	// widens the records over the side tables.
 	Comm   []CommRecord
 	tables commTables
 	// Procs is the number of processes (ids 0..Procs-1).
@@ -402,39 +377,8 @@ type History struct {
 	// recorder's).
 	Table *core.Index
 
-	memoOnce sync.Once
-	memo     struct {
-		reads      []*Op
-		appends    []*Op
-		successful []*Op
-		byProc     [][]*Op
-	}
-}
-
-// index builds every memoized view in one pass over Ops.
-func (h *History) index() {
-	h.memoOnce.Do(func() {
-		h.memo.byProc = make([][]*Op, h.Procs)
-		for _, op := range h.Ops {
-			if op.Pending {
-				continue
-			}
-			if op.Proc >= 0 && op.Proc < h.Procs {
-				h.memo.byProc[op.Proc] = append(h.memo.byProc[op.Proc], op)
-			}
-			switch op.Kind {
-			case OpRead:
-				if h.IsCorrect(op.Proc) {
-					h.memo.reads = append(h.memo.reads, op)
-				}
-			case OpAppend:
-				h.memo.appends = append(h.memo.appends, op)
-				if op.OK {
-					h.memo.successful = append(h.memo.successful, op)
-				}
-			}
-		}
-	})
+	readsOnce sync.Once
+	reads     []*Op
 }
 
 // IsCorrect reports whether process p is correct in this history.
@@ -448,47 +392,20 @@ func (h *History) IsCorrect(p int) bool {
 // Reads returns the completed read operations of correct processes, in
 // recording order. The slice is memoized and shared — read-only.
 func (h *History) Reads() []*Op {
-	h.index()
-	return h.memo.reads
-}
-
-// Appends returns the completed append operations (of all processes —
-// Block Validity must hold for any appended block a correct process
-// reads), in recording order. The slice is memoized and shared.
-func (h *History) Appends() []*Op {
-	h.index()
-	return h.memo.appends
-}
-
-// SuccessfulAppends returns appends whose response was true. The
-// hierarchy theorems (3.3, 3.4) compare histories "purged of the
-// unsuccessful append() response events". The slice is memoized and
-// shared.
-func (h *History) SuccessfulAppends() []*Op {
-	h.index()
-	return h.memo.successful
-}
-
-// ByProcess returns the completed operations of process p in program
-// order. The slice is memoized and shared — read-only.
-func (h *History) ByProcess(p int) []*Op {
-	if p < 0 || p >= h.Procs {
-		return nil
-	}
-	h.index()
-	return h.memo.byProc[p]
-}
-
-// Event returns the i-th communication event, 0 ≤ i < len(h.Comm).
-func (h *History) Event(i int) CommEvent {
-	cur := h.tables.cursor(i)
-	return cur.next(h.Comm[i], i)
+	h.readsOnce.Do(func() {
+		for _, op := range h.Ops {
+			if op.Kind == OpRead && !op.Pending && h.IsCorrect(op.Proc) {
+				h.reads = append(h.reads, op)
+			}
+		}
+	})
+	return h.reads
 }
 
 // Events iterates over the communication events in recording order.
 func (h *History) Events() iter.Seq[CommEvent] {
 	return func(yield func(CommEvent) bool) {
-		cur := h.tables.cursor(0)
+		cur := commCursor{t: &h.tables}
 		for i, c := range h.Comm {
 			if !yield(cur.next(c, i)) {
 				return
@@ -507,19 +424,6 @@ func (h *History) CommOf(kind CommKind) []CommEvent {
 		}
 	}
 	return out
-}
-
-// Purged returns a copy of the history without unsuccessful append
-// operations (the Ĥ of Section 3.4).
-func (h *History) Purged() *History {
-	nh := &History{Procs: h.Procs, Correct: h.Correct, Comm: h.Comm, tables: h.tables, Table: h.Table}
-	for _, op := range h.Ops {
-		if op.Kind == OpAppend && !op.Pending && !op.OK {
-			continue
-		}
-		nh.Ops = append(nh.Ops, op)
-	}
-	return nh
 }
 
 // String summarizes the history.

@@ -2,6 +2,7 @@ package history
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -63,17 +64,24 @@ func TestConcurrencyRelation(t *testing.T) {
 	}
 }
 
+// TestByProcessOrder: one process's operations are recorded in its
+// program order, another's interleaved between them.
 func TestByProcessOrder(t *testing.T) {
 	rec := NewRecorder(2, nil)
 	rec.Read(0, chainOf(0))
 	rec.Read(1, chainOf(0))
 	rec.Read(0, chainOf(1))
 	h := rec.Snapshot()
-	ops := h.ByProcess(0)
+	var ops []*Op
+	for _, op := range h.Ops {
+		if op.Proc == 0 {
+			ops = append(ops, op)
+		}
+	}
 	if len(ops) != 2 {
 		t.Fatalf("process 0 has %d ops", len(ops))
 	}
-	if !ops[0].Before(ops[1]) {
+	if !ops[0].Before(ops[1]) || len(ops[1].Chain()) != 2 {
 		t.Fatal("process order violated")
 	}
 }
@@ -100,15 +108,13 @@ func TestAppendsAndPurge(t *testing.T) {
 	rec.Append(0, b1, true)
 	rec.Append(0, b2, false)
 	h := rec.Snapshot()
-	if len(h.Appends()) != 2 || len(h.SuccessfulAppends()) != 1 {
-		t.Fatal("append counting wrong")
+	if len(h.Ops) != 2 || h.Ops[0].Kind != OpAppend || h.Ops[1].Kind != OpAppend {
+		t.Fatalf("recorded %v, want both appends", h.Ops)
 	}
-	purged := h.Purged()
-	if len(purged.Ops) != 1 {
-		t.Fatalf("purged has %d ops, want 1", len(purged.Ops))
-	}
-	if ok := h.SuccessfulAppends(); len(ok) != 1 || ok[0].Block.ID != b1.ID {
-		t.Fatalf("successful appends %v, want the one of %s", ok, b1.ID)
+	// Each append keeps its response, which is what a purge (Section
+	// 3.4's Ĥ, without the appends answered false) goes by.
+	if ok, failed := h.Ops[0], h.Ops[1]; !ok.OK || ok.Block.ID != b1.ID || failed.OK || failed.Block.ID != b2.ID {
+		t.Fatalf("responses %v / %v, want %s true and %s false", ok, failed, b1.ID, b2.ID)
 	}
 }
 
@@ -124,7 +130,7 @@ func TestCommEvents(t *testing.T) {
 	if len(h.CommOf(EvSend)) != 1 || len(h.CommOf(EvReceive)) != 1 || len(h.CommOf(EvUpdate)) != 1 {
 		t.Fatal("CommOf filters wrong")
 	}
-	if h.Event(0).Index >= h.Event(1).Index || h.Event(1).Index >= h.Event(2).Index {
+	if ev := slices.Collect(h.Events()); ev[0].Index >= ev[1].Index || ev[1].Index >= ev[2].Index {
 		t.Fatal("comm indices not increasing")
 	}
 }
@@ -166,8 +172,8 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 		t.Fatalf("recorded %d ops, %d comm", len(h.Ops), len(h.Comm))
 	}
 	deliveries := 0
-	for i := range h.Comm {
-		e := h.Event(i)
+	ev := slices.Collect(h.Events())
+	for i, e := range ev {
 		if e.Kind != EvReceive {
 			continue
 		}
@@ -175,7 +181,7 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 		if e.Parent != "z" || i+1 == len(h.Comm) {
 			t.Fatalf("receive %v: wrong parent or last in the log", e)
 		}
-		u := h.Event(i + 1)
+		u := ev[i+1]
 		if u.Kind != EvUpdate || u.Index != e.Index+1 || u.Proc != e.Proc || u.Block != e.Block || u.Parent != "y" {
 			t.Fatalf("receive %v is followed by %v, want update_%d(y, %s) @%d", e, u, e.Proc, e.Block.Short(), e.Index+1)
 		}

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -23,7 +24,7 @@ func BenchmarkRecordRead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// What replica.Read did before interning: materialize the
 			// selected chain, then copy-record it.
-			rec.Read(i%4, chain.Clone())
+			rec.Read(i%4, slices.Clone(chain))
 		}
 	})
 	b.Run("interned", func(b *testing.B) {

@@ -49,9 +49,6 @@ type CounterVec struct {
 // Inc adds 1 to process p's slot.
 func (cv *CounterVec) Inc(p int) { cv.slots[p]++ }
 
-// Add adds d to process p's slot.
-func (cv *CounterVec) Add(p int, d int64) { cv.slots[p] += d }
-
 // Total sums every slot.
 func (cv *CounterVec) Total() int64 {
 	var t int64

@@ -9,7 +9,9 @@ func TestCounterAndVec(t *testing.T) {
 	c.Inc()
 	c.Add(4)
 	cv.Inc(0)
-	cv.Add(2, 7)
+	for range 7 {
+		cv.Inc(2)
+	}
 	cv.Inc(2)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
@@ -26,8 +28,8 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(3) }); n != 0 {
 		t.Fatalf("Counter.Inc/Add allocates: %v allocs/op", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { cv.Inc(3); cv.Add(5, 2) }); n != 0 {
-		t.Fatalf("CounterVec.Inc/Add allocates: %v allocs/op", n)
+	if n := testing.AllocsPerRun(1000, func() { cv.Inc(3) }); n != 0 {
+		t.Fatalf("CounterVec.Inc allocates: %v allocs/op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { r.Tick(5) }); n != 0 {
 		t.Fatalf("Tick with no boundary crossed allocates: %v allocs/op", n)

@@ -51,7 +51,7 @@ func TestGetTokenNilParent(t *testing.T) {
 }
 
 func TestGetTokenRejectsInvalidPredicate(t *testing.T) {
-	o := NewProdigal(nil, core.RejectAll{}, 1)
+	o := NewProdigal(nil, core.PredicateFunc("rejectall", (*core.Block).IsGenesis), 1)
 	g := core.Genesis()
 	for i := 0; i < 64; i++ {
 		if _, ok := o.GetToken(1, g, 0, i, nil); ok {

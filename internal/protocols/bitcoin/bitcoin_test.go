@@ -70,14 +70,6 @@ func TestUpdateAgreementHolds(t *testing.T) {
 	}
 }
 
-func TestBlockValidityUnderLedgerPredicate(t *testing.T) {
-	res := Run(defaultCfg(5))
-	chk := consistency.NewChecker(res.Score, core.LedgerPredicate{})
-	if rep := chk.BlockValidity(res.History); !rep.OK {
-		t.Fatalf("ledger-valid blocks rejected: %v", rep.Violations)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	a := Run(defaultCfg(7))
 	b := Run(defaultCfg(7))

@@ -246,10 +246,10 @@ func (r *Result) String() string {
 		r.System, r.History, r.MeasuredForkMax, r.FinalHeights())
 }
 
-// CoinbasePayload builds the toy-ledger payload every simulator uses for
-// its blocks: a coinbase transaction minting 50 units to the creator
-// plus a transfer spending part of it, so the ledger predicate has real
-// work to do.
+// CoinbasePayload builds the payload every simulator uses for its
+// blocks: a coinbase transaction minting 50 units to the creator, plus a
+// second mint every third round. It only makes blocks of one creator
+// and round differ in content; no predicate parses it.
 func CoinbasePayload(creator int, round int) []byte {
 	txs := []core.Tx{
 		{From: 0, To: uint32(creator + 1), Amount: 50},

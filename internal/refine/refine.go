@@ -121,19 +121,6 @@ func (bt *BT) Append(proc int, m tape.Merit, round int, payload []byte) (*core.B
 	return validated, ok
 }
 
-// Tree returns a snapshot clone of the underlying BlockTree.
-func (bt *BT) Tree() *core.Tree {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	return bt.tree.Clone()
-}
-
-// Oracle exposes the Θ instance (for stats).
-func (bt *BT) Oracle() oracle.Oracle { return bt.o }
-
-// Selector exposes f.
-func (bt *BT) Selector() core.Selector { return bt.f }
-
 // Typology names one node of the hierarchy of Section 3.4.
 type Typology struct {
 	// Criterion is "SC" or "EC".

@@ -42,7 +42,7 @@ func TestAppendExtendsSelectedChain(t *testing.T) {
 		}
 		prev = cur
 	}
-	if bt.Tree().MaxForkDegree() != 1 {
+	if bt.tree.MaxForkDegree() != 1 {
 		t.Fatal("sequential appends forked the tree")
 	}
 }
@@ -59,13 +59,19 @@ func TestAppendRecordsHistory(t *testing.T) {
 	}
 	c := bt.Read(1)
 	h := rec.Snapshot()
-	if len(h.SuccessfulAppends()) != 1 || len(h.Reads()) != 1 {
-		t.Fatalf("recorded %d appends, %d reads", len(h.SuccessfulAppends()), len(h.Reads()))
+	var aps []*history.Op
+	for _, op := range h.Ops {
+		if op.Kind == history.OpAppend && !op.Pending && op.OK {
+			aps = append(aps, op)
+		}
+	}
+	if len(aps) != 1 || len(h.Reads()) != 1 {
+		t.Fatalf("recorded %d appends, %d reads", len(aps), len(h.Reads()))
 	}
 	if rd := h.Reads()[0]; rd.Head != c.Head().ID || !rd.Chain().Equal(c) {
 		t.Fatalf("recorded read %s, object returned %s", rd, c)
 	}
-	ap := h.SuccessfulAppends()[0]
+	ap := aps[0]
 	if ap.Block == nil || ap.Block.ID == "pending" {
 		t.Fatal("final validated block not recorded")
 	}
@@ -118,9 +124,8 @@ func TestConcurrentAppendsLinearChain(t *testing.T) {
 	for p := 0; p < 4; p++ {
 		bt.Read(p)
 	}
-	tree := bt.Tree()
-	if tree.MaxForkDegree() > 1 {
-		t.Fatalf("fork degree %d with atomic appends", tree.MaxForkDegree())
+	if d := bt.tree.MaxForkDegree(); d > 1 {
+		t.Fatalf("fork degree %d with atomic appends", d)
 	}
 	h := rec.Snapshot()
 	chk := consistency.NewChecker(nil, core.WellFormed{})
@@ -145,11 +150,11 @@ func TestNewPanicsWithoutOracle(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	o := oracle.NewFrugal(1, nil, nil, 6)
 	bt := New(Config{Oracle: o, Selector: core.GHOST{}})
-	if bt.Oracle() != o {
-		t.Fatal("oracle accessor")
+	if bt.o != o {
+		t.Fatal("oracle not taken from the config")
 	}
-	if bt.Selector().Name() != "ghost" {
-		t.Fatal("selector accessor")
+	if bt.f.Name() != "ghost" {
+		t.Fatal("selector not taken from the config")
 	}
 }
 

@@ -126,7 +126,8 @@ func TestAntiEntropyRandomLossSoak(t *testing.T) {
 	sim := simnet.NewSim(13)
 	g := NewGroup(sim, 4, simnet.Synchronous{Delta: 2}, core.LongestChain{})
 	g.SetPredicate(core.WellFormed{})
-	g.Net.SetDropRandom(0.10)
+	rng := sim.RNG().Split()
+	g.Net.SetDrop(func(simnet.Message) bool { return rng.Bernoulli(0.10) })
 
 	for i := 0; i < 20; i++ {
 		p := i % 4

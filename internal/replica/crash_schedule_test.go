@@ -100,7 +100,7 @@ func FuzzCrashSchedule(f *testing.F) {
 			}
 			id := i
 			sends = append(sends, sent{at, from, to, id})
-			sim.At(at, func() { g.Net.Send(from, to, id) })
+			sim.Schedule(at-sim.Now(), func() { g.Net.Send(from, to, id) })
 		}
 		sim.RunUntilIdle()
 

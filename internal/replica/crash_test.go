@@ -29,7 +29,7 @@ func checkTreeReads(t testing.TB, tr *core.Tree) {
 	t.Helper()
 	maxFork := 0
 	for _, b := range tr.Blocks() {
-		if d := tr.ForkCount(b.ID); d > maxFork {
+		if d := len(tr.Children(b.ID)); d > maxFork {
 			maxFork = d
 		}
 	}
@@ -79,8 +79,8 @@ func crashRig(t *testing.T, durable bool, rounds int) (*simnet.Sim, *Group, map[
 	// Probes at the crash edges, scheduled after EnableCrashRecovery
 	// armed them so they observe the post-snapshot / post-restore state.
 	probes := map[string]string{}
-	sim.At(30, func() { probes["atCrash"] = treeDump(g.Procs[2].Tree()) })
-	sim.At(60, func() {
+	sim.Schedule(30-sim.Now(), func() { probes["atCrash"] = treeDump(g.Procs[2].Tree()) })
+	sim.Schedule(60-sim.Now(), func() {
 		probes["atRestart"] = treeDump(g.Procs[2].Tree())
 		checkTreeReads(t, g.Procs[2].Tree())
 	})
@@ -396,8 +396,8 @@ func FuzzDurableRestore(f *testing.F) {
 		// next events at their instants.
 		var atCrash, atRestart string
 		p2 := g.Procs[2]
-		sim.At(start, func() { atCrash = treeDump(p2.Tree()) + "|" + pendingDump(p2) })
-		sim.At(end, func() {
+		sim.Schedule(start-sim.Now(), func() { atCrash = treeDump(p2.Tree()) + "|" + pendingDump(p2) })
+		sim.Schedule(end-sim.Now(), func() {
 			atRestart = treeDump(p2.Tree()) + "|" + pendingDump(p2)
 			checkTreeReads(t, p2.Tree())
 		})
@@ -413,7 +413,7 @@ func FuzzDurableRestore(f *testing.F) {
 			}
 			at := int64(rng.Intn(100))
 			proc := g.Procs[creator]
-			sim.At(at, func() { proc.AppendLocal(b) })
+			sim.Schedule(at-sim.Now(), func() { proc.AppendLocal(b) })
 		}
 		sim.RunUntilIdle()
 

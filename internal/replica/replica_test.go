@@ -94,9 +94,8 @@ func TestAppendLocalRecordsAppendOp(t *testing.T) {
 		t.Fatal("append failed")
 	}
 	h := g.History()
-	aps := h.SuccessfulAppends()
-	if len(aps) != 1 || aps[0].Proc != 1 || aps[0].Block.ID != b.ID {
-		t.Fatalf("append op wrong: %v", aps)
+	if len(h.Ops) != 1 || h.Ops[0].Kind != history.OpAppend || !h.Ops[0].OK || h.Ops[0].Proc != 1 || h.Ops[0].Block.ID != b.ID {
+		t.Fatalf("append op wrong: %v", h.Ops)
 	}
 }
 
@@ -152,8 +151,8 @@ func TestConcurrentForksBothRetained(t *testing.T) {
 		if !tr.Has(b1.ID) || !tr.Has(b2.ID) {
 			t.Fatalf("process %d missing a fork branch", p)
 		}
-		if tr.ForkCount(core.GenesisID) != 2 {
-			t.Fatalf("process %d fork count %d", p, tr.ForkCount(core.GenesisID))
+		if n := len(tr.Children(core.GenesisID)); n != 2 {
+			t.Fatalf("process %d fork count %d", p, n)
 		}
 	}
 	// Deterministic selectors agree across replicas once converged.

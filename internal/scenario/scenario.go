@@ -132,16 +132,6 @@ func (o *Outcome) judge(v consistency.Verdicts) {
 	o.Digest = Digest(o)
 }
 
-// MustRun is Run for specs known to be valid — the static catalogue,
-// tests, pinned-digest replays. It panics on error.
-func (s Spec) MustRun(seed uint64) *Outcome {
-	o, err := s.Run(seed)
-	if err != nil {
-		panic(err)
-	}
-	return o
-}
-
 // Digest folds the run — every recorded operation and communication
 // event, every replica tree, the fault log, and all verdicts — into one
 // hash: the byte-identical-replay check of the acceptance criteria. The

@@ -20,7 +20,7 @@ func TestCatalogueMeasuresPredictedViolations(t *testing.T) {
 	for _, spec := range Catalogue() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			o := spec.MustRun(0)
+			o := mustRun(t, spec, 0)
 			if missing := o.MissingExpected(); len(missing) > 0 {
 				t.Fatalf("predicted violations unmeasured: %v (got %v)", missing, o.Violated)
 			}
@@ -105,11 +105,11 @@ func TestCatalogueCoversAllRegisteredSystems(t *testing.T) {
 // identical digest, and the digest must depend on the seed.
 func TestRunIsDeterministic(t *testing.T) {
 	spec := *ByName("bitcoin/selfish")
-	a, b := spec.MustRun(0), spec.MustRun(0)
+	a, b := mustRun(t, spec, 0), mustRun(t, spec, 0)
 	if a.Digest != b.Digest {
 		t.Fatalf("same spec+seed diverged: %s vs %s", a.Digest, b.Digest)
 	}
-	c := spec.MustRun(7)
+	c := mustRun(t, spec, 7)
 	if c.Digest == a.Digest {
 		t.Fatalf("different seeds collided on digest %s", a.Digest)
 	}
@@ -124,7 +124,7 @@ func TestDigestIntoAllocatesOnlyRenderings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates beyond the render+8 bound; the count holds in a plain build")
 	}
-	r := ByName("bitcoin/partition-heal").MustRun(0).Res
+	r := mustRun(t, *ByName("bitcoin/partition-heal"), 0).Res
 	render := testing.AllocsPerRun(3, func() {
 		_ = r.History.String()
 		for _, op := range r.History.Ops {
@@ -155,7 +155,7 @@ func TestSweepMatchesSerialRuns(t *testing.T) {
 
 	var serial []string
 	for _, s := range seeds {
-		serial = append(serial, spec.MustRun(s).Digest)
+		serial = append(serial, mustRun(t, spec, s).Digest)
 	}
 	par, err := Sweep(spec, seeds, 4)
 	if err != nil {
@@ -197,11 +197,22 @@ func TestSweepRecordsStreamedHandlerPanic(t *testing.T) {
 
 // TestMatrixRendersWitness smoke-checks the violation matrix rendering.
 func TestMatrixRendersWitness(t *testing.T) {
-	o := ByName("fabric/equivocate").MustRun(0)
+	o := mustRun(t, *ByName("fabric/equivocate"), 0)
 	m := Matrix([]*Outcome{o})
 	for _, want := range []string{"fabric/equivocate", "1-ForkCoherence", "✗", "└"} {
 		if !strings.Contains(m, want) {
 			t.Fatalf("matrix missing %q:\n%s", want, m)
 		}
 	}
+}
+
+// mustRun runs a spec known to be valid — a catalogue entry — and fails
+// the test on an error.
+func mustRun(t testing.TB, s Spec, seed uint64) *Outcome {
+	t.Helper()
+	o, err := s.Run(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }

@@ -164,9 +164,9 @@ func TestStreamedCheckIsTheMonitors(t *testing.T) {
 			t.Parallel()
 			spec := *ByName(name)
 			spec.CheckK = 1
-			kept := spec.MustRun(0)
+			kept := mustRun(t, spec, 0)
 			spec.Streaming = true
-			o := spec.MustRun(0)
+			o := mustRun(t, spec, 0)
 			if len(o.Res.History.Ops) >= len(kept.Res.History.Ops) {
 				t.Fatalf("the streamed run retained its history: %d ops (kept: %d)", len(o.Res.History.Ops), len(kept.Res.History.Ops))
 			}

@@ -46,8 +46,8 @@ func TestCrashDropsDeliveriesWhileDown(t *testing.T) {
 	nw := simnet.NewNetwork(sim, 3, simnet.Synchronous{Delta: 1})
 	got := crashNet(sim, nw, 3)
 	down := nw.Port(2)
-	sim.At(10, func() { down.SetDown(true) })
-	sim.At(40, func() { down.SetDown(false) })
+	sim.Schedule(10-sim.Now(), func() { down.SetDown(true) })
+	sim.Schedule(40-sim.Now(), func() { down.SetDown(false) })
 
 	sim.Schedule(5, func() { nw.Send(0, 2, "before") })  // delivers ≤ 6 < 10
 	sim.Schedule(20, func() { nw.Send(0, 2, "during") }) // lost
@@ -133,8 +133,8 @@ func TestOverlappingCrashWindowsMerge(t *testing.T) {
 	})
 	port := g.Net.Port(0)
 	var at25, at50 bool
-	sim.At(25, func() { at25 = port.Down() })
-	sim.At(50, func() { at50 = port.Down() })
+	sim.Schedule(25-sim.Now(), func() { at25 = port.Down() })
+	sim.Schedule(50-sim.Now(), func() { at50 = port.Down() })
 	sim.RunUntilIdle()
 
 	if rs := g.Recovery; rs.Crashes != 1 || rs.Restarts != 1 {

@@ -196,9 +196,6 @@ func (nw *Network) SetSchedule(s *Schedule) {
 	}
 }
 
-// Schedule returns the installed fault schedule (nil when none).
-func (nw *Network) Schedule() *Schedule { return nw.sched }
-
 // RecordFaults enables (or disables) the fault-event log. Enable before
 // SetSchedule so the cut/heal boundary events are captured.
 func (nw *Network) RecordFaults(on bool) { nw.logFaults = on }

@@ -139,7 +139,7 @@ func TestFIFOBumpCannotCrossCut(t *testing.T) {
 		t.Fatalf("delivered %d, want 2", len(*got))
 	}
 	for _, d := range *got {
-		if nw.Schedule().Cut(d.At, 0, 1) {
+		if nw.sched.Cut(d.At, 0, 1) {
 			t.Fatalf("delivery at %d is inside the active cut", d.At)
 		}
 	}
@@ -214,7 +214,7 @@ func FuzzPartitionSchedule(f *testing.F) {
 			}
 			id := i
 			sends = append(sends, sent{from, to, id})
-			sim.At(at, func() { nw.Send(from, to, id) })
+			sim.Schedule(at-sim.Now(), func() { nw.Send(from, to, id) })
 		}
 		sim.RunUntilIdle()
 

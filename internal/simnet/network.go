@@ -27,12 +27,6 @@ func DropToProcess(p int) DropRule {
 	return func(m Message) bool { return m.To == p }
 }
 
-// DropFromProcess drops every message sent by the given process — the
-// silent-sender scenario of Lemma 4.4 (R1 violated from the outside).
-func DropFromProcess(p int) DropRule {
-	return func(m Message) bool { return m.From == p }
-}
-
 // DropNth drops exactly the n-th message (0-based) that matches the
 // inner rule; all means every message matches. This builds the paper's
 // "even only one message dropped" minimal counterexamples.
@@ -157,13 +151,6 @@ func (nw *Network) SetDrop(r DropRule) {
 		r = DropNone
 	}
 	nw.drop = r
-}
-
-// SetDropRandom installs i.i.d. loss with probability p from the
-// network's deterministic RNG.
-func (nw *Network) SetDropRandom(p float64) {
-	rng := nw.sim.RNG().Split()
-	nw.drop = func(Message) bool { return rng.Bernoulli(p) }
 }
 
 // SetFIFO enables (or disables) per-link FIFO delivery.

@@ -77,12 +77,6 @@ func (s *Sim) Schedule(delay int64, fn func()) {
 	s.schedule(delay, -1, s.recs.file(record{fn: fn}))
 }
 
-// At schedules fn at absolute virtual time t (clamped to now).
-func (s *Sim) At(t int64, fn func()) {
-	d := t - s.now
-	s.Schedule(d, fn)
-}
-
 // peek returns the time of the earliest pending event or occurrence of
 // a simulator with one pending.
 func (s *Sim) peek() int64 {

@@ -305,16 +305,16 @@ func TestSchedulerDifferentialOrder(t *testing.T) {
 	}
 }
 
-// TestSchedulerDifferentialWithDrops pins DropNth/DropToProcess under
-// the run queue: the dropped message set and the surviving
-// delivery order must match the legacy scheduler exactly.
+// TestSchedulerDifferentialWithDrops pins DropNth, DropToProcess and a
+// sender rule under the run queue: the dropped message set and the
+// surviving delivery order must match the legacy scheduler exactly.
 func TestSchedulerDifferentialWithDrops(t *testing.T) {
 	rules := []struct {
 		name string
 		mk   func() DropRule
 	}{
 		{"DropToProcess(2)", func() DropRule { return DropToProcess(2) }},
-		{"DropFromProcess(1)", func() DropRule { return DropFromProcess(1) }},
+		{"From==1", func() DropRule { return func(m Message) bool { return m.From == 1 } }},
 		{"DropNth(0,to2)", func() DropRule { return DropNth(0, DropToProcess(2)) }},
 		{"DropNth(7,all)", func() DropRule { return DropNth(7, nil) }},
 	}

@@ -91,7 +91,7 @@ func TestSimNegativeDelayClamped(t *testing.T) {
 func TestSimAt(t *testing.T) {
 	s := NewSim(1)
 	var at int64
-	s.At(9, func() { at = s.Now() })
+	s.Schedule(9-s.Now(), func() { at = s.Now() })
 	s.RunUntilIdle()
 	if at != 9 {
 		t.Fatalf("At fired at %d", at)
@@ -242,10 +242,19 @@ func TestDropNthDefaultsToAll(t *testing.T) {
 	}
 }
 
+// TestDropFromProcess: a rule on the sender silences it (Lemma 4.4's
+// silent sender) and no one else.
 func TestDropFromProcess(t *testing.T) {
-	rule := DropFromProcess(1)
-	if !rule(Message{From: 1, To: 0}) || rule(Message{From: 0, To: 1}) {
-		t.Fatal("DropFromProcess wrong")
+	s := NewSim(3)
+	nw := NewNetwork(s, 3, nil)
+	var got []int
+	nw.AddHandler(2, func(m Message) { got = append(got, m.From) })
+	nw.SetDrop(func(m Message) bool { return m.From == 1 })
+	nw.Send(1, 2, "silenced")
+	nw.Send(0, 2, "heard")
+	s.RunUntilIdle()
+	if len(got) != 1 || got[0] != 0 {
+		t.Fatalf("delivered from %v, want from process 0 alone", got)
 	}
 }
 
@@ -262,13 +271,16 @@ func TestLoopbackNeverDropped(t *testing.T) {
 	}
 }
 
+// TestSetDropRandomDeterministic: i.i.d. loss drawn from the simulator's
+// seeded stream is the same on every run of one seed.
 func TestSetDropRandomDeterministic(t *testing.T) {
 	run := func() int {
 		s := NewSim(11)
 		nw := NewNetwork(s, 2, nil)
 		n := 0
 		nw.AddHandler(1, func(Message) { n++ })
-		nw.SetDropRandom(0.5)
+		rng := s.RNG().Split()
+		nw.SetDrop(func(Message) bool { return rng.Bernoulli(0.5) })
 		for i := 0; i < 100; i++ {
 			nw.Send(0, 1, i)
 		}
