@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -183,4 +184,35 @@ func TestRecordCommBytesPerEvent(t *testing.T) {
 	if got := len(rec.Snapshot().Comm); got != n {
 		t.Fatalf("%d events retained, want %d", got, n)
 	}
+}
+
+// BenchmarkRecordDelivery measures the recorder on a flooded pattern: a
+// block's creator sends it and the other procs−1 processes each deliver
+// it, receive and update. An op is one delivery (plus, every procs−1 of
+// them, a send); log-B/event is what the retained chunks hold per event.
+func BenchmarkRecordDelivery(b *testing.B) {
+	const procs = 64
+	blocks := make([]*core.Block, b.N/(procs-1)+1)
+	parent := core.GenesisID
+	for k := range blocks {
+		blocks[k] = &core.Block{ID: core.BlockID(fmt.Sprint("b", k)), Parent: parent}
+		parent = blocks[k].ID
+	}
+	rec := NewRecorder(procs, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k, p := i/(procs-1), i%(procs-1)
+		blk := blocks[k]
+		if p == 0 {
+			rec.RecordComm(EvSend, k%procs, blk.Parent, blk.ID)
+		}
+		rec.RecordDelivery((k+1+p)%procs, blk.Parent, blk)
+	}
+	b.StopTimer()
+	retained := 0
+	for _, chunk := range rec.comm {
+		retained += int(unsafe.Sizeof(CommRecord{})) * cap(chunk)
+	}
+	b.ReportMetric(float64(retained)/float64(rec.ncomm), "log-B/event")
 }

@@ -322,11 +322,92 @@ func TestCommIDsParentBeforeBlockAcrossSnapshot(t *testing.T) {
 	checkEvents(t, after, want)
 }
 
-// FuzzCommLogRoundTrip drives RecordComm from the input — the first
-// byte picks the recorder's process count, 1, 4 or MaxProcs (4 for the
-// empty input), and so how many process bits the record splits off; then
-// two bytes an event: kind, process (0, 1, 2 or the last) and a snapshot
-// request from the first; parent and block
+// TestDeliveryRecordWidensToTwoRecords: a flood recorded through
+// RecordDelivery, each delivery one record, and the same receive/update
+// pairs recorded through two RecordComm calls snapshot to the same log
+// word for word over the same tables — mid-sequence too. The flood has
+// honest deliveries, receives naming a forged parent (odd, still one
+// record), blocks whose first record names a forged parent (every
+// delivery of them two records), an escaped process (two wide entries a
+// record) and reads in between (jumps).
+func TestDeliveryRecordWidensToTwoRecords(t *testing.T) {
+	const procs = 4 // process 4 escapes
+	fused, pairs := NewRecorder(procs, nil), NewRecorder(procs, nil)
+	var want []CommEvent
+	var cuts [][2]*History
+	deliveries, fallbacks := 0, 0
+	parent, g := core.GenesisID, core.Genesis()
+	for k := 0; k < 40; k++ {
+		b := &core.Block{ID: core.BlockID(fmt.Sprint("b", k)), Parent: parent}
+		parent = b.ID
+		if k%6 == 5 { // a forged first record of b
+			want = append(want, pairs.RecordComm(EvReceive, 3, "forged", b.ID))
+			fused.RecordComm(EvReceive, 3, "forged", b.ID)
+		}
+		want = append(want, pairs.RecordComm(EvSend, k%procs, b.Parent, b.ID))
+		fused.RecordComm(EvSend, k%procs, b.Parent, b.ID)
+		for p := 0; p <= procs; p++ {
+			if k%3 == 0 && p == 1 {
+				pairs.ReadHead(0, g)
+				fused.ReadHead(0, g)
+			}
+			rcv := b.Parent
+			if k%4 == 1 && p == 2 {
+				rcv = "elsewhere"
+			}
+			want = append(want, pairs.RecordComm(EvReceive, p, rcv, b.ID), pairs.RecordComm(EvUpdate, p, b.Parent, b.ID))
+			fused.RecordDelivery(p, rcv, b)
+			deliveries++
+			if k%6 == 5 {
+				fallbacks++
+			}
+		}
+		if k == 17 {
+			cuts = append(cuts, [2]*History{fused.Snapshot(), pairs.Snapshot()})
+		}
+	}
+	cuts = append(cuts, [2]*History{fused.Snapshot(), pairs.Snapshot()})
+	for _, c := range cuts {
+		if !slices.Equal(c[0].Comm, c[1].Comm) {
+			t.Fatalf("the fused log widens to %d words, not the %d of the two-record log", len(c[0].Comm), len(c[1].Comm))
+		}
+		if !reflect.DeepEqual(c[0].tables, c[1].tables) {
+			t.Fatalf("the fused log's tables differ:\n%+v\n%+v", c[0].tables, c[1].tables)
+		}
+	}
+	checkEvents(t, cuts[1][0], want)
+	if h := cuts[1][1]; len(h.tables.odd) == 0 || len(h.tables.jumps) == 0 || len(h.tables.wide) == 0 {
+		t.Fatalf("the flood left %d odd, %d jumps and %d wide entries: a case is missing",
+			len(h.tables.odd), len(h.tables.jumps), len(h.tables.wide))
+	}
+	if records, one := commRecords(fused); one != deliveries-fallbacks || records != len(want)-one {
+		t.Fatalf("%d events in %d records, %d of them deliveries; want %d deliveries of one record and %d of two",
+			len(want), records, one, deliveries-fallbacks, fallbacks)
+	}
+}
+
+// commRecords counts the records in rec's chunks and the delivery
+// records among them.
+func commRecords(rec *Recorder) (records, deliveries int) {
+	for _, chunk := range rec.comm {
+		records += len(chunk)
+		for _, c := range chunk {
+			if c.kind() == evDelivery {
+				deliveries++
+			}
+		}
+	}
+	return records, deliveries
+}
+
+// FuzzCommLogRoundTrip drives RecordComm and RecordDelivery from the
+// input — the first byte picks the recorder's process count, 1, 4 or
+// MaxProcs (4 for the empty input), and so how many process bits the
+// record splits off; then two bytes an event: kind or a delivery (a/24
+// odd; its update names the pool entry a/48 past the receive's parent,
+// so honest, odd-receive and forged-first deliveries all occur), process
+// (0, 1, 2 or the last) and a snapshot request from the first; parent
+// and block
 // from the second, out of a pool small enough that repeats, runs, the
 // empty ID and IDs no tree ever held all occur, or a fresh block, so
 // that MaxProcs's 7 block bits overflow; and whether an operation is
@@ -336,7 +417,10 @@ func TestCommIDsParentBeforeBlockAcrossSnapshot(t *testing.T) {
 // blocks past its bits fill the escape list, which the mid-sequence
 // snapshots cut anywhere. Every snapshot, the mid-sequence ones checked
 // after all recording is done, must widen back to the prefix of that
-// slice it was taken at and list only the IDs that prefix names.
+// slice it was taken at and list only the IDs that prefix names. A
+// delivery goes into that slice as its receive and its update; it must
+// be one record in the recorder's chunks exactly when its update names
+// the block's first parent, and two otherwise.
 func FuzzCommLogRoundTrip(f *testing.F) {
 	pool := []core.BlockID{"", core.GenesisID, "b1", "b2", "forged", "never-attached"}
 	f.Add([]byte{})
@@ -369,6 +453,41 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 		escapes = append(escapes, a, 145)
 	}
 	f.Add(escapes)
+	// Deliveries (a = 24 + …): honest ones of b1 under genesis at four
+	// processes, then of b2 under b1 — every one a single record.
+	f.Add([]byte{1, 24, 13, 27, 13, 30, 13, 33, 20})
+	// An honest delivery of b1, then one naming the parent "forged" whose
+	// update still names genesis (an odd receive, one record), either
+	// side of a snapshot.
+	f.Add([]byte{1, 24, 13, 241, 13, 171, 16})
+	// A delivery whose update names b1, not its receive's genesis (two
+	// records); an honest one after it (one); a forged first record of b2
+	// (two), and an honest delivery of b2 after it (two: b2's first parent
+	// is "forged").
+	f.Add([]byte{1, 72, 13, 24, 13, 216, 22, 27, 20})
+	// Deliveries behind a read, a failed append and a pending read, and
+	// after a snapshot.
+	f.Add([]byte{1, 24, 49, 241, 14, 27, 85, 30, 121, 240, 13, 33, 13})
+	// MaxProcs: 150 deliveries of fresh blocks overrun the 7 block bits,
+	// each escaped one widening through two wide entries; the largest
+	// process escapes at block 127 and falls back to two records at 130;
+	// snapshots cut the escaped tail.
+	escapes = []byte{2}
+	for k := 1; k <= 150; k++ {
+		a := byte(24)
+		switch k {
+		case 50, 127:
+			a = 33 // process MaxProcs-1
+		case 100:
+			a = 240
+		case 130:
+			a = 81 // process MaxProcs-1, the update under b1
+		case 140:
+			a = 249
+		}
+		escapes = append(escapes, a, 145)
+	}
+	f.Add(escapes)
 	genesis := core.Genesis()
 	f.Fuzz(func(t *testing.T, in []byte) {
 		procs := 4 // the empty input still checks an empty log
@@ -383,7 +502,8 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 			n int
 		}
 		var cuts []cut
-		seq := 0
+		seq, fused := 0, 0
+		first := make(map[core.BlockID]core.BlockID) // each block's first parent
 		for i := 0; i+1 < len(in); i += 2 {
 			a, b := in[i], int(in[i+1])
 			proc := []int{0, 1, 2, procs - 1}[a/3%4]
@@ -409,6 +529,20 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 			if b >= 144 {
 				want.Block = core.BlockID(fmt.Sprint("fresh-", len(ref)))
 			}
+			if _, ok := first[want.Block]; !ok {
+				first[want.Block] = want.Parent
+			}
+			if a/24%2 == 1 {
+				blk := &core.Block{ID: want.Block, Parent: pool[(b+int(a/48))%len(pool)]}
+				if first[blk.ID] == blk.Parent {
+					fused++
+				}
+				want.Kind = EvReceive
+				rec.RecordDelivery(proc, want.Parent, blk)
+				ref = append(ref, want, CommEvent{Kind: EvUpdate, Proc: proc, Parent: blk.Parent, Block: blk.ID, Index: seq + 1})
+				seq += 2
+				continue
+			}
 			if got := rec.RecordComm(want.Kind, want.Proc, want.Parent, want.Block); got != want {
 				t.Fatalf("RecordComm returned %+v, want %+v", got, want)
 			}
@@ -418,6 +552,10 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 		cuts = append(cuts, cut{rec.Snapshot(), len(ref)})
 		for _, c := range cuts {
 			checkEvents(t, c.h, ref[:c.n])
+		}
+		if records, deliveries := commRecords(rec); deliveries != fused || records != len(ref)-fused {
+			t.Fatalf("%d events in %d records, %d of them deliveries; want %d deliveries, one record each",
+				len(ref), records, deliveries, fused)
 		}
 	})
 }

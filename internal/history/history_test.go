@@ -149,7 +149,9 @@ func TestRespondAppendReplacesBlock(t *testing.T) {
 // TestRecorderConcurrentSafety hammers the recorder from many goroutines;
 // run with -race to verify the locking. Each delivery is one step: its
 // receive and its update sit at consecutive indices whatever the other
-// goroutines record.
+// goroutines record. Half the deliveries (blocks "f…") name their block's
+// Parent and are one record each; the other half (blocks "d…") name "z"
+// first, so their updates are odd and each is two records.
 func TestRecorderConcurrentSafety(t *testing.T) {
 	rec := NewRecorder(8, nil)
 	var wg sync.WaitGroup
@@ -162,7 +164,11 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 				rec.RespondRead(op, chainOf(i%3))
 				rec.RecordComm(EvSend, p, core.GenesisID, core.BlockID("x"))
 				b := &core.Block{ID: core.BlockID(fmt.Sprintf("d%d.%d", p, i)), Parent: "y"}
-				rec.RecordDelivery(p, "z", b)
+				parent := core.BlockID("z")
+				if i%2 == 0 {
+					b.ID, parent = "f"+b.ID[1:], "y"
+				}
+				rec.RecordDelivery(p, parent, b)
 			}
 		}(p)
 	}
@@ -171,23 +177,32 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 	if len(h.Ops) != 800 || len(h.Comm) != 2400 {
 		t.Fatalf("recorded %d ops, %d comm", len(h.Ops), len(h.Comm))
 	}
-	deliveries := 0
+	fused, split := 0, 0
 	ev := slices.Collect(h.Events())
 	for i, e := range ev {
 		if e.Kind != EvReceive {
 			continue
 		}
-		deliveries++
-		if e.Parent != "z" || i+1 == len(h.Comm) {
-			t.Fatalf("receive %v: wrong parent or last in the log", e)
+		want := core.BlockID("z")
+		if e.Block[0] == 'f' {
+			want = "y"
+			fused++
+		} else {
+			split++
+		}
+		if e.Parent != want || i+1 == len(h.Comm) {
+			t.Fatalf("receive %v: parent not %s, or last in the log", e, want)
 		}
 		u := ev[i+1]
 		if u.Kind != EvUpdate || u.Index != e.Index+1 || u.Proc != e.Proc || u.Block != e.Block || u.Parent != "y" {
 			t.Fatalf("receive %v is followed by %v, want update_%d(y, %s) @%d", e, u, e.Proc, e.Block.Short(), e.Index+1)
 		}
 	}
-	if deliveries != 800 {
-		t.Fatalf("%d deliveries recorded, want 800", deliveries)
+	if fused != 400 || split != 400 {
+		t.Fatalf("%d + %d deliveries recorded, want 400 of each half", fused, split)
+	}
+	if records, _ := commRecords(rec); records != 2400-fused {
+		t.Fatalf("%d events in %d records, want %d", len(h.Comm), records, 2400-fused)
 	}
 	// Indices are unique and each op's invocation precedes its response.
 	seen := make(map[int]bool)
