@@ -53,7 +53,8 @@ func (r *Result) Check() (sc, ec *consistency.Verdict) {
 
 // KFork checks k-Fork Coherence — no oracle token reused more than k
 // times — the measured side of the frugal-oracle claim, for any k: the
-// run's monitor tracks every token group under either driver.
+// run's monitor keeps every append under either driver and groups them
+// by token here.
 func (r *Result) KFork(k int) *consistency.Report { return r.Stream.Monitor.KForkReport(k) }
 
 // UpdateAgreement checks the R1–R3 communication properties of

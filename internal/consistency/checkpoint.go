@@ -1,6 +1,6 @@
 // Monitor checkpointing: Checkpoint serializes every piece of a
 // Monitor's bounded retained state — counters, caches, windows,
-// candidate sets, token groups and the live-emission budgets — into a
+// candidate sets, the append table and the live-emission budgets — into a
 // deterministic byte string, and RestoreMonitor rebuilds a monitor from
 // it that is observationally identical to the original: feeding the
 // rest of the stream and calling Finalize yields byte-identical
@@ -15,7 +15,9 @@
 // opRec has a second form (recWire below), because it holds pointers
 // into the run: they are written as block IDs against the checkpoint's
 // pool and resolved after decoding, and eachRec is the one enumeration
-// of retained records both directions walk.
+// of retained records both directions walk. The append table is written
+// as one list of records; the monitor's index over it (appendAt, the
+// armed per-token counts) is not written but rebuilt on restore.
 //
 // Two caches demand care because they are *arrival-conclusive*: the
 // per-chain Block Validity facts and the per-chain scores are computed
@@ -51,9 +53,11 @@ import (
 )
 
 // checkpointVersion guards the wire format. Version 1 mirrored every
-// monitor structure in a type of its own; no reader for it is kept, as
-// no checkpoint outlives the process that wrote it.
-const checkpointVersion = 2
+// monitor structure in a type of its own; version 2 kept the appends
+// twice, by block and by token, where version 3 keeps the append table.
+// No reader for an older version is kept, as no checkpoint outlives the
+// process that wrote it.
+const checkpointVersion = 3
 
 // ckpt is the envelope: the shape RestoreMonitor checks against its
 // MonitorConfig, the state, and the blocks the state's records name.
@@ -67,6 +71,29 @@ type ckpt struct {
 // recFields is opRec without its methods, so that recWire can embed the
 // fields and marshal them without recursing into MarshalJSON.
 type recFields opRec
+
+// MarshalJSON writes the table as one list of records in arrival order.
+func (t appendTable) MarshalJSON() ([]byte, error) {
+	recs := []opRec{}
+	for _, c := range t.chunks {
+		recs = append(recs, c...)
+	}
+	return json.Marshal(recs)
+}
+
+// UnmarshalJSON adds the listed records back one by one, so the chunks
+// and the count of successful appends are what the writer's were.
+func (t *appendTable) UnmarshalJSON(data []byte) error {
+	var recs []opRec
+	if err := json.Unmarshal(data, &recs); err != nil {
+		return err
+	}
+	*t = appendTable{}
+	for _, r := range recs {
+		t.add(r)
+	}
+	return nil
+}
 
 // recWire is opRec on the wire: its exported fields as they stand, its
 // block as an ID into the pool.
@@ -138,14 +165,8 @@ func (s *monitorState) eachRec(fn func(r *opRec, kind history.OpKind)) {
 	for _, set := range s.BVSuspects {
 		reads(set.Recs)
 	}
-	for id, r := range s.AppendInv { // map values are not addressable
-		fn(&r, history.OpAppend)
-		s.AppendInv[id] = r
-	}
-	for _, group := range s.Tokens {
-		for i := range group {
-			fn(&group[i], history.OpAppend)
-		}
+	for r := range s.Appends.all() {
+		fn(r, history.OpAppend)
 	}
 }
 
@@ -308,6 +329,9 @@ func RestoreMonitor(data []byte, cfg MonitorConfig) (*Monitor, error) {
 	})
 	if bad != nil {
 		return corrupt("%w", bad)
+	}
+	for r := range m.Appends.all() {
+		m.fileAppend(r)
 	}
 	return m, nil
 }

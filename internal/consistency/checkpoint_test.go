@@ -217,6 +217,25 @@ func withState(t *testing.T, data []byte, field, raw string) []byte {
 	return out
 }
 
+// TestCheckpointRefusesVersion2: a version-2 envelope, which kept the
+// appends twice (by block and by token), is refused by its version, not
+// read as a state with no appends.
+func TestCheckpointRefusesVersion2(t *testing.T) {
+	mon, cfg := ckptMonitor(t)
+	data, err := mon.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := bytes.Replace(data, []byte(`"Version":3`), []byte(`"Version":2`), 1)
+	if bytes.Equal(v2, data) {
+		t.Fatal("fixture: the checkpoint names no version 3")
+	}
+	_, err = RestoreMonitor(v2, cfg)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint version 2, want 3") {
+		t.Fatalf("version-2 checkpoint: err = %v, want the version error", err)
+	}
+}
+
 // TestCheckpointValidation pins the failure modes: corrupt bytes, a
 // version from the future, shape-mismatched configs and a state the
 // monitor could not have written all error.
@@ -238,7 +257,7 @@ func TestCheckpointValidation(t *testing.T) {
 	if _, err := RestoreMonitor(data, MonitorConfig{Procs: 3, K: 2}); err == nil {
 		t.Error("k mismatch accepted")
 	}
-	bad := bytes.Replace(data, []byte(`"Version":2`), []byte(`"Version":99`), 1)
+	bad := bytes.Replace(data, []byte(`"Version":3`), []byte(`"Version":99`), 1)
 	if _, err := RestoreMonitor(bad, MonitorConfig{Procs: 3}); err == nil {
 		t.Error("future version accepted")
 	}
@@ -263,11 +282,11 @@ func TestCheckpointValidation(t *testing.T) {
 		{"LMRHas shorter than Procs", "LMRHas", `[true]`},
 		{"nil score class", "Classes", `{"3":null}`},
 		{"nil suspect set", "BVSuspects", `{"2:x":null}`},
-		{"missing map", "Tokens", `null`},
+		{"missing map", "Settled", `null`},
 		{"window past Horizon", "Win", `[{"Kind":1},{"Kind":1},{"Kind":1}]`},
-		{"read among the appends", "Tokens", `{"tkn":[{"Kind":1}]}`},
-		{"append without a block", "AppendInv", `{"x":{"Kind":0}}`},
-		{"block missing from pool", "AppendInv", `{"x":{"Kind":0,"Block":"nowhere"}}`},
+		{"read among the appends", "Appends", `[{"Kind":1}]`},
+		{"append without a block", "Appends", `[{"Kind":0}]`},
+		{"block missing from pool", "Appends", `[{"Kind":0,"Block":"nowhere"}]`},
 		{"read head missing from pool", "Win", `[{"Kind":1,"Head":"nowhere","ChainLen":3}]`},
 		{"chain key without length", "SPCmp", `{"x":true}`},
 	} {
@@ -304,6 +323,7 @@ var stateScratch = map[string]bool{
 	"cap": true, "k": true, "onWitns": true, // rebuilt from MonitorConfig
 	"path": true, "winBuf": true, "spare": true, "finalized": true, "scV": true, "ecV": true, // scratch
 	"factKey": true, "fact": true, // memo of BVFacts, refilled on the next read
+	"appendAt": true, "kCount": true, // rebuilt from the append table
 }
 
 // TestMonitorStateIsComplete: the checkpoint is complete by
@@ -369,6 +389,13 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 		if f := want.Field(i); (f.Kind() == reflect.Map || f.Kind() == reflect.Slice) && f.Len() == 0 {
 			t.Errorf("fixture: ckptBuild leaves %s empty, so the round trip says nothing about it", want.Type().Field(i).Name)
 		}
+	}
+	// The index over the append table is rebuilt, not written.
+	if len(mon.appendAt) == 0 || len(mon.kCount) == 0 {
+		t.Errorf("fixture: %d appended blocks, %d armed token counts", len(mon.appendAt), len(mon.kCount))
+	}
+	if !reflect.DeepEqual(m2.appendAt, mon.appendAt) || !reflect.DeepEqual(m2.kCount, mon.kCount) {
+		t.Errorf("the rebuilt append index differs:\n want %v %v\n got  %v %v", mon.appendAt, mon.kCount, m2.appendAt, m2.kCount)
 	}
 }
 

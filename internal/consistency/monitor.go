@@ -7,7 +7,8 @@
 //   - StrongPrefix: per-chain-length run-length structure over the
 //     interned chain handles, plus a live comparability probe against
 //     the longest chain read so far;
-//   - 1-/k-ForkCoherence: per-token append groups, flagged live the
+//   - 1-/k-ForkCoherence: the append table, grouped by token when a
+//     report asks; an armed monitor counts per token and flags live the
 //     moment a token is consumed a (k+1)-th time;
 //   - EverGrowingTree / EventualPrefix: a sliding window of the last w
 //     reads (the finitary liveness tail) with bounded per-score-class
@@ -62,8 +63,8 @@
 //     from arrival positions.
 //
 // Boundedness: retained state is O(#blocks + #distinct chains + w +
-// MaxViolations·(#distinct scores + #suspect chains) + #successful
-// appends + procs·#messages in flight), with MaxViolations+procs−1 in
+// MaxViolations·(#distinct scores + #suspect chains) + #appends +
+// procs·#messages in flight), with MaxViolations+procs−1 in
 // place of MaxViolations when operations overlap — all bounded by the
 // block tree, the window and what the network has not delivered yet
 // (only a cut that never heals keeps a message in flight, which Update
@@ -84,10 +85,14 @@
 package consistency
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
+	"maps"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/history"
@@ -104,9 +109,10 @@ type MonitorConfig struct {
 	// Horizon overrides the liveness tail-window size; 0 means
 	// max(2, Procs), as for Checker.
 	Horizon int
-	// K, when > 0, arms the live k-Fork Coherence probe: a witness is
-	// emitted the moment a token is consumed a (K+1)-th time. Token
-	// groups are tracked regardless, so KForkReport works for any k.
+	// K, when > 0, arms the live k-Fork Coherence probe: the monitor
+	// counts the successful appends per token and emits a witness the
+	// moment a token is consumed a (K+1)-th time. KForkReport groups the
+	// append table when asked, so it works for any k, armed or not.
 	K int
 	// Table is the run's block index (the recorder's): incremental
 	// scoring and validity facts walk its parent links, witness
@@ -131,6 +137,8 @@ type MonitorConfig struct {
 // opRec is the compact record of one operation the monitors retain:
 // everything needed to rebuild the op for a witness, nothing that
 // retains the history (a read re-materializes its chain from the table).
+// An append's record is kept once, in the append table; a read's in each
+// retention structure that keeps the read.
 // The exported fields are what a checkpoint writes as they stand; block
 // is a pointer into the run and goes through recWire (checkpoint.go).
 //
@@ -168,6 +176,88 @@ func narrow(v int, what string) int32 {
 		panic(fmt.Sprintf("consistency: %s %d is past the monitor's bound of %d", what, v, math.MaxInt32))
 	}
 	return int32(v)
+}
+
+// appendTable holds every append operation fed with a block, one record
+// each in arrival order: Block Validity's evidence that a block was
+// passed to append() (Monitor.appendAt points at a block's
+// earliest-invoked record) and k-Fork Coherence's successful appends
+// (KForkReport groups them by token when asked). The records go into
+// fixed-capacity chunks, doubling from appendChunkMin to appendChunkMax,
+// that are filled and never regrown, so a record is written once and a
+// pointer to it stays valid. ok counts the successful (completed, OK)
+// appends. A checkpoint writes the records as one list (checkpoint.go),
+// and decoding adds them back one by one, so the chunks are the same
+// after a restore.
+type appendTable struct {
+	chunks [][]opRec
+	ok     int
+}
+
+// appendChunkMin/appendChunkMax bound the append table's chunks.
+const (
+	appendChunkMin = 64
+	appendChunkMax = 4096
+)
+
+// succeeded reports whether an append record counts for k-Fork
+// Coherence: completed, and successful.
+func (r *opRec) succeeded() bool { return r.OK && !r.Pending }
+
+// add appends r to the table and returns it in place.
+func (t *appendTable) add(r opRec) *opRec {
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		n := appendChunkMin
+		if last >= 0 {
+			n = min(2*cap(t.chunks[last]), appendChunkMax)
+		}
+		t.chunks = append(t.chunks, make([]opRec, 0, n))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], r)
+	if r.succeeded() {
+		t.ok++
+	}
+	return &t.chunks[last][len(t.chunks[last])-1]
+}
+
+// all yields every record in place, in arrival order.
+func (t *appendTable) all() iter.Seq[*opRec] {
+	return func(yield func(*opRec) bool) {
+		for _, c := range t.chunks {
+			for i := range c {
+				if !yield(&c[i]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// tokenKey names a k-Fork Coherence group: a block's token, or for a
+// block without one its parent, rendered "parent:<id>". A token of that
+// spelling names the parent's group, as the rendering does.
+type tokenKey struct {
+	Token  string
+	Parent core.BlockID
+}
+
+func tokenOf(b *core.Block) tokenKey {
+	if b.Token == "" {
+		return tokenKey{Parent: b.Parent}
+	}
+	if p, ok := strings.CutPrefix(b.Token, "parent:"); ok {
+		return tokenKey{Parent: core.BlockID(p)}
+	}
+	return tokenKey{Token: b.Token}
+}
+
+func (k tokenKey) String() string {
+	if k.Token != "" {
+		return k.Token
+	}
+	return "parent:" + string(k.Parent)
 }
 
 // recSet holds a retention class's reads by invocation index (equal
@@ -325,10 +415,10 @@ type monitorState struct {
 	BVFacts    map[chainKey]*bvFact
 	BVSuspects map[chainKey]*recSet
 	BVChecked  int
-	AppendInv  map[core.BlockID]opRec
 
-	// k-Fork Coherence token groups (successful appends per token).
-	Tokens map[string][]opRec
+	// Appends is every append fed with a block: Block Validity reads it
+	// through Monitor.appendAt, k-Fork Coherence groups it by token.
+	Appends appendTable
 
 	// live emission caps per property.
 	LiveLMR, LiveSP, LiveBV, LiveKF int
@@ -350,6 +440,12 @@ type Monitor struct {
 	onWitns func(Witness)
 
 	monitorState
+
+	// Rebuilt from the append table (fileAppend): each block's
+	// earliest-invoked append, and, armed (k > 0) only, the count of
+	// successful appends per token.
+	appendAt map[core.BlockID]*opRec
+	kCount   map[tokenKey]int
 
 	// Scratch: extendFact's path buffer, the buffer Win slides along, the
 	// storage of messages that left the flight, the memo of Finalize, and
@@ -402,11 +498,13 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 			Classes:    make(map[int]*recSet),
 			BVFacts:    make(map[chainKey]*bvFact),
 			BVSuspects: make(map[chainKey]*recSet),
-			AppendInv:  make(map[core.BlockID]opRec),
-			Tokens:     make(map[string][]opRec),
 			Msgs:       make(map[msgKey]*msgState),
 			Settled:    make(map[msgKey]bool),
 		},
+		appendAt: make(map[core.BlockID]*opRec),
+	}
+	if m.k > 0 {
+		m.kCount = make(map[tokenKey]int)
 	}
 	if cfg.Procs > 0 {
 		m.LMRPrev = make([]opRec, cfg.Procs)
@@ -484,33 +582,60 @@ func (m *Monitor) consumeAppend(op *history.Op, pending bool) {
 		return
 	}
 	rec := recOf(op)
-	if cur, ok := m.AppendInv[op.Block.ID]; !ok || rec.Inv < cur.Inv {
-		m.AppendInv[op.Block.ID] = rec
-	}
-	if pending || !op.OK {
+	rec.Pending = pending
+	if n := m.fileAppend(m.Appends.add(rec)); m.k <= 0 || n != m.k+1 || m.LiveKF >= MaxViolations {
 		return
 	}
-	key := op.Block.Token
-	if key == "" {
-		key = "parent:" + string(op.Block.Parent)
+	// The token's (K+1)-th successful append: its group, in arrival order.
+	m.LiveKF++
+	key := tokenOf(op.Block)
+	group := m.tokenGroups()[key]
+	ops, blocks := m.forkWitness(group)
+	m.emit(Witness{
+		Property: fmt.Sprintf("%d-ForkCoherence", m.k),
+		Ops:      ops, Blocks: blocks,
+		Detail: fmt.Sprintf("token %q consumed by %d successful appends (k=%d): forks %s",
+			key, len(group), m.k, shortIDs(blocks)),
+	})
+}
+
+// fileAppend indexes a record of the append table: under its block when
+// it is the block's earliest-invoked append (ties keep the first), and,
+// armed, under its token when it succeeded. It returns the token's count
+// of successful appends so far, 0 when it did not count one.
+func (m *Monitor) fileAppend(r *opRec) int {
+	if cur, ok := m.appendAt[r.block.ID]; !ok || r.Inv < cur.Inv {
+		m.appendAt[r.block.ID] = r
 	}
-	m.Tokens[key] = append(m.Tokens[key], rec)
-	if m.k > 0 && len(m.Tokens[key]) == m.k+1 && m.LiveKF < MaxViolations {
-		m.LiveKF++
-		group := m.Tokens[key]
-		blocks := make([]core.BlockID, len(group))
-		ops := make([]*history.Op, len(group))
-		for i, g := range group {
-			blocks[i] = g.block.ID
-			ops[i] = m.rebuild(g)
+	if m.k <= 0 || !r.succeeded() {
+		return 0
+	}
+	key := tokenOf(r.block)
+	m.kCount[key]++
+	return m.kCount[key]
+}
+
+// tokenGroups groups the append table's successful appends by token,
+// each group in arrival order.
+func (m *Monitor) tokenGroups() map[tokenKey][]*opRec {
+	groups := map[tokenKey][]*opRec{}
+	for r := range m.Appends.all() {
+		if r.succeeded() {
+			key := tokenOf(r.block)
+			groups[key] = append(groups[key], r)
 		}
-		m.emit(Witness{
-			Property: fmt.Sprintf("%d-ForkCoherence", m.k),
-			Ops:      ops, Blocks: blocks,
-			Detail: fmt.Sprintf("token %q consumed by %d successful appends (k=%d): forks %s",
-				key, len(group), m.k, shortIDs(blocks)),
-		})
 	}
+	return groups
+}
+
+// forkWitness renders a token's group for a k-Fork Coherence witness.
+func (m *Monitor) forkWitness(group []*opRec) ([]*history.Op, []core.BlockID) {
+	ops := make([]*history.Op, len(group))
+	blocks := make([]core.BlockID, len(group))
+	for i, r := range group {
+		ops[i], blocks[i] = m.rebuild(*r), r.block.ID
+	}
+	return ops, blocks
 }
 
 func (m *Monitor) consumeRead(op *history.Op) {
@@ -756,7 +881,7 @@ func (m *Monitor) scanBlock(f *bvFact, b *core.Block) {
 		}
 		return
 	}
-	ap, ok := m.AppendInv[b.ID]
+	ap, ok := m.appendAt[b.ID]
 	if !ok {
 		f.Clean = false
 		return
@@ -877,14 +1002,14 @@ func (m *Monitor) finalBV() *Report {
 					"read %s returned block %s with P(b)=false", r, b.ID.Short())
 				continue
 			}
-			ap, ok := m.AppendInv[b.ID]
+			ap, ok := m.appendAt[b.ID]
 			if !ok {
 				rep.witness([]*history.Op{r}, []core.BlockID{b.ID},
 					"read %s returned block %s never passed to append()", r, b.ID.Short())
 				continue
 			}
 			if ap.Inv >= rec.Rsp {
-				rep.witness([]*history.Op{r, m.rebuild(ap)}, []core.BlockID{b.ID},
+				rep.witness([]*history.Op{r, m.rebuild(*ap)}, []core.BlockID{b.ID},
 					"read %s returned block %s appended only later (inv %d ≥ rsp %d)",
 					r, b.ID.Short(), ap.Inv, rec.Rsp)
 			}
@@ -1099,27 +1224,22 @@ func (m *Monitor) finalEP() *Report {
 	return rep
 }
 
-// KForkReport builds the k-Fork Coherence report (Definition 3.9) from
-// the streamed token groups, for any k. Callable before or after
+// KForkReport builds the k-Fork Coherence report (Definition 3.9) for
+// any k: it groups the append table's successful appends by token, in
+// token order, each group by invocation. Callable before or after
 // Finalize.
 func (m *Monitor) KForkReport(k int) *Report {
 	rep := &Report{Property: fmt.Sprintf("%d-ForkCoherence", k), OK: true}
-	toks := make([]string, 0, len(m.Tokens))
-	for tok := range m.Tokens {
-		toks = append(toks, tok)
+	groups := map[string][]*opRec{}
+	for key, g := range m.tokenGroups() {
+		groups[key.String()] = g
 	}
-	sort.Strings(toks)
-	for _, tok := range toks {
-		group := append([]opRec(nil), m.Tokens[tok]...)
-		sort.Slice(group, func(i, j int) bool { return group[i].Inv < group[j].Inv })
+	for _, tok := range slices.Sorted(maps.Keys(groups)) {
+		group := groups[tok]
+		slices.SortFunc(group, func(a, b *opRec) int { return cmp.Compare(a.Inv, b.Inv) })
 		rep.Checked++
 		if len(group) > k {
-			blocks := make([]core.BlockID, len(group))
-			ops := make([]*history.Op, len(group))
-			for i, g := range group {
-				blocks[i] = g.block.ID
-				ops[i] = m.rebuild(g)
-			}
+			ops, blocks := m.forkWitness(group)
 			rep.witness(ops, blocks,
 				"token %q consumed by %d successful appends (k=%d): forks %s", tok, len(group), k, shortIDs(blocks))
 		}
@@ -1133,7 +1253,9 @@ type MonitorStats struct {
 	// Ops, Reads, Appends, Comm count the consumed stream.
 	Ops, Reads, Appends, Comm int
 	// Retained counts the compact op records currently held across all
-	// monitors (window, candidates, suspects, LMR, SP runs, tokens).
+	// monitors (window, candidates, suspects, LMR, SP runs), and one per
+	// successful append; the append table's failed and pending appends
+	// are not counted.
 	Retained int
 	// ScoreClasses and SuspectKeys size the per-class structures.
 	ScoreClasses, SuspectKeys int
@@ -1169,8 +1291,6 @@ func (m *Monitor) Stats() MonitorStats {
 	for _, sl := range m.SPLens {
 		st.Retained += 2*len(sl.Runs) + 1
 	}
-	for _, g := range m.Tokens {
-		st.Retained += len(g)
-	}
+	st.Retained += m.Appends.ok
 	return st
 }

@@ -180,10 +180,12 @@ var fuzzSeeds = [][]byte{
 // definition-literal oracle exactly — OK flags, Checked counts,
 // violation strings, witness ops and blocks — with the monitor as direct
 // sink, with delivery through small sealed segments (which hand over a
-// segment's operations before its communication events), and with those
+// segment's operations before its communication events), with those
 // segments and their ops on loan from a drop-mode recorder that reuses
-// both. Its completed operations are atomic, so every retention class
-// must hold at most MaxViolations reads at the end.
+// both, and armed with K = 1 as direct sink, where its live k-Fork
+// witnesses must follow the oracle's token groups (liveKForkDiff). Its
+// completed operations are atomic, so every retention class must hold at
+// most MaxViolations reads at the end.
 func FuzzMonitorEquivalence(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -202,6 +204,7 @@ func FuzzMonitorEquivalence(f *testing.F) {
 			{horizon: horizon},
 			{horizon: horizon, segSize: 7},
 			{horizon: horizon, segSize: 2 + len(data)%3, drop: true},
+			{horizon: horizon, k: 1},
 		} {
 			if n := largestClass(hn.run(t, procs, build)); n > MaxViolations {
 				t.Errorf("seg=%d drop=%v: a retention class holds %d reads, bound %d", hn.segSize, hn.drop, n, MaxViolations)

@@ -26,14 +26,7 @@ func reportDump(rep *Report) string {
 		fmt.Fprintf(&b, "V %s\n", v)
 	}
 	for _, w := range rep.Witnesses {
-		fmt.Fprintf(&b, "W %s | %s |", w.Property, w.Detail)
-		for _, op := range w.Ops {
-			fmt.Fprintf(&b, " op#%d:%s", op.ID, op)
-		}
-		for _, id := range w.Blocks {
-			fmt.Fprintf(&b, " b:%s", id.Short())
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "W %s\n", witnessDump(w))
 	}
 	return b.String()
 }
@@ -78,7 +71,9 @@ func TestOpRecLayout(t *testing.T) {
 // history: the build function records into a Recorder whose sink is the
 // Monitor (optionally via a SegmentSink or a ckptSink), then the
 // definition-literal oracle on the snapshot is compared against
-// Monitor.Finalize. run returns the finalized monitor.
+// Monitor.Finalize; an armed harness (k > 0) holds the live k-Fork
+// witnesses to the oracle's token groups too (liveKForkDiff). run returns
+// the finalized monitor.
 // chainLength scores a chain by its length, as core.LengthScore does,
 // but is another type: a monitor under it takes the materializing path
 // (scoreOfOp's ScoreByKey memo, core.MCPS in finalEP), where every
@@ -110,7 +105,14 @@ type monitorHarness struct {
 func (hn monitorHarness) run(t *testing.T, procs int, build func(rec *history.Recorder)) *Monitor {
 	t.Helper()
 	rec := history.NewRecorder(procs, nil)
-	cfg := MonitorConfig{Procs: procs, Score: hn.score, P: hn.pred, Horizon: hn.horizon, K: hn.k, Table: rec.Table()}
+	var live []Witness
+	kfork := fmt.Sprintf("%d-ForkCoherence", hn.k)
+	cfg := MonitorConfig{Procs: procs, Score: hn.score, P: hn.pred, Horizon: hn.horizon, K: hn.k, Table: rec.Table(),
+		OnWitness: func(w Witness) {
+			if w.Property == kfork {
+				live = append(live, w)
+			}
+		}}
 	mon := NewMonitor(cfg)
 	var seg *history.SegmentSink
 	ckpt := &ckptSink{t: t, mon: mon, cfg: cfg, at: hn.ckptAt}
@@ -147,7 +149,59 @@ func (hn monitorHarness) run(t *testing.T, procs int, build func(rec *history.Re
 		mon.UpdateAgreement(), mon.LRC(), mon.MonotonicPrefix(), hn.epCheckedLoose); d != "" {
 		t.Errorf("seg=%d drop=%v cut=%d: %s", hn.segSize, hn.drop, hn.ckptAt, d)
 	}
+	if d := liveKForkDiff(h, hn.k, live); d != "" {
+		t.Errorf("seg=%d drop=%v cut=%d: %s", hn.segSize, hn.drop, hn.ckptAt, d)
+	}
 	return mon
+}
+
+// liveKForkDiff holds a monitor's live k-Fork witnesses to the oracle's
+// token groups: one witness per group of more than k successful appends,
+// in the order each group's (k+1)-th append arrived, up to MaxViolations,
+// each naming the group's first k+1 appends in arrival order. The feed
+// must arrive in recording order, as a feed of atomic operations does;
+// an unarmed monitor (k = 0) emits none.
+func liveKForkDiff(h *history.History, k int, live []Witness) string {
+	var want []string
+	if k > 0 {
+		toks, groups := oracleTokenGroups(h)
+		pos := map[*history.Op]int{}
+		for i, op := range h.Ops {
+			pos[op] = i
+		}
+		toks = slices.DeleteFunc(toks, func(tok string) bool { return len(groups[tok]) <= k })
+		slices.SortFunc(toks, func(a, b string) int { return pos[groups[a][k]] - pos[groups[b][k]] })
+		for _, tok := range toks[:min(len(toks), MaxViolations)] {
+			w := Witness{Property: fmt.Sprintf("%d-ForkCoherence", k), Ops: groups[tok][:k+1]}
+			for _, op := range w.Ops {
+				w.Blocks = append(w.Blocks, op.Block.ID)
+			}
+			w.Detail = fmt.Sprintf("token %q consumed by %d successful appends (k=%d): forks %s", tok, k+1, k, shortIDs(w.Blocks))
+			want = append(want, witnessDump(w))
+		}
+	}
+	got := make([]string, len(live))
+	for i, w := range live {
+		got[i] = witnessDump(w)
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Sprintf("live %d-Fork witnesses differ from the oracle's groups:\n--- oracle ---\n%s\n--- live ---\n%s",
+			k, strings.Join(want, "\n"), strings.Join(got, "\n"))
+	}
+	return ""
+}
+
+// witnessDump renders a witness with its ops' identities and its blocks.
+func witnessDump(w Witness) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s | %s |", w.Property, w.Detail)
+	for _, op := range w.Ops {
+		fmt.Fprintf(&b, " op#%d:%s", op.ID, op)
+	}
+	for _, id := range w.Blocks {
+		fmt.Fprintf(&b, " b:%s", id.Short())
+	}
+	return b.String()
 }
 
 // dropEPChecked strips the Checked count off a dump's EventualPrefix

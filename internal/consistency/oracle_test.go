@@ -230,11 +230,10 @@ func (o oracle) eventualPrefix(h *history.History) *Report {
 	return rep
 }
 
-// oracleKFork: at most k successful appends consume the same token
-// (blocks without a token are grouped by parent, the object the token
-// was for).
-func oracleKFork(h *history.History, k int) *Report {
-	rep := &Report{Property: fmt.Sprintf("%d-ForkCoherence", k), OK: true}
+// oracleTokenGroups groups h's successful appends by token — a block
+// without one by "parent:<its parent>" — each group in recording order,
+// and returns the tokens sorted.
+func oracleTokenGroups(h *history.History) ([]string, map[string][]*history.Op) {
 	groups := map[string][]*history.Op{}
 	var toks []string
 	for _, op := range h.Ops {
@@ -251,6 +250,15 @@ func oracleKFork(h *history.History, k int) *Report {
 		groups[tok] = append(groups[tok], op)
 	}
 	sort.Strings(toks)
+	return toks, groups
+}
+
+// oracleKFork: at most k successful appends consume the same token
+// (blocks without a token are grouped by parent, the object the token
+// was for).
+func oracleKFork(h *history.History, k int) *Report {
+	rep := &Report{Property: fmt.Sprintf("%d-ForkCoherence", k), OK: true}
+	toks, groups := oracleTokenGroups(h)
 	for _, tok := range toks {
 		rep.Checked++
 		if ops := groups[tok]; len(ops) > k {
