@@ -57,9 +57,13 @@
 package btsim
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/consistency"
+	"repro/internal/core"
+	"repro/internal/history"
+	"repro/internal/protocols"
 )
 
 // Info describes a registered system: the paper's claims, which the
@@ -95,8 +99,11 @@ type System interface {
 }
 
 // RunFunc is the adapter a system is registered with: it lowers the
-// public Config onto the system's own knobs and executes the run.
-type RunFunc func(cfg Config) (*Result, error)
+// public Config onto the system's own knobs and executes the run. pc is
+// cfg lowered by Config.Base, with the run's monitor, metrics and
+// Progress hooks attached; an adapter builds its system's config from
+// pc and reads cfg only for what Base leaves out (Drop, Live).
+type RunFunc func(cfg Config, pc protocols.Config) (*Result, error)
 
 // sysFunc is the System implementation NewSystem returns.
 type sysFunc struct {
@@ -111,7 +118,6 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, fmt.Errorf("btsim: %s: %w", s.info.Name, err)
 	}
-	cfg.system = s.info.Name
 	// Keep the first liveKeep witnesses under either driver (live or
 	// streamed, on the goroutine the monitor runs on, which the run joins
 	// before it returns).
@@ -125,23 +131,44 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 			onWitness(w)
 		}
 	}
+	pc := cfg.Base()
 	// Every run is judged by the monitor that watched it. A live run owns
-	// its monitor: the monitor options reach it through Base.
+	// its monitor: the monitor options reach it through Base. The
+	// observer, metrics and trace are simulation-only knobs.
+	var mr *monitorRun
+	var or *obsRun
 	if !cfg.Live {
-		cfg.monrun = &monitorRun{
+		mr = &monitorRun{
 			k:         cfg.MonitorK,
 			streaming: cfg.Streaming,
 			segSize:   cfg.StreamSegment,
 			onWitness: cfg.OnWitness,
 		}
-	}
-	if cfg.Metrics || cfg.TraceW != nil {
-		cfg.obsrun = newObsRun(&cfg)
-		if cfg.monrun != nil {
-			cfg.monrun.obs = cfg.obsrun
+		if cfg.Metrics || cfg.TraceW != nil {
+			or = newObsRun(&cfg)
+			mr.obs = or
+			pc.Metrics, pc.Trace = or.reg, or.tr
+		}
+		pc.Stream = func(rec *history.Recorder, score core.Score) {
+			mr.bind(rec, score)
+			if or != nil {
+				or.bind(mr)
+			}
+		}
+		if obs := cfg.Observer; obs != nil {
+			// Progress reports the effective round count (an unset one is
+			// the shared default), so observers can guard on p.Round <
+			// p.Rounds and compute percentages.
+			rounds := cmp.Or(cfg.Rounds, protocols.DefaultRounds)
+			pc.Observer = func(round int, now int64) bool {
+				return obs(Progress{
+					System: s.info.Name, Round: round, Rounds: rounds,
+					VirtualTime: now, LiveWitnesses: mr.seen,
+				})
+			}
 		}
 	}
-	res, err := s.run(cfg)
+	res, err := s.run(cfg, pc)
 	if err != nil {
 		return nil, fmt.Errorf("btsim: %s: %w", s.info.Name, err)
 	}
@@ -154,8 +181,8 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 		// outcome goes where a simulated run's goes.
 		res.Stream = &StreamOutcome{Outcome: lr.Outcome, Ops: lr.MonitorStats.Ops}
 	}
-	if cfg.monrun != nil {
-		cfg.monrun.finish(res)
+	if mr != nil {
+		mr.finish(res)
 	}
 	if res.Stream != nil {
 		if err := res.Stream.MonitorErr; err != nil {
@@ -163,8 +190,8 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 		}
 		res.Stream.Live = live
 	}
-	if cfg.obsrun != nil {
-		if err := cfg.obsrun.finish(res); err != nil {
+	if or != nil {
+		if err := or.finish(res); err != nil {
 			return res, fmt.Errorf("btsim: %s: %w", s.info.Name, err)
 		}
 	}

@@ -32,12 +32,10 @@ type TraceOptions struct {
 // monitor emitting the witness.
 var witnessLatencyBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// obsRun carries one run's observability state from option processing
-// (sysFunc.Run) through the protocol adapter (Config.Base lowers reg
-// and tr onto protocols.Config; the harness's Start installs them on
-// the simulator and group) to finalization after the run — the same
-// shared-pointer pattern monitorRun uses, because Config travels by
-// value.
+// obsRun is one simulated run's observability state: sysFunc.Run builds
+// it, sets reg and tr on the lowered protocols.Config (the harness's
+// Start installs them on the simulator and group), and finishes it after
+// the run.
 type obsRun struct {
 	reg       *metrics.Registry
 	tr        *trace.Tracer

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/consistency"
-	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/protocols"
 	"repro/internal/replica"
@@ -213,18 +212,6 @@ type Config struct {
 	LiveTransport string
 	// Load is the live run's client load and its bound. See WithLoad.
 	Load Load
-
-	// system is stamped by System.Run before the adapter sees the
-	// Config, so Base can label Progress events.
-	system string
-	// monrun is a simulated run's monitor state, created by System.Run.
-	// Config travels by value; the shared pointer is how Base's hook and
-	// the post-run finisher meet.
-	monrun *monitorRun
-	// obsrun is the run's observability state (metrics + trace),
-	// created by System.Run when Metrics is on — same pattern as
-	// monrun.
-	obsrun *obsRun
 }
 
 // Option mutates a Config; build one with NewConfig or pass options
@@ -560,9 +547,9 @@ func (c Config) validate() error {
 }
 
 // Base lowers the public knob set, all but Drop (see DropRule), onto
-// the shared internal protocol config. The rows of the registration
-// table (btsim/systems) call it when they lower a Config; it has already
-// been validated by System.Run.
+// the shared internal protocol config. System.Run lowers a validated
+// Config with it, attaches the run's monitor, metrics and Progress hooks,
+// and hands the result to the system's RunFunc.
 func (c Config) Base() protocols.Config {
 	pc := protocols.Config{
 		N:          c.N,
@@ -587,36 +574,6 @@ func (c Config) Base() protocols.Config {
 			sched.Windows = append(sched.Windows, f.window(c.procs()))
 		}
 		pc.Faults = sched
-	}
-	if c.Observer != nil {
-		obs, system, mr := c.Observer, c.system, c.monrun
-		// Progress reports the effective round count: 0 means the
-		// shared default, so observers can guard on p.Round < p.Rounds
-		// and compute percentages.
-		rounds := c.Rounds
-		if rounds <= 0 {
-			rounds = protocols.DefaultRounds
-		}
-		pc.Observer = func(round int, now int64) bool {
-			return obs(Progress{
-				System: system, Round: round, Rounds: rounds,
-				VirtualTime:   now,
-				LiveWitnesses: mr.liveWitnesses(),
-			})
-		}
-	}
-	if c.monrun != nil {
-		mr, or := c.monrun, c.obsrun
-		pc.Stream = func(rec *history.Recorder, score core.Score) {
-			mr.bind(rec, score)
-			if or != nil {
-				or.bind(mr)
-			}
-		}
-	}
-	if c.obsrun != nil {
-		pc.Metrics = c.obsrun.reg
-		pc.Trace = c.obsrun.tr
 	}
 	if c.Live {
 		pc.Live = &transport.LiveConfig{

@@ -10,6 +10,7 @@ import (
 	"repro/btsim"
 	_ "repro/btsim/systems"
 	"repro/internal/history"
+	"repro/internal/protocols"
 )
 
 // sevenSystems is the full Section 5 mapping the registry must carry
@@ -105,7 +106,7 @@ func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
 	})
 
 	dummy := btsim.NewSystem(btsim.Info{Name: "dummy-for-test", Section: "9.9"},
-		func(btsim.Config) (*btsim.Result, error) { return nil, nil })
+		func(btsim.Config, protocols.Config) (*btsim.Result, error) { return nil, nil })
 	btsim.Register(dummy)
 	t.Cleanup(func() { btsim.Unregister("dummy-for-test") })
 	mustPanic("duplicate name", func() { btsim.Register(dummy) })
@@ -197,9 +198,10 @@ func TestEverySystemRunsAtOneAndTwoProcesses(t *testing.T) {
 	}
 }
 
-// TestEveryConfigFieldHasAKnob walks Config: each exported field has
-// exactly one row in the knobs table and each row names a field, so a
-// knob cannot be added without saying which driver takes it.
+// TestEveryConfigFieldHasAKnob walks Config: each field has exactly one
+// row in the knobs table and each row names a field, so a knob cannot
+// be added without saying which driver takes it, and run state (which
+// has no knob) cannot ride in Config.
 func TestEveryConfigFieldHasAKnob(t *testing.T) {
 	rows := map[string]int{}
 	for _, row := range btsim.KnobRows() {
@@ -207,14 +209,13 @@ func TestEveryConfigFieldHasAKnob(t *testing.T) {
 	}
 	typ := reflect.TypeOf(btsim.Config{})
 	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); f.IsExported() {
-			if rows[f.Name] != 1 {
-				t.Errorf("Config.%s has %d rows in the knobs table, want 1", f.Name, rows[f.Name])
-			}
-			delete(rows, f.Name)
+		f := typ.Field(i)
+		if rows[f.Name] != 1 {
+			t.Errorf("Config.%s has %d rows in the knobs table, want 1", f.Name, rows[f.Name])
 		}
+		delete(rows, f.Name)
 	}
 	for field := range rows {
-		t.Errorf("the knobs table has a row for %q, which is no exported Config field", field)
+		t.Errorf("the knobs table has a row for %q, which is no Config field", field)
 	}
 }

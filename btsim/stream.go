@@ -26,11 +26,9 @@ type StreamOutcome struct {
 // liveKeep caps how many live witnesses a StreamOutcome retains.
 const liveKeep = 64
 
-// monitorRun carries one simulated run's monitor from option processing
-// (sysFunc.Run) through the protocol adapter (Config.Base wires bind as
-// the protocols.Config.Stream hook) to finalization after the run.
-// Config is passed by value everywhere, so the shared pointer is what
-// lets the post-run finisher see what the in-run hook built.
+// monitorRun is one simulated run's monitor: sysFunc.Run builds it,
+// attaches bind as the lowered config's protocols.Config.Stream hook,
+// and finishes it after the run.
 type monitorRun struct {
 	k         int
 	streaming bool
@@ -46,7 +44,9 @@ type monitorRun struct {
 	obs *obsRun
 	// held are the witnesses a streamed run's monitor emitted while it
 	// checked a segment off the recording goroutine; join observes them
-	// there. seen counts the witnesses observed so far.
+	// there. seen counts the witnesses observed so far on the recording
+	// goroutine (a streamed run's count lags its monitor by the segment
+	// in check); Progress.LiveWitnesses reads it.
 	held []consistency.Witness
 	seen int
 }
@@ -132,15 +132,4 @@ func (mr *monitorRun) finish(res *Result) {
 	so.Ops = so.MonitorStats.Ops
 	mr.join(mr.rec.Now())
 	res.Stream = so
-}
-
-// liveWitnesses is read by the Progress observer wrapper: the witnesses
-// observed on the recording goroutine so far (a streamed run's count
-// lags its monitor by the segment in check), 0 for a Config lowered by
-// Base outside System.Run.
-func (mr *monitorRun) liveWitnesses() int {
-	if mr == nil {
-		return 0
-	}
-	return mr.seen
 }

@@ -11,9 +11,9 @@
 // score, predicate, the paper's claims) built by its package from the
 // one internal knob set, protocols.Config. A row of the table (init,
 // below) adds what only the registry knows — name, paper section,
-// synopsis — and how the public btsim.Config is lowered for it: every
-// row takes Config.Base, and the bitcoin and ethereum rows alone also
-// take message loss (lossy). register
+// synopsis — and how the config btsim.System.Run lowers reaches it:
+// every row takes that lowered protocols.Config, and the bitcoin and
+// ethereum rows alone also take message loss (lossy). register
 // derives the rest: Info.Oracle, Info.Criterion and Info.K are read off
 // the definition, and the one sim/live dispatch of the module runs
 // either the package's simulated runner or protocols.RunLive on the same
@@ -36,10 +36,11 @@ import (
 
 // register adds one row of the table to the btsim registry: def and run
 // are the package's Definition and simulated runner, lower maps the
-// public knob set onto the config type C they take.
+// lowered config (with the public knob set, for what Base leaves out)
+// onto the config type C they take.
 func register[C any](name, section, synopsis string,
-	def func(C) *protocols.Definition, run func(C) *protocols.Result, lower func(btsim.Config) C) {
-	d := def(lower(btsim.Config{}))
+	def func(C) *protocols.Definition, run func(C) *protocols.Result, lower func(btsim.Config, protocols.Config) C) {
+	d := def(lower(btsim.Config{}, protocols.Config{}))
 	k := d.Oracle(0).MaxForks()
 	if k == oracle.Unbounded {
 		k = 0 // Info.K's spelling of the prodigal oracle
@@ -48,12 +49,12 @@ func register[C any](name, section, synopsis string,
 		Name: name, Section: section, Synopsis: synopsis,
 		Oracle: d.OracleClaim, K: k, Criterion: d.PaperCriterion,
 	}
-	btsim.Register(btsim.NewSystem(info, func(cfg btsim.Config) (*btsim.Result, error) {
-		c := lower(cfg)
+	btsim.Register(btsim.NewSystem(info, func(cfg btsim.Config, pc protocols.Config) (*btsim.Result, error) {
+		c := lower(cfg, pc)
 		if !cfg.Live {
 			return &btsim.Result{Result: run(c)}, nil
 		}
-		res, lr, err := protocols.RunLive(cfg.Base(), def(c))
+		res, lr, err := protocols.RunLive(pc, def(c))
 		if err != nil {
 			return nil, err
 		}
@@ -61,10 +62,12 @@ func register[C any](name, section, synopsis string,
 	}))
 }
 
-// lossy lowers the public knob set with its message loss: only the
-// bitcoin and ethereum rows take it.
-func lossy(c btsim.Config) protocols.Config {
-	pc := c.Base()
+// lowered is the row of a system that takes the lowered config as it is.
+func lowered(_ btsim.Config, pc protocols.Config) protocols.Config { return pc }
+
+// lossy adds the message loss Base leaves out: only the bitcoin and
+// ethereum rows take it.
+func lossy(c btsim.Config, pc protocols.Config) protocols.Config {
 	pc.Drop = c.DropRule()
 	return pc
 }
@@ -75,13 +78,13 @@ func init() {
 	register("ethereum", "5.2", "fast-block PoW, flooding, GHOST heaviest-subtree selection",
 		ethereum.Definition, ethereum.Run, lossy)
 	register("byzcoin", "5.3", "PoW-elected leader, PBFT commit of one key block per height",
-		byzcoin.Definition, byzcoin.Run, btsim.Config.Base)
+		byzcoin.Definition, byzcoin.Run, lowered)
 	register("algorand", "5.4", "stake-weighted sortition, BA* committee agreement per round",
-		algorand.Definition, algorand.Run, btsim.Config.Base)
+		algorand.Definition, algorand.Run, lowered)
 	register("peercensus", "5.5", "PoW identities, committee consensus anchored on prior creators",
-		peercensus.Definition, peercensus.Run, btsim.Config.Base)
+		peercensus.Definition, peercensus.Run, lowered)
 	register("redbelly", "5.6", "consortium proposers, Byzantine consensus decides each height",
-		redbelly.Definition, redbelly.Run, btsim.Config.Base)
+		redbelly.Definition, redbelly.Run, lowered)
 	register("fabric", "5.7", "permissioned: endorsement, ordering service, block cutting",
-		fabric.Definition, fabric.Run, func(c btsim.Config) fabric.Config { return fabric.Config{Config: c.Base()} })
+		fabric.Definition, fabric.Run, func(_ btsim.Config, pc protocols.Config) fabric.Config { return fabric.Config{Config: pc} })
 }

@@ -30,7 +30,7 @@ func toyRun(cfg protocols.Config) *protocols.Result {
 }
 
 func init() {
-	register("toy", "9.9", "frugal k=2 lottery, longest chain", toyDefinition, toyRun, btsim.Config.Base)
+	register("toy", "9.9", "frugal k=2 lottery, longest chain", toyDefinition, toyRun, lowered)
 }
 
 // TestToyEighthSystem simulates and deploys the registered toy: both

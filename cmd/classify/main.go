@@ -14,14 +14,14 @@
 // (how often each row matched). With -stream the witnesses of the online
 // consistency monitor that checks every run print incrementally as they
 // form, followed by its finalized verdicts; -adversary (selfish,
-// withhold, equivocate) makes witnesses actually appear.
+// withhold, equivocate), which only -stream takes, makes witnesses
+// actually appear.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/btsim"
 	_ "repro/btsim/systems"
@@ -38,19 +38,18 @@ func main() {
 	adv := flag.String("adversary", "", "adversarial strategy for -stream runs (selfish, withhold, equivocate)")
 	flag.Parse()
 
+	if *adv != "" && !*stream {
+		fmt.Fprintln(os.Stderr, "classify: -adversary applies to -stream runs only")
+		os.Exit(2)
+	}
+
 	if *stream {
 		names := btsim.Names()
 		if *system != "" {
 			names = []string{*system}
 		}
-		fails := 0
 		for _, name := range names {
-			if !classifyStream(name, *seed, *adv) {
-				fails++
-			}
-		}
-		if fails > 0 {
-			os.Exit(1)
+			classifyStream(name, *seed, *adv)
 		}
 		return
 	}
@@ -73,22 +72,19 @@ func main() {
 	var order []string
 	fails := 0
 	for s := 0; s < *seeds; s++ {
-		res := experiments.Table1(*seed + uint64(s))
-		if !res.OK {
-			fails++
+		failed := false
+		for _, row := range rows(*seed + uint64(s)) {
+			if s == 0 {
+				order = append(order, row.System)
+			}
+			if row.Match {
+				matches[row.System]++
+			} else {
+				failed = true
+			}
 		}
-		for _, line := range res.Lines {
-			fields := strings.Fields(line)
-			if len(fields) < 2 || fields[0] == "System" || fields[0] == "oracle" {
-				continue
-			}
-			sys := fields[0]
-			if _, seen := matches[sys]; !seen {
-				order = append(order, sys)
-			}
-			if strings.HasSuffix(line, "true") {
-				matches[sys]++
-			}
+		if failed {
+			fails++
 		}
 	}
 	fmt.Printf("Table 1 stability over %d seeds (base %d):\n", *seeds, *seed)
@@ -101,10 +97,21 @@ func main() {
 	}
 }
 
+// rows classifies the named registered systems (every one when none is
+// named) at one seed; an error ends the command.
+func rows(seed uint64, names ...string) []experiments.Row {
+	rows, err := experiments.Rows(seed, names...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "classify:", err)
+		os.Exit(2)
+	}
+	return rows
+}
+
 // classifyStream runs one system, printing each violation witness of its
 // online monitor the moment it forms and the finalized verdicts
-// afterwards. Returns whether the run was usable.
-func classifyStream(name string, seed uint64, adv string) bool {
+// afterwards.
+func classifyStream(name string, seed uint64, adv string) {
 	sys, err := btsim.Get(name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "classify:", err)
@@ -139,7 +146,6 @@ func classifyStream(name string, seed uint64, adv string) bool {
 	}
 	fmt.Printf("  (%d ops checked, %d live witnesses, %d records retained)\n",
 		st.MonitorStats.Ops, st.LiveWitnesses, st.MonitorStats.Retained)
-	return true
 }
 
 // classifyOne runs and classifies a single registered system across the
@@ -148,18 +154,11 @@ func classifyOne(name string, base uint64, seeds int) {
 	if seeds < 1 {
 		seeds = 1
 	}
-	fmt.Printf("%-12s %-10s %-10s %-7s %-6s %-6s %-10s %s\n",
-		"System", "Θ paper", "Θ meas.", "forkMax", "SC", "EC", "paper", "match")
+	fmt.Println(experiments.RowHeader)
 	fails := 0
 	for s := 0; s < seeds; s++ {
-		row, err := experiments.ClassifyOne(name, base+uint64(s))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "classify:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("%-12s %-10s %-10s %-7d %-6v %-6v %-10s %v\n",
-			row.System, row.OracleClaim, row.OracleMeasured, row.ForkMax,
-			row.SCHolds, row.ECHolds, row.PaperCriterion, row.Match)
+		row := rows(base+uint64(s), name)[0]
+		fmt.Println(row)
 		if !row.Match {
 			fails++
 		}

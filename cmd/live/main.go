@@ -37,13 +37,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"slices"
 	"time"
 
 	"repro/btsim"
 	_ "repro/btsim/systems"
 	"repro/internal/consistency"
+	"repro/internal/profile"
 	"repro/internal/transport"
 )
 
@@ -97,11 +97,17 @@ func main() {
 	// Goroutine-leak baseline: everything the deployment spawns (node
 	// loops, TCP accept/read/write loops, the monitor consumer, load
 	// clients) must be gone after teardown.
-	stopProfiles := startProfiles(*cpuprofile, *mutexprofile)
+	stopProfiles, err := profile.Start(*cpuprofile, "", *mutexprofile, "")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "live:", err)
+		os.Exit(1)
+	}
 	base := runtime.NumGoroutine()
 
 	res, err := btsim.Run(*system, opts...)
-	stopProfiles()
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "live:", err)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "live:", err)
 		os.Exit(1)
@@ -177,48 +183,6 @@ func main() {
 		}
 		if bad {
 			os.Exit(1)
-		}
-	}
-}
-
-// startProfiles starts a CPU profile and records every lock contention
-// as the flags ask (an empty path: not asked); the function it returns
-// stops them and writes them out.
-func startProfiles(cpu, mutex string) (stop func()) {
-	var cpuFile *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err == nil {
-			err = pprof.StartCPUProfile(f)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "live:", err)
-			os.Exit(1)
-		}
-		cpuFile = f
-	}
-	if mutex != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "live:", err)
-			}
-		}
-		if mutex == "" {
-			return
-		}
-		f, err := os.Create(mutex)
-		if err == nil {
-			err = pprof.Lookup("mutex").WriteTo(f, 0)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "live:", err)
 		}
 	}
 }

@@ -37,11 +37,11 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/btsim"
 	"repro/internal/consistency"
+	"repro/internal/profile"
 	"repro/internal/scenario"
 )
 
@@ -61,7 +61,11 @@ func main() {
 	blockprofile := flag.String("blockprofile", "", "write a profile of every blocking event (at exit) to this file")
 	flag.Parse()
 
-	stopProfiles := startProfiles(*cpuprofile, *memprofile, *mutexprofile, *blockprofile)
+	stopProfiles, err := profile.Start(*cpuprofile, *memprofile, *mutexprofile, *blockprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scenarios:", err)
+		os.Exit(2)
+	}
 	var code int
 	switch {
 	case *list:
@@ -71,7 +75,9 @@ func main() {
 	default:
 		code = runCatalogue(*only, *seed, *sweep, *workers, *verbose, *check, *jsonOut)
 	}
-	stopProfiles()
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "scenarios:", err)
+	}
 	os.Exit(code)
 }
 
@@ -307,64 +313,5 @@ func printList() {
 			expect = "breaks " + strings.Join(s.ExpectBroken, ",")
 		}
 		fmt.Printf("  %-26s %-11s %-34s %s\n", s.Name, s.System, expect, s.Note)
-	}
-}
-
-// startProfiles starts a CPU profile and the lock and blocking records
-// as the flags ask (an empty path: not asked); the function it returns
-// stops them and writes every asked profile out, the heap after a GC.
-// It runs before every exit of the command.
-func startProfiles(cpu, mem, mutex, block string) (stop func()) {
-	var cpuFile *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err == nil {
-			err = pprof.StartCPUProfile(f)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scenarios:", err)
-			os.Exit(2)
-		}
-		cpuFile = f
-	}
-	if mutex != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
-	if block != "" {
-		runtime.SetBlockProfileRate(1)
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "scenarios:", err)
-			}
-		}
-		if mem != "" {
-			runtime.GC()
-			writeProfile("heap", mem)
-		}
-		if mutex != "" {
-			writeProfile("mutex", mutex)
-		}
-		if block != "" {
-			writeProfile("block", block)
-		}
-	}
-}
-
-// writeProfile writes the named runtime profile (pprof.Lookup) to path.
-func writeProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scenarios:", err)
-		return
-	}
-	err = pprof.Lookup(name).WriteTo(f, 0)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scenarios:", err)
 	}
 }

@@ -76,21 +76,13 @@ func antiEntropyRun(seed uint64, partitionUntil int64, repair bool) *replica.Gro
 		parent = b
 		tt := int64(i*6 + 1)
 		sim.Schedule(tt, func() { g.Procs[0].AppendLocal(b) })
-		sim.Schedule(tt+2, func() {
-			for _, p := range g.Procs {
-				p.Read()
-			}
-		})
+		sim.Schedule(tt+2, g.ReadAll)
 	}
 	if repair {
 		g.EnableAntiEntropy(15, 12)
 	}
 	sim.RunUntilIdle()
-	for _, p := range g.Procs {
-		p.Read()
-	}
-	for _, p := range g.Procs {
-		p.Read()
-	}
+	g.ReadAll()
+	g.ReadAll()
 	return g
 }

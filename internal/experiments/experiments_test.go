@@ -87,19 +87,22 @@ func TestTable1RowsCoverAllSystems(t *testing.T) {
 }
 
 func TestTable1SCFamilyClassification(t *testing.T) {
-	for _, run := range RunAll(42) {
-		row := classify(run)
-		switch run.PaperCriterion {
+	rows, err := Rows(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		switch row.PaperCriterion {
 		case "SC", "SC w.h.p.":
 			if !row.SCHolds {
-				t.Errorf("%s: SC does not hold", run.System)
+				t.Errorf("%s: SC does not hold", row.System)
 			}
 			if row.OracleMeasured != "ΘF,k=1" {
-				t.Errorf("%s: measured oracle %s", run.System, row.OracleMeasured)
+				t.Errorf("%s: measured oracle %s", row.System, row.OracleMeasured)
 			}
 		case "EC":
 			if !row.ECHolds {
-				t.Errorf("%s: EC does not hold", run.System)
+				t.Errorf("%s: EC does not hold", row.System)
 			}
 		}
 	}

@@ -216,12 +216,8 @@ func ExtensionSolvability(seed uint64) *Result {
 			}
 		}
 		sim.RunUntilIdle()
-		for _, p := range g.Procs {
-			p.Read()
-		}
-		for _, p := range g.Procs {
-			p.Read()
-		}
+		g.ReadAll()
+		g.ReadAll()
 		h := g.History()
 		chk := consistency.NewChecker(core.LengthScore{}, core.WellFormed{})
 		_, ec := chk.Classify(h)

@@ -77,8 +77,7 @@ func TheoremLRC(seed uint64) *Result {
 		res.notef("bitcoin run failed: %v", err)
 		return res
 	}
-	chkClean := consistency.NewChecker(clean.Score, core.WellFormed{})
-	_, ecClean := chkClean.Classify(clean.History)
+	_, ecClean := clean.Check()
 	uaClean := clean.UpdateAgreement()
 	res.addf("lossless run: %s ; %s", ecClean, uaClean)
 
@@ -88,8 +87,7 @@ func TheoremLRC(seed uint64) *Result {
 		res.notef("lossy bitcoin run failed: %v", err)
 		return res
 	}
-	chk := consistency.NewChecker(broken.Score, core.WellFormed{})
-	_, ec := chk.Classify(broken.History)
+	_, ec := broken.Check()
 	ua := broken.UpdateAgreement()
 	lrc := broken.LRC()
 	res.addf("one message to p2 dropped: %s ; %s ; %s", ec, ua, lrc)
@@ -135,15 +133,11 @@ func Theorem48(seed uint64) *Result {
 	})
 	// Reads strictly before t0 + δ: each process still only sees its
 	// own block.
-	sim.Schedule(2, func() {
-		group.Procs[0].Read()
-		group.Procs[1].Read()
-	})
+	sim.Schedule(2, group.ReadAll)
 	sim.RunUntilIdle()
 	// Post-convergence reads (both replicas now hold both blocks and
 	// the deterministic selector agrees).
-	group.Procs[0].Read()
-	group.Procs[1].Read()
+	group.ReadAll()
 
 	h := group.History()
 	chk := consistency.NewChecker(core.LengthScore{}, nil)

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/btsim"
 	_ "repro/btsim/systems" // register the built-in seven systems
@@ -69,65 +69,60 @@ var table1Tuning = map[string][]btsim.Option{
 	"ethereum": {btsim.WithRounds(300), btsim.WithReadEvery(4), btsim.WithDifficulty(5)},
 }
 
-// tableSystems returns every registered system in Table 1 presentation
-// order, with any system not named in table1Order appended by name —
-// a newly registered package shows up in the table automatically.
-func tableSystems() []btsim.System {
-	named := map[string]bool{}
-	var out []btsim.System
+// tableNames returns every registered system's name in Table 1
+// presentation order, with any system not named in table1Order appended
+// by name — a newly registered package shows up in the table
+// automatically.
+func tableNames() []string {
+	var out []string
 	for _, name := range table1Order {
-		if sys, ok := btsim.Lookup(name); ok {
-			named[name] = true
-			out = append(out, sys)
+		if _, ok := btsim.Lookup(name); ok {
+			out = append(out, name)
 		}
 	}
-	var extra []btsim.System
-	for _, sys := range btsim.Systems() {
-		if !named[sys.Name()] {
-			extra = append(extra, sys)
+	for _, name := range btsim.Names() {
+		if !slices.Contains(table1Order, name) {
+			out = append(out, name)
 		}
-	}
-	sort.Slice(extra, func(i, j int) bool { return extra[i].Name() < extra[j].Name() })
-	return append(out, extra...)
-}
-
-// RunBenign executes one registered system under the Table 1 defaults.
-func RunBenign(sys btsim.System, seed uint64) (*btsim.Result, error) {
-	opts := []btsim.Option{
-		btsim.WithN(4), btsim.WithRounds(60), btsim.WithSeed(seed), btsim.WithReadEvery(12),
-	}
-	opts = append(opts, table1Tuning[sys.Name()]...)
-	return sys.Run(btsim.NewConfig(opts...))
-}
-
-// RunAll executes every registered system with comparable defaults, in
-// Table 1 presentation order.
-func RunAll(seed uint64) []*btsim.Result {
-	var out []*btsim.Result
-	for _, sys := range tableSystems() {
-		res, err := RunBenign(sys, seed)
-		if err != nil {
-			// Registered adapters accept the benign defaults; a failure
-			// is a registration bug and must surface in the table.
-			panic(fmt.Sprintf("experiments: %s: %v", sys.Name(), err))
-		}
-		out = append(out, res)
 	}
 	return out
 }
 
-// ClassifyOne runs a single registered system under the Table 1
-// defaults and derives its row — cmd/classify -system.
-func ClassifyOne(name string, seed uint64) (Row, error) {
-	sys, err := btsim.Get(name)
-	if err != nil {
-		return Row{}, err
+// Rows runs each named registered system — every one, in Table 1
+// presentation order, when none is named — under the Table 1 defaults
+// and classifies its run.
+func Rows(seed uint64, names ...string) ([]Row, error) {
+	if len(names) == 0 {
+		names = tableNames()
 	}
-	res, err := RunBenign(sys, seed)
-	if err != nil {
-		return Row{}, err
+	rows := make([]Row, 0, len(names))
+	for _, name := range names {
+		sys, err := btsim.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		opts := []btsim.Option{
+			btsim.WithN(4), btsim.WithRounds(60), btsim.WithSeed(seed), btsim.WithReadEvery(12),
+		}
+		res, err := sys.Run(btsim.NewConfig(append(opts, table1Tuning[sys.Name()]...)...))
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, classify(res))
 	}
-	return classify(res), nil
+	return rows, nil
+}
+
+// rowFormat lays out a Table 1 row and its header, column by column.
+const rowFormat = "%-12s %-10s %-10s %-7v %-6v %-6v %-10s %v"
+
+// RowHeader names the columns of Row.String.
+var RowHeader = fmt.Sprintf(rowFormat, "System", "Θ paper", "Θ meas.", "forkMax", "SC", "EC", "paper", "match")
+
+// String renders the row as one line of Table 1, under RowHeader.
+func (r Row) String() string {
+	return fmt.Sprintf(rowFormat, r.System, r.OracleClaim, r.OracleMeasured, r.ForkMax,
+		r.SCHolds, r.ECHolds, r.PaperCriterion, r.Match)
 }
 
 // Table1 regenerates Table 1: each registered system is *run*, its
@@ -136,13 +131,17 @@ func ClassifyOne(name string, seed uint64) (Row, error) {
 // registry — adding a row to the table in btsim/systems adds its row here.
 func Table1(seed uint64) *Result {
 	res := &Result{ID: "Table 1", Title: "mapping of existing systems", OK: true}
-	res.addf("%-12s %-10s %-10s %-7s %-6s %-6s %-10s %s",
-		"System", "Θ paper", "Θ meas.", "forkMax", "SC", "EC", "paper", "match")
-	for _, run := range RunAll(seed) {
-		row := classify(run)
-		res.addf("%-12s %-10s %-10s %-7d %-6v %-6v %-10s %v",
-			row.System, row.OracleClaim, row.OracleMeasured, row.ForkMax,
-			row.SCHolds, row.ECHolds, row.PaperCriterion, row.Match)
+	rows, err := Rows(seed)
+	if err != nil {
+		// Registered adapters accept the benign defaults; a failure is
+		// a registration bug and must surface in the table.
+		res.OK = false
+		res.notef("%v", err)
+		return res
+	}
+	res.Lines = append(res.Lines, RowHeader)
+	for _, row := range rows {
+		res.Lines = append(res.Lines, row.String())
 		if !row.Match {
 			res.OK = false
 			res.notef("%s does not reproduce its Table 1 row", row.System)

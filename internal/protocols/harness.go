@@ -167,13 +167,7 @@ func (h *Harness) ReadsEvery(step, until int64) {
 	if first > until {
 		return
 	}
-	h.Sim.Every(first, step, int((until-first)/step)+1, func(int) { h.readAll() })
-}
-
-func (h *Harness) readAll() {
-	for _, p := range h.Group.Procs {
-		p.Read()
-	}
+	h.Sim.Every(first, step, int((until-first)/step)+1, func(int) { h.Group.ReadAll() })
 }
 
 // Finish drains the run and returns its Result: in-flight messages are
@@ -190,8 +184,8 @@ func (h *Harness) Finish() *Result {
 		h.selfish.Flush()
 		h.Sim.RunUntilIdle()
 	}
-	h.readAll()
-	h.readAll()
+	h.Group.ReadAll()
+	h.Group.ReadAll()
 
 	res := h.Def.result()
 	res.History = h.Group.History()

@@ -339,6 +339,13 @@ func (g *Group) Nets() []Net {
 // benchmark-only PR deletes it.
 func (g *Group) EnableSharding(int) {}
 
+// ReadAll has every process take one read(), in process order.
+func (g *Group) ReadAll() {
+	for _, p := range g.Procs {
+		p.Read()
+	}
+}
+
 // History snapshots the recorded history.
 func (g *Group) History() *history.History { return g.Rec.Snapshot() }
 
