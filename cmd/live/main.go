@@ -29,7 +29,8 @@
 // predicts), a non-convergent deployment, a monitor failure, or a leaked
 // goroutine after teardown. -cpuprofile and -mutexprofile profile the
 // run itself (the load phase, the settle and the final check), the
-// latter recording every lock contention.
+// latter recording every lock contention; a profile that cannot be
+// written exits 1 after the summary.
 package main
 
 import (
@@ -105,8 +106,9 @@ func main() {
 	base := runtime.NumGoroutine()
 
 	res, err := btsim.Run(*system, opts...)
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintln(os.Stderr, "live:", err)
+	profErr := stopProfiles()
+	if profErr != nil {
+		fmt.Fprintln(os.Stderr, "live:", profErr)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "live:", err)
@@ -184,6 +186,9 @@ func main() {
 		if bad {
 			os.Exit(1)
 		}
+	}
+	if profErr != nil {
+		os.Exit(1)
 	}
 }
 

@@ -27,7 +27,8 @@
 // -cpuprofile/-memprofile write pprof profiles of the whole invocation
 // (see SCALING.md's profiling workflow); -mutexprofile/-blockprofile
 // record every lock contention and every blocking event of it and write
-// them out at exit.
+// them out at exit. A profile that cannot be written makes the exit code
+// at least 1.
 package main
 
 import (
@@ -77,6 +78,7 @@ func main() {
 	}
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, "scenarios:", err)
+		code = max(code, 1)
 	}
 	os.Exit(code)
 }

@@ -120,8 +120,9 @@ func checkWeights(t *testing.T, tr *Tree) {
 // links: a held block sits at the bit of the handle the tree's index
 // gives its ID, and n counts the bits; its parent handle resolves to the
 // held block its Parent field names (noHandle at genesis alone); the
-// shared child list of every held block ascends strictly by ID and holds
-// exactly the entries naming it as parent; the children the tree holds
+// shared child list of every held block ascends strictly by ID, holds
+// exactly the entries naming it as parent and as many as its entry's kids
+// count; the children the tree holds
 // under it (the shared list filtered by the bitset, then its twins) are
 // exactly the held blocks naming it as parent — Children sorted, with
 // the held-kid count their number and maxFork the largest;
@@ -152,12 +153,17 @@ func checkNodeLinks(t *testing.T, tr *Tree) {
 			t.Fatalf("parent handle %d of %s does not resolve to this tree's block %s", parent, id.Short(), b.Parent.Short())
 		}
 		var shared BlockID
-		for k, n := tr.idx.entry(h).firstKid.Load(), 0; k != 0; k, n = tr.idx.entry(k).nextSib.Load(), n+1 {
+		listed := 0
+		for k := tr.idx.entry(h).firstKid.Load(); k != 0; k = tr.idx.entry(k).nextSib.Load() {
 			e := tr.idx.entry(k)
-			if e.parent.Load() != h || e.b.Parent != tr.idx.entry(h).b.ID || e.b.ID <= shared || n > interned {
+			if e.parent.Load() != h || e.b.Parent != tr.idx.entry(h).b.ID || e.b.ID <= shared || listed > interned {
 				t.Fatalf("shared child list of %s: entry %d (%s) out of order or not naming it", id.Short(), k, e.b.ID.Short())
 			}
 			shared = e.b.ID
+			listed++
+		}
+		if n := tr.idx.entry(h).kids.Load(); int(n) != listed {
+			t.Fatalf("%s counts %d kids, its shared child list holds %d", id.Short(), n, listed)
 		}
 		var list []BlockID
 		for k := range tr.kids(h) {

@@ -17,7 +17,9 @@ import (
 // once (Tree.Resolve: by its pointer, or by its 64-byte hex ID's hash),
 // the block tree's shape is kept once per run, and everything after —
 // tree membership, the attach, a replica's walk of a block's children, a
-// read's chain walk — goes by slice index. Handles never leave this package.
+// read's chain walk — goes by slice index. Handles leave this package
+// only through Ref.Handles, for the recorder to number a delivered block
+// by (invariant (iii)).
 //
 // Invariants:
 //
@@ -37,10 +39,11 @@ import (
 //   - (iii) Handles are run-local names in intern order, which differs
 //     between live runs (the nodes' event loops race to intern a block
 //     first) and with what a caller interned beforehand. Nothing
-//     digest-covered, rendered or serialized depends on handle order,
-//     and a tree keeps no order of its own (Tree: Blocks sorts, Clone
-//     copies the held set, the GHOST pass sums subtrees — the same
-//     result in any visiting order).
+//     digest-covered, rendered or serialized depends on handle order
+//     (the recorder caches its ID numbers by handle, but numbers IDs in
+//     the order it first records them), and a tree keeps no order of its
+//     own (Tree: Blocks sorts, Clone copies the held set, the GHOST pass
+//     sums subtrees — the same result in any visiting order).
 //   - (iv) The index is safe for concurrent use, and no lookup takes a
 //     lock. An ID's handle is found in byID, a block pointer's in
 //     byBlock: open-addressed tables of handle+1 (0 is an empty slot),
@@ -67,10 +70,12 @@ import (
 //   - (vi) An entry is on its parent's child list exactly when its
 //     parent handle is set: intern links it in under mu, at
 //     once or when a late parent arrives. A list ascends strictly by ID
-//     and ends at 0 (genesis is nobody's child). A splice sets the new
-//     entry's next sibling before one atomic store makes it reachable,
-//     so a walk racing it sees the list with or without it, whole
-//     either way; nothing is ever unlinked.
+//     and ends at 0 (genesis is nobody's child). The parent's kids
+//     counts the list: link adds one before the splice, so whoever
+//     reaches an entry through a table or the list reads a count that
+//     includes it. A splice sets the new entry's next sibling before one
+//     atomic store makes it reachable, so a walk racing it sees the list
+//     with or without it, whole either way; nothing is ever unlinked.
 type Index struct {
 	genesis *Block // entry 0's block
 
@@ -95,8 +100,8 @@ type indexEntry struct {
 	b      *Block
 	parent atomic.Uint32
 	// firstKid heads the entry's child list, nextSib continues the list
-	// the entry is on (invariant (vi)).
-	firstKid, nextSib atomic.Uint32
+	// the entry is on, and kids counts the list (invariant (vi)).
+	firstKid, nextSib, kids atomic.Uint32
 }
 
 // noHandle marks "not interned"; no tree holds anything under it.
@@ -185,6 +190,11 @@ type Ref struct {
 // Block returns the block the Ref was resolved for.
 func (r Ref) Block() *Block { return r.b }
 
+// Handles returns the handles of the Ref's block and of the parent it
+// names, each at or past its index's Len where not interned. They are
+// run-local names (invariant (iii)): fit to key a cache, never an order.
+func (r Ref) Handles() (block, parent uint32) { return r.h, r.parent }
+
 // resolve looks b up without a lock: by its pointer first — a block
 // delivered as the copy that was interned costs no hash of its ID — and
 // by its ID on a miss, so no answer depends on an address.
@@ -266,9 +276,10 @@ func (x *Index) intern(b *Block) uint32 {
 }
 
 // link splices child c into p's child list ahead of the first sibling
-// with a larger ID, under mu (invariant (vi)).
+// with a larger ID and counts it, under mu (invariant (vi)).
 func (x *Index) link(p, c uint32) {
 	id := x.entry(c).b.ID
+	x.entry(p).kids.Add(1)
 	at := &x.entry(p).firstKid
 	for s := at.Load(); s != 0 && x.entry(s).b.ID < id; s = at.Load() {
 		at = &x.entry(s).nextSib

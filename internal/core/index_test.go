@@ -493,7 +493,8 @@ func TestTreesReadEntriesWhileInterning(t *testing.T) {
 // filter out. A tree reads the index's child links without its lock
 // (invariant (vi)); under -race this is that contract. After each attach
 // the attaching tree's Children, held-kid counts, MaxForkDegree and
-// LongestChain head must equal a recompute from its Blocks().
+// LongestChain head must equal a recompute from its Blocks(), and once
+// all are done every entry's kids must count its shared list.
 func TestSharedLinksUnderConcurrentAttach(t *testing.T) {
 	blocks := chainAndForks(150)
 	var foreign []*Block // children-first: each waits for its parent
@@ -554,6 +555,23 @@ func TestSharedLinksUnderConcurrentAttach(t *testing.T) {
 	wg.Wait()
 	if len(idx.waiting) != 0 {
 		t.Fatalf("%d parents still awaited", len(idx.waiting))
+	}
+	checkKidCounts(t, idx)
+}
+
+// checkKidCounts asserts that every entry of a quiescent index counts
+// its shared child list: the kids linked at once and those linked when
+// their late parent arrived.
+func checkKidCounts(t *testing.T, idx *Index) {
+	t.Helper()
+	for h := range uint32(idx.Len()) {
+		listed := 0
+		for k := idx.entry(h).firstKid.Load(); k != 0; k = idx.entry(k).nextSib.Load() {
+			listed++
+		}
+		if n := idx.entry(h).kids.Load(); int(n) != listed {
+			t.Fatalf("%s counts %d kids, its shared child list holds %d", idx.entry(h).b.ID.Short(), n, listed)
+		}
 	}
 }
 

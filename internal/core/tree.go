@@ -42,7 +42,9 @@ import (
 //
 //   - tallest: the block maximal by (height, ID) — the head LongestChain
 //     and SingleChain select, read in O(1);
-//   - maxFork: the largest sibling count, so MaxForkDegree is O(1);
+//   - maxFork: the largest sibling count, so MaxForkDegree is O(1); an
+//     attach walks its parent's children only when the tree holds twins
+//     or the index counts more kids under the parent than maxFork;
 //   - weights: per block by handle, the number of blocks in its subtree
 //     (every block weighs one). It is nil until the first weight query
 //     (GHOST, or subtreeWeight), which fills it in one pass; Attach then
@@ -279,8 +281,12 @@ func (t *Tree) AttachResolved(r Ref) error {
 	t.held = grow(t.held, r.h>>6)
 	t.held[r.h>>6] |= 1 << (r.h & 63)
 	t.n++
-	if k := t.nkids(r.parent); k > t.maxFork {
-		t.maxFork = k
+	// Without twins the tree holds at most the parent's listed kids, so
+	// a count no larger than maxFork cannot raise it: no walk.
+	if t.twins != nil || int(t.idx.entry(r.parent).kids.Load()) > t.maxFork {
+		if k := t.nkids(r.parent); k > t.maxFork {
+			t.maxFork = k
+		}
 	}
 	if b.Height > t.tallest.Height || (b.Height == t.tallest.Height && b.ID > t.tallest.ID) {
 		t.tallest = b

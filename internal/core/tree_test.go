@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // child makes a block under parent with a distinguishing round.
@@ -308,8 +309,13 @@ func TestAttachAllocatesNothingOncePagesExist(t *testing.T) {
 // is its struct and one bitset word, 104 bytes (112 under the race
 // detector, the bar) — the ADT machines clone a small tree on every
 // append. NewTree() adds its private index: 608 bytes (616 under the
-// race detector). A fresh tree holds no weight table and no side table.
+// race detector). A fresh tree holds no weight table and no side table,
+// and an index entry is 24 bytes, its kid count in the block pointer's
+// padding.
 func TestGenesisTreeStaysSmall(t *testing.T) {
+	if n := unsafe.Sizeof(indexEntry{}); n != 24 {
+		t.Errorf("an index entry is %d bytes, want 24", n)
+	}
 	if tr := NewTree(); tr.copies != nil || tr.twins != nil {
 		t.Error("a genesis-only tree holds a side table")
 	}

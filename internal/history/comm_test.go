@@ -188,26 +188,32 @@ func TestRecordCommBytesPerEvent(t *testing.T) {
 
 // BenchmarkRecordDelivery measures the recorder on a flooded pattern: a
 // block's creator sends it and the other procs−1 processes each deliver
-// it, receive and update. An op is one delivery (plus, every procs−1 of
-// them, a send); log-B/event is what the retained chunks hold per event.
+// it, receive and update, by the Ref a tree on the recorder's index
+// resolved, as a replica delivers. An op is one delivery (plus, every
+// procs−1 of them, a send); log-B/event is what the retained chunks hold
+// per event.
 func BenchmarkRecordDelivery(b *testing.B) {
 	const procs = 64
-	blocks := make([]*core.Block, b.N/(procs-1)+1)
-	parent := core.GenesisID
-	for k := range blocks {
-		blocks[k] = &core.Block{ID: core.BlockID(fmt.Sprint("b", k)), Parent: parent}
-		parent = blocks[k].ID
-	}
 	rec := NewRecorder(procs, nil)
+	tr := core.NewTreeOn(rec.Table())
+	refs := make([]core.Ref, b.N/(procs-1)+1)
+	parent := core.Genesis()
+	for k := range refs {
+		blk := &core.Block{ID: core.BlockID(fmt.Sprint("c", k)), Parent: parent.ID, Height: k + 1}
+		if err := tr.Attach(blk); err != nil {
+			b.Fatal(err)
+		}
+		refs[k], parent = tr.Resolve(blk), blk
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k, p := i/(procs-1), i%(procs-1)
-		blk := blocks[k]
+		blk := refs[k].Block()
 		if p == 0 {
 			rec.RecordComm(EvSend, k%procs, blk.Parent, blk.ID)
 		}
-		rec.RecordDelivery((k+1+p)%procs, blk.Parent, blk)
+		rec.RecordDelivery((k+1+p)%procs, blk.Parent, refs[k])
 	}
 	b.StopTimer()
 	retained := 0

@@ -356,7 +356,7 @@ func TestDeliveryRecordWidensToTwoRecords(t *testing.T) {
 				rcv = "elsewhere"
 			}
 			want = append(want, pairs.RecordComm(EvReceive, p, rcv, b.ID), pairs.RecordComm(EvUpdate, p, b.Parent, b.ID))
-			fused.RecordDelivery(p, rcv, b)
+			fused.RecordDelivery(p, rcv, refOn(fused, b))
 			deliveries++
 			if k%6 == 5 {
 				fallbacks++
@@ -386,6 +386,130 @@ func TestDeliveryRecordWidensToTwoRecords(t *testing.T) {
 	}
 }
 
+// refOn resolves b on rec's index, as a replica tree on it does, without
+// interning it: a Ref with no handle for a block no tree attached.
+func refOn(rec *Recorder, b *core.Block) core.Ref { return core.NewTreeOn(rec.Table()).Resolve(b) }
+
+// TestDeliveryByRefMatchesByID: a flood recorded through RecordDelivery
+// by Ref and the same receive/update pairs recorded through RecordComm
+// by ID snapshot to the same log word for word over the same tables,
+// mid-flood too. The Refs are of every kind a delivery can hold:
+// resolved by replica trees on the recorder's index before they attach
+// (the first to attach a block holds no handle for it, the others do),
+// of blocks no tree holds (no block handle; a parent handle or none),
+// with a forged receive parent, of a twin copy naming another parent
+// (its update falls back to two records), of blocks whose first record
+// named a forged parent (every delivery two records). Every handle the
+// recorder cached names the block's own number, and the cache holds no
+// page past the index's Len (the flood's handles start on its second).
+func TestDeliveryByRefMatchesByID(t *testing.T) {
+	const procs = 4 // process 4 escapes
+	byRef, byID := NewRecorder(procs, nil), NewRecorder(procs, nil)
+	for i, parent := 0, core.GenesisID; i < handlePage; i++ { // the flood's handles start on the second page
+		f := &core.Block{ID: core.BlockID(fmt.Sprint("f", i)), Parent: parent}
+		byRef.InternBlock(f)
+		parent = f.ID
+	}
+	trees := make([]*core.Tree, procs+1)
+	for p := range trees {
+		trees[p] = core.NewTreeOn(byRef.Table())
+	}
+	twins := core.NewTreeOn(byRef.Table())
+	var want []CommEvent
+	var cuts [][2]*History
+	kinds := map[string]int{}
+	deliver := func(kind string, p int, rcv core.BlockID, r core.Ref) {
+		kinds[kind]++
+		b := r.Block()
+		byRef.RecordDelivery(p, rcv, r)
+		want = append(want, byID.RecordComm(EvReceive, p, rcv, b.ID), byID.RecordComm(EvUpdate, p, b.Parent, b.ID))
+	}
+	tip, g := core.Genesis(), core.Genesis()
+	for k := 0; k < 30; k++ {
+		b := &core.Block{ID: core.BlockID(fmt.Sprint("c", k)), Parent: tip.ID, Height: tip.Height + 1}
+		if k%5 == 4 {
+			want = append(want, byID.RecordComm(EvReceive, 3, "forged", b.ID))
+			byRef.RecordComm(EvReceive, 3, "forged", b.ID)
+		}
+		want = append(want, byID.RecordComm(EvSend, k%procs, b.Parent, b.ID))
+		byRef.RecordComm(EvSend, k%procs, b.Parent, b.ID)
+		for p, tr := range trees {
+			if k%3 == 0 && p == 1 {
+				byID.ReadHead(0, g)
+				byRef.ReadHead(0, g)
+			}
+			r := tr.Resolve(b)
+			if err := tr.AttachResolved(r); err != nil {
+				t.Fatal(err)
+			}
+			kind, rcv := "tree", b.Parent
+			if k%4 == 1 && p == 2 {
+				kind, rcv = "forged receive", "elsewhere"
+			}
+			if k%5 == 4 {
+				kind = "forged first"
+			}
+			deliver(kind, p, rcv, r)
+		}
+		orphan := &core.Block{ID: core.BlockID(fmt.Sprint("o", k)), Parent: b.ID, Height: b.Height + 1}
+		deliver("no block handle", k%procs, orphan.Parent, refOn(byRef, orphan))
+		stray := &core.Block{ID: core.BlockID(fmt.Sprint("s", k)), Parent: core.BlockID(fmt.Sprint("nowhere", k))}
+		deliver("no handle", (k+1)%procs, stray.Parent, refOn(byRef, stray))
+		if k%3 == 2 {
+			alt := &core.Block{ID: core.BlockID(fmt.Sprint("a", k)), Parent: core.GenesisID, Height: 1}
+			twin := &core.Block{ID: b.ID, Parent: alt.ID, Height: 2}
+			for _, x := range []*core.Block{alt, twin} {
+				r := twins.Resolve(x)
+				if err := twins.AttachResolved(r); err != nil {
+					t.Fatal(err)
+				}
+				if x == twin {
+					deliver("twin", k%procs, x.Parent, r)
+				}
+			}
+		}
+		tip = b
+		if k == 13 {
+			cuts = append(cuts, [2]*History{byRef.Snapshot(), byID.Snapshot()})
+			checkHandleCache(t, byRef, trees[0].Blocks())
+		}
+	}
+	cuts = append(cuts, [2]*History{byRef.Snapshot(), byID.Snapshot()})
+	for _, c := range cuts {
+		if !slices.Equal(c[0].Comm, c[1].Comm) {
+			t.Fatalf("the log by Ref has %d words, not the %d of the log by ID, or other ones", len(c[0].Comm), len(c[1].Comm))
+		}
+		if !reflect.DeepEqual(c[0].tables, c[1].tables) {
+			t.Fatalf("the tables by Ref differ:\n%+v\n%+v", c[0].tables, c[1].tables)
+		}
+	}
+	checkEvents(t, cuts[1][0], want)
+	for _, kind := range []string{"tree", "forged receive", "forged first", "no block handle", "no handle", "twin"} {
+		if kinds[kind] == 0 {
+			t.Errorf("no delivery of kind %q", kind)
+		}
+	}
+	if n, l := len(byRef.ids.byHandle), byRef.Table().Len(); n < 2 || n > (l+handlePage-1)/handlePage {
+		t.Fatalf("the handle cache holds %d pages for an index of %d", n, l)
+	}
+}
+
+// checkHandleCache asserts that rec caches the number of every block but
+// genesis in blocks, all interned, under that block's handle.
+func checkHandleCache(t *testing.T, rec *Recorder, blocks []*core.Block) {
+	t.Helper()
+	tr := core.NewTreeOn(rec.Table())
+	for _, b := range blocks[1:] {
+		h, _ := tr.Resolve(b).Handles()
+		if int(h/handlePage) >= len(rec.ids.byHandle) || rec.ids.byHandle[h/handlePage][h%handlePage] == 0 {
+			t.Fatalf("no number cached for %s under handle %d", b.ID.Short(), h)
+		}
+		if n := rec.ids.byHandle[h/handlePage][h%handlePage] - 1; rec.ids.names[n] != b.ID {
+			t.Fatalf("handle %d caches the number of %s, not of %s", h, rec.ids.names[n].Short(), b.ID.Short())
+		}
+	}
+}
+
 // commRecords counts the records in rec's chunks and the delivery
 // records among them.
 func commRecords(rec *Recorder) (records, deliveries int) {
@@ -405,7 +529,10 @@ func commRecords(rec *Recorder) (records, deliveries int) {
 // MaxProcs (4 for the empty input), and so how many process bits the
 // record splits off; then two bytes an event: kind or a delivery (a/24
 // odd; its update names the pool entry a/48 past the receive's parent,
-// so honest, odd-receive and forged-first deliveries all occur), process
+// so honest, odd-receive and forged-first deliveries all occur; its Ref
+// resolved on the recorder's index after the block is interned there
+// when a/12 is even, before otherwise, so that it holds handles, one or
+// none), process
 // (0, 1, 2 or the last) and a snapshot request from the first; parent
 // and block
 // from the second, out of a pool small enough that repeats, runs, the
@@ -456,6 +583,9 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 	// Deliveries (a = 24 + …): honest ones of b1 under genesis at four
 	// processes, then of b2 under b1 — every one a single record.
 	f.Add([]byte{1, 24, 13, 27, 13, 30, 13, 33, 20})
+	// The same with Refs resolved before the blocks are interned (a =
+	// 36 + …), then one after.
+	f.Add([]byte{1, 36, 13, 39, 13, 24, 13, 45, 20})
 	// An honest delivery of b1, then one naming the parent "forged" whose
 	// update still names genesis (an odd receive, one record), either
 	// side of a snapshot.
@@ -496,6 +626,7 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 			in = in[1:]
 		}
 		rec := NewRecorder(procs, nil)
+		tr := core.NewTreeOn(rec.Table())
 		var ref []CommEvent
 		type cut struct {
 			h *History
@@ -537,8 +668,11 @@ func FuzzCommLogRoundTrip(f *testing.F) {
 				if first[blk.ID] == blk.Parent {
 					fused++
 				}
+				if a/12%2 == 0 {
+					rec.InternBlock(blk)
+				}
 				want.Kind = EvReceive
-				rec.RecordDelivery(proc, want.Parent, blk)
+				rec.RecordDelivery(proc, want.Parent, tr.Resolve(blk))
 				ref = append(ref, want, CommEvent{Kind: EvUpdate, Proc: proc, Parent: blk.Parent, Block: blk.ID, Index: seq + 1})
 				seq += 2
 				continue

@@ -245,10 +245,19 @@ const noParent = ^uint32(0)
 // commIDs packs events into records, numbering the block IDs they name
 // and growing the tables that widen them. The tables are append-only
 // except parent, whose entry for an ID first named as a parent is
-// written once more when the ID is first named as a block.
+// written once more when the ID is first named as a block. A number
+// depends only on the order IDs are first named in, never on a handle.
 type commIDs struct {
 	commTables
 	num map[core.BlockID]uint32
+	// byHandle caches, by a handle on idx, the recorder's index, an ID's
+	// number+1 (0: not yet cached): a delivery names its block and its
+	// parent by the handles the replica resolved, so an interned block
+	// is numbered without hashing its ID. Its pages of handlePage slots
+	// are added up to the one holding a handle below the index's Len
+	// and never regrown.
+	byHandle []*[handlePage]uint32
+	idx      *core.Index
 	// n is the number of events packed (a delivery record is two), next
 	// the index one more event would carry without a jump.
 	n, next int
@@ -275,6 +284,29 @@ func (t *commIDs) number(id core.BlockID, memo *uint32) uint32 {
 		t.parent = append(t.parent, noParent)
 	}
 	*memo = n
+	return n
+}
+
+// handlePage is the number of slots in a page of commIDs.byHandle.
+const handlePage = 1 << 10
+
+// numberAt is number for an ID whose handle on the recorder's index is
+// h (at or past its Len when it has none): the cached number, or
+// number's, cached for the next delivery that names h.
+func (t *commIDs) numberAt(h uint32, id core.BlockID, memo *uint32) uint32 {
+	page := int(h / handlePage)
+	if page < len(t.byHandle) {
+		if n := t.byHandle[page][h%handlePage]; n != 0 {
+			return n - 1
+		}
+	}
+	n := t.number(id, memo)
+	if int(h) < t.idx.Len() {
+		for len(t.byHandle) <= page {
+			t.byHandle = append(t.byHandle, new([handlePage]uint32))
+		}
+		t.byHandle[page][h%handlePage] = n + 1
+	}
 	return n
 }
 
@@ -307,25 +339,37 @@ func (t *commIDs) pack(e CommEvent) CommRecord {
 	return c
 }
 
-// packDelivery narrows a delivery — the receive e and, at e.Index+1, its
-// update of e.Block under update — into one record over t, leaving the
-// tables as packing the two events would: the receive's odd parent, if
-// any, and for an escaped payload one wide entry per event. It reports
-// false and packs nothing when update is not the block's first parent
-// once e is packed (only after a forged first record); the caller packs
-// the two events instead. It repeats pack's steps rather than calling
-// pack and patching the record: that measured ≈ 10 % slower a delivery
-// (BenchmarkRecordDelivery).
-func (t *commIDs) packDelivery(e CommEvent, update core.BlockID) (CommRecord, bool) {
+// packDelivery narrows a delivery — the receive e of r's block and, at
+// e.Index+1, its update under the block's Parent — into one record over
+// t, leaving the tables as packing the two events would: the receive's
+// odd parent, if any, and for an escaped payload one wide entry per
+// event. The block, and a receive parent that is its Parent, are
+// numbered by r's handles (numberAt), still parent first. It
+// reports false and packs nothing when the Parent is not the block's
+// first parent once e is packed (only after a forged first record); the
+// caller packs the two events instead. It repeats pack's steps rather
+// than calling pack and patching the record: that measured ≈ 10 %
+// slower a delivery (BenchmarkRecordDelivery).
+func (t *commIDs) packDelivery(e CommEvent, r core.Ref) (CommRecord, bool) {
 	if uint(e.Proc) >= MaxProcs {
 		panic(fmt.Sprintf("history: process %d outside [0, %d)", e.Proc, MaxProcs))
 	}
-	parent, block := t.number(e.Parent, &t.lastParent), t.number(e.Block, &t.lastBlock)
+	bh, ph := r.Handles()
+	update := r.Block().Parent
+	honest := e.Parent == update
+	var parent uint32
+	if honest {
+		parent = t.numberAt(ph, e.Parent, &t.lastParent)
+	} else {
+		parent = t.number(e.Parent, &t.lastParent)
+	}
+	block := t.numberAt(bh, e.Block, &t.lastBlock)
 	first := t.parent[block]
 	if first == noParent {
 		first = parent
 	}
-	if t.names[first] != update {
+	// An honest receive names the update's parent: the numbers decide.
+	if honest && first != parent || !honest && t.names[first] != update {
 		return CommRecord{}, false
 	}
 	t.parent[block] = first
@@ -567,6 +611,7 @@ func NewRecorder(procs int, clock func() int64) *Recorder {
 	}
 	r := &Recorder{procs: procs, faulty: make(map[int]bool), clock: clock, table: core.NewIndex()}
 	r.ids.pbits = uint(bits.Len(uint(max(procs-1, 0))))
+	r.ids.idx = r.table
 	return r
 }
 
@@ -721,17 +766,23 @@ func (r *Recorder) RecordComm(kind CommKind, p int, parent, block core.BlockID) 
 	return e
 }
 
-// RecordDelivery records the generic update of Section 4.2 as one step:
-// receive_p(parent, b) and update_p(b.Parent, b) at consecutive indices,
-// under one critical section, packed as one record unless b.Parent is
-// not b's first recorded parent. parent is the predecessor the delivery
-// named, which need not be b.Parent. The sink gets the two events.
-func (r *Recorder) RecordDelivery(p int, parent core.BlockID, b *core.Block) {
+// RecordDelivery records the generic update of Section 4.2 for the block
+// ref was resolved for, b, as one step: receive_p(parent, b) and
+// update_p(b.Parent, b) at consecutive indices, under one critical
+// section, packed as one record unless b.Parent is not b's first
+// recorded parent. parent is the predecessor the delivery named, which
+// need not be b.Parent. ref is b resolved on the recorder's index
+// (Table), as by a replica tree on it: its handles number b and its
+// parent with no lookup of their IDs once each was recorded by handle
+// before (a Ref from another index would name other IDs' numbers). The
+// sink gets the two events.
+func (r *Recorder) RecordDelivery(p int, parent core.BlockID, ref core.Ref) {
+	b := ref.Block()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rcv, upd := r.commEvent(EvReceive, p, parent, b.ID), r.commEvent(EvUpdate, p, b.Parent, b.ID)
 	if !r.drop {
-		if c, ok := r.ids.packDelivery(rcv, b.Parent); ok {
+		if c, ok := r.ids.packDelivery(rcv, ref); ok {
 			r.appendComm(c)
 		} else {
 			r.appendComm(r.ids.pack(rcv))

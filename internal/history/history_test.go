@@ -159,6 +159,7 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			tr := core.NewTreeOn(rec.Table())
 			for i := 0; i < 100; i++ {
 				op := rec.InvokeRead(p)
 				rec.RespondRead(op, chainOf(i%3))
@@ -168,7 +169,7 @@ func TestRecorderConcurrentSafety(t *testing.T) {
 				if i%2 == 0 {
 					b.ID, parent = "f"+b.ID[1:], "y"
 				}
-				rec.RecordDelivery(p, parent, b)
+				rec.RecordDelivery(p, parent, tr.Resolve(b))
 			}
 		}(p)
 	}

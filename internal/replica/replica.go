@@ -205,8 +205,9 @@ func (p *Process) applyResolved(r core.Ref, recv *core.BlockID) bool {
 // reports whether the block was newly attached: a block the tree
 // already holds (flooding re-delivers; genesis always) is a duplicate,
 // and blocks whose parent is missing are buffered (deduplicated) for the
-// flush above. Everything the tree is asked goes by the handles in r —
-// no further lookup of the block's ID or its parent's.
+// flush above. Everything the tree is asked, and the recorder's
+// numbering of a delivery (Recorder.RecordDelivery takes r), goes by the
+// handles in r — no further lookup of the block's ID or its parent's.
 func (p *Process) applyOne(r core.Ref, recv *core.BlockID) bool {
 	b := r.Block()
 	if p.tree.Holds(r) {
@@ -238,7 +239,7 @@ func (p *Process) applyOne(r core.Ref, recv *core.BlockID) bool {
 		return false
 	}
 	if recv != nil {
-		p.Rec.RecordDelivery(p.ID, *recv, b)
+		p.Rec.RecordDelivery(p.ID, *recv, r)
 	} else {
 		p.Rec.RecordComm(history.EvUpdate, p.ID, b.Parent, b.ID)
 	}
