@@ -59,7 +59,9 @@ package btsim
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
+	"repro/internal/adversary"
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/history"
@@ -84,6 +86,9 @@ type Info struct {
 	Criterion string
 	// Synopsis is a one-line description for listings.
 	Synopsis string
+	// Adversaries are the strategies the system wires: WithAdversary
+	// takes no other.
+	Adversaries []adversary.Strategy
 }
 
 // System is one runnable protocol simulator.
@@ -117,6 +122,9 @@ func (s *sysFunc) Info() Info   { return s.info }
 func (s *sysFunc) Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, fmt.Errorf("btsim: %s: %w", s.info.Name, err)
+	}
+	if a := cfg.Adversary.Strategy; a != "" && !slices.Contains(s.info.Adversaries, a) {
+		return nil, fmt.Errorf("btsim: %s wires no %q adversary (WithAdversary; it wires %v)", s.info.Name, a, s.info.Adversaries)
 	}
 	// Keep the first liveKeep witnesses under either driver (live or
 	// streamed, on the goroutine the monitor runs on, which the run joins

@@ -1,6 +1,9 @@
 package btsim_test
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/btsim"
@@ -62,7 +65,7 @@ func TestConformanceInfoMatchesMeasured(t *testing.T) {
 		t.Run(sys.Name(), func(t *testing.T) {
 			info := sys.Info()
 			res := mustRun(t, sys, benignOpts(sys, 42)...)
-			if res.Info != info {
+			if !reflect.DeepEqual(res.Info, info) {
 				t.Fatalf("Result.Info %+v != registered Info %+v", res.Info, info)
 			}
 			if res.OracleClaim != info.Oracle {
@@ -276,8 +279,8 @@ func TestConformanceIgnoredKnobsAreHarmless(t *testing.T) {
 // run did, not to what the options asked for: on a configuration where
 // every wired attack fires (a heavy adversary on an easy lottery), the
 // run is labelled with a strategy exactly when its digest departs from
-// the benign run's. A system that has no use for the strategy runs
-// benign and says "—".
+// the benign run's. Each strategy a system lists in Info.Adversaries is
+// run; the others are refused (TestAdversaryOutsideWiringIsRejected).
 func TestAdversaryLabelMatchesWiring(t *testing.T) {
 	base := []btsim.Option{
 		btsim.WithN(4), btsim.WithRounds(80), btsim.WithSeed(11),
@@ -288,13 +291,46 @@ func TestAdversaryLabelMatchesWiring(t *testing.T) {
 		if benign.AdversaryName != "—" {
 			t.Errorf("%s: benign run labelled %q", sys.Name(), benign.AdversaryName)
 		}
-		for _, strategy := range []btsim.Adversary{{Strategy: btsim.Selfish}, {Strategy: btsim.Withhold}, {Strategy: btsim.Equivocate}} {
-			strategy.Lead = 1
-			res := mustRun(t, sys, append(base, btsim.WithAdversary(strategy))...)
+		for _, s := range sys.Info().Adversaries {
+			res := mustRun(t, sys, append(base, btsim.WithAdversary(btsim.Adversary{Strategy: s, Lead: 1}))...)
 			attacked := res.Digest() != benign.Digest()
 			if labelled := res.AdversaryName != "—"; labelled != attacked {
 				t.Errorf("%s/%s: labelled %q, digest differs from the benign run's: %v",
-					sys.Name(), strategy.Strategy, res.AdversaryName, attacked)
+					sys.Name(), s, res.AdversaryName, attacked)
+			}
+		}
+	}
+}
+
+// TestAdversaryOutsideWiringIsRejected runs each of the three strategies
+// on each of the seven systems: a system runs the strategies its
+// definition wires, labelled with them, and refuses every other one with
+// an error naming the system and the strategy, where it used to run
+// benign under the attack's name.
+func TestAdversaryOutsideWiringIsRejected(t *testing.T) {
+	lottery := []btsim.Adversary{{Strategy: btsim.Selfish}, {Strategy: btsim.Withhold}, {Strategy: btsim.Equivocate}}
+	wired := map[string][]btsim.Adversary{
+		"bitcoin": lottery, "ethereum": lottery,
+		"fabric":  {{Strategy: btsim.Equivocate}},
+		"byzcoin": nil, "algorand": nil, "peercensus": nil, "redbelly": nil,
+	}
+	base := []btsim.Option{btsim.WithN(4), btsim.WithRounds(30), btsim.WithSeed(11), btsim.WithMerits(1, 1, 1, 3), btsim.WithDifficulty(2)}
+	for name, want := range wired {
+		sys, ok := btsim.Lookup(name)
+		if !ok {
+			t.Fatalf("%s is not registered", name)
+		}
+		for _, a := range lottery {
+			res, err := sys.Run(btsim.NewConfig(append(base, btsim.WithAdversary(a))...))
+			switch {
+			case !slices.Contains(want, a):
+				if err == nil || !strings.Contains(err.Error(), "btsim: "+name+" wires no \""+string(a.Strategy)+"\"") {
+					t.Errorf("%s/%s: error %v, want one naming both", name, a.Strategy, err)
+				}
+			case err != nil:
+				t.Errorf("%s/%s: %v", name, a.Strategy, err)
+			case res.AdversaryName == "—":
+				t.Errorf("%s/%s: wired strategy ran unlabelled", name, a.Strategy)
 			}
 		}
 	}

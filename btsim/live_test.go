@@ -280,7 +280,7 @@ func TestDefinitionAgreesAcrossDrivers(t *testing.T) {
 					t.Errorf("%s claims (%s, %s), Info says (%s, %s)", mode,
 						res.OracleClaim, res.PaperCriterion, info.Oracle, info.Criterion)
 				}
-				if res.Info != info {
+				if !reflect.DeepEqual(res.Info, info) {
 					t.Errorf("%s result stamped with %+v, registry has %+v", mode, res.Info, info)
 				}
 				if info.K > 0 && (res.MeasuredForkMax > info.K || !res.KFork(info.K).OK) {

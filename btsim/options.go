@@ -43,8 +43,9 @@ const (
 // themselves), the selfish-mining release threshold Lead (0 means 1),
 // the equivocation width Forks (0 means 2) and ReleaseAtEnd, which
 // flushes a still-withheld private chain after the last round. The zero
-// value is benign. Systems that support adversaries wire it (the PoW
-// miners and fabric's orderer); the others ignore it.
+// value is benign. A system takes the strategies its Info.Adversaries
+// lists (all three on the PoW miners, Equivocate on fabric's orderer,
+// none on the others); Run refuses any other, naming both.
 type Adversary = adversary.Config
 
 // Fault declares one network partition window without committing to a
@@ -439,14 +440,7 @@ var knobs = []knob{
 		}
 		return nil
 	}},
-	{"Adversary", "WithAdversary", simOnly, func(c *Config, _ reflect.Value) error {
-		switch c.Adversary.Strategy {
-		case "", Selfish, Withhold, Equivocate:
-			return nil
-		}
-		return fmt.Errorf("unknown adversary strategy %q (known: %s, %s, %s)",
-			c.Adversary.Strategy, Selfish, Withhold, Equivocate)
-	}},
+	{"Adversary", "WithAdversary", simOnly, nil}, // System.Run holds it to Info.Adversaries
 	{"Crashes", "WithCrashes", both, checkCrashes},
 	{"Durable", "WithDurability", both, nil},
 	{"Drop", "WithDropNth", simOnly, func(c *Config, _ reflect.Value) error {

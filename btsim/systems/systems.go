@@ -47,7 +47,7 @@ func register[C any](name, section, synopsis string,
 	}
 	info := btsim.Info{
 		Name: name, Section: section, Synopsis: synopsis,
-		Oracle: d.OracleClaim, K: k, Criterion: d.PaperCriterion,
+		Oracle: d.OracleClaim, K: k, Criterion: d.PaperCriterion, Adversaries: d.Adversaries,
 	}
 	btsim.Register(btsim.NewSystem(info, func(cfg btsim.Config, pc protocols.Config) (*btsim.Result, error) {
 		c := lower(cfg, pc)

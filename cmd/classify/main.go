@@ -15,13 +15,15 @@
 // consistency monitor that checks every run print incrementally as they
 // form, followed by its finalized verdicts; -adversary (selfish,
 // withhold, equivocate), which only -stream takes, makes witnesses
-// actually appear.
+// actually appear, on the systems that wire the strategy (a -system
+// that does not is an error).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/btsim"
 	_ "repro/btsim/systems"
@@ -47,6 +49,15 @@ func main() {
 		names := btsim.Names()
 		if *system != "" {
 			names = []string{*system}
+		} else if *adv != "" { // only the systems that wire the strategy
+			names = slices.DeleteFunc(names, func(name string) bool {
+				sys, _ := btsim.Lookup(name)
+				return !slices.Contains(sys.Info().Adversaries, adversary.Strategy(*adv))
+			})
+			if len(names) == 0 {
+				fmt.Fprintf(os.Stderr, "classify: no registered system wires a %q adversary\n", *adv)
+				os.Exit(2)
+			}
 		}
 		for _, name := range names {
 			classifyStream(name, *seed, *adv)

@@ -31,6 +31,7 @@ func Definition(cfg protocols.Config) *protocols.Definition {
 		OracleClaim:    "ΘP",
 		PaperCriterion: "EC",
 		FIFO:           true,
+		Adversaries:    protocols.LotteryAdversaries,
 		Delta:          3,
 		Oracle: func(seed uint64) *oracle.Frugal {
 			return oracle.NewProdigal(tape.DifficultyMapping(difficulty(cfg)), core.WellFormed{}, seed^oracleSalt)

@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/tape"
@@ -49,6 +50,9 @@ type Definition struct {
 	Sequencer bool
 	// FIFO asks for reliable FIFO channels (Sections 5.1/5.2).
 	FIFO bool
+	// Adversaries are the strategies the runner wires; btsim rejects
+	// a run asking for another.
+	Adversaries []adversary.Strategy
 	// MeritOf overrides the run's normalized merit column (nil keeps
 	// it): Red Belly's consortium rule, Fabric's merit-free cut.
 	MeritOf func(proc int) tape.Merit

@@ -10,6 +10,7 @@
 package fabric
 
 import (
+	"repro/internal/adversary"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/oracle"
@@ -62,6 +63,7 @@ func Definition(Config) *protocols.Definition {
 		OracleClaim:    "ΘF,k=1",
 		PaperCriterion: "SC",
 		Sequencer:      true,
+		Adversaries:    []adversary.Strategy{adversary.Equivocate},
 		MeritOf:        func(int) tape.Merit { return 1 },
 		Delta:          2,
 		Oracle: func(seed uint64) *oracle.Frugal {

@@ -104,6 +104,9 @@ func (h *Harness) Equivocator(proc int) *adversary.Equivocator {
 	return h.equiv
 }
 
+// LotteryAdversaries are the strategies LotteryRounds wires.
+var LotteryAdversaries = []adversary.Strategy{adversary.Selfish, adversary.Withhold, adversary.Equivocate}
+
 // LotteryRounds schedules the production of the flooding systems: at
 // every tick each process that is up makes one Mint attempt on its
 // selected head; a granted block is appended locally then flooded

@@ -77,9 +77,9 @@ type Config struct {
 	Durable bool
 	// Adversary configures a process-level adversarial strategy
 	// (selfish mining, equivocation, withholding). The zero value is
-	// benign. Protocol simulators that support adversaries wire it
-	// (Harness.LotteryRounds, Harness.Equivocator); the others ignore
-	// it, and their Result says so.
+	// benign. A simulator wires the strategies its Definition lists
+	// (Harness.LotteryRounds, Harness.Equivocator) and runs benign on
+	// any other, which btsim refuses; its Result says which ran.
 	Adversary adversary.Config
 	// Observer, when set, is invoked once per protocol round (tick /
 	// height) before the round's block production; returning false

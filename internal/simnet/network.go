@@ -61,11 +61,14 @@ type Network struct {
 	// fifo, when enabled, makes every (from, to) link order-preserving
 	// (the "reliable FIFO authenticated channels" of the paper's
 	// Bitcoin/Ethereum mappings): a message never overtakes an earlier
-	// one on the same link. lastOut tracks the latest scheduled
-	// delivery time per link, as a flat n×n array indexed from·n+to —
-	// the per-send map lookup was a top profile entry at N ≥ 256.
+	// one on the same link. lastOut holds each link's latest scheduled
+	// delivery, flat n×n indexed from·n+to, as the ticks past outBase
+	// (≤ now; 0 is "at or before outBase", which no later delivery can
+	// meet) in two bytes, or outEscape with the time in outFar (setFar).
 	fifo    bool
-	lastOut []int64
+	lastOut []uint16
+	outBase int64
+	outFar  map[int]int64
 
 	// sched, when set, is the deterministic partition/fault schedule:
 	// messages crossing an active cut are deferred to the heal time (or
@@ -157,8 +160,37 @@ func (nw *Network) SetDrop(r DropRule) {
 func (nw *Network) SetFIFO(on bool) {
 	nw.fifo = on
 	if on && nw.lastOut == nil {
-		nw.lastOut = make([]int64, nw.n*nw.n)
+		nw.lastOut = make([]uint16, nw.n*nw.n)
 	}
+}
+
+// outEscape marks a lastOut entry whose time is in outFar.
+const outEscape = 1<<16 - 1
+
+// setFar records at as the link's latest delivery when it does not fit
+// in two bytes past outBase: first, if outBase is more than half the
+// range behind now, it sweeps the table onto now−1 (at most one O(n²)
+// sweep per 2¹⁵ ticks), folding escaped times back once they fit.
+func (nw *Network) setFar(link int, at int64) {
+	if shift := nw.sim.now - 1 - nw.outBase; shift >= outEscape/2 {
+		nw.outBase += shift
+		for i, e := range nw.lastOut {
+			if e != outEscape {
+				nw.lastOut[i] = uint16(max(int64(e)-shift, 0))
+			} else if off := nw.outFar[i] - nw.outBase; off < outEscape {
+				nw.lastOut[i] = uint16(max(off, 0))
+				delete(nw.outFar, i)
+			}
+		}
+	}
+	off := at - nw.outBase
+	if off >= outEscape {
+		if nw.outFar == nil {
+			nw.outFar = map[int]int64{}
+		}
+		nw.outFar[link], off = at, outEscape
+	}
+	nw.lastOut[link] = uint16(max(off, 0))
 }
 
 // Send transmits payload from from to to. Loopback (from == to) is
@@ -213,7 +245,11 @@ func (nw *Network) send(from, to int, payload any, rec int32) int32 {
 				}
 			}
 			if nw.fifo {
-				if prev := nw.lastOut[link]; at <= prev {
+				prev := nw.outBase + int64(nw.lastOut[link])
+				if nw.lastOut[link] == outEscape {
+					prev = nw.outFar[link]
+				}
+				if at <= prev {
 					at = prev + 1
 					continue
 				}
@@ -230,7 +266,11 @@ func (nw *Network) send(from, to int, payload any, rec int32) int32 {
 			}
 		}
 		if nw.fifo {
-			nw.lastOut[link] = at
+			if off := uint64(at - nw.outBase); off < outEscape {
+				nw.lastOut[link] = uint16(off)
+			} else {
+				nw.setFar(link, at)
+			}
 		}
 		d = at - now
 	}

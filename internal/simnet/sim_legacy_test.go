@@ -82,6 +82,7 @@ type legacyNet struct {
 	n     int
 	delay DelayModel
 	drop  DropRule
+	sched *Schedule
 	fifo  bool
 	last  map[[2]int]int64
 	trace *[]string
@@ -97,14 +98,28 @@ func (nw *legacyNet) send(from, to int, payload any) {
 	if from != to {
 		d = nw.delay.Delay(nw.sim.rng, nw.sim.now, from, to)
 	}
-	if nw.fifo && from != to {
+	if from != to && (nw.sched != nil || nw.fifo) {
+		// The fault schedule and the FIFO rule resolve together, as in
+		// Network.send, over int64 times kept in a map.
 		link := [2]int{from, to}
 		at := nw.sim.now + d
-		if prev := nw.last[link]; at <= prev {
-			at = prev + 1
-			d = at - nw.sim.now
+		for {
+			resolved, ok := nw.sched.DeliveryTime(at, from, to)
+			if !ok {
+				return
+			}
+			if prev := nw.last[link]; resolved == at && nw.fifo && at <= prev {
+				resolved = prev + 1
+			}
+			if resolved == at {
+				break
+			}
+			at = resolved
 		}
-		nw.last[link] = at
+		if nw.fifo {
+			nw.last[link] = at
+		}
+		d = at - nw.sim.now
 	}
 	nw.sim.schedule(d, func() {
 		*nw.trace = append(*nw.trace, fmt.Sprintf("t=%d %d→%d %v", nw.sim.now, m.From, m.To, m.Payload))
@@ -341,6 +356,78 @@ type broadcastScript struct {
 	schedule  func(delay int64, fn func())
 	run       func(until int64)
 	now       func() int64
+	setFIFO   func(on bool)
+}
+
+// farDelays draws each delay from a list that crosses the edges of the
+// FIFO table's two bytes — 2¹⁵ ± 1, 2¹⁶ − 1, 2¹⁶, 2²⁰ — beside short
+// ones, so links also bump.
+type farDelays struct{}
+
+var farDelayTicks = []int64{1, 2, 3, 5, 1<<15 - 1, 1 << 15, 1<<15 + 1, 1<<16 - 1, 1 << 16, 1 << 20}
+
+func (farDelays) Delay(rng *tape.RNG, _ int64, _, _ int) int64 {
+	return farDelayTicks[rng.Intn(len(farDelayTicks))]
+}
+func (farDelays) Name() string { return "far" }
+
+// newBroadcastPair builds the production network and the legacy loop
+// over one delay model, drop rule and schedule, FIFO links on or off,
+// each tracing its deliveries into its list and relaying them.
+func newBroadcastPair(n int, model DelayModel, rule func() DropRule, sched *Schedule, fifo bool) (prod, legacy *broadcastScript, nw *Network, got, want *[]string) {
+	got, want = new([]string), new([]string)
+	s := NewSim(1)
+	nw = NewNetwork(s, n, model)
+	nw.SetFIFO(fifo)
+	nw.SetDrop(rule())
+	nw.SetSchedule(sched)
+	prod = &broadcastScript{
+		send:      func(from, to, p int) { nw.Send(from, to, p) },
+		broadcast: func(from, p int) { nw.Broadcast(from, p) },
+		schedule:  s.Schedule,
+		run: func(until int64) {
+			if until == math.MaxInt64 {
+				s.RunUntilIdle()
+			} else {
+				s.Run(until)
+			}
+		},
+		now:     s.Now,
+		setFIFO: nw.SetFIFO,
+	}
+	for p := 0; p < n; p++ {
+		nw.AddHandler(p, func(m Message) {
+			*got = append(*got, fmt.Sprintf("t=%d %d→%d %v", s.Now(), m.From, m.To, m.Payload))
+			relay(prod, m)
+		})
+	}
+
+	ls := newLegacySim(1)
+	lnw := &legacyNet{sim: ls, n: n, delay: model, drop: rule(), sched: sched, fifo: fifo, last: map[[2]int]int64{}, trace: want}
+	legacy = &broadcastScript{
+		send:      func(from, to, p int) { lnw.send(from, to, p) },
+		broadcast: func(from, p int) { lnw.broadcast(from, p) },
+		schedule:  ls.schedule,
+		run:       ls.run,
+		now:       func() int64 { return ls.now },
+		setFIFO:   func(on bool) { lnw.fifo = on },
+	}
+	lnw.relay = func(m Message) { relay(legacy, m) }
+	return prod, legacy, nw, got, want
+}
+
+// sameDeliveries fails t at the first delivery where got and want part.
+func sameDeliveries(t *testing.T, got, want []string) {
+	t.Helper()
+	if slices.Equal(got, want) {
+		return
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d: %q, the legacy loop %q", i, got[i], want[i])
+		}
+	}
+	t.Fatalf("%d deliveries, the legacy loop %d", len(got), len(want))
 }
 
 // relay is what a delivery of m does besides being traced: a first-hand
@@ -393,19 +480,26 @@ func playBroadcastScript(b *broadcastScript, n int, script []byte) {
 // loop: a fuzz-chosen script of Broadcast, Send, Schedule and Run(until)
 // calls, with deliveries that broadcast or send again from inside their
 // handler, yields the legacy scheduler's delivery trace exactly. The
-// first byte picks 1–5 processes, FIFO links and δ; the second a DropNth
-// rule, over all messages or those to one process, so broadcasts are
-// partly dropped and FIFO bumps shift some of their deliveries. At idle
-// every record is back on the free list.
+// first byte picks 1–5 processes, FIFO links and δ, or, when its high
+// nibble is 12 or more, farDelays, whose deliveries past the FIFO
+// table's two bytes escape it and whose relays sweep it; the second a
+// DropNth rule, over all messages or those to one process, so
+// broadcasts are partly dropped and FIFO bumps shift some of their
+// deliveries. At idle every record is back on the free list.
 func FuzzBroadcastOrder(f *testing.F) {
 	f.Add([]byte{0x1c, 3, 2, 0, 0, 1, 1, 2, 0, 2, 0, 0})          // FIFO, δ 2: two broadcasts, a send between, one dropped
 	f.Add([]byte{0x24, 200, 3, 1, 2, 2, 4, 0, 0, 3, 0, 7, 3, 2})  // a timer's broadcast, sends to one process dropped
 	f.Add([]byte{0x0b, 0, 2, 0, 0, 2, 1, 0, 0, 5, 0, 2, 2, 0, 0}) // broadcasts relayed from inside handlers, a stop mid-run
+	f.Add([]byte{0xcc, 31, 2, 0, 0, 2, 1, 0, 1, 2, 3, 2, 2, 0})   // FIFO, far delays: relayed broadcasts escape and sweep
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) < 2 {
 			return
 		}
-		n, fifo, delta := 1+int(script[0]%5), script[0]&8 != 0, 1+int64(script[0]>>4%6)
+		n, fifo := 1+int(script[0]%5), script[0]&8 != 0
+		var model DelayModel = Synchronous{Delta: 1 + int64(script[0]>>4%6)}
+		if script[0]>>4 >= 12 {
+			model = farDelays{}
+		}
 		c := int(script[1])
 		rule := func() DropRule {
 			if c >= 128 {
@@ -415,58 +509,73 @@ func FuzzBroadcastOrder(f *testing.F) {
 		}
 		script = script[2:]
 
-		var got []string
-		s := NewSim(1)
-		nw := NewNetwork(s, n, Synchronous{Delta: delta})
-		nw.SetFIFO(fifo)
-		nw.SetDrop(rule())
-		prod := &broadcastScript{
-			send:      func(from, to, p int) { nw.Send(from, to, p) },
-			broadcast: func(from, p int) { nw.Broadcast(from, p) },
-			schedule:  s.Schedule,
-			run: func(until int64) {
-				if until == math.MaxInt64 {
-					s.RunUntilIdle()
-				} else {
-					s.Run(until)
-				}
-			},
-			now: s.Now,
-		}
-		for p := 0; p < n; p++ {
-			nw.AddHandler(p, func(m Message) {
-				got = append(got, fmt.Sprintf("t=%d %d→%d %v", s.Now(), m.From, m.To, m.Payload))
-				relay(prod, m)
-			})
-		}
+		prod, legacy, nw, got, want := newBroadcastPair(n, model, rule, nil, fifo)
 		playBroadcastScript(prod, n, script)
-
-		var want []string
-		ls := newLegacySim(1)
-		lnw := &legacyNet{sim: ls, n: n, delay: Synchronous{Delta: delta}, drop: rule(), fifo: fifo, last: map[[2]int]int64{}, trace: &want}
-		legacy := &broadcastScript{
-			send:      func(from, to, p int) { lnw.send(from, to, p) },
-			broadcast: func(from, p int) { lnw.broadcast(from, p) },
-			schedule:  ls.schedule,
-			run:       ls.run,
-			now:       func() int64 { return ls.now },
-		}
-		lnw.relay = func(m Message) { relay(legacy, m) }
 		playBroadcastScript(legacy, n, script)
-
-		if !slices.Equal(got, want) {
-			for i := range min(len(got), len(want)) {
-				if got[i] != want[i] {
-					t.Fatalf("delivery %d: %q, the legacy loop %q", i, got[i], want[i])
-				}
-			}
-			t.Fatalf("%d deliveries, the legacy loop %d", len(got), len(want))
-		}
-		if s.Pending() != 0 || s.recs.n != 0 {
+		sameDeliveries(t, *got, *want)
+		if s := nw.sim; s.Pending() != 0 || s.recs.n != 0 {
 			t.Fatalf("idle with %d pending and %d records in use", s.Pending(), s.recs.n)
 		}
-		freeRecords(t, &s.recs)
+		freeRecords(t, &nw.sim.recs)
 	})
+}
+
+// TestFIFOFarDelaysMatchLegacy holds the two-byte FIFO table to the
+// legacy loop's int64 times, delivery by delivery, where it is not
+// two bytes: farDelays' delays, virtual time past 2³², FIFO links
+// switched off and back on mid-run, and a cut that defers process 0's
+// links 2¹⁷ ticks. The run must sweep the table several times and
+// escape times into outFar.
+func TestFIFOFarDelaysMatchLegacy(t *testing.T) {
+	const n = 4
+	cut := NewSchedule(SplitWindow(1<<32, 1<<32+1<<17, n, []int{0}))
+	stops := []int64{1 << 10, 1 << 16, 1<<17 + 3, 1 << 20, 1<<20 + 1<<15, 1 << 31, 1<<32 - 7, 1<<32 + 1<<16, 1 << 33, 1<<33 + 1<<18}
+	for seed := uint64(1); seed <= 4; seed++ {
+		prod, legacy, nw, got, want := newBroadcastPair(n, farDelays{}, func() DropRule { return DropNone }, cut, true)
+		bases, far := map[int64]bool{}, 0
+		run := prod.run
+		prod.run = func(until int64) {
+			bases[nw.outBase], far = true, max(far, len(nw.outFar))
+			run(until)
+		}
+		playFarScript(prod, n, seed, stops)
+		playFarScript(legacy, n, seed, stops)
+		sameDeliveries(t, *got, *want)
+		if len(bases) < 4 || far == 0 {
+			t.Fatalf("seed %d: %d table bases, at most %d escaped links: the script no longer sweeps and escapes", seed, len(bases), far)
+		}
+	}
+}
+
+// playFarScript runs to each of stops in turn and there sends,
+// broadcasts and sets timers that broadcast up to 2¹⁷ ticks later, the
+// calls drawn from seed; FIFO links go off at the fourth stop and back
+// on at the sixth. Then it runs to idle.
+func playFarScript(b *broadcastScript, n int, seed uint64, stops []int64) {
+	rng := tape.NewRNG(seed)
+	id := 0
+	for i, stop := range stops {
+		b.run(stop)
+		switch i {
+		case 3:
+			b.setFIFO(false)
+		case 5:
+			b.setFIFO(true)
+		}
+		for range 12 {
+			id++
+			from, to, p := rng.Intn(n), rng.Intn(n), id
+			switch rng.Intn(3) {
+			case 0:
+				b.send(from, to, p)
+			case 1:
+				b.broadcast(from, p)
+			default:
+				b.schedule(int64(rng.Intn(1<<17)), func() { b.broadcast(from, p) })
+			}
+		}
+	}
+	b.run(math.MaxInt64)
 }
 
 // TestFIFOLinkOrderUnderFlatHeap floods one link with same-time sends

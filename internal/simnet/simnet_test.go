@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -395,5 +396,20 @@ func TestFIFOIndependentLinks(t *testing.T) {
 	}
 	if from2[0] > 41 {
 		t.Fatalf("independent link delayed to %d by foreign traffic", from2[0])
+	}
+}
+
+// TestFIFOTableBytes bounds what SetFIFO allocates on a 512-process
+// network at 2 bytes a link: the table holds ticks past a moving base,
+// not int64 times.
+func TestFIFOTableBytes(t *testing.T) {
+	const n = 512
+	nw := NewNetwork(NewSim(1), n, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nw.SetFIFO(true)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*n*n {
+		t.Fatalf("SetFIFO allocated %d B for %d links, want at most 2 B a link", got, n*n)
 	}
 }
